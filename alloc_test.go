@@ -6,6 +6,7 @@ import (
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/obs"
+	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -96,4 +97,26 @@ func TestSpliceAllocBudget(t *testing.T) {
 	if perRouter > budget {
 		t.Errorf("spliced re-inference allocates %.2f allocs per router, budget %.1f", perRouter, budget)
 	}
+}
+
+// TestProbeHitPathAllocFree pins the forwarding plane's contract on the
+// alias-resolution hot path: once a target's walk is memoised, a repeated
+// Engine.Probe to it — Ally spends ≈40 on a pair — allocates nothing.
+func TestProbeHitPathAllocFree(t *testing.T) {
+	s := eval.Build(topo.TinyProfile(), 1)
+	vp := s.Net.VPs[0]
+	for _, r := range s.Net.Routers {
+		for _, ifc := range r.Ifaces {
+			if !s.Engine.Probe(vp, ifc.Addr, probe.MethodUDP).OK {
+				continue
+			}
+			for _, m := range []probe.Method{probe.MethodUDP, probe.MethodICMPEcho, probe.MethodTTLLimited} {
+				if allocs := testing.AllocsPerRun(100, func() { s.Engine.Probe(vp, ifc.Addr, m) }); allocs != 0 {
+					t.Errorf("repeated %v probe to %v allocates %.1f times per call, want 0", m, ifc.Addr, allocs)
+				}
+			}
+			return
+		}
+	}
+	t.Fatal("no interface answers probes")
 }

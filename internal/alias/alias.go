@@ -19,8 +19,7 @@
 package alias
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"bdrmap/internal/netx"
@@ -153,11 +152,14 @@ func (r *Resolver) emit(kind string, a, b netx.Addr, attrs ...obs.Attr) {
 // trace events. The values are volatile (lane-state-dependent across
 // worker counts), so callers attach them under a '~'-prefixed key.
 func fmtIDs(ids []uint16) string {
-	parts := make([]string, len(ids))
+	b := make([]byte, 0, 6*len(ids))
 	for i, id := range ids {
-		parts[i] = fmt.Sprintf("%d", id)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, uint64(id), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Record stores an externally derived verdict (e.g. the analytical aliases
@@ -313,11 +315,8 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 			obs.KV("from", ra.From.String()))
 		return AliasYes
 	}
-	if ra.From == a && rb.From == b {
-		// Both answered from the probed address: no common-source signal
-		// either way.
-		return Unknown
-	}
+	// Different sources — including both answering from the probed address
+	// — carry no common-source signal either way.
 	return Unknown
 }
 

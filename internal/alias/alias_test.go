@@ -278,3 +278,12 @@ func TestAllyAcrossGeneratedHostRouters(t *testing.T) {
 		}
 	}
 }
+
+func TestFmtIDs(t *testing.T) {
+	if got := fmtIDs([]uint16{1, 65535, 0}); got != "1,65535,0" {
+		t.Errorf("fmtIDs = %q, want %q", got, "1,65535,0")
+	}
+	if got := fmtIDs(nil); got != "" {
+		t.Errorf("fmtIDs(nil) = %q, want empty", got)
+	}
+}

@@ -286,7 +286,12 @@ func mutateWorld(n *topo.Network, rng *rand.Rand, r int) (string, error) {
 		if border < 0 {
 			return "", fmt.Errorf("mapdb: no host border router to attach at")
 		}
+		// The lowest unused ASN from 65000+r up: larger profiles already
+		// number ASes in that range.
 		asn := topo.ASN(65000 + r)
+		for n.ASes[asn] != nil {
+			asn++
+		}
 		if _, err := topo.AttachCustomer(n, border, asn); err != nil {
 			return "", err
 		}

@@ -2,6 +2,7 @@ package mapdb
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bdrmap/internal/obs"
@@ -68,5 +69,31 @@ func TestRunRoundsDeterministicChurn(t *testing.T) {
 		return err
 	}(); err == nil {
 		t.Error("Rounds:0 accepted")
+	}
+}
+
+// TestRunRoundsOnProfilesNumberedPast65000 is the regression test for
+// mutateWorld's customer ASN: tier1 and large-access already have an
+// AS65001, so round 2's attach must pick the next unused number instead of
+// failing with "already exists". Verify re-runs every round from scratch
+// on a shadow world mutated the same way and compares byte for byte.
+func TestRunRoundsOnProfilesNumberedPast65000(t *testing.T) {
+	profs := []topo.Profile{topo.Tier1Profile()}
+	if !testing.Short() {
+		la := topo.LargeAccessProfile()
+		la.NumVPs = 4 // the world the benchmark maps; all 19 VPs take 5× as long
+		profs = append(profs, la)
+	}
+	for _, prof := range profs {
+		if topo.Generate(prof, 1).ASes[65001] == nil {
+			t.Fatalf("%s no longer has an AS65001: the test would not exercise the collision", prof.Name)
+		}
+		ev, err := RunRounds(RoundsConfig{Profile: prof, Seed: 1, Rounds: 3, Incremental: true, Verify: true}, NewStore(0, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", prof.Name, err)
+		}
+		if len(ev) != 3 || !strings.HasPrefix(ev[1].Action, "attached customer AS") {
+			t.Fatalf("%s: events %+v, want 3 with round 2 attaching a customer", prof.Name, ev)
+		}
 	}
 }

@@ -58,14 +58,18 @@ func MustParseAddr(s string) Addr {
 // String returns the dotted-quad form of a.
 func (a Addr) String() string {
 	var b [15]byte
-	out := strconv.AppendUint(b[:0], uint64(a>>24), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a>>16&0xff), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a>>8&0xff), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(a&0xff), 10)
-	return string(out)
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form of a to b.
+func (a Addr) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(a>>24), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>16&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(a>>8&0xff), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(a&0xff), 10)
 }
 
 // IsZero reports whether a is the zero address 0.0.0.0.

@@ -14,8 +14,9 @@
 package probe
 
 import (
-	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bdrmap/internal/bgp"
@@ -27,26 +28,25 @@ import (
 
 // Engine simulates probe forwarding and responses over one network.
 // It is safe for concurrent use; the simulated clock is shared.
+//
+// An Engine is bound to one built Net and its Tab and memoises what
+// forwarding derives from them (see plane): mutate the world, build a new
+// engine.
 type Engine struct {
 	Net *topo.Network
 	Tab *bgp.Table
 
-	mu    sync.Mutex
-	now   time.Duration // simulated time since start
-	ipid  map[topo.RouterID]*ipidState
-	rate  map[topo.RouterID]*rateState
-	rng   *rand.Rand
-	bfs   map[topo.RouterID]*bfsTree
-	stats Stats
+	// mu guards the shared measurement timeline only: clock, IP-ID and
+	// rate-limit state.
+	mu   sync.Mutex
+	now  time.Duration // simulated time since start
+	ipid map[topo.RouterID]*ipidState
+	rate map[topo.RouterID]*rateState
 
-	// orgAtts caches, per owner AS, the flattened attachment list of its
-	// whole organization — chooseEgress scans it once per forwarded hop.
-	orgAtts map[topo.ASN][]topo.Attachment
+	stats struct{ traceroutes, probes, packetsSent, responsesRcv atomic.Int64 }
 
-	// orgOf groups sibling ASes: routers of one organization share an IGP
-	// and a routing policy, so forwarding decisions are made per org.
-	orgOf map[topo.ASN]string
-	orgAS map[string][]topo.ASN
+	// fwd is the forwarding plane compiled from Net and Tab (see plane).
+	fwd plane
 
 	// lat holds the latency/congestion model (latency.go).
 	lat latencyState
@@ -143,36 +143,29 @@ type Stats struct {
 
 // New creates an engine over a built network and its routing table.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
-	e := &Engine{
-		Net:     net,
-		Tab:     tab,
-		ipid:    make(map[topo.RouterID]*ipidState),
-		rate:    make(map[topo.RouterID]*rateState),
-		rng:     rand.New(rand.NewSource(1)),
-		bfs:     make(map[topo.RouterID]*bfsTree),
-		orgOf:   make(map[topo.ASN]string),
-		orgAS:   make(map[string][]topo.ASN),
-		orgAtts: make(map[topo.ASN][]topo.Attachment),
+	return &Engine{
+		Net:  net,
+		Tab:  tab,
+		ipid: make(map[topo.RouterID]*ipidState),
+		rate: make(map[topo.RouterID]*rateState),
 	}
-	for _, asn := range net.ASNs() {
-		org := net.ASes[asn].Org
-		e.orgOf[asn] = org
-		e.orgAS[org] = append(e.orgAS[org], asn)
+}
+
+// orgOf names asn's organization; "" for an AS the network does not have.
+func (e *Engine) orgOf(asn topo.ASN) string {
+	if as := e.Net.ASes[asn]; as != nil {
+		return as.Org
 	}
-	return e
+	return ""
 }
 
 // sameOrg reports whether two ASes belong to one organization.
 func (e *Engine) sameOrg(a, b topo.ASN) bool {
-	return a == b || (e.orgOf[a] != "" && e.orgOf[a] == e.orgOf[b])
-}
-
-// orgMembers returns the sibling group of asn (including asn).
-func (e *Engine) orgMembers(asn topo.ASN) []topo.ASN {
-	if m := e.orgAS[e.orgOf[asn]]; len(m) > 0 {
-		return m
+	if a == b {
+		return true
 	}
-	return []topo.ASN{asn}
+	org := e.orgOf(a)
+	return org != "" && org == e.orgOf(b)
 }
 
 // Advance moves the simulated clock forward.
@@ -191,9 +184,12 @@ func (e *Engine) Now() time.Duration {
 
 // Stats returns a snapshot of traffic counters.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	return Stats{
+		Traceroutes:  e.stats.traceroutes.Load(),
+		Probes:       e.stats.probes.Load(),
+		PacketsSent:  e.stats.packetsSent.Load(),
+		ResponsesRcv: e.stats.responsesRcv.Load(),
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -223,10 +219,65 @@ const (
 	maxASHops     = 32
 )
 
-// computePath walks the router-level forwarding path from startRouter
-// toward dst. Firewalled edges truncate the path (§4 challenge 3).
-func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) pathResult {
-	var res pathResult
+// plane memoises what forwarding derives from the engine's Net and Tab,
+// which are frozen for the engine's lifetime (a mutated world gets a new
+// engine): a probe is charged packets, IP-IDs, rate-limit budget and fault
+// draws, never a re-derivation of routing. Everything in it is immutable
+// once stored and shared between goroutines. The maps are allocated by
+// their first miss — an incremental round's engine lives for ≈2 100
+// packets.
+type plane struct {
+	mu      sync.RWMutex
+	paths   map[uint64]*pathResult          // start router<<32 | dst → walk
+	egress  map[egressKey][]topo.Attachment // usable attachments, list order
+	bfs     map[topo.RouterID]*bfsTree
+	orgAtts map[topo.ASN][]topo.Attachment
+}
+
+type egressKey struct {
+	owner  topo.ASN
+	prefix netx.Prefix
+}
+
+// memo returns (*m)[k], building and storing it on a miss. build runs
+// outside the lock; when two goroutines race on one key the first stored
+// value wins, so every caller shares one result.
+func memo[K comparable, V any](mu *sync.RWMutex, m *map[K]V, k K, build func() V) V {
+	mu.RLock()
+	v, ok := (*m)[k]
+	mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = build()
+	mu.Lock()
+	defer mu.Unlock()
+	if w, ok := (*m)[k]; ok {
+		return w
+	}
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+	return v
+}
+
+// computePath returns the router-level forwarding path from startRouter
+// toward dst. The result is shared and must not be modified.
+func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) *pathResult {
+	key := uint64(uint32(startRouter))<<32 | uint64(dst)
+	return memo(&e.fwd.mu, &e.fwd.paths, key, func() *pathResult {
+		res := new(pathResult)
+		var buf [16]pathStep // most walks fit: the exact-size copy is the only allocation
+		res.steps = append([]pathStep(nil), e.walkPath(res, startRouter, dst, buf[:0])...)
+		return res
+	})
+}
+
+// walkPath walks the forwarding path from startRouter toward dst. It
+// returns the steps, appended to steps, and fills res's other fields.
+// Firewalled edges truncate the path (§4 challenge 3).
+func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.Addr, steps []pathStep) []pathStep {
 	target := e.Net.IfaceByAddr(dst)
 	res.exactIface = target
 
@@ -240,47 +291,47 @@ func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) pathResul
 		res.anchorReplies = anchorOK && anchor.Replies
 	}
 	if !routed && target == nil {
-		return res // nothing to head toward
+		return steps // nothing to head toward
 	}
 
 	cur := e.Net.Router(startRouter)
 	if cur == nil {
-		return res
+		return steps
 	}
-	res.steps = append(res.steps, pathStep{router: cur})
+	steps = append(steps, pathStep{router: cur})
 	visitedAS := 0
 
 	for hops := 0; hops < maxRouterHops; hops++ {
-		last := &res.steps[len(res.steps)-1]
+		last := &steps[len(steps)-1]
 		r := last.router
 
 		// Firewalled edge: a probe that would continue past this router
 		// deeper into its network is discarded. Delivery TO the router
 		// itself is allowed.
-		if r.Behavior.FirewallEdge && len(res.steps) > 1 {
-			prev := res.steps[len(res.steps)-2].router
+		if r.Behavior.FirewallEdge && len(steps) > 1 {
+			prev := steps[len(steps)-2].router
 			enteredFromOutside := prev.Owner != r.Owner
 			if enteredFromOutside && !(target != nil && target.Router == r.ID) {
-				return res // truncated
+				return steps // truncated
 			}
 		}
 
 		// Delivered?
 		if target != nil && target.Router == r.ID {
 			res.reached = true
-			return res
+			return steps
 		}
 		if target == nil && routed && anchorOK && anchor.Router == r.ID {
 			res.reached = true
-			return res
+			return steps
 		}
 
 		// Destination interface directly across one of this router's
 		// links (e.g. probing the far side of an interdomain link)?
 		if target != nil {
-			if hop := e.linkHopTo(r, target); hop != nil {
-				last.out = hop.out
-				res.steps = append(res.steps, pathStep{router: hop.router, in: hop.in})
+			if out, far := e.linkHopTo(r, target); out != nil {
+				last.out = out
+				steps = append(steps, pathStep{router: far, in: target})
 				continue
 			}
 		}
@@ -311,47 +362,47 @@ func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) pathResul
 			anchorWaypoint = true
 		}
 
-		if waypoint >= 0 && waypoint != r.ID {
-			if !e.stepToward(&res, r, waypoint, prefix) {
-				return res
-			}
-			continue
-		}
 		if waypoint == r.ID {
 			// At the anchor: delivered only when the probe was headed to
 			// the anchored prefix itself rather than an interface the
 			// routing could not locate from here.
 			res.reached = anchorWaypoint && target == nil
-			return res
+			return steps
 		}
 
-		// Interdomain hop.
-		if !routed || rib == nil {
-			return res
-		}
-		if visitedAS++; visitedAS > maxASHops {
-			return res
-		}
-		att, ok := e.chooseEgress(r, prefix, rib)
-		if !ok {
-			return res
-		}
-		if att.LocalRtr != r.ID {
-			if !e.stepToward(&res, r, att.LocalRtr, prefix) {
-				return res
+		if waypoint < 0 {
+			// Interdomain hop.
+			if !routed || rib == nil {
+				return steps
 			}
-			continue
+			if visitedAS++; visitedAS > maxASHops {
+				return steps
+			}
+			att, ok := e.chooseEgress(r, prefix, rib)
+			if !ok {
+				return steps
+			}
+			if att.LocalRtr == r.ID {
+				// Cross the interdomain link or IXP LAN.
+				out := att.Link.IfaceOn(r.ID)
+				in := att.Link.IfaceOn(att.RemoteRtr)
+				if out == nil || in == nil {
+					return steps
+				}
+				last.out = out
+				steps = append(steps, pathStep{router: e.Net.Router(att.RemoteRtr), in: in})
+				continue
+			}
+			waypoint = att.LocalRtr // head for the chosen border first
 		}
-		// Cross the interdomain link or IXP LAN.
-		out := att.Link.IfaceOn(r.ID)
-		in := att.Link.IfaceOn(att.RemoteRtr)
-		if out == nil || in == nil {
-			return res
+		out, next, ok := e.stepToward(r, waypoint, prefix)
+		if !ok {
+			return steps
 		}
 		last.out = out
-		res.steps = append(res.steps, pathStep{router: e.Net.Router(att.RemoteRtr), in: in})
+		steps = append(steps, next)
 	}
-	return res
+	return steps
 }
 
 // originatesHere reports whether owner's organization announces prefix, so
@@ -365,45 +416,34 @@ func (e *Engine) originatesHere(owner topo.ASN, prefix netx.Prefix) bool {
 	return false
 }
 
-// linkHop describes crossing one link to an adjacent router.
-type linkHop struct {
-	out, in *topo.Iface
-	router  *topo.Router
+// linkHopTo returns the far-side router when the destination interface sits
+// on a link directly attached to r, with r's interface on that link.
+func (e *Engine) linkHopTo(r *topo.Router, target *topo.Iface) (out *topo.Iface, far *topo.Router) {
+	if target.Link == nil || target.Router == r.ID {
+		return nil, nil
+	}
+	if out = target.Link.IfaceOn(r.ID); out == nil {
+		return nil, nil
+	}
+	return out, e.Net.Router(target.Router)
 }
 
-// linkHopTo returns the final hop when the destination interface sits on a
-// link directly attached to r.
-func (e *Engine) linkHopTo(r *topo.Router, target *topo.Iface) *linkHop {
-	if target.Link == nil {
-		return nil
-	}
-	out := target.Link.IfaceOn(r.ID)
-	if out == nil || target.Router == r.ID {
-		return nil
-	}
-	return &linkHop{out: out, in: target, router: e.Net.Router(target.Router)}
-}
-
-// stepToward advances one internal hop from r toward waypoint, appending
-// the step. Returns false when no internal path exists.
-func (e *Engine) stepToward(res *pathResult, r *topo.Router, waypoint topo.RouterID, prefix netx.Prefix) bool {
-	tree := e.bfsFrom(waypoint)
-	nh, ok := tree.nextHopFrom(r.ID)
+// stepToward takes one internal hop from r toward waypoint: r's outgoing
+// interface and the step it leads to. ok is false when no internal path
+// exists.
+func (e *Engine) stepToward(r *topo.Router, waypoint topo.RouterID, prefix netx.Prefix) (out *topo.Iface, next pathStep, ok bool) {
+	nh, ok := e.bfsFrom(waypoint).nextHopFrom(r.ID)
 	if !ok {
-		return false
+		return nil, pathStep{}, false
 	}
 	// Pick the connecting link; parallel links are spread per-prefix so
 	// equal-cost paths expose different ingress interfaces (fig. 13 and
 	// the analytical alias scenario of §5.4.7).
-	links := e.parallelLinks(r.ID, nh)
-	if len(links) == 0 {
-		return false
+	l := e.parallelLink(r.ID, nh, prefixHash(prefix))
+	if l == nil {
+		return nil, pathStep{}, false
 	}
-	l := links[prefixHash(prefix)%len(links)]
-	last := &res.steps[len(res.steps)-1]
-	last.out = l.IfaceOn(r.ID)
-	res.steps = append(res.steps, pathStep{router: e.Net.Router(nh), in: l.IfaceOn(nh)})
-	return true
+	return l.IfaceOn(r.ID), pathStep{router: e.Net.Router(nh), in: l.IfaceOn(nh)}, true
 }
 
 // prefixHash spreads destination prefixes across equal-cost choices.
@@ -415,65 +455,44 @@ func prefixHash(p netx.Prefix) int {
 	return int(h>>16) & 0x7fffffff
 }
 
-// parallelLinks lists the internal links directly joining a and b.
-func (e *Engine) parallelLinks(a, b topo.RouterID) []*topo.Link {
-	var out []*topo.Link
-	for _, adj := range e.Net.InternalNeighbors(a) {
-		if adj.Peer.Router == b {
-			out = append(out, adj.Link)
+// parallelLink returns the (h mod n)-th of the n internal links directly
+// joining a and b, in adjacency order; nil when there is none.
+func (e *Engine) parallelLink(a, b topo.RouterID, h int) *topo.Link {
+	adjs := e.Net.InternalNeighbors(a)
+	n := 0
+	for i := range adjs {
+		if adjs[i].Peer.Router == b {
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	k := h % n
+	for i := range adjs {
+		if adjs[i].Peer.Router == b {
+			if k == 0 {
+				return adjs[i].Link
+			}
+			k--
+		}
+	}
+	return nil // unreachable
 }
 
 // chooseEgress applies hot-potato routing: among the attachments of r's AS
 // leading to an equal-best next-hop AS (and over which the destination
 // prefix is actually announced), pick the border closest to r by IGP
-// distance, spreading ties per prefix.
-//
-// This runs once per router hop of every simulated probe — including every
-// alias-resolution probe — so it allocates nothing: candidate and origin
-// membership are linear scans over tiny sets, the flattened per-org
-// attachment list is cached on the engine, and the tie-broken pick is made
-// by counting instead of collecting.
+// distance, spreading ties per prefix. The pick is made by counting over
+// the short per-(owner, prefix) egress set, so it allocates nothing.
 func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.PrefixRIB) (topo.Attachment, bool) {
-	owner := r.Owner
-	single, multi := e.candidateNextHops(owner, rib)
-	if single == 0 && len(multi) == 0 {
-		return topo.Attachment{}, false
-	}
-	inCand := func(a topo.ASN) bool {
-		if multi == nil {
-			return a == single
-		}
-		for _, c := range multi {
-			if c == a {
-				return true
-			}
-		}
-		return false
-	}
-	// Siblings share an IGP: egress over any org member's attachments.
-	atts := e.orgAttachments(owner)
-	usable := func(att topo.Attachment) (int, bool) {
-		if !inCand(att.Remote) {
-			return 0, false
-		}
-		// Selective announcement: the origin announces a pinned prefix
-		// only over the designated links (§6).
-		if e.Tab.IsOrigin(prefix, att.Remote) && !e.Net.AnnouncedOnLink(prefix, att.Link) {
-			return 0, false
-		}
-		return e.igpDist(r.ID, att.LocalRtr)
-	}
+	set := e.egressSet(r.Owner, prefix, rib)
 	// Pass 1: the best IGP distance and how many attachments tie for it.
 	bestDist, ties := -1, 0
-	for _, att := range atts {
-		d, ok := usable(att)
-		if !ok {
-			continue
-		}
+	for i := range set {
+		d, ok := e.igpDist(r.ID, set[i].LocalRtr)
 		switch {
+		case !ok:
 		case bestDist < 0 || d < bestDist:
 			bestDist, ties = d, 1
 		case d == bestDist:
@@ -486,10 +505,10 @@ func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.Prefi
 	// Pass 2: pick the k-th tying attachment in list order — the same
 	// element the collect-then-index implementation chose.
 	k := prefixHash(prefix) % ties
-	for _, att := range atts {
-		if d, ok := usable(att); ok && d == bestDist {
+	for i := range set {
+		if d, ok := e.igpDist(r.ID, set[i].LocalRtr); ok && d == bestDist {
 			if k == 0 {
-				return att, true
+				return set[i], true
 			}
 			k--
 		}
@@ -497,24 +516,48 @@ func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.Prefi
 	return topo.Attachment{}, false // unreachable
 }
 
+// egressSet is the router-independent half of chooseEgress: the attachments
+// of owner's organization, in list order, that lead to a candidate next-hop
+// AS and carry the prefix's announcement. The slice is shared: callers must
+// not mutate it.
+func (e *Engine) egressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
+	return memo(&e.fwd.mu, &e.fwd.egress, egressKey{owner, prefix}, func() []topo.Attachment {
+		single, multi := e.candidateNextHops(owner, rib)
+		if single == 0 && len(multi) == 0 {
+			return nil
+		}
+		if multi == nil {
+			multi = []topo.ASN{single}
+		}
+		var buf [8]topo.Attachment
+		set := buf[:0]
+		// Siblings share an IGP: egress over any org member's attachments.
+		for _, att := range e.orgAttachments(owner) {
+			if !slices.Contains(multi, att.Remote) {
+				continue
+			}
+			// Selective announcement: the origin announces a pinned prefix
+			// only over the designated links (§6).
+			if e.Tab.IsOrigin(prefix, att.Remote) && !e.Net.AnnouncedOnLink(prefix, att.Link) {
+				continue
+			}
+			set = append(set, att)
+		}
+		return append([]topo.Attachment(nil), set...)
+	})
+}
+
 // orgAttachments returns the concatenated interdomain attachments of every
 // member of owner's organization, cached per owner. The slice is shared:
 // callers must not mutate it.
 func (e *Engine) orgAttachments(owner topo.ASN) []topo.Attachment {
-	e.mu.Lock()
-	if atts, ok := e.orgAtts[owner]; ok {
-		e.mu.Unlock()
+	return memo(&e.fwd.mu, &e.fwd.orgAtts, owner, func() []topo.Attachment {
+		var atts []topo.Attachment
+		for _, member := range e.Net.Siblings(owner) {
+			atts = append(atts, e.Net.Attachments(member)...)
+		}
 		return atts
-	}
-	e.mu.Unlock()
-	var atts []topo.Attachment
-	for _, member := range e.orgMembers(owner) {
-		atts = append(atts, e.Net.Attachments(member)...)
-	}
-	e.mu.Lock()
-	e.orgAtts[owner] = atts
-	e.mu.Unlock()
-	return atts
+	})
 }
 
 // candidateNextHops returns the equal-best next-hop set for the host
@@ -568,36 +611,28 @@ func (t *bfsTree) nextHopFrom(r topo.RouterID) (topo.RouterID, bool) {
 
 // bfsFrom returns (cached) the BFS tree rooted at root over internal links.
 func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
-	e.mu.Lock()
-	if t, ok := e.bfs[root]; ok {
-		e.mu.Unlock()
-		return t
-	}
-	e.mu.Unlock()
-
-	t := &bfsTree{
-		root: root,
-		next: make(map[topo.RouterID]topo.RouterID),
-		dist: map[topo.RouterID]int{root: 0},
-	}
-	queue := []topo.RouterID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, adj := range e.Net.InternalNeighbors(cur) {
-			nb := adj.Peer.Router
-			if _, seen := t.dist[nb]; seen {
-				continue
-			}
-			t.dist[nb] = t.dist[cur] + 1
-			t.next[nb] = cur
-			queue = append(queue, nb)
+	return memo(&e.fwd.mu, &e.fwd.bfs, root, func() *bfsTree {
+		t := &bfsTree{
+			root: root,
+			next: make(map[topo.RouterID]topo.RouterID),
+			dist: map[topo.RouterID]int{root: 0},
 		}
-	}
-	e.mu.Lock()
-	e.bfs[root] = t
-	e.mu.Unlock()
-	return t
+		queue := []topo.RouterID{root}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			for _, adj := range e.Net.InternalNeighbors(cur) {
+				nb := adj.Peer.Router
+				if _, seen := t.dist[nb]; seen {
+					continue
+				}
+				t.dist[nb] = t.dist[cur] + 1
+				t.next[nb] = cur
+				queue = append(queue, nb)
+			}
+		}
+		return t
+	})
 }
 
 // igpDist returns the internal hop distance between two routers.

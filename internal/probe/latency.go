@@ -105,11 +105,11 @@ func (e *Engine) queueDelay(l *topo.Link, now time.Duration) time.Duration {
 // pathRTT computes the round-trip time of a probe that traverses the
 // given path and returns: twice the one-way sum (the reverse path is
 // assumed symmetric, as TSLP assumes for the near/far comparison).
-func (e *Engine) pathRTT(path pathResult, now time.Duration) time.Duration {
+func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
 	var oneWay time.Duration
-	for i := 0; i+1 < len(path.steps); i++ {
-		out := path.steps[i].out
-		in := path.steps[i+1].in
+	for i := 0; i+1 < len(steps); i++ {
+		out := steps[i].out
+		in := steps[i+1].in
 		var l *topo.Link
 		if out != nil {
 			l = out.Link

@@ -1,0 +1,92 @@
+package probe_test
+
+import (
+	"testing"
+
+	"bdrmap/internal/bgp"
+	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
+	"bdrmap/internal/probe"
+	"bdrmap/internal/scamper"
+	"bdrmap/internal/topo"
+)
+
+// TestMemoisedWalkMatchesFresh is the forwarding plane's differential
+// suite: on every built-in profile, from every VP toward every destination
+// the driver would trace and every interface address alias resolution
+// could probe, and from every router back toward every VP (the reverse
+// walk of ttlExpiredSource), Engine.CheckWalk must find the memoised walk
+// equal to a fresh one and chooseEgress equal to the original scan.
+func TestMemoisedWalkMatchesFresh(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			if testing.Short() && prof.Name != "tiny" && prof.Name != "r&e" {
+				t.Skip("-short: tiny and r&e only")
+			}
+			n := topo.Generate(prof, 1)
+			tab := bgp.NewTable(n)
+			view := bgp.Collect(tab, bgp.DefaultVantages(n))
+			var dsts []netx.Addr
+			for _, tg := range scamper.Targets(view, map[topo.ASN]bool{n.HostASN: true}) {
+				for _, b := range tg.Blocks {
+					dsts = append(dsts, b.First+1)
+				}
+			}
+			for _, r := range n.Routers {
+				for _, ifc := range r.Ifaces {
+					dsts = append(dsts, ifc.Addr)
+				}
+			}
+			e := probe.New(n, tab)
+			walked := make(map[topo.RouterID]bool) // a walk depends on the VP's router only
+			for _, vp := range n.VPs {
+				if !walked[vp.Router] {
+					walked[vp.Router] = true
+					for _, dst := range dsts {
+						if err := e.CheckWalk(vp.Router, dst); err != nil {
+							t.Fatalf("%s: %v", vp.Name, err)
+						}
+					}
+				}
+				for _, r := range n.Routers {
+					if err := e.CheckWalk(r.ID, vp.Addr); err != nil {
+						t.Fatalf("%s (reverse): %v", vp.Name, err)
+					}
+				}
+			}
+			t.Logf("%d VPs × %d destinations, %d routers", len(n.VPs), len(dsts), len(n.Routers))
+		})
+	}
+}
+
+// TestPacketCountsPinned guards the paper's cost unit: memoising walks must
+// not change how many packets a run is charged. The counts are those one
+// Driver.Run spent before the forwarding plane existed.
+func TestPacketCountsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		prof topo.Profile
+		want probe.Stats
+	}{
+		{topo.TinyProfile(), probe.Stats{Traceroutes: 161, Probes: 2060, PacketsSent: 2930, ResponsesRcv: 2628}},
+		{topo.REProfile(), probe.Stats{Traceroutes: 1025, Probes: 8150, PacketsSent: 15530, ResponsesRcv: 14298}},
+	} {
+		n := topo.Generate(tc.prof, 1)
+		tab := bgp.NewTable(n)
+		reg := obs.New()
+		e := probe.New(n, tab)
+		e.SetObs(reg)
+		(&scamper.Driver{
+			View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
+			Prober:   scamper.LocalProber{E: e, VP: n.VPs[0]},
+			HostASNs: map[topo.ASN]bool{n.HostASN: true},
+			Obs:      reg,
+		}).Run()
+		if got := e.Stats(); got != tc.want {
+			t.Errorf("%s: Stats() = %+v, want %+v", tc.prof.Name, got, tc.want)
+		}
+		if got := reg.Snapshot().Counter("probe.packets_sent"); got != tc.want.PacketsSent {
+			t.Errorf("%s: probe.packets_sent = %d, want %d", tc.prof.Name, got, tc.want.PacketsSent)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -396,5 +397,69 @@ func TestStatsAccumulate(t *testing.T) {
 	s := e.Stats()
 	if s.Traceroutes != 1 || s.PacketsSent == 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestCachedPathsImmutableUnderConcurrentProbing hammers one engine with
+// 10 000 mixed Probe/Traceroute calls from 4 goroutines — hits on walks
+// cached beforehand and racing misses on the rest — and requires every
+// previously cached pathResult to be the same object with the same
+// contents afterwards. Run under -race it also checks the plane's locking.
+func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
+	e, n := newEngine(t, topo.TinyProfile(), 1)
+	vp := n.VPs[0]
+	var dsts []netx.Addr
+	for _, p := range e.Tab.Prefixes() {
+		dsts = append(dsts, p.First()+1)
+	}
+	for _, r := range n.Routers {
+		for _, ifc := range r.Ifaces {
+			dsts = append(dsts, ifc.Addr)
+		}
+	}
+	// Cache every other destination's walk and keep a deep copy.
+	type snap struct {
+		p    *pathResult
+		copy pathResult
+	}
+	var snaps []snap
+	for i := 0; i < len(dsts); i += 2 {
+		p := e.computePath(vp.Router, dsts[i])
+		c := *p
+		c.steps = append([]pathStep(nil), p.steps...)
+		snaps = append(snaps, snap{p, c})
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2500; i++ {
+				dst := dsts[(i*7+g*13)%len(dsts)]
+				switch i % 3 {
+				case 0:
+					e.Traceroute(vp, dst, nil)
+				case 1:
+					e.Probe(vp, dst, MethodTTLLimited)
+				default:
+					e.Probe(vp, dst, MethodUDP)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for i, s := range snaps {
+		dst := dsts[2*i]
+		if got := e.computePath(vp.Router, dst); got != s.p {
+			t.Fatalf("dst %v: the cached walk was replaced", dst)
+		}
+		if !samePath(s.p, &s.copy) {
+			t.Fatalf("dst %v: cached walk changed: %+v, was %+v", dst, *s.p, s.copy)
+		}
+	}
+	if st := e.Stats(); st.Traceroutes+st.Probes != 10000 {
+		t.Fatalf("counted %d traceroutes + %d probes, want 10000 calls", st.Traceroutes, st.Probes)
 	}
 }

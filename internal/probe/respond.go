@@ -91,9 +91,7 @@ func (e *Engine) Traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 }
 
 func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, rt responder) TraceResult {
-	e.mu.Lock()
-	e.stats.Traceroutes++
-	e.mu.Unlock()
+	e.stats.traceroutes.Add(1)
 	e.eobs.traceroutes.Inc()
 
 	res := TraceResult{VP: vp.Name, Dst: dst}
@@ -101,10 +99,8 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 	gap := 0
 	for i, step := range path.steps {
-		hopRTT := e.pathRTT(pathResult{steps: path.steps[:i+1]}, rt.now())
-		e.mu.Lock()
-		e.stats.PacketsSent++
-		e.mu.Unlock()
+		hopRTT := e.pathRTT(path.steps[:i+1], rt.now())
+		e.stats.packetsSent.Add(1)
 		e.eobs.packets.Inc()
 
 		final := i == len(path.steps)-1
@@ -145,9 +141,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 					res.Reached = true
 				}
 				res.Hops = append(res.Hops, hop)
-				e.mu.Lock()
-				e.stats.ResponsesRcv++
-				e.mu.Unlock()
+				e.stats.responsesRcv.Add(1)
 				e.eobs.responses.Inc()
 			} else {
 				res.Hops = append(res.Hops, hop)
@@ -157,7 +151,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 		// Intermediate hop: ICMP time exceeded per the router's behaviour.
 		if !step.router.Behavior.NoTTLExpired && rt.allow(step.router) {
-			src, ifc := e.ttlExpiredSource(vp, step, path, i)
+			src, ifc := e.ttlExpiredSource(vp, step)
 			if !src.IsZero() {
 				hop.Type = HopTimeExceeded
 				hop.Addr = src
@@ -178,9 +172,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			continue
 		}
 		gap = 0
-		e.mu.Lock()
-		e.stats.ResponsesRcv++
-		e.mu.Unlock()
+		e.stats.responsesRcv.Add(1)
 		e.eobs.responses.Inc()
 		if stop != nil && stop(hop.Addr) {
 			res.Stopped = true
@@ -193,7 +185,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 // ttlExpiredSource selects the source address of a time-exceeded response
 // (§4 challenges 1, 2, 4).
-func (e *Engine) ttlExpiredSource(vp *topo.VP, step pathStep, path pathResult, idx int) (netx.Addr, *topo.Iface) {
+func (e *Engine) ttlExpiredSource(vp *topo.VP, step pathStep) (netx.Addr, *topo.Iface) {
 	r := step.router
 	switch {
 	case r.Behavior.VirtualRouter && step.out != nil:
@@ -262,10 +254,8 @@ type Response struct {
 
 // Probe sends one probe of the given method from vp to target.
 func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
-	e.mu.Lock()
-	e.stats.Probes++
-	e.stats.PacketsSent++
-	e.mu.Unlock()
+	e.stats.probes.Add(1)
+	e.stats.packetsSent.Add(1)
 	e.eobs.probes.Inc()
 	e.eobs.packets.Inc()
 
@@ -320,10 +310,8 @@ func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
 		return Response{}
 	}
 	resp.When = e.Now()
-	resp.RTT = e.pathRTT(path, resp.When)
-	e.mu.Lock()
-	e.stats.ResponsesRcv++
-	e.mu.Unlock()
+	resp.RTT = e.pathRTT(path.steps, resp.When)
+	e.stats.responsesRcv.Add(1)
 	e.eobs.responses.Inc()
 	return resp
 }

@@ -22,8 +22,9 @@ import (
 // the point where a stop set or the gap limit would have truncated the
 // cached trace — invalidates the signature and forces a re-walk.
 //
-// Cost is pure CPU (one memoized-BFS path walk); the engine's bfs cache is
-// the only state it touches.
+// Cost is pure CPU (one memoised path walk, shared with the traceroute that
+// follows a changed signature); the engine's forwarding plane is the only
+// state it touches.
 func (e *Engine) PathSignature(vp *topo.VP, dst netx.Addr) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -52,7 +53,7 @@ func (e *Engine) PathSignature(vp *topo.VP, dst netx.Addr) uint64 {
 				typ, addr = HopUnreachable, step.in.Addr
 			}
 		} else if !step.router.Behavior.NoTTLExpired {
-			if src, _ := e.ttlExpiredSource(vp, step, path, i); !src.IsZero() {
+			if src, _ := e.ttlExpiredSource(vp, step); !src.IsZero() {
 				typ, addr = HopTimeExceeded, src
 			}
 		}

@@ -1,8 +1,8 @@
 package scamper
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -723,15 +723,17 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 // they depend on lane interleaving and would break worker-count-invariant
 // fingerprints (alias events carry them as volatile attrs instead).
 func pathString(res probe.TraceResult) string {
-	var b []byte
+	b := make([]byte, 0, 24*len(res.Hops)) // "ttl:te:a.b.c.d " is at most 22 bytes below TTL 100
 	for i, h := range res.Hops {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, []byte(fmt.Sprintf("%d:%s", h.TTL, hopClass(h.Type)))...)
+		b = strconv.AppendInt(b, int64(h.TTL), 10)
+		b = append(b, ':')
+		b = append(b, hopClass(h.Type)...)
 		if !h.Addr.IsZero() {
 			b = append(b, ':')
-			b = append(b, []byte(h.Addr.String())...)
+			b = h.Addr.AppendTo(b)
 		}
 	}
 	return string(b)
@@ -775,6 +777,10 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		res.Now = func() int64 { return int64(lp.E.Now() - start) }
 	}
 	ds.Resolver = res
+	// The dataset outlives the run — inference reads and records verdicts
+	// through ds.Resolver — and must not keep the prober alive with it: for
+	// a local run that is the engine and its whole forwarding plane.
+	defer func() { res.Src, res.Now = nil, nil }()
 
 	type edge struct{ prev, cur netx.Addr }
 	addrSet := make(map[netx.Addr]bool)

@@ -237,3 +237,21 @@ func TestRemoteFullDriverRun(t *testing.T) {
 		t.Fatal("agent executed no commands")
 	}
 }
+
+// TestPathStringFormat pins the "ttl:class[:addr]" rendering every trace
+// fingerprint hashes: timeouts carry no address, TTLs are not padded.
+func TestPathStringFormat(t *testing.T) {
+	res := probe.TraceResult{Hops: []probe.Hop{
+		{TTL: 1, Addr: 10<<24 | 1, Type: probe.HopTimeExceeded},
+		{TTL: 2, Type: probe.HopTimeout},
+		{TTL: 10, Addr: 192<<24 | 2<<8 | 255, Type: probe.HopUnreachable},
+		{TTL: 11, Addr: 255<<24 | 255<<16 | 255<<8 | 255, Type: probe.HopEchoReply},
+	}}
+	const want = "1:te:10.0.0.1 2:to 10:un:192.0.2.255 11:er:255.255.255.255"
+	if got := pathString(res); got != want {
+		t.Errorf("pathString = %q, want %q", got, want)
+	}
+	if got := pathString(probe.TraceResult{}); got != "" {
+		t.Errorf("pathString of no hops = %q, want empty", got)
+	}
+}

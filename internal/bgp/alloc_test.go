@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"runtime"
 	"testing"
 
 	"bdrmap/internal/topo"
@@ -56,5 +57,45 @@ func TestSuppressedAtAllocFree(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Errorf("SuppressedAt sweep allocates %.1f objects/run, want ~0", avg)
+	}
+}
+
+// TestCollectAllocBudget pins what one cold public view costs the heap:
+// Collect(NewTable(n), DefaultVantages(n)). Before routing was asked once
+// per announcement atom — a RIB per prefix, a path slice per (prefix,
+// vantage), Paths grown by doubling — the same call measured
+//
+//	tiny  423 952 B    7 844 objects
+//	r&e 7 309 945 B   66 942 objects
+//
+// and the budgets are 60 % of those. Today's figures (t.Logf) sit near
+// 184 KB / 1 250 objects and 2.2 MB / 6 700 objects: the RIBs of half as
+// many atoms, one path arena, and Paths at its exact final length.
+func TestCollectAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		prof           topo.Profile
+		bytes, objects uint64
+	}{
+		{topo.TinyProfile(), 423952 * 6 / 10, 7844 * 6 / 10},
+		{topo.REProfile(), 7309945 * 6 / 10, 66942 * 6 / 10},
+	} {
+		n := topo.Generate(tc.prof, 1)
+		vps := DefaultVantages(n)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Collect(NewTable(n), vps)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		objects := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: %d B, %d objects per Collect (budget %d B, %d objects)", tc.prof.Name, bytes, objects, tc.bytes, tc.objects)
+		if bytes > tc.bytes {
+			t.Errorf("%s: Collect allocates %d B, budget %d", tc.prof.Name, bytes, tc.bytes)
+		}
+		if objects > tc.objects {
+			t.Errorf("%s: Collect allocates %d objects, budget %d", tc.prof.Name, objects, tc.objects)
+		}
 	}
 }

@@ -64,47 +64,73 @@ func DefaultVantages(net *topo.Network) []topo.ASN {
 	return out
 }
 
-// Collect assembles the public view from the given vantages.
+// Collect assembles the public view from the given vantages. Routing is
+// asked once per announcement atom: every prefix of an atom reports the
+// atom's paths, so the ASPath.Path slices (and the origin sets) of such
+// prefixes share storage and are read-only.
 func Collect(t *Table, vantages []topo.ASN) *View {
 	v := &View{
 		Vantages: vantages,
 		links:    make(map[[2]topo.ASN]bool),
 		nbrs:     make(map[topo.ASN][]topo.ASN),
 	}
-	seenPrefix := make(map[netx.Prefix]bool)
-	for _, p := range t.Prefixes() {
-		rib := t.Routes(p)
-		for _, vp := range vantages {
-			if t.SuppressedAt(vp, rib) {
+	vidx := make([]int32, len(vantages))
+	for k, vp := range vantages {
+		vidx[k] = t.IndexOf(vp)
+	}
+
+	// Per atom: the path of each reporting vantage, in vantage order, as
+	// spans of one arena (sliced only once it has stopped growing).
+	type span struct{ lo, hi int32 }
+	var (
+		spans   = make([]span, 0, len(t.atoms)*len(vantages))
+		arena   = make([]topo.ASN, 0, 4*cap(spans)) // paths average under four ASes
+		first   = make([]int32, len(t.atoms)+1)     // atom a owns spans[first[a]:first[a+1]]
+		origins = make([][]topo.ASN, len(t.atoms))
+	)
+	for a := range t.atoms {
+		rib := t.atomRoutes(int32(a))
+		first[a] = int32(len(spans))
+		for _, i := range vidx {
+			if i < 0 || t.bestViaHiddenSession(rib, i) {
 				continue
 			}
-			path := t.Path(vp, p)
-			if path == nil {
+			lo := len(arena)
+			var ok bool
+			if arena, ok = t.appendPath(arena, rib, i); !ok {
 				continue
 			}
-			v.Paths = append(v.Paths, ASPath{Prefix: p, Path: path})
-			origin := path[len(path)-1]
-			if cur, ok := v.origins.Exact(p); ok {
-				if !containsASN(cur, origin) {
-					v.origins.Insert(p, append(cur, origin))
-				}
-			} else {
-				v.origins.Insert(p, []topo.ASN{origin})
+			spans = append(spans, span{int32(lo), int32(len(arena))})
+			path := arena[lo:]
+			if o := path[len(path)-1]; !containsASN(origins[a], o) {
+				origins[a] = append(origins[a], o)
 			}
-			if !seenPrefix[p] {
-				seenPrefix[p] = true
-				v.routed = append(v.routed, p)
-			}
-			for i := 1; i < len(path); i++ {
-				v.addLink(path[i-1], path[i])
+			for k := 1; k < len(path); k++ {
+				v.addLink(path[k-1], path[k])
 			}
 		}
 	}
-	sort.Slice(v.routed, func(i, j int) bool { return netx.ComparePrefix(v.routed[i], v.routed[j]) < 0 })
+	first[len(t.atoms)] = int32(len(spans))
+
+	total := 0
+	for _, a := range t.atomOf {
+		total += int(first[a+1] - first[a])
+	}
+	v.Paths = make([]ASPath, 0, total)
+	for _, p := range t.prefixes { // sorted, so Paths and routed come out sorted
+		a := t.atomOf[p]
+		if first[a] == first[a+1] {
+			continue
+		}
+		for _, s := range spans[first[a]:first[a+1]] {
+			v.Paths = append(v.Paths, ASPath{Prefix: p, Path: arena[s.lo:s.hi:s.hi]})
+		}
+		v.origins.Insert(p, origins[a])
+		v.routed = append(v.routed, p)
+	}
 	for asn := range v.nbrs {
 		s := v.nbrs[asn]
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		v.nbrs[asn] = s
 	}
 	return v
 }

@@ -13,8 +13,11 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"bdrmap/internal/netx"
 	"bdrmap/internal/topo"
@@ -52,28 +55,50 @@ type edge struct {
 	rel topo.Rel // what the neighbor is to this AS (RelCustomer: neighbor is my customer)
 }
 
-// Table computes and caches per-prefix routing state for every AS.
+// cuts splits one AS's adjacency list, which is grouped providers,
+// siblings, customers, peers, so each relax sweep walks only the sessions
+// it can cross: routes climb adj[:cust] (providers and siblings), flood
+// down adj[sib:peer] (siblings and customers) and cross adj[peer:].
+type cuts struct{ sib, cust, peer int32 }
+
+// atom is one announcement atom: the prefixes originated by the same set
+// of ASes and announced over the same set of pinned links. Propagation
+// sees nothing else of a prefix, so an atom's prefixes share one RIB.
+type atom struct {
+	origins []int32 // dense origin indexes, ascending
+	// recv lists, for a selectively-announced atom (§6), the neighbors of
+	// the origin that hear the announcement: the ASes on the far side of
+	// the pinned links. nil means announced everywhere.
+	recv map[int32]bool
+}
+
+// Table computes and caches per-atom routing state for every AS.
 // It is safe for concurrent use.
 type Table struct {
 	Net *topo.Network
 
 	asns    []topo.ASN
 	idx     map[topo.ASN]int32
-	adj     [][]edge
+	adj     [][]edge // per AS, carved from one backing array, grouped as cuts describes
+	cut     []cuts
+	sibASes []int32 // ASes with at least one sibling session
 	hostIdx int32
 	hidden  []bool // dense: AS is a hidden neighbor of the host
 
-	prefixes  []netx.Prefix
-	originsOf map[netx.Prefix][]int32
-	lpm       netx.Trie[netx.Prefix] // addr → announced prefix
-
-	mu    sync.Mutex
-	cache map[netx.Prefix]*PrefixRIB
+	prefixes []netx.Prefix
+	lpm      netx.Trie[netx.Prefix] // addr → announced prefix
+	atomOf   map[netx.Prefix]int32
+	atoms    []atom
+	ribs     []atomic.Pointer[PrefixRIB] // per atom; nil until first asked for
 }
 
-// PrefixRIB is the routing state of one prefix across all ASes.
+// PrefixRIB is the routing state of one announcement atom across all ASes.
+// It is shared by every prefix of the atom and by every caller of Routes:
+// nobody may modify it once Routes has returned it.
 type PrefixRIB struct {
-	Prefix netx.Prefix
+	// Atom numbers the announcement atom in its table; -1 for the routeless
+	// RIB of a prefix nobody announces.
+	Atom int32
 
 	// Dense per-AS state (indexed like Table.asns).
 	Class []Class
@@ -88,18 +113,15 @@ type PrefixRIB struct {
 	// from hidden (no-export) neighbors, so the host exports nothing.
 	HostSuppressed bool
 
-	// pinnedOK, for selectively-announced prefixes, lists the dense
-	// indexes of ASes the origin announces to (nil: announced everywhere).
+	// pinnedOK is the atom's recv set (nil: announced everywhere).
 	pinnedOK map[int32]bool
 }
 
 // NewTable builds the routing machinery for net (which must be Built).
 func NewTable(net *topo.Network) *Table {
 	t := &Table{
-		Net:       net,
-		idx:       make(map[topo.ASN]int32),
-		originsOf: make(map[netx.Prefix][]int32),
-		cache:     make(map[netx.Prefix]*PrefixRIB),
+		Net: net,
+		idx: make(map[topo.ASN]int32),
 	}
 	t.asns = net.ASNs()
 	for i, asn := range t.asns {
@@ -112,29 +134,107 @@ func NewTable(net *topo.Network) *Table {
 			t.hidden[i] = true
 		}
 	}
-	t.adj = make([][]edge, len(t.asns))
+	t.buildAdjacency()
+	t.buildAtoms()
+	return t
+}
+
+// buildAdjacency lays every AS's sessions out in one array, grouped by
+// what the neighbor is to the AS (see cuts).
+func (t *Table) buildAdjacency() {
+	nbrs := make([][]topo.ASNeighbor, len(t.asns))
+	total := 0
 	for i, asn := range t.asns {
-		for _, nb := range net.ASes[asn].Neighbors() {
-			j, ok := t.idx[nb.ASN]
-			if !ok {
-				continue
+		nbrs[i] = t.Net.ASes[asn].Neighbors()
+		total += len(nbrs[i])
+	}
+	edges := make([]edge, 0, total)
+	t.adj = make([][]edge, len(t.asns))
+	t.cut = make([]cuts, len(t.asns))
+	for i := range t.asns {
+		lo := len(edges)
+		var at [4]int32
+		for g, rel := range [4]topo.Rel{topo.RelProvider, topo.RelSibling, topo.RelCustomer, topo.RelPeer} {
+			at[g] = int32(len(edges) - lo)
+			for _, nb := range nbrs[i] {
+				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == rel {
+					edges = append(edges, edge{n: j, rel: rel})
+				}
 			}
-			t.adj[i] = append(t.adj[i], edge{n: j, rel: nb.Rel})
+		}
+		t.adj[i] = edges[lo:len(edges):len(edges)]
+		t.cut[i] = cuts{sib: at[1], cust: at[2], peer: at[3]}
+		if at[2] > at[1] {
+			t.sibASes = append(t.sibASes, int32(i))
 		}
 	}
-	seen := make(map[netx.Prefix]bool)
+}
+
+// buildAtoms partitions the announced prefixes into announcement atoms,
+// numbered by their first prefix in sorted order.
+func (t *Table) buildAtoms() {
+	originsOf := make(map[netx.Prefix][]int32)
 	for i, asn := range t.asns {
-		for _, p := range net.ASes[asn].Prefixes {
-			t.originsOf[p] = append(t.originsOf[p], int32(i))
-			if !seen[p] {
-				seen[p] = true
+		for _, p := range t.Net.ASes[asn].Prefixes {
+			if _, seen := originsOf[p]; !seen {
 				t.prefixes = append(t.prefixes, p)
 				t.lpm.Insert(p, p)
 			}
+			originsOf[p] = append(originsOf[p], int32(i))
 		}
 	}
 	sort.Slice(t.prefixes, func(a, b int) bool { return netx.ComparePrefix(t.prefixes[a], t.prefixes[b]) < 0 })
-	return t
+
+	// The key is the origin indexes followed, for a pinned prefix, by a
+	// marker and the subnets of its links: pinned to no link at all is
+	// announced nowhere, which is not unpinned.
+	t.atomOf = make(map[netx.Prefix]int32, len(t.prefixes))
+	byKey := make(map[string]int32)
+	var key []byte
+	for _, p := range t.prefixes {
+		origins := originsOf[p]
+		key = key[:0]
+		for _, o := range origins {
+			key = binary.BigEndian.AppendUint32(key, uint32(o))
+		}
+		pinned := t.Net.IsPinned(p)
+		if pinned {
+			key = binary.BigEndian.AppendUint32(key, ^uint32(0))
+			for _, l := range t.Net.PinnedLinksOf(p) {
+				key = binary.BigEndian.AppendUint32(key, uint32(l.Subnet.Base))
+				key = append(key, byte(l.Subnet.Len))
+			}
+		}
+		a, ok := byKey[string(key)]
+		if !ok {
+			a = int32(len(t.atoms))
+			byKey[string(key)] = a
+			at := atom{origins: origins}
+			if pinned {
+				at.recv = t.pinnedRecv(p, origins)
+			}
+			t.atoms = append(t.atoms, at)
+		}
+		t.atomOf[p] = a
+	}
+	t.ribs = make([]atomic.Pointer[PrefixRIB], len(t.atoms))
+}
+
+// pinnedRecv computes, for a selectively-announced prefix (§6), which
+// neighbors of its origins actually hear the announcement: only the ASes
+// on the far side of the links the prefix is pinned to.
+func (t *Table) pinnedRecv(p netx.Prefix, origins []int32) map[int32]bool {
+	recv := make(map[int32]bool)
+	for _, o := range origins {
+		for _, att := range t.Net.Attachments(t.asns[o]) {
+			if t.Net.AnnouncedOnLink(p, att.Link) {
+				if i, ok := t.idx[att.Remote]; ok {
+					recv[i] = true
+				}
+			}
+		}
+	}
+	return recv
 }
 
 // Prefixes returns every announced prefix, sorted.
@@ -148,7 +248,7 @@ func (t *Table) Lookup(addr netx.Addr) (netx.Prefix, bool) {
 
 // Origins returns the ground-truth origin ASes of an announced prefix.
 func (t *Table) Origins(p netx.Prefix) []topo.ASN {
-	idxs := t.originsOf[p]
+	idxs := t.OriginIndexes(p)
 	out := make([]topo.ASN, len(idxs))
 	for i, j := range idxs {
 		out[i] = t.asns[j]
@@ -160,7 +260,7 @@ func (t *Table) Origins(p netx.Prefix) []topo.ASN {
 // origin set the way Origins does — the forwarding hot path asks this per
 // candidate attachment.
 func (t *Table) IsOrigin(p netx.Prefix, asn topo.ASN) bool {
-	for _, j := range t.originsOf[p] {
+	for _, j := range t.OriginIndexes(p) {
 		if t.asns[j] == asn {
 			return true
 		}
@@ -170,7 +270,12 @@ func (t *Table) IsOrigin(p netx.Prefix, asn topo.ASN) bool {
 
 // OriginIndexes returns the dense AS indexes originating p. The slice is
 // shared with the table and must not be mutated; convert entries with ASOf.
-func (t *Table) OriginIndexes(p netx.Prefix) []int32 { return t.originsOf[p] }
+func (t *Table) OriginIndexes(p netx.Prefix) []int32 {
+	if a, ok := t.atomOf[p]; ok {
+		return t.atoms[a].origins
+	}
+	return nil
+}
 
 // ASOf converts a dense index back to an ASN.
 func (t *Table) ASOf(i int32) topo.ASN { return t.asns[i] }
@@ -183,19 +288,32 @@ func (t *Table) IndexOf(asn topo.ASN) int32 {
 	return -1
 }
 
-// Routes returns (computing and caching on first use) the RIB for prefix p.
-// p must be an announced prefix (as returned by Lookup or Prefixes).
+// Atoms returns the number of announcement atoms the prefixes fall into.
+func (t *Table) Atoms() int { return len(t.atoms) }
+
+// Routes returns (computing and caching on first use) the RIB of prefix
+// p's atom. p must be an announced prefix (as returned by Lookup or
+// Prefixes). The RIB is shared: see PrefixRIB.
 func (t *Table) Routes(p netx.Prefix) *PrefixRIB {
-	t.mu.Lock()
-	if r, ok := t.cache[p]; ok {
-		t.mu.Unlock()
+	a, ok := t.atomOf[p]
+	if !ok {
+		return t.compute(-1) // nobody announces p: no AS has a route
+	}
+	return t.atomRoutes(a)
+}
+
+// atomRoutes returns atom a's RIB. When two goroutines miss together both
+// compute, and the first stored RIB wins, so every caller holds the same
+// pointer for one atom.
+func (t *Table) atomRoutes(a int32) *PrefixRIB {
+	slot := &t.ribs[a]
+	if r := slot.Load(); r != nil {
 		return r
 	}
-	t.mu.Unlock()
-	r := t.compute(p)
-	t.mu.Lock()
-	t.cache[p] = r
-	t.mu.Unlock()
+	r := t.compute(a)
+	if !slot.CompareAndSwap(nil, r) {
+		r = slot.Load()
+	}
 	return r
 }
 
@@ -227,61 +345,51 @@ func receivedClass(cN Class, rel topo.Rel) Class {
 	return ClassNone
 }
 
-// compute runs the three-phase valley-free propagation for one prefix.
-func (t *Table) compute(p netx.Prefix) *PrefixRIB {
-	n := len(t.asns)
-	r := &PrefixRIB{
-		Prefix: p,
-		Class:  make([]Class, n),
-		Len:    make([]int16, n),
-		Next:   make([]int32, n),
+// newRIB returns a routeless RIB for n ASes, its three dense slices carved
+// from one pointer-free allocation (Next, then Len, then Class, so each
+// starts aligned for its element type).
+func newRIB(n int) *PrefixRIB {
+	if n == 0 {
+		return &PrefixRIB{}
 	}
-	for i := range r.Class {
+	buf := make([]int32, n+(n+1)/2+(n+3)/4)
+	r := &PrefixRIB{
+		Next:  buf[:n:n],
+		Len:   unsafe.Slice((*int16)(unsafe.Pointer(&buf[n])), n),
+		Class: unsafe.Slice((*Class)(unsafe.Pointer(&buf[n+(n+1)/2])), n),
+	}
+	for i := range r.Next {
 		r.Class[i] = ClassNone
 		r.Len[i] = int16(0x7fff)
 		r.Next[i] = -1
 	}
-	origins := t.originsOf[p]
+	return r
+}
+
+// compute runs the three-phase valley-free propagation for atom a (-1: an
+// atom nobody originates).
+func (t *Table) compute(a int32) *PrefixRIB {
+	r := newRIB(len(t.asns))
+	r.Atom = a
+	var origins []int32
+	if a >= 0 {
+		origins, r.pinnedOK = t.atoms[a].origins, t.atoms[a].recv
+	}
 	for _, o := range origins {
 		r.Class[o] = ClassOrigin
 		r.Len[o] = 0
 	}
-	t.pinnedRecv(r, p)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
 	// Valley-free propagation: three ordered sweeps suffice (customer
 	// routes up, one peer hop across, everything down to customers).
-	t.relaxCustomer(r, origins)
-	t.relaxPeer(r)
-	t.relaxProvider(r)
+	cone := t.relaxCustomer(r, origins, sc)
+	t.relaxPeer(r, cone)
+	t.relaxProvider(r, sc)
 
-	t.fillNextHops(r)
+	t.fillNextHops(r, &sc.cand)
 	return r
-}
-
-// pinnedRecv computes, for a selectively-announced prefix (§6), which
-// neighbors of the origin actually hear the announcement: only the ASes on
-// the far side of the links the prefix is pinned to. nil means unpinned.
-func (t *Table) pinnedRecv(r *PrefixRIB, p netx.Prefix) {
-	pinned := false
-	for _, pp := range t.Net.PinnedPrefixes() {
-		if pp == p {
-			pinned = true
-			break
-		}
-	}
-	if !pinned {
-		return
-	}
-	r.pinnedOK = make(map[int32]bool)
-	for _, o := range t.originsOf[p] {
-		for _, att := range t.Net.Attachments(t.asns[o]) {
-			if t.Net.AnnouncedOnLink(p, att.Link) {
-				if i, ok := t.idx[att.Remote]; ok {
-					r.pinnedOK[i] = true
-				}
-			}
-		}
-	}
 }
 
 // exportAllowed gates the origin's direct announcements for pinned
@@ -294,71 +402,42 @@ func (r *PrefixRIB) exportAllowed(x, recv int32) bool {
 }
 
 // relaxCustomer propagates origin/customer routes up provider and sibling
-// edges in BFS order of path length.
-func (t *Table) relaxCustomer(r *PrefixRIB, origins []int32) {
-	queue := append([]int32(nil), origins...)
-	for len(queue) > 0 {
-		var next []int32
-		for _, x := range queue {
-			cx := r.Class[x]
-			if cx > ClassCustomer {
+// edges in BFS order of path length. It returns the customer cone — every
+// AS now holding an origin or customer route — which aliases sc.queue.
+func (t *Table) relaxCustomer(r *PrefixRIB, origins []int32, sc *scratch) []int32 {
+	queue := append(sc.queue[:0], origins...)
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		nl := r.Len[x] + 1
+		for _, e := range t.adj[x][:t.cut[x].cust] {
+			if !r.exportAllowed(x, e.n) {
 				continue
 			}
-			for _, e := range t.adj[x] {
-				if !r.exportAllowed(x, e.n) {
-					continue
-				}
-				// What is x to e.n? e.rel is what e.n is to x; invert.
-				relToRecv := e.rel.Invert()
-				var cr Class
-				switch relToRecv {
-				case topo.RelCustomer: // x is e.n's customer
-					cr = ClassCustomer
-				case topo.RelSibling:
-					cr = ClassCustomer
-				default:
-					continue
-				}
-				nl := r.Len[x] + 1
-				if cr < r.Class[e.n] || (cr == r.Class[e.n] && nl < r.Len[e.n]) {
-					r.Class[e.n] = cr
-					r.Len[e.n] = nl
-					next = append(next, e.n)
-				}
+			if ClassCustomer < r.Class[e.n] || (ClassCustomer == r.Class[e.n] && nl < r.Len[e.n]) {
+				r.Class[e.n] = ClassCustomer
+				r.Len[e.n] = nl
+				queue = append(queue, e.n)
 			}
 		}
-		queue = next
 	}
+	sc.queue = queue
+	return queue
 }
 
-// relaxPeer hands customer-cone routes across a single peer edge.
-func (t *Table) relaxPeer(r *PrefixRIB) {
-	type upd struct {
-		i int32
-		l int16
-	}
-	var updates []upd
-	for x := range t.adj {
-		if r.Class[x] > ClassCustomer {
-			continue
-		}
-		for _, e := range t.adj[int32(x)] {
-			if e.rel.Invert() != topo.RelPeer { // x is e.n's peer
+// relaxPeer hands the cone's routes across a single peer edge. Updating in
+// place is safe: only ASes outside the cone (class peer or worse) change,
+// and only cone members are read.
+func (t *Table) relaxPeer(r *PrefixRIB, cone []int32) {
+	for _, x := range cone {
+		nl := r.Len[x] + 1
+		for _, e := range t.adj[x][t.cut[x].peer:] {
+			if !r.exportAllowed(x, e.n) {
 				continue
 			}
-			if !r.exportAllowed(int32(x), e.n) {
-				continue
-			}
-			nl := r.Len[x] + 1
 			if ClassPeer < r.Class[e.n] || (ClassPeer == r.Class[e.n] && nl < r.Len[e.n]) {
-				updates = append(updates, upd{e.n, nl})
+				r.Class[e.n] = ClassPeer
+				r.Len[e.n] = nl
 			}
-		}
-	}
-	for _, u := range updates {
-		if ClassPeer < r.Class[u.i] || (ClassPeer == r.Class[u.i] && u.l < r.Len[u.i]) {
-			r.Class[u.i] = ClassPeer
-			r.Len[u.i] = u.l
 		}
 	}
 	// Peer routes also cross sibling sessions.
@@ -367,34 +446,25 @@ func (t *Table) relaxPeer(r *PrefixRIB) {
 
 // relaxProvider floods any route down provider → customer edges (and
 // sibling sessions) in BFS order.
-func (t *Table) relaxProvider(r *PrefixRIB) {
-	buf := candBufPool.Get().(*[]int32)
-	defer candBufPool.Put(buf)
-	var queue []int32
-	for x := range t.adj {
-		if r.Class[x] != ClassNone {
+func (t *Table) relaxProvider(r *PrefixRIB, sc *scratch) {
+	queue, next := sc.queue[:0], sc.next[:0]
+	for x, c := range r.Class {
+		if c != ClassNone {
 			queue = append(queue, int32(x))
 		}
 	}
 	for len(queue) > 0 {
-		var next []int32
 		for _, x := range queue {
-			if r.Class[x] == ClassNone {
-				continue
-			}
 			// Routes learned across hidden (no-export) sessions are never
 			// re-announced, by either party.
-			if t.bestViaHiddenSession(r, x, buf) {
+			if t.bestViaHiddenSession(r, x) {
 				continue
 			}
-			for _, e := range t.adj[x] {
-				if e.rel.Invert() != topo.RelProvider && e.rel.Invert() != topo.RelSibling {
-					continue // x must be e.n's provider (or sibling)
-				}
+			nl := r.Len[x] + 1
+			for _, e := range t.adj[x][t.cut[x].sib:t.cut[x].peer] {
 				if !r.exportAllowed(x, e.n) {
 					continue
 				}
-				nl := r.Len[x] + 1
 				if ClassProvider < r.Class[e.n] || (ClassProvider == r.Class[e.n] && nl < r.Len[e.n]) {
 					r.Class[e.n] = ClassProvider
 					r.Len[e.n] = nl
@@ -402,8 +472,9 @@ func (t *Table) relaxProvider(r *PrefixRIB) {
 				}
 			}
 		}
-		queue = next
+		queue, next = next, queue[:0]
 	}
+	sc.queue, sc.next = queue, next
 }
 
 // relaxSiblings propagates routes of exactly class c across sibling edges.
@@ -411,15 +482,12 @@ func (t *Table) relaxSiblings(r *PrefixRIB, c Class) {
 	changed := true
 	for changed {
 		changed = false
-		for x := range t.adj {
+		for _, x := range t.sibASes {
 			if r.Class[x] != c {
 				continue
 			}
-			for _, e := range t.adj[int32(x)] {
-				if e.rel != topo.RelSibling {
-					continue
-				}
-				nl := r.Len[x] + 1
+			nl := r.Len[x] + 1
+			for _, e := range t.adj[x][t.cut[x].sib:t.cut[x].cust] {
 				if c < r.Class[e.n] || (c == r.Class[e.n] && nl < r.Len[e.n]) {
 					r.Class[e.n] = c
 					r.Len[e.n] = nl
@@ -430,53 +498,47 @@ func (t *Table) relaxSiblings(r *PrefixRIB, c Class) {
 	}
 }
 
-// hostBestHidden reports whether every equal-best next hop at the host is a
-// hidden neighbor. Must be called after the peer phase.
-func (t *Table) hostBestHidden(r *PrefixRIB, buf *[]int32) bool {
-	if r.Class[t.hostIdx] != ClassPeer {
-		return false
-	}
-	cands := t.candidatesAt(r, t.hostIdx, buf)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if !t.hidden[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // bestViaHiddenSession reports whether AS x's only best routes cross a
 // hidden (no-export) session with the host: either x is the host and all
 // candidates are hidden neighbors, or x is a hidden neighbor and all its
 // candidates are the host. Such routes are used for forwarding but never
-// re-announced or reported to collectors.
-func (t *Table) bestViaHiddenSession(r *PrefixRIB, x int32, buf *[]int32) bool {
-	if x == t.hostIdx {
-		return t.hostBestHidden(r, buf)
-	}
-	if !t.hidden[x] || r.Class[x] != ClassPeer {
+// re-announced or reported to collectors. Must be called after the peer
+// phase.
+func (t *Table) bestViaHiddenSession(r *PrefixRIB, x int32) bool {
+	atHost := x == t.hostIdx
+	if r.Class[x] != ClassPeer || !(atHost || t.hidden[x]) {
 		return false
 	}
-	cands := t.candidatesAt(r, x, buf)
-	if len(cands) == 0 {
-		return false
-	}
-	for _, c := range cands {
-		if c != t.hostIdx {
+	found := false
+	for _, e := range t.adj[x] {
+		if !t.isCandidate(r, x, e) {
+			continue
+		}
+		if atHost && !t.hidden[e.n] || !atHost && e.n != t.hostIdx {
 			return false
 		}
+		found = true
 	}
-	return true
+	return found
 }
 
-// candBufPool recycles candidate scratch slices across propagation and
-// lookup calls. It is a pool rather than a Table field because the public
-// lookup API (SuppressedAt, and Routes through its cache) is documented
-// safe for concurrent use, so scratch state cannot live on shared structs.
-var candBufPool = sync.Pool{New: func() any { s := make([]int32, 0, 16); return &s }}
+// scratch is the working memory of one propagation: the candidate buffer
+// candidatesAt fills and the BFS frontiers of the relax sweeps. It is
+// pooled rather than a Table field because Routes is documented safe for
+// concurrent use, so scratch state cannot live on shared structs.
+type scratch struct{ cand, queue, next []int32 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// isCandidate reports whether the neighbor across session e of AS x
+// provides x's equal-best route.
+func (t *Table) isCandidate(r *PrefixRIB, x int32, e edge) bool {
+	cN := r.Class[e.n]
+	if cN == ClassNone || !r.exportAllowed(e.n, x) {
+		return false
+	}
+	return receivedClass(cN, e.rel) == r.Class[x] && r.Len[e.n]+1 == r.Len[x]
+}
 
 // candidatesAt lists the dense indexes of all neighbors providing the
 // equal-best route to AS x, sorted by neighbor ASN. The result aliases
@@ -487,24 +549,32 @@ func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
 	if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
 		return nil
 	}
+	// A route of class c is heard only over the sessions of that class
+	// and, siblings being transparent, over sibling sessions.
+	adj, k := t.adj[x], t.cut[x]
+	var own []edge
+	switch r.Class[x] {
+	case ClassCustomer:
+		own = adj[k.cust:k.peer]
+	case ClassPeer:
+		own = adj[k.peer:]
+	case ClassProvider:
+		own = adj[:k.sib]
+	}
 	out := (*buf)[:0]
-	for _, e := range t.adj[x] {
-		cN := r.Class[e.n]
-		if cN == ClassNone {
-			continue
-		}
-		if !r.exportAllowed(e.n, x) {
-			continue
-		}
-		got := receivedClass(cN, e.rel)
-		if got == ClassNone {
-			continue
-		}
-		if got == r.Class[x] && r.Len[e.n]+1 == r.Len[x] {
+	for _, e := range own {
+		if t.isCandidate(r, x, e) {
 			out = append(out, e.n)
 		}
 	}
-	*buf = out
+	for _, e := range adj[k.sib:k.cust] {
+		if t.isCandidate(r, x, e) {
+			out = append(out, e.n)
+		}
+	}
+	if cap(out) != cap(*buf) {
+		*buf = out
+	}
 	// Candidate sets are tiny (the equal-best neighbors of one AS);
 	// insertion sort avoids sort.Slice's closure and interface allocations.
 	for i := 1; i < len(out); i++ {
@@ -516,9 +586,7 @@ func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
 }
 
 // fillNextHops selects canonical next hops and the host candidate set.
-func (t *Table) fillNextHops(r *PrefixRIB) {
-	buf := candBufPool.Get().(*[]int32)
-	defer candBufPool.Put(buf)
+func (t *Table) fillNextHops(r *PrefixRIB, buf *[]int32) {
 	for x := range t.adj {
 		if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
 			continue
@@ -538,7 +606,7 @@ func (t *Table) fillNextHops(r *PrefixRIB) {
 			}
 		}
 	}
-	r.HostSuppressed = t.hostBestHidden(r, buf)
+	r.HostSuppressed = t.bestViaHiddenSession(r, t.hostIdx)
 }
 
 // SuppressedAt reports whether vantage asn would report no path for this
@@ -548,9 +616,7 @@ func (t *Table) SuppressedAt(asn topo.ASN, r *PrefixRIB) bool {
 	if !ok {
 		return true
 	}
-	buf := candBufPool.Get().(*[]int32)
-	defer candBufPool.Put(buf)
-	return t.bestViaHiddenSession(r, i, buf)
+	return t.bestViaHiddenSession(r, i)
 }
 
 // Path returns the canonical AS path from AS from to the origin of p,
@@ -560,19 +626,30 @@ func (t *Table) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
 	if !ok {
 		return nil
 	}
-	r := t.Routes(p)
-	if r.Class[i] == ClassNone {
+	path, ok := t.appendPath(nil, t.Routes(p), i)
+	if !ok {
 		return nil
 	}
-	path := []topo.ASN{from}
+	return path
+}
+
+// appendPath appends to dst the canonical AS path from AS i to r's origin,
+// i itself first. ok is false, and dst returned as it came, when i has no
+// route.
+func (t *Table) appendPath(dst []topo.ASN, r *PrefixRIB, i int32) (_ []topo.ASN, ok bool) {
+	if r.Class[i] == ClassNone {
+		return dst, false
+	}
+	base := len(dst)
+	dst = append(dst, t.asns[i])
 	for r.Class[i] != ClassOrigin {
 		i = r.Next[i]
-		if i < 0 || len(path) > len(t.asns) {
-			return nil
+		if i < 0 || len(dst)-base > len(t.asns) {
+			return dst[:base], false
 		}
-		path = append(path, t.asns[i])
+		dst = append(dst, t.asns[i])
 	}
-	return path
+	return dst, true
 }
 
 // HostCandidates returns the equal-best next-hop ASes at the host for p.

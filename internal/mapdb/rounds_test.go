@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bdrmap/internal/bgp"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
@@ -94,6 +95,48 @@ func TestRunRoundsOnProfilesNumberedPast65000(t *testing.T) {
 		}
 		if len(ev) != 3 || !strings.HasPrefix(ev[1].Action, "attached customer AS") {
 			t.Fatalf("%s: events %+v, want 3 with round 2 attaching a customer", prof.Name, ev)
+		}
+	}
+}
+
+// TestRoundsRepartitionAtomsAfterChurn: every round builds its table from
+// the mutated world, so the announcement atoms are partitioned afresh — a
+// round that attaches a customer AS and its prefix routes that prefix from
+// an atom of its own, not from a RIB shared with the previous world. The
+// measurement itself must not notice atoms at all: the TraceFP sequence is
+// the one the per-prefix tables produced, and Verify re-measures every
+// round from scratch against the incremental run.
+func TestRoundsRepartitionAtomsAfterChurn(t *testing.T) {
+	prof := topo.REProfile()
+	ev, s, err := RunRoundsFull(RoundsConfig{Profile: prof, Seed: 1, Rounds: 2, Incremental: true, Verify: true}, NewStore(0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{0x63bcf9063ee6f6da, 0x1dbbdb268e8d4d58}
+	if len(ev) != len(want) || !strings.HasPrefix(ev[1].Action, "attached customer AS65001") {
+		t.Fatalf("events %+v, want %d with round 2 attaching AS65001", ev, len(want))
+	}
+	for i, e := range ev {
+		if e.TraceFP != want[i] {
+			t.Errorf("round %d: trace fingerprint %016x, want %016x", i, e.TraceFP, want[i])
+		}
+	}
+
+	base := bgp.NewTable(topo.Generate(prof, 1))
+	if got := s.Tab.Atoms(); got != base.Atoms()+1 {
+		t.Errorf("%d atoms after the attach, want the baseline's %d and one more", got, base.Atoms())
+	}
+	added := s.Net.ASes[65001]
+	if added == nil || len(added.Prefixes) == 0 {
+		t.Fatal("AS65001 or its prefix missing from the round's world")
+	}
+	rib := s.Tab.Routes(added.Prefixes[0])
+	if i := s.Tab.IndexOf(65001); rib.Class[i] != bgp.ClassOrigin {
+		t.Errorf("the new prefix's RIB has class %v at its origin AS65001", rib.Class[i])
+	}
+	for _, p := range base.Prefixes() {
+		if s.Tab.Routes(p) == rib {
+			t.Fatalf("the new prefix shares a RIB with %v of the previous world", p)
 		}
 	}
 }

@@ -234,9 +234,12 @@ type plane struct {
 	orgAtts map[topo.ASN][]topo.Attachment
 }
 
+// egressKey names an egress set by announcement atom, not prefix: the set
+// is read off the atom's RIB, origins and pinned links, which is all an
+// atom's prefixes have in common and all egressSet looks at.
 type egressKey struct {
-	owner  topo.ASN
-	prefix netx.Prefix
+	owner topo.ASN
+	atom  int32
 }
 
 // memo returns (*m)[k], building and storing it on a miss. build runs
@@ -484,7 +487,7 @@ func (e *Engine) parallelLink(a, b topo.RouterID, h int) *topo.Link {
 // leading to an equal-best next-hop AS (and over which the destination
 // prefix is actually announced), pick the border closest to r by IGP
 // distance, spreading ties per prefix. The pick is made by counting over
-// the short per-(owner, prefix) egress set, so it allocates nothing.
+// the short per-(owner, atom) egress set, so it allocates nothing.
 func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.PrefixRIB) (topo.Attachment, bool) {
 	set := e.egressSet(r.Owner, prefix, rib)
 	// Pass 1: the best IGP distance and how many attachments tie for it.
@@ -521,7 +524,7 @@ func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.Prefi
 // AS and carry the prefix's announcement. The slice is shared: callers must
 // not mutate it.
 func (e *Engine) egressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
-	return memo(&e.fwd.mu, &e.fwd.egress, egressKey{owner, prefix}, func() []topo.Attachment {
+	return memo(&e.fwd.mu, &e.fwd.egress, egressKey{owner, rib.Atom}, func() []topo.Attachment {
 		single, multi := e.candidateNextHops(owner, rib)
 		if single == 0 && len(multi) == 0 {
 			return nil

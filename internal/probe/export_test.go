@@ -86,3 +86,56 @@ func (e *Engine) CheckWalk(start topo.RouterID, dst netx.Addr) error {
 	}
 	return nil
 }
+
+// egressSetOracle is the egress set as it was defined per prefix: every
+// attachment of owner's organisation filtered against this prefix's own
+// origins and pinned links, nothing memoised.
+func (e *Engine) egressSetOracle(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
+	single, multi := e.candidateNextHops(owner, rib)
+	if single == 0 && len(multi) == 0 {
+		return nil
+	}
+	var set []topo.Attachment
+	for _, att := range e.orgAttachments(owner) {
+		if multi == nil && att.Remote != single || multi != nil && !slices.Contains(multi, att.Remote) {
+			continue
+		}
+		if e.Tab.IsOrigin(prefix, att.Remote) && !e.Net.AnnouncedOnLink(prefix, att.Link) {
+			continue
+		}
+		set = append(set, att)
+	}
+	return set
+}
+
+// CheckEgressSets compares, for every announced prefix taken in the given
+// order, the atom-keyed egress set — built from whichever prefix of the
+// atom asked first — against the per-prefix definition. The owners asked
+// are the ASes attached to the prefix's origins (the only places a prefix's
+// own pinned links can enter the set), the host, and every 16th AS. It
+// returns how many sets the engine ended up holding and how many distinct
+// (owner, atom) pairs were asked for.
+func (e *Engine) CheckEgressSets(prefixes []netx.Prefix) (held, asked int, err error) {
+	sample := []topo.ASN{e.Net.HostASN}
+	for i, all := 0, e.Net.ASNs(); i < len(all); i += 16 {
+		sample = append(sample, all[i])
+	}
+	pairs := make(map[egressKey]bool)
+	for _, p := range prefixes {
+		rib := e.Tab.Routes(p)
+		owners := slices.Clone(sample)
+		for _, o := range e.Tab.Origins(p) {
+			for _, att := range e.Net.Attachments(o) {
+				owners = append(owners, att.Remote)
+			}
+		}
+		for _, owner := range owners {
+			pairs[egressKey{owner, rib.Atom}] = true
+			got, want := e.egressSet(owner, p, rib), e.egressSetOracle(owner, p, rib)
+			if !slices.Equal(got, want) {
+				return 0, 0, fmt.Errorf("AS%d → %v (atom %d): atom-keyed egress set %+v, per-prefix set %+v", owner, p, rib.Atom, got, want)
+			}
+		}
+	}
+	return len(e.fwd.egress), len(pairs), nil
+}

@@ -1,6 +1,7 @@
 package probe_test
 
 import (
+	"slices"
 	"testing"
 
 	"bdrmap/internal/bgp"
@@ -88,5 +89,32 @@ func TestPacketCountsPinned(t *testing.T) {
 		if got := reg.Snapshot().Counter("probe.packets_sent"); got != tc.want.PacketsSent {
 			t.Errorf("%s: probe.packets_sent = %d, want %d", tc.prof.Name, got, tc.want.PacketsSent)
 		}
+	}
+}
+
+// TestEgressSetAtomKeyMatchesPrefixKey: keying the egress memo by
+// announcement atom serves every prefix the set its own origins and pinned
+// links define, whichever prefix of the atom filled the entry, and holds
+// one set per (AS, atom) asked for rather than per (AS, prefix).
+func TestEgressSetAtomKeyMatchesPrefixKey(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			if testing.Short() && prof.Name != "tiny" && prof.Name != "r&e" {
+				t.Skip("-short: tiny and r&e only")
+			}
+			n := topo.Generate(prof, 1)
+			tab := bgp.NewTable(n)
+			prefixes := slices.Clone(tab.Prefixes())
+			for _, order := range []string{"ascending", "descending"} {
+				held, asked, err := probe.New(n, tab).CheckEgressSets(prefixes)
+				if err != nil {
+					t.Fatalf("%s: %v", order, err)
+				}
+				if held != asked {
+					t.Errorf("%s: %d egress sets held for %d (AS, atom) pairs asked", order, held, asked)
+				}
+				slices.Reverse(prefixes)
+			}
+		})
 	}
 }

@@ -157,7 +157,7 @@ type RunStats struct {
 func Targets(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 	routed := view.RoutedPrefixes()
 	byAS := make(map[topo.ASN][]netx.Block)
-	for _, p := range routed {
+	for i, p := range routed {
 		origins := view.OriginsExact(p)
 		if len(origins) == 0 {
 			continue
@@ -172,10 +172,16 @@ func Targets(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 		if hostOwned {
 			continue
 		}
-		// Carve out more-specific routed prefixes.
+		// Carve out more-specific routed prefixes. routed is sorted by
+		// (base, length), so they are the run right after p whose bases
+		// fall within it.
+		last := p.Last()
 		var ms []netx.Prefix
-		for _, q := range routed {
-			if q != p && p.ContainsPrefix(q) {
+		for _, q := range routed[i+1:] {
+			if q.Base > last {
+				break
+			}
+			if p.ContainsPrefix(q) {
 				ms = append(ms, q)
 			}
 		}

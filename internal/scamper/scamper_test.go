@@ -1,6 +1,8 @@
 package scamper
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"bdrmap/internal/bgp"
@@ -55,6 +57,74 @@ func TestTargetsCarveMoreSpecifics(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// targetsQuadratic is Targets as it was: every routed prefix's
+// more-specifics found by scanning all routed prefixes. Kept as the oracle
+// for the sorted-run scan.
+func targetsQuadratic(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
+	routed := view.RoutedPrefixes()
+	byAS := make(map[topo.ASN][]netx.Block)
+	for _, p := range routed {
+		origins := view.OriginsExact(p)
+		if len(origins) == 0 {
+			continue
+		}
+		hostOwned := true
+		for _, o := range origins {
+			if !hostASNs[o] {
+				hostOwned = false
+				break
+			}
+		}
+		if hostOwned {
+			continue
+		}
+		var ms []netx.Prefix
+		for _, q := range routed {
+			if q != p && p.ContainsPrefix(q) {
+				ms = append(ms, q)
+			}
+		}
+		byAS[origins[0]] = append(byAS[origins[0]], netx.CarveBlocks(p, ms)...)
+	}
+	out := make([]Target, 0, len(byAS))
+	for asn, blocks := range byAS {
+		sort.Slice(blocks, func(i, j int) bool { return blocks[i].First < blocks[j].First })
+		out = append(out, Target{AS: asn, Blocks: blocks})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].AS < out[j].AS })
+	return out
+}
+
+// TestTargetsMatchQuadraticScan: on every built-in profile the target list
+// is exactly what the all-pairs more-specific scan produced.
+func TestTargetsMatchQuadraticScan(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			if testing.Short() && prof.Name != "tiny" && prof.Name != "r&e" {
+				t.Skip("-short: tiny and r&e only")
+			}
+			n := topo.Generate(prof, 1)
+			view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))
+			hosts := map[topo.ASN]bool{n.HostASN: true}
+			for _, s := range n.Siblings(n.HostASN) {
+				hosts[s] = true
+			}
+			got, want := Targets(view, hosts), targetsQuadratic(view, hosts)
+			if len(got) != len(want) {
+				t.Fatalf("%d targets, the quadratic scan gives %d", len(got), len(want))
+			}
+			blocks := 0
+			for i := range want {
+				if got[i].AS != want[i].AS || !slices.Equal(got[i].Blocks, want[i].Blocks) {
+					t.Fatalf("target %d: AS%d %v, the quadratic scan gives AS%d %v", i, got[i].AS, got[i].Blocks, want[i].AS, want[i].Blocks)
+				}
+				blocks += len(want[i].Blocks)
+			}
+			t.Logf("%d targets, %d blocks", len(want), blocks)
+		})
 	}
 }
 

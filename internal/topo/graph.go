@@ -104,6 +104,16 @@ func (n *Network) AnnouncedOnLink(p netx.Prefix, l *Link) bool {
 	return m[l]
 }
 
+// IsPinned reports whether prefix p has a pinned (selective) announcement,
+// which may be to no link at all.
+func (n *Network) IsPinned(p netx.Prefix) bool {
+	if n.idx == nil {
+		return false
+	}
+	_, pinned := n.idx.pinnedLinks[p]
+	return pinned
+}
+
 // AnchorRecord pairs a prefix with its anchor, for enumeration.
 type AnchorRecord struct {
 	Prefix netx.Prefix

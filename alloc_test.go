@@ -62,15 +62,23 @@ func TestInferAllocBudget(t *testing.T) {
 // creeping back into the splice path costs ≥2 allocs per router and
 // blows the budget.
 func TestSpliceAllocBudget(t *testing.T) {
-	state := scamper.NewRoundState()
 	s1 := eval.Build(topo.TinyProfile(), 1)
+	states := make([]*scamper.RoundState, len(s1.Net.VPs))
+	for i := range states {
+		states[i] = scamper.NewRoundState()
+	}
 	cfg := scamper.Config{Workers: 1}
-	prev := s1.RunVPIncremental(0, cfg, core.Options{}, state, nil)
+	if _, err := s1.RunFleet(cfg, eval.FleetOptions{States: states}); err != nil {
+		t.Fatal(err)
+	}
+	prev := s1.Results[0]
 
 	// Round 2 on the unchanged world: everything replays from cache and
 	// the dirty-address set comes out (near) empty.
 	s2 := eval.BuildFromNetwork(s1.Net, 1)
-	s2.RunVPIncremental(0, cfg, core.Options{}, state, prev)
+	if _, err := s2.RunFleet(cfg, eval.FleetOptions{States: states, Prevs: s1.Results}); err != nil {
+		t.Fatal(err)
+	}
 	ds := s2.Datasets[0]
 	if ds.Dirty == nil {
 		t.Fatal("round 2 produced no dirty set; cross-round caching is off")

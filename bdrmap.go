@@ -340,7 +340,7 @@ func (w *World) MapBordersRemote(vp int, o RemoteOptions) (*Report, error) {
 		NoAnalyticalAlias: o.DisableAlias,
 		InferWorkers:      o.InferWorkers,
 	}
-	res, err := w.s.RunVPRemote(vp, cfg, opts, o.FaultSpec)
+	res, _, err := w.s.RunVPRemote(vp, cfg, opts, "127.0.0.1:0", o.FaultSpec)
 	if err != nil {
 		return nil, err
 	}

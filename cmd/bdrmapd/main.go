@@ -21,14 +21,10 @@ import (
 	"os/signal"
 	"time"
 
-	"bdrmap/internal/asrel"
-	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
-	"bdrmap/internal/faults"
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/obs"
-	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -216,71 +212,22 @@ func main() {
 		return
 	}
 
-	ctrl, err := scamper.Listen(*addr)
+	// One-shot remote mode: VP 0 runs as a thin agent dialing back to the
+	// controller on -listen; all measurement state stays central. A
+	// permanently lost session degrades to a partial map rather than
+	// aborting: whatever was measured is still inferred.
+	res, dev, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, *addr, *faultSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ctrl.Close()
-	ctrl.SetObs(s.Obs)
-	log.Printf("bdrmapd listening on %s", ctrl.Addr())
-
-	spec, err := faults.Parse(*faultSpec)
-	if err != nil {
-		log.Fatal(err)
+	if lost := s.Datasets[0].Stats.TargetsLost; lost > 0 {
+		log.Printf("transport degraded: %d target(s) lost", lost)
 	}
-	inj := faults.New(spec)
-
-	agentEngine := probe.New(s.Net, bgp.NewTable(s.Net))
-	agentEngine.SetObs(s.Obs)
-	agentEngine.SetFaults(inj)
-	// The agent keeps a small span log of its own sessions; the controller
-	// pulls and grafts it under the VP span after the run (protocol v2
-	// capability — older agents simply don't advertise it).
-	agent := &scamper.Agent{E: agentEngine, VP: s.Net.VPs[0], Spans: obs.NewSpanLog(256)}
-	go func() {
-		// DialRetry redials with backoff so a cut session resumes — the
-		// paper's agents reconnect after home-gateway reboots and churn.
-		if err := agent.DialRetry(ctrl.Addr(), scamper.DialOptions{
-			Dial: inj.DialFunc,
-		}); err != nil {
-			log.Printf("agent: %v", err)
-		}
-	}()
-
-	rp, err := ctrl.Accept()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer rp.Close()
-	log.Printf("agent %q connected", rp.Name())
-
-	vsp := s.Spans.Begin(s.SpanRoot.ID(), "vp", s.Net.VPs[0].Name)
-	vsp.SetAttr("mode", "remote")
-	d := &scamper.Driver{
-		View: s.View, Prober: rp, HostASNs: s.HostASNs, Obs: s.Obs, Trace: s.Trace,
-		Spans: s.Spans, SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	if err := rp.Err(); err != nil {
-		// A permanently lost session degrades to a partial map rather
-		// than aborting: whatever was measured is still inferred.
-		log.Printf("transport degraded: %v (%d target(s) lost)", err, ds.Stats.TargetsLost)
-	}
-	if recs, err := rp.PullSpans(); err == nil {
-		s.Spans.MergeRecords(recs, vsp.ID())
-	}
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: asrel.Infer(s.View), RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Obs: s.Obs, Trace: s.Trace,
-		Spans: s.Spans, SpanParent: vsp.ID(),
-	})
-	vsp.End()
 	store.Publish(mapdb.Compile(s.Net.HostASN, []*core.Result{res}))
 
-	out, in := rp.BytesTransferred()
 	fmt.Printf("agent %s: %d commands, %dB peak buffer (device state)\n",
-		rp.Name(), agent.Commands(), agent.StateBytes())
-	fmt.Printf("protocol traffic: %dB out, %dB in\n", out, in)
+		dev.Agent, dev.Commands, dev.StateBytes)
+	fmt.Printf("protocol traffic: %dB out, %dB in\n", dev.BytesOut, dev.BytesIn)
 	fmt.Printf("inferred %d interdomain links across %d neighbors\n",
 		len(res.Links), len(res.Neighbors))
 	for asn, links := range res.Neighbors {

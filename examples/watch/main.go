@@ -9,43 +9,18 @@ package main
 import (
 	"fmt"
 
-	"bdrmap/internal/asrel"
-	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
-	"bdrmap/internal/ixp"
-	"bdrmap/internal/probe"
-	"bdrmap/internal/rir"
+	"bdrmap/internal/eval"
 	"bdrmap/internal/scamper"
-	"bdrmap/internal/sibling"
 	"bdrmap/internal/topo"
 )
 
 // measure runs one full measurement round against the network's current
-// state with a fresh routing table and engine.
+// state: inputs re-derived from scratch, every VP on a fresh engine.
 func measure(n *topo.Network) *core.MergedMap {
-	tab := bgp.NewTable(n)
-	view := bgp.Collect(tab, bgp.DefaultVantages(n))
-	rel := asrel.Infer(view)
-	sibs := sibling.FromNetwork(n, 1)
-	sibs.CurateHost(n)
-	hosts := map[topo.ASN]bool{n.HostASN: true}
-	for _, s := range sibs.SiblingsOf(n.HostASN) {
-		hosts[s] = true
-	}
-	e := probe.New(n, tab)
-	var results []*core.Result
-	for _, vp := range n.VPs {
-		d := &scamper.Driver{
-			View: view, Prober: scamper.LocalProber{E: e, VP: vp}, HostASNs: hosts,
-		}
-		ds := d.Run()
-		results = append(results, core.Infer(core.Input{
-			Data: ds, View: view, Rel: rel,
-			RIR: rir.FromNetwork(n), IXP: ixp.Merge(ixp.FromNetwork(n, 1)),
-			HostASN: n.HostASN, Siblings: sibs,
-		}))
-	}
-	return core.Merge(results)
+	s := eval.BuildFromNetwork(n, 1)
+	s.RunAll(scamper.Config{})
+	return core.Merge(s.Results)
 }
 
 func main() {

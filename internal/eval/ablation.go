@@ -22,15 +22,15 @@ func (ss StopSetSavings) SavedFrac() float64 {
 	return 1 - float64(ss.PacketsWith)/float64(ss.PacketsWithout)
 }
 
-// MeasureStopSet runs the driver twice on fresh engines.
+// MeasureStopSet runs the driver twice on fresh scenarios.
 func MeasureStopSet(prof topo.Profile, seed int64) StopSetSavings {
 	with := Build(prof, seed)
 	with.RunVP(0, scamper.Config{Workers: 1}, core.Options{})
 	without := Build(prof, seed)
 	without.RunVP(0, scamper.Config{Workers: 1, DisableStopSet: true}, core.Options{})
 	return StopSetSavings{
-		PacketsWith:    with.Engine.Stats().PacketsSent,
-		PacketsWithout: without.Engine.Stats().PacketsSent,
+		PacketsWith:    with.Obs.Counter("probe.packets_sent").Load(),
+		PacketsWithout: without.Obs.Counter("probe.packets_sent").Load(),
 		TracesStopped:  with.Datasets[0].Stats.TracesStopped,
 	}
 }

@@ -291,3 +291,41 @@ func TestMeasureAllyRounds(t *testing.T) {
 		t.Errorf("five rounds produced more false aliases than one: %+v", a)
 	}
 }
+
+// TestRunFleetRejectsBadFaultSpec pins RunFleet's error contract: a
+// malformed fault spec is a configuration error, returned before any shard
+// is scheduled — not a shard that burns its retry budget and comes back
+// Failed beside a nil error.
+func TestRunFleetRejectsBadFaultSpec(t *testing.T) {
+	s := Build(topo.TinyProfile(), 1)
+	sum, err := s.RunFleet(scamper.Config{}, FleetOptions{
+		Retries: 2,
+		VPs:     map[int]FleetVP{0: {Remote: true, FaultSpecs: []string{"drop"}}},
+	})
+	if err == nil {
+		t.Fatalf("RunFleet accepted fault spec %q: shards %+v", "drop", sum.Shards)
+	}
+	if started := s.Obs.Counter("fleet.started").Load(); started != 0 {
+		t.Errorf("fleet.started = %d after a configuration error, want 0", started)
+	}
+	if s.Results[0] != nil {
+		t.Error("a rejected configuration still recorded a result")
+	}
+}
+
+// TestRunVPRemoteMemoized: an already-mapped VP is returned as is by every
+// entry point — RunVPRemote must not re-measure and overwrite it.
+func TestRunVPRemoteMemoized(t *testing.T) {
+	s := Build(topo.TinyProfile(), 1)
+	want := s.RunVP(0, scamper.Config{}, core.Options{})
+	got, _, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("RunVPRemote re-measured an already-mapped VP")
+	}
+	if n := s.Obs.Counter("eval.vp_runs_remote").Load(); n != 0 {
+		t.Errorf("eval.vp_runs_remote = %d, want 0", n)
+	}
+}

@@ -8,21 +8,17 @@ import (
 	"bdrmap/internal/faults"
 	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
-	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
 )
 
-// The fleet runner: RunAll and RunAllIncremental are reimplemented on the
-// internal/fleet coordinator, with every vantage point as one shard.
+// The fleet runner: RunAll and RunFleet put every vantage point through
+// the internal/fleet coordinator as one shard, and every shard attempt
+// through runShard — the same runner RunVP and RunVPRemote call.
 //
-// Isolation is what makes the schedule irrelevant: each shard attempt
-// runs on a fresh probe.Engine (the same "pure function of (profile,
-// seed, cfg, faultSpec)" construction RunVPRemote pioneered) and records
-// into private trace/span fragments the coordinator merges back in VP
-// order. The scenario's shared Engine is untouched — RunVP and the
-// single-VP World paths keep their exact historical behavior — and
-// Results/Datasets are only written after the pool drains, on the
-// caller's goroutine.
+// Isolation is what makes the schedule irrelevant: each attempt runs on a
+// fresh probe.Engine and records into private trace/span fragments the
+// coordinator merges back in VP order. Results/Datasets are only written
+// after the pool drains, on the caller's goroutine.
 
 // FleetVP configures one vantage point's transport for RunFleet.
 type FleetVP struct {
@@ -50,8 +46,12 @@ type FleetOptions struct {
 	// VPs overrides transport per VP index; absent entries run locally.
 	VPs map[int]FleetVP
 	// States and Prevs carry per-VP cross-round state (indexed like
-	// Net.VPs), as in RunAllIncremental. A shard's RoundState stays with
-	// the shard across retries and worker reassignment.
+	// Net.VPs): each VP's measurement memory from the previous round
+	// (trace transcripts, stop-set evolution, alias memo) and its previous
+	// inference result. The driver replays unchanged targets without
+	// spending probes, and the core splices prior attributions for routers
+	// far from every changed address. A shard's RoundState stays with the
+	// shard across retries and worker reassignment.
 	States []*scamper.RoundState
 	Prevs  []*core.Result
 	// Opts is passed to every shard's inference.
@@ -62,18 +62,6 @@ type FleetOptions struct {
 	// Gate, when set, is called at the start of every attempt of VP i —
 	// a test hook for pinning straggler and quorum schedules.
 	Gate func(vp int)
-	// ClaimTimeout bounds the wait for a remote agent's handshake per
-	// attempt (default 5s — generous against the millisecond redial
-	// schedule the loopback agents use).
-	ClaimTimeout time.Duration
-}
-
-// fleetRuntime is the shared remote-transport state of one RunFleet call:
-// a single controller and its session router, claimed by whichever worker
-// is running a remote shard.
-type fleetRuntime struct {
-	ctrl   *scamper.Controller
-	router *scamper.Router
 }
 
 // RunFleet measures every VP through the fleet coordinator and fills
@@ -83,19 +71,32 @@ type fleetRuntime struct {
 // for configuration or listener failures — per-shard failures are
 // reported in the summary (and leave that VP's Results slot nil).
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary, error) {
-	var rt *fleetRuntime
-	for _, vp := range fo.VPs {
-		if vp.Remote {
-			ctrl, err := scamper.Listen("127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			ctrl.SetObs(s.Obs)
-			ctrl.SetHelloTimeout(time.Second)
-			rt = &fleetRuntime{ctrl: ctrl, router: scamper.NewRouter(ctrl)}
-			defer ctrl.Close()
-			break
+	// Fault specs are configuration: a malformed one fails the call before
+	// any shard is scheduled, not a shard after it has burnt its retries.
+	specs := make(map[int][]faults.Spec)
+	var link *remoteLink
+	for i, vp := range fo.VPs {
+		if !vp.Remote {
+			continue
 		}
+		strs := vp.FaultSpecs
+		if len(strs) == 0 {
+			strs = []string{""} // a clean link
+		}
+		for k, str := range strs {
+			spec, err := faults.Parse(str)
+			if err != nil {
+				return nil, fmt.Errorf("eval: VP %d fault spec %d: %w", i, k, err)
+			}
+			specs[i] = append(specs[i], spec)
+		}
+	}
+	if len(specs) > 0 {
+		var err error
+		if link, err = s.listenRemote("127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+		defer link.ctrl.Close()
 	}
 
 	shards := make([]fleet.Shard, len(s.Net.VPs))
@@ -104,18 +105,45 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 		shards[i] = fleet.Shard{
 			Name: s.Net.VPs[i].Name,
 			Run: func(ctx fleet.RunCtx) (*fleet.Output, error) {
-				if s.Results[i] != nil {
-					// Memoized by an earlier RunVP/RunFleet: fold the
-					// existing result, measure nothing.
-					return &fleet.Output{Result: s.Results[i]}, nil
-				}
 				if fo.Gate != nil {
 					fo.Gate(i)
 				}
-				if fo.VPs[i].Remote {
-					return s.fleetShardRemote(i, ctx, cfg, fo, rt)
+				sh := shard{cfg: cfg, opts: fo.Opts, arena: ctx.Arena, mode: "fleet", attempt: ctx.Attempt}
+				// Private fragments, mirroring the enabled-ness of the
+				// scenario's shared logs.
+				if s.Trace.Enabled() {
+					sh.trace = obs.NewTracer(0)
 				}
-				return s.fleetShardLocal(i, ctx, cfg, fo)
+				if s.Spans.Enabled() {
+					sh.spans = obs.NewSpanLog(0)
+				}
+				// A shard's RoundState stays with the shard across retries
+				// and worker reassignment: a retry's agent redial resumes
+				// against it.
+				if fo.States != nil {
+					sh.cfg.State = fo.States[i]
+				}
+				if fo.Prevs != nil {
+					sh.prev = fo.Prevs[i]
+				}
+				if sp := specs[i]; sp != nil {
+					k := ctx.Attempt
+					if k >= len(sp) {
+						k = len(sp) - 1
+					}
+					sh.mode, sh.link, sh.faults = "fleet-remote", link, sp[k]
+				}
+				// A lost session returns its partial output *and* an error:
+				// the coordinator retries within budget or keeps the salvage
+				// and marks the shard degraded.
+				ds, res, _, err := s.runShard(i, sh)
+				if err != nil {
+					err = fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, err)
+				}
+				if res == nil {
+					return nil, err
+				}
+				return &fleet.Output{Result: res, Trace: sh.trace, Spans: sh.spans, Aux: ds}, err
 			},
 		}
 	}
@@ -145,181 +173,4 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 		s.Results[i] = out.Result
 	}
 	return sum, nil
-}
-
-// fleetFrags allocates one attempt's private trace and span fragments,
-// mirroring the enabled-ness of the scenario's shared logs.
-func (s *Scenario) fleetFrags() (*obs.Tracer, *obs.SpanLog) {
-	var frag *obs.Tracer
-	var sfrag *obs.SpanLog
-	if s.Trace.Enabled() {
-		frag = obs.NewTracer(0)
-	}
-	if s.Spans.Enabled() {
-		sfrag = obs.NewSpanLog(0)
-	}
-	return frag, sfrag
-}
-
-// fleetShardLocal runs VP i in-process on a fresh engine. Local shards
-// cannot fail: the engine is simulated and lossless, so the first attempt
-// is the only one.
-func (s *Scenario) fleetShardLocal(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions) (*fleet.Output, error) {
-	frag, sfrag := s.fleetFrags()
-	eng := probe.New(s.Net, s.Tab)
-	eng.SetObs(s.Obs)
-	vsp := sfrag.Begin(0, "vp", s.Net.VPs[i].Name)
-	vsp.SetAttr("mode", "fleet")
-	if fo.States != nil {
-		cfg.State = fo.States[i]
-	}
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: eng, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      frag,
-		Spans:      sfrag,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := s.fleetInfer(i, ds, fo, frag, sfrag, vsp, ctx.Arena)
-	vsp.End()
-	s.Obs.Inc("eval.vp_runs")
-	return &fleet.Output{Result: res, Trace: frag, Spans: sfrag, Aux: ds}, nil
-}
-
-// fleetShardRemote runs one attempt of VP i as a remote agent through the
-// run's shared controller. A session the fault schedule permanently kills
-// returns its partial output *and* an error: the coordinator retries
-// within budget — the next attempt's agent redial resumes against the
-// shard's surviving RoundState — or keeps the salvage and marks the shard
-// degraded.
-func (s *Scenario) fleetShardRemote(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions, rt *fleetRuntime) (*fleet.Output, error) {
-	specs := fo.VPs[i].FaultSpecs
-	specStr := ""
-	if len(specs) > 0 {
-		k := ctx.Attempt
-		if k >= len(specs) {
-			k = len(specs) - 1
-		}
-		specStr = specs[k]
-	}
-	spec, err := faults.Parse(specStr)
-	if err != nil {
-		return nil, err
-	}
-	inj := faults.New(spec)
-
-	eng := probe.New(s.Net, s.Tab)
-	eng.SetObs(s.Obs)
-	eng.SetFaults(inj)
-	var agentSpans *obs.SpanLog
-	if s.Spans.Enabled() {
-		agentSpans = obs.NewSpanLog(256)
-	}
-	agent := &scamper.Agent{E: eng, VP: s.Net.VPs[i], Spans: agentSpans}
-	agentDone := make(chan error, 1)
-	go func() {
-		agentDone <- agent.DialRetry(rt.ctrl.Addr(), scamper.DialOptions{
-			Dial:         inj.DialFunc,
-			MaxRedials:   100,
-			RedialBase:   time.Millisecond,
-			RedialMax:    16 * time.Millisecond,
-			HelloTimeout: 250 * time.Millisecond,
-		})
-	}()
-	drainAgent := func() {
-		select {
-		case <-agentDone:
-		case <-time.After(10 * time.Second):
-		}
-	}
-
-	claimTimeout := fo.ClaimTimeout
-	if claimTimeout <= 0 {
-		claimTimeout = 5 * time.Second
-	}
-	rp, err := rt.router.Claim(s.Net.VPs[i].Name, claimTimeout)
-	if err != nil {
-		drainAgent()
-		return nil, fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, err)
-	}
-	rp.SetHardening(scamper.Hardening{
-		FrameTimeout: 100 * time.Millisecond,
-		RetryBudget:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   16 * time.Millisecond,
-		ResumeWait:   2 * time.Second,
-	})
-
-	// Single-worker probing keeps the command stream — and therefore the
-	// fault schedule — deterministic, as in RunVPRemote.
-	cfg.Workers = 1
-	if fo.States != nil && fo.States[i] != nil {
-		if sp := rp.Signed(); sp != nil {
-			cfg.State = fo.States[i]
-			frag, sfrag := s.fleetFrags()
-			return s.fleetRemoteRun(i, ctx, cfg, fo, sp, rp, frag, sfrag, drainAgent)
-		}
-	}
-	frag, sfrag := s.fleetFrags()
-	return s.fleetRemoteRun(i, ctx, cfg, fo, rp, rp, frag, sfrag, drainAgent)
-}
-
-// fleetRemoteRun is the transport-independent tail of a remote attempt:
-// drive, pull spans, infer, decide success.
-func (s *Scenario) fleetRemoteRun(i int, ctx fleet.RunCtx, cfg scamper.Config, fo FleetOptions,
-	prober scamper.Prober, rp *scamper.RemoteProber, frag *obs.Tracer, sfrag *obs.SpanLog, drainAgent func()) (*fleet.Output, error) {
-	vsp := sfrag.Begin(0, "vp", s.Net.VPs[i].Name)
-	vsp.SetAttr("mode", "fleet-remote")
-	vsp.SetAttr("attempt", ctx.Attempt)
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     prober,
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      frag,
-		Spans:      sfrag,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	if sfrag.Enabled() {
-		if recs, err := rp.PullSpans(); err == nil {
-			sfrag.MergeRecords(recs, vsp.ID())
-		}
-	}
-	sessErr := rp.Err()
-	rp.Close()
-	drainAgent()
-
-	res := s.fleetInfer(i, ds, fo, frag, sfrag, vsp, ctx.Arena)
-	vsp.End()
-	s.Obs.Inc("eval.vp_runs_remote")
-	out := &fleet.Output{Result: res, Trace: frag, Spans: sfrag, Aux: ds}
-	if sessErr != nil || ds.Stats.TargetsLost > 0 {
-		if sessErr == nil {
-			sessErr = fmt.Errorf("%d targets lost", ds.Stats.TargetsLost)
-		}
-		return out, fmt.Errorf("eval: fleet shard %s attempt %d: %w", s.Net.VPs[i].Name, ctx.Attempt, sessErr)
-	}
-	return out, nil
-}
-
-// fleetInfer runs the shard's inference into the worker's arena, with the
-// shard's previous-round result spliced in when provided.
-func (s *Scenario) fleetInfer(i int, ds *scamper.Dataset, fo FleetOptions,
-	frag *obs.Tracer, sfrag *obs.SpanLog, vsp *obs.OpenSpan, arena *core.Arena) *core.Result {
-	var prev *core.Result
-	if fo.Prevs != nil {
-		prev = fo.Prevs[i]
-	}
-	return core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: fo.Opts,
-		Obs: s.Obs, Trace: frag, Spans: sfrag, SpanParent: vsp.ID(),
-		Prev: prev, Arena: arena,
-	})
 }

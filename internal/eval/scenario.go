@@ -31,13 +31,18 @@ type Scenario struct {
 	Profile topo.Profile
 	Seed    int64
 
-	Net      *topo.Network
-	Tab      *bgp.Table
-	View     *bgp.View
-	Rel      *asrel.Inference
-	RIR      *rir.DB
-	IXP      *ixp.PrefixList
-	Sibs     *sibling.Set
+	Net  *topo.Network
+	Tab  *bgp.Table
+	View *bgp.View
+	Rel  *asrel.Inference
+	RIR  *rir.DB
+	IXP  *ixp.PrefixList
+	Sibs *sibling.Set
+	// Engine is for ad-hoc probing of the world — tslpmon's and
+	// examples/congestion's time-series probes, the benchmark's layer pass.
+	// A mapping run never touches it: every VP attempt probes on a fresh
+	// engine of its own (see runShard), so nothing done here can reach a
+	// map.
 	Engine   *probe.Engine
 	HostASNs map[topo.ASN]bool
 	// Obs collects metrics from every stage of the scenario's pipeline.
@@ -65,11 +70,10 @@ type Scenario struct {
 	// linear NeighborsOf scan per call is quadratic on large profiles.
 	hostAdj map[topo.ASN]bool
 
-	// arena backs every inference this scenario runs: the router-graph
-	// slabs are reset — not reallocated — between VPs and between RunAll
-	// scenarios that share the Scenario value. Scenario methods are not
-	// concurrency-safe, so one arena per scenario is exactly one inference
-	// at a time.
+	// arena backs RunVP's and RunVPRemote's inferences (fleet shards use
+	// their worker's): the router-graph slabs are reset — not reallocated —
+	// between VPs. Scenario methods are not concurrency-safe, so one arena
+	// per scenario is exactly one inference at a time.
 	arena core.Arena
 }
 
@@ -117,87 +121,160 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	}
 }
 
-// beginVPSpan opens the "vp" span VP i's driver stages and inference
-// attach under. It parents under SpanRoot — the scenario's run span, or
-// whatever the rounds runner re-pointed SpanRoot at (its round span).
-func (s *Scenario) beginVPSpan(i int, mode string) *obs.OpenSpan {
-	sp := s.Spans.Begin(s.SpanRoot.ID(), "vp", s.Net.VPs[i].Name)
-	if mode != "" {
-		sp.SetAttr("mode", mode)
-	}
-	return sp
+// shard is what one attempt at one VP needs beyond the scenario's derived
+// inputs: its configuration, its cross-round memory, where it records and
+// — for a remote attempt — the link its agent dials. RunVP and RunVPRemote
+// record straight into the scenario's shared logs under SpanRoot; fleet
+// shards record into private fragments the coordinator merges back in VP
+// order.
+type shard struct {
+	cfg   scamper.Config // cfg.State carries the VP's cross-round memory, if any
+	opts  core.Options
+	prev  *core.Result // previous round's inference to splice from, or nil
+	arena *core.Arena  // one per goroutine that infers
+
+	trace  *obs.Tracer
+	spans  *obs.SpanLog
+	parent obs.SpanID
+	// mode labels the vp span ("", "remote", "fleet", "fleet-remote");
+	// /v1/status picks fleet shards out by the "fleet" prefix.
+	mode    string
+	attempt int
+
+	// link, when set, runs the VP as a §5.8 agent dialing it through a
+	// faults injector instead of an in-process LocalProber.
+	link   *remoteLink
+	faults faults.Spec
 }
 
-// RunVP measures and infers from one vantage point.
-func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
+// runShard is the one way a VP is measured and inferred: build the driver,
+// run it, infer, hand back the dataset and result for the caller to record.
+// Every attempt probes on a fresh engine, so VP i's output is a pure
+// function of (profile, seed, cfg, fault spec) — whichever entry point
+// asked, in whatever order, on whichever worker. An already-recorded VP is
+// returned as is, measuring nothing.
+//
+// A non-nil error with a nil res means the attempt never started (no
+// remote session formed); with a non-nil res, that the session was lost
+// mid-run and ds and res hold what was salvaged. dev is zero for an
+// in-process attempt.
+func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
 	if s.Results[i] != nil {
-		return s.Results[i]
+		return s.Datasets[i], s.Results[i], dev, nil
 	}
-	vsp := s.beginVPSpan(i, "")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Arena: &s.arena,
-	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs")
-	return res
-}
-
-// RunVPRemote measures VP i over the §5.8 remote-control protocol: a thin
-// agent with its own engine dials back to an in-process controller over
-// loopback TCP, optionally through a deterministic fault injector
-// (faultSpec syntax: internal/faults, e.g. "seed=11,drop=0.12,heal=40").
-// Probing is forced to one worker so the command stream — and therefore
-// the fault schedule and the inferred links — is deterministic. A lost
-// session degrades gracefully: the partial dataset is still inferred and
-// Datasets[i].Stats.TargetsLost reports what was abandoned.
-func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, faultSpec string) (*core.Result, error) {
-	spec, err := faults.Parse(faultSpec)
-	if err != nil {
-		return nil, err
-	}
-	inj := faults.New(spec)
-
-	ctrl, err := scamper.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ctrl.Close()
-	ctrl.SetObs(s.Obs)
-	ctrl.SetHelloTimeout(time.Second)
-
-	// The agent gets a fresh engine so this run's measurement is a pure
-	// function of (profile, seed, cfg, faultSpec) — prior local runs on
-	// the scenario's shared engine cannot contaminate it.
+	vp := s.Net.VPs[i]
 	eng := probe.New(s.Net, s.Tab)
 	eng.SetObs(s.Obs)
+	var prober scamper.Prober = scamper.LocalProber{E: eng, VP: vp}
+	var sess *remoteSession
+	runs := "eval.vp_runs"
+	if sh.link != nil {
+		if sess, err = s.dialAgent(eng, vp, sh); err != nil {
+			return nil, nil, dev, err
+		}
+		prober = sess.rp
+		// Cross-round replay needs path signatures; the driver ignores the
+		// state of a session whose agent does not advertise them.
+		if sp := sess.rp.Signed(); sp != nil && sh.cfg.State != nil {
+			prober = sp
+		}
+		// Single-worker probing keeps the command stream — and therefore
+		// the fault schedule and the inferred links — deterministic.
+		sh.cfg.Workers = 1
+		runs = "eval.vp_runs_remote"
+	}
+
+	vsp := sh.spans.Begin(sh.parent, "vp", vp.Name)
+	if sh.mode != "" {
+		vsp.SetAttr("mode", sh.mode)
+	}
+	if sess != nil {
+		vsp.SetAttr("attempt", sh.attempt)
+	}
+	d := &scamper.Driver{
+		View:       s.View,
+		Prober:     prober,
+		HostASNs:   s.HostASNs,
+		Cfg:        sh.cfg,
+		Obs:        s.Obs,
+		Trace:      sh.trace,
+		Spans:      sh.spans,
+		SpanParent: vsp.ID(),
+	}
+	ds = d.Run()
+	if sess != nil {
+		dev, err = sess.finish(sh.spans, vsp.ID())
+	}
+	if err == nil && ds.Stats.TargetsLost > 0 {
+		err = fmt.Errorf("%d targets lost", ds.Stats.TargetsLost)
+	}
+	res = core.Infer(core.Input{
+		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
+		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: sh.opts,
+		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: vsp.ID(),
+		Prev: sh.prev, Arena: sh.arena,
+	})
+	vsp.End()
+	s.Obs.Inc(runs)
+	return ds, res, dev, err
+}
+
+// remoteLink is the controller side of the §5.8 protocol for one RunFleet
+// or RunVPRemote call: a single listener and its session router, claimed
+// by whichever attempt is running a remote VP.
+type remoteLink struct {
+	ctrl   *scamper.Controller
+	router *scamper.Router
+}
+
+func (s *Scenario) listenRemote(addr string) (*remoteLink, error) {
+	ctrl, err := scamper.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	ctrl.SetObs(s.Obs)
+	ctrl.SetHelloTimeout(time.Second)
+	return &remoteLink{ctrl: ctrl, router: scamper.NewRouter(ctrl)}, nil
+}
+
+// RemoteStats is the §5.8 accounting of one remote run: what the thin
+// device executed and held, and what crossed the wire.
+type RemoteStats struct {
+	Agent             string
+	Commands          int64
+	StateBytes        int // the device's peak buffer: all the state it keeps
+	BytesOut, BytesIn int64
+}
+
+// remoteSession is one established agent session.
+type remoteSession struct {
+	rp        *scamper.RemoteProber
+	agent     *scamper.Agent
+	agentDone chan error
+}
+
+// dialAgent brings one remote attempt up: an in-process agent probing on
+// eng through sh's fault injector dials the link over loopback TCP, and
+// the attempt claims the session that forms. The timeouts are loopback
+// scale: frame processing is sub-millisecond (the engine is simulated), so
+// values far below the WAN defaults keep chaos runs fast while still
+// dwarfing any injected stall.
+func (s *Scenario) dialAgent(eng *probe.Engine, vp *topo.VP, sh shard) (*remoteSession, error) {
+	inj := faults.New(sh.faults)
 	eng.SetFaults(inj)
 	// The agent keeps its own small span log (one span per protocol
-	// session); the controller pulls and grafts it under the vp span after
-	// the run, so redials and resumes are visible in the timeline.
+	// session); finish grafts it under the vp span, so redials and resumes
+	// are visible in the timeline.
 	var agentSpans *obs.SpanLog
 	if s.Spans.Enabled() {
 		agentSpans = obs.NewSpanLog(256)
 	}
-	agent := &scamper.Agent{E: eng, VP: s.Net.VPs[i], Spans: agentSpans}
-	agentDone := make(chan error, 1)
+	rs := &remoteSession{
+		agent:     &scamper.Agent{E: eng, VP: vp, Spans: agentSpans},
+		agentDone: make(chan error, 1),
+	}
 	go func() {
-		agentDone <- agent.DialRetry(ctrl.Addr(), scamper.DialOptions{
+		rs.agentDone <- rs.agent.DialRetry(sh.link.ctrl.Addr(), scamper.DialOptions{
 			Dial:         inj.DialFunc,
 			MaxRedials:   100,
 			RedialBase:   time.Millisecond,
@@ -205,151 +282,111 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, fau
 			HelloTimeout: 250 * time.Millisecond,
 		})
 	}()
-
-	// Accept must race the agent's exit: a fault schedule harsh enough to
-	// kill every hello means no session ever forms, and waiting on Accept
-	// alone would block forever (ctrl.Close only runs when we return).
-	type accepted struct {
-		rp  *scamper.RemoteProber
-		err error
+	// A fault schedule harsh enough to kill every hello means no session
+	// ever forms; the claim times out rather than waiting forever — after
+	// 5s, generous against the agent's millisecond redial schedule.
+	var err error
+	if rs.rp, err = sh.link.router.Claim(vp.Name, 5*time.Second); err != nil {
+		rs.drain()
+		return nil, err
 	}
-	acceptC := make(chan accepted, 1)
-	go func() {
-		rp, err := ctrl.Accept()
-		acceptC <- accepted{rp, err}
-	}()
-	var rp *scamper.RemoteProber
-	select {
-	case a := <-acceptC:
-		if a.err != nil {
-			return nil, a.err
-		}
-		rp = a.rp
-	case err := <-agentDone:
-		// The agent may have established a session and then died; prefer
-		// the session if one raced in, otherwise the run is over.
-		select {
-		case a := <-acceptC:
-			if a.err != nil {
-				return nil, a.err
-			}
-			rp = a.rp
-			agentDone <- err // re-arm for the post-run drain below
-		default:
-			if err == nil {
-				err = fmt.Errorf("eval: agent exited before establishing a session")
-			}
-			return nil, err
-		}
-	}
-	// Loopback scale: frame processing is sub-millisecond (the engine is
-	// simulated), so timeouts far below the WAN defaults keep chaos runs
-	// fast while still dwarfing any injected stall.
-	rp.SetHardening(scamper.Hardening{
+	rs.rp.SetHardening(scamper.Hardening{
 		FrameTimeout: 100 * time.Millisecond,
 		RetryBudget:  12,
 		BackoffBase:  time.Millisecond,
 		BackoffMax:   16 * time.Millisecond,
 		ResumeWait:   2 * time.Second,
 	})
+	return rs, nil
+}
 
-	cfg.Workers = 1
-	vsp := s.beginVPSpan(i, "remote")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     rp,
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	// Graft the agent's session spans into the vp span before the bye.
-	// Best-effort: a session the fault schedule killed for good has
-	// nothing to pull, and that must not fail a degraded-but-useful run.
-	if s.Spans.Enabled() {
-		if recs, err := rp.PullSpans(); err == nil {
-			s.Spans.MergeRecords(recs, vsp.ID())
-		}
-	}
-	rp.Close()
+// drain waits for the agent goroutine to exit. A clean bye returns nil; a
+// killed agent reports its redial exhaustion. Either way the dataset is
+// what counts.
+func (rs *remoteSession) drain() {
 	select {
-	case <-agentDone:
-		// A clean bye returns nil; a killed agent reports its redial
-		// exhaustion. Either way the dataset below is what counts.
+	case <-rs.agentDone:
 	case <-time.After(10 * time.Second):
 	}
+}
 
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Arena: &s.arena,
+// finish ends the session once the driver has run: it grafts the agent's
+// session spans under the vp span, takes the run's accounting, says bye,
+// waits the agent out, and reports the session's terminal error, if it
+// was lost. The graft is best-effort: a session the fault schedule killed
+// for good has nothing to pull, and that must not fail a
+// degraded-but-useful run.
+func (rs *remoteSession) finish(spans *obs.SpanLog, vsp obs.SpanID) (RemoteStats, error) {
+	if spans.Enabled() {
+		if recs, err := rs.rp.PullSpans(); err == nil {
+			spans.MergeRecords(recs, vsp)
+		}
+	}
+	bout, bin := rs.rp.BytesTransferred()
+	dev := RemoteStats{
+		Agent:    rs.rp.Name(),
+		Commands: rs.agent.Commands(), StateBytes: rs.agent.StateBytes(),
+		BytesOut: bout, BytesIn: bin,
+	}
+	err := rs.rp.Err()
+	rs.rp.Close()
+	rs.drain()
+	return dev, err
+}
+
+// RunVP measures and infers from one vantage point, recording into the
+// scenario's shared logs. Its output is exactly what RunAll and RunFleet
+// produce for VP i.
+func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
+	// A local attempt cannot fail: the engine is simulated and lossless.
+	s.Datasets[i], s.Results[i], _, _ = s.runShard(i, shard{
+		cfg: cfg, opts: opts, arena: &s.arena,
+		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(),
 	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs_remote")
-	return res, nil
+	return s.Results[i]
+}
+
+// RunVPRemote measures VP i over the §5.8 remote-control protocol: a thin
+// agent with its own engine dials back to an in-process controller
+// listening on listen ("127.0.0.1:0" for an ephemeral loopback port),
+// optionally through a deterministic fault injector (faultSpec syntax:
+// internal/faults, e.g. "seed=11,drop=0.12,heal=40"). Probing is forced to
+// one worker so the command stream — and therefore the fault schedule and
+// the inferred links — is deterministic. A lost session degrades
+// gracefully: the partial dataset is still inferred and
+// Datasets[i].Stats.TargetsLost reports what was abandoned; an error means
+// no session ever formed.
+func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, listen, faultSpec string) (*core.Result, RemoteStats, error) {
+	spec, err := faults.Parse(faultSpec)
+	if err != nil {
+		return nil, RemoteStats{}, err
+	}
+	link, err := s.listenRemote(listen)
+	if err != nil {
+		return nil, RemoteStats{}, err
+	}
+	defer link.ctrl.Close()
+	ds, res, dev, err := s.runShard(i, shard{
+		cfg: cfg, opts: opts, arena: &s.arena,
+		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(), mode: "remote",
+		link: link, faults: spec,
+	})
+	if res == nil {
+		return nil, dev, err
+	}
+	s.Datasets[i], s.Results[i] = ds, res
+	return res, dev, nil
 }
 
 // RunAll measures from every VP. It is the one-worker degenerate case of
-// the fleet coordinator: every VP runs locally, in VP order, on a fresh
-// engine, and the outputs land in Datasets/Results exactly as before.
-// RunFleet with more workers produces byte-identical merged output.
+// the fleet coordinator: every VP runs locally, in VP order, and the
+// outputs land in Datasets/Results. RunFleet with more workers produces
+// byte-identical merged output.
 func (s *Scenario) RunAll(cfg scamper.Config) {
 	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
 		// Local-only fleets allocate no listener and validate no order:
 		// there is nothing left that can fail.
 		panic(fmt.Sprintf("eval: RunAll: %v", err))
-	}
-}
-
-// RunVPIncremental measures and infers from one vantage point using
-// cross-round state: state carries VP i's measurement memory from the
-// previous round (trace transcripts, stop-set evolution, alias memo) and
-// prev its previous inference result. The driver replays unchanged
-// targets without spending probes, and the core splices prior
-// attributions for routers far from every changed address. Passing a
-// fresh state and nil prev degrades to a from-scratch run.
-func (s *Scenario) RunVPIncremental(i int, cfg scamper.Config, opts core.Options, state *scamper.RoundState, prev *core.Result) *core.Result {
-	if s.Results[i] != nil {
-		return s.Results[i]
-	}
-	cfg.State = state
-	vsp := s.beginVPSpan(i, "incremental")
-	d := &scamper.Driver{
-		View:       s.View,
-		Prober:     scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[i]},
-		HostASNs:   s.HostASNs,
-		Cfg:        cfg,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: vsp.ID(),
-	}
-	ds := d.Run()
-	res := core.Infer(core.Input{
-		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: opts,
-		Obs: s.Obs, Trace: s.Trace, Spans: s.Spans, SpanParent: vsp.ID(),
-		Prev: prev, Arena: &s.arena,
-	})
-	vsp.End()
-	s.Datasets[i] = ds
-	s.Results[i] = res
-	s.Obs.Inc("eval.vp_runs_incremental")
-	return res
-}
-
-// RunAllIncremental is RunAll with per-VP cross-round state and previous
-// results. states and prevs are indexed like Net.VPs; prevs may be nil on
-// the first round.
-func (s *Scenario) RunAllIncremental(cfg scamper.Config, states []*scamper.RoundState, prevs []*core.Result) {
-	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1, States: states, Prevs: prevs}); err != nil {
-		panic(fmt.Sprintf("eval: RunAllIncremental: %v", err))
 	}
 }
 

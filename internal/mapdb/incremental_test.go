@@ -167,10 +167,14 @@ func TestIncrementalUnchangedWorldProbeReduction(t *testing.T) {
 	scfg := scamper.Config{Workers: 2}
 
 	s1 := eval.BuildFromNetwork(n, 1)
-	s1.RunAllIncremental(scfg, states, nil)
+	if _, err := s1.RunFleet(scfg, eval.FleetOptions{States: states}); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := eval.BuildFromNetwork(n, 1)
-	s2.RunAllIncremental(scfg, states, s1.Results)
+	if _, err := s2.RunFleet(scfg, eval.FleetOptions{States: states, Prevs: s1.Results}); err != nil {
+		t.Fatal(err)
+	}
 
 	s3 := eval.BuildFromNetwork(n, 1)
 	s3.RunAll(scfg)

@@ -28,7 +28,6 @@
 package mapdb
 
 import (
-	"runtime"
 	"sort"
 
 	"bdrmap/internal/core"
@@ -76,8 +75,8 @@ type Snapshot struct {
 
 	// The pair and neighbor indices are sorted flat arrays rather than
 	// maps: binary-searchable with zero allocations, and — like the trie
-	// node slice — directly representable as raw segment bytes, so the
-	// mmap serving path reads them in place. pairKeys is sorted; on
+	// node slice — directly representable as raw segment bytes, so a
+	// segment open decodes them without rebuilding. pairKeys is sorted; on
 	// duplicate (near, far) keys the lowest link index (lowest FarAS)
 	// wins, matching the old first-write-wins map build. nbAS lists the
 	// neighbor ASes sorted ascending, and nbOff[i]:nbOff[i+1] is the span
@@ -93,12 +92,6 @@ type Snapshot struct {
 	// fleet quorum publish before every VP completed). Empty for a full
 	// generation.
 	degraded []string
-
-	// seg pins the mapped segment file this snapshot serves from, nil for
-	// snapshots compiled in memory. The mapping is released by a finalizer
-	// once the snapshot is unreachable — never while any reader, retained
-	// diff, or history entry can still observe it.
-	seg *segment
 }
 
 func pairKey(near, far netx.Addr) uint64 {
@@ -230,9 +223,8 @@ func sortLinks(links []Link) {
 
 // finishIndexes (re)derives every lookup structure from the snapshot's
 // canonical data (links, ownerAddrs): the compiled trie, the sorted pair
-// index, and the neighbor spans. Compile, segment open (on platforms that
-// cannot map the index sections), and diff application all converge here,
-// so every construction path indexes identically.
+// index, and the neighbor spans. Compile and diff application both
+// converge here, so every construction path indexes identically.
 func (s *Snapshot) finishIndexes() {
 	sortLinks(s.links)
 
@@ -322,13 +314,7 @@ func (s *Snapshot) Links() []Link { return s.links }
 // Owner resolves an IP to the attribution of the router holding it, via
 // longest-prefix match over the indexed interface addresses. This is the
 // serving hot path: zero allocations per call.
-//
-// The KeepAlive in this and the other lookup methods pins mmap-backed
-// snapshots for the duration of the read: the trie and index slices may
-// point into a mapped segment whose finalizer unmaps it, and without the
-// pin the collector could deem the receiver dead mid-lookup.
 func (s *Snapshot) Owner(a netx.Addr) (OwnerInfo, bool) {
-	defer runtime.KeepAlive(s)
 	if e := s.lpm.lookup(a); e >= 0 {
 		return s.owners[e], true
 	}
@@ -338,7 +324,6 @@ func (s *Snapshot) Owner(a netx.Addr) (OwnerInfo, bool) {
 // ownerLinear is the naive linear-scan resolution the compiled trie
 // replaces, kept as the benchmark control and the fuzz oracle's shape.
 func (s *Snapshot) ownerLinear(a netx.Addr) (OwnerInfo, bool) {
-	defer runtime.KeepAlive(s)
 	for i, oa := range s.ownerAddrs {
 		if oa == a {
 			return s.owners[i], true
@@ -351,7 +336,6 @@ func (s *Snapshot) ownerLinear(a netx.Addr) (OwnerInfo, bool) {
 // A far of zero queries the silent link at near. Zero allocations: the
 // binary search is hand-rolled so no closure escapes.
 func (s *Snapshot) Link(near, far netx.Addr) (Link, bool) {
-	defer runtime.KeepAlive(s)
 	k := pairKey(near, far)
 	lo, hi := 0, len(s.pairKeys)
 	for lo < hi {
@@ -371,7 +355,6 @@ func (s *Snapshot) Link(near, far netx.Addr) (Link, bool) {
 // neighborSpan returns the half-open range of as's links in the sorted
 // link slice, or (0, 0) when as has none.
 func (s *Snapshot) neighborSpan(as topo.ASN) (int32, int32) {
-	defer runtime.KeepAlive(s)
 	lo, hi := 0, len(s.nbAS)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -390,7 +373,6 @@ func (s *Snapshot) neighborSpan(as topo.ASN) (int32, int32) {
 // Neighbors returns the interdomain links attaching neighbor AS `as`,
 // sorted by (Near, Far). The slice is freshly allocated.
 func (s *Snapshot) Neighbors(as topo.ASN) []Link {
-	defer runtime.KeepAlive(s)
 	lo, hi := s.neighborSpan(as)
 	out := make([]Link, hi-lo)
 	copy(out, s.links[lo:hi])
@@ -399,7 +381,6 @@ func (s *Snapshot) Neighbors(as topo.ASN) []Link {
 
 // NeighborASes returns every neighbor AS with at least one link, sorted.
 func (s *Snapshot) NeighborASes() []topo.ASN {
-	defer runtime.KeepAlive(s)
 	out := make([]topo.ASN, len(s.nbAS))
 	copy(out, s.nbAS)
 	return out

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"time"
 
@@ -31,7 +30,6 @@ import (
 // by diffs, so the result serves queries but exposes Merged() == nil —
 // the same contract as a snapshot opened from a segment.
 func (s *Snapshot) Apply(d *GenDiff) (*Snapshot, error) {
-	defer runtime.KeepAlive(s)
 	if d.From != s.gen {
 		return nil, fmt.Errorf("mapdb: apply: diff is %d→%d but snapshot is generation %d", d.From, d.To, s.gen)
 	}

@@ -7,23 +7,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"syscall"
-	"unsafe"
 
 	"bdrmap/internal/netx"
 	"bdrmap/internal/topo"
 )
 
-// Segment file format v1 — one published generation as a single
-// mmap-friendly file. The Snapshot's serving structures are already
-// pointer-free int32/uint64 slices (flat trie nodes, sorted pair index,
-// neighbor spans), so the file lays them out verbatim: OpenSegment maps
-// the file and serves lookups directly from the mapped bytes with zero
-// copy. Only the string-bearing records (links, owners, VP names) are
-// materialized on the heap at open, which guarantees that anything a
-// GenDiff retains is a value copy and never a pointer into the mapping.
+// Segment file format v1 — one published generation as a single file.
+// The Snapshot's serving structures are already pointer-free int32/uint64
+// slices (flat trie nodes, sorted pair index, neighbor spans), so the file
+// lays them out verbatim and opening one is a straight decode of each
+// section into its typed slice — no index is rebuilt.
 //
 // Layout, all little-endian, section payloads 8-byte aligned:
 //
@@ -73,14 +67,6 @@ const (
 )
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// nativeLE reports whether this host's byte order matches the file
-// format's. The zero-copy path requires it; big-endian hosts fall back to
-// decode-copy and stay correct.
-var nativeLE = func() bool {
-	x := uint16(0x0102)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}()
 
 func segmentPath(dir string, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("gen-%08d%s", gen, segSuffix))
@@ -248,7 +234,7 @@ func (s *Snapshot) marshalSegment() []byte {
 }
 
 // WriteTo serializes the snapshot in segment format v1. The byte stream
-// is exactly what OpenSegment maps — it is both the on-disk layout and
+// is exactly what ReadSegment decodes — it is both the on-disk layout and
 // the full-sync replication wire format.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	n, err := w.Write(s.marshalSegment())
@@ -295,71 +281,23 @@ func writeSegmentFile(dir string, snap *Snapshot) error {
 // ---------------------------------------------------------------------------
 // Reading
 
-// segment owns one open backing buffer — a read-only mmap of a segment
-// file, or a plain heap buffer on platforms (or code paths) that cannot
-// map. The mapping is released by a finalizer once no Snapshot pins it;
-// lookup methods hold the pin with runtime.KeepAlive for the duration of
-// every read of possibly-mapped memory.
-type segment struct {
-	data   []byte
-	mapped bool
-}
-
-func (g *segment) release() {
-	if g.mapped && g.data != nil {
-		_ = syscall.Munmap(g.data)
-		g.data = nil
-	}
-}
-
-// OpenSegment maps a segment file and returns a Snapshot serving straight
-// from the mapped bytes: the trie nodes, pair index, neighbor spans, and
-// owner-address array are the file's bytes, zero-copy (on little-endian
-// hosts; others decode). The returned snapshot carries the generation
-// number recorded at publish time.
+// OpenSegment reads a segment file and decodes it with ReadSegment. The
+// returned snapshot carries the generation number recorded at publish
+// time.
 func OpenSegment(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	snap, err := ReadSegment(data)
 	if err != nil {
-		return nil, err
-	}
-	if fi.Size() == 0 {
-		return nil, fmt.Errorf("mapdb: segment %s: empty file", path)
-	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(fi.Size()),
-		syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		// No mapping (exotic fs, platform limits): fall back to a heap read.
-		buf, rerr := os.ReadFile(path)
-		if rerr != nil {
-			return nil, rerr
-		}
-		return ReadSegment(buf)
-	}
-	seg := &segment{data: data, mapped: true}
-	snap, err := parseSegment(data, seg)
-	if err != nil {
-		seg.release()
 		return nil, fmt.Errorf("mapdb: segment %s: %w", path, err)
 	}
-	runtime.SetFinalizer(seg, (*segment).release)
 	return snap, nil
-}
-
-// ReadSegment decodes a segment image held in memory — the follower's
-// full-sync path receives one over HTTP. Everything is copied onto the
-// heap; data is not retained.
-func ReadSegment(data []byte) (*Snapshot, error) {
-	return parseSegment(data, nil)
 }
 
 // segReader carries the validated section table during parse.
 type segReader struct {
-	data []byte
 	secs map[uint32][]byte
 }
 
@@ -377,7 +315,7 @@ func (r *segReader) strAt(off, ln uint32) (string, error) {
 	if int64(off)+int64(ln) > int64(len(strtab)) {
 		return "", fmt.Errorf("string ref %d+%d beyond string table (%d bytes)", off, ln, len(strtab))
 	}
-	return string(strtab[off : off+ln]), nil // copies: heap string, never mapped bytes
+	return string(strtab[off : off+ln]), nil
 }
 
 func (r *segReader) strList(id uint32) ([]string, error) {
@@ -408,10 +346,9 @@ func (r *segReader) strList(id uint32) ([]string, error) {
 	return out, nil
 }
 
-// viewU32 returns the section as a []uint32 — aliasing the backing bytes
-// when zero-copy is possible (mapped, native little-endian, aligned),
-// decoding a heap copy otherwise.
-func (r *segReader) viewU32(id uint32, zeroCopy bool) ([]uint32, error) {
+// u32s decodes section id, a packed array of little-endian 32-bit words,
+// straight into a slice of its serving type.
+func u32s[T ~uint32 | ~int32](r *segReader, id uint32) ([]T, error) {
 	p, err := r.section(id)
 	if err != nil {
 		return nil, err
@@ -419,21 +356,17 @@ func (r *segReader) viewU32(id uint32, zeroCopy bool) ([]uint32, error) {
 	if len(p)%4 != 0 {
 		return nil, fmt.Errorf("section %d: length %d not a multiple of 4", id, len(p))
 	}
-	n := len(p) / 4
-	if n == 0 {
+	if len(p) == 0 {
 		return nil, nil
 	}
-	if zeroCopy && nativeLE && uintptr(unsafe.Pointer(&p[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&p[0])), n), nil
-	}
-	out := make([]uint32, n)
+	out := make([]T, len(p)/4)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[4*i:])
+		out[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return out, nil
 }
 
-func (r *segReader) viewU64(id uint32, zeroCopy bool) ([]uint64, error) {
+func (r *segReader) u64s(id uint32) ([]uint64, error) {
 	p, err := r.section(id)
 	if err != nil {
 		return nil, err
@@ -441,21 +374,17 @@ func (r *segReader) viewU64(id uint32, zeroCopy bool) ([]uint64, error) {
 	if len(p)%8 != 0 {
 		return nil, fmt.Errorf("section %d: length %d not a multiple of 8", id, len(p))
 	}
-	n := len(p) / 8
-	if n == 0 {
+	if len(p) == 0 {
 		return nil, nil
 	}
-	if zeroCopy && nativeLE && uintptr(unsafe.Pointer(&p[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&p[0])), n), nil
-	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(p)/8)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return out, nil
 }
 
-func (r *segReader) viewLPM(zeroCopy bool) ([]lpmNode, error) {
+func (r *segReader) lpmNodes() ([]lpmNode, error) {
 	p, err := r.section(secLPM)
 	if err != nil {
 		return nil, err
@@ -463,14 +392,10 @@ func (r *segReader) viewLPM(zeroCopy bool) ([]lpmNode, error) {
 	if len(p)%lpmNodeLen != 0 {
 		return nil, fmt.Errorf("lpm section: length %d not a multiple of %d", len(p), lpmNodeLen)
 	}
-	n := len(p) / lpmNodeLen
-	if n == 0 {
+	if len(p) == 0 {
 		return nil, nil
 	}
-	if zeroCopy && nativeLE && uintptr(unsafe.Pointer(&p[0]))%4 == 0 {
-		return unsafe.Slice((*lpmNode)(unsafe.Pointer(&p[0])), n), nil
-	}
-	out := make([]lpmNode, n)
+	out := make([]lpmNode, len(p)/lpmNodeLen)
 	for i := range out {
 		q := p[lpmNodeLen*i:]
 		out[i] = lpmNode{
@@ -484,11 +409,12 @@ func (r *segReader) viewLPM(zeroCopy bool) ([]lpmNode, error) {
 	return out, nil
 }
 
-// parseSegment validates the image (magic, version, table CRC, bounds,
-// per-section CRCs) and assembles the Snapshot. seg non-nil marks data as
-// a live mapping: numeric sections alias it zero-copy and the snapshot
-// pins it; seg nil means data is heap memory and everything is copied.
-func parseSegment(data []byte, seg *segment) (*Snapshot, error) {
+// ReadSegment decodes a segment image held in memory — a file OpenSegment
+// read, or the one the follower's full-sync path receives over HTTP. It
+// validates the image (magic, version, table CRC, bounds, per-section
+// CRCs) and assembles the Snapshot. Everything is copied onto the heap;
+// data is not retained.
+func ReadSegment(data []byte) (*Snapshot, error) {
 	if len(data) < segHeaderLen+4 {
 		return nil, fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
@@ -513,7 +439,7 @@ func parseSegment(data []byte, seg *segment) (*Snapshot, error) {
 		return nil, fmt.Errorf("header CRC mismatch (got %08x want %08x)", got, wantCRC)
 	}
 
-	r := &segReader{data: data, secs: make(map[uint32][]byte, nsect)}
+	r := &segReader{secs: make(map[uint32][]byte, nsect)}
 	for i := 0; i < nsect; i++ {
 		ent := data[segHeaderLen+segTableEntLen*i:]
 		id := binary.LittleEndian.Uint32(ent)
@@ -530,8 +456,7 @@ func parseSegment(data []byte, seg *segment) (*Snapshot, error) {
 		r.secs[id] = p
 	}
 
-	zeroCopy := seg != nil
-	s := &Snapshot{gen: int(gen), host: host, seg: seg}
+	s := &Snapshot{gen: int(gen), host: host}
 
 	var err error
 	if s.vps, err = r.strList(secVPs); err != nil {
@@ -551,9 +476,6 @@ func parseSegment(data []byte, seg *segment) (*Snapshot, error) {
 		return heurs[i], nil
 	}
 
-	// Links and owners carry Go strings, so they always materialize on the
-	// heap — this is what keeps retained GenDiffs (which copy Link and
-	// OwnerInfo values) free of pointers into the mapping.
 	lp, err := r.section(secLinks)
 	if err != nil {
 		return nil, err
@@ -598,35 +520,25 @@ func parseSegment(data []byte, seg *segment) (*Snapshot, error) {
 		}
 	}
 
-	// Numeric serving arrays: zero-copy views of the mapping when possible.
-	oa, err := r.viewU32(secOwnerAddrs, zeroCopy)
-	if err != nil {
+	// Numeric serving arrays.
+	if s.ownerAddrs, err = u32s[netx.Addr](r, secOwnerAddrs); err != nil {
 		return nil, err
 	}
-	s.ownerAddrs = *(*[]netx.Addr)(unsafe.Pointer(&oa))
-	nodes, err := r.viewLPM(zeroCopy)
-	if err != nil {
+	if s.lpm.nodes, err = r.lpmNodes(); err != nil {
 		return nil, err
 	}
-	s.lpm = lpmTable{nodes: nodes}
-	if s.pairKeys, err = r.viewU64(secPairKeys, zeroCopy); err != nil {
+	if s.pairKeys, err = r.u64s(secPairKeys); err != nil {
 		return nil, err
 	}
-	pv, err := r.viewU32(secPairVals, zeroCopy)
-	if err != nil {
+	if s.pairVals, err = u32s[int32](r, secPairVals); err != nil {
 		return nil, err
 	}
-	s.pairVals = *(*[]int32)(unsafe.Pointer(&pv))
-	nb, err := r.viewU32(secNbAS, zeroCopy)
-	if err != nil {
+	if s.nbAS, err = u32s[topo.ASN](r, secNbAS); err != nil {
 		return nil, err
 	}
-	s.nbAS = *(*[]topo.ASN)(unsafe.Pointer(&nb))
-	no, err := r.viewU32(secNbOff, zeroCopy)
-	if err != nil {
+	if s.nbOff, err = u32s[int32](r, secNbOff); err != nil {
 		return nil, err
 	}
-	s.nbOff = *(*[]int32)(unsafe.Pointer(&no))
 
 	if err := s.validateShape(len(heurs)); err != nil {
 		return nil, err

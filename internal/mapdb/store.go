@@ -23,7 +23,7 @@ import (
 // A Store opened with OpenStore is additionally durable: every published
 // generation is serialized as a segment file (write-temp, fsync, atomic
 // rename), and a restart recovers the bounded history from the segment
-// directory, serving queries again from the mapped bytes.
+// directory and serves queries from it again.
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
@@ -70,7 +70,7 @@ func NewStore(maxHist int, reg *obs.Registry) *Store {
 
 // OpenStore creates (or reopens) a durable store backed by a segment
 // directory. Existing segment files are recovered oldest-to-newest: the
-// last maxHist generations whose checksums verify are mapped back into
+// last maxHist generations whose checksums verify are read back into
 // the history, the newest becomes the serving generation, and publishing
 // resumes at the next generation number. Incomplete publishes (leftover
 // temp files) and corrupt segments are skipped — recovery always lands on
@@ -199,9 +199,7 @@ func (st *Store) installLocked(snap *Snapshot, d *GenDiff) {
 		// The diff *into* the evicted generation references nothing
 		// retained; drop it so the cache stays bounded with the history.
 		// Diffs keyed by retained generations hold value copies (links,
-		// owner records, heap strings) — never pointers into the evicted
-		// snapshot's arrays — so the evicted segment's mapping may be
-		// released by GC without invalidating any retained diff.
+		// owner records), so they outlive the evicted snapshot.
 		delete(st.diffs, evicted.gen)
 		if st.dir != "" {
 			_ = os.Remove(segmentPath(st.dir, evicted.gen))

@@ -8,7 +8,7 @@ import (
 // Runtime self-sampler: periodic snapshots of process health — heap,
 // GC activity, goroutine count — recorded into last-value gauges so they
 // ride the existing /metrics and /v1/status surfaces. Only the serving
-// binaries (bdrmapd, mapload) start a sampler; library runs never do, so
+// binary (bdrmapd) starts a sampler; library runs never do, so
 // determinism fingerprints (which exclude gauges anyway) see no sampler
 // noise.
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
@@ -143,8 +144,8 @@ func BenchmarkRemoteSession(b *testing.B) {
 			b.Fatal(err)
 		}
 		agent := &scamper.Agent{E: s.Engine, VP: s.Net.VPs[0]}
-		go agent.Dial(ctrl.Addr())
-		rp, err := ctrl.Accept()
+		go agent.DialRetry(ctrl.Addr(), scamper.DialOptions{})
+		rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}

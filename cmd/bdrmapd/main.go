@@ -56,6 +56,26 @@ func newMux(reg *obs.Registry, store *mapdb.Store, spans *obs.SpanLog, pprofOn b
 	return mux
 }
 
+// Bounds on what a client may cost the daemon before its request is read.
+// There is no WriteTimeout: /v1/watch streams for as long as the
+// subscriber stays.
+const (
+	readHeaderTimeout = 2 * time.Second // a request's headers, from accept or from the previous response
+	idleTimeout       = time.Minute     // a keep-alive connection between requests
+	maxHeaderBytes    = 16 << 10
+)
+
+// newServer wraps h in an http.Server a slow or hostile client cannot pin:
+// a connection that dribbles its headers, or sits idle, is closed.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	var (
 		addr         = flag.String("listen", "127.0.0.1:0", "listen address for agent callbacks")
@@ -109,7 +129,7 @@ func main() {
 	var srv *http.Server
 	var sampler *obs.RuntimeSampler
 	if *metricsAddr != "" {
-		srv = &http.Server{Addr: *metricsAddr, Handler: newMux(s.Obs, store, s.Spans, *pprofOn)}
+		srv = newServer(*metricsAddr, newMux(s.Obs, store, s.Spans, *pprofOn))
 		// Self-observation: heap, GC, and goroutine gauges refresh in the
 		// background so /metrics and /v1/status report live process health.
 		sampler = obs.StartRuntimeSampler(s.Obs, time.Second)

@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
@@ -84,5 +87,49 @@ func TestMuxServesMapAndStructuredErrors(t *testing.T) {
 	// The registry root still serves the obs snapshot at exactly "/".
 	if code, body := get(t, mux, "/"); code != http.StatusOK || body["counters"] == nil {
 		t.Fatalf("obs root = %d %v", code, body)
+	}
+}
+
+// TestServerDropsSlowHeaders: a client that sends half a request line and
+// stalls is hung up on within the header timeout, and costs other clients
+// nothing meanwhile.
+func TestServerDropsSlowHeaders(t *testing.T) {
+	reg := obs.New()
+	srv := newServer("", newMux(reg, mapdb.NewStore(0, reg), obs.NewSpanLog(0), false))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	slow, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /v1/gen HT"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The stalled connection holds nothing a well-behaved client needs.
+	rsp, err := http.Get("http://" + ln.Addr().String() + "/v1/gen")
+	if err != nil {
+		t.Fatalf("/v1/gen beside a stalled client: %v", err)
+	}
+	rsp.Body.Close()
+	if rsp.StatusCode != http.StatusServiceUnavailable { // no generation published yet
+		t.Fatalf("/v1/gen = %d", rsp.StatusCode)
+	}
+
+	// The server answers the stalled client with an error or nothing, then
+	// closes; a read that outlives the deadline means it was left open.
+	slow.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	if _, err := io.Copy(io.Discard, slow); err != nil {
+		t.Fatalf("stalled client still connected %v after its first byte: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("stalled client dropped after only %v", d)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // FleetVP configures one vantage point's transport for RunFleet.
 type FleetVP struct {
-	// Remote runs the VP as a protocol-v2 agent dialing the scenario's
+	// Remote runs the VP as a §5.8 agent dialing the scenario's
 	// in-process controller over loopback TCP, instead of an in-process
 	// LocalProber.
 	Remote bool
@@ -74,7 +74,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 	// Fault specs are configuration: a malformed one fails the call before
 	// any shard is scheduled, not a shard after it has burnt its retries.
 	specs := make(map[int][]faults.Spec)
-	var link *remoteLink
+	var link *scamper.Controller
 	for i, vp := range fo.VPs {
 		if !vp.Remote {
 			continue
@@ -96,7 +96,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 		if link, err = s.listenRemote("127.0.0.1:0"); err != nil {
 			return nil, err
 		}
-		defer link.ctrl.Close()
+		defer link.Close()
 	}
 
 	shards := make([]fleet.Shard, len(s.Net.VPs))

@@ -143,7 +143,7 @@ type shard struct {
 
 	// link, when set, runs the VP as a §5.8 agent dialing it through a
 	// faults injector instead of an in-process LocalProber.
-	link   *remoteLink
+	link   *scamper.Controller
 	faults faults.Spec
 }
 
@@ -173,11 +173,6 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 			return nil, nil, dev, err
 		}
 		prober = sess.rp
-		// Cross-round replay needs path signatures; the driver ignores the
-		// state of a session whose agent does not advertise them.
-		if sp := sess.rp.Signed(); sp != nil && sh.cfg.State != nil {
-			prober = sp
-		}
 		// Single-worker probing keeps the command stream — and therefore
 		// the fault schedule and the inferred links — deterministic.
 		sh.cfg.Workers = 1
@@ -219,22 +214,16 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 	return ds, res, dev, err
 }
 
-// remoteLink is the controller side of the §5.8 protocol for one RunFleet
-// or RunVPRemote call: a single listener and its session router, claimed
-// by whichever attempt is running a remote VP.
-type remoteLink struct {
-	ctrl   *scamper.Controller
-	router *scamper.Router
-}
-
-func (s *Scenario) listenRemote(addr string) (*remoteLink, error) {
+// listenRemote starts the controller side of the §5.8 protocol for one
+// RunFleet or RunVPRemote call: a single listener whose sessions each
+// attempt running a remote VP claims by VP name.
+func (s *Scenario) listenRemote(addr string) (*scamper.Controller, error) {
 	ctrl, err := scamper.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
 	ctrl.SetObs(s.Obs)
-	ctrl.SetHelloTimeout(time.Second)
-	return &remoteLink{ctrl: ctrl, router: scamper.NewRouter(ctrl)}, nil
+	return ctrl, nil
 }
 
 // RemoteStats is the §5.8 accounting of one remote run: what the thin
@@ -274,7 +263,7 @@ func (s *Scenario) dialAgent(eng *probe.Engine, vp *topo.VP, sh shard) (*remoteS
 		agentDone: make(chan error, 1),
 	}
 	go func() {
-		rs.agentDone <- rs.agent.DialRetry(sh.link.ctrl.Addr(), scamper.DialOptions{
+		rs.agentDone <- rs.agent.DialRetry(sh.link.Addr(), scamper.DialOptions{
 			Dial:         inj.DialFunc,
 			MaxRedials:   100,
 			RedialBase:   time.Millisecond,
@@ -286,7 +275,7 @@ func (s *Scenario) dialAgent(eng *probe.Engine, vp *topo.VP, sh shard) (*remoteS
 	// ever forms; the claim times out rather than waiting forever — after
 	// 5s, generous against the agent's millisecond redial schedule.
 	var err error
-	if rs.rp, err = sh.link.router.Claim(vp.Name, 5*time.Second); err != nil {
+	if rs.rp, err = sh.link.Claim(vp.Name, 5*time.Second); err != nil {
 		rs.drain()
 		return nil, err
 	}
@@ -365,7 +354,7 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, lis
 	if err != nil {
 		return nil, RemoteStats{}, err
 	}
-	defer link.ctrl.Close()
+	defer link.Close()
 	ds, res, dev, err := s.runShard(i, shard{
 		cfg: cfg, opts: opts, arena: &s.arena,
 		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(), mode: "remote",

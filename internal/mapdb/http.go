@@ -549,7 +549,9 @@ func (a *api) handleStatus(w http.ResponseWriter, r *http.Request) bool {
 			Dropped:  a.spans.Dropped(),
 		}
 		out.Live = a.spans.Active()
-		out.VPs = vpStatuses(a.spans)
+		for _, v := range foldVPs(a.spans, false) {
+			out.VPs = append(out.VPs, vpStatusJSON{VP: v.vp, State: v.state(), Runs: v.done, SimNS: v.simNS})
+		}
 	}
 
 	var ms runtime.MemStats
@@ -624,7 +626,11 @@ func (a *api) fleetStatus() *fleetJSON {
 		f.DegradedVPs = s.Degraded()
 	}
 	if a.spans.Enabled() {
-		f.VPs = fleetVPStatuses(a.spans)
+		// Each completed span is one attempt; an open one is the attempt
+		// running right now.
+		for _, v := range foldVPs(a.spans, true) {
+			f.VPs = append(f.VPs, fleetVPJSON{VP: v.vp, State: v.state(), Attempts: v.done + v.active, SimNS: v.simNS})
+		}
 	}
 	return f
 }
@@ -642,71 +648,50 @@ func (a *api) handleFleet(w http.ResponseWriter, r *http.Request) bool {
 	return writeJSON(w, f)
 }
 
-// fleetVPStatuses folds the fleet-mode vp spans into one row per vantage
-// point, in first-seen order. Each completed span is one attempt; an
-// active span marks the shard running right now.
-func fleetVPStatuses(sl *obs.SpanLog) []fleetVPJSON {
-	idx := make(map[string]int)
-	var out []fleetVPJSON
-	row := func(vp string) *fleetVPJSON {
-		i, ok := idx[vp]
-		if !ok {
-			i = len(out)
-			idx[vp] = i
-			out = append(out, fleetVPJSON{VP: vp, State: "idle"})
-		}
-		return &out[i]
-	}
-	isFleet := func(rec obs.SpanRecord) bool {
-		return rec.Name == "vp" && strings.HasPrefix(rec.Attr("mode"), "fleet")
-	}
-	for _, rec := range sl.Records() {
-		if !isFleet(rec) {
-			continue
-		}
-		v := row(rec.Detail)
-		v.Attempts++
-		v.SimNS += rec.SimNS
-	}
-	for _, rec := range sl.Active() {
-		if !isFleet(rec) {
-			continue
-		}
-		v := row(rec.Detail)
-		v.Attempts++
-		v.State = "running"
-	}
-	return out
+// vpFold is one vantage point's vp spans folded together: how many have
+// completed (one per run, or per fleet attempt), how many are open right
+// now, and the simulated time the completed ones accumulated.
+type vpFold struct {
+	vp           string
+	done, active int
+	simNS        int64
 }
 
-// vpStatuses folds the span log's vp spans into one row per vantage
-// point, in first-seen order (VP order, since vp spans are begun in VP
-// order each round).
-func vpStatuses(sl *obs.SpanLog) []vpStatusJSON {
+func (v vpFold) state() string {
+	if v.active > 0 {
+		return "running"
+	}
+	return "idle"
+}
+
+// foldVPs folds the span log's vp spans — every one, or only the fleet
+// coordinator's shards — into one row per vantage point, in first-seen
+// order (VP order, since vp spans are begun in VP order each round).
+func foldVPs(sl *obs.SpanLog, fleetOnly bool) []vpFold {
 	idx := make(map[string]int)
-	var out []vpStatusJSON
-	row := func(vp string) *vpStatusJSON {
-		i, ok := idx[vp]
+	var out []vpFold
+	row := func(rec obs.SpanRecord) *vpFold {
+		if rec.Name != "vp" || fleetOnly && !strings.HasPrefix(rec.Attr("mode"), "fleet") {
+			return nil
+		}
+		i, ok := idx[rec.Detail]
 		if !ok {
 			i = len(out)
-			idx[vp] = i
-			out = append(out, vpStatusJSON{VP: vp, State: "idle"})
+			idx[rec.Detail] = i
+			out = append(out, vpFold{vp: rec.Detail})
 		}
 		return &out[i]
 	}
 	for _, rec := range sl.Records() {
-		if rec.Name != "vp" {
-			continue
+		if v := row(rec); v != nil {
+			v.done++
+			v.simNS += rec.SimNS
 		}
-		v := row(rec.Detail)
-		v.Runs++
-		v.SimNS += rec.SimNS
 	}
 	for _, rec := range sl.Active() {
-		if rec.Name != "vp" {
-			continue
+		if v := row(rec); v != nil {
+			v.active++
 		}
-		row(rec.Detail).State = "running"
 	}
 	return out
 }

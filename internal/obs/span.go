@@ -1,14 +1,12 @@
 package obs
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -118,7 +116,7 @@ func (o *OpenSpan) End() {
 		o.done = true
 		o.rec.WallNS = int64(time.Since(o.start))
 		delete(o.sl.open, o.rec.ID)
-		o.sl.push(o.rec)
+		o.sl.ring.push(o.rec)
 	}
 	o.sl.mu.Unlock()
 }
@@ -134,13 +132,10 @@ const DefaultSpanCap = 1 << 15
 // full the oldest records are overwritten (flight-recorder semantics) and
 // Dropped counts them.
 type SpanLog struct {
-	mu      sync.Mutex
-	limit   int
-	nextID  uint64
-	dropped uint64
-	buf     []SpanRecord // ring storage, len(buf) <= limit
-	head    int          // index of the oldest record when len(buf) == limit
-	open    map[SpanID]*OpenSpan
+	mu     sync.Mutex
+	nextID uint64
+	ring   ring[SpanRecord]
+	open   map[SpanID]*OpenSpan
 }
 
 // NewSpanLog creates a log retaining at most limit completed spans
@@ -149,7 +144,7 @@ func NewSpanLog(limit int) *SpanLog {
 	if limit <= 0 {
 		limit = DefaultSpanCap
 	}
-	return &SpanLog{limit: limit, open: make(map[SpanID]*OpenSpan)}
+	return &SpanLog{ring: ring[SpanRecord]{limit: limit}, open: make(map[SpanID]*OpenSpan)}
 }
 
 // Enabled reports whether spans will be retained (false on nil).
@@ -173,17 +168,6 @@ func (sl *SpanLog) Begin(parent SpanID, name, detail string) *OpenSpan {
 	return o
 }
 
-// push appends rec to the ring. Caller holds sl.mu.
-func (sl *SpanLog) push(rec SpanRecord) {
-	if len(sl.buf) < sl.limit {
-		sl.buf = append(sl.buf, rec)
-		return
-	}
-	sl.buf[sl.head] = rec
-	sl.head = (sl.head + 1) % sl.limit
-	sl.dropped++
-}
-
 // Records returns a copy of the retained completed spans in completion
 // order (children before their parents, since a span ends after its
 // children).
@@ -193,10 +177,7 @@ func (sl *SpanLog) Records() []SpanRecord {
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	out := make([]SpanRecord, 0, len(sl.buf))
-	out = append(out, sl.buf[sl.head:]...)
-	out = append(out, sl.buf[:sl.head]...)
-	return out
+	return sl.ring.items()
 }
 
 // Active returns the in-flight spans in ID order, with their
@@ -233,7 +214,7 @@ func (sl *SpanLog) Len() int {
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return len(sl.buf)
+	return len(sl.ring.buf)
 }
 
 // ActiveCount returns the number of in-flight spans.
@@ -254,7 +235,7 @@ func (sl *SpanLog) Dropped() uint64 {
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return sl.dropped
+	return sl.ring.dropped
 }
 
 // Merge folds a fragment log's completed spans into sl under parent,
@@ -268,7 +249,7 @@ func (sl *SpanLog) Merge(frag *SpanLog, parent SpanID) {
 	}
 	sl.MergeRecords(frag.Records(), parent)
 	sl.mu.Lock()
-	sl.dropped += frag.Dropped()
+	sl.ring.dropped += frag.Dropped()
 	sl.mu.Unlock()
 }
 
@@ -304,7 +285,7 @@ func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 		} else {
 			r.Parent = parent
 		}
-		sl.push(r)
+		sl.ring.push(r)
 	}
 	sl.mu.Unlock()
 }
@@ -321,41 +302,11 @@ func (sl *SpanLog) WriteJSONL(w io.Writer) error {
 // WriteSpanJSONL writes an explicit record slice as JSON Lines in the
 // given order; ReadSpanJSONL inverts it, so export→import→export is a
 // fixed point.
-func WriteSpanJSONL(w io.Writer, recs []SpanRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteSpanJSONL(w io.Writer, recs []SpanRecord) error { return writeJSONL(w, recs) }
 
 // ReadSpanJSONL parses a stream written by WriteSpanJSONL. Blank lines
 // are skipped; any other malformed line is an error.
-func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) {
-	var out []SpanRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
-		var rec SpanRecord
-		if err := json.Unmarshal([]byte(raw), &rec); err != nil {
-			return nil, fmt.Errorf("span line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func ReadSpanJSONL(r io.Reader) ([]SpanRecord, error) { return readJSONL[SpanRecord](r, "span") }
 
 // ---------------------------------------------------------------------------
 // Fingerprint

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -88,17 +89,41 @@ func (e Event) Attr(k string) string {
 	return ""
 }
 
+// ring is the bounded flight-recorder store under Tracer and SpanLog: once
+// limit records are held, each push overwrites the oldest and counts it
+// dropped. It is not synchronised; its owner's mutex guards it.
+type ring[T any] struct {
+	limit   int
+	dropped uint64
+	buf     []T // len(buf) <= limit
+	head    int // index of the oldest record when len(buf) == limit
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % r.limit
+	r.dropped++
+}
+
+// items returns a copy of the retained records, oldest first.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}
+
 // Tracer is a bounded, concurrency-safe ring buffer of events. Like every
 // obs primitive it is nil-safe: a component handed no tracer pays one nil
 // check per event. When the buffer is full the oldest events are
 // overwritten (flight-recorder semantics) and Dropped counts them.
 type Tracer struct {
-	mu      sync.Mutex
-	limit   int
-	seq     uint64
-	dropped uint64
-	buf     []Event // ring storage, len(buf) <= limit
-	head    int     // index of the oldest event when len(buf) == limit
+	mu   sync.Mutex
+	seq  uint64
+	ring ring[Event]
 }
 
 // DefaultTraceCap bounds the scenario-level tracer. The tiny profile emits
@@ -111,7 +136,7 @@ func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceCap
 	}
-	return &Tracer{limit: limit}
+	return &Tracer{ring: ring[Event]{limit: limit}}
 }
 
 // Enabled reports whether events will be retained (false on nil).
@@ -131,13 +156,7 @@ func (t *Tracer) Emit(stage, kind, subject string, simNS int64, attrs ...Attr) {
 func (t *Tracer) push(ev Event) {
 	ev.Seq = t.seq
 	t.seq++
-	if len(t.buf) < t.limit {
-		t.buf = append(t.buf, ev)
-		return
-	}
-	t.buf[t.head] = ev
-	t.head = (t.head + 1) % t.limit
-	t.dropped++
+	t.ring.push(ev)
 }
 
 // Merge appends every event of frag to t in frag order, re-assigning
@@ -154,7 +173,7 @@ func (t *Tracer) Merge(frag *Tracer) {
 	for _, ev := range evs {
 		t.push(ev)
 	}
-	t.dropped += frag.Dropped()
+	t.ring.dropped += frag.Dropped()
 	t.mu.Unlock()
 }
 
@@ -165,10 +184,7 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.head:]...)
-	out = append(out, t.buf[:t.head]...)
-	return out
+	return t.ring.items()
 }
 
 // Len returns the number of retained events.
@@ -178,7 +194,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return len(t.ring.buf)
 }
 
 // Dropped returns how many events were overwritten by the ring bound.
@@ -188,40 +204,49 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ring.dropped
 }
 
 // WriteJSONL exports the retained events as JSON Lines, one event per
 // line, in sequence order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+func (t *Tracer) WriteJSONL(w io.Writer) error { return writeJSONL(w, t.Events()) }
+
+// ReadJSONL parses a stream written by WriteJSONL. Blank lines are
+// skipped; any other malformed line is an error.
+func ReadJSONL(r io.Reader) ([]Event, error) { return readJSONL[Event](r, "trace") }
+
+// writeJSONL is the one JSON Lines encoder under the trace and span
+// exports: one record per line, in the given order.
+func writeJSONL[T any](w io.Writer, recs []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range t.Events() {
-		if err := enc.Encode(ev); err != nil {
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadJSONL parses a stream written by WriteJSONL. Blank lines are
-// skipped; any other malformed line is an error.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
+// readJSONL inverts writeJSONL, so export→import→export is a fixed point.
+// Blank lines are skipped; a malformed one is an error naming what (the
+// stream's record kind) and the line.
+func readJSONL[T any](r io.Reader, what string) ([]T, error) {
+	var out []T
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal([]byte(raw), &ev); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
+		var rec T
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", what, line, err)
 		}
-		out = append(out, ev)
+		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

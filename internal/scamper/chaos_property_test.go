@@ -43,7 +43,6 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 	defer ctrl.Close()
 	reg = obs.New()
 	ctrl.SetObs(reg)
-	ctrl.SetHelloTimeout(time.Second)
 
 	agent := &Agent{E: eng, VP: n.VPs[0]}
 	done := make(chan error, 1)
@@ -56,7 +55,7 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 			HelloTimeout: 250 * time.Millisecond,
 		})
 	}()
-	rp, err := ctrl.Accept()
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +77,7 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 		b.WriteByte('\n')
 		rp.Advance(30 * time.Second)
 	}
-	clk, err = rp.Clock()
-	if err != nil {
-		t.Fatalf("clock: %v", err)
-	}
+	clk = rp.Now()
 	rp.Close()
 	select {
 	case <-done:
@@ -91,7 +87,13 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 	if err := rp.Err(); err != nil {
 		t.Fatalf("healing schedule %q lost the session: %v", spec, err)
 	}
-	return b.String(), agent.CountExecs(), clk, reg
+	// A command counts once, when it executes: not again for its response,
+	// a replayed duplicate, or the closing bye.
+	execs = agent.CountExecs()
+	if got := agent.Commands(); got != int64(len(execs)) {
+		t.Errorf("Commands() = %d, but %d commands executed", got, len(execs))
+	}
+	return b.String(), execs, clk, reg
 }
 
 func TestChaosProperties(t *testing.T) {
@@ -181,20 +183,19 @@ func TestChaosRetryBudgetIsHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctrl.Close()
-	ctrl.SetHelloTimeout(time.Second)
 
 	agent := &Agent{E: eng, VP: n.VPs[0]}
 	done := make(chan error, 1)
 	go func() {
 		done <- agent.DialRetry(ctrl.Addr(), DialOptions{
-			Wrap:         func(c net.Conn) net.Conn { return &muteAfterHello{Conn: c} },
+			Dial:         dialThrough(func(c net.Conn) net.Conn { return &muteAfterHello{Conn: c} }),
 			MaxRedials:   4,
 			RedialBase:   time.Millisecond,
 			RedialMax:    4 * time.Millisecond,
 			HelloTimeout: 100 * time.Millisecond,
 		})
 	}()
-	rp, err := ctrl.Accept()
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

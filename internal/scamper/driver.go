@@ -52,9 +52,9 @@ type Config struct {
 	// State enables cross-round incremental probing: the driver replays
 	// the previous round's per-target transcripts wherever path signatures
 	// are unchanged, persisting the doubletree stop set (§5.2) across
-	// rounds instead of rebuilding it. Requires a SignatureProber; it is
-	// silently ignored for probers that cannot sign paths. Remote agents
-	// that advertise helloCapSig participate via RemoteProber.Signed.
+	// rounds instead of rebuilding it. Replay is validated against
+	// Prober.PathSignature — a remote session asks its agent — so a lost
+	// session's zero signature re-walks live rather than replaying.
 	State *RoundState
 	// RefreshEvery forces a full live re-walk of each cached target every
 	// N rounds so decayed paths are still re-walked (default
@@ -240,7 +240,7 @@ type LaneProber interface {
 // Run executes probing and alias resolution, returning the dataset.
 func (d *Driver) Run() *Dataset {
 	cfg := d.Cfg.withDefaults()
-	simStart := d.now()
+	simStart := d.Prober.Now()
 	targets := Targets(d.View, d.HostASNs)
 	ds := &Dataset{VPName: d.Prober.Name()}
 	ds.Stats.Targets = len(targets)
@@ -256,29 +256,24 @@ func (d *Driver) Run() *Dataset {
 	}
 	var replays []*targetReplay
 	if st != nil {
-		sp, ok := d.Prober.(SignatureProber)
-		if !ok {
-			st = nil
-		} else {
-			st.round++
-			replays = make([]*targetReplay, len(targets))
-			for i, t := range targets {
-				key := blocksKey(t.Blocks)
-				rp := &targetReplay{sp: sp, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
-				if m := st.targets[t.AS]; m != nil {
-					rp.all = m.traces
-					switch {
-					case m.blocksKey != key:
-						// The §5.3 block plan moved; the transcript no
-						// longer describes this round's schedule.
-					case cfg.RefreshEvery > 0 && st.round-m.lastWalk >= cfg.RefreshEvery:
-						rp.refresh = true
-					default:
-						rp.prior = m
-					}
+		st.round++
+		replays = make([]*targetReplay, len(targets))
+		for i, t := range targets {
+			key := blocksKey(t.Blocks)
+			rp := &targetReplay{sp: d.Prober, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
+			if m := st.targets[t.AS]; m != nil {
+				rp.all = m.traces
+				switch {
+				case m.blocksKey != key:
+					// The §5.3 block plan moved; the transcript no
+					// longer describes this round's schedule.
+				case cfg.RefreshEvery > 0 && st.round-m.lastWalk >= cfg.RefreshEvery:
+					rp.refresh = true
+				default:
+					rp.prior = m
 				}
-				replays[i] = rp
 			}
+			replays[i] = rp
 		}
 	}
 	rpAt := func(i int) *targetReplay {
@@ -390,7 +385,7 @@ func (d *Driver) Run() *Dataset {
 			}(i, t)
 		}
 		wg.Wait()
-		simEnd.Observe(int64(d.now()))
+		simEnd.Observe(int64(d.Prober.Now()))
 	}
 
 	for i := range results {
@@ -492,9 +487,9 @@ func (d *Driver) Run() *Dataset {
 
 	aliasSpan := d.Obs.StartStage("driver.alias")
 	aliasSp := d.Spans.Begin(d.SpanParent, "stage", "alias")
-	aliasStart := d.now()
+	aliasStart := d.Prober.Now()
 	d.resolveAliases(ds, cfg, st)
-	aliasSim := d.now() - aliasStart
+	aliasSim := d.Prober.Now() - aliasStart
 	if aliasSim < 0 {
 		// A lost remote session reads its clock as zero; don't let that
 		// drag the stage duration negative.
@@ -534,36 +529,6 @@ func (d *Driver) Run() *Dataset {
 	// unordered reads of the shared clock.
 	ds.Stats.SimDuration = probeSim + aliasSim
 	return ds
-}
-
-// clockProber is implemented by probers that can report their simulated
-// measurement clock (RemoteProber does, via a msgClock round trip).
-type clockProber interface {
-	Clock() (time.Duration, error)
-}
-
-// now reads the prober's measurement clock: the local engine's simulated
-// clock directly, or a clock round trip for remote probers. A prober that
-// can report neither (or whose session is lost) reads as zero.
-func (d *Driver) now() time.Duration {
-	if lp, ok := d.Prober.(LocalProber); ok {
-		return lp.E.Now()
-	}
-	if cp, ok := d.Prober.(clockProber); ok {
-		if t, err := cp.Clock(); err == nil {
-			return t
-		}
-	}
-	return 0
-}
-
-// healthy reports whether the prober's session is still usable. Probers
-// without an Err method (local engines) are always healthy.
-func (d *Driver) healthy() bool {
-	if ep, ok := d.Prober.(interface{ Err() error }); ok {
-		return ep.Err() == nil
-	}
-	return true
 }
 
 // isExternal reports whether addr maps (in the public view) to an AS
@@ -625,7 +590,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 	for bi, b := range t.Blocks {
 		tried := 0
 		for tried < cfg.MaxAddrsPerBlock {
-			if !d.healthy() {
+			if d.Prober.Err() != nil {
 				return abandon()
 			}
 			if !deadline.IsZero() && time.Now().After(deadline) {
@@ -657,7 +622,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 			}
 			if !cached {
 				res = trace(dst, ss)
-				if len(res.Hops) == 0 && !d.healthy() {
+				if len(res.Hops) == 0 && d.Prober.Err() != nil {
 					// The session died mid-command; this empty trace is a
 					// transport artifact, not a measurement.
 					return abandon()
@@ -775,12 +740,13 @@ func hopClass(t probe.HopType) string {
 func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 	res := alias.NewResolver(proberSource{d.Prober}, cfg.AliasCfg)
 	res.Trace = d.Trace
-	if lp, ok := d.Prober.(LocalProber); ok {
+	if _, ok := d.Prober.(LaneProber); ok {
 		// Alias events carry timestamps relative to the alias stage's own
-		// start; remote probers stamp zero (reading their clock per event
-		// would perturb the pinned frame stream).
-		start := lp.E.Now()
-		res.Now = func() int64 { return int64(lp.E.Now() - start) }
+		// start. Only a prober that lanes has a clock it reads for free;
+		// remote probers stamp zero (a clock round trip per event would
+		// perturb the pinned frame stream).
+		start := d.Prober.Now()
+		res.Now = func() int64 { return int64(d.Prober.Now() - start) }
 	}
 	ds.Resolver = res
 	// The dataset outlives the run — inference reads and records verdicts
@@ -820,7 +786,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		ds.Graph = alias.NewGraph()
 		return
 	}
-	if !d.healthy() {
+	if d.Prober.Err() != nil {
 		// The session is gone; every probe below would fail. Report the
 		// aborted stage instead of burning the retry machinery on it.
 		d.Obs.Inc("driver.alias.aborted")
@@ -862,7 +828,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
-		if !d.healthy() {
+		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
 			ds.Graph = alias.FromResolver(res)
 			return
@@ -903,7 +869,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 	// parallel links).
 	pairs := 0
 	for _, prev := range addrs {
-		if !d.healthy() {
+		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
 			ds.Stats.AliasPairsRun = pairs
 			ds.Graph = alias.FromResolver(res)
@@ -952,7 +918,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 	// Prefixscan on every observed edge: confirm the inbound interface
 	// and resolve the near-side alias of the point-to-point subnet.
 	for _, e := range edges {
-		if !d.healthy() {
+		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
 			break
 		}

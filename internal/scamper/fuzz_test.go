@@ -13,7 +13,12 @@ package scamper
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+
+	"bdrmap/internal/bgp"
+	"bdrmap/internal/probe"
+	"bdrmap/internal/topo"
 )
 
 func FuzzReadFrame(f *testing.F) {
@@ -84,27 +89,78 @@ func FuzzMsgCodec(f *testing.F) {
 }
 
 func FuzzParseHello(f *testing.F) {
-	f.Add(buildHello("vp01.sea", false, sessionIDFor("vp01.sea"), 0))
-	f.Add(buildHello("x", true, ^uint64(0), 0xffffffff))
+	f.Add(buildHello("vp01.sea"))
+	f.Add(buildHello("x"))
 	f.Add([]byte{msgHello, 0})
 	f.Add([]byte{msgHello, 255, 'a'})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		name, resume, sessionID, lastSeq, err := parseHello(body)
+		name, err := parseHello(body)
 		if err != nil {
 			return
 		}
 		if name == "" {
 			t.Fatal("parseHello accepted an empty agent name")
 		}
-		// Rebuild from the parsed fields and re-parse: the handshake must
-		// agree with itself or a resumed session could be misrouted.
-		name2, resume2, sessionID2, lastSeq2, err := parseHello(buildHello(name, resume, sessionID, lastSeq))
-		if err != nil {
-			t.Fatalf("rebuilt hello rejected: %v", err)
+		// Sessions are routed by this name alone, so an accepted hello must
+		// be exactly the encoding of its name: no second body may parse to
+		// the same session.
+		if !bytes.Equal(buildHello(name), body) {
+			t.Fatalf("parseHello(%q) = %q, whose encoding is %q", body, name, buildHello(name))
 		}
-		if name2 != name || resume2 != resume || sessionID2 != sessionID || lastSeq2 != lastSeq {
-			t.Fatalf("hello round trip: (%q %v %d %d) != (%q %v %d %d)",
-				name2, resume2, sessionID2, lastSeq2, name, resume, sessionID, lastSeq)
+	})
+}
+
+// fuzzAgent is shared by every FuzzAgentHandle execution: building a world
+// per input would drown the fuzzer in setup.
+var fuzzAgent = sync.OnceValue(func() *Agent {
+	n := topo.Generate(topo.TinyProfile(), 1)
+	return &Agent{E: probe.New(n, bgp.NewTable(n)), VP: n.VPs[0]}
+})
+
+// FuzzAgentHandle feeds arbitrary command bodies to the device side: a
+// malformed command is an error, never a panic — and the body is clipped to
+// its length, so a handler that resliced past it would panic too.
+func FuzzAgentHandle(f *testing.F) {
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0})
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 2, 10, 0, 0, 2}) // stop set shorter than its count
+	f.Add([]byte{msgProbeReq, 10, 0, 0, 1, 0})
+	f.Add([]byte{msgAdvance, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{msgClock})
+	f.Add([]byte{msgSpanPull})
+	f.Add([]byte{msgSigReq, 10, 0, 0})
+	f.Add([]byte{0x7f})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) == 0 {
+			return // readMsg never yields an empty body
+		}
+		rsp, err := fuzzAgent().handle(body[:len(body):len(body)])
+		if err == nil && len(rsp) == 0 {
+			t.Fatalf("handle(%v) returned neither a response nor an error", body)
+		}
+	})
+}
+
+// FuzzDecodeResponse feeds arbitrary device bytes to the controller-side
+// response decoders — the direction §5.8 distrusts. They must not panic,
+// and a trace must never claim more hops than its bytes carry.
+func FuzzDecodeResponse(f *testing.F) {
+	f.Add([]byte{msgTraceRsp, 1, 0, 0, 1, 1, 1, 10, 0, 0, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9})
+	f.Add([]byte{msgTraceRsp, 0, 0, 0xff, 0xff}) // hop count with no hops behind it
+	f.Add(make([]byte, 24))
+	f.Add([]byte{msgClockRsp, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, rsp []byte) {
+		rsp = rsp[:len(rsp):len(rsp)]
+		var res probe.TraceResult
+		decodeTraceRsp(rsp, &res)
+		if max := (len(rsp) - 5) / 16; len(res.Hops) > 0 && len(res.Hops) > max {
+			t.Fatalf("%d hops decoded from %d bytes", len(res.Hops), len(rsp))
+		}
+		if r := decodeProbeRsp(rsp); len(rsp) < 24 && r != (probe.Response{}) {
+			t.Fatalf("short probe response decoded to %+v", r)
+		}
+		if v := decodeUint64Rsp(rsp); len(rsp) < 9 && v != 0 {
+			t.Fatalf("short clock/signature response decoded to %d", v)
 		}
 	})
 }

@@ -46,15 +46,6 @@ import (
 // least every 8 rounds.
 const DefaultRefreshEvery = 8
 
-// SignatureProber is implemented by probers that can fingerprint the path
-// a traceroute would take without sending packets (LocalProber, via
-// probe.Engine.PathSignature). Cross-round caching requires it; a prober
-// without signatures (e.g. a remote agent) silently disables the cache.
-type SignatureProber interface {
-	Prober
-	PathSignature(dst netx.Addr) uint64
-}
-
 // RoundState carries one vantage point's measurement memory across rounds.
 // It is owned by a single Driver at a time and must not be shared between
 // concurrently running drivers. The zero value is not usable; call
@@ -175,7 +166,7 @@ func putUint64(b []byte, v uint64) {
 // transcript is consumed strictly in schedule order; the first mismatch
 // (position or signature) diverges and everything after runs live.
 type targetReplay struct {
-	sp      SignatureProber
+	sp      Prober
 	prior   *targetMemo   // validated transcript to replay; nil → all live
 	all     []cachedTrace // the pre-existing transcript even when not replayable
 	refresh bool          // replay suppressed by the refresh cadence

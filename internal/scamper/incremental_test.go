@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"bdrmap/internal/alias"
 	"bdrmap/internal/netx"
@@ -204,39 +203,6 @@ func TestIncrementalRefreshDisabled(t *testing.T) {
 		}
 	}
 }
-
-// Config.State on a prober without path signatures must be ignored, not
-// crash or corrupt the dataset.
-func TestIncrementalStateIgnoredWithoutSignatures(t *testing.T) {
-	st := NewRoundState()
-	n, e, view, hosts := setup(t, 5)
-	d := &Driver{
-		View:     view,
-		Prober:   plainProber{LocalProber{E: e, VP: n.VPs[0]}},
-		HostASNs: hosts,
-		Cfg:      Config{State: st},
-	}
-	ds := d.Run()
-	if ds.Stats.Traces == 0 {
-		t.Fatal("no traces")
-	}
-	if ds.Dirty != nil {
-		t.Fatal("dirty set set without signature support")
-	}
-	if st.Round() != 0 || len(st.targets) != 0 {
-		t.Fatal("state advanced without signature support")
-	}
-}
-
-// plainProber hides LocalProber's lane and signature support.
-type plainProber struct{ p LocalProber }
-
-func (p plainProber) Name() string { return p.p.Name() }
-func (p plainProber) Trace(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
-	return p.p.Trace(dst, ss)
-}
-func (p plainProber) Probe(tg netx.Addr, m probe.Method) probe.Response { return p.p.Probe(tg, m) }
-func (p plainProber) Advance(d time.Duration)                           { p.p.Advance(d) }
 
 // PathSignature must be stable across calls and clock advances on an
 // unchanged world, and change when the world changes.

@@ -32,6 +32,16 @@ type Prober interface {
 	Probe(target netx.Addr, m probe.Method) probe.Response
 	// Advance moves measurement time forward (pacing).
 	Advance(d time.Duration)
+	// Now reads the simulated measurement clock. A remote prober pays a
+	// round trip for it, and reads zero once its session is lost.
+	Now() time.Duration
+	// Err returns the first permanent session error; a prober with no
+	// session to lose always returns nil.
+	Err() error
+	// PathSignature fingerprints the hop sequence a traceroute toward dst
+	// would observe right now, without sending probes (cross-round
+	// caching, Config.State).
+	PathSignature(dst netx.Addr) uint64
 }
 
 // LocalProber runs measurements directly against the simulation engine.
@@ -76,13 +86,16 @@ func (p LocalProber) Probe(target netx.Addr, m probe.Method) probe.Response {
 // Advance moves the simulated clock.
 func (p LocalProber) Advance(d time.Duration) { p.E.Advance(d) }
 
-// PathSignature fingerprints the hop sequence a traceroute toward dst
-// would observe right now, without sending probes (cross-round caching).
+// Now reads the engine's simulated clock.
+func (p LocalProber) Now() time.Duration { return p.E.Now() }
+
+// Err is always nil: the engine is in-process and cannot be lost.
+func (p LocalProber) Err() error { return nil }
+
+// PathSignature asks the engine for dst's current path fingerprint.
 func (p LocalProber) PathSignature(dst netx.Addr) uint64 {
 	return p.E.PathSignature(p.VP, dst)
 }
 
-var _ Prober = LocalProber{}
 var _ LaneProber = LocalProber{}
-var _ SignatureProber = LocalProber{}
 var _ alias.ProbeSource = LocalProber{}

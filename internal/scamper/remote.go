@@ -23,9 +23,9 @@ import (
 // so the device runs only a thin probing agent (a few MB) that dials back
 // to the central system and executes probe commands it receives.
 //
-// Version 2 of the protocol assumes the transport is hostile — home-gateway
-// uplinks drop, stall, corrupt, and duplicate traffic, and the device may
-// reboot mid-run — so every frame is checksummed and sequence-numbered:
+// The transport is assumed hostile — home-gateway uplinks drop, stall,
+// corrupt, and duplicate traffic, and the device may reboot mid-run — so
+// every frame is checksummed and sequence-numbered:
 //
 //	frame   := length(uint32) payload
 //	payload := crc32(uint32) seq(uint32) body
@@ -38,10 +38,19 @@ import (
 // retries never re-execute a probe — which is what keeps a faulted run's
 // measurement byte-identical to a clean one. Hello/helloAck use seq 0.
 //
-// A reconnecting agent re-sends hello with its session id and last seq;
-// the controller routes the new connection to the existing session
-// ("resume") instead of treating it as a fresh vantage point, so a VP that
-// drops mid-run does not re-probe completed targets.
+// Both ends ship together (every Agent is built in-process beside its
+// controller), so there is one protocol version and the handshake carries
+// only what its reader uses:
+//
+//	hello    := msgHello nameLen(uint8) name
+//	helloAck := msgHelloAck
+//
+// Sessions are routed by vantage-point name. The controller keeps one open
+// session per name; a hello from a name whose session is still open attaches
+// the new connection to it ("resume") instead of surfacing a fresh vantage
+// point, so a VP that drops mid-run does not re-probe completed targets. No
+// session id crosses the wire: an agent whose helloAck was lost redials with
+// no memory of the session, and name routing still finds it.
 const (
 	msgHello    = 0x01
 	msgTraceReq = 0x02
@@ -59,23 +68,6 @@ const (
 	msgSigReq   = 0x0e
 	msgSigRsp   = 0x0f
 )
-
-// helloCapSpans advertises that the agent records session spans and
-// understands msgSpanPull. Capabilities ride in an optional trailing byte
-// of the hello body; a v2 peer that predates them parses the fixed fields
-// and ignores the tail, and a missing tail reads as "no capabilities" —
-// the controller then never sends the new message, so mixed-version
-// deployments keep working.
-const helloCapSpans = 0x01
-
-// helloCapSig advertises that the agent can compute path signatures
-// (msgSigReq), which is what lets the controller run the incremental
-// RoundState cache against a *remote* vantage point: the fleet
-// coordinator replays a killed shard's surviving transcript only when the
-// agent re-attests each destination's current signature. Same mixed-
-// version story as helloCapSpans — absent bit means the controller never
-// sends the message and the cache silently disables.
-const helloCapSig = 0x02
 
 // maxFrame bounds a frame; a trace command carrying a full stop set is the
 // largest message.
@@ -138,13 +130,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // writeMsg wraps body in the checksummed, sequence-numbered envelope and
 // writes it as one frame.
 func writeMsg(w io.Writer, seq uint32, body []byte) error {
@@ -174,71 +159,22 @@ func readMsg(r io.Reader) (seq uint32, body []byte, err error) {
 // ---------------------------------------------------------------------------
 // Hello / resume handshake
 
-// buildHello encodes the agent's opening message:
-//
-//	msgHello nameLen(1) name flags(1) sessionID(8) lastSeq(4) [caps(1)]
-//
-// flags bit0 marks a resume (lastSeq is meaningful). The optional caps
-// byte is appended by buildHelloCaps; parseHello ignores it and
-// parseHelloCaps recovers it.
-func buildHello(name string, resume bool, sessionID uint64, lastSeq uint32) []byte {
-	b := make([]byte, 0, 2+len(name)+13)
-	b = append(b, msgHello, byte(len(name)))
-	b = append(b, name...)
-	var flags byte
-	if resume {
-		flags = 1
-	}
-	b = append(b, flags)
-	var tail [12]byte
-	binary.BigEndian.PutUint64(tail[0:8], sessionID)
-	binary.BigEndian.PutUint32(tail[8:12], lastSeq)
-	return append(b, tail[:]...)
-}
+// helloWait bounds how long an accepted connection may take to send its
+// hello before the controller drops it.
+const helloWait = time.Second
 
-// buildHelloCaps is buildHello plus the trailing capability byte.
-func buildHelloCaps(name string, resume bool, sessionID uint64, lastSeq uint32, caps byte) []byte {
-	return append(buildHello(name, resume, sessionID, lastSeq), caps)
-}
-
-// parseHelloCaps extracts the capability byte from a hello body that
-// parseHello accepted. Hellos from peers predating capabilities have no
-// tail and read as 0.
-func parseHelloCaps(body []byte) byte {
-	n := int(body[1])
-	if len(body) > 2+n+13 {
-		return body[2+n+13]
-	}
-	return 0
+// buildHello encodes the agent's opening message: msgHello nameLen(1) name.
+func buildHello(name string) []byte {
+	return append([]byte{msgHello, byte(len(name))}, name...)
 }
 
 // parseHello decodes a hello body. It is a pure function so the fuzzer can
-// hammer it directly. Bytes past the fixed fields (the capability tail)
-// are ignored here.
-func parseHello(body []byte) (name string, resume bool, sessionID uint64, lastSeq uint32, err error) {
-	if len(body) < 2 || body[0] != msgHello {
-		return "", false, 0, 0, fmt.Errorf("scamper: bad hello")
+// hammer it directly.
+func parseHello(body []byte) (name string, err error) {
+	if len(body) < 3 || body[0] != msgHello || len(body) != 2+int(body[1]) {
+		return "", fmt.Errorf("scamper: bad hello")
 	}
-	n := int(body[1])
-	if n == 0 || len(body) < 2+n+13 {
-		return "", false, 0, 0, fmt.Errorf("scamper: bad hello")
-	}
-	name = string(body[2 : 2+n])
-	rest := body[2+n:]
-	resume = rest[0]&1 != 0
-	sessionID = binary.BigEndian.Uint64(rest[1:9])
-	lastSeq = binary.BigEndian.Uint32(rest[9:13])
-	return name, resume, sessionID, lastSeq, nil
-}
-
-// sessionIDFor derives a stable (deterministic) session id from the VP name.
-func sessionIDFor(name string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h
+	return string(body[2:]), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -247,21 +183,18 @@ func sessionIDFor(name string) uint64 {
 // DialOptions configures the agent's reconnect behavior.
 type DialOptions struct {
 	// Dial establishes the transport; defaults to net.Dial("tcp", addr).
-	// Fault tests substitute an injector's DialFunc here.
+	// Fault tests substitute an injector's DialFunc, or a dial that wraps
+	// the connection it returns.
 	Dial func(addr string) (net.Conn, error)
-	// Wrap, if set, wraps each established connection (e.g. with a fault
-	// injector) before the protocol runs over it.
-	Wrap func(net.Conn) net.Conn
 	// MaxRedials bounds consecutive failed connection attempts; the
-	// counter resets whenever a handshake completes. Default 8; Disabled
-	// means zero (give up after the first failure).
+	// counter resets whenever a handshake completes. Default 8.
 	MaxRedials int
 	// RedialBase/RedialMax shape the exponential backoff between redials.
 	// Defaults 5ms / 250ms.
 	RedialBase time.Duration
 	RedialMax  time.Duration
-	// HelloTimeout bounds the wait for the controller's helloAck.
-	// Default 2s.
+	// HelloTimeout bounds the wait for the controller's helloAck, and for
+	// a command frame that has begun arriving to finish. Default 2s.
 	HelloTimeout time.Duration
 }
 
@@ -269,10 +202,7 @@ func (o DialOptions) withDefaults() DialOptions {
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	switch o.MaxRedials {
-	case Disabled:
-		o.MaxRedials = 0
-	case 0:
+	if o.MaxRedials == 0 {
 		o.MaxRedials = 8
 	}
 	if o.RedialBase == 0 {
@@ -296,9 +226,8 @@ type Agent struct {
 	VP *topo.VP
 	// Spans, when set, records one "agent-session" span per completed
 	// handshake (sim duration from the engine clock, resume flag, and a
-	// volatile command count) and advertises helloCapSpans so the
-	// controller can pull the log with msgSpanPull and graft it into the
-	// run's span tree. Nil keeps the agent at the pre-span protocol.
+	// volatile command count). The controller pulls the log with
+	// RemoteProber.PullSpans and grafts it into the run's span tree.
 	Spans *obs.SpanLog
 
 	mu       sync.Mutex
@@ -320,7 +249,8 @@ func (a *Agent) StateBytes() int {
 	return a.peakBuf
 }
 
-// Commands returns how many commands the agent has executed.
+// Commands returns how many commands the agent has executed. Replays of a
+// cached response and the closing bye execute nothing and are not counted.
 func (a *Agent) Commands() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -340,19 +270,20 @@ func (a *Agent) CountExecs() map[uint32]int {
 	return out
 }
 
-func (a *Agent) note(bufLen int) {
+// noteBuf tracks the largest command or response buffer held.
+func (a *Agent) noteBuf(bufLen int) {
 	a.mu.Lock()
 	if bufLen > a.peakBuf {
 		a.peakBuf = bufLen
 	}
-	a.commands++
 	a.mu.Unlock()
 }
 
-// cache records the response for seq so a duplicate command replays
-// instead of re-executing.
+// cache records one executed command and its response for seq, so a
+// duplicate command replays instead of re-executing.
 func (a *Agent) cache(seq uint32, rsp []byte) {
 	a.mu.Lock()
+	a.commands++
 	a.lastSeq = seq
 	a.lastRsp = rsp
 	if a.execs == nil {
@@ -368,16 +299,17 @@ func (a *Agent) cache(seq uint32, rsp []byte) {
 // don't move it — so session spans are deterministic for a fixed fault
 // schedule. The command count is retry-timing-dependent and therefore
 // volatile.
-func (a *Agent) beginSession(resume bool) func() {
+func (a *Agent) beginSession() func() {
 	if a.Spans == nil {
 		return func() {}
 	}
 	sp := a.Spans.Begin(0, "agent-session", a.VP.Name)
+	a.mu.Lock()
+	// A session that has already executed a command is being resumed.
+	cmds, resume := a.commands, a.lastRsp != nil
+	a.mu.Unlock()
 	sp.SetAttr("resume", resume)
 	start := a.E.Now()
-	a.mu.Lock()
-	cmds := a.commands
-	a.mu.Unlock()
 	var once sync.Once
 	end := func() {
 		once.Do(func() {
@@ -422,17 +354,6 @@ func (a *Agent) cached(seq uint32) ([]byte, bool) {
 	return nil, false
 }
 
-// Dial connects to the controller once and serves commands until bye or
-// error. For fault-tolerant operation use DialRetry.
-func (a *Agent) Dial(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return a.ServeConn(conn)
-}
-
 // DialRetry connects to the controller and keeps reconnecting (resuming the
 // session) across transport failures until the controller says bye or the
 // consecutive-failure budget is spent. This is the loop a deployed home
@@ -462,9 +383,6 @@ func (a *Agent) DialRetry(addr string, opts DialOptions) error {
 			lastErr = err
 			continue
 		}
-		if opts.Wrap != nil {
-			conn = opts.Wrap(conn)
-		}
 		ended, progressed, err := a.serve(conn)
 		conn.Close()
 		if ended {
@@ -492,18 +410,7 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 // ended reports a clean bye; progressed reports a completed handshake
 // (used by DialRetry to reset its failure budget).
 func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
-	a.mu.Lock()
-	resume := a.lastRsp != nil
-	lastSeq := a.lastSeq
-	a.mu.Unlock()
-	var caps byte
-	if a.Spans != nil {
-		caps |= helloCapSpans
-	}
-	// Signatures are pure engine CPU, so every agent build offers them.
-	caps |= helloCapSig
-	hello := buildHelloCaps(a.VP.Name, resume, sessionIDFor(a.VP.Name), lastSeq, caps)
-	if err := writeMsg(conn, 0, hello); err != nil {
+	if err := writeMsg(conn, 0, buildHello(a.VP.Name)); err != nil {
 		return false, false, err
 	}
 	ht := a.helloTimeout
@@ -518,17 +425,18 @@ func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
 	if len(ack) < 1 || ack[0] != msgHelloAck {
 		return false, false, fmt.Errorf("scamper: bad hello ack")
 	}
-	conn.SetReadDeadline(time.Time{})
 	progressed = true
-	endSession := a.beginSession(resume)
+	endSession := a.beginSession()
 	defer endSession()
 
+	cmds := &commandReader{conn: conn, within: ht}
 	for {
-		seq, req, err := readMsg(conn)
+		cmds.idle()
+		seq, req, err := readMsg(cmds)
 		if err != nil {
 			return false, progressed, err
 		}
-		a.note(len(req))
+		a.noteBuf(len(req))
 		if req[0] == msgBye {
 			return true, progressed, nil
 		}
@@ -544,12 +452,40 @@ func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
 		if err != nil {
 			return false, progressed, err
 		}
-		a.note(len(rsp))
+		a.noteBuf(len(rsp))
 		a.cache(seq, rsp)
 		if err := writeMsg(conn, seq, rsp); err != nil {
 			return false, progressed, err
 		}
 	}
+}
+
+// commandReader reads command frames: the wait for a frame's first byte is
+// unbounded (the device idles between commands), but a frame that has begun
+// must finish within the hello timeout. A length prefix corrupted upward
+// would otherwise park the agent inside a frame the controller never
+// completes — it keeps retrying on a connection whose stream is now out of
+// step — until the retry budget is spent; timing out drops the connection
+// instead, and the redial resumes the session.
+type commandReader struct {
+	conn   net.Conn
+	within time.Duration
+	begun  bool
+}
+
+// idle lifts the deadline until the next frame begins.
+func (r *commandReader) idle() {
+	r.begun = false
+	r.conn.SetReadDeadline(time.Time{})
+}
+
+func (r *commandReader) Read(b []byte) (int, error) {
+	n, err := r.conn.Read(b)
+	if n > 0 && !r.begun {
+		r.begun = true
+		r.conn.SetReadDeadline(time.Now().Add(r.within))
+	}
+	return n, err
 }
 
 // handle executes one command body and returns the response body.
@@ -649,26 +585,21 @@ func boolByte(b bool) byte {
 // ---------------------------------------------------------------------------
 // Controller (central side)
 
-type acceptResult struct {
-	p   *RemoteProber
-	err error
-}
-
-// Controller accepts callback connections from agents and routes
-// reconnecting agents back to their existing sessions.
+// Controller accepts callback connections from agents and owns session
+// identity: one table, keyed by vantage-point name, decides whether a hello
+// opens a new session (handed to whoever Claims that name) or resumes an
+// open one.
 type Controller struct {
-	ln      net.Listener
-	acceptC chan acceptResult
-	// done is closed when the dispatcher exits. acceptC itself is never
-	// closed: an in-flight handshake goroutine may still be delivering,
-	// and a send on a closed channel would panic the controller.
-	done chan struct{}
+	ln net.Listener
 
-	mu           sync.Mutex
-	sessions     map[string]*RemoteProber
-	obsReg       *obs.Registry
-	resumes      *obs.Counter
-	helloTimeout time.Duration
+	mu       sync.Mutex
+	sessions map[string]*RemoteProber // the open session per VP name
+	closed   bool
+	// wake is closed and replaced whenever a new session is registered, and
+	// closed for good by Close, so blocked Claims re-check the table.
+	wake    chan struct{}
+	obsReg  *obs.Registry
+	resumes *obs.Counter
 }
 
 // Listen starts a controller on addr (use "127.0.0.1:0" for an ephemeral
@@ -679,18 +610,16 @@ func Listen(addr string) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		ln:           ln,
-		acceptC:      make(chan acceptResult, 16),
-		done:         make(chan struct{}),
-		sessions:     make(map[string]*RemoteProber),
-		helloTimeout: 2 * time.Second,
+		ln:       ln,
+		sessions: make(map[string]*RemoteProber),
+		wake:     make(chan struct{}),
 	}
 	go c.dispatch()
 	return c, nil
 }
 
 // SetObs routes recovery metrics (remote.resume, remote.retry.*) to reg.
-// Call before accepting agents.
+// Call before agents dial.
 func (c *Controller) SetObs(reg *obs.Registry) {
 	c.mu.Lock()
 	c.obsReg = reg
@@ -698,35 +627,58 @@ func (c *Controller) SetObs(reg *obs.Registry) {
 	c.mu.Unlock()
 }
 
-// SetHelloTimeout bounds how long an accepted connection may take to
-// complete its handshake.
-func (c *Controller) SetHelloTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.helloTimeout = d
-	c.mu.Unlock()
-}
-
 // Addr returns the listening address.
 func (c *Controller) Addr() string { return c.ln.Addr().String() }
 
-// Close stops accepting agents.
-func (c *Controller) Close() error { return c.ln.Close() }
-
-// Accept waits for one NEW agent session and returns a prober driving it.
-// Reconnections of known agents are routed to their existing probers and
-// do not surface here.
-func (c *Controller) Accept() (*RemoteProber, error) {
-	select {
-	case r := <-c.acceptC:
-		return r.p, r.err
-	case <-c.done:
-		// Drain a session that was delivered just before shutdown.
-		select {
-		case r := <-c.acceptC:
-			return r.p, r.err
-		default:
+// Close stops accepting agents, fails pending and future Claims, and closes
+// every session that completed its handshake but was never claimed. Claimed
+// sessions belong to their claimers.
+func (c *Controller) Close() error {
+	err := c.ln.Close()
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		close(c.wake)
+	}
+	var unclaimed []*RemoteProber
+	for _, p := range c.sessions {
+		if !p.claimed {
+			unclaimed = append(unclaimed, p)
 		}
-		return nil, fmt.Errorf("scamper: controller closed")
+	}
+	c.mu.Unlock()
+	for _, p := range unclaimed {
+		p.Close()
+	}
+	return err
+}
+
+// Claim returns the new session of the named vantage point, waiting up to
+// timeout for its agent to finish a handshake. Each session is claimed at
+// most once; reconnections of an agent whose session is open are attached
+// to that session and never surface here, while an agent replacing a closed
+// session (a killed device's successor) is a new session to claim.
+func (c *Controller) Claim(name string, timeout time.Duration) (*RemoteProber, error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, errors.New("scamper: controller closed")
+		}
+		if p := c.sessions[name]; p != nil && !p.claimed {
+			p.claimed = true
+			c.mu.Unlock()
+			return p, nil
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-t.C:
+			return nil, fmt.Errorf("scamper: no session from agent %q within %v", name, timeout)
+		}
 	}
 }
 
@@ -734,7 +686,7 @@ func (c *Controller) dispatch() {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			close(c.done)
+			c.Close()
 			return
 		}
 		go c.handshake(conn)
@@ -742,26 +694,18 @@ func (c *Controller) dispatch() {
 }
 
 func (c *Controller) handshake(conn net.Conn) {
-	c.mu.Lock()
-	ht := c.helloTimeout
-	c.mu.Unlock()
-	conn.SetReadDeadline(time.Now().Add(ht))
+	conn.SetReadDeadline(time.Now().Add(helloWait))
 	seq, body, err := readMsg(conn)
 	if err == nil && seq != 0 {
 		err = fmt.Errorf("scamper: bad hello")
 	}
 	var name string
-	var sessionID uint64
-	var caps byte
 	if err == nil {
-		name, _, sessionID, _, err = parseHello(body)
-		if err == nil {
-			caps = parseHelloCaps(body)
-		}
+		name, err = parseHello(body)
 	}
 	if err != nil {
 		// A garbled or dropped hello only condemns this connection: the
-		// agent redials and tries again, so nothing surfaces via Accept.
+		// agent redials and tries again, so nothing surfaces via Claim.
 		conn.Close()
 		c.mu.Lock()
 		reg := c.obsReg
@@ -770,61 +714,41 @@ func (c *Controller) handshake(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	ack := make([]byte, 9)
-	ack[0] = msgHelloAck
-	binary.BigEndian.PutUint64(ack[1:9], sessionID)
-	if err := writeMsg(conn, 0, ack); err != nil {
+	if err := writeMsg(conn, 0, []byte{msgHelloAck}); err != nil {
 		conn.Close()
 		return
 	}
 
-	// Route by VP name, not session id: a lost helloAck makes the agent
-	// redial believing it has no session, and name routing still finds it.
 	c.mu.Lock()
+	if c.closed {
+		// Shut down mid-handshake; nobody will Claim this session.
+		c.mu.Unlock()
+		conn.Close()
+		return
+	}
 	p, resuming := c.sessions[name]
 	if resuming && p.closed.Load() {
-		delete(c.sessions, name)
 		resuming = false
 	}
 	if !resuming {
 		p = newRemoteProber(name, c, c.obsReg)
 		c.sessions[name] = p
+		close(c.wake)
+		c.wake = make(chan struct{})
 	}
-	p.caps.Store(uint32(caps))
-	resumeCtr := c.resumes
-	c.mu.Unlock()
-
-	p.attach(conn)
 	if resuming {
-		resumeCtr.Add(1)
-	} else {
-		c.deliver(acceptResult{p: p})
+		c.resumes.Add(1)
 	}
+	c.mu.Unlock()
+	p.attach(conn)
 }
 
-func (c *Controller) deliver(r acceptResult) {
-	select {
-	case <-c.done:
-		// Controller already shut down; nobody will Accept this session.
-		if r.p != nil {
-			r.p.Close()
-		}
-		return
-	default:
-	}
-	select {
-	case c.acceptC <- r:
-	default:
-		if r.p != nil {
-			r.p.Close()
-		}
-	}
-}
-
-func (c *Controller) endSession(name string) {
+// endSession forgets p once it is closed, unless a replacement session has
+// already taken its name.
+func (c *Controller) endSession(p *RemoteProber) {
 	c.mu.Lock()
-	if c.sessions != nil {
-		delete(c.sessions, name)
+	if c.sessions[p.name] == p {
+		delete(c.sessions, p.name)
 	}
 	c.mu.Unlock()
 }
@@ -838,8 +762,7 @@ type Hardening struct {
 	// Default 5s.
 	FrameTimeout time.Duration
 	// RetryBudget is the number of ADDITIONAL attempts after the first
-	// send of a command. Default 8; Disabled means zero (one attempt,
-	// no retries).
+	// send of a command. Default 8.
 	RetryBudget int
 	// BackoffBase/BackoffMax shape the exponential backoff between
 	// retries. Defaults 5ms / 250ms.
@@ -854,10 +777,7 @@ func (h Hardening) withDefaults() Hardening {
 	if h.FrameTimeout == 0 {
 		h.FrameTimeout = 5 * time.Second
 	}
-	switch h.RetryBudget {
-	case Disabled:
-		h.RetryBudget = 0
-	case 0:
+	if h.RetryBudget == 0 {
 		h.RetryBudget = 8
 	}
 	if h.BackoffBase == 0 {
@@ -880,7 +800,8 @@ type RemoteProber struct {
 	ctrl   *Controller
 	reconn chan net.Conn
 	closed atomic.Bool
-	caps   atomic.Uint32 // capability bits from the agent's latest hello
+	// claimed marks a session some Claim has returned; guarded by ctrl.mu.
+	claimed bool
 
 	opMu    sync.Mutex // serializes commands; guards conn, nextSeq, hard
 	conn    net.Conn
@@ -991,9 +912,7 @@ func (p *RemoteProber) Close() error {
 		p.conn.Close()
 		p.conn = nil
 	}
-	if p.ctrl != nil {
-		p.ctrl.endSession(p.name)
-	}
+	p.ctrl.endSession(p)
 	return nil
 }
 
@@ -1131,10 +1050,67 @@ func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.Tr
 		binary.BigEndian.PutUint32(b[:], uint32(a))
 		req = append(req, b[:]...)
 	}
-	rsp := p.roundTrip(req, msgTraceRsp)
 	res := probe.TraceResult{VP: p.name, Dst: dst}
-	if rsp == nil || len(rsp) < 5 {
-		return res
+	decodeTraceRsp(p.roundTrip(req, msgTraceRsp), &res)
+	return res
+}
+
+// Probe sends one alias-resolution probe via the agent.
+func (p *RemoteProber) Probe(target netx.Addr, m probe.Method) probe.Response {
+	req := make([]byte, 6)
+	req[0] = msgProbeReq
+	binary.BigEndian.PutUint32(req[1:5], uint32(target))
+	req[5] = byte(m)
+	return decodeProbeRsp(p.roundTrip(req, msgProbeRsp))
+}
+
+// Advance moves the agent's measurement clock.
+func (p *RemoteProber) Advance(d time.Duration) {
+	req := make([]byte, 9)
+	req[0] = msgAdvance
+	binary.BigEndian.PutUint64(req[1:9], uint64(d))
+	p.roundTrip(req, msgAdvanced)
+}
+
+// Now reads the agent's simulated measurement clock, so the driver can
+// report SimDuration for remote runs too. A lost session reads as zero.
+func (p *RemoteProber) Now() time.Duration {
+	return time.Duration(decodeUint64Rsp(p.roundTrip([]byte{msgClock}, msgClockRsp)))
+}
+
+// PathSignature asks the agent to fingerprint its current forwarding path
+// toward dst. A lost session yields 0, which can never equal a signature
+// the agent attested while healthy (FNV of a nonempty walk), so replay
+// degrades to a live re-walk instead of serving stale hops.
+func (p *RemoteProber) PathSignature(dst netx.Addr) uint64 {
+	req := make([]byte, 5)
+	req[0] = msgSigReq
+	binary.BigEndian.PutUint32(req[1:5], uint32(dst))
+	return decodeUint64Rsp(p.roundTrip(req, msgSigRsp))
+}
+
+// PullSpans retrieves the agent's session span records so the controller
+// can graft them into the run's span tree. A lost session yields
+// (nil, Err): span retrieval is best-effort telemetry and must never fail
+// a run that produced a map.
+func (p *RemoteProber) PullSpans() ([]obs.SpanRecord, error) {
+	rsp := p.roundTrip([]byte{msgSpanPull}, msgSpanRsp)
+	if rsp == nil {
+		return nil, p.Err()
+	}
+	return obs.ReadSpanJSONL(bytes.NewReader(rsp[1:]))
+}
+
+// The response decoders are pure functions of bytes a device sent — the
+// direction §5.8 distrusts — so the fuzzer can hammer them directly. A nil
+// or short body (a lost session, a truncated response) decodes to the zero
+// measurement.
+
+// decodeTraceRsp fills res from a msgTraceRsp body:
+// type reached(1) stopped(1) nHops(2) {ttl(1) type(1) addr(4) ipid(2) rtt(8)}.
+func decodeTraceRsp(rsp []byte, res *probe.TraceResult) {
+	if len(rsp) < 5 {
+		return
 	}
 	res.Reached = rsp[1] == 1
 	res.Stopped = rsp[2] == 1
@@ -1149,17 +1125,12 @@ func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.Tr
 			RTT:  time.Duration(binary.BigEndian.Uint64(h[8:16])),
 		})
 	}
-	return res
 }
 
-// Probe sends one alias-resolution probe via the agent.
-func (p *RemoteProber) Probe(target netx.Addr, m probe.Method) probe.Response {
-	req := make([]byte, 6)
-	req[0] = msgProbeReq
-	binary.BigEndian.PutUint32(req[1:5], uint32(target))
-	req[5] = byte(m)
-	rsp := p.roundTrip(req, msgProbeRsp)
-	if rsp == nil || len(rsp) < 24 {
+// decodeProbeRsp decodes a msgProbeRsp body:
+// type ok(1) from(4) ipid(2) when(8) rtt(8).
+func decodeProbeRsp(rsp []byte) probe.Response {
+	if len(rsp) < 24 {
 		return probe.Response{}
 	}
 	return probe.Response{
@@ -1171,73 +1142,10 @@ func (p *RemoteProber) Probe(target netx.Addr, m probe.Method) probe.Response {
 	}
 }
 
-// Advance moves the agent's measurement clock.
-func (p *RemoteProber) Advance(d time.Duration) {
-	req := make([]byte, 9)
-	req[0] = msgAdvance
-	binary.BigEndian.PutUint64(req[1:9], uint64(d))
-	p.roundTrip(req, msgAdvanced)
-}
-
-// Clock reads the agent's simulated measurement clock, so the driver can
-// report SimDuration for remote runs too.
-func (p *RemoteProber) Clock() (time.Duration, error) {
-	rsp := p.roundTrip([]byte{msgClock}, msgClockRsp)
-	if rsp == nil || len(rsp) < 9 {
-		return 0, p.Err()
-	}
-	return time.Duration(binary.BigEndian.Uint64(rsp[1:9])), nil
-}
-
-// PullSpans retrieves the agent's session span records so the controller
-// can graft them into the run's span tree. An agent that did not
-// advertise helloCapSpans (or whose session is already lost) yields
-// (nil, nil)/(nil, Err): span retrieval is best-effort telemetry and
-// must never fail a run that produced a map.
-func (p *RemoteProber) PullSpans() ([]obs.SpanRecord, error) {
-	if p.caps.Load()&helloCapSpans == 0 {
-		return nil, nil
-	}
-	rsp := p.roundTrip([]byte{msgSpanPull}, msgSpanRsp)
-	if rsp == nil {
-		return nil, p.Err()
-	}
-	return obs.ReadSpanJSONL(bytes.NewReader(rsp[1:]))
-}
-
-// HasSignatures reports whether the agent advertised helloCapSig.
-func (p *RemoteProber) HasSignatures() bool {
-	return p.caps.Load()&helloCapSig != 0
-}
-
-// Signed returns a SignatureProber view of the session, or nil if the
-// agent did not advertise helloCapSig. The capability gate matters: an
-// unconditional PathSignature method returning 0 on old agents would
-// *falsely match* a transcript recorded with a 0 signature, so the
-// signature surface only exists when the agent actually computes them.
-func (p *RemoteProber) Signed() SignatureProber {
-	if !p.HasSignatures() {
-		return nil
-	}
-	return remoteSigProber{p}
-}
-
-// remoteSigProber is the capability-gated SignatureProber view of a
-// RemoteProber.
-type remoteSigProber struct {
-	*RemoteProber
-}
-
-// PathSignature asks the agent to fingerprint its current forwarding path
-// toward dst. A lost session yields 0, which can never equal a signature
-// the agent attested while healthy (FNV of a nonempty walk), so replay
-// degrades to a live re-walk instead of serving stale hops.
-func (p remoteSigProber) PathSignature(dst netx.Addr) uint64 {
-	req := make([]byte, 5)
-	req[0] = msgSigReq
-	binary.BigEndian.PutUint32(req[1:5], uint32(dst))
-	rsp := p.roundTrip(req, msgSigRsp)
-	if rsp == nil || len(rsp) < 9 {
+// decodeUint64Rsp decodes the type value(8) body of a clock or signature
+// response.
+func decodeUint64Rsp(rsp []byte) uint64 {
+	if len(rsp) < 9 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(rsp[1:9])

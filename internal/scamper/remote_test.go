@@ -130,22 +130,23 @@ func TestMsgEnvelope(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	b := buildHello("vp-atlanta", true, 0xdeadbeef, 99)
-	name, resume, sid, last, err := parseHello(b)
+	name, err := parseHello(buildHello("vp-atlanta"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "vp-atlanta" || !resume || sid != 0xdeadbeef || last != 99 {
-		t.Fatalf("parsed %q %v %x %d", name, resume, sid, last)
+	if name != "vp-atlanta" {
+		t.Fatalf("parsed %q", name)
 	}
 	for _, bad := range [][]byte{
 		nil,
 		{msgHello},
-		{msgHello, 5, 'a', 'b'},          // name longer than body
-		{msgProbeReq, 1, 'a'},            // wrong type
-		buildHello("x", false, 0, 0)[:5], // truncated tail
+		{msgHello, 0},                // empty name
+		{msgHello, 5, 'a', 'b'},      // name longer than body
+		{msgHello, 1, 'a', 'b'},      // bytes past the name
+		{msgProbeReq, 1, 'a'},        // wrong type
+		buildHello("vp-atlanta")[:5], // truncated name
 	} {
-		if _, _, _, _, err := parseHello(bad); err == nil {
+		if _, err := parseHello(bad); err == nil {
 			t.Errorf("parseHello(%v) accepted", bad)
 		}
 	}
@@ -169,10 +170,10 @@ func serveConnPair(t *testing.T, a *Agent) (net.Conn, chan error) {
 	if err != nil || seq != 0 || hello[0] != msgHello {
 		t.Fatalf("bad hello: %v %v", hello, err)
 	}
-	if _, _, _, _, err := parseHello(hello); err != nil {
+	if _, err := parseHello(hello); err != nil {
 		t.Fatalf("unparsable hello: %v", err)
 	}
-	if err := writeMsg(client, 0, []byte{msgHelloAck, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+	if err := writeMsg(client, 0, []byte{msgHelloAck}); err != nil {
 		t.Fatal(err)
 	}
 	client.SetDeadline(time.Time{})
@@ -267,6 +268,9 @@ func TestAgentReplaysDuplicateSeq(t *testing.T) {
 	if execs := a.CountExecs(); execs[1] != 1 {
 		t.Fatalf("execs[1] = %d, want 1", execs[1])
 	}
+	if got := a.Commands(); got != 1 {
+		t.Fatalf("Commands() = %d after one execution and two replays", got)
+	}
 	client.Close()
 }
 
@@ -301,21 +305,13 @@ func TestAgentCleanShutdownOnEOF(t *testing.T) {
 	}
 }
 
-// TestRetryDefaultsHonorDisabled pins the zero-vs-default distinction for
-// the retry knobs: the zero value means "use the default", Disabled means
-// an explicit zero (no retries / no redials).
-func TestRetryDefaultsHonorDisabled(t *testing.T) {
+// TestRetryDefaults pins the retry knobs' zero value to "use the default".
+func TestRetryDefaults(t *testing.T) {
 	if got := (Hardening{}).withDefaults().RetryBudget; got != 8 {
 		t.Errorf("zero RetryBudget = %d, want default 8", got)
 	}
-	if got := (Hardening{RetryBudget: Disabled}).withDefaults().RetryBudget; got != 0 {
-		t.Errorf("Disabled RetryBudget = %d, want 0", got)
-	}
 	if got := (DialOptions{}).withDefaults().MaxRedials; got != 8 {
 		t.Errorf("zero MaxRedials = %d, want default 8", got)
-	}
-	if got := (DialOptions{MaxRedials: Disabled}).withDefaults().MaxRedials; got != 0 {
-		t.Errorf("Disabled MaxRedials = %d, want 0", got)
 	}
 }
 
@@ -340,7 +336,7 @@ func TestControllerCloseDuringHandshake(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				writeMsg(conn, 0, buildHello(fmt.Sprintf("vp-%d", j), false, 0, 0))
+				writeMsg(conn, 0, buildHello(fmt.Sprintf("vp-%d", j)))
 				conn.SetReadDeadline(time.Now().Add(time.Second))
 				readMsg(conn)
 			}(j)
@@ -365,7 +361,7 @@ func TestControllerRejectsBadHello(t *testing.T) {
 	defer conn.Close()
 	writeMsg(conn, 0, []byte{msgProbeReq, 0, 0, 0, 0, 0}) // not a hello
 	// The controller must close the connection without creating a
-	// session — a failed handshake never surfaces through Accept,
+	// session — a failed handshake never surfaces through Claim,
 	// because under fault injection the agent simply redials.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := readMsg(conn); err == nil {
@@ -390,23 +386,19 @@ func TestControllerResumesSession(t *testing.T) {
 	defer ctrl.Close()
 
 	agent := &Agent{E: e, VP: n.VPs[0]}
-	dialed := 0
-	dial := func(addr string) (net.Conn, error) {
-		dialed++
-		return net.Dial("tcp", addr)
-	}
 	// Cut the first connection after the 3rd agent write (hello + two
 	// responses), forcing a redial mid-run.
-	writes := 0
-	wrap := func(c net.Conn) net.Conn {
+	dialed, writes := 0, 0
+	dial := dialThrough(func(c net.Conn) net.Conn {
+		dialed++
 		return &cutAfterConn{Conn: c, when: func() bool { writes++; return writes == 3 }}
-	}
+	})
 	done := make(chan error, 1)
 	go func() {
-		done <- agent.DialRetry(ctrl.Addr(), DialOptions{Dial: dial, Wrap: wrap})
+		done <- agent.DialRetry(ctrl.Addr(), DialOptions{Dial: dial})
 	}()
 
-	rp, err := ctrl.Accept()
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +428,17 @@ func TestControllerResumesSession(t *testing.T) {
 	}
 }
 
+// dialThrough is a DialOptions.Dial that wraps every connection it opens.
+func dialThrough(wrap func(net.Conn) net.Conn) func(string) (net.Conn, error) {
+	return func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(c), nil
+	}
+}
+
 // cutAfterConn closes itself right before the write on which when() fires.
 type cutAfterConn struct {
 	net.Conn
@@ -459,8 +462,8 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 	}
 	defer ctrl.Close()
 	agent := &Agent{E: e, VP: n.VPs[0]}
-	go agent.Dial(ctrl.Addr())
-	rp, err := ctrl.Accept()
+	go agent.DialRetry(ctrl.Addr(), DialOptions{})
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,5 +488,208 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatalf("transport error under concurrency: %v", err)
 		}
+	}
+}
+
+// namedAgent is an agent on its own tiny-world engine whose VP carries the
+// given name and whose clock starts at now, so a session can be told apart
+// by what its prober's Now reads.
+func namedAgent(name string, now time.Duration) *Agent {
+	n := topo.Generate(topo.TinyProfile(), 1)
+	vp := *n.VPs[0]
+	vp.Name = name
+	e := probe.New(n, bgp.NewTable(n))
+	e.Advance(now)
+	return &Agent{E: e, VP: &vp}
+}
+
+func listenTest(t *testing.T) (*Controller, *obs.Registry) {
+	t.Helper()
+	ctrl, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctrl.Close() })
+	reg := obs.New()
+	ctrl.SetObs(reg)
+	return ctrl, reg
+}
+
+// TestClaimRoutesByName: session identity is the VP name, not arrival
+// order. A is claimed first but B handshakes first; each claimer still gets
+// its own agent, and B's arrival only wakes A's claimer to look again.
+func TestClaimRoutesByName(t *testing.T) {
+	ctrl, _ := listenTest(t)
+	a, b := namedAgent("vp-a", time.Second), namedAgent("vp-b", 2*time.Second)
+
+	type claimed struct {
+		rp  *RemoteProber
+		err error
+	}
+	gotA := make(chan claimed, 1)
+	go func() {
+		rp, err := ctrl.Claim("vp-a", 5*time.Second)
+		gotA <- claimed{rp, err}
+	}()
+	go b.DialRetry(ctrl.Addr(), DialOptions{})
+	rpB, err := ctrl.Claim("vp-b", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpB.Close()
+	select {
+	case c := <-gotA:
+		t.Fatalf("claim for vp-a returned (%v, %v) before vp-a dialed", c.rp, c.err)
+	default:
+	}
+	go a.DialRetry(ctrl.Addr(), DialOptions{})
+	ca := <-gotA
+	if ca.err != nil {
+		t.Fatal(ca.err)
+	}
+	defer ca.rp.Close()
+	if ca.rp.Name() != "vp-a" || ca.rp.Now() != time.Second {
+		t.Errorf("vp-a's claimer got %q at %v", ca.rp.Name(), ca.rp.Now())
+	}
+	if rpB.Name() != "vp-b" || rpB.Now() != 2*time.Second {
+		t.Errorf("vp-b's claimer got %q at %v", rpB.Name(), rpB.Now())
+	}
+}
+
+// TestClaimTimeout: a claim for a name that never dials fails on time and
+// leaves nothing behind — an agent arriving later goes to the next claim,
+// not to the abandoned one.
+func TestClaimTimeout(t *testing.T) {
+	ctrl, _ := listenTest(t)
+	start := time.Now()
+	if rp, err := ctrl.Claim("vp-late", 30*time.Millisecond); err == nil {
+		t.Fatalf("claimed %q from an agent that never dialed", rp.Name())
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("30ms claim took %v", d)
+	}
+	go namedAgent("vp-late", 0).DialRetry(ctrl.Addr(), DialOptions{})
+	rp, err := ctrl.Claim("vp-late", 5*time.Second)
+	if err != nil {
+		t.Fatalf("session swallowed by the timed-out claim: %v", err)
+	}
+	rp.Close()
+}
+
+// TestClaimResumeVersusReplacement: a redial of an agent whose session is
+// open resumes it (remote.resume counts it, no new claim surfaces); once
+// that session is closed, the next agent of the same name is a new session
+// to claim.
+func TestClaimResumeVersusReplacement(t *testing.T) {
+	ctrl, reg := listenTest(t)
+	first := namedAgent("vp-x", 0)
+	// Cut the first connection on the agent's 2nd write (its first
+	// response), forcing a redial with the session still open.
+	writes := 0
+	dial := dialThrough(func(c net.Conn) net.Conn {
+		return &cutAfterConn{Conn: c, when: func() bool { writes++; return writes == 2 }}
+	})
+	done := make(chan error, 1)
+	go func() { done <- first.DialRetry(ctrl.Addr(), DialOptions{Dial: dial}) }()
+	rp, err := ctrl.Claim("vp-x", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.SetHardening(Hardening{FrameTimeout: time.Second, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
+	rp.Advance(time.Second)
+	rp.Advance(time.Second)
+	if err := rp.Err(); err != nil {
+		t.Fatalf("session lost despite resume: %v", err)
+	}
+	if got := reg.Snapshot().Counter("remote.resume"); got != 1 {
+		t.Errorf("remote.resume = %d, want 1", got)
+	}
+	if again, err := ctrl.Claim("vp-x", 30*time.Millisecond); err == nil {
+		t.Fatalf("a resumed session surfaced as a new claim (%p vs %p)", again, rp)
+	}
+	rp.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("agent exited with error: %v", err)
+	}
+
+	go namedAgent("vp-x", time.Minute).DialRetry(ctrl.Addr(), DialOptions{})
+	next, err := ctrl.Claim("vp-x", 5*time.Second)
+	if err != nil {
+		t.Fatalf("replacement agent never surfaced: %v", err)
+	}
+	defer next.Close()
+	if next == rp || next.Now() != time.Minute {
+		t.Errorf("replacement claim returned the old session (now %v)", next.Now())
+	}
+	if got := reg.Snapshot().Counter("remote.resume"); got != 1 {
+		t.Errorf("replacement counted as a resume: remote.resume = %d", got)
+	}
+}
+
+// TestControllerCloseEndsClaimsAndOrphans: Close fails a pending claim at
+// once and hangs up on a session that handshook but was never claimed.
+func TestControllerCloseEndsClaimsAndOrphans(t *testing.T) {
+	ctrl, _ := listenTest(t)
+	conn, err := net.Dial("tcp", ctrl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeMsg(conn, 0, buildHello("vp-orphan")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ack, err := readMsg(conn); err != nil || ack[0] != msgHelloAck {
+		t.Fatalf("handshake: %v %v", ack, err)
+	}
+
+	pending := make(chan error, 1)
+	go func() {
+		_, err := ctrl.Claim("vp-nobody", time.Minute)
+		pending <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the claim block; Close must wake it either way
+	ctrl.Close()
+	select {
+	case err := <-pending:
+		if err == nil {
+			t.Error("claim on a closed controller succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left a claimer blocked")
+	}
+	// The orphan is told bye, or — if Close won the race with its
+	// registration — simply hung up on. It is never left open.
+	if _, body, err := readMsg(conn); err == nil && body[0] != msgBye {
+		t.Fatalf("orphan session got %v after Close", body)
+	} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
+		t.Fatal("orphan session still open after Close")
+	}
+	if _, err := ctrl.Claim("vp-orphan", time.Second); err == nil {
+		t.Error("claimed a session from a closed controller")
+	}
+}
+
+// TestAgentDropsStalledFrame: a frame that begins but never completes (a
+// length prefix corrupted upward) must cost the agent its connection, not
+// park it forever while the controller retries into the void.
+func TestAgentDropsStalledFrame(t *testing.T) {
+	a := agentWorld(t)
+	a.helloTimeout = 50 * time.Millisecond
+	client, done := serveConnPair(t, a)
+	defer client.Close()
+	// The agent may idle between commands for as long as it likes …
+	time.Sleep(3 * a.helloTimeout)
+	// … but not inside one: a header promising 64KiB, then 8 bytes.
+	if _, err := client.Write([]byte{0, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatalf("agent gave up while idle: %v", err)
+	}
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("stalled frame ended the session cleanly")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("agent parked inside a stalled frame")
 	}
 }

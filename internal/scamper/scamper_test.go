@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
@@ -223,9 +224,9 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 
 	agent := &Agent{E: e, VP: n.VPs[0]}
 	done := make(chan error, 1)
-	go func() { done <- agent.Dial(ctrl.Addr()) }()
+	go func() { done <- agent.DialRetry(ctrl.Addr(), DialOptions{}) }()
 
-	rp, err := ctrl.Accept()
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +289,8 @@ func TestRemoteFullDriverRun(t *testing.T) {
 	}
 	defer ctrl.Close()
 	agent := &Agent{E: e, VP: n.VPs[0]}
-	go agent.Dial(ctrl.Addr())
-	rp, err := ctrl.Accept()
+	go agent.DialRetry(ctrl.Addr(), DialOptions{})
+	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
@@ -127,4 +128,44 @@ func TestProbeHitPathAllocFree(t *testing.T) {
 		}
 	}
 	t.Fatal("no interface answers probes")
+}
+
+// TestTracerouteAllocBudget pins what a lane traceroute allocates on the
+// tiny scenario. Over a plane that already holds the walk, on a lane that
+// has met the routers, it is the Hops slice and nothing else. A first
+// trace toward a prefix also stores the walk (its table entry and its
+// steps) and pays its share of what the walks consulted and the lane
+// keeps: BFS trees, egress sets, the reverse walks of routers that source
+// replies toward the prober, per-router IP-ID state.
+func TestTracerouteAllocBudget(t *testing.T) {
+	s := eval.Build(topo.TinyProfile(), 1)
+	vp := s.Net.VPs[0]
+	var dsts []netx.Addr
+	for _, p := range s.Tab.Prefixes() {
+		dsts = append(dsts, p.First()+1)
+	}
+	traceAll := func(e *probe.Engine, lane *probe.Lane) {
+		for _, dst := range dsts {
+			e.TracerouteLane(vp, dst, nil, lane)
+		}
+	}
+	perTrace := func(allocs float64) float64 { return allocs / float64(len(dsts)) }
+
+	cold := perTrace(testing.AllocsPerRun(5, func() {
+		e := probe.New(s.Net, s.Tab)
+		traceAll(e, e.NewLane(0))
+	}))
+	e := s.Engine.Fork()
+	lane := e.NewLane(0)
+	warm := perTrace(testing.AllocsPerRun(5, func() { traceAll(e, lane) }))
+	t.Logf("%d traces: %.2f allocs/trace on an empty plane and a new lane, %.2f on filled ones", len(dsts), cold, warm)
+	if warm != 1 {
+		t.Errorf("a traceroute over a stored walk allocates %.2f times, want 1 (the Hops slice)", warm)
+	}
+	// Measures 8.0: Hops, the stored walk's two, ≈2 of IP-ID state, ≈3 of
+	// shared routing.
+	const coldBudget = 10.0
+	if cold > coldBudget {
+		t.Errorf("a traceroute on an empty plane allocates %.2f times, budget %.1f", cold, coldBudget)
+	}
 }

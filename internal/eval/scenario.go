@@ -40,9 +40,9 @@ type Scenario struct {
 	Sibs *sibling.Set
 	// Engine is for ad-hoc probing of the world — tslpmon's and
 	// examples/congestion's time-series probes, the benchmark's layer pass.
-	// A mapping run never touches it: every VP attempt probes on a fresh
-	// engine of its own (see runShard), so nothing done here can reach a
-	// map.
+	// A mapping run shares its forwarding plane and nothing else: every VP
+	// attempt probes on a fork of its own (see runShard), so no clock,
+	// congestion episode or fault set here can reach a map.
 	Engine   *probe.Engine
 	HostASNs map[topo.ASN]bool
 	// Obs collects metrics from every stage of the scenario's pipeline.
@@ -149,10 +149,11 @@ type shard struct {
 
 // runShard is the one way a VP is measured and inferred: build the driver,
 // run it, infer, hand back the dataset and result for the caller to record.
-// Every attempt probes on a fresh engine, so VP i's output is a pure
-// function of (profile, seed, cfg, fault spec) — whichever entry point
-// asked, in whatever order, on whichever worker. An already-recorded VP is
-// returned as is, measuring nothing.
+// Every attempt probes on a fresh fork of the scenario's engine — routing
+// derived once per world, measurement state per attempt — so VP i's output
+// is a pure function of (profile, seed, cfg, fault spec), whichever entry
+// point asked, in whatever order, on whichever worker. An already-recorded
+// VP is returned as is, measuring nothing.
 //
 // A non-nil error with a nil res means the attempt never started (no
 // remote session formed); with a non-nil res, that the session was lost
@@ -163,7 +164,7 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 		return s.Datasets[i], s.Results[i], dev, nil
 	}
 	vp := s.Net.VPs[i]
-	eng := probe.New(s.Net, s.Tab)
+	eng := s.Engine.Fork()
 	eng.SetObs(s.Obs)
 	var prober scamper.Prober = scamper.LocalProber{E: eng, VP: vp}
 	var sess *remoteSession

@@ -404,12 +404,14 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 
 	// Deterministic log merge: fragments fold into the shared logs in
 	// (shard, attempt) order regardless of which worker ran what when.
+	var traces []*obs.Tracer
 	for i := range shards {
 		for _, out := range allOuts[i] {
-			cfg.Trace.Merge(out.Trace)
+			traces = append(traces, out.Trace)
 			cfg.Spans.Merge(out.Spans, fsp.ID())
 		}
 	}
+	cfg.Trace.Merge(traces...)
 	fsp.SetAttr("shards", n)
 	fsp.SetAttr("completed", completed)
 	publish(true)

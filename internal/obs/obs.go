@@ -23,9 +23,11 @@ import (
 // The zero value is ready to use; all methods are nil-safe.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n.
+// Add increments the counter by n. Adding zero touches nothing: callers
+// that flush a batch of tallies need not test each one to keep an atomic
+// write off a cache line other goroutines share.
 func (c *Counter) Add(n int64) {
-	if c != nil {
+	if c != nil && n != 0 {
 		c.v.Add(n)
 	}
 }

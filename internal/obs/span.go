@@ -247,9 +247,18 @@ func (sl *SpanLog) Merge(frag *SpanLog, parent SpanID) {
 	if sl == nil || frag == nil {
 		return
 	}
-	sl.MergeRecords(frag.Records(), parent)
+	// The fragment's records are read in place under its lock; only a
+	// ring that has wrapped needs putting in order first.
+	frag.mu.Lock()
+	recs, newer := frag.ring.runs()
+	if len(newer) > 0 {
+		recs = frag.ring.items()
+	}
+	sl.MergeRecords(recs, parent)
+	dropped := frag.ring.dropped
+	frag.mu.Unlock()
 	sl.mu.Lock()
-	sl.ring.dropped += frag.Dropped()
+	sl.ring.dropped += dropped
 	sl.mu.Unlock()
 }
 

@@ -103,6 +103,30 @@ func TestSpanLogMergeRemap(t *testing.T) {
 	}
 }
 
+// TestSpanLogMergeWrappedFragment: a fragment whose ring wrapped is merged
+// oldest first with its drop count carried, exactly as an unwrapped one.
+func TestSpanLogMergeWrappedFragment(t *testing.T) {
+	frag := NewSpanLog(3)
+	for i := 0; i < 5; i++ {
+		frag.Begin(0, "target", string(rune('a'+i))).End()
+	}
+	sl := NewSpanLog(0)
+	host := sl.Begin(0, "stage", "probe")
+	sl.Merge(frag, host.ID())
+	recs := sl.Records()
+	if len(recs) != 3 || sl.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3 merged and 2 dropped carried over", len(recs), sl.Dropped())
+	}
+	for i, want := range []string{"c", "d", "e"} {
+		if recs[i].Detail != want || recs[i].ID != SpanID(2+i) || recs[i].Parent != host.ID() {
+			t.Errorf("record %d = %+v, want detail %q id %d under %d", i, recs[i], want, 2+i, host.ID())
+		}
+	}
+	if frag.Len() != 3 {
+		t.Errorf("merge emptied the fragment: %d records left", frag.Len())
+	}
+}
+
 // buildSpanFixture returns a small tree with attrs, volatile attrs, sim
 // and wall durations — enough shape to exercise every exporter branch.
 func buildSpanFixture() []SpanRecord {

@@ -8,7 +8,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -42,11 +44,30 @@ type Attr struct {
 	V string `json:"v"`
 }
 
-// KV builds an Attr with fmt-style default formatting of the value.
+// KV builds an Attr with fmt-style default formatting of the value. The
+// types the per-trace provenance attrs carry are rendered by strconv —
+// byte for byte what %v prints for them — because one cold map builds
+// tens of thousands of attrs; everything else goes through fmt.
 func KV(k string, v any) Attr {
 	switch x := v.(type) {
 	case string:
 		return Attr{K: k, V: x}
+	case bool:
+		return Attr{K: k, V: strconv.FormatBool(x)}
+	case int:
+		return Attr{K: k, V: strconv.Itoa(x)}
+	case int64:
+		return Attr{K: k, V: strconv.FormatInt(x, 10)}
+	case uint:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint8:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint16:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint32:
+		return Attr{K: k, V: strconv.FormatUint(uint64(x), 10)}
+	case uint64:
+		return Attr{K: k, V: strconv.FormatUint(x, 10)}
 	default:
 		return Attr{K: k, V: fmt.Sprintf("%v", v)}
 	}
@@ -112,8 +133,20 @@ func (r *ring[T]) push(v T) {
 // items returns a copy of the retained records, oldest first.
 func (r *ring[T]) items() []T {
 	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	return append(out, r.buf[:r.head]...)
+	older, newer := r.runs()
+	return append(append(out, older...), newer...)
+}
+
+// runs returns the retained records in place, oldest first, as the two
+// runs of buf they occupy (the second is empty until the ring has wrapped).
+func (r *ring[T]) runs() (older, newer []T) { return r.buf[r.head:], r.buf[:r.head] }
+
+// reserve makes room for n more pushes, up to limit, in one allocation, so
+// a merge does not re-grow buf once per fragment.
+func (r *ring[T]) reserve(n int) {
+	if want := min(r.limit, len(r.buf)+n); want > cap(r.buf) {
+		r.buf = slices.Grow(r.buf, want-len(r.buf))
+	}
 }
 
 // Tracer is a bounded, concurrency-safe ring buffer of events. Like every
@@ -159,22 +192,41 @@ func (t *Tracer) push(ev Event) {
 	t.ring.push(ev)
 }
 
-// Merge appends every event of frag to t in frag order, re-assigning
-// sequence numbers. The driver uses this to fold per-target fragment
-// tracers into the run's stream in target order, making the merged stream
-// independent of which worker finished first. Fragment drop counts are
-// carried over.
-func (t *Tracer) Merge(frag *Tracer) {
-	if t == nil || frag == nil {
+// Merge appends every event of each fragment to t, in argument order and
+// each in its own order, re-assigning sequence numbers. The driver uses
+// this to fold per-target fragment tracers into the run's stream in target
+// order, making the merged stream independent of which worker finished
+// first. Fragment drop counts are carried over. Room for the whole batch
+// is reserved once and each fragment is read in place under its own lock:
+// an event is copied once per level it is merged through, never into a
+// slice that then grows. Nil fragments are skipped; a fragment must not be
+// t itself.
+func (t *Tracer) Merge(frags ...*Tracer) {
+	if t == nil {
 		return
 	}
-	evs := frag.Events()
-	t.mu.Lock()
-	for _, ev := range evs {
-		t.push(ev)
+	n := 0
+	for _, frag := range frags {
+		n += frag.Len()
 	}
-	t.ring.dropped += frag.Dropped()
-	t.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ring.reserve(n)
+	for _, frag := range frags {
+		if frag == nil {
+			continue
+		}
+		frag.mu.Lock()
+		older, newer := frag.ring.runs()
+		for i := range older {
+			t.push(older[i])
+		}
+		for i := range newer {
+			t.push(newer[i])
+		}
+		t.ring.dropped += frag.ring.dropped
+		frag.mu.Unlock()
+	}
 }
 
 // Events returns a copy of the retained events in sequence order.

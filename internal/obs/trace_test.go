@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +91,127 @@ func TestTracerMergeResequences(t *testing.T) {
 	// Fragment SimNS survives the merge untouched.
 	if evs[1].SimNS != 10 {
 		t.Fatalf("merge rewrote SimNS: %d", evs[1].SimNS)
+	}
+}
+
+// mergeByCopy is Merge as it was before fragments were read in place: the
+// fragment's events copied out, then pushed one by one.
+func mergeByCopy(t, frag *Tracer) {
+	evs, dropped := frag.Events(), frag.Dropped()
+	t.mu.Lock()
+	for _, ev := range evs {
+		t.push(ev)
+	}
+	t.ring.dropped += dropped
+	t.mu.Unlock()
+}
+
+// TestTracerMergeBatchMatchesCopy: one Merge over a batch of fragments —
+// empty, nil, part-full and wrapped ones, into a tracer with room for all
+// of them and into one whose ring bound bites mid-batch — leaves the
+// events, sequence numbers, drop count and fingerprint that merging copies
+// one fragment at a time did.
+func TestTracerMergeBatchMatchesCopy(t *testing.T) {
+	frags := func() []*Tracer {
+		out := []*Tracer{NewTracer(8), nil, NewTracer(4), NewTracer(3), NewTracer(64)}
+		for f, n := range map[int]int{2: 3, 3: 8, 4: 40} { // fragment 3 wraps, twice
+			for i := 0; i < n; i++ {
+				out[f].Emit(StageProbe, "trace", fmt.Sprintf("f%d.%d", f, i), int64(i), KV("hops", i))
+			}
+		}
+		return out
+	}
+	for _, limit := range []int{0, 16} {
+		got, want := NewTracer(limit), NewTracer(limit)
+		for _, tr := range []*Tracer{got, want} {
+			tr.Emit(StageProbe, "target", "AS1", 0)
+		}
+		got.Merge(frags()...)
+		for _, f := range frags() {
+			if f != nil {
+				mergeByCopy(want, f)
+			}
+		}
+		if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
+			t.Errorf("limit %d: batch merge kept %d events (%d dropped), copy merge %d (%d dropped)",
+				limit, got.Len(), got.Dropped(), want.Len(), want.Dropped())
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("limit %d: fingerprints differ", limit)
+		}
+	}
+}
+
+// TestTracerMergeReservesOnce pins what the batch form is for: folding a
+// batch into a tracer allocates its buffer once, however many fragments
+// and events there are, and never more room than the ring bound.
+func TestTracerMergeReservesOnce(t *testing.T) {
+	var frags []*Tracer
+	for f := 0; f < 50; f++ {
+		fr := NewTracer(0)
+		for i := 0; i < 40; i++ {
+			fr.Emit(StageProbe, "trace", "d", int64(i))
+		}
+		frags = append(frags, fr)
+	}
+	allocs := testing.AllocsPerRun(10, func() { NewTracer(0).Merge(frags...) })
+	// The tracer and its buffer; the race detector adds one. Growing by
+	// append, with a copy of every fragment, took 65.
+	if allocs > 3 {
+		t.Errorf("merging 50 fragments of 40 events allocates %.0f times, want at most 3", allocs)
+	}
+	small := NewTracer(100)
+	small.Merge(frags...)
+	if c := cap(small.ring.buf); small.Len() != 100 || c >= 200 || small.Dropped() != 1900 {
+		t.Errorf("bounded merge: len %d cap %d dropped %d, want 100, about 100, 1900", small.Len(), c, small.Dropped())
+	}
+}
+
+// TestTracerMergeWhileEmitting: a fragment is read in place, so a Merge
+// racing emitters on both the fragment and the target must still see each
+// fragment event at most once and keep sequence numbers unique. Run under
+// -race by CI's chaos job.
+func TestTracerMergeWhileEmitting(t *testing.T) {
+	dst, frag := NewTracer(0), NewTracer(0)
+	var wg sync.WaitGroup
+	for _, tr := range []*Tracer{dst, frag} {
+		wg.Add(1)
+		go func(tr *Tracer) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr.Emit(StageProbe, "trace", "x", int64(i))
+			}
+		}(tr)
+	}
+	dst.Merge(frag)
+	wg.Wait()
+	dst.Merge(frag) // everything emitted by now, some of it for the second time
+	seen := make(map[uint64]bool)
+	for _, ev := range dst.Events() {
+		if seen[ev.Seq] {
+			t.Fatalf("duplicate seq %d", ev.Seq)
+		}
+		seen[ev.Seq] = true
+	}
+	if n := dst.Len(); n < 1000 || n > 1500 {
+		t.Fatalf("merged tracer holds %d events, want its own 500, the fragment's 500, and at most 500 merged twice", n)
+	}
+}
+
+// TestKVMatchesFmt: the strconv renderings are what fmt's %v printed, so
+// no trace or span fingerprint moved when KV stopped calling fmt.
+func TestKVMatchesFmt(t *testing.T) {
+	type stringer struct{ a, b int }
+	for _, v := range []any{
+		"text", "", true, false,
+		0, -1, 42, int(^uint(0) >> 1), -int(^uint(0)>>1) - 1,
+		int64(-9223372036854775808), int64(9223372036854775807),
+		uint(7), uint8(255), uint16(65535), uint32(4294967295), uint64(18446744073709551615),
+		int8(-3), int32(-70000), 1.5, float32(0.25), []int{1, 2}, stringer{1, 2}, nil, StageProbe,
+	} {
+		if got, want := KV("k", v), fmt.Sprintf("%v", v); got.K != "k" || got.V != want {
+			t.Errorf("KV(%T %v) = %+v, fmt prints %q", v, v, got, want)
+		}
 	}
 }
 

@@ -29,9 +29,11 @@ import (
 // Engine simulates probe forwarding and responses over one network.
 // It is safe for concurrent use; the simulated clock is shared.
 //
-// An Engine is bound to one built Net and its Tab and memoises what
-// forwarding derives from them (see plane): mutate the world, build a new
-// engine.
+// An Engine is bound to one built Net and its Tab. What forwarding derives
+// from them lives in a plane that every engine forked from this one shares
+// (see plane and Fork); what a measurement accrues — clock, IP-IDs,
+// rate-limit windows, congestion episodes, fault schedule, Stats — is the
+// engine's own. Mutate the world, build a new plane with New.
 type Engine struct {
 	Net *topo.Network
 	Tab *bgp.Table
@@ -45,8 +47,9 @@ type Engine struct {
 
 	stats struct{ traceroutes, probes, packetsSent, responsesRcv atomic.Int64 }
 
-	// fwd is the forwarding plane compiled from Net and Tab (see plane).
-	fwd plane
+	// fwd is the forwarding plane compiled from Net and Tab (see plane),
+	// shared with every fork.
+	fwd *plane
 
 	// lat holds the latency/congestion model (latency.go).
 	lat latencyState
@@ -112,25 +115,7 @@ func (e *Engine) SetFaults(inj *faults.Injector) { e.flt = inj }
 // dropInjected draws the next probe-response fate from the attached
 // injector. Responses that never existed must not draw.
 func (e *Engine) dropInjected() bool {
-	if e.flt == nil || !e.flt.DropProbeResponse() {
-		return false
-	}
-	e.eobs.faultDrops.Inc()
-	return true
-}
-
-// countHop attributes one traceroute hop response to its ICMP class.
-func (e *Engine) countHop(t HopType) {
-	switch t {
-	case HopTimeExceeded:
-		e.eobs.respTimeExceeded.Inc()
-	case HopEchoReply:
-		e.eobs.respEchoReply.Inc()
-	case HopUnreachable:
-		e.eobs.respUnreachable.Inc()
-	default:
-		e.eobs.respTimeout.Inc()
-	}
+	return e.flt != nil && e.flt.DropProbeResponse()
 }
 
 // Stats counts the traffic the engine has carried.
@@ -141,14 +126,27 @@ type Stats struct {
 	ResponsesRcv int64
 }
 
-// New creates an engine over a built network and its routing table.
+// New creates an engine over a built network and its routing table, with
+// an empty forwarding plane of its own.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
 	return &Engine{
 		Net:  net,
 		Tab:  tab,
 		ipid: make(map[topo.RouterID]*ipidState),
 		rate: make(map[topo.RouterID]*rateState),
+		fwd:  new(plane),
 	}
+}
+
+// Fork returns an engine over the same world that shares e's forwarding
+// plane and nothing else: its clock starts at zero and it has no IP-ID,
+// rate-limit, congestion, fault, metrics or Stats state, exactly as if
+// New had built it. What it measures is therefore what a fresh engine
+// would measure; it just does not derive the routing again.
+func (e *Engine) Fork() *Engine {
+	f := New(e.Net, e.Tab)
+	f.fwd = e.fwd
+	return f
 }
 
 // orgOf names asn's organization; "" for an AS the network does not have.
@@ -219,19 +217,36 @@ const (
 	maxASHops     = 32
 )
 
-// plane memoises what forwarding derives from the engine's Net and Tab,
-// which are frozen for the engine's lifetime (a mutated world gets a new
-// engine): a probe is charged packets, IP-IDs, rate-limit budget and fault
-// draws, never a re-derivation of routing. Everything in it is immutable
-// once stored and shared between goroutines. The maps are allocated by
-// their first miss — an incremental round's engine lives for ≈2 100
-// packets.
+// plane memoises what forwarding derives from one (Net, Tab), which are
+// frozen for the plane's lifetime (a mutated world gets a new plane): a
+// probe is charged packets, IP-IDs, rate-limit budget and fault draws,
+// never a re-derivation of routing. Every engine forked from the one New
+// built reads the same plane, so a scenario derives each BFS tree, egress
+// set and walk once, whichever vantage point asked first — egress choice
+// is a function of routing state, not of who is asking. Everything in it
+// is immutable once stored; a hit takes no lock and writes nothing (see
+// table). The tables hold nothing until their first miss — an incremental
+// round's plane lives for ≈2 100 packets.
 type plane struct {
-	mu      sync.RWMutex
-	paths   map[uint64]*pathResult          // start router<<32 | dst → walk
-	egress  map[egressKey][]topo.Attachment // usable attachments, list order
-	bfs     map[topo.RouterID]*bfsTree
-	orgAtts map[topo.ASN][]topo.Attachment
+	paths   table[pathKey, pathResult]
+	egress  table[egressKey, []topo.Attachment] // usable attachments, list order
+	bfs     table[topo.RouterID, *bfsTree]
+	orgAtts table[topo.ASN, []topo.Attachment]
+}
+
+// pathKey names a walk by what walkPath reads of its destination: the
+// interface the address belongs to, or — when no interface holds it — only
+// the routed prefix covering it. Every address of a target block therefore
+// shares one walk, and so do the §5.3 retry rule's second to fifth.
+type pathKey struct {
+	start topo.RouterID
+	to    netx.Prefix // the interface address as a /32 when exact
+	exact bool
+}
+
+func (k pathKey) hash() uint64 {
+	h := uint64(uint32(k.start))<<32 | uint64(k.to.Base)
+	return mix64(h ^ uint64(k.to.Len)<<56)
 }
 
 // egressKey names an egress set by announcement atom, not prefix: the set
@@ -242,39 +257,31 @@ type egressKey struct {
 	atom  int32
 }
 
-// memo returns (*m)[k], building and storing it on a miss. build runs
-// outside the lock; when two goroutines race on one key the first stored
-// value wins, so every caller shares one result.
-func memo[K comparable, V any](mu *sync.RWMutex, m *map[K]V, k K, build func() V) V {
-	mu.RLock()
-	v, ok := (*m)[k]
-	mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = build()
-	mu.Lock()
-	defer mu.Unlock()
-	if w, ok := (*m)[k]; ok {
-		return w
-	}
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[k] = v
-	return v
-}
+func (k egressKey) hash() uint64 { return mix64(uint64(k.owner)<<32 | uint64(uint32(k.atom))) }
+
+// noPath is the walk toward an address nothing routes and no interface
+// holds.
+var noPath pathResult
 
 // computePath returns the router-level forwarding path from startRouter
 // toward dst. The result is shared and must not be modified.
 func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) *pathResult {
-	key := uint64(uint32(startRouter))<<32 | uint64(dst)
-	return memo(&e.fwd.mu, &e.fwd.paths, key, func() *pathResult {
-		res := new(pathResult)
-		var buf [16]pathStep // most walks fit: the exact-size copy is the only allocation
-		res.steps = append([]pathStep(nil), e.walkPath(res, startRouter, dst, buf[:0])...)
-		return res
-	})
+	key := pathKey{start: startRouter, to: netx.Prefix{Base: dst, Len: 32}, exact: true}
+	if e.Net.IfaceByAddr(dst) == nil {
+		prefix, routed := e.Tab.Lookup(dst)
+		if !routed {
+			return &noPath
+		}
+		key = pathKey{start: startRouter, to: prefix}
+	}
+	h := key.hash()
+	if p := e.fwd.paths.get(key, h); p != nil {
+		return p
+	}
+	var res pathResult
+	var buf [16]pathStep // most walks fit: the exact-size copy is the only allocation besides the entry
+	res.steps = append([]pathStep(nil), e.walkPath(&res, startRouter, dst, buf[:0])...)
+	return e.fwd.paths.put(key, h, res)
 }
 
 // walkPath walks the forwarding path from startRouter toward dst. It
@@ -524,43 +531,52 @@ func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.Prefi
 // AS and carry the prefix's announcement. The slice is shared: callers must
 // not mutate it.
 func (e *Engine) egressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
-	return memo(&e.fwd.mu, &e.fwd.egress, egressKey{owner, rib.Atom}, func() []topo.Attachment {
-		single, multi := e.candidateNextHops(owner, rib)
-		if single == 0 && len(multi) == 0 {
-			return nil
+	key := egressKey{owner, rib.Atom}
+	h := key.hash()
+	if set := e.fwd.egress.get(key, h); set != nil {
+		return *set
+	}
+	return *e.fwd.egress.put(key, h, e.buildEgressSet(owner, prefix, rib))
+}
+
+func (e *Engine) buildEgressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
+	single, multi := e.candidateNextHops(owner, rib)
+	if single == 0 && len(multi) == 0 {
+		return nil
+	}
+	if multi == nil {
+		multi = []topo.ASN{single}
+	}
+	var buf [8]topo.Attachment
+	set := buf[:0]
+	// Siblings share an IGP: egress over any org member's attachments.
+	for _, att := range e.orgAttachments(owner) {
+		if !slices.Contains(multi, att.Remote) {
+			continue
 		}
-		if multi == nil {
-			multi = []topo.ASN{single}
+		// Selective announcement: the origin announces a pinned prefix
+		// only over the designated links (§6).
+		if e.Tab.IsOrigin(prefix, att.Remote) && !e.Net.AnnouncedOnLink(prefix, att.Link) {
+			continue
 		}
-		var buf [8]topo.Attachment
-		set := buf[:0]
-		// Siblings share an IGP: egress over any org member's attachments.
-		for _, att := range e.orgAttachments(owner) {
-			if !slices.Contains(multi, att.Remote) {
-				continue
-			}
-			// Selective announcement: the origin announces a pinned prefix
-			// only over the designated links (§6).
-			if e.Tab.IsOrigin(prefix, att.Remote) && !e.Net.AnnouncedOnLink(prefix, att.Link) {
-				continue
-			}
-			set = append(set, att)
-		}
-		return append([]topo.Attachment(nil), set...)
-	})
+		set = append(set, att)
+	}
+	return append([]topo.Attachment(nil), set...)
 }
 
 // orgAttachments returns the concatenated interdomain attachments of every
 // member of owner's organization, cached per owner. The slice is shared:
 // callers must not mutate it.
 func (e *Engine) orgAttachments(owner topo.ASN) []topo.Attachment {
-	return memo(&e.fwd.mu, &e.fwd.orgAtts, owner, func() []topo.Attachment {
-		var atts []topo.Attachment
-		for _, member := range e.Net.Siblings(owner) {
-			atts = append(atts, e.Net.Attachments(member)...)
-		}
-		return atts
-	})
+	h := mix64(uint64(owner))
+	if atts := e.fwd.orgAtts.get(owner, h); atts != nil {
+		return *atts
+	}
+	var atts []topo.Attachment
+	for _, member := range e.Net.Siblings(owner) {
+		atts = append(atts, e.Net.Attachments(member)...)
+	}
+	return *e.fwd.orgAtts.put(owner, h, atts)
 }
 
 // candidateNextHops returns the equal-best next-hop set for the host
@@ -614,28 +630,30 @@ func (t *bfsTree) nextHopFrom(r topo.RouterID) (topo.RouterID, bool) {
 
 // bfsFrom returns (cached) the BFS tree rooted at root over internal links.
 func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
-	return memo(&e.fwd.mu, &e.fwd.bfs, root, func() *bfsTree {
-		t := &bfsTree{
-			root: root,
-			next: make(map[topo.RouterID]topo.RouterID),
-			dist: map[topo.RouterID]int{root: 0},
-		}
-		queue := []topo.RouterID{root}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, adj := range e.Net.InternalNeighbors(cur) {
-				nb := adj.Peer.Router
-				if _, seen := t.dist[nb]; seen {
-					continue
-				}
-				t.dist[nb] = t.dist[cur] + 1
-				t.next[nb] = cur
-				queue = append(queue, nb)
+	h := mix64(uint64(uint32(root)))
+	if t := e.fwd.bfs.get(root, h); t != nil {
+		return *t
+	}
+	t := &bfsTree{
+		root: root,
+		next: make(map[topo.RouterID]topo.RouterID),
+		dist: map[topo.RouterID]int{root: 0},
+	}
+	queue := []topo.RouterID{root}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, adj := range e.Net.InternalNeighbors(cur) {
+			nb := adj.Peer.Router
+			if _, seen := t.dist[nb]; seen {
+				continue
 			}
+			t.dist[nb] = t.dist[cur] + 1
+			t.next[nb] = cur
+			queue = append(queue, nb)
 		}
-		return t
-	})
+	}
+	return *e.fwd.bfs.put(root, h, t)
 }
 
 // igpDist returns the internal hop distance between two routers.

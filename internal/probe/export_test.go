@@ -55,6 +55,13 @@ func (e *Engine) chooseEgressOracle(r *topo.Router, prefix netx.Prefix, rib *bgp
 	return topo.Attachment{}, false
 }
 
+// len returns the number of entries stored.
+func (t *table[K, V]) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
+
 func samePath(a, b *pathResult) bool {
 	return slices.Equal(a.steps, b.steps) && a.reached == b.reached &&
 		a.anchorReplies == b.anchorReplies && a.exactIface == b.exactIface
@@ -137,5 +144,5 @@ func (e *Engine) CheckEgressSets(prefixes []netx.Prefix) (held, asked int, err e
 			}
 		}
 	}
-	return len(e.fwd.egress), len(pairs), nil
+	return e.fwd.egress.len(), len(pairs), nil
 }

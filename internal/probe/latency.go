@@ -2,6 +2,7 @@ package probe
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bdrmap/internal/topo"
@@ -24,9 +25,12 @@ type CongestionEpisode struct {
 	Queue time.Duration // peak added queueing delay
 }
 
+// latencyState publishes the injected episodes as an immutable slice:
+// every link crossing of every probe reads it, so readers take one atomic
+// load and no lock; mu orders the writers, which copy.
 type latencyState struct {
 	mu       sync.Mutex
-	episodes []CongestionEpisode
+	episodes atomic.Pointer[[]CongestionEpisode] // nil when there are none
 }
 
 // InjectCongestion schedules a recurring daily congestion episode on a
@@ -34,14 +38,19 @@ type latencyState struct {
 func (e *Engine) InjectCongestion(ep CongestionEpisode) {
 	e.lat.mu.Lock()
 	defer e.lat.mu.Unlock()
-	e.lat.episodes = append(e.lat.episodes, ep)
+	var eps []CongestionEpisode
+	if cur := e.lat.episodes.Load(); cur != nil {
+		eps = append(eps, *cur...)
+	}
+	eps = append(eps, ep)
+	e.lat.episodes.Store(&eps)
 }
 
 // ClearCongestion removes all injected episodes.
 func (e *Engine) ClearCongestion() {
 	e.lat.mu.Lock()
 	defer e.lat.mu.Unlock()
-	e.lat.episodes = nil
+	e.lat.episodes.Store(nil)
 }
 
 // linkDelay returns the one-way delay of crossing link l at simulated
@@ -84,14 +93,13 @@ func (e *Engine) linkDelay(l *topo.Link, out, in *topo.Iface, now time.Duration)
 // queueDelay returns the congestion-induced queueing delay on l at time
 // now (zero when uncongested).
 func (e *Engine) queueDelay(l *topo.Link, now time.Duration) time.Duration {
-	e.lat.mu.Lock()
-	defer e.lat.mu.Unlock()
-	if len(e.lat.episodes) == 0 {
+	eps := e.lat.episodes.Load()
+	if eps == nil {
 		return 0
 	}
 	tod := now % (24 * time.Hour)
 	var q time.Duration
-	for _, ep := range e.lat.episodes {
+	for _, ep := range *eps {
 		if ep.Link != l {
 			continue
 		}
@@ -102,23 +110,36 @@ func (e *Engine) queueDelay(l *topo.Link, now time.Duration) time.Duration {
 	return q
 }
 
+// responderCost is what the answering router spends turning a probe
+// around.
+const responderCost = 200 * time.Microsecond
+
+// hopDelay returns the one-way delay from steps[i] to steps[i+1] at
+// simulated time now.
+func (e *Engine) hopDelay(steps []pathStep, i int, now time.Duration) time.Duration {
+	out := steps[i].out
+	in := steps[i+1].in
+	var l *topo.Link
+	if out != nil {
+		l = out.Link
+	} else if in != nil {
+		l = in.Link
+	}
+	return e.linkDelay(l, out, in, now)
+}
+
+// oneWayDelay sums the link crossings of the given path at time now.
+func (e *Engine) oneWayDelay(steps []pathStep, now time.Duration) time.Duration {
+	var oneWay time.Duration
+	for i := 0; i+1 < len(steps); i++ {
+		oneWay += e.hopDelay(steps, i, now)
+	}
+	return oneWay
+}
+
 // pathRTT computes the round-trip time of a probe that traverses the
 // given path and returns: twice the one-way sum (the reverse path is
 // assumed symmetric, as TSLP assumes for the near/far comparison).
 func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
-	var oneWay time.Duration
-	for i := 0; i+1 < len(steps); i++ {
-		out := steps[i].out
-		in := steps[i+1].in
-		var l *topo.Link
-		if out != nil {
-			l = out.Link
-		} else if in != nil {
-			l = in.Link
-		}
-		oneWay += e.linkDelay(l, out, in, now)
-	}
-	// Responder processing cost.
-	oneWay += 200 * time.Microsecond
-	return 2 * oneWay
+	return 2 * (e.oneWayDelay(steps, now) + responderCost)
 }

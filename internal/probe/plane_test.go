@@ -14,10 +14,12 @@ import (
 
 // TestMemoisedWalkMatchesFresh is the forwarding plane's differential
 // suite: on every built-in profile, from every VP toward every destination
-// the driver would trace and every interface address alias resolution
-// could probe, and from every router back toward every VP (the reverse
-// walk of ttlExpiredSource), Engine.CheckWalk must find the memoised walk
-// equal to a fresh one and chooseEgress equal to the original scan.
+// the driver would trace — the five addresses of each target block the
+// §5.3 retry rule can reach, which share one prefix-keyed walk — and every
+// interface address alias resolution could probe, and from every router
+// back toward every VP (the reverse walk of ttlExpiredSource),
+// Engine.CheckWalk must find the memoised walk equal to a fresh walk to
+// that very address and chooseEgress equal to the original scan.
 func TestMemoisedWalkMatchesFresh(t *testing.T) {
 	for _, prof := range topo.BuiltinProfiles() {
 		prof := prof
@@ -31,7 +33,9 @@ func TestMemoisedWalkMatchesFresh(t *testing.T) {
 			var dsts []netx.Addr
 			for _, tg := range scamper.Targets(view, map[topo.ASN]bool{n.HostASN: true}) {
 				for _, b := range tg.Blocks {
-					dsts = append(dsts, b.First+1)
+					for dst := b.First + 1; dst <= b.First+5 && b.Contains(dst); dst++ {
+						dsts = append(dsts, dst)
+					}
 				}
 			}
 			for _, r := range n.Routers {

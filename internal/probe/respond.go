@@ -91,17 +91,33 @@ func (e *Engine) Traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 }
 
 func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, rt responder) TraceResult {
-	e.stats.traceroutes.Add(1)
-	e.eobs.traceroutes.Inc()
-
 	res := TraceResult{VP: vp.Name, Dst: dst}
 	path := e.computePath(vp.Router, dst)
+	if n := len(path.steps); n > 0 {
+		res.Hops = make([]Hop, 0, n)
+	}
+
+	// oneWay is the delay from the VP to the router probed, at time
+	// sumAt. It grows by one link per TTL and is summed from the steps
+	// again only when the responder's clock moved mid-trace — time of day
+	// selects the congestion episodes — so every hop's RTT is
+	// pathRTT(path.steps[:i+1], rt.now()) and a trace costs O(hops).
+	var oneWay, sumAt time.Duration
+	// One packet is sent per hop recorded; byType counts the responses by
+	// class. The engine's counters take the totals once, after the trace.
+	var byType [HopUnreachable + 1]int64
 
 	gap := 0
 	for i, step := range path.steps {
-		hopRTT := e.pathRTT(path.steps[:i+1], rt.now())
-		e.stats.packetsSent.Add(1)
-		e.eobs.packets.Inc()
+		switch now := rt.now(); {
+		case i == 0:
+			sumAt = now
+		case now != sumAt:
+			oneWay, sumAt = e.oneWayDelay(path.steps[:i+1], now), now
+		default:
+			oneWay += e.hopDelay(path.steps, i-1, now)
+		}
+		hopRTT := 2 * (oneWay + responderCost)
 
 		final := i == len(path.steps)-1
 		hop := Hop{TTL: i + 1, Type: HopTimeout}
@@ -134,18 +150,12 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 				hop = Hop{TTL: i + 1, Type: HopTimeout}
 				res.FaultDropped++
 			}
-			e.countHop(hop.Type)
 			if hop.Type != HopTimeout {
 				hop.RTT = hopRTT
-				if hop.Type == HopEchoReply {
-					res.Reached = true
-				}
-				res.Hops = append(res.Hops, hop)
-				e.stats.responsesRcv.Add(1)
-				e.eobs.responses.Inc()
-			} else {
-				res.Hops = append(res.Hops, hop)
+				res.Reached = hop.Type == HopEchoReply
 			}
+			byType[hop.Type]++
+			res.Hops = append(res.Hops, hop)
 			break
 		}
 
@@ -163,7 +173,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			hop = Hop{TTL: i + 1, Type: HopTimeout}
 			res.FaultDropped++
 		}
-		e.countHop(hop.Type)
+		byType[hop.Type]++
 		res.Hops = append(res.Hops, hop)
 		if hop.Type == HopTimeout {
 			if gap++; gap >= gapLimit {
@@ -172,14 +182,26 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			continue
 		}
 		gap = 0
-		e.stats.responsesRcv.Add(1)
-		e.eobs.responses.Inc()
 		if stop != nil && stop(hop.Addr) {
 			res.Stopped = true
 			break
 		}
 	}
-	e.eobs.traceHops.Observe(int64(len(res.Hops)))
+
+	sent := int64(len(res.Hops))
+	answered := sent - byType[HopTimeout]
+	e.stats.traceroutes.Add(1)
+	e.stats.packetsSent.Add(sent)
+	e.stats.responsesRcv.Add(answered)
+	e.eobs.traceroutes.Inc()
+	e.eobs.packets.Add(sent)
+	e.eobs.responses.Add(answered)
+	e.eobs.respTimeExceeded.Add(byType[HopTimeExceeded])
+	e.eobs.respEchoReply.Add(byType[HopEchoReply])
+	e.eobs.respUnreachable.Add(byType[HopUnreachable])
+	e.eobs.respTimeout.Add(byType[HopTimeout])
+	e.eobs.faultDrops.Add(int64(res.FaultDropped))
+	e.eobs.traceHops.Observe(sent)
 	return res
 }
 
@@ -307,6 +329,7 @@ func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
 		return Response{}
 	}
 	if e.dropInjected() {
+		e.eobs.faultDrops.Inc()
 		return Response{}
 	}
 	resp.When = e.Now()

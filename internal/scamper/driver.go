@@ -394,9 +394,9 @@ func (d *Driver) Run() *Dataset {
 		if lost[i] {
 			ds.Stats.TargetsLost++
 		}
-		d.Trace.Merge(frags[i])
 		d.Spans.Merge(sfrags[i], probeSp.ID())
 	}
+	d.Trace.Merge(frags...)
 	ds.Stats.Traces = len(ds.Traces)
 	for _, tr := range ds.Traces {
 		ds.Stats.HopsObserved += len(tr.Hops)

@@ -14,8 +14,8 @@
 package topo
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"bdrmap/internal/netx"
 )
@@ -24,7 +24,10 @@ import (
 type ASN uint32
 
 // String returns the conventional "ASxxxx" rendering.
-func (a ASN) String() string { return fmt.Sprintf("AS%d", uint32(a)) }
+func (a ASN) String() string {
+	var buf [12]byte // "AS" and at most ten digits
+	return string(strconv.AppendUint(append(buf[:0], "AS"...), uint64(a), 10))
+}
 
 // Rel is the business relationship between two ASes, expressed from the
 // perspective of the first AS: RelCustomer means "the first AS is a

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -15,6 +16,19 @@ func mustPrefix(t *testing.T, s string) netx.Prefix {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestASNStringMatchesFmt: the strconv rendering is what fmt's "AS%d"
+// printed, at every digit count.
+func TestASNStringMatchesFmt(t *testing.T) {
+	for _, a := range []ASN{0, 7, 42, 174, 3356, 65001, 131072, 4200000000, 4294967295} {
+		if got, want := a.String(), fmt.Sprintf("AS%d", uint32(a)); got != want {
+			t.Errorf("ASN(%d).String() = %q, fmt prints %q", uint32(a), got, want)
+		}
+		if got, want := fmt.Sprint(a), a.String(); got != want {
+			t.Errorf("fmt.Sprint(ASN(%d)) = %q, want %q", uint32(a), got, want)
+		}
+	}
 }
 
 // InterdomainLinks feeds mapdb's mutation schedule ("attach at the first

@@ -270,7 +270,9 @@ func (r *Report) NeighborASes() []ASN {
 // Raw exposes the underlying inference result.
 func (r *Report) Raw() *core.Result { return r.raw }
 
-// Options tunes a mapping run.
+// Options tunes a mapping run: how many targets are probed at once, and
+// the two measurement ablations the paper evaluates. The inferred map is
+// identical for any worker count.
 type Options struct {
 	// Workers parallelizes probing across target ASes (default 4).
 	Workers int
@@ -278,10 +280,6 @@ type Options struct {
 	DisableStopSet bool
 	// DisableAlias skips alias resolution (exposes the fig. 13 errors).
 	DisableAlias bool
-	// InferWorkers parallelizes the §5.4 heuristic sweep across routers at
-	// equal hop distance (0 or 1 means sequential). The inferred map and
-	// its provenance fingerprint are identical for any worker count.
-	InferWorkers int
 }
 
 // MapBorders measures from vantage point vp and infers the hosting
@@ -297,10 +295,7 @@ func (w *World) MapBordersOpts(vp int, o Options) *Report {
 		DisableStopSet: o.DisableStopSet,
 		DisableAlias:   o.DisableAlias,
 	}
-	opts := core.Options{
-		NoAnalyticalAlias: o.DisableAlias,
-		InferWorkers:      o.InferWorkers,
-	}
+	opts := core.Options{NoAnalyticalAlias: o.DisableAlias}
 	res := w.s.RunVP(vp, cfg, opts)
 	return w.buildReport(res)
 }
@@ -319,8 +314,6 @@ type RemoteOptions struct {
 	// TargetTimeout bounds the wall-clock time spent on one target AS;
 	// zero means no limit (the deterministic default).
 	TargetTimeout time.Duration
-	// InferWorkers is as in Options.
-	InferWorkers int
 }
 
 // MapBordersRemote measures from vantage point vp over the §5.8
@@ -336,10 +329,7 @@ func (w *World) MapBordersRemote(vp int, o RemoteOptions) (*Report, error) {
 		DisableAlias:   o.DisableAlias,
 		TargetTimeout:  o.TargetTimeout,
 	}
-	opts := core.Options{
-		NoAnalyticalAlias: o.DisableAlias,
-		InferWorkers:      o.InferWorkers,
-	}
+	opts := core.Options{NoAnalyticalAlias: o.DisableAlias}
 	res, _, err := w.s.RunVPRemote(vp, cfg, opts, "127.0.0.1:0", o.FaultSpec)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ package bdrmap
 //	BenchmarkRemoteSession  – §5.8 resource-limited device split
 //	BenchmarkAblation*      – DESIGN.md ablation suite
 //
-// plus micro-benchmarks of the load-bearing primitives.
+// Per-layer timing lives in bench/ (bash bench/run.sh), not here.
 
 import (
 	"fmt"
@@ -21,11 +21,8 @@ import (
 	"testing"
 	"time"
 
-	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
-	"bdrmap/internal/netx"
-	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -180,105 +177,5 @@ func BenchmarkAblationSingleAddr(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := eval.AblationSingleAddr(topo.TinyProfile(), 1)
 		once(b, "abl-1addr", a.Name+": links "+itoa(a.BaseLinks)+" -> "+itoa(a.VariantLinks))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks of the primitives.
-
-func BenchmarkGenerateTiny(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo.Generate(topo.TinyProfile(), int64(i))
-	}
-}
-
-// BenchmarkBGPRoutesPerPrefix cycles Routes over every prefix of a table
-// that is rebuilt, off the clock, each time the cycle wraps: one op is a
-// propagation when the prefix is the first of its announcement atom and a
-// cache hit otherwise, in the mix a cold Collect pays (atoms/op is the
-// share of ops that propagate).
-func BenchmarkBGPRoutesPerPrefix(b *testing.B) {
-	n := topo.Generate(topo.TinyProfile(), 1)
-	tab := bgp.NewTable(n)
-	prefixes := tab.Prefixes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%len(prefixes) == 0 {
-			b.StopTimer()
-			tab = bgp.NewTable(n)
-			b.StartTimer()
-		}
-		tab.Routes(prefixes[i%len(prefixes)])
-	}
-	b.ReportMetric(float64(tab.Atoms())/float64(len(prefixes)), "atoms/op")
-}
-
-func BenchmarkTraceroute(b *testing.B) {
-	n := topo.Generate(topo.TinyProfile(), 1)
-	e := probe.New(n, bgp.NewTable(n))
-	vp := n.VPs[0]
-	prefixes := e.Tab.Prefixes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Traceroute(vp, prefixes[i%len(prefixes)].First()+1, nil)
-	}
-}
-
-func BenchmarkInferOnly(b *testing.B) {
-	s := eval.Build(topo.TinyProfile(), 1)
-	s.RunVP(0, scamper.Config{Workers: 1}, core.Options{})
-	in := core.Input{
-		Data: s.Datasets[0], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Infer(in)
-	}
-}
-
-func BenchmarkTrieLookup(b *testing.B) {
-	var tr netx.Trie[int]
-	for i := 0; i < 4096; i++ {
-		tr.Insert(netx.MakePrefix(netx.Addr(i)<<16, 8+i%17), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(netx.Addr(i * 2654435761))
-	}
-}
-
-func BenchmarkFullPipelineTiny(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := NewWorld(Tiny(), 1)
-		rep := w.MapBorders(0)
-		if len(rep.Links) == 0 {
-			b.Fatal("no links")
-		}
-		// Emit the same observability snapshot the CLI's -metrics flag
-		// prints, plus the probing effort as benchmark metrics.
-		snap := rep.Metrics
-		once(b, "pipeline-metrics", snap.Format())
-		b.ReportMetric(float64(snap.Counter("probe.packets_sent")), "packets/op")
-		b.ReportMetric(float64(snap.Counter("driver.traces")), "traces/op")
-	}
-}
-
-// BenchmarkInferSteadyState measures re-inference on a warm arena — the
-// serving loop's actual cost once slabs have reached capacity. Compare
-// with BenchmarkInferOnly, which pays pool-cold slab growth.
-func BenchmarkInferSteadyState(b *testing.B) {
-	s := eval.Build(topo.TinyProfile(), 1)
-	s.RunVP(0, scamper.Config{Workers: 1}, core.Options{})
-	var ar core.Arena
-	in := core.Input{
-		Data: s.Datasets[0], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: &ar,
-	}
-	core.Infer(in)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Infer(in)
 	}
 }

@@ -16,10 +16,8 @@ import (
 // transports under healing fault schedules — and the outputs must be
 // byte-identical: same per-VP link sets and owner attributions, same
 // merged map, same provenance trace fingerprint, same span-tree
-// fingerprint. The same harness pins InferWorkers=1 against
-// InferWorkers=8, discharging the claim that equal-hop parallelism cannot
-// change the inferred map. Run under -race these tests double as the
-// data-race check on the worker pool and the parallel sweep.
+// fingerprint. Run under -race these tests double as the data-race check
+// on the worker pool.
 
 // ownerRow is the stable serialization of one router's attribution.
 type ownerRow struct {
@@ -149,28 +147,6 @@ func TestDifferentialFleetAdversarialOrder(t *testing.T) {
 	diffWorlds(t, "sequential", "reversed-order", seq, flt, seqReps, fltReps)
 }
 
-// TestDifferentialInferWorkers pins the parallel sweep against the
-// sequential one on the same scenarios.
-func TestDifferentialInferWorkers(t *testing.T) {
-	cases := []struct {
-		name string
-		prof Profile
-	}{
-		{"tiny", Tiny()},
-		{"small-access", SmallAccess()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w1 := NewWorld(tc.prof, 1)
-			rep1 := w1.MapBordersOpts(0, Options{InferWorkers: 1})
-			w8 := NewWorld(tc.prof, 1)
-			rep8 := w8.MapBordersOpts(0, Options{InferWorkers: 8})
-			diffReports(t, "workers=1", "workers=8", rep1, rep8,
-				w1.TraceFingerprint(), w8.TraceFingerprint())
-		})
-	}
-}
-
 // TestDifferentialRemoteChaos replays the remote-tiny chaos seeds through
 // the standalone remote runner and a fleet remote shard: the degraded
 // (partial) datasets must infer identically.
@@ -182,7 +158,7 @@ func TestDifferentialRemoteChaos(t *testing.T) {
 	for _, tc := range specs {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := NewWorld(Tiny(), 1)
-			srep, err := sw.MapBordersRemote(0, RemoteOptions{FaultSpec: tc.spec, InferWorkers: 8})
+			srep, err := sw.MapBordersRemote(0, RemoteOptions{FaultSpec: tc.spec})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -336,14 +336,6 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	return r.Velocity(a, b, VelocityConfig{})
 }
 
-// Prefixscan attempts to confirm that addr is the inbound interface of the
-// router it sits on by testing whether its point-to-point subnet mate is
-// an alias of prevHop (§5.3). It returns the mate and true on success.
-func (r *Resolver) Prefixscan(prevHop, addr netx.Addr) (netx.Addr, bool) {
-	mate, ok, _ := r.PrefixscanTrace(prevHop, addr)
-	return mate, ok
-}
-
 // PairVerdict records one pair test a compound operation performed — the
 // replay substrate for cross-round caching: re-Record()ing the verdicts in
 // order reproduces the resolver state the operation left behind without
@@ -353,10 +345,12 @@ type PairVerdict struct {
 	V    Verdict
 }
 
-// PrefixscanTrace is Prefixscan, additionally reporting every (prevHop,
-// mate) pair it tested with the verdict each test reached. The trace covers
-// exactly the Resolve calls Prefixscan would make, in order, so replaying
-// it with Record leaves the pos/neg maps identical to a live run.
+// PrefixscanTrace attempts to confirm that addr is the inbound interface of
+// the router it sits on by testing whether its point-to-point subnet mate
+// is an alias of prevHop (§5.3). It returns the mate and true on success,
+// plus every (prevHop, mate) pair it tested with the verdict each test
+// reached: exactly its Resolve calls, in order, so replaying them with
+// Record leaves the pos/neg maps identical to a live run.
 func (r *Resolver) PrefixscanTrace(prevHop, addr netx.Addr) (netx.Addr, bool, []PairVerdict) {
 	var tried []PairVerdict
 	for _, plen := range []int{31, 30} {

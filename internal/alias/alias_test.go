@@ -161,7 +161,7 @@ func TestPrefixscanFindsPtPMate(t *testing.T) {
 		if prevAddr.IsZero() {
 			continue
 		}
-		mate, ok := res.Prefixscan(prevAddr, far.Addr)
+		mate, ok, _ := res.PrefixscanTrace(prevAddr, far.Addr)
 		if !ok {
 			continue // resolution can legitimately fail; try another link
 		}

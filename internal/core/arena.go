@@ -48,18 +48,16 @@ type Arena struct {
 	frontier []int32
 	next     []int32
 
-	// Per-sweep scratch; parallel workers get their own copies.
+	// Per-decision scratch of the §5.4 cascade.
 	ws workspace
 }
 
 // workspace holds the small per-decision scratch buffers of the §5.4
-// cascade. Each inference worker owns one, so the sweep shares no mutable
-// state between routers decided concurrently.
+// cascade; each is valid until the next helper that fills it runs.
 type workspace struct {
 	extAdj []asCount
 	counts []asCount
 	asns   []topo.ASN
-	ops    []op
 
 	// seenEpoch deduplicates interned addresses without clearing: a slot
 	// is "set" when it holds the current epoch.

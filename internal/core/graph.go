@@ -50,19 +50,13 @@ type Input struct {
 	Arena *Arena
 }
 
-// Options disable individual heuristics for ablation studies and tune the
-// inference sweep.
+// Options disable individual heuristics for ablation studies (the paper's
+// "without this step" comparisons); the zero value is the full algorithm.
 type Options struct {
 	// NoThirdParty disables §5.4.5 third-party address detection.
 	NoThirdParty bool
 	// NoAnalyticalAlias disables the §5.4.7 near-side collapse.
 	NoAnalyticalAlias bool
-	// InferWorkers parallelizes the §5.4 heuristic sweep across routers at
-	// equal hop distance (the paper's ordering constraint only applies
-	// *between* distances, §5.4.5). Decisions are applied in visit order
-	// regardless, so links, owners, and trace fingerprints are identical
-	// for any worker count. 0 or 1 runs single-threaded.
-	InferWorkers int
 }
 
 // vpASNs returns the set of ASes belonging to the hosting organization.
@@ -729,9 +723,10 @@ func singleFullCover(common []asCount, nExt int) bool {
 func (n *node) destHas(as topo.ASN) bool { return findAS(n.dests, as) > 0 }
 
 // succExternalOrigins tallies, per external AS, how many distinct adjacent
-// successor addresses map to it. The result is written into ws.extAdj
-// (sorted by AS) and stays valid until the workspace's next use.
-func (g *graph) succExternalOrigins(id int32, ws *workspace) []asCount {
+// successor addresses map to it. The result is the workspace's extAdj
+// buffer (sorted by AS), valid until the next call.
+func (g *graph) succExternalOrigins(id int32) []asCount {
+	ws := &g.ar.ws
 	out := ws.extAdj[:0]
 	ws.epoch++
 	n := &g.nodes[id]
@@ -762,8 +757,8 @@ func (g *graph) succExternalOrigins(id int32, ws *workspace) []asCount {
 
 // nextas computes the candidate owner of §5.4: the most common inferred
 // provider among the destination ASes probed through the node.
-func (g *graph) nextas(id int32, ws *workspace) topo.ASN {
-	n := &g.nodes[id]
+func (g *graph) nextas(id int32) topo.ASN {
+	n, ws := &g.nodes[id], &g.ar.ws
 	if len(n.dests) < 2 {
 		return 0
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bdrmap/internal/netx"
-	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
@@ -127,12 +126,12 @@ func (g *graph) spliceClean(prev *Result, dirty map[netx.Addr]bool) {
 	g.in.Obs.Add("core.inc.dirty_nodes", int64(dirtyN))
 }
 
-// replaySpliced buffers the cross-node claims a spliced router's own
+// replaySpliced makes the cross-node claims a spliced router's own
 // inference would have made — today only §5.4.5 step 5.1, the sole
 // heuristic that claims another router from inside the cascade. It runs at
 // the spliced node's position in the visit order so the done-guards see
 // the same state a from-scratch run would.
-func (g *graph) replaySpliced(id int32, ws *workspace) {
+func (g *graph) replaySpliced(id int32) {
 	n := &g.nodes[id]
 	if g.in.Opts.NoThirdParty || n.heur != HeurThirdParty ||
 		n.class != classExternal || n.extAS == 0 {
@@ -143,16 +142,5 @@ func (g *graph) replaySpliced(id int32, ws *workspace) {
 	if b == 0 || a == b || g.in.Rel.Rel(b, a) != topo.RelProvider {
 		return
 	}
-	tracing := g.in.Trace.Enabled()
-	for _, e := range n.pred {
-		p := g.ar.edges[e].from
-		pn := &g.nodes[p]
-		if !pn.done && pn.class == classHost && g.soleConeRoot(pn.dests) == b {
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("cone_root", b.String())}
-			}
-			ws.claim(p, true, b, HeurThirdParty, ev)
-		}
-	}
+	g.claimThirdPartyPreds(id, b)
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"bdrmap/internal/alias"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
@@ -44,138 +41,17 @@ func (n *node) anonymousAddr() bool {
 	return n.class == classHost || n.class == classIXP
 }
 
-// ---------------------------------------------------------------------------
-// The decide/apply sweep
-//
-// §5.4.5's ordering constraint holds *between* hop distances, not within
-// one: every heuristic reads only immutable build-time state plus the done
-// flag of a predecessor (step 5.1), so routers at equal minTTL can be
-// decided concurrently as long as their decisions are applied in visit
-// order against guards re-checked at apply time. The sweep therefore runs
-// in two phases per hop-distance group: decide (pure, optionally parallel)
-// buffers each router's claims and declines as ops; apply replays them
-// sequentially in visit order. A decision whose router was claimed by an
-// earlier-applied decision is dropped whole (a sequential run would never
-// have started it), and a claim on another router applies only if that
-// router is still undecided — together these reproduce the sequential
-// sweep byte-for-byte for any worker count.
-
-type opKind uint8
-
-const (
-	opDecline opKind = iota
-	opClaim
-)
-
-// op is one buffered step of a router's decision.
-type op struct {
-	kind    opKind
-	target  int32
-	guarded bool // claim applies only while target is still undecided
-	owner   topo.ASN
-	h       Heuristic
-	ev      []obs.Attr
-}
-
-func (ws *workspace) claim(target int32, guarded bool, owner topo.ASN, h Heuristic, ev []obs.Attr) {
-	ws.ops = append(ws.ops, op{kind: opClaim, target: target, guarded: guarded, owner: owner, h: h, ev: ev})
-}
-
-func (ws *workspace) decline(h Heuristic) {
-	ws.ops = append(ws.ops, op{kind: opDecline, h: h})
-}
-
-// decideOne buffers the decision for one router into ws.ops (reused).
-func (g *graph) decideOne(id int32, ws *workspace) []op {
-	ws.ops = ws.ops[:0]
-	n := &g.nodes[id]
-	if n.spliced {
-		g.replaySpliced(id, ws)
-		return ws.ops
-	}
-	if !n.done {
-		g.inferNeighbor(id, ws)
-	}
-	return ws.ops
-}
-
-// applyOps replays a buffered decision through the real claim/decline
-// path, enforcing the drop and re-check guards described above.
-func (g *graph) applyOps(id int32, ops []op) {
-	n := &g.nodes[id]
-	if !n.spliced && n.done {
-		return // claimed by an earlier decision: a sequential sweep never ran it
-	}
-	for _, o := range ops {
-		if o.kind == opDecline {
-			g.decline(o.h)
-			continue
-		}
-		if o.guarded && g.nodes[o.target].done {
-			continue
-		}
-		g.claim(o.target, o.owner, o.h, o.ev...)
-	}
-}
-
-// sweep runs §5.4.2–§5.4.6 over the visit order, optionally deciding
-// routers at equal hop distance in parallel.
+// sweep runs §5.4.2–§5.4.6 over the routers in order of their distance
+// from the VP (§5.4; ties by creation id). A router already claimed — by
+// §5.4.1, or by step 5.1 of a router visited earlier — is skipped, and a
+// spliced one only replays the claims its inference makes on others.
 func (g *graph) sweep() {
-	workers := g.in.Opts.InferWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	var wss []*workspace
-	if workers > 1 {
-		wss = make([]*workspace, workers)
-		for i := range wss {
-			wss[i] = &workspace{}
+	for _, id := range g.order {
+		if n := &g.nodes[id]; n.spliced {
+			g.replaySpliced(id)
+		} else if !n.done {
+			g.inferNeighbor(id)
 		}
-	}
-	ord := g.order
-	for i := 0; i < len(ord); {
-		j := i + 1
-		ttl := g.nodes[ord[i]].minTTL
-		for j < len(ord) && g.nodes[ord[j]].minTTL == ttl {
-			j++
-		}
-		group := ord[i:j]
-		if workers > 1 && len(group) > 1 {
-			g.sweepGroupParallel(group, wss)
-		} else {
-			for _, id := range group {
-				g.applyOps(id, g.decideOne(id, &g.ar.ws))
-			}
-		}
-		i = j
-	}
-}
-
-// sweepGroupParallel decides one equal-hop group across workers, then
-// applies the buffered decisions in visit order.
-func (g *graph) sweepGroupParallel(group []int32, wss []*workspace) {
-	decisions := make([][]op, len(group))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for _, ws := range wss {
-		wg.Add(1)
-		go func(ws *workspace) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(group) {
-					return
-				}
-				ops := g.decideOne(group[k], ws)
-				if len(ops) > 0 {
-					decisions[k] = append([]op(nil), ops...)
-				}
-			}
-		}(ws)
-	}
-	wg.Wait()
-	for k, id := range group {
-		g.applyOps(id, decisions[k])
 	}
 }
 
@@ -184,7 +60,6 @@ func (g *graph) sweepGroupParallel(group []int32, wss []*workspace) {
 
 func (g *graph) passHost() {
 	host := g.in.HostASN
-	ws := &g.ar.ws
 	for _, id := range g.order {
 		n := &g.nodes[id]
 		if n.class != classHost {
@@ -200,7 +75,7 @@ func (g *graph) passHost() {
 		// with adjacent routers numbered from host space. This reading
 		// only applies when both routers exclusively carry traffic toward
 		// A (a host border carries many destinations and never matches).
-		extAdj := g.succExternalOrigins(id, ws)
+		extAdj := g.succExternalOrigins(id)
 		if len(extAdj) == 1 && !n.isVP {
 			a := extAdj[0].as
 			hs := &g.nodes[hostSucc]
@@ -231,7 +106,7 @@ func (g *graph) passHost() {
 		if n.done || n.class != classHost {
 			continue
 		}
-		extAdj := g.succExternalOrigins(id, ws)
+		extAdj := g.succExternalOrigins(id)
 		if len(extAdj) >= 2 && !g.hasPlausibleTransit(extAdj) {
 			g.claim(id, host, HeurHostNetwork,
 				obs.KV("egress_fanout", len(extAdj)))
@@ -305,11 +180,11 @@ func (g *graph) multihomedException(n, v int32, a topo.ASN) bool {
 // ---------------------------------------------------------------------------
 // §5.4.2–§5.4.6: neighbor routers, in the paper's order
 
-func (g *graph) inferNeighbor(id int32, ws *workspace) {
+func (g *graph) inferNeighbor(id int32) {
 	host := g.in.HostASN
 	n := &g.nodes[id]
 	tracing := g.in.Trace.Enabled()
-	extAdj := g.succExternalOrigins(id, ws)
+	extAdj := g.succExternalOrigins(id)
 
 	// §5.4.2 firewall: the last responding router toward a destination,
 	// numbered from space that says nothing about its owner, with no
@@ -321,25 +196,25 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 			if tracing {
 				ev = []obs.Attr{obs.KV("last_hop_toward", d.String())}
 			}
-			ws.claim(id, false, d, HeurFirewall, ev)
+			g.claim(id, d, HeurFirewall, ev...)
 			return
-		} else if na := g.nextas(id, ws); na != 0 {
+		} else if na := g.nextas(id); na != 0 {
 			var ev []obs.Attr
 			if tracing {
 				ev = []obs.Attr{obs.KV("common_provider_of_dests", na.String())}
 			}
-			ws.claim(id, false, na, HeurFirewall, ev)
+			g.claim(id, na, HeurFirewall, ev...)
 			return
 		}
-		ws.decline(HeurFirewall)
+		g.decline(HeurFirewall)
 	}
 
 	// §5.4.3 unrouted interior addressing.
 	if n.class == classUnrouted || (n.anonymousAddr() && g.allSuccUnrouted(id)) {
-		if g.inferUnrouted(id, ws) {
+		if g.inferUnrouted(id) {
 			return
 		}
-		ws.decline(HeurUnrouted)
+		g.decline(HeurUnrouted)
 	}
 
 	// §5.4.4 onenet.
@@ -348,7 +223,7 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 		if tracing {
 			ev = []obs.Attr{obs.KV("adjacent_same_as_ifaces", int(sameAS))}
 		}
-		ws.claim(id, false, n.extAS, HeurOnenet, ev) // step 4.1
+		g.claim(id, n.extAS, HeurOnenet, ev...) // step 4.1
 		return
 	}
 	if n.anonymousAddr() {
@@ -357,10 +232,10 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 			if tracing {
 				ev = []obs.Attr{obs.KV("consecutive_as", a.String())}
 			}
-			ws.claim(id, false, a, HeurOnenet, ev)
+			g.claim(id, a, HeurOnenet, ev...)
 			return
 		}
-		ws.decline(HeurOnenet)
+		g.decline(HeurOnenet)
 	}
 
 	// §5.4.5 steps 5.1/5.2: third-party address detection. "Paths toward
@@ -379,23 +254,11 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 					obs.KV("addr_owner_provides", b.String()),
 				}
 			}
-			ws.claim(id, false, b, HeurThirdParty, ev)
-			// Step 5.1: a preceding router observed only with host
-			// addresses and only toward B belongs to B as well.
-			for _, e := range n.pred {
-				p := g.ar.edges[e].from
-				pn := &g.nodes[p]
-				if !pn.done && pn.class == classHost && g.soleConeRoot(pn.dests) == b {
-					var pev []obs.Attr
-					if tracing {
-						pev = []obs.Attr{obs.KV("cone_root", b.String())}
-					}
-					ws.claim(p, true, b, HeurThirdParty, pev)
-				}
-			}
+			g.claim(id, b, HeurThirdParty, ev...)
+			g.claimThirdPartyPreds(id, b)
 			return
 		}
-		ws.decline(HeurThirdParty)
+		g.decline(HeurThirdParty)
 	}
 
 	// §5.4.5 steps 5.3–5.5 for routers with anonymous addresses.
@@ -407,7 +270,7 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 			if tracing {
 				ev = []obs.Attr{obs.KV("adjacent_as", a.String())}
 			}
-			ws.claim(id, false, a, HeurRelationship, ev)
+			g.claim(id, a, HeurRelationship, ev...)
 			return
 		default:
 			// Step 5.4 "missing customer": B provider of A, host provider
@@ -424,25 +287,25 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 							obs.KV("sibling_hit", a.String()+"~"+b.String()),
 						}
 					}
-					ws.claim(id, false, b, HeurMissingCust, ev)
+					g.claim(id, b, HeurMissingCust, ev...)
 					return
 				}
 			}
-			ws.decline(HeurMissingCust)
+			g.decline(HeurMissingCust)
 			// Step 5.5 hidden peer: a single subsequent origin with no
 			// known relationship.
 			var ev []obs.Attr
 			if tracing {
 				ev = []obs.Attr{obs.KV("adjacent_as", a.String())}
 			}
-			ws.claim(id, false, a, HeurHiddenPeer, ev)
+			g.claim(id, a, HeurHiddenPeer, ev...)
 			return
 		}
 	}
 
 	// §5.4.6 step 6.1: counting among several adjacent origins.
 	if n.anonymousAddr() && len(extAdj) > 1 {
-		w := g.countWinner(extAdj, ws)
+		w := g.countWinner(extAdj)
 		var ev []obs.Attr
 		if tracing {
 			ev = []obs.Attr{
@@ -450,13 +313,13 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 				obs.KV("winner_ifaces", int(findAS(extAdj, w))),
 			}
 		}
-		ws.claim(id, false, w, HeurCount, ev)
+		g.claim(id, w, HeurCount, ev...)
 		return
 	}
 
 	// §5.4.6 fallback: plain IP-AS mapping.
 	if (n.class == classExternal || n.class == classMulti) && n.extAS != 0 {
-		ws.claim(id, false, n.extAS, HeurIPAS, nil)
+		g.claim(id, n.extAS, HeurIPAS)
 		return
 	}
 
@@ -469,15 +332,33 @@ func (g *graph) inferNeighbor(id int32, ws *workspace) {
 		if tracing {
 			ev = []obs.Attr{obs.KV("last_hop_toward", d.String())}
 		}
-		ws.claim(id, false, d, HeurFirewall, ev)
+		g.claim(id, d, HeurFirewall, ev...)
 		return
 	}
-	if na := g.nextas(id, ws); n.anonymousAddr() && na != 0 && len(n.lastFor) > 0 {
+	if na := g.nextas(id); n.anonymousAddr() && na != 0 && len(n.lastFor) > 0 {
 		var ev []obs.Attr
 		if tracing {
 			ev = []obs.Attr{obs.KV("common_provider_of_dests", na.String())}
 		}
-		ws.claim(id, false, na, HeurFirewall, ev)
+		g.claim(id, na, HeurFirewall, ev...)
+	}
+}
+
+// claimThirdPartyPreds applies §5.4.5 step 5.1 — the one place the cascade
+// claims a router other than the one being visited: a still-undecided
+// router preceding third-party router id, observed only with host addresses
+// and only toward B, belongs to B as well.
+func (g *graph) claimThirdPartyPreds(id int32, b topo.ASN) {
+	for _, e := range g.nodes[id].pred {
+		p := g.ar.edges[e].from
+		pn := &g.nodes[p]
+		if !pn.done && pn.class == classHost && g.soleConeRoot(pn.dests) == b {
+			var ev []obs.Attr
+			if g.in.Trace.Enabled() {
+				ev = []obs.Attr{obs.KV("cone_root", b.String())}
+			}
+			g.claim(p, b, HeurThirdParty, ev...)
+		}
 	}
 }
 
@@ -547,10 +428,10 @@ func (g *graph) allSuccUnrouted(id int32) bool {
 }
 
 // inferUnrouted applies §5.4.3: reason from the origins of the first
-// routed interfaces observed after the router. It buffers at most one
+// routed interfaces observed after the router. It makes at most one
 // claim and reports whether it did.
-func (g *graph) inferUnrouted(id int32, ws *workspace) bool {
-	n := &g.nodes[id]
+func (g *graph) inferUnrouted(id int32) bool {
+	n, ws := &g.nodes[id], &g.ar.ws
 	asns := ws.asns[:0]
 	for _, e := range n.firstRoutedAfter {
 		if !g.vpASNs[e.as] {
@@ -560,7 +441,7 @@ func (g *graph) inferUnrouted(id int32, ws *workspace) bool {
 	ws.asns = asns[:0]
 	switch {
 	case len(asns) == 1: // step 3.1
-		ws.claim(id, false, asns[0], HeurUnrouted, nil)
+		g.claim(id, asns[0], HeurUnrouted)
 		return true
 	case len(asns) > 1: // step 3.2: most frequent provider of the set
 		count := ws.counts[:0]
@@ -578,13 +459,13 @@ func (g *graph) inferUnrouted(id int32, ws *workspace) bool {
 			}
 		}
 		if best != 0 {
-			ws.claim(id, false, best, HeurUnrouted, nil)
+			g.claim(id, best, HeurUnrouted)
 			return true
 		}
 		return false
 	default:
-		if na := g.nextas(id, ws); na != 0 {
-			ws.claim(id, false, na, HeurUnrouted, nil)
+		if na := g.nextas(id); na != 0 {
+			g.claim(id, na, HeurUnrouted)
 			return true
 		}
 		return false
@@ -634,7 +515,8 @@ func (g *graph) edgeOrigin(e int32) topo.ASN {
 
 // countWinner picks the AS with the most adjacent interfaces, breaking
 // ties in favor of a known relationship with the host (§5.4.6 step 6.1).
-func (g *graph) countWinner(extAdj []asCount, ws *workspace) topo.ASN {
+func (g *graph) countWinner(extAdj []asCount) topo.ASN {
+	ws := &g.ar.ws
 	entries := append(ws.counts[:0], extAdj...)
 	ws.counts = entries[:0]
 	best := entries[0]

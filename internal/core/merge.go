@@ -67,8 +67,7 @@ func canonicalFar(l *Link) netx.Addr {
 // MergeAccumulator folds per-VP results into a merged map one result at a
 // time, in whatever order they complete. The fleet coordinator feeds it
 // from the completion stream; Snapshot then materializes a MergedMap that
-// is byte-identical to folding the same results in VP-index order — the
-// same decide/apply-in-ID-order idiom the parallel sweep uses. The only
+// is byte-identical to folding the same results in VP-index order. The only
 // fold-order-sensitive choice in the sequential merge is which VP's
 // heuristic tag a shared link keeps (the first, in VP order), so each
 // entry remembers the smallest fold ordinal seen and lets it win.

@@ -40,9 +40,3 @@ func ExtensionScenarios() []ScenarioSpec {
 		},
 	}
 }
-
-// AllProfiles returns the built-in validation profiles plus every extension
-// scenario profile (the sweep surface future multi-VP work shards over).
-func AllProfiles() []topo.Profile {
-	return topo.BuiltinProfiles()
-}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"bdrmap/internal/core"
@@ -165,16 +164,4 @@ func (t *Table1) RowPct(h core.Heuristic, c int) float64 {
 		return 0
 	}
 	return 100 * float64(row[c]) / float64(t.RouterTotals[c])
-}
-
-// SortedHeuristics lists heuristics that fired, in presentation order.
-func (t *Table1) SortedHeuristics() []core.Heuristic {
-	var out []core.Heuristic
-	for _, h := range rowOrder {
-		if t.Rows[h] != nil {
-			out = append(out, h)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return false }) // keep order
-	return out
 }

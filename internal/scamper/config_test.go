@@ -1,10 +1,6 @@
 package scamper
 
-import (
-	"testing"
-
-	"bdrmap/internal/obs"
-)
+import "testing"
 
 func TestConfigWithDefaults(t *testing.T) {
 	cases := []struct {
@@ -14,48 +10,20 @@ func TestConfigWithDefaults(t *testing.T) {
 	}{
 		{"zero selects paper params",
 			Config{},
-			Config{MaxAddrsPerBlock: 5, Workers: 4, MaxPairsPerAddr: 6}},
+			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: DefaultRefreshEvery}},
 		{"explicit values survive",
-			Config{MaxAddrsPerBlock: 2, Workers: 1, MaxPairsPerAddr: 3},
-			Config{MaxAddrsPerBlock: 2, Workers: 1, MaxPairsPerAddr: 3}},
-		{"Disabled means zero, not default",
-			Config{MaxAddrsPerBlock: Disabled, MaxPairsPerAddr: Disabled},
-			Config{MaxAddrsPerBlock: 0, Workers: 4, MaxPairsPerAddr: 0}},
+			Config{MaxAddrsPerBlock: 2, Workers: 1, RefreshEvery: 3},
+			Config{MaxAddrsPerBlock: 2, Workers: 1, RefreshEvery: 3}},
+		{"Disabled refresh means never, not default",
+			Config{RefreshEvery: Disabled},
+			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: 0}},
 		{"negative worker count falls back",
 			Config{Workers: -3},
-			Config{MaxAddrsPerBlock: 5, Workers: 4, MaxPairsPerAddr: 6}},
+			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: DefaultRefreshEvery}},
 	}
 	for _, c := range cases {
-		got := c.in.withDefaults()
-		if got.MaxAddrsPerBlock != c.want.MaxAddrsPerBlock ||
-			got.Workers != c.want.Workers ||
-			got.MaxPairsPerAddr != c.want.MaxPairsPerAddr {
+		if got := c.in.withDefaults(); got != c.want {
 			t.Errorf("%s: withDefaults() = %+v, want %+v", c.name, got, c.want)
 		}
-	}
-}
-
-// TestMaxPairsDisabledAblation proves the sentinel reaches the Ally stage:
-// a run with MaxPairsPerAddr: Disabled must fire zero Ally comparisons
-// while the rest of alias resolution still runs.
-func TestMaxPairsDisabledAblation(t *testing.T) {
-	n, e, view, hosts := setup(t, 6)
-	reg := obs.New()
-	d := &Driver{
-		View:     view,
-		Prober:   LocalProber{E: e, VP: n.VPs[0]},
-		HostASNs: hosts,
-		Cfg:      Config{Workers: 1, MaxPairsPerAddr: Disabled},
-		Obs:      reg,
-	}
-	ds := d.Run()
-	snap := reg.Snapshot()
-	for _, k := range []string{"driver.alias.ally_yes", "driver.alias.ally_no", "driver.alias.ally_unknown"} {
-		if v := snap.Counters[k]; v != 0 {
-			t.Errorf("%s = %d with Ally disabled", k, v)
-		}
-	}
-	if ds.Graph == nil {
-		t.Fatal("alias graph missing; Disabled must not skip the stage entirely")
 	}
 }

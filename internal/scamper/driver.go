@@ -14,16 +14,19 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// Disabled is the sentinel for Config limits that distinguish "use the
-// paper's default" (zero value) from "explicitly zero" (ablation runs
-// that must not fall back to the default).
+// Disabled, as Config.RefreshEvery, means "never refresh": the zero value
+// already selects the default cadence, so turning the refresh off needs a
+// value of its own (`bdrmapd -refresh-every -1`).
 const Disabled = -1
 
-// Config tunes the driver. The zero value selects the paper's parameters;
-// set a limit to Disabled to force it to zero.
+// maxPairsPerAddr bounds Ally work per predecessor address: among the
+// addresses seen after one hop, at most this many candidate pairs are
+// resolved.
+const maxPairsPerAddr = 6
+
+// Config tunes the driver. The zero value selects the paper's parameters.
 type Config struct {
-	// MaxAddrsPerBlock bounds the §5.3 retry rule (default 5; Disabled
-	// probes no addresses).
+	// MaxAddrsPerBlock bounds the §5.3 retry rule (default 5).
 	MaxAddrsPerBlock int
 	// Workers is the number of target ASes probed concurrently (default 4).
 	Workers int
@@ -31,24 +34,12 @@ type Config struct {
 	DisableStopSet bool
 	// DisableAlias skips alias resolution entirely (ablation, fig. 13).
 	DisableAlias bool
-	// MaxPairsPerAddr bounds Ally work per address (default 6; Disabled
-	// runs no Ally pairs).
-	MaxPairsPerAddr int
 	// AliasCfg tunes the alias resolver.
 	AliasCfg alias.Config
 	// TargetTimeout bounds the wall-clock time spent on one target AS;
 	// exceeding it reports the target lost instead of hanging the run.
 	// Zero disables the cutoff (it is off for deterministic golden runs).
 	TargetTimeout time.Duration
-	// Pace throttles every probing lane to at most one traceroute per Pace
-	// of real time, modeling scamper's probing-rate cap: the deployed
-	// system is latency- and pps-bound, not CPU-bound, so wall-clock is
-	// dominated by waiting between probes. Pacing only spends real time —
-	// it cannot change a single measured byte — and the zero default runs
-	// the simulator at full speed, so golden and differential runs are
-	// unaffected. The fleet benchmark uses it to reproduce the wall-clock
-	// regime the coordinator exists to overlap.
-	Pace time.Duration
 	// State enables cross-round incremental probing: the driver replays
 	// the previous round's per-target transcripts wherever path signatures
 	// are unchanged, persisting the doubletree stop set (§5.2) across
@@ -63,20 +54,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	switch {
-	case c.MaxAddrsPerBlock == Disabled:
-		c.MaxAddrsPerBlock = 0
-	case c.MaxAddrsPerBlock == 0:
+	if c.MaxAddrsPerBlock <= 0 {
 		c.MaxAddrsPerBlock = 5
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	switch {
-	case c.MaxPairsPerAddr == Disabled:
-		c.MaxPairsPerAddr = 0
-	case c.MaxPairsPerAddr == 0:
-		c.MaxPairsPerAddr = 6
 	}
 	switch {
 	case c.RefreshEvery == Disabled:
@@ -229,8 +211,8 @@ type Driver struct {
 // per-worker measurement timelines (probe.Lane). The driver gives each
 // worker goroutine its own lane so a parallel run's traces are a pure
 // function of the world and the schedule, independent of goroutine
-// interleaving. Probers without lane support (e.g. remote agents) fall
-// back to the shared-clock path.
+// interleaving. On a prober without lanes (a remote session) the same
+// workers call Prober.Trace on its one shared clock.
 type LaneProber interface {
 	Prober
 	NewLane(start time.Duration) *probe.Lane
@@ -250,14 +232,11 @@ func (d *Driver) Run() *Dataset {
 	// (plan unchanged, refresh cadence not due) single-threaded before the
 	// workers start; the workers only read their own replay slot.
 	st := cfg.State
+	replays := make([]*targetReplay, len(targets)) // all nil without State: every trace runs live
 	if st != nil {
 		st.Acquire(d.Prober.Name())
 		defer st.Release()
-	}
-	var replays []*targetReplay
-	if st != nil {
 		st.round++
-		replays = make([]*targetReplay, len(targets))
 		for i, t := range targets {
 			key := blocksKey(t.Blocks)
 			rp := &targetReplay{sp: d.Prober, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
@@ -275,12 +254,6 @@ func (d *Driver) Run() *Dataset {
 			}
 			replays[i] = rp
 		}
-	}
-	rpAt := func(i int) *targetReplay {
-		if replays == nil {
-			return nil
-		}
-		return replays[i]
 	}
 
 	probeSpan := d.Obs.StartStage("driver.probe")
@@ -323,68 +296,43 @@ func (d *Driver) Run() *Dataset {
 	var simEnd obs.Max
 	simEnd.Observe(int64(simStart))
 
-	if lp, ok := d.Prober.(LaneProber); ok {
-		// Deterministic path: worker w handles targets w, w+W, w+2W, …
-		// on its own lane. Each results slot is written by exactly one
-		// worker, so the merge below needs no locks and no ordering.
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
+	// Worker w handles targets w, w+W, w+2W, …, so each results slot is
+	// written by exactly one worker and the merge below needs no locks and
+	// no ordering. With lanes every worker traces on its own timeline;
+	// without them (a remote session) workers share the prober's clock and
+	// stamp events with SimNS 0 — reading the remote clock per event would
+	// perturb the frame stream the fault goldens pin.
+	lp, lanes := d.Prober.(LaneProber)
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			trace := d.Prober.Trace
+			var now func() time.Duration
+			if lanes {
 				lane := lp.NewLane(simStart)
-				trace := func(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
-					if cfg.Pace > 0 {
-						time.Sleep(cfg.Pace)
-					}
+				trace = func(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
 					return lp.TraceLane(dst, ss, lane)
 				}
-				for i := w; i < len(targets); i += cfg.Workers {
-					results[i], stopped[i], lost[i], tsims[i] = d.probeTarget(targets[i], cfg, trace, newFrag(i), newSFrag(i), lane.Now, rpAt(i))
-				}
-				simEnd.Observe(int64(lane.Now()))
-			}(w)
-		}
-		wg.Wait()
+				now = lane.Now
+			}
+			for i := w; i < len(targets); i += cfg.Workers {
+				results[i], stopped[i], lost[i], tsims[i] = d.probeTarget(targets[i], cfg, trace, newFrag(i), newSFrag(i), now, replays[i])
+			}
+			if lanes {
+				simEnd.Observe(int64(now()))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if lanes {
 		// Push the shared clock to the end of the slowest lane so the
 		// alias stage (and any later run) starts at a well-defined time.
 		if end := time.Duration(simEnd.Load()); end > simStart {
 			d.Prober.Advance(end - simStart)
 		}
 	} else {
-		// Shared-clock fallback (remote probers): bounded concurrency via
-		// a semaphore, pacing applied by the prober itself.
-		traceFn := d.Prober.Trace
-		if cfg.Pace > 0 {
-			traceFn = func(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
-				time.Sleep(cfg.Pace)
-				return d.Prober.Trace(dst, ss)
-			}
-		}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i, t := range targets {
-			wg.Add(1)
-			sem <- struct{}{}
-			frag := newFrag(i)
-			sfrag := newSFrag(i)
-			go func(i int, t Target) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				// No per-worker lane here: events carry SimNS 0 (reading the
-				// remote clock per event would perturb the frame stream the
-				// fault goldens pin) and order by sequence number alone.
-				recs, nStopped, wasLost, simNS := d.probeTarget(t, cfg, traceFn, frag, sfrag, nil, rpAt(i))
-				mu.Lock()
-				results[i] = recs
-				stopped[i] = nStopped
-				lost[i] = wasLost
-				tsims[i] = simNS
-				mu.Unlock()
-			}(i, t)
-		}
-		wg.Wait()
 		simEnd.Observe(int64(d.Prober.Now()))
 	}
 
@@ -504,12 +452,15 @@ func (d *Driver) Run() *Dataset {
 	// Intern every responding interface address and its alias canonical,
 	// single-threaded now that probing and alias resolution are done. The
 	// cross-round table (when State is set) keeps IDs stable between rounds.
-	it := netx.NewIntern(ds.Stats.AddrsObserved + 1)
+	var it *netx.Intern
 	if st != nil {
-		if st.intern == nil {
+		it = st.intern
+	}
+	if it == nil {
+		it = netx.NewIntern(ds.Stats.AddrsObserved + 1)
+		if st != nil {
 			st.intern = it
 		}
-		it = st.intern
 	}
 	for i := range ds.Traces {
 		for _, h := range ds.Traces[i].Hops {
@@ -821,6 +772,15 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		return true
 	}
 
+	// emit records one alias-stage event; a replayed operation's event is
+	// the live one plus cached=true.
+	emit := func(kind, subject string, replayed bool, attrs ...obs.Attr) {
+		if replayed {
+			attrs = append(attrs, obs.KV("cached", true))
+		}
+		d.Trace.Emit(obs.StageAlias, kind, subject, res.NowNS(), attrs...)
+	}
+
 	// Mercator sweep: group addresses by common port-unreachable source.
 	addrs := make([]netx.Addr, 0, len(addrSet))
 	for a := range addrSet {
@@ -833,34 +793,27 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 			ds.Graph = alias.FromResolver(res)
 			return
 		}
+		var m mercMemo
+		replayed := false
 		if canReplay(a) {
-			if m, ok := st.mercator[a]; ok {
-				newMerc[a] = m
-				ds.Stats.AliasOpsReplayed++
-				if m.hit {
-					res.Record(a, m.from, alias.AliasYes)
-					d.Obs.Inc("driver.alias.mercator_hits")
-					d.Trace.Emit(obs.StageAlias, "mercator", a.String(), res.NowNS(),
-						obs.KV("from", m.from.String()), obs.KV("verdict", "alias"),
-						obs.KV("cached", true))
-				}
-				continue
+			m, replayed = st.mercator[a]
+		}
+		if replayed {
+			ds.Stats.AliasOpsReplayed++
+		} else {
+			r := d.Prober.Probe(a, probe.MethodUDP)
+			if r.OK && r.From != a && !r.From.IsZero() {
+				m = mercMemo{hit: true, from: r.From}
 			}
 		}
-		r := d.Prober.Probe(a, probe.MethodUDP)
-		hit := r.OK && r.From != a && !r.From.IsZero()
 		if st != nil {
-			m := mercMemo{hit: hit}
-			if hit {
-				m.from = r.From
-			}
 			newMerc[a] = m
 		}
-		if hit {
-			res.Record(a, r.From, alias.AliasYes)
+		if m.hit {
+			res.Record(a, m.from, alias.AliasYes)
 			d.Obs.Inc("driver.alias.mercator_hits")
-			d.Trace.Emit(obs.StageAlias, "mercator", a.String(), res.NowNS(),
-				obs.KV("from", r.From.String()), obs.KV("verdict", "alias"))
+			emit("mercator", a.String(), replayed,
+				obs.KV("from", m.from.String()), obs.KV("verdict", "alias"))
 		}
 	}
 
@@ -879,28 +832,26 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		if len(succ) < 2 {
 			continue
 		}
-		limit := cfg.MaxPairsPerAddr
+		limit := maxPairsPerAddr
 		for i := 0; i < len(succ) && limit > 0; i++ {
 			for j := i + 1; j < len(succ) && limit > 0; j++ {
 				a, b := succ[i], succ[j]
 				var v alias.Verdict
 				replayed := false
 				if canReplay(a, b) {
-					if mv, ok := st.pairs[mkpair(a, b)]; ok {
-						v, replayed = mv, true
-						newPairs[mkpair(a, b)] = mv
-						ds.Stats.AliasOpsReplayed++
-						// Re-Record the memoized verdict: Resolve records
-						// only its own pair's final verdict, so this
-						// reconstructs the exact resolver state.
-						res.Record(a, b, mv)
-					}
+					v, replayed = st.pairs[mkpair(a, b)]
 				}
-				if !replayed {
+				if replayed {
+					ds.Stats.AliasOpsReplayed++
+					// Re-Record the memoized verdict: Resolve records
+					// only its own pair's final verdict, so this
+					// reconstructs the exact resolver state.
+					res.Record(a, b, v)
+				} else {
 					v = res.Resolve(a, b)
-					if st != nil {
-						newPairs[mkpair(a, b)] = v
-					}
+				}
+				if st != nil {
+					newPairs[mkpair(a, b)] = v
 				}
 				switch v {
 				case alias.AliasYes:
@@ -923,30 +874,26 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 			break
 		}
 		ekey := apair{e.prev, e.cur}
+		var sm scanMemo
+		replayed := false
 		if canReplay(e.prev, e.cur) {
-			if sm, ok := st.scans[ekey]; ok {
-				newScans[ekey] = sm
-				ds.Stats.AliasOpsReplayed++
-				for _, pv := range sm.tried {
-					res.Record(pv.A, pv.B, pv.V)
-				}
-				if sm.ok {
-					d.Obs.Inc("driver.alias.prefixscan_hits")
-					d.Trace.Emit(obs.StageAlias, "prefixscan", e.prev.String()+"|"+e.cur.String(),
-						res.NowNS(), obs.KV("mate", sm.mate.String()), obs.KV("cached", true))
-				}
-				pairs++
-				continue
+			sm, replayed = st.scans[ekey]
+		}
+		if replayed {
+			ds.Stats.AliasOpsReplayed++
+			for _, pv := range sm.tried {
+				res.Record(pv.A, pv.B, pv.V)
 			}
+		} else {
+			sm.mate, sm.ok, sm.tried = res.PrefixscanTrace(e.prev, e.cur)
 		}
-		mate, ok, tried := res.PrefixscanTrace(e.prev, e.cur)
 		if st != nil {
-			newScans[ekey] = scanMemo{mate: mate, ok: ok, tried: tried}
+			newScans[ekey] = sm
 		}
-		if ok {
+		if sm.ok {
 			d.Obs.Inc("driver.alias.prefixscan_hits")
-			d.Trace.Emit(obs.StageAlias, "prefixscan", e.prev.String()+"|"+e.cur.String(),
-				res.NowNS(), obs.KV("mate", mate.String()))
+			emit("prefixscan", e.prev.String()+"|"+e.cur.String(), replayed,
+				obs.KV("mate", sm.mate.String()))
 		}
 		pairs++
 	}

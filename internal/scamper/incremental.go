@@ -1,6 +1,7 @@
 package scamper
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -149,17 +150,11 @@ func blocksKey(blocks []netx.Block) uint64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	for _, b := range blocks {
-		putUint64(buf[:8], uint64(b.First))
-		putUint64(buf[8:], uint64(b.Last))
+		binary.LittleEndian.PutUint64(buf[:8], uint64(b.First))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(b.Last))
 		h.Write(buf[:])
 	}
 	return h.Sum64()
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // targetReplay drives one target's replay during one round. The prior

@@ -59,17 +59,3 @@ func (al *Allocator) Sub(parent netx.Prefix, plen int) netx.Prefix {
 	al.subCursor[parent] = base + size
 	return netx.MakePrefix(base, plen)
 }
-
-// SubRemaining reports how many /plen subnets remain free in parent.
-func (al *Allocator) SubRemaining(parent netx.Prefix, plen int) int {
-	cur, ok := al.subCursor[parent]
-	if !ok {
-		cur = parent.First()
-	}
-	size := netx.Addr(1) << (32 - uint(plen))
-	base := (cur + size - 1) &^ (size - 1)
-	if base > parent.Last() {
-		return 0
-	}
-	return int((parent.Last() - base + 1) / size)
-}

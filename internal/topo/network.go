@@ -256,22 +256,6 @@ func (n *Network) TrueNeighbors(asn ASN) []ASNeighbor {
 	return a.Neighbors()
 }
 
-// OriginTable builds the ground-truth prefix→origins mapping over announced
-// prefixes. Multi-origin prefixes carry all their origins.
-func (n *Network) OriginTable() *netx.Trie[[]ASN] {
-	var tr netx.Trie[[]ASN]
-	for asn, a := range n.ASes {
-		for _, p := range a.Prefixes {
-			if cur, ok := tr.Exact(p); ok {
-				tr.Insert(p, append(cur, asn))
-			} else {
-				tr.Insert(p, []ASN{asn})
-			}
-		}
-	}
-	return &tr
-}
-
 // Siblings returns the set of ASNs sharing an organization with asn
 // (including asn itself).
 func (n *Network) Siblings(asn ASN) []ASN {

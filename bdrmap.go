@@ -374,7 +374,7 @@ type FleetOptions struct {
 	// (default 1). The merged map, per-VP reports, and trace/span
 	// fingerprints are byte-identical for any worker count.
 	Workers int
-	// Quorum, when in [1, NumVPs-1], delivers a partial merged generation
+	// Quorum, when in [1, NumVPs-1], delivers a partial generation
 	// through OnPublish once that many VPs complete, naming the rest
 	// degraded; the final (full) generation always follows. 0 disables
 	// partial publishing.
@@ -385,8 +385,9 @@ type FleetOptions struct {
 	// StragglerTimeout is how long the coordinator waits after quorum
 	// before publishing the partial generation (0 = immediately).
 	StragglerTimeout time.Duration
-	// OnPublish receives the quorum-time partial and the final merged
-	// generations, on the coordinator goroutine.
+	// OnPublish receives the quorum-time partial and the final
+	// generations — per-VP results, nil where a VP has not reported — on
+	// the coordinator goroutine.
 	OnPublish func(fleet.PublishEvent)
 }
 

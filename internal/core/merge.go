@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bdrmap/internal/netx"
@@ -64,74 +65,36 @@ func canonicalFar(l *Link) netx.Addr {
 	return l.FarAddr
 }
 
-// MergeAccumulator folds per-VP results into a merged map one result at a
-// time, in whatever order they complete. The fleet coordinator feeds it
-// from the completion stream; Snapshot then materializes a MergedMap that
-// is byte-identical to folding the same results in VP-index order. The only
-// fold-order-sensitive choice in the sequential merge is which VP's
-// heuristic tag a shared link keeps (the first, in VP order), so each
-// entry remembers the smallest fold ordinal seen and lets it win.
-type MergeAccumulator struct {
-	byKey map[LinkKey]*mergeEntry
-	vps   map[string]bool
-}
-
-// mergeEntry is one link's accumulated observation state.
-type mergeEntry struct {
-	heuristic Heuristic
-	ord       int // smallest fold ordinal that contributed, wins the heuristic
-	seenBy    map[string]bool
-}
-
-// NewMergeAccumulator returns an empty accumulator.
-func NewMergeAccumulator() *MergeAccumulator {
-	return &MergeAccumulator{
-		byKey: make(map[LinkKey]*mergeEntry),
-		vps:   make(map[string]bool),
-	}
-}
-
-// Fold adds one VP's result under fold ordinal ord (its canonical VP
-// index). Nil results are ignored, matching Merge's tolerance for VPs
-// that produced nothing. Folding is not concurrency-safe; the caller
-// serializes completions.
-func (a *MergeAccumulator) Fold(ord int, res *Result) {
-	if res == nil {
-		return
-	}
-	a.vps[res.VPName] = true
-	for _, l := range res.Links {
-		k := LinkKey{Near: canonicalNear(l), Far: canonicalFar(l), FarAS: l.FarAS}
-		e := a.byKey[k]
-		if e == nil {
-			e = &mergeEntry{heuristic: l.Heuristic, ord: ord, seenBy: make(map[string]bool)}
-			a.byKey[k] = e
-		} else if ord < e.ord {
-			// A lower-ordinal VP arrived late; its heuristic tag is the
-			// one the sequential merge would have kept.
-			e.heuristic = l.Heuristic
-			e.ord = ord
-		}
-		e.seenBy[res.VPName] = true
-	}
-}
-
-// Folded returns the number of distinct VP names folded so far.
-func (a *MergeAccumulator) Folded() int { return len(a.vps) }
-
-// Snapshot materializes the merged map from everything folded so far.
-// The accumulator remains usable; later Folds extend the same state, so
-// a quorum-time partial snapshot and the final one share one accumulator.
-func (a *MergeAccumulator) Snapshot() *MergedMap {
+// Merge unions per-VP results into one map, folding them in index order.
+// Links are deduplicated by canonical near/far identity; a link several
+// VPs saw keeps the first VP's heuristic tag (ties are rare and cosmetic)
+// and lists every observer in SeenBy. Nil results — VPs that produced
+// nothing — are skipped.
+func Merge(results []*Result) *MergedMap {
 	m := &MergedMap{Neighbors: make(map[topo.ASN]int)}
-	for k, e := range a.byKey {
-		ml := MergedLink{Key: k, Heuristic: e.heuristic, SeenBy: make([]string, 0, len(e.seenBy))}
-		for vp := range e.seenBy {
-			ml.SeenBy = append(ml.SeenBy, vp)
+	at := make(map[LinkKey]int)
+	vps := make(map[string]bool)
+	for _, res := range results {
+		if res == nil {
+			continue
 		}
-		sort.Strings(ml.SeenBy)
-		m.Links = append(m.Links, ml)
-		m.Neighbors[k.FarAS]++
+		vps[res.VPName] = true
+		for _, l := range res.Links {
+			k := LinkKey{Near: canonicalNear(l), Far: canonicalFar(l), FarAS: l.FarAS}
+			i, ok := at[k]
+			if !ok {
+				i = len(m.Links)
+				at[k] = i
+				m.Links = append(m.Links, MergedLink{Key: k, Heuristic: l.Heuristic})
+				m.Neighbors[k.FarAS]++
+			}
+			if ml := &m.Links[i]; !slices.Contains(ml.SeenBy, res.VPName) {
+				ml.SeenBy = append(ml.SeenBy, res.VPName)
+			}
+		}
+	}
+	for i := range m.Links {
+		sort.Strings(m.Links[i].SeenBy)
 	}
 	sort.Slice(m.Links, func(i, j int) bool {
 		a, b := m.Links[i].Key, m.Links[j].Key
@@ -143,24 +106,12 @@ func (a *MergeAccumulator) Snapshot() *MergedMap {
 		}
 		return a.Far < b.Far
 	})
-	m.VPs = make([]string, 0, len(a.vps))
-	for vp := range a.vps {
+	m.VPs = make([]string, 0, len(vps))
+	for vp := range vps {
 		m.VPs = append(m.VPs, vp)
 	}
 	sort.Strings(m.VPs)
 	return m
-}
-
-// Merge unions per-VP results into one map. Links are deduplicated by
-// canonical near/far identity; heuristic tags keep the first VP's value
-// (ties are rare and cosmetic). It is the sequential special case of the
-// streaming accumulator: fold in index order, snapshot once.
-func Merge(results []*Result) *MergedMap {
-	acc := NewMergeAccumulator()
-	for i, res := range results {
-		acc.Fold(i, res)
-	}
-	return acc.Snapshot()
 }
 
 // LinkCount returns the number of merged links.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"bdrmap/internal/netx"
@@ -28,10 +27,10 @@ func TestMergeDedupsAcrossVPs(t *testing.T) {
 		mkLink(3, 4, 200, HeurOnenet),
 	)
 	b := mkResult("vp2",
-		mkLink(1, 2, 100, HeurFirewall), // same link, second VP
+		mkLink(1, 2, 100, HeurIPAS), // same link, second VP, another heuristic
 		mkLink(5, 6, 300, HeurIPAS),
 	)
-	m := Merge([]*Result{a, b})
+	m := Merge([]*Result{a, nil, b}) // a VP that produced nothing merges as nil
 	if m.LinkCount() != 3 {
 		t.Fatalf("links = %d, want 3", m.LinkCount())
 	}
@@ -42,6 +41,9 @@ func TestMergeDedupsAcrossVPs(t *testing.T) {
 		if l.Key.FarAS == 100 {
 			if len(l.SeenBy) != 2 {
 				t.Fatalf("shared link SeenBy = %v", l.SeenBy)
+			}
+			if l.Heuristic != HeurFirewall {
+				t.Fatalf("shared link kept %q, want the first VP's %q", l.Heuristic, HeurFirewall)
 			}
 		} else if len(l.SeenBy) != 1 {
 			t.Fatalf("unique link SeenBy = %v", l.SeenBy)
@@ -95,63 +97,6 @@ func TestDiffIdentityEmpty(t *testing.T) {
 	m := Merge([]*Result{mkResult("vp1", mkLink(1, 2, 100, HeurFirewall))})
 	if d := Diff(m, m); !d.Empty() {
 		t.Fatalf("self-diff not empty: %+v", d)
-	}
-}
-
-// TestMergeAccumulatorOrderInvariant is the streaming-merge contract the
-// fleet coordinator relies on: folding results in any completion order
-// yields the same map as the sequential Merge, byte for byte, because the
-// fold ordinal — not arrival order — decides heuristic ties.
-func TestMergeAccumulatorOrderInvariant(t *testing.T) {
-	results := []*Result{
-		mkResult("vp1",
-			mkLink(1, 2, 100, HeurFirewall), // shared key, vp1's heuristic must win
-			mkLink(3, 4, 200, HeurOnenet),
-		),
-		mkResult("vp2",
-			mkLink(1, 2, 100, HeurIPAS), // same key, different heuristic
-			mkLink(5, 6, 300, HeurIPAS),
-		),
-		nil, // a failed shard folds as nil
-		mkResult("vp4",
-			mkLink(1, 2, 100, HeurSilent),
-			mkLink(7, 0, 400, HeurSilent),
-		),
-	}
-	want := Merge(results)
-	orders := [][]int{
-		{0, 1, 2, 3},
-		{3, 2, 1, 0},
-		{1, 3, 0, 2},
-		{2, 0, 3, 1},
-	}
-	for _, order := range orders {
-		acc := NewMergeAccumulator()
-		for _, ord := range order {
-			acc.Fold(ord, results[ord])
-		}
-		got := acc.Snapshot()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("fold order %v diverged:\n got %+v\nwant %+v", order, got, want)
-		}
-	}
-	// Partial snapshot then continued folding: the final snapshot from the
-	// same accumulator must still match, and the partial must carry only
-	// the folded VPs.
-	acc := NewMergeAccumulator()
-	acc.Fold(1, results[1])
-	partial := acc.Snapshot()
-	if len(partial.VPs) != 1 || partial.VPs[0] != "vp2" {
-		t.Fatalf("partial VPs = %v", partial.VPs)
-	}
-	for _, ord := range []int{3, 0, 2} {
-		acc.Fold(ord, results[ord])
-	}
-	if got := acc.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot-then-continue diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if acc.Folded() != 3 {
-		t.Fatalf("Folded = %d, want 3 distinct VPs", acc.Folded())
 	}
 }
 

@@ -65,11 +65,11 @@ type FleetOptions struct {
 }
 
 // RunFleet measures every VP through the fleet coordinator and fills
-// Datasets/Results like RunAll. Already-run VPs (memoized Results) fold
-// into the merge without re-measuring. The returned summary carries
-// per-shard dispositions and the final merged map; err is non-nil only
-// for configuration or listener failures — per-shard failures are
-// reported in the summary (and leave that VP's Results slot nil).
+// Datasets/Results like RunAll. Already-run VPs (memoized Results) are
+// reported without re-measuring. The returned summary carries per-shard
+// dispositions and results; err is non-nil only for configuration or
+// listener failures — per-shard failures are reported in the summary
+// (and leave that VP's Results slot nil).
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary, error) {
 	// Fault specs are configuration: a malformed one fails the call before
 	// any shard is scheduled, not a shard after it has burnt its retries.

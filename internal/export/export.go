@@ -42,46 +42,46 @@ type Meta struct {
 
 // TraceJSON is the wire form of one traceroute.
 type TraceJSON struct {
-	Dst      string    `json:"dst"`
+	Dst      netx.Addr `json:"dst"`
 	TargetAS topo.ASN  `json:"target_as"`
 	Reached  bool      `json:"reached"`
 	Stopped  bool      `json:"stopped"`
 	Hops     []HopJSON `json:"hops"`
 }
 
-// HopJSON is one hop.
+// HopJSON is one hop; a hop that did not answer has no address.
 type HopJSON struct {
-	TTL   int    `json:"ttl"`
-	Type  string `json:"type"`
-	Addr  string `json:"addr,omitempty"`
-	IPID  uint16 `json:"ipid,omitempty"`
-	RTTns int64  `json:"rtt_ns,omitempty"`
+	TTL   int       `json:"ttl"`
+	Type  string    `json:"type"`
+	Addr  netx.Addr `json:"addr,omitempty"`
+	IPID  uint16    `json:"ipid,omitempty"`
+	RTTns int64     `json:"rtt_ns,omitempty"`
 }
 
 // LinkJSON is one inferred interdomain link.
 type LinkJSON struct {
-	Near      string   `json:"near"`
-	Far       string   `json:"far,omitempty"` // empty for silent neighbors
-	FarAS     topo.ASN `json:"far_as"`
-	Heuristic string   `json:"heuristic"`
+	Near      netx.Addr `json:"near"`
+	Far       netx.Addr `json:"far,omitempty"` // zero, and omitted, for silent neighbors
+	FarAS     topo.ASN  `json:"far_as"`
+	Heuristic string    `json:"heuristic"`
 }
 
 // RouterJSON is one inferred router.
 type RouterJSON struct {
-	Addrs     []string `json:"addrs"`
-	Owner     topo.ASN `json:"owner,omitempty"`
-	Heuristic string   `json:"heuristic,omitempty"`
-	IsHost    bool     `json:"is_host,omitempty"`
-	HopDist   int      `json:"hop_dist"`
+	Addrs     []netx.Addr `json:"addrs"`
+	Owner     topo.ASN    `json:"owner,omitempty"`
+	Heuristic string      `json:"heuristic,omitempty"`
+	IsHost    bool        `json:"is_host,omitempty"`
+	HopDist   int         `json:"hop_dist"`
 }
 
 // MergedLinkJSON is one link of a merged multi-VP map.
 type MergedLinkJSON struct {
-	Near      string   `json:"near"`
-	Far       string   `json:"far,omitempty"`
-	FarAS     topo.ASN `json:"far_as"`
-	Heuristic string   `json:"heuristic"`
-	SeenBy    []string `json:"seen_by"`
+	Near      netx.Addr `json:"near"`
+	Far       netx.Addr `json:"far,omitempty"`
+	FarAS     topo.ASN  `json:"far_as"`
+	Heuristic string    `json:"heuristic"`
+	SeenBy    []string  `json:"seen_by"`
 }
 
 // Writer emits JSONL records.
@@ -121,16 +121,13 @@ func (x *Writer) Meta(m Meta) { x.emit(KindMeta, m) }
 // Trace writes one traceroute.
 func (x *Writer) Trace(tr scamper.TraceRecord) {
 	tj := TraceJSON{
-		Dst:      tr.Dst.String(),
+		Dst:      tr.Dst,
 		TargetAS: tr.TargetAS,
 		Reached:  tr.Reached,
 		Stopped:  tr.Stopped,
 	}
 	for _, h := range tr.Hops {
-		hj := HopJSON{TTL: h.TTL, Type: h.Type.String(), IPID: h.IPID}
-		if !h.Addr.IsZero() {
-			hj.Addr = h.Addr.String()
-		}
+		hj := HopJSON{TTL: h.TTL, Type: h.Type.String(), Addr: h.Addr, IPID: h.IPID}
 		if h.RTT > 0 {
 			hj.RTTns = int64(h.RTT)
 		}
@@ -142,24 +139,16 @@ func (x *Writer) Trace(tr scamper.TraceRecord) {
 // Result writes a full inference result (routers then links).
 func (x *Writer) Result(res *core.Result) {
 	for _, rn := range res.Routers {
-		rj := RouterJSON{
-			Owner: rn.Owner, Heuristic: string(rn.Heuristic),
+		x.emit(KindRouter, RouterJSON{
+			Addrs: rn.Addrs, Owner: rn.Owner, Heuristic: string(rn.Heuristic),
 			IsHost: rn.IsHost, HopDist: rn.HopDist,
-		}
-		for _, a := range rn.Addrs {
-			rj.Addrs = append(rj.Addrs, a.String())
-		}
-		x.emit(KindRouter, rj)
+		})
 	}
 	for _, l := range res.Links {
-		lj := LinkJSON{
-			Near: l.NearAddr.String(), FarAS: l.FarAS,
+		x.emit(KindLink, LinkJSON{
+			Near: l.NearAddr, Far: l.FarAddr, FarAS: l.FarAS,
 			Heuristic: string(l.Heuristic),
-		}
-		if !l.FarAddr.IsZero() {
-			lj.Far = l.FarAddr.String()
-		}
-		x.emit(KindLink, lj)
+		})
 	}
 }
 
@@ -167,14 +156,10 @@ func (x *Writer) Result(res *core.Result) {
 // pipeline's round artifact, which core.Diff compares across rounds).
 func (x *Writer) Merged(m *core.MergedMap) {
 	for _, l := range m.Links {
-		mj := MergedLinkJSON{
-			Near: l.Key.Near.String(), FarAS: l.Key.FarAS,
+		x.emit(KindMergedLink, MergedLinkJSON{
+			Near: l.Key.Near, Far: l.Key.Far, FarAS: l.Key.FarAS,
 			Heuristic: string(l.Heuristic), SeenBy: l.SeenBy,
-		}
-		if !l.Key.Far.IsZero() {
-			mj.Far = l.Key.Far.String()
-		}
-		x.emit(KindMergedLink, mj)
+		})
 	}
 }
 
@@ -247,19 +232,15 @@ func Read(r io.Reader) (*Dataset, error) {
 }
 
 // ToTraceRecords converts decoded traces back to the scamper form.
-func (ds *Dataset) ToTraceRecords() ([]scamper.TraceRecord, error) {
+func (ds *Dataset) ToTraceRecords() []scamper.TraceRecord {
 	out := make([]scamper.TraceRecord, 0, len(ds.Traces))
 	for _, t := range ds.Traces {
-		dst, err := netx.ParseAddr(t.Dst)
-		if err != nil {
-			return nil, err
-		}
 		tr := scamper.TraceRecord{TargetAS: t.TargetAS}
-		tr.Dst = dst
+		tr.Dst = t.Dst
 		tr.Reached = t.Reached
 		tr.Stopped = t.Stopped
 		for _, h := range t.Hops {
-			hop := probe.Hop{TTL: h.TTL, IPID: h.IPID}
+			hop := probe.Hop{TTL: h.TTL, Addr: h.Addr, IPID: h.IPID}
 			switch h.Type {
 			case "time-exceeded":
 				hop.Type = probe.HopTimeExceeded
@@ -270,17 +251,10 @@ func (ds *Dataset) ToTraceRecords() ([]scamper.TraceRecord, error) {
 			default:
 				hop.Type = probe.HopTimeout
 			}
-			if h.Addr != "" {
-				a, err := netx.ParseAddr(h.Addr)
-				if err != nil {
-					return nil, err
-				}
-				hop.Addr = a
-			}
 			hop.RTT = time.Duration(h.RTTns)
 			tr.Hops = append(tr.Hops, hop)
 		}
 		out = append(out, tr)
 	}
-	return out, nil
+	return out
 }

@@ -72,10 +72,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Full trace fidelity.
-	back, err := got.ToTraceRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := got.ToTraceRecords()
 	for i := range back {
 		a, b := back[i], ds.Traces[i]
 		if a.Dst != b.Dst || a.TargetAS != b.TargetAS || a.Reached != b.Reached ||
@@ -99,6 +96,9 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader(`{"type":"trace","data":[1,2]}` + "\n")); err == nil {
 		t.Error("mis-shaped data accepted")
+	}
+	if _, err := Read(strings.NewReader(`{"type":"trace","data":{"dst":"10.0.0","hops":[]}}` + "\n")); err == nil {
+		t.Error("malformed address accepted")
 	}
 }
 
@@ -152,7 +152,7 @@ func TestSilentLinkOmitsFar(t *testing.T) {
 		t.Fatalf("silent link serialized a far address: %s", buf.String())
 	}
 	got, err := Read(&buf)
-	if err != nil || len(got.Links) != 1 || got.Links[0].Far != "" {
+	if err != nil || len(got.Links) != 1 || got.Links[0].Far != 0 {
 		t.Fatalf("silent link round trip: %+v %v", got.Links, err)
 	}
 }

@@ -1,9 +1,9 @@
 // Package fleet is the multi-vantage-point coordinator: it schedules N
 // per-VP measurement shards across a bounded worker pool with work
-// stealing, streams completed results into an incremental merge
-// accumulator, and publishes merged generations as configurable shard
-// quorums complete — the deployment shape of §5.6 (one process per
-// continent, many VPs per process) rather than one goroutine per VP.
+// stealing, collects completed results by shard index, and publishes
+// generations as configurable shard quorums complete — the deployment
+// shape of §5.6 (one process per continent, many VPs per process) rather
+// than one goroutine per VP.
 //
 // Failure policy is first-class: each shard has a retry budget (a failed
 // attempt — typically a remote agent whose session was permanently lost —
@@ -13,15 +13,15 @@
 // fleet on its slowest member.
 //
 // Determinism contract: the coordinator itself makes no
-// schedule-dependent decisions about *content*. Results fold into the
-// merge accumulator keyed by shard index, not completion order; trace and
-// span fragments from the shards are merged into the shared logs in
-// (shard, attempt) order after the pool drains. For a fixed shard list
-// and fault schedule, the final merged map, per-shard results, and
-// trace/span fingerprints are byte-identical for any worker count and any
-// completion order. Only the *partial* (quorum-time) publishes depend on
-// arrival order — they are explicitly a freshness/latency trade, and the
-// final generation heals them.
+// schedule-dependent decisions about *content*. Results are stored by
+// shard index, not completion order; trace and span fragments from the
+// shards are merged into the shared logs in (shard, attempt) order after
+// the pool drains. For a fixed shard list and fault schedule, the
+// per-shard results — and so whatever a consumer merges or compiles from
+// them — and the trace/span fingerprints are byte-identical for any worker
+// count and any completion order. Only the *partial* (quorum-time)
+// publishes depend on arrival order — they are explicitly a
+// freshness/latency trade, and the final generation heals them.
 package fleet
 
 import (
@@ -97,12 +97,12 @@ type Shard struct {
 	Run func(ctx RunCtx) (*Output, error)
 }
 
-// PublishEvent is one merged generation leaving the coordinator.
+// PublishEvent is one generation leaving the coordinator. It carries the
+// per-shard results, not a union of them: the consumer builds what it
+// serves (mapdb.Compile, core.Merge) from Results.
 type PublishEvent struct {
 	// Final is false for the quorum-time partial generation.
 	Final bool
-	// Merged is the accumulator snapshot at publish time.
-	Merged *core.MergedMap
 	// Results holds per-shard results, nil where not yet complete.
 	Results []*core.Result
 	// Degraded names shards not represented in this generation (still in
@@ -153,9 +153,6 @@ type Summary struct {
 	Results []*core.Result
 	Outputs []*Output
 	Shards  []ShardResult
-	// Merged is the final accumulator snapshot (also delivered as the
-	// Final publish event).
-	Merged *core.MergedMap
 	// PartialPublishes counts quorum-time generations emitted.
 	PartialPublishes int
 }
@@ -216,7 +213,7 @@ type completion struct {
 func Run(cfg Config, shards []Shard) (*Summary, error) {
 	n := len(shards)
 	if n == 0 {
-		return &Summary{Merged: core.NewMergeAccumulator().Snapshot()}, nil
+		return &Summary{}, nil
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -293,9 +290,8 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 		}(w)
 	}
 
-	// Coordinator loop: the only goroutine that touches accumulator,
-	// per-shard terminal state, and publish events.
-	acc := core.NewMergeAccumulator()
+	// Coordinator loop: the only goroutine that touches per-shard terminal
+	// state and publish events.
 	sum := &Summary{
 		Results: make([]*core.Result, n),
 		Outputs: make([]*Output, n),
@@ -317,12 +313,10 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 		}
 		ev := PublishEvent{
 			Final:    final,
-			Merged:   acc.Snapshot(),
 			Results:  append([]*core.Result(nil), sum.Results...),
 			Degraded: degraded,
 		}
 		if final {
-			sum.Merged = ev.Merged
 			reg.Inc("fleet.publish.final")
 		} else {
 			sum.PartialPublishes++
@@ -361,7 +355,6 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 				sum.Shards[c.shard].Err = nil
 				sum.Outputs[c.shard] = c.out
 				sum.Results[c.shard] = c.out.Result
-				acc.Fold(c.shard, c.out.Result)
 				completed++
 				pending--
 				reg.Inc("fleet.completed")
@@ -383,7 +376,6 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 				sum.Shards[c.shard].State = Degraded
 				sum.Outputs[c.shard] = last
 				sum.Results[c.shard] = last.Result
-				acc.Fold(c.shard, last.Result)
 				completed++
 				reg.Inc("fleet.shard_degraded")
 			} else {

@@ -56,9 +56,9 @@ func TestRunAllWorkersSameMerge(t *testing.T) {
 				t.Fatalf("workers=%d shard %d: %+v", workers, i, sr)
 			}
 		}
-		if want == nil {
-			want = sum.Merged
-		} else if !reflect.DeepEqual(sum.Merged, want) {
+		if got := core.Merge(sum.Results); want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d merged map diverged", workers)
 		}
 	}
@@ -81,7 +81,7 @@ func TestRunAdversarialOrderSameMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base.Merged, rev.Merged) {
+	if !reflect.DeepEqual(core.Merge(base.Results), core.Merge(rev.Results)) {
 		t.Fatal("reversed enqueue order changed the merged map")
 	}
 	if !reflect.DeepEqual(base.Results, rev.Results) {
@@ -193,8 +193,8 @@ func TestRunRetryBudget(t *testing.T) {
 			reg.Counter("fleet.failed").Load(), reg.Counter("fleet.shard_degraded").Load())
 	}
 	// The merged map carries the Done and Degraded shards only.
-	if got := len(sum.Merged.VPs); got != 2 {
-		t.Fatalf("merged VPs = %v", sum.Merged.VPs)
+	if got := core.Merge(sum.Results).VPs; len(got) != 2 {
+		t.Fatalf("merged VPs = %v", got)
 	}
 }
 
@@ -241,10 +241,11 @@ func TestRunQuorumPublish(t *testing.T) {
 	if len(final.Degraded) != 0 {
 		t.Fatalf("final degraded = %v", final.Degraded)
 	}
-	if len(partial.Merged.VPs) != 2 || len(final.Merged.VPs) != 3 {
-		t.Fatalf("merged VP counts: partial %v final %v", partial.Merged.VPs, final.Merged.VPs)
+	pm, fm := core.Merge(partial.Results), core.Merge(final.Results)
+	if len(pm.VPs) != 2 || len(fm.VPs) != 3 {
+		t.Fatalf("merged VP counts: partial %v final %v", pm.VPs, fm.VPs)
 	}
-	d := core.Diff(partial.Merged, final.Merged)
+	d := core.Diff(pm, fm)
 	if len(d.Removed) != 0 || len(d.Added) == 0 {
 		t.Fatalf("healing diff should only add links: %+v", d)
 	}
@@ -377,7 +378,7 @@ func TestRunNoShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Merged == nil || len(sum.Merged.Links) != 0 {
-		t.Fatalf("empty fleet merged = %+v", sum.Merged)
+	if m := core.Merge(sum.Results); len(sum.Results) != 0 || len(m.Links) != 0 {
+		t.Fatalf("empty fleet: results %v, merged %+v", sum.Results, m)
 	}
 }

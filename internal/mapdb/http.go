@@ -391,28 +391,28 @@ func (a *api) handleWatch(w http.ResponseWriter, r *http.Request) bool {
 	w.Header().Set("X-Accel-Buffering", "no")
 	enc := json.NewEncoder(w)
 
-	var host uint32
+	var host topo.ASN
 	if s := a.store.Current(); s != nil {
-		host = uint32(s.HostASN())
+		host = s.HostASN()
 	}
-	send := func(f watchFrame) bool {
+	send := func(f WatchFrame) bool {
 		if err := enc.Encode(f); err != nil {
 			return false
 		}
 		fl.Flush()
 		return true
 	}
-	if !send(watchFrame{Type: "hello", Gen: cur, HostAS: host}) {
+	if !send(WatchFrame{Type: "hello", Gen: cur, HostAS: host}) {
 		return true
 	}
-	last := cur
 	for _, d := range backlog {
-		if !send(watchFrame{Type: "diff", Gen: d.To, Diff: toDiffWire(d)}) {
+		if !send(WatchFrame{Type: "diff", Gen: d.To, Diff: d}) {
 			return true
 		}
-		last = d.To
 	}
-	_ = last // backlog ends at cur; live frames below are all > cur
+	// The backlog ends at cur; live frames at or below it are duplicates
+	// of what was just replayed.
+	last := cur
 
 	ka := a.watchKeepalive
 	if ka <= 0 {
@@ -434,12 +434,12 @@ func (a *api) handleWatch(w http.ResponseWriter, r *http.Request) bool {
 			if d.To <= last {
 				continue
 			}
-			if !send(watchFrame{Type: "diff", Gen: d.To, Diff: toDiffWire(d)}) {
+			if !send(WatchFrame{Type: "diff", Gen: d.To, Diff: d}) {
 				return true
 			}
 			last = d.To
 		case <-ticker.C:
-			if !send(watchFrame{Type: "keepalive", Gen: last}) {
+			if !send(WatchFrame{Type: "keepalive", Gen: last}) {
 				return true
 			}
 		}

@@ -39,21 +39,24 @@ import (
 // inferred to operate the router holding it (§5.4), the heuristic that
 // made the call, and the router's hop distance from the VP.
 type OwnerInfo struct {
-	AS        topo.ASN
-	Heuristic string
+	AS        topo.ASN `json:"as"`
+	Heuristic string   `json:"heuristic,omitempty"`
 	// Host reports the router was attributed to the hosting organization.
-	Host bool
+	Host bool `json:"host,omitempty"`
 	// HopDist is the minimum TTL at which the router was observed.
-	HopDist int
+	HopDist int `json:"hop_dist,omitempty"`
 }
 
 // Link is one interdomain link of the hosting network as served by the
 // database: the observed near/far addresses (Far zero for silent
 // neighbors), the inferred far AS, and the heuristic that attributed it.
+// Its JSON form is the replication wire's: a silent link's far address is
+// "0.0.0.0" (the read API's "silent" spelling is linkJSON's, not this).
 type Link struct {
-	Near, Far netx.Addr
-	FarAS     topo.ASN
-	Heuristic string
+	Near      netx.Addr `json:"near"`
+	Far       netx.Addr `json:"far"`
+	FarAS     topo.ASN  `json:"far_as"`
+	Heuristic string    `json:"heuristic,omitempty"`
 }
 
 // Snapshot is one immutable compiled generation of the border map. All
@@ -66,9 +69,11 @@ type Snapshot struct {
 
 	links []Link // sorted by (FarAS, Near, Far)
 
-	// Interface-address attribution: ownerAddrs[i] resolves to owners[i].
-	// The flat pair doubles as the linear-scan control the benchmarks keep
-	// to certify the trie's speedup, and as the diff substrate.
+	// Interface-address attribution: ownerAddrs[i] resolves to owners[i],
+	// ascending by address on every construction path (a segment written
+	// before that held is served in the order it carries). The flat pair
+	// doubles as the linear-scan control the benchmarks keep to certify the
+	// trie's speedup, and as the diff substrate.
 	owners     []OwnerInfo
 	ownerAddrs []netx.Addr
 	lpm        lpmTable
@@ -85,8 +90,6 @@ type Snapshot struct {
 	pairVals []int32
 	nbAS     []topo.ASN
 	nbOff    []int32
-
-	merged *core.MergedMap
 
 	// degraded names the vantage points missing from this generation (a
 	// fleet quorum publish before every VP completed). Empty for a full
@@ -120,20 +123,21 @@ func sharedIntern(results []*core.Result) *netx.Intern {
 
 // Compile builds a Snapshot from per-VP inference results. It is a pure
 // read of the results: inference output is never modified, and compiling
-// the same results yields an identical snapshot. The generation number is
-// assigned when the snapshot is published to a Store (zero until then).
+// the same results yields an identical snapshot. The layout is canonical —
+// links by (FarAS, Near, Far), owners by address — so the snapshot's
+// WriteTo image equals that of the same generation opened from a segment
+// or rebuilt by Apply. The generation number is assigned when the snapshot
+// is published to a Store (zero until then).
 func Compile(host topo.ASN, results []*core.Result) *Snapshot {
-	s := &Snapshot{
-		host:   host,
-		merged: core.Merge(results),
-	}
+	s := &Snapshot{host: host}
 
 	// Interface attribution from the alias-merged router nodes: every
 	// observed address of an attributed router resolves to that router's
 	// owner. First write wins, and iteration order is the deterministic
-	// result/router/address order, so compiles are reproducible.
+	// result/router/address order, so which record an address keeps is
+	// reproducible; the table is then ordered by address.
 	//
-	// Deduplication runs on dense interned address IDs and a flat slot
+	// Deduplication runs on dense interned address IDs and a flat seen
 	// array, not an address-keyed map. When every result carries the same
 	// intern table (the single-driver rounds loop), its IDs are consumed
 	// directly; otherwise a compile-local table assigns them. ID() on a
@@ -144,10 +148,7 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 	if it == nil {
 		it = netx.NewIntern(1024)
 	}
-	slot := make([]int32, it.Len())
-	for i := range slot {
-		slot[i] = -1
-	}
+	seen := make([]bool, it.Len())
 	seenVP := make(map[string]bool)
 	for _, res := range results {
 		if res == nil {
@@ -166,13 +167,13 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 					continue
 				}
 				id := it.ID(a)
-				for int(id) >= len(slot) {
-					slot = append(slot, -1)
+				for int(id) >= len(seen) {
+					seen = append(seen, false)
 				}
-				if slot[id] >= 0 {
+				if seen[id] {
 					continue
 				}
-				slot[id] = int32(len(s.owners))
+				seen[id] = true
 				s.ownerAddrs = append(s.ownerAddrs, a)
 				s.owners = append(s.owners, OwnerInfo{
 					AS:        rn.Owner,
@@ -184,6 +185,7 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 		}
 	}
 	sort.Strings(s.vps)
+	sort.Sort(ownersByAddr{s})
 
 	// Observed links, deduplicated across VPs by the observed
 	// (near, far, farAS) triple — the identity a hop-pair query carries.
@@ -204,6 +206,17 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 	}
 	s.finishIndexes()
 	return s
+}
+
+// ownersByAddr sorts a snapshot's parallel owner table by address — a
+// total order, since the table holds each address once.
+type ownersByAddr struct{ s *Snapshot }
+
+func (o ownersByAddr) Len() int           { return len(o.s.ownerAddrs) }
+func (o ownersByAddr) Less(i, j int) bool { return o.s.ownerAddrs[i] < o.s.ownerAddrs[j] }
+func (o ownersByAddr) Swap(i, j int) {
+	o.s.ownerAddrs[i], o.s.ownerAddrs[j] = o.s.ownerAddrs[j], o.s.ownerAddrs[i]
+	o.s.owners[i], o.s.owners[j] = o.s.owners[j], o.s.owners[i]
 }
 
 // sortLinks orders links by (FarAS, Near, Far) — a total order, since the
@@ -388,7 +401,3 @@ func (s *Snapshot) NeighborASes() []topo.ASN {
 
 // NumNeighbors returns the number of distinct neighbor ASes.
 func (s *Snapshot) NumNeighbors() int { return len(s.nbAS) }
-
-// Merged exposes the canonical merged map the snapshot was compiled from
-// (the diff substrate). Read-only.
-func (s *Snapshot) Merged() *core.MergedMap { return s.merged }

@@ -103,8 +103,9 @@ func TestCompileAgainstResults(t *testing.T) {
 }
 
 func TestCompileDeterministic(t *testing.T) {
-	a := CompileScenario(tinyScenario(t, 1))
-	b := CompileScenario(tinyScenario(t, 1))
+	sa, sb := tinyScenario(t, 1), tinyScenario(t, 1)
+	a := Compile(sa.Net.HostASN, sa.Results)
+	b := Compile(sb.Net.HostASN, sb.Results)
 	if !reflect.DeepEqual(a.links, b.links) {
 		t.Error("link sets differ across identical compiles")
 	}

@@ -22,13 +22,12 @@ import (
 // contact or after a history gap) and the GenDiff stream (/v1/watch
 // NDJSON frames, applied incrementally). A follower therefore holds
 // exactly the generations the leader published: same generation numbers,
-// same link bytes, same diffs (adopted verbatim, not recomputed).
+// same segment image, same diffs (adopted verbatim, not recomputed).
 
 // Apply reconstructs generation d.To by replaying d on top of s (which
 // must be generation d.From). The result is a freshly indexed heap
-// snapshot; s is not modified. The merged-map substrate is not carried
-// by diffs, so the result serves queries but exposes Merged() == nil —
-// the same contract as a snapshot opened from a segment.
+// snapshot in the canonical layout Compile produces, so its WriteTo image
+// equals the leader's for the same generation; s is not modified.
 func (s *Snapshot) Apply(d *GenDiff) (*Snapshot, error) {
 	if d.From != s.gen {
 		return nil, fmt.Errorf("mapdb: apply: diff is %d→%d but snapshot is generation %d", d.From, d.To, s.gen)
@@ -69,205 +68,27 @@ func (s *Snapshot) Apply(d *GenDiff) (*Snapshot, error) {
 		delete(byAddr, a)
 	}
 	for _, od := range d.OwnersSet {
-		byAddr[od.Addr] = od.Info
+		byAddr[od.Addr] = od.OwnerInfo
 	}
 	next.ownerAddrs = make([]netx.Addr, 0, len(byAddr))
-	for a := range byAddr {
+	next.owners = make([]OwnerInfo, 0, len(byAddr))
+	for a, o := range byAddr {
 		next.ownerAddrs = append(next.ownerAddrs, a)
+		next.owners = append(next.owners, o)
 	}
-	// Sorted owner order (the leader keeps discovery order) — every query
-	// index is rebuilt below, so answers are unaffected.
-	sort.Slice(next.ownerAddrs, func(i, j int) bool { return next.ownerAddrs[i] < next.ownerAddrs[j] })
-	next.owners = make([]OwnerInfo, len(next.ownerAddrs))
-	for i, a := range next.ownerAddrs {
-		next.owners[i] = byAddr[a]
-	}
+	sort.Sort(ownersByAddr{next})
 
 	next.finishIndexes()
 	return next, nil
 }
 
-// ---------------------------------------------------------------------------
-// Wire shapes — shared by the /v1/watch handler and the clients below.
-
-// linkWire round-trips a Link exactly (no "silent" aliasing: a zero far
-// address is "0.0.0.0").
-type linkWire struct {
-	Near      string `json:"near"`
-	Far       string `json:"far"`
-	FarAS     uint32 `json:"far_as"`
-	Heuristic string `json:"heuristic,omitempty"`
-}
-
-func toLinkWire(l Link) linkWire {
-	return linkWire{Near: l.Near.String(), Far: l.Far.String(), FarAS: uint32(l.FarAS), Heuristic: l.Heuristic}
-}
-
-func (lw linkWire) link() (Link, error) {
-	near, err := netx.ParseAddr(lw.Near)
-	if err != nil {
-		return Link{}, fmt.Errorf("link near: %w", err)
-	}
-	far, err := netx.ParseAddr(lw.Far)
-	if err != nil {
-		return Link{}, fmt.Errorf("link far: %w", err)
-	}
-	return Link{Near: near, Far: far, FarAS: topo.ASN(lw.FarAS), Heuristic: lw.Heuristic}, nil
-}
-
-func toLinkWires(ls []Link) []linkWire {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := make([]linkWire, len(ls))
-	for i, l := range ls {
-		out[i] = toLinkWire(l)
-	}
-	return out
-}
-
-func fromLinkWires(ws []linkWire) ([]Link, error) {
-	if len(ws) == 0 {
-		return nil, nil
-	}
-	out := make([]Link, len(ws))
-	for i, w := range ws {
-		l, err := w.link()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = l
-	}
-	return out, nil
-}
-
-type ownerChangeWire struct {
-	Addr string `json:"addr"`
-	From uint32 `json:"from"`
-	To   uint32 `json:"to"`
-}
-
-type ownerDeltaWire struct {
-	Addr      string `json:"addr"`
-	AS        uint32 `json:"as"`
-	Heuristic string `json:"heuristic,omitempty"`
-	Host      bool   `json:"host,omitempty"`
-	HopDist   int    `json:"hop_dist,omitempty"`
-}
-
-// diffWire is the JSON form of a GenDiff: complete enough that Apply on
-// the decoded value reconstructs the To generation.
-type diffWire struct {
-	From             int               `json:"from"`
-	To               int               `json:"to"`
-	Added            []linkWire        `json:"added,omitempty"`
-	Removed          []linkWire        `json:"removed,omitempty"`
-	Relabeled        []linkWire        `json:"relabeled,omitempty"`
-	NeighborsAdded   []uint32          `json:"neighbors_added,omitempty"`
-	NeighborsRemoved []uint32          `json:"neighbors_removed,omitempty"`
-	OwnerChanges     []ownerChangeWire `json:"owner_changes,omitempty"`
-	OwnersSet        []ownerDeltaWire  `json:"owners_set,omitempty"`
-	OwnersRemoved    []string          `json:"owners_removed,omitempty"`
-	VPs              []string          `json:"vps,omitempty"`
-	DegradedVPs      []string          `json:"degraded_vps,omitempty"`
-	FromPartial      bool              `json:"from_partial,omitempty"`
-	ToPartial        bool              `json:"to_partial,omitempty"`
-}
-
-func toDiffWire(d *GenDiff) *diffWire {
-	w := &diffWire{
-		From: d.From, To: d.To,
-		Added:            toLinkWires(d.Added),
-		Removed:          toLinkWires(d.Removed),
-		Relabeled:        toLinkWires(d.Relabeled),
-		NeighborsAdded:   toASNsJSON(d.NeighborsAdded),
-		NeighborsRemoved: toASNsJSON(d.NeighborsRemoved),
-		VPs:              d.VPs,
-		DegradedVPs:      d.DegradedVPs,
-		FromPartial:      d.FromPartial,
-		ToPartial:        d.ToPartial,
-	}
-	for _, c := range d.OwnerChanges {
-		w.OwnerChanges = append(w.OwnerChanges, ownerChangeWire{
-			Addr: c.Addr.String(), From: uint32(c.From), To: uint32(c.To),
-		})
-	}
-	for _, od := range d.OwnersSet {
-		w.OwnersSet = append(w.OwnersSet, ownerDeltaWire{
-			Addr: od.Addr.String(), AS: uint32(od.Info.AS),
-			Heuristic: od.Info.Heuristic, Host: od.Info.Host, HopDist: od.Info.HopDist,
-		})
-	}
-	for _, a := range d.OwnersRemoved {
-		w.OwnersRemoved = append(w.OwnersRemoved, a.String())
-	}
-	return w
-}
-
-func (w *diffWire) diff() (*GenDiff, error) {
-	d := &GenDiff{
-		From: w.From, To: w.To,
-		VPs:         w.VPs,
-		DegradedVPs: w.DegradedVPs,
-		FromPartial: w.FromPartial,
-		ToPartial:   w.ToPartial,
-	}
-	var err error
-	if d.Added, err = fromLinkWires(w.Added); err != nil {
-		return nil, err
-	}
-	if d.Removed, err = fromLinkWires(w.Removed); err != nil {
-		return nil, err
-	}
-	if d.Relabeled, err = fromLinkWires(w.Relabeled); err != nil {
-		return nil, err
-	}
-	for _, as := range w.NeighborsAdded {
-		d.NeighborsAdded = append(d.NeighborsAdded, topo.ASN(as))
-	}
-	for _, as := range w.NeighborsRemoved {
-		d.NeighborsRemoved = append(d.NeighborsRemoved, topo.ASN(as))
-	}
-	for _, c := range w.OwnerChanges {
-		a, err := netx.ParseAddr(c.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("owner change: %w", err)
-		}
-		d.OwnerChanges = append(d.OwnerChanges, OwnerChange{Addr: a, From: topo.ASN(c.From), To: topo.ASN(c.To)})
-	}
-	for _, od := range w.OwnersSet {
-		a, err := netx.ParseAddr(od.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("owner set: %w", err)
-		}
-		d.OwnersSet = append(d.OwnersSet, OwnerDelta{Addr: a, Info: OwnerInfo{
-			AS: topo.ASN(od.AS), Heuristic: od.Heuristic, Host: od.Host, HopDist: od.HopDist,
-		}})
-	}
-	for _, s := range w.OwnersRemoved {
-		a, err := netx.ParseAddr(s)
-		if err != nil {
-			return nil, fmt.Errorf("owner removed: %w", err)
-		}
-		d.OwnersRemoved = append(d.OwnersRemoved, a)
-	}
-	return d, nil
-}
-
-// watchFrame is one NDJSON line on /v1/watch.
-type watchFrame struct {
-	Type   string    `json:"type"` // "hello" | "diff" | "keepalive"
-	Gen    int       `json:"gen,omitempty"`
-	HostAS uint32    `json:"host_as,omitempty"`
-	Diff   *diffWire `json:"diff,omitempty"`
-}
-
-// WatchFrame is one decoded event from a leader's /v1/watch stream.
+// WatchFrame is one NDJSON line on /v1/watch — the struct the handler
+// encodes and the client decodes.
 type WatchFrame struct {
-	Type   string // "hello" | "diff" | "keepalive"
-	Gen    int    // hello: the leader's newest generation
-	HostAS topo.ASN
-	Diff   *GenDiff // non-nil for "diff"
+	Type   string   `json:"type"`          // "hello" | "diff" | "keepalive"
+	Gen    int      `json:"gen,omitempty"` // hello: the leader's newest generation
+	HostAS topo.ASN `json:"host_as,omitempty"`
+	Diff   *GenDiff `json:"diff,omitempty"` // non-nil for "diff"
 }
 
 // ---------------------------------------------------------------------------
@@ -324,19 +145,11 @@ func (c *WatchClient) Run(ctx context.Context, fn func(WatchFrame) error) error 
 		if len(line) == 0 {
 			continue
 		}
-		var f watchFrame
+		var f WatchFrame
 		if err := json.Unmarshal(line, &f); err != nil {
 			return fmt.Errorf("mapdb: watch: bad frame: %w", err)
 		}
-		out := WatchFrame{Type: f.Type, Gen: f.Gen, HostAS: topo.ASN(f.HostAS)}
-		if f.Diff != nil {
-			d, err := f.Diff.diff()
-			if err != nil {
-				return fmt.Errorf("mapdb: watch: bad diff frame: %w", err)
-			}
-			out.Diff = d
-		}
-		if err := fn(out); err != nil {
+		if err := fn(f); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package mapdb
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -13,7 +15,9 @@ import (
 	"time"
 
 	"bdrmap/internal/core"
+	"bdrmap/internal/eval"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -230,8 +234,133 @@ func TestSnapshotApplyReconstructs(t *testing.T) {
 	}
 }
 
+// image is the snapshot's WriteTo byte stream.
+func image(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// overWire passes d through its /v1/watch JSON form, as a follower gets it.
+func overWire(t testing.TB, d *GenDiff) *GenDiff {
+	t.Helper()
+	raw, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(GenDiff)
+	if err := json.Unmarshal(raw, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSnapshotApplyImageMatchesLeader is the canonical-bytes contract: for
+// every generation of a churning map — real inference output of a one-VP
+// and a three-VP world, stepped through a relabel, an owner removal, a
+// quorum-partial generation and its healing — the segment image is the
+// same whether the snapshot was compiled, decoded from that image, or
+// rebuilt by a replica applying the wire form of each published diff to
+// its own previous generation.
+func TestSnapshotApplyImageMatchesLeader(t *testing.T) {
+	for _, name := range []string{"tiny", "regional-vp"} {
+		t.Run(name, func(t *testing.T) {
+			prof, ok := topo.ProfileByName(name)
+			if !ok {
+				t.Fatalf("%s profile missing", name)
+			}
+			s := eval.Build(prof, 1)
+			s.RunAll(scamper.Config{})
+			full := s.Results
+
+			// edited returns results with every entry replaced by an edited
+			// shallow copy; the inference output itself is never touched.
+			edited := func(results []*core.Result, edit func(i int, r *core.Result)) []*core.Result {
+				out := make([]*core.Result, len(results))
+				for i, r := range results {
+					c := *r
+					edit(i, &c)
+					out[i] = &c
+				}
+				return out
+			}
+			relabeled := edited(full, func(i int, r *core.Result) {
+				if i == 0 {
+					l := *r.Links[0]
+					l.Heuristic = "relabeled"
+					r.Links = append([]*core.Link{&l}, r.Links[1:]...)
+				}
+			})
+			var gone netx.Addr
+			for _, rn := range full[0].Routers {
+				if rn.Owner != 0 {
+					gone = rn.Addrs[0]
+				}
+			}
+			ownerGone := edited(relabeled, func(_ int, r *core.Result) {
+				var keep []*core.RouterNode
+				for _, rn := range r.Routers {
+					if rn.Addrs[0] != gone {
+						keep = append(keep, rn)
+					}
+				}
+				r.Routers = keep
+			})
+			last := len(full) - 1
+			partial := append([]*core.Result(nil), ownerGone...)
+			partial[last] = nil
+
+			steps := []struct {
+				what     string
+				results  []*core.Result
+				degraded []string
+				ok       func(d *GenDiff) bool
+			}{
+				{"first", full, nil, func(d *GenDiff) bool { return d == nil }},
+				{"relabel", relabeled, nil, func(d *GenDiff) bool { return len(d.Relabeled) > 0 }},
+				{"owner removal", ownerGone, nil, func(d *GenDiff) bool { return len(d.OwnersRemoved) > 0 }},
+				{"partial", partial, []string{full[last].VPName}, func(d *GenDiff) bool { return d.ToPartial }},
+				{"heal", full, nil, func(d *GenDiff) bool { return d.FromPartial && len(d.Added) > 0 }},
+			}
+			leader := NewStore(0, nil)
+			var replica *Snapshot
+			for _, step := range steps {
+				compiled := Compile(s.Net.HostASN, step.results)
+				if step.degraded != nil {
+					compiled.MarkDegraded(step.degraded)
+				}
+				d := leader.Publish(compiled)
+				if !step.ok(d) {
+					t.Fatalf("%s: the step did not produce the churn it is named for: %+v", step.what, d)
+				}
+				want := image(t, compiled)
+
+				opened, err := ReadSegment(want)
+				if err != nil {
+					t.Fatalf("%s: %v", step.what, err)
+				}
+				if !bytes.Equal(image(t, opened), want) {
+					t.Errorf("%s: image changed across a segment round trip", step.what)
+				}
+				if replica == nil {
+					replica = opened // the follower's first contact is a full sync
+				} else if replica, err = replica.Apply(overWire(t, d)); err != nil {
+					t.Fatalf("%s: %v", step.what, err)
+				}
+				if !bytes.Equal(image(t, replica), want) {
+					t.Errorf("%s: diff-built replica's image differs from the leader's", step.what)
+				}
+			}
+		})
+	}
+}
+
 // TestDiffWireRoundtrip pins the replication frame codec: a GenDiff with
-// every field populated must survive JSON encode/decode bit-exactly.
+// every field populated must survive its own JSON encode/decode bit-exactly,
+// and a malformed address must fail the decode.
 func TestDiffWireRoundtrip(t *testing.T) {
 	d := &GenDiff{
 		From: 3, To: 4,
@@ -241,27 +370,159 @@ func TestDiffWireRoundtrip(t *testing.T) {
 		NeighborsAdded:   []topo.ASN{7},
 		NeighborsRemoved: []topo.ASN{8},
 		OwnerChanges:     []OwnerChange{{Addr: 9, From: 1, To: 2}},
-		OwnersSet:        []OwnerDelta{{Addr: 9, Info: OwnerInfo{AS: 2, Heuristic: "h", Host: true, HopDist: 3}}},
+		OwnersSet:        []OwnerDelta{{Addr: 9, OwnerInfo: OwnerInfo{AS: 2, Heuristic: "h", Host: true, HopDist: 3}}},
 		OwnersRemoved:    []netx.Addr{11},
 		VPs:              []string{"east", "west"},
 		DegradedVPs:      []string{"west"},
 		FromPartial:      true,
 		ToPartial:        true,
 	}
-	raw, err := json.Marshal(toDiffWire(d))
+	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w diffWire
-	if err := json.Unmarshal(raw, &w); err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.diff()
-	if err != nil {
+	got := new(GenDiff)
+	if err := json.Unmarshal(raw, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(d, got) {
 		t.Fatalf("wire roundtrip diverged:\nwant %+v\ngot  %+v", d, got)
+	}
+	for _, bad := range []string{
+		`{"from":1,"to":2,"added":[{"near":"10.0.0.256","far":"0.0.0.0","far_as":7}]}`,
+		`{"from":1,"to":2,"owner_changes":[{"addr":"10.0.0","from":1,"to":2}]}`,
+		`{"from":1,"to":2,"owners_set":[{"addr":"","as":2}]}`,
+		`{"from":1,"to":2,"owners_removed":[167772161]}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), new(GenDiff)); err == nil {
+			t.Errorf("malformed frame decoded without error: %s", bad)
+		}
+	}
+}
+
+// TestWatchFrameBytesPinned pins the /v1/watch wire: the literals are the
+// NDJSON lines the handler emitted when GenDiff still had a shadow wire
+// struct (commit 139396d), for a hello, a diff with every field set (a
+// silent added link, an owner record with only its AS), an empty diff and
+// a keepalive — and the bare frames of a store with no generation yet.
+func TestWatchFrameBytesPinned(t *testing.T) {
+	addr := netx.MustParseAddr
+	full := &GenDiff{
+		From: 1, To: 2,
+		Added: []Link{
+			{Near: addr("10.0.0.1"), Far: addr("10.0.0.2"), FarAS: 50001, Heuristic: "as-relationship"},
+			{Near: addr("10.0.0.5"), FarAS: 50002, Heuristic: "silent-neighbor"},
+		},
+		Removed:          []Link{{Near: addr("10.0.0.9"), Far: addr("10.0.0.10"), FarAS: 50003}},
+		Relabeled:        []Link{{Near: addr("10.0.0.13"), Far: addr("10.0.0.14"), FarAS: 50004, Heuristic: "onenet"}},
+		NeighborsAdded:   []topo.ASN{50001, 50002},
+		NeighborsRemoved: []topo.ASN{50003},
+		OwnerChanges:     []OwnerChange{{Addr: addr("10.0.0.2"), From: 50003, To: 50001}},
+		OwnersSet: []OwnerDelta{
+			{Addr: addr("10.0.0.2"), OwnerInfo: OwnerInfo{AS: 50001, Heuristic: "as-relationship", Host: true, HopDist: 3}},
+			{Addr: addr("10.0.0.6"), OwnerInfo: OwnerInfo{AS: 50002}},
+		},
+		OwnersRemoved: []netx.Addr{addr("10.0.0.10")},
+		VPs:           []string{"east", "west"},
+		DegradedVPs:   []string{"west"},
+		FromPartial:   true,
+		ToPartial:     true,
+	}
+	st := NewStore(0, nil)
+	for g, d := range []*GenDiff{nil, full, {From: 2, To: 3}} {
+		snap := Compile(64500, []*core.Result{genResult(g+1, 4)})
+		snap.gen = g + 1
+		if err := st.Adopt(snap, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		st   *Store
+		path string
+		want []string
+	}{
+		{st, "/v1/watch?from=1", []string{
+			`{"type":"hello","gen":3,"host_as":64500}`,
+			`{"type":"diff","gen":2,"diff":{"from":1,"to":2,"added":[{"near":"10.0.0.1","far":"10.0.0.2","far_as":50001,"heuristic":"as-relationship"},{"near":"10.0.0.5","far":"0.0.0.0","far_as":50002,"heuristic":"silent-neighbor"}],"removed":[{"near":"10.0.0.9","far":"10.0.0.10","far_as":50003}],"relabeled":[{"near":"10.0.0.13","far":"10.0.0.14","far_as":50004,"heuristic":"onenet"}],"neighbors_added":[50001,50002],"neighbors_removed":[50003],"owner_changes":[{"addr":"10.0.0.2","from":50003,"to":50001}],"owners_set":[{"addr":"10.0.0.2","as":50001,"heuristic":"as-relationship","host":true,"hop_dist":3},{"addr":"10.0.0.6","as":50002}],"owners_removed":["10.0.0.10"],"vps":["east","west"],"degraded_vps":["west"],"from_partial":true,"to_partial":true}}`,
+			`{"type":"diff","gen":3,"diff":{"from":2,"to":3}}`,
+			`{"type":"keepalive","gen":3}`,
+		}},
+		{NewStore(0, nil), "/v1/watch", []string{
+			`{"type":"hello"}`,
+			`{"type":"keepalive"}`,
+		}},
+	} {
+		srv := watchServer(tc.st, 20*time.Millisecond)
+		resp, err := http.Get(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for i, want := range tc.want {
+			if !sc.Scan() {
+				t.Fatalf("%s: stream ended before line %d: %v", tc.path, i, sc.Err())
+			}
+			if got := sc.Text(); got != want {
+				t.Errorf("%s line %d:\n got %s\nwant %s", tc.path, i, got, want)
+			}
+		}
+		resp.Body.Close()
+		srv.Close()
+	}
+}
+
+// TestAdoptGapNotifiesTrueDiff is the regression for a full sync lying to
+// the follower's own watchers: a subscriber that saw generation 1 and is
+// then handed generation 5 wholesale (Adopt with no diff) must be told
+// what changed since 1 — removals included — not "everything added since
+// the empty map". Only a store's very first generation is diffed against
+// nothing.
+func TestAdoptGapNotifiesTrueDiff(t *testing.T) {
+	gen := func(g, tag int) *Snapshot {
+		s := Compile(64500, []*core.Result{genResult(tag, 8)})
+		s.gen = g
+		return s
+	}
+	st := NewStore(0, nil)
+	ch, cancel, _ := st.Watch(4)
+	defer cancel()
+
+	g1 := gen(1, 1)
+	if err := st.Adopt(g1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := <-ch; d.From != 0 || d.To != 1 || len(d.Added) != g1.NumLinks() || len(d.Removed) != 0 {
+		t.Fatalf("first generation frame = %d→%d +%d -%d, want 0→1 +%d -0",
+			d.From, d.To, len(d.Added), len(d.Removed), g1.NumLinks())
+	}
+
+	g5 := gen(5, 2) // a different far AS: every link of g1 is gone
+	if err := st.Adopt(g5, nil); err != nil {
+		t.Fatal(err)
+	}
+	d := <-ch
+	if want := diffSnapshots(g1, g5); !reflect.DeepEqual(d, want) {
+		t.Fatalf("gap frame = %d→%d +%d -%d, want %d→%d +%d -%d", d.From, d.To,
+			len(d.Added), len(d.Removed), want.From, want.To, len(want.Added), len(want.Removed))
+	}
+	if d.From != 1 || len(d.Removed) != g1.NumLinks() {
+		t.Fatalf("gap frame hides the removals: %d→%d -%d", d.From, d.To, len(d.Removed))
+	}
+	if next, err := g1.Apply(d); err != nil {
+		t.Fatalf("a watcher at generation 1 cannot apply the gap frame: %v", err)
+	} else {
+		requireSnapshotsAnswerIdentically(t, g5, next)
+	}
+	if _, err := st.Diff(4, 5); err == nil {
+		t.Fatal("a non-adjacent gap diff was cached as 4→5")
+	}
+
+	// An adjacent full sync is an ordinary generation step and is cached.
+	if err := st.Adopt(gen(6, 3), nil); err != nil {
+		t.Fatal(err)
+	}
+	if cached, err := st.Diff(5, 6); err != nil || cached != <-ch {
+		t.Fatalf("adjacent adopted diff not cached: %v", err)
 	}
 }
 

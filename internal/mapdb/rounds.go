@@ -330,9 +330,3 @@ func neighborASes(n *topo.Network) []topo.ASN {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// CompileScenario compiles the current results of an already-run scenario
-// — the one-liner bridging eval to the serving layer.
-func CompileScenario(s *eval.Scenario) *Snapshot {
-	return Compile(s.Net.HostASN, s.Results)
-}

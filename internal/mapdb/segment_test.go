@@ -362,7 +362,7 @@ func TestStoreEvictionReleasesSegments(t *testing.T) {
 			}
 		}
 		for _, od := range d.OwnersSet {
-			if len(od.Info.Heuristic) > 1000 {
+			if len(od.Heuristic) > 1000 {
 				t.Fatal("unreachable")
 			}
 		}

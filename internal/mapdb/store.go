@@ -162,17 +162,23 @@ func (st *Store) Publish(snap *Snapshot) *GenDiff {
 // close a history gap. The generation must be newer than everything
 // retained. d, when non-nil, is the leader's own diff into this
 // generation and is cached verbatim so the follower serves
-// byte-identical /v1/diff and /v1/watch content.
+// byte-identical /v1/diff and /v1/watch content. With no diff supplied
+// (the full sync) the store's own watchers are told the true change from
+// the generation they last saw, removals included, not "everything added".
 func (st *Store) Adopt(snap *Snapshot, d *GenDiff) error {
 	if snap.gen <= 0 {
 		return fmt.Errorf("mapdb: adopt: snapshot carries no generation")
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if prev := st.latestLocked(); prev != nil && snap.gen <= prev.gen {
+	prev := st.latestLocked()
+	if prev != nil && snap.gen <= prev.gen {
 		return fmt.Errorf("mapdb: adopt: generation %d is not newer than retained %d", snap.gen, prev.gen)
 	}
 	st.nextGen = snap.gen + 1
+	if d == nil && prev != nil {
+		d = diffSnapshots(prev, snap)
+	}
 	if d != nil && d.To == snap.gen && d.From == snap.gen-1 {
 		st.diffs[snap.gen] = d
 	}
@@ -364,57 +370,63 @@ func (st *Store) Diff(from, to int) (*GenDiff, error) {
 // OwnerChange records an interface address whose inferred owner AS
 // changed between two generations (the address is present in both).
 type OwnerChange struct {
-	Addr     netx.Addr
-	From, To topo.ASN
+	Addr netx.Addr `json:"addr"`
+	From topo.ASN  `json:"from"`
+	To   topo.ASN  `json:"to"`
 }
 
 // OwnerDelta carries the full new attribution of one interface address —
 // the replication payload letting a follower reconstruct the To
-// generation's owner index without the full segment.
+// generation's owner index without the full segment. OwnerInfo is embedded
+// so the JSON record is flat: addr, as, heuristic, host, hop_dist.
 type OwnerDelta struct {
-	Addr netx.Addr
-	Info OwnerInfo
+	Addr netx.Addr `json:"addr"`
+	OwnerInfo
 }
 
 // GenDiff is the queryable churn between two generations: interdomain
 // links that appeared or vanished, neighbor ASes gained or lost, and
 // interface addresses whose owner attribution changed. It doubles as the
 // replication frame — OwnersSet/OwnersRemoved/Relabeled make it a
-// complete delta from which Apply reconstructs the To generation.
+// complete delta from which Apply reconstructs the To generation — and
+// its JSON encoding is that frame's wire form on /v1/watch: what a leader
+// sends is this struct, and what a follower decodes is this struct.
+// (/v1/diff is a different, older reply shape built in handleDiff.)
 type GenDiff struct {
-	From, To int
+	From int `json:"from"`
+	To   int `json:"to"`
 
-	Added   []Link
-	Removed []Link
+	Added   []Link `json:"added,omitempty"`
+	Removed []Link `json:"removed,omitempty"`
 
 	// Relabeled lists links whose identity (near, far, farAS) persists in
 	// both generations but whose attributing heuristic changed — not
 	// churn for monitors, but required to replicate byte-identically.
-	Relabeled []Link
+	Relabeled []Link `json:"relabeled,omitempty"`
 
-	NeighborsAdded   []topo.ASN
-	NeighborsRemoved []topo.ASN
+	NeighborsAdded   []topo.ASN `json:"neighbors_added,omitempty"`
+	NeighborsRemoved []topo.ASN `json:"neighbors_removed,omitempty"`
 
-	OwnerChanges []OwnerChange
+	OwnerChanges []OwnerChange `json:"owner_changes,omitempty"`
 
 	// Full owner-level delta: every address whose attribution record is
 	// new or changed in any field (OwnersSet carries the To-generation
 	// record), and every address that vanished.
-	OwnersSet     []OwnerDelta
-	OwnersRemoved []netx.Addr
+	OwnersSet     []OwnerDelta `json:"owners_set,omitempty"`
+	OwnersRemoved []netx.Addr  `json:"owners_removed,omitempty"`
 
 	// To-generation metadata, carried so a follower labels its adopted
 	// snapshot exactly as the leader labels the original.
-	VPs         []string
-	DegradedVPs []string
+	VPs         []string `json:"vps,omitempty"`
+	DegradedVPs []string `json:"degraded_vps,omitempty"`
 
 	// Partial marks flag degraded-artifact churn: a diff into or out of a
 	// quorum-partial generation reports the straggler VP's links as
 	// Removed and then re-Added by the healing publish. Consumers tracking
 	// border flaps (tslpmon, /v1/watch subscribers) should discount diffs
 	// with either mark rather than alarm on phantom churn.
-	FromPartial bool
-	ToPartial   bool
+	FromPartial bool `json:"from_partial,omitempty"`
+	ToPartial   bool `json:"to_partial,omitempty"`
 }
 
 // Empty reports whether nothing changed between the generations.
@@ -428,22 +440,46 @@ func (d *GenDiff) Empty() bool {
 // artifact rather than observed topology change.
 func (d *GenDiff) Degraded() bool { return d.FromPartial || d.ToPartial }
 
-// diffSnapshots computes the churn from a to b over the canonical merged
-// maps (link/neighbor level) and the interface-owner indexes.
+// diffSnapshots computes the churn from a to b: the observed link sets
+// compared by (near, far, farAS) identity — the one a query carries — the
+// neighbor ASes by their link spans, and the interface-owner tables record
+// by record.
 func diffSnapshots(a, b *Snapshot) *GenDiff {
-	cd := coreDiff(a, b)
 	d := &GenDiff{
-		From:             a.gen,
-		To:               b.gen,
-		Added:            cd.added,
-		Removed:          cd.removed,
-		Relabeled:        cd.relabeled,
-		NeighborsAdded:   cd.nbAdded,
-		NeighborsRemoved: cd.nbRemoved,
-		VPs:              append([]string(nil), b.vps...),
-		DegradedVPs:      append([]string(nil), b.degraded...),
-		FromPartial:      a.Partial(),
-		ToPartial:        b.Partial(),
+		From:        a.gen,
+		To:          b.gen,
+		VPs:         append([]string(nil), b.vps...),
+		DegradedVPs: append([]string(nil), b.degraded...),
+		FromPartial: a.Partial(),
+		ToPartial:   b.Partial(),
+	}
+	inA := make(map[Link]string, len(a.links))
+	for _, l := range a.links {
+		inA[stripHeur(l)] = l.Heuristic
+	}
+	inB := make(map[Link]bool, len(b.links))
+	for _, l := range b.links {
+		inB[stripHeur(l)] = true
+		if h, ok := inA[stripHeur(l)]; !ok {
+			d.Added = append(d.Added, l)
+		} else if h != l.Heuristic {
+			d.Relabeled = append(d.Relabeled, l)
+		}
+	}
+	for _, l := range a.links {
+		if !inB[stripHeur(l)] {
+			d.Removed = append(d.Removed, l)
+		}
+	}
+	for _, as := range b.nbAS {
+		if lo, hi := a.neighborSpan(as); lo == hi {
+			d.NeighborsAdded = append(d.NeighborsAdded, as)
+		}
+	}
+	for _, as := range a.nbAS {
+		if lo, hi := b.neighborSpan(as); lo == hi {
+			d.NeighborsRemoved = append(d.NeighborsRemoved, as)
+		}
 	}
 	for i, addr := range a.ownerAddrs {
 		bo, ok := b.Owner(addr)
@@ -452,7 +488,7 @@ func diffSnapshots(a, b *Snapshot) *GenDiff {
 			continue
 		}
 		if bo != a.owners[i] {
-			d.OwnersSet = append(d.OwnersSet, OwnerDelta{Addr: addr, Info: bo})
+			d.OwnersSet = append(d.OwnersSet, OwnerDelta{Addr: addr, OwnerInfo: bo})
 		}
 		if bo.AS != a.owners[i].AS {
 			d.OwnerChanges = append(d.OwnerChanges, OwnerChange{
@@ -462,7 +498,7 @@ func diffSnapshots(a, b *Snapshot) *GenDiff {
 	}
 	for i, addr := range b.ownerAddrs {
 		if _, ok := a.Owner(addr); !ok {
-			d.OwnersSet = append(d.OwnersSet, OwnerDelta{Addr: addr, Info: b.owners[i]})
+			d.OwnersSet = append(d.OwnersSet, OwnerDelta{Addr: addr, OwnerInfo: b.owners[i]})
 		}
 	}
 	sort.Slice(d.OwnerChanges, func(i, j int) bool {
@@ -475,46 +511,6 @@ func diffSnapshots(a, b *Snapshot) *GenDiff {
 		return d.OwnersRemoved[i] < d.OwnersRemoved[j]
 	})
 	return d
-}
-
-type linkChurn struct {
-	added, removed, relabeled []Link
-	nbAdded, nbRemoved        []topo.ASN
-}
-
-// coreDiff diffs the observed link sets directly (the identity queries
-// carry), falling back to empty slices rather than nils for JSON shape.
-func coreDiff(a, b *Snapshot) linkChurn {
-	var c linkChurn
-	inA := make(map[Link]string, len(a.links))
-	for _, l := range a.links {
-		inA[stripHeur(l)] = l.Heuristic
-	}
-	inB := make(map[Link]bool, len(b.links))
-	for _, l := range b.links {
-		inB[stripHeur(l)] = true
-		if h, ok := inA[stripHeur(l)]; !ok {
-			c.added = append(c.added, l)
-		} else if h != l.Heuristic {
-			c.relabeled = append(c.relabeled, l)
-		}
-	}
-	for _, l := range a.links {
-		if !inB[stripHeur(l)] {
-			c.removed = append(c.removed, l)
-		}
-	}
-	for _, as := range b.nbAS {
-		if lo, hi := a.neighborSpan(as); lo == hi {
-			c.nbAdded = append(c.nbAdded, as)
-		}
-	}
-	for _, as := range a.nbAS {
-		if lo, hi := b.neighborSpan(as); lo == hi {
-			c.nbRemoved = append(c.nbRemoved, as)
-		}
-	}
-	return c
 }
 
 // stripHeur drops the heuristic tag from a link's identity: the same

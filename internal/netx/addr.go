@@ -72,6 +72,16 @@ func (a Addr) AppendTo(b []byte) []byte {
 	return strconv.AppendUint(b, uint64(a&0xff), 10)
 }
 
+// MarshalText and UnmarshalText make the dotted quad a's form in JSON and
+// every other encoding.TextMarshaler consumer; malformed text is
+// ParseAddr's error.
+func (a Addr) MarshalText() ([]byte, error) { return a.AppendTo(nil), nil }
+
+func (a *Addr) UnmarshalText(b []byte) (err error) {
+	*a, err = ParseAddr(string(b))
+	return err
+}
+
 // IsZero reports whether a is the zero address 0.0.0.0.
 func (a Addr) IsZero() bool { return a == 0 }
 
@@ -153,6 +163,15 @@ func MustParsePrefix(s string) Prefix {
 // String returns the CIDR notation of p.
 func (p Prefix) String() string {
 	return p.Base.String() + "/" + strconv.Itoa(p.Len)
+}
+
+// MarshalText and UnmarshalText make CIDR notation p's form in JSON;
+// malformed text is ParsePrefix's error.
+func (p Prefix) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Prefix) UnmarshalText(b []byte) (err error) {
+	*p, err = ParsePrefix(string(b))
+	return err
 }
 
 // Contains reports whether a falls within p.

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -38,10 +39,25 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	f := func(a uint32) bool {
 		addr := Addr(a)
 		back, err := ParseAddr(addr.String())
-		return err == nil && back == addr
+		if err != nil || back != addr {
+			return false
+		}
+		// The text codec is the same form: JSON carries the dotted quad.
+		raw, err := json.Marshal(addr)
+		if err != nil || string(raw) != `"`+addr.String()+`"` {
+			return false
+		}
+		var viaJSON Addr
+		return json.Unmarshal(raw, &viaJSON) == nil && viaJSON == addr
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	var a Addr
+	for _, bad := range []string{`"10.0.0"`, `"10.0.0.256"`, `""`, `167772161`} {
+		if err := json.Unmarshal([]byte(bad), &a); err == nil {
+			t.Errorf("Addr decoded from %s", bad)
+		}
 	}
 }
 
@@ -120,6 +136,18 @@ func TestParsePrefix(t *testing.T) {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Errorf("ParsePrefix(%q) should fail", bad)
 		}
+		if err := new(Prefix).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) should fail", bad)
+		}
+	}
+	// The text codec is the same form: JSON carries the CIDR string.
+	raw, err := json.Marshal([]Prefix{p, {}})
+	if err != nil || string(raw) != `["192.0.2.0/24","0.0.0.0/0"]` {
+		t.Fatalf("JSON = %s, %v", raw, err)
+	}
+	var back []Prefix
+	if err := json.Unmarshal(raw, &back); err != nil || len(back) != 2 || back[0] != p || back[1] != (Prefix{}) {
+		t.Fatalf("JSON round trip = %v, %v", back, err)
 	}
 }
 

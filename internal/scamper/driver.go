@@ -689,7 +689,7 @@ func hopClass(t probe.HopType) string {
 // round's operations on every pass, so entries for vanished addresses and
 // edges age out immediately.
 func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
-	res := alias.NewResolver(proberSource{d.Prober}, cfg.AliasCfg)
+	res := alias.NewResolver(d.Prober, cfg.AliasCfg)
 	res.Trace = d.Trace
 	if _, ok := d.Prober.(LaneProber); ok {
 		// Alias events carry timestamps relative to the alias stage's own
@@ -901,9 +901,3 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 	d.Obs.Add("driver.alias.pairs", int64(pairs))
 	ds.Graph = alias.FromResolver(res)
 }
-
-// proberSource adapts a Prober to alias.ProbeSource.
-type proberSource struct{ p Prober }
-
-func (s proberSource) Probe(t netx.Addr, m probe.Method) probe.Response { return s.p.Probe(t, m) }
-func (s proberSource) Advance(d time.Duration)                          { s.p.Advance(d) }

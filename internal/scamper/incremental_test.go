@@ -252,7 +252,7 @@ func TestPrefixscanTraceCapturesVerdicts(t *testing.T) {
 	n, e, view, hosts := setup(t, 3)
 	d := &Driver{View: view, Prober: LocalProber{E: e, VP: n.VPs[0]}, HostASNs: hosts}
 	ds := d.Run()
-	res := alias.NewResolver(proberSource{d.Prober}, alias.Config{})
+	res := alias.NewResolver(d.Prober, alias.Config{})
 	found := false
 	for _, tr := range ds.Traces {
 		var prev netx.Addr

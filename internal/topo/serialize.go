@@ -42,13 +42,13 @@ type relJSON struct {
 }
 
 type asJSON struct {
-	ASN           ASN      `json:"asn"`
-	Tier          int8     `json:"tier"`
-	Org           string   `json:"org"`
-	Prefixes      []string `json:"prefixes,omitempty"`
-	Infra         string   `json:"infra,omitempty"`
-	AnnounceInfra bool     `json:"announce_infra,omitempty"`
-	Policy        int8     `json:"policy,omitempty"`
+	ASN           ASN           `json:"asn"`
+	Tier          int8          `json:"tier"`
+	Org           string        `json:"org"`
+	Prefixes      []netx.Prefix `json:"prefixes,omitempty"`
+	Infra         *netx.Prefix  `json:"infra,omitempty"`
+	AnnounceInfra bool          `json:"announce_infra,omitempty"`
+	Policy        int8          `json:"policy,omitempty"`
 }
 
 type rtrJSON struct {
@@ -59,9 +59,9 @@ type rtrJSON struct {
 }
 
 type linkJSON struct {
-	Kind      int8   `json:"kind"`
-	Subnet    string `json:"subnet"`
-	AddrOwner ASN    `json:"addr_owner"`
+	Kind      int8        `json:"kind"`
+	Subnet    netx.Prefix `json:"subnet"`
+	AddrOwner ASN         `json:"addr_owner"`
 	// Ifaces: (router index, address) pairs in attachment order.
 	Ifaces []ifaceJSON `json:"ifaces"`
 	Annot  *annotJSON  `json:"annot,omitempty"`
@@ -75,29 +75,29 @@ type annotJSON struct {
 }
 
 type ifaceJSON struct {
-	Router RouterID `json:"router"`
-	Addr   string   `json:"addr"`
+	Router RouterID  `json:"router"`
+	Addr   netx.Addr `json:"addr"`
 	// AttachNS is the interface's AttachDelay in nanoseconds (remote
 	// peering circuits); omitted when zero.
 	AttachNS int64 `json:"attach_ns,omitempty"`
 }
 
 type ixpJSON struct {
-	Name         string  `json:"name"`
-	OperatorASN  ASN     `json:"operator"`
-	LAN          string  `json:"lan"`
-	Members      []ASN   `json:"members"`
-	AnnouncesLAN bool    `json:"announces_lan"`
-	Longitude    float64 `json:"lon"`
-	Remote       []ASN   `json:"remote,omitempty"`
-	Bilateral    []ASN   `json:"bilateral,omitempty"`
+	Name         string      `json:"name"`
+	OperatorASN  ASN         `json:"operator"`
+	LAN          netx.Prefix `json:"lan"`
+	Members      []ASN       `json:"members"`
+	AnnouncesLAN bool        `json:"announces_lan"`
+	Longitude    float64     `json:"lon"`
+	Remote       []ASN       `json:"remote,omitempty"`
+	Bilateral    []ASN       `json:"bilateral,omitempty"`
 }
 
 type vpJSON struct {
-	Name   string   `json:"name"`
-	Host   ASN      `json:"host"`
-	Router RouterID `json:"router"`
-	Addr   string   `json:"addr"`
+	Name   string    `json:"name"`
+	Host   ASN       `json:"host"`
+	Router RouterID  `json:"router"`
+	Addr   netx.Addr `json:"addr"`
 }
 
 type sessJSON struct {
@@ -109,24 +109,24 @@ type sessJSON struct {
 }
 
 type delJSON struct {
-	Org    string `json:"org"`
-	Prefix string `json:"prefix"`
+	Org    string      `json:"org"`
+	Prefix netx.Prefix `json:"prefix"`
 }
 
 type moasJSON struct {
-	Prefix  string `json:"prefix"`
-	Origins []ASN  `json:"origins"`
+	Prefix  netx.Prefix `json:"prefix"`
+	Origins []ASN       `json:"origins"`
 }
 
 type anchorJSON struct {
-	Prefix  string   `json:"prefix"`
-	Router  RouterID `json:"router"`
-	Replies bool     `json:"replies,omitempty"`
+	Prefix  netx.Prefix `json:"prefix"`
+	Router  RouterID    `json:"router"`
+	Replies bool        `json:"replies,omitempty"`
 }
 
 type pinJSON struct {
-	Prefix string `json:"prefix"`
-	Links  []int  `json:"links"` // indexes into Links
+	Prefix netx.Prefix `json:"prefix"`
+	Links  []int       `json:"links"` // indexes into Links
 }
 
 // Save serializes the network as JSON.
@@ -140,14 +140,11 @@ func (n *Network) Save(w io.Writer) error {
 	for _, asn := range n.ASNs() {
 		a := n.ASes[asn]
 		aj := asJSON{
-			ASN: asn, Tier: int8(a.Tier), Org: a.Org,
+			ASN: asn, Tier: int8(a.Tier), Org: a.Org, Prefixes: a.Prefixes,
 			AnnounceInfra: a.AnnounceInfra, Policy: int8(a.Policy),
 		}
-		for _, p := range a.Prefixes {
-			aj.Prefixes = append(aj.Prefixes, p.String())
-		}
 		if a.Infra.IsValid() && a.Infra.NumAddrs() < 1<<32 {
-			aj.Infra = a.Infra.String()
+			aj.Infra = &a.Infra
 		}
 		out.ASes = append(out.ASes, aj)
 	}
@@ -159,10 +156,10 @@ func (n *Network) Save(w io.Writer) error {
 	linkIdx := make(map[*Link]int, len(n.Links))
 	for i, l := range n.Links {
 		linkIdx[l] = i
-		lj := linkJSON{Kind: int8(l.Kind), Subnet: l.Subnet.String(), AddrOwner: l.AddrOwner}
+		lj := linkJSON{Kind: int8(l.Kind), Subnet: l.Subnet, AddrOwner: l.AddrOwner}
 		for _, ifc := range l.Ifaces {
 			lj.Ifaces = append(lj.Ifaces, ifaceJSON{
-				Router: ifc.Router, Addr: ifc.Addr.String(), AttachNS: int64(ifc.AttachDelay),
+				Router: ifc.Router, Addr: ifc.Addr, AttachNS: int64(ifc.AttachDelay),
 			})
 		}
 		if l.Annot != (Annotation{}) {
@@ -177,19 +174,19 @@ func (n *Network) Save(w io.Writer) error {
 	}
 	for _, x := range n.IXPs {
 		out.IXPs = append(out.IXPs, ixpJSON{
-			Name: x.Name, OperatorASN: x.OperatorASN, LAN: x.LAN.String(),
+			Name: x.Name, OperatorASN: x.OperatorASN, LAN: x.LAN,
 			Members: x.Members, AnnouncesLAN: x.AnnouncesLAN, Longitude: x.Longitude,
 			Remote: x.Remote, Bilateral: x.Bilateral,
 		})
 	}
 	for _, vp := range n.VPs {
-		out.VPs = append(out.VPs, vpJSON{Name: vp.Name, Host: vp.Host, Router: vp.Router, Addr: vp.Addr.String()})
+		out.VPs = append(out.VPs, vpJSON{Name: vp.Name, Host: vp.Host, Router: vp.Router, Addr: vp.Addr})
 	}
 	for _, s := range n.Sessions() {
 		out.Sessions = append(out.Sessions, sessJSON{IXP: s.IXP, A: s.A, ARtr: s.ARtr, B: s.B, BRtr: s.BRtr})
 	}
 	for _, d := range n.Delegations {
-		out.Delegations = append(out.Delegations, delJSON{Org: d.OrgID, Prefix: d.Prefix.String()})
+		out.Delegations = append(out.Delegations, delJSON{Org: d.OrgID, Prefix: d.Prefix})
 	}
 	var moasPrefixes []netx.Prefix
 	for p := range n.MultiOrigin {
@@ -197,17 +194,17 @@ func (n *Network) Save(w io.Writer) error {
 	}
 	sort.Slice(moasPrefixes, func(i, j int) bool { return netx.ComparePrefix(moasPrefixes[i], moasPrefixes[j]) < 0 })
 	for _, p := range moasPrefixes {
-		out.MultiOrigin = append(out.MultiOrigin, moasJSON{Prefix: p.String(), Origins: n.MultiOrigin[p]})
+		out.MultiOrigin = append(out.MultiOrigin, moasJSON{Prefix: p, Origins: n.MultiOrigin[p]})
 	}
 	for asn := range n.HiddenNeighbors {
 		out.Hidden = append(out.Hidden, asn)
 	}
 	sort.Slice(out.Hidden, func(i, j int) bool { return out.Hidden[i] < out.Hidden[j] })
 	for _, a := range n.Anchors() {
-		out.Anchors = append(out.Anchors, anchorJSON{Prefix: a.Prefix.String(), Router: a.Router, Replies: a.Replies})
+		out.Anchors = append(out.Anchors, anchorJSON{Prefix: a.Prefix, Router: a.Router, Replies: a.Replies})
 	}
 	for _, p := range n.PinnedPrefixes() {
-		pj := pinJSON{Prefix: p.String()}
+		pj := pinJSON{Prefix: p}
 		for _, l := range n.PinnedLinksOf(p) {
 			pj.Links = append(pj.Links, linkIdx[l])
 		}
@@ -247,19 +244,9 @@ func Load(r io.Reader) (*Network, error) {
 		a := n.AddAS(aj.ASN, Tier(aj.Tier), aj.Org)
 		a.AnnounceInfra = aj.AnnounceInfra
 		a.Policy = AnnouncePolicy(aj.Policy)
-		for _, ps := range aj.Prefixes {
-			p, err := netx.ParsePrefix(ps)
-			if err != nil {
-				return nil, fmt.Errorf("topo: load %v: %w", aj.ASN, err)
-			}
-			a.Prefixes = append(a.Prefixes, p)
-		}
-		if aj.Infra != "" {
-			p, err := netx.ParsePrefix(aj.Infra)
-			if err != nil {
-				return nil, err
-			}
-			a.Infra = p
+		a.Prefixes = aj.Prefixes
+		if aj.Infra != nil {
+			a.Infra = *aj.Infra
 		}
 	}
 	for _, rj := range in.Routers {
@@ -267,11 +254,7 @@ func Load(r io.Reader) (*Network, error) {
 		r.Behavior = rj.Behavior
 	}
 	for _, lj := range in.Links {
-		subnet, err := netx.ParsePrefix(lj.Subnet)
-		if err != nil {
-			return nil, err
-		}
-		l := n.AddLink(LinkKind(lj.Kind), subnet, lj.AddrOwner)
+		l := n.AddLink(LinkKind(lj.Kind), lj.Subnet, lj.AddrOwner)
 		if lj.Annot != nil {
 			l.Annot = Annotation{
 				Latency:       time.Duration(lj.Annot.LatencyNS),
@@ -285,49 +268,29 @@ func Load(r io.Reader) (*Network, error) {
 			if r == nil {
 				return nil, fmt.Errorf("topo: load: link references missing router %d", ij.Router)
 			}
-			a, err := netx.ParseAddr(ij.Addr)
-			if err != nil {
-				return nil, err
-			}
-			ifc := r.AddIface(a, l)
+			ifc := r.AddIface(ij.Addr, l)
 			ifc.AttachDelay = time.Duration(ij.AttachNS)
 			n.RegisterIface(ifc)
 		}
 	}
 	for _, xj := range in.IXPs {
-		lan, err := netx.ParsePrefix(xj.LAN)
-		if err != nil {
-			return nil, err
-		}
 		n.IXPs = append(n.IXPs, &IXP{
-			Name: xj.Name, OperatorASN: xj.OperatorASN, LAN: lan,
+			Name: xj.Name, OperatorASN: xj.OperatorASN, LAN: xj.LAN,
 			Members: xj.Members, AnnouncesLAN: xj.AnnouncesLAN, Longitude: xj.Longitude,
 			Remote: xj.Remote, Bilateral: xj.Bilateral,
 		})
 	}
 	for _, vj := range in.VPs {
-		a, err := netx.ParseAddr(vj.Addr)
-		if err != nil {
-			return nil, err
-		}
-		n.VPs = append(n.VPs, &VP{Name: vj.Name, Host: vj.Host, Router: vj.Router, Addr: a})
+		n.VPs = append(n.VPs, &VP{Name: vj.Name, Host: vj.Host, Router: vj.Router, Addr: vj.Addr})
 	}
 	for _, sj := range in.Sessions {
 		n.AddIXPSession(sj.IXP, sj.A, sj.ARtr, sj.B, sj.BRtr)
 	}
 	for _, dj := range in.Delegations {
-		p, err := netx.ParsePrefix(dj.Prefix)
-		if err != nil {
-			return nil, err
-		}
-		n.Delegations = append(n.Delegations, DelegationRecord{OrgID: dj.Org, Prefix: p})
+		n.Delegations = append(n.Delegations, DelegationRecord{OrgID: dj.Org, Prefix: dj.Prefix})
 	}
 	for _, mj := range in.MultiOrigin {
-		p, err := netx.ParsePrefix(mj.Prefix)
-		if err != nil {
-			return nil, err
-		}
-		n.MultiOrigin[p] = mj.Origins
+		n.MultiOrigin[mj.Prefix] = mj.Origins
 	}
 	for _, h := range in.Hidden {
 		if n.HiddenNeighbors == nil {
@@ -336,17 +299,9 @@ func Load(r io.Reader) (*Network, error) {
 		n.HiddenNeighbors[h] = true
 	}
 	for _, aj := range in.Anchors {
-		p, err := netx.ParsePrefix(aj.Prefix)
-		if err != nil {
-			return nil, err
-		}
-		n.SetAnchor(p, aj.Router, aj.Replies)
+		n.SetAnchor(aj.Prefix, aj.Router, aj.Replies)
 	}
 	for _, pj := range in.Pins {
-		p, err := netx.ParsePrefix(pj.Prefix)
-		if err != nil {
-			return nil, err
-		}
 		var links []*Link
 		for _, i := range pj.Links {
 			if i < 0 || i >= len(n.Links) {
@@ -354,7 +309,7 @@ func Load(r io.Reader) (*Network, error) {
 			}
 			links = append(links, n.Links[i])
 		}
-		n.PinPrefix(p, links)
+		n.PinPrefix(pj.Prefix, links)
 	}
 	for _, rj := range in.Rels {
 		n.SetRel(rj.A, rj.B, Rel(rj.Rel))

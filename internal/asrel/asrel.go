@@ -12,6 +12,7 @@
 package asrel
 
 import (
+	"slices"
 	"sort"
 
 	"bdrmap/internal/bgp"
@@ -74,90 +75,181 @@ func (inf *Inference) InClique(a topo.ASN) bool { return inf.clique[a] }
 // Len returns the number of labeled AS links.
 func (inf *Inference) Len() int { return len(inf.rels) }
 
-// Infer runs relationship inference over the view's paths.
-func Infer(view *bgp.View) *Inference {
-	inf := &Inference{
-		rels:   make(map[[2]topo.ASN]topo.Rel),
-		nbrs:   make(map[topo.ASN][]topo.ASN),
-		clique: make(map[topo.ASN]bool),
+// pathSet is the view's distinct paths on dense indexes: ASes numbered as
+// first seen, every observed adjacency one entry of a single edge table,
+// and each hop carrying the id of the edge to the next hop — worked out
+// once, so the passes of Infer index slices where they would probe maps
+// per hop.
+type pathSet struct {
+	asns   []topo.ASN       // dense index → ASN
+	edges  [][2]int32       // edge id → its ASes, lower ASN first
+	edgeID map[[2]int32]int // the inverse
+
+	hop  []int32 // every path's ASes, end to end
+	link []int32 // link[k] joins hop[k] to hop[k+1]: edge id<<1, |1 when hop[k] has the higher ASN; unset at a path's last hop
+	end  []int32 // path i is hop[end[i-1]:end[i]]
+	mult []int   // prefixes reporting path i
+}
+
+func newPathSet(view *bgp.View) *pathSet {
+	paths, hops := 0, 0
+	view.EachPath(func(path []topo.ASN, _ int) {
+		if len(path) >= 2 {
+			paths, hops = paths+1, hops+len(path)
+		}
+	})
+	ps := &pathSet{
+		edgeID: make(map[[2]int32]int),
+		hop:    make([]int32, 0, hops),
+		link:   make([]int32, 0, hops),
+		end:    make([]int32, 0, paths),
+		mult:   make([]int, 0, paths),
 	}
+	index := make(map[topo.ASN]int32)
+	// Paths towards one origin merge, so an AS is mostly followed by the AS
+	// that followed it last time: remember that link per AS.
+	type follower struct{ as, link int32 }
+	var last []follower
+	view.EachPath(func(path []topo.ASN, prefixes int) {
+		if len(path) < 2 {
+			return // no adjacency, no triple, no vote
+		}
+		prev := int32(-1)
+		for k, asn := range path {
+			i, ok := index[asn]
+			if !ok {
+				i = int32(len(ps.asns))
+				index[asn] = i
+				ps.asns = append(ps.asns, asn)
+				last = append(last, follower{as: -1})
+			}
+			if k > 0 {
+				if last[prev].as != i {
+					last[prev] = follower{as: i, link: ps.linkBetween(prev, i)}
+				}
+				ps.link[len(ps.link)-1] = last[prev].link
+			}
+			ps.hop = append(ps.hop, i)
+			ps.link = append(ps.link, -1)
+			prev = i
+		}
+		ps.end = append(ps.end, int32(len(ps.hop)))
+		ps.mult = append(ps.mult, prefixes)
+	})
+	return ps
+}
+
+// linkBetween returns what pathSet.link holds for a hop a followed by a hop
+// b, entering their edge in the table if it is new.
+func (ps *pathSet) linkBetween(a, b int32) int32 {
+	pair, flip := [2]int32{a, b}, int32(0)
+	if ps.asns[a] > ps.asns[b] {
+		pair, flip = [2]int32{b, a}, 1
+	}
+	e, ok := ps.edgeID[pair]
+	if !ok {
+		e = len(ps.edges)
+		ps.edgeID[pair] = e
+		ps.edges = append(ps.edges, pair)
+	}
+	return int32(e)<<1 | flip
+}
+
+// adjacent reports whether ASes a and b (dense indexes) share an edge.
+func (ps *pathSet) adjacent(a, b int32) bool {
+	if ps.asns[a] > ps.asns[b] {
+		a, b = b, a
+	}
+	_, ok := ps.edgeID[[2]int32{a, b}]
+	return ok
+}
+
+// each calls fn with every path's ASes, its links (one per AS, the last
+// unset) and the number of prefixes reporting it.
+func (ps *pathSet) each(fn func(hop, link []int32, mult int)) {
+	lo := int32(0)
+	for i, hi := range ps.end {
+		fn(ps.hop[lo:hi], ps.link[lo:hi], ps.mult[i])
+		lo = hi
+	}
+}
+
+// Infer runs relationship inference over the view's paths. Each distinct
+// path is visited once, counted as many times as prefixes report it where
+// the inference counts (clique-triple involvement, votes) and once where
+// it collects sets (adjacency, transit degree).
+func Infer(view *bgp.View) *Inference {
+	ps := newPathSet(view)
+	nAS := len(ps.asns)
 
 	// Transit degree: distinct neighbors an AS appears between in paths.
-	transit := make(map[topo.ASN]map[topo.ASN]bool)
-	adj := make(map[[2]topo.ASN]bool)
-	for _, ap := range view.Paths {
-		p := ap.Path
-		for i := 1; i < len(p); i++ {
-			adj[key(p[i-1], p[i])] = true
-		}
-		for i := 1; i+1 < len(p); i++ {
-			m := transit[p[i]]
-			if m == nil {
-				m = make(map[topo.ASN]bool)
-				transit[p[i]] = m
+	// A neighbor is an edge seen from one of its ends, so the set is a mark
+	// per edge end: transits[e<<1|1] says edge e's higher AS carried
+	// traffic over it.
+	tdeg := make([]int, nAS)
+	transits := make([]bool, 2*len(ps.edges))
+	ps.each(func(hop, link []int32, _ int) {
+		for k := 1; k+1 < len(hop); k++ {
+			for _, end := range [2]int32{link[k-1] ^ 1, link[k]} {
+				if !transits[end] {
+					transits[end] = true
+					tdeg[hop[k]]++
+				}
 			}
-			m[p[i-1]] = true
-			m[p[i+1]] = true
 		}
-	}
-	tdeg := func(a topo.ASN) int { return len(transit[a]) }
+	})
 
 	// Greedy clique from the highest transit degrees, requiring mutual
 	// adjacency with every member admitted so far.
-	var byDeg []topo.ASN
-	for a := range transit {
-		byDeg = append(byDeg, a)
-	}
-	sort.Slice(byDeg, func(i, j int) bool {
-		if tdeg(byDeg[i]) != tdeg(byDeg[j]) {
-			return tdeg(byDeg[i]) > tdeg(byDeg[j])
+	var candidates []int32
+	for a, d := range tdeg {
+		if d >= 2 { // clique members all carry transit
+			candidates = append(candidates, int32(a))
 		}
-		return byDeg[i] < byDeg[j]
+	}
+	sort.Slice(candidates, func(i, j int) bool {
+		a, b := candidates[i], candidates[j]
+		if tdeg[a] != tdeg[b] {
+			return tdeg[a] > tdeg[b]
+		}
+		return ps.asns[a] < ps.asns[b]
 	})
-	var candidates []topo.ASN
-	for _, a := range byDeg {
-		if tdeg(a) < 2 {
-			break // clique members all carry transit
-		}
-		candidates = append(candidates, a)
-		if len(candidates) >= 16 {
-			break
-		}
-	}
+	candidates = candidates[:min(len(candidates), 16)]
 	// A well-connected access network can top the transit-degree ranking,
 	// so greedy growth from the single largest seed can anchor the clique
 	// on a non-Tier-1. Grow a clique from every candidate seed and keep
 	// the largest (ties: highest combined transit degree): the genuine
 	// Tier-1 mesh is the biggest mutually-adjacent set.
+	var clique []int32
 	bestScore := -1
 	for _, seed := range candidates {
-		cl := map[topo.ASN]bool{seed: true}
+		cl := []int32{seed}
 		for _, a := range candidates {
-			if len(cl) >= 12 || cl[a] {
+			if len(cl) >= 12 || a == seed {
 				continue
 			}
 			ok := true
-			for c := range cl {
-				if !adj[key(a, c)] {
+			for _, c := range cl {
+				if !ps.adjacent(a, c) {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				cl[a] = true
+				cl = append(cl, a)
 			}
 		}
 		score := 0
-		for a := range cl {
-			score += 1<<16 + tdeg(a)
+		for _, a := range cl {
+			score += 1<<16 + tdeg[a]
 		}
 		if score > bestScore {
-			bestScore = score
-			inf.clique = cl
+			bestScore, clique = score, cl
 		}
 	}
-	if inf.clique == nil {
-		inf.clique = map[topo.ASN]bool{}
+	in := make([]bool, nAS) // clique membership from here on: refinement clears entries
+	for _, a := range clique {
+		in[a] = true
 	}
 
 	// Refinement: three true clique members can never appear consecutively
@@ -166,62 +258,48 @@ func Infer(view *bgp.View) *Inference {
 	// member (typically a well-connected access network whose transit
 	// degree rivals the Tier-1s). Iteratively remove the member involved
 	// in the most violating triples until no triples remain.
+	involvement := make([]int, nAS)
 	for {
-		involvement := make(map[topo.ASN]int)
-		for _, ap := range view.Paths {
-			p := ap.Path
-			for i := 0; i+2 < len(p); i++ {
-				if inf.clique[p[i]] && inf.clique[p[i+1]] && inf.clique[p[i+2]] &&
-					p[i] != p[i+2] {
-					involvement[p[i]]++
-					involvement[p[i+1]]++
-					involvement[p[i+2]]++
+		clear(involvement)
+		ps.each(func(hop, _ []int32, mult int) {
+			for k := 0; k+2 < len(hop); k++ {
+				a, b, c := hop[k], hop[k+1], hop[k+2]
+				if in[a] && in[b] && in[c] && a != c {
+					involvement[a] += mult
+					involvement[b] += mult
+					involvement[c] += mult
 				}
 			}
-		}
-		if len(involvement) == 0 {
-			break
-		}
-		var worst topo.ASN
-		worstN := -1
-		for a, n := range involvement {
-			if n > worstN || (n == worstN && a < worst) {
+		})
+		worst, worstN := int32(-1), 0
+		for _, a := range clique {
+			if n := involvement[a]; n > worstN || (n == worstN && n > 0 && ps.asns[a] < ps.asns[worst]) {
 				worst, worstN = a, n
 			}
 		}
-		delete(inf.clique, worst)
+		if worst < 0 {
+			break
+		}
+		in[worst] = false
 	}
 
-	// Vote per edge. Sign convention on the canonical (lo, hi) key:
-	// positive = lo is customer of hi.
-	votes := make(map[[2]topo.ASN]int)
-	vote := func(cust, prov topo.ASN) {
-		k := key(cust, prov)
-		if k[0] == cust {
-			votes[k]++
-		} else {
-			votes[k]--
-		}
-	}
-	for _, ap := range view.Paths {
-		p := ap.Path
-		if len(p) < 2 {
-			continue
-		}
+	// Vote per edge: positive means the lower AS is the higher's customer.
+	votes := make([]int, len(ps.edges))
+	ps.each(func(p, link []int32, mult int) {
 		// Apex: the last clique member in path order (clique members sit
 		// at the top of a valley-free path), or failing that the
 		// highest-transit-degree position.
 		apex := -1
-		for i, a := range p {
-			if inf.clique[a] {
-				apex = i
+		for k, a := range p {
+			if in[a] {
+				apex = k
 			}
 		}
 		if apex < 0 {
 			best := -1
-			for i, a := range p {
-				if d := tdeg(a); d > best {
-					apex, best = i, d
+			for k, a := range p {
+				if d := tdeg[a]; d > best {
+					apex, best = k, d
 				}
 			}
 		}
@@ -233,52 +311,64 @@ func Infer(view *bgp.View) *Inference {
 		// exception: when the apex's route continued to *another clique
 		// member*, the AS it learned the route from must be its customer
 		// (peers never re-export peer routes to peers).
-		for i := 0; i+1 < len(p); i++ {
+		for k := 0; k+1 < len(p); k++ {
+			// The customer end of the edge, if this path names one: 0 the
+			// left AS (descent: left heard from right), 1 the right AS
+			// (climb: right announced up to left).
+			var cust int32
 			switch {
-			case i+1 == apex:
+			case k+1 == apex:
 				// vantage-side adjacent edge: always ambiguous (the apex
 				// may be exporting a peer's customer cone downward).
-			case i == apex:
-				if inf.clique[p[apex]] && apex > 0 && inf.clique[p[apex-1]] &&
-					!inf.clique[p[i+1]] {
-					vote(p[i+1], p[apex])
+				continue
+			case k == apex:
+				if !(in[p[apex]] && apex > 0 && in[p[apex-1]] && !in[p[k+1]]) {
+					continue
 				}
-			case i < apex:
-				vote(p[i], p[i+1]) // descent: left heard from right
+				cust = 1
+			case k < apex:
+				cust = 0
 			default:
-				vote(p[i+1], p[i]) // climb: right announced up to left
+				cust = 1
+			}
+			// link's low bit names the lower AS the same way.
+			if link[k]&1 == cust {
+				votes[link[k]>>1] += mult
+			} else {
+				votes[link[k]>>1] -= mult
 			}
 		}
-	}
+	})
 
-	for k := range adj {
-		lo, hi := k[0], k[1]
-		var rel topo.Rel // what hi is to lo
+	inf := &Inference{
+		rels:   make(map[[2]topo.ASN]topo.Rel, len(ps.edges)),
+		nbrs:   make(map[topo.ASN][]topo.ASN, nAS),
+		clique: make(map[topo.ASN]bool),
+	}
+	for a, member := range in {
+		if member {
+			inf.clique[ps.asns[a]] = true
+		}
+	}
+	for e, pair := range ps.edges {
+		var rel topo.Rel // what the higher AS is to the lower
 		switch {
-		case inf.clique[lo] && inf.clique[hi]:
+		case in[pair[0]] && in[pair[1]]:
 			rel = topo.RelPeer
-		case votes[k] > 0:
-			rel = topo.RelProvider // lo is customer ⇒ hi is lo's provider
-		case votes[k] < 0:
+		case votes[e] > 0:
+			rel = topo.RelProvider // lower is customer ⇒ higher is its provider
+		case votes[e] < 0:
 			rel = topo.RelCustomer
 		default:
 			rel = topo.RelPeer
 		}
-		inf.rels[k] = rel
+		lo, hi := ps.asns[pair[0]], ps.asns[pair[1]]
+		inf.rels[[2]topo.ASN{lo, hi}] = rel
 		inf.nbrs[lo] = append(inf.nbrs[lo], hi)
 		inf.nbrs[hi] = append(inf.nbrs[hi], lo)
 	}
-	for a := range inf.nbrs {
-		s := inf.nbrs[a]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		inf.nbrs[a] = s
+	for _, s := range inf.nbrs {
+		slices.Sort(s)
 	}
 	return inf
-}
-
-func key(a, b topo.ASN) [2]topo.ASN {
-	if a < b {
-		return [2]topo.ASN{a, b}
-	}
-	return [2]topo.ASN{b, a}
 }

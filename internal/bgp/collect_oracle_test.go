@@ -10,10 +10,10 @@ import (
 )
 
 // TestCollectMatchesPerPrefixOracle: collecting once per atom yields the
-// view the per-(prefix, vantage) collection did — the same paths in the
-// same order, the same routed prefixes, origins and adjacencies — and
-// relationship inference, which votes per path, labels every link the
-// same over both.
+// view the per-(prefix, vantage) collection did — expanded, the same paths
+// in the same order; the same routed prefixes, origins and adjacencies —
+// and relationship inference, which weighs a path by the prefixes
+// reporting it, labels every link the same over both.
 func TestCollectMatchesPerPrefixOracle(t *testing.T) {
 	for _, prof := range bgp.OracleProfiles() {
 		t.Run(prof.Name, func(t *testing.T) {
@@ -21,11 +21,12 @@ func TestCollectMatchesPerPrefixOracle(t *testing.T) {
 			vps := bgp.DefaultVantages(n)
 			got, want := bgp.Collect(bgp.NewTable(n), vps), bgp.CollectOracle(n, vps)
 
-			if len(got.Paths) != len(want.Paths) || cap(got.Paths) != len(got.Paths) {
-				t.Fatalf("%d paths (cap %d), per-prefix collection gives %d", len(got.Paths), cap(got.Paths), len(want.Paths))
+			gotPaths, wantPaths := got.Paths(), want.Paths()
+			if len(gotPaths) != len(wantPaths) || cap(gotPaths) != len(gotPaths) {
+				t.Fatalf("%d paths (cap %d), per-prefix collection gives %d", len(gotPaths), cap(gotPaths), len(wantPaths))
 			}
-			for i, w := range want.Paths {
-				if g := got.Paths[i]; g.Prefix != w.Prefix || !slices.Equal(g.Path, w.Path) {
+			for i, w := range wantPaths {
+				if g := gotPaths[i]; g.Prefix != w.Prefix || !slices.Equal(g.Path, w.Path) {
 					t.Fatalf("path %d: %v %v, per-prefix collection gives %v %v", i, g.Prefix, g.Path, w.Prefix, w.Path)
 				}
 			}
@@ -55,6 +56,47 @@ func TestCollectMatchesPerPrefixOracle(t *testing.T) {
 					}
 					if g, w := gotRel.Rel(a, b), wantRel.Rel(a, b); g != w {
 						t.Fatalf("AS%d–AS%d inferred %v, %v over the per-prefix view", a, b, g, w)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestInferWeightSplitInvariant is the property that lets a view store a
+// path once for all the prefixes reporting it: relationship inference
+// cannot tell a path of weight n from n copies of weight one.
+func TestInferWeightSplitInvariant(t *testing.T) {
+	for _, prof := range bgp.OracleProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			n := topo.Generate(prof, 2)
+			view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))
+			split := view.SplitUnitWeights()
+			whole, parts := 0, 0
+			view.EachPath(func(_ []topo.ASN, prefixes int) { whole += prefixes })
+			split.EachPath(func(_ []topo.ASN, prefixes int) {
+				if prefixes != 1 {
+					t.Fatalf("split view reports a path of weight %d", prefixes)
+				}
+				parts++
+			})
+			if whole != parts || parts != len(view.Paths()) {
+				t.Fatalf("weights sum to %d, split view has %d paths, expansion %d", whole, parts, len(view.Paths()))
+			}
+			got, want := asrel.Infer(split), asrel.Infer(view)
+			if got.Len() != want.Len() {
+				t.Fatalf("%d relationships over the split view, %d over the grouped one", got.Len(), want.Len())
+			}
+			for _, a := range n.ASNs() {
+				if got.InClique(a) != want.InClique(a) {
+					t.Fatalf("AS%d: clique membership differs", a)
+				}
+				if !slices.Equal(got.Neighbors(a), want.Neighbors(a)) {
+					t.Fatalf("AS%d: neighbors differ", a)
+				}
+				for _, b := range want.Neighbors(a) {
+					if g, w := got.Rel(a, b), want.Rel(a, b); g != w {
+						t.Fatalf("AS%d–AS%d inferred %v over the split view, %v over the grouped one", a, b, g, w)
 					}
 				}
 			}

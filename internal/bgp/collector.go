@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 
 	"bdrmap/internal/netx"
@@ -17,14 +18,34 @@ type ASPath struct {
 // View is the public BGP view assembled from route-collector sessions with
 // a limited set of vantage ASes — the stand-in for Route Views / RIPE RIS
 // snapshots (§5.2). bdrmap consumes only this view, never ground truth.
+//
+// Prefixes announced alike report the same paths, so the view stores each
+// distinct path once, with the number of routed prefixes reporting it:
+// EachPath walks that form (relationship inference weighs a path by its
+// prefix count), Paths expands it to one entry per (prefix, vantage) for
+// whoever wants the collectors' own shape. A view is read-only once built.
 type View struct {
 	Vantages []topo.ASN
-	Paths    []ASPath
+
+	arena   []topo.ASN  // every distinct path, end to end
+	spans   []span      // one per path, grouped
+	groups  []pathGroup // sets of prefixes reporting the same paths
+	groupOf []int32     // parallel to routed: the prefix's group
 
 	origins netx.Trie[[]topo.ASN] // announced prefix → observed origin set
 	links   map[[2]topo.ASN]bool  // adjacency set from observed paths
 	nbrs    map[topo.ASN][]topo.ASN
 	routed  []netx.Prefix
+}
+
+// span is one path: arena[lo:hi].
+type span struct{ lo, hi int32 }
+
+// pathGroup is the paths spans[lo:hi], one per reporting vantage in
+// vantage order, and how many routed prefixes report them.
+type pathGroup struct {
+	lo, hi   int32
+	prefixes int32
 }
 
 // DefaultVantages mirrors the real collectors' peer sets: every transit-ish
@@ -65,74 +86,104 @@ func DefaultVantages(net *topo.Network) []topo.ASN {
 }
 
 // Collect assembles the public view from the given vantages. Routing is
-// asked once per announcement atom: every prefix of an atom reports the
-// atom's paths, so the ASPath.Path slices (and the origin sets) of such
-// prefixes share storage and are read-only.
+// asked once per announcement atom — the atoms' RIBs are computed first, on
+// every core — and each atom's paths are stored once for all its prefixes,
+// whose origin sets share storage too. What follows the RIBs is a
+// sequential fold in atom order, so the view does not depend on the number
+// of cores.
 func Collect(t *Table, vantages []topo.ASN) *View {
+	t.computeAll()
 	v := &View{
 		Vantages: vantages,
 		links:    make(map[[2]topo.ASN]bool),
 		nbrs:     make(map[topo.ASN][]topo.ASN),
+		// One group per atom, paths in one arena averaging under four ASes.
+		spans:   make([]span, 0, len(t.atoms)*len(vantages)),
+		arena:   make([]topo.ASN, 0, 4*len(t.atoms)*len(vantages)),
+		groups:  make([]pathGroup, len(t.atoms)),
+		routed:  make([]netx.Prefix, 0, len(t.prefixes)),
+		groupOf: make([]int32, 0, len(t.prefixes)),
 	}
 	vidx := make([]int32, len(vantages))
 	for k, vp := range vantages {
 		vidx[k] = t.IndexOf(vp)
 	}
 
-	// Per atom: the path of each reporting vantage, in vantage order, as
-	// spans of one arena (sliced only once it has stopped growing).
-	type span struct{ lo, hi int32 }
-	var (
-		spans   = make([]span, 0, len(t.atoms)*len(vantages))
-		arena   = make([]topo.ASN, 0, 4*cap(spans)) // paths average under four ASes
-		first   = make([]int32, len(t.atoms)+1)     // atom a owns spans[first[a]:first[a+1]]
-		origins = make([][]topo.ASN, len(t.atoms))
-	)
+	origins := make([][]topo.ASN, len(t.atoms))
+	walked := make([]int32, len(t.asns)) // atom+1 whose reported paths last crossed the AS
 	for a := range t.atoms {
 		rib := t.atomRoutes(int32(a))
-		first[a] = int32(len(spans))
+		v.groups[a].lo = int32(len(v.spans))
 		for _, i := range vidx {
 			if i < 0 || t.bestViaHiddenSession(rib, i) {
 				continue
 			}
-			lo := len(arena)
+			lo := len(v.arena)
 			var ok bool
-			if arena, ok = t.appendPath(arena, rib, i); !ok {
+			if v.arena, ok = t.appendPath(v.arena, rib, i); !ok {
 				continue
 			}
-			spans = append(spans, span{int32(lo), int32(len(arena))})
-			path := arena[lo:]
+			v.spans = append(v.spans, span{int32(lo), int32(len(v.arena))})
+			path := v.arena[lo:]
 			if o := path[len(path)-1]; !containsASN(origins[a], o) {
 				origins[a] = append(origins[a], o)
 			}
-			for k := 1; k < len(path); k++ {
-				v.addLink(path[k-1], path[k])
+			// An atom's paths merge like a tree, so a walk adds links only
+			// until it joins one an earlier vantage reported.
+			for x := i; walked[x] != int32(a)+1 && rib.Class[x] != ClassOrigin; x = rib.Next[x] {
+				walked[x] = int32(a) + 1
+				v.addLink(t.asns[x], t.asns[rib.Next[x]])
 			}
 		}
+		v.groups[a].hi = int32(len(v.spans))
 	}
-	first[len(t.atoms)] = int32(len(spans))
 
-	total := 0
-	for _, a := range t.atomOf {
-		total += int(first[a+1] - first[a])
-	}
-	v.Paths = make([]ASPath, 0, total)
-	for _, p := range t.prefixes { // sorted, so Paths and routed come out sorted
+	for _, p := range t.prefixes { // sorted, so routed comes out sorted
 		a := t.atomOf[p]
-		if first[a] == first[a+1] {
+		g := &v.groups[a]
+		if g.lo == g.hi {
 			continue
 		}
-		for _, s := range spans[first[a]:first[a+1]] {
-			v.Paths = append(v.Paths, ASPath{Prefix: p, Path: arena[s.lo:s.hi:s.hi]})
-		}
+		g.prefixes++
 		v.origins.Insert(p, origins[a])
 		v.routed = append(v.routed, p)
+		v.groupOf = append(v.groupOf, a)
 	}
-	for asn := range v.nbrs {
-		s := v.nbrs[asn]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	for _, s := range v.nbrs {
+		slices.Sort(s)
 	}
 	return v
+}
+
+// EachPath calls fn once per distinct observed path — the announcing
+// vantage first, the origin last, no AS twice in a row — with the number of
+// routed prefixes reporting it. The path is the view's own storage: fn
+// must not modify or append to it.
+func (v *View) EachPath(fn func(path []topo.ASN, prefixes int)) {
+	for _, g := range v.groups {
+		for _, s := range v.spans[g.lo:g.hi] {
+			fn(v.arena[s.lo:s.hi:s.hi], int(g.prefixes))
+		}
+	}
+}
+
+// Paths expands the view to what the collectors report: one entry per
+// (routed prefix, reporting vantage), prefixes sorted, vantages in order.
+// The slice is built on each call; its Path slices are the view's own
+// storage, shared by the prefixes of a group and read-only.
+func (v *View) Paths() []ASPath {
+	total := 0
+	for _, g := range v.groups {
+		total += int(g.prefixes) * int(g.hi-g.lo)
+	}
+	out := make([]ASPath, 0, total)
+	for i, p := range v.routed {
+		g := v.groups[v.groupOf[i]]
+		for _, s := range v.spans[g.lo:g.hi] {
+			out = append(out, ASPath{Prefix: p, Path: v.arena[s.lo:s.hi:s.hi]})
+		}
+	}
+	return out
 }
 
 func containsASN(s []topo.ASN, a topo.ASN) bool {

@@ -378,16 +378,17 @@ func (t *oracleTable) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
 }
 
 // collectOracle is Collect as it was: one Routes, SuppressedAt and Path per
-// (prefix, vantage).
+// (prefix, vantage). Every routed prefix is a group of its own, reported
+// by one prefix.
 func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 	v := &View{
 		Vantages: vantages,
 		links:    make(map[[2]topo.ASN]bool),
 		nbrs:     make(map[topo.ASN][]topo.ASN),
 	}
-	seenPrefix := make(map[netx.Prefix]bool)
 	for _, p := range t.Prefixes() {
 		rib := t.Routes(p)
+		g := pathGroup{lo: int32(len(v.spans)), prefixes: 1}
 		for _, vp := range vantages {
 			if t.SuppressedAt(vp, rib) {
 				continue
@@ -396,7 +397,8 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 			if path == nil {
 				continue
 			}
-			v.Paths = append(v.Paths, ASPath{Prefix: p, Path: path})
+			v.spans = append(v.spans, span{int32(len(v.arena)), int32(len(v.arena) + len(path))})
+			v.arena = append(v.arena, path...)
 			origin := path[len(path)-1]
 			if cur, ok := v.origins.Exact(p); ok {
 				if !containsASN(cur, origin) {
@@ -405,13 +407,14 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 			} else {
 				v.origins.Insert(p, []topo.ASN{origin})
 			}
-			if !seenPrefix[p] {
-				seenPrefix[p] = true
-				v.routed = append(v.routed, p)
-			}
 			for i := 1; i < len(path); i++ {
 				v.addLink(path[i-1], path[i])
 			}
+		}
+		if g.hi = int32(len(v.spans)); g.hi > g.lo {
+			v.groupOf = append(v.groupOf, int32(len(v.groups)))
+			v.groups = append(v.groups, g)
+			v.routed = append(v.routed, p)
 		}
 	}
 	sort.Slice(v.routed, func(i, j int) bool { return netx.ComparePrefix(v.routed[i], v.routed[j]) < 0 })
@@ -421,6 +424,26 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 		v.nbrs[asn] = s
 	}
 	return v
+}
+
+// SplitUnitWeights returns v with every group of n prefixes stored as n
+// groups of one prefix each: the same collector output, spelled the long
+// way.
+func (v *View) SplitUnitWeights() *View {
+	out := *v
+	out.groups, out.groupOf = nil, make([]int32, len(v.groupOf))
+	at := make([]int32, len(v.groups)) // the next unused copy of each group
+	for g, pg := range v.groups {
+		at[g] = int32(len(out.groups))
+		for k := int32(0); k < pg.prefixes; k++ {
+			out.groups = append(out.groups, pathGroup{lo: pg.lo, hi: pg.hi, prefixes: 1})
+		}
+	}
+	for i, g := range v.groupOf {
+		out.groupOf[i] = at[g]
+		at[g]++
+	}
+	return &out
 }
 
 // CollectOracle is the per-prefix collection over a fresh table of n, for

@@ -14,6 +14,7 @@ package bgp
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,30 @@ func (t *Table) atomRoutes(a int32) *PrefixRIB {
 	return r
 }
 
+// computeAll fills the RIB of every atom still without one, from one
+// worker per core pulling atom indexes off a shared counter. atomRoutes
+// makes the first stored RIB win, so concurrent Routes callers and the
+// workers agree on one RIB per atom; with a single core the loop runs on
+// the calling goroutine.
+func (t *Table) computeAll() {
+	var next atomic.Int32
+	work := func() {
+		for a := next.Add(1) - 1; int(a) < len(t.atoms); a = next.Add(1) - 1 {
+			t.atomRoutes(a)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(t.atoms)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // receivedClass returns the class X obtains for a route exported by
 // neighbor N (whose own class is cN), where rel states what N is to X.
 // ClassNone means N does not export the route to X.
@@ -540,6 +565,22 @@ func (t *Table) isCandidate(r *PrefixRIB, x int32, e edge) bool {
 	return receivedClass(cN, e.rel) == r.Class[x] && r.Len[e.n]+1 == r.Len[x]
 }
 
+// heardOver returns the sessions over which AS x can hear a route of its
+// own class: the sessions of that class and, siblings being transparent,
+// its sibling sessions.
+func (t *Table) heardOver(r *PrefixRIB, x int32) (own, sib []edge) {
+	adj, k := t.adj[x], t.cut[x]
+	switch r.Class[x] {
+	case ClassCustomer:
+		own = adj[k.cust:k.peer]
+	case ClassPeer:
+		own = adj[k.peer:]
+	case ClassProvider:
+		own = adj[:k.sib]
+	}
+	return own, adj[k.sib:k.cust]
+}
+
 // candidatesAt lists the dense indexes of all neighbors providing the
 // equal-best route to AS x, sorted by neighbor ASN. The result aliases
 // *buf and is only valid until the next call with the same buffer; growth
@@ -549,25 +590,14 @@ func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
 	if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
 		return nil
 	}
-	// A route of class c is heard only over the sessions of that class
-	// and, siblings being transparent, over sibling sessions.
-	adj, k := t.adj[x], t.cut[x]
-	var own []edge
-	switch r.Class[x] {
-	case ClassCustomer:
-		own = adj[k.cust:k.peer]
-	case ClassPeer:
-		own = adj[k.peer:]
-	case ClassProvider:
-		own = adj[:k.sib]
-	}
+	own, sib := t.heardOver(r, x)
 	out := (*buf)[:0]
 	for _, e := range own {
 		if t.isCandidate(r, x, e) {
 			out = append(out, e.n)
 		}
 	}
-	for _, e := range adj[k.sib:k.cust] {
+	for _, e := range sib {
 		if t.isCandidate(r, x, e) {
 			out = append(out, e.n)
 		}
@@ -585,26 +615,57 @@ func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
 	return out
 }
 
+// nextHop returns the canonical next hop of AS x, its lowest-ASN candidate,
+// or -1 if no neighbor provides x's route. Dense indexes ascend with ASN
+// (Network.ASNs is sorted) and every adjacency group lists its neighbors
+// in that order (AS.Neighbors is too), so the answer is the first candidate
+// of the class group or the first of the sibling group, whichever is
+// lower: no list, no sort.
+func (t *Table) nextHop(r *PrefixRIB, x int32) int32 {
+	own, sib := t.heardOver(r, x)
+	next := int32(-1)
+	for _, e := range own {
+		if t.isCandidate(r, x, e) {
+			next = e.n
+			break
+		}
+	}
+	for _, e := range sib {
+		if next >= 0 && e.n > next {
+			break
+		}
+		if t.isCandidate(r, x, e) {
+			return e.n
+		}
+	}
+	return next
+}
+
 // fillNextHops selects canonical next hops and the host candidate set.
+// Only the host keeps its whole candidate list (the multi-exit set);
+// every other AS needs just the lowest candidate.
 func (t *Table) fillNextHops(r *PrefixRIB, buf *[]int32) {
 	for x := range t.adj {
 		if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
 			continue
 		}
-		cands := t.candidatesAt(r, int32(x), buf)
-		if len(cands) == 0 {
+		next := int32(-1)
+		if int32(x) != t.hostIdx {
+			next = t.nextHop(r, int32(x))
+		} else if cands := t.candidatesAt(r, int32(x), buf); len(cands) > 0 {
+			next = cands[0]
+			for _, c := range cands {
+				r.HostCandidates = append(r.HostCandidates, t.asns[c])
+			}
+		}
+		if next < 0 {
 			// No neighbor can justify the route (should not happen in a
 			// consistent propagation); drop it defensively.
 			r.Class[x] = ClassNone
 			r.Len[x] = 0x7fff
 			continue
 		}
-		r.Next[x] = cands[0]
-		if int32(x) == t.hostIdx {
-			for _, c := range cands {
-				r.HostCandidates = append(r.HostCandidates, t.asns[c])
-			}
-		}
+		r.Next[x] = next
 	}
 	r.HostSuppressed = t.bestViaHiddenSession(r, t.hostIdx)
 }

@@ -238,7 +238,7 @@ func TestGeneratedPathsValleyFree(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 8)
 	tb := NewTable(n)
 	v := Collect(tb, DefaultVantages(n))
-	for _, ap := range v.Paths {
+	for _, ap := range v.Paths() {
 		// Classify each step with ground truth and check the
 		// valley-free pattern: uphill (c2p/sibling)* then at most one
 		// peer step, then downhill (p2c/sibling)*.

@@ -145,27 +145,34 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 	for r := 0; r < cfg.Rounds; r++ {
 		span := cfg.Obs.StartStage("rounds.round")
 		rsp := cfg.Spans.Begin(cfg.SpanParent, "round", fmt.Sprintf("round %d", r))
+		// The build stage is everything a round pays before it measures:
+		// the churn, the topology rebuild and every derived input.
+		bsp := cfg.Spans.Begin(rsp.ID(), "stage", "build")
 		action := "baseline measurement"
 		if r > 0 {
 			var err error
 			action, err = mutateWorld(n, rng, r)
 			if err != nil {
+				bsp.End()
 				rsp.End()
 				span.End()
 				return events, nil, err
 			}
 			n.Build()
-			if vn != nil {
-				if _, err := mutateWorld(vn, vrng, r); err != nil {
-					rsp.End()
-					span.End()
-					return events, nil, err
-				}
-				vn.Build()
-			}
 		}
-		rsp.SetAttr("action", action)
 		s = eval.BuildFromNetwork(n, cfg.Seed)
+		bsp.SetAttr("atoms", s.Tab.Atoms())
+		bsp.SetAttr("prefixes", len(s.Tab.Prefixes()))
+		bsp.End()
+		rsp.SetAttr("action", action)
+		if r > 0 && vn != nil {
+			if _, err := mutateWorld(vn, vrng, r); err != nil {
+				rsp.End()
+				span.End()
+				return events, nil, err
+			}
+			vn.Build()
+		}
 		if cfg.Obs != nil {
 			s.Obs = cfg.Obs
 			s.Engine.SetObs(cfg.Obs)

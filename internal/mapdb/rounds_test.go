@@ -140,3 +140,44 @@ func TestRoundsRepartitionAtomsAfterChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundsBuildStageSpan: what a round pays before it measures — churn,
+// topology rebuild, derived inputs — has a span of its own, so a traced
+// run books it as a stage instead of as the round's self time: one "build"
+// per round, under it, opened before the round's fleet span.
+func TestRoundsBuildStageSpan(t *testing.T) {
+	spans := obs.NewSpanLog(0)
+	if _, err := RunRounds(RoundsConfig{Profile: topo.TinyProfile(), Seed: 1, Rounds: 3, Spans: spans}, NewStore(0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	builds, fleets := map[obs.SpanID]obs.SpanRecord{}, map[obs.SpanID]obs.SpanRecord{}
+	var rounds []obs.SpanID
+	for _, r := range spans.Records() {
+		switch {
+		case r.Name == "round":
+			rounds = append(rounds, r.ID)
+		case r.Name == "fleet":
+			fleets[r.Parent] = r
+		case r.Name == "stage" && r.Detail == "build":
+			if _, dup := builds[r.Parent]; dup {
+				t.Errorf("two build stages under span %d", r.Parent)
+			}
+			builds[r.Parent] = r
+		}
+	}
+	if len(rounds) != 3 || len(builds) != 3 {
+		t.Fatalf("%d round spans, %d build stages, want 3 of each", len(rounds), len(builds))
+	}
+	for _, id := range rounds {
+		b, ok := builds[id]
+		if !ok {
+			t.Fatalf("round span %d has no build stage", id)
+		}
+		if f := fleets[id]; b.ID >= f.ID {
+			t.Errorf("round span %d: build stage %d not begun before fleet span %d", id, b.ID, f.ID)
+		}
+		if b.Attr("atoms") == "" || b.Attr("prefixes") == "" {
+			t.Errorf("build stage %d lacks atoms/prefixes attrs: %v", b.ID, b.Attrs)
+		}
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
-	"bdrmap/internal/topo"
 )
 
 // Verdict is the outcome of an alias test.
@@ -51,27 +50,22 @@ func (v Verdict) String() string {
 
 // Config tunes the resolver; zero values select the paper's parameters.
 type Config struct {
-	AllyRounds   int           // default 5
-	AllyInterval time.Duration // default 5 minutes
-	ProbeGap     time.Duration // default 20ms between interleaved probes
-	MaxSpan      uint16        // max IPID span of one interleaved sequence (default 2000)
+	AllyRounds int // default 5
 }
 
 func (c Config) withDefaults() Config {
 	if c.AllyRounds == 0 {
 		c.AllyRounds = 5
 	}
-	if c.AllyInterval == 0 {
-		c.AllyInterval = 5 * time.Minute
-	}
-	if c.ProbeGap == 0 {
-		c.ProbeGap = 20 * time.Millisecond
-	}
-	if c.MaxSpan == 0 {
-		c.MaxSpan = 2000
-	}
 	return c
 }
+
+// The rest of §5.3's Ally schedule is fixed.
+const (
+	allyInterval = 5 * time.Minute       // between the rounds of one pair
+	probeGap     = 20 * time.Millisecond // between interleaved probes
+	maxSpan      = 2000                  // widest IP-ID span of one interleaved sequence
+)
 
 // ProbeSource issues single measurement probes and controls measurement
 // pacing. A local source wraps a probe engine and vantage point; a remote
@@ -80,20 +74,6 @@ type ProbeSource interface {
 	Probe(target netx.Addr, m probe.Method) probe.Response
 	Advance(d time.Duration)
 }
-
-// LocalSource adapts a probe engine + vantage point to ProbeSource.
-type LocalSource struct {
-	E  *probe.Engine
-	VP *topo.VP
-}
-
-// Probe sends one probe from the vantage point.
-func (s LocalSource) Probe(target netx.Addr, m probe.Method) probe.Response {
-	return s.E.Probe(s.VP, target, m)
-}
-
-// Advance moves the simulated clock.
-func (s LocalSource) Advance(d time.Duration) { s.E.Advance(d) }
 
 // Resolver drives alias-resolution measurements through a probe source
 // from one vantage point, recording every verdict.
@@ -209,7 +189,7 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 	var lastIDs []uint16
 	for round := 0; round < r.Cfg.AllyRounds; round++ {
 		if round > 0 {
-			r.Src.Advance(r.Cfg.AllyInterval)
+			r.Src.Advance(allyInterval)
 		}
 		v, ids := r.allyOnce(a, b, method)
 		lastIDs = ids
@@ -257,7 +237,7 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method) (Verdict, []uint16) 
 			return Unknown, ids
 		}
 		ids = append(ids, resp.IPID)
-		r.Src.Advance(r.Cfg.ProbeGap)
+		r.Src.Advance(probeGap)
 	}
 	allZero := true
 	for _, id := range ids {
@@ -284,7 +264,7 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method) (Verdict, []uint16) 
 			return AliasNo, ids
 		}
 		span += d
-		if span > r.Cfg.MaxSpan {
+		if span > maxSpan {
 			return AliasNo, ids
 		}
 	}

@@ -2,12 +2,25 @@ package alias
 
 import (
 	"testing"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
+
+// LocalSource adapts a probe engine + vantage point to ProbeSource.
+type LocalSource struct {
+	E  *probe.Engine
+	VP *topo.VP
+}
+
+func (s LocalSource) Probe(target netx.Addr, m probe.Method) probe.Response {
+	return s.E.Probe(s.VP, target, m)
+}
+
+func (s LocalSource) Advance(d time.Duration) { s.E.Advance(d) }
 
 func setup(t *testing.T, seed int64) (*probe.Engine, *topo.Network, *Resolver) {
 	t.Helper()

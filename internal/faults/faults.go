@@ -28,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"bdrmap/internal/netx"
 )
 
 // Spec describes one deterministic fault plan.
@@ -252,25 +254,17 @@ func New(spec Spec) *Injector {
 	}
 	return &Injector{
 		spec:       spec,
-		wireState:  mix64(uint64(spec.Seed) ^ 0x77697265), // "wire"
-		probeState: mix64(uint64(spec.Seed) ^ 0x70726f62), // "prob"
+		wireState:  netx.Mix64(uint64(spec.Seed) ^ 0x77697265), // "wire"
+		probeState: netx.Mix64(uint64(spec.Seed) ^ 0x70726f62), // "prob"
 	}
 }
 
 // Spec returns the injector's spec.
 func (i *Injector) Spec() Spec { return i.spec }
 
-// splitmix64: a tiny, high-quality deterministic PRNG step.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // next advances a PRNG state and returns a uniform float in [0,1).
 func next(state *uint64) float64 {
-	*state = mix64(*state)
+	*state = netx.Mix64(*state)
 	return float64(*state>>11) / float64(1<<53)
 }
 
@@ -319,7 +313,7 @@ func (i *Injector) CorruptIndex(n int) int {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.wireState = mix64(i.wireState)
+	i.wireState = netx.Mix64(i.wireState)
 	return int(i.wireState % uint64(n))
 }
 
@@ -339,7 +333,7 @@ func (i *Injector) ReadByteCorrupt(off int64) bool {
 	if sp.RCorrupt <= 0 || off >= sp.RCWindow {
 		return false
 	}
-	h := mix64(uint64(sp.Seed)*0x9e3779b97f4a7c15 ^ uint64(off))
+	h := netx.Mix64(uint64(sp.Seed)*0x9e3779b97f4a7c15 ^ uint64(off))
 	return float64(h>>11)/float64(1<<53) < sp.RCorrupt
 }
 

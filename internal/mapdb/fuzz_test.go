@@ -3,6 +3,10 @@ package mapdb
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"reflect"
+	"slices"
 	"testing"
 
 	"bdrmap/internal/core"
@@ -10,55 +14,191 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// decodePrefixes turns fuzz bytes into a prefix set: 5-byte records of
-// 4 address bytes plus a length byte (mod 33).
-func decodePrefixes(data []byte) []netx.Prefix {
-	var out []netx.Prefix
-	for len(data) >= 5 && len(out) < 512 {
-		a := netx.Addr(binary.BigEndian.Uint32(data))
-		out = append(out, netx.MakePrefix(a, int(data[4]%33)))
-		data = data[5:]
+// ownerLinear, linkLinear and neighborsLinear are the lookups as plain scans
+// of a snapshot's data — the oracles the indexed forms are held to.
+func (s *Snapshot) ownerLinear(a netx.Addr) (OwnerInfo, bool) {
+	for i, oa := range s.ownerAddrs {
+		if oa == a {
+			return s.owners[i], true
+		}
+	}
+	return OwnerInfo{}, false
+}
+
+func (s *Snapshot) linkLinear(near, far netx.Addr) (Link, bool) {
+	for _, l := range s.links {
+		if l.Near == near && l.Far == far {
+			return l, true
+		}
+	}
+	return Link{}, false
+}
+
+func (s *Snapshot) neighborsLinear(as topo.ASN) []Link {
+	out := []Link{}
+	for _, l := range s.links {
+		if l.FarAS == as {
+			out = append(out, l)
+		}
 	}
 	return out
 }
 
-// FuzzLookup cross-checks the compiled LPM table against a linear-scan
-// oracle over arbitrary insert sets: for any probe address, the table must
-// return the entry of the longest inserted prefix containing it, with
-// last-insert-wins on duplicate prefixes.
+// requireLookupsMatchLinear drives Owner, Link and Neighbors over every key
+// the snapshot holds and three it does not (Owner over probes too), against
+// the linear oracles.
+func requireLookupsMatchLinear(t *testing.T, s *Snapshot, probes ...netx.Addr) {
+	t.Helper()
+	foreign := []netx.Addr{0, netx.MustParseAddr("203.0.113.9"), ^netx.Addr(0)}
+	for _, a := range slices.Concat(foreign, s.ownerAddrs, probes) {
+		got, ok := s.Owner(a)
+		if want, wantOK := s.ownerLinear(a); ok != wantOK || got != want {
+			t.Fatalf("Owner(%v) = %+v,%v; linear scan says %+v,%v", a, got, ok, want, wantOK)
+		}
+	}
+	pairs := [][2]netx.Addr{{0, 0}, {foreign[1], foreign[2]}, {foreign[2], 0}}
+	ases := []topo.ASN{0, 64499, ^topo.ASN(0)}
+	for _, l := range s.links {
+		pairs = append(pairs, [2]netx.Addr{l.Near, l.Far})
+		ases = append(ases, l.FarAS)
+	}
+	for _, p := range pairs {
+		got, ok := s.Link(p[0], p[1])
+		if want, wantOK := s.linkLinear(p[0], p[1]); ok != wantOK || got != want {
+			t.Fatalf("Link(%v,%v) = %+v,%v; linear scan says %+v,%v", p[0], p[1], got, ok, want, wantOK)
+		}
+	}
+	for _, as := range ases {
+		if got, want := s.Neighbors(as), s.neighborsLinear(as); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Neighbors(%v) = %+v; linear scan says %+v", as, got, want)
+		}
+	}
+}
+
+// FuzzLookup holds Snapshot.Owner — a binary search of the sorted owner
+// addresses — to the linear-scan oracle on arbitrary compiled owner tables:
+// every indexed address, both of its numeric neighbors (an exact-match
+// table must miss them unless they are indexed too) and the extremes; Link
+// and Neighbors ride along over the same snapshot's keys.
 func FuzzLookup(f *testing.F) {
-	f.Add([]byte{10, 0, 0, 1, 32, 10, 0, 0, 0, 8}, uint32(0x0a000001))
-	f.Add([]byte{0, 0, 0, 0, 0, 255, 255, 255, 255, 32}, uint32(0xffffffff))
-	f.Add([]byte{192, 0, 2, 0, 24, 192, 0, 2, 0, 25, 192, 0, 2, 1, 32}, uint32(0xc0000201))
 	f.Add([]byte{}, uint32(0))
+	f.Add([]byte{2, 1, 2, 3, 9, 4}, uint32(0x0a000001))
+	f.Add([]byte{2, 1, 2, 3, 9, 4, 0, 7, 0, 2, 1, 3}, uint32(0x0a000102))
+	f.Add([]byte{0, 9, 9, 1, 1, 1, 1, 9, 9, 2, 2, 2, 3, 255, 255, 7, 0, 0}, uint32(0xffffffff))
 
 	f.Fuzz(func(t *testing.T, data []byte, probeRaw uint32) {
-		prefixes := decodePrefixes(data)
-		b := newLPMBuilder()
-		for i, p := range prefixes {
-			b.insert(p, int32(i))
+		s := Compile(64500, decodeResults(data))
+		probes := []netx.Addr{netx.Addr(probeRaw)}
+		for _, a := range s.ownerAddrs {
+			probes = append(probes, a-1, a+1)
 		}
-		tbl := b.table()
+		requireLookupsMatchLinear(t, s, probes...)
+	})
+}
 
-		oracle := func(a netx.Addr) int32 {
-			best, bestLen := int32(-1), -1
-			for i, p := range prefixes {
-				// >= implements last-insert-wins for duplicate prefixes.
-				if p.Contains(a) && p.Len >= bestLen {
-					best, bestLen = int32(i), p.Len
-				}
-			}
-			return best
+// reseal recomputes both CRC levels of a segment image in place — every
+// section whose range lies inside the image, then the table — so edited
+// payload bytes reach the decoders instead of dying at a checksum. An
+// image whose header does not parse is left alone.
+func reseal(img []byte) {
+	if len(img) < segHeaderLen+4 {
+		return
+	}
+	nsect := int(binary.LittleEndian.Uint32(img[24:]))
+	headLen := segHeaderLen + segTableEntLen*nsect + 4
+	if nsect > 4096 || len(img) < headLen {
+		return
+	}
+	for i := 0; i < nsect; i++ {
+		ent := img[segHeaderLen+segTableEntLen*i:]
+		off, ln := binary.LittleEndian.Uint64(ent[4:]), binary.LittleEndian.Uint64(ent[12:])
+		if off <= uint64(len(img)) && ln <= uint64(len(img))-off {
+			binary.LittleEndian.PutUint32(ent[20:], crc32.Checksum(img[off:off+ln], segCRC))
 		}
+	}
+	binary.LittleEndian.PutUint32(img[headLen-4:], crc32.Checksum(img[:headLen-4], segCRC))
+}
 
-		probes := []netx.Addr{netx.Addr(probeRaw), 0, ^netx.Addr(0)}
-		for _, p := range prefixes {
-			probes = append(probes, p.Base, p.Last())
+// sectionOf returns section id's payload inside img, for editing in place.
+func sectionOf(t testing.TB, img []byte, id uint32) []byte {
+	t.Helper()
+	nsect := int(binary.LittleEndian.Uint32(img[24:]))
+	for i := 0; i < nsect; i++ {
+		ent := img[segHeaderLen+segTableEntLen*i:]
+		if binary.LittleEndian.Uint32(ent) == id {
+			off, ln := binary.LittleEndian.Uint64(ent[4:]), binary.LittleEndian.Uint64(ent[12:])
+			return img[off : off+ln]
 		}
-		for _, a := range probes {
-			if got, want := tbl.lookup(a), oracle(a); got != want {
-				t.Fatalf("lookup(%v) = %d, oracle says %d (prefixes %v)", a, got, want, prefixes)
-			}
+	}
+	t.Fatalf("image has no section %d", id)
+	return nil
+}
+
+// resealed returns a copy of img with edit applied to section id and both
+// CRC levels recomputed.
+func resealed(t testing.TB, img []byte, id uint32, edit func(p []byte)) []byte {
+	t.Helper()
+	out := bytes.Clone(img)
+	edit(sectionOf(t, out, id))
+	reseal(out)
+	return out
+}
+
+// reverseRecords reverses the order of p's size-byte records in place.
+func reverseRecords(p []byte, size int) {
+	tmp := make([]byte, size)
+	for i, j := 0, len(p)-size; i < j; i, j = i+size, j-size {
+		copy(tmp, p[i:i+size])
+		copy(p[i:i+size], p[j:j+size])
+		copy(p[j:j+size], tmp)
+	}
+}
+
+// FuzzReadSegment is the serving side's trust boundary: a follower pulls
+// /v1/segment from a URL, so any bytes can arrive with valid checksums. The
+// input's CRCs are resealed when its header parses, so mutation reaches the
+// section decoders; ReadSegment must then either refuse the image or
+// return a snapshot whose lookups never panic, agree with linear scans of
+// the data it decoded, and whose own image is canonical (reopens to the
+// identical bytes).
+func FuzzReadSegment(f *testing.F) {
+	fixture, err := os.ReadFile(segmentFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh := Compile(64500, decodeResults([]byte{2, 1, 2, 3, 9, 4, 1, 7, 0, 2, 1, 3, 3, 9, 0, 5, 15, 4}))
+	fresh.gen = 3
+	fresh.MarkDegraded([]string{"west"})
+	img := image(f, fresh)
+
+	f.Add(fixture)
+	f.Add(img)
+	// a retired index section hostile to the parent's reader
+	f.Add(resealed(f, fixture, 12, func(p []byte) { binary.LittleEndian.PutUint32(p, ^uint32(4)) }))
+	// owners in descending order: accepted, canonicalised
+	f.Add(resealed(f, img, secOwnerAddrs, func(p []byte) { reverseRecords(p, 4) }))
+	// one address recorded twice: refused
+	f.Add(resealed(f, img, secOwnerAddrs, func(p []byte) { copy(p[4:8], p[:4]) }))
+	// a heuristic index beyond the vocabulary: refused
+	f.Add(resealed(f, img, secLinks, func(p []byte) { p[12] = 0xff }))
+	// a string list claiming more entries than it carries: refused
+	f.Add(resealed(f, img, secVPs, func(p []byte) { p[3] = 0x7f }))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		reseal(data)
+		s, err := ReadSegment(data)
+		if err != nil {
+			return
+		}
+		requireLookupsMatchLinear(t, s)
+		out := image(t, s)
+		re, err := ReadSegment(out)
+		if err != nil {
+			t.Fatalf("the image of an accepted segment does not reopen: %v", err)
+		}
+		if !bytes.Equal(image(t, re), out) {
+			t.Fatal("the image of an accepted segment is not canonical: it reopens to different bytes")
 		}
 	})
 }

@@ -11,12 +11,17 @@
 // AS. Re-walking a whole Result per query does not survive serving load,
 // so mapdb compiles each measurement round into a Snapshot:
 //
-//   - a flat binary-radix longest-prefix-match trie over observed
-//     interface addresses resolving any IP to the owning AS of its router
-//     (§5.4 attribution), with zero allocations on the lookup path,
-//   - a (near, far) hash index resolving a hop pair to its interdomain
+//   - the observed interface addresses, sorted, each resolving by binary
+//     search to the owning AS of its router (§5.4 attribution). The match
+//     is exact: the prefix covering an interface does not name its
+//     router's owner (§4), so an address nobody observed has no answer,
+//   - a sorted (near, far) index resolving a hop pair to its interdomain
 //     link (§5.2 border placement),
 //   - a per-AS index of a neighbor's interdomain links.
+//
+// The canonical data is the link list and the owner table; every index is
+// derived from them by one builder whichever way a Snapshot came to be —
+// compiled, rebuilt from a diff, or opened from a segment.
 //
 // A Store swaps Snapshots atomically (readers never block writers and
 // vice versa), retains a bounded generation history, and computes
@@ -28,6 +33,8 @@
 package mapdb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"bdrmap/internal/core"
@@ -70,22 +77,17 @@ type Snapshot struct {
 	links []Link // sorted by (FarAS, Near, Far)
 
 	// Interface-address attribution: ownerAddrs[i] resolves to owners[i],
-	// ascending by address on every construction path (a segment written
-	// before that held is served in the order it carries). The flat pair
-	// doubles as the linear-scan control the benchmarks keep to certify the
-	// trie's speedup, and as the diff substrate.
+	// strictly ascending by address. The sorted addresses are the owner
+	// index itself (Owner binary-searches them) and the diff substrate.
 	owners     []OwnerInfo
 	ownerAddrs []netx.Addr
-	lpm        lpmTable
 
-	// The pair and neighbor indices are sorted flat arrays rather than
-	// maps: binary-searchable with zero allocations, and — like the trie
-	// node slice — directly representable as raw segment bytes, so a
-	// segment open decodes them without rebuilding. pairKeys is sorted; on
-	// duplicate (near, far) keys the lowest link index (lowest FarAS)
-	// wins, matching the old first-write-wins map build. nbAS lists the
-	// neighbor ASes sorted ascending, and nbOff[i]:nbOff[i+1] is the span
-	// of nbAS[i]'s links in the (FarAS-major) sorted link slice.
+	// The pair and neighbor indexes, derived from links by finishIndexes
+	// and nowhere else: sorted flat arrays, binary-searchable with zero
+	// allocations. pairKeys is sorted; on duplicate (near, far) keys the
+	// lowest link index (lowest FarAS) wins. nbAS lists the neighbor ASes
+	// ascending, and nbOff[i]:nbOff[i+1] is the span of nbAS[i]'s links in
+	// the (FarAS-major) sorted link slice.
 	pairKeys []uint64
 	pairVals []int32
 	nbAS     []topo.ASN
@@ -135,7 +137,7 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 	// observed address of an attributed router resolves to that router's
 	// owner. First write wins, and iteration order is the deterministic
 	// result/router/address order, so which record an address keeps is
-	// reproducible; the table is then ordered by address.
+	// reproducible; finishIndexes then orders the table by address.
 	//
 	// Deduplication runs on dense interned address IDs and a flat seen
 	// array, not an address-keyed map. When every result carries the same
@@ -185,7 +187,6 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 		}
 	}
 	sort.Strings(s.vps)
-	sort.Sort(ownersByAddr{s})
 
 	// Observed links, deduplicated across VPs by the observed
 	// (near, far, farAS) triple — the identity a hop-pair query carries.
@@ -222,30 +223,19 @@ func (o ownersByAddr) Swap(i, j int) {
 // sortLinks orders links by (FarAS, Near, Far) — a total order, since the
 // triple is each link's deduplicated identity.
 func sortLinks(links []Link) {
-	sort.SliceStable(links, func(i, j int) bool {
-		a, b := links[i], links[j]
-		if a.FarAS != b.FarAS {
-			return a.FarAS < b.FarAS
-		}
-		if a.Near != b.Near {
-			return a.Near < b.Near
-		}
-		return a.Far < b.Far
+	slices.SortStableFunc(links, func(a, b Link) int {
+		return cmp.Or(cmp.Compare(a.FarAS, b.FarAS), cmp.Compare(a.Near, b.Near), cmp.Compare(a.Far, b.Far))
 	})
 }
 
-// finishIndexes (re)derives every lookup structure from the snapshot's
-// canonical data (links, ownerAddrs): the compiled trie, the sorted pair
-// index, and the neighbor spans. Compile and diff application both
-// converge here, so every construction path indexes identically.
+// finishIndexes puts the snapshot's data (links, owner table) in canonical
+// order and derives every lookup structure from it: the sorted owner
+// addresses, the sorted pair index, and the neighbor spans. Compile, Apply
+// and ReadSegment all end here, so every construction path canonicalises
+// and indexes identically and an index cannot disagree with its data.
 func (s *Snapshot) finishIndexes() {
 	sortLinks(s.links)
-
-	b := newLPMBuilder()
-	for i, a := range s.ownerAddrs {
-		b.insert(netx.MakePrefix(a, 32), int32(i))
-	}
-	s.lpm = b.table()
+	sort.Sort(ownersByAddr{s})
 
 	// Neighbor spans: links are FarAS-major, so each AS's links occupy one
 	// contiguous range. nbOff carries len(nbAS)+1 boundaries.
@@ -262,7 +252,7 @@ func (s *Snapshot) finishIndexes() {
 	// Pair index: (near, far) keys sorted for binary search. Links sort
 	// FarAS-major, so equal keys (same hop pair claimed for two far ASes)
 	// are not adjacent; sort by (key, link index) and keep the lowest
-	// index per key — the same first-write-wins the old map build had.
+	// index per key.
 	type kv struct {
 		k uint64
 		v int32
@@ -271,11 +261,8 @@ func (s *Snapshot) finishIndexes() {
 	for i, l := range s.links {
 		kvs[i] = kv{pairKey(l.Near, l.Far), int32(i)}
 	}
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].k != kvs[j].k {
-			return kvs[i].k < kvs[j].k
-		}
-		return kvs[i].v < kvs[j].v
+	slices.SortFunc(kvs, func(a, b kv) int {
+		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.v, b.v))
 	})
 	s.pairKeys = s.pairKeys[:0]
 	s.pairVals = s.pairVals[:0]
@@ -324,43 +311,23 @@ func (s *Snapshot) NumOwners() int { return len(s.owners) }
 // returned slice is the snapshot's backing store: read-only.
 func (s *Snapshot) Links() []Link { return s.links }
 
-// Owner resolves an IP to the attribution of the router holding it, via
-// longest-prefix match over the indexed interface addresses. This is the
-// serving hot path: zero allocations per call.
+// Owner resolves an observed interface address to the attribution of the
+// router holding it. The match is exact — an address that was not itself
+// observed has no answer, whatever prefix covers it (§4: a router's owner
+// cannot be read off the prefix its interface is numbered from). This is
+// the serving hot path: a binary search, zero allocations per call.
 func (s *Snapshot) Owner(a netx.Addr) (OwnerInfo, bool) {
-	if e := s.lpm.lookup(a); e >= 0 {
-		return s.owners[e], true
-	}
-	return OwnerInfo{}, false
-}
-
-// ownerLinear is the naive linear-scan resolution the compiled trie
-// replaces, kept as the benchmark control and the fuzz oracle's shape.
-func (s *Snapshot) ownerLinear(a netx.Addr) (OwnerInfo, bool) {
-	for i, oa := range s.ownerAddrs {
-		if oa == a {
-			return s.owners[i], true
-		}
+	if i, ok := slices.BinarySearch(s.ownerAddrs, a); ok {
+		return s.owners[i], true
 	}
 	return OwnerInfo{}, false
 }
 
 // Link resolves an observed (near, far) hop pair to its interdomain link.
-// A far of zero queries the silent link at near. Zero allocations: the
-// binary search is hand-rolled so no closure escapes.
+// A far of zero queries the silent link at near. Zero allocations.
 func (s *Snapshot) Link(near, far netx.Addr) (Link, bool) {
-	k := pairKey(near, far)
-	lo, hi := 0, len(s.pairKeys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.pairKeys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.pairKeys) && s.pairKeys[lo] == k {
-		return s.links[s.pairVals[lo]], true
+	if i, ok := slices.BinarySearch(s.pairKeys, pairKey(near, far)); ok {
+		return s.links[s.pairVals[i]], true
 	}
 	return Link{}, false
 }
@@ -368,17 +335,8 @@ func (s *Snapshot) Link(near, far netx.Addr) (Link, bool) {
 // neighborSpan returns the half-open range of as's links in the sorted
 // link slice, or (0, 0) when as has none.
 func (s *Snapshot) neighborSpan(as topo.ASN) (int32, int32) {
-	lo, hi := 0, len(s.nbAS)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.nbAS[mid] < as {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.nbAS) && s.nbAS[lo] == as {
-		return s.nbOff[lo], s.nbOff[lo+1]
+	if i, ok := slices.BinarySearch(s.nbAS, as); ok {
+		return s.nbOff[i], s.nbOff[i+1]
 	}
 	return 0, 0
 }

@@ -55,7 +55,7 @@ func TestCompileAgainstResults(t *testing.T) {
 		}
 	}
 
-	// Every result link answers the hop-pair query, and LPM agrees with
+	// Every result link answers the hop-pair query, and Owner agrees with
 	// the linear-scan control on hits and misses alike.
 	for _, res := range s.Results {
 		for _, l := range res.Links {
@@ -99,6 +99,38 @@ func TestCompileAgainstResults(t *testing.T) {
 	}
 	if total != snap.NumLinks() {
 		t.Fatalf("neighbor index covers %d links, snapshot has %d", total, snap.NumLinks())
+	}
+}
+
+// TestLookupsAllocateNothing holds the serving hot paths — Owner, Link and
+// the span search under Neighbors — to zero allocations, hit or miss.
+func TestLookupsAllocateNothing(t *testing.T) {
+	snap := Compile(64500, []*core.Result{syntheticResult("vp", 64, 65000)})
+	l := snap.links[len(snap.links)/2]
+	a := snap.ownerAddrs[len(snap.ownerAddrs)/2]
+	var sink int32
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := snap.Owner(a); ok {
+			sink++
+		}
+		if _, ok := snap.Owner(a + 1000); ok {
+			sink++
+		}
+		if _, ok := snap.Link(l.Near, l.Far); ok {
+			sink++
+		}
+		if _, ok := snap.Link(l.Far, l.Near); ok {
+			sink++
+		}
+		lo, hi := snap.neighborSpan(l.FarAS)
+		sink += hi - lo
+		lo, hi = snap.neighborSpan(l.FarAS + 100000)
+		sink += hi - lo
+	}); n != 0 {
+		t.Fatalf("lookups allocate %.0f times per round, want 0", n)
+	}
+	if sink == 0 {
+		t.Fatal("no lookup hit")
 	}
 }
 

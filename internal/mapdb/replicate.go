@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"bdrmap/internal/netx"
@@ -76,8 +75,6 @@ func (s *Snapshot) Apply(d *GenDiff) (*Snapshot, error) {
 		next.ownerAddrs = append(next.ownerAddrs, a)
 		next.owners = append(next.owners, o)
 	}
-	sort.Sort(ownersByAddr{next})
-
 	next.finishIndexes()
 	return next, nil
 }

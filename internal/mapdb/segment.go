@@ -14,10 +14,11 @@ import (
 )
 
 // Segment file format v1 — one published generation as a single file.
-// The Snapshot's serving structures are already pointer-free int32/uint64
-// slices (flat trie nodes, sorted pair index, neighbor spans), so the file
-// lays them out verbatim and opening one is a straight decode of each
-// section into its typed slice — no index is rebuilt.
+// The file carries the map's data only — who observed it, its links, its
+// owner table — and opening one ends in the same finishIndexes as Compile
+// and Apply: every lookup index is derived from the decoded data, never
+// read from the file, so an image cannot carry an index that disagrees
+// with its links.
 //
 // Layout, all little-endian, section payloads 8-byte aligned:
 //
@@ -43,6 +44,9 @@ const (
 
 // Section ids. The table is id-addressed, so readers tolerate unknown
 // sections (forward compatibility) and reject missing required ones.
+// Ids 8–12 are retired: they persisted the lookup indexes that are now
+// derived on open. They are never written, never read and never reused; a
+// file that carries them opens with them ignored.
 const (
 	secStrtab     = 1
 	secVPs        = 2
@@ -51,11 +55,6 @@ const (
 	secLinks      = 5
 	secOwners     = 6
 	secOwnerAddrs = 7
-	secLPM        = 8
-	secPairKeys   = 9
-	secPairVals   = 10
-	secNbAS       = 11
-	secNbOff      = 12
 )
 
 const (
@@ -63,7 +62,6 @@ const (
 	segTableEntLen = 24 // id + off + len + crc
 	linkRecLen     = 16 // near + far + farAS + heurIdx
 	ownerRecLen    = 16 // as + heurIdx + hopDist + flags
-	lpmNodeLen     = 12 // child[2] + entry
 )
 
 var segCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -156,29 +154,9 @@ func (s *Snapshot) marshalSegment() []byte {
 		binary.LittleEndian.PutUint32(p[12:], fl)
 	}
 
-	u32s := func(n int, get func(i int) uint32) []byte {
-		out := make([]byte, 4*n)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(out[4*i:], get(i))
-		}
-		return out
-	}
-	ownerAddrs := u32s(len(s.ownerAddrs), func(i int) uint32 { return uint32(s.ownerAddrs[i]) })
-	pairVals := u32s(len(s.pairVals), func(i int) uint32 { return uint32(s.pairVals[i]) })
-	nbAS := u32s(len(s.nbAS), func(i int) uint32 { return uint32(s.nbAS[i]) })
-	nbOff := u32s(len(s.nbOff), func(i int) uint32 { return uint32(s.nbOff[i]) })
-
-	lpm := make([]byte, lpmNodeLen*len(s.lpm.nodes))
-	for i, n := range s.lpm.nodes {
-		p := lpm[lpmNodeLen*i:]
-		binary.LittleEndian.PutUint32(p, uint32(n.child[0]))
-		binary.LittleEndian.PutUint32(p[4:], uint32(n.child[1]))
-		binary.LittleEndian.PutUint32(p[8:], uint32(n.entry))
-	}
-
-	pairKeys := make([]byte, 8*len(s.pairKeys))
-	for i, k := range s.pairKeys {
-		binary.LittleEndian.PutUint64(pairKeys[8*i:], k)
+	ownerAddrs := make([]byte, 4*len(s.ownerAddrs))
+	for i, a := range s.ownerAddrs {
+		binary.LittleEndian.PutUint32(ownerAddrs[4*i:], uint32(a))
 	}
 
 	sections := []struct {
@@ -192,11 +170,6 @@ func (s *Snapshot) marshalSegment() []byte {
 		{secLinks, links},
 		{secOwners, owners},
 		{secOwnerAddrs, ownerAddrs},
-		{secLPM, lpm},
-		{secPairKeys, pairKeys},
-		{secPairVals, pairVals},
-		{secNbAS, nbAS},
-		{secNbOff, nbOff},
 	}
 
 	pad8 := func(n int) int { return (n + 7) &^ 7 }
@@ -346,74 +319,13 @@ func (r *segReader) strList(id uint32) ([]string, error) {
 	return out, nil
 }
 
-// u32s decodes section id, a packed array of little-endian 32-bit words,
-// straight into a slice of its serving type.
-func u32s[T ~uint32 | ~int32](r *segReader, id uint32) ([]T, error) {
-	p, err := r.section(id)
-	if err != nil {
-		return nil, err
-	}
-	if len(p)%4 != 0 {
-		return nil, fmt.Errorf("section %d: length %d not a multiple of 4", id, len(p))
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	out := make([]T, len(p)/4)
-	for i := range out {
-		out[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out, nil
-}
-
-func (r *segReader) u64s(id uint32) ([]uint64, error) {
-	p, err := r.section(id)
-	if err != nil {
-		return nil, err
-	}
-	if len(p)%8 != 0 {
-		return nil, fmt.Errorf("section %d: length %d not a multiple of 8", id, len(p))
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	out := make([]uint64, len(p)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-	return out, nil
-}
-
-func (r *segReader) lpmNodes() ([]lpmNode, error) {
-	p, err := r.section(secLPM)
-	if err != nil {
-		return nil, err
-	}
-	if len(p)%lpmNodeLen != 0 {
-		return nil, fmt.Errorf("lpm section: length %d not a multiple of %d", len(p), lpmNodeLen)
-	}
-	if len(p) == 0 {
-		return nil, nil
-	}
-	out := make([]lpmNode, len(p)/lpmNodeLen)
-	for i := range out {
-		q := p[lpmNodeLen*i:]
-		out[i] = lpmNode{
-			child: [2]int32{
-				int32(binary.LittleEndian.Uint32(q)),
-				int32(binary.LittleEndian.Uint32(q[4:])),
-			},
-			entry: int32(binary.LittleEndian.Uint32(q[8:])),
-		}
-	}
-	return out, nil
-}
-
 // ReadSegment decodes a segment image held in memory — a file OpenSegment
 // read, or the one the follower's full-sync path receives over HTTP. It
 // validates the image (magic, version, table CRC, bounds, per-section
-// CRCs) and assembles the Snapshot. Everything is copied onto the heap;
-// data is not retained.
+// CRCs, heuristic indices, one address per owner record, no address
+// twice), accepts links and owners in any order, and assembles the Snapshot
+// in canonical order with freshly derived indexes. Everything is copied
+// onto the heap; data is not retained.
 func ReadSegment(data []byte) (*Snapshot, error) {
 	if len(data) < segHeaderLen+4 {
 		return nil, fmt.Errorf("truncated header (%d bytes)", len(data))
@@ -520,68 +432,23 @@ func ReadSegment(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	// Numeric serving arrays.
-	if s.ownerAddrs, err = u32s[netx.Addr](r, secOwnerAddrs); err != nil {
+	ap, err := r.section(secOwnerAddrs)
+	if err != nil {
 		return nil, err
 	}
-	if s.lpm.nodes, err = r.lpmNodes(); err != nil {
-		return nil, err
+	if len(ap) != 4*len(s.owners) {
+		return nil, fmt.Errorf("ownerAddrs section: %d bytes for %d owners", len(ap), len(s.owners))
 	}
-	if s.pairKeys, err = r.u64s(secPairKeys); err != nil {
-		return nil, err
-	}
-	if s.pairVals, err = u32s[int32](r, secPairVals); err != nil {
-		return nil, err
-	}
-	if s.nbAS, err = u32s[topo.ASN](r, secNbAS); err != nil {
-		return nil, err
-	}
-	if s.nbOff, err = u32s[int32](r, secNbOff); err != nil {
-		return nil, err
+	s.ownerAddrs = make([]netx.Addr, len(s.owners))
+	for i := range s.ownerAddrs {
+		s.ownerAddrs[i] = netx.Addr(binary.LittleEndian.Uint32(ap[4*i:]))
 	}
 
-	if err := s.validateShape(len(heurs)); err != nil {
-		return nil, err
+	s.finishIndexes()
+	for i := 1; i < len(s.ownerAddrs); i++ {
+		if s.ownerAddrs[i] == s.ownerAddrs[i-1] {
+			return nil, fmt.Errorf("owner address %s recorded twice", s.ownerAddrs[i])
+		}
 	}
 	return s, nil
-}
-
-// validateShape cross-checks the decoded sections against each other so a
-// segment that passed its CRCs (e.g. one crafted by a buggy writer) still
-// cannot index out of bounds at serving time.
-func (s *Snapshot) validateShape(nheurs int) error {
-	if len(s.owners) != len(s.ownerAddrs) {
-		return fmt.Errorf("owners (%d) and ownerAddrs (%d) disagree", len(s.owners), len(s.ownerAddrs))
-	}
-	if len(s.pairKeys) != len(s.pairVals) {
-		return fmt.Errorf("pairKeys (%d) and pairVals (%d) disagree", len(s.pairKeys), len(s.pairVals))
-	}
-	for i, v := range s.pairVals {
-		if int(v) < 0 || int(v) >= len(s.links) {
-			return fmt.Errorf("pair index %d references link %d of %d", i, v, len(s.links))
-		}
-	}
-	if len(s.nbAS) == 0 {
-		if len(s.nbOff) > 1 {
-			return fmt.Errorf("neighbor spans (%d boundaries) without neighbor ASes", len(s.nbOff))
-		}
-	} else if len(s.nbOff) != len(s.nbAS)+1 {
-		return fmt.Errorf("neighbor spans: %d ASes but %d boundaries", len(s.nbAS), len(s.nbOff))
-	}
-	for i := 1; i < len(s.nbOff); i++ {
-		if s.nbOff[i] < s.nbOff[i-1] || int(s.nbOff[i]) > len(s.links) {
-			return fmt.Errorf("neighbor span boundary %d (%d) out of order or beyond links (%d)", i, s.nbOff[i], len(s.links))
-		}
-	}
-	for i, n := range s.lpm.nodes {
-		for _, c := range n.child {
-			if int(c) >= len(s.lpm.nodes) {
-				return fmt.Errorf("lpm node %d: child %d beyond table (%d nodes)", i, c, len(s.lpm.nodes))
-			}
-		}
-		if int(n.entry) >= len(s.owners) {
-			return fmt.Errorf("lpm node %d: entry %d beyond owners (%d)", i, n.entry, len(s.owners))
-		}
-	}
-	return nil
 }

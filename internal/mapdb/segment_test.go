@@ -2,6 +2,7 @@ package mapdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,7 +29,7 @@ func inferSnapshot(t *testing.T, prof topo.Profile) *Snapshot {
 
 // requireSnapshotsAnswerIdentically drives every query the serving API
 // exposes through both snapshots and requires byte-identical answers:
-// owner (trie and linear) for every indexed address plus misses, link for
+// owner (indexed and linear) for every indexed address plus misses, link for
 // every pair plus misses, neighbor spans for every AS, and an empty
 // mutual diff.
 func requireSnapshotsAnswerIdentically(t *testing.T, mem, got *Snapshot) {
@@ -56,7 +57,7 @@ func requireSnapshotsAnswerIdentically(t *testing.T, mem, got *Snapshot) {
 			t.Fatalf("owner(%s): linear scan %v/%v disagrees with trie %v", addr, lo, ok, o2)
 		}
 		if o1 != mem.owners[i] && mem.ownerAddrs[i] == addr {
-			// Duplicate-free index: the trie must resolve to this record.
+			// Duplicate-free index: the lookup must resolve to this record.
 			t.Fatalf("owner(%s) = %v, want record %v", addr, o1, mem.owners[i])
 		}
 		// A probe around every indexed address exercises misses.
@@ -149,6 +150,87 @@ func TestSegmentRoundtripDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// segmentFixture is generation 1 of tiny (seed 1) as the last writer that
+// persisted the lookup indexes published it: all twelve sections, 1–7 the
+// data and 8–12 the owner trie, pair keys, pair values, neighbor ASes and
+// neighbor offsets a reader used to serve from as decoded.
+const segmentFixture = "testdata/segment-v1-indexed.seg"
+
+// TestSegmentDerivesIndexes pins what opening a segment trusts: the data
+// sections and nothing else. The old-format fixture opens to the canonical
+// image a fresh compile of the same world has; the same file with any of
+// its retired index sections overwritten by hostile values (CRCs resealed,
+// so only the content is wrong) opens to a snapshot that answers every
+// lookup like the clean one — a reader serving those sections as decoded
+// panics in Neighbors on the negative offset and answers every hop pair
+// with another link on the reversed pair values. An owner table in any
+// order is canonicalised; one naming an address twice is refused.
+func TestSegmentDerivesIndexes(t *testing.T) {
+	fixture, err := os.ReadFile(segmentFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ReadSegment(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := inferSnapshot(t, topo.TinyProfile())
+	fresh.gen = 1
+	want := image(t, fresh)
+	if !bytes.Equal(image(t, clean), want) {
+		t.Fatal("the reopened fixture's image differs from a fresh compile of tiny seed 1 (the fixture holds that world's map as inferred when it was written)")
+	}
+	requireSnapshotsAnswerIdentically(t, fresh, clean)
+
+	le := binary.LittleEndian
+	reverseWords := func(p []byte) { reverseRecords(p, 4) }
+	for _, h := range []struct {
+		name string
+		sec  uint32
+		edit func(p []byte)
+	}{
+		{"trie children out of range", 8, func(p []byte) {
+			for i := 0; i+12 <= len(p); i += 12 {
+				le.PutUint32(p[i:], 0x7fffffff)
+				le.PutUint32(p[i+4:], 0x7fffffff)
+			}
+		}},
+		{"pairKeys zeroed", 9, func(p []byte) { clear(p) }},
+		{"pairVals reversed", 10, reverseWords},
+		{"nbAS reversed", 11, reverseWords},
+		{"nbOff[0] = -5", 12, func(p []byte) { le.PutUint32(p, ^uint32(4)) }},
+	} {
+		t.Run(h.name, func(t *testing.T) {
+			got, err := ReadSegment(resealed(t, fixture, h.sec, h.edit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSnapshotsAnswerIdentically(t, clean, got)
+			if !bytes.Equal(image(t, got), want) {
+				t.Error("a retired section leaked into the reopened image")
+			}
+		})
+	}
+
+	t.Run("owners in any order", func(t *testing.T) {
+		rev := resealed(t, want, secOwnerAddrs, reverseWords)
+		rev = resealed(t, rev, secOwners, func(p []byte) { reverseRecords(p, ownerRecLen) })
+		got, err := ReadSegment(rev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(image(t, got), want) {
+			t.Error("a descending owner table did not reopen to the canonical image")
+		}
+	})
+	t.Run("owner address twice", func(t *testing.T) {
+		dup := resealed(t, want, secOwnerAddrs, func(p []byte) { copy(p[8:12], p[:4]) })
+		if _, err := ReadSegment(dup); err == nil {
+			t.Fatal("an owner table naming one address twice opened")
+		}
+	})
 }
 
 // TestSegmentDiffAcrossReopenedGenerations compiles two generations,

@@ -250,3 +250,14 @@ func ComparePrefix(a, b Prefix) int {
 		return 0
 	}
 }
+
+// Mix64 is the splitmix64 step: a cheap, high-quality 64-bit mixer. Every
+// seeded draw in the tree (per-AS annotations, fault schedules) and every
+// hash over small aligned or sequential keys (the forwarding plane's
+// tables) goes through it.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -186,20 +186,3 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 		t.Fatalf("stage count = %d, want 4000", snap.Stage("st").Count)
 	}
 }
-
-func TestSnapshotSumPrefix(t *testing.T) {
-	r := New()
-	r.Add("remote.retry.write", 3)
-	r.Add("remote.retry.read", 2)
-	r.Add("remote.resume", 7)
-	s := r.Snapshot()
-	if got := s.SumPrefix("remote.retry."); got != 5 {
-		t.Fatalf("SumPrefix(remote.retry.) = %d, want 5", got)
-	}
-	if got := s.SumPrefix("remote."); got != 12 {
-		t.Fatalf("SumPrefix(remote.) = %d, want 12", got)
-	}
-	if got := s.SumPrefix("nosuch."); got != 0 {
-		t.Fatalf("SumPrefix(nosuch.) = %d, want 0", got)
-	}
-}

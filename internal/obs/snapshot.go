@@ -151,18 +151,6 @@ func (s Snapshot) Quantile(name string, q float64) float64 {
 	return s.Histograms[name].Quantile(q)
 }
 
-// SumPrefix sums every counter whose name starts with prefix — e.g.
-// SumPrefix("remote.retry.") totals the recovery-path counters.
-func (s Snapshot) SumPrefix(prefix string) int64 {
-	var total int64
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, prefix) {
-			total += v
-		}
-	}
-	return total
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

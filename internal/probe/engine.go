@@ -246,7 +246,7 @@ type pathKey struct {
 
 func (k pathKey) hash() uint64 {
 	h := uint64(uint32(k.start))<<32 | uint64(k.to.Base)
-	return mix64(h ^ uint64(k.to.Len)<<56)
+	return netx.Mix64(h ^ uint64(k.to.Len)<<56)
 }
 
 // egressKey names an egress set by announcement atom, not prefix: the set
@@ -257,7 +257,7 @@ type egressKey struct {
 	atom  int32
 }
 
-func (k egressKey) hash() uint64 { return mix64(uint64(k.owner)<<32 | uint64(uint32(k.atom))) }
+func (k egressKey) hash() uint64 { return netx.Mix64(uint64(k.owner)<<32 | uint64(uint32(k.atom))) }
 
 // noPath is the walk toward an address nothing routes and no interface
 // holds.
@@ -568,7 +568,7 @@ func (e *Engine) buildEgressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.Pre
 // member of owner's organization, cached per owner. The slice is shared:
 // callers must not mutate it.
 func (e *Engine) orgAttachments(owner topo.ASN) []topo.Attachment {
-	h := mix64(uint64(owner))
+	h := netx.Mix64(uint64(owner))
 	if atts := e.fwd.orgAtts.get(owner, h); atts != nil {
 		return *atts
 	}
@@ -630,7 +630,7 @@ func (t *bfsTree) nextHopFrom(r topo.RouterID) (topo.RouterID, bool) {
 
 // bfsFrom returns (cached) the BFS tree rooted at root over internal links.
 func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
-	h := mix64(uint64(uint32(root)))
+	h := netx.Mix64(uint64(uint32(root)))
 	if t := e.fwd.bfs.get(root, h); t != nil {
 		return *t
 	}

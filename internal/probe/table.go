@@ -13,8 +13,10 @@ import (
 // An entry is immutable once published and lives as long as the table.
 //
 // Callers supply the key's hash: keys are small structs and integers whose
-// mix is one line at the call site, and the zero table — no slots until
-// the first put — stays usable without a constructor.
+// mix is one line at the call site (netx.Mix64 — the slots index by the low
+// bits, and router IDs, AS numbers and prefix bases are all aligned or
+// sequential), and the zero table — no slots until the first put — stays
+// usable without a constructor.
 type table[K comparable, V any] struct {
 	// slots is an open-addressed array, a power of two long and at most
 	// half full, so a probe sequence always ends at a nil slot. Growing
@@ -30,16 +32,6 @@ type entry[K comparable, V any] struct {
 	key  K
 	hash uint64
 	val  V
-}
-
-// mix64 is the splitmix64 finaliser: the tables index by the low bits, and
-// router IDs, AS numbers and prefix bases are all aligned or sequential.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // get returns the value stored under k, nil when there is none. The value

@@ -3,6 +3,8 @@ package probe
 import (
 	"sync"
 	"testing"
+
+	"bdrmap/internal/netx"
 )
 
 // TestTableFirstStoredWins hammers one table from eight goroutines that all
@@ -22,7 +24,7 @@ func TestTableFirstStoredWins(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				k := uint64((i*7 + w*131) % keys) // each worker in its own order
 				// A poor hash on purpose: half the keys collide pairwise.
-				h := mix64(k / 2)
+				h := netx.Mix64(k / 2)
 				v := tab.get(k, h)
 				if v == nil {
 					v = tab.put(k, h, [2]int{int(k), w})
@@ -36,7 +38,7 @@ func TestTableFirstStoredWins(t *testing.T) {
 		t.Fatalf("table holds %d entries, want %d", tab.len(), keys)
 	}
 	for k := 0; k < keys; k++ {
-		v := tab.get(uint64(k), mix64(uint64(k)/2))
+		v := tab.get(uint64(k), netx.Mix64(uint64(k)/2))
 		if v == nil || v[0] != k {
 			t.Fatalf("key %d: got %v", k, v)
 		}
@@ -46,7 +48,7 @@ func TestTableFirstStoredWins(t *testing.T) {
 			}
 		}
 	}
-	if v := tab.get(keys, mix64(keys/2)); v != nil {
+	if v := tab.get(keys, netx.Mix64(keys/2)); v != nil {
 		t.Fatalf("absent key found: %v", *v)
 	}
 }

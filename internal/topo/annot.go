@@ -29,23 +29,15 @@ type Annotation struct {
 	LonA, LonB float64
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // asSeed derives the per-AS annotation stream from the network seed.
 func asSeed(seed int64, asn ASN) uint64 {
-	return mix64(mix64(uint64(seed)) ^ uint64(asn))
+	return netx.Mix64(netx.Mix64(uint64(seed)) ^ uint64(asn))
 }
 
 // linkDraw derives the per-link draw within an AS's stream: the subnet is
 // the link's stable identity (unique per network, survives reordering).
 func linkDraw(seed int64, asn ASN, subnet netx.Prefix) uint64 {
-	return mix64(asSeed(seed, asn) ^ mix64(uint64(subnet.First())<<8|uint64(subnet.Len)))
+	return netx.Mix64(asSeed(seed, asn) ^ netx.Mix64(uint64(subnet.First())<<8|uint64(subnet.Len)))
 }
 
 // bandwidth classes per link kind, in Mbps. IXP fabrics and backbone links

@@ -2,8 +2,11 @@ package bdrmap
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -126,5 +129,81 @@ func TestGoldenExplain(t *testing.T) {
 	}
 	if got != string(raw) {
 		t.Errorf("explain output diverged from %s\ngot:\n%s\nwant:\n%s", path, got, raw)
+	}
+}
+
+// traceFP is one pinned provenance stream: its fingerprint and how many
+// events the tracer retained.
+type traceFP struct {
+	FP     string `json:"trace_fp"`
+	Events int    `json:"events"`
+}
+
+// TestGoldenTraceFingerprints pins the provenance stream itself — not just
+// its equality across runs — for the worlds the benchmark and the goldens
+// use, measured locally and over the §5.8 remote protocol. The file was
+// generated before the tracer's stored form changed and is not meant to be
+// regenerated: a diff here means rendered provenance bytes moved.
+func TestGoldenTraceFingerprints(t *testing.T) {
+	large := LargeAccess()
+	large.NumVPs = 4
+	cases := []struct {
+		name  string
+		prof  Profile
+		seeds []int64
+		all   bool // local run maps every VP through the fleet
+	}{
+		{"tiny", Tiny(), []int64{1, 2, 3}, false},
+		{"re", RE(), []int64{1}, false},
+		{"large-access-4vp", large, []int64{1}, true},
+		{"hypergiant", Hypergiant(), []int64{1}, false},
+	}
+	got := make(map[string]traceFP)
+	for _, tc := range cases {
+		for _, seed := range tc.seeds {
+			local := NewWorld(tc.prof, seed)
+			if tc.all {
+				local.MapAll()
+			} else {
+				local.MapBorders(0)
+			}
+			remote := NewWorld(tc.prof, seed)
+			if _, err := remote.MapBordersRemote(0, RemoteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for mode, w := range map[string]*World{"local": local, "remote": remote} {
+				got[fmt.Sprintf("%s-seed%d-%s", tc.name, seed, mode)] = traceFP{w.TraceFingerprint(), len(w.TraceEvents())}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "golden", "tracefp.json")
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]traceFP
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k, w := range want {
+			if g := got[k]; g != w {
+				t.Errorf("%s: trace fp %s (%d events), pinned %s (%d events)", k, g.FP, g.Events, w.FP, w.Events)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%d streams measured, %d pinned", len(got), len(want))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/mapdb"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
@@ -19,19 +20,22 @@ import (
 // per-claim string concat sneaking back in blows well past them.
 
 // tinyInput builds the inference input for the tiny scenario's first VP
-// backed by an explicit arena.
+// backed by an explicit arena, with a provenance tracer attached.
 func tinyInput(t testing.TB, ar *core.Arena) (core.Input, *core.Result) {
 	s := eval.Build(topo.TinyProfile(), 1)
 	s.RunVP(0, scamper.Config{Workers: 1}, core.Options{})
 	in := core.Input{
 		Data: s.Datasets[0], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar,
+		HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(0),
 	}
 	return in, s.Results[0]
 }
 
 // TestInferAllocBudget pins the per-claim allocation cost of a
-// steady-state inference (warm arena, tracing off) on the tiny scenario.
+// steady-state inference (warm arena) on the tiny scenario — with the
+// tracer on, as every scenario runs: a decision's provenance is stated in
+// typed fields that stay on claim's stack, so it costs a share of a log
+// chunk and nothing per claim.
 func TestInferAllocBudget(t *testing.T) {
 	var ar core.Arena
 	in, _ := tinyInput(t, &ar)
@@ -50,7 +54,7 @@ func TestInferAllocBudget(t *testing.T) {
 	t.Logf("steady-state: %.0f allocs/run over %d claims = %.2f allocs/claim", allocs, claims, perClaim)
 	// Steady state measures ~7 allocs per claimed router, all in result
 	// assembly (RouterNode, its address slice, link records); the claim
-	// itself is allocation-free.
+	// itself, provenance event included, is allocation-free.
 	const budget = 9.0
 	if perClaim > budget {
 		t.Errorf("inference allocates %.2f allocs per claim, budget %.1f", perClaim, budget)
@@ -167,5 +171,34 @@ func TestTracerouteAllocBudget(t *testing.T) {
 	const coldBudget = 10.0
 	if cold > coldBudget {
 		t.Errorf("a traceroute on an empty plane allocates %.2f times, budget %.1f", cold, coldBudget)
+	}
+}
+
+// TestColdMapProvenanceBudget pins what leaving the provenance log on costs
+// a whole cold map — world build, every VP measured and inferred, compile —
+// against the same map with the tracer taken away. Every scenario runs
+// traced and there is no switch, so the log has to be nearly free: typed
+// records in shared chunks come to a fraction of a percent of the map's
+// allocations, where a string per attribute was a third of them.
+func TestColdMapProvenanceBudget(t *testing.T) {
+	coldMap := func(traced bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			s := eval.Build(topo.TinyProfile(), 1)
+			if !traced {
+				s.Trace = nil
+			}
+			if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			mapdb.Compile(s.Net.HostASN, s.Results)
+			if traced == (s.Trace.Len() == 0) {
+				t.Fatalf("traced=%v but %d events retained", traced, s.Trace.Len())
+			}
+		})
+	}
+	off, on := coldMap(false), coldMap(true)
+	t.Logf("a tiny cold map allocates %.0f times untraced, %.0f traced (%+.2f%%)", off, on, 100*(on-off)/off)
+	if on > 1.05*off {
+		t.Errorf("provenance adds %.1f%% to a cold map's allocations, budget 5%%", 100*(on-off)/off)
 	}
 }

@@ -19,7 +19,6 @@
 package alias
 
 import (
-	"strconv"
 	"time"
 
 	"bdrmap/internal/netx"
@@ -120,26 +119,12 @@ func (r *Resolver) NowNS() int64 {
 
 // emit records one pair-test provenance event. The subject is the
 // canonically ordered "a|b" pair.
-func (r *Resolver) emit(kind string, a, b netx.Addr, attrs ...obs.Attr) {
+func (r *Resolver) emit(kind obs.Kind, a, b netx.Addr, evidence ...obs.Field) {
 	if r.Trace == nil {
 		return
 	}
 	k := pkey(a, b)
-	r.Trace.Emit(obs.StageAlias, kind, k[0].String()+"|"+k[1].String(), r.NowNS(), attrs...)
-}
-
-// fmtIDs renders IP-ID samples as comma-separated decimals — evidence for
-// trace events. The values are volatile (lane-state-dependent across
-// worker counts), so callers attach them under a '~'-prefixed key.
-func fmtIDs(ids []uint16) string {
-	b := make([]byte, 0, 6*len(ids))
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, uint64(id), 10)
-	}
-	return string(b)
+	r.Trace.Emit(kind, obs.OnPair(k[0], k[1]), r.NowNS(), evidence...)
 }
 
 // Record stores an externally derived verdict (e.g. the analytical aliases
@@ -198,17 +183,19 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 			accepted++
 		case AliasNo:
 			r.Record(a, b, AliasNo)
-			r.emit("ally", a, b, obs.KV("verdict", AliasNo.String()),
-				obs.KV("method", method.String()), obs.KV("round", round),
-				obs.Attr{K: "~ipids", V: fmtIDs(ids)})
+			// The IP-ID samples are volatile evidence: their values depend on
+			// lane state, which varies across worker counts.
+			r.emit(obs.KindAlly, a, b, obs.Str(obs.KeyVerdict, AliasNo.String()),
+				obs.Str(obs.KeyMethod, method.String()), obs.Int(obs.KeyRound, round),
+				obs.IDs(obs.KeyIPIDs, ids))
 			return AliasNo
 		}
 	}
 	if accepted == r.Cfg.AllyRounds {
 		r.Record(a, b, AliasYes)
-		r.emit("ally", a, b, obs.KV("verdict", AliasYes.String()),
-			obs.KV("method", method.String()), obs.KV("rounds", accepted),
-			obs.Attr{K: "~ipids", V: fmtIDs(lastIDs)})
+		r.emit(obs.KindAlly, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
+			obs.Str(obs.KeyMethod, method.String()), obs.Int(obs.KeyRounds, accepted),
+			obs.IDs(obs.KeyIPIDs, lastIDs))
 		return AliasYes
 	}
 	return Unknown
@@ -291,8 +278,8 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 	}
 	if ra.From == rb.From {
 		r.Record(a, b, AliasYes)
-		r.emit("mercator", a, b, obs.KV("verdict", AliasYes.String()),
-			obs.KV("from", ra.From.String()))
+		r.emit(obs.KindMercator, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
+			obs.IP(obs.KeyFrom, ra.From))
 		return AliasYes
 	}
 	// Different sources — including both answering from the probed address

@@ -6,6 +6,7 @@ import (
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
@@ -298,5 +299,13 @@ func TestFmtIDs(t *testing.T) {
 	}
 	if got := fmtIDs(nil); got != "" {
 		t.Errorf("fmtIDs(nil) = %q, want empty", got)
+	}
+	// An Ally event exports its samples the same way.
+	tr := obs.NewTracer(2)
+	for _, ids := range [][]uint16{{1, 65535, 0}, nil} {
+		(&Resolver{Trace: tr}).emit(obs.KindAlly, 2, 1, obs.IDs(obs.KeyIPIDs, ids))
+		if ev := tr.Events()[tr.Len()-1]; ev.Subject != "0.0.0.1|0.0.0.2" || ev.Attrs[0] != (obs.Attr{K: "~ipids", V: fmtIDs(ids)}) {
+			t.Errorf("samples %v export as %+v", ids, ev)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package alias
 
 import (
-	"fmt"
 	"time"
 
 	"bdrmap/internal/netx"
@@ -68,10 +67,11 @@ func (r *Resolver) Velocity(a, b netx.Addr, cfg VelocityConfig) Verdict {
 	if !oka || !okb {
 		return Unknown // at least one series is not a counter at all
 	}
+	rates := []float64{ra, rb} // volatile evidence, like Ally's IP-ID samples
 	no := func(why string) Verdict {
 		r.Record(a, b, AliasNo)
-		r.emit("velocity", a, b, obs.KV("verdict", AliasNo.String()), obs.KV("why", why),
-			obs.Attr{K: "~rates", V: fmt.Sprintf("%.1f,%.1f", ra, rb)})
+		r.emit(obs.KindVelocity, a, b, obs.Str(obs.KeyVerdict, AliasNo.String()), obs.Str(obs.KeyWhy, why),
+			obs.Rates(obs.KeyRates, rates))
 		return AliasNo
 	}
 	// Rates must agree within 25% before merging is even plausible.
@@ -91,8 +91,8 @@ func (r *Resolver) Velocity(a, b netx.Addr, cfg VelocityConfig) Verdict {
 		return no("merged-misfit")
 	}
 	r.Record(a, b, AliasYes)
-	r.emit("velocity", a, b, obs.KV("verdict", AliasYes.String()),
-		obs.Attr{K: "~rates", V: fmt.Sprintf("%.1f,%.1f", ra, rb)})
+	r.emit(obs.KindVelocity, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
+		obs.Rates(obs.KeyRates, rates))
 	return AliasYes
 }
 

@@ -1,9 +1,11 @@
 package alias
 
 import (
+	"regexp"
 	"testing"
 
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
@@ -15,8 +17,15 @@ func TestVelocitySameRouter(t *testing.T) {
 	if r == nil {
 		t.Skip("no shared-counter router with two reachable ifaces")
 	}
+	res.Trace = obs.NewTracer(0)
 	if v := res.Velocity(addrs[0], addrs[1], VelocityConfig{}); v != AliasYes {
 		t.Fatalf("Velocity(%v, %v) = %v, want alias", addrs[0], addrs[1], v)
+	}
+	// The verdict's provenance carries both fitted rates, to one decimal.
+	evs := res.Trace.Events()
+	if len(evs) != 1 || evs[0].Kind != "velocity" || evs[0].Attr("verdict") != "alias" ||
+		!regexp.MustCompile(`^\d+\.\d,\d+\.\d$`).MatchString(evs[0].Attr("~rates")) {
+		t.Fatalf("velocity provenance: %+v", evs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"bdrmap/internal/asrel"
@@ -473,7 +474,7 @@ func (g *graph) compressEvents(ev []uint64, assign func(int32, []asCount)) {
 	if len(ev) == 0 {
 		return
 	}
-	sortUint64(ev)
+	slices.Sort(ev)
 	ar := g.ar
 	start := len(ar.asSlab)
 	curNode := int32(int64(ev[0]) >> 32)
@@ -493,11 +494,6 @@ func (g *graph) compressEvents(ev []uint64, assign func(int32, []asCount)) {
 		i = j
 	}
 	assign(curNode, ar.asSlab[start:len(ar.asSlab):len(ar.asSlab)])
-}
-
-// sortUint64 sorts the packed event keys in place.
-func sortUint64(s []uint64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // prefixLenFor converts a delegation record's count into a prefix length
@@ -540,7 +536,7 @@ func heurFireName(h Heuristic) string {
 // the tracer receives exactly one provenance event per decision, carrying
 // the standard constraint set (origin AS, AS relationship, address class,
 // hop distance, declined heuristics) plus any rule-specific evidence.
-func (g *graph) claim(id int32, owner topo.ASN, h Heuristic, evidence ...obs.Attr) {
+func (g *graph) claim(id int32, owner topo.ASN, h Heuristic, evidence ...obs.Field) {
 	n := &g.nodes[id]
 	n.owner, n.heur, n.done = owner, h, true
 	if g.vpASNs[owner] {
@@ -550,62 +546,33 @@ func (g *graph) claim(id int32, owner topo.ASN, h Heuristic, evidence ...obs.Att
 		g.in.Obs.Inc("core.attr.external")
 	}
 	g.in.Obs.Inc(heurFireName(h))
-	if g.in.Trace.Enabled() {
-		attrs := make([]obs.Attr, 0, 8+len(evidence))
-		attrs = append(attrs,
-			obs.KV("heuristic", string(h)),
-			obs.KV("owner", owner.String()),
-			obs.KV("hop", n.minTTL),
-			obs.KV("class", n.class.String()),
-			obs.KV("addrs", addrList(n.addrs)),
-			obs.KV("origin_as", g.originAttr(n)),
-			obs.KV("rel", g.in.Rel.Rel(g.in.HostASN, owner).String()),
-		)
-		if len(g.declined) > 0 {
-			attrs = append(attrs, obs.KV("declined", heurList(g.declined)))
-		}
-		attrs = append(attrs, evidence...)
-		g.in.Trace.Emit(obs.StageCore, "decision", n.addrs[0].String(), 0, attrs...)
+	// What the node's own addresses say about its owner — the prefix→origin
+	// constraint the decision consulted — is an AS when there is one.
+	origin := obs.Str(obs.KeyOriginAS, n.class.String())
+	if n.extAS != 0 {
+		origin = obs.AS(obs.KeyOriginAS, n.extAS)
 	}
+	var declined obs.Field
+	if len(g.declined) > 0 {
+		declined = obs.Strs(obs.KeyDeclined, g.declined)
+	}
+	var buf [10]obs.Field // the constraint set and at most two of evidence
+	g.in.Trace.Emit(obs.KindDecision, obs.OnAddr(n.addrs[0]), 0, append(append(buf[:0],
+		obs.Str(obs.KeyHeuristic, h),
+		obs.AS(obs.KeyOwner, owner),
+		obs.Int(obs.KeyHop, n.minTTL),
+		obs.Str(obs.KeyClass, n.class.String()),
+		obs.IPs(obs.KeyAddrs, n.addrs),
+		origin,
+		obs.Str(obs.KeyRel, g.in.Rel.Rel(g.in.HostASN, owner).String()),
+		declined,
+	), evidence...)...)
 	g.declined = g.declined[:0]
 }
 
 // decline notes that heuristic h examined the current node and passed; the
 // next claim's provenance event records the accumulated list.
 func (g *graph) decline(h Heuristic) { g.declined = append(g.declined, h) }
-
-// originAttr states what the node's own addresses say about its owner —
-// the prefix→origin-AS constraint a decision consulted.
-func (g *graph) originAttr(n *node) string {
-	if n.extAS != 0 {
-		return n.extAS.String()
-	}
-	return n.class.String()
-}
-
-// addrList renders addresses as a comma-separated list.
-func addrList(addrs []netx.Addr) string {
-	var b []byte
-	for i, a := range addrs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, []byte(a.String())...)
-	}
-	return string(b)
-}
-
-// heurList renders heuristic tags as a comma-separated list.
-func heurList(hs []Heuristic) string {
-	var b []byte
-	for i, h := range hs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, []byte(h)...)
-	}
-	return string(b)
-}
 
 // originIsHost reports whether addr maps to the hosting organization.
 func (g *graph) originIsHost(addr netx.Addr) bool {

@@ -82,7 +82,7 @@ func (g *graph) passHost() {
 			onlyA := len(n.dests) == 1 && n.dests[0].as == a &&
 				len(hs.dests) == 1 && hs.dests[0].as == a
 			if onlyA && g.in.Rel.Rel(host, a) != topo.RelNone && g.multihomedException(id, hostSucc, a) {
-				ev := obs.KV("only_dest", a.String())
+				ev := obs.AS(obs.KeyOnlyDest, a)
 				g.claim(id, a, HeurMultihomed, ev)
 				if !hs.done {
 					g.claim(hostSucc, a, HeurMultihomed, ev)
@@ -91,7 +91,7 @@ func (g *graph) passHost() {
 			}
 		}
 		g.claim(id, host, HeurHostNetwork,
-			obs.KV("host_successor", g.nodes[hostSucc].addrs[0].String()))
+			obs.IP(obs.KeyHostSuccessor, g.nodes[hostSucc].addrs[0]))
 	}
 
 	// Extension step (beyond the paper's 1.1/1.2, needed for hosts with
@@ -109,7 +109,7 @@ func (g *graph) passHost() {
 		extAdj := g.succExternalOrigins(id)
 		if len(extAdj) >= 2 && !g.hasPlausibleTransit(extAdj) {
 			g.claim(id, host, HeurHostNetwork,
-				obs.KV("egress_fanout", len(extAdj)))
+				obs.Int(obs.KeyEgressFanout, len(extAdj)))
 		}
 	}
 }
@@ -183,7 +183,6 @@ func (g *graph) multihomedException(n, v int32, a topo.ASN) bool {
 func (g *graph) inferNeighbor(id int32) {
 	host := g.in.HostASN
 	n := &g.nodes[id]
-	tracing := g.in.Trace.Enabled()
 	extAdj := g.succExternalOrigins(id)
 
 	// §5.4.2 firewall: the last responding router toward a destination,
@@ -192,18 +191,10 @@ func (g *graph) inferNeighbor(id int32) {
 	if n.anonymousAddr() && len(n.succ) == 0 && len(n.lastFor) > 0 {
 		if len(n.dests) == 1 {
 			d := n.dests[0].as
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("last_hop_toward", d.String())}
-			}
-			g.claim(id, d, HeurFirewall, ev...)
+			g.claim(id, d, HeurFirewall, obs.AS(obs.KeyLastHopToward, d))
 			return
 		} else if na := g.nextas(id); na != 0 {
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("common_provider_of_dests", na.String())}
-			}
-			g.claim(id, na, HeurFirewall, ev...)
+			g.claim(id, na, HeurFirewall, obs.AS(obs.KeyCommonProviderOfDests, na))
 			return
 		}
 		g.decline(HeurFirewall)
@@ -219,20 +210,12 @@ func (g *graph) inferNeighbor(id int32) {
 
 	// §5.4.4 onenet.
 	if sameAS := findAS(extAdj, n.extAS); n.class == classExternal && n.extAS != 0 && sameAS > 0 {
-		var ev []obs.Attr
-		if tracing {
-			ev = []obs.Attr{obs.KV("adjacent_same_as_ifaces", int(sameAS))}
-		}
-		g.claim(id, n.extAS, HeurOnenet, ev...) // step 4.1
+		g.claim(id, n.extAS, HeurOnenet, obs.Int(obs.KeyAdjacentSameASIfaces, int(sameAS))) // step 4.1
 		return
 	}
 	if n.anonymousAddr() {
 		if a := g.twoConsecutive(id); a != 0 { // step 4.2
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("consecutive_as", a.String())}
-			}
-			g.claim(id, a, HeurOnenet, ev...)
+			g.claim(id, a, HeurOnenet, obs.AS(obs.KeyConsecutiveAS, a))
 			return
 		}
 		g.decline(HeurOnenet)
@@ -247,14 +230,9 @@ func (g *graph) inferNeighbor(id int32) {
 		if a != b && g.in.Rel.Rel(b, a) == topo.RelProvider {
 			// The address belongs to the destination's provider: the
 			// router used a route from its provider to respond.
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{
-					obs.KV("cone_root", b.String()),
-					obs.KV("addr_owner_provides", b.String()),
-				}
-			}
-			g.claim(id, b, HeurThirdParty, ev...)
+			g.claim(id, b, HeurThirdParty,
+				obs.AS(obs.KeyConeRoot, b),
+				obs.AS(obs.KeyAddrOwnerProvides, b))
 			g.claimThirdPartyPreds(id, b)
 			return
 		}
@@ -266,11 +244,7 @@ func (g *graph) inferNeighbor(id int32) {
 		a := extAdj[0].as
 		switch g.in.Rel.Rel(host, a) {
 		case topo.RelCustomer, topo.RelPeer: // step 5.3
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("adjacent_as", a.String())}
-			}
-			g.claim(id, a, HeurRelationship, ev...)
+			g.claim(id, a, HeurRelationship, obs.AS(obs.KeyAdjacentAS, a))
 			return
 		default:
 			// Step 5.4 "missing customer": B provider of A, host provider
@@ -280,25 +254,16 @@ func (g *graph) inferNeighbor(id int32) {
 			for _, b := range g.in.Rel.ProvidersOf(a) {
 				if g.in.Rel.Rel(host, b) == topo.RelCustomer &&
 					g.in.Siblings != nil && g.in.Siblings.SameOrg(a, b) {
-					var ev []obs.Attr
-					if tracing {
-						ev = []obs.Attr{
-							obs.KV("adjacent_as", a.String()),
-							obs.KV("sibling_hit", a.String()+"~"+b.String()),
-						}
-					}
-					g.claim(id, b, HeurMissingCust, ev...)
+					g.claim(id, b, HeurMissingCust,
+						obs.AS(obs.KeyAdjacentAS, a),
+						obs.ASPair(obs.KeySiblingHit, a, b))
 					return
 				}
 			}
 			g.decline(HeurMissingCust)
 			// Step 5.5 hidden peer: a single subsequent origin with no
 			// known relationship.
-			var ev []obs.Attr
-			if tracing {
-				ev = []obs.Attr{obs.KV("adjacent_as", a.String())}
-			}
-			g.claim(id, a, HeurHiddenPeer, ev...)
+			g.claim(id, a, HeurHiddenPeer, obs.AS(obs.KeyAdjacentAS, a))
 			return
 		}
 	}
@@ -306,14 +271,9 @@ func (g *graph) inferNeighbor(id int32) {
 	// §5.4.6 step 6.1: counting among several adjacent origins.
 	if n.anonymousAddr() && len(extAdj) > 1 {
 		w := g.countWinner(extAdj)
-		var ev []obs.Attr
-		if tracing {
-			ev = []obs.Attr{
-				obs.KV("adjacent_origins", len(extAdj)),
-				obs.KV("winner_ifaces", int(findAS(extAdj, w))),
-			}
-		}
-		g.claim(id, w, HeurCount, ev...)
+		g.claim(id, w, HeurCount,
+			obs.Int(obs.KeyAdjacentOrigins, len(extAdj)),
+			obs.Int(obs.KeyWinnerIfaces, int(findAS(extAdj, w))))
 		return
 	}
 
@@ -328,19 +288,11 @@ func (g *graph) inferNeighbor(id int32) {
 	// remaining host-space cases).
 	if n.anonymousAddr() && len(n.dests) == 1 && len(n.lastFor) > 0 {
 		d := n.dests[0].as
-		var ev []obs.Attr
-		if tracing {
-			ev = []obs.Attr{obs.KV("last_hop_toward", d.String())}
-		}
-		g.claim(id, d, HeurFirewall, ev...)
+		g.claim(id, d, HeurFirewall, obs.AS(obs.KeyLastHopToward, d))
 		return
 	}
 	if na := g.nextas(id); n.anonymousAddr() && na != 0 && len(n.lastFor) > 0 {
-		var ev []obs.Attr
-		if tracing {
-			ev = []obs.Attr{obs.KV("common_provider_of_dests", na.String())}
-		}
-		g.claim(id, na, HeurFirewall, ev...)
+		g.claim(id, na, HeurFirewall, obs.AS(obs.KeyCommonProviderOfDests, na))
 	}
 }
 
@@ -353,11 +305,7 @@ func (g *graph) claimThirdPartyPreds(id int32, b topo.ASN) {
 		p := g.ar.edges[e].from
 		pn := &g.nodes[p]
 		if !pn.done && pn.class == classHost && g.soleConeRoot(pn.dests) == b {
-			var ev []obs.Attr
-			if g.in.Trace.Enabled() {
-				ev = []obs.Attr{obs.KV("cone_root", b.String())}
-			}
-			g.claim(p, b, HeurThirdParty, ev...)
+			g.claim(p, b, HeurThirdParty, obs.AS(obs.KeyConeRoot, b))
 		}
 	}
 }
@@ -581,9 +529,9 @@ func (g *graph) passAnalyticalAliases() {
 			if g.in.Data.Resolver != nil {
 				g.in.Data.Resolver.Record(baseAddr, uAddr, alias.AliasYes)
 			}
-			g.in.Trace.Emit(obs.StageCore, "merge", baseAddr.String(), 0,
-				obs.KV("merged", uAddr.String()),
-				obs.KV("via", "analytical"))
+			g.in.Trace.Emit(obs.KindMerge, obs.OnAddr(baseAddr), 0,
+				obs.IP(obs.KeyMerged, uAddr),
+				obs.Str(obs.KeyVia, "analytical"))
 			g.mergeNodes(base, u)
 			g.in.Obs.Inc("core.alias.merges")
 		}
@@ -859,11 +807,11 @@ func (g *graph) passSilent(res *Result) {
 		res.Links = append(res.Links, l)
 		res.Neighbors[a] = append(res.Neighbors[a], l)
 		g.in.Obs.Inc(heurFireName(heur))
-		g.in.Trace.Emit(obs.StageCore, "decision", a.String(), 0,
-			obs.KV("heuristic", string(heur)),
-			obs.KV("owner", a.String()),
-			obs.KV("near", r0.addrs[0].String()),
-			obs.KV("addrs", r0.addrs[0].String()),
-			obs.KV("rel", g.in.Rel.Rel(host, a).String()))
+		g.in.Trace.Emit(obs.KindDecision, obs.OnAS(a), 0,
+			obs.Str(obs.KeyHeuristic, heur),
+			obs.AS(obs.KeyOwner, a),
+			obs.IP(obs.KeyNear, r0.addrs[0]),
+			obs.IP(obs.KeyAddrs, r0.addrs[0]),
+			obs.Str(obs.KeyRel, g.in.Rel.Rel(host, a).String()))
 	}
 }

@@ -313,7 +313,7 @@ func TestRunLogMergeShardOrder(t *testing.T) {
 	root := spans.Begin(0, "run", "test")
 	mkOut := func(i int, tag string) *Output {
 		frag := obs.NewTracer(0)
-		frag.Emit("fleet", "mark", fmt.Sprintf("shard%d-%s", i, tag), 0)
+		frag.Emit(obs.KindTarget, obs.OnAS(uint32(i)), 0, obs.Str(obs.KeyVia, tag))
 		sfrag := obs.NewSpanLog(0)
 		sp := sfrag.Begin(0, "vp", fmt.Sprintf("vp%d-%s", i, tag))
 		sp.End()
@@ -343,11 +343,9 @@ func TestRunLogMergeShardOrder(t *testing.T) {
 	}
 	var marks []string
 	for _, ev := range trace.Events() {
-		if ev.Kind == "mark" {
-			marks = append(marks, ev.Subject)
-		}
+		marks = append(marks, ev.Subject+"-"+ev.Attr("via"))
 	}
-	want := []string{"shard0-fail", "shard0-ok", "shard1-ok"}
+	want := []string{"AS0-fail", "AS0-ok", "AS1-ok"}
 	if !reflect.DeepEqual(marks, want) {
 		t.Fatalf("trace merge order = %v, want %v", marks, want)
 	}

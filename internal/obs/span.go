@@ -121,6 +121,37 @@ func (o *OpenSpan) End() {
 	o.sl.mu.Unlock()
 }
 
+// ring is the bounded flight-recorder store under SpanLog: once limit
+// records are held, each push overwrites the oldest and counts it
+// dropped. It is not synchronised; its owner's mutex guards it.
+type ring[T any] struct {
+	limit   int
+	dropped uint64
+	buf     []T // len(buf) <= limit
+	head    int // index of the oldest record when len(buf) == limit
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % r.limit
+	r.dropped++
+}
+
+// items returns a copy of the retained records, oldest first.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	older, newer := r.runs()
+	return append(append(out, older...), newer...)
+}
+
+// runs returns the retained records in place, oldest first, as the two
+// runs of buf they occupy (the second is empty until the ring has wrapped).
+func (r *ring[T]) runs() (older, newer []T) { return r.buf[r.head:], r.buf[:r.head] }
+
 // DefaultSpanCap bounds a SpanLog's ring. A tiny-profile run records a few
 // hundred spans (one per probed target plus the stage/vp scaffolding); a
 // long continuous-monitoring run wraps, keeping the most recent rounds.

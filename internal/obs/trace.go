@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -24,6 +25,12 @@ import (
 // and simulated timestamps only, wall clock excluded, so a Fingerprint of
 // the trace pins byte-identical parallel runs exactly as the metrics
 // fingerprint does.
+//
+// Every run is traced and almost none is asked why, so the two sides are
+// split the way log/slog splits them: emit sites hand the Tracer typed
+// values (evidence.go) and it stores those; the strings of an Event exist
+// only on this file's read side — Events, WriteJSONL, Fingerprint, Summary
+// and, through them, Explain.
 
 // Trace stages. Events are grouped under the pipeline stage that emitted
 // them; SimNS is relative to that stage's own timeline (the probe stage
@@ -79,7 +86,9 @@ func (a Attr) Volatile() bool { return strings.HasPrefix(a.K, "~") }
 // Name returns the attr key without the volatile marker.
 func (a Attr) Name() string { return strings.TrimPrefix(a.K, "~") }
 
-// Event is one structured provenance record.
+// Event is one structured provenance record as readers see it. It is the
+// exported view only: a Tracer stores typed records and renders Events —
+// every string below — when asked for them.
 type Event struct {
 	// Seq is the event's position in the merged stream, assigned by the
 	// tracer; deterministic for a fixed seed.
@@ -93,7 +102,7 @@ type Event struct {
 	// "decision".
 	Kind string `json:"kind"`
 	// Subject identifies the entity the event is about: an address, an
-	// "a|b" address pair, or a target AS.
+	// "a|b" address pair, or a target AS (OnAddr, OnPair, OnAS).
 	Subject string `json:"subject"`
 	// Attrs is the ordered evidence list.
 	Attrs []Attr `json:"attrs,omitempty"`
@@ -110,54 +119,43 @@ func (e Event) Attr(k string) string {
 	return ""
 }
 
-// ring is the bounded flight-recorder store under Tracer and SpanLog: once
-// limit records are held, each push overwrites the oldest and counts it
-// dropped. It is not synchronised; its owner's mutex guards it.
-type ring[T any] struct {
-	limit   int
-	dropped uint64
-	buf     []T // len(buf) <= limit
-	head    int // index of the oldest record when len(buf) == limit
-}
-
-func (r *ring[T]) push(v T) {
-	if len(r.buf) < r.limit {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % r.limit
-	r.dropped++
-}
-
-// items returns a copy of the retained records, oldest first.
-func (r *ring[T]) items() []T {
-	out := make([]T, 0, len(r.buf))
-	older, newer := r.runs()
-	return append(append(out, older...), newer...)
-}
-
-// runs returns the retained records in place, oldest first, as the two
-// runs of buf they occupy (the second is empty until the ring has wrapped).
-func (r *ring[T]) runs() (older, newer []T) { return r.buf[r.head:], r.buf[:r.head] }
-
-// reserve makes room for n more pushes, up to limit, in one allocation, so
-// a merge does not re-grow buf once per fragment.
-func (r *ring[T]) reserve(n int) {
-	if want := min(r.limit, len(r.buf)+n); want > cap(r.buf) {
-		r.buf = slices.Grow(r.buf, want-len(r.buf))
-	}
-}
-
-// Tracer is a bounded, concurrency-safe ring buffer of events. Like every
-// obs primitive it is nil-safe: a component handed no tracer pays one nil
-// check per event. When the buffer is full the oldest events are
-// overwritten (flight-recorder semantics) and Dropped counts them.
+// Tracer is a bounded, concurrency-safe flight recorder of provenance
+// events. Like every obs primitive it is nil-safe: a component handed no
+// tracer pays one nil check per event. It retains the newest limit events;
+// older ones are overwritten and Dropped counts them.
+//
+// What it stores is not Events but their records (evidence.go): a few
+// dozen pointer-free bytes each, appended to write-once chunks the garbage
+// collector never scans. Because a byte, once written, never changes, a
+// tracer can take a fragment's events in by reference — Merge and
+// MergeRange append views of the fragment's chunks, copying no event — and
+// readers decode views outside the lock. Overwriting the oldest event
+// advances the first view past it; a chunk no view reaches any more is the
+// collector's, so what the tracer holds stays proportional to limit.
+// Sequence numbers are positional (the i-th retained event is number
+// seq-n+i) and so cost nothing to re-assign on a merge.
 type Tracer struct {
-	mu   sync.Mutex
-	seq  uint64
-	ring ring[Event]
+	mu      sync.Mutex
+	limit   int
+	seq     uint64 // events ever taken in; the next event's sequence number
+	n       int    // events retained
+	carried uint64 // events merged fragments had already overwritten
+	off     uint64 // log offset of the oldest retained record
+	end     uint64 // bytes ever taken in: the log offset of the next record
+	// views are the retained records, oldest first. Only the last can have
+	// spare capacity, and only if this tracer made its chunk: nobody else
+	// appends there.
+	views   [][]byte
+	chunk   int    // size of the next chunk
+	scratch []byte // the record being encoded
 }
+
+// Chunks double from minChunk to maxChunk, so a fragment holding a few
+// events costs a few hundred bytes and a busy log a chunk per ~300 events.
+const (
+	minChunk = 512
+	maxChunk = 32 << 10
+)
 
 // DefaultTraceCap bounds the scenario-level tracer. The tiny profile emits
 // a few thousand events; the Tier-1 profile tens of thousands.
@@ -169,74 +167,169 @@ func NewTracer(limit int) *Tracer {
 	if limit <= 0 {
 		limit = DefaultTraceCap
 	}
-	return &Tracer{ring: ring[Event]{limit: limit}}
+	return &Tracer{limit: limit, chunk: minChunk}
 }
 
 // Enabled reports whether events will be retained (false on nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit appends one event. simNS is the stage-relative simulated timestamp.
-func (t *Tracer) Emit(stage, kind, subject string, simNS int64, attrs ...Attr) {
+// The fields are encoded before Emit returns and not retained.
+func (t *Tracer) Emit(kind Kind, subject Field, simNS int64, fields ...Field) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.push(Event{SimNS: simNS, Stage: stage, Kind: kind, Subject: subject, Attrs: attrs})
+	t.scratch = appendRecord(t.scratch[:0], kind, simNS, subject, fields)
+	rec := t.scratch
+	var pfx [binary.MaxVarintLen32]byte
+	w := binary.PutUvarint(pfx[:], uint64(len(rec)))
+	need := w + len(rec)
+	last := len(t.views) - 1
+	if last < 0 || cap(t.views[last])-len(t.views[last]) < need {
+		t.views = append(t.views, make([]byte, 0, max(t.chunk, need)))
+		t.chunk = min(2*t.chunk, maxChunk)
+		last++
+	}
+	t.views[last] = append(append(t.views[last], pfx[:w]...), rec...)
+	t.end += uint64(need)
+	t.seq++
+	t.n++
+	t.trim()
 	t.mu.Unlock()
 }
 
-// push appends ev with the next sequence number. Caller holds t.mu.
-func (t *Tracer) push(ev Event) {
-	ev.Seq = t.seq
-	t.seq++
-	t.ring.push(ev)
+// trim overwrites the oldest events until the ring bound holds. Caller
+// holds t.mu.
+func (t *Tracer) trim() {
+	for t.n > t.limit {
+		for len(t.views[0]) == 0 {
+			t.views[0] = nil
+			t.views = t.views[1:]
+		}
+		l, w := binary.Uvarint(t.views[0])
+		t.views[0] = t.views[0][w+int(l):]
+		t.off += uint64(w) + l
+		t.n--
+	}
+}
+
+// Pos is a position in a tracer's log: between two events, or at either
+// end. The zero Pos is the start of every log.
+type Pos struct{ off, seq uint64 }
+
+// Pos returns the end of the log so far. Two positions taken around a
+// stretch of Emit calls delimit those events for MergeRange — how one log
+// shared by a worker's targets is cut back into per-target fragments.
+func (t *Tracer) Pos() Pos {
+	if t == nil {
+		return Pos{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return Pos{t.end, t.seq}
+}
+
+// MergeRange appends the events src took in between lo and hi to t, in
+// order, re-assigning sequence numbers; those src's own ring bound has
+// since overwritten are counted dropped. src is left as it was. src must
+// not be t.
+func (t *Tracer) MergeRange(src *Tracer, lo, hi Pos) {
+	if t == nil || src == nil {
+		return
+	}
+	t.mu.Lock()
+	src.mu.Lock()
+	t.adopt(src, lo, hi)
+	src.mu.Unlock()
+	t.trim()
+	t.mu.Unlock()
+}
+
+// adopt takes views of src's records in [lo, hi). Caller holds both locks.
+func (t *Tracer) adopt(src *Tracer, lo, hi Pos) {
+	if head := (Pos{src.off, src.seq - uint64(src.n)}); lo.seq < head.seq {
+		if hi.seq <= head.seq {
+			t.carried += hi.seq - lo.seq
+			return
+		}
+		t.carried += head.seq - lo.seq
+		lo = head
+	}
+	at := src.off
+	for _, v := range src.views {
+		next := at + uint64(len(v))
+		if a, b := max(lo.off, at), min(hi.off, next); a < b {
+			// Capacity clipped: t never appends into a chunk it did not make.
+			t.views = append(t.views, v[a-at:b-at:b-at])
+		}
+		at = next
+	}
+	t.end += hi.off - lo.off
+	t.seq += hi.seq - lo.seq
+	t.n += int(hi.seq - lo.seq)
 }
 
 // Merge appends every event of each fragment to t, in argument order and
-// each in its own order, re-assigning sequence numbers. The driver uses
-// this to fold per-target fragment tracers into the run's stream in target
-// order, making the merged stream independent of which worker finished
-// first. Fragment drop counts are carried over. Room for the whole batch
-// is reserved once and each fragment is read in place under its own lock:
-// an event is copied once per level it is merged through, never into a
-// slice that then grows. Nil fragments are skipped; a fragment must not be
-// t itself.
+// each in its own order, re-assigning sequence numbers. The fleet uses this
+// to fold per-shard tracers into the run's stream in shard order, making
+// the merged stream independent of which worker finished first. Fragment
+// drop counts are carried over. Nil fragments are skipped; a fragment must
+// not be t itself.
 func (t *Tracer) Merge(frags ...*Tracer) {
 	if t == nil {
 		return
 	}
-	n := 0
+	views := 0
 	for _, frag := range frags {
-		n += frag.Len()
+		if frag != nil {
+			frag.mu.Lock()
+			views += len(frag.views)
+			frag.mu.Unlock()
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ring.reserve(n)
+	t.views = slices.Grow(t.views, views)
 	for _, frag := range frags {
 		if frag == nil {
 			continue
 		}
 		frag.mu.Lock()
-		older, newer := frag.ring.runs()
-		for i := range older {
-			t.push(older[i])
-		}
-		for i := range newer {
-			t.push(newer[i])
-		}
-		t.ring.dropped += frag.ring.dropped
+		t.adopt(frag, Pos{}, Pos{frag.end, frag.seq})
+		t.carried += frag.carried
 		frag.mu.Unlock()
+	}
+	t.trim()
+}
+
+// each calls fn with every retained record, oldest first. The bytes behind
+// a view never change, so they are decoded outside the lock.
+func (t *Tracer) each(fn func(seq uint64, rec []byte)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	views, seq := slices.Clone(t.views), t.seq-uint64(t.n)
+	t.mu.Unlock()
+	for _, v := range views {
+		for len(v) > 0 {
+			l, w := binary.Uvarint(v)
+			fn(seq, v[w:w+int(l)])
+			seq++
+			v = v[w+int(l):]
+		}
 	}
 }
 
-// Events returns a copy of the retained events in sequence order.
+// Events returns the retained events in sequence order, rendered.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.items()
+	out := make([]Event, 0, t.Len())
+	t.each(func(seq uint64, rec []byte) { out = append(out, render(seq, rec)) })
+	return out
 }
 
 // Len returns the number of retained events.
@@ -246,17 +339,18 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring.buf)
+	return t.n
 }
 
-// Dropped returns how many events were overwritten by the ring bound.
+// Dropped returns how many events were overwritten by the ring bound, here
+// or in a fragment before it was merged.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ring.dropped
+	return t.seq - uint64(t.n) + t.carried
 }
 
 // WriteJSONL exports the retained events as JSON Lines, one event per

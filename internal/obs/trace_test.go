@@ -7,27 +7,31 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bdrmap/internal/netx"
 )
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(StageProbe, "trace", "x", 0)
+	tr.Emit(KindTrace, OnAddr(1), 0)
 	tr.Merge(NewTracer(4))
+	tr.MergeRange(NewTracer(4), Pos{}, Pos{})
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports Enabled")
 	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Pos() != (Pos{}) {
 		t.Fatal("nil tracer retained state")
 	}
 	if tr.Fingerprint() != FingerprintEvents(nil) {
 		t.Fatal("nil tracer fingerprint differs from empty")
 	}
+	NewTracer(4).MergeRange(nil, Pos{}, Pos{})
 }
 
 func TestTracerSequencesAndAttrs(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Emit(StageCore, "decision", "10.0.0.1", 0, KV("heuristic", "ip-as"), KV("hop", 3))
-	tr.Emit(StageAlias, "ally", "a|b", 7, Attr{K: "~ipids", V: "1,2,3"})
+	tr.Emit(KindDecision, OnAddr(0x0a000001), 0, Str(KeyHeuristic, "ip-as"), Int(KeyHop, 3), Flag(KeyCached, false))
+	tr.Emit(KindAlly, OnPair(1, 2), 7, IDs(KeyIPIDs, []uint16{1, 2, 3}))
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("Len = %d, want 2", len(evs))
@@ -35,8 +39,13 @@ func TestTracerSequencesAndAttrs(t *testing.T) {
 	if evs[0].Seq != 0 || evs[1].Seq != 1 {
 		t.Fatalf("bad seqs: %d, %d", evs[0].Seq, evs[1].Seq)
 	}
-	if evs[0].Attr("hop") != "3" {
-		t.Fatalf("KV int formatting: %q", evs[0].Attr("hop"))
+	want := Event{Stage: StageCore, Kind: "decision", Subject: "10.0.0.1",
+		Attrs: []Attr{{"heuristic", "ip-as"}, {"hop", "3"}}} // the unset flag is absent
+	if !reflect.DeepEqual(evs[0], want) {
+		t.Fatalf("rendered %+v, want %+v", evs[0], want)
+	}
+	if evs[1].Stage != StageAlias || evs[1].Kind != "ally" || evs[1].Subject != "0.0.0.1|0.0.0.2" || evs[1].SimNS != 7 {
+		t.Fatalf("rendered %+v", evs[1])
 	}
 	// Volatile attrs are addressable by both marked and unmarked name.
 	if evs[1].Attr("~ipids") != "1,2,3" || evs[1].Attr("ipids") != "1,2,3" {
@@ -47,10 +56,38 @@ func TestTracerSequencesAndAttrs(t *testing.T) {
 	}
 }
 
+// TestRecordRendersEveryValueKind: one field of each value kind, edge
+// values included, through encode, decode and render.
+func TestRecordRendersEveryValueKind(t *testing.T) {
+	type H string
+	tr := NewTracer(4)
+	tr.Emit(KindTrace, OnAS(uint32(4294967295)), -5,
+		Int(KeyHops, -1<<63), Int(KeyBlocks, 1<<62), Flag(KeyReached, true), Flag(KeyStopped, false),
+		IP(KeyAt, 0xffffffff), IP(KeyDst, 0), AS(KeyTarget, uint32(0)), ASPair(KeySiblingHit, uint32(7), uint32(4294967295)),
+		Str(KeyVia, ""), Str(KeyWhy, H("rate-mismatch")), Strs(KeyDeclined, []H{"firewall", "", "onenet"}), Strs(KeyClass, []H(nil)),
+		IPs(KeyAddrs, []netx.Addr{0x01020304, 0}), IPs(KeyNear, nil), IDs(KeyIPIDs, []uint16{0, 65535}),
+		Rates(KeyRates, []float64{0.05, 1234.56, 0}), Field{},
+		Path(KeyPath, []Hop{{1, HopTimeExceeded, 0x0a000001}, {2, HopTimeout, 0}, {255, HopEchoReply, 0xc0a80001}, {9, HopUnreachable, 1}}),
+		Path(KeyMate, nil))
+	ev := tr.Events()[0]
+	want := []Attr{
+		{"hops", "-9223372036854775808"}, {"blocks", "4611686018427387904"}, {"reached", "true"},
+		{"at", "255.255.255.255"}, {"dst", "0.0.0.0"}, {"target", "AS0"}, {"sibling_hit", "AS7~AS4294967295"},
+		{"via", ""}, {"why", "rate-mismatch"}, {"declined", heurList([]string{"firewall", "", "onenet"})}, {"class", ""},
+		{"addrs", "1.2.3.4,0.0.0.0"}, {"near", ""}, {"~ipids", "0,65535"},
+		{"~rates", "0.1,1234.6,0.0"},
+		{"path", "1:te:10.0.0.1 2:to 255:er:192.168.0.1 9:un:0.0.0.1"},
+		{"mate", ""},
+	}
+	if ev.Subject != "AS4294967295" || ev.SimNS != -5 || !reflect.DeepEqual(ev.Attrs, want) {
+		t.Fatalf("rendered %q %d\n got %+v\nwant %+v", ev.Subject, ev.SimNS, ev.Attrs, want)
+	}
+}
+
 func TestTracerRingDropsOldest(t *testing.T) {
 	tr := NewTracer(3)
 	for i := 0; i < 5; i++ {
-		tr.Emit(StageProbe, "trace", string(rune('a'+i)), int64(i))
+		tr.Emit(KindTrace, OnAS(uint32(i)), int64(i))
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
@@ -59,7 +96,7 @@ func TestTracerRingDropsOldest(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
 	}
 	evs := tr.Events()
-	if evs[0].Subject != "c" || evs[2].Subject != "e" {
+	if evs[0].Subject != "AS2" || evs[2].Subject != "AS4" {
 		t.Fatalf("ring kept wrong window: %v..%v", evs[0].Subject, evs[2].Subject)
 	}
 	// Sequence numbers keep counting across drops.
@@ -70,12 +107,12 @@ func TestTracerRingDropsOldest(t *testing.T) {
 
 func TestTracerMergeResequences(t *testing.T) {
 	a := NewTracer(8)
-	a.Emit(StageProbe, "target", "AS1", 0)
+	a.Emit(KindTarget, OnAS(uint32(1)), 0)
 	f1 := NewTracer(8)
-	f1.Emit(StageProbe, "trace", "d1", 10)
+	f1.Emit(KindTrace, OnAddr(1), 10)
 	f2 := NewTracer(2)
 	for i := 0; i < 3; i++ { // overflows: one drop carried over
-		f2.Emit(StageProbe, "trace", "d2", int64(i))
+		f2.Emit(KindTrace, OnAddr(2), int64(i))
 	}
 	a.Merge(f1)
 	a.Merge(f2)
@@ -92,49 +129,49 @@ func TestTracerMergeResequences(t *testing.T) {
 	if evs[1].SimNS != 10 {
 		t.Fatalf("merge rewrote SimNS: %d", evs[1].SimNS)
 	}
-}
-
-// mergeByCopy is Merge as it was before fragments were read in place: the
-// fragment's events copied out, then pushed one by one.
-func mergeByCopy(t, frag *Tracer) {
-	evs, dropped := frag.Events(), frag.Dropped()
-	t.mu.Lock()
-	for _, ev := range evs {
-		t.push(ev)
+	// A fragment is read, not consumed.
+	if f2.Len() != 2 || f2.Dropped() != 1 || f1.Events()[0].Seq != 0 {
+		t.Fatalf("merge disturbed its fragments")
 	}
-	t.ring.dropped += dropped
-	t.mu.Unlock()
 }
 
 // TestTracerMergeBatchMatchesCopy: one Merge over a batch of fragments —
 // empty, nil, part-full and wrapped ones, into a tracer with room for all
 // of them and into one whose ring bound bites mid-batch — leaves the
-// events, sequence numbers, drop count and fingerprint that merging copies
-// one fragment at a time did.
+// events, sequence numbers, drop count and fingerprint that emitting each
+// fragment's retained events straight into the tracer does. Merging shares
+// the fragments' bytes; this is the copy it must be indistinguishable from.
 func TestTracerMergeBatchMatchesCopy(t *testing.T) {
-	frags := func() []*Tracer {
-		out := []*Tracer{NewTracer(8), nil, NewTracer(4), NewTracer(3), NewTracer(64)}
-		for f, n := range map[int]int{2: 3, 3: 8, 4: 40} { // fragment 3 wraps, twice
-			for i := 0; i < n; i++ {
-				out[f].Emit(StageProbe, "trace", fmt.Sprintf("f%d.%d", f, i), int64(i), KV("hops", i))
-			}
-		}
-		return out
+	frags := []struct{ limit, n int }{{8, 0}, {0, -1}, {4, 3}, {3, 8}, {64, 40}} // -1: nil; {3, 8} wraps, twice
+	emit := func(tr *Tracer, f, i int) {
+		tr.Emit(KindTrace, OnPair(netx.Addr(f), netx.Addr(i)), int64(i), Int(KeyHops, i),
+			Path(KeyPath, []Hop{{uint8(i), HopTimeExceeded, netx.Addr(i)}}))
 	}
 	for _, limit := range []int{0, 16} {
 		got, want := NewTracer(limit), NewTracer(limit)
-		for _, tr := range []*Tracer{got, want} {
-			tr.Emit(StageProbe, "target", "AS1", 0)
-		}
-		got.Merge(frags()...)
-		for _, f := range frags() {
-			if f != nil {
-				mergeByCopy(want, f)
+		got.Emit(KindTarget, OnAS(uint32(1)), 0)
+		want.Emit(KindTarget, OnAS(uint32(1)), 0)
+		var batch []*Tracer
+		var lost uint64
+		for f, fr := range frags {
+			if fr.n < 0 {
+				batch = append(batch, nil)
+				continue
 			}
+			tr := NewTracer(fr.limit)
+			for i := 0; i < fr.n; i++ {
+				emit(tr, f, i)
+			}
+			batch = append(batch, tr)
+			for i := max(0, fr.n-fr.limit); i < fr.n; i++ {
+				emit(want, f, i)
+			}
+			lost += uint64(max(0, fr.n-fr.limit))
 		}
-		if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
-			t.Errorf("limit %d: batch merge kept %d events (%d dropped), copy merge %d (%d dropped)",
-				limit, got.Len(), got.Dropped(), want.Len(), want.Dropped())
+		got.Merge(batch...)
+		if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped()+lost {
+			t.Errorf("limit %d: batch merge kept %d events (%d dropped), copy %d (%d dropped)",
+				limit, got.Len(), got.Dropped(), want.Len(), want.Dropped()+lost)
 		}
 		if got.Fingerprint() != want.Fingerprint() {
 			t.Errorf("limit %d: fingerprints differ", limit)
@@ -142,28 +179,130 @@ func TestTracerMergeBatchMatchesCopy(t *testing.T) {
 	}
 }
 
+// TestTracerMergeRangeCutsALog: one log cut at noted positions and merged
+// range by range, out of order, is the stream per-fragment tracers gave —
+// how the driver turns a worker's log back into per-target fragments.
+func TestTracerMergeRangeCutsALog(t *testing.T) {
+	log, want := NewTracer(0), NewTracer(0)
+	var cuts []Pos
+	frags := make([]*Tracer, 5)
+	for f := range frags {
+		frags[f] = NewTracer(0)
+		for i := 0; i < 200*f; i++ { // fragment 0 is empty; the later ones span chunks
+			for _, tr := range []*Tracer{log, frags[f]} {
+				tr.Emit(KindTrace, OnPair(netx.Addr(f), netx.Addr(i)), int64(i), Int(KeyHops, i))
+			}
+		}
+		cuts = append(cuts, log.Pos())
+	}
+	got := NewTracer(0)
+	for _, f := range []int{3, 0, 4, 1, 2} {
+		var lo Pos
+		if f > 0 {
+			lo = cuts[f-1]
+		}
+		got.MergeRange(log, lo, cuts[f])
+		want.Merge(frags[f])
+	}
+	if got.Len() != 2000 || got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("ranges merged to %d events, fragments to %d; fingerprints equal: %v",
+			got.Len(), want.Len(), got.Fingerprint() == want.Fingerprint())
+	}
+	// A log whose ring bound overwrote part of a range hands over the rest
+	// and reports the loss.
+	small := NewTracer(10)
+	var mid Pos
+	for i := 0; i < 30; i++ {
+		if i == 15 {
+			mid = small.Pos()
+		}
+		small.Emit(KindTrace, OnAddr(netx.Addr(i)), 0)
+	}
+	for _, tc := range []struct {
+		lo, hi   Pos
+		n        int
+		dropped  uint64
+		firstSub string
+	}{
+		{Pos{}, mid, 0, 15, ""},
+		{mid, small.Pos(), 10, 5, "0.0.0.20"},
+		{Pos{}, small.Pos(), 10, 20, "0.0.0.20"},
+	} {
+		into := NewTracer(0)
+		into.MergeRange(small, tc.lo, tc.hi)
+		if into.Len() != tc.n || into.Dropped() != tc.dropped || (tc.n > 0 && into.Events()[0].Subject != tc.firstSub) {
+			t.Errorf("range %v..%v: %d events, %d dropped, want %d, %d", tc.lo, tc.hi, into.Len(), into.Dropped(), tc.n, tc.dropped)
+		}
+	}
+}
+
 // TestTracerMergeReservesOnce pins what the batch form is for: folding a
-// batch into a tracer allocates its buffer once, however many fragments
-// and events there are, and never more room than the ring bound.
+// batch into a tracer allocates its view list once, however many fragments
+// and events there are, and copies no event.
 func TestTracerMergeReservesOnce(t *testing.T) {
 	var frags []*Tracer
 	for f := 0; f < 50; f++ {
 		fr := NewTracer(0)
 		for i := 0; i < 40; i++ {
-			fr.Emit(StageProbe, "trace", "d", int64(i))
+			fr.Emit(KindTrace, OnAddr(1), int64(i))
 		}
 		frags = append(frags, fr)
 	}
 	allocs := testing.AllocsPerRun(10, func() { NewTracer(0).Merge(frags...) })
-	// The tracer and its buffer; the race detector adds one. Growing by
-	// append, with a copy of every fragment, took 65.
+	// The tracer and its view list; the race detector adds one.
 	if allocs > 3 {
 		t.Errorf("merging 50 fragments of 40 events allocates %.0f times, want at most 3", allocs)
 	}
 	small := NewTracer(100)
 	small.Merge(frags...)
-	if c := cap(small.ring.buf); small.Len() != 100 || c >= 200 || small.Dropped() != 1900 {
-		t.Errorf("bounded merge: len %d cap %d dropped %d, want 100, about 100, 1900", small.Len(), c, small.Dropped())
+	if small.Len() != 100 || small.Dropped() != 1900 || small.held() > 3*40*8 {
+		t.Errorf("bounded merge: len %d dropped %d holding %d bytes, want 100, 1900, the last three fragments at most",
+			small.Len(), small.Dropped(), small.held())
+	}
+}
+
+// TestTracerWrapReclaimsArena: wrap is a long run's normal case, so a
+// tracer at its bound must let go of what overwritten events held. Emitting
+// directly and merging a wrapped fragment both leave exactly the newest
+// limit events, rendered right, with the rest counted dropped and the bytes
+// held proportional to limit, not to what passed through.
+func TestTracerWrapReclaimsArena(t *testing.T) {
+	const limit, total = 64, 10000
+	path := make([]Hop, 12)
+	emit := func(tr *Tracer, i int) {
+		for h := range path {
+			path[h] = Hop{uint8(h + 1), HopTimeExceeded, netx.Addr(i<<8 | h)}
+		}
+		tr.Emit(KindTrace, OnAddr(netx.Addr(i)), int64(i), AS(KeyTarget, uint32(i)), Int(KeyHops, 12), Path(KeyPath, path))
+	}
+	direct, want := NewTracer(limit), NewTracer(limit)
+	for i := 0; i < total; i++ {
+		emit(direct, i)
+	}
+	for i := total - limit; i < total; i++ {
+		emit(want, i)
+	}
+	merged := NewTracer(limit)
+	merged.Emit(KindTarget, OnAS(uint32(1)), 0)
+	merged.Merge(direct)
+	one := want.held() / limit // bytes per event
+	for name, tr := range map[string]*Tracer{"direct": direct, "merged": merged} {
+		evs := tr.Events()
+		if len(evs) != limit || !reflect.DeepEqual(evs[limit-1].Attrs, want.Events()[limit-1].Attrs) || evs[0].Subject != want.Events()[0].Subject {
+			t.Fatalf("%s: kept %d events, newest %+v", name, len(evs), evs[len(evs)-1])
+		}
+		if name == "direct" && (tr.Dropped() != total-limit || evs[0].Seq != total-limit) {
+			t.Errorf("direct: dropped %d first seq %d, want %d", tr.Dropped(), evs[0].Seq, total-limit)
+		}
+		if name == "merged" && tr.Dropped() != total-limit+1 {
+			t.Errorf("merged: dropped %d, want %d and the event the merge pushed out", tr.Dropped(), total-limit)
+		}
+		if h := tr.held(); h != limit*one {
+			t.Errorf("%s: holds %d record bytes for %d events of %d", name, h, limit, one)
+		}
+		if v := tr.numViews(); v > 2+limit*one/minChunk {
+			t.Errorf("%s: %d views over %d bytes", name, v, limit*one)
+		}
 	}
 }
 
@@ -179,22 +318,77 @@ func TestTracerMergeWhileEmitting(t *testing.T) {
 		go func(tr *Tracer) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Emit(StageProbe, "trace", "x", int64(i))
+				tr.Emit(KindTrace, OnAddr(netx.Addr(i)), int64(i), Int(KeyHops, i))
 			}
 		}(tr)
 	}
 	dst.Merge(frag)
+	mid := dst.Events() // decoded while both emitters may still be appending
 	wg.Wait()
 	dst.Merge(frag) // everything emitted by now, some of it for the second time
-	seen := make(map[uint64]bool)
-	for _, ev := range dst.Events() {
-		if seen[ev.Seq] {
-			t.Fatalf("duplicate seq %d", ev.Seq)
+	evs := dst.Events()
+	for i, ev := range evs {
+		if ev.Seq != uint64(i) || ev.Subject != netx.Addr(ev.SimNS).String() || ev.Attr("hops") != fmt.Sprint(ev.SimNS) {
+			t.Fatalf("event %d: %+v", i, ev)
 		}
-		seen[ev.Seq] = true
+	}
+	if !reflect.DeepEqual(mid, evs[:len(mid)]) {
+		t.Fatalf("the stream's head changed under a reader")
 	}
 	if n := dst.Len(); n < 1000 || n > 1500 {
 		t.Fatalf("merged tracer holds %d events, want its own 500, the fragment's 500, and at most 500 merged twice", n)
+	}
+}
+
+// TestEmitAllocFree is the contract the emit sites rely on to stay
+// unguarded: on a warm tracer, stating an event — its fields, the path and
+// the sample list included — allocates nothing, so a Field never outlives
+// the call and provenance costs the bytes it stores and no more.
+func TestEmitAllocFree(t *testing.T) {
+	type H string
+	tr := NewTracer(256)
+	path := make([]Hop, 12)
+	ids := []uint16{1, 2, 3, 4, 5, 6}
+	addrs := []netx.Addr{1, 2, 3}
+	declined := []H{"firewall", "onenet"}
+	rates := []float64{1.5, 2.5}
+	heur, as := H("as-relationship"), uint32(7)
+	events := []func(){
+		func() { tr.Emit(KindTarget, OnAS(as), 0, Int(KeyBlocks, 3)) },
+		func() { tr.Emit(KindTargetLost, OnAS(as), 5) },
+		func() {
+			tr.Emit(KindTrace, OnAddr(9), 5, AS(KeyTarget, as), Int(KeyHops, len(path)), Path(KeyPath, path),
+				Flag(KeyReached, true), Flag(KeyStopped, false), Int(KeyFaultDrops, 2), Flag(KeyCached, true))
+		},
+		func() { tr.Emit(KindStopsetHit, OnAddr(9), 5, IP(KeyAt, 4)) },
+		func() { tr.Emit(KindStopsetAdd, OnAddr(9), 5, IP(KeyDst, 4)) },
+		func() { tr.Emit(KindMercator, OnAddr(9), 5, IP(KeyFrom, 4), Str(KeyVerdict, "alias")) },
+		func() {
+			tr.Emit(KindAlly, OnPair(1, 2), 5, Str(KeyVerdict, "alias"), Str(KeyMethod, "udp"), Int(KeyRounds, 5), IDs(KeyIPIDs, ids))
+		},
+		func() {
+			tr.Emit(KindVelocity, OnPair(1, 2), 5, Str(KeyVerdict, "not-alias"), Str(KeyWhy, "x"), Rates(KeyRates, rates))
+		},
+		func() { tr.Emit(KindPrefixscan, OnPair(1, 2), 5, IP(KeyMate, 3)) },
+		func() { tr.Emit(KindMerge, OnAddr(1), 0, IP(KeyMerged, 2), Str(KeyVia, "analytical")) },
+		func() {
+			tr.Emit(KindDecision, OnAddr(1), 0, Str(KeyHeuristic, heur), AS(KeyOwner, as), Int(KeyHop, 3),
+				Str(KeyClass, "host"), IPs(KeyAddrs, addrs), AS(KeyOriginAS, as), Str(KeyRel, "customer"),
+				Strs(KeyDeclined, declined), AS(KeyAdjacentAS, as), ASPair(KeySiblingHit, as, as))
+		},
+	}
+	if len(events) != int(numKinds)-1 {
+		t.Fatalf("%d events for %d kinds", len(events), numKinds-1)
+	}
+	for i := 0; i < 2000; i++ { // warm: past the bound, chunks at full size
+		events[i%len(events)]()
+	}
+	for k, emit := range events {
+		// A chunk is allocated every few hundred events; 100 runs of one
+		// event stay well inside the chunk the warm-up left.
+		if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
+			t.Errorf("emitting a %s allocates %.2f times per event, want 0", kindNames[k+1].name, allocs)
+		}
 	}
 }
 
@@ -217,8 +411,8 @@ func TestKVMatchesFmt(t *testing.T) {
 
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(8)
-	tr.Emit(StageCore, "decision", "10.0.0.1", 0, KV("owner", "AS7"), Attr{K: "~ipids", V: "9,9"})
-	tr.Emit(StageProbe, "stopset-hit", "1.2.3.4", 42)
+	tr.Emit(KindDecision, OnAddr(0x0a000001), 0, AS(KeyOwner, uint32(7)), IDs(KeyIPIDs, []uint16{9, 9}))
+	tr.Emit(KindStopsetHit, OnAddr(0x01020304), 42)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -242,20 +436,20 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 }
 
 func TestFingerprintExcludesVolatileAttrs(t *testing.T) {
-	mk := func(ids string) *Tracer {
+	mk := func(ids ...uint16) *Tracer {
 		tr := NewTracer(4)
-		tr.Emit(StageAlias, "ally", "a|b", 5,
-			KV("verdict", "alias"), Attr{K: "~ipids", V: ids})
+		tr.Emit(KindAlly, OnPair(1, 2), 5,
+			Str(KeyVerdict, "alias"), IDs(KeyIPIDs, ids))
 		return tr
 	}
-	if mk("1,2,3").Fingerprint() != mk("7,8,9").Fingerprint() {
+	if mk(1, 2, 3).Fingerprint() != mk(7, 8, 9).Fingerprint() {
 		t.Fatal("volatile attr leaked into fingerprint")
 	}
 	// Non-volatile differences must change it.
 	other := NewTracer(4)
-	other.Emit(StageAlias, "ally", "a|b", 5,
-		KV("verdict", "not-alias"), Attr{K: "~ipids", V: "1,2,3"})
-	if mk("1,2,3").Fingerprint() == other.Fingerprint() {
+	other.Emit(KindAlly, OnPair(1, 2), 5,
+		Str(KeyVerdict, "not-alias"), IDs(KeyIPIDs, []uint16{1, 2, 3}))
+	if mk(1, 2, 3).Fingerprint() == other.Fingerprint() {
 		t.Fatal("fingerprint ignored a verdict change")
 	}
 }
@@ -268,7 +462,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Emit(StageProbe, "trace", "x", int64(i))
+				tr.Emit(KindTrace, OnAddr(1), int64(i))
 			}
 		}()
 	}
@@ -287,9 +481,9 @@ func TestTracerConcurrentEmit(t *testing.T) {
 
 func TestTracerSummary(t *testing.T) {
 	tr := NewTracer(2)
-	tr.Emit(StageProbe, "trace", "a", 0)
-	tr.Emit(StageProbe, "trace", "b", 0)
-	tr.Emit(StageCore, "decision", "c", 0)
+	tr.Emit(KindTrace, OnAddr(1), 0)
+	tr.Emit(KindTrace, OnAddr(2), 0)
+	tr.Emit(KindDecision, OnAddr(3), 0)
 	s := tr.Summary()
 	for _, want := range []string{"probe.trace", "core.decision", "(dropped)"} {
 		if !strings.Contains(s, want) {
@@ -299,4 +493,49 @@ func TestTracerSummary(t *testing.T) {
 	if tr.CountByKind()["probe.trace"] != 1 { // one overwritten by the ring
 		t.Fatalf("CountByKind = %v", tr.CountByKind())
 	}
+}
+
+// FuzzTraceJSONL: ReadJSONL decodes a file an operator hands `bdrmap
+// -trace-in`. Whatever it accepts must re-export to a fixed point — a second
+// import and export changes nothing — fingerprint, and go through Explain
+// without a panic, whatever stages, kinds and attrs the file invents.
+func FuzzTraceJSONL(f *testing.F) {
+	tr := NewTracer(0)
+	tr.Emit(KindTrace, OnAddr(0x0a000001), 5, AS(KeyTarget, uint32(7)), Path(KeyPath, []Hop{{1, HopTimeExceeded, 0x0a000002}}))
+	tr.Emit(KindAlly, OnPair(0x0a000001, 0x0a000002), 9, Str(KeyVerdict, "alias"), IDs(KeyIPIDs, []uint16{1, 2}))
+	tr.Emit(KindDecision, OnAddr(0x0a000002), 0, Str(KeyHeuristic, "onenet"), AS(KeyOwner, uint32(7)), IPs(KeyAddrs, []netx.Addr{0x0a000001, 0x0a000002}))
+	var seed bytes.Buffer
+	if err := tr.WriteJSONL(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes(), "10.0.0.1")
+	f.Add([]byte(`{"seq":1,"sim_ns":-1,"stage":"core","kind":"decision","subject":"","attrs":[{"k":"addrs","v":",,"},{"k":"~","v":"AS7"}]}`+"\n\n{}"), "AS7")
+	f.Add([]byte(`{"stage":"core","kind":"decision","attrs":[{"k":"owner"}]}`), "")
+	f.Add([]byte("not json"), "x")
+	f.Fuzz(func(t *testing.T, data []byte, query string) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := writeJSONL(&first, events); err != nil {
+			t.Fatalf("accepted events do not export: %v", err)
+		}
+		back, err := ReadJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("own export rejected: %v", err)
+		}
+		if err := writeJSONL(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("export is not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+		if FingerprintEvents(events) != FingerprintEvents(back) {
+			t.Fatal("fingerprint moved across a round trip")
+		}
+		if Explain(events, query) != Explain(back, query) {
+			t.Fatal("explain moved across a round trip")
+		}
+	})
 }

@@ -1,8 +1,8 @@
 package scamper
 
 import (
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -268,18 +268,13 @@ func (d *Driver) Run() *Dataset {
 	// max-lane probeSim below, which depends on how targets land on
 	// workers).
 	tsims := make([]int64, len(targets))
-	// Per-target fragment tracers: each worker emits into its own target's
-	// fragment, and the fragments are folded into d.Trace in target order
-	// after the barrier — the merged stream is independent of which worker
+	// Per-worker provenance logs: a worker emits every event of its targets
+	// into its own log and notes where each target's events end. After the
+	// barrier the logs are cut at those positions and folded into d.Trace
+	// in target order — the merged stream is independent of which worker
 	// finished first.
-	frags := make([]*obs.Tracer, len(targets))
-	newFrag := func(i int) *obs.Tracer {
-		if !d.Trace.Enabled() {
-			return nil
-		}
-		frags[i] = obs.NewTracer(0)
-		return frags[i]
-	}
+	wlogs := make([]*obs.Tracer, cfg.Workers)
+	cuts := make([]obs.Pos, len(targets))
 	// Per-target fragment span logs, merged the same way.
 	sfrags := make([]*obs.SpanLog, len(targets))
 	newSFrag := func(i int) *obs.SpanLog {
@@ -317,8 +312,12 @@ func (d *Driver) Run() *Dataset {
 				}
 				now = lane.Now
 			}
+			if d.Trace.Enabled() {
+				wlogs[w] = obs.NewTracer(0)
+			}
 			for i := w; i < len(targets); i += cfg.Workers {
-				results[i], stopped[i], lost[i], tsims[i] = d.probeTarget(targets[i], cfg, trace, newFrag(i), newSFrag(i), now, replays[i])
+				results[i], stopped[i], lost[i], tsims[i] = d.probeTarget(targets[i], cfg, trace, wlogs[w], newSFrag(i), now, replays[i])
+				cuts[i] = wlogs[w].Pos()
 			}
 			if lanes {
 				simEnd.Observe(int64(now()))
@@ -343,8 +342,13 @@ func (d *Driver) Run() *Dataset {
 			ds.Stats.TargetsLost++
 		}
 		d.Spans.Merge(sfrags[i], probeSp.ID())
+		// Target i's events follow target i-Workers' in their worker's log.
+		var from obs.Pos
+		if i >= cfg.Workers {
+			from = cuts[i-cfg.Workers]
+		}
+		d.Trace.MergeRange(wlogs[i%cfg.Workers], from, cuts[i])
 	}
-	d.Trace.Merge(frags...)
 	ds.Stats.Traces = len(ds.Traces)
 	for _, tr := range ds.Traces {
 		ds.Stats.HopsObserved += len(tr.Hops)
@@ -513,7 +517,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 		start := now()
 		rel = func() int64 { return int64(now() - start) }
 	}
-	frag.Emit(obs.StageProbe, "target", t.AS.String(), 0, obs.KV("blocks", len(t.Blocks)))
+	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
 	tsp := sfrag.Begin(0, "target", t.AS.String())
 	tsp.SetAttr("blocks", len(t.Blocks))
 	defer func() {
@@ -534,10 +538,11 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 	// overwrites the named return with the target's final rel() reading.
 	abandon := func() ([]TraceRecord, int, bool, int64) {
 		d.Obs.Inc("driver.target.lost")
-		frag.Emit(obs.StageProbe, "target-lost", t.AS.String(), rel())
+		frag.Emit(obs.KindTargetLost, obs.OnAS(t.AS), rel())
 		return recs, nStopped, true, 0
 	}
 	stopSet := make(map[netx.Addr]bool)
+	var hopBuf [32]obs.Hop // path evidence, restated per trace
 	for bi, b := range t.Blocks {
 		tried := 0
 		for tried < cfg.MaxAddrsPerBlock {
@@ -587,31 +592,23 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 			if rp != nil {
 				rp.record(bi, dst, sig, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			}
-			if frag.Enabled() {
-				attrs := []obs.Attr{
-					obs.KV("target", t.AS.String()),
-					obs.KV("hops", len(res.Hops)),
-					obs.KV("path", pathString(res)),
-				}
-				if res.Reached {
-					attrs = append(attrs, obs.KV("reached", true))
-				}
-				if res.Stopped {
-					attrs = append(attrs, obs.KV("stopped", true))
-				}
-				if res.FaultDropped > 0 {
-					attrs = append(attrs, obs.KV("fault_drops", res.FaultDropped))
-				}
-				if cached {
-					attrs = append(attrs, obs.KV("cached", true))
-				}
-				frag.Emit(obs.StageProbe, "trace", dst.String(), rel(), attrs...)
+			var drops obs.Field
+			if res.FaultDropped > 0 {
+				drops = obs.Int(obs.KeyFaultDrops, res.FaultDropped)
 			}
+			frag.Emit(obs.KindTrace, obs.OnAddr(dst), rel(),
+				obs.AS(obs.KeyTarget, t.AS),
+				obs.Int(obs.KeyHops, len(res.Hops)),
+				obs.Path(obs.KeyPath, appendHops(hopBuf[:0], res.Hops)),
+				obs.Flag(obs.KeyReached, res.Reached),
+				obs.Flag(obs.KeyStopped, res.Stopped),
+				drops,
+				obs.Flag(obs.KeyCached, cached))
 			if res.Stopped {
 				nStopped++
 				if n := len(res.Hops); n > 0 {
-					frag.Emit(obs.StageProbe, "stopset-hit", dst.String(), rel(),
-						obs.KV("at", res.Hops[n-1].Addr.String()))
+					frag.Emit(obs.KindStopsetHit, obs.OnAddr(dst), rel(),
+						obs.IP(obs.KeyAt, res.Hops[n-1].Addr))
 				}
 				break // the path joins previously-observed interdomain hops
 			}
@@ -628,8 +625,8 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 			}
 			if !firstExt.IsZero() {
 				stopSet[firstExt] = true
-				frag.Emit(obs.StageProbe, "stopset-add", firstExt.String(), rel(),
-					obs.KV("dst", dst.String()))
+				frag.Emit(obs.KindStopsetAdd, obs.OnAddr(firstExt), rel(),
+					obs.IP(obs.KeyDst, dst))
 				break
 			}
 			// No external interface seen; an echo reply from the probed
@@ -640,39 +637,22 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 	return recs, nStopped, false, 0
 }
 
-// pathString renders a trace's hop sequence as "ttl:class:addr" tokens —
-// the response-class evidence per hop. IP-IDs are deliberately omitted:
-// they depend on lane interleaving and would break worker-count-invariant
-// fingerprints (alias events carry them as volatile attrs instead).
-func pathString(res probe.TraceResult) string {
-	b := make([]byte, 0, 24*len(res.Hops)) // "ttl:te:a.b.c.d " is at most 22 bytes below TTL 100
-	for i, h := range res.Hops {
-		if i > 0 {
-			b = append(b, ' ')
+// appendHops restates a trace's hops as path evidence: TTL, response class
+// and responding address per hop.
+func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
+	for _, h := range hops {
+		class := obs.HopTimeout
+		switch h.Type {
+		case probe.HopTimeExceeded:
+			class = obs.HopTimeExceeded
+		case probe.HopEchoReply:
+			class = obs.HopEchoReply
+		case probe.HopUnreachable:
+			class = obs.HopUnreachable
 		}
-		b = strconv.AppendInt(b, int64(h.TTL), 10)
-		b = append(b, ':')
-		b = append(b, hopClass(h.Type)...)
-		if !h.Addr.IsZero() {
-			b = append(b, ':')
-			b = h.Addr.AppendTo(b)
-		}
+		dst = append(dst, obs.Hop{TTL: uint8(h.TTL), Class: class, Addr: h.Addr})
 	}
-	return string(b)
-}
-
-// hopClass abbreviates a hop response class for path strings.
-func hopClass(t probe.HopType) string {
-	switch t {
-	case probe.HopTimeExceeded:
-		return "te"
-	case probe.HopEchoReply:
-		return "er"
-	case probe.HopUnreachable:
-		return "un"
-	default:
-		return "to"
-	}
+	return dst
 }
 
 // resolveAliases runs the alias-resolution schedule over the observed
@@ -772,21 +752,12 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		return true
 	}
 
-	// emit records one alias-stage event; a replayed operation's event is
-	// the live one plus cached=true.
-	emit := func(kind, subject string, replayed bool, attrs ...obs.Attr) {
-		if replayed {
-			attrs = append(attrs, obs.KV("cached", true))
-		}
-		d.Trace.Emit(obs.StageAlias, kind, subject, res.NowNS(), attrs...)
-	}
-
 	// Mercator sweep: group addresses by common port-unreachable source.
 	addrs := make([]netx.Addr, 0, len(addrSet))
 	for a := range addrSet {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, a := range addrs {
 		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
@@ -812,8 +783,9 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		if m.hit {
 			res.Record(a, m.from, alias.AliasYes)
 			d.Obs.Inc("driver.alias.mercator_hits")
-			emit("mercator", a.String(), replayed,
-				obs.KV("from", m.from.String()), obs.KV("verdict", "alias"))
+			// A replayed operation's event is the live one plus cached=true.
+			d.Trace.Emit(obs.KindMercator, obs.OnAddr(a), res.NowNS(),
+				obs.IP(obs.KeyFrom, m.from), obs.Str(obs.KeyVerdict, "alias"), obs.Flag(obs.KeyCached, replayed))
 		}
 	}
 
@@ -892,8 +864,8 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
 		}
 		if sm.ok {
 			d.Obs.Inc("driver.alias.prefixscan_hits")
-			emit("prefixscan", e.prev.String()+"|"+e.cur.String(), replayed,
-				obs.KV("mate", sm.mate.String()))
+			d.Trace.Emit(obs.KindPrefixscan, obs.OnPair(e.prev, e.cur), res.NowNS(),
+				obs.IP(obs.KeyMate, sm.mate), obs.Flag(obs.KeyCached, replayed))
 		}
 		pairs++
 	}

@@ -1,0 +1,67 @@
+package scamper
+
+import (
+	"hash/fnv"
+	"sort"
+	"strconv"
+
+	"bdrmap/internal/probe"
+)
+
+// The string renderers the driver and TraceFingerprint used to run on every
+// trace, moved here verbatim as the oracle their append-into-one-buffer
+// replacements are held to.
+
+// pathString renders a trace's hop sequence as "ttl:class:addr" tokens —
+// the response-class evidence per hop. IP-IDs are deliberately omitted:
+// they depend on lane interleaving and would break worker-count-invariant
+// fingerprints (alias events carry them as volatile attrs instead).
+func pathString(res probe.TraceResult) string {
+	b := make([]byte, 0, 24*len(res.Hops)) // "ttl:te:a.b.c.d " is at most 22 bytes below TTL 100
+	for i, h := range res.Hops {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(h.TTL), 10)
+		b = append(b, ':')
+		b = append(b, hopClass(h.Type)...)
+		if !h.Addr.IsZero() {
+			b = append(b, ':')
+			b = h.Addr.AppendTo(b)
+		}
+	}
+	return string(b)
+}
+
+// hopClass abbreviates a hop response class for path strings.
+func hopClass(t probe.HopType) string {
+	switch t {
+	case probe.HopTimeExceeded:
+		return "te"
+	case probe.HopEchoReply:
+		return "er"
+	case probe.HopUnreachable:
+		return "un"
+	default:
+		return "to"
+	}
+}
+
+// traceFingerprintStrings is TraceFingerprint building one string per trace.
+func (ds *Dataset) traceFingerprintStrings() uint64 {
+	lines := make([]string, 0, len(ds.Traces))
+	for _, tr := range ds.Traces {
+		s := tr.TargetAS.String() + "|" + tr.Dst.String() + "|" + pathString(tr.TraceResult)
+		if tr.Stopped {
+			s += "|s"
+		}
+		lines = append(lines, s)
+	}
+	sort.Strings(lines)
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}

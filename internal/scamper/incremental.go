@@ -1,14 +1,17 @@
 package scamper
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"bdrmap/internal/alias"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
@@ -224,20 +227,32 @@ func (rp *targetReplay) faulted() bool {
 // never consumed by inference. Replayed traces therefore contribute
 // exactly what their live counterparts would, which makes this the
 // trace-level identity the incremental equivalence mode compares.
+//
+// A line is "AS<target>|<dst>|<path>" plus "|s" when stopped, and lines
+// hash in their text order. They are rendered into one buffer and sorted
+// as spans of it: a round fingerprints every VP's transcript, and a string
+// per trace was a quarter of that round's garbage.
 func (ds *Dataset) TraceFingerprint() uint64 {
-	lines := make([]string, 0, len(ds.Traces))
+	type line struct{ lo, hi int } // buf[lo:hi], then its newline
+	buf := make([]byte, 0, 128*len(ds.Traces))
+	lines := make([]line, 0, len(ds.Traces))
+	var hops []obs.Hop
 	for _, tr := range ds.Traces {
-		s := tr.TargetAS.String() + "|" + tr.Dst.String() + "|" + pathString(tr.TraceResult)
+		lo := len(buf)
+		buf = strconv.AppendUint(append(buf, "AS"...), uint64(tr.TargetAS), 10)
+		buf = tr.Dst.AppendTo(append(buf, '|'))
+		hops = appendHops(hops[:0], tr.Hops)
+		buf = obs.AppendPath(append(buf, '|'), hops)
 		if tr.Stopped {
-			s += "|s"
+			buf = append(buf, "|s"...)
 		}
-		lines = append(lines, s)
+		lines = append(lines, line{lo, len(buf)})
+		buf = append(buf, '\n')
 	}
-	sort.Strings(lines)
+	slices.SortFunc(lines, func(a, b line) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
 	h := fnv.New64a()
 	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+		h.Write(buf[l.lo : l.hi+1])
 	}
 	return h.Sum64()
 }

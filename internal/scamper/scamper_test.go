@@ -8,6 +8,7 @@ import (
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
@@ -324,5 +325,50 @@ func TestPathStringFormat(t *testing.T) {
 	}
 	if got := pathString(probe.TraceResult{}); got != "" {
 		t.Errorf("pathString of no hops = %q, want empty", got)
+	}
+	if got := string(obs.AppendPath(nil, appendHops(nil, res.Hops))); got != want {
+		t.Errorf("AppendPath = %q, want %q", got, want)
+	}
+}
+
+// TestTraceFingerprintMatchesStringOracle holds the two places a trace's
+// path is now rendered without a string per trace to the renderer they
+// replaced: TraceFingerprint hashes to what sorting one string per line
+// did, and every probe.trace event exports the path pathString built at
+// the call site.
+func TestTraceFingerprintMatchesStringOracle(t *testing.T) {
+	large := topo.LargeAccessProfile()
+	large.NumVPs = 1
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile(), large} {
+		n := topo.Generate(prof, 1)
+		tab := bgp.NewTable(n)
+		tr := obs.NewTracer(0)
+		ds := (&Driver{
+			View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
+			Prober:   LocalProber{E: probe.New(n, tab), VP: n.VPs[0]},
+			HostASNs: map[topo.ASN]bool{n.HostASN: true},
+			Trace:    tr,
+		}).Run()
+		if len(ds.Traces) == 0 {
+			t.Fatalf("%s: no traces", prof.Name)
+		}
+		if got, want := ds.TraceFingerprint(), ds.traceFingerprintStrings(); got != want {
+			t.Errorf("%s: TraceFingerprint %016x, string oracle %016x", prof.Name, got, want)
+		}
+		i := 0
+		for _, ev := range tr.Events() {
+			if ev.Kind != "trace" {
+				continue
+			}
+			// Events merge in target order, as the dataset's traces do.
+			rec := ds.Traces[i]
+			if ev.Subject != rec.Dst.String() || ev.Attr("target") != rec.TargetAS.String() || ev.Attr("path") != pathString(rec.TraceResult) {
+				t.Fatalf("%s: trace %d toward %v exported as %+v, path oracle %q", prof.Name, i, rec.Dst, ev, pathString(rec.TraceResult))
+			}
+			i++
+		}
+		if i != len(ds.Traces) {
+			t.Errorf("%s: %d trace events for %d traces", prof.Name, i, len(ds.Traces))
+		}
 	}
 }

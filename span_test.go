@@ -2,6 +2,11 @@ package bdrmap
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bdrmap/internal/obs"
@@ -154,5 +159,81 @@ func TestSpanChromeExportWorld(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("Chrome export→import→export not byte-stable on a real run")
+	}
+}
+
+// spanFP is one pinned span tree: its fingerprint and how many records the
+// log holds (completed and still open).
+type spanFP struct {
+	FP      string `json:"span_fp"`
+	Records int    `json:"records"`
+}
+
+// TestGoldenSpanFingerprints pins the span tree itself — not just its
+// equality across runs — for the worlds the benchmark and the goldens use:
+// every VP mapped through the fleet, and one faulted remote session. The
+// file was generated before target spans moved from per-target fragment
+// logs to the driver's slots and is not meant to be regenerated: a diff
+// here means a span's ID, parent, order, simulated time or attrs moved.
+func TestGoldenSpanFingerprints(t *testing.T) {
+	large4 := LargeAccess()
+	large4.NumVPs = 4
+	large19 := LargeAccess()
+	large19.NumVPs = 19
+	cases := []struct {
+		name  string
+		prof  Profile
+		seeds []int64
+	}{
+		{"tiny", Tiny(), []int64{1, 2, 3}},
+		{"re", RE(), []int64{1}},
+		{"hypergiant", Hypergiant(), []int64{1}},
+		{"route-server", RouteServerMix(), []int64{1}},
+		{"large-access-4vp", large4, []int64{1}},
+		{"large-access-19vp", large19, []int64{1}},
+	}
+	got := make(map[string]spanFP)
+	for _, tc := range cases {
+		for _, seed := range tc.seeds {
+			w := NewWorld(tc.prof, seed)
+			w.MapAll()
+			got[fmt.Sprintf("%s-seed%d", tc.name, seed)] = spanFP{w.SpanFingerprint(), len(w.SpanRecords())}
+		}
+	}
+	faulted := NewWorld(Tiny(), 1)
+	if _, err := faulted.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=11,drop=0.12,heal=40"}); err != nil {
+		t.Fatal(err)
+	}
+	got["tiny-seed1-remote-faulted"] = spanFP{faulted.SpanFingerprint(), len(faulted.SpanRecords())}
+
+	path := filepath.Join("testdata", "golden", "spanfp.json")
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]spanFP
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", path, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for k, w := range want {
+			if g := got[k]; g != w {
+				t.Errorf("%s: span fp %s (%d records), pinned %s (%d records)", k, g.FP, g.Records, w.FP, w.Records)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%d trees measured, %d pinned", len(got), len(want))
+		}
 	}
 }

@@ -2,32 +2,35 @@
 // bdrmap on a schedule and diffs successive maps to track interconnection
 // churn — new customers turned up, interconnects de-provisioned. This
 // example measures a network, changes the world (one new customer, one
-// depeered neighbor), measures again with a fresh engine, and reports the
-// diff.
+// depeered neighbor), measures again with a fresh engine, publishes both
+// maps into a mapdb.Store and reports the GenDiff the second publish
+// returns — the diff bdrmapd serves on /v1/watch.
 package main
 
 import (
 	"fmt"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/mapdb"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
 // measure runs one full measurement round against the network's current
 // state: inputs re-derived from scratch, every VP on a fresh engine.
-func measure(n *topo.Network) *core.MergedMap {
+func measure(n *topo.Network) *mapdb.Snapshot {
 	s := eval.BuildFromNetwork(n, 1)
 	s.RunAll(scamper.Config{})
-	return core.Merge(s.Results)
+	return mapdb.Compile(n.HostASN, s.Results)
 }
 
 func main() {
 	n := topo.Generate(topo.TinyProfile(), 1)
+	store := mapdb.NewStore(0, nil)
 	fmt.Printf("round 1: measuring %v...\n", n.HostASN)
 	round1 := measure(n)
-	fmt.Printf("round 1: %d links, %d neighbors\n\n", round1.LinkCount(), len(round1.Neighbors))
+	store.Publish(round1)
+	fmt.Printf("round 1: %d links, %d neighbors\n\n", len(round1.Links()), len(round1.NeighborASes()))
 
 	// The world changes between rounds.
 	var border topo.RouterID
@@ -58,15 +61,15 @@ func main() {
 
 	fmt.Println("round 2: measuring again...")
 	round2 := measure(n)
-	fmt.Printf("round 2: %d links, %d neighbors\n\n", round2.LinkCount(), len(round2.Neighbors))
+	d := store.Publish(round2)
+	fmt.Printf("round 2: %d links, %d neighbors\n\n", len(round2.Links()), len(round2.NeighborASes()))
 
-	d := core.Diff(round1, round2)
-	fmt.Println("diff:")
+	fmt.Printf("diff, generation %d → %d:\n", d.From, d.To)
 	for _, l := range d.Added {
-		fmt.Printf("  + %v [%s]\n", l.Key, l.Heuristic)
+		fmt.Printf("  + %v->%v %v [%s]\n", l.Near, l.Far, l.FarAS, l.Heuristic)
 	}
 	for _, l := range d.Removed {
-		fmt.Printf("  - %v [%s]\n", l.Key, l.Heuristic)
+		fmt.Printf("  - %v->%v %v [%s]\n", l.Near, l.Far, l.FarAS, l.Heuristic)
 	}
 	fmt.Printf("neighbors gained: %v, lost: %v\n", d.NeighborsAdded, d.NeighborsRemoved)
 }

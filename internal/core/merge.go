@@ -126,50 +126,3 @@ func (m *MergedMap) NeighborASes() []topo.ASN {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// MapDiff is the change between two merged maps (two measurement rounds).
-type MapDiff struct {
-	Added   []MergedLink // present now, absent before
-	Removed []MergedLink // present before, absent now
-	// NeighborsAdded/Removed track AS-level churn.
-	NeighborsAdded, NeighborsRemoved []topo.ASN
-}
-
-// Empty reports whether nothing changed.
-func (d *MapDiff) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0
-}
-
-// Diff compares two merged maps (old, new).
-func Diff(prev, next *MergedMap) *MapDiff {
-	d := &MapDiff{}
-	prevSet := make(map[LinkKey]MergedLink, len(prev.Links))
-	for _, l := range prev.Links {
-		prevSet[l.Key] = l
-	}
-	nextSet := make(map[LinkKey]MergedLink, len(next.Links))
-	for _, l := range next.Links {
-		nextSet[l.Key] = l
-		if _, ok := prevSet[l.Key]; !ok {
-			d.Added = append(d.Added, l)
-		}
-	}
-	for _, l := range prev.Links {
-		if _, ok := nextSet[l.Key]; !ok {
-			d.Removed = append(d.Removed, l)
-		}
-	}
-	for a := range next.Neighbors {
-		if prev.Neighbors[a] == 0 {
-			d.NeighborsAdded = append(d.NeighborsAdded, a)
-		}
-	}
-	for a := range prev.Neighbors {
-		if next.Neighbors[a] == 0 {
-			d.NeighborsRemoved = append(d.NeighborsRemoved, a)
-		}
-	}
-	sort.Slice(d.NeighborsAdded, func(i, j int) bool { return d.NeighborsAdded[i] < d.NeighborsAdded[j] })
-	sort.Slice(d.NeighborsRemoved, func(i, j int) bool { return d.NeighborsRemoved[i] < d.NeighborsRemoved[j] })
-	return d
-}

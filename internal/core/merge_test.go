@@ -66,40 +66,6 @@ func TestMergeSilentLinks(t *testing.T) {
 	}
 }
 
-func TestDiffDetectsChanges(t *testing.T) {
-	prev := Merge([]*Result{mkResult("vp1",
-		mkLink(1, 2, 100, HeurFirewall),
-		mkLink(3, 4, 200, HeurOnenet),
-	)})
-	next := Merge([]*Result{mkResult("vp1",
-		mkLink(1, 2, 100, HeurFirewall), // unchanged
-		mkLink(7, 8, 300, HeurIPAS),     // added (new neighbor)
-	)})
-	d := Diff(prev, next)
-	if d.Empty() {
-		t.Fatal("diff should not be empty")
-	}
-	if len(d.Added) != 1 || d.Added[0].Key.FarAS != 300 {
-		t.Fatalf("added = %+v", d.Added)
-	}
-	if len(d.Removed) != 1 || d.Removed[0].Key.FarAS != 200 {
-		t.Fatalf("removed = %+v", d.Removed)
-	}
-	if len(d.NeighborsAdded) != 1 || d.NeighborsAdded[0] != 300 {
-		t.Fatalf("neighborsAdded = %v", d.NeighborsAdded)
-	}
-	if len(d.NeighborsRemoved) != 1 || d.NeighborsRemoved[0] != 200 {
-		t.Fatalf("neighborsRemoved = %v", d.NeighborsRemoved)
-	}
-}
-
-func TestDiffIdentityEmpty(t *testing.T) {
-	m := Merge([]*Result{mkResult("vp1", mkLink(1, 2, 100, HeurFirewall))})
-	if d := Diff(m, m); !d.Empty() {
-		t.Fatalf("self-diff not empty: %+v", d)
-	}
-}
-
 func TestMergeRealPipelineMultiVP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-VP pipeline in -short mode")

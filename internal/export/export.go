@@ -153,7 +153,7 @@ func (x *Writer) Result(res *core.Result) {
 }
 
 // Merged writes a merged multi-VP map (the continuous-monitoring
-// pipeline's round artifact, which core.Diff compares across rounds).
+// pipeline's round artifact).
 func (x *Writer) Merged(m *core.MergedMap) {
 	for _, l := range m.Links {
 		x.emit(KindMergedLink, MergedLinkJSON{

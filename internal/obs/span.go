@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -141,16 +142,16 @@ func (r *ring[T]) push(v T) {
 	r.dropped++
 }
 
+// grow makes room for n more records in one allocation, never beyond limit.
+func (r *ring[T]) grow(n int) {
+	r.buf = slices.Grow(r.buf, min(n, r.limit-len(r.buf)))
+}
+
 // items returns a copy of the retained records, oldest first.
 func (r *ring[T]) items() []T {
 	out := make([]T, 0, len(r.buf))
-	older, newer := r.runs()
-	return append(append(out, older...), newer...)
+	return append(append(out, r.buf[r.head:]...), r.buf[:r.head]...)
 }
-
-// runs returns the retained records in place, oldest first, as the two
-// runs of buf they occupy (the second is empty until the ring has wrapped).
-func (r *ring[T]) runs() (older, newer []T) { return r.buf[r.head:], r.buf[:r.head] }
 
 // DefaultSpanCap bounds a SpanLog's ring. A tiny-profile run records a few
 // hundred spans (one per probed target plus the stage/vp scaffolding); a
@@ -270,35 +271,28 @@ func (sl *SpanLog) Dropped() uint64 {
 }
 
 // Merge folds a fragment log's completed spans into sl under parent,
-// carrying the fragment's drop count. The driver builds one fragment per
-// probed target and merges them in target order after the worker barrier,
-// so the merged IDs — like merged trace sequence numbers — are
-// independent of which worker finished first.
+// carrying the fragment's drop count. The fleet keeps one fragment per shard
+// attempt and merges the winners in VP order after the pool drains, so the
+// merged IDs — like merged trace sequence numbers — are independent of which
+// shard finished first.
 func (sl *SpanLog) Merge(frag *SpanLog, parent SpanID) {
 	if sl == nil || frag == nil {
 		return
 	}
-	// The fragment's records are read in place under its lock; only a
-	// ring that has wrapped needs putting in order first.
-	frag.mu.Lock()
-	recs, newer := frag.ring.runs()
-	if len(newer) > 0 {
-		recs = frag.ring.items()
-	}
-	sl.MergeRecords(recs, parent)
-	dropped := frag.ring.dropped
-	frag.mu.Unlock()
+	sl.MergeRecords(frag.Records(), parent)
+	dropped := frag.Dropped()
 	sl.mu.Lock()
 	sl.ring.dropped += dropped
 	sl.mu.Unlock()
 }
 
-// MergeRecords folds externally produced records (a fragment's, or a
-// remote agent's pulled session spans) into sl. Every distinct incoming
-// ID is re-assigned from sl's counter in ascending incoming-ID order —
-// the original Begin order — and parent references are rewritten; a
-// record with no parent (or a parent outside the batch) attaches under
-// parent. Deterministic for a deterministic input batch.
+// MergeRecords folds externally produced records (a fragment's, a driver's
+// per-target spans, a remote agent's pulled session spans) into sl, growing
+// the ring once for the batch. Every distinct incoming ID is re-assigned
+// from sl's counter in ascending incoming-ID order — the original Begin
+// order — and parent references are rewritten; a record with no parent (or
+// a parent outside the batch) attaches under parent. Deterministic for a
+// deterministic input batch.
 func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 	if sl == nil || len(recs) == 0 {
 		return
@@ -318,6 +312,7 @@ func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 		sl.nextID++
 		remap[id] = SpanID(sl.nextID)
 	}
+	sl.ring.grow(len(recs))
 	for _, r := range recs {
 		r.ID = remap[r.ID]
 		if np, ok := remap[r.Parent]; ok {

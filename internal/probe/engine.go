@@ -16,7 +16,6 @@ package probe
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bdrmap/internal/bgp"
@@ -32,8 +31,9 @@ import (
 // An Engine is bound to one built Net and its Tab. What forwarding derives
 // from them lives in a plane that every engine forked from this one shares
 // (see plane and Fork); what a measurement accrues — clock, IP-IDs,
-// rate-limit windows, congestion episodes, fault schedule, Stats — is the
-// engine's own. Mutate the world, build a new plane with New.
+// rate-limit windows, congestion episodes, fault schedule, the registry its
+// traffic counters go to — is the engine's own. Mutate the world, build a
+// new plane with New.
 type Engine struct {
 	Net *topo.Network
 	Tab *bgp.Table
@@ -44,8 +44,6 @@ type Engine struct {
 	now  time.Duration // simulated time since start
 	ipid map[topo.RouterID]*ipidState
 	rate map[topo.RouterID]*rateState
-
-	stats struct{ traceroutes, probes, packetsSent, responsesRcv atomic.Int64 }
 
 	// fwd is the forwarding plane compiled from Net and Tab (see plane),
 	// shared with every fork.
@@ -118,14 +116,6 @@ func (e *Engine) dropInjected() bool {
 	return e.flt != nil && e.flt.DropProbeResponse()
 }
 
-// Stats counts the traffic the engine has carried.
-type Stats struct {
-	Traceroutes  int64
-	Probes       int64
-	PacketsSent  int64 // individual probe packets (one per traceroute hop)
-	ResponsesRcv int64
-}
-
 // New creates an engine over a built network and its routing table, with
 // an empty forwarding plane of its own.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
@@ -140,7 +130,7 @@ func New(net *topo.Network, tab *bgp.Table) *Engine {
 
 // Fork returns an engine over the same world that shares e's forwarding
 // plane and nothing else: its clock starts at zero and it has no IP-ID,
-// rate-limit, congestion, fault, metrics or Stats state, exactly as if
+// rate-limit, congestion, fault or metrics state, exactly as if
 // New had built it. What it measures is therefore what a fresh engine
 // would measure; it just does not derive the routing again.
 func (e *Engine) Fork() *Engine {
@@ -178,16 +168,6 @@ func (e *Engine) Now() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.now
-}
-
-// Stats returns a snapshot of traffic counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Traceroutes:  e.stats.traceroutes.Load(),
-		Probes:       e.stats.probes.Load(),
-		PacketsSent:  e.stats.packetsSent.Load(),
-		ResponsesRcv: e.stats.responsesRcv.Load(),
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,29 @@ import (
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
+
+// Ledger is the traffic an engine has charged to its registry: the four
+// counters every traceroute and probe adds to.
+type Ledger struct {
+	Traceroutes  int64
+	Probes       int64
+	PacketsSent  int64 // individual probe packets (one per traceroute hop)
+	ResponsesRcv int64
+}
+
+// ReadLedger reads the engine traffic counters from reg.
+func ReadLedger(reg *obs.Registry) Ledger {
+	s := reg.Snapshot()
+	return Ledger{
+		Traceroutes:  s.Counter("probe.traceroutes"),
+		Probes:       s.Counter("probe.probes"),
+		PacketsSent:  s.Counter("probe.packets_sent"),
+		ResponsesRcv: s.Counter("probe.responses"),
+	}
+}
 
 // chooseEgressOracle is chooseEgress as it was before the egress set
 // existed, kept as the differential reference: two passes over every

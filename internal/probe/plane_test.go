@@ -71,10 +71,10 @@ func TestMemoisedWalkMatchesFresh(t *testing.T) {
 func TestPacketCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		prof topo.Profile
-		want probe.Stats
+		want probe.Ledger
 	}{
-		{topo.TinyProfile(), probe.Stats{Traceroutes: 161, Probes: 2060, PacketsSent: 2930, ResponsesRcv: 2628}},
-		{topo.REProfile(), probe.Stats{Traceroutes: 1025, Probes: 8150, PacketsSent: 15530, ResponsesRcv: 14298}},
+		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 2060, PacketsSent: 2930, ResponsesRcv: 2628}},
+		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 8150, PacketsSent: 15530, ResponsesRcv: 14298}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)
@@ -87,11 +87,8 @@ func TestPacketCountsPinned(t *testing.T) {
 			HostASNs: map[topo.ASN]bool{n.HostASN: true},
 			Obs:      reg,
 		}).Run()
-		if got := e.Stats(); got != tc.want {
-			t.Errorf("%s: Stats() = %+v, want %+v", tc.prof.Name, got, tc.want)
-		}
-		if got := reg.Snapshot().Counter("probe.packets_sent"); got != tc.want.PacketsSent {
-			t.Errorf("%s: probe.packets_sent = %d, want %d", tc.prof.Name, got, tc.want.PacketsSent)
+		if got := probe.ReadLedger(reg); got != tc.want {
+			t.Errorf("%s: ledger = %+v, want %+v", tc.prof.Name, got, tc.want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
@@ -392,11 +393,13 @@ func TestVirtualRouterRespondsWithForwardIface(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 12)
+	reg := obs.New()
+	e.SetObs(reg)
 	vp := n.VPs[0]
 	e.Traceroute(vp, e.Tab.Prefixes()[0].First()+1, nil)
-	s := e.Stats()
+	s := ReadLedger(reg)
 	if s.Traceroutes != 1 || s.PacketsSent == 0 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("ledger = %+v", s)
 	}
 }
 
@@ -407,6 +410,8 @@ func TestStatsAccumulate(t *testing.T) {
 // contents afterwards. Run under -race it also checks the plane's locking.
 func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 1)
+	reg := obs.New()
+	e.SetObs(reg)
 	vp := n.VPs[0]
 	var dsts []netx.Addr
 	for _, p := range e.Tab.Prefixes() {
@@ -459,7 +464,7 @@ func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 			t.Fatalf("dst %v: cached walk changed: %+v, was %+v", dst, *s.p, s.copy)
 		}
 	}
-	if st := e.Stats(); st.Traceroutes+st.Probes != 10000 {
+	if st := ReadLedger(reg); st.Traceroutes+st.Probes != 10000 {
 		t.Fatalf("counted %d traceroutes + %d probes, want 10000 calls", st.Traceroutes, st.Probes)
 	}
 }

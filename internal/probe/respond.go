@@ -190,9 +190,6 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 	sent := int64(len(res.Hops))
 	answered := sent - byType[HopTimeout]
-	e.stats.traceroutes.Add(1)
-	e.stats.packetsSent.Add(sent)
-	e.stats.responsesRcv.Add(answered)
 	e.eobs.traceroutes.Inc()
 	e.eobs.packets.Add(sent)
 	e.eobs.responses.Add(answered)
@@ -276,8 +273,6 @@ type Response struct {
 
 // Probe sends one probe of the given method from vp to target.
 func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
-	e.stats.probes.Add(1)
-	e.stats.packetsSent.Add(1)
 	e.eobs.probes.Inc()
 	e.eobs.packets.Inc()
 
@@ -334,7 +329,6 @@ func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
 	}
 	resp.When = e.Now()
 	resp.RTT = e.pathRTT(path.steps, resp.When)
-	e.stats.responsesRcv.Add(1)
 	e.eobs.responses.Inc()
 	return resp
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
@@ -174,13 +175,16 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 type probed struct {
 	traces []TraceResult
 	resps  []Response
-	stats  Stats
+	ledger Ledger
 }
 
 // measure runs a fixed schedule from vp on e: lane traceroutes toward dsts,
 // then direct probes of every method to the interface addresses among them.
+// The engine charges a registry of its own.
 func measure(e *Engine, vp *topo.VP, dsts []netx.Addr) probed {
 	var out probed
+	reg := obs.New()
+	e.SetObs(reg)
 	lane := e.NewLane(e.Now())
 	for _, dst := range dsts {
 		out.traces = append(out.traces, e.TracerouteLane(vp, dst, nil, lane))
@@ -195,14 +199,14 @@ func measure(e *Engine, vp *topo.VP, dsts []netx.Addr) probed {
 			e.Advance(PacePerHop)
 		}
 	}
-	out.stats = e.Stats()
+	out.ledger = ReadLedger(reg)
 	return out
 }
 
 // TestForkedPlaneShardsAgree: engines forked from one plane, measuring at
 // once from different vantage points — each filling the shared tables the
-// others read — return the TraceResults, Responses and Stats that fresh
-// engines built by New return measuring alone.
+// others read — return the TraceResults and Responses, and charge their
+// registries the traffic, that fresh engines built by New do measuring alone.
 func TestForkedPlaneShardsAgree(t *testing.T) {
 	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile(), topo.RegionalVPProfile()} {
 		prof := prof
@@ -211,6 +215,8 @@ func TestForkedPlaneShardsAgree(t *testing.T) {
 				prof.NumVPs = 4
 			}
 			base, n := newEngine(t, prof, 1)
+			baseReg := obs.New()
+			base.SetObs(baseReg)
 			dsts := traceDsts(base, 5)
 			vps := n.VPs
 			if len(vps) > 6 {
@@ -236,12 +242,12 @@ func TestForkedPlaneShardsAgree(t *testing.T) {
 				if !reflect.DeepEqual(got[i].resps, want.resps) {
 					t.Errorf("%s: probe responses on a forked plane differ from a fresh engine's", vp.Name)
 				}
-				if got[i].stats != want.stats {
-					t.Errorf("%s: Stats %+v on a forked plane, %+v on a fresh engine", vp.Name, got[i].stats, want.stats)
+				if got[i].ledger != want.ledger {
+					t.Errorf("%s: ledger %+v on a forked plane, %+v on a fresh engine", vp.Name, got[i].ledger, want.ledger)
 				}
 			}
-			if st := base.Stats(); st != (Stats{}) {
-				t.Errorf("forks charged the engine they were forked from: %+v", st)
+			if l := ReadLedger(baseReg); l != (Ledger{}) {
+				t.Errorf("forks charged the engine they were forked from: %+v", l)
 			}
 		})
 	}

@@ -197,10 +197,10 @@ type Driver struct {
 	Trace *obs.Tracer
 	// Spans receives the hierarchical span timeline: one "stage" span each
 	// for probing and alias resolution (parented under SpanParent) and one
-	// "target" span per probed AS underneath the probe stage. Per-target
-	// spans are recorded into per-target fragment logs and merged in target
-	// order after the worker barrier, so — like the Trace stream — the span
-	// tree is identical across worker counts. Nil disables them.
+	// "target" span per probed AS underneath the probe stage. Target spans
+	// are written from the per-target slots in target order after the
+	// worker barrier, so — like the Trace stream — the span tree is
+	// identical across worker counts. Nil disables them.
 	Spans *obs.SpanLog
 	// SpanParent is the span the driver's stage spans attach under
 	// (typically the enclosing "vp" span; 0 makes them roots).
@@ -259,31 +259,18 @@ func (d *Driver) Run() *Dataset {
 	probeSpan := d.Obs.StartStage("driver.probe")
 	probeSp := d.Spans.Begin(d.SpanParent, "stage", "probe")
 	probeSp.SetAttr("targets", len(targets))
-	results := make([][]TraceRecord, len(targets))
-	stopped := make([]int, len(targets))
-	lost := make([]bool, len(targets))
-	// Per-target simulated durations, written by exactly one worker each;
-	// their SUM is the probe stage span's duration on the canonical
-	// serialized timeline (a sum is partition-invariant, unlike the
-	// max-lane probeSim below, which depends on how targets land on
+	// One slot per target, written by exactly one worker. The SUM of the
+	// slots' simulated durations is the probe stage span's duration on the
+	// canonical serialized timeline (a sum is partition-invariant, unlike
+	// the max-lane probeSim below, which depends on how targets land on
 	// workers).
-	tsims := make([]int64, len(targets))
+	outs := make([]targetOut, len(targets))
 	// Per-worker provenance logs: a worker emits every event of its targets
-	// into its own log and notes where each target's events end. After the
-	// barrier the logs are cut at those positions and folded into d.Trace
-	// in target order — the merged stream is independent of which worker
-	// finished first.
+	// into its own log and each slot notes where its target's events end.
+	// After the barrier the logs are cut at those positions and folded into
+	// d.Trace in target order — the merged stream is independent of which
+	// worker finished first.
 	wlogs := make([]*obs.Tracer, cfg.Workers)
-	cuts := make([]obs.Pos, len(targets))
-	// Per-target fragment span logs, merged the same way.
-	sfrags := make([]*obs.SpanLog, len(targets))
-	newSFrag := func(i int) *obs.SpanLog {
-		if !d.Spans.Enabled() {
-			return nil
-		}
-		sfrags[i] = obs.NewSpanLog(0)
-		return sfrags[i]
-	}
 
 	// simEnd merges the per-worker virtual clocks with an atomic max: the
 	// run's simulated duration is the slowest worker's timeline, and the
@@ -291,9 +278,9 @@ func (d *Driver) Run() *Dataset {
 	var simEnd obs.Max
 	simEnd.Observe(int64(simStart))
 
-	// Worker w handles targets w, w+W, w+2W, …, so each results slot is
-	// written by exactly one worker and the merge below needs no locks and
-	// no ordering. With lanes every worker traces on its own timeline;
+	// Worker w handles targets w, w+W, w+2W, …, so each slot is written by
+	// exactly one worker and the merge below needs no locks and no
+	// ordering. With lanes every worker traces on its own timeline;
 	// without them (a remote session) workers share the prober's clock and
 	// stamp events with SimNS 0 — reading the remote clock per event would
 	// perturb the frame stream the fault goldens pin.
@@ -316,8 +303,7 @@ func (d *Driver) Run() *Dataset {
 				wlogs[w] = obs.NewTracer(0)
 			}
 			for i := w; i < len(targets); i += cfg.Workers {
-				results[i], stopped[i], lost[i], tsims[i] = d.probeTarget(targets[i], cfg, trace, wlogs[w], newSFrag(i), now, replays[i])
-				cuts[i] = wlogs[w].Pos()
+				outs[i] = d.probeTarget(targets[i], cfg, trace, wlogs[w], now, replays[i])
 			}
 			if lanes {
 				simEnd.Observe(int64(now()))
@@ -335,20 +321,22 @@ func (d *Driver) Run() *Dataset {
 		simEnd.Observe(int64(d.Prober.Now()))
 	}
 
-	for i := range results {
-		ds.Traces = append(ds.Traces, results[i]...)
-		ds.Stats.TracesStopped += stopped[i]
-		if lost[i] {
+	var targetSimNS int64
+	for i, o := range outs {
+		ds.Traces = append(ds.Traces, o.recs...)
+		ds.Stats.TracesStopped += o.stopped
+		if o.lost {
 			ds.Stats.TargetsLost++
 		}
-		d.Spans.Merge(sfrags[i], probeSp.ID())
+		targetSimNS += o.simNS
 		// Target i's events follow target i-Workers' in their worker's log.
 		var from obs.Pos
 		if i >= cfg.Workers {
-			from = cuts[i-cfg.Workers]
+			from = outs[i-cfg.Workers].cut
 		}
-		d.Trace.MergeRange(wlogs[i%cfg.Workers], from, cuts[i])
+		d.Trace.MergeRange(wlogs[i%cfg.Workers], from, o.cut)
 	}
+	d.Spans.MergeRecords(d.targetSpans(targets, outs), probeSp.ID())
 	ds.Stats.Traces = len(ds.Traces)
 	for _, tr := range ds.Traces {
 		ds.Stats.HopsObserved += len(tr.Hops)
@@ -396,9 +384,9 @@ func (d *Driver) Run() *Dataset {
 			// The target's evidence changed: everything on the new paths
 			// and everything the old paths traversed is dirty — a router
 			// can lose a trace without appearing in its replacement.
-			markDirty(results[i])
+			markDirty(outs[i].recs)
 			markDirty(cachedRecs(rp.all))
-			if lost[i] || rp.faulted() {
+			if outs[i].lost || rp.faulted() {
 				// Keep the previous transcript (if any): a dead session or
 				// an injected fault is transport state, not a changed world.
 				continue
@@ -429,10 +417,6 @@ func (d *Driver) Run() *Dataset {
 	probeSim := time.Duration(simEnd.Load()) - simStart
 	probeSpan.AddSim(probeSim)
 	probeSpan.End()
-	var targetSimNS int64
-	for _, s := range tsims {
-		targetSimNS += s
-	}
 	probeSp.SetAttr("traces", ds.Stats.Traces)
 	probeSp.AddSim(time.Duration(targetSimNS))
 	probeSp.End()
@@ -501,13 +485,45 @@ func (d *Driver) isExternal(addr netx.Addr) bool {
 	return false
 }
 
+// targetOut is what probing one target AS produced: the slot its worker
+// fills and everything after the barrier reads.
+type targetOut struct {
+	recs    []TraceRecord
+	stopped int   // traces the stop set halted
+	lost    bool  // abandoned: the session died or the target timed out
+	simNS   int64 // simulated duration, relative to the target's own start
+	wallNS  int64
+	cut     obs.Pos // where the target's events end in its worker's log
+}
+
+// targetSpans renders the slots as "target" span records, IDs 1…T in target
+// order, for the span log's owner to merge under the probe stage span. It
+// builds nothing when spans are off.
+func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecord {
+	if !d.Spans.Enabled() {
+		return nil
+	}
+	recs := make([]obs.SpanRecord, len(outs))
+	for i, o := range outs {
+		attrs := []obs.Attr{obs.KV("blocks", len(targets[i].Blocks)), obs.KV("traces", len(o.recs))}
+		if o.lost {
+			attrs = append(attrs, obs.KV("lost", true))
+		}
+		recs[i] = obs.SpanRecord{
+			ID: obs.SpanID(i + 1), Name: "target", Detail: targets[i].AS.String(),
+			SimNS: o.simNS, WallNS: o.wallNS, Attrs: attrs,
+		}
+	}
+	return recs
+}
+
 // probeTarget runs the per-target-AS schedule: probe each block's first
 // address; when the trace shows no external address (or only the probed
 // one), try further addresses, up to the configured maximum (§5.3).
 // It returns early — reporting the target lost — when the prober's session
 // dies or the per-target timeout fires, so one dead VP degrades the run
 // instead of hanging it.
-func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[netx.Addr]bool) probe.TraceResult, frag *obs.Tracer, sfrag *obs.SpanLog, now func() time.Duration, rp *targetReplay) (recs []TraceRecord, nStopped int, targetLost bool, simNS int64) {
+func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[netx.Addr]bool) probe.TraceResult, frag *obs.Tracer, now func() time.Duration, rp *targetReplay) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
@@ -517,29 +533,25 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 		start := now()
 		rel = func() int64 { return int64(now() - start) }
 	}
+	wallStart := time.Now()
 	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
-	tsp := sfrag.Begin(0, "target", t.AS.String())
-	tsp.SetAttr("blocks", len(t.Blocks))
-	defer func() {
-		tsp.SetAttr("traces", len(recs))
-		if targetLost {
-			tsp.SetAttr("lost", true)
-		}
-		simNS = rel()
-		tsp.AddSim(time.Duration(simNS))
-		tsp.End()
-	}()
 
 	var deadline time.Time
 	if cfg.TargetTimeout > 0 {
-		deadline = time.Now().Add(cfg.TargetTimeout)
+		deadline = wallStart.Add(cfg.TargetTimeout)
 	}
-	// The 0 simNS below is a placeholder: the deferred span close above
-	// overwrites the named return with the target's final rel() reading.
-	abandon := func() ([]TraceRecord, int, bool, int64) {
+	var out targetOut
+	finish := func() targetOut {
+		out.simNS = rel()
+		out.wallNS = int64(time.Since(wallStart))
+		out.cut = frag.Pos()
+		return out
+	}
+	abandon := func() targetOut {
 		d.Obs.Inc("driver.target.lost")
 		frag.Emit(obs.KindTargetLost, obs.OnAS(t.AS), rel())
-		return recs, nStopped, true, 0
+		out.lost = true
+		return finish()
 	}
 	stopSet := make(map[netx.Addr]bool)
 	var hopBuf [32]obs.Hop // path evidence, restated per trace
@@ -588,7 +600,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 					sig = rp.sp.PathSignature(dst)
 				}
 			}
-			recs = append(recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
+			out.recs = append(out.recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			if rp != nil {
 				rp.record(bi, dst, sig, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			}
@@ -605,7 +617,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 				drops,
 				obs.Flag(obs.KeyCached, cached))
 			if res.Stopped {
-				nStopped++
+				out.stopped++
 				if n := len(res.Hops); n > 0 {
 					frag.Emit(obs.KindStopsetHit, obs.OnAddr(dst), rel(),
 						obs.IP(obs.KeyAt, res.Hops[n-1].Addr))
@@ -634,7 +646,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 			// try the next address in the block.
 		}
 	}
-	return recs, nStopped, false, 0
+	return finish()
 }
 
 // appendHops restates a trace's hops as path evidence: TTL, response class

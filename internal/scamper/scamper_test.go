@@ -130,16 +130,20 @@ func TestTargetsMatchQuadraticScan(t *testing.T) {
 	}
 }
 
-func runDriver(t *testing.T, seed int64, cfg Config) (*Dataset, *topo.Network, *probe.Engine) {
+// runDriver runs one driver on a fresh world; the registry it returns is
+// the engine's own, holding the run's packet ledger.
+func runDriver(t *testing.T, seed int64, cfg Config) (*Dataset, *topo.Network, *obs.Registry) {
 	t.Helper()
 	n, e, view, hosts := setup(t, seed)
+	reg := obs.New()
+	e.SetObs(reg)
 	d := &Driver{
 		View:     view,
 		Prober:   LocalProber{E: e, VP: n.VPs[0]},
 		HostASNs: hosts,
 		Cfg:      cfg,
 	}
-	return d.Run(), n, e
+	return d.Run(), n, reg
 }
 
 func TestDriverRunProducesTraces(t *testing.T) {
@@ -156,17 +160,18 @@ func TestDriverRunProducesTraces(t *testing.T) {
 }
 
 func TestStopSetReducesWork(t *testing.T) {
-	with, _, eWith := runDriver(t, 4, Config{Workers: 1})
-	without, _, eWithout := runDriver(t, 4, Config{Workers: 1, DisableStopSet: true})
+	with, _, regWith := runDriver(t, 4, Config{Workers: 1})
+	without, _, regWithout := runDriver(t, 4, Config{Workers: 1, DisableStopSet: true})
 	if with.Stats.TracesStopped == 0 {
 		t.Error("stop set never fired")
 	}
 	if without.Stats.TracesStopped != 0 {
 		t.Error("disabled stop set still stopped traces")
 	}
-	if eWith.Stats().PacketsSent >= eWithout.Stats().PacketsSent {
-		t.Errorf("stop set did not reduce packets: %d vs %d",
-			eWith.Stats().PacketsSent, eWithout.Stats().PacketsSent)
+	sentWith := regWith.Snapshot().Counter("probe.packets_sent")
+	sentWithout := regWithout.Snapshot().Counter("probe.packets_sent")
+	if sentWith >= sentWithout {
+		t.Errorf("stop set did not reduce packets: %d vs %d", sentWith, sentWithout)
 	}
 }
 

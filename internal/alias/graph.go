@@ -148,22 +148,6 @@ func (g *Graph) SameRouter(a, b netx.Addr) bool {
 // Canonical returns the representative address of a's set.
 func (g *Graph) Canonical(a netx.Addr) netx.Addr { return g.find(a) }
 
-// Members returns all addresses sharing a's set, sorted.
-func (g *Graph) Members(a netx.Addr) []netx.Addr {
-	root := g.findID(g.id(a))
-	var out []netx.Addr
-	for x := range g.parent {
-		if g.findID(int32(x)) == root {
-			out = append(out, g.in.Addr(int32(x)))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Conflicts returns how many unions were refused due to negative evidence.
-func (g *Graph) Conflicts() int { return g.conflicts }
-
 // Sets returns every multi-address set, sorted by representative.
 func (g *Graph) Sets() [][]netx.Addr {
 	bySet := make(map[int32][]netx.Addr)

@@ -26,7 +26,6 @@ type Inference struct {
 	rels   map[[2]topo.ASN]topo.Rel // keyed (lo, hi); value = what hi is to lo
 	nbrs   map[topo.ASN][]topo.ASN
 	clique map[topo.ASN]bool
-	cones  map[topo.ASN][]topo.ASN // memoized customer cones
 }
 
 // Rel returns the inferred relationship: what b is to a.
@@ -47,16 +46,6 @@ func (inf *Inference) Neighbors(a topo.ASN) []topo.ASN { return inf.nbrs[a] }
 // ProvidersOf returns the inferred providers of a.
 func (inf *Inference) ProvidersOf(a topo.ASN) []topo.ASN {
 	return inf.withRel(a, topo.RelProvider)
-}
-
-// CustomersOf returns the inferred customers of a.
-func (inf *Inference) CustomersOf(a topo.ASN) []topo.ASN {
-	return inf.withRel(a, topo.RelCustomer)
-}
-
-// PeersOf returns the inferred peers of a.
-func (inf *Inference) PeersOf(a topo.ASN) []topo.ASN {
-	return inf.withRel(a, topo.RelPeer)
 }
 
 func (inf *Inference) withRel(a topo.ASN, want topo.Rel) []topo.ASN {

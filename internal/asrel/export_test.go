@@ -223,3 +223,8 @@ func key(a, b topo.ASN) [2]topo.ASN {
 	}
 	return [2]topo.ASN{b, a}
 }
+
+// CustomersOf returns the inferred customers of a.
+func (inf *Inference) CustomersOf(a topo.ASN) []topo.ASN {
+	return inf.withRel(a, topo.RelCustomer)
+}

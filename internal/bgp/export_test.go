@@ -460,3 +460,36 @@ func OracleProfiles() []topo.Profile {
 	}
 	return topo.BuiltinProfiles()
 }
+
+// ClassAt returns the route class of prefix p at AS asn.
+func (t *Table) ClassAt(asn topo.ASN, p netx.Prefix) Class {
+	i, ok := t.idx[asn]
+	if !ok {
+		return ClassNone
+	}
+	return t.Routes(p).Class[i]
+}
+
+// SuppressedAt reports whether vantage asn would report no path for this
+// prefix to a collector (its best route crosses a hidden session).
+func (t *Table) SuppressedAt(asn topo.ASN, r *PrefixRIB) bool {
+	i, ok := t.idx[asn]
+	if !ok {
+		return true
+	}
+	return t.bestViaHiddenSession(r, i)
+}
+
+// Path returns the canonical AS path from AS from to the origin of p,
+// starting with from itself. Returns nil if from has no route.
+func (t *Table) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
+	i, ok := t.idx[from]
+	if !ok {
+		return nil
+	}
+	path, ok := t.appendPath(nil, t.Routes(p), i)
+	if !ok {
+		return nil
+	}
+	return path
+}

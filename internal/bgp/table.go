@@ -670,30 +670,6 @@ func (t *Table) fillNextHops(r *PrefixRIB, buf *[]int32) {
 	r.HostSuppressed = t.bestViaHiddenSession(r, t.hostIdx)
 }
 
-// SuppressedAt reports whether vantage asn would report no path for this
-// prefix to a collector (its best route crosses a hidden session).
-func (t *Table) SuppressedAt(asn topo.ASN, r *PrefixRIB) bool {
-	i, ok := t.idx[asn]
-	if !ok {
-		return true
-	}
-	return t.bestViaHiddenSession(r, i)
-}
-
-// Path returns the canonical AS path from AS from to the origin of p,
-// starting with from itself. Returns nil if from has no route.
-func (t *Table) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
-	i, ok := t.idx[from]
-	if !ok {
-		return nil
-	}
-	path, ok := t.appendPath(nil, t.Routes(p), i)
-	if !ok {
-		return nil
-	}
-	return path
-}
-
 // appendPath appends to dst the canonical AS path from AS i to r's origin,
 // i itself first. ok is false, and dst returned as it came, when i has no
 // route.
@@ -711,18 +687,4 @@ func (t *Table) appendPath(dst []topo.ASN, r *PrefixRIB, i int32) (_ []topo.ASN,
 		dst = append(dst, t.asns[i])
 	}
 	return dst, true
-}
-
-// HostCandidates returns the equal-best next-hop ASes at the host for p.
-func (t *Table) HostCandidates(p netx.Prefix) []topo.ASN {
-	return t.Routes(p).HostCandidates
-}
-
-// ClassAt returns the route class of prefix p at AS asn.
-func (t *Table) ClassAt(asn topo.ASN, p netx.Prefix) Class {
-	i, ok := t.idx[asn]
-	if !ok {
-		return ClassNone
-	}
-	return t.Routes(p).Class[i]
 }

@@ -44,7 +44,6 @@ const (
 	HeurIXP          Heuristic = "ixp"              // IXP LAN address attribution
 	HeurSilent       Heuristic = "silent"           // §5.4.8 step 8.1
 	HeurOtherICMP    Heuristic = "other-icmp"       // §5.4.8 step 8.2
-	HeurNone         Heuristic = ""
 )
 
 // RouterNode is one inferred router: a set of observed interface addresses
@@ -113,17 +112,5 @@ func (r *Result) NeighborASes() []topo.ASN {
 		out = append(out, asn)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// HeuristicCounts tallies, per heuristic, how many neighbor routers it
-// attributed (the row counts of Table 1).
-func (r *Result) HeuristicCounts() map[Heuristic]int {
-	out := make(map[Heuristic]int)
-	for _, n := range r.Routers {
-		if !n.IsHost && n.Owner != 0 {
-			out[n.Heuristic]++
-		}
-	}
 	return out
 }

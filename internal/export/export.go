@@ -9,11 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/netx"
-	"bdrmap/internal/probe"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -87,7 +85,6 @@ type MergedLinkJSON struct {
 // Writer emits JSONL records.
 type Writer struct {
 	w   *bufio.Writer
-	n   int
 	err error
 }
 
@@ -110,9 +107,7 @@ func (x *Writer) emit(kind string, v any) {
 	}
 	if _, err := x.w.Write(append(line, '\n')); err != nil {
 		x.err = err
-		return
 	}
-	x.n++
 }
 
 // Meta writes the dataset header.
@@ -171,9 +166,6 @@ func (x *Writer) Flush() error {
 	return x.w.Flush()
 }
 
-// Lines returns how many records were written.
-func (x *Writer) Lines() int { return x.n }
-
 // Dataset is the decoded form of an exported stream.
 type Dataset struct {
 	Meta    Meta
@@ -229,32 +221,4 @@ func Read(r io.Reader) (*Dataset, error) {
 		}
 	}
 	return ds, sc.Err()
-}
-
-// ToTraceRecords converts decoded traces back to the scamper form.
-func (ds *Dataset) ToTraceRecords() []scamper.TraceRecord {
-	out := make([]scamper.TraceRecord, 0, len(ds.Traces))
-	for _, t := range ds.Traces {
-		tr := scamper.TraceRecord{TargetAS: t.TargetAS}
-		tr.Dst = t.Dst
-		tr.Reached = t.Reached
-		tr.Stopped = t.Stopped
-		for _, h := range t.Hops {
-			hop := probe.Hop{TTL: h.TTL, Addr: h.Addr, IPID: h.IPID}
-			switch h.Type {
-			case "time-exceeded":
-				hop.Type = probe.HopTimeExceeded
-			case "echo-reply":
-				hop.Type = probe.HopEchoReply
-			case "unreachable":
-				hop.Type = probe.HopUnreachable
-			default:
-				hop.Type = probe.HopTimeout
-			}
-			hop.RTT = time.Duration(h.RTTns)
-			tr.Hops = append(tr.Hops, hop)
-		}
-		out = append(out, tr)
-	}
-	return out
 }

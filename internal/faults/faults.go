@@ -259,9 +259,6 @@ func New(spec Spec) *Injector {
 	}
 }
 
-// Spec returns the injector's spec.
-func (i *Injector) Spec() Spec { return i.spec }
-
 // next advances a PRNG state and returns a uniform float in [0,1).
 func next(state *uint64) float64 {
 	*state = netx.Mix64(*state)
@@ -361,13 +358,6 @@ func (i *Injector) Killed() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.killed
-}
-
-// Faults returns how many write-side faults have been injected so far.
-func (i *Injector) Faults() int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.faults
 }
 
 // ProbeDrops returns how many probe responses have been dropped so far.

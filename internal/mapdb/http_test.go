@@ -128,7 +128,7 @@ func TestHTTPQueries(t *testing.T) {
 	if snap.Counter("mapdb.http.errors") == 0 {
 		t.Error("error counter never incremented")
 	}
-	if h := snap.Histogram("mapdb.http.latency_us"); h.Count == 0 {
+	if h := snap.Histograms["mapdb.http.latency_us"]; h.Count == 0 {
 		t.Error("latency histogram empty")
 	}
 }

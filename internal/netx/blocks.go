@@ -23,9 +23,6 @@ func (b Block) Contains(a Addr) bool { return a >= b.First && a <= b.Last }
 // NumAddrs returns the number of addresses in b.
 func (b Block) NumAddrs() uint64 { return uint64(b.Last) - uint64(b.First) + 1 }
 
-// Empty reports whether b covers no addresses (Last < First).
-func (b Block) Empty() bool { return b.Last < b.First }
-
 // Subtract removes the addresses of prefix p from block b, returning the
 // zero, one, or two blocks that remain.
 func (b Block) Subtract(p Prefix) []Block {
@@ -60,37 +57,4 @@ func CarveBlocks(p Prefix, moreSpecific []Prefix) []Block {
 	}
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].First < blocks[j].First })
 	return blocks
-}
-
-// AddrSet is a set of individual IPv4 addresses with deterministic ordering.
-// The zero value is an empty set ready for use.
-type AddrSet struct {
-	m map[Addr]struct{}
-}
-
-// Add inserts a into the set.
-func (s *AddrSet) Add(a Addr) {
-	if s.m == nil {
-		s.m = make(map[Addr]struct{})
-	}
-	s.m[a] = struct{}{}
-}
-
-// Has reports whether a is in the set.
-func (s *AddrSet) Has(a Addr) bool {
-	_, ok := s.m[a]
-	return ok
-}
-
-// Len returns the number of addresses in the set.
-func (s *AddrSet) Len() int { return len(s.m) }
-
-// Sorted returns the addresses in increasing order.
-func (s *AddrSet) Sorted() []Addr {
-	out := make([]Addr, 0, len(s.m))
-	for a := range s.m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -125,23 +125,3 @@ func TestBlockSubtract(t *testing.T) {
 		t.Fatalf("disjoint subtract changed block: %v", out)
 	}
 }
-
-func TestAddrSet(t *testing.T) {
-	var s AddrSet
-	if s.Len() != 0 || s.Has(1) {
-		t.Fatal("zero AddrSet should be empty")
-	}
-	s.Add(5)
-	s.Add(3)
-	s.Add(5)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got := s.Sorted()
-	if len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("Sorted = %v", got)
-	}
-	if !s.Has(3) || s.Has(4) {
-		t.Fatal("Has wrong")
-	}
-}

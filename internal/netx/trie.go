@@ -38,24 +38,6 @@ func (t *Trie[V]) Insert(p Prefix, v V) {
 	n.set = true
 }
 
-// Remove deletes the value at exactly prefix p, if present, and reports
-// whether a value was removed. Interior nodes are left in place; for
-// bdrmap's workloads tries are built once and queried many times.
-func (t *Trie[V]) Remove(p Prefix) bool {
-	n := t.root
-	for depth := 0; n != nil && depth < p.Len; depth++ {
-		n = n.child[bitAt(p.Base, depth)]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	var zero V
-	n.val = zero
-	n.set = false
-	t.n--
-	return true
-}
-
 // Len returns the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.n }
 
@@ -100,39 +82,6 @@ func (t *Trie[V]) Exact(p Prefix) (V, bool) {
 		return zero, false
 	}
 	return n.val, true
-}
-
-// Walk visits every stored (prefix, value) pair in lexicographic order of
-// (base, length). The walk stops early if fn returns false.
-func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	t.walk(t.root, Prefix{}, fn)
-}
-
-func (t *Trie[V]) walk(n *trieNode[V], p Prefix, fn func(Prefix, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.set && !fn(p, n.val) {
-		return false
-	}
-	if p.Len == 32 {
-		return true
-	}
-	lo, hi := p.Halves()
-	if !t.walk(n.child[0], lo, fn) {
-		return false
-	}
-	return t.walk(n.child[1], hi, fn)
-}
-
-// Covered visits every stored (prefix, value) pair at or below p,
-// i.e. all stored prefixes contained in p.
-func (t *Trie[V]) Covered(p Prefix, fn func(Prefix, V) bool) {
-	n := t.root
-	for depth := 0; n != nil && depth < p.Len; depth++ {
-		n = n.child[bitAt(p.Base, depth)]
-	}
-	t.walk(n, p, fn)
 }
 
 func bitAt(a Addr, depth int) int {

@@ -53,7 +53,7 @@ func TestTrieDefaultRoute(t *testing.T) {
 	}
 }
 
-func TestTrieExactAndRemove(t *testing.T) {
+func TestTrieExact(t *testing.T) {
 	var tr Trie[int]
 	p := MustParsePrefix("192.0.2.0/24")
 	tr.Insert(p, 7)
@@ -65,18 +65,6 @@ func TestTrieExactAndRemove(t *testing.T) {
 	}
 	if _, ok := tr.Exact(MustParsePrefix("192.0.2.0/25")); ok {
 		t.Fatal("Exact should miss on different length")
-	}
-	if !tr.Remove(p) {
-		t.Fatal("Remove should succeed")
-	}
-	if tr.Remove(p) {
-		t.Fatal("second Remove should fail")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after remove = %d", tr.Len())
-	}
-	if _, ok := tr.Lookup(MustParseAddr("192.0.2.1")); ok {
-		t.Fatal("Lookup after remove should miss")
 	}
 }
 
@@ -103,58 +91,6 @@ func TestTrieHostRoute(t *testing.T) {
 	}
 	if v, _ := tr.Lookup(a + 1); v != 24 {
 		t.Fatalf("covering route miss: %d", v)
-	}
-}
-
-func TestTrieWalkOrder(t *testing.T) {
-	var tr Trie[int]
-	ps := []string{"10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16", "9.0.0.0/8", "11.0.0.0/8"}
-	for i, s := range ps {
-		tr.Insert(MustParsePrefix(s), i)
-	}
-	var got []Prefix
-	tr.Walk(func(p Prefix, _ int) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != len(ps) {
-		t.Fatalf("walked %d, want %d", len(got), len(ps))
-	}
-	for i := 1; i < len(got); i++ {
-		if ComparePrefix(got[i-1], got[i]) >= 0 {
-			t.Fatalf("walk out of order: %v before %v", got[i-1], got[i])
-		}
-	}
-}
-
-func TestTrieWalkEarlyStop(t *testing.T) {
-	var tr Trie[int]
-	for i := 0; i < 10; i++ {
-		tr.Insert(MakePrefix(Addr(i)<<24, 8), i)
-	}
-	count := 0
-	tr.Walk(func(Prefix, int) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("walked %d, want early stop at 3", count)
-	}
-}
-
-func TestTrieCovered(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(MustParsePrefix("10.0.0.0/8"), 1)
-	tr.Insert(MustParsePrefix("10.1.0.0/16"), 2)
-	tr.Insert(MustParsePrefix("10.1.2.0/24"), 3)
-	tr.Insert(MustParsePrefix("11.0.0.0/8"), 4)
-	var got []int
-	tr.Covered(MustParsePrefix("10.1.0.0/16"), func(_ Prefix, v int) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Covered = %v, want [2 3]", got)
 	}
 }
 

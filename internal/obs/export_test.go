@@ -167,3 +167,14 @@ func (t *Tracer) EagerEvents() []Event {
 
 // WriteEventsJSONL is WriteJSONL over an explicit slice.
 func WriteEventsJSONL(w io.Writer, events []Event) error { return writeJSONL(w, events) }
+
+// Dropped returns how many events were overwritten by the ring bound, here
+// or in a fragment before it was merged.
+func (t *Tracer) Dropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.seq - uint64(t.n) + t.carried
+}

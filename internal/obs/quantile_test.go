@@ -29,7 +29,7 @@ func TestHistSnapQuantileEmpty(t *testing.T) {
 	if got := (HistSnap{}).Quantile(0.99); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
 	}
-	if got := (Snapshot{}).Quantile("absent", 0.5); got != 0 {
+	if got := (Snapshot{}).Histograms["absent"].Quantile(0.5); got != 0 {
 		t.Errorf("absent histogram Quantile = %v, want 0", got)
 	}
 }
@@ -40,14 +40,14 @@ func TestSnapshotQuantileFromRegistry(t *testing.T) {
 	for _, v := range []int64{5, 5, 50, 50, 500, 500, 5000, 5000} {
 		hist.Observe(v)
 	}
-	snap := r.Snapshot()
-	if p50 := snap.Quantile("lat", 0.5); p50 <= 0 || p50 > 100 {
+	lat := r.Snapshot().Histograms["lat"]
+	if p50 := lat.Quantile(0.5); p50 <= 0 || p50 > 100 {
 		t.Errorf("p50 = %v, want within (0,100]", p50)
 	}
-	if p99 := snap.Quantile("lat", 0.99); p99 != 1000 {
+	if p99 := lat.Quantile(0.99); p99 != 1000 {
 		t.Errorf("p99 = %v, want clamped to last edge 1000", p99)
 	}
-	if snap.Quantile("lat", 0.5) >= snap.Quantile("lat", 0.99) {
+	if lat.Quantile(0.5) >= lat.Quantile(0.99) {
 		t.Error("quantiles not monotone")
 	}
 }

@@ -95,13 +95,6 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // mirroring Counter so callers need not poke the Stages map directly.
 func (s Snapshot) Stage(name string) StageSnap { return s.Stages[name] }
 
-// Histogram returns a named histogram's snapshot (zero value when absent),
-// mirroring Counter and Stage.
-func (s Snapshot) Histogram(name string) HistSnap { return s.Histograms[name] }
-
-// Gauge returns a named gauge's last value (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
-
 // Quantile estimates the q-quantile (0 <= q <= 1, clamped) of the
 // histogram from its bucket counts, interpolating linearly within the
 // containing bucket. The first bucket interpolates from zero; values in
@@ -143,12 +136,6 @@ func (h HistSnap) Quantile(q float64) float64 {
 		lo = hi
 	}
 	return lo
-}
-
-// Quantile estimates the q-quantile of the named histogram (0 when the
-// histogram is absent or empty).
-func (s Snapshot) Quantile(name string, q float64) float64 {
-	return s.Histograms[name].Quantile(q)
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -342,17 +341,6 @@ func (t *Tracer) Len() int {
 	return t.n
 }
 
-// Dropped returns how many events were overwritten by the ring bound, here
-// or in a fragment before it was merged.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq - uint64(t.n) + t.carried
-}
-
 // WriteJSONL exports the retained events as JSON Lines, one event per
 // line, in sequence order.
 func (t *Tracer) WriteJSONL(w io.Writer) error { return writeJSONL(w, t.Events()) }
@@ -421,37 +409,4 @@ func FingerprintEvents(events []Event) string {
 		io.WriteString(h, "\n")
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// CountByKind tallies retained events per "stage.kind" — a cheap summary
-// for tests and the CLI.
-func (t *Tracer) CountByKind() map[string]int {
-	out := make(map[string]int)
-	for _, ev := range t.Events() {
-		out[ev.Stage+"."+ev.Kind]++
-	}
-	return out
-}
-
-// kindOrder renders CountByKind deterministically.
-func kindOrder(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Summary renders a one-line-per-kind event census.
-func (t *Tracer) Summary() string {
-	m := t.CountByKind()
-	var b strings.Builder
-	for _, k := range kindOrder(m) {
-		fmt.Fprintf(&b, "  %-24s %d\n", k, m[k])
-	}
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(&b, "  %-24s %d\n", "(dropped)", d)
-	}
-	return b.String()
 }

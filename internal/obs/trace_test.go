@@ -479,22 +479,6 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-func TestTracerSummary(t *testing.T) {
-	tr := NewTracer(2)
-	tr.Emit(KindTrace, OnAddr(1), 0)
-	tr.Emit(KindTrace, OnAddr(2), 0)
-	tr.Emit(KindDecision, OnAddr(3), 0)
-	s := tr.Summary()
-	for _, want := range []string{"probe.trace", "core.decision", "(dropped)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Summary missing %q:\n%s", want, s)
-		}
-	}
-	if tr.CountByKind()["probe.trace"] != 1 { // one overwritten by the ring
-		t.Fatalf("CountByKind = %v", tr.CountByKind())
-	}
-}
-
 // FuzzTraceJSONL: ReadJSONL decodes a file an operator hands `bdrmap
 // -trace-in`. Whatever it accepts must re-export to a fixed point — a second
 // import and export changes nothing — fingerprint, and go through Explain

@@ -167,3 +167,10 @@ func (e *Engine) CheckEgressSets(prefixes []netx.Prefix) (held, asked int, err e
 	}
 	return e.fwd.egress.len(), len(pairs), nil
 }
+
+// ClearCongestion removes all injected episodes.
+func (e *Engine) ClearCongestion() {
+	e.lat.mu.Lock()
+	defer e.lat.mu.Unlock()
+	e.lat.episodes.Store(nil)
+}

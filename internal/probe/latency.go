@@ -46,13 +46,6 @@ func (e *Engine) InjectCongestion(ep CongestionEpisode) {
 	e.lat.episodes.Store(&eps)
 }
 
-// ClearCongestion removes all injected episodes.
-func (e *Engine) ClearCongestion() {
-	e.lat.mu.Lock()
-	defer e.lat.mu.Unlock()
-	e.lat.episodes.Store(nil)
-}
-
 // linkDelay returns the one-way delay of crossing link l at simulated
 // time now. Annotated links (topo.Annotation, filled by Build) carry their
 // latency directly — for generated worlds the annotation reproduces the

@@ -195,10 +195,3 @@ func (db *DB) Records() []Record {
 // performs no copy, so callers may consult it per address without turning
 // the delegation table into the process's top allocator.
 func (db *DB) OrgRecords(org string) []Record { return db.orgRecs[org] }
-
-// SameOrg reports whether two addresses are delegated to one organization.
-func (db *DB) SameOrg(a, b netx.Addr) bool {
-	oa, oka := db.OrgOf(a)
-	ob, okb := db.OrgOf(b)
-	return oka && okb && oa == ob
-}

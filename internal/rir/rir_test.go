@@ -105,11 +105,14 @@ func TestSameOrg(t *testing.T) {
 	a1 := netx.MustParseAddr("10.0.0.9")
 	a2 := netx.MustParseAddr("10.0.1.9")
 	b := netx.MustParseAddr("10.0.2.9")
-	if !db.SameOrg(a1, a2) {
-		t.Error("same-org addresses reported different")
+	orgA1, _ := db.OrgOf(a1)
+	orgA2, _ := db.OrgOf(a2)
+	orgB, _ := db.OrgOf(b)
+	if orgA1 != "ORG-A" || orgA1 != orgA2 {
+		t.Errorf("same-org addresses resolved to %q and %q", orgA1, orgA2)
 	}
-	if db.SameOrg(a1, b) {
-		t.Error("different-org addresses reported same")
+	if orgB != "ORG-B" {
+		t.Errorf("different-org address resolved to %q", orgB)
 	}
 }
 

@@ -2,6 +2,8 @@ package scamper
 
 import (
 	"hash/fnv"
+	"io"
+	"net"
 	"sort"
 	"strconv"
 
@@ -64,4 +66,27 @@ func (ds *Dataset) traceFingerprintStrings() uint64 {
 		h.Write([]byte{'\n'})
 	}
 	return h.Sum64()
+}
+
+// CountExecs returns a copy of the per-sequence execution counts. The
+// duplicate-suppression cache guarantees every entry is exactly 1; the
+// property tests assert this.
+func (a *Agent) CountExecs() map[uint32]int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make(map[uint32]int, len(a.execs))
+	for k, v := range a.execs {
+		out[k] = v
+	}
+	return out
+}
+
+// ServeConn runs one protocol session over an established connection.
+// A clean peer shutdown (bye or EOF) returns nil.
+func (a *Agent) ServeConn(conn net.Conn) error {
+	ended, _, err := a.serve(conn)
+	if ended || err == io.EOF {
+		return nil
+	}
+	return err
 }

@@ -104,9 +104,6 @@ func NewRoundState() *RoundState {
 	}
 }
 
-// Round returns the number of driver runs this state has accumulated.
-func (st *RoundState) Round() int { return st.round }
-
 // targetMemo is the cached probing transcript of one target AS.
 type targetMemo struct {
 	blocksKey uint64        // fingerprint of the §5.3 block plan

@@ -257,19 +257,6 @@ func (a *Agent) Commands() int64 {
 	return a.commands
 }
 
-// CountExecs returns a copy of the per-sequence execution counts. The
-// duplicate-suppression cache guarantees every entry is exactly 1; the
-// property tests assert this.
-func (a *Agent) CountExecs() map[uint32]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[uint32]int, len(a.execs))
-	for k, v := range a.execs {
-		out[k] = v
-	}
-	return out
-}
-
 // noteBuf tracks the largest command or response buffer held.
 func (a *Agent) noteBuf(bufLen int) {
 	a.mu.Lock()
@@ -394,16 +381,6 @@ func (a *Agent) DialRetry(addr string, opts DialOptions) error {
 		fails++
 		lastErr = err
 	}
-}
-
-// ServeConn runs one protocol session over an established connection.
-// A clean peer shutdown (bye or EOF) returns nil.
-func (a *Agent) ServeConn(conn net.Conn) error {
-	ended, _, err := a.serve(conn)
-	if ended || err == io.EOF {
-		return nil
-	}
-	return err
 }
 
 // serve sends hello, waits for the ack, then executes commands.

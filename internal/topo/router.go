@@ -125,17 +125,6 @@ type Link struct {
 	Annot Annotation
 }
 
-// Other returns the interface on the link that is not on router r.
-// It is only meaningful for two-interface (point-to-point) links.
-func (l *Link) Other(r RouterID) *Iface {
-	for _, ifc := range l.Ifaces {
-		if ifc.Router != r {
-			return ifc
-		}
-	}
-	return nil
-}
-
 // IfaceOn returns the interface on the link belonging to router r, if any.
 func (l *Link) IfaceOn(r RouterID) *Iface {
 	for _, ifc := range l.Ifaces {

@@ -1,0 +1,349 @@
+//go:build !race
+
+package bdrmap
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// modulePath is this module's import path (go.mod).
+const modulePath = "bdrmap"
+
+// maxReachAllow caps testdata/reach_allow.txt: the list is for declarations
+// a test of live behaviour needs, not a place to park dead code.
+const maxReachAllow = 45
+
+// stdMethodNames are the methods the standard library calls through its own
+// interfaces (fmt, error, sort, net/http, io, encoding, flag, net.Conn): a
+// reachable type's method with one of these names counts as reachable.
+var stdMethodNames = map[string]bool{
+	"String": true, "Error": true,
+	"Len": true, "Less": true, "Swap": true,
+	"ServeHTTP": true,
+	"Read":      true, "Write": true, "Close": true,
+	"LocalAddr": true, "RemoteAddr": true,
+	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
+}
+
+func stdMethod(name string) bool {
+	return stdMethodNames[name] || strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal")
+}
+
+// modImporter type-checks this module's packages from source, each once, so
+// an object has one identity however many packages name it; everything else
+// (the standard library) goes to the go/importer "source" importer.
+type modImporter struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	info  *types.Info
+}
+
+func (m *modImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *modImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	m.pkgs[path] = nil
+	rel := "." + strings.TrimPrefix(path, modulePath)
+	bp, err := build.Default.ImportDir(rel, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(rel, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path], m.files[path] = pkg, files
+	return pkg, nil
+}
+
+// declName is how a declaration is written in the allow-list: the package's
+// directory without "internal/", then the receiver for a method, then the
+// name — bgp.Table.Path, netx.Aggregate, cmd/bdrmap.usage.
+func declName(obj types.Object) string {
+	pkg := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/"), "internal/")
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			return pkg + "." + t.(*types.Named).Obj().Name() + "." + obj.Name()
+		}
+	}
+	return pkg + "." + obj.Name()
+}
+
+// benchNames collects every exported identifier written anywhere under
+// bench/. That module is parsed, not imported: a declaration here whose name
+// the benchmark spells is treated as something the benchmark uses.
+func benchNames(t *testing.T, fset *token.FileSet) map[string]bool {
+	names := make(map[string]bool)
+	err := filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.IsExported() {
+				names[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// readReachAllow parses testdata/reach_allow.txt: one "name  # reason" per
+// line, the reason naming the live-behaviour test that needs the declaration.
+func readReachAllow(t *testing.T) map[string]bool {
+	f, err := os.Open(filepath.Join("testdata", "reach_allow.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	allow := make(map[string]bool)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, ok := strings.Cut(line, "#")
+		name, reason = strings.TrimSpace(name), strings.TrimSpace(reason)
+		if !ok || !strings.Contains(reason, "Test") && !strings.Contains(reason, "Fuzz") {
+			t.Errorf("reach_allow.txt: %q does not name the test that needs it", line)
+		}
+		if allow[name] {
+			t.Errorf("reach_allow.txt: %s listed twice", name)
+		}
+		allow[name] = true
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(allow) > maxReachAllow {
+		t.Errorf("reach_allow.txt lists %d declarations, cap is %d", len(allow), maxReachAllow)
+	}
+	return allow
+}
+
+// TestProductDeclarationsReachable is the dead-code gate: every package-level
+// declaration and method in the module's non-test source must be reachable
+// from something that runs — main and init of the commands and examples, the
+// exported API of package bdrmap, or a name the benchmark spells. A method is
+// also reachable when its receiver type is and its name belongs to an
+// interface declared in the module or to stdMethodNames (it is called through
+// the interface). Anything else is dead and fails the test, unless
+// testdata/reach_allow.txt lists it with the live-behaviour test that needs
+// it; a listed declaration that is reachable, or gone, fails it too.
+func TestProductDeclarationsReachable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	// The source importer would run cgo for net and os/user.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+
+	fset := token.NewFileSet()
+	m := &modImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:  make(map[string]*types.Package),
+		files: make(map[string][]*ast.File),
+		info: &types.Info{
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "bench" || name == "testdata" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err != nil {
+			if _, noGo := err.(*build.NoGoError); noGo {
+				return nil
+			}
+			return err
+		}
+		_, err = m.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Nodes are the top-level declarations; an edge runs from a declaration
+	// to every declaration its source text uses.
+	uses := make(map[types.Object][]types.Object)
+	methods := make(map[types.Object][]*types.Func) // receiver type name → methods
+	ifaceNames := make(map[string]bool)
+	var roots []types.Object
+	bench := benchNames(t, fset)
+	declare := func(pkg *types.Package, id *ast.Ident, body ast.Node) types.Object {
+		obj := m.info.Defs[id]
+		if obj == nil || id.Name == "_" {
+			return nil
+		}
+		if _, seen := uses[obj]; !seen {
+			uses[obj] = nil // declared, whatever it turns out to use
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				used := m.info.Uses[n]
+				switch u := used.(type) {
+				case *types.Func:
+					used = u.Origin()
+				case *types.Var:
+					used = u.Origin()
+				}
+				if used != nil && used != obj {
+					uses[obj] = append(uses[obj], used)
+				}
+			case *ast.InterfaceType:
+				if it, ok := m.info.TypeOf(n).(*types.Interface); ok {
+					for i := 0; i < it.NumMethods(); i++ {
+						ifaceNames[it.Method(i).Name()] = true
+					}
+				}
+			}
+			return true
+		})
+		_, method := obj.(*types.Func)
+		method = method && obj.Type().(*types.Signature).Recv() != nil
+		switch {
+		case bench[id.Name] && !method:
+			roots = append(roots, obj)
+		case pkg.Name() == "main":
+			if id.Name == "main" {
+				roots = append(roots, obj)
+			}
+		case pkg.Path() == modulePath && id.IsExported():
+			roots = append(roots, obj)
+		}
+		return obj
+	}
+	for path, files := range m.files {
+		pkg := m.pkgs[path]
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj := declare(pkg, d.Name, d)
+					if obj == nil {
+						continue
+					}
+					if d.Name.Name == "init" && d.Recv == nil {
+						roots = append(roots, obj)
+					}
+					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+						rt := recv.Type()
+						if p, ok := rt.(*types.Pointer); ok {
+							rt = p.Elem()
+						}
+						tn := rt.(*types.Named).Obj()
+						methods[tn] = append(methods[tn], obj.(*types.Func))
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							declare(pkg, s.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								declare(pkg, id, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := make(map[types.Object]bool)
+	work := roots
+	for len(work) > 0 {
+		obj := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[obj] {
+			continue
+		}
+		if _, declared := uses[obj]; !declared {
+			continue // a field, a local, an interface method, another module's
+		}
+		reached[obj] = true
+		work = append(work, uses[obj]...)
+		for _, fn := range methods[obj] {
+			if ifaceNames[fn.Name()] || stdMethod(fn.Name()) || bench[fn.Name()] {
+				work = append(work, fn)
+			}
+		}
+	}
+
+	allow := readReachAllow(t)
+	var dead []string
+	declared := make(map[string]bool)
+	for obj := range uses {
+		name := declName(obj)
+		declared[name] = true
+		switch {
+		case !reached[obj] && !allow[name]:
+			dead = append(dead, fmt.Sprintf("%s (%s)", name, fset.Position(obj.Pos())))
+		case reached[obj] && allow[name]:
+			t.Errorf("reach_allow.txt lists %s, which product code reaches: drop the line", name)
+		}
+	}
+	for name := range allow {
+		if !declared[name] {
+			t.Errorf("reach_allow.txt lists %s, which is not declared: drop the line", name)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("nothing reaches %s: delete it, or list it in testdata/reach_allow.txt with the test that needs it", d)
+	}
+}

@@ -99,16 +99,29 @@ func main() {
 	)
 	flag.Parse()
 
-	prof, ok := topo.ProfileByName(*profile)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
-		os.Exit(2)
+	// A follower measures nothing: it needs a registry, the store and the
+	// mux, not a world. Every other mode builds one and reports into its
+	// registry and span log.
+	var (
+		prof  topo.Profile
+		s     *eval.Scenario
+		reg   *obs.Registry
+		spans *obs.SpanLog // nil on a follower: it has no run to time
+	)
+	if *follow != "" {
+		reg = obs.New()
+	} else {
+		var ok bool
+		if prof, ok = topo.ProfileByName(*profile); !ok {
+			fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+			os.Exit(2)
+		}
+		if !*demo && *rounds == 0 {
+			log.Fatal("only -demo mode is supported offline: the agent needs a world to probe")
+		}
+		s = eval.Build(prof, *seed)
+		reg, spans = s.Obs, s.Spans
 	}
-	if !*demo && *rounds == 0 && *follow == "" {
-		log.Fatal("only -demo mode is supported offline: the agent needs a world to probe")
-	}
-
-	s := eval.Build(prof, *seed)
 	// The store exists before inference so the query API can come up
 	// immediately: /v1/* answers 503 no_generation until the first publish.
 	// With -data-dir it is durable: generations recovered on boot, every
@@ -116,7 +129,7 @@ func main() {
 	var store *mapdb.Store
 	if *dataDir != "" {
 		var err error
-		store, err = mapdb.OpenStore(*dataDir, 0, s.Obs)
+		store, err = mapdb.OpenStore(*dataDir, 0, reg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -124,15 +137,15 @@ func main() {
 			log.Printf("recovered generations %v from %s (serving %d)", store.Generations(), *dataDir, cur.Gen())
 		}
 	} else {
-		store = mapdb.NewStore(0, s.Obs)
+		store = mapdb.NewStore(0, reg)
 	}
 	var srv *http.Server
 	var sampler *obs.RuntimeSampler
 	if *metricsAddr != "" {
-		srv = newServer(*metricsAddr, newMux(s.Obs, store, s.Spans, *pprofOn))
+		srv = newServer(*metricsAddr, newMux(reg, store, spans, *pprofOn))
 		// Self-observation: heap, GC, and goroutine gauges refresh in the
 		// background so /metrics and /v1/status report live process health.
-		sampler = obs.StartRuntimeSampler(s.Obs, time.Second)
+		sampler = obs.StartRuntimeSampler(reg, time.Second)
 		go func() {
 			log.Printf("serving on http://%s/ (Prometheus on /metrics, map queries and status under /v1/)", *metricsAddr)
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -149,7 +162,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := s.Spans.WriteChrome(f); err != nil {
+			if err := spans.WriteChrome(f); err != nil {
 				log.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -160,7 +173,7 @@ func main() {
 		if *metricsJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(s.Obs.Snapshot()); err != nil {
+			if err := enc.Encode(reg.Snapshot()); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -192,7 +205,7 @@ func main() {
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		f := &mapdb.Follower{Leader: *follow, Store: store, Reg: s.Obs}
+		f := &mapdb.Follower{Leader: *follow, Store: store, Reg: reg}
 		log.Printf("following %s; replicated generations served under /v1/", *follow)
 		if err := f.Run(ctx); err != nil && err != context.Canceled {
 			log.Printf("follower: %v", err)
@@ -212,8 +225,8 @@ func main() {
 			Profile: prof, Seed: *seed, Rounds: *rounds,
 			FleetWorkers: *fleetWorkers, FleetQuorum: *fleetQuorum,
 			Incremental: *incremental, RefreshEvery: *refreshEach,
-			Verify: *verify, Obs: s.Obs,
-			Spans: s.Spans, SpanParent: s.SpanRoot.ID(),
+			Verify: *verify, Obs: reg,
+			Spans: spans, SpanParent: s.SpanRoot.ID(),
 		}, store)
 		if err != nil {
 			log.Fatal(err)
@@ -222,7 +235,7 @@ func main() {
 			fmt.Printf("generation %d: %s (trace fp %016x)\n", e.Gen, e.Action, e.TraceFP)
 		}
 		if *incremental {
-			c := func(name string) int64 { return s.Obs.Counter(name).Load() }
+			c := func(name string) int64 { return reg.Counter(name).Load() }
 			fmt.Printf("trace cache: %d hit / %d miss / %d refresh; traces %d live + %d replayed; alias ops replayed %d; attributions spliced %d\n",
 				c("rounds.cache.hit"), c("rounds.cache.miss"), c("rounds.cache.refresh"),
 				c("driver.traces_live"), c("driver.traces_cached"),

@@ -244,3 +244,30 @@ func TestSpanFingerprintExclusions(t *testing.T) {
 		t.Error("fingerprint depends on slice order")
 	}
 }
+
+// TestSpanLogMergeBatchWrapsRing: a batch larger than the ring's remaining
+// room is presized to the limit, not past it, and what wraps is counted.
+func TestSpanLogMergeBatchWrapsRing(t *testing.T) {
+	sl := NewSpanLog(4)
+	sl.Begin(0, "stage", "a").End()
+	sl.Begin(0, "stage", "b").End()
+	batch := make([]SpanRecord, 5)
+	for i := range batch {
+		batch[i] = SpanRecord{ID: SpanID(i + 1), Name: "target", Detail: string(rune('c' + i))}
+	}
+	sl.MergeRecords(batch, 1)
+	// Clamped to the limit (give or take the allocator's rounding), not
+	// grown to hold all seven records.
+	if got := cap(sl.ring.buf); got >= 2+len(batch) {
+		t.Errorf("ring grew to %d records, limit is 4", got)
+	}
+	recs := sl.Records()
+	if len(recs) != 4 || sl.Dropped() != 3 {
+		t.Fatalf("len=%d dropped=%d, want 4 retained and 3 dropped", len(recs), sl.Dropped())
+	}
+	for i, want := range []string{"d", "e", "f", "g"} {
+		if recs[i].Detail != want || recs[i].ID != SpanID(4+i) || recs[i].Parent != 1 {
+			t.Errorf("record %d = %+v, want detail %q id %d under 1", i, recs[i], want, 4+i)
+		}
+	}
+}

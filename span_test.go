@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bdrmap/internal/goldenguard"
 	"bdrmap/internal/obs"
 )
 
@@ -208,6 +209,7 @@ func TestGoldenSpanFingerprints(t *testing.T) {
 
 	path := filepath.Join("testdata", "golden", "spanfp.json")
 	if *update {
+		goldenguard.Check(t)
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

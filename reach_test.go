@@ -89,21 +89,29 @@ func (m *modImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 	return pkg, nil
 }
 
+// recvOf returns the named type obj is a method of, or nil when obj is not
+// a method.
+func recvOf(obj types.Object) *types.TypeName {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		return nil
+	}
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj()
+}
+
 // declName is how a declaration is written in the allow-list: the package's
 // directory without "internal/", then the receiver for a method, then the
 // name — bgp.Table.Path, netx.Aggregate, cmd/bdrmap.usage.
 func declName(obj types.Object) string {
-	pkg := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/"), "internal/")
-	if fn, ok := obj.(*types.Func); ok {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			return pkg + "." + t.(*types.Named).Obj().Name() + "." + obj.Name()
-		}
+	name := obj.Name()
+	if recv := recvOf(obj); recv != nil {
+		name = recv.Name() + "." + name
 	}
-	return pkg + "." + obj.Name()
+	return strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/"), "internal/") + "." + name
 }
 
 // benchNames collects every exported identifier written anywhere under
@@ -172,8 +180,9 @@ func readReachAllow(t *testing.T) map[string]bool {
 // from something that runs — main and init of the commands and examples, the
 // exported API of package bdrmap, or a name the benchmark spells. A method is
 // also reachable when its receiver type is and its name belongs to an
-// interface declared in the module or to stdMethodNames (it is called through
-// the interface). Anything else is dead and fails the test, unless
+// interface declared in the module, to stdMethodNames (it is called through
+// the interface) or to the names the benchmark spells. Anything else is dead
+// and fails the test, unless
 // testdata/reach_allow.txt lists it with the live-behaviour test that needs
 // it; a listed declaration that is reachable, or gone, fails it too.
 func TestProductDeclarationsReachable(t *testing.T) {
@@ -223,10 +232,10 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	ifaceNames := make(map[string]bool)
 	var roots []types.Object
 	bench := benchNames(t, fset)
-	declare := func(pkg *types.Package, id *ast.Ident, body ast.Node) types.Object {
+	declare := func(pkg *types.Package, id *ast.Ident, body ast.Node) {
 		obj := m.info.Defs[id]
 		if obj == nil || id.Name == "_" {
-			return nil
+			return
 		}
 		if _, seen := uses[obj]; !seen {
 			uses[obj] = nil // declared, whatever it turns out to use
@@ -253,19 +262,21 @@ func TestProductDeclarationsReachable(t *testing.T) {
 			}
 			return true
 		})
-		_, method := obj.(*types.Func)
-		method = method && obj.Type().(*types.Signature).Recv() != nil
-		switch {
-		case bench[id.Name] && !method:
-			roots = append(roots, obj)
-		case pkg.Name() == "main":
-			if id.Name == "main" {
+		switch recv := recvOf(obj); {
+		case recv != nil:
+			methods[recv] = append(methods[recv], obj.(*types.Func))
+			if pkg.Path() == modulePath && id.IsExported() {
 				roots = append(roots, obj)
 			}
-		case pkg.Path() == modulePath && id.IsExported():
+		case bench[id.Name]:
+			roots = append(roots, obj)
+		case pkg.Name() == "main":
+			if id.Name == "main" || id.Name == "init" {
+				roots = append(roots, obj)
+			}
+		case pkg.Path() == modulePath && id.IsExported(), id.Name == "init":
 			roots = append(roots, obj)
 		}
-		return obj
 	}
 	for path, files := range m.files {
 		pkg := m.pkgs[path]
@@ -273,21 +284,7 @@ func TestProductDeclarationsReachable(t *testing.T) {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					obj := declare(pkg, d.Name, d)
-					if obj == nil {
-						continue
-					}
-					if d.Name.Name == "init" && d.Recv == nil {
-						roots = append(roots, obj)
-					}
-					if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
-						rt := recv.Type()
-						if p, ok := rt.(*types.Pointer); ok {
-							rt = p.Elem()
-						}
-						tn := rt.(*types.Named).Obj()
-						methods[tn] = append(methods[tn], obj.(*types.Func))
-					}
+					declare(pkg, d.Name, d)
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {

@@ -162,3 +162,38 @@ func TestSnapshotDeterministic(t *testing.T) {
 		t.Fatalf("expected nonzero pipeline counters, got:\n%s", a.Format())
 	}
 }
+
+// checkGoldenMap holds got to testdata/golden/<file>, a JSON object of pinned
+// values by name; -update rewrites the file instead.
+func checkGoldenMap[T comparable](t *testing.T, file string, got map[string]T) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", file)
+	if *update {
+		goldenguard.Check(t)
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]T
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", path, err)
+	}
+	for k, w := range want {
+		if g := got[k]; g != w {
+			t.Errorf("%s: got %+v, pinned %+v", k, g, w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d entries measured, %d pinned in %s", len(got), len(want), path)
+	}
+}

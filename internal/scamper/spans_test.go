@@ -11,19 +11,12 @@ import (
 	"bdrmap/internal/probe"
 )
 
-// slowProber is a LocalProber whose traces into one block stall on the wall
-// clock, so a TargetTimeout loses exactly the target that owns the block.
+// slowProber is a LocalProber whose lane traces into one block stall on the
+// wall clock, so a TargetTimeout loses exactly the target that owns the block.
 type slowProber struct {
 	LocalProber
 	block netx.Block
 	stall time.Duration
-}
-
-func (p slowProber) Trace(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
-	if p.block.Contains(dst) {
-		time.Sleep(p.stall)
-	}
-	return p.LocalProber.Trace(dst, ss)
 }
 
 func (p slowProber) TraceLane(dst netx.Addr, ss map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {

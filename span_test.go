@@ -2,14 +2,9 @@ package bdrmap
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
-	"bdrmap/internal/goldenguard"
 	"bdrmap/internal/obs"
 )
 
@@ -207,35 +202,5 @@ func TestGoldenSpanFingerprints(t *testing.T) {
 	}
 	got["tiny-seed1-remote-faulted"] = spanFP{faulted.SpanFingerprint(), len(faulted.SpanRecords())}
 
-	path := filepath.Join("testdata", "golden", "spanfp.json")
-	if *update {
-		goldenguard.Check(t)
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]spanFP
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt golden file %s: %v", path, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		for k, w := range want {
-			if g := got[k]; g != w {
-				t.Errorf("%s: span fp %s (%d records), pinned %s (%d records)", k, g.FP, g.Records, w.FP, w.Records)
-			}
-		}
-		if len(got) != len(want) {
-			t.Errorf("%d trees measured, %d pinned", len(got), len(want))
-		}
-	}
+	checkGoldenMap(t, "spanfp.json", got)
 }

@@ -2,11 +2,9 @@ package bdrmap
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -176,34 +174,5 @@ func TestGoldenTraceFingerprints(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "golden", "tracefp.json")
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]traceFP
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt golden file %s: %v", path, err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		for k, w := range want {
-			if g := got[k]; g != w {
-				t.Errorf("%s: trace fp %s (%d events), pinned %s (%d events)", k, g.FP, g.Events, w.FP, w.Events)
-			}
-		}
-		if len(got) != len(want) {
-			t.Errorf("%d streams measured, %d pinned", len(got), len(want))
-		}
-	}
+	checkGoldenMap(t, "tracefp.json", got)
 }

@@ -402,7 +402,7 @@ func (w *World) MapAll() []*Report {
 }
 
 // MapAllFleet measures every vantage point through the fleet coordinator:
-// a bounded work-stealing worker pool with per-VP retry budgets, streaming
+// a bounded worker pool fed from one queue, with per-VP retry budgets, streaming
 // merge, and optional quorum publishing. Reports are indexed by VP.
 func (w *World) MapAllFleet(o FleetOptions) ([]*Report, error) {
 	_, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{

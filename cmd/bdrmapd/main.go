@@ -179,12 +179,15 @@ func main() {
 		}
 		sampler.Stop()
 		if srv != nil {
-			if *serve {
+			if *serve && *follow == "" {
 				// Stay up as a map server: the published generations keep
-				// answering /v1/ queries until the operator interrupts.
+				// answering /v1/ queries until the operator interrupts. (A
+				// follower has already served until interrupted.)
 				sig := make(chan os.Signal, 1)
 				signal.Notify(sig, os.Interrupt)
-				log.Printf("map generation %d live; serving until interrupted", store.Current().Gen())
+				if cur := store.Current(); cur != nil {
+					log.Printf("map generation %d live; serving until interrupted", cur.Gen())
+				}
 				<-sig
 			}
 			// Drain in-flight scrapes before exiting instead of cutting them off.

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,5 +135,70 @@ func TestServerDropsSlowHeaders(t *testing.T) {
 	}
 	if d := time.Since(start); d < readHeaderTimeout/2 {
 		t.Fatalf("stalled client dropped after only %v", d)
+	}
+}
+
+// TestMain lets a test run the real main: the test binary re-executed with
+// BDRMAPD_TEST_MAIN=1 is bdrmapd.
+func TestMain(m *testing.M) {
+	if os.Getenv("BDRMAPD_TEST_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestFollowerInterruptedBeforeFirstGeneration: a follower started with
+// -serve whose leader never has a generation exits cleanly on the first
+// interrupt — it has been serving all along, and there is no generation to
+// announce.
+func TestFollowerInterruptedBeforeFirstGeneration(t *testing.T) {
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mapdb.WriteError(w, http.StatusServiceUnavailable, "no_generation", "nothing published")
+	}))
+	defer leader.Close()
+
+	cmd := exec.Command(os.Args[0], "-follow", leader.URL, "-metrics-addr", "127.0.0.1:0", "-serve")
+	cmd.Env = append(os.Environ(), "BDRMAPD_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	// The signal handler is installed before "following" is logged.
+	var logged strings.Builder
+	following := make(chan bool, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			logged.WriteString(sc.Text() + "\n")
+			if strings.Contains(sc.Text(), "following "+leader.URL) {
+				following <- true
+			}
+		}
+	}()
+	select {
+	case <-following:
+	case <-done:
+		t.Fatalf("bdrmapd exited before following:\n%s", logged.String())
+	case <-time.After(20 * time.Second):
+		t.Fatal("bdrmapd never started following")
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("bdrmapd still running 20 s after the interrupt")
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("bdrmapd -follow -serve interrupted before any generation: %v\n%s", err, logged.String())
 	}
 }

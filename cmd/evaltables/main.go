@@ -21,6 +21,14 @@ import (
 	"bdrmap/internal/topo"
 )
 
+// pct is a as a percentage of b; 0 of nothing.
+func pct(a, b int) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 100 * float64(a) / float64(b)
+}
+
 func main() {
 	var (
 		table1    = flag.Bool("table1", false, "regenerate Table 1")
@@ -63,7 +71,7 @@ func main() {
 			ixpOK, ixpTotal := s.ValidateIXP(res)
 			fmt.Printf("%-14s links correct %4d/%4d = %5.1f%%   BGP coverage %3d/%3d = %5.1f%%   IXP-published %d/%d\n",
 				prof.Name, v.Correct, v.Total, 100*v.Accuracy(),
-				found, total, 100*float64(found)/float64(total), ixpOK, ixpTotal)
+				found, total, pct(found, total), ixpOK, ixpTotal)
 		}
 		fmt.Println()
 	}

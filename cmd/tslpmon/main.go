@@ -24,19 +24,10 @@ import (
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
+	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 	"bdrmap/internal/tslp"
 )
-
-type engineProber struct {
-	e  *probe.Engine
-	vp *topo.VP
-}
-
-func (p engineProber) Probe(a netx.Addr, m probe.Method) probe.Response {
-	return p.e.Probe(p.vp, a, m)
-}
-func (p engineProber) Advance(d time.Duration) { p.e.Advance(d) }
 
 // deriveTargets resolves the monitorable probe pairs from a compiled border
 // map: every interdomain link whose far side is known (not a silent hop)
@@ -210,7 +201,7 @@ func main() {
 		snap = world.BuildMapDB()
 		s = world.Scenario()
 	}
-	prober := engineProber{e: s.Engine, vp: s.Net.VPs[0]}
+	prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
 
 	targets := deriveTargets(snap, func(a netx.Addr) bool {
 		return prober.Probe(a, probe.MethodICMPEcho).OK

@@ -8,6 +8,7 @@ import (
 	"bdrmap"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
+	"bdrmap/internal/scamper"
 	"bdrmap/internal/tslp"
 )
 
@@ -39,7 +40,7 @@ func TestDeriveTargetsMatchesReportPath(t *testing.T) {
 			world := bdrmap.NewWorld(prof.p, 1)
 			report := world.MapBorders(0)
 			s := world.Scenario()
-			prober := engineProber{e: s.Engine, vp: s.Net.VPs[0]}
+			prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
 			echo := func(a netx.Addr) bool {
 				return prober.Probe(a, probe.MethodICMPEcho).OK
 			}

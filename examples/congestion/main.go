@@ -18,20 +18,10 @@ import (
 	"time"
 
 	"bdrmap"
-	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
+	"bdrmap/internal/scamper"
 	"bdrmap/internal/tslp"
 )
-
-type engineProber struct {
-	e  *probe.Engine
-	vp int
-}
-
-func (p engineProber) Probe(a netx.Addr, m probe.Method) probe.Response {
-	return p.e.Probe(p.e.Net.VPs[p.vp], a, m)
-}
-func (p engineProber) Advance(d time.Duration) { p.e.Advance(d) }
 
 func main() {
 	world := bdrmap.NewWorld(bdrmap.SmallAccess(), 1)
@@ -41,7 +31,7 @@ func main() {
 	// Step 1 (the hard part, per the paper): derive (near, far) probe
 	// targets from the border map. Silent neighbors have no far side to
 	// probe — the links TSLP cannot monitor.
-	prober := engineProber{e: s.Engine}
+	prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
 	var targets []tslp.Target
 	unmonitorable := 0
 	for _, l := range report.Links {

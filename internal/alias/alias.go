@@ -66,18 +66,10 @@ const (
 	maxSpan      = 2000                  // widest IP-ID span of one interleaved sequence
 )
 
-// ProbeSource issues single measurement probes and controls measurement
-// pacing. A local source wraps a probe engine and vantage point; a remote
-// source forwards probes over the scamper control protocol (§5.8).
-type ProbeSource interface {
-	Probe(target netx.Addr, m probe.Method) probe.Response
-	Advance(d time.Duration)
-}
-
 // Resolver drives alias-resolution measurements through a probe source
 // from one vantage point, recording every verdict.
 type Resolver struct {
-	Src ProbeSource
+	Src probe.Source
 	Cfg Config
 
 	// Trace receives pair-test provenance events (verdicts with the IP-ID
@@ -92,7 +84,7 @@ type Resolver struct {
 }
 
 // NewResolver builds a resolver with the given configuration.
-func NewResolver(src ProbeSource, cfg Config) *Resolver {
+func NewResolver(src probe.Source, cfg Config) *Resolver {
 	return &Resolver{
 		Src: src, Cfg: cfg.withDefaults(),
 		pos: make(map[pairKey]bool),

@@ -25,8 +25,6 @@ type ASPath struct {
 // prefix count), Paths expands it to one entry per (prefix, vantage) for
 // whoever wants the collectors' own shape. A view is read-only once built.
 type View struct {
-	Vantages []topo.ASN
-
 	arena   []topo.ASN  // every distinct path, end to end
 	spans   []span      // one per path, grouped
 	groups  []pathGroup // sets of prefixes reporting the same paths
@@ -94,9 +92,8 @@ func DefaultVantages(net *topo.Network) []topo.ASN {
 func Collect(t *Table, vantages []topo.ASN) *View {
 	t.computeAll()
 	v := &View{
-		Vantages: vantages,
-		links:    make(map[[2]topo.ASN]bool),
-		nbrs:     make(map[topo.ASN][]topo.ASN),
+		links: make(map[[2]topo.ASN]bool),
+		nbrs:  make(map[topo.ASN][]topo.ASN),
 		// One group per atom, paths in one arena averaging under four ASes.
 		spans:   make([]span, 0, len(t.atoms)*len(vantages)),
 		arena:   make([]topo.ASN, 0, 4*len(t.atoms)*len(vantages)),

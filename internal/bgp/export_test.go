@@ -382,9 +382,8 @@ func (t *oracleTable) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
 // by one prefix.
 func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 	v := &View{
-		Vantages: vantages,
-		links:    make(map[[2]topo.ASN]bool),
-		nbrs:     make(map[topo.ASN][]topo.ASN),
+		links: make(map[[2]topo.ASN]bool),
+		nbrs:  make(map[topo.ASN][]topo.ASN),
 	}
 	for _, p := range t.Prefixes() {
 		rib := t.Routes(p)

@@ -145,15 +145,12 @@ type graph struct {
 	// hostExtra covers unannounced blocks attributed to the host via the
 	// positional RIR rule of §5.4.1.
 	hostExtra netx.Trie[bool]
-	hostOrgs  map[string]bool // RIR org IDs covering known host space
 
 	// echo sources per target AS: origins of echo replies received when
 	// tracing toward that AS (used by §5.4.8 step 8.2 and §5.4.3).
 	echoFrom map[topo.ASN][]netx.Addr
 	// finalNodes records the last-responding router per target AS.
 	finalNodes map[topo.ASN]finalInfo
-	// tracesToward counts traces per target AS.
-	tracesToward map[topo.ASN]int
 
 	// declined collects the heuristics that examined the node currently
 	// being inferred and passed — consumed (and reset) by the next claim,
@@ -183,13 +180,11 @@ func (g *graph) internID(a netx.Addr) int32 {
 // buildGraph constructs nodes from the dataset's traces and alias graph.
 func buildGraph(in Input, ar *Arena) *graph {
 	g := &graph{
-		in:           in,
-		vpASNs:       in.vpASNs(),
-		ar:           ar,
-		hostOrgs:     make(map[string]bool),
-		echoFrom:     make(map[topo.ASN][]netx.Addr),
-		finalNodes:   make(map[topo.ASN]finalInfo),
-		tracesToward: make(map[topo.ASN]int),
+		in:         in,
+		vpASNs:     in.vpASNs(),
+		ar:         ar,
+		echoFrom:   make(map[topo.ASN][]netx.Addr),
+		finalNodes: make(map[topo.ASN]finalInfo),
 	}
 	g.intern = in.Data.Intern
 	if g.intern == nil {
@@ -218,7 +213,6 @@ func buildGraph(in Input, ar *Arena) *graph {
 				continue
 			}
 			if org, ok := in.RIR.OrgOf(h.Addr); ok {
-				g.hostOrgs[org] = true
 				for _, rec := range in.RIR.OrgRecords(org) {
 					if rec.Start <= h.Addr && h.Addr <= rec.End() {
 						g.hostExtra.Insert(netx.MakePrefix(rec.Start, prefixLenFor(rec)), true)
@@ -259,7 +253,6 @@ func buildGraph(in Input, ar *Arena) *graph {
 	}
 
 	for _, tr := range in.Data.Traces {
-		g.tracesToward[tr.TargetAS]++
 		var prev int32 = -1
 		var prevAddr netx.Addr
 		var lastResp int32 = -1

@@ -1,6 +1,6 @@
 // Package fleet is the multi-vantage-point coordinator: it schedules N
-// per-VP measurement shards across a bounded worker pool with work
-// stealing, collects completed results by shard index, and publishes
+// per-VP measurement shards across a bounded worker pool fed from one
+// queue, collects completed results by shard index, and publishes
 // generations as configurable shard quorums complete — the deployment
 // shape of §5.6 (one process per continent, many VPs per process) rather
 // than one goroutine per VP.
@@ -68,8 +68,6 @@ func (s ShardState) String() string {
 type RunCtx struct {
 	// Attempt counts from 0; retries increment it.
 	Attempt int
-	// Worker identifies the pool worker executing this attempt. Informational.
-	Worker int
 	// Arena is the executing worker's inference arena, reused (reset, not
 	// reallocated) across every shard that worker runs.
 	Arena *core.Arena
@@ -153,58 +151,21 @@ type Summary struct {
 	Results []*core.Result
 	Outputs []*Output
 	Shards  []ShardResult
-	// PartialPublishes counts quorum-time generations emitted.
-	PartialPublishes int
 }
 
 // item is one queued attempt: which shard, and which attempt number the
 // executing worker should run. Carrying the attempt in the item (rather
-// than shared per-shard counters) keeps the scheduler race-free by
+// than shared per-shard counters) keeps scheduling race-free by
 // construction — a shard has at most one queued or running item at a time.
 type item struct {
 	shard, attempt int
 }
 
-// scheduler is the mutex-guarded work-stealing state: one deque per
-// worker. A worker pops its own deque from the front and steals from the
-// back of others — the classic split that keeps an owner working locally
-// in FIFO order while thieves take the coldest work.
-type scheduler struct {
-	mu     sync.Mutex
-	deques [][]item
-}
-
-func (s *scheduler) push(w int, it item) {
-	s.mu.Lock()
-	s.deques[w] = append(s.deques[w], it)
-	s.mu.Unlock()
-}
-
-// take returns the next item for worker w and whether it was stolen.
-func (s *scheduler) take(w int) (it item, stolen, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.deques[w]; len(q) > 0 {
-		it = q[0]
-		s.deques[w] = q[1:]
-		return it, false, true
-	}
-	for i := 1; i < len(s.deques); i++ {
-		v := (w + i) % len(s.deques)
-		if q := s.deques[v]; len(q) > 0 {
-			it = q[len(q)-1]
-			s.deques[v] = q[:len(q)-1]
-			return it, true, true
-		}
-	}
-	return item{}, false, false
-}
-
 // completion is one attempt's report back to the coordinator.
 type completion struct {
-	shard, attempt, worker int
-	out                    *Output
-	err                    error
+	item
+	out *Output
+	err error
 }
 
 // Run schedules shards across the pool and blocks until every shard
@@ -246,19 +207,16 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 	fsp := cfg.Spans.Begin(cfg.SpanParent, "fleet", fmt.Sprintf("%d shards", n))
 	fsp.SetAttr("~workers", workers)
 
-	sched := &scheduler{deques: make([][]item, workers)}
-	home := make([]int, n)
-	// workC carries one token per queued item; capacity covers every
-	// possible enqueue (initial + full retry budget per shard).
-	workC := make(chan struct{}, n*(cfg.Retries+1))
-	enqueue := func(it item, w int) {
-		sched.push(w, it)
+	// Every worker receives from one FIFO: initial items in order, retries
+	// behind whatever is queued. A shard has at most one queued or running
+	// item, so n slots never block a send.
+	queue := make(chan item, n)
+	enqueue := func(it item) {
 		reg.Inc("fleet.enqueued")
-		workC <- struct{}{}
+		queue <- it
 	}
-	for k, i := range order {
-		home[i] = k % workers
-		enqueue(item{shard: i}, home[i])
+	for _, i := range order {
+		enqueue(item{shard: i})
 	}
 
 	completions := make(chan completion, workers)
@@ -266,28 +224,20 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			arena := &core.Arena{}
 			for {
 				select {
 				case <-quit:
 					return
-				case <-workC:
+				case it := <-queue:
+					reg.Inc("fleet.started")
+					out, err := shards[it.shard].Run(RunCtx{Attempt: it.attempt, Arena: arena})
+					completions <- completion{item: it, out: out, err: err}
 				}
-				it, stolen, ok := sched.take(w)
-				if !ok {
-					// Token/item invariant violated only by shutdown races.
-					continue
-				}
-				if stolen {
-					reg.Inc("fleet.steals")
-				}
-				reg.Inc("fleet.started")
-				out, err := shards[it.shard].Run(RunCtx{Attempt: it.attempt, Worker: w, Arena: arena})
-				completions <- completion{shard: it.shard, attempt: it.attempt, worker: w, out: out, err: err}
 			}
-		}(w)
+		}()
 	}
 
 	// Coordinator loop: the only goroutine that touches per-shard terminal
@@ -319,7 +269,6 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 		if final {
 			reg.Inc("fleet.publish.final")
 		} else {
-			sum.PartialPublishes++
 			reg.Inc("fleet.publish.partial")
 			reg.Add("fleet.degraded.at_quorum", int64(len(degraded)))
 			partialDone = true
@@ -364,9 +313,8 @@ func Run(cfg Config, shards []Shard) (*Summary, error) {
 			sum.Shards[c.shard].Err = c.err
 			if c.attempt < cfg.Retries {
 				reg.Inc("fleet.retries")
-				// Requeue on the shard's home worker; any idle worker may
-				// steal it, RoundState and all.
-				enqueue(item{shard: c.shard, attempt: c.attempt + 1}, home[c.shard])
+				// Any idle worker may pick the retry up, RoundState and all.
+				enqueue(item{shard: c.shard, attempt: c.attempt + 1})
 				continue
 			}
 			// Budget exhausted: salvage the best partial output if any

@@ -99,28 +99,26 @@ func TestRunRejectsBadOrder(t *testing.T) {
 	}
 }
 
-// TestRunWorkStealing pins the reassignment mechanic: with two workers and
-// one shard blocking worker 0's queue, the idle worker 1 must steal and
-// finish worker 0's remaining work.
-func TestRunWorkStealing(t *testing.T) {
-	reg := obs.New()
-	release := make(chan struct{})
-	var once sync.Once
+// TestRunIdleWorkerDrainsQueue: with two workers and one of them blocked on a
+// slow shard, the idle worker completes everything queued behind it — the
+// slow shard returns only once every other shard has run.
+func TestRunIdleWorkerDrainsQueue(t *testing.T) {
+	var others sync.WaitGroup
+	quick := func(i int) Shard {
+		others.Add(1)
+		return Shard{Name: fmt.Sprintf("vp%d", i), Run: func(ctx RunCtx) (*Output, error) {
+			defer others.Done()
+			return &Output{Result: mkShardResult(i)}, nil
+		}}
+	}
 	shards := []Shard{
 		{Name: "slow", Run: func(ctx RunCtx) (*Output, error) {
-			<-release
+			others.Wait()
 			return &Output{Result: mkShardResult(0)}, nil
 		}},
-		okShard(1, nil), // home worker 1
-		// Shards 2 and 3 are homed on workers 0 and 1; worker 0 is stuck
-		// on "slow", so worker 1 must steal shard 2.
-		{Name: "vp2", Run: func(ctx RunCtx) (*Output, error) {
-			once.Do(func() { close(release) })
-			return &Output{Result: mkShardResult(2)}, nil
-		}},
-		okShard(3, nil),
+		quick(1), quick(2), quick(3),
 	}
-	sum, err := Run(Config{Workers: 2, Obs: reg}, shards)
+	sum, err := Run(Config{Workers: 2}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +126,6 @@ func TestRunWorkStealing(t *testing.T) {
 		if sr.State != Done {
 			t.Fatalf("shard %d state %v", i, sr.State)
 		}
-	}
-	if reg.Counter("fleet.steals").Load() == 0 {
-		t.Fatal("no steals recorded despite a blocked worker")
 	}
 }
 
@@ -224,8 +219,7 @@ func TestRunQuorumPublish(t *testing.T) {
 			}
 		},
 	}
-	sum, err := Run(cfg, shards)
-	if err != nil {
+	if _, err := Run(cfg, shards); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 {
@@ -256,9 +250,6 @@ func TestRunQuorumPublish(t *testing.T) {
 	}
 	if len(fm.Links) <= len(pm.Links) {
 		t.Fatalf("healing generation added no links: %d partial, %d final", len(pm.Links), len(fm.Links))
-	}
-	if sum.PartialPublishes != 1 {
-		t.Fatalf("PartialPublishes = %d", sum.PartialPublishes)
 	}
 	if reg.Counter("fleet.publish.partial").Load() != 1 || reg.Counter("fleet.publish.final").Load() != 1 {
 		t.Fatal("publish counters wrong")

@@ -586,7 +586,6 @@ type fleetJSON struct {
 	DegradedShards   int64         `json:"degraded_shards"`
 	Failed           int64         `json:"failed"`
 	Retries          int64         `json:"retries"`
-	Steals           int64         `json:"steals"`
 	InFlight         int64         `json:"in_flight"`
 	Queued           int64         `json:"queued"`
 	PartialPublishes int64         `json:"partial_publishes"`
@@ -615,7 +614,6 @@ func (a *api) fleetStatus() *fleetJSON {
 		DegradedShards:   degraded,
 		Failed:           failed,
 		Retries:          retries,
-		Steals:           c("fleet.steals"),
 		InFlight:         started - completed - retries - degraded - failed,
 		Queued:           c("fleet.enqueued") - started,
 		PartialPublishes: c("fleet.publish.partial"),

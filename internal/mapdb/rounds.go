@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
@@ -52,9 +51,6 @@ type RoundsConfig struct {
 	// degraded (Snapshot.Degraded); the round's final full generation
 	// follows and heals it. 0 publishes only full generations.
 	FleetQuorum int
-	// FleetStragglerTimeout is how long the coordinator waits after quorum
-	// before publishing the partial generation (0 = immediately).
-	FleetStragglerTimeout time.Duration
 
 	// Incremental carries per-VP measurement state (stop set, trace
 	// transcripts, alias memos) and the previous inference result across
@@ -183,11 +179,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		fo := eval.FleetOptions{
-			Workers:          cfg.FleetWorkers,
-			Quorum:           cfg.FleetQuorum,
-			StragglerTimeout: cfg.FleetStragglerTimeout,
-		}
+		fo := eval.FleetOptions{Workers: cfg.FleetWorkers, Quorum: cfg.FleetQuorum}
 		if cfg.Incremental {
 			fo.States = states
 			fo.Prevs = prevs

@@ -35,18 +35,13 @@ type Store struct {
 
 	dir string // segment directory; "" = memory-only
 
-	watchers map[int64]*watcher
+	// watchers are the /v1/watch subscribers (and in-process follower taps):
+	// one buffered diff channel each. One that cannot keep up is closed and
+	// dropped — the consumer resynchronizes via the history or a full segment.
+	watchers map[int64]chan *GenDiff
 	watchSeq int64
 
 	reg *obs.Registry
-}
-
-// watcher is one /v1/watch subscriber (or in-process follower tap): a
-// buffered diff channel. A watcher that cannot keep up is closed and
-// dropped — the consumer resynchronizes via the history or a full segment.
-type watcher struct {
-	ch     chan *GenDiff
-	closed bool
 }
 
 // DefaultHistory is the number of generations a Store retains when
@@ -63,7 +58,7 @@ func NewStore(maxHist int, reg *obs.Registry) *Store {
 		diffs:    make(map[int]*GenDiff),
 		nextGen:  1,
 		maxHist:  maxHist,
-		watchers: make(map[int64]*watcher),
+		watchers: make(map[int64]chan *GenDiff),
 		reg:      reg,
 	}
 }
@@ -238,12 +233,11 @@ func (st *Store) notifyLocked(snap *Snapshot, d *GenDiff) {
 		d = diffSnapshots(&Snapshot{host: snap.host}, snap)
 		d.To = snap.gen
 	}
-	for id, w := range st.watchers {
+	for id, ch := range st.watchers {
 		select {
-		case w.ch <- d:
+		case ch <- d:
 		default:
-			w.closed = true
-			close(w.ch)
+			close(ch)
 			delete(st.watchers, id)
 			st.reg.Inc("mapdb.watch.lagged")
 		}
@@ -262,7 +256,7 @@ func (st *Store) Watch(buf int) (ch <-chan *GenDiff, cancel func(), cur int) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	w := &watcher{ch: make(chan *GenDiff, buf)}
+	w := make(chan *GenDiff, buf)
 	id := st.watchSeq
 	st.watchSeq++
 	st.watchers[id] = w
@@ -272,11 +266,9 @@ func (st *Store) Watch(buf int) (ch <-chan *GenDiff, cancel func(), cur int) {
 	cancel = func() {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		if got, ok := st.watchers[id]; ok && got == w {
-			delete(st.watchers, id)
-		}
+		delete(st.watchers, id) // ids are never reused
 	}
-	return w.ch, cancel, cur
+	return w, cancel, cur
 }
 
 // Current returns the latest published generation (nil before the first

@@ -26,7 +26,7 @@ import (
 )
 
 // Engine simulates probe forwarding and responses over one network.
-// It is safe for concurrent use; the simulated clock is shared.
+// It is safe for concurrent use: calls on its own timeline take turns.
 //
 // An Engine is bound to one built Net and its Tab. What forwarding derives
 // from them lives in a plane that every engine forked from this one shares
@@ -38,12 +38,10 @@ type Engine struct {
 	Net *topo.Network
 	Tab *bgp.Table
 
-	// mu guards the shared measurement timeline only: clock, IP-ID and
-	// rate-limit state.
-	mu   sync.Mutex
-	now  time.Duration // simulated time since start
-	ipid map[topo.RouterID]*ipidState
-	rate map[topo.RouterID]*rateState
+	// own is the timeline Traceroute, Probe, Advance and Now run on; mu is
+	// held for the whole of each call, a stop callback included.
+	mu  sync.Mutex
+	own *Lane
 
 	// fwd is the forwarding plane compiled from Net and Tab (see plane),
 	// shared with every fork.
@@ -119,13 +117,9 @@ func (e *Engine) dropInjected() bool {
 // New creates an engine over a built network and its routing table, with
 // an empty forwarding plane of its own.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
-	return &Engine{
-		Net:  net,
-		Tab:  tab,
-		ipid: make(map[topo.RouterID]*ipidState),
-		rate: make(map[topo.RouterID]*rateState),
-		fwd:  new(plane),
-	}
+	e := &Engine{Net: net, Tab: tab, fwd: new(plane)}
+	e.own = e.NewLane(0)
+	return e
 }
 
 // Fork returns an engine over the same world that shares e's forwarding
@@ -159,7 +153,7 @@ func (e *Engine) sameOrg(a, b topo.ASN) bool {
 // Advance moves the simulated clock forward.
 func (e *Engine) Advance(d time.Duration) {
 	e.mu.Lock()
-	e.now += d
+	e.own.clock += d
 	e.mu.Unlock()
 }
 
@@ -167,7 +161,7 @@ func (e *Engine) Advance(d time.Duration) {
 func (e *Engine) Now() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.now
+	return e.own.clock
 }
 
 // ---------------------------------------------------------------------------
@@ -597,7 +591,6 @@ func (e *Engine) candidateNextHops(owner topo.ASN, rib *bgp.PrefixRIB) (single t
 
 // bfsTree holds BFS parents toward one root over the internal-link graph.
 type bfsTree struct {
-	root topo.RouterID
 	// next[r] = the neighbor of r one hop closer to root; dist[r] = hops.
 	next map[topo.RouterID]topo.RouterID
 	dist map[topo.RouterID]int
@@ -615,7 +608,6 @@ func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
 		return *t
 	}
 	t := &bfsTree{
-		root: root,
 		next: make(map[topo.RouterID]topo.RouterID),
 		dist: map[topo.RouterID]int{root: 0},
 	}

@@ -62,35 +62,18 @@ const gapLimit = 5
 // (~100 packets/second, the rate the paper's deployments probe at).
 const PacePerHop = 10 * time.Millisecond
 
-// responder abstracts the stateful response machinery (clock, IP-ID
-// generation, rate limiting) so a traceroute can run either against the
-// engine's shared measurement timeline or against a worker-private Lane
-// (lane.go) whose state is untouched by concurrent probing.
-type responder interface {
-	now() time.Duration
-	nextIPID(r *topo.Router, ifc *topo.Iface) uint16
-	allow(r *topo.Router) bool
-}
-
-// engineResponder is the shared-clock responder: IP-ID and rate state live
-// on the engine, guarded by its mutex.
-type engineResponder struct{ e *Engine }
-
-func (rt engineResponder) now() time.Duration { return rt.e.Now() }
-func (rt engineResponder) nextIPID(r *topo.Router, ifc *topo.Iface) uint16 {
-	return rt.e.nextIPID(r, ifc)
-}
-func (rt engineResponder) allow(r *topo.Router) bool { return rt.e.allowResponse(r) }
-
 // Traceroute runs a Paris traceroute (ICMP-echo probes) from vp toward dst.
 // stop, when non-nil, is consulted with each responding address: returning
 // true halts the trace after recording that hop (the doubletree stop set,
-// §5.3).
+// §5.3). It runs unpaced on the engine's own timeline, which stop must not
+// touch.
 func (e *Engine) Traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool) TraceResult {
-	return e.traceroute(vp, dst, stop, engineResponder{e})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.traceroute(vp, dst, stop, e.own)
 }
 
-func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, rt responder) TraceResult {
+func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, lane *Lane) TraceResult {
 	res := TraceResult{VP: vp.Name, Dst: dst}
 	path := e.computePath(vp.Router, dst)
 	if n := len(path.steps); n > 0 {
@@ -99,9 +82,9 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 	// oneWay is the delay from the VP to the router probed, at time
 	// sumAt. It grows by one link per TTL and is summed from the steps
-	// again only when the responder's clock moved mid-trace — time of day
+	// again only when the lane's clock moved mid-trace — time of day
 	// selects the congestion episodes — so every hop's RTT is
-	// pathRTT(path.steps[:i+1], rt.now()) and a trace costs O(hops).
+	// pathRTT(path.steps[:i+1], lane.clock) and a trace costs O(hops).
 	var oneWay, sumAt time.Duration
 	// One packet is sent per hop recorded; byType counts the responses by
 	// class. The engine's counters take the totals once, after the trace.
@@ -109,7 +92,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 
 	gap := 0
 	for i, step := range path.steps {
-		switch now := rt.now(); {
+		switch now := lane.clock; {
 		case i == 0:
 			sumAt = now
 		case now != sumAt:
@@ -127,24 +110,24 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			// interface, or a host behind the prefix anchor) may answer
 			// with an echo reply whose source is the probed address.
 			if path.exactIface != nil && path.exactIface.Router == step.router.ID {
-				if !step.router.Behavior.NoEchoReply && rt.allow(step.router) {
+				if !step.router.Behavior.NoEchoReply && lane.allow(step.router) {
 					hop.Type = HopEchoReply
 					hop.Addr = dst
-					hop.IPID = rt.nextIPID(step.router, path.exactIface)
+					hop.IPID = lane.nextIPID(step.router, path.exactIface)
 				}
-			} else if path.anchorReplies && rt.allow(step.router) {
+			} else if path.anchorReplies && lane.allow(step.router) {
 				hop.Type = HopEchoReply
 				hop.Addr = dst
-				hop.IPID = rt.nextIPID(step.router, nil)
+				hop.IPID = lane.nextIPID(step.router, nil)
 			}
 			if hop.Type != HopEchoReply && path.reached && step.in != nil &&
-				!step.router.Behavior.NoUDPUnreach && rt.allow(step.router) {
+				!step.router.Behavior.NoUDPUnreach && lane.allow(step.router) {
 				// No host answers behind this prefix: the last router
 				// reports the destination unreachable (§5.4.8 accepts
 				// these alongside echo replies).
 				hop.Type = HopUnreachable
 				hop.Addr = step.in.Addr
-				hop.IPID = rt.nextIPID(step.router, step.in)
+				hop.IPID = lane.nextIPID(step.router, step.in)
 			}
 			if hop.Type != HopTimeout && e.dropInjected() {
 				hop = Hop{TTL: i + 1, Type: HopTimeout}
@@ -160,12 +143,12 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 		}
 
 		// Intermediate hop: ICMP time exceeded per the router's behaviour.
-		if !step.router.Behavior.NoTTLExpired && rt.allow(step.router) {
+		if !step.router.Behavior.NoTTLExpired && lane.allow(step.router) {
 			src, ifc := e.ttlExpiredSource(vp, step)
 			if !src.IsZero() {
 				hop.Type = HopTimeExceeded
 				hop.Addr = src
-				hop.IPID = rt.nextIPID(step.router, ifc)
+				hop.IPID = lane.nextIPID(step.router, ifc)
 				hop.RTT = hopRTT
 			}
 		}
@@ -271,8 +254,23 @@ type Response struct {
 	RTT  time.Duration // round-trip time under the latency model
 }
 
-// Probe sends one probe of the given method from vp to target.
+// Source issues single probes from one vantage point and paces
+// measurement time between them: what alias resolution and TSLP need of a
+// prober, local (scamper.LocalProber) or remote (§5.8).
+type Source interface {
+	Probe(target netx.Addr, m Method) Response
+	Advance(d time.Duration)
+}
+
+// Probe sends one probe of the given method from vp to target, on the
+// engine's own timeline.
 func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.probe(vp, target, m, e.own)
+}
+
+func (e *Engine) probe(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Response {
 	e.eobs.probes.Inc()
 	e.eobs.packets.Inc()
 
@@ -281,53 +279,44 @@ func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
 		return Response{}
 	}
 	r := e.Net.Router(path.exactIface.Router)
-	if r == nil || !e.allowResponse(r) {
+	if r == nil || !lane.allow(r) {
 		return Response{}
 	}
 	b := r.Behavior
 
-	var resp Response
+	// The source of an echo reply (or a RST) is the probed destination
+	// address, regardless of which interface it sits on (§4 challenge 2).
+	from := target
 	switch m {
-	case MethodICMPEcho:
+	case MethodICMPEcho, MethodTCPAck:
 		if b.NoEchoReply {
 			return Response{}
 		}
-		// The source of an echo reply is the probed destination address,
-		// regardless of which interface it sits on (§4 challenge 2).
-		resp = Response{OK: true, From: target, IPID: e.nextIPID(r, path.exactIface)}
-	case MethodTCPAck:
-		if b.NoEchoReply {
-			return Response{}
-		}
-		resp = Response{OK: true, From: target, IPID: e.nextIPID(r, path.exactIface)}
 	case MethodUDP:
 		if b.NoUDPUnreach {
 			return Response{}
 		}
-		from := target
 		if b.MercatorCanonical {
 			from = r.CanonicalAddr() // Mercator's common-source signal
 		}
-		resp = Response{OK: true, From: from, IPID: e.nextIPID(r, path.exactIface)}
 	case MethodTTLLimited:
 		if b.NoTTLExpired {
 			return Response{}
 		}
 		// A probe sent toward target with TTL set to expire at its
 		// router: the time-exceeded source follows ingress selection.
-		from := target
 		if last := path.steps[len(path.steps)-1]; last.in != nil {
 			from = last.in.Addr
 		}
-		resp = Response{OK: true, From: from, IPID: e.nextIPID(r, path.exactIface)}
 	default:
 		return Response{}
 	}
+	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, path.exactIface)}
 	if e.dropInjected() {
 		e.eobs.faultDrops.Inc()
 		return Response{}
 	}
-	resp.When = e.Now()
+	resp.When = lane.clock
 	resp.RTT = e.pathRTT(path.steps, resp.When)
 	e.eobs.responses.Inc()
 	return resp
@@ -387,19 +376,6 @@ func (st *ipidState) next(r *topo.Router, ifc *topo.Iface, now time.Duration) ui
 	}
 }
 
-// nextIPID draws the next IP-ID for a response from r on interface ifc
-// (ifc may be nil), per the router's IP-ID discipline.
-func (e *Engine) nextIPID(r *topo.Router, ifc *topo.Iface) uint16 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.ipid[r.ID]
-	if st == nil {
-		st = newIPIDState(r.ID)
-		e.ipid[r.ID] = st
-	}
-	return st.next(r, ifc, e.now)
-}
-
 type rateState struct {
 	window int64 // second index
 	count  int
@@ -418,23 +394,4 @@ func (st *rateState) allow(limit int, now time.Duration) bool {
 	}
 	st.count++
 	return true
-}
-
-// allowResponse applies the router's ICMP rate limit.
-func (e *Engine) allowResponse(r *topo.Router) bool {
-	if r.Behavior.RateLimitPPS <= 0 {
-		return true
-	}
-	e.mu.Lock()
-	st := e.rate[r.ID]
-	if st == nil {
-		st = &rateState{}
-		e.rate[r.ID] = st
-	}
-	ok := st.allow(r.Behavior.RateLimitPPS, e.now)
-	e.mu.Unlock()
-	if !ok {
-		e.eobs.rateLimitDrops.Inc()
-	}
-	return ok
 }

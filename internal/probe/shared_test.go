@@ -58,8 +58,8 @@ func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, nowAt f
 // TestRunningRTTMatchesPathRTT is the O(hops) traceroute's oracle: on every
 // built-in profile each hop's RTT equals pathRTT over the walk so far — on
 // lanes with no congestion, on lanes whose time of day falls inside, before
-// and after episodes injected on the traced links, and on the shared clock
-// with Advance called between hops so that the running sum has to be
+// and after episodes injected on the traced links, and on a lane whose clock
+// the stop callback steps between hops so that the running sum has to be
 // started again mid-trace. Throughout, another goroutine publishes and
 // clears episode slices that add no delay, so the lock-free read in
 // queueDelay is exercised under the race detector.
@@ -138,17 +138,15 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 				}
 			}
 
-			// Shared clock, advanced by 7 minutes after every answering hop:
-			// the trace starts at 00:40 and crosses into the window mid-way.
+			// A lane stepped 7 minutes after every answering hop: the trace
+			// starts at 00:40 and crosses into the window mid-way.
 			moved := 0
 			for _, dst := range dsts {
-				e.mu.Lock()
-				e.now = 40 * time.Minute
-				e.mu.Unlock()
-				res := e.Traceroute(vp, dst, func(netx.Addr) bool {
-					e.Advance(7 * time.Minute)
+				lane := e.NewLane(40 * time.Minute)
+				res := e.TracerouteLane(vp, dst, func(netx.Addr) bool {
+					lane.clock += 7 * time.Minute
 					return false
-				})
+				}, lane)
 				// stop runs after every time-exceeded hop, before the next
 				// TTL is probed.
 				nowAt := make(map[int]time.Duration, len(res.Hops))
@@ -165,7 +163,7 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 				checkHopRTTs(t, e, vp, res, func(ttl int) time.Duration { return nowAt[ttl] })
 			}
 			if moved == 0 {
-				t.Error("the shared clock never moved mid-trace")
+				t.Error("the lane's clock never moved mid-trace")
 			}
 		})
 	}

@@ -207,18 +207,6 @@ type Driver struct {
 	SpanParent obs.SpanID
 }
 
-// LaneProber is implemented by probers that support deterministic
-// per-worker measurement timelines (probe.Lane). The driver gives each
-// worker goroutine its own lane so a parallel run's traces are a pure
-// function of the world and the schedule, independent of goroutine
-// interleaving. On a prober without lanes (a remote session) the same
-// workers call Prober.Trace on its one shared clock.
-type LaneProber interface {
-	Prober
-	NewLane(start time.Duration) *probe.Lane
-	TraceLane(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult
-}
-
 // Run executes probing and alias resolution, returning the dataset.
 func (d *Driver) Run() *Dataset {
 	cfg := d.Cfg.withDefaults()
@@ -272,53 +260,42 @@ func (d *Driver) Run() *Dataset {
 	// worker finished first.
 	wlogs := make([]*obs.Tracer, cfg.Workers)
 
-	// simEnd merges the per-worker virtual clocks with an atomic max: the
-	// run's simulated duration is the slowest worker's timeline, and the
-	// max is order-independent no matter how workers interleave.
-	var simEnd obs.Max
-	simEnd.Observe(int64(simStart))
-
-	// Worker w handles targets w, w+W, w+2W, …, so each slot is written by
-	// exactly one worker and the merge below needs no locks and no
-	// ordering. With lanes every worker traces on its own timeline;
-	// without them (a remote session) workers share the prober's clock and
-	// stamp events with SimNS 0 — reading the remote clock per event would
-	// perturb the frame stream the fault goldens pin.
-	lp, lanes := d.Prober.(LaneProber)
+	// Worker w handles targets w, w+W, w+2W, … on lanes[w], so each slot and
+	// each lane is touched by exactly one worker and the merge below needs
+	// no locks and no ordering. A remote session has no lanes: its workers
+	// share the agent's clock and stamp events with SimNS 0 — reading the
+	// remote clock per event would perturb the frame stream the fault
+	// goldens pin.
+	lanes := make([]*probe.Lane, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := range lanes {
+		lanes[w] = d.Prober.NewLane(simStart)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			trace := d.Prober.Trace
-			var now func() time.Duration
-			if lanes {
-				lane := lp.NewLane(simStart)
-				trace = func(dst netx.Addr, ss map[netx.Addr]bool) probe.TraceResult {
-					return lp.TraceLane(dst, ss, lane)
-				}
-				now = lane.Now
-			}
 			if d.Trace.Enabled() {
 				wlogs[w] = obs.NewTracer(0)
 			}
 			for i := w; i < len(targets); i += cfg.Workers {
-				outs[i] = d.probeTarget(targets[i], cfg, trace, wlogs[w], now, replays[i])
-			}
-			if lanes {
-				simEnd.Observe(int64(now()))
+				outs[i] = d.probeTarget(targets[i], cfg, lanes[w], wlogs[w], replays[i])
 			}
 		}(w)
 	}
 	wg.Wait()
-	if lanes {
-		// Push the shared clock to the end of the slowest lane so the
-		// alias stage (and any later run) starts at a well-defined time.
-		if end := time.Duration(simEnd.Load()); end > simStart {
-			d.Prober.Advance(end - simStart)
+	// The run's simulated duration is the slowest worker's timeline. Push
+	// the shared clock to its end so the alias stage (and any later run)
+	// starts at a well-defined time.
+	clocked := lanes[0] != nil
+	simEnd := simStart
+	if clocked {
+		for _, lane := range lanes {
+			simEnd = max(simEnd, lane.Now())
+		}
+		if simEnd > simStart {
+			d.Prober.Advance(simEnd - simStart)
 		}
 	} else {
-		simEnd.Observe(int64(d.Prober.Now()))
+		simEnd = max(simEnd, d.Prober.Now())
 	}
 
 	var targetSimNS int64
@@ -413,8 +390,8 @@ func (d *Driver) Run() *Dataset {
 	d.Obs.Add("driver.traces", int64(ds.Stats.Traces))
 	d.Obs.Add("driver.traces_stopped", int64(ds.Stats.TracesStopped))
 	d.Obs.Add("driver.hops_observed", int64(ds.Stats.HopsObserved))
-	d.Obs.Max("driver.sim_clock_ns").Observe(simEnd.Load())
-	probeSim := time.Duration(simEnd.Load()) - simStart
+	d.Obs.Max("driver.sim_clock_ns").Observe(int64(simEnd))
+	probeSim := simEnd - simStart
 	probeSpan.AddSim(probeSim)
 	probeSpan.End()
 	probeSp.SetAttr("traces", ds.Stats.Traces)
@@ -424,7 +401,7 @@ func (d *Driver) Run() *Dataset {
 	aliasSpan := d.Obs.StartStage("driver.alias")
 	aliasSp := d.Spans.Begin(d.SpanParent, "stage", "alias")
 	aliasStart := d.Prober.Now()
-	d.resolveAliases(ds, cfg, st)
+	d.resolveAliases(ds, cfg, st, clocked)
 	aliasSim := d.Prober.Now() - aliasStart
 	if aliasSim < 0 {
 		// A lost remote session reads its clock as zero; don't let that
@@ -463,9 +440,8 @@ func (d *Driver) Run() *Dataset {
 	}
 	ds.Intern = it
 
-	// SimDuration is derived from the obs primitives (atomic max over
-	// worker lanes plus the single-threaded alias stage) rather than from
-	// unordered reads of the shared clock.
+	// SimDuration is the slowest lane plus the single-threaded alias stage,
+	// not a difference of unordered reads of the shared clock.
 	ds.Stats.SimDuration = probeSim + aliasSim
 	return ds
 }
@@ -523,15 +499,15 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 // It returns early — reporting the target lost — when the prober's session
 // dies or the per-target timeout fires, so one dead VP degrades the run
 // instead of hanging it.
-func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[netx.Addr]bool) probe.TraceResult, frag *obs.Tracer, now func() time.Duration, rp *targetReplay) targetOut {
+func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.Tracer, rp *targetReplay) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
-	// target. A prober without a clock (nil now) stamps zero throughout.
+	// target. A prober without lanes stamps zero throughout.
 	rel := func() int64 { return 0 }
-	if now != nil {
-		start := now()
-		rel = func() int64 { return int64(now() - start) }
+	if lane != nil {
+		start := lane.Now()
+		rel = func() int64 { return int64(lane.Now() - start) }
 	}
 	wallStart := time.Now()
 	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
@@ -589,7 +565,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, trace func(netx.Addr, map[net
 				}
 			}
 			if !cached {
-				res = trace(dst, ss)
+				res = d.Prober.Trace(dst, ss, lane)
 				if len(res.Hops) == 0 && d.Prober.Err() != nil {
 					// The session died mid-command; this empty trace is a
 					// transport artifact, not a measurement.
@@ -680,12 +656,12 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // touching a dirty address runs live. The memo is rebuilt from this
 // round's operations on every pass, so entries for vanished addresses and
 // edges age out immediately.
-func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState) {
+func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, clocked bool) {
 	res := alias.NewResolver(d.Prober, cfg.AliasCfg)
 	res.Trace = d.Trace
-	if _, ok := d.Prober.(LaneProber); ok {
+	if clocked {
 		// Alias events carry timestamps relative to the alias stage's own
-		// start. Only a prober that lanes has a clock it reads for free;
+		// start. Only a prober with lanes has a clock it reads for free;
 		// remote probers stamp zero (a clock round trip per event would
 		// perturb the pinned frame stream).
 		start := d.Prober.Now()

@@ -6,7 +6,8 @@
 // assembles everything into a Dataset the inference core consumes.
 //
 // Probing runs through a Prober interface with two implementations: a
-// local one wrapping the simulation engine directly, and a remote one that
+// local one wrapping the simulation engine directly — the one adapter from
+// an engine and a vantage point to a prober — and a remote one that
 // forwards commands over a TCP control protocol to a thin agent running on
 // a resource-limited device, mirroring the paper's split where the device
 // only executes probes and the central system keeps all state.
@@ -15,7 +16,6 @@ package scamper
 import (
 	"time"
 
-	"bdrmap/internal/alias"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
@@ -25,13 +25,18 @@ import (
 type Prober interface {
 	// Name identifies the vantage point.
 	Name() string
-	// Trace runs a Paris traceroute toward dst, stopping early when a hop
-	// responds from an address in stopSet.
-	Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult
-	// Probe sends a single alias-resolution probe.
-	Probe(target netx.Addr, m probe.Method) probe.Response
-	// Advance moves measurement time forward (pacing).
-	Advance(d time.Duration)
+	// NewLane opens a private measurement timeline starting at start, so
+	// that a parallel run's traces are a pure function of the world and the
+	// schedule, independent of goroutine interleaving. A remote session has
+	// only the device's timeline and returns nil.
+	NewLane(start time.Duration) *probe.Lane
+	// Trace runs a paced Paris traceroute toward dst, stopping early when a
+	// hop responds from an address in stopSet, on lane's timeline — the
+	// prober's one shared clock when lane is nil.
+	Trace(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult
+	// Source sends single alias-resolution probes and moves measurement
+	// time forward (pacing).
+	probe.Source
 	// Now reads the simulated measurement clock. A remote prober pays a
 	// round trip for it, and reads zero once its session is lost.
 	Now() time.Duration
@@ -53,21 +58,14 @@ type LocalProber struct {
 // Name returns the vantage point name.
 func (p LocalProber) Name() string { return p.VP.Name }
 
-// Trace runs one traceroute.
-func (p LocalProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
-	res := p.E.Traceroute(p.VP, dst, stopFunc(stopSet))
-	// Pace at ~100 packets/second like the paper's deployments.
-	p.E.Advance(time.Duration(len(res.Hops)) * probe.PacePerHop)
-	return res
-}
-
 // NewLane opens a worker-private measurement timeline on the engine.
 func (p LocalProber) NewLane(start time.Duration) *probe.Lane {
 	return p.E.NewLane(start)
 }
 
-// TraceLane runs one traceroute on a lane's private timeline.
-func (p LocalProber) TraceLane(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
+// Trace runs one traceroute, paced at ~100 packets/second like the paper's
+// deployments.
+func (p LocalProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
 	return p.E.TracerouteLane(p.VP, dst, stopFunc(stopSet), lane)
 }
 
@@ -97,5 +95,4 @@ func (p LocalProber) PathSignature(dst netx.Addr) uint64 {
 	return p.E.PathSignature(p.VP, dst)
 }
 
-var _ LaneProber = LocalProber{}
-var _ alias.ProbeSource = LocalProber{}
+var _ Prober = LocalProber{}

@@ -528,12 +528,7 @@ func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 	for i := 0; i < nStop; i++ {
 		stop[netx.Addr(binary.BigEndian.Uint32(req[7+4*i:]))] = true
 	}
-	var stopFn func(netx.Addr) bool
-	if nStop > 0 {
-		stopFn = func(x netx.Addr) bool { return stop[x] }
-	}
-	res := a.E.Traceroute(a.VP, dst, stopFn)
-	a.E.Advance(time.Duration(len(res.Hops)) * 10 * time.Millisecond)
+	res := a.E.TracerouteLane(a.VP, dst, stopFunc(stop), nil) // the device has one timeline
 
 	rsp := make([]byte, 0, 5+16*len(res.Hops))
 	rsp = append(rsp, msgTraceRsp, boolByte(res.Reached), boolByte(res.Stopped))
@@ -1016,8 +1011,12 @@ func (p *RemoteProber) noteRecv(n int) {
 	p.mu.Unlock()
 }
 
-// Trace runs a traceroute on the agent.
-func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
+// NewLane returns nil: the agent's engine clock is the session's only
+// timeline.
+func (p *RemoteProber) NewLane(time.Duration) *probe.Lane { return nil }
+
+// Trace runs a traceroute on the agent, on the agent's clock.
+func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, _ *probe.Lane) probe.TraceResult {
 	req := make([]byte, 7, 7+4*len(stopSet))
 	req[0] = msgTraceReq
 	binary.BigEndian.PutUint32(req[1:5], uint32(dst))

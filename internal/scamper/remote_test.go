@@ -409,7 +409,7 @@ func TestControllerResumesSession(t *testing.T) {
 	dst := tab.Prefixes()[0].First() + 1
 	var traces []probe.TraceResult
 	for i := 0; i < 4; i++ {
-		traces = append(traces, rp.Trace(dst, nil))
+		traces = append(traces, rp.Trace(dst, nil, nil))
 	}
 	if err := rp.Err(); err != nil {
 		t.Fatalf("session lost despite resume: %v", err)
@@ -478,7 +478,7 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 20; i++ {
 				p := prefixes[(g*20+i)%len(prefixes)]
-				rp.Trace(p.First()+1, nil)
+				rp.Trace(p.First()+1, nil, nil)
 				rp.Probe(p.First()+1, probe.MethodICMPEcho)
 			}
 			errc <- rp.Err()

@@ -11,7 +11,7 @@ import (
 	"bdrmap/internal/probe"
 )
 
-// slowProber is a LocalProber whose lane traces into one block stall on the
+// slowProber is a LocalProber whose traces into one block stall on the
 // wall clock, so a TargetTimeout loses exactly the target that owns the block.
 type slowProber struct {
 	LocalProber
@@ -19,11 +19,11 @@ type slowProber struct {
 	stall time.Duration
 }
 
-func (p slowProber) TraceLane(dst netx.Addr, ss map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
+func (p slowProber) Trace(dst netx.Addr, ss map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
 	if p.block.Contains(dst) {
 		time.Sleep(p.stall)
 	}
-	return p.LocalProber.TraceLane(dst, ss, lane)
+	return p.LocalProber.Trace(dst, ss, lane)
 }
 
 // TestTargetSpansFromSlots: the "target" spans the driver writes from its

@@ -6,11 +6,10 @@ import (
 	"bdrmap/internal/netx"
 )
 
-// Adj is one layer-3 adjacency of a router: the local interface, the peer
-// interface, and the link joining them. IXP LANs produce one Adj per peering
+// Adj is one layer-3 adjacency of a router: the peer interface and the
+// link joining it to the router. IXP LANs produce one Adj per peering
 // session crossing the LAN.
 type Adj struct {
-	Self *Iface
 	Peer *Iface
 	Link *Link
 }
@@ -190,8 +189,8 @@ func (n *Network) Build() {
 				continue
 			}
 			a, b := l.Ifaces[0], l.Ifaces[1]
-			n.idx.internalAdj[a.Router] = append(n.idx.internalAdj[a.Router], Adj{Self: a, Peer: b, Link: l})
-			n.idx.internalAdj[b.Router] = append(n.idx.internalAdj[b.Router], Adj{Self: b, Peer: a, Link: l})
+			n.idx.internalAdj[a.Router] = append(n.idx.internalAdj[a.Router], Adj{Peer: b, Link: l})
+			n.idx.internalAdj[b.Router] = append(n.idx.internalAdj[b.Router], Adj{Peer: a, Link: l})
 		case LinkInterdomain:
 			if len(l.Ifaces) != 2 {
 				continue

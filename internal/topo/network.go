@@ -32,11 +32,10 @@ type IXP struct {
 // VP is a vantage point: a measurement host attached to a specific router
 // of the hosting network.
 type VP struct {
-	Name     string
-	Host     ASN      // AS hosting the VP
-	Router   RouterID // attachment router
-	Addr     netx.Addr
-	SrcIface *Iface // the VP host interface
+	Name   string
+	Host   ASN      // AS hosting the VP
+	Router RouterID // attachment router
+	Addr   netx.Addr
 }
 
 // DelegationRecord mirrors one line of an RIR extended delegation file: an
@@ -51,8 +50,7 @@ type DelegationRecord struct {
 // compares bdrmap inferences against these.
 type InterdomainLinkTruth struct {
 	Link    *Link
-	NearAS  ASN // from the perspective of a given host network: filled by TruthFor
-	FarAS   ASN
+	FarAS   ASN // the neighbour, from the perspective of the host network asked about
 	NearRtr RouterID
 	FarRtr  RouterID
 }
@@ -224,9 +222,9 @@ func (n *Network) InterdomainLinks(asn ASN) []InterdomainLinkTruth {
 		r1 := n.Router(l.Ifaces[1].Router)
 		switch {
 		case r0.Owner == asn && r1.Owner != asn:
-			out = append(out, InterdomainLinkTruth{Link: l, NearAS: asn, FarAS: r1.Owner, NearRtr: r0.ID, FarRtr: r1.ID})
+			out = append(out, InterdomainLinkTruth{Link: l, FarAS: r1.Owner, NearRtr: r0.ID, FarRtr: r1.ID})
 		case r1.Owner == asn && r0.Owner != asn:
-			out = append(out, InterdomainLinkTruth{Link: l, NearAS: asn, FarAS: r0.Owner, NearRtr: r1.ID, FarRtr: r0.ID})
+			out = append(out, InterdomainLinkTruth{Link: l, FarAS: r0.Owner, NearRtr: r1.ID, FarRtr: r0.ID})
 		}
 	}
 	// Fully ordered: (NearRtr, FarRtr) ties are possible when parallel

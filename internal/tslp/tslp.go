@@ -58,16 +58,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Prober issues the pings; both the local engine adapter and the remote
-// scamper agent satisfy it.
-type Prober interface {
-	Probe(target netx.Addr, m probe.Method) probe.Response
-	Advance(d time.Duration)
-}
-
 // Run probes every target once per interval for the configured duration,
 // interleaving targets within a round the way the real deployment does.
-func Run(p Prober, targets []Target, cfg Config) []Series {
+func Run(p probe.Source, targets []Target, cfg Config) []Series {
 	cfg = cfg.withDefaults()
 	out := make([]Series, len(targets))
 	for i, t := range targets {

@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"bdrmap/internal/alias"
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
+	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -44,19 +44,6 @@ func world(t *testing.T) (*probe.Engine, *topo.Network, []Target, []*topo.Link) 
 	return e, n, targets, links
 }
 
-type engineProber struct {
-	e  *probe.Engine
-	vp *topo.VP
-}
-
-func (p engineProber) Probe(a netx.Addr, m probe.Method) probe.Response {
-	return p.e.Probe(p.vp, a, m)
-}
-func (p engineProber) Advance(d time.Duration) { p.e.Advance(d) }
-
-var _ Prober = engineProber{}
-var _ alias.ProbeSource = engineProber{}
-
 func TestRTTModelGeographic(t *testing.T) {
 	n := topo.Generate(topo.LargeAccessProfile(), 1)
 	e := probe.New(n, bgp.NewTable(n))
@@ -90,7 +77,7 @@ func TestRTTModelGeographic(t *testing.T) {
 
 func TestDetectInjectedCongestion(t *testing.T) {
 	e, _, targets, links := world(t)
-	vp := engineProber{e: e, vp: e.Net.VPs[0]}
+	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
 
 	// Congest link 0 from 18:00 to 23:00, leave link 1 alone.
 	e.InjectCongestion(probe.CongestionEpisode{
@@ -136,7 +123,7 @@ func TestDetectInjectedCongestion(t *testing.T) {
 
 func TestDetectNoFalsePositivesQuietDay(t *testing.T) {
 	e, _, targets, _ := world(t)
-	vp := engineProber{e: e, vp: e.Net.VPs[0]}
+	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
 	series := Run(vp, targets, Config{Interval: 10 * time.Minute, Duration: 12 * time.Hour})
 	for _, r := range DetectAll(series, 30*time.Minute, 3*time.Millisecond) {
 		if r.Congested() {
@@ -149,7 +136,7 @@ func TestPathWideShiftNotFlagged(t *testing.T) {
 	// Congestion on an *internal* link upstream of the border elevates
 	// both near and far RTTs: TSLP must not call it interdomain.
 	e, n, targets, _ := world(t)
-	vp := engineProber{e: e, vp: e.Net.VPs[0]}
+	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
 	// Find an internal host link on the path (the VP's access link).
 	var internal *topo.Link
 	for _, l := range n.Links {
@@ -181,7 +168,7 @@ func TestPathWideShiftNotFlagged(t *testing.T) {
 
 func TestRunCadence(t *testing.T) {
 	e, _, targets, _ := world(t)
-	vp := engineProber{e: e, vp: e.Net.VPs[0]}
+	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
 	series := Run(vp, targets[:1], Config{Interval: time.Hour, Duration: 6 * time.Hour})
 	if len(series[0].Samples) != 6 {
 		t.Fatalf("samples = %d, want 6", len(series[0].Samples))

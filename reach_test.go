@@ -175,16 +175,149 @@ func readReachAllow(t *testing.T) map[string]bool {
 	return allow
 }
 
+// fieldName is how a field is written in the allow-list: its type's declName,
+// then the field — alias.Graph.conflicts.
+func fieldName(owner *types.TypeName, field *types.Var) string {
+	return declName(owner) + "." + field.Name()
+}
+
+// assigned returns the field selector an assignment or ++/-- to e stores
+// into — x.f in x.f = v, x.f += v, x.f[i] = v and x.f[i]++ — or nil. What e
+// passes through on the way (x.g in x.g.f = v, p in *x.p = v) is read.
+func assigned(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		default:
+			return nil
+		}
+	}
+}
+
+// unreadFields is the field pass: the fields of the module's package-level
+// struct types that no non-test file of the module reads and the benchmark
+// does not spell. A composite-literal key and the target of an assignment
+// are writes; every other mention is a read. A field is exempt when it is
+// embedded (promotion reads it), carries a struct tag (an encoder reads it
+// by reflection), is exported API of package bdrmap, or belongs to a type
+// whose values are compared or hashed whole — a map key, an == operand, a
+// type argument (generic code sees no fields) — which reads every field
+// without naming one.
+func unreadFields(m *modImporter, bench map[string]bool) map[*types.Var]*types.TypeName {
+	stores := make(map[*ast.Ident]bool)
+	wholeRead := make(map[*types.TypeName]bool)
+	whole := func(t types.Type) {
+		if n, ok := t.(*types.Named); ok {
+			wholeRead[n.Origin().Obj()] = true
+		}
+	}
+	for _, inst := range m.info.Instances {
+		for i := 0; i < inst.TypeArgs.Len(); i++ {
+			whole(inst.TypeArgs.At(i))
+		}
+	}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if id := assigned(lhs); id != nil {
+							stores[id] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if id := assigned(n.X); id != nil {
+						stores[id] = true
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+							stores[id] = true
+						}
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						whole(m.info.TypeOf(n.X))
+						whole(m.info.TypeOf(n.Y))
+					}
+				}
+				if e, ok := n.(ast.Expr); ok {
+					if mt, ok := m.info.TypeOf(e).(*types.Map); ok {
+						whole(mt.Key())
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := make(map[*types.Var]bool)
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !stores[id] {
+			read[v.Origin()] = true
+		}
+	}
+
+	unread := make(map[*types.Var]*types.TypeName)
+	for path, files := range m.files {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					owner, _ := m.info.Defs[ts.Name].(*types.TypeName)
+					if owner == nil || wholeRead[owner] {
+						continue
+					}
+					ast.Inspect(ts.Type, func(n ast.Node) bool {
+						st, ok := n.(*ast.StructType)
+						if !ok {
+							return true
+						}
+						for _, fld := range st.Fields.List {
+							if fld.Tag != nil {
+								continue
+							}
+							for _, id := range fld.Names { // none when embedded
+								v, _ := m.info.Defs[id].(*types.Var)
+								if v == nil || id.Name == "_" || read[v] || bench[id.Name] ||
+									path == modulePath && id.IsExported() {
+									continue
+								}
+								unread[v] = owner
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return unread
+}
+
 // TestProductDeclarationsReachable is the dead-code gate: every package-level
 // declaration and method in the module's non-test source must be reachable
 // from something that runs — main and init of the commands and examples, the
 // exported API of package bdrmap, or a name the benchmark spells. A method is
 // also reachable when its receiver type is and its name belongs to an
 // interface declared in the module, to stdMethodNames (it is called through
-// the interface) or to the names the benchmark spells. Anything else is dead
-// and fails the test, unless
-// testdata/reach_allow.txt lists it with the live-behaviour test that needs
-// it; a listed declaration that is reachable, or gone, fails it too.
+// the interface) or to the names the benchmark spells. A struct field must
+// be read somewhere (see unreadFields). Anything else is dead and fails the
+// test, unless testdata/reach_allow.txt lists it with the live-behaviour
+// test that needs it; a listed declaration that is reachable, read or gone
+// fails it too.
 func TestProductDeclarationsReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -203,6 +336,8 @@ func TestProductDeclarationsReachable(t *testing.T) {
 			Defs:  make(map[*ast.Ident]types.Object),
 			Uses:  make(map[*ast.Ident]types.Object),
 			Types: make(map[ast.Expr]types.TypeAndValue),
+			// Instances: the field pass's type arguments.
+			Instances: make(map[*ast.Ident]types.Instance),
 		},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -334,13 +469,26 @@ func TestProductDeclarationsReachable(t *testing.T) {
 			t.Errorf("reach_allow.txt lists %s, which product code reaches: drop the line", name)
 		}
 	}
+	// The field pass: a field product code only ever writes is dead too.
+	var unread []string
+	for field, owner := range unreadFields(m, bench) {
+		name := fieldName(owner, field)
+		declared[name] = true
+		if !allow[name] {
+			unread = append(unread, fmt.Sprintf("%s (%s)", name, fset.Position(field.Pos())))
+		}
+	}
 	for name := range allow {
 		if !declared[name] {
-			t.Errorf("reach_allow.txt lists %s, which is not declared: drop the line", name)
+			t.Errorf("reach_allow.txt lists %s, which is not declared, or is a field product code reads: drop the line", name)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("nothing reaches %s: delete it, or list it in testdata/reach_allow.txt with the test that needs it", d)
+	}
+	sort.Strings(unread)
+	for _, f := range unread {
+		t.Errorf("no product code reads field %s: delete it, or list it in testdata/reach_allow.txt with the test that reads it", f)
 	}
 }

@@ -61,57 +61,6 @@ func TestInferAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSpliceAllocBudget is the Input.Prev regression test: an incremental
-// re-inference with an unchanged world must splice through the intern
-// table — no per-node maps, no per-node address re-resolution. A map
-// creeping back into the splice path costs ≥2 allocs per router and
-// blows the budget.
-func TestSpliceAllocBudget(t *testing.T) {
-	s1 := eval.Build(topo.TinyProfile(), 1)
-	states := make([]*scamper.RoundState, len(s1.Net.VPs))
-	for i := range states {
-		states[i] = scamper.NewRoundState()
-	}
-	cfg := scamper.Config{Workers: 1}
-	if _, err := s1.RunFleet(cfg, eval.FleetOptions{States: states}); err != nil {
-		t.Fatal(err)
-	}
-	prev := s1.Results[0]
-
-	// Round 2 on the unchanged world: everything replays from cache and
-	// the dirty-address set comes out (near) empty.
-	s2 := eval.BuildFromNetwork(s1.Net, 1)
-	if _, err := s2.RunFleet(cfg, eval.FleetOptions{States: states, Prevs: s1.Results}); err != nil {
-		t.Fatal(err)
-	}
-	ds := s2.Datasets[0]
-	if ds.Dirty == nil {
-		t.Fatal("round 2 produced no dirty set; cross-round caching is off")
-	}
-
-	var ar core.Arena
-	reg := obs.New()
-	in := core.Input{
-		Data: ds, View: s2.View, Rel: s2.Rel, RIR: s2.RIR, IXP: s2.IXP,
-		HostASN: s2.Net.HostASN, Siblings: s2.Sibs,
-		Prev: prev, Arena: &ar, Obs: reg,
-	}
-	res := core.Infer(in) // warm the arena; count splices
-	spliced := reg.Snapshot().Counter("core.inc.spliced")
-	if spliced == 0 {
-		t.Fatal("unchanged world spliced no routers")
-	}
-	in.Obs = nil
-	allocs := testing.AllocsPerRun(20, func() { core.Infer(in) })
-	perRouter := allocs / float64(len(res.Routers))
-	t.Logf("spliced re-inference: %.0f allocs/run, %d routers (%d spliced) = %.2f allocs/router",
-		allocs, len(res.Routers), spliced, perRouter)
-	const budget = 9.0
-	if perRouter > budget {
-		t.Errorf("spliced re-inference allocates %.2f allocs per router, budget %.1f", perRouter, budget)
-	}
-}
-
 // TestProbeHitPathAllocFree pins the forwarding plane's contract on the
 // alias-resolution hot path: once a target's walk is memoised, a repeated
 // Engine.Probe to it — Ally spends ≈40 on a pair — allocates nothing.

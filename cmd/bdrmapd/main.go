@@ -88,7 +88,7 @@ func main() {
 		faultSpec    = flag.String("faults", "", "inject deterministic faults into the agent link, e.g. seed=11,drop=0.12,heal=40 (see internal/faults)")
 		serve        = flag.Bool("serve", false, "after inference, keep serving the map on -metrics-addr until interrupted")
 		rounds       = flag.Int("rounds", 0, "run the continuous-monitoring loop for this many generations instead of the single-agent demo")
-		incremental  = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and prior attributions across rounds (see README: Continuous monitoring)")
+		incremental  = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and alias verdicts across rounds (see README: Continuous monitoring)")
 		refreshEach  = flag.Int("refresh-every", 0, "with -incremental, force a full re-walk of each cached target every N rounds (0 = default cadence, -1 = never)")
 		verify       = flag.Bool("verify", false, "with -incremental, cross-check every round against a from-scratch run and abort on any divergence")
 		fleetWorkers = flag.Int("fleet-workers", 1, "with -rounds, measure each round's vantage points on this many coordinator workers (the served map is identical for any count)")
@@ -109,6 +109,10 @@ func main() {
 		spans *obs.SpanLog // nil on a follower: it has no run to time
 	)
 	if *follow != "" {
+		if *spanOut != "" {
+			fmt.Fprintln(os.Stderr, "-span-out needs a run to time: a follower (-follow) has no span log")
+			os.Exit(2)
+		}
 		reg = obs.New()
 	} else {
 		var ok bool
@@ -239,10 +243,10 @@ func main() {
 		}
 		if *incremental {
 			c := func(name string) int64 { return reg.Counter(name).Load() }
-			fmt.Printf("trace cache: %d hit / %d miss / %d refresh; traces %d live + %d replayed; alias ops replayed %d; attributions spliced %d\n",
+			fmt.Printf("trace cache: %d hit / %d miss / %d refresh; traces %d live + %d replayed; alias ops replayed %d\n",
 				c("rounds.cache.hit"), c("rounds.cache.miss"), c("rounds.cache.refresh"),
 				c("driver.traces_live"), c("driver.traces_cached"),
-				c("rounds.alias.replayed"), c("core.inc.spliced"))
+				c("rounds.alias.replayed"))
 		}
 		finish()
 		return

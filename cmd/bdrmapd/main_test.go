@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -200,5 +202,27 @@ func TestFollowerInterruptedBeforeFirstGeneration(t *testing.T) {
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("bdrmapd -follow -serve interrupted before any generation: %v\n%s", err, logged.String())
+	}
+}
+
+// TestFollowerRefusesSpanOut: a follower has no span log, so -span-out with
+// -follow is a usage error (exit 2, like an unknown profile) instead of an
+// empty timeline file announced as written.
+func TestFollowerRefusesSpanOut(t *testing.T) {
+	out := t.TempDir() + "/spans.json"
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel() // a follower that is not refused runs until killed
+	cmd := exec.CommandContext(ctx, os.Args[0], "-follow", "http://127.0.0.1:1", "-metrics-addr", "127.0.0.1:0", "-span-out", out)
+	cmd.Env = append(os.Environ(), "BDRMAPD_TEST_MAIN=1")
+	stderr, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("bdrmapd -follow -span-out: err %v, want exit status 2\n%s", err, stderr)
+	}
+	if !strings.Contains(string(stderr), "-span-out") {
+		t.Errorf("refusal does not name the flag:\n%s", stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("span file %s exists after the refusal (stat: %v)", out, err)
 	}
 }

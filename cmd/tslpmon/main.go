@@ -149,7 +149,7 @@ func main() {
 		interval = flag.Duration("interval", 5*time.Minute, "probing cadence")
 		duration = flag.Duration("duration", 24*time.Hour, "monitoring duration")
 		rounds   = flag.Int("rounds", 0, "map borders through this many continuous-monitoring rounds of churn and monitor the final generation")
-		incr     = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and prior attributions across rounds")
+		incr     = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and alias verdicts across rounds")
 		watch    = flag.String("watch", "", "stream /v1/watch from a running bdrmapd at this base URL and report border churn live instead of building a world (quorum-partial frames are reported but never counted as flaps)")
 		watchMax = flag.Int("watch-frames", 0, "with -watch, exit after this many diff frames (0 = run until interrupted)")
 	)

@@ -43,10 +43,9 @@ type Arena struct {
 	// asSlab backs the per-node dests/lastFor/firstRoutedAfter tallies.
 	asSlab []asCount
 
-	// Splice working set (incremental rounds).
-	nodeMark []bool
-	frontier []int32
-	next     []int32
+	// seen lists, per trace, the nodes still waiting for their first
+	// routed successor (buildGraph pass 2).
+	seen []int32
 
 	// Per-decision scratch of the §5.4 cascade.
 	ws workspace
@@ -134,9 +133,7 @@ func (a *Arena) Reset() {
 	clear(a.edgeIdx)
 	a.edgeCnt = a.edgeCnt[:0]
 	a.asSlab = a.asSlab[:0]
-	a.nodeMark = a.nodeMark[:0]
-	a.frontier = a.frontier[:0]
-	a.next = a.next[:0]
+	a.seen = a.seen[:0]
 	// Workspace epoch arrays survive as-is: slots older than the current
 	// epoch read as unset, so no clearing is needed.
 }

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"bdrmap/internal/asrel"
 	"bdrmap/internal/bgp"
@@ -40,11 +40,6 @@ type Input struct {
 	// SpanParent is the span the infer span attaches under (typically the
 	// enclosing "vp" span; 0 makes it a root).
 	SpanParent obs.SpanID
-	// Prev, together with Data.Dirty, enables incremental re-inference:
-	// routers more than three hops from every dirty address splice their
-	// attribution from the previous round's result instead of re-running
-	// the §5.4 cascade. Nil (or a nil Data.Dirty) infers from scratch.
-	Prev *Result
 	// Arena supplies the slab storage the router graph is built from; the
 	// caller may reuse one across rounds and scenarios (resetting between
 	// inferences is Infer's job). Nil borrows from an internal pool.
@@ -116,12 +111,11 @@ type node struct {
 	extAS  topo.ASN // for classExternal (or a common origin for classMulti)
 	isVP   bool     // contains the VP-side first hop
 
-	owner   topo.ASN
-	heur    Heuristic
-	host    bool
-	done    bool
-	merged  bool // folded into another node by §5.4.7
-	spliced bool // attribution copied from the previous round's result
+	owner  topo.ASN
+	heur   Heuristic
+	host   bool
+	done   bool
+	merged bool // folded into another node by §5.4.7
 }
 
 // finalInfo tracks, per target AS, the single last-responding router of
@@ -182,13 +176,10 @@ func buildGraph(in Input, ar *Arena) *graph {
 	g := &graph{
 		in:         in,
 		vpASNs:     in.vpASNs(),
+		intern:     netx.NewIntern(in.Data.Stats.AddrsObserved + 1),
 		ar:         ar,
 		echoFrom:   make(map[topo.ASN][]netx.Addr),
 		finalNodes: make(map[topo.ASN]finalInfo),
-	}
-	g.intern = in.Data.Intern
-	if g.intern == nil {
-		g.intern = netx.NewIntern(1024)
 	}
 
 	// Pass 0: the positional host-space rule (§5.4.1): in each trace, any
@@ -297,7 +288,7 @@ func buildGraph(in Input, ar *Arena) *graph {
 	}
 
 	// Pass 2: first routed address after each node (for §5.4.3).
-	seen := g.ar.frontier[:0]
+	seen := g.ar.seen[:0]
 	for _, tr := range in.Data.Traces {
 		seen = seen[:0]
 		for _, h := range tr.Hops {
@@ -330,7 +321,7 @@ func buildGraph(in Input, ar *Arena) *graph {
 			}
 		}
 	}
-	g.ar.frontier = seen[:0]
+	g.ar.seen = seen[:0]
 	g.nodes = g.ar.nodes
 
 	g.buildEdges()
@@ -339,7 +330,7 @@ func buildGraph(in Input, ar *Arena) *graph {
 	// Classify every node.
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		sort.Slice(n.addrs, func(a, b int) bool { return n.addrs[a] < n.addrs[b] })
+		slices.Sort(n.addrs)
 		n.class, n.extAS = g.classify(n.addrs)
 	}
 	// Visit order: by hop distance, then creation id for determinism.
@@ -347,12 +338,8 @@ func buildGraph(in Input, ar *Arena) *graph {
 	for i := range g.nodes {
 		order = append(order, int32(i))
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if g.nodes[a].minTTL != g.nodes[b].minTTL {
-			return g.nodes[a].minTTL < g.nodes[b].minTTL
-		}
-		return a < b
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(g.nodes[a].minTTL, g.nodes[b].minTTL), cmp.Compare(a, b))
 	})
 	g.ar.order = order
 	g.order = order

@@ -22,7 +22,6 @@ func Infer(in Input) *Result {
 	}
 	ar.Reset()
 	g := buildGraph(in, ar)
-	g.spliceClean(in.Prev, in.Data.Dirty)
 	g.passHost()
 	g.sweep()
 	g.passAnalyticalAliases()
@@ -43,13 +42,10 @@ func (n *node) anonymousAddr() bool {
 
 // sweep runs §5.4.2–§5.4.6 over the routers in order of their distance
 // from the VP (§5.4; ties by creation id). A router already claimed — by
-// §5.4.1, or by step 5.1 of a router visited earlier — is skipped, and a
-// spliced one only replays the claims its inference makes on others.
+// §5.4.1, or by step 5.1 of a router visited earlier — is skipped.
 func (g *graph) sweep() {
 	for _, id := range g.order {
-		if n := &g.nodes[id]; n.spliced {
-			g.replaySpliced(id)
-		} else if !n.done {
+		if !g.nodes[id].done {
 			g.inferNeighbor(id)
 		}
 	}
@@ -329,13 +325,7 @@ func (g *graph) soleConeRoot(dests []asCount) topo.ASN {
 			if d == b {
 				continue
 			}
-			isCust := false
-			for _, p := range g.in.Rel.ProvidersOf(d) {
-				if p == b {
-					isCust = true
-				}
-			}
-			if !isCust {
+			if g.in.Rel.Rel(d, b) != topo.RelProvider {
 				ok = false
 				break
 			}

@@ -81,10 +81,10 @@ type Result struct {
 	// Neighbors groups inferred links by far AS.
 	Neighbors map[topo.ASN][]*Link
 
-	// Intern is the interface-address table the inference ran on; every
+	// Intern is the interface-address table this inference built; every
 	// router address has a dense ID in it. Consumers that index routers
-	// by address (mapdb's owner index, the next round's splice path)
-	// share it instead of rebuilding address maps.
+	// by address (RouterByAddr, mapdb's owner index) use it instead of
+	// rebuilding address maps.
 	Intern *netx.Intern
 	// routerByID maps interned address IDs to indices in Routers (-1 for
 	// addresses with no router).
@@ -92,9 +92,7 @@ type Result struct {
 }
 
 // RouterByAddr returns the inferred router holding addr, if observed.
-func (r *Result) RouterByAddr(a netx.Addr) *RouterNode { return r.routerFor(a) }
-
-func (r *Result) routerFor(a netx.Addr) *RouterNode {
+func (r *Result) RouterByAddr(a netx.Addr) *RouterNode {
 	if r.Intern == nil || r.routerByID == nil {
 		return nil
 	}

@@ -45,15 +45,13 @@ type FleetOptions struct {
 	Order            []int
 	// VPs overrides transport per VP index; absent entries run locally.
 	VPs map[int]FleetVP
-	// States and Prevs carry per-VP cross-round state (indexed like
-	// Net.VPs): each VP's measurement memory from the previous round
-	// (trace transcripts, stop-set evolution, alias memo) and its previous
-	// inference result. The driver replays unchanged targets without
-	// spending probes, and the core splices prior attributions for routers
-	// far from every changed address. A shard's RoundState stays with the
-	// shard across retries and worker reassignment.
+	// States carries per-VP cross-round state (indexed like Net.VPs): each
+	// VP's measurement memory from the previous round (trace transcripts,
+	// stop-set evolution, alias memo). The driver replays unchanged targets
+	// without spending probes; inference always runs in full. A shard's
+	// RoundState stays with the shard across retries and worker
+	// reassignment.
 	States []*scamper.RoundState
-	Prevs  []*core.Result
 	// Opts is passed to every shard's inference.
 	Opts core.Options
 	// OnPublish receives the quorum-time partial and the final merged
@@ -122,9 +120,6 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) (*fleet.Summary
 				// against it.
 				if fo.States != nil {
 					sh.cfg.State = fo.States[i]
-				}
-				if fo.Prevs != nil {
-					sh.prev = fo.Prevs[i]
 				}
 				if sp := specs[i]; sp != nil {
 					k := ctx.Attempt

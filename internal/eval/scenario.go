@@ -130,8 +130,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 type shard struct {
 	cfg   scamper.Config // cfg.State carries the VP's cross-round memory, if any
 	opts  core.Options
-	prev  *core.Result // previous round's inference to splice from, or nil
-	arena *core.Arena  // one per goroutine that infers
+	arena *core.Arena // one per goroutine that infers
 
 	trace  *obs.Tracer
 	spans  *obs.SpanLog
@@ -208,7 +207,7 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: sh.opts,
 		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: vsp.ID(),
-		Prev: sh.prev, Arena: sh.arena,
+		Arena: sh.arena,
 	})
 	vsp.End()
 	s.Obs.Inc(runs)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -13,11 +12,11 @@ import (
 
 // TestDifferentialRoundsSequentialVsFleet drives the rounds-golden churn
 // schedule (same mutations as RunRounds) through the one-worker sequential
-// coordinator and a four-worker fleet, incremental state and attribution
-// splicing engaged on both sides, and requires every published generation
-// to be byte-identical: served links, owner attributions, and per-round
-// trace fingerprints. The multi-VP profile makes the schedule real — three
-// shards genuinely interleave on the fleet side.
+// coordinator and a four-worker fleet, incremental state engaged on both
+// sides, and requires every published generation to be byte-identical:
+// served links, owner attributions, and per-round trace fingerprints. The
+// multi-VP profile makes the schedule real — three shards genuinely
+// interleave on the fleet side.
 func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 	const rounds = 3
 	prof, ok := topo.ProfileByName("regional-vp")
@@ -31,7 +30,6 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 		for i := range states {
 			states[i] = scamper.NewRoundState()
 		}
-		var prevs []*core.Result
 		for r := 0; r < rounds; r++ {
 			if r > 0 {
 				if _, err := mutateWorld(n, rng, r); err != nil {
@@ -41,11 +39,10 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 			}
 			s := eval.BuildFromNetwork(n, 1)
 			if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
-				Workers: workers, States: states, Prevs: prevs,
+				Workers: workers, States: states,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			prevs = s.Results
 			snaps = append(snaps, Compile(n.HostASN, s.Results))
 			fps = append(fps, roundFingerprint(s.Datasets))
 		}

@@ -141,11 +141,11 @@ func Compile(host topo.ASN, results []*core.Result) *Snapshot {
 	//
 	// Deduplication runs on dense interned address IDs and a flat seen
 	// array, not an address-keyed map. When every result carries the same
-	// intern table (the single-driver rounds loop), its IDs are consumed
-	// directly; otherwise a compile-local table assigns them. ID() on a
-	// shared table is a monotonic append — an address unseen by the driver
-	// (none in practice, since router addresses come from traces) merely
-	// extends it, which cross-round ID stability tolerates by design.
+	// intern table (a one-VP map), its IDs are consumed directly;
+	// otherwise a compile-local table assigns them. ID() on a result's
+	// table is a monotonic append — an address its inference did not
+	// intern (none in practice, since router addresses come from traces)
+	// merely extends it.
 	it := sharedIntern(results)
 	if it == nil {
 		it = netx.NewIntern(1024)

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
@@ -27,10 +26,10 @@ import (
 // With Incremental set, rounds after the first reuse the previous round's
 // measurement memory: the doubletree stop set persists in each VP's
 // scamper.RoundState, targets whose path signature is unchanged replay
-// their cached traces without spending probes, and inference splices prior
-// attributions for routers far from every changed address (core.Input.Prev
-// + Dataset.Dirty). Verify cross-checks every incremental round against a
-// from-scratch run on an identically mutated shadow world.
+// their cached traces without spending probes, and alias verdicts replay
+// for addresses no changed trace touched (Dataset.Dirty). Inference runs
+// in full every round. Verify cross-checks every incremental round against
+// a from-scratch run on an identically mutated shadow world.
 
 // RoundsConfig configures one deterministic multi-round run.
 type RoundsConfig struct {
@@ -53,9 +52,8 @@ type RoundsConfig struct {
 	FleetQuorum int
 
 	// Incremental carries per-VP measurement state (stop set, trace
-	// transcripts, alias memos) and the previous inference result across
-	// rounds, so unchanged parts of the world are replayed rather than
-	// re-probed and re-inferred.
+	// transcripts, alias memos) across rounds, so unchanged parts of the
+	// world are replayed rather than re-probed.
 	Incremental bool
 	// RefreshEvery forces a full re-walk of a target every N rounds even
 	// when its path signature is unchanged (0 means
@@ -124,10 +122,9 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 	}
 
 	// Cross-round incremental state: one RoundState per VP (stop set,
-	// trace transcripts, alias memos) plus the previous round's results
-	// for attribution splicing.
+	// trace transcripts, alias memos). Inference keeps nothing between
+	// rounds.
 	var states []*scamper.RoundState
-	var prevs []*core.Result
 	if cfg.Incremental {
 		states = make([]*scamper.RoundState, len(n.VPs))
 		for i := range states {
@@ -136,11 +133,12 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 	}
 
 	scfg := scamper.Config{Workers: cfg.Workers, RefreshEvery: cfg.RefreshEvery}
-	var events []RoundEvent
 	var s *eval.Scenario
-	for r := 0; r < cfg.Rounds; r++ {
+	round := func(r int) (RoundEvent, error) {
 		span := cfg.Obs.StartStage("rounds.round")
+		defer span.End()
 		rsp := cfg.Spans.Begin(cfg.SpanParent, "round", fmt.Sprintf("round %d", r))
+		defer rsp.End()
 		// The build stage is everything a round pays before it measures:
 		// the churn, the topology rebuild and every derived input.
 		bsp := cfg.Spans.Begin(rsp.ID(), "stage", "build")
@@ -150,9 +148,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			action, err = mutateWorld(n, rng, r)
 			if err != nil {
 				bsp.End()
-				rsp.End()
-				span.End()
-				return events, nil, err
+				return RoundEvent{}, err
 			}
 			n.Build()
 		}
@@ -163,9 +159,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		rsp.SetAttr("action", action)
 		if r > 0 && vn != nil {
 			if _, err := mutateWorld(vn, vrng, r); err != nil {
-				rsp.End()
-				span.End()
-				return events, nil, err
+				return RoundEvent{}, err
 			}
 			vn.Build()
 		}
@@ -179,22 +173,17 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		fo := eval.FleetOptions{Workers: cfg.FleetWorkers, Quorum: cfg.FleetQuorum}
-		if cfg.Incremental {
-			fo.States = states
-			fo.Prevs = prevs
-		}
+		fo := eval.FleetOptions{Workers: cfg.FleetWorkers, Quorum: cfg.FleetQuorum, States: states}
 		if cfg.FleetQuorum > 0 {
 			// Quorum-time partial generations publish from the coordinator
 			// goroutine as soon as enough VPs land; the round's own full
 			// compile+publish below is the healing generation.
 			sc := s
-			round := rsp
 			fo.OnPublish = func(ev fleet.PublishEvent) {
 				if ev.Final {
 					return
 				}
-				qsp := cfg.Spans.Begin(round.ID(), "stage", "publish-partial")
+				qsp := cfg.Spans.Begin(rsp.ID(), "stage", "publish-partial")
 				psnap := Compile(sc.Net.HostASN, ev.Results)
 				psnap.MarkDegraded(ev.Degraded)
 				store.Publish(psnap)
@@ -204,12 +193,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			}
 		}
 		if _, err := s.RunFleet(scfg, fo); err != nil {
-			rsp.End()
-			span.End()
-			return events, nil, err
-		}
-		if cfg.Incremental {
-			prevs = s.Results
+			return RoundEvent{}, err
 		}
 		csp := cfg.Spans.Begin(rsp.ID(), "stage", "compile")
 		snap := Compile(n.HostASN, s.Results)
@@ -219,21 +203,24 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		store.Publish(snap)
 		psp.SetAttr("gen", snap.Gen())
 		psp.End()
+		if vn != nil {
+			if err := verifyRound(cfg, r, vn, s, snap); err != nil {
+				return RoundEvent{}, err
+			}
+		}
+		rsp.SetAttr("gen", snap.Gen())
 		// The event names the generation of the snapshot just published —
 		// not store.Current().Gen(), which a concurrent publisher could
 		// have already advanced past ours.
-		ev := RoundEvent{Gen: snap.Gen(), Action: action, TraceFP: roundFingerprint(s.Datasets)}
-		if vn != nil {
-			if err := verifyRound(cfg, r, vn, s, snap); err != nil {
-				rsp.End()
-				span.End()
-				return events, nil, err
-			}
+		return RoundEvent{Gen: snap.Gen(), Action: action, TraceFP: roundFingerprint(s.Datasets)}, nil
+	}
+	var events []RoundEvent
+	for r := 0; r < cfg.Rounds; r++ {
+		ev, err := round(r)
+		if err != nil {
+			return events, nil, err
 		}
 		events = append(events, ev)
-		rsp.SetAttr("gen", snap.Gen())
-		rsp.End()
-		span.End()
 	}
 	return events, s, nil
 }

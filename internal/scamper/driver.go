@@ -91,16 +91,10 @@ type Dataset struct {
 	// Dirty is the set of interface addresses whose trace evidence changed
 	// since the previous round: every address appearing in the current or
 	// prior transcript of any target that was not served fully from cache.
-	// It is nil when cross-round caching is off — consumers must treat nil
-	// as "everything is dirty".
+	// The alias stage replays a memoized verdict only when none of its
+	// addresses is dirty. It is nil when cross-round caching is off, which
+	// reads as "everything is dirty".
 	Dirty map[netx.Addr]bool
-	// Intern assigns every observed interface address (and its alias-graph
-	// canonical) a dense int32 ID. It is built single-threaded after the
-	// probing barrier; the inference core, mapdb, and the next round's
-	// splice path all index by these IDs instead of address-keyed maps.
-	// With cross-round caching the same table persists between rounds, so
-	// an address keeps its ID for the lifetime of the RoundState.
-	Intern *netx.Intern
 }
 
 // RunStats summarizes the probing effort.
@@ -321,7 +315,7 @@ func (d *Driver) Run() *Dataset {
 
 	// Fold this round's transcripts back into the cross-round state
 	// (single-threaded, after the barrier) and derive the dirty-address
-	// set the alias stage and the inference core key their replay off.
+	// set the alias stage keys its replay off.
 	if st != nil {
 		dirty := make(map[netx.Addr]bool)
 		markDirty := func(recs []TraceRecord) {
@@ -413,32 +407,6 @@ func (d *Driver) Run() *Dataset {
 	aliasSp.SetAttr("pairs", ds.Stats.AliasPairsRun)
 	aliasSp.AddSim(aliasSim)
 	aliasSp.End()
-
-	// Intern every responding interface address and its alias canonical,
-	// single-threaded now that probing and alias resolution are done. The
-	// cross-round table (when State is set) keeps IDs stable between rounds.
-	var it *netx.Intern
-	if st != nil {
-		it = st.intern
-	}
-	if it == nil {
-		it = netx.NewIntern(ds.Stats.AddrsObserved + 1)
-		if st != nil {
-			st.intern = it
-		}
-	}
-	for i := range ds.Traces {
-		for _, h := range ds.Traces[i].Hops {
-			if h.Type != probe.HopTimeExceeded {
-				continue
-			}
-			it.ID(h.Addr)
-			if ds.Graph != nil {
-				it.ID(ds.Graph.Canonical(h.Addr))
-			}
-		}
-	}
-	ds.Intern = it
 
 	// SimDuration is the slowest lane plus the single-threaded alias stage,
 	// not a difference of unordered reads of the shared clock.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 
+	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
 )
 
@@ -89,4 +90,34 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 		return nil
 	}
 	return err
+}
+
+// eachAddr calls yield for every address the state retains: the hops of
+// every cached transcript and both sides of every alias memo, the pairs a
+// Prefixscan tried included.
+func (st *RoundState) eachAddr(yield func(netx.Addr)) {
+	for _, m := range st.targets {
+		for _, ct := range m.traces {
+			for _, h := range ct.rec.Hops {
+				yield(h.Addr)
+			}
+		}
+	}
+	for a, m := range st.mercator {
+		yield(a)
+		yield(m.from)
+	}
+	for p := range st.pairs {
+		yield(p[0])
+		yield(p[1])
+	}
+	for p, m := range st.scans {
+		yield(p[0])
+		yield(p[1])
+		yield(m.mate)
+		for _, pv := range m.tried {
+			yield(pv.A)
+			yield(pv.B)
+		}
+	}
 }

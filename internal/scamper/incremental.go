@@ -62,11 +62,6 @@ type RoundState struct {
 	pairs    map[apair]alias.Verdict
 	scans    map[apair]scanMemo
 
-	// intern is the cross-round address table: an address keeps its dense
-	// ID for the lifetime of the state, so the splice path can compare
-	// rounds by ID instead of address-keyed maps.
-	intern *netx.Intern
-
 	// owner enforces the single-driver contract at runtime. The fleet
 	// coordinator moves a shard's state between workers and across agent
 	// redials; a scheduling bug that let two drivers mutate one state

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bdrmap/internal/alias"
+	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
@@ -284,5 +285,84 @@ func TestPrefixscanTraceCapturesVerdicts(t *testing.T) {
 	}
 	if !found {
 		t.Skip("no prefixscan hits in this world")
+	}
+}
+
+// TestRoundStateForgetsDeprovisionedNeighbor: cross-round state is this
+// round's measurements and nothing older. Over eight churn rounds on r&e
+// (odd rounds attach a customer, even rounds de-provision a neighbor, as
+// mapdb's rounds loop does), the round that measures a de-provisioning
+// leaves no trace — in transcripts or alias memos — of the addresses only
+// the departed neighbor's traces had contained.
+func TestRoundStateForgetsDeprovisionedNeighbor(t *testing.T) {
+	n := topo.Generate(topo.REProfile(), 1)
+	st := NewRoundState()
+	measure := func() *Dataset {
+		tab := bgp.NewTable(n)
+		hosts := map[topo.ASN]bool{n.HostASN: true}
+		for _, s := range n.Siblings(n.HostASN) {
+			hosts[s] = true
+		}
+		d := &Driver{
+			View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
+			Prober:   LocalProber{E: probe.New(n, tab), VP: n.VPs[0]},
+			HostASNs: hosts,
+			Cfg:      Config{State: st},
+		}
+		return d.Run()
+	}
+	// hopAddrs maps every address a dataset's traces contain to the one
+	// target AS whose traces contain it, or to 0 when several do.
+	hopAddrs := func(ds *Dataset) map[netx.Addr]topo.ASN {
+		out := make(map[netx.Addr]topo.ASN)
+		for _, tr := range ds.Traces {
+			for _, h := range tr.Hops {
+				if h.Addr.IsZero() {
+					continue
+				}
+				if as, seen := out[h.Addr]; seen && as != tr.TargetAS {
+					out[h.Addr] = 0
+				} else if !seen {
+					out[h.Addr] = tr.TargetAS
+				}
+			}
+		}
+		return out
+	}
+
+	before := hopAddrs(measure())
+	forgotten := 0
+	for r := 1; r <= 8; r++ {
+		var victim topo.ASN
+		ils := n.InterdomainLinks(n.HostASN)
+		if r%2 == 1 {
+			if _, err := topo.AttachCustomer(n, ils[0].NearRtr, topo.ASN(65000+r)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			victim = ils[(r*7)%len(ils)].FarAS
+			topo.Depeer(n, victim)
+		}
+		n.Build()
+		now := hopAddrs(measure())
+		if victim != 0 {
+			gone := make(map[netx.Addr]bool)
+			for a, as := range before {
+				if _, still := now[a]; as == victim && !still {
+					gone[a] = true
+				}
+			}
+			forgotten += len(gone)
+			st.eachAddr(func(a netx.Addr) {
+				if gone[a] {
+					t.Errorf("round %d: state still holds %v, seen only toward de-provisioned %v", r, a, victim)
+					delete(gone, a) // once per address
+				}
+			})
+		}
+		before = now
+	}
+	if forgotten == 0 {
+		t.Fatal("no de-provisioning removed an address from the traces: nothing was checked")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -89,6 +90,46 @@ func (m *modImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 	return pkg, nil
 }
 
+// loadModule type-checks every package of the module outside bench/ and
+// testdata/ from source, once for the gates that share it.
+var loadModule = sync.OnceValues(func() (*modImporter, error) {
+	// The source importer would run cgo for net and os/user.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+
+	fset := token.NewFileSet()
+	m := &modImporter{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:  make(map[string]*types.Package),
+		files: make(map[string][]*ast.File),
+		info: &types.Info{
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			// Instances: the field pass's type arguments.
+			Instances: make(map[*ast.Ident]types.Instance),
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (name == "bench" || name == "testdata" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if _, err := build.Default.ImportDir(path, 0); err != nil {
+			if _, noGo := err.(*build.NoGoError); noGo {
+				return nil
+			}
+			return err
+		}
+		_, err = m.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
+		return err
+	})
+	return m, err
+})
+
 // recvOf returns the named type obj is a method of, or nil when obj is not
 // a method.
 func recvOf(obj types.Object) *types.TypeName {
@@ -141,10 +182,11 @@ func benchNames(t *testing.T, fset *token.FileSet) map[string]bool {
 	return names
 }
 
-// readReachAllow parses testdata/reach_allow.txt: one "name  # reason" per
-// line, the reason naming the live-behaviour test that needs the declaration.
-func readReachAllow(t *testing.T) map[string]bool {
-	f, err := os.Open(filepath.Join("testdata", "reach_allow.txt"))
+// readAllowList parses testdata/<file>: one "name  # reason" per line, at
+// most max of them, each reason passing reasonOK — or failing the test as
+// one that does not say what it must.
+func readAllowList(t *testing.T, file string, max int, reasonOK func(string) bool, must string) map[string]bool {
+	f, err := os.Open(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +198,31 @@ func readReachAllow(t *testing.T) map[string]bool {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, reason, ok := strings.Cut(line, "#")
-		name, reason = strings.TrimSpace(name), strings.TrimSpace(reason)
-		if !ok || !strings.Contains(reason, "Test") && !strings.Contains(reason, "Fuzz") {
-			t.Errorf("reach_allow.txt: %q does not name the test that needs it", line)
+		name, reason, _ := strings.Cut(line, "#")
+		name = strings.TrimSpace(name)
+		if !reasonOK(strings.TrimSpace(reason)) {
+			t.Errorf("%s: %q does not %s", file, line, must)
 		}
 		if allow[name] {
-			t.Errorf("reach_allow.txt: %s listed twice", name)
+			t.Errorf("%s: %s listed twice", file, name)
 		}
 		allow[name] = true
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(allow) > maxReachAllow {
-		t.Errorf("reach_allow.txt lists %d declarations, cap is %d", len(allow), maxReachAllow)
+	if len(allow) > max {
+		t.Errorf("%s lists %d names, cap is %d", file, len(allow), max)
 	}
 	return allow
+}
+
+// readReachAllow parses testdata/reach_allow.txt, whose reasons name the
+// live-behaviour test that needs the declaration.
+func readReachAllow(t *testing.T) map[string]bool {
+	return readAllowList(t, "reach_allow.txt", maxReachAllow, func(reason string) bool {
+		return strings.Contains(reason, "Test") || strings.Contains(reason, "Fuzz")
+	}, "name the test that needs it")
 }
 
 // fieldName is how a field is written in the allow-list: its type's declName,
@@ -322,43 +372,11 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
-	// The source importer would run cgo for net and os/user.
-	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-
-	fset := token.NewFileSet()
-	m := &modImporter{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs:  make(map[string]*types.Package),
-		files: make(map[string][]*ast.File),
-		info: &types.Info{
-			Defs:  make(map[*ast.Ident]types.Object),
-			Uses:  make(map[*ast.Ident]types.Object),
-			Types: make(map[ast.Expr]types.TypeAndValue),
-			// Instances: the field pass's type arguments.
-			Instances: make(map[*ast.Ident]types.Instance),
-		},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (name == "bench" || name == "testdata" || name[0] == '.' || name[0] == '_') {
-			return filepath.SkipDir
-		}
-		if _, err := build.Default.ImportDir(path, 0); err != nil {
-			if _, noGo := err.(*build.NoGoError); noGo {
-				return nil
-			}
-			return err
-		}
-		_, err = m.Import(filepath.ToSlash(filepath.Join(modulePath, path)))
-		return err
-	})
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fset := m.fset
 
 	// Nodes are the top-level declarations; an edge runs from a declaration
 	// to every declaration its source text uses.

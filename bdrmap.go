@@ -379,12 +379,6 @@ type FleetOptions struct {
 	// degraded; the final (full) generation always follows. 0 disables
 	// partial publishing.
 	Quorum int
-	// Retries is each VP's budget of extra attempts after a failed one
-	// (only remote/faulted transports can fail).
-	Retries int
-	// StragglerTimeout is how long the coordinator waits after quorum
-	// before publishing the partial generation (0 = immediately).
-	StragglerTimeout time.Duration
 	// OnPublish receives the quorum-time partial and the final
 	// generations — per-VP results, nil where a VP has not reported — on
 	// the coordinator goroutine.
@@ -402,24 +396,19 @@ func (w *World) MapAll() []*Report {
 }
 
 // MapAllFleet measures every vantage point through the fleet coordinator:
-// a bounded worker pool fed from one queue, with per-VP retry budgets, streaming
-// merge, and optional quorum publishing. Reports are indexed by VP.
+// a bounded worker pool fed from one queue, with optional quorum
+// publishing. Reports are indexed by VP.
 func (w *World) MapAllFleet(o FleetOptions) ([]*Report, error) {
-	_, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{
-		Workers:          o.Workers,
-		Quorum:           o.Quorum,
-		Retries:          o.Retries,
-		StragglerTimeout: o.StragglerTimeout,
-		OnPublish:        o.OnPublish,
+	results, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{
+		Workers:   o.Workers,
+		Quorum:    o.Quorum,
+		OnPublish: o.OnPublish,
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Report, w.NumVPs())
-	for i, res := range w.s.Results {
-		if res == nil {
-			continue // shard failed with nothing salvaged
-		}
+	out := make([]*Report, len(results))
+	for i, res := range results {
 		out[i] = w.buildReport(res)
 	}
 	return out, nil

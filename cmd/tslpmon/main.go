@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"time"
 
 	"bdrmap"
@@ -143,7 +144,7 @@ func runWatch(base string, maxFrames int) {
 
 func main() {
 	var (
-		profile  = flag.String("profile", "small-access", "tiny|re|small-access|enterprise")
+		profile  = flag.String("profile", "small-access", "built-in profile (tiny, re, small-access, large-access, ... — an unknown name lists them all)")
 		seed     = flag.Int64("seed", 1, "world seed")
 		congest  = flag.Int("congest", 1, "interdomain links to congest in the evening")
 		interval = flag.Duration("interval", 5*time.Minute, "probing cadence")
@@ -160,18 +161,10 @@ func main() {
 		return
 	}
 
-	var prof bdrmap.Profile
-	switch *profile {
-	case "tiny":
-		prof = bdrmap.Tiny()
-	case "re", "r&e":
-		prof = bdrmap.RE()
-	case "small-access":
-		prof = bdrmap.SmallAccess()
-	case "enterprise":
-		prof = topo.EnterpriseProfile()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
+	prof, ok := bdrmap.ProfileByName(*profile)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown profile %q (have: %s)\n",
+			*profile, strings.Join(bdrmap.ProfileNames(), ", "))
 		os.Exit(2)
 	}
 

@@ -12,12 +12,11 @@ import (
 
 // Differential harness for the fleet coordinator: every golden scenario
 // runs through the sequential one-worker coordinator (MapAll) and through
-// wider fleets — workers 4 and 8, adversarial enqueue orders, remote
-// transports under healing fault schedules — and the outputs must be
-// byte-identical: same per-VP link sets and owner attributions, same
-// merged map, same provenance trace fingerprint, same span-tree
-// fingerprint. Run under -race these tests double as the data-race check
-// on the worker pool.
+// wider fleets — workers 4 and 8, adversarial enqueue orders — and the
+// outputs must be byte-identical: same per-VP link sets and owner
+// attributions, same merged map, same provenance trace fingerprint, same
+// span-tree fingerprint. Run under -race these tests double as the
+// data-race check on the worker pool.
 
 // ownerRow is the stable serialization of one router's attribution.
 type ownerRow struct {
@@ -145,37 +144,4 @@ func TestDifferentialFleetAdversarialOrder(t *testing.T) {
 		fltReps[i] = flt.buildReport(res)
 	}
 	diffWorlds(t, "sequential", "reversed-order", seq, flt, seqReps, fltReps)
-}
-
-// TestDifferentialRemoteChaos replays the remote-tiny chaos seeds through
-// the standalone remote runner and a fleet remote shard: the degraded
-// (partial) datasets must infer identically.
-func TestDifferentialRemoteChaos(t *testing.T) {
-	specs := []struct{ name, spec string }{
-		{"drop", "seed=11,drop=0.12,heal=40"},
-		{"corrupt-dup", "seed=23,corrupt=0.08,dup=0.08,heal=40"},
-	}
-	for _, tc := range specs {
-		t.Run(tc.name, func(t *testing.T) {
-			sw := NewWorld(Tiny(), 1)
-			srep, err := sw.MapBordersRemote(0, RemoteOptions{FaultSpec: tc.spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fw := NewWorld(Tiny(), 1)
-			if _, err := fw.Scenario().RunFleet(scamper.Config{}, eval.FleetOptions{
-				Workers: 4,
-				VPs:     map[int]eval.FleetVP{0: {Remote: true, FaultSpecs: []string{tc.spec}}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			res := fw.Scenario().Results[0]
-			if res == nil {
-				t.Fatal("fleet remote shard produced no result")
-			}
-			frep := fw.buildReport(res)
-			diffReports(t, "standalone", "fleet", srep, frep,
-				sw.TraceFingerprint(), fw.TraceFingerprint())
-		})
-	}
 }

@@ -64,6 +64,12 @@ const (
 	allyInterval = 5 * time.Minute       // between the rounds of one pair
 	probeGap     = 20 * time.Millisecond // between interleaved probes
 	maxSpan      = 2000                  // widest IP-ID span of one interleaved sequence
+
+	// The velocity test's sampler (velocity.go).
+	velocitySamples  = 8               // per address
+	velocityGap      = 2 * time.Second // between samples
+	velocityMaxResid = 200             // max tolerated residual, IDs
+	velocityMinRate  = 0.5             // IDs/sec below which a counter is "stalled"
 )
 
 // Resolver drives alias-resolution measurements through a probe source
@@ -292,7 +298,7 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	if v := r.Ally(a, b); v != Unknown {
 		return v
 	}
-	return r.Velocity(a, b, VelocityConfig{})
+	return r.Velocity(a, b)
 }
 
 // PairVerdict records one pair test a compound operation performed — the

@@ -1,8 +1,6 @@
 package alias
 
 import (
-	"time"
-
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
@@ -15,55 +13,30 @@ import (
 // rate-consistent line fits the *merged* series — which tolerates rate
 // limiting and uneven scheduling that break classic Ally interleaving.
 
-// VelocityConfig tunes the sampler.
-type VelocityConfig struct {
-	Samples  int           // per address (default 8)
-	Gap      time.Duration // between samples (default 2s)
-	MaxResid float64       // max tolerated residual, IDs (default 200)
-	MinRate  float64       // IDs/sec below which a counter is "stalled" (default 0.5)
-}
-
-func (c VelocityConfig) withDefaults() VelocityConfig {
-	if c.Samples == 0 {
-		c.Samples = 8
-	}
-	if c.Gap == 0 {
-		c.Gap = 2 * time.Second
-	}
-	if c.MaxResid == 0 {
-		c.MaxResid = 200
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 0.5
-	}
-	return c
-}
-
 type idSample struct {
 	t  float64 // seconds
 	id uint16
 }
 
 // Velocity runs the velocity test on a pair and records the verdict.
-func (r *Resolver) Velocity(a, b netx.Addr, cfg VelocityConfig) Verdict {
+func (r *Resolver) Velocity(a, b netx.Addr) Verdict {
 	if a == b {
 		return AliasYes
 	}
 	if v := r.Verdict(a, b); v != Unknown {
 		return v
 	}
-	cfg = cfg.withDefaults()
 	method, ok := r.pickMethod(a, b)
 	if !ok {
 		return Unknown
 	}
-	sa := r.sampleSeries(a, method, cfg)
-	sb := r.sampleSeries(b, method, cfg)
+	sa := r.sampleSeries(a, method)
+	sb := r.sampleSeries(b, method)
 	if len(sa) < 3 || len(sb) < 3 {
 		return Unknown
 	}
-	ra, oka := fitCounter(sa, cfg)
-	rb, okb := fitCounter(sb, cfg)
+	ra, oka := fitCounter(sa)
+	rb, okb := fitCounter(sb)
 	if !oka || !okb {
 		return Unknown // at least one series is not a counter at all
 	}
@@ -87,7 +60,7 @@ func (r *Resolver) Velocity(a, b netx.Addr, cfg VelocityConfig) Verdict {
 			return no("merged-non-monotonic")
 		}
 	}
-	if _, ok := fitCounter(merged, cfg); !ok {
+	if _, ok := fitCounter(merged); !ok {
 		return no("merged-misfit")
 	}
 	r.Record(a, b, AliasYes)
@@ -97,14 +70,14 @@ func (r *Resolver) Velocity(a, b netx.Addr, cfg VelocityConfig) Verdict {
 }
 
 // sampleSeries collects timestamped IP-ID samples for one address.
-func (r *Resolver) sampleSeries(a netx.Addr, m probe.Method, cfg VelocityConfig) []idSample {
+func (r *Resolver) sampleSeries(a netx.Addr, m probe.Method) []idSample {
 	var out []idSample
-	for i := 0; i < cfg.Samples; i++ {
+	for i := 0; i < velocitySamples; i++ {
 		resp := r.Src.Probe(a, m)
 		if resp.OK && resp.IPID != 0 {
 			out = append(out, idSample{t: resp.When.Seconds(), id: resp.IPID})
 		}
-		r.Src.Advance(cfg.Gap)
+		r.Src.Advance(velocityGap)
 	}
 	return out
 }
@@ -112,7 +85,7 @@ func (r *Resolver) sampleSeries(a netx.Addr, m probe.Method, cfg VelocityConfig)
 // fitCounter checks that a sample series is consistent with a single
 // counter: unwrap the 16-bit IDs assuming monotonic growth, fit a line by
 // least squares, and bound the residuals. Returns the rate in IDs/sec.
-func fitCounter(s []idSample, cfg VelocityConfig) (rate float64, ok bool) {
+func fitCounter(s []idSample) (rate float64, ok bool) {
 	if len(s) < 3 {
 		return 0, false
 	}
@@ -143,7 +116,7 @@ func fitCounter(s []idSample, cfg VelocityConfig) (rate float64, ok bool) {
 	}
 	rate = (n*sty - st*sy) / den
 	a0 := (sy - rate*st) / n
-	if rate < cfg.MinRate {
+	if rate < velocityMinRate {
 		return 0, false
 	}
 	for i := range s {
@@ -151,7 +124,7 @@ func fitCounter(s []idSample, cfg VelocityConfig) (rate float64, ok bool) {
 		if resid < 0 {
 			resid = -resid
 		}
-		if resid > cfg.MaxResid {
+		if resid > velocityMaxResid {
 			return 0, false
 		}
 	}

@@ -18,7 +18,7 @@ func TestVelocitySameRouter(t *testing.T) {
 		t.Skip("no shared-counter router with two reachable ifaces")
 	}
 	res.Trace = obs.NewTracer(0)
-	if v := res.Velocity(addrs[0], addrs[1], VelocityConfig{}); v != AliasYes {
+	if v := res.Velocity(addrs[0], addrs[1]); v != AliasYes {
 		t.Fatalf("Velocity(%v, %v) = %v, want alias", addrs[0], addrs[1], v)
 	}
 	// The verdict's provenance carries both fitted rates, to one decimal.
@@ -58,7 +58,7 @@ func TestVelocityDifferentRouters(t *testing.T) {
 	for i := 0; i < len(addrs); i++ {
 		for j := i + 1; j < len(addrs); j++ {
 			pairs++
-			if res.Velocity(addrs[i].a, addrs[j].a, VelocityConfig{}) == AliasYes {
+			if res.Velocity(addrs[i].a, addrs[j].a) == AliasYes {
 				falsePos++
 			}
 		}
@@ -76,19 +76,18 @@ func TestVelocityRandomIPIDUnknownOrNo(t *testing.T) {
 	if r == nil {
 		t.Skip("no random-IPID router")
 	}
-	if v := res.Velocity(addrs[0], addrs[1], VelocityConfig{}); v == AliasYes {
+	if v := res.Velocity(addrs[0], addrs[1]); v == AliasYes {
 		t.Fatal("velocity accepted random IPIDs")
 	}
 }
 
 func TestFitCounterRejectsNoise(t *testing.T) {
-	cfg := VelocityConfig{}.withDefaults()
 	// A clean 100 IDs/sec counter.
 	var clean []idSample
 	for i := 0; i < 8; i++ {
 		clean = append(clean, idSample{t: float64(i), id: uint16(1000 + 100*i)})
 	}
-	if rate, ok := fitCounter(clean, cfg); !ok || rate < 90 || rate > 110 {
+	if rate, ok := fitCounter(clean); !ok || rate < 90 || rate > 110 {
 		t.Fatalf("clean fit: rate=%v ok=%v", rate, ok)
 	}
 	// Wrapping counter is fine.
@@ -96,17 +95,17 @@ func TestFitCounterRejectsNoise(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		wrap = append(wrap, idSample{t: float64(i), id: uint16(65400 + 100*i)})
 	}
-	if _, ok := fitCounter(wrap, cfg); !ok {
+	if _, ok := fitCounter(wrap); !ok {
 		t.Fatal("wrap-around rejected")
 	}
 	// Random garbage must be rejected.
 	garbage := []idSample{{0, 40000}, {1, 100}, {2, 30000}, {3, 5}, {4, 60000}}
-	if _, ok := fitCounter(garbage, cfg); ok {
+	if _, ok := fitCounter(garbage); ok {
 		t.Fatal("garbage accepted as a counter")
 	}
-	// A stalled counter is rejected (MinRate).
+	// A stalled counter is rejected (velocityMinRate).
 	flat := []idSample{{0, 5}, {1, 5}, {2, 5}, {3, 5}}
-	if _, ok := fitCounter(flat, cfg); ok {
+	if _, ok := fitCounter(flat); ok {
 		t.Fatal("stalled counter accepted")
 	}
 }

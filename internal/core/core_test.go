@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"bdrmap/internal/asrel"
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/ixp"
+	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/rir"
 	"bdrmap/internal/scamper"
@@ -25,6 +28,13 @@ func pipeline(t testing.TB, n *topo.Network, vpIdx int, cfg scamper.Config) (*Re
 // additional VPs against the same world.
 func pipelineFull(t testing.TB, n *topo.Network, vpIdx int, cfg scamper.Config) (*Result, Input, *probe.Engine, map[topo.ASN]bool) {
 	t.Helper()
+	in, e, hosts := measure(n, vpIdx, cfg)
+	return Infer(in), in, e, hosts
+}
+
+// measure runs the measurement stack for one VP and returns the inference
+// input it produced, not yet inferred.
+func measure(n *topo.Network, vpIdx int, cfg scamper.Config) (Input, *probe.Engine, map[topo.ASN]bool) {
 	tab := bgp.NewTable(n)
 	view := bgp.Collect(tab, bgp.DefaultVantages(n))
 	rel := asrel.Infer(view)
@@ -44,12 +54,39 @@ func pipelineFull(t testing.TB, n *topo.Network, vpIdx int, cfg scamper.Config) 
 		HostASNs: hosts,
 		Cfg:      cfg,
 	}
-	ds := d.Run()
 	in := Input{
-		Data: ds, View: view, Rel: rel, RIR: rdb, IXP: pl,
+		Data: d.Run(), View: view, Rel: rel, RIR: rdb, IXP: pl,
 		HostASN: n.HostASN, Siblings: sibs,
 	}
-	return Infer(in), in, e, hosts
+	return in, e, hosts
+}
+
+// TestInferLeavesDatasetUntouched: inference reads the measured dataset
+// and writes nothing back — the §5.4.7 analytical merges are the router
+// graph's, not alias-resolution verdicts — so a second Infer (or an Ally
+// false-positive count) sees exactly what was measured.
+func TestInferLeavesDatasetUntouched(t *testing.T) {
+	sorted := func(pairs [][2]netx.Addr) [][2]netx.Addr {
+		sort.Slice(pairs, func(i, j int) bool {
+			if pairs[i][0] != pairs[j][0] {
+				return pairs[i][0] < pairs[j][0]
+			}
+			return pairs[i][1] < pairs[j][1]
+		})
+		return pairs
+	}
+	for _, prof := range []topo.Profile{topo.REProfile(), topo.LargeAccessProfile()} {
+		in, _, _ := measure(topo.Generate(prof, 1), 0, scamper.Config{})
+		r := in.Data.Resolver
+		pos, neg := sorted(r.Positives()), sorted(r.Negatives())
+		Infer(in)
+		if got := sorted(r.Positives()); !reflect.DeepEqual(got, pos) {
+			t.Errorf("%s: Infer changed the resolver's positives: %d -> %d", prof.Name, len(pos), len(got))
+		}
+		if got := sorted(r.Negatives()); !reflect.DeepEqual(got, neg) {
+			t.Errorf("%s: Infer changed the resolver's negatives: %d -> %d", prof.Name, len(neg), len(got))
+		}
+	}
 }
 
 // orgOf maps an ASN to its organization (ground truth).

@@ -510,14 +510,12 @@ func (g *graph) passAnalyticalAliases() {
 		base := singles[0]
 		for _, u := range singles[1:] {
 			// Merging must not contradict measurement: skip pairs some
-			// probe actively rejected.
+			// probe actively rejected. The merge is the graph's alone;
+			// the dataset's resolver records only what was measured.
 			baseAddr, uAddr := g.nodes[base].addrs[0], g.nodes[u].addrs[0]
 			if g.in.Data.Resolver != nil &&
 				g.in.Data.Resolver.Verdict(baseAddr, uAddr) == alias.AliasNo {
 				continue
-			}
-			if g.in.Data.Resolver != nil {
-				g.in.Data.Resolver.Record(baseAddr, uAddr, alias.AliasYes)
 			}
 			g.in.Trace.Emit(obs.KindMerge, obs.OnAddr(baseAddr), 0,
 				obs.IP(obs.KeyMerged, uAddr),

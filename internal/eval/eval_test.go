@@ -292,21 +292,16 @@ func TestMeasureAllyRounds(t *testing.T) {
 	}
 }
 
-// TestRunFleetRejectsBadFaultSpec pins RunFleet's error contract: a
-// malformed fault spec is a configuration error, returned before any shard
-// is scheduled — not a shard that burns its retry budget and comes back
-// Failed beside a nil error.
+// TestRunFleetRejectsBadFaultSpec pins the remote runner's error contract:
+// a malformed fault spec is a configuration error, returned before any
+// session forms.
 func TestRunFleetRejectsBadFaultSpec(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
-	sum, err := s.RunFleet(scamper.Config{}, FleetOptions{
-		Retries: 2,
-		VPs:     map[int]FleetVP{0: {Remote: true, FaultSpecs: []string{"drop"}}},
-	})
-	if err == nil {
-		t.Fatalf("RunFleet accepted fault spec %q: shards %+v", "drop", sum.Shards)
+	if _, _, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, "127.0.0.1:0", "drop"); err == nil {
+		t.Fatalf("RunVPRemote accepted fault spec %q", "drop")
 	}
-	if started := s.Obs.Counter("fleet.started").Load(); started != 0 {
-		t.Errorf("fleet.started = %d after a configuration error, want 0", started)
+	if runs := s.Obs.Counter("eval.vp_runs_remote").Load(); runs != 0 {
+		t.Errorf("eval.vp_runs_remote = %d after a configuration error, want 0", runs)
 	}
 	if s.Results[0] != nil {
 		t.Error("a rejected configuration still recorded a result")

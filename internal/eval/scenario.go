@@ -121,9 +121,9 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	}
 }
 
-// shard is what one attempt at one VP needs beyond the scenario's derived
+// shard is what one run of one VP needs beyond the scenario's derived
 // inputs: its configuration, its cross-round memory, where it records and
-// — for a remote attempt — the link its agent dials. RunVP and RunVPRemote
+// — for a remote run — the link its agent dials. RunVP and RunVPRemote
 // record straight into the scenario's shared logs under SpanRoot; fleet
 // shards record into private fragments the coordinator merges back in VP
 // order.
@@ -135,10 +135,9 @@ type shard struct {
 	trace  *obs.Tracer
 	spans  *obs.SpanLog
 	parent obs.SpanID
-	// mode labels the vp span ("", "remote", "fleet", "fleet-remote");
-	// /v1/status picks fleet shards out by the "fleet" prefix.
-	mode    string
-	attempt int
+	// mode labels the vp span ("", "remote", "fleet"); /v1/status picks
+	// fleet shards out by it.
+	mode string
 
 	// link, when set, runs the VP as a §5.8 agent dialing it through a
 	// faults injector instead of an in-process LocalProber.
@@ -148,16 +147,16 @@ type shard struct {
 
 // runShard is the one way a VP is measured and inferred: build the driver,
 // run it, infer, hand back the dataset and result for the caller to record.
-// Every attempt probes on a fresh fork of the scenario's engine — routing
-// derived once per world, measurement state per attempt — so VP i's output
+// Every run probes on a fresh fork of the scenario's engine — routing
+// derived once per world, measurement state per run — so VP i's output
 // is a pure function of (profile, seed, cfg, fault spec), whichever entry
 // point asked, in whatever order, on whichever worker. An already-recorded
 // VP is returned as is, measuring nothing.
 //
-// A non-nil error with a nil res means the attempt never started (no
-// remote session formed); with a non-nil res, that the session was lost
-// mid-run and ds and res hold what was salvaged. dev is zero for an
-// in-process attempt.
+// A non-nil error with a nil res means the run never started (no remote
+// session formed); with a non-nil res, that the session was lost mid-run
+// and ds and res hold what was salvaged. dev is zero for an in-process
+// run.
 func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
 	if s.Results[i] != nil {
 		return s.Datasets[i], s.Results[i], dev, nil
@@ -184,7 +183,8 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 		vsp.SetAttr("mode", sh.mode)
 	}
 	if sess != nil {
-		vsp.SetAttr("attempt", sh.attempt)
+		// One run is one attempt; the span fingerprints pin the attribute.
+		vsp.SetAttr("attempt", 0)
 	}
 	d := &scamper.Driver{
 		View:       s.View,
@@ -215,8 +215,8 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 }
 
 // listenRemote starts the controller side of the §5.8 protocol for one
-// RunFleet or RunVPRemote call: a single listener whose sessions each
-// attempt running a remote VP claims by VP name.
+// RunVPRemote call: a single listener whose session the remote run claims
+// by VP name.
 func (s *Scenario) listenRemote(addr string) (*scamper.Controller, error) {
 	ctrl, err := scamper.Listen(addr)
 	if err != nil {
@@ -242,9 +242,9 @@ type remoteSession struct {
 	agentDone chan error
 }
 
-// dialAgent brings one remote attempt up: an in-process agent probing on
-// eng through sh's fault injector dials the link over loopback TCP, and
-// the attempt claims the session that forms. The timeouts are loopback
+// dialAgent brings one remote run up: an in-process agent probing on eng
+// through sh's fault injector dials the link over loopback TCP, and the
+// run claims the session that forms. The timeouts are loopback
 // scale: frame processing is sub-millisecond (the engine is simulated), so
 // values far below the WAN defaults keep chaos runs fast while still
 // dwarfing any injected stall.
@@ -327,7 +327,7 @@ func (rs *remoteSession) finish(spans *obs.SpanLog, vsp obs.SpanID) (RemoteStats
 // scenario's shared logs. Its output is exactly what RunAll and RunFleet
 // produce for VP i.
 func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
-	// A local attempt cannot fail: the engine is simulated and lossless.
+	// A local run cannot fail: the engine is simulated and lossless.
 	s.Datasets[i], s.Results[i], _, _ = s.runShard(i, shard{
 		cfg: cfg, opts: opts, arena: &s.arena,
 		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(),
@@ -373,8 +373,7 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, lis
 // byte-identical merged output.
 func (s *Scenario) RunAll(cfg scamper.Config) {
 	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
-		// Local-only fleets allocate no listener and validate no order:
-		// there is nothing left that can fail.
+		// A fleet with no Order has nothing that can fail.
 		panic(fmt.Sprintf("eval: RunAll: %v", err))
 	}
 }

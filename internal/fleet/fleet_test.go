@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/netx"
@@ -27,16 +26,20 @@ func mkShardResult(i int) *core.Result {
 	return &core.Result{VPName: fmt.Sprintf("vp%d", i), Links: []*core.Link{l}}
 }
 
-func okShard(i int, block <-chan struct{}) Shard {
+func okShard(i int) Shard {
 	return Shard{
 		Name: fmt.Sprintf("vp%d", i),
-		Run: func(ctx RunCtx) (*Output, error) {
-			if block != nil {
-				<-block
-			}
-			return &Output{Result: mkShardResult(i)}, nil
-		},
+		Run:  func(*core.Arena) *Output { return &Output{Result: mkShardResult(i)} },
 	}
+}
+
+// results projects outputs onto their per-shard results.
+func results(outs []*Output) []*core.Result {
+	res := make([]*core.Result, len(outs))
+	for i, out := range outs {
+		res[i] = out.Result
+	}
+	return res
 }
 
 func TestRunAllWorkersSameMerge(t *testing.T) {
@@ -45,18 +48,18 @@ func TestRunAllWorkersSameMerge(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		shards := make([]Shard, n)
 		for i := range shards {
-			shards[i] = okShard(i, nil)
+			shards[i] = okShard(i)
 		}
-		sum, err := Run(Config{Workers: workers}, shards)
+		outs, err := Run(Config{Workers: workers}, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, sr := range sum.Shards {
-			if sr.State != Done || sr.Attempts != 1 {
-				t.Fatalf("workers=%d shard %d: %+v", workers, i, sr)
+		for i, out := range outs {
+			if out.Result.VPName != shards[i].Name {
+				t.Fatalf("workers=%d output %d is %s's", workers, i, out.Result.VPName)
 			}
 		}
-		if got := core.Merge(sum.Results); want == nil {
+		if got := core.Merge(results(outs)); want == nil {
 			want = got
 		} else if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d merged map diverged", workers)
@@ -69,7 +72,7 @@ func TestRunAdversarialOrderSameMerge(t *testing.T) {
 	mk := func() []Shard {
 		shards := make([]Shard, n)
 		for i := range shards {
-			shards[i] = okShard(i, nil)
+			shards[i] = okShard(i)
 		}
 		return shards
 	}
@@ -81,16 +84,16 @@ func TestRunAdversarialOrderSameMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(core.Merge(base.Results), core.Merge(rev.Results)) {
+	if !reflect.DeepEqual(core.Merge(results(base)), core.Merge(results(rev))) {
 		t.Fatal("reversed enqueue order changed the merged map")
 	}
-	if !reflect.DeepEqual(base.Results, rev.Results) {
+	if !reflect.DeepEqual(results(base), results(rev)) {
 		t.Fatal("reversed enqueue order changed per-shard results")
 	}
 }
 
 func TestRunRejectsBadOrder(t *testing.T) {
-	shards := []Shard{okShard(0, nil), okShard(1, nil)}
+	shards := []Shard{okShard(0), okShard(1)}
 	if _, err := Run(Config{Order: []int{0}}, shards); err == nil {
 		t.Fatal("short order accepted")
 	}
@@ -106,90 +109,26 @@ func TestRunIdleWorkerDrainsQueue(t *testing.T) {
 	var others sync.WaitGroup
 	quick := func(i int) Shard {
 		others.Add(1)
-		return Shard{Name: fmt.Sprintf("vp%d", i), Run: func(ctx RunCtx) (*Output, error) {
+		return Shard{Name: fmt.Sprintf("vp%d", i), Run: func(*core.Arena) *Output {
 			defer others.Done()
-			return &Output{Result: mkShardResult(i)}, nil
+			return &Output{Result: mkShardResult(i)}
 		}}
 	}
 	shards := []Shard{
-		{Name: "slow", Run: func(ctx RunCtx) (*Output, error) {
+		{Name: "slow", Run: func(*core.Arena) *Output {
 			others.Wait()
-			return &Output{Result: mkShardResult(0)}, nil
+			return &Output{Result: mkShardResult(0)}
 		}},
 		quick(1), quick(2), quick(3),
 	}
-	sum, err := Run(Config{Workers: 2}, shards)
+	outs, err := Run(Config{Workers: 2}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sr := range sum.Shards {
-		if sr.State != Done {
-			t.Fatalf("shard %d state %v", i, sr.State)
+	for i, out := range outs {
+		if out == nil {
+			t.Fatalf("shard %d has no output", i)
 		}
-	}
-}
-
-// TestRunRetryBudget drives one shard through fail-fail-succeed and one
-// past its budget with salvage.
-func TestRunRetryBudget(t *testing.T) {
-	reg := obs.New()
-	attempts := make(map[string][]int)
-	var mu sync.Mutex
-	note := func(name string, a int) {
-		mu.Lock()
-		attempts[name] = append(attempts[name], a)
-		mu.Unlock()
-	}
-	shards := []Shard{
-		{Name: "flaky", Run: func(ctx RunCtx) (*Output, error) {
-			note("flaky", ctx.Attempt)
-			if ctx.Attempt < 2 {
-				return nil, fmt.Errorf("boom %d", ctx.Attempt)
-			}
-			return &Output{Result: mkShardResult(0)}, nil
-		}},
-		{Name: "doomed", Run: func(ctx RunCtx) (*Output, error) {
-			note("doomed", ctx.Attempt)
-			// Produces partial output each time but always errors.
-			return &Output{Result: mkShardResult(1)}, fmt.Errorf("always down")
-		}},
-		{Name: "dead", Run: func(ctx RunCtx) (*Output, error) {
-			note("dead", ctx.Attempt)
-			return nil, fmt.Errorf("nothing salvaged")
-		}},
-	}
-	sum, err := Run(Config{Workers: 2, Retries: 2, Obs: reg}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Shards[0]; got.State != Done || got.Attempts != 3 || got.Err != nil {
-		t.Fatalf("flaky: %+v", got)
-	}
-	if got := sum.Shards[1]; got.State != Degraded || got.Attempts != 3 || got.Err == nil {
-		t.Fatalf("doomed: %+v", got)
-	}
-	if sum.Results[1] == nil {
-		t.Fatal("doomed shard's salvage output not kept")
-	}
-	if got := sum.Shards[2]; got.State != Failed || got.Attempts != 3 {
-		t.Fatalf("dead: %+v", got)
-	}
-	if sum.Results[2] != nil {
-		t.Fatal("failed shard has a result")
-	}
-	if !reflect.DeepEqual(attempts["flaky"], []int{0, 1, 2}) {
-		t.Fatalf("flaky attempts %v", attempts["flaky"])
-	}
-	if reg.Counter("fleet.retries").Load() != 6 {
-		t.Fatalf("fleet.retries = %d, want 6", reg.Counter("fleet.retries").Load())
-	}
-	if reg.Counter("fleet.failed").Load() != 1 || reg.Counter("fleet.shard_degraded").Load() != 1 {
-		t.Fatalf("terminal counters: failed=%d degraded=%d",
-			reg.Counter("fleet.failed").Load(), reg.Counter("fleet.shard_degraded").Load())
-	}
-	// The merged map carries the Done and Degraded shards only.
-	if got := core.Merge(sum.Results).VPs; len(got) != 2 {
-		t.Fatalf("merged VPs = %v", got)
 	}
 }
 
@@ -201,11 +140,11 @@ func TestRunQuorumPublish(t *testing.T) {
 	gate := make(chan struct{})
 	var events []PublishEvent
 	shards := []Shard{
-		okShard(0, nil),
-		okShard(1, nil),
-		{Name: "late", Run: func(ctx RunCtx) (*Output, error) {
+		okShard(0),
+		okShard(1),
+		{Name: "late", Run: func(*core.Arena) *Output {
 			<-gate
-			return &Output{Result: mkShardResult(2)}, nil
+			return &Output{Result: mkShardResult(2)}
 		}},
 	}
 	cfg := Config{
@@ -256,95 +195,40 @@ func TestRunQuorumPublish(t *testing.T) {
 	}
 }
 
-// TestRunStragglerTimeout arms the post-quorum timer and proves the
-// partial generation waits for it (and is skipped entirely when the
-// straggler beats the clock).
-func TestRunStragglerTimeout(t *testing.T) {
-	mk := func(gate chan struct{}) []Shard {
-		return []Shard{
-			okShard(0, nil),
-			{Name: "late", Run: func(ctx RunCtx) (*Output, error) {
-				<-gate
-				return &Output{Result: mkShardResult(1)}, nil
-			}},
-		}
-	}
-	// Straggler slower than the timeout: partial publish fires.
-	gate := make(chan struct{})
-	var events []PublishEvent
-	_, err := Run(Config{
-		Workers: 2, Quorum: 1, StragglerTimeout: 10 * time.Millisecond,
-		OnPublish: func(ev PublishEvent) {
-			events = append(events, ev)
-			if !ev.Final {
-				close(gate)
-			}
-		},
-	}, mk(gate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[0].Final {
-		t.Fatalf("expected partial then final, got %+v", events)
-	}
-	// Straggler faster than the timeout: only the final generation.
-	gate2 := make(chan struct{})
-	close(gate2)
-	events = nil
-	_, err = Run(Config{
-		Workers: 2, Quorum: 1, StragglerTimeout: time.Minute,
-		OnPublish: func(ev PublishEvent) { events = append(events, ev) },
-	}, mk(gate2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || !events[0].Final {
-		t.Fatalf("expected final only, got %+v", events)
-	}
-}
-
 // TestRunLogMergeShardOrder proves trace and span fragments land in the
-// shared logs in shard order — including a failed attempt's fragment
-// before its retry's — regardless of completion order.
+// shared logs in shard order regardless of completion order.
 func TestRunLogMergeShardOrder(t *testing.T) {
 	trace := obs.NewTracer(0)
 	spans := obs.NewSpanLog(0)
 	root := spans.Begin(0, "run", "test")
-	mkOut := func(i int, tag string) *Output {
+	mkOut := func(i int) *Output {
 		frag := obs.NewTracer(0)
-		frag.Emit(obs.KindTarget, obs.OnAS(uint32(i)), 0, obs.Str(obs.KeyVia, tag))
+		frag.Emit(obs.KindTarget, obs.OnAS(uint32(i)), 0, obs.Str(obs.KeyVia, "ok"))
 		sfrag := obs.NewSpanLog(0)
-		sp := sfrag.Begin(0, "vp", fmt.Sprintf("vp%d-%s", i, tag))
+		sp := sfrag.Begin(0, "vp", fmt.Sprintf("vp%d", i))
 		sp.End()
 		return &Output{Result: mkShardResult(i), Trace: frag, Spans: sfrag}
 	}
 	gate := make(chan struct{})
 	shards := []Shard{
-		{Name: "vp0", Run: func(ctx RunCtx) (*Output, error) {
+		{Name: "vp0", Run: func(*core.Arena) *Output {
 			// Completes last despite being shard 0.
 			<-gate
-			if ctx.Attempt == 0 {
-				return mkOut(0, "fail"), fmt.Errorf("first attempt dies")
-			}
-			return mkOut(0, "ok"), nil
+			return mkOut(0)
 		}},
-		{Name: "vp1", Run: func(ctx RunCtx) (*Output, error) {
+		{Name: "vp1", Run: func(*core.Arena) *Output {
 			defer close(gate)
-			return mkOut(1, "ok"), nil
+			return mkOut(1)
 		}},
 	}
-	sum, err := Run(Config{Workers: 2, Retries: 1, Trace: trace, Spans: spans, SpanParent: root.ID()}, shards)
-	if err != nil {
+	if _, err := Run(Config{Workers: 2, Trace: trace, Spans: spans, SpanParent: root.ID()}, shards); err != nil {
 		t.Fatal(err)
-	}
-	if sum.Shards[0].State != Done || sum.Shards[0].Attempts != 2 {
-		t.Fatalf("shard 0: %+v", sum.Shards[0])
 	}
 	var marks []string
 	for _, ev := range trace.Events() {
 		marks = append(marks, ev.Subject+"-"+ev.Attr("via"))
 	}
-	want := []string{"AS0-fail", "AS0-ok", "AS1-ok"}
+	want := []string{"AS0-ok", "AS1-ok"}
 	if !reflect.DeepEqual(marks, want) {
 		t.Fatalf("trace merge order = %v, want %v", marks, want)
 	}
@@ -371,11 +255,11 @@ func TestRunLogMergeShardOrder(t *testing.T) {
 
 // TestRunNoShards covers the empty-fleet degenerate case.
 func TestRunNoShards(t *testing.T) {
-	sum, err := Run(Config{}, nil)
+	outs, err := Run(Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := core.Merge(sum.Results); len(sum.Results) != 0 || len(m.Links) != 0 {
-		t.Fatalf("empty fleet: results %v, merged %+v", sum.Results, m)
+	if m := core.Merge(results(outs)); len(outs) != 0 || len(m.Links) != 0 {
+		t.Fatalf("empty fleet: outputs %v, merged %+v", outs, m)
 	}
 }

@@ -567,8 +567,8 @@ func (a *api) handleStatus(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // fleetVPJSON is one vantage point's shard state as the fleet coordinator
-// last saw it: completed or in-flight, and how many attempts its fault
-// budget has consumed.
+// last saw it: completed or in-flight, and how many times it has run
+// (once per coordinator run).
 type fleetVPJSON struct {
 	VP       string `json:"vp"`
 	State    string `json:"state"` // "running" or "idle"
@@ -583,9 +583,6 @@ type fleetVPJSON struct {
 type fleetJSON struct {
 	Shards           int64         `json:"shards"`
 	Completed        int64         `json:"completed"`
-	DegradedShards   int64         `json:"degraded_shards"`
-	Failed           int64         `json:"failed"`
-	Retries          int64         `json:"retries"`
 	InFlight         int64         `json:"in_flight"`
 	Queued           int64         `json:"queued"`
 	PartialPublishes int64         `json:"partial_publishes"`
@@ -605,17 +602,11 @@ func (a *api) fleetStatus() *fleetJSON {
 	}
 	started := c("fleet.started")
 	completed := c("fleet.completed")
-	retries := c("fleet.retries")
-	degraded := c("fleet.shard_degraded")
-	failed := c("fleet.failed")
 	f := &fleetJSON{
 		Shards:           shards,
 		Completed:        completed,
-		DegradedShards:   degraded,
-		Failed:           failed,
-		Retries:          retries,
-		InFlight:         started - completed - retries - degraded - failed,
-		Queued:           c("fleet.enqueued") - started,
+		InFlight:         started - completed,
+		Queued:           shards - started,
 		PartialPublishes: c("fleet.publish.partial"),
 		FinalPublishes:   c("fleet.publish.final"),
 	}
@@ -624,8 +615,8 @@ func (a *api) fleetStatus() *fleetJSON {
 		f.DegradedVPs = s.Degraded()
 	}
 	if a.spans.Enabled() {
-		// Each completed span is one attempt; an open one is the attempt
-		// running right now.
+		// Each completed span is one run; an open one is the run going on
+		// right now.
 		for _, v := range foldVPs(a.spans, true) {
 			f.VPs = append(f.VPs, fleetVPJSON{VP: v.vp, State: v.state(), Attempts: v.done + v.active, SimNS: v.simNS})
 		}
@@ -647,8 +638,8 @@ func (a *api) handleFleet(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // vpFold is one vantage point's vp spans folded together: how many have
-// completed (one per run, or per fleet attempt), how many are open right
-// now, and the simulated time the completed ones accumulated.
+// completed (one per run), how many are open right now, and the simulated
+// time the completed ones accumulated.
 type vpFold struct {
 	vp           string
 	done, active int
@@ -669,7 +660,7 @@ func foldVPs(sl *obs.SpanLog, fleetOnly bool) []vpFold {
 	idx := make(map[string]int)
 	var out []vpFold
 	row := func(rec obs.SpanRecord) *vpFold {
-		if rec.Name != "vp" || fleetOnly && !strings.HasPrefix(rec.Attr("mode"), "fleet") {
+		if rec.Name != "vp" || fleetOnly && rec.Attr("mode") != "fleet" {
 			return nil
 		}
 		i, ok := idx[rec.Detail]

@@ -4,11 +4,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"bdrmap/internal/core"
+	"bdrmap/internal/eval"
+	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
+	"bdrmap/internal/scamper"
+	"bdrmap/internal/topo"
 )
 
 // TestStatusEndpoint drives /v1/status through its states: empty store,
@@ -68,6 +73,105 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if v2["vp"] != "vp02" || v2["state"] != "running" || v2["runs"].(float64) != 0 {
 		t.Errorf("vp02 row = %v", v2)
+	}
+}
+
+// TestFleetStatusDuringQuorumRun reads /v1/fleet while a quorum fleet is
+// publishing its partial generation, and again after the run: the shard
+// counters account for every shard as completed, in flight or queued, and
+// /v1/status carries the same fleet object.
+func TestFleetStatusDuringQuorumRun(t *testing.T) {
+	s := eval.Build(topo.RegionalVPProfile(), 1)
+	store := NewStore(0, s.Obs)
+	h := HandlerWithStatus(store, s.Obs, s.Spans)
+	straggler := s.Net.VPs[2].Name
+
+	// readFleet reads /v1/fleet, requires /v1/status to carry the same
+	// object, and checks that no field of the retired failure ledger
+	// survives.
+	readFleet := func() map[string]any {
+		t.Helper()
+		code, f := get(t, h, "/v1/fleet")
+		if code != http.StatusOK {
+			t.Fatalf("/v1/fleet = %d %v", code, f)
+		}
+		if _, st := get(t, h, "/v1/status"); !reflect.DeepEqual(st["fleet"], f) {
+			t.Errorf("/v1/status fleet = %v, /v1/fleet = %v", st["fleet"], f)
+		}
+		for _, k := range []string{"retries", "failed", "degraded_shards"} {
+			if _, ok := f[k]; ok {
+				t.Errorf("/v1/fleet still has %q: %v", k, f)
+			}
+		}
+		return f
+	}
+	counts := func(f map[string]any, want map[string]float64) {
+		t.Helper()
+		for k, v := range want {
+			if f[k] != v {
+				t.Errorf("%s = %v, want %v", k, f[k], v)
+			}
+		}
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	partials := 0
+	_, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
+		Workers: 3,
+		Quorum:  2,
+		Gate: func(vp int) {
+			if vp != 2 {
+				return
+			}
+			close(entered)
+			select {
+			case <-release:
+			case <-time.After(60 * time.Second): // the partial never came
+			}
+		},
+		OnPublish: func(ev fleet.PublishEvent) {
+			snap := Compile(s.Net.HostASN, ev.Results)
+			if !ev.Final {
+				snap.MarkDegraded(ev.Degraded)
+			}
+			store.Publish(snap)
+			if ev.Final {
+				return
+			}
+			partials++
+			<-entered // the straggler's shard has started
+			f := readFleet()
+			counts(f, map[string]float64{"shards": 3, "completed": 2, "in_flight": 1, "queued": 0})
+			if f["partial_generation"] != true {
+				t.Errorf("partial_generation = %v during the quorum publish", f["partial_generation"])
+			}
+			if dv, _ := f["degraded_vps"].([]any); !reflect.DeepEqual(dv, []any{straggler}) {
+				t.Errorf("degraded_vps = %v, want [%s]", f["degraded_vps"], straggler)
+			}
+			close(release)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partials != 1 {
+		t.Fatalf("%d partial publishes, want 1", partials)
+	}
+
+	f := readFleet()
+	counts(f, map[string]float64{"shards": 3, "completed": 3, "in_flight": 0, "queued": 0,
+		"partial_publishes": 1, "final_publishes": 1})
+	if f["partial_generation"] != false {
+		t.Errorf("partial_generation = %v after the healing publish", f["partial_generation"])
+	}
+	vps, _ := f["vps"].([]any)
+	if len(vps) != 3 {
+		t.Fatalf("vps = %v, want one row per VP", f["vps"])
+	}
+	for _, row := range vps {
+		if r := row.(map[string]any); r["state"] != "idle" || r["attempts"] != 1.0 {
+			t.Errorf("vp row %v, want idle after 1 attempt", r)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"bdrmap/internal/netx"
 	"bdrmap/internal/topo"
 )
 
@@ -20,16 +19,16 @@ import (
 // still reaching steady-state allocation for callers that loop.
 type Arena struct {
 	// Node slab and derived orderings.
-	nodes    []node
-	order    []int32 // visit order: minTTL, then creation id
-	addrNode []int32 // interned addr ID -> node id, -1 when absent
+	nodes []node
+	order []int32 // visit order: minTTL, then creation id
 
-	// Build-time event buffers: adjacency pairs in trace order, and packed
-	// (node<<32|AS) keys for the per-node AS tallies.
-	adjEv  []adjEvent
-	destEv []uint64
-	lastEv []uint64
-	fraEv  []uint64
+	// addrs is the per-address table, indexed by interned address ID.
+	addrs []addrInfo
+
+	// Build-time event buffers: adjacency pairs in trace order, and the
+	// per-node AS tallies as they arrive.
+	adjEv                            []adjEvent
+	dests, lastFor, firstRoutedAfter tally
 
 	// Edge slab: directed adjacency records plus the CSR storage their
 	// pair and index lists are carved from.
@@ -40,15 +39,64 @@ type Arena struct {
 	edgeIdx  map[uint64]int32 // (from<<32|to) -> edge index
 	edgeCnt  []int32          // per-edge counters, reused as fill cursors
 
-	// asSlab backs the per-node dests/lastFor/firstRoutedAfter tallies.
-	asSlab []asCount
+	// asSlab backs the per-node dests/lastFor/firstRoutedAfter tallies;
+	// nodeCnt is the per-node counter that lays out their windows.
+	asSlab  []asCount
+	nodeCnt []int32
 
-	// seen lists, per trace, the nodes still waiting for their first
-	// routed successor (buildGraph pass 2).
-	seen []int32
+	// Per-trace scratch of buildGraph: the interned ID of each hop (-1 for
+	// a hop that is not a time-exceeded reply), and the nodes still waiting
+	// for their first routed successor.
+	hopIDs []int32
+	seen   []int32
 
 	// Per-decision scratch of the §5.4 cascade.
 	ws workspace
+}
+
+// addrInfo is one interned address's row. What the view and the IXP list
+// say about it is read once, when the address is interned, so each per-hop
+// and per-pair question of §5.4 is a slice read by ID; node and spaced are
+// filled in as buildGraph reads the traces.
+type addrInfo struct {
+	origins []topo.ASN // the view's origin set; nil when unrouted
+	node    int32      // the router node holding the address, -1 before one does
+	routed  bool       // some announced prefix covers the address
+	host    bool       // one of the origins belongs to the hosting organization
+	ixp     bool       // inside a known IXP LAN prefix
+	spaced  bool       // the positional host-space rule has inserted its delegation
+}
+
+// tally collects one per-node AS tally in arrival order. Events for one node
+// and one AS that arrive back to back fold into one run, and a target's
+// traces are consecutive, so the stream holds about one run per distinct
+// (node, AS) rather than one event per hop.
+type tally struct {
+	runs []tallyRun
+	last []int32 // node -> index of its newest run, -1 before its first
+}
+
+type tallyRun struct {
+	node int32
+	c    asCount
+}
+
+// add counts one event of as at node n.
+func (t *tally) add(n int32, as topo.ASN) {
+	for int(n) >= len(t.last) {
+		t.last = append(t.last, -1)
+	}
+	if i := t.last[n]; i >= 0 && t.runs[i].c.as == as {
+		t.runs[i].c.n++
+		return
+	}
+	t.last[n] = int32(len(t.runs))
+	t.runs = append(t.runs, tallyRun{n, asCount{as: as, n: 1}})
+}
+
+func (t *tally) reset() {
+	t.runs = t.runs[:0]
+	t.last = t.last[:0]
 }
 
 // workspace holds the small per-decision scratch buffers of the §5.4
@@ -91,7 +139,9 @@ type edge struct {
 	pairs    []addrPair
 }
 
-type addrPair struct{ from, to netx.Addr }
+// addrPair is the interned IDs of the two addresses an adjacency was
+// observed over.
+type addrPair struct{ from, to int32 }
 
 // asCount is one (AS, count) tally; slices of it replace the per-node
 // count maps of the map-based core and iterate in sorted AS order.
@@ -121,11 +171,12 @@ func findAS(s []asCount, as topo.ASN) int32 {
 func (a *Arena) Reset() {
 	a.nodes = a.nodes[:0]
 	a.order = a.order[:0]
-	a.addrNode = a.addrNode[:0]
+	clear(a.addrs) // drop the last view's origin slices
+	a.addrs = a.addrs[:0]
 	a.adjEv = a.adjEv[:0]
-	a.destEv = a.destEv[:0]
-	a.lastEv = a.lastEv[:0]
-	a.fraEv = a.fraEv[:0]
+	a.dests.reset()
+	a.lastFor.reset()
+	a.firstRoutedAfter.reset()
 	a.edges = a.edges[:0]
 	a.pairSlab = a.pairSlab[:0]
 	a.succSlab = a.succSlab[:0]
@@ -133,6 +184,8 @@ func (a *Arena) Reset() {
 	clear(a.edgeIdx)
 	a.edgeCnt = a.edgeCnt[:0]
 	a.asSlab = a.asSlab[:0]
+	a.nodeCnt = a.nodeCnt[:0]
+	a.hopIDs = a.hopIDs[:0]
 	a.seen = a.seen[:0]
 	// Workspace epoch arrays survive as-is: slots older than the current
 	// epoch read as unset, so no clearing is needed.

@@ -154,21 +154,64 @@ type graph struct {
 	declined []Heuristic
 }
 
-// nodeAt returns the node for an interned address ID, or -1.
-func (g *graph) nodeAt(id int32) int32 {
-	if int(id) >= len(g.ar.addrNode) {
-		return -1
-	}
-	return g.ar.addrNode[id]
-}
-
-// internID interns a, growing the addr->node index alongside the table.
+// internID interns a. An address new to the table gets its row: what the
+// view and the IXP list say about it, asked this once.
 func (g *graph) internID(a netx.Addr) int32 {
 	id := g.intern.ID(a)
-	for int(id) >= len(g.ar.addrNode) {
-		g.ar.addrNode = append(g.ar.addrNode, -1)
+	if int(id) < len(g.ar.addrs) {
+		return id
 	}
+	info := addrInfo{node: -1}
+	if g.in.IXP != nil {
+		_, info.ixp = g.in.IXP.IsIXP(a)
+	}
+	if origins, _, ok := g.in.View.Origins(a); ok {
+		info.origins, info.routed = origins, true
+		for _, o := range origins {
+			if g.vpASNs[o] {
+				info.host = true
+				break
+			}
+		}
+	}
+	g.ar.addrs = append(g.ar.addrs, info)
 	return id
+}
+
+// nodeOf interns a hop address and returns its ID and router node, creating
+// the node (alias-merged) the first time the address is seen. Nodes are
+// created in first-seen order, so creation indices reproduce the map-based
+// core's ids exactly.
+func (g *graph) nodeOf(a netx.Addr) (id, n int32) {
+	id = g.internID(a)
+	if n = g.ar.addrs[id].node; n >= 0 {
+		return id, n
+	}
+	cID := id
+	if g.in.Data.Graph != nil {
+		if canon := g.in.Data.Graph.Canonical(a); canon != a {
+			cID = g.internID(canon)
+		}
+	}
+	if n = g.ar.addrs[cID].node; n < 0 {
+		n = int32(len(g.ar.nodes))
+		g.ar.nodes = append(g.ar.nodes, node{minTTL: 1 << 30})
+		g.ar.addrs[cID].node = n
+	}
+	g.ar.nodes[n].addrs = append(g.ar.nodes[n].addrs, a)
+	g.ar.addrs[id].node = n
+	return id, n
+}
+
+// origins returns what the view says about any address: the table's row
+// when a is interned, the view itself otherwise.
+func (g *graph) origins(a netx.Addr) ([]topo.ASN, bool) {
+	if id, ok := g.intern.Lookup(a); ok {
+		info := &g.ar.addrs[id]
+		return info.origins, info.routed
+	}
+	origins, _, ok := g.in.View.Origins(a)
+	return origins, ok
 }
 
 // buildGraph constructs nodes from the dataset's traces and alias graph.
@@ -182,146 +225,17 @@ func buildGraph(in Input, ar *Arena) *graph {
 		finalNodes: make(map[topo.ASN]finalInfo),
 	}
 
-	// Pass 0: the positional host-space rule (§5.4.1): in each trace, any
-	// unrouted address appearing before a VP-AS address is host space;
-	// attribute its whole RIR delegation to the host organization.
-	for _, tr := range in.Data.Traces {
-		lastHost := -1
-		for i, h := range tr.Hops {
-			if h.Type == probe.HopTimeExceeded && g.originIsHost(h.Addr) {
-				lastHost = i
-			}
-		}
-		for i := 0; i < lastHost; i++ {
-			h := tr.Hops[i]
-			if h.Type != probe.HopTimeExceeded {
-				continue
-			}
-			if _, _, routed := in.View.Origins(h.Addr); routed {
-				continue
-			}
-			if in.RIR == nil {
-				continue
-			}
-			if org, ok := in.RIR.OrgOf(h.Addr); ok {
-				for _, rec := range in.RIR.OrgRecords(org) {
-					if rec.Start <= h.Addr && h.Addr <= rec.End() {
-						g.hostExtra.Insert(netx.MakePrefix(rec.Start, prefixLenFor(rec)), true)
-					}
-				}
-			}
-		}
+	// One pass over the traces. Each trace's hops are interned and turned
+	// into nodes, adjacency and tally events first (nothing there reads
+	// what the host-space rule writes); then the trace's positional
+	// host-space rule and its first-routed-after events read the hop IDs
+	// addTrace leaves in ar.hopIDs.
+	for i := range in.Data.Traces {
+		tr := &in.Data.Traces[i]
+		g.addTrace(tr)
+		g.hostSpace(tr.Hops)
+		g.routedAfter(tr.Hops)
 	}
-
-	// Pass 1: create nodes (alias-merged), record adjacency and tally
-	// events. Nodes are created in first-seen order so creation indices
-	// reproduce the map-based core's ids exactly; the heavy per-node state
-	// is only event streams here, compressed into slab windows below.
-	getNode := func(a netx.Addr) int32 {
-		aID := g.internID(a)
-		canon := a
-		if in.Data.Graph != nil {
-			canon = in.Data.Graph.Canonical(a)
-		}
-		cID := aID
-		if canon != a {
-			cID = g.internID(canon)
-		}
-		if n := g.ar.addrNode[cID]; n >= 0 {
-			if g.ar.addrNode[aID] < 0 {
-				g.nodes[n].addrs = append(g.nodes[n].addrs, a)
-				g.ar.addrNode[aID] = n
-			}
-			return n
-		}
-		n := int32(len(g.ar.nodes))
-		g.ar.nodes = append(g.ar.nodes, node{minTTL: 1 << 30})
-		g.nodes = g.ar.nodes
-		g.nodes[n].addrs = append(g.nodes[n].addrs, a)
-		g.ar.addrNode[cID] = n
-		g.ar.addrNode[aID] = n
-		return n
-	}
-
-	for _, tr := range in.Data.Traces {
-		var prev int32 = -1
-		var prevAddr netx.Addr
-		var lastResp int32 = -1
-		first := true
-		for _, h := range tr.Hops {
-			switch h.Type {
-			case probe.HopTimeExceeded:
-				n := getNode(h.Addr)
-				nd := &g.nodes[n]
-				if h.TTL < nd.minTTL {
-					nd.minTTL = h.TTL
-				}
-				if first {
-					nd.isVP = true
-					first = false
-				}
-				g.ar.destEv = append(g.ar.destEv, asKey(n, tr.TargetAS))
-				if prev >= 0 && prev != n {
-					g.ar.adjEv = append(g.ar.adjEv, adjEvent{prev, n, addrPair{prevAddr, h.Addr}})
-				}
-				prev, prevAddr, lastResp = n, h.Addr, n
-			case probe.HopEchoReply, probe.HopUnreachable:
-				// §5.4.8 step 8.2 accepts both echo replies and
-				// destination unreachables as evidence of the neighbor.
-				g.echoFrom[tr.TargetAS] = append(g.echoFrom[tr.TargetAS], h.Addr)
-				prev, prevAddr = -1, 0
-			default:
-				// A timeout breaks adjacency: the next responder is not
-				// necessarily connected to the previous one.
-				prev, prevAddr = -1, 0
-			}
-		}
-		if lastResp >= 0 {
-			g.ar.lastEv = append(g.ar.lastEv, asKey(lastResp, tr.TargetAS))
-			if fi, ok := g.finalNodes[tr.TargetAS]; !ok {
-				g.finalNodes[tr.TargetAS] = finalInfo{n: lastResp}
-			} else if fi.n != lastResp {
-				fi.multi = true
-				g.finalNodes[tr.TargetAS] = fi
-			}
-		}
-	}
-
-	// Pass 2: first routed address after each node (for §5.4.3).
-	seen := g.ar.seen[:0]
-	for _, tr := range in.Data.Traces {
-		seen = seen[:0]
-		for _, h := range tr.Hops {
-			switch h.Type {
-			case probe.HopTimeExceeded:
-				id, ok := g.intern.Lookup(h.Addr)
-				if !ok {
-					continue
-				}
-				n := g.nodeAt(id)
-				if n < 0 {
-					continue
-				}
-				if origins, _, ok := in.View.Origins(h.Addr); ok {
-					for _, s := range seen {
-						if s != n {
-							g.ar.fraEv = append(g.ar.fraEv, asKey(s, origins[0]))
-						}
-					}
-					seen = seen[:0]
-				}
-				seen = append(seen, n)
-			case probe.HopEchoReply, probe.HopUnreachable:
-				if origins, _, ok := in.View.Origins(h.Addr); ok {
-					for _, s := range seen {
-						g.ar.fraEv = append(g.ar.fraEv, asKey(s, origins[0]))
-					}
-					seen = seen[:0]
-				}
-			}
-		}
-	}
-	g.ar.seen = seen[:0]
 	g.nodes = g.ar.nodes
 
 	g.buildEdges()
@@ -346,8 +260,124 @@ func buildGraph(in Input, ar *Arena) *graph {
 	return g
 }
 
-// asKey packs a (node, AS) tally event into one sortable word.
-func asKey(n int32, as topo.ASN) uint64 { return uint64(uint32(n))<<32 | uint64(as) }
+// addTrace creates the nodes of one trace's responding hops (alias-merged)
+// and records its adjacency and dests/lastFor events. It leaves each hop's
+// interned ID in ar.hopIDs, -1 for a hop that is not a time-exceeded reply.
+func (g *graph) addTrace(tr *scamper.TraceRecord) {
+	ids := g.ar.hopIDs[:0]
+	var prev, prevID int32 = -1, -1
+	var lastResp int32 = -1
+	first := true
+	for _, h := range tr.Hops {
+		id := int32(-1)
+		switch h.Type {
+		case probe.HopTimeExceeded:
+			var n int32
+			id, n = g.nodeOf(h.Addr)
+			nd := &g.ar.nodes[n]
+			if h.TTL < nd.minTTL {
+				nd.minTTL = h.TTL
+			}
+			if first {
+				nd.isVP = true
+				first = false
+			}
+			g.ar.dests.add(n, tr.TargetAS)
+			if prev >= 0 && prev != n {
+				g.ar.adjEv = append(g.ar.adjEv, adjEvent{prev, n, addrPair{prevID, id}})
+			}
+			prev, prevID, lastResp = n, id, n
+		case probe.HopEchoReply, probe.HopUnreachable:
+			// §5.4.8 step 8.2 accepts both echo replies and
+			// destination unreachables as evidence of the neighbor.
+			g.echoFrom[tr.TargetAS] = append(g.echoFrom[tr.TargetAS], h.Addr)
+			prev = -1
+		default:
+			// A timeout breaks adjacency: the next responder is not
+			// necessarily connected to the previous one.
+			prev = -1
+		}
+		ids = append(ids, id)
+	}
+	g.ar.hopIDs = ids
+	if lastResp >= 0 {
+		g.ar.lastFor.add(lastResp, tr.TargetAS)
+		if fi, ok := g.finalNodes[tr.TargetAS]; !ok {
+			g.finalNodes[tr.TargetAS] = finalInfo{n: lastResp}
+		} else if fi.n != lastResp {
+			fi.multi = true
+			g.finalNodes[tr.TargetAS] = fi
+		}
+	}
+}
+
+// hostSpace applies the positional host-space rule (§5.4.1) to one trace:
+// any unrouted address appearing before a VP-AS address is host space, so
+// its whole RIR delegation is attributed to the host organization. What
+// the rule inserts depends on the address alone, so each address is
+// looked up in the RIR once.
+func (g *graph) hostSpace(hops []probe.Hop) {
+	if g.in.RIR == nil {
+		return
+	}
+	ids := g.ar.hopIDs
+	lastHost := -1
+	for i, id := range ids {
+		if id >= 0 && g.originIsHost(id) {
+			lastHost = i
+		}
+	}
+	for i, id := range ids[:max(lastHost, 0)] {
+		if id < 0 {
+			continue
+		}
+		info := &g.ar.addrs[id]
+		if info.routed || info.spaced {
+			continue
+		}
+		info.spaced = true
+		a := hops[i].Addr
+		if org, ok := g.in.RIR.OrgOf(a); ok {
+			for _, rec := range g.in.RIR.OrgRecords(org) {
+				if rec.Start <= a && a <= rec.End() {
+					g.hostExtra.Insert(netx.MakePrefix(rec.Start, prefixLenFor(rec)), true)
+				}
+			}
+		}
+	}
+}
+
+// routedAfter records one trace's firstRoutedAfter events (for §5.4.3): for
+// each node, the origin of the first routed address that follows it.
+func (g *graph) routedAfter(hops []probe.Hop) {
+	seen := g.ar.seen[:0]
+	for i, id := range g.ar.hopIDs {
+		n := int32(-1) // the hop's node; none for an echo or unreachable
+		var origins []topo.ASN
+		var routed bool
+		switch h := hops[i]; {
+		case id >= 0:
+			info := &g.ar.addrs[id]
+			n, origins, routed = info.node, info.origins, info.routed
+		case h.Type == probe.HopEchoReply || h.Type == probe.HopUnreachable:
+			origins, routed = g.origins(h.Addr)
+		default:
+			continue
+		}
+		if routed {
+			for _, s := range seen {
+				if s != n {
+					g.ar.firstRoutedAfter.add(s, origins[0])
+				}
+			}
+			seen = seen[:0]
+		}
+		if n >= 0 {
+			seen = append(seen, n)
+		}
+	}
+	g.ar.seen = seen[:0]
+}
 
 // buildEdges compresses the adjacency event stream into the edge slab:
 // one directed record per observed (from, to) router pair, with its
@@ -441,39 +471,66 @@ func sortEdgesBy(s []int32, key func(int32) int32) {
 	}
 }
 
-// buildTallies sorts the packed (node, AS) event streams and compresses
-// runs into per-node asCount windows of the shared slab.
+// buildTallies lays the three tallies' runs out as per-node asCount
+// windows of the shared slab, each sorted by AS.
 func (g *graph) buildTallies() {
 	ar := g.ar
-	g.compressEvents(ar.destEv, func(n int32, s []asCount) { g.nodes[n].dests = s })
-	g.compressEvents(ar.lastEv, func(n int32, s []asCount) { g.nodes[n].lastFor = s })
-	g.compressEvents(ar.fraEv, func(n int32, s []asCount) { g.nodes[n].firstRoutedAfter = s })
+	ar.asSlab = slices.Grow(ar.asSlab, len(ar.dests.runs)+len(ar.lastFor.runs)+len(ar.firstRoutedAfter.runs))
+	g.countRuns(&ar.dests, func(n *node, s []asCount) { n.dests = s })
+	g.countRuns(&ar.lastFor, func(n *node, s []asCount) { n.lastFor = s })
+	g.countRuns(&ar.firstRoutedAfter, func(n *node, s []asCount) { n.firstRoutedAfter = s })
 }
 
-func (g *graph) compressEvents(ev []uint64, assign func(int32, []asCount)) {
-	if len(ev) == 0 {
+// countRuns sorts t's runs by node with one stable counting pass into the
+// slab, then sorts each node's window by AS, folds repeated ASes, and hands
+// the node its window.
+func (g *graph) countRuns(t *tally, assign func(*node, []asCount)) {
+	ar := g.ar
+	if len(t.runs) == 0 {
 		return
 	}
-	slices.Sort(ev)
-	ar := g.ar
-	start := len(ar.asSlab)
-	curNode := int32(int64(ev[0]) >> 32)
-	for i := 0; i < len(ev); {
-		key := ev[i]
-		j := i + 1
-		for j < len(ev) && ev[j] == key {
-			j++
-		}
-		n := int32(int64(key) >> 32)
-		if n != curNode {
-			assign(curNode, ar.asSlab[start:len(ar.asSlab):len(ar.asSlab)])
-			start = len(ar.asSlab)
-			curNode = n
-		}
-		ar.asSlab = append(ar.asSlab, asCount{as: topo.ASN(uint32(key)), n: int32(j - i)})
-		i = j
+	// cnt[n+1] counts node n's runs; the prefix sum turns cnt[n] into the
+	// start of n's window, and the fill below advances it to the end.
+	cnt := slices.Grow(ar.nodeCnt[:0], len(g.nodes)+1)[:len(g.nodes)+1]
+	clear(cnt)
+	for _, r := range t.runs {
+		cnt[r.node+1]++
 	}
-	assign(curNode, ar.asSlab[start:len(ar.asSlab):len(ar.asSlab)])
+	for n := 1; n < len(cnt); n++ {
+		cnt[n] += cnt[n-1]
+	}
+	base := len(ar.asSlab)
+	ar.asSlab = ar.asSlab[:base+len(t.runs)]
+	slab := ar.asSlab[base:]
+	for _, r := range t.runs {
+		slab[cnt[r.node]] = r.c
+		cnt[r.node]++
+	}
+	lo := int32(0)
+	for n := range g.nodes {
+		if hi := cnt[n]; hi > lo {
+			w := foldRuns(slab[lo:hi])
+			assign(&g.nodes[n], w[:len(w):len(w)])
+			lo = hi
+		}
+	}
+	ar.nodeCnt = cnt[:0]
+}
+
+// foldRuns sorts one node's runs by AS and sums the runs of each AS into
+// one entry, in place; it returns the folded prefix.
+func foldRuns(w []asCount) []asCount {
+	slices.SortFunc(w, func(a, b asCount) int { return cmp.Compare(a.as, b.as) })
+	k := 0
+	for _, c := range w[1:] {
+		if c.as == w[k].as {
+			w[k].n += c.n
+		} else {
+			k++
+			w[k] = c
+		}
+	}
+	return w[:k+1]
 }
 
 // prefixLenFor converts a delegation record's count into a prefix length
@@ -554,20 +611,21 @@ func (g *graph) claim(id int32, owner topo.ASN, h Heuristic, evidence ...obs.Fie
 // next claim's provenance event records the accumulated list.
 func (g *graph) decline(h Heuristic) { g.declined = append(g.declined, h) }
 
-// originIsHost reports whether addr maps to the hosting organization.
-func (g *graph) originIsHost(addr netx.Addr) bool {
-	if origins, _, ok := g.in.View.Origins(addr); ok {
-		for _, o := range origins {
-			if g.vpASNs[o] {
-				return true
-			}
-		}
-		return false
+// originIsHost reports whether interned address id maps to the hosting
+// organization: by its origins when routed, by the host space the
+// positional rule has attributed so far when not.
+func (g *graph) originIsHost(id int32) bool {
+	if info := &g.ar.addrs[id]; info.routed {
+		return info.host
 	}
-	if _, ok := g.hostExtra.Lookup(addr); ok {
-		return true
-	}
-	return false
+	return g.hostSpaceHas(id)
+}
+
+// hostSpaceHas reports whether interned address id lies in host space the
+// positional rule attributed (§5.4.1).
+func (g *graph) hostSpaceHas(id int32) bool {
+	_, ok := g.hostExtra.Lookup(g.intern.Addr(id))
+	return ok
 }
 
 // classify determines the address class of a node from all its addresses.
@@ -576,34 +634,20 @@ func (g *graph) classify(addrs []netx.Addr) (addrClass, topo.ASN) {
 	common := g.ar.ws.counts[:0]
 	nExt := 0
 	for _, a := range addrs {
-		if g.in.IXP != nil {
-			if _, isIXP := g.in.IXP.IsIXP(a); isIXP {
-				anyIXP = true
-				continue
-			}
-		}
-		origins, _, ok := g.in.View.Origins(a)
-		if !ok {
-			if _, host := g.hostExtra.Lookup(a); host {
-				anyHost = true
-			} else {
-				anyUnrouted = true
-			}
-			continue
-		}
-		host := false
-		for _, o := range origins {
-			if g.vpASNs[o] {
-				host = true
-			}
-		}
-		if host {
+		id, _ := g.intern.Lookup(a)
+		info := &g.ar.addrs[id]
+		switch {
+		case info.ixp:
+			anyIXP = true
+		case g.originIsHost(id):
 			anyHost = true
-			continue
-		}
-		nExt++
-		for _, o := range origins {
-			common = bumpAS(common, o, 1)
+		case !info.routed:
+			anyUnrouted = true
+		default:
+			nExt++
+			for _, o := range info.origins {
+				common = bumpAS(common, o, 1)
+			}
 		}
 	}
 	g.ar.ws.counts = common[:0]
@@ -679,22 +723,11 @@ func (g *graph) succExternalOrigins(id int32) []asCount {
 	n := &g.nodes[id]
 	for _, e := range n.succ {
 		for _, p := range g.ar.edges[e].pairs {
-			aID, ok := g.intern.Lookup(p.to)
-			if ok && ws.mark(aID) {
+			if ws.mark(p.to) {
 				continue
 			}
-			origins, _, ok := g.in.View.Origins(p.to)
-			if !ok {
-				continue
-			}
-			isHost := false
-			for _, o := range origins {
-				if g.vpASNs[o] {
-					isHost = true
-				}
-			}
-			if !isHost {
-				out = bumpAS(out, origins[0], 1)
+			if info := &g.ar.addrs[p.to]; info.routed && !info.host {
+				out = bumpAS(out, info.origins[0], 1)
 			}
 		}
 	}

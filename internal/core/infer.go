@@ -349,16 +349,8 @@ func (g *graph) allSuccUnrouted(id int32) bool {
 	}
 	for _, e := range n.succ {
 		for _, p := range g.ar.edges[e].pairs {
-			if g.originIsHost(p.to) {
+			if info := &g.ar.addrs[p.to]; info.routed || info.ixp || g.hostSpaceHas(p.to) {
 				return false
-			}
-			if _, _, ok := g.in.View.Origins(p.to); ok {
-				return false
-			}
-			if g.in.IXP != nil {
-				if _, isIXP := g.in.IXP.IsIXP(p.to); isIXP {
-					return false
-				}
 			}
 		}
 	}
@@ -433,18 +425,13 @@ func (g *graph) twoConsecutive(id int32) topo.ASN {
 func (g *graph) edgeOrigin(e int32) topo.ASN {
 	var out topo.ASN
 	for _, p := range g.ar.edges[e].pairs {
-		origins, _, ok := g.in.View.Origins(p.to)
-		if !ok {
+		info := &g.ar.addrs[p.to]
+		if !info.routed || info.host {
 			return 0
 		}
-		for _, o := range origins {
-			if g.vpASNs[o] {
-				return 0
-			}
-		}
 		if out == 0 {
-			out = origins[0]
-		} else if out != origins[0] {
+			out = info.origins[0]
+		} else if out != info.origins[0] {
 			return 0
 		}
 	}
@@ -626,7 +613,7 @@ func (g *graph) mergeNodes(dst, src int32) {
 	}
 	for _, a := range s.addrs {
 		if aid, ok := g.intern.Lookup(a); ok {
-			ar.addrNode[aid] = dst
+			ar.addrs[aid].node = dst
 		}
 	}
 	for _, e := range s.succ {
@@ -746,7 +733,7 @@ func (g *graph) buildResult() *Result {
 			pair := g.ar.edges[e].pairs[0]
 			res.Links = append(res.Links, &Link{
 				Near: res.Routers[nodeOut[id]], Far: out,
-				NearAddr: pair.from, FarAddr: pair.to,
+				NearAddr: g.intern.Addr(pair.from), FarAddr: g.intern.Addr(pair.to),
 				FarAS: out.Owner, Heuristic: out.Heuristic,
 			})
 		}

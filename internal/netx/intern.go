@@ -2,15 +2,18 @@ package netx
 
 // Intern maps interface addresses to dense int32 IDs assigned in first-seen
 // order. IDs index flat slices everywhere a map keyed by address would
-// otherwise be needed: the inference core's node table, the alias graph's
-// union-find, and mapdb's owner index all share one table built while the
-// dataset is collected, so the hot paths run on pointer-free int32 slabs.
+// otherwise be needed, so the hot paths run on pointer-free int32 slabs.
+// Each user builds a table of its own: the inference core builds one per
+// inference as it walks the traces — its per-address table and node index
+// are slices by ID — and hands it out with the result
+// (core.Result.Intern); the alias graph's union-find keeps one; mapdb's
+// compile-time dedup reuses a result's table when every result carries the
+// same one and builds its own otherwise.
 //
 // The zero Intern is ready to use. Lookups on a populated table perform no
 // allocation (pinned by TestInternLookupZeroAlloc); ID allocates only when
 // it grows the table. An Intern is not safe for concurrent mutation; build
-// it single-threaded (the driver interns after its worker barrier), then
-// share it read-only.
+// it on one goroutine, then share it read-only.
 type Intern struct {
 	ids   map[Addr]int32
 	addrs []Addr

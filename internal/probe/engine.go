@@ -14,7 +14,9 @@
 package probe
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -117,9 +119,7 @@ func (e *Engine) dropInjected() bool {
 // New creates an engine over a built network and its routing table, with
 // an empty forwarding plane of its own.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
-	e := &Engine{Net: net, Tab: tab, fwd: new(plane)}
-	e.own = e.NewLane(0)
-	return e
+	return newOnPlane(net, tab, new(plane))
 }
 
 // Fork returns an engine over the same world that shares e's forwarding
@@ -128,9 +128,13 @@ func New(net *topo.Network, tab *bgp.Table) *Engine {
 // New had built it. What it measures is therefore what a fresh engine
 // would measure; it just does not derive the routing again.
 func (e *Engine) Fork() *Engine {
-	f := New(e.Net, e.Tab)
-	f.fwd = e.fwd
-	return f
+	return newOnPlane(e.Net, e.Tab, e.fwd)
+}
+
+func newOnPlane(net *topo.Network, tab *bgp.Table, fwd *plane) *Engine {
+	e := &Engine{Net: net, Tab: tab, fwd: fwd}
+	e.own = e.NewLane(0)
+	return e
 }
 
 // orgOf names asn's organization; "" for an AS the network does not have.
@@ -200,12 +204,102 @@ const (
 // is a function of routing state, not of who is asking. Everything in it
 // is immutable once stored; a hit takes no lock and writes nothing (see
 // table). The tables hold nothing until their first miss — an incremental
-// round's plane lives for ≈2 100 packets.
+// round's plane lives for ≈2 100 packets — and the router index is built on
+// the first walk, not when the plane is made.
 type plane struct {
 	paths   table[pathKey, pathResult]
 	egress  table[egressKey, []topo.Attachment] // usable attachments, list order
-	bfs     table[topo.RouterID, *bfsTree]
+	bfs     table[topo.RouterID, bfsTree]
 	orgAtts table[topo.ASN, []topo.Attachment]
+
+	ixOnce sync.Once
+	ix     routerIndex
+}
+
+// routerIndex numbers what a walk asks about routers densely, so that
+// "same organisation?" is one int compare and a BFS tree is a slice.
+type routerIndex struct {
+	rtr  []routerSlot // by RouterID
+	size []int32      // IGP component -> routers in it
+}
+
+type routerSlot struct {
+	org  int32 // equal for two routers exactly when their owners are one organisation
+	comp int32 // IGP component: the routers internal links join
+	pos  int32 // position within the component, indexing its BFS trees
+}
+
+// index returns the plane's router index, building it on first use.
+func (p *plane) index(net *topo.Network) *routerIndex {
+	p.ixOnce.Do(func() { p.ix.build(net) })
+	return &p.ix
+}
+
+// build numbers net's organisations and IGP components. Organisations are
+// numbered by sorting the ASes by name, so no map is keyed by string; an
+// AS without an organisation name, or a router whose owner has no AS
+// record, is an organisation of its own, as sameOrg has it. Components are
+// found with one breadth-first pass over every router.
+func (ix *routerIndex) build(net *topo.Network) {
+	ix.rtr = make([]routerSlot, len(net.Routers))
+	for i := range ix.rtr {
+		ix.rtr[i] = routerSlot{org: -1, comp: -1}
+	}
+	ases := make([]*topo.AS, 0, len(net.ASes))
+	for _, as := range net.ASes {
+		ases = append(ases, as)
+	}
+	slices.SortFunc(ases, func(a, b *topo.AS) int {
+		return cmp.Or(strings.Compare(a.Org, b.Org), cmp.Compare(a.ASN, b.ASN))
+	})
+	org := int32(-1)
+	for i, as := range ases {
+		if i == 0 || as.Org == "" || as.Org != ases[i-1].Org {
+			org++
+		}
+		for _, r := range as.Routers {
+			ix.rtr[r.ID].org = org
+		}
+	}
+	var strays []topo.ASN // owners with no AS record, numbered after the rest
+	for id, r := range net.Routers {
+		if ix.rtr[id].org < 0 {
+			k := slices.Index(strays, r.Owner)
+			if k < 0 {
+				k = len(strays)
+				strays = append(strays, r.Owner)
+			}
+			ix.rtr[id].org = org + 1 + int32(k)
+		}
+	}
+
+	// queue holds every router once, component after component, in the
+	// order the breadth-first pass reaches them.
+	queue := make([]topo.RouterID, 0, len(net.Routers))
+	for root := range net.Routers {
+		if ix.rtr[root].comp >= 0 {
+			continue
+		}
+		comp, start := int32(len(ix.size)), len(queue)
+		ix.rtr[root].comp = comp
+		queue = append(queue, topo.RouterID(root))
+		for i := start; i < len(queue); i++ {
+			cur := queue[i]
+			ix.rtr[cur].pos = int32(i - start)
+			for _, adj := range net.InternalNeighbors(cur) {
+				if nb := adj.Peer.Router; ix.rtr[nb].comp < 0 {
+					ix.rtr[nb].comp = comp
+					queue = append(queue, nb)
+				}
+			}
+		}
+		ix.size = append(ix.size, int32(len(queue)-start))
+	}
+}
+
+// sameOrg reports whether routers a and b belong to one organisation.
+func (ix *routerIndex) sameOrg(a, b topo.RouterID) bool {
+	return ix.rtr[a].org == ix.rtr[b].org
 }
 
 // pathKey names a walk by what walkPath reads of its destination: the
@@ -282,6 +376,7 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 	if cur == nil {
 		return steps
 	}
+	ix := e.fwd.index(e.Net)
 	steps = append(steps, pathStep{router: cur})
 	visitedAS := 0
 
@@ -327,20 +422,19 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 		var waypoint topo.RouterID = -1
 		anchorWaypoint := false
 		if target != nil {
-			if e.sameOrg(e.Net.Router(target.Router).Owner, r.Owner) {
+			if ix.sameOrg(target.Router, r.ID) {
 				waypoint = target.Router
 			} else if target.Link != nil {
 				for _, lif := range target.Link.Ifaces {
-					lr := e.Net.Router(lif.Router)
-					if lif != target && lr != nil && e.sameOrg(lr.Owner, r.Owner) {
-						waypoint = lr.ID
+					if lif != target && ix.sameOrg(lif.Router, r.ID) {
+						waypoint = lif.Router
 						break
 					}
 				}
 			}
 		}
 		if waypoint < 0 && routed && anchorOK &&
-			e.sameOrg(e.Net.Router(anchor.Router).Owner, r.Owner) &&
+			ix.sameOrg(anchor.Router, r.ID) &&
 			e.originatesHere(r.Owner, prefix) {
 			waypoint = anchor.Router
 			anchorWaypoint = true
@@ -589,43 +683,61 @@ func (e *Engine) candidateNextHops(owner topo.ASN, rib *bgp.PrefixRIB) (single t
 // ---------------------------------------------------------------------------
 // Intra-AS shortest paths
 
-// bfsTree holds BFS parents toward one root over the internal-link graph.
+// bfsTree holds BFS parents toward one root over the internal-link graph,
+// one entry per router of the root's IGP component, indexed by the
+// router's position in it: no other router can reach the root.
 type bfsTree struct {
-	// next[r] = the neighbor of r one hop closer to root; dist[r] = hops.
-	next map[topo.RouterID]topo.RouterID
-	dist map[topo.RouterID]int
+	ix   *routerIndex
+	comp int32
+	hops []bfsHop
+}
+
+type bfsHop struct {
+	next topo.RouterID // the neighbor one hop closer to the root; -1 at the root
+	dist int32         // hops to the root
+}
+
+// at returns r's entry; false when r is outside the root's component.
+func (t *bfsTree) at(r topo.RouterID) (bfsHop, bool) {
+	s := t.ix.rtr[r]
+	if s.comp != t.comp {
+		return bfsHop{}, false
+	}
+	return t.hops[s.pos], true
 }
 
 func (t *bfsTree) nextHopFrom(r topo.RouterID) (topo.RouterID, bool) {
-	nh, ok := t.next[r]
-	return nh, ok
+	h, ok := t.at(r)
+	return h.next, ok && h.next >= 0
 }
 
 // bfsFrom returns (cached) the BFS tree rooted at root over internal links.
 func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
 	h := netx.Mix64(uint64(uint32(root)))
 	if t := e.fwd.bfs.get(root, h); t != nil {
-		return *t
+		return t
 	}
-	t := &bfsTree{
-		next: make(map[topo.RouterID]topo.RouterID),
-		dist: map[topo.RouterID]int{root: 0},
+	ix := e.fwd.index(e.Net)
+	rs := ix.rtr[root]
+	t := bfsTree{ix: ix, comp: rs.comp, hops: make([]bfsHop, ix.size[rs.comp])}
+	for i := range t.hops {
+		t.hops[i].dist = -1
 	}
-	queue := []topo.RouterID{root}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	t.hops[rs.pos] = bfsHop{next: -1}
+	var buf [64]topo.RouterID
+	queue := append(buf[:0], root)
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
+		d := t.hops[ix.rtr[cur].pos].dist + 1
 		for _, adj := range e.Net.InternalNeighbors(cur) {
 			nb := adj.Peer.Router
-			if _, seen := t.dist[nb]; seen {
-				continue
+			if hop := &t.hops[ix.rtr[nb].pos]; hop.dist < 0 {
+				*hop = bfsHop{next: cur, dist: d}
+				queue = append(queue, nb)
 			}
-			t.dist[nb] = t.dist[cur] + 1
-			t.next[nb] = cur
-			queue = append(queue, nb)
 		}
 	}
-	return *e.fwd.bfs.put(root, h, t)
+	return e.fwd.bfs.put(root, h, t)
 }
 
 // igpDist returns the internal hop distance between two routers.
@@ -633,7 +745,6 @@ func (e *Engine) igpDist(from, to topo.RouterID) (int, bool) {
 	if from == to {
 		return 0, true
 	}
-	t := e.bfsFrom(to)
-	d, ok := t.dist[from]
-	return d, ok
+	h, ok := e.bfsFrom(to).at(from)
+	return int(h.dist), ok
 }

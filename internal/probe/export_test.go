@@ -83,6 +83,90 @@ func (t *table[K, V]) len() int {
 	return t.n
 }
 
+// keys returns every key stored, in slot order.
+func (t *table[K, V]) keys() []K {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []K
+	if sp := t.slots.Load(); sp != nil {
+		for i := range *sp {
+			if e := (*sp)[i].Load(); e != nil {
+				out = append(out, e.key)
+			}
+		}
+	}
+	return out
+}
+
+// bfsFromOracle is the BFS tree as it was built before trees became
+// slices, kept as the differential reference: two maps from router to its
+// next hop toward root and to its distance, over every router internal
+// links reach, unmemoised.
+func (e *Engine) bfsFromOracle(root topo.RouterID) (next map[topo.RouterID]topo.RouterID, dist map[topo.RouterID]int) {
+	next = make(map[topo.RouterID]topo.RouterID)
+	dist = map[topo.RouterID]int{root: 0}
+	queue := []topo.RouterID{root}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, adj := range e.Net.InternalNeighbors(cur) {
+			nb := adj.Peer.Router
+			if _, seen := dist[nb]; seen {
+				continue
+			}
+			dist[nb] = dist[cur] + 1
+			next[nb] = cur
+			queue = append(queue, nb)
+		}
+	}
+	return next, dist
+}
+
+// CheckOrgIndex holds the router index's organisation numbers to sameOrg
+// on the owners: every router against one router of each owner.
+func (e *Engine) CheckOrgIndex() error {
+	ix := e.fwd.index(e.Net)
+	reps := make(map[topo.ASN]topo.RouterID)
+	for _, r := range e.Net.Routers {
+		if _, ok := reps[r.Owner]; !ok {
+			reps[r.Owner] = r.ID
+		}
+	}
+	for _, a := range e.Net.Routers {
+		for owner, b := range reps {
+			if got, want := ix.sameOrg(a.ID, b), e.sameOrg(a.Owner, owner); got != want {
+				return fmt.Errorf("routers %d (AS%d) and %d (AS%d): same organisation by index %t, by name %t", a.ID, a.Owner, b, owner, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckBFS holds every BFS tree the plane holds to the map-based oracle:
+// for every router of the network, igpDist toward the tree's root and the
+// tree's next hop must be the oracle's. It returns how many trees it
+// checked.
+func (e *Engine) CheckBFS() (int, error) {
+	roots := e.fwd.bfs.keys()
+	for _, root := range roots {
+		next, dist := e.bfsFromOracle(root)
+		t := e.bfsFrom(root)
+		for _, r := range e.Net.Routers {
+			nh, ok := t.nextHopFrom(r.ID)
+			wantNH, wantOK := next[r.ID]
+			if ok != wantOK || ok && nh != wantNH {
+				return 0, fmt.Errorf("tree of router %d: next hop from %d is %d, %t; the oracle's is %d, %t", root, r.ID, nh, ok, wantNH, wantOK)
+			}
+			d, ok := e.igpDist(r.ID, root)
+			wantD, wantOK := dist[r.ID]
+			if ok != wantOK || ok && d != wantD {
+				return 0, fmt.Errorf("igpDist(%d, %d) = %d, %t; the oracle's is %d, %t", r.ID, root, d, ok, wantD, wantOK)
+			}
+		}
+	}
+	return len(roots), nil
+}
+
 func samePath(a, b *pathResult) bool {
 	return slices.Equal(a.steps, b.steps) && a.reached == b.reached &&
 		a.anchorReplies == b.anchorReplies && a.exactIface == b.exactIface

@@ -65,6 +65,92 @@ func TestMemoisedWalkMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestBFSMatchesOracle holds the slice BFS trees to the map-based ones on
+// every built-in profile. Every VP walks toward the first address of every
+// routed prefix — VP 0 through CheckWalk, so each of its walks is also held
+// to a fresh walk and its egress choices to the two-pass scan — and then
+// every tree those walks built must answer igpDist and nextHopFrom for
+// every router as the oracle does.
+func TestBFSMatchesOracle(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			if testing.Short() && prof.Name != "tiny" && prof.Name != "r&e" {
+				t.Skip("-short: tiny and r&e only")
+			}
+			n := topo.Generate(prof, 1)
+			tab := bgp.NewTable(n)
+			e := probe.New(n, tab)
+			for i, vp := range n.VPs {
+				for _, p := range tab.Prefixes() {
+					if i > 0 {
+						e.Reachable(vp, p.First()+1)
+					} else if err := e.CheckWalk(vp.Router, p.First()+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			trees, err := e.CheckBFS()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trees == 0 {
+				t.Fatal("the walks built no BFS tree: nothing was compared")
+			}
+			t.Logf("%d VPs × %d prefixes: %d trees over %d routers", len(n.VPs), len(tab.Prefixes()), trees, len(n.Routers))
+		})
+	}
+}
+
+// TestOrgIndexMatchesSameOrg holds the router index's organisation numbers
+// to the by-name comparison on every built-in profile, and on a world with
+// the cases the profiles lack: ASes with no organisation name, which are
+// each their own organisation, and routers whose owner has no AS record.
+func TestOrgIndexMatchesSameOrg(t *testing.T) {
+	n := topo.NewNetwork()
+	for _, as := range []struct {
+		asn topo.ASN
+		org string
+	}{{1, "org-a"}, {2, "org-a"}, {3, ""}, {4, ""}, {5, "org-b"}} {
+		n.AddAS(as.asn, topo.TierStub, as.org)
+	}
+	for _, owner := range []topo.ASN{1, 2, 3, 3, 4, 5, 6, 6, 7} {
+		n.AddRouter(owner, "r", 0)
+	}
+	nets := []*topo.Network{n}
+	for _, prof := range topo.BuiltinProfiles() {
+		if !testing.Short() || prof.Name == "tiny" || prof.Name == "r&e" {
+			nets = append(nets, topo.Generate(prof, 1))
+		}
+	}
+	for i, n := range nets {
+		if err := probe.New(n, nil).CheckOrgIndex(); err != nil {
+			t.Errorf("world %d: %v", i, err)
+		}
+	}
+}
+
+// BenchmarkColdPlane times the forwarding plane cold: a fresh plane and lane
+// tracing the first address of every routed prefix from large-access VP 0,
+// so every walk, BFS tree, egress set and the router index is derived once.
+func BenchmarkColdPlane(b *testing.B) {
+	n := topo.Generate(topo.LargeAccessProfile(), 1)
+	tab := bgp.NewTable(n)
+	vp := n.VPs[0]
+	var dsts []netx.Addr
+	for _, p := range tab.Prefixes() {
+		dsts = append(dsts, p.First()+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		e := probe.New(n, tab)
+		lane := e.NewLane(0)
+		for _, dst := range dsts {
+			e.TracerouteLane(vp, dst, nil, lane)
+		}
+	}
+}
+
 // TestPacketCountsPinned guards the paper's cost unit: memoising walks must
 // not change how many packets a run is charged. The counts are those one
 // Driver.Run spent before the forwarding plane existed.

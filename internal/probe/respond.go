@@ -336,7 +336,7 @@ type ipidState struct {
 	base    uint16
 	bgRate  float64 // background increments per second (traffic the router sends)
 	sent    uint32
-	perIfc  map[netx.Addr]uint16
+	perIfc  map[netx.Addr]uint16 // made on a per-interface router's first draw
 	rndSeed uint32
 }
 
@@ -345,7 +345,6 @@ func newIPIDState(id topo.RouterID) *ipidState {
 	return &ipidState{
 		base:    uint16(uint32(id)*2654435761 + 17),
 		bgRate:  20 + float64(uint32(id)%180),
-		perIfc:  make(map[netx.Addr]uint16),
 		rndSeed: uint32(id)*2246822519 + 3,
 	}
 }
@@ -364,6 +363,9 @@ func (st *ipidState) next(r *topo.Router, ifc *topo.Iface, now time.Duration) ui
 		key := netx.Addr(0)
 		if ifc != nil {
 			key = ifc.Addr
+		}
+		if st.perIfc == nil {
+			st.perIfc = make(map[netx.Addr]uint16)
 		}
 		st.perIfc[key]++
 		bg := uint16(uint64(st.bgRate*now.Seconds()) & 0xffff)

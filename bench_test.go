@@ -17,6 +17,7 @@ package bdrmap
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -136,14 +137,14 @@ func BenchmarkStopSet(b *testing.B) {
 func BenchmarkRemoteSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := eval.Build(topo.TinyProfile(), 1)
-		ctrl, err := scamper.Listen("127.0.0.1:0")
+		vp := s.Net.VPs[0]
+		rp, err := scamper.Listen("127.0.0.1:0", vp.Name, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		agent := &scamper.Agent{E: s.Engine, VP: s.Net.VPs[0]}
-		go agent.DialRetry(ctrl.Addr(), scamper.DialOptions{})
-		rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-		if err != nil {
+		agent := &scamper.Agent{E: s.Engine, VP: vp}
+		go agent.DialRetry(rp.Addr(), func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) })
+		if err := rp.Wait(5 * time.Second); err != nil {
 			b.Fatal(err)
 		}
 		d := &scamper.Driver{View: s.View, Prober: rp, HostASNs: s.HostASNs}
@@ -155,7 +156,6 @@ func BenchmarkRemoteSession(b *testing.B) {
 		once(b, "remote", "device peak state "+itoa(agent.StateBytes())+
 			"B; protocol "+itoa(int(out))+"B out / "+itoa(int(in))+"B in")
 		rp.Close()
-		ctrl.Close()
 	}
 }
 

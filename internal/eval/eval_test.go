@@ -308,6 +308,22 @@ func TestRunFleetRejectsBadFaultSpec(t *testing.T) {
 	}
 }
 
+// TestRunVPRemoteRejectsState: cross-round replay is local-only, so a
+// remote run given a RoundState is a configuration error, returned before
+// any session forms.
+func TestRunVPRemoteRejectsState(t *testing.T) {
+	s := Build(topo.TinyProfile(), 1)
+	if _, _, err := s.RunVPRemote(0, scamper.Config{State: scamper.NewRoundState()}, core.Options{}, "127.0.0.1:0", ""); err == nil {
+		t.Fatal("RunVPRemote accepted a cross-round state")
+	}
+	if runs := s.Obs.Counter("eval.vp_runs_remote").Load(); runs != 0 {
+		t.Errorf("eval.vp_runs_remote = %d after a configuration error, want 0", runs)
+	}
+	if s.Results[0] != nil {
+		t.Error("a rejected configuration still recorded a result")
+	}
+}
+
 // TestRunVPRemoteMemoized: an already-mapped VP is returned as is by every
 // entry point — RunVPRemote must not re-measure and overwrite it.
 func TestRunVPRemoteMemoized(t *testing.T) {

@@ -9,6 +9,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -141,7 +142,7 @@ type shard struct {
 
 	// link, when set, runs the VP as a §5.8 agent dialing it through a
 	// faults injector instead of an in-process LocalProber.
-	link   *scamper.Controller
+	link   *scamper.RemoteProber
 	faults faults.Spec
 }
 
@@ -214,18 +215,6 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 	return ds, res, dev, err
 }
 
-// listenRemote starts the controller side of the §5.8 protocol for one
-// RunVPRemote call: a single listener whose session the remote run claims
-// by VP name.
-func (s *Scenario) listenRemote(addr string) (*scamper.Controller, error) {
-	ctrl, err := scamper.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	ctrl.SetObs(s.Obs)
-	return ctrl, nil
-}
-
 // RemoteStats is the §5.8 accounting of one remote run: what the thin
 // device executed and held, and what crossed the wire.
 type RemoteStats struct {
@@ -244,10 +233,7 @@ type remoteSession struct {
 
 // dialAgent brings one remote run up: an in-process agent probing on eng
 // through sh's fault injector dials the link over loopback TCP, and the
-// run claims the session that forms. The timeouts are loopback
-// scale: frame processing is sub-millisecond (the engine is simulated), so
-// values far below the WAN defaults keep chaos runs fast while still
-// dwarfing any injected stall.
+// run waits for the session to form.
 func (s *Scenario) dialAgent(eng *probe.Engine, vp *topo.VP, sh shard) (*remoteSession, error) {
 	inj := faults.New(sh.faults)
 	eng.SetFaults(inj)
@@ -259,33 +245,18 @@ func (s *Scenario) dialAgent(eng *probe.Engine, vp *topo.VP, sh shard) (*remoteS
 		agentSpans = obs.NewSpanLog(256)
 	}
 	rs := &remoteSession{
+		rp:        sh.link,
 		agent:     &scamper.Agent{E: eng, VP: vp, Spans: agentSpans},
 		agentDone: make(chan error, 1),
 	}
-	go func() {
-		rs.agentDone <- rs.agent.DialRetry(sh.link.Addr(), scamper.DialOptions{
-			Dial:         inj.DialFunc,
-			MaxRedials:   100,
-			RedialBase:   time.Millisecond,
-			RedialMax:    16 * time.Millisecond,
-			HelloTimeout: 250 * time.Millisecond,
-		})
-	}()
+	go func() { rs.agentDone <- rs.agent.DialRetry(sh.link.Addr(), inj.DialFunc) }()
 	// A fault schedule harsh enough to kill every hello means no session
-	// ever forms; the claim times out rather than waiting forever — after
+	// ever forms; the wait times out rather than waiting forever — after
 	// 5s, generous against the agent's millisecond redial schedule.
-	var err error
-	if rs.rp, err = sh.link.Claim(vp.Name, 5*time.Second); err != nil {
+	if err := sh.link.Wait(5 * time.Second); err != nil {
 		rs.drain()
 		return nil, err
 	}
-	rs.rp.SetHardening(scamper.Hardening{
-		FrameTimeout: 100 * time.Millisecond,
-		RetryBudget:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   16 * time.Millisecond,
-		ResumeWait:   2 * time.Second,
-	})
 	return rs, nil
 }
 
@@ -344,13 +315,17 @@ func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Res
 // the inferred links — is deterministic. A lost session degrades
 // gracefully: the partial dataset is still inferred and
 // Datasets[i].Stats.TargetsLost reports what was abandoned; an error means
-// no session ever formed.
+// no session ever formed. Cross-round state is local-only: a cfg.State is
+// an error.
 func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, listen, faultSpec string) (*core.Result, RemoteStats, error) {
+	if cfg.State != nil {
+		return nil, RemoteStats{}, errors.New("eval: a remote run carries no cross-round state")
+	}
 	spec, err := faults.Parse(faultSpec)
 	if err != nil {
 		return nil, RemoteStats{}, err
 	}
-	link, err := s.listenRemote(listen)
+	link, err := scamper.Listen(listen, s.Net.VPs[i].Name, s.Obs)
 	if err != nil {
 		return nil, RemoteStats{}, err
 	}

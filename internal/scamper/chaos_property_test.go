@@ -36,36 +36,19 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 	tab := bgp.NewTable(n)
 	eng := probe.New(n, tab)
 
-	ctrl, err := Listen("127.0.0.1:0")
+	reg = obs.New()
+	rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Close()
-	reg = obs.New()
-	ctrl.SetObs(reg)
+	defer rp.Close()
 
 	agent := &Agent{E: eng, VP: n.VPs[0]}
 	done := make(chan error, 1)
-	go func() {
-		done <- agent.DialRetry(ctrl.Addr(), DialOptions{
-			Dial:         inj.DialFunc,
-			MaxRedials:   100,
-			RedialBase:   time.Millisecond,
-			RedialMax:    16 * time.Millisecond,
-			HelloTimeout: 250 * time.Millisecond,
-		})
-	}()
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-	if err != nil {
+	go func() { done <- agent.DialRetry(rp.Addr(), inj.DialFunc) }()
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rp.SetHardening(Hardening{
-		FrameTimeout: 100 * time.Millisecond,
-		RetryBudget:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   16 * time.Millisecond,
-		ResumeWait:   2 * time.Second,
-	})
 
 	var b strings.Builder
 	for _, p := range tab.Prefixes() {
@@ -170,49 +153,37 @@ func (m *muteAfterHello) Write(b []byte) (int, error) {
 }
 
 // TestChaosRetryBudgetIsHonored pins the retry bound: a command whose
-// responses are swallowed forever fails the session after 1+RetryBudget
+// responses are swallowed forever fails the session after 1+retryBudget
 // sends instead of retrying unboundedly — and even though every send
 // reaches the agent, the duplicate cache keeps it at exactly one execution.
+// It runs on the product constants: 13 sends at the 100ms frame timeout
+// plus backoff, ≈1.4s per run.
 func TestChaosRetryBudgetIsHonored(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 7)
 	tab := bgp.NewTable(n)
 	eng := probe.New(n, tab)
 
-	ctrl, err := Listen("127.0.0.1:0")
+	rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Close()
+	defer rp.Close()
 
 	agent := &Agent{E: eng, VP: n.VPs[0]}
 	done := make(chan error, 1)
 	go func() {
-		done <- agent.DialRetry(ctrl.Addr(), DialOptions{
-			Dial:         dialThrough(func(c net.Conn) net.Conn { return &muteAfterHello{Conn: c} }),
-			MaxRedials:   4,
-			RedialBase:   time.Millisecond,
-			RedialMax:    4 * time.Millisecond,
-			HelloTimeout: 100 * time.Millisecond,
-		})
+		done <- agent.DialRetry(rp.Addr(), dialThrough(func(c net.Conn) net.Conn { return &muteAfterHello{Conn: c} }))
 	}()
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-	if err != nil {
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rp.SetHardening(Hardening{
-		FrameTimeout: 50 * time.Millisecond,
-		RetryBudget:  3,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   2 * time.Millisecond,
-		ResumeWait:   300 * time.Millisecond,
-	})
 
 	start := time.Now()
 	rp.Trace(tab.Prefixes()[0].First()+1, nil, nil)
 	if rp.Err() == nil {
 		t.Fatal("response black hole did not fail the session")
 	}
-	// 1 send + 3 retries at 50ms frame timeout each, plus resume waits: a
+	// 1 send + 12 retries at 100ms frame timeout each, plus backoff: a
 	// budget violation instead retries forever and trips the test timeout;
 	// this bound just catches gross overshoot.
 	if elapsed := time.Since(start); elapsed > 10*time.Second {

@@ -1,6 +1,7 @@
 package scamper
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -44,8 +45,8 @@ type Config struct {
 	// the previous round's per-target transcripts wherever path signatures
 	// are unchanged, persisting the doubletree stop set (§5.2) across
 	// rounds instead of rebuilding it. Replay is validated against
-	// Prober.PathSignature — a remote session asks its agent — so a lost
-	// session's zero signature re-walks live rather than replaying.
+	// LocalProber.PathSignature, so State needs a LocalProber: Run panics
+	// on any other prober.
 	State *RoundState
 	// RefreshEvery forces a full live re-walk of each cached target every
 	// N rounds so decayed paths are still re-walked (default
@@ -216,12 +217,16 @@ func (d *Driver) Run() *Dataset {
 	st := cfg.State
 	replays := make([]*targetReplay, len(targets)) // all nil without State: every trace runs live
 	if st != nil {
+		lp, ok := d.Prober.(LocalProber)
+		if !ok {
+			panic(fmt.Sprintf("scamper: Config.State needs a LocalProber, got %T", d.Prober))
+		}
 		st.Acquire(d.Prober.Name())
 		defer st.Release()
 		st.round++
 		for i, t := range targets {
 			key := blocksKey(t.Blocks)
-			rp := &targetReplay{sp: d.Prober, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
+			rp := &targetReplay{sp: lp, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
 			if m := st.targets[t.AS]; m != nil {
 				rp.all = m.traces
 				switch {

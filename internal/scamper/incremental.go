@@ -63,10 +63,9 @@ type RoundState struct {
 	scans    map[apair]scanMemo
 
 	// owner enforces the single-driver contract at runtime. The fleet
-	// coordinator moves a shard's state between workers and across agent
-	// redials; a scheduling bug that let two drivers mutate one state
-	// concurrently would corrupt the cache silently, so acquisition
-	// panics instead.
+	// coordinator moves a shard's state between workers; a scheduling bug
+	// that let two drivers mutate one state concurrently would corrupt the
+	// cache silently, so acquisition panics instead.
 	owner atomic.Pointer[string]
 }
 
@@ -156,7 +155,7 @@ func blocksKey(blocks []netx.Block) uint64 {
 // transcript is consumed strictly in schedule order; the first mismatch
 // (position or signature) diverges and everything after runs live.
 type targetReplay struct {
-	sp      Prober
+	sp      LocalProber
 	prior   *targetMemo   // validated transcript to replay; nil → all live
 	all     []cachedTrace // the pre-existing transcript even when not replayable
 	refresh bool          // replay suppressed by the refresh cadence

@@ -26,6 +26,24 @@ func newIncSetup(t *testing.T, seed int64, st *RoundState, reg *obs.Registry) *D
 	}
 }
 
+// Replay is validated against the engine's path signature, so cross-round
+// state with any prober but a LocalProber is a programming error: Run
+// panics before touching the state.
+func TestRoundStateNeedsLocalProber(t *testing.T) {
+	st := NewRoundState()
+	d := newIncSetup(t, 7, st, nil)
+	d.Prober = struct{ LocalProber }{d.Prober.(LocalProber)}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run accepted cross-round state on a non-local prober")
+		}
+		if st.round != 0 {
+			t.Errorf("state advanced to round %d before the panic", st.round)
+		}
+	}()
+	d.Run()
+}
+
 // An unchanged world must replay every target from cache: zero live
 // traces, zero probe packets, and a dataset whose traces, alias verdicts,
 // and fingerprint are identical to the first round's.

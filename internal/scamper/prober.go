@@ -43,10 +43,6 @@ type Prober interface {
 	// Err returns the first permanent session error; a prober with no
 	// session to lose always returns nil.
 	Err() error
-	// PathSignature fingerprints the hop sequence a traceroute toward dst
-	// would observe right now, without sending probes (cross-round
-	// caching, Config.State).
-	PathSignature(dst netx.Addr) uint64
 }
 
 // LocalProber runs measurements directly against the simulation engine.
@@ -90,7 +86,9 @@ func (p LocalProber) Now() time.Duration { return p.E.Now() }
 // Err is always nil: the engine is in-process and cannot be lost.
 func (p LocalProber) Err() error { return nil }
 
-// PathSignature asks the engine for dst's current path fingerprint.
+// PathSignature fingerprints the hop sequence a traceroute toward dst would
+// observe right now, without sending probes: what cross-round replay
+// (Config.State) validates a cached trace against.
 func (p LocalProber) PathSignature(dst netx.Addr) uint64 {
 	return p.E.PathSignature(p.VP, dst)
 }

@@ -45,12 +45,12 @@ import (
 //	hello    := msgHello nameLen(uint8) name
 //	helloAck := msgHelloAck
 //
-// Sessions are routed by vantage-point name. The controller keeps one open
-// session per name; a hello from a name whose session is still open attaches
-// the new connection to it ("resume") instead of surfacing a fresh vantage
-// point, so a VP that drops mid-run does not re-probe completed targets. No
-// session id crosses the wire: an agent whose helloAck was lost redials with
-// no memory of the session, and name routing still finds it.
+// A controller serves exactly one vantage point. The first hello naming it
+// opens the session; every later one resumes it, attaching the new
+// connection so a VP that drops mid-run does not re-probe completed
+// targets. No session id crosses the wire: an agent whose helloAck was lost
+// redials with no memory of the session and resumes all the same. A hello
+// naming any other VP is hung up on.
 const (
 	msgHello    = 0x01
 	msgTraceReq = 0x02
@@ -65,8 +65,6 @@ const (
 	msgClockRsp = 0x0b
 	msgSpanPull = 0x0c
 	msgSpanRsp  = 0x0d
-	msgSigReq   = 0x0e
-	msgSigRsp   = 0x0f
 )
 
 // maxFrame bounds a frame; a trace command carrying a full stop set is the
@@ -159,9 +157,34 @@ func readMsg(r io.Reader) (seq uint32, body []byte, err error) {
 // ---------------------------------------------------------------------------
 // Hello / resume handshake
 
-// helloWait bounds how long an accepted connection may take to send its
-// hello before the controller drops it.
-const helloWait = time.Second
+// Recovery tuning. Every agent runs in-process beside its controller and
+// its engine is simulated, so frame processing is sub-millisecond: these
+// loopback-scale values keep chaos runs fast while still dwarfing any
+// injected stall.
+const (
+	// helloWait bounds how long an accepted connection may take to send its
+	// hello before the controller drops it.
+	helloWait = time.Second
+	// helloTimeout bounds the agent's wait for the helloAck, and for a
+	// command frame that has begun arriving to finish.
+	helloTimeout = 250 * time.Millisecond
+	// maxRedials bounds the agent's consecutive failed connection attempts;
+	// the count resets whenever a handshake completes.
+	maxRedials = 100
+	// frameTimeout bounds each controller frame write and response wait.
+	frameTimeout = 100 * time.Millisecond
+	// retryBudget is the number of ADDITIONAL sends after a command's first.
+	retryBudget = 12
+	// resumeWait bounds how long a command waits for a reconnecting agent
+	// before declaring the session lost.
+	resumeWait = 2 * time.Second
+)
+
+// backoff is the pause before the nth retry (n >= 1), the agent's redials
+// and the controller's resends alike: 1ms doubling to a 16ms cap.
+func backoff(n int) time.Duration {
+	return time.Millisecond << min(n-1, 4)
+}
 
 // buildHello encodes the agent's opening message: msgHello nameLen(1) name.
 func buildHello(name string) []byte {
@@ -179,43 +202,6 @@ func parseHello(body []byte) (name string, err error) {
 
 // ---------------------------------------------------------------------------
 // Agent (device side)
-
-// DialOptions configures the agent's reconnect behavior.
-type DialOptions struct {
-	// Dial establishes the transport; defaults to net.Dial("tcp", addr).
-	// Fault tests substitute an injector's DialFunc, or a dial that wraps
-	// the connection it returns.
-	Dial func(addr string) (net.Conn, error)
-	// MaxRedials bounds consecutive failed connection attempts; the
-	// counter resets whenever a handshake completes. Default 8.
-	MaxRedials int
-	// RedialBase/RedialMax shape the exponential backoff between redials.
-	// Defaults 5ms / 250ms.
-	RedialBase time.Duration
-	RedialMax  time.Duration
-	// HelloTimeout bounds the wait for the controller's helloAck, and for
-	// a command frame that has begun arriving to finish. Default 2s.
-	HelloTimeout time.Duration
-}
-
-func (o DialOptions) withDefaults() DialOptions {
-	if o.Dial == nil {
-		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if o.MaxRedials == 0 {
-		o.MaxRedials = 8
-	}
-	if o.RedialBase == 0 {
-		o.RedialBase = 5 * time.Millisecond
-	}
-	if o.RedialMax == 0 {
-		o.RedialMax = 250 * time.Millisecond
-	}
-	if o.HelloTimeout == 0 {
-		o.HelloTimeout = 2 * time.Second
-	}
-	return o
-}
 
 // Agent executes probe commands against a local engine on behalf of a
 // central controller. It keeps no measurement state beyond one in-flight
@@ -237,8 +223,6 @@ type Agent struct {
 	lastRsp  []byte
 	execs    map[uint32]int // per-seq execution count; must never exceed 1
 	sessEnd  func()         // closes the current session span; idempotent
-
-	helloTimeout time.Duration
 }
 
 // StateBytes reports the approximate measurement state held by the agent:
@@ -341,30 +325,23 @@ func (a *Agent) cached(seq uint32) ([]byte, bool) {
 	return nil, false
 }
 
-// DialRetry connects to the controller and keeps reconnecting (resuming the
-// session) across transport failures until the controller says bye or the
-// consecutive-failure budget is spent. This is the loop a deployed home
-// device runs: reboots and line drops must not end the measurement.
-func (a *Agent) DialRetry(addr string, opts DialOptions) error {
-	opts = opts.withDefaults()
-	a.helloTimeout = opts.HelloTimeout
+// DialRetry connects to the controller at addr through dial — the fault
+// seam: a run passes its injector's DialFunc, a test may wrap the
+// connection it returns — and keeps reconnecting, resuming the session,
+// across transport failures until the controller says bye or maxRedials
+// consecutive attempts fail. This is the loop a deployed home device runs:
+// reboots and line drops must not end the measurement.
+func (a *Agent) DialRetry(addr string, dial func(addr string) (net.Conn, error)) error {
 	fails := 0
 	var lastErr error
 	for {
-		if fails > opts.MaxRedials {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("scamper: redial budget exhausted")
-			}
+		if fails > maxRedials {
 			return lastErr
 		}
 		if fails > 0 {
-			d := opts.RedialBase << uint(fails-1)
-			if d > opts.RedialMax {
-				d = opts.RedialMax
-			}
-			time.Sleep(d)
+			time.Sleep(backoff(fails))
 		}
-		conn, err := opts.Dial(addr)
+		conn, err := dial(addr)
 		if err != nil {
 			fails++
 			lastErr = err
@@ -390,11 +367,7 @@ func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
 	if err := writeMsg(conn, 0, buildHello(a.VP.Name)); err != nil {
 		return false, false, err
 	}
-	ht := a.helloTimeout
-	if ht == 0 {
-		ht = 2 * time.Second
-	}
-	conn.SetReadDeadline(time.Now().Add(ht))
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	_, ack, err := readMsg(conn)
 	if err != nil {
 		return false, false, err
@@ -406,7 +379,7 @@ func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
 	endSession := a.beginSession()
 	defer endSession()
 
-	cmds := &commandReader{conn: conn, within: ht}
+	cmds := &commandReader{conn: conn}
 	for {
 		cmds.idle()
 		seq, req, err := readMsg(cmds)
@@ -445,9 +418,8 @@ func (a *Agent) serve(conn net.Conn) (ended, progressed bool, err error) {
 // step — until the retry budget is spent; timing out drops the connection
 // instead, and the redial resumes the session.
 type commandReader struct {
-	conn   net.Conn
-	within time.Duration
-	begun  bool
+	conn  net.Conn
+	begun bool
 }
 
 // idle lifts the deadline until the next frame begins.
@@ -460,7 +432,7 @@ func (r *commandReader) Read(b []byte) (int, error) {
 	n, err := r.conn.Read(b)
 	if n > 0 && !r.begun {
 		r.begun = true
-		r.conn.SetReadDeadline(time.Now().Add(r.within))
+		r.conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	}
 	return n, err
 }
@@ -501,15 +473,6 @@ func (a *Agent) handle(req []byte) ([]byte, error) {
 		return rsp, nil
 	case msgSpanPull:
 		return a.spanDump()
-	case msgSigReq:
-		if len(req) < 5 {
-			return nil, fmt.Errorf("scamper: short signature request")
-		}
-		dst := netx.Addr(binary.BigEndian.Uint32(req[1:5]))
-		rsp := make([]byte, 9)
-		rsp[0] = msgSigRsp
-		binary.BigEndian.PutUint64(rsp[1:9], a.E.PathSignature(a.VP, dst))
-		return rsp, nil
 	default:
 		return nil, fmt.Errorf("scamper: unknown message type %#x", req[0])
 	}
@@ -555,236 +518,32 @@ func boolByte(b bool) byte {
 }
 
 // ---------------------------------------------------------------------------
-// Controller (central side)
+// RemoteProber (central side)
 
-// Controller accepts callback connections from agents and owns session
-// identity: one table, keyed by vantage-point name, decides whether a hello
-// opens a new session (handed to whoever Claims that name) or resumes an
-// open one.
-type Controller struct {
-	ln net.Listener
-
-	mu       sync.Mutex
-	sessions map[string]*RemoteProber // the open session per VP name
-	closed   bool
-	// wake is closed and replaced whenever a new session is registered, and
-	// closed for good by Close, so blocked Claims re-check the table.
-	wake    chan struct{}
-	obsReg  *obs.Registry
-	resumes *obs.Counter
-}
-
-// Listen starts a controller on addr (use "127.0.0.1:0" for an ephemeral
-// port) — the central system of §5.8. The dispatcher runs until Close.
-func Listen(addr string) (*Controller, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Controller{
-		ln:       ln,
-		sessions: make(map[string]*RemoteProber),
-		wake:     make(chan struct{}),
-	}
-	go c.dispatch()
-	return c, nil
-}
-
-// SetObs routes recovery metrics (remote.resume, remote.retry.*) to reg.
-// Call before agents dial.
-func (c *Controller) SetObs(reg *obs.Registry) {
-	c.mu.Lock()
-	c.obsReg = reg
-	c.resumes = reg.Counter("remote.resume")
-	c.mu.Unlock()
-}
-
-// Addr returns the listening address.
-func (c *Controller) Addr() string { return c.ln.Addr().String() }
-
-// Close stops accepting agents, fails pending and future Claims, and closes
-// every session that completed its handshake but was never claimed. Claimed
-// sessions belong to their claimers.
-func (c *Controller) Close() error {
-	err := c.ln.Close()
-	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.wake)
-	}
-	var unclaimed []*RemoteProber
-	for _, p := range c.sessions {
-		if !p.claimed {
-			unclaimed = append(unclaimed, p)
-		}
-	}
-	c.mu.Unlock()
-	for _, p := range unclaimed {
-		p.Close()
-	}
-	return err
-}
-
-// Claim returns the new session of the named vantage point, waiting up to
-// timeout for its agent to finish a handshake. Each session is claimed at
-// most once; reconnections of an agent whose session is open are attached
-// to that session and never surface here, while an agent replacing a closed
-// session (a killed device's successor) is a new session to claim.
-func (c *Controller) Claim(name string, timeout time.Duration) (*RemoteProber, error) {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errors.New("scamper: controller closed")
-		}
-		if p := c.sessions[name]; p != nil && !p.claimed {
-			p.claimed = true
-			c.mu.Unlock()
-			return p, nil
-		}
-		wake := c.wake
-		c.mu.Unlock()
-		select {
-		case <-wake:
-		case <-t.C:
-			return nil, fmt.Errorf("scamper: no session from agent %q within %v", name, timeout)
-		}
-	}
-}
-
-func (c *Controller) dispatch() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			c.Close()
-			return
-		}
-		go c.handshake(conn)
-	}
-}
-
-func (c *Controller) handshake(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(helloWait))
-	seq, body, err := readMsg(conn)
-	if err == nil && seq != 0 {
-		err = fmt.Errorf("scamper: bad hello")
-	}
-	var name string
-	if err == nil {
-		name, err = parseHello(body)
-	}
-	if err != nil {
-		// A garbled or dropped hello only condemns this connection: the
-		// agent redials and tries again, so nothing surfaces via Claim.
-		conn.Close()
-		c.mu.Lock()
-		reg := c.obsReg
-		c.mu.Unlock()
-		reg.Inc("remote.hello_failed")
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	if err := writeMsg(conn, 0, []byte{msgHelloAck}); err != nil {
-		conn.Close()
-		return
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		// Shut down mid-handshake; nobody will Claim this session.
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	p, resuming := c.sessions[name]
-	if resuming && p.closed.Load() {
-		resuming = false
-	}
-	if !resuming {
-		p = newRemoteProber(name, c, c.obsReg)
-		c.sessions[name] = p
-		close(c.wake)
-		c.wake = make(chan struct{})
-	}
-	if resuming {
-		c.resumes.Add(1)
-	}
-	c.mu.Unlock()
-	p.attach(conn)
-}
-
-// endSession forgets p once it is closed, unless a replacement session has
-// already taken its name.
-func (c *Controller) endSession(p *RemoteProber) {
-	c.mu.Lock()
-	if c.sessions[p.name] == p {
-		delete(c.sessions, p.name)
-	}
-	c.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// RemoteProber (controller's handle on one agent session)
-
-// Hardening tunes the prober's fault-recovery behavior.
-type Hardening struct {
-	// FrameTimeout bounds each frame write and each response wait.
-	// Default 5s.
-	FrameTimeout time.Duration
-	// RetryBudget is the number of ADDITIONAL attempts after the first
-	// send of a command. Default 8.
-	RetryBudget int
-	// BackoffBase/BackoffMax shape the exponential backoff between
-	// retries. Defaults 5ms / 250ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ResumeWait bounds how long a command waits for a reconnecting
-	// agent before declaring the session lost. Default 10s.
-	ResumeWait time.Duration
-}
-
-func (h Hardening) withDefaults() Hardening {
-	if h.FrameTimeout == 0 {
-		h.FrameTimeout = 5 * time.Second
-	}
-	if h.RetryBudget == 0 {
-		h.RetryBudget = 8
-	}
-	if h.BackoffBase == 0 {
-		h.BackoffBase = 5 * time.Millisecond
-	}
-	if h.BackoffMax == 0 {
-		h.BackoffMax = 250 * time.Millisecond
-	}
-	if h.ResumeWait == 0 {
-		h.ResumeWait = 10 * time.Second
-	}
-	return h
-}
-
-// RemoteProber drives a remote agent over its callback connection(s).
-// It is safe for concurrent use; commands are serialized, retried with
-// bounded exponential backoff, and survive agent reconnects.
+// RemoteProber is the central system of §5.8 for one vantage point: it
+// listens for that VP's agent and drives its one session over whichever
+// connection the agent last opened. It is safe for concurrent use;
+// commands are serialized, retried with bounded exponential backoff, and
+// survive agent reconnects.
 type RemoteProber struct {
 	name   string
-	ctrl   *Controller
+	ln     net.Listener
+	reg    *obs.Registry
+	opened chan struct{} // closed by the first handshake
+	done   chan struct{} // closed by Close
 	reconn chan net.Conn
 	closed atomic.Bool
-	// claimed marks a session some Claim has returned; guarded by ctrl.mu.
-	claimed bool
 
-	opMu    sync.Mutex // serializes commands; guards conn, nextSeq, hard
+	opMu    sync.Mutex // serializes commands; guards conn, nextSeq
 	conn    net.Conn
 	nextSeq uint32
-	hard    Hardening
 
-	mu       sync.Mutex // guards err, byte counts
+	mu       sync.Mutex // guards err, byte counts, and handing off on reconn
 	bytesOut int64
 	bytesIn  int64
 	err      error
 
+	resumes      *obs.Counter
 	retryWrite   *obs.Counter
 	retryRead    *obs.Counter
 	retryCorrupt *obs.Counter
@@ -794,47 +553,114 @@ type RemoteProber struct {
 
 var _ Prober = (*RemoteProber)(nil)
 
-func newRemoteProber(name string, ctrl *Controller, reg *obs.Registry) *RemoteProber {
-	return &RemoteProber{
-		name:         name,
-		ctrl:         ctrl,
+// Listen starts the central side for vantage point vp on addr (use
+// "127.0.0.1:0" for an ephemeral port), recording recovery metrics
+// (remote.*) in reg. It accepts agents until Close.
+func Listen(addr, vp string, reg *obs.Registry) (*RemoteProber, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	p := &RemoteProber{
+		name:         vp,
+		ln:           ln,
+		reg:          reg,
+		opened:       make(chan struct{}),
+		done:         make(chan struct{}),
 		reconn:       make(chan net.Conn, 1),
 		nextSeq:      1,
-		hard:         Hardening{}.withDefaults(),
+		resumes:      reg.Counter("remote.resume"),
 		retryWrite:   reg.Counter("remote.retry.write"),
 		retryRead:    reg.Counter("remote.retry.read"),
 		retryCorrupt: reg.Counter("remote.retry.corrupt"),
 		backoffNs:    reg.Counter("remote.retry.backoff_ns"),
 		sessionLost:  reg.Counter("remote.session_lost"),
 	}
+	go p.accept()
+	return p, nil
 }
 
-// SetHardening replaces the recovery tuning. Call before issuing commands.
-func (p *RemoteProber) SetHardening(h Hardening) {
-	p.opMu.Lock()
-	p.hard = h.withDefaults()
-	p.opMu.Unlock()
+// Addr returns the listening address.
+func (p *RemoteProber) Addr() string { return p.ln.Addr().String() }
+
+// Wait blocks until the agent completes its first handshake, failing after
+// timeout or once Close is called.
+func (p *RemoteProber) Wait(timeout time.Duration) error {
+	errClosed := errors.New("scamper: listener closed")
+	if p.closed.Load() {
+		return errClosed
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-p.opened:
+		return nil
+	case <-p.done:
+		return errClosed
+	case <-t.C:
+		return fmt.Errorf("scamper: no session from agent %q within %v", p.name, timeout)
+	}
 }
 
-// attach hands a (re)connection to the prober. A newer connection replaces
-// any pending one: the agent only redials after abandoning the old conn.
+func (p *RemoteProber) accept() {
+	for {
+		conn, err := p.ln.Accept()
+		if err != nil {
+			return // Close stopped the listener
+		}
+		go p.handshake(conn)
+	}
+}
+
+func (p *RemoteProber) handshake(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(helloWait))
+	seq, body, err := readMsg(conn)
+	if err == nil && seq != 0 {
+		err = fmt.Errorf("scamper: bad hello")
+	}
+	var name string
+	if err == nil {
+		name, err = parseHello(body)
+	}
+	if err != nil || name != p.name {
+		// A garbled or dropped hello only condemns this connection: the
+		// agent redials and tries again. A hello naming another VP is not
+		// this session's to resume.
+		conn.Close()
+		p.reg.Inc("remote.hello_failed")
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	if err := writeMsg(conn, 0, []byte{msgHelloAck}); err != nil {
+		conn.Close()
+		return
+	}
+	p.attach(conn)
+}
+
+// attach hands a handshaken connection to the session: the first opens it,
+// every later one resumes it. A newer connection replaces any pending one:
+// the agent only redials after abandoning the old conn. Only attach sends
+// on reconn, under mu, so after draining it the send never blocks.
 func (p *RemoteProber) attach(conn net.Conn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed.Load() {
 		conn.Close()
 		return
 	}
-	for {
-		select {
-		case p.reconn <- conn:
-			return
-		default:
-		}
-		select {
-		case old := <-p.reconn:
-			old.Close()
-		default:
-		}
+	select {
+	case <-p.opened:
+		p.resumes.Add(1)
+	default:
+		close(p.opened)
 	}
+	select {
+	case old := <-p.reconn:
+		old.Close()
+	default:
+	}
+	p.reconn <- conn
 }
 
 // Name returns the agent's vantage point name.
@@ -864,28 +690,33 @@ func (p *RemoteProber) fail(err error) {
 	p.sessionLost.Add(1)
 }
 
-// Close ends the session: a best-effort bye, then the connection.
+// Close stops the listener and ends the session: a best-effort bye on its
+// newest connection, then the hang-up. A pending Wait fails.
 func (p *RemoteProber) Close() error {
-	if p.closed.Swap(true) {
+	p.mu.Lock()
+	already := p.closed.Swap(true)
+	p.mu.Unlock()
+	if already {
 		return nil
 	}
+	close(p.done)
+	err := p.ln.Close()
 	p.opMu.Lock()
 	defer p.opMu.Unlock()
-	if p.conn == nil {
-		select {
-		case c := <-p.reconn:
-			p.conn = c
-		default:
-		}
+	// No attach can follow the closed flag, so one drain finds any pending
+	// connection.
+	select {
+	case c := <-p.reconn:
+		p.dropConn()
+		p.conn = c
+	default:
 	}
 	if p.conn != nil {
 		p.conn.SetWriteDeadline(time.Now().Add(time.Second))
 		_ = writeMsg(p.conn, p.nextSeq, []byte{msgBye})
-		p.conn.Close()
-		p.conn = nil
+		p.dropConn()
 	}
-	p.ctrl.endSession(p)
-	return nil
+	return err
 }
 
 // dropConn abandons the current connection after a transport fault.
@@ -896,15 +727,15 @@ func (p *RemoteProber) dropConn() {
 	}
 }
 
-// awaitConn waits for the agent to (re)connect.
-func (p *RemoteProber) awaitConn(wait time.Duration) bool {
+// awaitConn waits up to resumeWait for the agent to (re)connect.
+func (p *RemoteProber) awaitConn() bool {
 	select {
 	case c := <-p.reconn:
 		p.conn = c
 		return true
 	default:
 	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(resumeWait)
 	defer timer.Stop()
 	select {
 	case c := <-p.reconn:
@@ -924,20 +755,16 @@ func (p *RemoteProber) roundTrip(body []byte, wantType byte) []byte {
 	if p.closed.Load() || p.Err() != nil {
 		return nil
 	}
-	h := p.hard
 	seq := p.nextSeq
 	p.nextSeq++
-	for attempt := 0; attempt <= h.RetryBudget; attempt++ {
+	for attempt := 0; attempt <= retryBudget; attempt++ {
 		if attempt > 0 {
-			d := h.BackoffBase << uint(attempt-1)
-			if d > h.BackoffMax {
-				d = h.BackoffMax
-			}
+			d := backoff(attempt)
 			p.backoffNs.Add(int64(d))
 			time.Sleep(d)
 		}
-		if p.conn == nil && !p.awaitConn(h.ResumeWait) {
-			p.fail(fmt.Errorf("scamper: agent %s did not resume within %v", p.name, h.ResumeWait))
+		if p.conn == nil && !p.awaitConn() {
+			p.fail(fmt.Errorf("scamper: agent %s did not resume within %v", p.name, resumeWait))
 			return nil
 		}
 		// The agent may have reconnected behind our back (e.g. it saw a
@@ -948,14 +775,14 @@ func (p *RemoteProber) roundTrip(body []byte, wantType byte) []byte {
 			p.conn = c
 		default:
 		}
-		p.conn.SetWriteDeadline(time.Now().Add(h.FrameTimeout))
+		p.conn.SetWriteDeadline(time.Now().Add(frameTimeout))
 		if err := writeMsg(p.conn, seq, body); err != nil {
 			p.retryWrite.Add(1)
 			p.dropConn()
 			continue
 		}
 		p.noteSent(len(body))
-		rsp, err := p.awaitRsp(seq, wantType, h.FrameTimeout)
+		rsp, err := p.awaitRsp(seq, wantType)
 		if err == nil {
 			p.noteRecv(len(rsp))
 			return rsp
@@ -974,14 +801,14 @@ func (p *RemoteProber) roundTrip(body []byte, wantType byte) []byte {
 			p.dropConn()
 		}
 	}
-	p.fail(fmt.Errorf("scamper: retry budget exhausted after %d attempts", h.RetryBudget+1))
+	p.fail(fmt.Errorf("scamper: retry budget exhausted after %d attempts", retryBudget+1))
 	return nil
 }
 
 // awaitRsp reads frames until the response for seq arrives, skipping stale
 // duplicates from earlier retries.
-func (p *RemoteProber) awaitRsp(seq uint32, wantType byte, timeout time.Duration) ([]byte, error) {
-	deadline := time.Now().Add(timeout)
+func (p *RemoteProber) awaitRsp(seq uint32, wantType byte) ([]byte, error) {
+	deadline := time.Now().Add(frameTimeout)
 	for skips := 0; skips < 64; skips++ {
 		p.conn.SetReadDeadline(deadline)
 		got, rsp, err := readMsg(p.conn)
@@ -1054,17 +881,6 @@ func (p *RemoteProber) Now() time.Duration {
 	return time.Duration(decodeUint64Rsp(p.roundTrip([]byte{msgClock}, msgClockRsp)))
 }
 
-// PathSignature asks the agent to fingerprint its current forwarding path
-// toward dst. A lost session yields 0, which can never equal a signature
-// the agent attested while healthy (FNV of a nonempty walk), so replay
-// degrades to a live re-walk instead of serving stale hops.
-func (p *RemoteProber) PathSignature(dst netx.Addr) uint64 {
-	req := make([]byte, 5)
-	req[0] = msgSigReq
-	binary.BigEndian.PutUint32(req[1:5], uint32(dst))
-	return decodeUint64Rsp(p.roundTrip(req, msgSigRsp))
-}
-
 // PullSpans retrieves the agent's session span records so the controller
 // can graft them into the run's span tree. A lost session yields
 // (nil, Err): span retrieval is best-effort telemetry and must never fail
@@ -1118,8 +934,7 @@ func decodeProbeRsp(rsp []byte) probe.Response {
 	}
 }
 
-// decodeUint64Rsp decodes the type value(8) body of a clock or signature
-// response.
+// decodeUint64Rsp decodes the type value(8) body of a clock response.
 func decodeUint64Rsp(rsp []byte) uint64 {
 	if len(rsp) < 9 {
 		return 0

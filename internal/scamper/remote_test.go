@@ -305,27 +305,16 @@ func TestAgentCleanShutdownOnEOF(t *testing.T) {
 	}
 }
 
-// TestRetryDefaults pins the retry knobs' zero value to "use the default".
-func TestRetryDefaults(t *testing.T) {
-	if got := (Hardening{}).withDefaults().RetryBudget; got != 8 {
-		t.Errorf("zero RetryBudget = %d, want default 8", got)
-	}
-	if got := (DialOptions{}).withDefaults().MaxRedials; got != 8 {
-		t.Errorf("zero MaxRedials = %d, want default 8", got)
-	}
-}
-
 // TestControllerCloseDuringHandshake races Close against in-flight
-// handshakes: a session finishing its hello just as the dispatcher shuts
-// down must be discarded cleanly, never panic delivering to a closed
-// channel (run under -race in the chaos CI job).
+// handshakes, of the session's VP and of others: a hello finishing just as
+// the listener shuts down must be discarded cleanly, never panic or leave a
+// connection open (run under -race in the chaos CI job).
 func TestControllerCloseDuringHandshake(t *testing.T) {
 	for i := 0; i < 25; i++ {
-		ctrl, err := Listen("127.0.0.1:0")
+		ctrl, err := Listen("127.0.0.1:0", "vp-0", obs.New())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctrl.SetObs(obs.New())
 		var wg sync.WaitGroup
 		for j := 0; j < 4; j++ {
 			wg.Add(1)
@@ -347,43 +336,62 @@ func TestControllerCloseDuringHandshake(t *testing.T) {
 }
 
 func TestControllerRejectsBadHello(t *testing.T) {
-	ctrl, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	reg := obs.New()
-	ctrl.SetObs(reg)
+	ctrl, reg := listenTest(t, "vp-a")
 	conn, err := net.Dial("tcp", ctrl.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	writeMsg(conn, 0, []byte{msgProbeReq, 0, 0, 0, 0, 0}) // not a hello
-	// The controller must close the connection without creating a
-	// session — a failed handshake never surfaces through Claim,
-	// because under fault injection the agent simply redials.
+	// The controller must close the connection without opening the
+	// session — under fault injection the agent simply redials.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, _, err := readMsg(conn); err == nil {
 		t.Fatal("controller answered a session without hello")
 	}
+	waitCounter(t, reg, "remote.hello_failed", 1)
+}
+
+// TestControllerRejectsForeignHello: a controller serves one VP, so a
+// well-formed hello naming another is hung up on, counted, and opens
+// nothing.
+func TestControllerRejectsForeignHello(t *testing.T) {
+	ctrl, reg := listenTest(t, "vp-a")
+	conn, err := net.Dial("tcp", ctrl.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	writeMsg(conn, 0, buildHello("vp-b"))
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, body, err := readMsg(conn); err == nil {
+		t.Fatalf("controller for vp-a answered vp-b's hello with %v", body)
+	}
+	waitCounter(t, reg, "remote.hello_failed", 1)
+	if err := ctrl.Wait(30 * time.Millisecond); err == nil {
+		t.Fatal("a foreign hello opened the session")
+	}
+}
+
+// waitCounter polls reg until the named counter reaches want.
+func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for reg.Snapshot().Counter("remote.hello_failed") == 0 {
+	for reg.Snapshot().Counter(name) < want {
 		if time.Now().After(deadline) {
-			t.Fatal("hello failure not counted")
+			t.Fatalf("%s = %d, want %d", name, reg.Snapshot().Counter(name), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// TestControllerResumesSession: a redial mid-run resumes the open session —
+// counted once in remote.resume — and the commands around the cut all
+// complete on it.
 func TestControllerResumesSession(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 2)
 	e := probe.New(n, bgp.NewTable(n))
-	ctrl, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
+	rp, reg := listenTest(t, n.VPs[0].Name)
 
 	agent := &Agent{E: e, VP: n.VPs[0]}
 	// Cut the first connection after the 3rd agent write (hello + two
@@ -394,16 +402,10 @@ func TestControllerResumesSession(t *testing.T) {
 		return &cutAfterConn{Conn: c, when: func() bool { writes++; return writes == 3 }}
 	})
 	done := make(chan error, 1)
-	go func() {
-		done <- agent.DialRetry(ctrl.Addr(), DialOptions{Dial: dial})
-	}()
-
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-	if err != nil {
+	go func() { done <- agent.DialRetry(rp.Addr(), dial) }()
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rp.SetHardening(Hardening{FrameTimeout: time.Second, RetryBudget: 6,
-		BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond, ResumeWait: 5 * time.Second})
 
 	tab := bgp.NewTable(n)
 	dst := tab.Prefixes()[0].First() + 1
@@ -422,13 +424,16 @@ func TestControllerResumesSession(t *testing.T) {
 	if dialed < 2 {
 		t.Fatalf("agent dialed %d times; cut should force a redial", dialed)
 	}
+	if got := reg.Snapshot().Counter("remote.resume"); got != 1 {
+		t.Errorf("remote.resume = %d, want 1", got)
+	}
 	rp.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("agent exited with error: %v", err)
 	}
 }
 
-// dialThrough is a DialOptions.Dial that wraps every connection it opens.
+// dialThrough is a DialRetry dial that wraps every connection it opens.
 func dialThrough(wrap func(net.Conn) net.Conn) func(string) (net.Conn, error) {
 	return func(addr string) (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
@@ -438,6 +443,9 @@ func dialThrough(wrap func(net.Conn) net.Conn) func(string) (net.Conn, error) {
 		return wrap(c), nil
 	}
 }
+
+// dialTCP is a DialRetry dial with no faults.
+var dialTCP = dialThrough(func(c net.Conn) net.Conn { return c })
 
 // cutAfterConn closes itself right before the write on which when() fires.
 type cutAfterConn struct {
@@ -456,18 +464,12 @@ func (c *cutAfterConn) Write(b []byte) (int, error) {
 func TestRemoteProberConcurrentUse(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 2)
 	e := probe.New(n, bgp.NewTable(n))
-	ctrl, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
+	rp, _ := listenTest(t, n.VPs[0].Name)
 	agent := &Agent{E: e, VP: n.VPs[0]}
-	go agent.DialRetry(ctrl.Addr(), DialOptions{})
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-	if err != nil {
+	go agent.DialRetry(rp.Addr(), dialTCP)
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer rp.Close()
 
 	// Hammer the session from several goroutines; the prober must
 	// serialize commands without interleaving frames.
@@ -492,97 +494,50 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 }
 
 // namedAgent is an agent on its own tiny-world engine whose VP carries the
-// given name and whose clock starts at now, so a session can be told apart
-// by what its prober's Now reads.
-func namedAgent(name string, now time.Duration) *Agent {
+// given name.
+func namedAgent(name string) *Agent {
 	n := topo.Generate(topo.TinyProfile(), 1)
 	vp := *n.VPs[0]
 	vp.Name = name
-	e := probe.New(n, bgp.NewTable(n))
-	e.Advance(now)
-	return &Agent{E: e, VP: &vp}
+	return &Agent{E: probe.New(n, bgp.NewTable(n)), VP: &vp}
 }
 
-func listenTest(t *testing.T) (*Controller, *obs.Registry) {
+// listenTest starts a controller for vp that the test's cleanup closes.
+func listenTest(t *testing.T, vp string) (*RemoteProber, *obs.Registry) {
 	t.Helper()
-	ctrl, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ctrl.Close() })
 	reg := obs.New()
-	ctrl.SetObs(reg)
-	return ctrl, reg
-}
-
-// TestClaimRoutesByName: session identity is the VP name, not arrival
-// order. A is claimed first but B handshakes first; each claimer still gets
-// its own agent, and B's arrival only wakes A's claimer to look again.
-func TestClaimRoutesByName(t *testing.T) {
-	ctrl, _ := listenTest(t)
-	a, b := namedAgent("vp-a", time.Second), namedAgent("vp-b", 2*time.Second)
-
-	type claimed struct {
-		rp  *RemoteProber
-		err error
-	}
-	gotA := make(chan claimed, 1)
-	go func() {
-		rp, err := ctrl.Claim("vp-a", 5*time.Second)
-		gotA <- claimed{rp, err}
-	}()
-	go b.DialRetry(ctrl.Addr(), DialOptions{})
-	rpB, err := ctrl.Claim("vp-b", 5*time.Second)
+	rp, err := Listen("127.0.0.1:0", vp, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rpB.Close()
-	select {
-	case c := <-gotA:
-		t.Fatalf("claim for vp-a returned (%v, %v) before vp-a dialed", c.rp, c.err)
-	default:
-	}
-	go a.DialRetry(ctrl.Addr(), DialOptions{})
-	ca := <-gotA
-	if ca.err != nil {
-		t.Fatal(ca.err)
-	}
-	defer ca.rp.Close()
-	if ca.rp.Name() != "vp-a" || ca.rp.Now() != time.Second {
-		t.Errorf("vp-a's claimer got %q at %v", ca.rp.Name(), ca.rp.Now())
-	}
-	if rpB.Name() != "vp-b" || rpB.Now() != 2*time.Second {
-		t.Errorf("vp-b's claimer got %q at %v", rpB.Name(), rpB.Now())
-	}
+	t.Cleanup(func() { rp.Close() })
+	return rp, reg
 }
 
-// TestClaimTimeout: a claim for a name that never dials fails on time and
-// leaves nothing behind — an agent arriving later goes to the next claim,
-// not to the abandoned one.
-func TestClaimTimeout(t *testing.T) {
-	ctrl, _ := listenTest(t)
+// TestWaitTimeout: a wait for an agent that never dials fails on time and
+// leaves the session to form later — an agent arriving after it still
+// opens it for the next wait.
+func TestWaitTimeout(t *testing.T) {
+	rp, _ := listenTest(t, "vp-late")
 	start := time.Now()
-	if rp, err := ctrl.Claim("vp-late", 30*time.Millisecond); err == nil {
-		t.Fatalf("claimed %q from an agent that never dialed", rp.Name())
+	if err := rp.Wait(30 * time.Millisecond); err == nil {
+		t.Fatal("session opened by an agent that never dialed")
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("30ms claim took %v", d)
+		t.Fatalf("30ms wait took %v", d)
 	}
-	go namedAgent("vp-late", 0).DialRetry(ctrl.Addr(), DialOptions{})
-	rp, err := ctrl.Claim("vp-late", 5*time.Second)
-	if err != nil {
-		t.Fatalf("session swallowed by the timed-out claim: %v", err)
+	go namedAgent("vp-late").DialRetry(rp.Addr(), dialTCP)
+	if err := rp.Wait(5 * time.Second); err != nil {
+		t.Fatalf("session swallowed by the timed-out wait: %v", err)
 	}
-	rp.Close()
 }
 
 // TestClaimResumeVersusReplacement: a redial of an agent whose session is
-// open resumes it (remote.resume counts it, no new claim surfaces); once
-// that session is closed, the next agent of the same name is a new session
-// to claim.
+// open resumes it: remote.resume counts it once and the session keeps its
+// clock. A controller serves one session, so there is no replacement left
+// to tell apart from a resume.
 func TestClaimResumeVersusReplacement(t *testing.T) {
-	ctrl, reg := listenTest(t)
-	first := namedAgent("vp-x", 0)
+	rp, reg := listenTest(t, "vp-x")
 	// Cut the first connection on the agent's 2nd write (its first
 	// response), forcing a redial with the session still open.
 	writes := 0
@@ -590,12 +545,10 @@ func TestClaimResumeVersusReplacement(t *testing.T) {
 		return &cutAfterConn{Conn: c, when: func() bool { writes++; return writes == 2 }}
 	})
 	done := make(chan error, 1)
-	go func() { done <- first.DialRetry(ctrl.Addr(), DialOptions{Dial: dial}) }()
-	rp, err := ctrl.Claim("vp-x", 5*time.Second)
-	if err != nil {
+	go func() { done <- namedAgent("vp-x").DialRetry(rp.Addr(), dial) }()
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	rp.SetHardening(Hardening{FrameTimeout: time.Second, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
 	rp.Advance(time.Second)
 	rp.Advance(time.Second)
 	if err := rp.Err(); err != nil {
@@ -604,33 +557,35 @@ func TestClaimResumeVersusReplacement(t *testing.T) {
 	if got := reg.Snapshot().Counter("remote.resume"); got != 1 {
 		t.Errorf("remote.resume = %d, want 1", got)
 	}
-	if again, err := ctrl.Claim("vp-x", 30*time.Millisecond); err == nil {
-		t.Fatalf("a resumed session surfaced as a new claim (%p vs %p)", again, rp)
+	if now := rp.Now(); now != 2*time.Second {
+		t.Errorf("resumed session's clock = %v, want 2s", now)
 	}
 	rp.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("agent exited with error: %v", err)
 	}
-
-	go namedAgent("vp-x", time.Minute).DialRetry(ctrl.Addr(), DialOptions{})
-	next, err := ctrl.Claim("vp-x", 5*time.Second)
-	if err != nil {
-		t.Fatalf("replacement agent never surfaced: %v", err)
-	}
-	defer next.Close()
-	if next == rp || next.Now() != time.Minute {
-		t.Errorf("replacement claim returned the old session (now %v)", next.Now())
-	}
-	if got := reg.Snapshot().Counter("remote.resume"); got != 1 {
-		t.Errorf("replacement counted as a resume: remote.resume = %d", got)
-	}
 }
 
-// TestControllerCloseEndsClaimsAndOrphans: Close fails a pending claim at
-// once and hangs up on a session that handshook but was never claimed.
+// TestControllerCloseEndsClaimsAndOrphans: Close fails a pending Wait at
+// once, and says bye to — or hangs up on — a session that completed its
+// handshake but never ran a command. Either way the session is closed.
 func TestControllerCloseEndsClaimsAndOrphans(t *testing.T) {
-	ctrl, _ := listenTest(t)
-	conn, err := net.Dial("tcp", ctrl.Addr())
+	pending, _ := listenTest(t, "vp-nobody")
+	waited := make(chan error, 1)
+	go func() { waited <- pending.Wait(time.Minute) }()
+	time.Sleep(10 * time.Millisecond) // let the wait block; Close must wake it either way
+	pending.Close()
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Error("wait on a closed controller succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left a waiter blocked")
+	}
+
+	idle, _ := listenTest(t, "vp-orphan")
+	conn, err := net.Dial("tcp", idle.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,31 +597,17 @@ func TestControllerCloseEndsClaimsAndOrphans(t *testing.T) {
 	if _, ack, err := readMsg(conn); err != nil || ack[0] != msgHelloAck {
 		t.Fatalf("handshake: %v %v", ack, err)
 	}
-
-	pending := make(chan error, 1)
-	go func() {
-		_, err := ctrl.Claim("vp-nobody", time.Minute)
-		pending <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the claim block; Close must wake it either way
-	ctrl.Close()
-	select {
-	case err := <-pending:
-		if err == nil {
-			t.Error("claim on a closed controller succeeded")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close left a claimer blocked")
+	if err := idle.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	// The orphan is told bye, or — if Close won the race with its
-	// registration — simply hung up on. It is never left open.
+	idle.Close()
 	if _, body, err := readMsg(conn); err == nil && body[0] != msgBye {
-		t.Fatalf("orphan session got %v after Close", body)
+		t.Fatalf("idle session got %v after Close", body)
 	} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
-		t.Fatal("orphan session still open after Close")
+		t.Fatal("idle session still open after Close")
 	}
-	if _, err := ctrl.Claim("vp-orphan", time.Second); err == nil {
-		t.Error("claimed a session from a closed controller")
+	if err := idle.Wait(time.Second); err == nil {
+		t.Error("wait on a closed controller succeeded")
 	}
 }
 
@@ -675,11 +616,10 @@ func TestControllerCloseEndsClaimsAndOrphans(t *testing.T) {
 // park it forever while the controller retries into the void.
 func TestAgentDropsStalledFrame(t *testing.T) {
 	a := agentWorld(t)
-	a.helloTimeout = 50 * time.Millisecond
 	client, done := serveConnPair(t, a)
 	defer client.Close()
 	// The agent may idle between commands for as long as it likes …
-	time.Sleep(3 * a.helloTimeout)
+	time.Sleep(3 * helloTimeout)
 	// … but not inside one: a header promising 64KiB, then 8 bytes.
 	if _, err := client.Write([]byte{0, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Fatalf("agent gave up while idle: %v", err)

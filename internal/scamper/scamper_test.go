@@ -222,18 +222,17 @@ func TestDriverDeterministicSequential(t *testing.T) {
 func TestRemoteAgentRoundTrip(t *testing.T) {
 	n, e, view, hosts := setup(t, 8)
 
-	ctrl, err := Listen("127.0.0.1:0")
+	rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Close()
+	defer rp.Close()
 
 	agent := &Agent{E: e, VP: n.VPs[0]}
 	done := make(chan error, 1)
-	go func() { done <- agent.DialRetry(ctrl.Addr(), DialOptions{}) }()
+	go func() { done <- agent.DialRetry(rp.Addr(), dialTCP) }()
 
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
-	if err != nil {
+	if err := rp.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if rp.Name() != n.VPs[0].Name {
@@ -289,18 +288,16 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 
 func TestRemoteFullDriverRun(t *testing.T) {
 	n, e, view, hosts := setup(t, 9)
-	ctrl, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	agent := &Agent{E: e, VP: n.VPs[0]}
-	go agent.DialRetry(ctrl.Addr(), DialOptions{})
-	rp, err := ctrl.Claim(agent.VP.Name, 5*time.Second)
+	rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rp.Close()
+	agent := &Agent{E: e, VP: n.VPs[0]}
+	go agent.DialRetry(rp.Addr(), dialTCP)
+	if err := rp.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	d := &Driver{View: view, Prober: rp, HostASNs: hosts, Cfg: Config{Workers: 2}}
 	ds := d.Run()

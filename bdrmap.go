@@ -36,7 +36,6 @@ import (
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/export"
-	"bdrmap/internal/fleet"
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
@@ -374,15 +373,6 @@ type FleetOptions struct {
 	// (default 1). The merged map, per-VP reports, and trace/span
 	// fingerprints are byte-identical for any worker count.
 	Workers int
-	// Quorum, when in [1, NumVPs-1], delivers a partial generation
-	// through OnPublish once that many VPs complete, naming the rest
-	// degraded; the final (full) generation always follows. 0 disables
-	// partial publishing.
-	Quorum int
-	// OnPublish receives the quorum-time partial and the final
-	// generations — per-VP results, nil where a VP has not reported — on
-	// the coordinator goroutine.
-	OnPublish func(fleet.PublishEvent)
 }
 
 // MapAll runs MapBorders from every vantage point. It is the one-worker
@@ -396,14 +386,9 @@ func (w *World) MapAll() []*Report {
 }
 
 // MapAllFleet measures every vantage point through the fleet coordinator:
-// a bounded worker pool fed from one queue, with optional quorum
-// publishing. Reports are indexed by VP.
+// a bounded worker pool fed from one queue. Reports are indexed by VP.
 func (w *World) MapAllFleet(o FleetOptions) ([]*Report, error) {
-	results, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{
-		Workers:   o.Workers,
-		Quorum:    o.Quorum,
-		OnPublish: o.OnPublish,
-	})
+	results, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: o.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func TestMergedMap(t *testing.T) {
 	if m.LinkCount() == 0 || len(m.VPs) != w.NumVPs() {
 		t.Fatalf("merged map: %d links, %d VPs", m.LinkCount(), len(m.VPs))
 	}
-	if len(m.NeighborASes()) == 0 {
+	if len(m.Neighbors) == 0 {
 		t.Fatal("no neighbors in merged map")
 	}
 }

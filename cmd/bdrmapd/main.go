@@ -3,7 +3,7 @@
 // devices, drives the full measurement schedule over each connection, runs
 // border inference centrally, and prints the result.
 //
-// For a self-contained demonstration, -demo spawns an in-process agent
+// For a self-contained demonstration, it spawns an in-process agent
 // connected over loopback TCP, mirroring the BISmark deployment where the
 // device only executes probe commands while the central system keeps all
 // state (the paper measured 3.5MB on-device vs ~150MB centrally).
@@ -81,7 +81,6 @@ func main() {
 		addr         = flag.String("listen", "127.0.0.1:0", "listen address for agent callbacks")
 		profile      = flag.String("profile", "tiny", "world the demo agent lives in")
 		seed         = flag.Int64("seed", 1, "generation seed")
-		demo         = flag.Bool("demo", true, "spawn an in-process demo agent")
 		metricsAddr  = flag.String("metrics-addr", "", "serve the obs registry over HTTP on this address (e.g. 127.0.0.1:9100): JSON on /, Prometheus text on /metrics")
 		metricsJSON  = flag.Bool("metrics-json", false, "print the final metrics snapshot as JSON on exit")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ on -metrics-addr")
@@ -92,7 +91,6 @@ func main() {
 		refreshEach  = flag.Int("refresh-every", 0, "with -incremental, force a full re-walk of each cached target every N rounds (0 = default cadence, -1 = never)")
 		verify       = flag.Bool("verify", false, "with -incremental, cross-check every round against a from-scratch run and abort on any divergence")
 		fleetWorkers = flag.Int("fleet-workers", 1, "with -rounds, measure each round's vantage points on this many coordinator workers (the served map is identical for any count)")
-		fleetQuorum  = flag.Int("fleet-quorum", 0, "with -rounds, publish a partial generation once this many VPs complete, marking the rest degraded (0 = full generations only; see /v1/fleet)")
 		spanOut      = flag.String("span-out", "", "write the run's span timeline as a Chrome trace_event file on exit (open in Perfetto / chrome://tracing)")
 		dataDir      = flag.String("data-dir", "", "persist every published generation as a segment file in this directory and recover the retained history from it on boot (crash-safe; see README: Serving the map)")
 		follow       = flag.String("follow", "", "run as a read-only follower of the bdrmapd at this base URL (e.g. http://127.0.0.1:9100): tail its generation stream and serve /v1/ locally on -metrics-addr")
@@ -119,9 +117,6 @@ func main() {
 		if prof, ok = topo.ProfileByName(*profile); !ok {
 			fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
 			os.Exit(2)
-		}
-		if !*demo && *rounds == 0 {
-			log.Fatal("only -demo mode is supported offline: the agent needs a world to probe")
 		}
 		s = eval.Build(prof, *seed)
 		reg, spans = s.Obs, s.Spans
@@ -230,9 +225,8 @@ func main() {
 		// round's measurement memory, then serve/report like the demo.
 		events, err := mapdb.RunRounds(mapdb.RoundsConfig{
 			Profile: prof, Seed: *seed, Rounds: *rounds,
-			FleetWorkers: *fleetWorkers, FleetQuorum: *fleetQuorum,
-			Incremental: *incremental, RefreshEvery: *refreshEach,
-			Verify: *verify, Obs: reg,
+			FleetWorkers: *fleetWorkers, Incremental: *incremental,
+			RefreshEvery: *refreshEach, Verify: *verify, Obs: reg,
 			Spans: spans, SpanParent: s.SpanRoot.ID(),
 		}, store)
 		if err != nil {
@@ -270,8 +264,8 @@ func main() {
 	fmt.Printf("protocol traffic: %dB out, %dB in\n", dev.BytesOut, dev.BytesIn)
 	fmt.Printf("inferred %d interdomain links across %d neighbors\n",
 		len(res.Links), len(res.Neighbors))
-	for asn, links := range res.Neighbors {
-		fmt.Printf("  %v: %d link(s)\n", asn, len(links))
+	for _, asn := range res.NeighborASes() {
+		fmt.Printf("  %v: %d link(s)\n", asn, len(res.Neighbors[asn]))
 	}
 	finish()
 }

@@ -49,10 +49,6 @@ func deriveTargets(snap *mapdb.Snapshot, echo func(netx.Addr) bool) []tslp.Targe
 // runWatch replaces the poll-and-rebuild loop with the push path: it tails
 // a live bdrmapd's /v1/watch stream, counts border-flap events per link
 // identity as generations publish, and prints a flap leaderboard on exit.
-// Diff frames marked quorum-partial (a vantage point missing, not a border
-// moving) are reported but never counted — that churn is a measurement
-// artifact, and counting it is exactly the false-alarm class the degraded
-// marks exist to prevent.
 func runWatch(base string, maxFrames int) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -69,7 +65,7 @@ func runWatch(base string, maxFrames int) {
 			flaps[ident{l.Near, l.Far, l.FarAS}]++
 		}
 	}
-	frames, discounted, from := 0, 0, 0
+	frames, from := 0, 0
 	errDone := errors.New("watch budget reached")
 	for ctx.Err() == nil {
 		wc := &mapdb.WatchClient{Base: base, From: from}
@@ -84,16 +80,10 @@ func runWatch(base string, maxFrames int) {
 				}
 				from = d.To
 				frames++
-				if d.Degraded() {
-					discounted++
-					fmt.Printf("generation %d -> %d: +%d/-%d links [quorum-partial, degraded VPs %v — not counted]\n",
-						d.From, d.To, len(d.Added), len(d.Removed), d.DegradedVPs)
-				} else {
-					count(d.Added)
-					count(d.Removed)
-					fmt.Printf("generation %d -> %d: +%d/-%d links, %d relabeled, %d owner change(s)\n",
-						d.From, d.To, len(d.Added), len(d.Removed), len(d.Relabeled), len(d.OwnerChanges))
-				}
+				count(d.Added)
+				count(d.Removed)
+				fmt.Printf("generation %d -> %d: +%d/-%d links, %d relabeled, %d owner change(s)\n",
+					d.From, d.To, len(d.Added), len(d.Removed), len(d.Relabeled), len(d.OwnerChanges))
 				if maxFrames > 0 && frames >= maxFrames {
 					return errDone
 				}
@@ -131,8 +121,7 @@ func runWatch(base string, maxFrames int) {
 		}
 		return name(rows[i].id) < name(rows[j].id)
 	})
-	fmt.Printf("\n%d diff frame(s) observed (%d quorum-partial, discounted); %d flapping link(s)\n",
-		frames, discounted, len(rows))
+	fmt.Printf("\n%d diff frame(s) observed; %d flapping link(s)\n", frames, len(rows))
 	for i, r := range rows {
 		if i == 10 {
 			fmt.Printf("  ... and %d more\n", len(rows)-10)
@@ -151,7 +140,7 @@ func main() {
 		duration = flag.Duration("duration", 24*time.Hour, "monitoring duration")
 		rounds   = flag.Int("rounds", 0, "map borders through this many continuous-monitoring rounds of churn and monitor the final generation")
 		incr     = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and alias verdicts across rounds")
-		watch    = flag.String("watch", "", "stream /v1/watch from a running bdrmapd at this base URL and report border churn live instead of building a world (quorum-partial frames are reported but never counted as flaps)")
+		watch    = flag.String("watch", "", "stream /v1/watch from a running bdrmapd at this base URL and report border churn live instead of building a world")
 		watchMax = flag.Int("watch-frames", 0, "with -watch, exit after this many diff frames (0 = run until interrupted)")
 	)
 	flag.Parse()

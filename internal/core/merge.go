@@ -116,13 +116,3 @@ func Merge(results []*Result) *MergedMap {
 
 // LinkCount returns the number of merged links.
 func (m *MergedMap) LinkCount() int { return len(m.Links) }
-
-// NeighborASes returns the merged neighbor set, sorted.
-func (m *MergedMap) NeighborASes() []topo.ASN {
-	out := make([]topo.ASN, 0, len(m.Neighbors))
-	for a := range m.Neighbors {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

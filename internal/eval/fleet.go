@@ -19,23 +19,16 @@ import (
 // FleetOptions tunes one RunFleet invocation. The zero value runs every
 // VP on one worker in VP order — exactly RunAll.
 type FleetOptions struct {
-	// Workers, Quorum and Order are the coordinator knobs; see
-	// fleet.Config.
+	// Workers and Order are the coordinator knobs; see fleet.Config.
 	Workers int
-	Quorum  int
 	Order   []int
 	// States carries per-VP cross-round state (indexed like Net.VPs): each
 	// VP's measurement memory from the previous round (trace transcripts,
 	// stop-set evolution, alias memo). The driver replays unchanged targets
 	// without spending probes; inference always runs in full.
 	States []*scamper.RoundState
-	// Opts is passed to every shard's inference.
-	Opts core.Options
-	// OnPublish receives the quorum-time partial and the final merged
-	// generations (see fleet.Config.OnPublish).
-	OnPublish func(fleet.PublishEvent)
 	// Gate, when set, is called at the start of VP i's shard — a test hook
-	// for pinning straggler and quorum schedules.
+	// for pinning completion schedules.
 	Gate func(vp int)
 }
 
@@ -47,12 +40,11 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	shards := make([]fleet.Shard, len(s.Net.VPs))
 	for i := range s.Net.VPs {
 		shards[i] = fleet.Shard{
-			Name: s.Net.VPs[i].Name,
 			Run: func(arena *core.Arena) *fleet.Output {
 				if fo.Gate != nil {
 					fo.Gate(i)
 				}
-				sh := shard{cfg: cfg, opts: fo.Opts, arena: arena, mode: "fleet"}
+				sh := shard{cfg: cfg, arena: arena, mode: "fleet"}
 				// Private fragments, mirroring the enabled-ness of the
 				// scenario's shared logs.
 				if s.Trace.Enabled() {
@@ -74,13 +66,11 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 
 	outs, err := fleet.Run(fleet.Config{
 		Workers:    fo.Workers,
-		Quorum:     fo.Quorum,
 		Order:      fo.Order,
 		Obs:        s.Obs,
 		Trace:      s.Trace,
 		Spans:      s.Spans,
 		SpanParent: s.SpanRoot.ID(),
-		OnPublish:  fo.OnPublish,
 	}, shards)
 	if err != nil {
 		return nil, err

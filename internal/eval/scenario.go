@@ -30,7 +30,6 @@ import (
 // per-VP measurement results.
 type Scenario struct {
 	Profile topo.Profile
-	Seed    int64
 
 	Net  *topo.Network
 	Tab  *bgp.Table
@@ -110,8 +109,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	spans := obs.NewSpanLog(0)
 	root := spans.Begin(0, "run", fmt.Sprintf("host AS%d seed %d", n.HostASN, seed))
 	return &Scenario{
-		Seed: seed,
-		Net:  n, Tab: tab, View: view, Rel: rel, RIR: rdb, IXP: pl,
+		Net: n, Tab: tab, View: view, Rel: rel, RIR: rdb, IXP: pl,
 		Sibs: sibs, Engine: eng, HostASNs: hosts, Obs: reg,
 		Trace:    obs.NewTracer(0),
 		Spans:    spans,

@@ -1,13 +1,13 @@
 // Package export serializes measurement artifacts — traceroutes, inferred
 // border maps, and merged multi-VP maps — as JSON Lines, the interchange
 // format downstream consumers (the congestion monitoring pipeline,
-// analysis notebooks) read. Encoding and decoding round-trip exactly.
+// analysis notebooks) read. The package's tests decode the stream back and
+// hold the round trip exact.
 package export
 
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"bdrmap/internal/core"
@@ -164,61 +164,4 @@ func (x *Writer) Flush() error {
 		return x.err
 	}
 	return x.w.Flush()
-}
-
-// Dataset is the decoded form of an exported stream.
-type Dataset struct {
-	Meta    Meta
-	Traces  []TraceJSON
-	Links   []LinkJSON
-	Routers []RouterJSON
-	Merged  []MergedLinkJSON
-}
-
-// Read decodes a JSONL stream.
-func Read(r io.Reader) (*Dataset, error) {
-	ds := &Dataset{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		var env envelope
-		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
-			return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-		}
-		switch env.Type {
-		case KindMeta:
-			if err := json.Unmarshal(env.Data, &ds.Meta); err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-			}
-		case KindTrace:
-			var t TraceJSON
-			if err := json.Unmarshal(env.Data, &t); err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-			}
-			ds.Traces = append(ds.Traces, t)
-		case KindLink:
-			var l LinkJSON
-			if err := json.Unmarshal(env.Data, &l); err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-			}
-			ds.Links = append(ds.Links, l)
-		case KindRouter:
-			var rt RouterJSON
-			if err := json.Unmarshal(env.Data, &rt); err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-			}
-			ds.Routers = append(ds.Routers, rt)
-		case KindMergedLink:
-			var ml MergedLinkJSON
-			if err := json.Unmarshal(env.Data, &ml); err != nil {
-				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
-			}
-			ds.Merged = append(ds.Merged, ml)
-		default:
-			return nil, fmt.Errorf("export: line %d: unknown type %q", lineNo, env.Type)
-		}
-	}
-	return ds, sc.Err()
 }

@@ -1,7 +1,11 @@
 package export
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -153,4 +157,61 @@ func TestSilentLinkOmitsFar(t *testing.T) {
 	if err != nil || len(got.Links) != 1 || got.Links[0].Far != 0 {
 		t.Fatalf("silent link round trip: %+v %v", got.Links, err)
 	}
+}
+
+// Dataset is the decoded form of an exported stream.
+type Dataset struct {
+	Meta    Meta
+	Traces  []TraceJSON
+	Links   []LinkJSON
+	Routers []RouterJSON
+	Merged  []MergedLinkJSON
+}
+
+// Read decodes a JSONL stream.
+func Read(r io.Reader) (*Dataset, error) {
+	ds := &Dataset{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		var env envelope
+		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+			return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+		}
+		switch env.Type {
+		case KindMeta:
+			if err := json.Unmarshal(env.Data, &ds.Meta); err != nil {
+				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+			}
+		case KindTrace:
+			var t TraceJSON
+			if err := json.Unmarshal(env.Data, &t); err != nil {
+				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+			}
+			ds.Traces = append(ds.Traces, t)
+		case KindLink:
+			var l LinkJSON
+			if err := json.Unmarshal(env.Data, &l); err != nil {
+				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+			}
+			ds.Links = append(ds.Links, l)
+		case KindRouter:
+			var rt RouterJSON
+			if err := json.Unmarshal(env.Data, &rt); err != nil {
+				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+			}
+			ds.Routers = append(ds.Routers, rt)
+		case KindMergedLink:
+			var ml MergedLinkJSON
+			if err := json.Unmarshal(env.Data, &ml); err != nil {
+				return nil, fmt.Errorf("export: line %d: %w", lineNo, err)
+			}
+			ds.Merged = append(ds.Merged, ml)
+		default:
+			return nil, fmt.Errorf("export: line %d: unknown type %q", lineNo, env.Type)
+		}
+	}
+	return ds, sc.Err()
 }

@@ -1,9 +1,9 @@
 // Package fleet is the multi-vantage-point coordinator: it schedules N
 // per-VP measurement shards across a bounded worker pool fed from one
-// queue, collects completed results by shard index, and publishes
-// generations as configurable shard quorums complete — the deployment
-// shape of §5.6 (one process per continent, many VPs per process) rather
-// than one goroutine per VP.
+// queue and returns their results by shard index once every shard has
+// completed — the deployment shape of §5.6 (one process per continent,
+// many VPs per process) rather than one goroutine per VP. The caller
+// builds one full generation from the returned results.
 //
 // Shards cannot fail: each runs on an in-process engine. A remote VP's
 // §5.8 churn — session resume, the per-command retry budget, the partial
@@ -17,9 +17,7 @@
 // drains. For a fixed shard list, the per-shard results — and so whatever
 // a consumer merges or compiles from them — and the trace/span
 // fingerprints are byte-identical for any worker count and any completion
-// order. Only the *partial* (quorum-time) publish depends on arrival order
-// — it is explicitly a freshness/latency trade, and the final generation
-// heals it.
+// order.
 package fleet
 
 import (
@@ -45,34 +43,16 @@ type Output struct {
 
 // Shard is one schedulable vantage point.
 type Shard struct {
-	Name string
 	// Run measures and infers the shard. arena is the executing worker's
 	// inference arena, reused (reset, not reallocated) across every shard
 	// that worker runs.
 	Run func(arena *core.Arena) *Output
 }
 
-// PublishEvent is one generation leaving the coordinator. It carries the
-// per-shard results, not a union of them: the consumer builds what it
-// serves (mapdb.Compile, core.Merge) from Results.
-type PublishEvent struct {
-	// Final is false for the quorum-time partial generation.
-	Final bool
-	// Results holds per-shard results, nil where not yet complete.
-	Results []*core.Result
-	// Degraded names the shards not represented in this generation: the
-	// ones still running at quorum time. Empty on the final generation.
-	Degraded []string
-}
-
 // Config tunes one coordinator run.
 type Config struct {
 	// Workers bounds pool concurrency; <=0 means 1 (strict shard order).
 	Workers int
-	// Quorum, when in [1, len(shards)-1], publishes a partial generation
-	// once that many shards have completed, ahead of the full fleet. 0
-	// disables partial publishing.
-	Quorum int
 	// Order optionally permutes enqueue order (adversarial completion
 	// orders in tests). Must be a permutation of shard indices when set.
 	Order []int
@@ -82,15 +62,6 @@ type Config struct {
 	Trace      *obs.Tracer
 	Spans      *obs.SpanLog
 	SpanParent obs.SpanID
-	// OnPublish receives the partial and final generations, on the
-	// coordinator goroutine (never concurrently).
-	OnPublish func(PublishEvent)
-}
-
-// completion is one shard's report back to the coordinator.
-type completion struct {
-	shard int
-	out   *Output
 }
 
 // Run schedules shards across the pool and blocks until every shard has
@@ -140,7 +111,9 @@ func Run(cfg Config, shards []Shard) ([]*Output, error) {
 	}
 	close(queue)
 
-	completions := make(chan completion, workers)
+	// Each worker writes only the outs slots of the shards it dequeued, so
+	// every index has exactly one writer.
+	outs := make([]*Output, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -149,45 +122,10 @@ func Run(cfg Config, shards []Shard) ([]*Output, error) {
 			arena := &core.Arena{}
 			for i := range queue {
 				reg.Inc("fleet.started")
-				completions <- completion{shard: i, out: shards[i].Run(arena)}
+				outs[i] = shards[i].Run(arena)
+				reg.Inc("fleet.completed")
 			}
 		}()
-	}
-
-	// Coordinator loop: the only goroutine that touches per-shard results
-	// and publish events.
-	outs := make([]*Output, n)
-	results := make([]*core.Result, n)
-	publish := func(final bool) {
-		var degraded []string
-		for i, res := range results {
-			if res == nil {
-				degraded = append(degraded, shards[i].Name)
-			}
-		}
-		ev := PublishEvent{
-			Final:    final,
-			Results:  append([]*core.Result(nil), results...),
-			Degraded: degraded,
-		}
-		if final {
-			reg.Inc("fleet.publish.final")
-		} else {
-			reg.Inc("fleet.publish.partial")
-			reg.Add("fleet.degraded.at_quorum", int64(len(degraded)))
-		}
-		if cfg.OnPublish != nil {
-			cfg.OnPublish(ev)
-		}
-	}
-	for completed := 1; completed <= n; completed++ {
-		c := <-completions
-		outs[c.shard] = c.out
-		results[c.shard] = c.out.Result
-		reg.Inc("fleet.completed")
-		if completed == cfg.Quorum && completed < n {
-			publish(false)
-		}
 	}
 	wg.Wait()
 
@@ -201,7 +139,6 @@ func Run(cfg Config, shards []Shard) ([]*Output, error) {
 	cfg.Trace.Merge(traces...)
 	fsp.SetAttr("shards", n)
 	fsp.SetAttr("completed", n)
-	publish(true)
 	fsp.End()
 	return outs, nil
 }

@@ -27,10 +27,7 @@ func mkShardResult(i int) *core.Result {
 }
 
 func okShard(i int) Shard {
-	return Shard{
-		Name: fmt.Sprintf("vp%d", i),
-		Run:  func(*core.Arena) *Output { return &Output{Result: mkShardResult(i)} },
-	}
+	return Shard{Run: func(*core.Arena) *Output { return &Output{Result: mkShardResult(i)} }}
 }
 
 // results projects outputs onto their per-shard results.
@@ -55,7 +52,7 @@ func TestRunAllWorkersSameMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, out := range outs {
-			if out.Result.VPName != shards[i].Name {
+			if out.Result.VPName != fmt.Sprintf("vp%d", i) {
 				t.Fatalf("workers=%d output %d is %s's", workers, i, out.Result.VPName)
 			}
 		}
@@ -109,13 +106,13 @@ func TestRunIdleWorkerDrainsQueue(t *testing.T) {
 	var others sync.WaitGroup
 	quick := func(i int) Shard {
 		others.Add(1)
-		return Shard{Name: fmt.Sprintf("vp%d", i), Run: func(*core.Arena) *Output {
+		return Shard{Run: func(*core.Arena) *Output {
 			defer others.Done()
 			return &Output{Result: mkShardResult(i)}
 		}}
 	}
 	shards := []Shard{
-		{Name: "slow", Run: func(*core.Arena) *Output {
+		{Run: func(*core.Arena) *Output {
 			others.Wait()
 			return &Output{Result: mkShardResult(0)}
 		}},
@@ -129,69 +126,6 @@ func TestRunIdleWorkerDrainsQueue(t *testing.T) {
 		if out == nil {
 			t.Fatalf("shard %d has no output", i)
 		}
-	}
-}
-
-// TestRunQuorumPublish holds one shard back behind a gate: the quorum
-// publish must arrive without it, marked degraded, and the final publish
-// must heal it.
-func TestRunQuorumPublish(t *testing.T) {
-	reg := obs.New()
-	gate := make(chan struct{})
-	var events []PublishEvent
-	shards := []Shard{
-		okShard(0),
-		okShard(1),
-		{Name: "late", Run: func(*core.Arena) *Output {
-			<-gate
-			return &Output{Result: mkShardResult(2)}
-		}},
-	}
-	cfg := Config{
-		Workers: 3,
-		Quorum:  2,
-		Obs:     reg,
-		OnPublish: func(ev PublishEvent) {
-			events = append(events, ev)
-			if !ev.Final {
-				close(gate)
-			}
-		},
-	}
-	if _, err := Run(cfg, shards); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("publish events = %d, want partial+final", len(events))
-	}
-	partial, final := events[0], events[1]
-	if partial.Final || !final.Final {
-		t.Fatalf("event order wrong: %+v", events)
-	}
-	if !reflect.DeepEqual(partial.Degraded, []string{"late"}) {
-		t.Fatalf("partial degraded = %v", partial.Degraded)
-	}
-	if len(final.Degraded) != 0 {
-		t.Fatalf("final degraded = %v", final.Degraded)
-	}
-	pm, fm := core.Merge(partial.Results), core.Merge(final.Results)
-	if len(pm.VPs) != 2 || len(fm.VPs) != 3 {
-		t.Fatalf("merged VP counts: partial %v final %v", pm.VPs, fm.VPs)
-	}
-	healed := make(map[core.LinkKey]bool, len(fm.Links))
-	for _, l := range fm.Links {
-		healed[l.Key] = true
-	}
-	for _, l := range pm.Links {
-		if !healed[l.Key] {
-			t.Fatalf("healing generation dropped link %v", l.Key)
-		}
-	}
-	if len(fm.Links) <= len(pm.Links) {
-		t.Fatalf("healing generation added no links: %d partial, %d final", len(pm.Links), len(fm.Links))
-	}
-	if reg.Counter("fleet.publish.partial").Load() != 1 || reg.Counter("fleet.publish.final").Load() != 1 {
-		t.Fatal("publish counters wrong")
 	}
 }
 
@@ -211,12 +145,12 @@ func TestRunLogMergeShardOrder(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	shards := []Shard{
-		{Name: "vp0", Run: func(*core.Arena) *Output {
+		{Run: func(*core.Arena) *Output {
 			// Completes last despite being shard 0.
 			<-gate
 			return mkOut(0)
 		}},
-		{Name: "vp1", Run: func(*core.Arena) *Output {
+		{Run: func(*core.Arena) *Output {
 			defer close(gate)
 			return mkOut(1)
 		}},

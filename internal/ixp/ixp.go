@@ -125,9 +125,6 @@ func (pl *PrefixList) IsIXP(addr netx.Addr) (string, bool) {
 	return pl.trie.Lookup(addr)
 }
 
-// Prefixes returns the merged prefix list, sorted.
-func (pl *PrefixList) Prefixes() []netx.Prefix { return pl.prefixes }
-
 // MemberAt returns the ASN recorded (by PCH) for a LAN address, if any.
 // Used to validate ownership inferences against IXP-published data.
 func (pl *PrefixList) MemberAt(addr netx.Addr) (topo.ASN, bool) {

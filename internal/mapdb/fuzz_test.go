@@ -119,19 +119,28 @@ func reseal(img []byte) {
 	binary.LittleEndian.PutUint32(img[headLen-4:], crc32.Checksum(img[:headLen-4], segCRC))
 }
 
-// sectionOf returns section id's payload inside img, for editing in place.
-func sectionOf(t testing.TB, img []byte, id uint32) []byte {
-	t.Helper()
+// tableEntry returns section id's table entry inside img, or nil when the
+// image has no such section.
+func tableEntry(img []byte, id uint32) []byte {
 	nsect := int(binary.LittleEndian.Uint32(img[24:]))
 	for i := 0; i < nsect; i++ {
 		ent := img[segHeaderLen+segTableEntLen*i:]
 		if binary.LittleEndian.Uint32(ent) == id {
-			off, ln := binary.LittleEndian.Uint64(ent[4:]), binary.LittleEndian.Uint64(ent[12:])
-			return img[off : off+ln]
+			return ent[:segTableEntLen]
 		}
 	}
-	t.Fatalf("image has no section %d", id)
 	return nil
+}
+
+// sectionOf returns section id's payload inside img, for editing in place.
+func sectionOf(t testing.TB, img []byte, id uint32) []byte {
+	t.Helper()
+	ent := tableEntry(img, id)
+	if ent == nil {
+		t.Fatalf("image has no section %d", id)
+	}
+	off, ln := binary.LittleEndian.Uint64(ent[4:]), binary.LittleEndian.Uint64(ent[12:])
+	return img[off : off+ln]
 }
 
 // resealed returns a copy of img with edit applied to section id and both
@@ -168,7 +177,6 @@ func FuzzReadSegment(f *testing.F) {
 	}
 	fresh := Compile(64500, decodeResults([]byte{2, 1, 2, 3, 9, 4, 1, 7, 0, 2, 1, 3, 3, 9, 0, 5, 15, 4}))
 	fresh.gen = 3
-	fresh.MarkDegraded([]string{"west"})
 	img := image(f, fresh)
 
 	f.Add(fixture)
@@ -244,28 +252,22 @@ func decodeResults(data []byte) []*core.Result {
 // the second byte for byte — the image equality a replica digest will be
 // defined over.
 func FuzzApplyDiff(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte{}, []byte{})
 	// everything removed
-	f.Add([]byte{2, 1, 2, 3, 9, 4}, []byte{}, uint8(0))
-	// a silent link into a partial generation
-	f.Add([]byte{}, []byte{3, 1, 0, 3, 15, 4}, uint8(2))
-	// relabel out of a partial generation
-	f.Add([]byte{2, 1, 2, 3, 9, 4}, []byte{2, 1, 2, 3, 5, 4}, uint8(1))
+	f.Add([]byte{2, 1, 2, 3, 9, 4}, []byte{})
+	// a silent link appears
+	f.Add([]byte{}, []byte{3, 1, 0, 3, 15, 4})
+	// relabel
+	f.Add([]byte{2, 1, 2, 3, 9, 4}, []byte{2, 1, 2, 3, 5, 4})
 	// owner change + owner removal
-	f.Add([]byte{2, 1, 2, 3, 9, 4, 0, 7, 0, 2, 1, 3}, []byte{2, 1, 2, 4, 9, 4}, uint8(0))
+	f.Add([]byte{2, 1, 2, 3, 9, 4, 0, 7, 0, 2, 1, 3}, []byte{2, 1, 2, 4, 9, 4})
 	// first-write-wins order flips
-	f.Add([]byte{0, 9, 9, 1, 1, 1, 1, 9, 9, 2, 2, 2}, []byte{1, 9, 9, 2, 2, 2, 0, 9, 9, 1, 1, 1}, uint8(3))
+	f.Add([]byte{0, 9, 9, 1, 1, 1, 1, 9, 9, 2, 2, 2}, []byte{1, 9, 9, 2, 2, 2, 0, 9, 9, 1, 1, 1})
 
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte, partial uint8) {
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a := Compile(64500, decodeResults(rawA))
 		b := Compile(64500, decodeResults(rawB))
 		a.gen, b.gen = 1, 2
-		if partial&1 != 0 {
-			a.MarkDegraded([]string{"west"})
-		}
-		if partial&2 != 0 {
-			b.MarkDegraded([]string{"west"})
-		}
 		replica, err := ReadSegment(image(t, a))
 		if err != nil {
 			t.Fatal(err)

@@ -324,22 +324,12 @@ func (a *api) handleDiff(w http.ResponseWriter, r *http.Request) bool {
 		NeighborsAdded   []uint32   `json:"neighbors_added"`
 		NeighborsRemoved []uint32   `json:"neighbors_removed"`
 		OwnerChanges     any        `json:"owner_changes"`
-		// Degraded-artifact marks: churn across a quorum-partial
-		// generation is (at least partly) a publishing artifact, not
-		// topology change. Omitted entirely for full↔full diffs so the
-		// established wire shape is unchanged where the marks are moot.
-		FromPartial bool     `json:"from_partial,omitempty"`
-		ToPartial   bool     `json:"to_partial,omitempty"`
-		DegradedVPs []string `json:"degraded_vps,omitempty"`
 	}{
 		From: d.From, To: d.To,
 		Added: toLinksJSON(d.Added), Removed: toLinksJSON(d.Removed),
 		NeighborsAdded:   toASNsJSON(d.NeighborsAdded),
 		NeighborsRemoved: toASNsJSON(d.NeighborsRemoved),
 		OwnerChanges:     changes,
-		FromPartial:      d.FromPartial,
-		ToPartial:        d.ToPartial,
-		DegradedVPs:      d.DegradedVPs,
 	})
 }
 
@@ -577,19 +567,15 @@ type fleetVPJSON struct {
 }
 
 // fleetJSON is the coordinator section of /v1/status and the body of
-// /v1/fleet, folded from the fleet.* counters, the span log's fleet-mode
-// vp spans, and the current snapshot's degraded-VP marks. Counters are
-// cumulative across every coordinator run in the process.
+// /v1/fleet, folded from the fleet.* counters and the span log's
+// fleet-mode vp spans. Counters are cumulative across every coordinator
+// run in the process.
 type fleetJSON struct {
-	Shards           int64         `json:"shards"`
-	Completed        int64         `json:"completed"`
-	InFlight         int64         `json:"in_flight"`
-	Queued           int64         `json:"queued"`
-	PartialPublishes int64         `json:"partial_publishes"`
-	FinalPublishes   int64         `json:"final_publishes"`
-	Partial          bool          `json:"partial_generation"`
-	DegradedVPs      []string      `json:"degraded_vps,omitempty"`
-	VPs              []fleetVPJSON `json:"vps,omitempty"`
+	Shards    int64         `json:"shards"`
+	Completed int64         `json:"completed"`
+	InFlight  int64         `json:"in_flight"`
+	Queued    int64         `json:"queued"`
+	VPs       []fleetVPJSON `json:"vps,omitempty"`
 }
 
 // fleetStatus folds the live coordinator state, or nil when no fleet has
@@ -603,16 +589,10 @@ func (a *api) fleetStatus() *fleetJSON {
 	started := c("fleet.started")
 	completed := c("fleet.completed")
 	f := &fleetJSON{
-		Shards:           shards,
-		Completed:        completed,
-		InFlight:         started - completed,
-		Queued:           shards - started,
-		PartialPublishes: c("fleet.publish.partial"),
-		FinalPublishes:   c("fleet.publish.final"),
-	}
-	if s := a.store.Current(); s != nil {
-		f.Partial = s.Partial()
-		f.DegradedVPs = s.Degraded()
+		Shards:    shards,
+		Completed: completed,
+		InFlight:  started - completed,
+		Queued:    shards - started,
 	}
 	if a.spans.Enabled() {
 		// Each completed span is one run; an open one is the run going on

@@ -92,11 +92,6 @@ type Snapshot struct {
 	pairVals []int32
 	nbAS     []topo.ASN
 	nbOff    []int32
-
-	// degraded names the vantage points missing from this generation (a
-	// fleet quorum publish before every VP completed). Empty for a full
-	// generation.
-	degraded []string
 }
 
 func pairKey(near, far netx.Addr) uint64 {
@@ -274,23 +269,6 @@ func (s *Snapshot) finishIndexes() {
 		s.pairVals = append(s.pairVals, e.v)
 	}
 }
-
-// MarkDegraded records the vantage points this generation was published
-// without — the fleet coordinator's quorum publish names the shards still
-// in flight (or terminally degraded) at publish time. Must be called
-// before the snapshot is published; the list is copied and sorted.
-func (s *Snapshot) MarkDegraded(vps []string) {
-	s.degraded = append([]string(nil), vps...)
-	sort.Strings(s.degraded)
-}
-
-// Degraded lists the vantage points missing from this generation, sorted.
-// Empty for a full generation. Read-only.
-func (s *Snapshot) Degraded() []string { return s.degraded }
-
-// Partial reports whether this generation was published before every
-// vantage point completed (a later full generation heals it).
-func (s *Snapshot) Partial() bool { return len(s.degraded) > 0 }
 
 // Gen returns the snapshot's generation number (0 before publication).
 func (s *Snapshot) Gen() int { return s.gen }

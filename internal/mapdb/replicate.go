@@ -31,12 +31,7 @@ func (s *Snapshot) Apply(d *GenDiff) (*Snapshot, error) {
 	if d.From != s.gen {
 		return nil, fmt.Errorf("mapdb: apply: diff is %d→%d but snapshot is generation %d", d.From, d.To, s.gen)
 	}
-	next := &Snapshot{
-		gen:      d.To,
-		host:     s.host,
-		vps:      append([]string(nil), d.VPs...),
-		degraded: append([]string(nil), d.DegradedVPs...),
-	}
+	next := &Snapshot{gen: d.To, host: s.host, vps: append([]string(nil), d.VPs...)}
 
 	removed := make(map[Link]bool, len(d.Removed))
 	for _, l := range d.Removed {

@@ -21,33 +21,6 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// vpResult is genResult with an explicit vantage point and address base,
-// so multi-VP worlds can be assembled link-set by link-set.
-func vpResult(vp string, base netx.Addr, tag, nLinks int) *core.Result {
-	res := &core.Result{VPName: vp, Neighbors: make(map[topo.ASN][]*core.Link)}
-	farAS := topo.ASN(50000 + tag)
-	for i := 0; i < nLinks; i++ {
-		b := base + netx.Addr(i)*4
-		near, far := b+1, b+2
-		nearNode := &core.RouterNode{
-			ID: 2 * i, Addrs: []netx.Addr{near},
-			Owner: topo.ASN(40000 + tag), Heuristic: core.HeurHostNetwork, IsHost: true, HopDist: tag,
-		}
-		farNode := &core.RouterNode{
-			ID: 2*i + 1, Addrs: []netx.Addr{far},
-			Owner: farAS, Heuristic: core.HeurRelationship, HopDist: tag + 1,
-		}
-		l := &core.Link{
-			Near: nearNode, Far: farNode, NearAddr: near, FarAddr: far,
-			FarAS: farAS, Heuristic: core.HeurRelationship,
-		}
-		res.Routers = append(res.Routers, nearNode, farNode)
-		res.Links = append(res.Links, l)
-		res.Neighbors[farAS] = append(res.Neighbors[farAS], l)
-	}
-	return res
-}
-
 // watchServer serves the full API for st with a test-friendly keepalive.
 func watchServer(st *Store, keepalive time.Duration) *httptest.Server {
 	a := &api{store: st, watchKeepalive: keepalive}
@@ -260,8 +233,8 @@ func overWire(t testing.TB, d *GenDiff) *GenDiff {
 
 // TestSnapshotApplyImageMatchesLeader is the canonical-bytes contract: for
 // every generation of a churning map — real inference output of a one-VP
-// and a three-VP world, stepped through a relabel, an owner removal, a
-// quorum-partial generation and its healing — the segment image is the
+// and a three-VP world, stepped through a relabel and an owner removal —
+// the segment image is the
 // same whether the snapshot was compiled, decoded from that image, or
 // rebuilt by a replica applying the wire form of each published diff to
 // its own previous generation.
@@ -309,29 +282,19 @@ func TestSnapshotApplyImageMatchesLeader(t *testing.T) {
 				}
 				r.Routers = keep
 			})
-			last := len(full) - 1
-			partial := append([]*core.Result(nil), ownerGone...)
-			partial[last] = nil
-
 			steps := []struct {
-				what     string
-				results  []*core.Result
-				degraded []string
-				ok       func(d *GenDiff) bool
+				what    string
+				results []*core.Result
+				ok      func(d *GenDiff) bool
 			}{
-				{"first", full, nil, func(d *GenDiff) bool { return d == nil }},
-				{"relabel", relabeled, nil, func(d *GenDiff) bool { return len(d.Relabeled) > 0 }},
-				{"owner removal", ownerGone, nil, func(d *GenDiff) bool { return len(d.OwnersRemoved) > 0 }},
-				{"partial", partial, []string{full[last].VPName}, func(d *GenDiff) bool { return d.ToPartial }},
-				{"heal", full, nil, func(d *GenDiff) bool { return d.FromPartial && len(d.Added) > 0 }},
+				{"first", full, func(d *GenDiff) bool { return d == nil }},
+				{"relabel", relabeled, func(d *GenDiff) bool { return len(d.Relabeled) > 0 }},
+				{"owner removal", ownerGone, func(d *GenDiff) bool { return len(d.OwnersRemoved) > 0 }},
 			}
 			leader := NewStore(0, nil)
 			var replica *Snapshot
 			for _, step := range steps {
 				compiled := Compile(s.Net.HostASN, step.results)
-				if step.degraded != nil {
-					compiled.MarkDegraded(step.degraded)
-				}
 				d := leader.Publish(compiled)
 				if !step.ok(d) {
 					t.Fatalf("%s: the step did not produce the churn it is named for: %+v", step.what, d)
@@ -373,9 +336,6 @@ func TestDiffWireRoundtrip(t *testing.T) {
 		OwnersSet:        []OwnerDelta{{Addr: 9, OwnerInfo: OwnerInfo{AS: 2, Heuristic: "h", Host: true, HopDist: 3}}},
 		OwnersRemoved:    []netx.Addr{11},
 		VPs:              []string{"east", "west"},
-		DegradedVPs:      []string{"west"},
-		FromPartial:      true,
-		ToPartial:        true,
 	}
 	raw, err := json.Marshal(d)
 	if err != nil {
@@ -424,9 +384,6 @@ func TestWatchFrameBytesPinned(t *testing.T) {
 		},
 		OwnersRemoved: []netx.Addr{addr("10.0.0.10")},
 		VPs:           []string{"east", "west"},
-		DegradedVPs:   []string{"west"},
-		FromPartial:   true,
-		ToPartial:     true,
 	}
 	st := NewStore(0, nil)
 	for g, d := range []*GenDiff{nil, full, {From: 2, To: 3}} {
@@ -443,7 +400,7 @@ func TestWatchFrameBytesPinned(t *testing.T) {
 	}{
 		{st, "/v1/watch?from=1", []string{
 			`{"type":"hello","gen":3,"host_as":64500}`,
-			`{"type":"diff","gen":2,"diff":{"from":1,"to":2,"added":[{"near":"10.0.0.1","far":"10.0.0.2","far_as":50001,"heuristic":"as-relationship"},{"near":"10.0.0.5","far":"0.0.0.0","far_as":50002,"heuristic":"silent-neighbor"}],"removed":[{"near":"10.0.0.9","far":"10.0.0.10","far_as":50003}],"relabeled":[{"near":"10.0.0.13","far":"10.0.0.14","far_as":50004,"heuristic":"onenet"}],"neighbors_added":[50001,50002],"neighbors_removed":[50003],"owner_changes":[{"addr":"10.0.0.2","from":50003,"to":50001}],"owners_set":[{"addr":"10.0.0.2","as":50001,"heuristic":"as-relationship","host":true,"hop_dist":3},{"addr":"10.0.0.6","as":50002}],"owners_removed":["10.0.0.10"],"vps":["east","west"],"degraded_vps":["west"],"from_partial":true,"to_partial":true}}`,
+			`{"type":"diff","gen":2,"diff":{"from":1,"to":2,"added":[{"near":"10.0.0.1","far":"10.0.0.2","far_as":50001,"heuristic":"as-relationship"},{"near":"10.0.0.5","far":"0.0.0.0","far_as":50002,"heuristic":"silent-neighbor"}],"removed":[{"near":"10.0.0.9","far":"10.0.0.10","far_as":50003}],"relabeled":[{"near":"10.0.0.13","far":"10.0.0.14","far_as":50004,"heuristic":"onenet"}],"neighbors_added":[50001,50002],"neighbors_removed":[50003],"owner_changes":[{"addr":"10.0.0.2","from":50003,"to":50001}],"owners_set":[{"addr":"10.0.0.2","as":50001,"heuristic":"as-relationship","host":true,"hop_dist":3},{"addr":"10.0.0.6","as":50002}],"owners_removed":["10.0.0.10"],"vps":["east","west"]}}`,
 			`{"type":"diff","gen":3,"diff":{"from":2,"to":3}}`,
 			`{"type":"keepalive","gen":3}`,
 		}},
@@ -523,66 +480,6 @@ func TestAdoptGapNotifiesTrueDiff(t *testing.T) {
 	}
 	if cached, err := st.Diff(5, 6); err != nil || cached != <-ch {
 		t.Fatalf("adjacent adopted diff not cached: %v", err)
-	}
-}
-
-// TestDegradedGenerationMarksChurn is the satellite-2 regression: a
-// quorum publish missing one VP makes that VP's links vanish and
-// reappear across adjacent diffs. Those diffs must carry the partial
-// marks (so watch consumers can discount the phantom flap), and the
-// full→full diff spanning the partial generation must be clean.
-func TestDegradedGenerationMarksChurn(t *testing.T) {
-	east := func() *core.Result { return vpResult("east", 0x0a000000, 1, 8) }
-	west := func() *core.Result { return vpResult("west", 0x0b000000, 1, 8) }
-
-	st := NewStore(0, nil)
-	st.Publish(Compile(64500, []*core.Result{east(), west()}))
-	partial := Compile(64500, []*core.Result{east()})
-	partial.MarkDegraded([]string{"west"})
-	st.Publish(partial)
-	st.Publish(Compile(64500, []*core.Result{east(), west()}))
-
-	into, err := st.Diff(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !into.ToPartial || into.FromPartial {
-		t.Errorf("diff into partial: marks from=%v to=%v, want false/true", into.FromPartial, into.ToPartial)
-	}
-	if !reflect.DeepEqual(into.DegradedVPs, []string{"west"}) {
-		t.Errorf("diff into partial names degraded VPs %v, want [west]", into.DegradedVPs)
-	}
-	if !into.Degraded() {
-		t.Error("diff into partial not flagged Degraded()")
-	}
-	if len(into.Removed) != 8 {
-		t.Errorf("partial publish removed %d links, want the straggler's 8", len(into.Removed))
-	}
-
-	heal, err := st.Diff(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !heal.FromPartial || heal.ToPartial {
-		t.Errorf("healing diff: marks from=%v to=%v, want true/false", heal.FromPartial, heal.ToPartial)
-	}
-	if len(heal.Added) != 8 {
-		t.Errorf("healing publish re-added %d links, want 8", len(heal.Added))
-	}
-	if !heal.Degraded() {
-		t.Error("healing diff not flagged Degraded()")
-	}
-
-	// Spanning the partial generation: no phantom churn, no marks.
-	span, err := st.Diff(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if span.Degraded() {
-		t.Error("full→full diff spanning the partial generation carries partial marks")
-	}
-	if !span.Empty() {
-		t.Errorf("full→full diff not empty: +%d -%d", len(span.Added), len(span.Removed))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"bdrmap/internal/eval"
-	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -45,11 +44,6 @@ type RoundsConfig struct {
 	// coordinator workers (<=1 keeps strict VP order on one worker). The
 	// round's served map is byte-identical for any worker count.
 	FleetWorkers int
-	// FleetQuorum, when in [1, numVPs-1], additionally publishes a partial
-	// generation once that many VPs have completed, marking the rest
-	// degraded (Snapshot.Degraded); the round's final full generation
-	// follows and heals it. 0 publishes only full generations.
-	FleetQuorum int
 
 	// Incremental carries per-VP measurement state (stop set, trace
 	// transcripts, alias memos) across rounds, so unchanged parts of the
@@ -173,26 +167,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		fo := eval.FleetOptions{Workers: cfg.FleetWorkers, Quorum: cfg.FleetQuorum, States: states}
-		if cfg.FleetQuorum > 0 {
-			// Quorum-time partial generations publish from the coordinator
-			// goroutine as soon as enough VPs land; the round's own full
-			// compile+publish below is the healing generation.
-			sc := s
-			fo.OnPublish = func(ev fleet.PublishEvent) {
-				if ev.Final {
-					return
-				}
-				qsp := cfg.Spans.Begin(rsp.ID(), "stage", "publish-partial")
-				psnap := Compile(sc.Net.HostASN, ev.Results)
-				psnap.MarkDegraded(ev.Degraded)
-				store.Publish(psnap)
-				qsp.SetAttr("gen", psnap.Gen())
-				qsp.SetAttr("degraded", len(ev.Degraded))
-				qsp.End()
-			}
-		}
-		if _, err := s.RunFleet(scfg, fo); err != nil {
+		if _, err := s.RunFleet(scfg, eval.FleetOptions{Workers: cfg.FleetWorkers, States: states}); err != nil {
 			return RoundEvent{}, err
 		}
 		csp := cfg.Spans.Begin(rsp.ID(), "stage", "compile")

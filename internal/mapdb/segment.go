@@ -28,29 +28,27 @@ import (
 //	tableCRC u32   (covers every byte above)
 //	…padded section payloads, each covered by its table CRC…
 //
-// flags bit0 marks a quorum-partial generation (the degraded section
-// names the missing VPs). Strings live once in a shared string table and
-// are referenced as (offset, length) pairs; link and owner records refer
-// to their attributing heuristic through a small deduplicated name list.
+// flags is written 0 and ignored on read (bit 0 once marked a partial
+// generation). Strings live once in a shared string table and are
+// referenced as (offset, length) pairs; link and owner records refer to
+// their attributing heuristic through a small deduplicated name list.
 const (
 	segMagic   = "BDRS"
 	segVersion = 1
 
 	segSuffix    = ".seg"
 	segTmpSuffix = ".tmp"
-
-	segFlagPartial = 1 << 0
 )
 
 // Section ids. The table is id-addressed, so readers tolerate unknown
 // sections (forward compatibility) and reject missing required ones.
-// Ids 8–12 are retired: they persisted the lookup indexes that are now
-// derived on open. They are never written, never read and never reused; a
-// file that carries them opens with them ignored.
+// Ids 3 and 8–12 are retired: 3 listed the vantage points a partial
+// generation was published without, and 8–12 persisted the lookup indexes
+// that are now derived on open. They are never written, never read and
+// never reused; a file that carries them opens with them ignored.
 const (
 	secStrtab     = 1
 	secVPs        = 2
-	secDegraded   = 3
 	secHeurs      = 4
 	secLinks      = 5
 	secOwners     = 6
@@ -129,7 +127,6 @@ func (s *Snapshot) marshalSegment() []byte {
 	heurs, heurIdx := s.heuristicNames()
 
 	vps := w.strList(s.vps)
-	degraded := w.strList(s.degraded)
 	heurSec := w.strList(heurs)
 
 	links := make([]byte, linkRecLen*len(s.links))
@@ -165,7 +162,6 @@ func (s *Snapshot) marshalSegment() []byte {
 	}{
 		{secStrtab, w.strtab},
 		{secVPs, vps},
-		{secDegraded, degraded},
 		{secHeurs, heurSec},
 		{secLinks, links},
 		{secOwners, owners},
@@ -185,11 +181,6 @@ func (s *Snapshot) marshalSegment() []byte {
 	binary.LittleEndian.PutUint32(buf[4:], segVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(s.gen))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(s.host))
-	var flags uint32
-	if s.Partial() {
-		flags |= segFlagPartial
-	}
-	binary.LittleEndian.PutUint32(buf[20:], flags)
 	binary.LittleEndian.PutUint32(buf[24:], uint32(len(sections)))
 
 	for i, sec := range sections {
@@ -372,9 +363,6 @@ func ReadSegment(data []byte) (*Snapshot, error) {
 
 	var err error
 	if s.vps, err = r.strList(secVPs); err != nil {
-		return nil, err
-	}
-	if s.degraded, err = r.strList(secDegraded); err != nil {
 		return nil, err
 	}
 	heurs, err := r.strList(secHeurs)

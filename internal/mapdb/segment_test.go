@@ -40,10 +40,6 @@ func requireSnapshotsAnswerIdentically(t *testing.T, mem, got *Snapshot) {
 	if !reflect.DeepEqual(mem.VPs(), got.VPs()) {
 		t.Errorf("VPs diverged: %v vs %v", mem.VPs(), got.VPs())
 	}
-	if !reflect.DeepEqual(mem.Degraded(), got.Degraded()) || mem.Partial() != got.Partial() {
-		t.Errorf("degraded marks diverged: %v/%v vs %v/%v",
-			mem.Degraded(), mem.Partial(), got.Degraded(), got.Partial())
-	}
 	if !reflect.DeepEqual(mem.Links(), got.Links()) {
 		t.Fatalf("link slices diverged (%d vs %d links)", mem.NumLinks(), got.NumLinks())
 	}
@@ -113,7 +109,6 @@ func TestSegmentRoundtripDifferential(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			mem := inferSnapshot(t, pc.prof)
 			mem.gen = 7 // as if published
-			mem.MarkDegraded(nil)
 
 			var buf bytes.Buffer
 			n, err := mem.WriteTo(&buf)
@@ -154,8 +149,9 @@ func TestSegmentRoundtripDifferential(t *testing.T) {
 
 // segmentFixture is generation 1 of tiny (seed 1) as the last writer that
 // persisted the lookup indexes published it: all twelve sections, 1–7 the
-// data and 8–12 the owner trie, pair keys, pair values, neighbor ASes and
-// neighbor offsets a reader used to serve from as decoded.
+// data (3 an empty list of VPs missing from a partial generation) and 8–12
+// the owner trie, pair keys, pair values, neighbor ASes and neighbor
+// offsets a reader used to serve from as decoded.
 const segmentFixture = "testdata/segment-v1-indexed.seg"
 
 // TestSegmentDerivesIndexes pins what opening a segment trusts: the data
@@ -165,8 +161,10 @@ const segmentFixture = "testdata/segment-v1-indexed.seg"
 // so only the content is wrong) opens to a snapshot that answers every
 // lookup like the clean one — a reader serving those sections as decoded
 // panics in Neighbors on the negative offset and answers every hop pair
-// with another link on the reversed pair values. An owner table in any
-// order is canonicalised; one naming an address twice is refused.
+// with another link on the reversed pair values. A file marked partial —
+// flags bit 0 set, section 3 naming VPs — opens as an ordinary generation,
+// and a fresh image carries neither mark. An owner table in any order is
+// canonicalised; one naming an address twice is refused.
 func TestSegmentDerivesIndexes(t *testing.T) {
 	fixture, err := os.ReadFile(segmentFixture)
 	if err != nil {
@@ -185,6 +183,9 @@ func TestSegmentDerivesIndexes(t *testing.T) {
 	requireSnapshotsAnswerIdentically(t, fresh, clean)
 
 	le := binary.LittleEndian
+	if flags := le.Uint32(want[20:]); flags != 0 || tableEntry(want, 3) != nil {
+		t.Errorf("a fresh image has flags %#x and section 3 %v, want 0 and none", flags, tableEntry(want, 3) != nil)
+	}
 	reverseWords := func(p []byte) { reverseRecords(p, 4) }
 	for _, h := range []struct {
 		name string
@@ -213,6 +214,24 @@ func TestSegmentDerivesIndexes(t *testing.T) {
 			}
 		})
 	}
+	t.Run("marked partial", func(t *testing.T) {
+		img := bytes.Clone(fixture)
+		le.PutUint32(img[20:], le.Uint32(img[20:])|1)
+		// Point section 3 at the VP list: a well-formed, non-empty list.
+		copy(tableEntry(img, 3)[4:20], tableEntry(img, secVPs)[4:20])
+		reseal(img)
+		if n := le.Uint32(sectionOf(t, img, 3)); n == 0 {
+			t.Fatal("section 3 still lists no VPs")
+		}
+		got, err := ReadSegment(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSnapshotsAnswerIdentically(t, clean, got)
+		if !bytes.Equal(image(t, got), want) {
+			t.Error("a partial mark leaked into the reopened image")
+		}
+	})
 
 	t.Run("owners in any order", func(t *testing.T) {
 		rev := resealed(t, want, secOwnerAddrs, reverseWords)

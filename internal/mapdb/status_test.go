@@ -10,7 +10,6 @@ import (
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
-	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -76,19 +75,17 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestFleetStatusDuringQuorumRun reads /v1/fleet while a quorum fleet is
-// publishing its partial generation, and again after the run: the shard
-// counters account for every shard as completed, in flight or queued, and
-// /v1/status carries the same fleet object.
-func TestFleetStatusDuringQuorumRun(t *testing.T) {
+// TestFleetStatusDuringRun reads /v1/fleet while VP 2's shard is held at
+// its gate after the other two completed, and again after the run: the
+// shard counters account for every shard as completed, in flight or
+// queued, and /v1/status carries the same fleet object.
+func TestFleetStatusDuringRun(t *testing.T) {
 	s := eval.Build(topo.RegionalVPProfile(), 1)
 	store := NewStore(0, s.Obs)
 	h := HandlerWithStatus(store, s.Obs, s.Spans)
-	straggler := s.Net.VPs[2].Name
 
 	// readFleet reads /v1/fleet, requires /v1/status to carry the same
-	// object, and checks that no field of the retired failure ledger
-	// survives.
+	// object, and checks that no retired field survives.
 	readFleet := func() map[string]any {
 		t.Helper()
 		code, f := get(t, h, "/v1/fleet")
@@ -98,7 +95,8 @@ func TestFleetStatusDuringQuorumRun(t *testing.T) {
 		if _, st := get(t, h, "/v1/status"); !reflect.DeepEqual(st["fleet"], f) {
 			t.Errorf("/v1/status fleet = %v, /v1/fleet = %v", st["fleet"], f)
 		}
-		for _, k := range []string{"retries", "failed", "degraded_shards"} {
+		for _, k := range []string{"retries", "failed", "degraded_shards",
+			"partial_publishes", "final_publishes", "partial_generation", "degraded_vps"} {
 			if _, ok := f[k]; ok {
 				t.Errorf("/v1/fleet still has %q: %v", k, f)
 			}
@@ -114,56 +112,40 @@ func TestFleetStatusDuringQuorumRun(t *testing.T) {
 		}
 	}
 
-	entered, release := make(chan struct{}), make(chan struct{})
-	partials := 0
-	_, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
-		Workers: 3,
-		Quorum:  2,
-		Gate: func(vp int) {
-			if vp != 2 {
-				return
-			}
-			close(entered)
-			select {
-			case <-release:
-			case <-time.After(60 * time.Second): // the partial never came
-			}
-		},
-		OnPublish: func(ev fleet.PublishEvent) {
-			snap := Compile(s.Net.HostASN, ev.Results)
-			if !ev.Final {
-				snap.MarkDegraded(ev.Degraded)
-			}
-			store.Publish(snap)
-			if ev.Final {
-				return
-			}
-			partials++
-			<-entered // the straggler's shard has started
-			f := readFleet()
-			counts(f, map[string]float64{"shards": 3, "completed": 2, "in_flight": 1, "queued": 0})
-			if f["partial_generation"] != true {
-				t.Errorf("partial_generation = %v during the quorum publish", f["partial_generation"])
-			}
-			if dv, _ := f["degraded_vps"].([]any); !reflect.DeepEqual(dv, []any{straggler}) {
-				t.Errorf("degraded_vps = %v, want [%s]", f["degraded_vps"], straggler)
-			}
-			close(release)
-		},
-	})
-	if err != nil {
+	// VP 2's shard holds at its gate until VPs 0 and 1 have completed,
+	// then until the test goroutine has read the mid-run state.
+	atTwo, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
+			Workers: 3,
+			Gate: func(vp int) {
+				if vp != 2 {
+					return
+				}
+				for s.Obs.Counter("fleet.completed").Load() < 2 {
+					time.Sleep(time.Millisecond)
+				}
+				close(atTwo)
+				<-release
+			},
+		})
+		done <- err
+	}()
+	select {
+	case <-atTwo:
+	case <-time.After(60 * time.Second):
+		t.Fatal("VPs 0 and 1 never completed")
+	}
+	counts(readFleet(), map[string]float64{"shards": 3, "completed": 2, "in_flight": 1, "queued": 0})
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if partials != 1 {
-		t.Fatalf("%d partial publishes, want 1", partials)
-	}
+	store.Publish(Compile(s.Net.HostASN, s.Results))
 
 	f := readFleet()
-	counts(f, map[string]float64{"shards": 3, "completed": 3, "in_flight": 0, "queued": 0,
-		"partial_publishes": 1, "final_publishes": 1})
-	if f["partial_generation"] != false {
-		t.Errorf("partial_generation = %v after the healing publish", f["partial_generation"])
-	}
+	counts(f, map[string]float64{"shards": 3, "completed": 3, "in_flight": 0, "queued": 0})
 	vps, _ := f["vps"].([]any)
 	if len(vps) != 3 {
 		t.Fatalf("vps = %v, want one row per VP", f["vps"])

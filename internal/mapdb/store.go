@@ -409,42 +409,15 @@ type GenDiff struct {
 
 	// To-generation metadata, carried so a follower labels its adopted
 	// snapshot exactly as the leader labels the original.
-	VPs         []string `json:"vps,omitempty"`
-	DegradedVPs []string `json:"degraded_vps,omitempty"`
-
-	// Partial marks flag degraded-artifact churn: a diff into or out of a
-	// quorum-partial generation reports the straggler VP's links as
-	// Removed and then re-Added by the healing publish. Consumers tracking
-	// border flaps (tslpmon, /v1/watch subscribers) should discount diffs
-	// with either mark rather than alarm on phantom churn.
-	FromPartial bool `json:"from_partial,omitempty"`
-	ToPartial   bool `json:"to_partial,omitempty"`
+	VPs []string `json:"vps,omitempty"`
 }
-
-// Empty reports whether nothing changed between the generations.
-func (d *GenDiff) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.OwnerChanges) == 0 &&
-		len(d.OwnersSet) == 0 && len(d.OwnersRemoved) == 0 && len(d.Relabeled) == 0
-}
-
-// Degraded reports whether the diff crosses a quorum-partial generation
-// on either side, i.e. some or all of its link churn may be a publishing
-// artifact rather than observed topology change.
-func (d *GenDiff) Degraded() bool { return d.FromPartial || d.ToPartial }
 
 // diffSnapshots computes the churn from a to b: the observed link sets
 // compared by (near, far, farAS) identity — the one a query carries — the
 // neighbor ASes by their link spans, and the interface-owner tables record
 // by record.
 func diffSnapshots(a, b *Snapshot) *GenDiff {
-	d := &GenDiff{
-		From:        a.gen,
-		To:          b.gen,
-		VPs:         append([]string(nil), b.vps...),
-		DegradedVPs: append([]string(nil), b.degraded...),
-		FromPartial: a.Partial(),
-		ToPartial:   b.Partial(),
-	}
+	d := &GenDiff{From: a.gen, To: b.gen, VPs: append([]string(nil), b.vps...)}
 	inA := make(map[Link]string, len(a.links))
 	for _, l := range a.links {
 		inA[stripHeur(l)] = l.Heuristic

@@ -30,3 +30,10 @@ func (p Prefix) Subnet(sublen int, idx int) Prefix {
 
 // Empty reports whether b covers no addresses (Last < First).
 func (b Block) Empty() bool { return b.Last < b.First }
+
+// Reset forgets every assignment but keeps the backing storage, so a table
+// reused across rounds reaches steady state without reallocating.
+func (t *Intern) Reset() {
+	clear(t.ids)
+	t.addrs = t.addrs[:0]
+}

@@ -54,10 +54,3 @@ func (t *Intern) Addr(id int32) Addr { return t.addrs[id] }
 // Len returns how many addresses have been assigned IDs. Valid IDs are
 // exactly [0, Len).
 func (t *Intern) Len() int { return len(t.addrs) }
-
-// Reset forgets every assignment but keeps the backing storage, so a table
-// reused across rounds reaches steady state without reallocating.
-func (t *Intern) Reset() {
-	clear(t.ids)
-	t.addrs = t.addrs[:0]
-}

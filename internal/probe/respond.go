@@ -42,7 +42,6 @@ type Hop struct {
 
 // TraceResult is a completed traceroute.
 type TraceResult struct {
-	VP   string
 	Dst  netx.Addr
 	Hops []Hop
 	// Reached reports an echo reply from the destination.
@@ -74,7 +73,7 @@ func (e *Engine) Traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 }
 
 func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, lane *Lane) TraceResult {
-	res := TraceResult{VP: vp.Name, Dst: dst}
+	res := TraceResult{Dst: dst}
 	path := e.computePath(vp.Router, dst)
 	if n := len(path.steps); n > 0 {
 		res.Hops = make([]Hop, 0, n)

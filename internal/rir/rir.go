@@ -4,15 +4,15 @@
 // originated in BGP: the files map address blocks to opaque organization
 // IDs that group the delegations of a single org without naming an AS.
 //
-// The package both serializes and parses the standard line format
+// The package serializes the dataset in the standard line format
 //
 //	registry|cc|ipv4|start|count|date|status|opaque-id
 //
-// so the dataset can round-trip through files exactly like real RIR data.
+// and its tests parse it back, so the dataset round-trips through files
+// exactly like real RIR data.
 package rir
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -46,41 +46,6 @@ func (r Record) Line() string {
 	}, "|")
 }
 
-// ParseLine parses one delegation line. Comment lines (#...), summary
-// lines, and non-ipv4 records return ok=false with a nil error.
-func ParseLine(line string) (Record, bool, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return Record{}, false, nil
-	}
-	f := strings.Split(line, "|")
-	if len(f) >= 6 && f[5] == "summary" {
-		return Record{}, false, nil
-	}
-	if len(f) < 7 {
-		return Record{}, false, fmt.Errorf("rir: short line %q", line)
-	}
-	if f[2] != "ipv4" {
-		return Record{}, false, nil
-	}
-	start, err := netx.ParseAddr(f[3])
-	if err != nil {
-		return Record{}, false, fmt.Errorf("rir: bad start in %q: %v", line, err)
-	}
-	count, err := strconv.ParseUint(f[4], 10, 32)
-	if err != nil || count == 0 {
-		return Record{}, false, fmt.Errorf("rir: bad count in %q", line)
-	}
-	rec := Record{
-		Registry: f[0], CC: f[1], Start: start, Count: uint32(count),
-		Date: f[5], Status: f[6],
-	}
-	if len(f) >= 8 {
-		rec.OrgID = f[7]
-	}
-	return rec, true, nil
-}
-
 // DB is a queryable set of delegations.
 type DB struct {
 	recs []Record // sorted by Start
@@ -103,26 +68,6 @@ func FromNetwork(net *topo.Network) *DB {
 	}
 	db.normalize()
 	return db
-}
-
-// Parse reads delegation lines from r, skipping comments and summaries.
-func Parse(r io.Reader) (*DB, error) {
-	db := &DB{}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		rec, ok, err := ParseLine(sc.Text())
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			db.recs = append(db.recs, rec)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	db.normalize()
-	return db, nil
 }
 
 func (db *DB) normalize() {
@@ -185,13 +130,8 @@ func (db *DB) OrgOf(addr netx.Addr) (string, bool) {
 // do not occur.
 const maxCount = 1 << 24
 
-// Records returns a copy of all records.
-func (db *DB) Records() []Record {
-	return append([]Record(nil), db.recs...)
-}
-
 // OrgRecords returns the delegations held by org, in Start order. The
-// returned slice is shared and must not be mutated; unlike Records it
-// performs no copy, so callers may consult it per address without turning
-// the delegation table into the process's top allocator.
+// returned slice is shared and must not be mutated; it performs no copy,
+// so callers may consult it per address without turning the delegation
+// table into the process's top allocator.
 func (db *DB) OrgRecords(org string) []Record { return db.orgRecs[org] }

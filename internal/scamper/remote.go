@@ -853,7 +853,7 @@ func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, _ *probe
 		binary.BigEndian.PutUint32(b[:], uint32(a))
 		req = append(req, b[:]...)
 	}
-	res := probe.TraceResult{VP: p.name, Dst: dst}
+	res := probe.TraceResult{Dst: dst}
 	decodeTraceRsp(p.roundTrip(req, msgTraceRsp), &res)
 	return res
 }

@@ -23,6 +23,10 @@ import (
 // modulePath is this module's import path (go.mod).
 const modulePath = "bdrmap"
 
+// benchPath is the benchmark module's import path (bench/go.mod, which
+// replaces bdrmap with this tree).
+const benchPath = modulePath + "/bench"
+
 // maxReachAllow caps testdata/reach_allow.txt: the list is for declarations
 // a test of live behaviour needs, not a place to park dead code.
 const maxReachAllow = 45
@@ -90,8 +94,9 @@ func (m *modImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 	return pkg, nil
 }
 
-// loadModule type-checks every package of the module outside bench/ and
-// testdata/ from source, once for the gates that share it.
+// loadModule type-checks every package of the module outside testdata/,
+// and the benchmark module in bench/, from source, once for the gates that
+// share it.
 var loadModule = sync.OnceValues(func() (*modImporter, error) {
 	// The source importer would run cgo for net and os/user.
 	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
@@ -115,7 +120,7 @@ var loadModule = sync.OnceValues(func() (*modImporter, error) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if name := d.Name(); path != "." && (name == "bench" || name == "testdata" || name[0] == '.' || name[0] == '_') {
+		if name := d.Name(); path != "." && (name == "testdata" || name[0] == '.' || name[0] == '_') {
 			return filepath.SkipDir
 		}
 		if _, err := build.Default.ImportDir(path, 0); err != nil {
@@ -153,33 +158,6 @@ func declName(obj types.Object) string {
 		name = recv.Name() + "." + name
 	}
 	return strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/"), "internal/") + "." + name
-}
-
-// benchNames collects every exported identifier written anywhere under
-// bench/. That module is parsed, not imported: a declaration here whose name
-// the benchmark spells is treated as something the benchmark uses.
-func benchNames(t *testing.T, fset *token.FileSet) map[string]bool {
-	names := make(map[string]bool)
-	err := filepath.WalkDir("bench", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.IsExported() {
-				names[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return names
 }
 
 // readAllowList parses testdata/<file>: one "name  # reason" per line, at
@@ -250,15 +228,15 @@ func assigned(e ast.Expr) *ast.Ident {
 }
 
 // unreadFields is the field pass: the fields of the module's package-level
-// struct types that no non-test file of the module reads and the benchmark
-// does not spell. A composite-literal key and the target of an assignment
+// struct types that no non-test file of the module or the benchmark reads.
+// A composite-literal key and the target of an assignment
 // are writes; every other mention is a read. A field is exempt when it is
 // embedded (promotion reads it), carries a struct tag (an encoder reads it
 // by reflection), is exported API of package bdrmap, or belongs to a type
 // whose values are compared or hashed whole — a map key, an == operand, a
 // type argument (generic code sees no fields) — which reads every field
 // without naming one.
-func unreadFields(m *modImporter, bench map[string]bool) map[*types.Var]*types.TypeName {
+func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 	stores := make(map[*ast.Ident]bool)
 	wholeRead := make(map[*types.TypeName]bool)
 	whole := func(t types.Type) {
@@ -315,6 +293,9 @@ func unreadFields(m *modImporter, bench map[string]bool) map[*types.Var]*types.T
 
 	unread := make(map[*types.Var]*types.TypeName)
 	for path, files := range m.files {
+		if path == benchPath {
+			continue
+		}
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
@@ -341,7 +322,7 @@ func unreadFields(m *modImporter, bench map[string]bool) map[*types.Var]*types.T
 							}
 							for _, id := range fld.Names { // none when embedded
 								v, _ := m.info.Defs[id].(*types.Var)
-								if v == nil || id.Name == "_" || read[v] || bench[id.Name] ||
+								if v == nil || id.Name == "_" || read[v] ||
 									path == modulePath && id.IsExported() {
 									continue
 								}
@@ -360,10 +341,10 @@ func unreadFields(m *modImporter, bench map[string]bool) map[*types.Var]*types.T
 // TestProductDeclarationsReachable is the dead-code gate: every package-level
 // declaration and method in the module's non-test source must be reachable
 // from something that runs — main and init of the commands and examples, the
-// exported API of package bdrmap, or a name the benchmark spells. A method is
-// also reachable when its receiver type is and its name belongs to an
-// interface declared in the module, to stdMethodNames (it is called through
-// the interface) or to the names the benchmark spells. A struct field must
+// exported API of package bdrmap, or any declaration of the benchmark. A
+// method is also reachable when its receiver type is and its name belongs to
+// an interface declared in the module or to stdMethodNames (it is called
+// through the interface). A struct field must
 // be read somewhere (see unreadFields). Anything else is dead and fails the
 // test, unless testdata/reach_allow.txt lists it with the live-behaviour
 // test that needs it; a listed declaration that is reachable, read or gone
@@ -384,7 +365,6 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	methods := make(map[types.Object][]*types.Func) // receiver type name → methods
 	ifaceNames := make(map[string]bool)
 	var roots []types.Object
-	bench := benchNames(t, fset)
 	declare := func(pkg *types.Package, id *ast.Ident, body ast.Node) {
 		obj := m.info.Defs[id]
 		if obj == nil || id.Name == "_" {
@@ -416,13 +396,13 @@ func TestProductDeclarationsReachable(t *testing.T) {
 			return true
 		})
 		switch recv := recvOf(obj); {
+		case pkg.Path() == benchPath:
+			roots = append(roots, obj)
 		case recv != nil:
 			methods[recv] = append(methods[recv], obj.(*types.Func))
 			if pkg.Path() == modulePath && id.IsExported() {
 				roots = append(roots, obj)
 			}
-		case bench[id.Name]:
-			roots = append(roots, obj)
 		case pkg.Name() == "main":
 			if id.Name == "main" || id.Name == "init" {
 				roots = append(roots, obj)
@@ -468,7 +448,7 @@ func TestProductDeclarationsReachable(t *testing.T) {
 		reached[obj] = true
 		work = append(work, uses[obj]...)
 		for _, fn := range methods[obj] {
-			if ifaceNames[fn.Name()] || stdMethod(fn.Name()) || bench[fn.Name()] {
+			if ifaceNames[fn.Name()] || stdMethod(fn.Name()) {
 				work = append(work, fn)
 			}
 		}
@@ -489,7 +469,7 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	}
 	// The field pass: a field product code only ever writes is dead too.
 	var unread []string
-	for field, owner := range unreadFields(m, bench) {
+	for field, owner := range unreadFields(m) {
 		name := fieldName(owner, field)
 		declared[name] = true
 		if !allow[name] {

@@ -64,6 +64,7 @@ const (
 	allyInterval = 5 * time.Minute       // between the rounds of one pair
 	probeGap     = 20 * time.Millisecond // between interleaved probes
 	maxSpan      = 2000                  // widest IP-ID span of one interleaved sequence
+	allySamples  = 6                     // probes in one interleaved sequence a,b,a,b,a,b
 
 	// The velocity test's sampler (velocity.go).
 	velocitySamples  = 8               // per address
@@ -169,14 +170,12 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 		return Unknown
 	}
 	accepted := 0
-	var lastIDs []uint16
+	var ids [allySamples]uint16 // the last round's samples
 	for round := 0; round < r.Cfg.AllyRounds; round++ {
 		if round > 0 {
 			r.Src.Advance(allyInterval)
 		}
-		v, ids := r.allyOnce(a, b, method)
-		lastIDs = ids
-		switch v {
+		switch r.allyOnce(a, b, method, &ids) {
 		case AliasYes:
 			accepted++
 		case AliasNo:
@@ -185,7 +184,7 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 			// lane state, which varies across worker counts.
 			r.emit(obs.KindAlly, a, b, obs.Str(obs.KeyVerdict, AliasNo.String()),
 				obs.Str(obs.KeyMethod, method.String()), obs.Int(obs.KeyRound, round),
-				obs.IDs(obs.KeyIPIDs, ids))
+				obs.IDs(obs.KeyIPIDs, ids[:]))
 			return AliasNo
 		}
 	}
@@ -193,7 +192,7 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 		r.Record(a, b, AliasYes)
 		r.emit(obs.KindAlly, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
 			obs.Str(obs.KeyMethod, method.String()), obs.Int(obs.KeyRounds, accepted),
-			obs.IDs(obs.KeyIPIDs, lastIDs))
+			obs.IDs(obs.KeyIPIDs, ids[:]))
 		return AliasYes
 	}
 	return Unknown
@@ -211,17 +210,20 @@ func (r *Resolver) pickMethod(a, b netx.Addr) (probe.Method, bool) {
 	return 0, false
 }
 
-// allyOnce runs one interleaved sequence a,b,a,b,a,b and applies the
-// monotonicity test, returning the verdict and the sampled IP-IDs.
-func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method) (Verdict, []uint16) {
-	var ids []uint16
-	targets := [...]netx.Addr{a, b, a, b, a, b}
-	for _, t := range targets {
+// allyOnce runs one interleaved sequence a,b,a,b,a,b into ids and applies
+// the monotonicity test. A sequence an address stopped answering is
+// Unknown, and ids holds only its first samples.
+func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]uint16) Verdict {
+	for i := range ids {
+		t := a
+		if i%2 == 1 {
+			t = b
+		}
 		resp := r.Src.Probe(t, m)
 		if !resp.OK {
-			return Unknown, ids
+			return Unknown
 		}
-		ids = append(ids, resp.IPID)
+		ids[i] = resp.IPID
 		r.Src.Advance(probeGap)
 	}
 	allZero := true
@@ -231,13 +233,13 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method) (Verdict, []uint16) 
 		}
 	}
 	if allZero {
-		return Unknown, ids // no counter at all; Ally is blind here
+		return Unknown // no counter at all; Ally is blind here
 	}
 	// Each address's own subsequence must behave like a counter at all; a
 	// router using random IP-IDs gives no evidence either way (Ally is
 	// blind, and §5.4.7's analytical step may later supply the aliases).
 	if !monotonic(ids[0], ids[2], ids[4]) || !monotonic(ids[1], ids[3], ids[5]) {
-		return Unknown, ids
+		return Unknown
 	}
 	// MIDAR-style: the merged samples must strictly increase (mod 2^16)
 	// with a bounded total span — two distinct (per-router or
@@ -246,14 +248,14 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method) (Verdict, []uint16) 
 	for i := 1; i < len(ids); i++ {
 		d := ids[i] - ids[i-1]
 		if d == 0 || d >= 1<<15 {
-			return AliasNo, ids
+			return AliasNo
 		}
 		span += d
 		if span > maxSpan {
-			return AliasNo, ids
+			return AliasNo
 		}
 	}
-	return AliasYes, ids
+	return AliasYes
 }
 
 // monotonic reports whether three samples of one address look like a

@@ -30,8 +30,9 @@ func (r *Resolver) Velocity(a, b netx.Addr) Verdict {
 	if !ok {
 		return Unknown
 	}
-	sa := r.sampleSeries(a, method)
-	sb := r.sampleSeries(b, method)
+	var bufA, bufB [velocitySamples]idSample
+	sa := r.sampleSeries(a, method, bufA[:0])
+	sb := r.sampleSeries(b, method, bufB[:0])
 	if len(sa) < 3 || len(sb) < 3 {
 		return Unknown
 	}
@@ -40,18 +41,19 @@ func (r *Resolver) Velocity(a, b netx.Addr) Verdict {
 	if !oka || !okb {
 		return Unknown // at least one series is not a counter at all
 	}
-	rates := []float64{ra, rb} // volatile evidence, like Ally's IP-ID samples
+	rates := [...]float64{ra, rb} // volatile evidence, like Ally's IP-ID samples
 	no := func(why string) Verdict {
 		r.Record(a, b, AliasNo)
 		r.emit(obs.KindVelocity, a, b, obs.Str(obs.KeyVerdict, AliasNo.String()), obs.Str(obs.KeyWhy, why),
-			obs.Rates(obs.KeyRates, rates))
+			obs.Rates(obs.KeyRates, rates[:]))
 		return AliasNo
 	}
 	// Rates must agree within 25% before merging is even plausible.
 	if !ratesClose(ra, rb, 0.25) {
 		return no("rate-mismatch")
 	}
-	merged := append(append([]idSample(nil), sa...), sb...)
+	var mergedBuf [2 * velocitySamples]idSample
+	merged := append(append(mergedBuf[:0], sa...), sb...)
 	sortSamples(merged)
 	// MIDAR's monotonicity requirement on the merged series.
 	for i := 1; i < len(merged); i++ {
@@ -65,13 +67,12 @@ func (r *Resolver) Velocity(a, b netx.Addr) Verdict {
 	}
 	r.Record(a, b, AliasYes)
 	r.emit(obs.KindVelocity, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
-		obs.Rates(obs.KeyRates, rates))
+		obs.Rates(obs.KeyRates, rates[:]))
 	return AliasYes
 }
 
-// sampleSeries collects timestamped IP-ID samples for one address.
-func (r *Resolver) sampleSeries(a netx.Addr, m probe.Method) []idSample {
-	var out []idSample
+// sampleSeries appends timestamped IP-ID samples for one address to out.
+func (r *Resolver) sampleSeries(a netx.Addr, m probe.Method, out []idSample) []idSample {
 	for i := 0; i < velocitySamples; i++ {
 		resp := r.Src.Probe(a, m)
 		if resp.OK && resp.IPID != 0 {
@@ -90,16 +91,16 @@ func fitCounter(s []idSample) (rate float64, ok bool) {
 		return 0, false
 	}
 	// Unwrap.
-	un := make([]float64, len(s))
+	var buf [2 * velocitySamples]float64 // a merged pair's series fits
 	acc := float64(s[0].id)
-	un[0] = acc
+	un := append(buf[:0], acc)
 	for i := 1; i < len(s); i++ {
 		d := s[i].id - s[i-1].id // uint16 arithmetic handles wrap
 		if d >= 1<<15 {
 			return 0, false // decreasing: not one monotonic counter
 		}
 		acc += float64(d)
-		un[i] = acc
+		un = append(un, acc)
 	}
 	// Least squares y = a + r*t.
 	var st, sy, stt, sty float64

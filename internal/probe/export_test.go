@@ -3,6 +3,7 @@ package probe
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
@@ -250,6 +251,143 @@ func (e *Engine) CheckEgressSets(prefixes []netx.Prefix) (held, asked int, err e
 		}
 	}
 	return e.fwd.egress.len(), len(pairs), nil
+}
+
+// pathRTT is the round-trip time of a probe along the given path at time
+// now summed link by link, kept as the reference the running sums are held
+// to: twice the one-way sum (the reverse path is assumed symmetric, as TSLP
+// assumes for the near/far comparison) plus the responder's turnaround.
+func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
+	var oneWay time.Duration
+	for i := 0; i+1 < len(steps); i++ {
+		oneWay += e.hopDelay(steps, i, now)
+	}
+	return 2 * (oneWay + responderCost)
+}
+
+// probeOracle is probe as it was before a lane resolved its targets, kept
+// as the differential reference: the walk looked up again for every packet
+// and the RTT summed link by link at the packet's time.
+func (e *Engine) probeOracle(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Response {
+	e.eobs.probes.Inc()
+	e.eobs.packets.Inc()
+	path := e.computePath(vp.Router, target)
+	if !path.reached || path.exactIface == nil {
+		return Response{}
+	}
+	r := e.Net.Router(path.exactIface.Router)
+	if r == nil || !lane.allow(r) {
+		return Response{}
+	}
+	b := r.Behavior
+	from := target
+	switch m {
+	case MethodICMPEcho, MethodTCPAck:
+		if b.NoEchoReply {
+			return Response{}
+		}
+	case MethodUDP:
+		if b.NoUDPUnreach {
+			return Response{}
+		}
+		if b.MercatorCanonical {
+			from = r.CanonicalAddr()
+		}
+	case MethodTTLLimited:
+		if b.NoTTLExpired {
+			return Response{}
+		}
+		if last := path.steps[len(path.steps)-1]; last.in != nil {
+			from = last.in.Addr
+		}
+	default:
+		return Response{}
+	}
+	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, path.exactIface)}
+	if e.dropInjected() {
+		e.eobs.faultDrops.Inc()
+		return Response{}
+	}
+	resp.When = lane.clock
+	resp.RTT = e.pathRTT(path.steps, resp.When)
+	e.eobs.responses.Inc()
+	return resp
+}
+
+// mapLane is a lane's response state as it was kept before it was dense,
+// kept as the differential reference: one heap record per router in a map,
+// seeded from the router's ID when the router first answers, and a rate
+// window per limited router in another.
+type mapLane struct {
+	ipid map[topo.RouterID]*ipidState
+	rate map[topo.RouterID]*rateState
+}
+
+type ipidState struct {
+	base    uint16
+	bgRate  float64 // background increments per second
+	sent    uint32
+	perIfc  map[netx.Addr]uint16
+	rndSeed uint32
+}
+
+type rateState struct {
+	window int64 // second index
+	count  int
+}
+
+func newMapLane() *mapLane {
+	return &mapLane{ipid: make(map[topo.RouterID]*ipidState), rate: make(map[topo.RouterID]*rateState)}
+}
+
+func (l *mapLane) nextIPID(r *topo.Router, ifc *topo.Iface, now time.Duration) uint16 {
+	st := l.ipid[r.ID]
+	if st == nil {
+		id := uint32(r.ID)
+		st = &ipidState{base: uint16(id*2654435761 + 17), bgRate: 20 + float64(id%180), rndSeed: id*2246822519 + 3}
+		l.ipid[r.ID] = st
+	}
+	switch r.Behavior.IPID {
+	case topo.IPIDShared:
+		bg := uint16(uint64(st.bgRate*now.Seconds()) & 0xffff)
+		st.sent++
+		return st.base + bg + uint16(st.sent)
+	case topo.IPIDPerIface:
+		key := netx.Addr(0)
+		if ifc != nil {
+			key = ifc.Addr
+		}
+		if st.perIfc == nil {
+			st.perIfc = make(map[netx.Addr]uint16)
+		}
+		st.perIfc[key]++
+		bg := uint16(uint64(st.bgRate*now.Seconds()) & 0xffff)
+		return uint16(uint32(key)*40503) + bg + st.perIfc[key]
+	case topo.IPIDRandom:
+		st.rndSeed = st.rndSeed*1664525 + 1013904223
+		return uint16(st.rndSeed >> 16)
+	default:
+		return 0
+	}
+}
+
+func (l *mapLane) allow(r *topo.Router, now time.Duration) bool {
+	if r.Behavior.RateLimitPPS <= 0 {
+		return true
+	}
+	st := l.rate[r.ID]
+	if st == nil {
+		st = &rateState{}
+		l.rate[r.ID] = st
+	}
+	if sec := int64(now / time.Second); st.window != sec {
+		st.window, st.count = sec, 0
+	}
+	if st.count >= r.Behavior.RateLimitPPS {
+		return false
+	}
+	st.count++
+	return true
 }
 
 // ClearCongestion removes all injected episodes.

@@ -28,50 +28,156 @@ import (
 type Lane struct {
 	e     *Engine
 	clock time.Duration
-	ipid  map[topo.RouterID]*ipidState
-	rate  map[topo.RouterID]*rateState
+
+	// routers holds each router's state by RouterID and windows the
+	// rate-limit windows routers have opened, in the order they opened
+	// them; both are made on the lane's first response. A per-interface
+	// IP-ID router counts in perIfc instead.
+	routers []routerState
+	windows []rateWindow
+	perIfc  map[ifcKey]uint16
+
+	// targets holds the last two direct-probe destinations the lane
+	// resolved; older is the slot the next one replaces. Ally interleaves
+	// two addresses and the velocity test samples one and then the other,
+	// so the ≈40 packets of one pair resolve two targets.
+	targets [2]target
+	older   int
+}
+
+// routerState is what one router's responses have accrued on a lane.
+type routerState struct {
+	drawn  uint32 // IP-IDs drawn from the router's shared or random counter
+	rnd    uint32 // the random discipline's generator, seeded by the first draw
+	window int32  // 1 + the router's index in Lane.windows; 0 before its first limited response
+}
+
+type rateWindow struct {
+	sec   int64 // the one-second window counted
+	count int32 // responses sent in it
+}
+
+type ifcKey struct {
+	r    topo.RouterID
+	addr netx.Addr // 0 for a response no interface sourced
 }
 
 // NewLane creates a lane whose clock starts at start (normally the shared
 // engine clock when the measurement run begins).
 func (e *Engine) NewLane(start time.Duration) *Lane {
-	return &Lane{
-		e:     e,
-		clock: start,
-		ipid:  make(map[topo.RouterID]*ipidState),
-		rate:  make(map[topo.RouterID]*rateState),
-	}
+	return &Lane{e: e, clock: start}
 }
 
 // Now returns the lane's virtual clock.
 func (l *Lane) Now() time.Duration { return l.clock }
 
-// nextIPID draws the next IP-ID for a response from r on interface ifc
-// (ifc may be nil), per the router's IP-ID discipline.
-func (l *Lane) nextIPID(r *topo.Router, ifc *topo.Iface) uint16 {
-	st := l.ipid[r.ID]
-	if st == nil {
-		st = newIPIDState(r.ID)
-		l.ipid[r.ID] = st
+// state returns r's state on the lane, making the lane's table on its
+// first response: the world is frozen for the plane's lifetime, so the
+// table never grows.
+func (l *Lane) state(r topo.RouterID) *routerState {
+	if l.routers == nil {
+		l.routers = make([]routerState, len(l.e.Net.Routers))
 	}
-	return st.next(r, ifc, l.clock)
+	return &l.routers[r]
 }
 
-// allow applies the router's ICMP rate limit.
+// nextIPID draws the next IP-ID for a response from r on interface ifc
+// (ifc may be nil), per the router's IP-ID discipline. A counter starts at
+// a base and advances at a background rate, both derived from the router's
+// ID, so the lane stores only what the draws themselves changed.
+func (l *Lane) nextIPID(r *topo.Router, ifc *topo.Iface) uint16 {
+	id := uint32(r.ID)
+	switch r.Behavior.IPID {
+	case topo.IPIDShared:
+		// One central counter advanced by everything the router sends,
+		// including background traffic proportional to elapsed time.
+		st := l.state(r.ID)
+		st.drawn++
+		return uint16(id*2654435761+17) + background(id, l.clock) + uint16(st.drawn)
+	case topo.IPIDPerIface:
+		key := ifcKey{r: r.ID}
+		if ifc != nil {
+			key.addr = ifc.Addr
+		}
+		if l.perIfc == nil {
+			l.perIfc = make(map[ifcKey]uint16)
+		}
+		n := l.perIfc[key] + 1
+		l.perIfc[key] = n
+		return uint16(uint32(key.addr)*40503) + background(id, l.clock) + n
+	case topo.IPIDRandom:
+		st := l.state(r.ID)
+		if st.drawn == 0 {
+			st.rnd = id*2246822519 + 3
+		}
+		st.drawn++
+		st.rnd = st.rnd*1664525 + 1013904223
+		return uint16(st.rnd >> 16)
+	default: // IPIDZero
+		return 0
+	}
+}
+
+// background is how far a counter's background traffic has moved it by
+// simulated time now.
+func background(id uint32, now time.Duration) uint16 {
+	rate := 20 + float64(id%180) // increments per second
+	return uint16(uint64(rate*now.Seconds()) & 0xffff)
+}
+
+// allow applies the router's ICMP rate limit: a budget of RateLimitPPS
+// responses per second of the lane's clock.
 func (l *Lane) allow(r *topo.Router) bool {
-	if r.Behavior.RateLimitPPS <= 0 {
+	limit := r.Behavior.RateLimitPPS
+	if limit <= 0 {
 		return true
 	}
-	st := l.rate[r.ID]
-	if st == nil {
-		st = &rateState{}
-		l.rate[r.ID] = st
+	st := l.state(r.ID)
+	if st.window == 0 {
+		l.windows = append(l.windows, rateWindow{})
+		st.window = int32(len(l.windows))
 	}
-	ok := st.allow(r.Behavior.RateLimitPPS, l.clock)
-	if !ok {
+	w := &l.windows[st.window-1]
+	if sec := int64(l.clock / time.Second); w.sec != sec {
+		*w = rateWindow{sec: sec}
+	}
+	if int(w.count) >= limit {
 		l.e.eobs.rateLimitDrops.Inc()
+		return false
 	}
-	return ok
+	w.count++
+	return true
+}
+
+// target is a direct probe's destination as the lane resolved it from one
+// router: the walk toward it, the router that answers, and the walk's
+// one-way delay before queueing. None of it changes for the plane's
+// lifetime; only the response is drawn per packet.
+type target struct {
+	start topo.RouterID
+	addr  netx.Addr
+	path  *pathResult  // nil in an empty slot
+	r     *topo.Router // the router holding addr; nil when direct probes cannot reach it
+	base  time.Duration
+}
+
+// target returns addr resolved from router start, resolving it when it is
+// neither of the lane's last two.
+func (l *Lane) target(start topo.RouterID, addr netx.Addr) *target {
+	for i := range l.targets {
+		if t := &l.targets[i]; t.path != nil && t.addr == addr && t.start == start {
+			l.older = 1 - i
+			return t
+		}
+	}
+	t := &l.targets[l.older]
+	l.older = 1 - l.older
+	*t = target{start: start, addr: addr, path: l.e.computePath(start, addr)}
+	if t.path.reached && t.path.exactIface != nil {
+		t.r = l.e.Net.Router(t.path.exactIface.Router)
+		t.base = l.e.baseDelay(t.path.steps)
+	}
+	return t
 }
 
 // TracerouteLane runs a Paris traceroute on lane's timeline — the engine's

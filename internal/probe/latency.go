@@ -46,15 +46,15 @@ func (e *Engine) InjectCongestion(ep CongestionEpisode) {
 	e.lat.episodes.Store(&eps)
 }
 
-// linkDelay returns the one-way delay of crossing link l at simulated
-// time now. Annotated links (topo.Annotation, filled by Build) carry their
-// latency directly — for generated worlds the annotation reproduces the
+// linkBase returns the one-way delay of crossing link l before queueing.
+// Annotated links (topo.Annotation, filled by Build) carry their latency
+// directly — for generated worlds the annotation reproduces the
 // geographic formula byte-for-byte, so annotating changed no RTT — and
 // per-interface AttachDelay adds the long-haul circuit of remote-peering
 // IXP members on top of the shared fabric's local latency. Unannotated
 // links (hand-built test networks that never ran Build) keep the
 // geographic formula.
-func (e *Engine) linkDelay(l *topo.Link, out, in *topo.Iface, now time.Duration) time.Duration {
+func (e *Engine) linkBase(l *topo.Link, out, in *topo.Iface) time.Duration {
 	var d time.Duration
 	if l != nil && l.Annot.Latency > 0 && out != nil && in != nil && out.Link == l && in.Link == l {
 		d = l.Annot.Latency
@@ -79,7 +79,6 @@ func (e *Engine) linkDelay(l *topo.Link, out, in *topo.Iface, now time.Duration)
 	if in != nil {
 		d += in.AttachDelay
 	}
-	d += e.queueDelay(l, now)
 	return d
 }
 
@@ -107,32 +106,45 @@ func (e *Engine) queueDelay(l *topo.Link, now time.Duration) time.Duration {
 // around.
 const responderCost = 200 * time.Microsecond
 
-// hopDelay returns the one-way delay from steps[i] to steps[i+1] at
-// simulated time now.
-func (e *Engine) hopDelay(steps []pathStep, i int, now time.Duration) time.Duration {
-	out := steps[i].out
-	in := steps[i+1].in
-	var l *topo.Link
+// hopLink returns the link a probe crosses from steps[i] to steps[i+1] and
+// the interfaces it leaves and enters by.
+func hopLink(steps []pathStep, i int) (l *topo.Link, out, in *topo.Iface) {
+	out, in = steps[i].out, steps[i+1].in
 	if out != nil {
 		l = out.Link
 	} else if in != nil {
 		l = in.Link
 	}
-	return e.linkDelay(l, out, in, now)
+	return l, out, in
 }
 
-// oneWayDelay sums the link crossings of the given path at time now.
-func (e *Engine) oneWayDelay(steps []pathStep, now time.Duration) time.Duration {
-	var oneWay time.Duration
+// hopDelay returns the one-way delay from steps[i] to steps[i+1] at
+// simulated time now.
+func (e *Engine) hopDelay(steps []pathStep, i int, now time.Duration) time.Duration {
+	l, out, in := hopLink(steps, i)
+	return e.linkBase(l, out, in) + e.queueDelay(l, now)
+}
+
+// baseDelay sums the link crossings of the given path before queueing: a
+// direct probe's target stores it, so each packet adds only the queueing.
+func (e *Engine) baseDelay(steps []pathStep) time.Duration {
+	var d time.Duration
 	for i := 0; i+1 < len(steps); i++ {
-		oneWay += e.hopDelay(steps, i, now)
+		d += e.linkBase(hopLink(steps, i))
 	}
-	return oneWay
+	return d
 }
 
-// pathRTT computes the round-trip time of a probe that traverses the
-// given path and returns: twice the one-way sum (the reverse path is
-// assumed symmetric, as TSLP assumes for the near/far comparison).
-func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
-	return 2 * (e.oneWayDelay(steps, now) + responderCost)
+// queueDelays sums the queueing delay of the given path's link crossings at
+// time now. With no episode injected it is zero and walks nothing.
+func (e *Engine) queueDelays(steps []pathStep, now time.Duration) time.Duration {
+	if e.lat.episodes.Load() == nil {
+		return 0
+	}
+	var q time.Duration
+	for i := 0; i+1 < len(steps); i++ {
+		l, _, _ := hopLink(steps, i)
+		q += e.queueDelay(l, now)
+	}
+	return q
 }

@@ -95,7 +95,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 		case i == 0:
 			sumAt = now
 		case now != sumAt:
-			oneWay, sumAt = e.oneWayDelay(path.steps[:i+1], now), now
+			oneWay, sumAt = e.baseDelay(path.steps[:i+1])+e.queueDelays(path.steps[:i+1], now), now
 		default:
 			oneWay += e.hopDelay(path.steps, i-1, now)
 		}
@@ -269,15 +269,12 @@ func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
 	return e.probe(vp, target, m, e.own)
 }
 
-func (e *Engine) probe(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Response {
+func (e *Engine) probe(vp *topo.VP, addr netx.Addr, m Method, lane *Lane) Response {
 	e.eobs.probes.Inc()
 	e.eobs.packets.Inc()
 
-	path := e.computePath(vp.Router, target)
-	if !path.reached || path.exactIface == nil {
-		return Response{}
-	}
-	r := e.Net.Router(path.exactIface.Router)
+	t := lane.target(vp.Router, addr)
+	r := t.r
 	if r == nil || !lane.allow(r) {
 		return Response{}
 	}
@@ -285,7 +282,7 @@ func (e *Engine) probe(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Resp
 
 	// The source of an echo reply (or a RST) is the probed destination
 	// address, regardless of which interface it sits on (§4 challenge 2).
-	from := target
+	from := addr
 	switch m {
 	case MethodICMPEcho, MethodTCPAck:
 		if b.NoEchoReply {
@@ -304,19 +301,19 @@ func (e *Engine) probe(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Resp
 		}
 		// A probe sent toward target with TTL set to expire at its
 		// router: the time-exceeded source follows ingress selection.
-		if last := path.steps[len(path.steps)-1]; last.in != nil {
+		if last := t.path.steps[len(t.path.steps)-1]; last.in != nil {
 			from = last.in.Addr
 		}
 	default:
 		return Response{}
 	}
-	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, path.exactIface)}
+	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, t.path.exactIface)}
 	if e.dropInjected() {
 		e.eobs.faultDrops.Inc()
 		return Response{}
 	}
 	resp.When = lane.clock
-	resp.RTT = e.pathRTT(path.steps, resp.When)
+	resp.RTT = 2 * (t.base + e.queueDelays(t.path.steps, resp.When) + responderCost)
 	e.eobs.responses.Inc()
 	return resp
 }
@@ -326,73 +323,4 @@ func (e *Engine) probe(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Resp
 func (e *Engine) Reachable(vp *topo.VP, target netx.Addr) bool {
 	p := e.computePath(vp.Router, target)
 	return p.reached && p.exactIface != nil
-}
-
-// ---------------------------------------------------------------------------
-// IP-ID generation and rate limiting
-
-type ipidState struct {
-	base    uint16
-	bgRate  float64 // background increments per second (traffic the router sends)
-	sent    uint32
-	perIfc  map[netx.Addr]uint16 // made on a per-interface router's first draw
-	rndSeed uint32
-}
-
-// newIPIDState seeds the per-router IP-ID generator state.
-func newIPIDState(id topo.RouterID) *ipidState {
-	return &ipidState{
-		base:    uint16(uint32(id)*2654435761 + 17),
-		bgRate:  20 + float64(uint32(id)%180),
-		rndSeed: uint32(id)*2246822519 + 3,
-	}
-}
-
-// next draws the next IP-ID per the router's discipline at simulated time
-// now. The caller must guarantee exclusive access to st.
-func (st *ipidState) next(r *topo.Router, ifc *topo.Iface, now time.Duration) uint16 {
-	switch r.Behavior.IPID {
-	case topo.IPIDShared:
-		// One central counter advanced by everything the router sends,
-		// including background traffic proportional to elapsed time.
-		bg := uint16(uint64(st.bgRate*now.Seconds()) & 0xffff)
-		st.sent++
-		return st.base + bg + uint16(st.sent)
-	case topo.IPIDPerIface:
-		key := netx.Addr(0)
-		if ifc != nil {
-			key = ifc.Addr
-		}
-		if st.perIfc == nil {
-			st.perIfc = make(map[netx.Addr]uint16)
-		}
-		st.perIfc[key]++
-		bg := uint16(uint64(st.bgRate*now.Seconds()) & 0xffff)
-		return uint16(uint32(key)*40503) + bg + st.perIfc[key]
-	case topo.IPIDRandom:
-		st.rndSeed = st.rndSeed*1664525 + 1013904223
-		return uint16(st.rndSeed >> 16)
-	default: // IPIDZero
-		return 0
-	}
-}
-
-type rateState struct {
-	window int64 // second index
-	count  int
-}
-
-// allow applies the per-second budget at simulated time now. The caller
-// must guarantee exclusive access to st.
-func (st *rateState) allow(limit int, now time.Duration) bool {
-	sec := int64(now / time.Second)
-	if st.window != sec {
-		st.window = sec
-		st.count = 0
-	}
-	if st.count >= limit {
-		return false
-	}
-	st.count++
-	return true
 }

@@ -298,6 +298,11 @@ func (d *Driver) Run() *Dataset {
 	}
 
 	var targetSimNS int64
+	traces := 0
+	for _, o := range outs {
+		traces += len(o.recs)
+	}
+	ds.Traces = slices.Grow(ds.Traces, traces)
 	for i, o := range outs {
 		ds.Traces = append(ds.Traces, o.recs...)
 		ds.Stats.TracesStopped += o.stopped

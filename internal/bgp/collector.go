@@ -112,7 +112,7 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 		rib := t.atomRoutes(int32(a))
 		v.groups[a].lo = int32(len(v.spans))
 		for _, i := range vidx {
-			if i < 0 || t.bestViaHiddenSession(rib, i) {
+			if i < 0 || t.suppressed(rib, i) {
 				continue
 			}
 			lo := len(v.arena)
@@ -127,9 +127,14 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 			}
 			// An atom's paths merge like a tree, so a walk adds links only
 			// until it joins one an earlier vantage reported.
-			for x := i; walked[x] != int32(a)+1 && rib.Class[x] != ClassOrigin; x = rib.Next[x] {
+			for x := i; walked[x] != int32(a)+1; {
+				c, _, next := rib.At(x)
+				if c == ClassOrigin {
+					break
+				}
 				walked[x] = int32(a) + 1
-				v.addLink(t.asns[x], t.asns[rib.Next[x]])
+				v.addLink(t.asns[x], t.asns[next])
+				x = next
 			}
 		}
 		v.groups[a].hi = int32(len(v.spans))

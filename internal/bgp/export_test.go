@@ -13,24 +13,46 @@ import (
 // propagation for one prefix over its own ASN-ordered adjacency lists,
 // re-deriving the relationship of every edge in every sweep and scanning
 // the network's pinned-prefix list per prefix, and it collects one path
-// walk per (prefix, vantage). Nothing here is shared with the atom path
-// except the Table's index maps and the PrefixRIB result type.
+// walk per (prefix, vantage), over a dense result of its own for every AS.
+// Nothing here is shared with the atom path except the Table's index maps.
 
 type oracleTable struct {
 	*Table
-	adj       [][]edge
+	adj       [][]edge // per dense index, neighbors as dense indexes
+	hidden    []bool   // per dense index: a hidden neighbor of the host
 	originsOf map[netx.Prefix][]int32
-	cache     map[netx.Prefix]*PrefixRIB
+	cache     map[netx.Prefix]*oracleRIB
+}
+
+// oracleRIB is one prefix's routes at every AS, by dense index.
+type oracleRIB struct {
+	Class          []Class
+	Len            []int16
+	Next           []int32 // canonical next-hop index; -1 at origins and routeless ASes
+	HostCandidates []topo.ASN
+	HostSuppressed bool
+	pinnedOK       map[int32]bool // nil: announced everywhere
+}
+
+// exportAllowed gates the origin's direct announcements for pinned
+// prefixes: x (an origin) exports to recv only over pinned links.
+func (r *oracleRIB) exportAllowed(x, recv int32) bool {
+	if r.pinnedOK == nil || r.Class[x] != ClassOrigin {
+		return true
+	}
+	return r.pinnedOK[recv]
 }
 
 func newOracleTable(t *Table) *oracleTable {
 	o := &oracleTable{
 		Table:     t,
 		adj:       make([][]edge, len(t.asns)),
+		hidden:    make([]bool, len(t.asns)),
 		originsOf: make(map[netx.Prefix][]int32),
-		cache:     make(map[netx.Prefix]*PrefixRIB),
+		cache:     make(map[netx.Prefix]*oracleRIB),
 	}
 	for i, asn := range t.asns {
+		o.hidden[i] = t.Net.HiddenNeighbors[asn]
 		for _, nb := range t.Net.ASes[asn].Neighbors() {
 			if j, ok := t.idx[nb.ASN]; ok {
 				o.adj[i] = append(o.adj[i], edge{n: j, rel: nb.Rel})
@@ -43,7 +65,7 @@ func newOracleTable(t *Table) *oracleTable {
 	return o
 }
 
-func (t *oracleTable) Routes(p netx.Prefix) *PrefixRIB {
+func (t *oracleTable) Routes(p netx.Prefix) *oracleRIB {
 	if r, ok := t.cache[p]; ok {
 		return r
 	}
@@ -53,10 +75,9 @@ func (t *oracleTable) Routes(p netx.Prefix) *PrefixRIB {
 }
 
 // compute runs the three-phase valley-free propagation for one prefix.
-func (t *oracleTable) compute(p netx.Prefix) *PrefixRIB {
+func (t *oracleTable) compute(p netx.Prefix) *oracleRIB {
 	n := len(t.asns)
-	r := &PrefixRIB{
-		Atom:  -1,
+	r := &oracleRIB{
 		Class: make([]Class, n),
 		Len:   make([]int16, n),
 		Next:  make([]int32, n),
@@ -86,7 +107,7 @@ func (t *oracleTable) compute(p netx.Prefix) *PrefixRIB {
 // pinnedRecv computes, for a selectively-announced prefix (§6), which
 // neighbors of the origin actually hear the announcement: only the ASes on
 // the far side of the links the prefix is pinned to. nil means unpinned.
-func (t *oracleTable) pinnedRecv(r *PrefixRIB, p netx.Prefix) {
+func (t *oracleTable) pinnedRecv(r *oracleRIB, p netx.Prefix) {
 	pinned := false
 	for _, pp := range t.Net.PinnedPrefixes() {
 		if pp == p {
@@ -111,7 +132,7 @@ func (t *oracleTable) pinnedRecv(r *PrefixRIB, p netx.Prefix) {
 
 // relaxCustomer propagates origin/customer routes up provider and sibling
 // edges in BFS order of path length.
-func (t *oracleTable) relaxCustomer(r *PrefixRIB, origins []int32) {
+func (t *oracleTable) relaxCustomer(r *oracleRIB, origins []int32) {
 	queue := append([]int32(nil), origins...)
 	for len(queue) > 0 {
 		var next []int32
@@ -148,7 +169,7 @@ func (t *oracleTable) relaxCustomer(r *PrefixRIB, origins []int32) {
 }
 
 // relaxPeer hands customer-cone routes across a single peer edge.
-func (t *oracleTable) relaxPeer(r *PrefixRIB) {
+func (t *oracleTable) relaxPeer(r *oracleRIB) {
 	type upd struct {
 		i int32
 		l int16
@@ -183,7 +204,7 @@ func (t *oracleTable) relaxPeer(r *PrefixRIB) {
 
 // relaxProvider floods any route down provider → customer edges (and
 // sibling sessions) in BFS order.
-func (t *oracleTable) relaxProvider(r *PrefixRIB) {
+func (t *oracleTable) relaxProvider(r *oracleRIB) {
 	buf := new([]int32)
 	var queue []int32
 	for x := range t.adj {
@@ -222,7 +243,7 @@ func (t *oracleTable) relaxProvider(r *PrefixRIB) {
 }
 
 // relaxSiblings propagates routes of exactly class c across sibling edges.
-func (t *oracleTable) relaxSiblings(r *PrefixRIB, c Class) {
+func (t *oracleTable) relaxSiblings(r *oracleRIB, c Class) {
 	changed := true
 	for changed {
 		changed = false
@@ -247,7 +268,7 @@ func (t *oracleTable) relaxSiblings(r *PrefixRIB, c Class) {
 
 // hostBestHidden reports whether every equal-best next hop at the host is a
 // hidden neighbor. Must be called after the peer phase.
-func (t *oracleTable) hostBestHidden(r *PrefixRIB, buf *[]int32) bool {
+func (t *oracleTable) hostBestHidden(r *oracleRIB, buf *[]int32) bool {
 	if r.Class[t.hostIdx] != ClassPeer {
 		return false
 	}
@@ -268,7 +289,7 @@ func (t *oracleTable) hostBestHidden(r *PrefixRIB, buf *[]int32) bool {
 // candidates are hidden neighbors, or x is a hidden neighbor and all its
 // candidates are the host. Such routes are used for forwarding but never
 // re-announced or reported to collectors.
-func (t *oracleTable) bestViaHiddenSession(r *PrefixRIB, x int32, buf *[]int32) bool {
+func (t *oracleTable) bestViaHiddenSession(r *oracleRIB, x int32, buf *[]int32) bool {
 	if x == t.hostIdx {
 		return t.hostBestHidden(r, buf)
 	}
@@ -292,7 +313,7 @@ func (t *oracleTable) bestViaHiddenSession(r *PrefixRIB, x int32, buf *[]int32) 
 // *buf and is only valid until the next call with the same buffer; growth
 // is written back through buf so callers amortize one allocation across a
 // whole propagation.
-func (t *oracleTable) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
+func (t *oracleTable) candidatesAt(r *oracleRIB, x int32, buf *[]int32) []int32 {
 	if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
 		return nil
 	}
@@ -325,7 +346,7 @@ func (t *oracleTable) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 
 }
 
 // fillNextHops selects canonical next hops and the host candidate set.
-func (t *oracleTable) fillNextHops(r *PrefixRIB) {
+func (t *oracleTable) fillNextHops(r *oracleRIB) {
 	buf := new([]int32)
 	for x := range t.adj {
 		if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
@@ -349,7 +370,7 @@ func (t *oracleTable) fillNextHops(r *PrefixRIB) {
 	r.HostSuppressed = t.hostBestHidden(r, buf)
 }
 
-func (t *oracleTable) SuppressedAt(asn topo.ASN, r *PrefixRIB) bool {
+func (t *oracleTable) SuppressedAt(asn topo.ASN, r *oracleRIB) bool {
 	i, ok := t.idx[asn]
 	if !ok {
 		return true
@@ -466,7 +487,8 @@ func (t *Table) ClassAt(asn topo.ASN, p netx.Prefix) Class {
 	if !ok {
 		return ClassNone
 	}
-	return t.Routes(p).Class[i]
+	c, _, _ := t.Routes(p).At(i)
+	return c
 }
 
 // SuppressedAt reports whether vantage asn would report no path for this
@@ -476,7 +498,7 @@ func (t *Table) SuppressedAt(asn topo.ASN, r *PrefixRIB) bool {
 	if !ok {
 		return true
 	}
-	return t.bestViaHiddenSession(r, i)
+	return t.suppressed(r, i)
 }
 
 // Path returns the canonical AS path from AS from to the origin of p,

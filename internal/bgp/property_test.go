@@ -83,37 +83,38 @@ func TestRoutePropagationInvariants(t *testing.T) {
 			rib := tb.Routes(p)
 			for i := range tb.asns {
 				x := int32(i)
-				c := rib.Class[x]
+				c, l, nh := rib.At(x)
 				if c == ClassNone {
 					continue
 				}
 				if c == ClassOrigin {
-					if rib.Len[x] != 0 {
-						t.Fatalf("seed %d: origin with len %d", seed, rib.Len[x])
+					if l != 0 {
+						t.Fatalf("seed %d: origin with len %d", seed, l)
 					}
 					continue
 				}
-				nh := rib.Next[x]
 				if nh < 0 {
 					t.Fatalf("seed %d: routed AS %v without next hop", seed, tb.asns[x])
 				}
+				cN, lN, _ := rib.At(nh)
 				// (1) consistency with the export rule.
 				rel := n.ASes[tb.asns[x]].RelTo(tb.asns[nh])
-				if got := receivedClass(rib.Class[nh], rel); got != c {
+				if got := receivedClass(cN, rel); got != c {
 					t.Fatalf("seed %d: %v class %v inconsistent with next %v (%v, rel %v)",
-						seed, tb.asns[x], c, tb.asns[nh], rib.Class[nh], rel)
+						seed, tb.asns[x], c, tb.asns[nh], cN, rel)
 				}
 				// (2) monotonic length.
-				if rib.Len[x] != rib.Len[nh]+1 {
-					t.Fatalf("seed %d: %v len %d, next len %d", seed, tb.asns[x], rib.Len[x], rib.Len[nh])
+				if l != lN+1 {
+					t.Fatalf("seed %d: %v len %d, next len %d", seed, tb.asns[x], l, lN)
 				}
 				// (3) optimality: no neighbor offers a better class.
 				for _, nb := range n.ASes[tb.asns[x]].Neighbors() {
 					j := tb.IndexOf(nb.ASN)
-					if j < 0 || rib.Class[j] == ClassNone {
+					if j < 0 {
 						continue
 					}
-					if offered := receivedClass(rib.Class[j], nb.Rel); offered != ClassNone && offered < c {
+					cJ, _, _ := rib.At(j)
+					if offered := receivedClass(cJ, nb.Rel); cJ != ClassNone && offered != ClassNone && offered < c {
 						t.Fatalf("seed %d: %v chose class %v but %v offered %v",
 							seed, tb.asns[x], c, nb.ASN, offered)
 					}
@@ -132,7 +133,7 @@ func TestEveryoneReachesEverything(t *testing.T) {
 		for _, p := range tb.Prefixes() {
 			rib := tb.Routes(p)
 			for i, asn := range tb.asns {
-				if rib.Class[i] == ClassNone {
+				if c, _, _ := rib.At(int32(i)); c == ClassNone {
 					t.Fatalf("seed %d: %v cannot reach %v", seed, asn, p)
 				}
 			}

@@ -15,6 +15,7 @@ package bgp
 import (
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,8 +52,11 @@ func (c Class) String() string {
 	}
 }
 
+// noRoute is the length of a route an AS does not have.
+const noRoute = int16(0x7fff)
+
 type edge struct {
-	n   int32    // dense index of the neighbor
+	n   int32    // core slot of the neighbor
 	rel topo.Rel // what the neighbor is to this AS (RelCustomer: neighbor is my customer)
 }
 
@@ -75,16 +79,32 @@ type atom struct {
 
 // Table computes and caches per-atom routing state for every AS.
 // It is safe for concurrent use.
+//
+// Propagation runs over the transit core only: the ASes with a customer,
+// peer or sibling session, plus the host and its hidden neighbors. Every
+// other AS is a stub — its only sessions go to providers — so it never
+// re-announces another origin's route: its own announcement climbs one
+// hop to its providers, and its route to anyone else is read off theirs
+// (PrefixRIB.At).
 type Table struct {
 	Net *topo.Network
 
 	asns    []topo.ASN
 	idx     map[topo.ASN]int32
-	adj     [][]edge // per AS, carved from one backing array, grouped as cuts describes
+	hostIdx int32 // dense index of the host
+
+	core []int32   // core slot → dense index, ascending
+	slot []int32   // dense index → core slot; ^k for the k-th stub
+	up   [][]int32 // per stub: the core slots of its providers, ascending
+
+	// Per core slot, and in core slots: sessions to other core ASes,
+	// carved from one backing array and grouped as cuts describes.
+	adj     [][]edge
 	cut     []cuts
-	sibASes []int32 // ASes with at least one sibling session
-	hostIdx int32
-	hidden  []bool // dense: AS is a hidden neighbor of the host
+	sibASes []int32 // core slots with at least one sibling session
+	host    int32   // core slot of the host
+	hidden  []bool  // per core slot: a hidden neighbor of the host
+	exposed []int32 // core slots a hidden session can block: the host and its hidden neighbors
 
 	prefixes []netx.Prefix
 	lpm      netx.Trie[netx.Prefix] // addr → announced prefix
@@ -101,10 +121,14 @@ type PrefixRIB struct {
 	// RIB of a prefix nobody announces.
 	Atom int32
 
-	// Dense per-AS state (indexed like Table.asns).
-	Class []Class
-	Len   []int16
-	Next  []int32 // canonical next-hop index; -1 at origins and routeless ASes
+	// Per core slot of the table: the route's class, its length, its
+	// canonical next hop (a dense index; -1 at origins and routeless
+	// ASes), and a bit set when the route is blocked — learned across a
+	// hidden session, so never re-announced. Stubs are derived by At.
+	class   []Class
+	len     []int16
+	next    []int32
+	blocked []uint32
 
 	// HostCandidates are all equally-best next-hop ASes at the host
 	// network (the multi-exit set hot-potato routing chooses among).
@@ -114,8 +138,9 @@ type PrefixRIB struct {
 	// from hidden (no-export) neighbors, so the host exports nothing.
 	HostSuppressed bool
 
-	// pinnedOK is the atom's recv set (nil: announced everywhere).
-	pinnedOK map[int32]bool
+	t        *Table
+	origins  []int32        // the atom's origins, dense and ascending
+	pinnedOK map[int32]bool // the atom's recv set (nil: announced everywhere)
 }
 
 // NewTable builds the routing machinery for net (which must be Built).
@@ -129,44 +154,74 @@ func NewTable(net *topo.Network) *Table {
 		t.idx[asn] = int32(i)
 	}
 	t.hostIdx = t.idx[net.HostASN]
-	t.hidden = make([]bool, len(t.asns))
-	for asn := range net.HiddenNeighbors {
-		if i, ok := t.idx[asn]; ok {
-			t.hidden[i] = true
-		}
-	}
 	t.buildAdjacency()
 	t.buildAtoms()
 	return t
 }
 
-// buildAdjacency lays every AS's sessions out in one array, grouped by
-// what the neighbor is to the AS (see cuts).
+// buildAdjacency numbers the transit core and lays every core AS's
+// sessions with other core ASes out in one array, grouped by what the
+// neighbor is to the AS (see cuts). A stub keeps only its providers.
 func (t *Table) buildAdjacency() {
 	nbrs := make([][]topo.ASNeighbor, len(t.asns))
-	total := 0
+	t.slot = make([]int32, len(t.asns))
+	stubs, total, ups := int32(0), 0, 0
 	for i, asn := range t.asns {
 		nbrs[i] = t.Net.ASes[asn].Neighbors()
-		total += len(nbrs[i])
+		transit := int32(i) == t.hostIdx || t.Net.HiddenNeighbors[asn]
+		for _, nb := range nbrs[i] {
+			if _, ok := t.idx[nb.ASN]; ok && nb.Rel != topo.RelProvider && nb.Rel != topo.RelNone {
+				transit = true
+			}
+		}
+		if transit {
+			t.slot[i] = int32(len(t.core))
+			t.core = append(t.core, int32(i))
+			total += len(nbrs[i])
+		} else {
+			t.slot[i] = ^stubs
+			stubs++
+			ups += len(nbrs[i])
+		}
 	}
 	edges := make([]edge, 0, total)
-	t.adj = make([][]edge, len(t.asns))
-	t.cut = make([]cuts, len(t.asns))
-	for i := range t.asns {
+	upArena := make([]int32, 0, ups)
+	t.up = make([][]int32, stubs)
+	t.adj = make([][]edge, len(t.core))
+	t.cut = make([]cuts, len(t.core))
+	t.hidden = make([]bool, len(t.core))
+	for i, s := range t.slot {
+		if s < 0 {
+			lo := len(upArena)
+			for _, nb := range nbrs[i] {
+				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == topo.RelProvider {
+					upArena = append(upArena, t.slot[j])
+				}
+			}
+			t.up[^s] = upArena[lo:len(upArena):len(upArena)]
+			continue
+		}
 		lo := len(edges)
 		var at [4]int32
 		for g, rel := range [4]topo.Rel{topo.RelProvider, topo.RelSibling, topo.RelCustomer, topo.RelPeer} {
 			at[g] = int32(len(edges) - lo)
 			for _, nb := range nbrs[i] {
-				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == rel {
-					edges = append(edges, edge{n: j, rel: rel})
+				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == rel && t.slot[j] >= 0 {
+					edges = append(edges, edge{n: t.slot[j], rel: rel})
 				}
 			}
 		}
-		t.adj[i] = edges[lo:len(edges):len(edges)]
-		t.cut[i] = cuts{sib: at[1], cust: at[2], peer: at[3]}
+		t.adj[s] = edges[lo:len(edges):len(edges)]
+		t.cut[s] = cuts{sib: at[1], cust: at[2], peer: at[3]}
 		if at[2] > at[1] {
-			t.sibASes = append(t.sibASes, int32(i))
+			t.sibASes = append(t.sibASes, s)
+		}
+		if int32(i) == t.hostIdx {
+			t.host = s
+			t.exposed = append(t.exposed, s)
+		} else if t.Net.HiddenNeighbors[t.asns[i]] {
+			t.hidden[s] = true
+			t.exposed = append(t.exposed, s)
 		}
 	}
 }
@@ -370,77 +425,100 @@ func receivedClass(cN Class, rel topo.Rel) Class {
 	return ClassNone
 }
 
-// newRIB returns a routeless RIB for n ASes, its three dense slices carved
-// from one pointer-free allocation (Next, then Len, then Class, so each
-// starts aligned for its element type).
-func newRIB(n int) *PrefixRIB {
+// newRIB returns a routeless RIB over the table's core slots, its four
+// dense slices carved from one pointer-free allocation (next, then len,
+// class and the blocked bits, so each starts aligned for its element type).
+func (t *Table) newRIB() *PrefixRIB {
+	r := &PrefixRIB{t: t}
+	n := len(t.core)
 	if n == 0 {
-		return &PrefixRIB{}
+		return r
 	}
-	buf := make([]int32, n+(n+1)/2+(n+3)/4)
-	r := &PrefixRIB{
-		Next:  buf[:n:n],
-		Len:   unsafe.Slice((*int16)(unsafe.Pointer(&buf[n])), n),
-		Class: unsafe.Slice((*Class)(unsafe.Pointer(&buf[n+(n+1)/2])), n),
-	}
-	for i := range r.Next {
-		r.Class[i] = ClassNone
-		r.Len[i] = int16(0x7fff)
-		r.Next[i] = -1
+	off := [...]int{n, n + (n+1)/2, n + (n+1)/2 + (n+3)/4}
+	buf := make([]int32, off[2]+(n+31)/32)
+	r.next = buf[:n:n]
+	r.len = unsafe.Slice((*int16)(unsafe.Pointer(&buf[off[0]])), n)
+	r.class = unsafe.Slice((*Class)(unsafe.Pointer(&buf[off[1]])), n)
+	r.blocked = unsafe.Slice((*uint32)(unsafe.Pointer(&buf[off[2]])), (n+31)/32)
+	for i := range r.next {
+		r.class[i] = ClassNone
+		r.len[i] = noRoute
+		r.next[i] = -1
 	}
 	return r
 }
 
 // compute runs the three-phase valley-free propagation for atom a (-1: an
-// atom nobody originates).
+// atom nobody originates) over the transit core.
 func (t *Table) compute(a int32) *PrefixRIB {
-	r := newRIB(len(t.asns))
+	r := t.newRIB()
 	r.Atom = a
-	var origins []int32
 	if a >= 0 {
-		origins, r.pinnedOK = t.atoms[a].origins, t.atoms[a].recv
-	}
-	for _, o := range origins {
-		r.Class[o] = ClassOrigin
-		r.Len[o] = 0
+		r.origins, r.pinnedOK = t.atoms[a].origins, t.atoms[a].recv
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
 	// Valley-free propagation: three ordered sweeps suffice (customer
 	// routes up, one peer hop across, everything down to customers).
-	cone := t.relaxCustomer(r, origins, sc)
+	cone := t.relaxCustomer(r, sc)
 	t.relaxPeer(r, cone)
+	t.markBlocked(r)
 	t.relaxProvider(r, sc)
 
 	t.fillNextHops(r, &sc.cand)
 	return r
 }
 
-// exportAllowed gates the origin's direct announcements for pinned
-// prefixes: x (an origin) exports to recv only over pinned links.
-func (r *PrefixRIB) exportAllowed(x, recv int32) bool {
-	if r.pinnedOK == nil || r.Class[x] != ClassOrigin {
-		return true
-	}
-	return r.pinnedOK[recv]
+// pinnedAt reports whether core slot x originates a selectively-announced
+// atom, whose announcements reach only the neighbors in pinnedOK.
+func (r *PrefixRIB) pinnedAt(x int32) bool {
+	return r.pinnedOK != nil && r.class[x] == ClassOrigin
 }
 
-// relaxCustomer propagates origin/customer routes up provider and sibling
-// edges in BFS order of path length. It returns the customer cone — every
-// AS now holding an origin or customer route — which aliases sc.queue.
-func (t *Table) relaxCustomer(r *PrefixRIB, origins []int32, sc *scratch) []int32 {
-	queue := append(sc.queue[:0], origins...)
-	for head := 0; head < len(queue); head++ {
-		x := queue[head]
-		nl := r.Len[x] + 1
-		for _, e := range t.adj[x][:t.cut[x].cust] {
-			if !r.exportAllowed(x, e.n) {
+// isBlocked reports whether core slot x's route is blocked (see markBlocked).
+func (r *PrefixRIB) isBlocked(x int32) bool { return r.blocked[x>>5]&(1<<(x&31)) != 0 }
+
+// relaxCustomer seeds the origins and propagates origin/customer routes
+// up provider and sibling edges in BFS order of path length. It returns
+// the customer cone's core slots — every core AS now holding an origin or
+// customer route — which aliases sc.queue.
+func (t *Table) relaxCustomer(r *PrefixRIB, sc *scratch) []int32 {
+	queue := sc.queue[:0]
+	for _, o := range r.origins {
+		if s := t.slot[o]; s >= 0 {
+			r.class[s] = ClassOrigin
+			r.len[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	// A stub origin's announcement climbs one hop, to its providers; they
+	// join the queue behind the core origins, so it stays in length order.
+	for _, o := range r.origins {
+		if t.slot[o] >= 0 {
+			continue
+		}
+		for _, p := range t.up[^t.slot[o]] {
+			if r.pinnedOK != nil && !r.pinnedOK[t.core[p]] {
 				continue
 			}
-			if ClassCustomer < r.Class[e.n] || (ClassCustomer == r.Class[e.n] && nl < r.Len[e.n]) {
-				r.Class[e.n] = ClassCustomer
-				r.Len[e.n] = nl
+			if ClassCustomer < r.class[p] || (ClassCustomer == r.class[p] && 1 < r.len[p]) {
+				r.class[p] = ClassCustomer
+				r.len[p] = 1
+				queue = append(queue, p)
+			}
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		nl, pinned := r.len[x]+1, r.pinnedAt(x)
+		for _, e := range t.adj[x][:t.cut[x].cust] {
+			if pinned && !r.pinnedOK[t.core[e.n]] {
+				continue
+			}
+			if ClassCustomer < r.class[e.n] || (ClassCustomer == r.class[e.n] && nl < r.len[e.n]) {
+				r.class[e.n] = ClassCustomer
+				r.len[e.n] = nl
 				queue = append(queue, e.n)
 			}
 		}
@@ -454,14 +532,14 @@ func (t *Table) relaxCustomer(r *PrefixRIB, origins []int32, sc *scratch) []int3
 // and only cone members are read.
 func (t *Table) relaxPeer(r *PrefixRIB, cone []int32) {
 	for _, x := range cone {
-		nl := r.Len[x] + 1
+		nl, pinned := r.len[x]+1, r.pinnedAt(x)
 		for _, e := range t.adj[x][t.cut[x].peer:] {
-			if !r.exportAllowed(x, e.n) {
+			if pinned && !r.pinnedOK[t.core[e.n]] {
 				continue
 			}
-			if ClassPeer < r.Class[e.n] || (ClassPeer == r.Class[e.n] && nl < r.Len[e.n]) {
-				r.Class[e.n] = ClassPeer
-				r.Len[e.n] = nl
+			if ClassPeer < r.class[e.n] || (ClassPeer == r.class[e.n] && nl < r.len[e.n]) {
+				r.class[e.n] = ClassPeer
+				r.len[e.n] = nl
 			}
 		}
 	}
@@ -469,11 +547,25 @@ func (t *Table) relaxPeer(r *PrefixRIB, cone []int32) {
 	t.relaxSiblings(r, ClassPeer)
 }
 
+// markBlocked sets the blocked bit of every AS whose only best routes
+// cross a hidden session (bestViaHiddenSession). The provider sweep
+// changes no customer or peer route, so the bits it reads are final.
+func (t *Table) markBlocked(r *PrefixRIB) {
+	for _, x := range t.exposed {
+		if t.bestViaHiddenSession(r, x) {
+			r.blocked[x>>5] |= 1 << (x & 31)
+			if x == t.host {
+				r.HostSuppressed = true
+			}
+		}
+	}
+}
+
 // relaxProvider floods any route down provider → customer edges (and
 // sibling sessions) in BFS order.
 func (t *Table) relaxProvider(r *PrefixRIB, sc *scratch) {
 	queue, next := sc.queue[:0], sc.next[:0]
-	for x, c := range r.Class {
+	for x, c := range r.class {
 		if c != ClassNone {
 			queue = append(queue, int32(x))
 		}
@@ -482,17 +574,17 @@ func (t *Table) relaxProvider(r *PrefixRIB, sc *scratch) {
 		for _, x := range queue {
 			// Routes learned across hidden (no-export) sessions are never
 			// re-announced, by either party.
-			if t.bestViaHiddenSession(r, x) {
+			if r.isBlocked(x) {
 				continue
 			}
-			nl := r.Len[x] + 1
+			nl, pinned := r.len[x]+1, r.pinnedAt(x)
 			for _, e := range t.adj[x][t.cut[x].sib:t.cut[x].peer] {
-				if !r.exportAllowed(x, e.n) {
+				if pinned && !r.pinnedOK[t.core[e.n]] {
 					continue
 				}
-				if ClassProvider < r.Class[e.n] || (ClassProvider == r.Class[e.n] && nl < r.Len[e.n]) {
-					r.Class[e.n] = ClassProvider
-					r.Len[e.n] = nl
+				if ClassProvider < r.class[e.n] || (ClassProvider == r.class[e.n] && nl < r.len[e.n]) {
+					r.class[e.n] = ClassProvider
+					r.len[e.n] = nl
 					next = append(next, e.n)
 				}
 			}
@@ -508,14 +600,14 @@ func (t *Table) relaxSiblings(r *PrefixRIB, c Class) {
 	for changed {
 		changed = false
 		for _, x := range t.sibASes {
-			if r.Class[x] != c {
+			if r.class[x] != c {
 				continue
 			}
-			nl := r.Len[x] + 1
+			nl := r.len[x] + 1
 			for _, e := range t.adj[x][t.cut[x].sib:t.cut[x].cust] {
-				if c < r.Class[e.n] || (c == r.Class[e.n] && nl < r.Len[e.n]) {
-					r.Class[e.n] = c
-					r.Len[e.n] = nl
+				if c < r.class[e.n] || (c == r.class[e.n] && nl < r.len[e.n]) {
+					r.class[e.n] = c
+					r.len[e.n] = nl
 					changed = true
 				}
 			}
@@ -523,15 +615,16 @@ func (t *Table) relaxSiblings(r *PrefixRIB, c Class) {
 	}
 }
 
-// bestViaHiddenSession reports whether AS x's only best routes cross a
-// hidden (no-export) session with the host: either x is the host and all
+// bestViaHiddenSession reports whether core AS x's only best routes cross
+// a hidden (no-export) session with the host: either x is the host and all
 // candidates are hidden neighbors, or x is a hidden neighbor and all its
 // candidates are the host. Such routes are used for forwarding but never
 // re-announced or reported to collectors. Must be called after the peer
-// phase.
+// phase. A peer route is heard over a peer or sibling session, which no
+// stub has, so x's core sessions are all its candidates.
 func (t *Table) bestViaHiddenSession(r *PrefixRIB, x int32) bool {
-	atHost := x == t.hostIdx
-	if r.Class[x] != ClassPeer || !(atHost || t.hidden[x]) {
+	atHost := x == t.host
+	if r.class[x] != ClassPeer || !(atHost || t.hidden[x]) {
 		return false
 	}
 	found := false
@@ -539,12 +632,19 @@ func (t *Table) bestViaHiddenSession(r *PrefixRIB, x int32) bool {
 		if !t.isCandidate(r, x, e) {
 			continue
 		}
-		if atHost && !t.hidden[e.n] || !atHost && e.n != t.hostIdx {
+		if atHost && !t.hidden[e.n] || !atHost && e.n != t.host {
 			return false
 		}
 		found = true
 	}
 	return found
+}
+
+// suppressed reports whether AS i (a dense index) reports no path to a
+// collector, its best route being blocked. Only core ASes can be.
+func (t *Table) suppressed(r *PrefixRIB, i int32) bool {
+	s := t.slot[i]
+	return s >= 0 && r.isBlocked(s)
 }
 
 // scratch is the working memory of one propagation: the candidate buffer
@@ -555,22 +655,34 @@ type scratch struct{ cand, queue, next []int32 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// isCandidate reports whether the neighbor across session e of AS x
-// provides x's equal-best route.
+// isCandidate reports whether the core neighbor across session e of core
+// AS x provides x's equal-best route.
 func (t *Table) isCandidate(r *PrefixRIB, x int32, e edge) bool {
-	cN := r.Class[e.n]
-	if cN == ClassNone || !r.exportAllowed(e.n, x) {
+	cN := r.class[e.n]
+	if cN == ClassNone || r.pinnedAt(e.n) && !r.pinnedOK[t.core[x]] {
 		return false
 	}
-	return receivedClass(cN, e.rel) == r.Class[x] && r.Len[e.n]+1 == r.Len[x]
+	return receivedClass(cN, e.rel) == r.class[x] && r.len[e.n]+1 == r.len[x]
 }
 
-// heardOver returns the sessions over which AS x can hear a route of its
-// own class: the sessions of that class and, siblings being transparent,
-// its sibling sessions.
+// heardFromStub reports whether origin o (a dense index) is a stub that
+// provides core AS x's equal-best route: x holds a customer route, is one
+// of o's providers, and hears o's announcement — which the customer sweep
+// seeded at length one, the shortest a customer route can be.
+func (t *Table) heardFromStub(r *PrefixRIB, x, o int32) bool {
+	if t.slot[o] >= 0 || r.class[x] != ClassCustomer || r.pinnedOK != nil && !r.pinnedOK[t.core[x]] {
+		return false
+	}
+	return slices.Contains(t.up[^t.slot[o]], x)
+}
+
+// heardOver returns the core sessions over which AS x can hear a route of
+// its own class: the sessions of that class and, siblings being
+// transparent, its sibling sessions. A customer route can also come from a
+// stub origin (heardFromStub).
 func (t *Table) heardOver(r *PrefixRIB, x int32) (own, sib []edge) {
 	adj, k := t.adj[x], t.cut[x]
-	switch r.Class[x] {
+	switch r.class[x] {
 	case ClassCustomer:
 		own = adj[k.cust:k.peer]
 	case ClassPeer:
@@ -582,24 +694,29 @@ func (t *Table) heardOver(r *PrefixRIB, x int32) (own, sib []edge) {
 }
 
 // candidatesAt lists the dense indexes of all neighbors providing the
-// equal-best route to AS x, sorted by neighbor ASN. The result aliases
-// *buf and is only valid until the next call with the same buffer; growth
-// is written back through buf so callers amortize one allocation across a
-// whole propagation.
+// equal-best route to core AS x, sorted by neighbor ASN. The result
+// aliases *buf and is only valid until the next call with the same
+// buffer; growth is written back through buf so callers amortize one
+// allocation across a whole propagation.
 func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
-	if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
+	if r.class[x] == ClassOrigin || r.class[x] == ClassNone {
 		return nil
 	}
 	own, sib := t.heardOver(r, x)
 	out := (*buf)[:0]
 	for _, e := range own {
 		if t.isCandidate(r, x, e) {
-			out = append(out, e.n)
+			out = append(out, t.core[e.n])
+		}
+	}
+	for _, o := range r.origins {
+		if t.heardFromStub(r, x, o) {
+			out = append(out, o)
 		}
 	}
 	for _, e := range sib {
 		if t.isCandidate(r, x, e) {
-			out = append(out, e.n)
+			out = append(out, t.core[e.n])
 		}
 	}
 	if cap(out) != cap(*buf) {
@@ -615,27 +732,37 @@ func (t *Table) candidatesAt(r *PrefixRIB, x int32, buf *[]int32) []int32 {
 	return out
 }
 
-// nextHop returns the canonical next hop of AS x, its lowest-ASN candidate,
-// or -1 if no neighbor provides x's route. Dense indexes ascend with ASN
-// (Network.ASNs is sorted) and every adjacency group lists its neighbors
-// in that order (AS.Neighbors is too), so the answer is the first candidate
-// of the class group or the first of the sibling group, whichever is
-// lower: no list, no sort.
+// nextHop returns the canonical next hop of core AS x, its lowest-ASN
+// candidate as a dense index, or -1 if no neighbor provides x's route.
+// Dense indexes and core slots ascend with ASN (Network.ASNs is sorted),
+// and so do every adjacency group (AS.Neighbors is too) and an atom's
+// origins, so the answer is the first candidate of the class group, of
+// the stub origins or of the sibling group, whichever is lowest: no list,
+// no sort.
 func (t *Table) nextHop(r *PrefixRIB, x int32) int32 {
 	own, sib := t.heardOver(r, x)
 	next := int32(-1)
 	for _, e := range own {
 		if t.isCandidate(r, x, e) {
-			next = e.n
+			next = t.core[e.n]
+			break
+		}
+	}
+	for _, o := range r.origins {
+		if next >= 0 && o > next {
+			break
+		}
+		if t.heardFromStub(r, x, o) {
+			next = o
 			break
 		}
 	}
 	for _, e := range sib {
-		if next >= 0 && e.n > next {
+		if next >= 0 && t.core[e.n] > next {
 			break
 		}
 		if t.isCandidate(r, x, e) {
-			return e.n
+			return t.core[e.n]
 		}
 	}
 	return next
@@ -645,12 +772,12 @@ func (t *Table) nextHop(r *PrefixRIB, x int32) int32 {
 // Only the host keeps its whole candidate list (the multi-exit set);
 // every other AS needs just the lowest candidate.
 func (t *Table) fillNextHops(r *PrefixRIB, buf *[]int32) {
-	for x := range t.adj {
-		if r.Class[x] == ClassOrigin || r.Class[x] == ClassNone {
+	for x, c := range r.class {
+		if c == ClassOrigin || c == ClassNone {
 			continue
 		}
 		next := int32(-1)
-		if int32(x) != t.hostIdx {
+		if int32(x) != t.host {
 			next = t.nextHop(r, int32(x))
 		} else if cands := t.candidatesAt(r, int32(x), buf); len(cands) > 0 {
 			next = cands[0]
@@ -661,30 +788,70 @@ func (t *Table) fillNextHops(r *PrefixRIB, buf *[]int32) {
 		if next < 0 {
 			// No neighbor can justify the route (should not happen in a
 			// consistent propagation); drop it defensively.
-			r.Class[x] = ClassNone
-			r.Len[x] = 0x7fff
+			r.class[x] = ClassNone
+			r.len[x] = noRoute
 			continue
 		}
-		r.Next[x] = next
+		r.next[x] = next
 	}
-	r.HostSuppressed = t.bestViaHiddenSession(r, t.hostIdx)
+}
+
+// At returns AS i's route (i a dense index): its class, its length, and
+// its canonical next hop (a dense index; -1 at origins and routeless
+// ASes). A core AS's route is stored; a stub's is derived from its
+// providers, as the provider sweep would have flooded it: the length is
+// the shortest over the providers whose route is not blocked and whose
+// announcement reaches the stub, and the next hop is the lowest such
+// provider at that length, blocked or not, because a blocked provider
+// still holds the route.
+func (r *PrefixRIB) At(i int32) (Class, int16, int32) {
+	t := r.t
+	s := t.slot[i]
+	if s >= 0 {
+		return r.class[s], r.len[s], r.next[s]
+	}
+	if slices.Contains(r.origins, i) {
+		return ClassOrigin, 0, -1
+	}
+	up := t.up[^s]
+	reaches := func(p int32) bool {
+		return r.class[p] != ClassNone && !(r.pinnedAt(p) && !r.pinnedOK[i])
+	}
+	best, next := noRoute, int32(-1)
+	for _, p := range up {
+		if reaches(p) && !r.isBlocked(p) {
+			best = min(best, r.len[p]+1)
+		}
+	}
+	if best == noRoute {
+		return ClassNone, noRoute, -1
+	}
+	for _, p := range up {
+		if reaches(p) && r.len[p]+1 == best {
+			next = t.core[p]
+			break
+		}
+	}
+	return ClassProvider, best, next
 }
 
 // appendPath appends to dst the canonical AS path from AS i to r's origin,
 // i itself first. ok is false, and dst returned as it came, when i has no
 // route.
 func (t *Table) appendPath(dst []topo.ASN, r *PrefixRIB, i int32) (_ []topo.ASN, ok bool) {
-	if r.Class[i] == ClassNone {
+	c, _, next := r.At(i)
+	if c == ClassNone {
 		return dst, false
 	}
 	base := len(dst)
 	dst = append(dst, t.asns[i])
-	for r.Class[i] != ClassOrigin {
-		i = r.Next[i]
+	for c != ClassOrigin {
+		i = next
 		if i < 0 || len(dst)-base > len(t.asns) {
 			return dst[:base], false
 		}
 		dst = append(dst, t.asns[i])
+		c, _, next = r.At(i)
 	}
 	return dst, true
 }

@@ -227,8 +227,7 @@ func TestGeneratedNetworkAllPrefixesRouted(t *testing.T) {
 	tb := NewTable(n)
 	hostIdx := tb.IndexOf(n.HostASN)
 	for _, p := range tb.Prefixes() {
-		rib := tb.Routes(p)
-		if rib.Class[hostIdx] == ClassNone {
+		if c, _, _ := tb.Routes(p).At(hostIdx); c == ClassNone {
 			t.Errorf("host has no route to %v (origins %v)", p, tb.Origins(p))
 		}
 	}

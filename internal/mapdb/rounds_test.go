@@ -131,8 +131,8 @@ func TestRoundsRepartitionAtomsAfterChurn(t *testing.T) {
 		t.Fatal("AS65001 or its prefix missing from the round's world")
 	}
 	rib := s.Tab.Routes(added.Prefixes[0])
-	if i := s.Tab.IndexOf(65001); rib.Class[i] != bgp.ClassOrigin {
-		t.Errorf("the new prefix's RIB has class %v at its origin AS65001", rib.Class[i])
+	if c, _, _ := rib.At(s.Tab.IndexOf(65001)); c != bgp.ClassOrigin {
+		t.Errorf("the new prefix's RIB has class %v at its origin AS65001", c)
 	}
 	for _, p := range base.Prefixes() {
 		if s.Tab.Routes(p) == rib {

@@ -664,11 +664,8 @@ func (e *Engine) candidateNextHops(owner topo.ASN, rib *bgp.PrefixRIB) (single t
 		if i < 0 {
 			return 0, nil
 		}
-		if rib.Class[i] == bgp.ClassNone || rib.Class[i] == bgp.ClassOrigin {
-			return 0, nil
-		}
-		nh := rib.Next[i]
-		if nh < 0 {
+		c, _, nh := rib.At(i)
+		if c == bgp.ClassNone || c == bgp.ClassOrigin || nh < 0 {
 			return 0, nil
 		}
 		next := e.Tab.ASOf(nh)

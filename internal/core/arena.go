@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"bdrmap/internal/topo"
-)
+import "bdrmap/internal/topo"
 
 // Arena owns every slab the inference graph is built from. One inference
 // populates the slabs; Reset truncates them in place so the next round (or
@@ -13,10 +9,10 @@ import (
 // memory: router address slices are heap-owned, so an Arena can be reset
 // the moment Infer returns.
 //
-// An Arena serves one inference at a time. Infer uses Input.Arena when set;
-// otherwise it borrows one from an internal pool, which keeps concurrent
-// inferences (parallel eval scenarios, mapdb equivalence checks) safe while
-// still reaching steady-state allocation for callers that loop.
+// An Arena serves one inference at a time, so whoever runs inferences owns
+// one per goroutine: each fleet worker has its own, and a Scenario has one
+// for RunVP and RunVPRemote. Infer with a nil Input.Arena builds on a fresh
+// one for that call alone.
 type Arena struct {
 	// Node slab and derived orderings.
 	nodes []node
@@ -190,5 +186,3 @@ func (a *Arena) Reset() {
 	// Workspace epoch arrays survive as-is: slots older than the current
 	// epoch read as unset, so no clearing is needed.
 }
-
-var arenaPool = sync.Pool{New: func() any { return &Arena{} }}

@@ -42,7 +42,7 @@ type Input struct {
 	SpanParent obs.SpanID
 	// Arena supplies the slab storage the router graph is built from; the
 	// caller may reuse one across rounds and scenarios (resetting between
-	// inferences is Infer's job). Nil borrows from an internal pool.
+	// inferences is Infer's job). Nil means a fresh arena for this call.
 	Arena *Arena
 }
 

@@ -17,8 +17,7 @@ func Infer(in Input) *Result {
 	defer sp.End()
 	ar := in.Arena
 	if ar == nil {
-		ar = arenaPool.Get().(*Arena)
-		defer arenaPool.Put(ar)
+		ar = &Arena{}
 	}
 	ar.Reset()
 	g := buildGraph(in, ar)

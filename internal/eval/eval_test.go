@@ -292,10 +292,10 @@ func TestMeasureAllyRounds(t *testing.T) {
 	}
 }
 
-// TestRunFleetRejectsBadFaultSpec pins the remote runner's error contract:
+// TestRunVPRemoteRejectsBadFaultSpec pins the remote runner's error contract:
 // a malformed fault spec is a configuration error, returned before any
 // session forms.
-func TestRunFleetRejectsBadFaultSpec(t *testing.T) {
+func TestRunVPRemoteRejectsBadFaultSpec(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
 	if _, _, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, "127.0.0.1:0", "drop"); err == nil {
 		t.Fatalf("RunVPRemote accepted fault spec %q", "drop")

@@ -1,83 +1,135 @@
 package eval
 
 import (
+	"fmt"
+	"sync"
+
 	"bdrmap/internal/core"
-	"bdrmap/internal/fleet"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
 )
 
-// The fleet runner: RunAll and RunFleet put every vantage point through
-// the internal/fleet coordinator as one shard, and every shard through
-// runShard — the same runner RunVP and RunVPRemote call.
+// The fleet runner: RunFleet schedules every vantage point across a bounded
+// worker pool fed from one FIFO — the deployment shape of §5.6 (many VPs
+// per process) rather than one goroutine per VP — and puts each VP through
+// runShard, the same runner RunVP and RunVPRemote call. RunAll is its
+// one-worker case.
 //
-// Isolation is what makes the schedule irrelevant: each shard runs on a
-// fresh probe.Engine and records into private trace/span fragments the
-// coordinator merges back in VP order. Results/Datasets are only written
-// after the pool drains, on the caller's goroutine.
+// Isolation is what makes the schedule irrelevant: each VP runs on a fresh
+// probe.Engine and records into private trace/span fragments that are
+// merged back in VP order once the pool drains. Datasets/Results are only
+// written after that, on the caller's goroutine. So for a fixed world the
+// per-VP results, and the trace and span fingerprints, are byte-identical
+// for any worker count and any completion order.
 
 // FleetOptions tunes one RunFleet invocation. The zero value runs every
 // VP on one worker in VP order — exactly RunAll.
 type FleetOptions struct {
-	// Workers and Order are the coordinator knobs; see fleet.Config.
+	// Workers bounds pool concurrency; <=0 means 1 (strict VP order).
 	Workers int
-	Order   []int
+	// Order optionally permutes the order VPs are enqueued in (adversarial
+	// completion orders in tests). When set it must be a permutation of
+	// the VP indices.
+	Order []int
 	// States carries per-VP cross-round state (indexed like Net.VPs): each
 	// VP's measurement memory from the previous round (trace transcripts,
 	// stop-set evolution, alias memo). The driver replays unchanged targets
 	// without spending probes; inference always runs in full.
 	States []*scamper.RoundState
-	// Gate, when set, is called at the start of VP i's shard — a test hook
-	// for pinning completion schedules.
+	// Gate, when set, is called when a worker takes VP i, before it
+	// measures anything — a test hook for pinning completion schedules.
 	Gate func(vp int)
 }
 
-// RunFleet measures every VP through the fleet coordinator and fills
+// RunFleet measures every VP across the worker pool and fills
 // Datasets/Results like RunAll, returning the per-VP results. Already-run
 // VPs (memoized Results) are reported without re-measuring. Its error is
-// only for an invalid Order.
+// only for an invalid Order, and then nothing is run or recorded.
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result, error) {
-	shards := make([]fleet.Shard, len(s.Net.VPs))
-	for i := range s.Net.VPs {
-		shards[i] = fleet.Shard{
-			Run: func(arena *core.Arena) *fleet.Output {
+	n := len(s.Net.VPs)
+	order := fo.Order
+	if order == nil {
+		order = make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+	} else {
+		if len(order) != n {
+			return nil, fmt.Errorf("eval: fleet order has %d entries for %d VPs", len(order), n)
+		}
+		seen := make([]bool, n)
+		for _, i := range order {
+			if i < 0 || i >= n || seen[i] {
+				return nil, fmt.Errorf("eval: fleet order %v is not a permutation of %d VPs", order, n)
+			}
+			seen[i] = true
+		}
+	}
+	if n == 0 {
+		return s.Results, nil
+	}
+	workers := min(max(fo.Workers, 1), n)
+	s.Obs.Add("fleet.shards", int64(n))
+	fsp := s.Spans.Begin(s.SpanRoot.ID(), "fleet", fmt.Sprintf("%d shards", n))
+	fsp.SetAttr("~workers", workers)
+
+	// One FIFO, filled and closed before the workers start: whichever
+	// worker is idle takes the next VP until it runs dry.
+	queue := make(chan int, n)
+	for _, i := range order {
+		queue <- i
+	}
+	close(queue)
+
+	// Private fragments, mirroring the enabled-ness of the scenario's
+	// shared logs. A worker writes only the slots of the VPs it dequeued,
+	// so every index has exactly one writer.
+	traces := make([]*obs.Tracer, n)
+	spans := make([]*obs.SpanLog, n)
+	datasets := make([]*scamper.Dataset, n)
+	results := make([]*core.Result, n)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The worker's inference arena, reset (not reallocated) for
+			// every VP it runs.
+			arena := &core.Arena{}
+			for i := range queue {
+				s.Obs.Inc("fleet.started")
 				if fo.Gate != nil {
 					fo.Gate(i)
 				}
-				sh := shard{cfg: cfg, arena: arena, mode: "fleet"}
-				// Private fragments, mirroring the enabled-ness of the
-				// scenario's shared logs.
 				if s.Trace.Enabled() {
-					sh.trace = obs.NewTracer(0)
+					traces[i] = obs.NewTracer(0)
 				}
 				if s.Spans.Enabled() {
-					sh.spans = obs.NewSpanLog(0)
+					spans[i] = obs.NewSpanLog(0)
 				}
+				sh := shard{cfg: cfg, arena: arena, trace: traces[i], spans: spans[i], mode: "fleet"}
 				if fo.States != nil {
 					sh.cfg.State = fo.States[i]
 				}
-				// A local shard cannot fail: the engine is simulated and
+				// A local run cannot fail: the engine is simulated and
 				// lossless.
-				ds, res, _, _ := s.runShard(i, sh)
-				return &fleet.Output{Result: res, Trace: sh.trace, Spans: sh.spans, Aux: ds}
-			},
-		}
+				datasets[i], results[i], _, _ = s.runShard(i, sh)
+				s.Obs.Inc("fleet.completed")
+			}
+		}()
 	}
+	wg.Wait()
 
-	outs, err := fleet.Run(fleet.Config{
-		Workers:    fo.Workers,
-		Order:      fo.Order,
-		Obs:        s.Obs,
-		Trace:      s.Trace,
-		Spans:      s.Spans,
-		SpanParent: s.SpanRoot.ID(),
-	}, shards)
-	if err != nil {
-		return nil, err
+	// Deterministic log merge: fragments fold into the shared logs in VP
+	// order regardless of which worker ran what when.
+	for _, sp := range spans {
+		s.Spans.Merge(sp, fsp.ID())
 	}
-	for i, out := range outs {
-		s.Datasets[i] = out.Aux.(*scamper.Dataset)
-		s.Results[i] = out.Result
-	}
+	s.Trace.Merge(traces...)
+	fsp.SetAttr("shards", n)
+	fsp.SetAttr("completed", n)
+	fsp.End()
+	copy(s.Datasets, datasets)
+	copy(s.Results, results)
 	return s.Results, nil
 }

@@ -70,8 +70,9 @@ type Scenario struct {
 	// linear NeighborsOf scan per call is quadratic on large profiles.
 	hostAdj map[topo.ASN]bool
 
-	// arena backs RunVP's and RunVPRemote's inferences (fleet shards use
-	// their worker's): the router-graph slabs are reset — not reallocated —
+	// arena backs every inference the scenario runs outside the fleet
+	// (RunVP, RunVPRemote, the ablations' re-inference; fleet workers own
+	// one each): the router-graph slabs are reset — not reallocated —
 	// between VPs. Scenario methods are not concurrency-safe, so one arena
 	// per scenario is exactly one inference at a time.
 	arena core.Arena
@@ -124,8 +125,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 // inputs: its configuration, its cross-round memory, where it records and
 // — for a remote run — the link its agent dials. RunVP and RunVPRemote
 // record straight into the scenario's shared logs under SpanRoot; fleet
-// shards record into private fragments the coordinator merges back in VP
-// order.
+// shards record into private fragments RunFleet merges back in VP order.
 type shard struct {
 	cfg   scamper.Config // cfg.State carries the VP's cross-round memory, if any
 	opts  core.Options
@@ -341,9 +341,9 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, lis
 }
 
 // RunAll measures from every VP. It is the one-worker degenerate case of
-// the fleet coordinator: every VP runs locally, in VP order, and the
-// outputs land in Datasets/Results. RunFleet with more workers produces
-// byte-identical merged output.
+// RunFleet: every VP runs locally, in VP order, and the outputs land in
+// Datasets/Results. RunFleet with more workers produces byte-identical
+// merged output.
 func (s *Scenario) RunAll(cfg scamper.Config) {
 	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
 		// A fleet with no Order has nothing that can fail.

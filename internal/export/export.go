@@ -35,7 +35,6 @@ type envelope struct {
 type Meta struct {
 	VPName  string   `json:"vp"`
 	HostASN topo.ASN `json:"host_asn"`
-	Comment string   `json:"comment,omitempty"`
 }
 
 // TraceJSON is the wire form of one traceroute.

@@ -46,7 +46,7 @@ func TestRoundTrip(t *testing.T) {
 	n, ds, res := runPipeline(t)
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Meta(Meta{VPName: ds.VPName, HostASN: n.HostASN, Comment: "test"})
+	w.Meta(Meta{VPName: ds.VPName, HostASN: n.HostASN})
 	for _, tr := range ds.Traces {
 		w.Trace(tr)
 	}

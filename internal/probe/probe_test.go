@@ -348,49 +348,6 @@ func TestRateLimiting(t *testing.T) {
 	}
 }
 
-func TestVirtualRouterRespondsWithForwardIface(t *testing.T) {
-	// Hand-build: vp -> r1 -> r2(virtual) -> r3; r2 must answer with its
-	// egress interface toward the probed destination.
-	n := topo.NewNetwork()
-	al := topo.NewAllocator()
-	host := n.AddAS(100, topo.TierAccess, "org-host")
-	n.HostASN = 100
-	hp := al.Next(16)
-	host.Prefixes = []netx.Prefix{hp}
-	host.Infra = hp
-	far := n.AddAS(200, topo.TierStub, "org-far")
-	fp := al.Next(16)
-	far.Prefixes = []netx.Prefix{fp}
-	far.Infra = fp
-	n.SetRel(200, 100, topo.RelCustomer)
-
-	r1 := n.AddRouter(100, "r1", 0)
-	r2 := n.AddRouter(200, "r2", 0)
-	r3 := n.AddRouter(200, "r3", 0)
-	n.ConnectPtP(r1, r2, al.Sub(hp, 31), topo.LinkInterdomain, 100)
-	l2 := n.ConnectPtP(r2, r3, al.Sub(fp, 31), topo.LinkInternal, 200)
-	r2.Behavior.VirtualRouter = true
-	n.SetAnchor(fp, r3.ID, true)
-
-	vpLink := al.Sub(hp, 31)
-	l := n.AddLink(topo.LinkInternal, vpLink, 100)
-	accIf := r1.AddIface(vpLink.First(), l)
-	n.RegisterIface(accIf)
-	vp := &topo.VP{Name: "vp", Host: 100, Router: r1.ID, Addr: vpLink.First() + 1}
-	n.VPs = append(n.VPs, vp)
-	n.Build()
-
-	e := New(n, bgp.NewTable(n))
-	res := e.Traceroute(vp, fp.First()+100, nil)
-	if len(res.Hops) < 2 {
-		t.Fatalf("hops = %v", res.Hops)
-	}
-	wantEgress := l2.IfaceOn(r2.ID).Addr
-	if res.Hops[1].Addr != wantEgress {
-		t.Fatalf("virtual router answered %v, want forward egress %v", res.Hops[1].Addr, wantEgress)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 12)
 	reg := obs.New()

@@ -185,15 +185,10 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 }
 
 // ttlExpiredSource selects the source address of a time-exceeded response
-// (§4 challenges 1, 2, 4).
+// (§4 challenges 1, 2).
 func (e *Engine) ttlExpiredSource(vp *topo.VP, step pathStep) (netx.Addr, *topo.Iface) {
 	r := step.router
-	switch {
-	case r.Behavior.VirtualRouter && step.out != nil:
-		// The virtual router that would have forwarded the packet
-		// responds: source is the forward egress interface.
-		return step.out.Addr, step.out
-	case r.Behavior.SourceEgressToProbe:
+	if r.Behavior.SourceEgressToProbe {
 		// RFC 1812 source selection: the interface transmitting the
 		// response, i.e. the first link on this router's path back to
 		// the prober. When the best route back runs via a third-party

@@ -65,11 +65,6 @@ type Behavior struct {
 	// third-party addresses of §4 challenge 2.
 	SourceEgressToProbe bool
 
-	// VirtualRouter makes the router respond with the address of the
-	// interface that would have forwarded the packet onward (the virtual
-	// router holding the BGP session toward the destination, §4 challenge 4).
-	VirtualRouter bool
-
 	// MercatorCanonical controls the source address of ICMP port
 	// unreachable responses: true means one canonical address for all
 	// probed interfaces (Mercator can resolve aliases); false means the

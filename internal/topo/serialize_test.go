@@ -90,6 +90,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadDropsRetiredBehaviorKey: a world saved while Behavior still had a
+// VirtualRouter flag (encoded just before MercatorCanonical) still loads;
+// the retired key is ignored, so the loaded world saves to today's bytes.
+func TestLoadDropsRetiredBehaviorKey(t *testing.T) {
+	var cur bytes.Buffer
+	if err := Generate(TinyProfile(), 1).Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	saved := strings.ReplaceAll(cur.String(), `"MercatorCanonical":`, `"VirtualRouter":false,"MercatorCanonical":`)
+	if saved == cur.String() {
+		t.Fatal("no router behavior to write the retired key into")
+	}
+	got, err := Load(strings.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != cur.String() {
+		t.Fatal("a world saved with the retired key loads to a different world")
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")

@@ -229,13 +229,14 @@ func assigned(e ast.Expr) *ast.Ident {
 
 // unreadFields is the field pass: the fields of the module's package-level
 // struct types that no non-test file of the module or the benchmark reads.
-// A composite-literal key and the target of an assignment
-// are writes; every other mention is a read. A field is exempt when it is
-// embedded (promotion reads it), carries a struct tag (an encoder reads it
-// by reflection), is exported API of package bdrmap, or belongs to a type
-// whose values are compared or hashed whole — a map key, an == operand, a
-// type argument (generic code sees no fields) — which reads every field
-// without naming one.
+// A composite-literal key and the target of an assignment are writes;
+// every other mention is a read. A field with a struct tag is read by its
+// encoder, through reflection, so what it needs instead is a non-test
+// writer. A field is exempt when it is embedded (promotion reads it), is
+// exported API of package bdrmap, or belongs to a type whose values are
+// compared or hashed whole — a map key, an == operand, a type argument
+// (generic code sees no fields) — which reads every field without naming
+// one.
 func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 	stores := make(map[*ast.Ident]bool)
 	wholeRead := make(map[*types.TypeName]bool)
@@ -285,9 +286,14 @@ func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 		}
 	}
 	read := make(map[*types.Var]bool)
+	written := make(map[*types.Var]bool)
 	for id, obj := range m.info.Uses {
-		if v, ok := obj.(*types.Var); ok && v.IsField() && !stores[id] {
-			read[v.Origin()] = true
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			if stores[id] {
+				written[v.Origin()] = true
+			} else {
+				read[v.Origin()] = true
+			}
 		}
 	}
 
@@ -317,12 +323,15 @@ func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 							return true
 						}
 						for _, fld := range st.Fields.List {
+							// A tagged field's reader is its encoder, so
+							// what it needs is a writer.
+							used := read
 							if fld.Tag != nil {
-								continue
+								used = written
 							}
 							for _, id := range fld.Names { // none when embedded
 								v, _ := m.info.Defs[id].(*types.Var)
-								if v == nil || id.Name == "_" || read[v] ||
+								if v == nil || id.Name == "_" || used[v] ||
 									path == modulePath && id.IsExported() {
 									continue
 								}
@@ -345,7 +354,7 @@ func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 // method is also reachable when its receiver type is and its name belongs to
 // an interface declared in the module or to stdMethodNames (it is called
 // through the interface). A struct field must
-// be read somewhere (see unreadFields). Anything else is dead and fails the
+// be read somewhere, a tagged one written (see unreadFields). Anything else is dead and fails the
 // test, unless testdata/reach_allow.txt lists it with the live-behaviour
 // test that needs it; a listed declaration that is reachable, read or gone
 // fails it too.
@@ -487,6 +496,6 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	}
 	sort.Strings(unread)
 	for _, f := range unread {
-		t.Errorf("no product code reads field %s: delete it, or list it in testdata/reach_allow.txt with the test that reads it", f)
+		t.Errorf("no product code reads field %s (or, if it is tagged, writes it): delete it, or list it in testdata/reach_allow.txt with the test that needs it", f)
 	}
 }

@@ -30,7 +30,7 @@ func vpInputs(prof topo.Profile, vps int, ar *core.Arena) []core.Input {
 		s.RunVP(i, scamper.Config{Workers: 1}, core.Options{})
 		ins[i] = core.Input{
 			Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(0),
+			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(),
 		}
 	}
 	return ins

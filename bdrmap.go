@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
@@ -294,8 +293,7 @@ func (w *World) MapBordersOpts(vp int, o Options) *Report {
 		DisableStopSet: o.DisableStopSet,
 		DisableAlias:   o.DisableAlias,
 	}
-	opts := core.Options{NoAnalyticalAlias: o.DisableAlias}
-	res := w.s.RunVP(vp, cfg, opts)
+	res := w.s.RunVP(vp, cfg, core.Options{})
 	return w.buildReport(res)
 }
 
@@ -310,9 +308,6 @@ type RemoteOptions struct {
 	// "seed=11,drop=0.12,heal=40"; see internal/faults). Empty means a
 	// clean link.
 	FaultSpec string
-	// TargetTimeout bounds the wall-clock time spent on one target AS;
-	// zero means no limit (the deterministic default).
-	TargetTimeout time.Duration
 }
 
 // MapBordersRemote measures from vantage point vp over the §5.8
@@ -323,13 +318,10 @@ type RemoteOptions struct {
 // fixed world seed and fault spec the report is deterministic.
 func (w *World) MapBordersRemote(vp int, o RemoteOptions) (*Report, error) {
 	cfg := scamper.Config{
-		Workers:        1,
 		DisableStopSet: o.DisableStopSet,
 		DisableAlias:   o.DisableAlias,
-		TargetTimeout:  o.TargetTimeout,
 	}
-	opts := core.Options{NoAnalyticalAlias: o.DisableAlias}
-	res, _, err := w.s.RunVPRemote(vp, cfg, opts, "127.0.0.1:0", o.FaultSpec)
+	res, _, err := w.s.RunVPRemote(vp, cfg, core.Options{}, "127.0.0.1:0", o.FaultSpec)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@
 //	                 remote-peering|hypergiant|route-server|regional-vp]
 //	       [-topo saved.world] [-seed N] [-vp N]
 //	       [-table1] [-merged] [-o out.jsonl] [-dnscheck]
-//	       [-remote] [-faults spec] [-target-timeout d]
+//	       [-remote] [-faults spec]
 //	       [-explain query] [-trace-out log.jsonl] [-trace-in log.jsonl]
 //	       [-no-alias] [-no-stopset] [-metrics] [-v]
 //
@@ -51,7 +51,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "print every inferred link")
 		remote    = flag.Bool("remote", false, "probe over the §5.8 remote-control protocol")
 		faultSpec = flag.String("faults", "", "fault-injection spec for the remote session, e.g. seed=11,drop=0.12,heal=40 (implies -remote)")
-		targetTO  = flag.Duration("target-timeout", 0, "wall-clock budget per target AS in remote mode (0 = unlimited)")
 		explain   = flag.String("explain", "", "render the evidence chain for an address, address pair, or AS (e.g. 10.0.0.1 or AS20)")
 		traceOut  = flag.String("trace-out", "", "write the decision-provenance event log as JSON Lines to this file")
 		traceIn   = flag.String("trace-in", "", "explain from a previously exported event log instead of running the pipeline (requires -explain)")
@@ -116,7 +115,6 @@ func main() {
 			DisableAlias:   *noAlias,
 			DisableStopSet: *noStopSet,
 			FaultSpec:      *faultSpec,
-			TargetTimeout:  *targetTO,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

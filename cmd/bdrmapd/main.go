@@ -88,7 +88,6 @@ func main() {
 		serve        = flag.Bool("serve", false, "after inference, keep serving the map on -metrics-addr until interrupted")
 		rounds       = flag.Int("rounds", 0, "run the continuous-monitoring loop for this many generations instead of the single-agent demo")
 		incremental  = flag.Bool("incremental", false, "with -rounds, carry stop sets, trace caches, and alias verdicts across rounds (see README: Continuous monitoring)")
-		refreshEach  = flag.Int("refresh-every", 0, "with -incremental, force a full re-walk of each cached target every N rounds (0 = default cadence, -1 = never)")
 		verify       = flag.Bool("verify", false, "with -incremental, cross-check every round against a from-scratch run and abort on any divergence")
 		fleetWorkers = flag.Int("fleet-workers", 1, "with -rounds, measure each round's vantage points on this many coordinator workers (the served map is identical for any count)")
 		spanOut      = flag.String("span-out", "", "write the run's span timeline as a Chrome trace_event file on exit (open in Perfetto / chrome://tracing)")
@@ -226,7 +225,7 @@ func main() {
 		events, err := mapdb.RunRounds(mapdb.RoundsConfig{
 			Profile: prof, Seed: *seed, Rounds: *rounds,
 			FleetWorkers: *fleetWorkers, Incremental: *incremental,
-			RefreshEvery: *refreshEach, Verify: *verify, Obs: reg,
+			Verify: *verify, Obs: reg,
 			Spans: spans, SpanParent: s.SpanRoot.ID(),
 		}, store)
 		if err != nil {

@@ -88,7 +88,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		}
 	}
 
-	allow := readAllowList(t, "docs_allow.txt", maxDocsAllow, func(reason string) bool { return reason != "" }, "give a reason")
+	allow := readAllowList(t, "docs_allow.txt", maxDocsAllow, func(_, reason string) bool { return reason != "" }, "give a reason")
 	stale := make(map[string]bool) // one message per (document, span)
 	allowed := make(map[string]bool)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {

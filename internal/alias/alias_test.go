@@ -301,7 +301,7 @@ func TestFmtIDs(t *testing.T) {
 		t.Errorf("fmtIDs(nil) = %q, want empty", got)
 	}
 	// An Ally event exports its samples the same way.
-	tr := obs.NewTracer(2)
+	tr := obs.NewTracer()
 	for _, ids := range [][]uint16{{1, 65535, 0}, nil} {
 		(&Resolver{Trace: tr}).emit(obs.KindAlly, 2, 1, obs.IDs(obs.KeyIPIDs, ids))
 		if ev := tr.Events()[tr.Len()-1]; ev.Subject != "0.0.0.1|0.0.0.2" || ev.Attrs[0] != (obs.Attr{K: "~ipids", V: fmtIDs(ids)}) {

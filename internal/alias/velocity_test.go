@@ -17,7 +17,7 @@ func TestVelocitySameRouter(t *testing.T) {
 	if r == nil {
 		t.Skip("no shared-counter router with two reachable ifaces")
 	}
-	res.Trace = obs.NewTracer(0)
+	res.Trace = obs.NewTracer()
 	if v := res.Velocity(addrs[0], addrs[1]); v != AliasYes {
 		t.Fatalf("Velocity(%v, %v) = %v, want alias", addrs[0], addrs[1], v)
 	}

@@ -24,7 +24,7 @@ func BenchmarkInferLargeAccess(b *testing.B) {
 		s.RunVP(i, scamper.Config{}, core.Options{})
 		ins[i] = core.Input{
 			Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: &ar, Trace: obs.NewTracer(0),
+			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: &ar, Trace: obs.NewTracer(),
 		}
 		core.Infer(ins[i])
 	}

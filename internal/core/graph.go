@@ -51,8 +51,6 @@ type Input struct {
 type Options struct {
 	// NoThirdParty disables §5.4.5 third-party address detection.
 	NoThirdParty bool
-	// NoAnalyticalAlias disables the §5.4.7 near-side collapse.
-	NoAnalyticalAlias bool
 }
 
 // vpASNs returns the set of ASes belonging to the hosting organization.

@@ -471,8 +471,8 @@ func (g *graph) countWinner(extAdj []asCount) topo.ASN {
 // §5.4.7: analytical aliases on the near side
 
 func (g *graph) passAnalyticalAliases() {
-	if g.in.Opts.NoAnalyticalAlias {
-		return
+	if g.in.Data.Graph == nil {
+		return // alias resolution was off (fig. 13's ablation)
 	}
 	var singles []int32
 	for _, vid := range g.order {

@@ -53,7 +53,7 @@ type Ablation struct {
 // resolution, unmerged host interfaces masquerade as neighbor routers.
 func AblationNoAlias(prof topo.Profile, seed int64) Ablation {
 	_, vb := vp0(prof, seed, scamper.Config{}, core.Options{})
-	_, vv := vp0(prof, seed, scamper.Config{DisableAlias: true}, core.Options{NoAnalyticalAlias: true})
+	_, vv := vp0(prof, seed, scamper.Config{DisableAlias: true}, core.Options{})
 	return Ablation{
 		Name:    "no-alias-resolution",
 		BaseAcc: vb.Accuracy(), VariantAcc: vv.Accuracy(),

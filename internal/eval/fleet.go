@@ -102,7 +102,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 					fo.Gate(i)
 				}
 				if s.Trace.Enabled() {
-					traces[i] = obs.NewTracer(0)
+					traces[i] = obs.NewTracer()
 				}
 				if s.Spans.Enabled() {
 					spans[i] = obs.NewSpanLog(0)

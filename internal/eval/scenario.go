@@ -112,7 +112,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	return &Scenario{
 		Net: n, Tab: tab, View: view, Rel: rel, RIR: rdb, IXP: pl,
 		Sibs: sibs, Engine: eng, HostASNs: hosts, Obs: reg,
-		Trace:    obs.NewTracer(0),
+		Trace:    obs.NewTracer(),
 		Spans:    spans,
 		SpanRoot: root,
 		Datasets: make([]*scamper.Dataset, len(n.VPs)),

@@ -5,17 +5,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/faults"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -23,6 +26,11 @@ import (
 
 // watchServer serves the full API for st with a test-friendly keepalive.
 func watchServer(st *Store, keepalive time.Duration) *httptest.Server {
+	return httptest.NewServer(watchHandler(st, keepalive))
+}
+
+// watchHandler is watchServer's API without the server.
+func watchHandler(st *Store, keepalive time.Duration) http.Handler {
 	a := &api{store: st, watchKeepalive: keepalive}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/gen", a.wrap("gen", a.handleGen))
@@ -30,7 +38,7 @@ func watchServer(st *Store, keepalive time.Duration) *httptest.Server {
 	mux.Handle("/v1/watch", a.wrapStream("watch", a.handleWatch))
 	mux.Handle("/v1/segment", a.wrap("segment", a.handleSegment))
 	mux.Handle("/", NotFoundHandler())
-	return httptest.NewServer(mux)
+	return mux
 }
 
 // collectFrames runs a WatchClient and forwards frames on a channel until
@@ -561,6 +569,118 @@ func (p *flakyProxy) setDown(down bool) {
 	p.mu.Lock()
 	p.down = down
 	p.mu.Unlock()
+}
+
+// cutCounter counts the writes its injector cut.
+type cutCounter struct {
+	net.Conn
+	cuts *atomic.Int64
+}
+
+func (c cutCounter) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	if errors.Is(err, faults.ErrInjected) {
+		c.cuts.Add(1)
+	}
+	return n, err
+}
+
+// TestFollowerConvergesThroughFaultyTransport: a follower whose Client
+// dials the leader through a seeded fault injector — requests cut
+// mid-write or stalled until the schedule heals — while the leader drops
+// every connection at some publish steps, and at others crashes and
+// recovers from its data dir on the same address, holds the leader's
+// WriteTo bytes for every published generation (ROADMAP item 6's I1) and
+// re-converges after every disruption (I5, for one follower).
+func TestFollowerConvergesThroughFaultyTransport(t *testing.T) {
+	const gens = 12
+	dir := t.TempDir()
+	leader, err := OpenStore(dir, gens, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := "127.0.0.1:0"
+	var srv *http.Server
+	serve := func() {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = ln.Addr().String()
+		srv = &http.Server{Handler: watchHandler(leader, 0)}
+		go srv.Serve(ln)
+	}
+	serve()
+	defer func() { srv.Close() }()
+	leader.Publish(Compile(64500, []*core.Result{genResult(1, 16)}))
+
+	inj := faults.New(faults.Spec{Seed: 3, Cut: 0.3, Stall: 0.3, StallFor: 5 * time.Millisecond, Heal: 10})
+	var cuts atomic.Int64
+	fstore := NewStore(gens, nil)
+	fl := &Follower{
+		Leader: "http://" + addr, Store: fstore,
+		Client: &http.Client{Transport: &http.Transport{
+			DialContext: func(_ context.Context, _, addr string) (net.Conn, error) {
+				c, err := inj.DialFunc(addr)
+				if err != nil {
+					return nil, err
+				}
+				return cutCounter{c, &cuts}, nil
+			},
+		}},
+		RedialMin: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { fl.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	image := func(s *Snapshot) []byte {
+		var b bytes.Buffer
+		if _, err := s.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	holds := func(g int) bool {
+		want, _ := leader.Generation(g)
+		got, ok := fstore.Generation(g)
+		return ok && bytes.Equal(image(got), image(want))
+	}
+	for g := 1; g <= gens; g++ {
+		if g > 1 {
+			switch g % 4 {
+			case 2: // every connection drops
+				srv.Close()
+				serve()
+			case 0: // the leader crashes and recovers from its segments
+				srv.Close()
+				if leader, err = OpenStore(dir, gens, nil); err != nil {
+					t.Fatal(err)
+				}
+				serve()
+			}
+			leader.Publish(Compile(64500, []*core.Result{genResult(g, 16)}))
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for fstore.Current() == nil || fstore.Current().Gen() < g {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower did not reach generation %d", g)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if !holds(g) {
+			t.Fatalf("follower at generation %d does not hold the leader's bytes for it", g)
+		}
+	}
+	for g := 1; g <= gens; g++ {
+		if !holds(g) {
+			t.Errorf("generation %d: follower does not hold the leader's bytes", g)
+		}
+	}
+	if cuts.Load() == 0 {
+		t.Error("the fault schedule cut no request")
+	}
 }
 
 // TestFollowerConvergesAcrossKillRedial is the replication acceptance

@@ -49,11 +49,6 @@ type RoundsConfig struct {
 	// transcripts, alias memos) across rounds, so unchanged parts of the
 	// world are replayed rather than re-probed.
 	Incremental bool
-	// RefreshEvery forces a full re-walk of a target every N rounds even
-	// when its path signature is unchanged (0 means
-	// scamper.DefaultRefreshEvery; scamper.Disabled means never refresh).
-	// Only meaningful with Incremental.
-	RefreshEvery int
 	// Verify, with Incremental, runs every round a second time from
 	// scratch on an identically mutated shadow world and returns an error
 	// unless the incremental map is byte-identical: same served link set,
@@ -126,7 +121,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		}
 	}
 
-	scfg := scamper.Config{Workers: cfg.Workers, RefreshEvery: cfg.RefreshEvery}
+	scfg := scamper.Config{Workers: cfg.Workers}
 	var s *eval.Scenario
 	round := func(r int) (RoundEvent, error) {
 		span := cfg.Obs.StartStage("rounds.round")

@@ -64,7 +64,6 @@ const (
 	KeyPath
 	KeyReached
 	KeyStopped
-	KeyFaultDrops
 	KeyCached
 	KeyAt
 	KeyDst
@@ -110,7 +109,7 @@ const (
 // ones (see Attr).
 var keyNames = [numKeys]string{
 	KeyBlocks: "blocks", KeyTarget: "target", KeyHops: "hops", KeyPath: "path",
-	KeyReached: "reached", KeyStopped: "stopped", KeyFaultDrops: "fault_drops",
+	KeyReached: "reached", KeyStopped: "stopped",
 	KeyCached: "cached", KeyAt: "at", KeyDst: "dst", KeyFrom: "from",
 	KeyVerdict: "verdict", KeyMate: "mate",
 	KeyMethod: "method", KeyRound: "round", KeyRounds: "rounds", KeyIPIDs: "~ipids",

@@ -10,23 +10,6 @@ import (
 	"bdrmap/internal/netx"
 )
 
-// held is how many record bytes the tracer's views cover; numViews how many
-// views that takes.
-func (t *Tracer) held() (n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, v := range t.views {
-		n += len(v)
-	}
-	return n
-}
-
-func (t *Tracer) numViews() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.views)
-}
-
 // What follows is the eager renderer the emit sites used to be: every value
 // turned into text by String methods, fmt and KV, the list helpers moved
 // here verbatim (modulo the element types they now see). It is the oracle
@@ -167,14 +150,3 @@ func (t *Tracer) EagerEvents() []Event {
 
 // WriteEventsJSONL is WriteJSONL over an explicit slice.
 func WriteEventsJSONL(w io.Writer, events []Event) error { return writeJSONL(w, events) }
-
-// Dropped returns how many events were overwritten by the ring bound, here
-// or in a fragment before it was merged.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq - uint64(t.n) + t.carried
-}

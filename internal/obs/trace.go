@@ -118,31 +118,26 @@ func (e Event) Attr(k string) string {
 	return ""
 }
 
-// Tracer is a bounded, concurrency-safe flight recorder of provenance
-// events. Like every obs primitive it is nil-safe: a component handed no
-// tracer pays one nil check per event. It retains the newest limit events;
-// older ones are overwritten and Dropped counts them.
+// Tracer is an append-only, concurrency-safe log of provenance events.
+// Like every obs primitive it is nil-safe: a component handed no tracer
+// pays one nil check per event. It keeps every event it takes in; a tracer
+// lives for one scenario, so what it holds is bounded by the world it
+// traces.
 //
 // What it stores is not Events but their records (evidence.go): a few
 // dozen pointer-free bytes each, appended to write-once chunks the garbage
 // collector never scans. Because a byte, once written, never changes, a
 // tracer can take a fragment's events in by reference — Merge and
 // MergeRange append views of the fragment's chunks, copying no event — and
-// readers decode views outside the lock. Overwriting the oldest event
-// advances the first view past it; a chunk no view reaches any more is the
-// collector's, so what the tracer holds stays proportional to limit.
-// Sequence numbers are positional (the i-th retained event is number
-// seq-n+i) and so cost nothing to re-assign on a merge.
+// readers decode views outside the lock. Sequence numbers are positional
+// (the i-th event is number i) and so cost nothing to re-assign on a
+// merge.
 type Tracer struct {
-	mu      sync.Mutex
-	limit   int
-	seq     uint64 // events ever taken in; the next event's sequence number
-	n       int    // events retained
-	carried uint64 // events merged fragments had already overwritten
-	off     uint64 // log offset of the oldest retained record
-	end     uint64 // bytes ever taken in: the log offset of the next record
-	// views are the retained records, oldest first. Only the last can have
-	// spare capacity, and only if this tracer made its chunk: nobody else
+	mu  sync.Mutex
+	seq uint64 // events taken in; the next event's sequence number
+	end uint64 // bytes taken in: the log offset of the next record
+	// views are the records, oldest first. Only the last can have spare
+	// capacity, and only if this tracer made its chunk: nobody else
 	// appends there.
 	views   [][]byte
 	chunk   int    // size of the next chunk
@@ -156,20 +151,10 @@ const (
 	maxChunk = 32 << 10
 )
 
-// DefaultTraceCap bounds the scenario-level tracer. The tiny profile emits
-// a few thousand events; the Tier-1 profile tens of thousands.
-const DefaultTraceCap = 1 << 17
+// NewTracer creates an empty tracer.
+func NewTracer() *Tracer { return &Tracer{chunk: minChunk} }
 
-// NewTracer creates a tracer retaining at most limit events (limit <= 0
-// selects DefaultTraceCap).
-func NewTracer(limit int) *Tracer {
-	if limit <= 0 {
-		limit = DefaultTraceCap
-	}
-	return &Tracer{limit: limit, chunk: minChunk}
-}
-
-// Enabled reports whether events will be retained (false on nil).
+// Enabled reports whether events will be kept (false on nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Emit appends one event. simNS is the stage-relative simulated timestamp.
@@ -193,24 +178,7 @@ func (t *Tracer) Emit(kind Kind, subject Field, simNS int64, fields ...Field) {
 	t.views[last] = append(append(t.views[last], pfx[:w]...), rec...)
 	t.end += uint64(need)
 	t.seq++
-	t.n++
-	t.trim()
 	t.mu.Unlock()
-}
-
-// trim overwrites the oldest events until the ring bound holds. Caller
-// holds t.mu.
-func (t *Tracer) trim() {
-	for t.n > t.limit {
-		for len(t.views[0]) == 0 {
-			t.views[0] = nil
-			t.views = t.views[1:]
-		}
-		l, w := binary.Uvarint(t.views[0])
-		t.views[0] = t.views[0][w+int(l):]
-		t.off += uint64(w) + l
-		t.n--
-	}
 }
 
 // Pos is a position in a tracer's log: between two events, or at either
@@ -230,8 +198,7 @@ func (t *Tracer) Pos() Pos {
 }
 
 // MergeRange appends the events src took in between lo and hi to t, in
-// order, re-assigning sequence numbers; those src's own ring bound has
-// since overwritten are counted dropped. src is left as it was. src must
+// order, re-assigning sequence numbers. src is left as it was. src must
 // not be t.
 func (t *Tracer) MergeRange(src *Tracer, lo, hi Pos) {
 	if t == nil || src == nil {
@@ -241,21 +208,12 @@ func (t *Tracer) MergeRange(src *Tracer, lo, hi Pos) {
 	src.mu.Lock()
 	t.adopt(src, lo, hi)
 	src.mu.Unlock()
-	t.trim()
 	t.mu.Unlock()
 }
 
 // adopt takes views of src's records in [lo, hi). Caller holds both locks.
 func (t *Tracer) adopt(src *Tracer, lo, hi Pos) {
-	if head := (Pos{src.off, src.seq - uint64(src.n)}); lo.seq < head.seq {
-		if hi.seq <= head.seq {
-			t.carried += hi.seq - lo.seq
-			return
-		}
-		t.carried += head.seq - lo.seq
-		lo = head
-	}
-	at := src.off
+	var at uint64
 	for _, v := range src.views {
 		next := at + uint64(len(v))
 		if a, b := max(lo.off, at), min(hi.off, next); a < b {
@@ -266,15 +224,13 @@ func (t *Tracer) adopt(src *Tracer, lo, hi Pos) {
 	}
 	t.end += hi.off - lo.off
 	t.seq += hi.seq - lo.seq
-	t.n += int(hi.seq - lo.seq)
 }
 
 // Merge appends every event of each fragment to t, in argument order and
 // each in its own order, re-assigning sequence numbers. The fleet uses this
 // to fold per-shard tracers into the run's stream in shard order, making
-// the merged stream independent of which worker finished first. Fragment
-// drop counts are carried over. Nil fragments are skipped; a fragment must
-// not be t itself.
+// the merged stream independent of which worker finished first. Nil
+// fragments are skipped; a fragment must not be t itself.
 func (t *Tracer) Merge(frags ...*Tracer) {
 	if t == nil {
 		return
@@ -296,21 +252,20 @@ func (t *Tracer) Merge(frags ...*Tracer) {
 		}
 		frag.mu.Lock()
 		t.adopt(frag, Pos{}, Pos{frag.end, frag.seq})
-		t.carried += frag.carried
 		frag.mu.Unlock()
 	}
-	t.trim()
 }
 
-// each calls fn with every retained record, oldest first. The bytes behind
-// a view never change, so they are decoded outside the lock.
+// each calls fn with every record, oldest first. The bytes behind a view
+// never change, so they are decoded outside the lock.
 func (t *Tracer) each(fn func(seq uint64, rec []byte)) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	views, seq := slices.Clone(t.views), t.seq-uint64(t.n)
+	views := slices.Clone(t.views)
 	t.mu.Unlock()
+	var seq uint64
 	for _, v := range views {
 		for len(v) > 0 {
 			l, w := binary.Uvarint(v)
@@ -321,7 +276,7 @@ func (t *Tracer) each(fn func(seq uint64, rec []byte)) {
 	}
 }
 
-// Events returns the retained events in sequence order, rendered.
+// Events returns the events in sequence order, rendered.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -331,18 +286,18 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Len returns the number of retained events.
+// Len returns the number of events.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return int(t.seq)
 }
 
-// WriteJSONL exports the retained events as JSON Lines, one event per
-// line, in sequence order.
+// WriteJSONL exports the events as JSON Lines, one event per line, in
+// sequence order.
 func (t *Tracer) WriteJSONL(w io.Writer) error { return writeJSONL(w, t.Events()) }
 
 // ReadJSONL parses a stream written by WriteJSONL. Blank lines are

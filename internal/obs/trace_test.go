@@ -14,22 +14,22 @@ import (
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(KindTrace, OnAddr(1), 0)
-	tr.Merge(NewTracer(4))
-	tr.MergeRange(NewTracer(4), Pos{}, Pos{})
+	tr.Merge(NewTracer())
+	tr.MergeRange(NewTracer(), Pos{}, Pos{})
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports Enabled")
 	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Pos() != (Pos{}) {
+	if tr.Len() != 0 || tr.Events() != nil || tr.Pos() != (Pos{}) {
 		t.Fatal("nil tracer retained state")
 	}
 	if tr.Fingerprint() != FingerprintEvents(nil) {
 		t.Fatal("nil tracer fingerprint differs from empty")
 	}
-	NewTracer(4).MergeRange(nil, Pos{}, Pos{})
+	NewTracer().MergeRange(nil, Pos{}, Pos{})
 }
 
 func TestTracerSequencesAndAttrs(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer()
 	tr.Emit(KindDecision, OnAddr(0x0a000001), 0, Str(KeyHeuristic, "ip-as"), Int(KeyHop, 3), Flag(KeyCached, false))
 	tr.Emit(KindAlly, OnPair(1, 2), 7, IDs(KeyIPIDs, []uint16{1, 2, 3}))
 	evs := tr.Events()
@@ -60,7 +60,7 @@ func TestTracerSequencesAndAttrs(t *testing.T) {
 // values included, through encode, decode and render.
 func TestRecordRendersEveryValueKind(t *testing.T) {
 	type H string
-	tr := NewTracer(4)
+	tr := NewTracer()
 	tr.Emit(KindTrace, OnAS(uint32(4294967295)), -5,
 		Int(KeyHops, -1<<63), Int(KeyBlocks, 1<<62), Flag(KeyReached, true), Flag(KeyStopped, false),
 		IP(KeyAt, 0xffffffff), IP(KeyDst, 0), AS(KeyTarget, uint32(0)), ASPair(KeySiblingHit, uint32(7), uint32(4294967295)),
@@ -84,34 +84,40 @@ func TestRecordRendersEveryValueKind(t *testing.T) {
 	}
 }
 
-func TestTracerRingDropsOldest(t *testing.T) {
-	tr := NewTracer(3)
-	for i := 0; i < 5; i++ {
+// TestTracerKeepsEveryEvent: the tracer is append-only. A log of more than
+// 1<<17 events keeps every one, in order and numbered from zero, and so
+// does a tracer it is merged into.
+func TestTracerKeepsEveryEvent(t *testing.T) {
+	const total = 1<<17 + 5000
+	tr := NewTracer()
+	for i := 0; i < total; i++ {
 		tr.Emit(KindTrace, OnAS(uint32(i)), int64(i))
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
+	if tr.Len() != total {
+		t.Fatalf("Len = %d, want %d", tr.Len(), total)
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
-	}
-	evs := tr.Events()
-	if evs[0].Subject != "AS2" || evs[2].Subject != "AS4" {
-		t.Fatalf("ring kept wrong window: %v..%v", evs[0].Subject, evs[2].Subject)
-	}
-	// Sequence numbers keep counting across drops.
-	if evs[2].Seq != 4 {
-		t.Fatalf("last seq = %d, want 4", evs[2].Seq)
+	into := NewTracer()
+	into.Merge(tr)
+	for _, tr := range []*Tracer{tr, into} {
+		evs := tr.Events()
+		if len(evs) != total {
+			t.Fatalf("%d events rendered, want %d", len(evs), total)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i) || ev.SimNS != int64(i) || ev.Subject != fmt.Sprintf("AS%d", i) {
+				t.Fatalf("event %d: %+v", i, ev)
+			}
+		}
 	}
 }
 
 func TestTracerMergeResequences(t *testing.T) {
-	a := NewTracer(8)
+	a := NewTracer()
 	a.Emit(KindTarget, OnAS(uint32(1)), 0)
-	f1 := NewTracer(8)
+	f1 := NewTracer()
 	f1.Emit(KindTrace, OnAddr(1), 10)
-	f2 := NewTracer(2)
-	for i := 0; i < 3; i++ { // overflows: one drop carried over
+	f2 := NewTracer()
+	for i := 0; i < 3; i++ {
 		f2.Emit(KindTrace, OnAddr(2), int64(i))
 	}
 	a.Merge(f1)
@@ -122,60 +128,52 @@ func TestTracerMergeResequences(t *testing.T) {
 			t.Fatalf("event %d has seq %d after merge", i, ev.Seq)
 		}
 	}
-	if a.Dropped() != 1 {
-		t.Fatalf("merged drop count = %d, want 1", a.Dropped())
+	if len(evs) != 5 {
+		t.Fatalf("merged %d events, want 5", len(evs))
 	}
 	// Fragment SimNS survives the merge untouched.
 	if evs[1].SimNS != 10 {
 		t.Fatalf("merge rewrote SimNS: %d", evs[1].SimNS)
 	}
 	// A fragment is read, not consumed.
-	if f2.Len() != 2 || f2.Dropped() != 1 || f1.Events()[0].Seq != 0 {
+	if f2.Len() != 3 || f1.Events()[0].Seq != 0 {
 		t.Fatalf("merge disturbed its fragments")
 	}
 }
 
 // TestTracerMergeBatchMatchesCopy: one Merge over a batch of fragments —
-// empty, nil, part-full and wrapped ones, into a tracer with room for all
-// of them and into one whose ring bound bites mid-batch — leaves the
-// events, sequence numbers, drop count and fingerprint that emitting each
-// fragment's retained events straight into the tracer does. Merging shares
-// the fragments' bytes; this is the copy it must be indistinguishable from.
+// empty, nil and filled ones, some spanning chunks — leaves the events,
+// sequence numbers and fingerprint that emitting each fragment's events
+// straight into the tracer does. Merging shares the fragments' bytes; this
+// is the copy it must be indistinguishable from.
 func TestTracerMergeBatchMatchesCopy(t *testing.T) {
-	frags := []struct{ limit, n int }{{8, 0}, {0, -1}, {4, 3}, {3, 8}, {64, 40}} // -1: nil; {3, 8} wraps, twice
+	frags := []int{0, -1, 3, 8, 40, 400} // -1: nil
 	emit := func(tr *Tracer, f, i int) {
 		tr.Emit(KindTrace, OnPair(netx.Addr(f), netx.Addr(i)), int64(i), Int(KeyHops, i),
 			Path(KeyPath, []Hop{{uint8(i), HopTimeExceeded, netx.Addr(i)}}))
 	}
-	for _, limit := range []int{0, 16} {
-		got, want := NewTracer(limit), NewTracer(limit)
-		got.Emit(KindTarget, OnAS(uint32(1)), 0)
-		want.Emit(KindTarget, OnAS(uint32(1)), 0)
-		var batch []*Tracer
-		var lost uint64
-		for f, fr := range frags {
-			if fr.n < 0 {
-				batch = append(batch, nil)
-				continue
-			}
-			tr := NewTracer(fr.limit)
-			for i := 0; i < fr.n; i++ {
-				emit(tr, f, i)
-			}
-			batch = append(batch, tr)
-			for i := max(0, fr.n-fr.limit); i < fr.n; i++ {
-				emit(want, f, i)
-			}
-			lost += uint64(max(0, fr.n-fr.limit))
+	got, want := NewTracer(), NewTracer()
+	got.Emit(KindTarget, OnAS(uint32(1)), 0)
+	want.Emit(KindTarget, OnAS(uint32(1)), 0)
+	var batch []*Tracer
+	for f, n := range frags {
+		if n < 0 {
+			batch = append(batch, nil)
+			continue
 		}
-		got.Merge(batch...)
-		if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped()+lost {
-			t.Errorf("limit %d: batch merge kept %d events (%d dropped), copy %d (%d dropped)",
-				limit, got.Len(), got.Dropped(), want.Len(), want.Dropped()+lost)
+		tr := NewTracer()
+		for i := 0; i < n; i++ {
+			emit(tr, f, i)
+			emit(want, f, i)
 		}
-		if got.Fingerprint() != want.Fingerprint() {
-			t.Errorf("limit %d: fingerprints differ", limit)
-		}
+		batch = append(batch, tr)
+	}
+	got.Merge(batch...)
+	if !reflect.DeepEqual(got.Events(), want.Events()) {
+		t.Errorf("batch merge kept %d events, copy %d", got.Len(), want.Len())
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("fingerprints differ")
 	}
 }
 
@@ -183,11 +181,11 @@ func TestTracerMergeBatchMatchesCopy(t *testing.T) {
 // range by range, out of order, is the stream per-fragment tracers gave —
 // how the driver turns a worker's log back into per-target fragments.
 func TestTracerMergeRangeCutsALog(t *testing.T) {
-	log, want := NewTracer(0), NewTracer(0)
+	log, want := NewTracer(), NewTracer()
 	var cuts []Pos
 	frags := make([]*Tracer, 5)
 	for f := range frags {
-		frags[f] = NewTracer(0)
+		frags[f] = NewTracer()
 		for i := 0; i < 200*f; i++ { // fragment 0 is empty; the later ones span chunks
 			for _, tr := range []*Tracer{log, frags[f]} {
 				tr.Emit(KindTrace, OnPair(netx.Addr(f), netx.Addr(i)), int64(i), Int(KeyHops, i))
@@ -195,7 +193,7 @@ func TestTracerMergeRangeCutsALog(t *testing.T) {
 		}
 		cuts = append(cuts, log.Pos())
 	}
-	got := NewTracer(0)
+	got := NewTracer()
 	for _, f := range []int{3, 0, 4, 1, 2} {
 		var lo Pos
 		if f > 0 {
@@ -208,32 +206,6 @@ func TestTracerMergeRangeCutsALog(t *testing.T) {
 		t.Fatalf("ranges merged to %d events, fragments to %d; fingerprints equal: %v",
 			got.Len(), want.Len(), got.Fingerprint() == want.Fingerprint())
 	}
-	// A log whose ring bound overwrote part of a range hands over the rest
-	// and reports the loss.
-	small := NewTracer(10)
-	var mid Pos
-	for i := 0; i < 30; i++ {
-		if i == 15 {
-			mid = small.Pos()
-		}
-		small.Emit(KindTrace, OnAddr(netx.Addr(i)), 0)
-	}
-	for _, tc := range []struct {
-		lo, hi   Pos
-		n        int
-		dropped  uint64
-		firstSub string
-	}{
-		{Pos{}, mid, 0, 15, ""},
-		{mid, small.Pos(), 10, 5, "0.0.0.20"},
-		{Pos{}, small.Pos(), 10, 20, "0.0.0.20"},
-	} {
-		into := NewTracer(0)
-		into.MergeRange(small, tc.lo, tc.hi)
-		if into.Len() != tc.n || into.Dropped() != tc.dropped || (tc.n > 0 && into.Events()[0].Subject != tc.firstSub) {
-			t.Errorf("range %v..%v: %d events, %d dropped, want %d, %d", tc.lo, tc.hi, into.Len(), into.Dropped(), tc.n, tc.dropped)
-		}
-	}
 }
 
 // TestTracerMergeReservesOnce pins what the batch form is for: folding a
@@ -242,67 +214,16 @@ func TestTracerMergeRangeCutsALog(t *testing.T) {
 func TestTracerMergeReservesOnce(t *testing.T) {
 	var frags []*Tracer
 	for f := 0; f < 50; f++ {
-		fr := NewTracer(0)
+		fr := NewTracer()
 		for i := 0; i < 40; i++ {
 			fr.Emit(KindTrace, OnAddr(1), int64(i))
 		}
 		frags = append(frags, fr)
 	}
-	allocs := testing.AllocsPerRun(10, func() { NewTracer(0).Merge(frags...) })
+	allocs := testing.AllocsPerRun(10, func() { NewTracer().Merge(frags...) })
 	// The tracer and its view list; the race detector adds one.
 	if allocs > 3 {
 		t.Errorf("merging 50 fragments of 40 events allocates %.0f times, want at most 3", allocs)
-	}
-	small := NewTracer(100)
-	small.Merge(frags...)
-	if small.Len() != 100 || small.Dropped() != 1900 || small.held() > 3*40*8 {
-		t.Errorf("bounded merge: len %d dropped %d holding %d bytes, want 100, 1900, the last three fragments at most",
-			small.Len(), small.Dropped(), small.held())
-	}
-}
-
-// TestTracerWrapReclaimsArena: wrap is a long run's normal case, so a
-// tracer at its bound must let go of what overwritten events held. Emitting
-// directly and merging a wrapped fragment both leave exactly the newest
-// limit events, rendered right, with the rest counted dropped and the bytes
-// held proportional to limit, not to what passed through.
-func TestTracerWrapReclaimsArena(t *testing.T) {
-	const limit, total = 64, 10000
-	path := make([]Hop, 12)
-	emit := func(tr *Tracer, i int) {
-		for h := range path {
-			path[h] = Hop{uint8(h + 1), HopTimeExceeded, netx.Addr(i<<8 | h)}
-		}
-		tr.Emit(KindTrace, OnAddr(netx.Addr(i)), int64(i), AS(KeyTarget, uint32(i)), Int(KeyHops, 12), Path(KeyPath, path))
-	}
-	direct, want := NewTracer(limit), NewTracer(limit)
-	for i := 0; i < total; i++ {
-		emit(direct, i)
-	}
-	for i := total - limit; i < total; i++ {
-		emit(want, i)
-	}
-	merged := NewTracer(limit)
-	merged.Emit(KindTarget, OnAS(uint32(1)), 0)
-	merged.Merge(direct)
-	one := want.held() / limit // bytes per event
-	for name, tr := range map[string]*Tracer{"direct": direct, "merged": merged} {
-		evs := tr.Events()
-		if len(evs) != limit || !reflect.DeepEqual(evs[limit-1].Attrs, want.Events()[limit-1].Attrs) || evs[0].Subject != want.Events()[0].Subject {
-			t.Fatalf("%s: kept %d events, newest %+v", name, len(evs), evs[len(evs)-1])
-		}
-		if name == "direct" && (tr.Dropped() != total-limit || evs[0].Seq != total-limit) {
-			t.Errorf("direct: dropped %d first seq %d, want %d", tr.Dropped(), evs[0].Seq, total-limit)
-		}
-		if name == "merged" && tr.Dropped() != total-limit+1 {
-			t.Errorf("merged: dropped %d, want %d and the event the merge pushed out", tr.Dropped(), total-limit)
-		}
-		if h := tr.held(); h != limit*one {
-			t.Errorf("%s: holds %d record bytes for %d events of %d", name, h, limit, one)
-		}
-		if v := tr.numViews(); v > 2+limit*one/minChunk {
-			t.Errorf("%s: %d views over %d bytes", name, v, limit*one)
-		}
 	}
 }
 
@@ -311,7 +232,7 @@ func TestTracerWrapReclaimsArena(t *testing.T) {
 // fragment event at most once and keep sequence numbers unique. Run under
 // -race by CI's chaos job.
 func TestTracerMergeWhileEmitting(t *testing.T) {
-	dst, frag := NewTracer(0), NewTracer(0)
+	dst, frag := NewTracer(), NewTracer()
 	var wg sync.WaitGroup
 	for _, tr := range []*Tracer{dst, frag} {
 		wg.Add(1)
@@ -346,7 +267,7 @@ func TestTracerMergeWhileEmitting(t *testing.T) {
 // the call and provenance costs the bytes it stores and no more.
 func TestEmitAllocFree(t *testing.T) {
 	type H string
-	tr := NewTracer(256)
+	tr := NewTracer()
 	path := make([]Hop, 12)
 	ids := []uint16{1, 2, 3, 4, 5, 6}
 	addrs := []netx.Addr{1, 2, 3}
@@ -358,7 +279,7 @@ func TestEmitAllocFree(t *testing.T) {
 		func() { tr.Emit(KindTargetLost, OnAS(as), 5) },
 		func() {
 			tr.Emit(KindTrace, OnAddr(9), 5, AS(KeyTarget, as), Int(KeyHops, len(path)), Path(KeyPath, path),
-				Flag(KeyReached, true), Flag(KeyStopped, false), Int(KeyFaultDrops, 2), Flag(KeyCached, true))
+				Flag(KeyReached, true), Flag(KeyStopped, false), Flag(KeyCached, true))
 		},
 		func() { tr.Emit(KindStopsetHit, OnAddr(9), 5, IP(KeyAt, 4)) },
 		func() { tr.Emit(KindStopsetAdd, OnAddr(9), 5, IP(KeyDst, 4)) },
@@ -380,7 +301,7 @@ func TestEmitAllocFree(t *testing.T) {
 	if len(events) != int(numKinds)-1 {
 		t.Fatalf("%d events for %d kinds", len(events), numKinds-1)
 	}
-	for i := 0; i < 2000; i++ { // warm: past the bound, chunks at full size
+	for i := 0; i < 2000; i++ { // warm: chunks at full size
 		events[i%len(events)]()
 	}
 	for k, emit := range events {
@@ -410,7 +331,7 @@ func TestKVMatchesFmt(t *testing.T) {
 }
 
 func TestTracerJSONLRoundTrip(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewTracer()
 	tr.Emit(KindDecision, OnAddr(0x0a000001), 0, AS(KeyOwner, uint32(7)), IDs(KeyIPIDs, []uint16{9, 9}))
 	tr.Emit(KindStopsetHit, OnAddr(0x01020304), 42)
 	var buf bytes.Buffer
@@ -437,7 +358,7 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 
 func TestFingerprintExcludesVolatileAttrs(t *testing.T) {
 	mk := func(ids ...uint16) *Tracer {
-		tr := NewTracer(4)
+		tr := NewTracer()
 		tr.Emit(KindAlly, OnPair(1, 2), 5,
 			Str(KeyVerdict, "alias"), IDs(KeyIPIDs, ids))
 		return tr
@@ -446,7 +367,7 @@ func TestFingerprintExcludesVolatileAttrs(t *testing.T) {
 		t.Fatal("volatile attr leaked into fingerprint")
 	}
 	// Non-volatile differences must change it.
-	other := NewTracer(4)
+	other := NewTracer()
 	other.Emit(KindAlly, OnPair(1, 2), 5,
 		Str(KeyVerdict, "not-alias"), IDs(KeyIPIDs, []uint16{1, 2, 3}))
 	if mk(1, 2, 3).Fingerprint() == other.Fingerprint() {
@@ -455,7 +376,7 @@ func TestFingerprintExcludesVolatileAttrs(t *testing.T) {
 }
 
 func TestTracerConcurrentEmit(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -484,7 +405,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 // import and export changes nothing — fingerprint, and go through Explain
 // without a panic, whatever stages, kinds and attrs the file invents.
 func FuzzTraceJSONL(f *testing.F) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	tr.Emit(KindTrace, OnAddr(0x0a000001), 5, AS(KeyTarget, uint32(7)), Path(KeyPath, []Hop{{1, HopTimeExceeded, 0x0a000002}}))
 	tr.Emit(KindAlly, OnPair(0x0a000001, 0x0a000002), 9, Str(KeyVerdict, "alias"), IDs(KeyIPIDs, []uint16{1, 2}))
 	tr.Emit(KindDecision, OnAddr(0x0a000002), 0, Str(KeyHeuristic, "onenet"), AS(KeyOwner, uint32(7)), IPs(KeyAddrs, []netx.Addr{0x0a000001, 0x0a000002}))

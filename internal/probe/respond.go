@@ -48,9 +48,6 @@ type TraceResult struct {
 	Reached bool
 	// Stopped reports that the stop-set callback halted probing.
 	Stopped bool
-	// FaultDropped counts responses the fault injector suppressed during
-	// this trace (they appear as timeouts in Hops).
-	FaultDropped int
 }
 
 // gapLimit mirrors scamper's behaviour of abandoning a trace after five
@@ -130,7 +127,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			}
 			if hop.Type != HopTimeout && e.dropInjected() {
 				hop = Hop{TTL: i + 1, Type: HopTimeout}
-				res.FaultDropped++
+				e.eobs.faultDrops.Inc()
 			}
 			if hop.Type != HopTimeout {
 				hop.RTT = hopRTT
@@ -153,7 +150,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 		}
 		if hop.Type != HopTimeout && e.dropInjected() {
 			hop = Hop{TTL: i + 1, Type: HopTimeout}
-			res.FaultDropped++
+			e.eobs.faultDrops.Inc()
 		}
 		byType[hop.Type]++
 		res.Hops = append(res.Hops, hop)
@@ -179,7 +176,6 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 	e.eobs.respEchoReply.Add(byType[HopEchoReply])
 	e.eobs.respUnreachable.Add(byType[HopUnreachable])
 	e.eobs.respTimeout.Add(byType[HopTimeout])
-	e.eobs.faultDrops.Add(int64(res.FaultDropped))
 	e.eobs.traceHops.Observe(sent)
 	return res
 }

@@ -10,16 +10,13 @@ func TestConfigWithDefaults(t *testing.T) {
 	}{
 		{"zero selects paper params",
 			Config{},
-			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: DefaultRefreshEvery}},
+			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 		{"explicit values survive",
-			Config{MaxAddrsPerBlock: 2, Workers: 1, RefreshEvery: 3},
-			Config{MaxAddrsPerBlock: 2, Workers: 1, RefreshEvery: 3}},
-		{"Disabled refresh means never, not default",
-			Config{RefreshEvery: Disabled},
-			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: 0}},
-		{"negative worker count falls back",
-			Config{Workers: -3},
-			Config{MaxAddrsPerBlock: 5, Workers: 4, RefreshEvery: DefaultRefreshEvery}},
+			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true},
+			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true}},
+		{"negative values fall back",
+			Config{MaxAddrsPerBlock: -1, Workers: -3},
+			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 	}
 	for _, c := range cases {
 		if got := c.in.withDefaults(); got != c.want {

@@ -15,11 +15,6 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// Disabled, as Config.RefreshEvery, means "never refresh": the zero value
-// already selects the default cadence, so turning the refresh off needs a
-// value of its own (`bdrmapd -refresh-every -1`).
-const Disabled = -1
-
 // maxPairsPerAddr bounds Ally work per predecessor address: among the
 // addresses seen after one hop, at most this many candidate pairs are
 // resolved.
@@ -37,21 +32,14 @@ type Config struct {
 	DisableAlias bool
 	// AliasCfg tunes the alias resolver.
 	AliasCfg alias.Config
-	// TargetTimeout bounds the wall-clock time spent on one target AS;
-	// exceeding it reports the target lost instead of hanging the run.
-	// Zero disables the cutoff (it is off for deterministic golden runs).
-	TargetTimeout time.Duration
 	// State enables cross-round incremental probing: the driver replays
 	// the previous round's per-target transcripts wherever path signatures
 	// are unchanged, persisting the doubletree stop set (§5.2) across
 	// rounds instead of rebuilding it. Replay is validated against
 	// LocalProber.PathSignature, so State needs a LocalProber: Run panics
-	// on any other prober.
+	// on any other prober. Every cached target is re-walked live at least
+	// every DefaultRefreshEvery rounds.
 	State *RoundState
-	// RefreshEvery forces a full live re-walk of each cached target every
-	// N rounds so decayed paths are still re-walked (default
-	// DefaultRefreshEvery; Disabled never refreshes).
-	RefreshEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -60,12 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	switch {
-	case c.RefreshEvery == Disabled:
-		c.RefreshEvery = 0 // never refresh
-	case c.RefreshEvery == 0:
-		c.RefreshEvery = DefaultRefreshEvery
 	}
 	return c
 }
@@ -87,8 +69,9 @@ type Dataset struct {
 	VPName   string
 	Traces   []TraceRecord
 	Resolver *alias.Resolver
-	Graph    *alias.Graph
-	Stats    RunStats
+	// Graph is the alias graph, nil when Config.DisableAlias is set.
+	Graph *alias.Graph
+	Stats RunStats
 	// Dirty is the set of interface addresses whose trace evidence changed
 	// since the previous round: every address appearing in the current or
 	// prior transcript of any target that was not served fully from cache.
@@ -107,7 +90,7 @@ type RunStats struct {
 	AliasPairsRun int
 	AddrsObserved int
 	// TargetsLost counts targets abandoned because the prober's session
-	// died or the per-target timeout fired (graceful degradation).
+	// died (graceful degradation).
 	TargetsLost int
 	// TracesLive / TracesCached split Traces when cross-round caching is
 	// active (Config.State): a cached trace was replayed from the previous
@@ -185,10 +168,10 @@ type Driver struct {
 	// wall-clock time, trace/stop-set/alias counters). Nil disables them.
 	Obs *obs.Registry
 	// Trace receives per-trace provenance events (target lifecycle, hop
-	// responses, stop-set hits, fault drops, alias verdicts). Nil disables
-	// them. Probe-stage events carry per-target-relative sim timestamps and
-	// are merged in target order, so for a fixed seed the stream is
-	// identical across worker counts.
+	// responses, stop-set hits, alias verdicts). Nil disables them.
+	// Probe-stage events carry per-target-relative sim timestamps and are
+	// merged in target order, so for a fixed seed the stream is identical
+	// across worker counts.
 	Trace *obs.Tracer
 	// Spans receives the hierarchical span timeline: one "stage" span each
 	// for probing and alias resolution (parented under SpanParent) and one
@@ -233,7 +216,7 @@ func (d *Driver) Run() *Dataset {
 				case m.blocksKey != key:
 					// The §5.3 block plan moved; the transcript no
 					// longer describes this round's schedule.
-				case cfg.RefreshEvery > 0 && st.round-m.lastWalk >= cfg.RefreshEvery:
+				case st.round-m.lastWalk >= DefaultRefreshEvery:
 					rp.refresh = true
 				default:
 					rp.prior = m
@@ -273,7 +256,7 @@ func (d *Driver) Run() *Dataset {
 		go func(w int) {
 			defer wg.Done()
 			if d.Trace.Enabled() {
-				wlogs[w] = obs.NewTracer(0)
+				wlogs[w] = obs.NewTracer()
 			}
 			for i := w; i < len(targets); i += cfg.Workers {
 				outs[i] = d.probeTarget(targets[i], cfg, lanes[w], wlogs[w], replays[i])
@@ -367,9 +350,9 @@ func (d *Driver) Run() *Dataset {
 			// can lose a trace without appearing in its replacement.
 			markDirty(outs[i].recs)
 			markDirty(cachedRecs(rp.all))
-			if outs[i].lost || rp.faulted() {
-				// Keep the previous transcript (if any): a dead session or
-				// an injected fault is transport state, not a changed world.
+			if outs[i].lost {
+				// Keep the previous transcript (if any): a dead session is
+				// transport state, not a changed world.
 				continue
 			}
 			st.targets[targets[i].AS] = rp.next
@@ -444,7 +427,7 @@ func (d *Driver) isExternal(addr netx.Addr) bool {
 type targetOut struct {
 	recs    []TraceRecord
 	stopped int   // traces the stop set halted
-	lost    bool  // abandoned: the session died or the target timed out
+	lost    bool  // abandoned: the session died
 	simNS   int64 // simulated duration, relative to the target's own start
 	wallNS  int64
 	cut     obs.Pos // where the target's events end in its worker's log
@@ -475,8 +458,7 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 // address; when the trace shows no external address (or only the probed
 // one), try further addresses, up to the configured maximum (§5.3).
 // It returns early — reporting the target lost — when the prober's session
-// dies or the per-target timeout fires, so one dead VP degrades the run
-// instead of hanging it.
+// dies, so one dead VP degrades the run instead of hanging it.
 func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.Tracer, rp *targetReplay) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
@@ -490,10 +472,6 @@ func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.T
 	wallStart := time.Now()
 	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
 
-	var deadline time.Time
-	if cfg.TargetTimeout > 0 {
-		deadline = wallStart.Add(cfg.TargetTimeout)
-	}
 	var out targetOut
 	finish := func() targetOut {
 		out.simNS = rel()
@@ -513,9 +491,6 @@ func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.T
 		tried := 0
 		for tried < cfg.MaxAddrsPerBlock {
 			if d.Prober.Err() != nil {
-				return abandon()
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
 				return abandon()
 			}
 			dst := b.First + netx.Addr(tried) + 1
@@ -558,17 +533,12 @@ func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.T
 			if rp != nil {
 				rp.record(bi, dst, sig, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			}
-			var drops obs.Field
-			if res.FaultDropped > 0 {
-				drops = obs.Int(obs.KeyFaultDrops, res.FaultDropped)
-			}
 			frag.Emit(obs.KindTrace, obs.OnAddr(dst), rel(),
 				obs.AS(obs.KeyTarget, t.AS),
 				obs.Int(obs.KeyHops, len(res.Hops)),
 				obs.Path(obs.KeyPath, appendHops(hopBuf[:0], res.Hops)),
 				obs.Flag(obs.KeyReached, res.Reached),
 				obs.Flag(obs.KeyStopped, res.Stopped),
-				drops,
 				obs.Flag(obs.KeyCached, cached))
 			if res.Stopped {
 				out.stopped++
@@ -680,8 +650,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, clocked
 	ds.Stats.AddrsObserved = len(addrSet)
 	d.Obs.Add("driver.addrs_observed", int64(len(addrSet)))
 	if cfg.DisableAlias {
-		ds.Graph = alias.NewGraph()
-		return
+		return // no graph: inference skips §5.4.7 too
 	}
 	if d.Prober.Err() != nil {
 		// The session is gone; every probe below would fail. Report the

@@ -33,9 +33,9 @@ import (
 // prefix-replay discipline is what makes the incremental map byte-identical
 // to a from-scratch run (mapdb's equivalence mode asserts it).
 //
-// A configurable refresh cadence (Config.RefreshEvery) forces a full
-// re-walk of each cached target every N rounds, so decayed paths a
-// signature oracle could not see in a real deployment are still re-walked.
+// A fixed refresh cadence (DefaultRefreshEvery) forces a full re-walk of
+// each cached target every 8 rounds, so decayed paths a signature oracle
+// could not see in a real deployment are still re-walked.
 //
 // The alias stage has its own memory: the outcome of every Mercator sweep
 // probe, every Resolve pair, and every Prefixscan (with the pair verdicts
@@ -45,9 +45,8 @@ import (
 // and therefore the alias graph the inference core consumes — are
 // identical to a live run's.
 
-// DefaultRefreshEvery is the refresh cadence when Config.State is set and
-// Config.RefreshEvery is zero: every cached target is fully re-walked at
-// least every 8 rounds.
+// DefaultRefreshEvery is the refresh cadence when Config.State is set:
+// every cached target is fully re-walked at least every 8 rounds.
 const DefaultRefreshEvery = 8
 
 // RoundState carries one vantage point's measurement memory across rounds.
@@ -197,18 +196,6 @@ func (rp *targetReplay) record(blockIdx int, dst netx.Addr, sig uint64, rec Trac
 func (rp *targetReplay) fullHit() bool {
 	return rp.prior != nil && !rp.diverged && rp.live == 0 &&
 		rp.cursor == len(rp.prior.traces)
-}
-
-// faulted reports whether any trace recorded this round carries injected
-// fault drops; such transcripts are not cached (a fault is responder
-// state, invisible to the path signature).
-func (rp *targetReplay) faulted() bool {
-	for _, ct := range rp.next.traces {
-		if ct.rec.FaultDropped > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // TraceFingerprint hashes the dataset's traces down to one value: FNV-1a

@@ -177,13 +177,14 @@ func TestIncrementalMutatedWorldMatchesScratch(t *testing.T) {
 	}
 }
 
-// The refresh cadence forces a live re-walk even when signatures match.
+// The refresh cadence forces a live re-walk even when signatures match:
+// round 1 walks every target, rounds 2…8 replay it, and round 9 is
+// DefaultRefreshEvery rounds past the last walk.
 func TestIncrementalRefreshCadence(t *testing.T) {
 	st := NewRoundState()
-	for round := 1; round <= 3; round++ {
+	for round := 1; round <= 1+DefaultRefreshEvery; round++ {
 		reg := obs.New()
 		d := newIncSetup(t, 11, st, reg)
-		d.Cfg.RefreshEvery = 2
 		ds := d.Run()
 		snap := reg.Snapshot()
 		switch round {
@@ -191,34 +192,19 @@ func TestIncrementalRefreshCadence(t *testing.T) {
 			if ds.Stats.CacheMisses != ds.Stats.Targets {
 				t.Fatalf("round 1: %+v", ds.Stats)
 			}
-		case 2:
-			if ds.Stats.CacheHits != ds.Stats.Targets {
-				t.Fatalf("round 2 should be all hits: %+v", ds.Stats)
-			}
-		case 3:
-			// lastWalk is still round 1 (round 2 was a pure replay), so the
-			// cadence of 2 forces a refresh now.
+		case 1 + DefaultRefreshEvery:
+			// lastWalk is still round 1 (the rounds between were pure
+			// replays), so the cadence forces a refresh now.
 			if ds.Stats.CacheRefreshes != ds.Stats.Targets || ds.Stats.TracesLive != ds.Stats.Traces {
-				t.Fatalf("round 3 should be all refreshes: %+v", ds.Stats)
+				t.Fatalf("round %d should be all refreshes: %+v", round, ds.Stats)
 			}
 			if got := snap.Counter("rounds.cache.refresh"); got != int64(ds.Stats.Targets) {
 				t.Fatalf("rounds.cache.refresh = %d", got)
 			}
-		}
-	}
-}
-
-// RefreshEvery: Disabled never refreshes; cached targets replay forever on
-// an unchanged world.
-func TestIncrementalRefreshDisabled(t *testing.T) {
-	st := NewRoundState()
-	for round := 1; round <= 4; round++ {
-		reg := obs.New()
-		d := newIncSetup(t, 11, st, reg)
-		d.Cfg.RefreshEvery = Disabled
-		ds := d.Run()
-		if round > 1 && ds.Stats.TracesLive != 0 {
-			t.Fatalf("round %d went live with refresh disabled: %+v", round, ds.Stats)
+		default:
+			if ds.Stats.CacheHits != ds.Stats.Targets || ds.Stats.TracesLive != 0 {
+				t.Fatalf("round %d should be all hits: %+v", round, ds.Stats)
+			}
 		}
 	}
 }

@@ -4,57 +4,23 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-	"time"
 
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
-	"bdrmap/internal/probe"
 )
-
-// slowProber is a LocalProber whose traces into one block stall on the
-// wall clock, so a TargetTimeout loses exactly the target that owns the block.
-type slowProber struct {
-	LocalProber
-	block netx.Block
-	stall time.Duration
-}
-
-func (p slowProber) Trace(dst netx.Addr, ss map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
-	if p.block.Contains(dst) {
-		time.Sleep(p.stall)
-	}
-	return p.LocalProber.Trace(dst, ss, lane)
-}
 
 // TestTargetSpansFromSlots: the "target" spans the driver writes from its
 // per-target slots after the barrier are the same records whatever the
 // worker count — IDs in target order right after the probe stage span's,
-// parented under it, attrs blocks, traces, then lost — with and without a
-// target lost to TargetTimeout; the probe stage carries their summed
-// simulated time, and with spans off the fold builds nothing.
+// parented under it, attrs blocks, traces, then lost; the probe stage
+// carries their summed simulated time, and with spans off the fold builds
+// nothing. The chaos kill test loses targets to a dead session end to end.
 func TestTargetSpansFromSlots(t *testing.T) {
-	const timeout = 200 * time.Millisecond
-	run := func(workers int, lose bool) []obs.SpanRecord {
+	run := func(workers int) []obs.SpanRecord {
 		n, e, view, hosts := setup(t, 1)
 		targets := Targets(view, hosts)
 		local := LocalProber{E: e, VP: n.VPs[0]}
 		d := &Driver{View: view, Prober: local, HostASNs: hosts, Cfg: Config{Workers: workers}, Spans: obs.NewSpanLog(0)}
-		victim := -1
-		if lose {
-			// After its one stalled trace the victim still has a block to
-			// try, so the next deadline check abandons it.
-			for i, tg := range targets {
-				if len(tg.Blocks) >= 2 {
-					victim = i
-					break
-				}
-			}
-			if victim < 0 {
-				t.Fatal("no target with two blocks to lose")
-			}
-			d.Prober = slowProber{local, targets[victim].Blocks[0], timeout + 20*time.Millisecond}
-			d.Cfg.TargetTimeout = timeout
-		}
 		vp := d.Spans.Begin(0, "vp", local.Name())
 		d.SpanParent = vp.ID()
 		ds := d.Run()
@@ -87,9 +53,6 @@ func TestTargetSpansFromSlots(t *testing.T) {
 					{K: "traces", V: strconv.Itoa(traces[targets[i].AS.String()])},
 				},
 			}
-			if i == victim {
-				want.Attrs = append(want.Attrs, obs.Attr{K: "lost", V: "true"})
-			}
 			if !reflect.DeepEqual(r, want) {
 				t.Errorf("workers=%d: target span %d = %+v\nwant %+v", workers, i, r, want)
 			}
@@ -98,15 +61,10 @@ func TestTargetSpansFromSlots(t *testing.T) {
 		if stage.Parent != vp.ID() || stage.SimNS != simNS || simNS == 0 {
 			t.Errorf("workers=%d: probe stage %+v, its targets' sim time sums to %d", workers, stage, simNS)
 		}
-		if lose && (ds.Stats.TargetsLost != 1 || got[victim].Attr("traces") != "1") {
-			t.Errorf("workers=%d: %d targets lost, victim span %+v; want one lost after one trace", workers, ds.Stats.TargetsLost, got[victim])
-		}
 		return got
 	}
-	for _, lose := range []bool{false, true} {
-		if one, four := run(1, lose), run(4, lose); !reflect.DeepEqual(one, four) {
-			t.Errorf("lose=%v: target spans differ between 1 and 4 workers", lose)
-		}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Errorf("target spans differ between 1 and 4 workers")
 	}
 
 	// The fold itself: a record per slot carrying the slot's durations, and

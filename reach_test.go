@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,7 +165,7 @@ func declName(obj types.Object) string {
 // readAllowList parses testdata/<file>: one "name  # reason" per line, at
 // most max of them, each reason passing reasonOK — or failing the test as
 // one that does not say what it must.
-func readAllowList(t *testing.T, file string, max int, reasonOK func(string) bool, must string) map[string]bool {
+func readAllowList(t *testing.T, file string, max int, reasonOK func(name, reason string) bool, must string) map[string]bool {
 	f, err := os.Open(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func readAllowList(t *testing.T, file string, max int, reasonOK func(string) boo
 		}
 		name, reason, _ := strings.Cut(line, "#")
 		name = strings.TrimSpace(name)
-		if !reasonOK(strings.TrimSpace(reason)) {
+		if !reasonOK(name, strings.TrimSpace(reason)) {
 			t.Errorf("%s: %q does not %s", file, line, must)
 		}
 		if allow[name] {
@@ -198,7 +200,7 @@ func readAllowList(t *testing.T, file string, max int, reasonOK func(string) boo
 // readReachAllow parses testdata/reach_allow.txt, whose reasons name the
 // live-behaviour test that needs the declaration.
 func readReachAllow(t *testing.T) map[string]bool {
-	return readAllowList(t, "reach_allow.txt", maxReachAllow, func(reason string) bool {
+	return readAllowList(t, "reach_allow.txt", maxReachAllow, func(_, reason string) bool {
 		return strings.Contains(reason, "Test") || strings.Contains(reason, "Fuzz")
 	}, "name the test that needs it")
 }
@@ -227,6 +229,39 @@ func assigned(e ast.Expr) *ast.Ident {
 	}
 }
 
+// fieldStores maps every identifier through which a non-test file stores a
+// field — a composite-literal key, or the target of an assignment or
+// ++/-- — to the path of that file's package.
+func fieldStores(m *modImporter) map[*ast.Ident]string {
+	stores := make(map[*ast.Ident]string)
+	for path, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if id := assigned(lhs); id != nil {
+							stores[id] = path
+						}
+					}
+				case *ast.IncDecStmt:
+					if id := assigned(n.X); id != nil {
+						stores[id] = path
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+							stores[id] = path
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return stores
+}
+
 // unreadFields is the field pass: the fields of the module's package-level
 // struct types that no non-test file of the module or the benchmark reads.
 // A composite-literal key and the target of an assignment are writes;
@@ -238,7 +273,7 @@ func assigned(e ast.Expr) *ast.Ident {
 // (generic code sees no fields) — which reads every field without naming
 // one.
 func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
-	stores := make(map[*ast.Ident]bool)
+	stores := fieldStores(m)
 	wholeRead := make(map[*types.TypeName]bool)
 	whole := func(t types.Type) {
 		if n, ok := t.(*types.Named); ok {
@@ -253,28 +288,9 @@ func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 	for _, files := range m.files {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if id := assigned(lhs); id != nil {
-							stores[id] = true
-						}
-					}
-				case *ast.IncDecStmt:
-					if id := assigned(n.X); id != nil {
-						stores[id] = true
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-							stores[id] = true
-						}
-					}
-				case *ast.BinaryExpr:
-					if n.Op == token.EQL || n.Op == token.NEQ {
-						whole(m.info.TypeOf(n.X))
-						whole(m.info.TypeOf(n.Y))
-					}
+				if n, ok := n.(*ast.BinaryExpr); ok && (n.Op == token.EQL || n.Op == token.NEQ) {
+					whole(m.info.TypeOf(n.X))
+					whole(m.info.TypeOf(n.Y))
 				}
 				if e, ok := n.(ast.Expr); ok {
 					if mt, ok := m.info.TypeOf(e).(*types.Map); ok {
@@ -289,7 +305,7 @@ func unreadFields(m *modImporter) map[*types.Var]*types.TypeName {
 	written := make(map[*types.Var]bool)
 	for id, obj := range m.info.Uses {
 		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			if stores[id] {
+			if _, ok := stores[id]; ok {
 				written[v.Origin()] = true
 			} else {
 				read[v.Origin()] = true
@@ -497,5 +513,144 @@ func TestProductDeclarationsReachable(t *testing.T) {
 	sort.Strings(unread)
 	for _, f := range unread {
 		t.Errorf("no product code reads field %s (or, if it is tagged, writes it): delete it, or list it in testdata/reach_allow.txt with the test that needs it", f)
+	}
+}
+
+// maxKnobs caps testdata/knobs.txt, the census of settable values: a new
+// knob pushes an old one out, or raises this cap in a visible diff.
+const maxKnobs = 109
+
+// knobTypes are the structs a caller tunes that the *Config / *Options
+// naming rule does not catch.
+var knobTypes = map[string]bool{"faults.Spec": true, "mapdb.Follower": true, "mapdb.WatchClient": true}
+
+// flagDefiners are the flag package's functions, and FlagSet's methods,
+// that define a flag.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// pkgName is how the census names a package: its directory without
+// "internal/" — bdrmap, eval, cmd/bdrmapd, bench.
+func pkgName(path string) string {
+	return strings.TrimPrefix(strings.TrimPrefix(path, modulePath+"/"), "internal/")
+}
+
+// settableValues is the census: every exported field of a struct type named
+// *Config or *Options or listed in knobTypes, mapped to the packages whose
+// non-test code writes it (none for a field only tests set), and every flag
+// a command under cmd/ defines — "cmd/bdrmap -profile" — mapped to its
+// command.
+func settableValues(m *modImporter) map[string][]string {
+	writers := make(map[*types.Var]map[string]bool)
+	for id, path := range fieldStores(m) {
+		v, ok := m.info.Uses[id].(*types.Var)
+		if !ok {
+			continue
+		}
+		v = v.Origin()
+		if writers[v] == nil {
+			writers[v] = make(map[string]bool)
+		}
+		writers[v][pkgName(path)] = true
+	}
+	census := make(map[string][]string)
+	for path, files := range m.files {
+		if path == benchPath {
+			continue
+		}
+		cmd := strings.HasPrefix(path, modulePath+"/cmd/")
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					owner, _ := m.info.Defs[n.Name].(*types.TypeName)
+					st, ok := owner.Type().Underlying().(*types.Struct)
+					name := owner.Name()
+					if !ok || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") && !knobTypes[declName(owner)] {
+						return true
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fld := st.Field(i); fld.Exported() {
+							who := make([]string, 0, len(writers[fld]))
+							for pkg := range writers[fld] {
+								who = append(who, pkg)
+							}
+							sort.Strings(who)
+							census[fieldName(owner, fld)] = who
+						}
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !cmd || !ok {
+						return true
+					}
+					fn, ok := m.info.Uses[sel.Sel].(*types.Func)
+					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+						return true
+					}
+					for _, arg := range n.Args { // the flag's name is its first string constant
+						if c := m.info.Types[arg].Value; c != nil && c.Kind() == constant.String {
+							census[pkgName(path)+" -"+constant.StringVal(c)] = []string{pkgName(path)}
+							break
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return census
+}
+
+// TestSettableValuesCensus holds testdata/knobs.txt to the module's settable
+// values (settableValues), one "name  # who sets it" per line: every value
+// is listed and every listed name is a value. A field some non-test code
+// writes names a writing package among its reason's words; a field no
+// non-test code writes names the test that sets it; a flag says what it
+// sets. ROADMAP aim 2's rule — a new knob needs a product writer that
+// varies it — thus shows up as a diff to the file, which is capped at
+// maxKnobs lines.
+func TestSettableValuesCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := settableValues(m)
+	listed := readAllowList(t, "knobs.txt", maxKnobs, func(name, reason string) bool {
+		who, ok := census[name]
+		switch {
+		case !ok || strings.HasPrefix(name, "cmd/"):
+			return reason != ""
+		case len(who) == 0:
+			return strings.Contains(reason, "Test")
+		}
+		for _, word := range strings.FieldsFunc(reason, func(r rune) bool { return strings.ContainsRune(" ,:;()", r) }) {
+			if slices.Contains(who, word) {
+				return true
+			}
+		}
+		return false
+	}, "say who sets it: a package that writes the field, the test that sets a field no product code writes, or what a flag sets")
+	var missing []string
+	for name, who := range census {
+		if !listed[name] {
+			missing = append(missing, fmt.Sprintf("%s (written by %v)", name, who))
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("settable value %s is not in testdata/knobs.txt: a new knob needs a product writer that varies it, or a test that sets it; list it with who sets it, or delete it", name)
+	}
+	for name := range listed {
+		if _, ok := census[name]; !ok {
+			t.Errorf("knobs.txt lists %s, which is not a settable value: drop the line", name)
+		}
 	}
 }

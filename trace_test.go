@@ -42,8 +42,9 @@ func TestTraceFingerprintWorkerInvariant(t *testing.T) {
 }
 
 // TestTraceFingerprintRemoteFaults runs the same degraded remote session
-// twice: the fault schedule is deterministic, so the provenance stream —
-// including the fault_drops evidence on affected traces — must be too.
+// twice: the fault schedule is deterministic, so the provenance stream must
+// be too. The faults cost the session retries and resumes; no trace event
+// records them (the agent's probe drops reach the controller as timeouts).
 func TestTraceFingerprintRemoteFaults(t *testing.T) {
 	run := func() string {
 		world := NewWorld(Tiny(), 1)

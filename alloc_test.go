@@ -21,17 +21,29 @@ import (
 
 // vpInputs measures the first vps VPs of prof and returns each one's
 // inference input, all backed by one arena, with a provenance tracer
-// attached.
-func vpInputs(prof topo.Profile, vps int, ar *core.Arena) []core.Input {
+// attached. With churn, the same VPs' inputs follow, measured again after
+// a customer is attached at a host border: the next round's world.
+func vpInputs(t *testing.T, prof topo.Profile, vps int, ar *core.Arena, churn bool) []core.Input {
 	prof.NumVPs = vps
-	s := eval.Build(prof, 1)
-	ins := make([]core.Input, vps)
-	for i := range ins {
-		s.RunVP(i, scamper.Config{Workers: 1}, core.Options{})
-		ins[i] = core.Input{
-			Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(),
+	n := topo.Generate(prof, 1)
+	var ins []core.Input
+	measure := func() {
+		s := eval.BuildFromNetwork(n, 1)
+		for i := range vps {
+			s.RunVP(i, scamper.Config{Workers: 1}, core.Options{})
+			ins = append(ins, core.Input{
+				Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
+				HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(),
+			})
 		}
+	}
+	measure()
+	if churn {
+		if _, err := topo.AttachCustomer(n, n.InterdomainLinks(n.HostASN)[0].NearRtr, 65001); err != nil {
+			t.Fatal(err)
+		}
+		n.Build()
+		measure()
 	}
 	return ins
 }
@@ -44,15 +56,19 @@ func vpInputs(prof topo.Profile, vps int, ar *core.Arena) []core.Input {
 // large-access the four VP datasets of a cold map are inferred in turn on
 // one arena, as a fleet worker runs them, so the per-address table and the
 // tally storage must live in the arena for the much larger graphs to cost
-// no more per claim.
+// no more per claim. On r&e the arena is carried across worlds, as the
+// round loop carries a fleet worker's: the VP's dataset before and after a
+// customer is attached are inferred in turn, each on the slabs the other
+// world's graph left.
 func TestInferAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
-		prof topo.Profile
-		vps  int
-	}{{topo.TinyProfile(), 1}, {topo.LargeAccessProfile(), 4}} {
+		prof  topo.Profile
+		vps   int
+		churn bool
+	}{{topo.TinyProfile(), 1, false}, {topo.LargeAccessProfile(), 4, false}, {topo.REProfile(), 1, true}} {
 		t.Run(tc.prof.Name, func(t *testing.T) {
 			var ar core.Arena
-			ins := vpInputs(tc.prof, tc.vps, &ar)
+			ins := vpInputs(t, tc.prof, tc.vps, &ar, tc.churn)
 			claims := 0
 			for _, in := range ins {
 				for _, rn := range core.Infer(in).Routers { // warms the arena
@@ -71,8 +87,9 @@ func TestInferAllocBudget(t *testing.T) {
 			})
 			perClaim := allocs / float64(claims)
 			t.Logf("steady-state: %.0f allocs/run over %d claims = %.2f allocs/claim", allocs, claims, perClaim)
-			// Steady state measures ≈5.4 allocs per claimed router on tiny
-			// and ≈3.6 on large-access, nearly all in result assembly
+			// Steady state measures ≈5.4 allocs per claimed router on tiny,
+			// ≈3.6 on large-access and ≈4.5 on r&e across its churn,
+			// nearly all in result assembly
 			// (RouterNode, its address slice, link records) and the
 			// per-inference intern table; the claim itself, provenance
 			// event included, is allocation-free.

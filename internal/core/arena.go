@@ -3,16 +3,18 @@ package core
 import "bdrmap/internal/topo"
 
 // Arena owns every slab the inference graph is built from. One inference
-// populates the slabs; Reset truncates them in place so the next round (or
-// the next eval scenario) reuses the backing arrays instead of handing the
-// garbage collector a fresh graph per run. Results never alias arena
-// memory: router address slices are heap-owned, so an Arena can be reset
-// the moment Infer returns.
+// populates the slabs; Reset truncates them in place so the next VP, and
+// the next round, reuses the backing arrays instead of handing the garbage
+// collector a fresh graph per run. Results never alias arena memory:
+// router address slices are heap-owned, so Infer resets the arena as it
+// returns, and an idle arena holds no pointer into the last inference's
+// world.
 //
 // An Arena serves one inference at a time, so whoever runs inferences owns
-// one per goroutine: each fleet worker has its own, and a Scenario has one
-// for RunVP and RunVPRemote. Infer with a nil Input.Arena builds on a fresh
-// one for that call alone.
+// one per goroutine: each fleet worker infers on one of its eval.Carry's
+// arenas (or, without a carrier, on its own for that run), and a Scenario
+// has one for RunVP and RunVPRemote. Infer with a nil Input.Arena builds
+// on a fresh one for that call alone.
 type Arena struct {
 	// Node slab and derived orderings.
 	nodes []node
@@ -108,6 +110,18 @@ type workspace struct {
 	epoch     uint32
 }
 
+// nextEpoch opens a new epoch, so every slot reads as unset. A carried
+// arena can run through all 2^32 epochs; on the wrap the slots are
+// cleared, since a slot written in the epoch of the same number would
+// otherwise read as set.
+func (ws *workspace) nextEpoch() {
+	ws.epoch++
+	if ws.epoch == 0 {
+		clear(ws.seenEpoch)
+		ws.epoch = 1
+	}
+}
+
 // mark records an interned address as seen in the current epoch and
 // reports whether it was already seen. The slot array grows on demand.
 func (ws *workspace) mark(id int32) bool {
@@ -163,16 +177,20 @@ func findAS(s []asCount, as topo.ASN) int32 {
 	return 0
 }
 
-// Reset truncates every slab in place, keeping capacity.
+// Reset truncates every slab in place, keeping capacity. The rows that
+// hold pointers are zeroed first, so the truncated tail pins neither the
+// last Result's address slices nor the last view's origin sets.
 func (a *Arena) Reset() {
+	clear(a.nodes)
 	a.nodes = a.nodes[:0]
 	a.order = a.order[:0]
-	clear(a.addrs) // drop the last view's origin slices
+	clear(a.addrs)
 	a.addrs = a.addrs[:0]
 	a.adjEv = a.adjEv[:0]
 	a.dests.reset()
 	a.lastFor.reset()
 	a.firstRoutedAfter.reset()
+	clear(a.edges)
 	a.edges = a.edges[:0]
 	a.pairSlab = a.pairSlab[:0]
 	a.succSlab = a.succSlab[:0]

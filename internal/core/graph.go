@@ -717,7 +717,7 @@ func (n *node) destHas(as topo.ASN) bool { return findAS(n.dests, as) > 0 }
 func (g *graph) succExternalOrigins(id int32) []asCount {
 	ws := &g.ar.ws
 	out := ws.extAdj[:0]
-	ws.epoch++
+	ws.nextEpoch()
 	n := &g.nodes[id]
 	for _, e := range n.succ {
 		for _, p := range g.ar.edges[e].pairs {

@@ -19,7 +19,9 @@ func Infer(in Input) *Result {
 	if ar == nil {
 		ar = &Arena{}
 	}
-	ar.Reset()
+	// Reset as Infer returns, not as it starts: an arena between
+	// inferences is empty, pinning nothing of this call's world.
+	defer ar.Reset()
 	g := buildGraph(in, ar)
 	g.passHost()
 	g.sweep()

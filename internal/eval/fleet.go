@@ -31,14 +31,51 @@ type FleetOptions struct {
 	// completion orders in tests). When set it must be a permutation of
 	// the VP indices.
 	Order []int
-	// States carries per-VP cross-round state (indexed like Net.VPs): each
-	// VP's measurement memory from the previous round (trace transcripts,
-	// stop-set evolution, alias memo). The driver replays unchanged targets
-	// without spending probes; inference always runs in full.
-	States []*scamper.RoundState
+	// Carry, when set, is what this run takes over from the previous one
+	// on the same VPs and leaves for the next (see Carry).
+	Carry *Carry
 	// Gate, when set, is called when a worker takes VP i, before it
 	// measures anything — a test hook for pinning completion schedules.
 	Gate func(vp int)
+}
+
+// Carry is what a fleet keeps from one run to the next over the same
+// vantage points: each VP's measurement memory, and one inference arena
+// per worker. The round loop makes one and hands it to every round, so
+// round r+1 replays what round r measured and infers on the slabs round r
+// warmed. Memory follows the worker count, not the VP count, beyond the
+// per-VP states. A Carry serves one RunFleet at a time.
+type Carry struct {
+	states []*scamper.RoundState // per VP (indexed like Net.VPs); nil unless incremental
+	arenas []*core.Arena         // one per worker, grown on first use
+}
+
+// NewCarry makes the carrier for a fleet of vps vantage points. With
+// incremental set, each VP carries a scamper.RoundState (trace
+// transcripts, stop-set evolution, alias memo), so the driver replays
+// unchanged targets without spending probes; inference always runs in
+// full. Arenas are carried either way.
+func NewCarry(vps int, incremental bool) *Carry {
+	c := &Carry{}
+	if incremental {
+		c.states = make([]*scamper.RoundState, vps)
+		for i := range c.states {
+			c.states[i] = scamper.NewRoundState()
+		}
+	}
+	return c
+}
+
+// workerArenas returns one arena per worker: the carrier's, grown to
+// workers on first use, or without a carrier fresh ones for this run.
+func (c *Carry) workerArenas(workers int) []*core.Arena {
+	if c == nil {
+		c = &Carry{}
+	}
+	for len(c.arenas) < workers {
+		c.arenas = append(c.arenas, &core.Arena{})
+	}
+	return c.arenas
 }
 
 // RunFleet measures every VP across the worker pool and fills
@@ -69,6 +106,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 		return s.Results, nil
 	}
 	workers := min(max(fo.Workers, 1), n)
+	arenas := fo.Carry.workerArenas(workers)
 	s.Obs.Add("fleet.shards", int64(n))
 	fsp := s.Spans.Begin(s.SpanRoot.ID(), "fleet", fmt.Sprintf("%d shards", n))
 	fsp.SetAttr("~workers", workers)
@@ -89,13 +127,13 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	datasets := make([]*scamper.Dataset, n)
 	results := make([]*core.Result, n)
 	var wg sync.WaitGroup
-	for range workers {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The worker's inference arena, reset (not reallocated) for
-			// every VP it runs.
-			arena := &core.Arena{}
+			// Worker w infers every VP it runs on arena w, which Infer
+			// resets (not reallocates) each time.
+			arena := arenas[w]
 			for i := range queue {
 				s.Obs.Inc("fleet.started")
 				if fo.Gate != nil {
@@ -108,8 +146,8 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 					spans[i] = obs.NewSpanLog(0)
 				}
 				sh := shard{cfg: cfg, arena: arena, trace: traces[i], spans: spans[i], mode: "fleet"}
-				if fo.States != nil {
-					sh.cfg.State = fo.States[i]
+				if fo.Carry != nil && fo.Carry.states != nil {
+					sh.cfg.State = fo.Carry.states[i]
 				}
 				// A local run cannot fail: the engine is simulated and
 				// lossless.

@@ -12,8 +12,11 @@ import (
 
 // TestDifferentialRoundsSequentialVsFleet drives the rounds-golden churn
 // schedule (same mutations as RunRounds) through the one-worker sequential
-// coordinator and a four-worker fleet, incremental state engaged on both
-// sides, and requires every published generation to be byte-identical:
+// coordinator and a four-worker fleet, each side handing one eval.Carry
+// from round to round as RunRounds does — per-VP incremental state and
+// one arena per worker, so every round after the first infers on arenas
+// the last round warmed — and requires every published generation to be
+// byte-identical:
 // served links, owner attributions, and per-round trace fingerprints. The
 // multi-VP profile makes the schedule real — three shards genuinely
 // interleave on the fleet side.
@@ -26,10 +29,7 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 	run := func(workers int) (snaps []*Snapshot, fps []uint64) {
 		n := topo.Generate(prof, 1)
 		rng := rand.New(rand.NewSource(1 ^ 0x6d617064))
-		states := make([]*scamper.RoundState, len(n.VPs))
-		for i := range states {
-			states[i] = scamper.NewRoundState()
-		}
+		carry := eval.NewCarry(len(n.VPs), true)
 		for r := 0; r < rounds; r++ {
 			if r > 0 {
 				if _, err := mutateWorld(n, rng, r); err != nil {
@@ -39,7 +39,7 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 			}
 			s := eval.BuildFromNetwork(n, 1)
 			if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
-				Workers: workers, States: states,
+				Workers: workers, Carry: carry,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -160,19 +160,16 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 // snapshot.
 func TestIncrementalUnchangedWorldProbeReduction(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 1)
-	states := make([]*scamper.RoundState, len(n.VPs))
-	for i := range states {
-		states[i] = scamper.NewRoundState()
-	}
+	carry := eval.NewCarry(len(n.VPs), true)
 	scfg := scamper.Config{Workers: 2}
 
 	s1 := eval.BuildFromNetwork(n, 1)
-	if _, err := s1.RunFleet(scfg, eval.FleetOptions{States: states}); err != nil {
+	if _, err := s1.RunFleet(scfg, eval.FleetOptions{Carry: carry}); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := eval.BuildFromNetwork(n, 1)
-	if _, err := s2.RunFleet(scfg, eval.FleetOptions{States: states}); err != nil {
+	if _, err := s2.RunFleet(scfg, eval.FleetOptions{Carry: carry}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -110,16 +110,10 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		vrng = rand.New(rand.NewSource(cfg.Seed ^ 0x6d617064))
 	}
 
-	// Cross-round incremental state: one RoundState per VP (stop set,
-	// trace transcripts, alias memos). Inference keeps nothing between
-	// rounds.
-	var states []*scamper.RoundState
-	if cfg.Incremental {
-		states = make([]*scamper.RoundState, len(n.VPs))
-		for i := range states {
-			states[i] = scamper.NewRoundState()
-		}
-	}
+	// What every round hands the next: one inference arena per fleet
+	// worker and, incrementally, one RoundState per VP (stop set, trace
+	// transcripts, alias memos). Inference results are not carried.
+	carry := eval.NewCarry(len(n.VPs), cfg.Incremental)
 
 	scfg := scamper.Config{Workers: cfg.Workers}
 	var s *eval.Scenario
@@ -162,7 +156,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		if _, err := s.RunFleet(scfg, eval.FleetOptions{Workers: cfg.FleetWorkers, States: states}); err != nil {
+		if _, err := s.RunFleet(scfg, eval.FleetOptions{Workers: cfg.FleetWorkers, Carry: carry}); err != nil {
 			return RoundEvent{}, err
 		}
 		csp := cfg.Spans.Begin(rsp.ID(), "stage", "compile")

@@ -212,6 +212,8 @@ func (d *Driver) Run() *Dataset {
 			rp := &targetReplay{sp: lp, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
 			if m := st.targets[t.AS]; m != nil {
 				rp.all = m.traces
+				// This round's transcript is about as long as the last.
+				rp.next.traces = make([]cachedTrace, 0, len(m.traces))
 				switch {
 				case m.blocksKey != key:
 					// The §5.3 block plan moved; the transcript no

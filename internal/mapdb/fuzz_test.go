@@ -25,9 +25,11 @@ func (s *Snapshot) ownerLinear(a netx.Addr) (OwnerInfo, bool) {
 	return OwnerInfo{}, false
 }
 
+// linkLinear's zero near matches nothing: an unobserved near side is no
+// hop pair (see Snapshot.Link).
 func (s *Snapshot) linkLinear(near, far netx.Addr) (Link, bool) {
 	for _, l := range s.links {
-		if l.Near == near && l.Far == far {
+		if l.Near == near && l.Far == far && !near.IsZero() {
 			return l, true
 		}
 	}
@@ -85,6 +87,8 @@ func FuzzLookup(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 3, 9, 4}, uint32(0x0a000001))
 	f.Add([]byte{2, 1, 2, 3, 9, 4, 0, 7, 0, 2, 1, 3}, uint32(0x0a000102))
 	f.Add([]byte{0, 9, 9, 1, 1, 1, 1, 9, 9, 2, 2, 2, 3, 255, 255, 7, 0, 0}, uint32(0xffffffff))
+	// two unobserved-near silent links to different ASes: no hop pair
+	f.Add([]byte{2, 0, 0, 3, 15, 4, 3, 0, 0, 5, 9, 4}, uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, probeRaw uint32) {
 		s := Compile(64500, decodeResults(data))
@@ -213,17 +217,19 @@ func FuzzReadSegment(f *testing.F) {
 
 // decodeResults turns fuzz bytes into per-VP inference results: 6-byte
 // records, each one router of up to two addresses and optionally the link
-// across it. Addresses, ASes and heuristics are drawn from deliberately
-// small spaces so two independently decoded sets collide — the same hop
-// pair relabeled, the same address re-owned or dropped — instead of being
-// disjoint.
+// across it (a zero near octet is a near side never observed). Addresses,
+// ASes and heuristics are drawn from deliberately small spaces so two
+// independently decoded sets collide — the same hop pair relabeled, the
+// same address re-owned or dropped — instead of being disjoint.
 func decodeResults(data []byte) []*core.Result {
 	heurs := []core.Heuristic{"", core.HeurHostNetwork, core.HeurRelationship, core.HeurSilent}
 	results := []*core.Result{{VPName: "east"}, {VPName: "west"}}
 	for n := 0; len(data) >= 6 && n < 256; n, data = n+1, data[6:] {
 		res := results[data[0]&1]
-		near := netx.AddrFromOctets(10, 0, 0, data[1])
-		var far netx.Addr
+		var near, far netx.Addr // near zero: a near side never observed
+		if data[1] != 0 {
+			near = netx.AddrFromOctets(10, 0, 0, data[1])
+		}
 		rn := &core.RouterNode{
 			ID: n, Addrs: []netx.Addr{near},
 			Owner:     topo.ASN(data[3] % 8), // 0: unattributed, left out of the owner table

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
@@ -23,22 +26,56 @@ import (
 // (mapdb.http.errors), and a shared latency histogram
 // (mapdb.http.latency_us) that surfaces on bdrmapd's /metrics.
 
-// apiError is the wire shape of one structured error.
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+// The hot replies — owner, link, neighbors, gen and every error — are
+// appended, not reflected: each is rendered with strconv into one pooled
+// buffer and sent with a single Write, allocation-free. The bytes are
+// exactly what json.Encoder writes for the same shapes (indented two spaces
+// for replies, compact for errors, a trailing newline, HTML escaping),
+// which the package's tests hold them to. The cold endpoints (status,
+// fleet, diff, watch) keep encoding/json.
 
-type errorBody struct {
-	Error apiError `json:"error"`
+// jsonContentType is the Content-Type every JSON reply shares.
+var jsonContentType = []string{"application/json"}
+
+// replyBufs recycles reply buffers; one grown past maxPooledReply (a huge
+// neighbors reply) is left to the collector rather than kept alive.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 64 << 10
+
+// sendJSON writes the reply render appends to a pooled buffer as the whole
+// JSON body, with status, in one Write.
+func sendJSON(w http.ResponseWriter, status int, render func([]byte) []byte) {
+	bp := replyBufs.Get().(*[]byte)
+	b := render((*bp)[:0])
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledReply {
+		*bp = b
+		replyBufs.Put(bp)
+	}
 }
 
 // WriteError writes a structured JSON error: a machine-readable code plus
 // a human-readable message, replacing bare http.Error text bodies.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: apiError{Code: code, Message: msg}})
+	sendJSON(w, status, func(b []byte) []byte { return appendError(b, code, msg) })
+}
+
+// writeMiss writes the 404 for a key generation gen does not hold. Its
+// message is msg, which the caller builds in a stack buffer with room to
+// spare, and " generation gen".
+func writeMiss(w http.ResponseWriter, code string, msg []byte, gen int) {
+	msg = strconv.AppendInt(append(msg, " generation "...), int64(gen), 10)
+	sendJSON(w, http.StatusNotFound, func(b []byte) []byte { return appendError(b, code, msg) })
+}
+
+// appendError appends the error body {"error":{"code","message"}}.
+func appendError[S string | []byte](b []byte, code string, msg S) []byte {
+	b = appendString(append(b, `{"error":{"code":`...), code)
+	b = appendString(append(b, `,"message":`...), msg)
+	return append(b, "}}\n"...)
 }
 
 // NotFoundHandler returns structured JSON 404s for unmatched paths, so a
@@ -49,28 +86,168 @@ func NotFoundHandler() http.Handler {
 	})
 }
 
-// linkJSON is the wire shape of one served link.
-type linkJSON struct {
-	Near      string `json:"near"`
-	Far       string `json:"far"`
-	FarAS     uint32 `json:"far_as"`
-	Heuristic string `json:"heuristic,omitempty"`
+// indents is a newline and the two-space indent of up to six levels.
+const indents = "\n            "
+
+// member starts the next member (name non-empty) or array element (name
+// empty) at depth d: the comma after a previous one, the newline and
+// indent, and the quoted name.
+func member(b []byte, d int, name string) []byte {
+	if c := b[len(b)-1]; c != '{' && c != '[' {
+		b = append(b, ',')
+	}
+	b = append(b, indents[:1+2*d]...)
+	if name == "" {
+		return b
+	}
+	return append(append(append(b, '"'), name...), `": `...)
 }
 
-func toLinkJSON(l Link) linkJSON {
-	far := l.Far.String()
-	if l.Far.IsZero() {
-		far = "silent"
+// closing closes an object or array opened at depth d on a line of its
+// own; an empty one closes right after its opener, as {} or [].
+func closing(b []byte, d int, c byte) []byte {
+	if o := b[len(b)-1]; o != '{' && o != '[' {
+		b = append(b, indents[:1+2*d]...)
 	}
-	return linkJSON{Near: l.Near.String(), Far: far, FarAS: uint32(l.FarAS), Heuristic: l.Heuristic}
+	return append(b, c)
 }
 
-func toLinksJSON(ls []Link) []linkJSON {
-	out := make([]linkJSON, len(ls))
-	for i, l := range ls {
-		out[i] = toLinkJSON(l)
+func appendAddr(b []byte, a netx.Addr) []byte {
+	return append(a.AppendTo(append(b, '"')), '"')
+}
+
+// appendString appends s as a JSON string, escaped as encoding/json does
+// by default: quote, backslash, control bytes, <, > and &, U+2028 and
+// U+2029, and each byte of invalid UTF-8 as \ufffd.
+func appendString[S string | []byte](b []byte, s S) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		n := min(len(s)-i, utf8.UTFMax)
+		r, size := utf8.DecodeRuneInString(string(s[i : i+n]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
 	}
-	return out
+	return append(append(b, s[start:]...), '"')
+}
+
+// appendLink appends l as an object opened at depth d, the read API's
+// wire shape: a silent far side is spelled "silent" and an empty
+// heuristic is omitted.
+func appendLink(b []byte, l Link, d int) []byte {
+	b = appendAddr(member(append(b, '{'), d+1, "near"), l.Near)
+	if b = member(b, d+1, "far"); l.Far.IsZero() {
+		b = append(b, `"silent"`...)
+	} else {
+		b = appendAddr(b, l.Far)
+	}
+	b = strconv.AppendUint(member(b, d+1, "far_as"), uint64(l.FarAS), 10)
+	if l.Heuristic != "" {
+		b = appendString(member(b, d+1, "heuristic"), l.Heuristic)
+	}
+	return closing(b, d, '}')
+}
+
+// appendLinks appends ls as an array of links opened at depth d.
+func appendLinks(b []byte, ls []Link, d int) []byte {
+	b = append(b, '[')
+	for _, l := range ls {
+		b = appendLink(member(b, d+1, ""), l, d+1)
+	}
+	return closing(b, d, ']')
+}
+
+// linksJSON carries /v1/diff's link lists through encoding/json in the
+// read API's wire shape; the encoder compacts and re-indents what
+// appendLinks writes.
+type linksJSON []Link
+
+func (ls linksJSON) MarshalJSON() ([]byte, error) { return appendLinks(nil, ls, 0), nil }
+
+func appendOwnerReply(b []byte, gen int, ip netx.Addr, o OwnerInfo) []byte {
+	b = strconv.AppendInt(member(append(b, '{'), 1, "gen"), int64(gen), 10)
+	b = appendAddr(member(b, 1, "ip"), ip)
+	b = strconv.AppendUint(member(b, 1, "as"), uint64(o.AS), 10)
+	b = appendString(member(b, 1, "heuristic"), o.Heuristic)
+	b = strconv.AppendBool(member(b, 1, "host"), o.Host)
+	b = strconv.AppendInt(member(b, 1, "hop_dist"), int64(o.HopDist), 10)
+	return append(closing(b, 0, '}'), '\n')
+}
+
+func appendLinkReply(b []byte, gen int, l Link) []byte {
+	b = strconv.AppendInt(member(append(b, '{'), 1, "gen"), int64(gen), 10)
+	b = appendLink(member(b, 1, "link"), l, 1)
+	return append(closing(b, 0, '}'), '\n')
+}
+
+func appendNeighborsReply(b []byte, gen int, as topo.ASN, ls []Link) []byte {
+	b = strconv.AppendInt(member(append(b, '{'), 1, "gen"), int64(gen), 10)
+	b = strconv.AppendUint(member(b, 1, "as"), uint64(as), 10)
+	b = strconv.AppendInt(member(b, 1, "count"), int64(len(ls)), 10)
+	b = appendLinks(member(b, 1, "links"), ls, 1)
+	return append(closing(b, 0, '}'), '\n')
+}
+
+// appendGenReply appends /v1/gen's summary of s; gens lists the retained
+// generations. Nil VPs are null, as encoding/json writes them; gens is
+// never nil.
+func appendGenReply(b []byte, s *Snapshot, gens []int) []byte {
+	b = strconv.AppendInt(member(append(b, '{'), 1, "gen"), int64(s.Gen()), 10)
+	b = strconv.AppendUint(member(b, 1, "host_as"), uint64(s.HostASN()), 10)
+	if b = member(b, 1, "vps"); s.VPs() == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for _, vp := range s.VPs() {
+			b = appendString(member(b, 2, ""), vp)
+		}
+		b = closing(b, 1, ']')
+	}
+	b = strconv.AppendInt(member(b, 1, "links"), int64(s.NumLinks()), 10)
+	b = strconv.AppendInt(member(b, 1, "neighbors"), int64(s.NumNeighbors()), 10)
+	b = strconv.AppendInt(member(b, 1, "owners"), int64(s.NumOwners()), 10)
+	b = append(member(b, 1, "generations"), '[')
+	for _, g := range gens {
+		b = strconv.AppendInt(member(b, 2, ""), int64(g), 10)
+	}
+	return append(closing(closing(b, 1, ']'), 0, '}'), '\n')
 }
 
 // latencyEdgesUS are the query-latency histogram bucket edges in
@@ -186,8 +363,9 @@ func (a *api) snapshot(w http.ResponseWriter) (*Snapshot, bool) {
 	return s, true
 }
 
+// writeJSON writes a cold endpoint's reply through encoding/json.
 func writeJSON(w http.ResponseWriter, v any) bool {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
@@ -199,23 +377,14 @@ func (a *api) handleGen(w http.ResponseWriter, r *http.Request) bool {
 	if !ok {
 		return false
 	}
-	return writeJSON(w, struct {
-		Gen         int      `json:"gen"`
-		HostAS      uint32   `json:"host_as"`
-		VPs         []string `json:"vps"`
-		Links       int      `json:"links"`
-		Neighbors   int      `json:"neighbors"`
-		Owners      int      `json:"owners"`
-		Generations []int    `json:"generations"`
-	}{
-		Gen: s.Gen(), HostAS: uint32(s.HostASN()), VPs: s.VPs(),
-		Links: s.NumLinks(), Neighbors: len(s.NeighborASes()),
-		Owners: s.NumOwners(), Generations: a.store.Generations(),
-	})
+	var buf [DefaultHistory]int
+	gens := a.store.appendGenerations(buf[:0])
+	sendJSON(w, http.StatusOK, func(b []byte) []byte { return appendGenReply(b, s, gens) })
+	return true
 }
 
 func (a *api) handleOwner(w http.ResponseWriter, r *http.Request) bool {
-	addr, ok := parseAddrParam(w, r, "ip", true)
+	addr, ok := parseAddrParam(w, r.URL.RawQuery, "ip", true)
 	if !ok {
 		return false
 	}
@@ -225,26 +394,21 @@ func (a *api) handleOwner(w http.ResponseWriter, r *http.Request) bool {
 	}
 	o, found := s.Owner(addr)
 	if !found {
-		WriteError(w, http.StatusNotFound, "unknown_interface",
-			addr.String()+" was not observed in any trace of generation "+strconv.Itoa(s.Gen()))
+		var m [96]byte
+		writeMiss(w, "unknown_interface", append(addr.AppendTo(m[:0]), " was not observed in any trace of"...), s.Gen())
 		return false
 	}
-	return writeJSON(w, struct {
-		Gen       int    `json:"gen"`
-		IP        string `json:"ip"`
-		AS        uint32 `json:"as"`
-		Heuristic string `json:"heuristic"`
-		Host      bool   `json:"host"`
-		HopDist   int    `json:"hop_dist"`
-	}{s.Gen(), addr.String(), uint32(o.AS), o.Heuristic, o.Host, o.HopDist})
+	sendJSON(w, http.StatusOK, func(b []byte) []byte { return appendOwnerReply(b, s.Gen(), addr, o) })
+	return true
 }
 
 func (a *api) handleLink(w http.ResponseWriter, r *http.Request) bool {
-	near, ok := parseAddrParam(w, r, "near", true)
+	q := r.URL.RawQuery
+	near, ok := parseAddrParam(w, q, "near", true)
 	if !ok {
 		return false
 	}
-	far, ok := parseAddrParam(w, r, "far", false)
+	far, ok := parseAddrParam(w, q, "far", false)
 	if !ok {
 		return false
 	}
@@ -254,18 +418,16 @@ func (a *api) handleLink(w http.ResponseWriter, r *http.Request) bool {
 	}
 	l, found := s.Link(near, far)
 	if !found {
-		WriteError(w, http.StatusNotFound, "not_a_border",
-			"no inferred interdomain link on that hop pair in generation "+strconv.Itoa(s.Gen()))
+		var m [96]byte
+		writeMiss(w, "not_a_border", append(m[:0], "no inferred interdomain link on that hop pair in"...), s.Gen())
 		return false
 	}
-	return writeJSON(w, struct {
-		Gen  int      `json:"gen"`
-		Link linkJSON `json:"link"`
-	}{s.Gen(), toLinkJSON(l)})
+	sendJSON(w, http.StatusOK, func(b []byte) []byte { return appendLinkReply(b, s.Gen(), l) })
+	return true
 }
 
 func (a *api) handleNeighbors(w http.ResponseWriter, r *http.Request) bool {
-	asn, ok := parseASNParam(w, r, "as")
+	asn, ok := parseASNParam(w, r.URL.RawQuery, "as")
 	if !ok {
 		return false
 	}
@@ -273,26 +435,24 @@ func (a *api) handleNeighbors(w http.ResponseWriter, r *http.Request) bool {
 	if !ok {
 		return false
 	}
-	links := s.Neighbors(asn)
-	if len(links) == 0 {
-		WriteError(w, http.StatusNotFound, "unknown_neighbor",
-			asn.String()+" has no inferred link in generation "+strconv.Itoa(s.Gen()))
+	lo, hi := s.neighborSpan(asn)
+	if lo == hi {
+		var m [96]byte
+		as := strconv.AppendUint(append(m[:0], "AS"...), uint64(asn), 10)
+		writeMiss(w, "unknown_neighbor", append(as, " has no inferred link in"...), s.Gen())
 		return false
 	}
-	return writeJSON(w, struct {
-		Gen   int        `json:"gen"`
-		AS    uint32     `json:"as"`
-		Count int        `json:"count"`
-		Links []linkJSON `json:"links"`
-	}{s.Gen(), uint32(asn), len(links), toLinksJSON(links)})
+	sendJSON(w, http.StatusOK, func(b []byte) []byte { return appendNeighborsReply(b, s.Gen(), asn, s.links[lo:hi]) })
+	return true
 }
 
 func (a *api) handleDiff(w http.ResponseWriter, r *http.Request) bool {
-	from, ok := parseIntParam(w, r, "from")
+	q := r.URL.RawQuery
+	from, ok := parseIntParam(w, q, "from")
 	if !ok {
 		return false
 	}
-	to, ok := parseIntParam(w, r, "to")
+	to, ok := parseIntParam(w, q, "to")
 	if !ok {
 		return false
 	}
@@ -317,16 +477,16 @@ func (a *api) handleDiff(w http.ResponseWriter, r *http.Request) bool {
 		changes[i].To = uint32(c.To)
 	}
 	return writeJSON(w, struct {
-		From             int        `json:"from"`
-		To               int        `json:"to"`
-		Added            []linkJSON `json:"added"`
-		Removed          []linkJSON `json:"removed"`
-		NeighborsAdded   []uint32   `json:"neighbors_added"`
-		NeighborsRemoved []uint32   `json:"neighbors_removed"`
-		OwnerChanges     any        `json:"owner_changes"`
+		From             int       `json:"from"`
+		To               int       `json:"to"`
+		Added            linksJSON `json:"added"`
+		Removed          linksJSON `json:"removed"`
+		NeighborsAdded   []uint32  `json:"neighbors_added"`
+		NeighborsRemoved []uint32  `json:"neighbors_removed"`
+		OwnerChanges     any       `json:"owner_changes"`
 	}{
 		From: d.From, To: d.To,
-		Added: toLinksJSON(d.Added), Removed: toLinksJSON(d.Removed),
+		Added: linksJSON(d.Added), Removed: linksJSON(d.Removed),
 		NeighborsAdded:   toASNsJSON(d.NeighborsAdded),
 		NeighborsRemoved: toASNsJSON(d.NeighborsRemoved),
 		OwnerChanges:     changes,
@@ -348,8 +508,8 @@ func (a *api) handleWatch(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	from := 0
-	if r.URL.Query().Get("from") != "" {
-		if from, ok = parseIntParam(w, r, "from"); !ok {
+	if q := r.URL.RawQuery; queryValue(q, "from") != "" {
+		if from, ok = parseIntParam(w, q, "from"); !ok {
 			return false
 		}
 	}
@@ -442,8 +602,8 @@ func (a *api) handleWatch(w http.ResponseWriter, r *http.Request) bool {
 // `?gen=G` serves any retained one.
 func (a *api) handleSegment(w http.ResponseWriter, r *http.Request) bool {
 	var s *Snapshot
-	if g := r.URL.Query().Get("gen"); g != "" {
-		gen, ok := parseIntParam(w, r, "gen")
+	if q := r.URL.RawQuery; queryValue(q, "gen") != "" {
+		gen, ok := parseIntParam(w, q, "gen")
 		if !ok {
 			return false
 		}
@@ -673,10 +833,33 @@ func toASNsJSON(as []topo.ASN) []uint32 {
 	return out
 }
 
-// parseAddrParam parses a dotted-quad query parameter. When required is
-// false, an absent parameter yields the zero address (silent-link query).
-func parseAddrParam(w http.ResponseWriter, r *http.Request, key string, required bool) (netx.Addr, bool) {
-	v := r.URL.Query().Get(key)
+// queryValue returns the first value of key in the raw query q, as
+// url.ParseQuery(q).Get(key) would, without building the url.Values: pairs
+// split on '&', '+' means space, and a pair holding a ';' or a bad escape
+// is skipped.
+func queryValue(q, key string) string {
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// parseAddrParam parses a dotted-quad parameter of the raw query q. When
+// required is false, an absent parameter yields the zero address
+// (silent-link query).
+func parseAddrParam(w http.ResponseWriter, q, key string, required bool) (netx.Addr, bool) {
+	v := queryValue(q, key)
 	if v == "" || v == "silent" {
 		if !required {
 			return 0, true
@@ -693,8 +876,8 @@ func parseAddrParam(w http.ResponseWriter, r *http.Request, key string, required
 }
 
 // parseASNParam parses an AS number, accepting both "65000" and "AS65000".
-func parseASNParam(w http.ResponseWriter, r *http.Request, key string) (topo.ASN, bool) {
-	v := r.URL.Query().Get(key)
+func parseASNParam(w http.ResponseWriter, q, key string) (topo.ASN, bool) {
+	v := queryValue(q, key)
 	if v == "" {
 		WriteError(w, http.StatusBadRequest, "missing_parameter", "query parameter "+key+" is required")
 		return 0, false
@@ -708,8 +891,8 @@ func parseASNParam(w http.ResponseWriter, r *http.Request, key string) (topo.ASN
 	return topo.ASN(n), true
 }
 
-func parseIntParam(w http.ResponseWriter, r *http.Request, key string) (int, bool) {
-	v := r.URL.Query().Get(key)
+func parseIntParam(w http.ResponseWriter, q, key string) (int, bool) {
+	v := queryValue(q, key)
 	if v == "" {
 		WriteError(w, http.StatusBadRequest, "missing_parameter", "query parameter "+key+" is required")
 		return 0, false

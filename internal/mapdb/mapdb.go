@@ -58,7 +58,7 @@ type OwnerInfo struct {
 // database: the observed near/far addresses (Far zero for silent
 // neighbors), the inferred far AS, and the heuristic that attributed it.
 // Its JSON form is the replication wire's: a silent link's far address is
-// "0.0.0.0" (the read API's "silent" spelling is linkJSON's, not this).
+// "0.0.0.0" (the read API's "silent" spelling is appendLink's, not this).
 type Link struct {
 	Near      netx.Addr `json:"near"`
 	Far       netx.Addr `json:"far"`
@@ -84,10 +84,10 @@ type Snapshot struct {
 
 	// The pair and neighbor indexes, derived from links by finishIndexes
 	// and nowhere else: sorted flat arrays, binary-searchable with zero
-	// allocations. pairKeys is sorted; on duplicate (near, far) keys the
-	// lowest link index (lowest FarAS) wins. nbAS lists the neighbor ASes
-	// ascending, and nbOff[i]:nbOff[i+1] is the span of nbAS[i]'s links in
-	// the (FarAS-major) sorted link slice.
+	// allocations. pairKeys is sorted and holds no zero near; on duplicate
+	// (near, far) keys the lowest link index (lowest FarAS) wins. nbAS
+	// lists the neighbor ASes ascending, and nbOff[i]:nbOff[i+1] is the
+	// span of nbAS[i]'s links in the (FarAS-major) sorted link slice.
 	pairKeys []uint64
 	pairVals []int32
 	nbAS     []topo.ASN
@@ -247,14 +247,18 @@ func (s *Snapshot) finishIndexes() {
 	// Pair index: (near, far) keys sorted for binary search. Links sort
 	// FarAS-major, so equal keys (same hop pair claimed for two far ASes)
 	// are not adjacent; sort by (key, link index) and keep the lowest
-	// index per key.
+	// index per key. A link whose near side was never observed (near zero)
+	// names no hop pair and stays out: unrelated unobserved links would
+	// otherwise collapse onto one key and answer for each other.
 	type kv struct {
 		k uint64
 		v int32
 	}
-	kvs := make([]kv, len(s.links))
+	kvs := make([]kv, 0, len(s.links))
 	for i, l := range s.links {
-		kvs[i] = kv{pairKey(l.Near, l.Far), int32(i)}
+		if !l.Near.IsZero() {
+			kvs = append(kvs, kv{pairKey(l.Near, l.Far), int32(i)})
+		}
 	}
 	slices.SortFunc(kvs, func(a, b kv) int {
 		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.v, b.v))
@@ -302,7 +306,9 @@ func (s *Snapshot) Owner(a netx.Addr) (OwnerInfo, bool) {
 }
 
 // Link resolves an observed (near, far) hop pair to its interdomain link.
-// A far of zero queries the silent link at near. Zero allocations.
+// A far of zero queries the silent link at near. A near of zero matches
+// nothing: a link whose near side was never observed is served by Links,
+// Neighbors and diffs, but is no hop pair. Zero allocations.
 func (s *Snapshot) Link(near, far netx.Addr) (Link, bool) {
 	if i, ok := slices.BinarySearch(s.pairKeys, pairKey(near, far)); ok {
 		return s.links[s.pairVals[i]], true

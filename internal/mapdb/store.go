@@ -288,14 +288,17 @@ func (st *Store) Generation(g int) (*Snapshot, bool) {
 }
 
 // Generations lists the retained generation numbers, ascending.
-func (st *Store) Generations() []int {
+func (st *Store) Generations() []int { return st.appendGenerations([]int{}) }
+
+// appendGenerations appends the retained generation numbers, ascending, to
+// dst: with room for them, /v1/gen lists them without allocating.
+func (st *Store) appendGenerations(dst []int) []int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]int, len(st.hist))
-	for i, s := range st.hist {
-		out[i] = s.gen
+	for _, s := range st.hist {
+		dst = append(dst, s.gen)
 	}
-	return out
+	return dst
 }
 
 // BadRangeError reports a structurally invalid diff request: a diff runs

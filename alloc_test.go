@@ -30,7 +30,7 @@ func vpInputs(t *testing.T, prof topo.Profile, vps int, ar *core.Arena, churn bo
 	measure := func() {
 		s := eval.BuildFromNetwork(n, 1)
 		for i := range vps {
-			s.RunVP(i, scamper.Config{Workers: 1}, core.Options{})
+			s.RunVP(i, scamper.Config{Workers: 1})
 			ins = append(ins, core.Input{
 				Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 				HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(),

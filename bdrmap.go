@@ -240,9 +240,6 @@ type Report struct {
 	// Validation compares against ground truth (§5.6): the fraction of
 	// inferred links whose existence and AS are correct.
 	Correct, Total int
-	// Metrics is the pipeline's observability snapshot taken when the
-	// report was assembled (cumulative over the world's runs so far).
-	Metrics Metrics
 
 	raw *core.Result
 }
@@ -268,16 +265,17 @@ func (r *Report) NeighborASes() []ASN {
 // Raw exposes the underlying inference result.
 func (r *Report) Raw() *core.Result { return r.raw }
 
-// Options tunes a mapping run: how many targets are probed at once, and
-// the two measurement ablations the paper evaluates. The inferred map is
-// identical for any worker count.
+// Options selects the two measurement ablations the paper evaluates. The
+// zero value is the paper's bdrmap.
 type Options struct {
-	// Workers parallelizes probing across target ASes (default 4).
-	Workers int
 	// DisableStopSet turns off the doubletree optimization (§5.3).
 	DisableStopSet bool
 	// DisableAlias skips alias resolution (exposes the fig. 13 errors).
 	DisableAlias bool
+}
+
+func (o Options) config() scamper.Config {
+	return scamper.Config{DisableStopSet: o.DisableStopSet, DisableAlias: o.DisableAlias}
 }
 
 // MapBorders measures from vantage point vp and infers the hosting
@@ -286,42 +284,22 @@ func (w *World) MapBorders(vp int) *Report {
 	return w.MapBordersOpts(vp, Options{})
 }
 
-// MapBordersOpts is MapBorders with tuning options.
+// MapBordersOpts is MapBorders with ablation options. A VP already mapped
+// with the same options is not measured again.
 func (w *World) MapBordersOpts(vp int, o Options) *Report {
-	cfg := scamper.Config{
-		Workers:        o.Workers,
-		DisableStopSet: o.DisableStopSet,
-		DisableAlias:   o.DisableAlias,
-	}
-	res := w.s.RunVP(vp, cfg, core.Options{})
-	return w.buildReport(res)
-}
-
-// RemoteOptions tunes a remote mapping run.
-type RemoteOptions struct {
-	// DisableStopSet turns off the doubletree optimization (§5.3).
-	DisableStopSet bool
-	// DisableAlias skips alias resolution (exposes the fig. 13 errors).
-	DisableAlias bool
-	// FaultSpec injects deterministic transport and probe faults into the
-	// remote session (comma-separated key=value syntax, e.g.
-	// "seed=11,drop=0.12,heal=40"; see internal/faults). Empty means a
-	// clean link.
-	FaultSpec string
+	return w.buildReport(w.s.RunVP(vp, o.config()))
 }
 
 // MapBordersRemote measures from vantage point vp over the §5.8
 // remote-control protocol: the probing agent runs behind a loopback TCP
-// session (optionally degraded by o.FaultSpec) and the hardened
-// controller retries, resumes, and — if the session is permanently lost —
-// degrades to a partial map. Probing is single-worker so that for a
-// fixed world seed and fault spec the report is deterministic.
-func (w *World) MapBordersRemote(vp int, o RemoteOptions) (*Report, error) {
-	cfg := scamper.Config{
-		DisableStopSet: o.DisableStopSet,
-		DisableAlias:   o.DisableAlias,
-	}
-	res, _, err := w.s.RunVPRemote(vp, cfg, core.Options{}, "127.0.0.1:0", o.FaultSpec)
+// session, degraded by faultSpec (comma-separated key=value syntax, e.g.
+// "seed=11,drop=0.12,heal=40"; see internal/faults; empty is a clean
+// link), and the hardened controller retries, resumes, and — if the
+// session is permanently lost — degrades to a partial map. The device's
+// one timeline is probed by one worker, so for a fixed world seed and
+// fault spec the report is deterministic.
+func (w *World) MapBordersRemote(vp int, o Options, faultSpec string) (*Report, error) {
+	res, _, err := w.s.RunVPRemote(vp, o.config(), "127.0.0.1:0", faultSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -353,42 +331,27 @@ func (w *World) buildReport(res *core.Result) *Report {
 		}
 		return rep.Links[i].NearAddr < rep.Links[j].NearAddr
 	})
-	rep.Metrics = w.Snapshot()
 	return rep
 }
 
-// FleetOptions tunes a coordinated multi-VP mapping run. The zero value
-// runs every VP locally on one worker in VP order — and produces exactly
-// the same map as any other worker count.
-type FleetOptions struct {
-	// Workers bounds how many vantage points measure concurrently
-	// (default 1). The merged map, per-VP reports, and trace/span
-	// fingerprints are byte-identical for any worker count.
-	Workers int
-}
-
-// MapAll runs MapBorders from every vantage point. It is the one-worker
-// case of MapAllFleet: a local fleet cannot fail.
+// MapAll runs MapBorders from every vantage point through the fleet
+// runner's one-worker schedule. Reports are indexed by VP.
 func (w *World) MapAll() []*Report {
-	reps, err := w.MapAllFleet(FleetOptions{})
-	if err != nil {
-		panic(fmt.Sprintf("bdrmap: MapAll: %v", err))
-	}
-	return reps
-}
-
-// MapAllFleet measures every vantage point through the fleet coordinator:
-// a bounded worker pool fed from one queue. Reports are indexed by VP.
-func (w *World) MapAllFleet(o FleetOptions) ([]*Report, error) {
-	results, err := w.s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: o.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Report, len(results))
-	for i, res := range results {
+	w.s.RunAll()
+	out := make([]*Report, len(w.s.Results))
+	for i, res := range w.s.Results {
 		out[i] = w.buildReport(res)
 	}
-	return out, nil
+	return out
+}
+
+// mapped returns vantage point vp's recorded result, mapping it with the
+// paper's parameters only if it was never mapped.
+func (w *World) mapped(vp int) *core.Result {
+	if res := w.s.Results[vp]; res != nil {
+		return res
+	}
+	return w.s.RunVP(vp, scamper.Config{})
 }
 
 // BuildMapDB measures from every vantage point (if not already done) and
@@ -407,15 +370,16 @@ func (w *World) MergedMap() *core.MergedMap {
 	return core.Merge(w.s.Results)
 }
 
-// Export writes one VP's traces and inferences as JSON Lines.
+// Export writes one VP's traces and inferences as JSON Lines: the run it
+// was last mapped with, or the paper's if it was never mapped.
 func (w *World) Export(vp int, out io.Writer) error {
-	w.MapBorders(vp)
+	res := w.mapped(vp)
 	x := export.NewWriter(out)
 	x.Meta(export.Meta{VPName: w.VPName(vp), HostASN: w.HostASN()})
 	for _, tr := range w.s.Datasets[vp].Traces {
 		x.Trace(tr)
 	}
-	x.Result(w.s.Results[vp])
+	x.Result(res)
 	return x.Flush()
 }
 
@@ -429,9 +393,8 @@ func (w *World) ExportMerged(out io.Writer) error {
 	return x.Flush()
 }
 
-// Table1 renders the paper's Table 1 for vantage point vp (which must
-// have been mapped already, or it is mapped now).
+// Table1 renders the paper's Table 1 for vantage point vp from the run it
+// was last mapped with, or the paper's if it was never mapped.
 func (w *World) Table1(vp int) string {
-	res := w.s.RunVP(vp, scamper.Config{}, core.Options{})
-	return eval.BuildTable1(w.s, res).Format()
+	return eval.BuildTable1(w.s, w.mapped(vp)).Format()
 }

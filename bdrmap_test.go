@@ -1,6 +1,9 @@
 package bdrmap
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestQuickstartFlow(t *testing.T) {
 	w := NewWorld(Tiny(), 1)
@@ -36,6 +39,52 @@ func TestMapBordersCached(t *testing.T) {
 	b := w.MapBorders(0)
 	if len(a.Links) != len(b.Links) {
 		t.Fatal("repeated mapping differs")
+	}
+}
+
+// TestRemapHonoursNewOptions: a VP is measured again when a run asks for
+// something else than its recorded run — other ablation options, or a
+// remote run after a local one — and the answer is a fresh world's.
+func TestRemapHonoursNewOptions(t *testing.T) {
+	noAlias := Options{DisableAlias: true}
+	w := NewWorld(Tiny(), 1)
+	base := w.MapBorders(0)
+	got := w.MapBordersOpts(0, noAlias)
+	if got.Raw() == base.Raw() {
+		t.Fatal("MapBordersOpts(DisableAlias) returned the VP's default run")
+	}
+	want := NewWorld(Tiny(), 1).MapBordersOpts(0, noAlias)
+	if gl, wl := goldenLinks(got), goldenLinks(want); !reflect.DeepEqual(gl, wl) {
+		t.Errorf("no-alias run after a default one: %d links, a fresh world's %d", len(gl), len(wl))
+	}
+	if again := w.MapBordersOpts(0, noAlias); again.Raw() != got.Raw() {
+		t.Error("the same options measured the VP again")
+	}
+
+	if _, err := w.MapBordersRemote(0, Options{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Snapshot().Counter("eval.vp_runs_remote"); n != 1 {
+		t.Errorf("MapBordersRemote after local runs opened %d remote sessions, want 1", n)
+	}
+}
+
+// TestRecordedRunIsReported: Table1 and Export report the run a VP was
+// last mapped with, measuring nothing, while MergedMap maps every VP with
+// the paper's parameters — after an ablated run it equals a fresh world's.
+func TestRecordedRunIsReported(t *testing.T) {
+	w := NewWorld(Tiny(), 1)
+	rep := w.MapBordersOpts(0, Options{DisableAlias: true})
+	runs := w.Snapshot().Counter("eval.vp_runs")
+	w.Table1(0)
+	if err := w.Export(0, &bytesBuffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Scenario().Results[0] != rep.Raw() || w.Snapshot().Counter("eval.vp_runs") != runs {
+		t.Error("Table1 or Export re-measured an already-mapped VP")
+	}
+	if got, want := w.MergedMap(), NewWorld(Tiny(), 1).MergedMap(); !reflect.DeepEqual(got, want) {
+		t.Errorf("MergedMap after an ablated run: %d links, a fresh world's %d", got.LinkCount(), want.LinkCount())
 	}
 }
 

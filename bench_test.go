@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -40,7 +39,7 @@ func once(b *testing.B, key, out string) {
 func benchTable1(b *testing.B, prof topo.Profile) {
 	for i := 0; i < b.N; i++ {
 		s := eval.Build(prof, 1)
-		res := s.RunVP(0, scamper.Config{}, core.Options{})
+		res := s.RunVP(0, scamper.Config{})
 		tbl := eval.BuildTable1(s, res)
 		once(b, "table1-"+prof.Name, tbl.Format())
 	}
@@ -58,7 +57,7 @@ func BenchmarkValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, prof := range profiles {
 			s := eval.Build(prof, 1)
-			res := s.RunVP(0, scamper.Config{}, core.Options{})
+			res := s.RunVP(0, scamper.Config{})
 			v := s.Validate(res)
 			found, total := s.Coverage(res)
 			out := ""
@@ -94,7 +93,7 @@ func multiVP() *eval.Scenario {
 		prof.NumCustomers = 60
 		prof.DistantPerTransit = 12
 		multiScen = eval.Build(prof, 1)
-		multiScen.RunAll(scamper.Config{})
+		multiScen.RunAll()
 	})
 	return multiScen
 }

@@ -58,7 +58,7 @@ func TestGoldenBordersRemote(t *testing.T) {
 			tc, seed := tc, seed
 			t.Run(fmt.Sprintf("%s-seed%d", tc.name, seed), func(t *testing.T) {
 				world := NewWorld(tc.prof, seed)
-				rep, err := world.MapBordersRemote(0, RemoteOptions{})
+				rep, err := world.MapBordersRemote(0, Options{}, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +113,7 @@ func TestChaosHealingReproducesGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			world := NewWorld(Tiny(), 1)
-			rep, err := world.MapBordersRemote(0, RemoteOptions{FaultSpec: tc.spec})
+			rep, err := world.MapBordersRemote(0, Options{}, tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestChaosHealingScenarios(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			world := NewWorld(tc.prof, 1)
-			rep, err := world.MapBordersRemote(0, RemoteOptions{FaultSpec: tc.spec})
+			rep, err := world.MapBordersRemote(0, Options{}, tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestChaosEarlyKillFailsFast(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		world := NewWorld(Tiny(), 1)
-		_, err := world.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=1,kill=1"})
+		_, err := world.MapBordersRemote(0, Options{}, "seed=1,kill=1")
 		errc <- err
 	}()
 	select {
@@ -228,7 +228,7 @@ func TestChaosPermanentLossTerminates(t *testing.T) {
 	go func() {
 		defer close(done)
 		world = NewWorld(Tiny(), 1)
-		rep, err = world.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=3,kill=30"})
+		rep, err = world.MapBordersRemote(0, Options{}, "seed=3,kill=30")
 	}()
 	select {
 	case <-done:

@@ -108,14 +108,11 @@ func main() {
 	fmt.Printf("profile=%s seed=%d host=%v vps=%d\n",
 		prof.Name, *seed, world.HostASN(), world.NumVPs())
 
+	o := bdrmap.Options{DisableAlias: *noAlias, DisableStopSet: *noStopSet}
 	var rep *bdrmap.Report
 	if *remote || *faultSpec != "" {
 		var err error
-		rep, err = world.MapBordersRemote(*vp, bdrmap.RemoteOptions{
-			DisableAlias:   *noAlias,
-			DisableStopSet: *noStopSet,
-			FaultSpec:      *faultSpec,
-		})
+		rep, err = world.MapBordersRemote(*vp, o, *faultSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -124,10 +121,7 @@ func main() {
 			fmt.Printf("remote session degraded: %d target(s) abandoned\n", lost)
 		}
 	} else {
-		rep = world.MapBordersOpts(*vp, bdrmap.Options{
-			DisableAlias:   *noAlias,
-			DisableStopSet: *noStopSet,
-		})
+		rep = world.MapBordersOpts(*vp, o)
 	}
 	fmt.Printf("vantage point %s: %d interdomain links, %d neighbor ASes (simulated run time %v)\n",
 		rep.VPName, len(rep.Links), len(rep.Neighbors),

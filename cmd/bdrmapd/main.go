@@ -97,13 +97,15 @@ func main() {
 	flag.Parse()
 
 	// A follower measures nothing: it needs a registry, the store and the
-	// mux, not a world. Every other mode builds one and reports into its
-	// registry and span log.
+	// mux, not a world. The round loop builds a world per round, so
+	// -rounds opens only the run's registry and span tree. The one-shot
+	// remote run builds its world and reports into the world's.
 	var (
 		prof  topo.Profile
 		s     *eval.Scenario
 		reg   *obs.Registry
 		spans *obs.SpanLog // nil on a follower: it has no run to time
+		root  *obs.OpenSpan
 	)
 	if *follow != "" {
 		if *spanOut != "" {
@@ -117,8 +119,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown profile %q\n", *profile)
 			os.Exit(2)
 		}
-		s = eval.Build(prof, *seed)
-		reg, spans = s.Obs, s.Spans
+		if *rounds > 0 {
+			reg, spans, root = eval.OpenRun(topo.GeneratedHostASN, *seed)
+		} else {
+			s = eval.Build(prof, *seed)
+			reg, spans = s.Obs, s.Spans
+		}
 	}
 	// The store exists before inference so the query API can come up
 	// immediately: /v1/* answers 503 no_generation until the first publish.
@@ -226,7 +232,7 @@ func main() {
 			Profile: prof, Seed: *seed, Rounds: *rounds,
 			FleetWorkers: *fleetWorkers, Incremental: *incremental,
 			Verify: *verify, Obs: reg,
-			Spans: spans, SpanParent: s.SpanRoot.ID(),
+			Spans: spans, SpanParent: root.ID(),
 		}, store)
 		if err != nil {
 			log.Fatal(err)
@@ -249,7 +255,7 @@ func main() {
 	// controller on -listen; all measurement state stays central. A
 	// permanently lost session degrades to a partial map rather than
 	// aborting: whatever was measured is still inferred.
-	res, dev, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, *addr, *faultSpec)
+	res, dev, err := s.RunVPRemote(0, scamper.Config{}, *addr, *faultSpec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"bdrmap/internal/eval"
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/obs"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -61,7 +60,7 @@ func TestMuxServesMapAndStructuredErrors(t *testing.T) {
 
 	// Publish a real inference round, as main does after core.Infer.
 	s := eval.Build(topo.TinyProfile(), 1)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	store.Publish(mapdb.Compile(s.Net.HostASN, []*core.Result{s.Results[0]}))
 
 	if code, body := get(t, mux, "/v1/gen"); code != http.StatusOK || body["gen"] != float64(1) {

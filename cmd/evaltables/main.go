@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
@@ -56,7 +55,7 @@ func main() {
 		fmt.Println("== Table 1 ==")
 		for _, prof := range []topo.Profile{topo.REProfile(), topo.LargeAccessProfile(), topo.Tier1Profile()} {
 			s := eval.Build(prof, *seed)
-			res := s.RunVP(0, scamper.Config{}, core.Options{})
+			res := s.RunVP(0, scamper.Config{})
 			fmt.Println(eval.BuildTable1(s, res).Format())
 		}
 	}
@@ -65,7 +64,7 @@ func main() {
 		for _, prof := range []topo.Profile{topo.REProfile(), topo.LargeAccessProfile(),
 			topo.Tier1Profile(), topo.SmallAccessProfile()} {
 			s := eval.Build(prof, *seed)
-			res := s.RunVP(0, scamper.Config{}, core.Options{})
+			res := s.RunVP(0, scamper.Config{})
 			v := s.Validate(res)
 			found, total := s.Coverage(res)
 			ixpOK, ixpTotal := s.ValidateIXP(res)
@@ -81,7 +80,7 @@ func main() {
 	if needMulti {
 		fmt.Println("(measuring from all 19 VPs of the large access network...)")
 		multi = eval.Build(topo.LargeAccessProfile(), *seed)
-		multi.RunAll(scamper.Config{})
+		multi.RunAll()
 	}
 	if *fig14 {
 		fmt.Println("== Figure 14 ==")

@@ -49,6 +49,20 @@ func ownerRows(rep *Report) []ownerRow {
 	return out
 }
 
+// mapFleet measures every VP of w on a workers-wide fleet and reports
+// each, indexed by VP.
+func mapFleet(w *World, workers int) ([]*Report, error) {
+	results, err := w.Scenario().RunFleet(scamper.Config{}, eval.FleetOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]*Report, len(results))
+	for i, res := range results {
+		reps[i] = w.buildReport(res)
+	}
+	return reps, nil
+}
+
 // diffReports asserts two runs of the same scenario produced byte-identical
 // maps: link sets, owner attributions, and trace fingerprints.
 func diffReports(t *testing.T, wantName, gotName string, want, got *Report, wantFP, gotFP string) {
@@ -108,7 +122,7 @@ func TestDifferentialSequentialVsFleet(t *testing.T) {
 			for _, workers := range []int{4, 8} {
 				t.Run(fmt.Sprintf("%s-seed%d-workers%d", tc.name, seed, workers), func(t *testing.T) {
 					flt := NewWorld(tc.prof, seed)
-					fltReps, err := flt.MapAllFleet(FleetOptions{Workers: workers})
+					fltReps, err := mapFleet(flt, workers)
 					if err != nil {
 						t.Fatal(err)
 					}

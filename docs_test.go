@@ -23,6 +23,8 @@ var (
 	// docName is pkg.Ident or pkg.Type.Member, optionally called:
 	// `core.Infer`, `core.Result.Intern`, `core.Infer(in)`.
 	docName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	// docFlag is a command-line flag: `-data-dir`.
+	docFlag = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
 )
 
 // resolveDocName reports whether pkg.name — or pkg.name.member — names
@@ -60,9 +62,11 @@ func resolveDocName(pkg *types.Package, name, member string) bool {
 // exist. Counter, stage and span names share the pkg.word shape
 // (`core.infer`, `mapdb.lookup.owner_ns`); they are all lower case, so a
 // span counts as a Go name only when the word after the package has an
-// upper-case letter. A name the docs keep as history on purpose goes in
-// testdata/docs_allow.txt with its reason; a listed name that resolves, or
-// that no document mentions, fails the test too.
+// upper-case letter. Every span that reads as a flag — `-name` — must be
+// one a command under cmd/ defines (cmdFlags). Metric names are not
+// checked. A name the docs keep as history on purpose, or a flag of
+// another tool, goes in testdata/docs_allow.txt with its reason; a listed
+// name that resolves, or that no document mentions, fails the test too.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -76,6 +80,11 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		if pkg.Name() != "main" {
 			byName[pkg.Name()] = append(byName[pkg.Name()], pkg)
 		}
+	}
+	flags := make(map[string]bool)
+	for name := range cmdFlags(m) {
+		_, flag, _ := strings.Cut(name, " ")
+		flags[flag] = true
 	}
 	top := make(map[string]bool)
 	entries, err := os.ReadDir(".")
@@ -102,6 +111,9 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				continue // a command line, a placeholder, a glob
 			}
 			bad := ""
+			if docFlag.MatchString(span) && !flags[span] {
+				bad = "no command under cmd/ defines this flag"
+			}
 			name := span
 			if first, _, isPath := strings.Cut(span, "/"); isPath && top[first] {
 				path := span

@@ -12,7 +12,7 @@ import (
 // owner attributions, the dataset's trace fingerprint and its run stats
 // (simulated duration included) — in any call order. The reference is
 // MapAll; against it run MapBorders called in VP order on one world,
-// MapBorders on a fresh world per VP, a four-worker MapAllFleet, and round
+// MapBorders on a fresh world per VP, a four-worker RunFleet, and round
 // 0 of a non-incremental RunRounds. The VP-ordered MapBorders world must
 // also end with MapAll's provenance trace.
 func TestEntryPointsAgree(t *testing.T) {
@@ -33,7 +33,7 @@ func TestEntryPointsAgree(t *testing.T) {
 
 			ordered := NewWorld(prof, 1)
 			fleet := NewWorld(prof, 1)
-			fleetReps, err := fleet.MapAllFleet(FleetOptions{Workers: 4})
+			fleetReps, err := mapFleet(fleet, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestEntryPointsAgree(t *testing.T) {
 				}{
 					{"MapBorders in VP order", ordered, ordered.MapBorders(vp)},
 					{"MapBorders on a fresh world", fresh, fresh.MapBorders(vp)},
-					{"MapAllFleet(Workers: 4)", fleet, fleetReps[vp]},
+					{"RunFleet(Workers: 4)", fleet, fleetReps[vp]},
 					{"RunRounds round 0", rounds, rounds.buildReport(rs.Results[vp])},
 				} {
 					if wl, gl := goldenLinks(want[vp]), goldenLinks(got.rep); !reflect.DeepEqual(wl, gl) {

@@ -11,7 +11,6 @@ import (
 
 	"bdrmap"
 	"bdrmap/internal/eval"
-	"bdrmap/internal/scamper"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 	world := bdrmap.NewWorld(prof, 1)
 	fmt.Printf("measuring %v from %d vantage points...\n", world.HostASN(), world.NumVPs())
 	s := world.Scenario()
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 
 	f := eval.BuildFigure14(s)
 	fmt.Println()

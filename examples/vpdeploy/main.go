@@ -11,7 +11,6 @@ import (
 
 	"bdrmap"
 	"bdrmap/internal/eval"
-	"bdrmap/internal/scamper"
 )
 
 func main() {
@@ -22,7 +21,7 @@ func main() {
 	world := bdrmap.NewWorld(prof, 1)
 	s := world.Scenario()
 	fmt.Printf("deploying %d VPs across %v...\n\n", world.NumVPs(), world.HostASN())
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 
 	f15 := eval.BuildFigure15(s)
 	fmt.Println(f15.Format())

@@ -12,7 +12,6 @@ import (
 
 	"bdrmap/internal/eval"
 	"bdrmap/internal/mapdb"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -20,7 +19,7 @@ import (
 // state: inputs re-derived from scratch, every VP on a fresh engine.
 func measure(n *topo.Network) *mapdb.Snapshot {
 	s := eval.BuildFromNetwork(n, 1)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	return mapdb.Compile(n.HostASN, s.Results)
 }
 

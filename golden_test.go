@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bdrmap/internal/goldenguard"
+	"bdrmap/internal/scamper"
 )
 
 // update rewrites the golden files instead of comparing against them:
@@ -129,7 +130,7 @@ func TestTopologyInvariantUnderWorkers(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			serialize := func(workers int) []byte {
 				world := NewWorld(p.prof, 1)
-				world.MapBordersOpts(0, Options{Workers: workers})
+				world.Scenario().RunVP(0, scamper.Config{Workers: workers})
 				var buf bytes.Buffer
 				if err := world.SaveWorld(&buf); err != nil {
 					t.Fatal(err)

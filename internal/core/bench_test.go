@@ -21,7 +21,7 @@ func BenchmarkInferLargeAccess(b *testing.B) {
 	var ar core.Arena
 	ins := make([]core.Input, prof.NumVPs)
 	for i := range ins {
-		s.RunVP(i, scamper.Config{}, core.Options{})
+		s.RunVP(i, scamper.Config{})
 		ins[i] = core.Input{
 			Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 			HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: &ar, Trace: obs.NewTracer(),

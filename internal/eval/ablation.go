@@ -22,19 +22,18 @@ func (ss StopSetSavings) SavedFrac() float64 {
 	return 1 - float64(ss.PacketsWith)/float64(ss.PacketsWithout)
 }
 
-// vp0 builds a fresh (prof, seed) scenario, runs its first vantage point on
-// one worker — cfg and opts carry the one thing a caller varies — and
-// validates the result against ground truth.
-func vp0(prof topo.Profile, seed int64, cfg scamper.Config, opts core.Options) (*Scenario, Validation) {
+// vp0 builds a fresh (prof, seed) scenario, runs its first vantage point —
+// cfg carries the one thing a caller varies — and validates the result
+// against ground truth.
+func vp0(prof topo.Profile, seed int64, cfg scamper.Config) (*Scenario, Validation) {
 	s := Build(prof, seed)
-	cfg.Workers = 1
-	return s, s.Validate(s.RunVP(0, cfg, opts))
+	return s, s.Validate(s.RunVP(0, cfg))
 }
 
 // MeasureStopSet runs the driver twice on fresh scenarios.
 func MeasureStopSet(prof topo.Profile, seed int64) StopSetSavings {
-	with, _ := vp0(prof, seed, scamper.Config{}, core.Options{})
-	without, _ := vp0(prof, seed, scamper.Config{DisableStopSet: true}, core.Options{})
+	with, _ := vp0(prof, seed, scamper.Config{})
+	without, _ := vp0(prof, seed, scamper.Config{DisableStopSet: true})
 	return StopSetSavings{
 		PacketsWith:    with.Obs.Counter("probe.packets_sent").Load(),
 		PacketsWithout: without.Obs.Counter("probe.packets_sent").Load(),
@@ -52,8 +51,8 @@ type Ablation struct {
 // AblationNoAlias measures figure 13's failure mode: without alias
 // resolution, unmerged host interfaces masquerade as neighbor routers.
 func AblationNoAlias(prof topo.Profile, seed int64) Ablation {
-	_, vb := vp0(prof, seed, scamper.Config{}, core.Options{})
-	_, vv := vp0(prof, seed, scamper.Config{DisableAlias: true}, core.Options{})
+	_, vb := vp0(prof, seed, scamper.Config{})
+	_, vv := vp0(prof, seed, scamper.Config{DisableAlias: true})
 	return Ablation{
 		Name:    "no-alias-resolution",
 		BaseAcc: vb.Accuracy(), VariantAcc: vv.Accuracy(),
@@ -64,7 +63,7 @@ func AblationNoAlias(prof topo.Profile, seed int64) Ablation {
 // AblationNoThirdParty disables §5.4.5 third-party detection. Inference
 // reruns on the same dataset (the heuristics are pure given measurements).
 func AblationNoThirdParty(prof topo.Profile, seed int64) Ablation {
-	s, vb := vp0(prof, seed, scamper.Config{}, core.Options{})
+	s, vb := vp0(prof, seed, scamper.Config{})
 	variantRes := core.Infer(core.Input{
 		Data: s.Datasets[0], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs,
@@ -81,8 +80,8 @@ func AblationNoThirdParty(prof topo.Profile, seed int64) Ablation {
 // AblationSingleAddr probes one address per block instead of up to five
 // (§5.3's retry rule).
 func AblationSingleAddr(prof topo.Profile, seed int64) Ablation {
-	_, vb := vp0(prof, seed, scamper.Config{}, core.Options{})
-	_, vv := vp0(prof, seed, scamper.Config{MaxAddrsPerBlock: 1}, core.Options{})
+	_, vb := vp0(prof, seed, scamper.Config{})
+	_, vv := vp0(prof, seed, scamper.Config{MaxAddrsPerBlock: 1})
 	return Ablation{
 		Name:    "single-address-per-block",
 		BaseAcc: vb.Accuracy(), VariantAcc: vv.Accuracy(),
@@ -103,7 +102,7 @@ type AliasAblation struct {
 func MeasureAllyRounds(prof topo.Profile, seed int64) AliasAblation {
 	var out AliasAblation
 	measure := func(rounds int) (pos, falsePos int) {
-		s, _ := vp0(prof, seed, scamper.Config{AliasCfg: alias.Config{AllyRounds: rounds}}, core.Options{})
+		s, _ := vp0(prof, seed, scamper.Config{AliasCfg: alias.Config{AllyRounds: rounds}})
 		for _, pair := range s.Datasets[0].Resolver.Positives() {
 			pos++
 			ra := s.Net.RouterByAddr(pair[0])

@@ -10,7 +10,7 @@ import (
 
 func TestTable1Tiny(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
-	res := s.RunVP(0, scamper.Config{Workers: 1}, core.Options{})
+	res := s.RunVP(0, scamper.Config{Workers: 1})
 	tbl := BuildTable1(s, res)
 	if tbl.ObservedBGP[classCust] == 0 {
 		t.Fatal("no BGP customers observed")
@@ -30,7 +30,7 @@ func TestTable1ShapeRE(t *testing.T) {
 		t.Skip("profile run in -short mode")
 	}
 	s := Build(topo.REProfile(), 1)
-	res := s.RunVP(0, scamper.Config{}, core.Options{})
+	res := s.RunVP(0, scamper.Config{})
 	tbl := BuildTable1(s, res)
 	t.Logf("\n%s", tbl.Format())
 
@@ -56,7 +56,7 @@ func TestTable1ShapeLargeAccess(t *testing.T) {
 		t.Skip("profile run in -short mode")
 	}
 	s := Build(topo.LargeAccessProfile(), 1)
-	res := s.RunVP(0, scamper.Config{}, core.Options{})
+	res := s.RunVP(0, scamper.Config{})
 	tbl := BuildTable1(s, res)
 	t.Logf("\n%s", tbl.Format())
 	// Paper shape (large access column): firewall dominates customers;
@@ -83,7 +83,7 @@ func TestValidationBandsAllProfiles(t *testing.T) {
 	}
 	for _, prof := range []topo.Profile{topo.REProfile(), topo.SmallAccessProfile()} {
 		s := Build(prof, 1)
-		res := s.RunVP(0, scamper.Config{}, core.Options{})
+		res := s.RunVP(0, scamper.Config{})
 		v := s.Validate(res)
 		t.Logf("%s: %d/%d = %.3f", prof.Name, v.Correct, v.Total, v.Accuracy())
 		if v.Accuracy() < 0.955 {
@@ -103,7 +103,7 @@ func TestFigure14Shape(t *testing.T) {
 	prof.DistantPerTransit = 15
 	prof.NumVPs = 8
 	s := Build(prof, 1)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	f := BuildFigure14(s)
 	if f.Prefixes == 0 {
 		t.Fatal("no prefixes measured")
@@ -131,7 +131,7 @@ func TestFigure15Shape(t *testing.T) {
 	prof.NumCustomers = 40
 	prof.DistantPerTransit = 10
 	s := Build(prof, 1)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	f := BuildFigure15(s)
 	t.Logf("\n%s", f.Format())
 
@@ -169,7 +169,7 @@ func TestFigure16Shape(t *testing.T) {
 	prof.NumCustomers = 40
 	prof.DistantPerTransit = 10
 	s := Build(prof, 1)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	f := BuildFigure16(s)
 	t.Logf("\n%s", f.Format())
 	var level3 *Fig16Network
@@ -211,7 +211,7 @@ func TestValidateIXPAgainstPublishedData(t *testing.T) {
 	// The R&E profile has three IXPs with route-server peers: the §5.6
 	// IXP-data validation channel must find and confirm them.
 	s := Build(topo.REProfile(), 1)
-	res := s.RunVP(0, scamper.Config{}, core.Options{})
+	res := s.RunVP(0, scamper.Config{})
 	ok, total := s.ValidateIXP(res)
 	t.Logf("ixp-published validation: %d/%d", ok, total)
 	if total == 0 {
@@ -297,7 +297,7 @@ func TestMeasureAllyRounds(t *testing.T) {
 // session forms.
 func TestRunVPRemoteRejectsBadFaultSpec(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
-	if _, _, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, "127.0.0.1:0", "drop"); err == nil {
+	if _, _, err := s.RunVPRemote(0, scamper.Config{}, "127.0.0.1:0", "drop"); err == nil {
 		t.Fatalf("RunVPRemote accepted fault spec %q", "drop")
 	}
 	if runs := s.Obs.Counter("eval.vp_runs_remote").Load(); runs != 0 {
@@ -313,7 +313,7 @@ func TestRunVPRemoteRejectsBadFaultSpec(t *testing.T) {
 // any session forms.
 func TestRunVPRemoteRejectsState(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
-	if _, _, err := s.RunVPRemote(0, scamper.Config{State: scamper.NewRoundState()}, core.Options{}, "127.0.0.1:0", ""); err == nil {
+	if _, _, err := s.RunVPRemote(0, scamper.Config{State: scamper.NewRoundState()}, "127.0.0.1:0", ""); err == nil {
 		t.Fatal("RunVPRemote accepted a cross-round state")
 	}
 	if runs := s.Obs.Counter("eval.vp_runs_remote").Load(); runs != 0 {
@@ -324,19 +324,28 @@ func TestRunVPRemoteRejectsState(t *testing.T) {
 	}
 }
 
-// TestRunVPRemoteMemoized: an already-mapped VP is returned as is by every
-// entry point — RunVPRemote must not re-measure and overwrite it.
+// TestRunVPRemoteMemoized: a VP is measured again only when a run asks for
+// something else. RunVPRemote after a local RunVP is another run and opens
+// a session; a second RunVPRemote with the same fault spec returns the
+// recorded result and opens none.
 func TestRunVPRemoteMemoized(t *testing.T) {
 	s := Build(topo.TinyProfile(), 1)
-	want := s.RunVP(0, scamper.Config{}, core.Options{})
-	got, _, err := s.RunVPRemote(0, scamper.Config{}, core.Options{}, "127.0.0.1:0", "")
+	local := s.RunVP(0, scamper.Config{})
+	remote, _, err := s.RunVPRemote(0, scamper.Config{}, "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Error("RunVPRemote re-measured an already-mapped VP")
+	if remote == local {
+		t.Error("RunVPRemote returned the local run it was not asked for")
 	}
-	if n := s.Obs.Counter("eval.vp_runs_remote").Load(); n != 0 {
-		t.Errorf("eval.vp_runs_remote = %d, want 0", n)
+	again, _, err := s.RunVPRemote(0, scamper.Config{}, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != remote {
+		t.Error("RunVPRemote re-measured a VP already mapped by the same remote run")
+	}
+	if n := s.Obs.Counter("eval.vp_runs_remote").Load(); n != 1 {
+		t.Errorf("eval.vp_runs_remote = %d, want 1", n)
 	}
 }

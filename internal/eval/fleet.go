@@ -79,9 +79,9 @@ func (c *Carry) workerArenas(workers int) []*core.Arena {
 }
 
 // RunFleet measures every VP across the worker pool and fills
-// Datasets/Results like RunAll, returning the per-VP results. Already-run
-// VPs (memoized Results) are reported without re-measuring. Its error is
-// only for an invalid Order, and then nothing is run or recorded.
+// Datasets/Results like RunAll, returning the per-VP results. A VP already
+// recorded from the same run is reported without re-measuring. Its error
+// is only for an invalid Order, and then nothing is run or recorded.
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result, error) {
 	n := len(s.Net.VPs)
 	order := fo.Order
@@ -124,6 +124,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	// so every index has exactly one writer.
 	traces := make([]*obs.Tracer, n)
 	spans := make([]*obs.SpanLog, n)
+	made := make([]run, n)
 	datasets := make([]*scamper.Dataset, n)
 	results := make([]*core.Result, n)
 	var wg sync.WaitGroup
@@ -149,6 +150,7 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 				if fo.Carry != nil && fo.Carry.states != nil {
 					sh.cfg.State = fo.Carry.states[i]
 				}
+				made[i] = sh.run()
 				// A local run cannot fail: the engine is simulated and
 				// lossless.
 				datasets[i], results[i], _, _ = s.runShard(i, sh)
@@ -169,5 +171,6 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	fsp.End()
 	copy(s.Datasets, datasets)
 	copy(s.Results, results)
+	copy(s.made, made)
 	return s.Results, nil
 }

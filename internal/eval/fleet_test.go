@@ -170,7 +170,7 @@ func TestRunFleetIdleWorkerDrainsQueue(t *testing.T) {
 func TestRunFleetMergesLogsInVPOrder(t *testing.T) {
 	ref := Build(topo.RegionalVPProfile(), 1)
 	for i := range ref.Net.VPs {
-		ref.RunVP(i, scamper.Config{}, core.Options{})
+		ref.RunVP(i, scamper.Config{})
 	}
 
 	s := Build(topo.RegionalVPProfile(), 1)

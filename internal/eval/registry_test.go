@@ -63,7 +63,7 @@ func TestTable1ExtensionScenarios(t *testing.T) {
 		spec := spec
 		t.Run(spec.Profile.Name, func(t *testing.T) {
 			s := Build(spec.Profile, 1)
-			res := s.RunVP(0, scamper.Config{}, core.Options{})
+			res := s.RunVP(0, scamper.Config{})
 			tbl := BuildTable1(s, res)
 			t.Logf("stresses: %s\nexpect:   %s\n%s", spec.Stresses, spec.Expect, tbl.Format())
 
@@ -143,7 +143,7 @@ func TestRegionalVPCoverageLoss(t *testing.T) {
 		// then the only variable between the two runs.
 		prof.NumVPs = prof.NumRegions
 		s := Build(prof, 1)
-		s.RunAll(scamper.Config{})
+		s.RunAll()
 		cdn := s.Net.Tags["coastal-cdn"]
 		if cdn == 0 {
 			t.Fatal("coastal CDN not tagged")

@@ -64,6 +64,9 @@ type Scenario struct {
 
 	Datasets []*scamper.Dataset // per VP, filled by RunVP/RunAll
 	Results  []*core.Result
+	// made is what each recorded result was made with: a run that asks
+	// for something else measures the VP again.
+	made []run
 
 	// hostAdj is the public view's host-AS adjacency set, built once at
 	// Build time: classify is called per neighbor per report row, and a
@@ -104,11 +107,9 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	for _, nb := range view.NeighborsOf(n.HostASN) {
 		adj[nb] = true
 	}
-	reg := obs.New()
+	reg, spans, root := OpenRun(n.HostASN, seed)
 	eng := probe.New(n, tab)
 	eng.SetObs(reg)
-	spans := obs.NewSpanLog(0)
-	root := spans.Begin(0, "run", fmt.Sprintf("host AS%d seed %d", n.HostASN, seed))
 	return &Scenario{
 		Net: n, Tab: tab, View: view, Rel: rel, RIR: rdb, IXP: pl,
 		Sibs: sibs, Engine: eng, HostASNs: hosts, Obs: reg,
@@ -117,8 +118,18 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 		SpanRoot: root,
 		Datasets: make([]*scamper.Dataset, len(n.VPs)),
 		Results:  make([]*core.Result, len(n.VPs)),
+		made:     make([]run, len(n.VPs)),
 		hostAdj:  adj,
 	}
+}
+
+// OpenRun makes what a run records into: a registry, a span log, and the
+// log's open "run" root span for host AS host and seed. Every scenario
+// opens one; a round loop's caller, which builds no world of its own,
+// opens one to hand mapdb.RunRounds.
+func OpenRun(host topo.ASN, seed int64) (*obs.Registry, *obs.SpanLog, *obs.OpenSpan) {
+	spans := obs.NewSpanLog(0)
+	return obs.New(), spans, spans.Begin(0, "run", fmt.Sprintf("host AS%d seed %d", host, seed))
 }
 
 // shard is what one run of one VP needs beyond the scenario's derived
@@ -128,8 +139,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 // shards record into private fragments RunFleet merges back in VP order.
 type shard struct {
 	cfg   scamper.Config // cfg.State carries the VP's cross-round memory, if any
-	opts  core.Options
-	arena *core.Arena // one per goroutine that infers
+	arena *core.Arena    // one per goroutine that infers
 
 	trace  *obs.Tracer
 	spans  *obs.SpanLog
@@ -144,20 +154,30 @@ type shard struct {
 	faults faults.Spec
 }
 
+// run is what one VP's result was made with: its driver configuration
+// and, for a §5.8 run, its fault spec.
+type run struct {
+	cfg    scamper.Config
+	remote bool
+	faults faults.Spec
+}
+
+func (sh shard) run() run { return run{sh.cfg, sh.link != nil, sh.faults} }
+
 // runShard is the one way a VP is measured and inferred: build the driver,
 // run it, infer, hand back the dataset and result for the caller to record.
 // Every run probes on a fresh fork of the scenario's engine — routing
 // derived once per world, measurement state per run — so VP i's output
 // is a pure function of (profile, seed, cfg, fault spec), whichever entry
-// point asked, in whatever order, on whichever worker. An already-recorded
-// VP is returned as is, measuring nothing.
+// point asked, in whatever order, on whichever worker. A VP already
+// recorded from the run sh asks for is returned as is, measuring nothing.
 //
 // A non-nil error with a nil res means the run never started (no remote
 // session formed); with a non-nil res, that the session was lost mid-run
 // and ds and res hold what was salvaged. dev is zero for an in-process
 // run.
 func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
-	if s.Results[i] != nil {
+	if s.Results[i] != nil && s.made[i] == sh.run() {
 		return s.Datasets[i], s.Results[i], dev, nil
 	}
 	vp := s.Net.VPs[i]
@@ -171,9 +191,6 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 			return nil, nil, dev, err
 		}
 		prober = sess.rp
-		// Single-worker probing keeps the command stream — and therefore
-		// the fault schedule and the inferred links — deterministic.
-		sh.cfg.Workers = 1
 		runs = "eval.vp_runs_remote"
 	}
 
@@ -204,7 +221,7 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 	}
 	res = core.Infer(core.Input{
 		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-		HostASN: s.Net.HostASN, Siblings: s.Sibs, Opts: sh.opts,
+		HostASN: s.Net.HostASN, Siblings: s.Sibs,
 		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: vsp.ID(),
 		Arena: sh.arena,
 	})
@@ -294,28 +311,30 @@ func (rs *remoteSession) finish(spans *obs.SpanLog, vsp obs.SpanID) (RemoteStats
 
 // RunVP measures and infers from one vantage point, recording into the
 // scenario's shared logs. Its output is exactly what RunAll and RunFleet
-// produce for VP i.
-func (s *Scenario) RunVP(i int, cfg scamper.Config, opts core.Options) *core.Result {
-	// A local run cannot fail: the engine is simulated and lossless.
-	s.Datasets[i], s.Results[i], _, _ = s.runShard(i, shard{
-		cfg: cfg, opts: opts, arena: &s.arena,
+// produce for VP i under the same cfg.
+func (s *Scenario) RunVP(i int, cfg scamper.Config) *core.Result {
+	sh := shard{
+		cfg: cfg, arena: &s.arena,
 		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(),
-	})
-	return s.Results[i]
+	}
+	// A local run cannot fail: the engine is simulated and lossless.
+	ds, res, _, _ := s.runShard(i, sh)
+	s.Datasets[i], s.Results[i], s.made[i] = ds, res, sh.run()
+	return res
 }
 
 // RunVPRemote measures VP i over the §5.8 remote-control protocol: a thin
 // agent with its own engine dials back to an in-process controller
 // listening on listen ("127.0.0.1:0" for an ephemeral loopback port),
 // optionally through a deterministic fault injector (faultSpec syntax:
-// internal/faults, e.g. "seed=11,drop=0.12,heal=40"). Probing is forced to
-// one worker so the command stream — and therefore the fault schedule and
-// the inferred links — is deterministic. A lost session degrades
-// gracefully: the partial dataset is still inferred and
-// Datasets[i].Stats.TargetsLost reports what was abandoned; an error means
-// no session ever formed. Cross-round state is local-only: a cfg.State is
-// an error.
-func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, listen, faultSpec string) (*core.Result, RemoteStats, error) {
+// internal/faults, e.g. "seed=11,drop=0.12,heal=40"). The session has no
+// lanes, so a zero cfg.Workers probes on one worker and the command
+// stream — and therefore the fault schedule and the inferred links — is
+// deterministic. A lost session degrades gracefully: the partial dataset
+// is still inferred and Datasets[i].Stats.TargetsLost reports what was
+// abandoned; an error means no session ever formed. Cross-round state is
+// local-only: a cfg.State is an error.
+func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, listen, faultSpec string) (*core.Result, RemoteStats, error) {
 	if cfg.State != nil {
 		return nil, RemoteStats{}, errors.New("eval: a remote run carries no cross-round state")
 	}
@@ -328,24 +347,25 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, opts core.Options, lis
 		return nil, RemoteStats{}, err
 	}
 	defer link.Close()
-	ds, res, dev, err := s.runShard(i, shard{
-		cfg: cfg, opts: opts, arena: &s.arena,
+	sh := shard{
+		cfg: cfg, arena: &s.arena,
 		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(), mode: "remote",
 		link: link, faults: spec,
-	})
+	}
+	ds, res, dev, err := s.runShard(i, sh)
 	if res == nil {
 		return nil, dev, err
 	}
-	s.Datasets[i], s.Results[i] = ds, res
+	s.Datasets[i], s.Results[i], s.made[i] = ds, res, sh.run()
 	return res, dev, nil
 }
 
-// RunAll measures from every VP. It is the one-worker degenerate case of
-// RunFleet: every VP runs locally, in VP order, and the outputs land in
-// Datasets/Results. RunFleet with more workers produces byte-identical
-// merged output.
-func (s *Scenario) RunAll(cfg scamper.Config) {
-	if _, err := s.RunFleet(cfg, FleetOptions{Workers: 1}); err != nil {
+// RunAll measures from every VP with the paper's parameters. It is the
+// one-worker degenerate case of RunFleet: every VP runs locally, in VP
+// order, and the outputs land in Datasets/Results. RunFleet with more
+// workers produces byte-identical merged output.
+func (s *Scenario) RunAll() {
+	if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: 1}); err != nil {
 		// A fleet with no Order has nothing that can fail.
 		panic(fmt.Sprintf("eval: RunAll: %v", err))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -39,7 +38,7 @@ func Sweep(profiles []topo.Profile, seeds []int64) SweepSummary {
 	for _, prof := range profiles {
 		for _, seed := range seeds {
 			s := Build(prof, seed)
-			res := s.RunVP(0, scamper.Config{}, core.Options{})
+			res := s.RunVP(0, scamper.Config{})
 			v := s.Validate(res)
 			found, total := s.Coverage(res)
 			cov := 0.0

@@ -63,8 +63,8 @@ func goldenRounds(ev []RoundEvent, st *Store) []goldenRound {
 // is cross-checked against a from-scratch run on an identically mutated
 // shadow world — trace fingerprints, owner attributions, and link sets
 // must be byte-identical). The incremental store must then match a
-// plain scratch RunRounds generation for generation, under 1 and 4
-// workers, and the whole run must match the checked-in golden files.
+// plain scratch RunRounds generation for generation, on 1- and 4-worker
+// fleets, and the whole run must match the checked-in golden files.
 func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round pipeline run")
@@ -87,7 +87,7 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s-w%d", pc.name, workers), func(t *testing.T) {
 				cfg := RoundsConfig{
-					Profile: pc.prof, Seed: 1, Rounds: 4, Workers: workers,
+					Profile: pc.prof, Seed: 1, Rounds: 4, FleetWorkers: workers,
 					Incremental: true, Verify: true,
 				}
 				st := NewStore(0, obs.New())
@@ -102,7 +102,7 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 				// Generation-for-generation identity with a plain scratch run.
 				sst := NewStore(0, obs.New())
 				sev, err := RunRounds(RoundsConfig{
-					Profile: pc.prof, Seed: 1, Rounds: 4, Workers: workers,
+					Profile: pc.prof, Seed: 1, Rounds: 4, FleetWorkers: workers,
 				}, sst)
 				if err != nil {
 					t.Fatal(err)
@@ -118,7 +118,7 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 					}
 				}
 
-				// Both worker counts must reproduce the same golden run.
+				// Both fleet widths must reproduce the same golden run.
 				got := goldenRounds(ev, st)
 				path := filepath.Join("testdata", "golden",
 					fmt.Sprintf("rounds-%s-seed1.json", pc.name))
@@ -174,7 +174,9 @@ func TestIncrementalUnchangedWorldProbeReduction(t *testing.T) {
 	}
 
 	s3 := eval.BuildFromNetwork(n, 1)
-	s3.RunAll(scfg)
+	if _, err := s3.RunFleet(scfg, eval.FleetOptions{}); err != nil {
+		t.Fatal(err)
+	}
 
 	scratchPackets := s3.Obs.Counter("probe.packets_sent").Load()
 	incPackets := s2.Obs.Counter("probe.packets_sent").Load()

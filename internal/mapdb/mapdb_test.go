@@ -7,7 +7,6 @@ import (
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/netx"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -16,7 +15,7 @@ import (
 func tinyScenario(t testing.TB, seed int64) *eval.Scenario {
 	t.Helper()
 	s := eval.Build(topo.TinyProfile(), seed)
-	s.RunAll(scamper.Config{})
+	s.RunAll()
 	return s
 }
 

@@ -20,7 +20,6 @@ import (
 	"bdrmap/internal/eval"
 	"bdrmap/internal/faults"
 	"bdrmap/internal/netx"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
@@ -254,7 +253,7 @@ func TestSnapshotApplyImageMatchesLeader(t *testing.T) {
 				t.Fatalf("%s profile missing", name)
 			}
 			s := eval.Build(prof, 1)
-			s.RunAll(scamper.Config{})
+			s.RunAll()
 			full := s.Results
 
 			// edited returns results with every entry replaced by an edited

@@ -37,8 +37,6 @@ type RoundsConfig struct {
 	Seed    int64
 	// Rounds is the number of generations to publish (at least 1).
 	Rounds int
-	// Workers parallelizes probing within each round (default as scamper).
-	Workers int
 
 	// FleetWorkers runs each round's vantage points on that many fleet
 	// coordinator workers (<=1 keeps strict VP order on one worker). The
@@ -115,7 +113,6 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 	// transcripts, alias memos). Inference results are not carried.
 	carry := eval.NewCarry(len(n.VPs), cfg.Incremental)
 
-	scfg := scamper.Config{Workers: cfg.Workers}
 	var s *eval.Scenario
 	round := func(r int) (RoundEvent, error) {
 		span := cfg.Obs.StartStage("rounds.round")
@@ -156,7 +153,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		if _, err := s.RunFleet(scfg, eval.FleetOptions{Workers: cfg.FleetWorkers, Carry: carry}); err != nil {
+		if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: cfg.FleetWorkers, Carry: carry}); err != nil {
 			return RoundEvent{}, err
 		}
 		csp := cfg.Spans.Begin(rsp.ID(), "stage", "compile")
@@ -210,7 +207,7 @@ func roundFingerprint(dss []*scamper.Dataset) uint64 {
 // degradation to tolerate — hence an error, not a metric.
 func verifyRound(cfg RoundsConfig, r int, vn *topo.Network, s *eval.Scenario, snap *Snapshot) error {
 	vs := eval.BuildFromNetwork(vn, cfg.Seed)
-	vs.RunAll(scamper.Config{Workers: cfg.Workers})
+	vs.RunAll()
 	vsnap := Compile(vn.HostASN, vs.Results)
 	for i := range s.Datasets {
 		got, want := s.Datasets[i].TraceFingerprint(), vs.Datasets[i].TraceFingerprint()

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
@@ -28,7 +27,7 @@ func TestTraceRenderMatchesEagerOracle(t *testing.T) {
 	for _, prof := range topo.BuiltinProfiles() {
 		for _, seed := range seeds {
 			s := eval.Build(prof, seed)
-			s.RunVP(0, scamper.Config{}, core.Options{})
+			s.RunVP(0, scamper.Config{})
 			lazy, eager := s.Trace.Events(), s.Trace.EagerEvents()
 			name := fmt.Sprintf("%s seed %d", prof.Name, seed)
 			if len(lazy) == 0 || len(lazy) != len(eager) {

@@ -23,7 +23,7 @@ func BenchmarkAliasStage(b *testing.B) {
 		View: view, Prober: LocalProber{E: probe.New(n, tab), VP: vp}, HostASNs: host,
 		Cfg: Config{DisableAlias: true},
 	}).Run()
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.withDefaults(true)
 	var packets int64
 	b.ReportAllocs()
 	b.ResetTimer()

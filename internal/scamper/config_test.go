@@ -1,26 +1,95 @@
 package scamper
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"bdrmap/internal/probe"
+)
 
 func TestConfigWithDefaults(t *testing.T) {
 	cases := []struct {
-		name string
-		in   Config
-		want Config
+		name  string
+		in    Config
+		laned bool
+		want  Config
 	}{
 		{"zero selects paper params",
-			Config{},
+			Config{}, true,
 			Config{MaxAddrsPerBlock: 5, Workers: 4}},
+		{"zero without lanes is one worker",
+			Config{}, false,
+			Config{MaxAddrsPerBlock: 5, Workers: 1}},
 		{"explicit values survive",
-			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true},
+			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true}, true,
 			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true}},
+		{"explicit workers survive without lanes",
+			Config{Workers: 4}, false,
+			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 		{"negative values fall back",
-			Config{MaxAddrsPerBlock: -1, Workers: -3},
+			Config{MaxAddrsPerBlock: -1, Workers: -3}, true,
 			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 	}
 	for _, c := range cases {
-		if got := c.in.withDefaults(); got != c.want {
-			t.Errorf("%s: withDefaults() = %+v, want %+v", c.name, got, c.want)
+		if got := c.in.withDefaults(c.laned); got != c.want {
+			t.Errorf("%s: withDefaults(%v) = %+v, want %+v", c.name, c.laned, got, c.want)
 		}
+	}
+}
+
+// laneCounter counts the lanes a run opens: the driver opens one per
+// worker.
+type laneCounter struct {
+	Prober
+	lanes int
+}
+
+func (c *laneCounter) NewLane(start time.Duration) *probe.Lane {
+	c.lanes++
+	return c.Prober.NewLane(start)
+}
+
+// TestDefaultWorkersFollowLanes: a zero Workers runs four workers on a
+// local prober and one on a §5.8 session, which has no lanes — and that
+// one worker sends the agent exactly the commands an explicit one-worker
+// run does.
+func TestDefaultWorkersFollowLanes(t *testing.T) {
+	n, e, view, hosts := setup(t, 9)
+	local := &laneCounter{Prober: LocalProber{E: e, VP: n.VPs[0]}}
+	(&Driver{View: view, Prober: local, HostASNs: hosts}).Run()
+	if local.lanes != 4 {
+		t.Errorf("local run with zero Workers ran %d workers, want 4", local.lanes)
+	}
+
+	remote := func(workers int) (lanes int, commands int64) {
+		n, e, view, hosts := setup(t, 9)
+		rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rp.Close()
+		agent := &Agent{E: e, VP: n.VPs[0]}
+		done := make(chan error, 1)
+		go func() { done <- agent.DialRetry(rp.Addr(), dialTCP) }()
+		if err := rp.Wait(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		p := &laneCounter{Prober: rp}
+		(&Driver{View: view, Prober: p, HostASNs: hosts, Cfg: Config{Workers: workers}}).Run()
+		if err := rp.Err(); err != nil {
+			t.Fatalf("transport error: %v", err)
+		}
+		rp.Close()
+		if err := <-done; err != nil {
+			t.Fatalf("agent exited with error: %v", err)
+		}
+		return p.lanes, agent.Commands()
+	}
+	lanes, got := remote(0)
+	if lanes != 1 {
+		t.Errorf("remote run with zero Workers ran %d workers, want 1", lanes)
+	}
+	if _, want := remote(1); got != want {
+		t.Errorf("remote run with zero Workers sent %d commands, an explicit one-worker run %d", got, want)
 	}
 }

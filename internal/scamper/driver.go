@@ -24,7 +24,9 @@ const maxPairsPerAddr = 6
 type Config struct {
 	// MaxAddrsPerBlock bounds the §5.3 retry rule (default 5).
 	MaxAddrsPerBlock int
-	// Workers is the number of target ASes probed concurrently (default 4).
+	// Workers is the number of target ASes probed concurrently (default 4
+	// on a prober with lanes, 1 on a §5.8 session: the device has one
+	// timeline, and one worker keeps its command stream deterministic).
 	Workers int
 	// DisableStopSet turns off doubletree early stopping (ablation).
 	DisableStopSet bool
@@ -42,13 +44,16 @@ type Config struct {
 	State *RoundState
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the paper's parameters for a prober with or without
+// lanes.
+func (c Config) withDefaults(laned bool) Config {
 	if c.MaxAddrsPerBlock <= 0 {
 		c.MaxAddrsPerBlock = 5
 	}
-	if c.Workers <= 0 {
+	if c.Workers <= 0 && laned {
 		c.Workers = 4
 	}
+	c.Workers = max(c.Workers, 1)
 	return c
 }
 
@@ -187,8 +192,13 @@ type Driver struct {
 
 // Run executes probing and alias resolution, returning the dataset.
 func (d *Driver) Run() *Dataset {
-	cfg := d.Cfg.withDefaults()
 	simStart := d.Prober.Now()
+	// Worker w probes on lanes[w]; a prober without lanes returns nil.
+	lanes := []*probe.Lane{d.Prober.NewLane(simStart)}
+	cfg := d.Cfg.withDefaults(lanes[0] != nil)
+	for len(lanes) < cfg.Workers {
+		lanes = append(lanes, d.Prober.NewLane(simStart))
+	}
 	targets := Targets(d.View, d.HostASNs)
 	ds := &Dataset{VPName: d.Prober.Name()}
 	ds.Stats.Targets = len(targets)
@@ -250,10 +260,8 @@ func (d *Driver) Run() *Dataset {
 	// share the agent's clock and stamp events with SimNS 0 — reading the
 	// remote clock per event would perturb the frame stream the fault
 	// goldens pin.
-	lanes := make([]*probe.Lane, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := range lanes {
-		lanes[w] = d.Prober.NewLane(simStart)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

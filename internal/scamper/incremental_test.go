@@ -370,3 +370,47 @@ func TestRoundStateForgetsDeprovisionedNeighbor(t *testing.T) {
 		t.Fatal("no de-provisioning removed an address from the traces: nothing was checked")
 	}
 }
+
+// TestIncrementalRoundsWorkerInvariant: the lane count never reaches what
+// cross-round state replays. One RoundState carried through four churn
+// rounds on r&e (baseline, then attach, de-provision, attach, as mapdb's
+// rounds loop does) must give the same per-round trace fingerprints on 1
+// worker as on 4, with every round after the first replaying from cache.
+func TestIncrementalRoundsWorkerInvariant(t *testing.T) {
+	rounds := func(workers int) []uint64 {
+		n := topo.Generate(topo.REProfile(), 1)
+		st := NewRoundState()
+		var fps []uint64
+		for r := range 4 {
+			if r > 0 {
+				ils := n.InterdomainLinks(n.HostASN)
+				if r%2 == 1 {
+					if _, err := topo.AttachCustomer(n, ils[0].NearRtr, topo.ASN(65000+r)); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					topo.Depeer(n, ils[(r*7)%len(ils)].FarAS)
+				}
+				n.Build()
+			}
+			tab := bgp.NewTable(n)
+			ds := (&Driver{
+				View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
+				Prober:   LocalProber{E: probe.New(n, tab), VP: n.VPs[0]},
+				HostASNs: map[topo.ASN]bool{n.HostASN: true},
+				Cfg:      Config{Workers: workers, State: st},
+			}).Run()
+			if r > 0 && ds.Stats.CacheHits == 0 {
+				t.Fatalf("workers %d round %d replayed nothing: the state was not carried", workers, r)
+			}
+			fps = append(fps, ds.TraceFingerprint())
+		}
+		return fps
+	}
+	w1, w4 := rounds(1), rounds(4)
+	for r := range w1 {
+		if w1[r] != w4[r] {
+			t.Errorf("round %d: trace fingerprint %016x on 1 worker, %016x on 4", r, w1[r], w4[r])
+		}
+	}
+}

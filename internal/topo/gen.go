@@ -8,6 +8,10 @@ import (
 	"bdrmap/internal/netx"
 )
 
+// GeneratedHostASN is the AS number Generate gives the host network of
+// every world: the first one it allocates.
+const GeneratedHostASN ASN = 64501
+
 // Generate builds a synthetic internetwork for the given profile and seed.
 // The same (profile, seed) pair always produces the same network.
 func Generate(prof Profile, seed int64) *Network {
@@ -18,7 +22,7 @@ func Generate(prof Profile, seed int64) *Network {
 		al:      NewAllocator(),
 		prof:    prof,
 		seed:    seed,
-		nextASN: 64500,
+		nextASN: GeneratedHostASN - 1,
 	}
 	g.net.AnnotSeed = seed
 	g.buildHost()

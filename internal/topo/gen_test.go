@@ -24,6 +24,19 @@ func TestGenerateTiny(t *testing.T) {
 	}
 }
 
+// TestGeneratedHostASN: every profile's host network gets
+// GeneratedHostASN, whatever the seed, so a caller can name the host of a
+// world it has not built.
+func TestGeneratedHostASN(t *testing.T) {
+	for _, prof := range BuiltinProfiles() {
+		for _, seed := range []int64{1, 2} {
+			if got := Generate(prof, seed).HostASN; got != GeneratedHostASN {
+				t.Errorf("%s seed %d: host %v, want %v", prof.Name, seed, got, GeneratedHostASN)
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(TinyProfile(), 42)
 	b := Generate(TinyProfile(), 42)

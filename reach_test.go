@@ -518,7 +518,7 @@ func TestProductDeclarationsReachable(t *testing.T) {
 
 // maxKnobs caps testdata/knobs.txt, the census of settable values: a new
 // knob pushes an old one out, or raises this cap in a visible diff.
-const maxKnobs = 109
+const maxKnobs = 103
 
 // knobTypes are the structs a caller tunes that the *Config / *Options
 // naming rule does not catch.
@@ -539,11 +539,45 @@ func pkgName(path string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(path, modulePath+"/"), "internal/")
 }
 
+// cmdFlags maps every flag a command under cmd/ defines — "cmd/bdrmap
+// -profile" — to its command.
+func cmdFlags(m *modImporter) map[string]string {
+	flags := make(map[string]string)
+	for path, files := range m.files {
+		if !strings.HasPrefix(path, modulePath+"/cmd/") {
+			continue
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := m.info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+					return true
+				}
+				for _, arg := range call.Args { // the flag's name is its first string constant
+					if c := m.info.Types[arg].Value; c != nil && c.Kind() == constant.String {
+						flags[pkgName(path)+" -"+constant.StringVal(c)] = pkgName(path)
+						break
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags
+}
+
 // settableValues is the census: every exported field of a struct type named
 // *Config or *Options or listed in knobTypes, mapped to the packages whose
 // non-test code writes it (none for a field only tests set), and every flag
-// a command under cmd/ defines — "cmd/bdrmap -profile" — mapped to its
-// command.
+// a command under cmd/ defines (cmdFlags) mapped to its command.
 func settableValues(m *modImporter) map[string][]string {
 	writers := make(map[*types.Var]map[string]bool)
 	for id, path := range fieldStores(m) {
@@ -562,46 +596,34 @@ func settableValues(m *modImporter) map[string][]string {
 		if path == benchPath {
 			continue
 		}
-		cmd := strings.HasPrefix(path, modulePath+"/cmd/")
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					owner, _ := m.info.Defs[n.Name].(*types.TypeName)
-					st, ok := owner.Type().Underlying().(*types.Struct)
-					name := owner.Name()
-					if !ok || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") && !knobTypes[declName(owner)] {
-						return true
-					}
-					for i := 0; i < st.NumFields(); i++ {
-						if fld := st.Field(i); fld.Exported() {
-							who := make([]string, 0, len(writers[fld]))
-							for pkg := range writers[fld] {
-								who = append(who, pkg)
-							}
-							sort.Strings(who)
-							census[fieldName(owner, fld)] = who
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				owner, _ := m.info.Defs[ts.Name].(*types.TypeName)
+				st, ok := owner.Type().Underlying().(*types.Struct)
+				name := owner.Name()
+				if !ok || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") && !knobTypes[declName(owner)] {
+					return true
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if fld := st.Field(i); fld.Exported() {
+						who := make([]string, 0, len(writers[fld]))
+						for pkg := range writers[fld] {
+							who = append(who, pkg)
 						}
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !cmd || !ok {
-						return true
-					}
-					fn, ok := m.info.Uses[sel.Sel].(*types.Func)
-					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
-						return true
-					}
-					for _, arg := range n.Args { // the flag's name is its first string constant
-						if c := m.info.Types[arg].Value; c != nil && c.Kind() == constant.String {
-							census[pkgName(path)+" -"+constant.StringVal(c)] = []string{pkgName(path)}
-							break
-						}
+						sort.Strings(who)
+						census[fieldName(owner, fld)] = who
 					}
 				}
 				return true
 			})
 		}
+	}
+	for name, cmd := range cmdFlags(m) {
+		census[name] = []string{cmd}
 	}
 	return census
 }

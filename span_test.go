@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bdrmap/internal/obs"
+	"bdrmap/internal/scamper"
 )
 
 // normalizeWall zeroes the wall-clock duration on every span, leaving the
@@ -27,7 +28,7 @@ func normalizeWall(recs []SpanRecord) []SpanRecord {
 func TestSpanTreeWorkerInvariant(t *testing.T) {
 	run := func(workers int) ([]SpanRecord, string) {
 		world := NewWorld(Tiny(), 1)
-		world.MapBordersOpts(0, Options{Workers: workers})
+		world.Scenario().RunVP(0, scamper.Config{Workers: workers})
 		return world.SpanRecords(), world.SpanFingerprint()
 	}
 	recs1, fp1 := run(1)
@@ -91,7 +92,7 @@ func TestSpanTreeWorkerInvariant(t *testing.T) {
 func TestSpanTreeHealingFaultsReproducible(t *testing.T) {
 	run := func() ([]SpanRecord, string) {
 		world := NewWorld(Tiny(), 1)
-		if _, err := world.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=11,drop=0.12,heal=40"}); err != nil {
+		if _, err := world.MapBordersRemote(0, Options{}, "seed=11,drop=0.12,heal=40"); err != nil {
 			t.Fatal(err)
 		}
 		return world.SpanRecords(), world.SpanFingerprint()
@@ -197,7 +198,7 @@ func TestGoldenSpanFingerprints(t *testing.T) {
 		}
 	}
 	faulted := NewWorld(Tiny(), 1)
-	if _, err := faulted.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=11,drop=0.12,heal=40"}); err != nil {
+	if _, err := faulted.MapBordersRemote(0, Options{}, "seed=11,drop=0.12,heal=40"); err != nil {
 		t.Fatal(err)
 	}
 	got["tiny-seed1-remote-faulted"] = spanFP{faulted.SpanFingerprint(), len(faulted.SpanRecords())}

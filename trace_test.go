@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bdrmap/internal/scamper"
 )
 
 // TestTraceFingerprintWorkerInvariant is the central determinism claim of
@@ -18,7 +20,7 @@ import (
 func TestTraceFingerprintWorkerInvariant(t *testing.T) {
 	run := func(workers int) (*World, string) {
 		world := NewWorld(Tiny(), 1)
-		world.MapBordersOpts(0, Options{Workers: workers})
+		world.Scenario().RunVP(0, scamper.Config{Workers: workers})
 		return world, world.TraceFingerprint()
 	}
 	w1, fp1 := run(1)
@@ -48,7 +50,7 @@ func TestTraceFingerprintWorkerInvariant(t *testing.T) {
 func TestTraceFingerprintRemoteFaults(t *testing.T) {
 	run := func() string {
 		world := NewWorld(Tiny(), 1)
-		if _, err := world.MapBordersRemote(0, RemoteOptions{FaultSpec: "seed=11,drop=0.12,heal=40"}); err != nil {
+		if _, err := world.MapBordersRemote(0, Options{}, "seed=11,drop=0.12,heal=40"); err != nil {
 			t.Fatal(err)
 		}
 		return world.TraceFingerprint()
@@ -167,7 +169,7 @@ func TestGoldenTraceFingerprints(t *testing.T) {
 				local.MapBorders(0)
 			}
 			remote := NewWorld(tc.prof, seed)
-			if _, err := remote.MapBordersRemote(0, RemoteOptions{}); err != nil {
+			if _, err := remote.MapBordersRemote(0, Options{}, ""); err != nil {
 				t.Fatal(err)
 			}
 			for mode, w := range map[string]*World{"local": local, "remote": remote} {

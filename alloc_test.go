@@ -103,17 +103,17 @@ func TestInferAllocBudget(t *testing.T) {
 
 // TestProbeHitPathAllocFree pins the forwarding plane's contract on the
 // alias-resolution hot path: once a target's walk is memoised, a repeated
-// Engine.Probe to it — Ally spends ≈40 on a pair — allocates nothing.
+// Lane.Probe to it — Ally spends ≈40 on a pair — allocates nothing.
 func TestProbeHitPathAllocFree(t *testing.T) {
 	s := eval.Build(topo.TinyProfile(), 1)
-	vp := s.Net.VPs[0]
+	lane := s.Engine.NewLane(s.Net.VPs[0], 0)
 	for _, r := range s.Net.Routers {
 		for _, ifc := range r.Ifaces {
-			if !s.Engine.Probe(vp, ifc.Addr, probe.MethodUDP).OK {
+			if !lane.Probe(ifc.Addr, probe.MethodUDP).OK {
 				continue
 			}
 			for _, m := range []probe.Method{probe.MethodUDP, probe.MethodICMPEcho, probe.MethodTTLLimited} {
-				if allocs := testing.AllocsPerRun(100, func() { s.Engine.Probe(vp, ifc.Addr, m) }); allocs != 0 {
+				if allocs := testing.AllocsPerRun(100, func() { lane.Probe(ifc.Addr, m) }); allocs != 0 {
 					t.Errorf("repeated %v probe to %v allocates %.1f times per call, want 0", m, ifc.Addr, allocs)
 				}
 			}
@@ -137,20 +137,18 @@ func TestTracerouteAllocBudget(t *testing.T) {
 	for _, p := range s.Tab.Prefixes() {
 		dsts = append(dsts, p.First()+1)
 	}
-	traceAll := func(e *probe.Engine, lane *probe.Lane) {
+	traceAll := func(lane *probe.Lane) {
 		for _, dst := range dsts {
-			e.TracerouteLane(vp, dst, nil, lane)
+			lane.Trace(dst, nil)
 		}
 	}
 	perTrace := func(allocs float64) float64 { return allocs / float64(len(dsts)) }
 
 	cold := perTrace(testing.AllocsPerRun(5, func() {
-		e := probe.New(s.Net, s.Tab)
-		traceAll(e, e.NewLane(0))
+		traceAll(probe.New(s.Net, s.Tab).NewLane(vp, 0))
 	}))
-	e := s.Engine.Fork()
-	lane := e.NewLane(0)
-	warm := perTrace(testing.AllocsPerRun(5, func() { traceAll(e, lane) }))
+	lane := s.Engine.Fork().NewLane(vp, 0)
+	warm := perTrace(testing.AllocsPerRun(5, func() { traceAll(lane) }))
 	t.Logf("%d traces: %.2f allocs/trace on an empty plane and a new lane, %.2f on filled ones", len(dsts), cold, warm)
 	if warm != 1 {
 		t.Errorf("a traceroute over a stored walk allocates %.2f times, want 1 (the Hops slice)", warm)

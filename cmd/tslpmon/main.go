@@ -25,7 +25,6 @@ import (
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 	"bdrmap/internal/tslp"
 )
@@ -183,10 +182,10 @@ func main() {
 		snap = world.BuildMapDB()
 		s = world.Scenario()
 	}
-	prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
+	lane := s.Engine.NewLane(s.Net.VPs[0], 0)
 
 	targets := deriveTargets(snap, func(a netx.Addr) bool {
-		return prober.Probe(a, probe.MethodICMPEcho).OK
+		return lane.Probe(a, probe.MethodICMPEcho).OK
 	})
 	fmt.Printf("%d links mapped, %d monitorable\n", snap.NumLinks(), len(targets))
 	if len(targets) == 0 {
@@ -220,7 +219,7 @@ func main() {
 	}
 	fmt.Printf("injected evening congestion on %d link(s)\n\n", len(truth))
 
-	series := tslp.Run(prober, targets, tslp.Config{Interval: *interval, Duration: *duration})
+	series := tslp.Run(lane, targets, tslp.Config{Interval: *interval, Duration: *duration})
 	detected := map[*topo.Link]bool{}
 	for _, r := range tslp.DetectAll(series, 30*time.Minute, 3*time.Millisecond) {
 		if r.Congested() {

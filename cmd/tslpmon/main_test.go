@@ -8,7 +8,6 @@ import (
 	"bdrmap"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/tslp"
 )
 
@@ -40,9 +39,9 @@ func TestDeriveTargetsMatchesReportPath(t *testing.T) {
 			world := bdrmap.NewWorld(prof.p, 1)
 			report := world.MapBorders(0)
 			s := world.Scenario()
-			prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
+			lane := s.Engine.NewLane(s.Net.VPs[0], 0)
 			echo := func(a netx.Addr) bool {
-				return prober.Probe(a, probe.MethodICMPEcho).OK
+				return lane.Probe(a, probe.MethodICMPEcho).OK
 			}
 
 			// The pre-mapdb selection loop, verbatim.

@@ -19,7 +19,6 @@ import (
 
 	"bdrmap"
 	"bdrmap/internal/probe"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/tslp"
 )
 
@@ -31,7 +30,7 @@ func main() {
 	// Step 1 (the hard part, per the paper): derive (near, far) probe
 	// targets from the border map. Silent neighbors have no far side to
 	// probe — the links TSLP cannot monitor.
-	prober := scamper.LocalProber{E: s.Engine, VP: s.Net.VPs[0]}
+	lane := s.Engine.NewLane(s.Net.VPs[0], 0)
 	var targets []tslp.Target
 	unmonitorable := 0
 	for _, l := range report.Links {
@@ -39,8 +38,8 @@ func main() {
 			unmonitorable++
 			continue
 		}
-		if !prober.Probe(l.NearAddr, probe.MethodICMPEcho).OK ||
-			!prober.Probe(l.FarAddr, probe.MethodICMPEcho).OK {
+		if !lane.Probe(l.NearAddr, probe.MethodICMPEcho).OK ||
+			!lane.Probe(l.FarAddr, probe.MethodICMPEcho).OK {
 			unmonitorable++
 			continue
 		}
@@ -65,7 +64,7 @@ func main() {
 	}
 
 	// Step 3: probe every pair for 24 hours at a 5-minute cadence.
-	series := tslp.Run(prober, targets, tslp.Config{
+	series := tslp.Run(lane, targets, tslp.Config{
 		Interval: 5 * time.Minute,
 		Duration: 24 * time.Hour,
 	})

@@ -2,7 +2,6 @@ package alias
 
 import (
 	"testing"
-	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
@@ -11,23 +10,11 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// LocalSource adapts a probe engine + vantage point to ProbeSource.
-type LocalSource struct {
-	E  *probe.Engine
-	VP *topo.VP
-}
-
-func (s LocalSource) Probe(target netx.Addr, m probe.Method) probe.Response {
-	return s.E.Probe(s.VP, target, m)
-}
-
-func (s LocalSource) Advance(d time.Duration) { s.E.Advance(d) }
-
 func setup(t *testing.T, seed int64) (*probe.Engine, *topo.Network, *Resolver) {
 	t.Helper()
 	n := topo.Generate(topo.TinyProfile(), seed)
 	e := probe.New(n, bgp.NewTable(n))
-	r := NewResolver(LocalSource{E: e, VP: n.VPs[0]}, Config{})
+	r := NewResolver(e.NewLane(n.VPs[0], 0), Config{})
 	return e, n, r
 }
 

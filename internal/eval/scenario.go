@@ -39,10 +39,10 @@ type Scenario struct {
 	IXP  *ixp.PrefixList
 	Sibs *sibling.Set
 	// Engine is for ad-hoc probing of the world — tslpmon's and
-	// examples/congestion's time-series probes, the benchmark's layer pass.
-	// A mapping run shares its forwarding plane and nothing else: every VP
-	// attempt probes on a fork of its own (see runShard), so no clock,
-	// congestion episode or fault set here can reach a map.
+	// examples/congestion's time-series probes, each on a lane of its own,
+	// the benchmark's layer pass. A mapping run shares its forwarding plane
+	// and nothing else: every VP attempt probes on a fork of its own (see
+	// runShard), so no congestion episode or fault set here can reach a map.
 	Engine   *probe.Engine
 	HostASNs map[topo.ASN]bool
 	// Obs collects metrics from every stage of the scenario's pipeline.
@@ -327,10 +327,10 @@ func (s *Scenario) RunVP(i int, cfg scamper.Config) *core.Result {
 // agent with its own engine dials back to an in-process controller
 // listening on listen ("127.0.0.1:0" for an ephemeral loopback port),
 // optionally through a deterministic fault injector (faultSpec syntax:
-// internal/faults, e.g. "seed=11,drop=0.12,heal=40"). The session has no
-// lanes, so a zero cfg.Workers probes on one worker and the command
-// stream — and therefore the fault schedule and the inferred links — is
-// deterministic. A lost session degrades gracefully: the partial dataset
+// internal/faults, e.g. "seed=11,drop=0.12,heal=40"). The session has one
+// timeline, the device's, so a zero cfg.Workers probes on one worker and
+// the command stream — and therefore the fault schedule and the inferred
+// links — is deterministic. A lost session degrades gracefully: the partial dataset
 // is still inferred and Datasets[i].Stats.TargetsLost reports what was
 // abandoned; an error means no session ever formed. Cross-round state is
 // local-only: a cfg.State is an error.

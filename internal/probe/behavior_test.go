@@ -76,7 +76,7 @@ func buildFig1(t *testing.T) (*topo.Network, *Engine, *topo.VP, netx.Addr, netx.
 
 func TestThirdPartySourceAddress(t *testing.T) {
 	_, e, vp, dstInB, rbViaC := buildFig1(t)
-	res := e.Traceroute(vp, dstInB, nil)
+	res := e.NewLane(vp, 0).Trace(dstInB, nil)
 	if len(res.Hops) < 2 {
 		t.Fatalf("hops: %+v", res.Hops)
 	}
@@ -96,7 +96,7 @@ func TestIXPLANInboundAddress(t *testing.T) {
 	// (IXP space) as the inbound interface (§4 challenge 6).
 	n := topo.Generate(topo.TinyProfile(), 1)
 	e := New(n, bgp.NewTable(n))
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	if len(n.IXPs) == 0 || len(n.Sessions()) == 0 {
 		t.Skip("no IXPs in this profile")
 	}
@@ -108,7 +108,7 @@ func TestIXPLANInboundAddress(t *testing.T) {
 			peer = s.A
 		}
 		p := n.ASes[peer].Prefixes[0]
-		res := e.Traceroute(vp, p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeExceeded && lan.Contains(h.Addr) {
 				found = true
@@ -130,10 +130,10 @@ func TestUnreachableFromQuietAnchor(t *testing.T) {
 	// unreachables too.
 	n := topo.Generate(topo.TinyProfile(), 3)
 	e := New(n, bgp.NewTable(n))
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	sawUnreachable := false
 	for _, p := range e.Tab.Prefixes() {
-		res := e.Traceroute(vp, p.First()+3, nil)
+		res := lane.Trace(p.First()+3, nil)
 		for i, h := range res.Hops {
 			if h.Type == HopUnreachable {
 				sawUnreachable = true
@@ -189,7 +189,7 @@ func TestGapLimitStopsTrace(t *testing.T) {
 	n.Build()
 
 	e := New(n, bgp.NewTable(n))
-	res := e.Traceroute(vp, p.First()+200, nil)
+	res := e.NewLane(vp, 0).Trace(p.First()+200, nil)
 	// 2 responses + gapLimit timeouts, then abandon.
 	timeouts := 0
 	for _, h := range res.Hops {
@@ -208,7 +208,7 @@ func TestParallelLinkSpread(t *testing.T) {
 	// figure 13 ingredient).
 	n := topo.Generate(topo.LargeAccessProfile(), 1)
 	e := New(n, bgp.NewTable(n))
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	// Find a host border with two parallel backbone links.
 	var twin *topo.Router
 	for _, r := range n.Routers {
@@ -230,7 +230,7 @@ func TestParallelLinkSpread(t *testing.T) {
 	}
 	seen := map[netx.Addr]bool{}
 	for _, p := range e.Tab.Prefixes() {
-		res := e.Traceroute(vp, p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		for _, h := range res.Hops {
 			if h.Type != HopTimeExceeded {
 				continue

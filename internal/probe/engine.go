@@ -18,7 +18,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/faults"
@@ -27,23 +26,20 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// Engine simulates probe forwarding and responses over one network.
-// It is safe for concurrent use: calls on its own timeline take turns.
+// Engine simulates probe forwarding and responses over one network. It
+// holds no timeline: every measurement runs on a Lane its caller opens with
+// NewLane, so probing takes no engine lock, and lanes on one engine may
+// probe from as many goroutines as there are lanes.
 //
 // An Engine is bound to one built Net and its Tab. What forwarding derives
 // from them lives in a plane that every engine forked from this one shares
-// (see plane and Fork); what a measurement accrues — clock, IP-IDs,
-// rate-limit windows, congestion episodes, fault schedule, the registry its
-// traffic counters go to — is the engine's own. Mutate the world, build a
-// new plane with New.
+// (see plane and Fork). Congestion episodes, the fault schedule and the
+// registry its traffic counters go to are the engine's own; clock, IP-IDs
+// and rate-limit windows are a lane's. Mutate the world, build a new plane
+// with New.
 type Engine struct {
 	Net *topo.Network
 	Tab *bgp.Table
-
-	// own is the timeline Traceroute, Probe, Advance and Now run on; mu is
-	// held for the whole of each call, a stop callback included.
-	mu  sync.Mutex
-	own *Lane
 
 	// fwd is the forwarding plane compiled from Net and Tab (see plane),
 	// shared with every fork.
@@ -119,22 +115,15 @@ func (e *Engine) dropInjected() bool {
 // New creates an engine over a built network and its routing table, with
 // an empty forwarding plane of its own.
 func New(net *topo.Network, tab *bgp.Table) *Engine {
-	return newOnPlane(net, tab, new(plane))
+	return &Engine{Net: net, Tab: tab, fwd: new(plane)}
 }
 
 // Fork returns an engine over the same world that shares e's forwarding
-// plane and nothing else: its clock starts at zero and it has no IP-ID,
-// rate-limit, congestion, fault or metrics state, exactly as if
-// New had built it. What it measures is therefore what a fresh engine
-// would measure; it just does not derive the routing again.
+// plane and nothing else: it has no congestion, fault or metrics state,
+// exactly as if New had built it. What it measures is therefore what a
+// fresh engine would measure; it just does not derive the routing again.
 func (e *Engine) Fork() *Engine {
-	return newOnPlane(e.Net, e.Tab, e.fwd)
-}
-
-func newOnPlane(net *topo.Network, tab *bgp.Table, fwd *plane) *Engine {
-	e := &Engine{Net: net, Tab: tab, fwd: fwd}
-	e.own = e.NewLane(0)
-	return e
+	return &Engine{Net: e.Net, Tab: e.Tab, fwd: e.fwd}
 }
 
 // orgOf names asn's organization; "" for an AS the network does not have.
@@ -152,20 +141,6 @@ func (e *Engine) sameOrg(a, b topo.ASN) bool {
 	}
 	org := e.orgOf(a)
 	return org != "" && org == e.orgOf(b)
-}
-
-// Advance moves the simulated clock forward.
-func (e *Engine) Advance(d time.Duration) {
-	e.mu.Lock()
-	e.own.clock += d
-	e.mu.Unlock()
-}
-
-// Now returns the simulated time since start.
-func (e *Engine) Now() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.own.clock
 }
 
 // ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// traceAll runs a sequential traceroute sweep and serializes the results.
-func traceAll(e *Engine, n *topo.Network, tab *bgp.Table) string {
+// traceAll runs a sequential traceroute sweep on lane and serializes the
+// results.
+func traceAll(lane *Lane, tab *bgp.Table) string {
 	out := ""
 	for _, p := range tab.Prefixes() {
-		res := e.Traceroute(n.VPs[0], p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		out += fmt.Sprintf("%v %v %v:", res.Dst, res.Reached, res.Stopped)
 		for _, h := range res.Hops {
 			out += fmt.Sprintf(" %d/%d/%v/%d", h.TTL, h.Type, h.Addr, h.IPID)
@@ -32,7 +33,7 @@ func TestEngineFaultsDeterministic(t *testing.T) {
 		reg := obs.New()
 		e.SetObs(reg)
 		e.SetFaults(faults.New(faults.Spec{Seed: 5, ProbeDrop: 0.25}))
-		s := traceAll(e, n, tab)
+		s := traceAll(e.NewLane(n.VPs[0], 0), tab)
 		snap := reg.Snapshot()
 		return s, snap.Counter("probe.faults.dropped"), snap.Counter("probe.responses")
 	}
@@ -54,7 +55,7 @@ func TestEngineFaultsDeterministic(t *testing.T) {
 	e := New(n, tab)
 	reg := obs.New()
 	e.SetObs(reg)
-	clean := traceAll(e, n, tab)
+	clean := traceAll(e.NewLane(n.VPs[0], 0), tab)
 	cleanResp := reg.Snapshot().Counter("probe.responses")
 	if clean == s1 {
 		t.Fatal("faulted run identical to fault-free run")
@@ -70,19 +71,20 @@ func TestEngineFaultsStopAfterHeal(t *testing.T) {
 	e := New(n, tab)
 	inj := faults.New(faults.Spec{Seed: 5, ProbeDrop: 0.9, ProbeHeal: 3})
 	e.SetFaults(inj)
-	traceAll(e, n, tab) // burn through the heal budget
+	lane := e.NewLane(n.VPs[0], 0)
+	traceAll(lane, tab) // burn through the heal budget
 	if inj.ProbeDrops() != 3 {
 		t.Fatalf("probe drops = %d, heal budget 3", inj.ProbeDrops())
 	}
 	// A healed injector must never drop again.
 	before := inj.ProbeDrops()
-	traceAll(e, n, tab)
+	traceAll(lane, tab)
 	if inj.ProbeDrops() != before {
 		t.Fatalf("drops grew after healing: %d -> %d", before, inj.ProbeDrops())
 	}
 	// Direct probes also draw from the (healed) schedule without dropping.
 	for _, p := range tab.Prefixes() {
-		e.Probe(n.VPs[0], p.First()+1, MethodICMPEcho)
+		lane.Probe(p.First()+1, MethodICMPEcho)
 	}
 	if inj.ProbeDrops() != before {
 		t.Fatal("direct probes dropped after healing")

@@ -7,26 +7,25 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// Lane is a measurement timeline: a virtual clock plus the per-router
-// IP-ID and rate-limit state that responses accrue on it. The engine runs
-// Traceroute and Probe on one of its own behind its lock. The scamper
-// driver probes target ASes from several workers at once; on one timeline
-// the interleaving of goroutines would leak into IP-ID values, rate-limit
-// windows and RTTs, making two runs of the same world differ at the byte
-// level, so each worker opens a lane of its own (starting at the engine
-// clock's value when the run began) and every trace's outcome is a pure
-// function of (destination, lane schedule) — identical no matter how the
-// scheduler interleaves workers.
+// Lane is one vantage point's measurement timeline: a virtual clock plus
+// the per-router IP-ID and rate-limit state that responses accrue on it.
+// Ally and the IP-ID velocity test compare samples taken on one timeline,
+// and every caller that measures opens a lane of its own: each of the
+// scamper driver's workers, its alias stage, a monitor, a §5.8 agent. On a
+// shared timeline the interleaving of goroutines would leak into IP-ID
+// values, rate-limit windows and RTTs; on lanes every trace's outcome is a
+// pure function of (destination, lane schedule), however the scheduler
+// interleaves them.
 //
-// TracerouteLane advances the lane by PacePerHop per probe packet,
-// modelling the ~100 packets/second pacing of the paper's deployments; the
-// driver takes the latest lane end time as the run's simulated duration
-// (wall-clock of a real parallel deployment = the slowest worker's
-// timeline).
+// Trace advances the lane by PacePerHop per probe packet, modelling the
+// ~100 packets/second pacing of the paper's deployments; the driver takes
+// the latest lane end time as the run's simulated duration (wall-clock of a
+// real parallel deployment = the slowest worker's timeline).
 //
 // A Lane must not be shared between goroutines.
 type Lane struct {
 	e     *Engine
+	vp    *topo.VP
 	clock time.Duration
 
 	// routers holds each router's state by RouterID and windows the
@@ -62,14 +61,35 @@ type ifcKey struct {
 	addr netx.Addr // 0 for a response no interface sourced
 }
 
-// NewLane creates a lane whose clock starts at start (normally the shared
-// engine clock when the measurement run begins).
-func (e *Engine) NewLane(start time.Duration) *Lane {
-	return &Lane{e: e, clock: start}
+// NewLane opens a timeline for vp whose clock starts at start.
+func (e *Engine) NewLane(vp *topo.VP, start time.Duration) *Lane {
+	return &Lane{e: e, vp: vp, clock: start}
 }
 
 // Now returns the lane's virtual clock.
 func (l *Lane) Now() time.Duration { return l.clock }
+
+// Advance moves the lane's clock forward by d.
+func (l *Lane) Advance(d time.Duration) { l.clock += d }
+
+// Trace runs a Paris traceroute (ICMP-echo probes) toward dst and then
+// paces the lane's clock forward by PacePerHop per packet sent. A hop that
+// responds from an address in stop halts the trace after recording it (the
+// doubletree stop set, §5.3); a nil stop never halts.
+func (l *Lane) Trace(dst netx.Addr, stop map[netx.Addr]bool) TraceResult {
+	var halt func(netx.Addr) bool
+	if stop != nil {
+		halt = func(a netx.Addr) bool { return stop[a] }
+	}
+	res := l.e.traceroute(l.vp, dst, halt, l)
+	l.clock += time.Duration(len(res.Hops)) * PacePerHop
+	return res
+}
+
+// Probe sends one probe of method m toward target.
+func (l *Lane) Probe(target netx.Addr, m Method) Response {
+	return l.e.probe(l.vp, target, m, l)
+}
 
 // state returns r's state on the lane, making the lane's table on its
 // first response: the world is frozen for the plane's lifetime, so the
@@ -178,19 +198,4 @@ func (l *Lane) target(start topo.RouterID, addr netx.Addr) *target {
 		t.base = l.e.baseDelay(t.path.steps)
 	}
 	return t
-}
-
-// TracerouteLane runs a Paris traceroute on lane's timeline — the engine's
-// own when lane is nil — and then paces that clock forward by PacePerHop per
-// packet sent. A worker's lane leaves the engine's clock untouched; the
-// driver advances it once, deterministically, after all lanes complete.
-func (e *Engine) TracerouteLane(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, lane *Lane) TraceResult {
-	if lane == nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		lane = e.own
-	}
-	res := e.traceroute(vp, dst, stop, lane)
-	lane.clock += time.Duration(len(res.Hops)) * PacePerHop
-	return res
 }

@@ -30,7 +30,7 @@ func TestDenseLaneStateMatchesMaps(t *testing.T) {
 			if len(limited) == 0 {
 				t.Fatal("no router is rate-limited")
 			}
-			lane, ref := New(n, nil).NewLane(0), newMapLane()
+			lane, ref := New(n, nil).NewLane(n.VPs[0], 0), newMapLane()
 			rng := rand.New(rand.NewSource(1))
 			var drawn [topo.IPIDZero + 1]int
 			refused := 0
@@ -105,7 +105,7 @@ func TestLaneTargetMatchesPerPacketWalk(t *testing.T) {
 			fastReg, slowReg := obs.New(), obs.New()
 			fast.SetObs(fastReg)
 			slow.SetObs(slowReg)
-			fastLane, slowLane := fast.NewLane(0), slow.NewLane(0)
+			fastLane, slowLane := fast.NewLane(vps[0], 0), slow.NewLane(vps[0], 0)
 			rng := rand.New(rand.NewSource(1))
 			recent := []netx.Addr{pool[1], pool[2], pool[3]}
 			answered, queued := 0, 0
@@ -174,7 +174,7 @@ func TestLaneKeepsTheLastTwoTargets(t *testing.T) {
 		t.Fatal("fewer than three reachable interfaces")
 	}
 	a, b, c := addrs[0], addrs[1], addrs[2]
-	lane := e.NewLane(0)
+	lane := e.NewLane(vp, 0)
 	for i, step := range []struct {
 		addr netx.Addr
 		held [2]netx.Addr // in either order

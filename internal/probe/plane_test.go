@@ -144,9 +144,9 @@ func BenchmarkColdPlane(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		e := probe.New(n, tab)
-		lane := e.NewLane(0)
+		lane := e.NewLane(vp, 0)
 		for _, dst := range dsts {
-			e.TracerouteLane(vp, dst, nil, lane)
+			lane.Trace(dst, nil)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,10 +21,10 @@ func newEngine(t *testing.T, prof topo.Profile, seed int64) (*Engine, *topo.Netw
 
 func TestTracerouteReachesCustomers(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 1)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	traced := 0
 	for _, p := range e.Tab.Prefixes() {
-		res := e.Traceroute(vp, p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		if len(res.Hops) > 0 {
 			traced++
 		}
@@ -35,10 +36,10 @@ func TestTracerouteReachesCustomers(t *testing.T) {
 
 func TestTracerouteFirstHopIsHostNetwork(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 2)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	host := n.ASes[n.HostASN]
 	for _, p := range e.Tab.Prefixes()[:10] {
-		res := e.Traceroute(vp, p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		if len(res.Hops) == 0 || res.Hops[0].Type != HopTimeExceeded {
 			continue
 		}
@@ -64,9 +65,9 @@ func orgOfAddr(n *topo.Network, a netx.Addr) (string, bool) {
 
 func TestHopAddressesAreRealInterfacesOrDst(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 3)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	for _, p := range e.Tab.Prefixes() {
-		res := e.Traceroute(vp, p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeout {
 				continue
@@ -86,11 +87,11 @@ func TestHopAddressesAreRealInterfacesOrDst(t *testing.T) {
 
 func TestStopSetHaltsTrace(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 4)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	var full TraceResult
 	var dst netx.Addr
 	for _, p := range e.Tab.Prefixes() {
-		r := e.Traceroute(vp, p.First()+1, nil)
+		r := lane.Trace(p.First()+1, nil)
 		if len(r.Hops) >= 3 && r.Hops[1].Type == HopTimeExceeded {
 			full, dst = r, p.First()+1
 			break
@@ -100,7 +101,7 @@ func TestStopSetHaltsTrace(t *testing.T) {
 		t.Skip("no suitable trace found")
 	}
 	stopAddr := full.Hops[1].Addr
-	res := e.Traceroute(vp, dst, func(a netx.Addr) bool { return a == stopAddr })
+	res := lane.Trace(dst, map[netx.Addr]bool{stopAddr: true})
 	if !res.Stopped {
 		t.Fatal("trace did not report stopping")
 	}
@@ -113,7 +114,7 @@ func TestFirewallTruncatesTrace(t *testing.T) {
 	// Find a customer whose border firewalls probes: traceroute toward it
 	// must never reveal an address inside the customer's announced space.
 	e, n := newEngine(t, topo.LargeAccessProfile(), 5)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	host := n.ASes[n.HostASN]
 	checked := 0
 	for _, nb := range host.Neighbors() {
@@ -130,7 +131,7 @@ func TestFirewallTruncatesTrace(t *testing.T) {
 		if !borderFirewalled || len(cust.Prefixes) == 0 {
 			continue
 		}
-		res := e.Traceroute(vp, cust.Prefixes[0].First()+1, nil)
+		res := lane.Trace(cust.Prefixes[0].First()+1, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeExceeded && cust.Prefixes[0].Contains(h.Addr) {
 				t.Fatalf("firewalled customer %v leaked interior address %v", cust.ASN, h.Addr)
@@ -148,7 +149,7 @@ func TestFirewallTruncatesTrace(t *testing.T) {
 
 func TestSilentNeighborInvisible(t *testing.T) {
 	e, n := newEngine(t, topo.LargeAccessProfile(), 5)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	host := n.ASes[n.HostASN]
 	checked := false
 	for _, nb := range host.Neighbors() {
@@ -165,7 +166,7 @@ func TestSilentNeighborInvisible(t *testing.T) {
 		if !silent {
 			continue
 		}
-		res := e.Traceroute(vp, cust.Prefixes[0].First()+1, nil)
+		res := lane.Trace(cust.Prefixes[0].First()+1, nil)
 		for _, h := range res.Hops {
 			if h.Addr != 0 && n.OwnerOfAddr(h.Addr) == cust.ASN {
 				t.Fatalf("silent neighbor %v responded at %v", cust.ASN, h.Addr)
@@ -180,10 +181,10 @@ func TestSilentNeighborInvisible(t *testing.T) {
 
 func TestEchoReplyFromAnchoredPrefix(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 6)
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	reached := 0
 	for _, p := range e.Tab.Prefixes() {
-		res := e.Traceroute(vp, p.First()+7, nil)
+		res := lane.Trace(p.First()+7, nil)
 		if res.Reached {
 			reached++
 			last := res.Hops[len(res.Hops)-1]
@@ -200,6 +201,7 @@ func TestEchoReplyFromAnchoredPrefix(t *testing.T) {
 func TestProbeMercatorCanonical(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 7)
 	vp := n.VPs[0]
+	lane := e.NewLane(vp, 0)
 	// Find a reachable router with MercatorCanonical and two interfaces.
 	for _, r := range n.Routers {
 		if !r.Behavior.MercatorCanonical || r.Behavior.NoUDPUnreach || len(r.Ifaces) < 2 {
@@ -209,8 +211,8 @@ func TestProbeMercatorCanonical(t *testing.T) {
 		if a1.IsZero() || a2.IsZero() || !e.Reachable(vp, a1) || !e.Reachable(vp, a2) {
 			continue
 		}
-		r1 := e.Probe(vp, a1, MethodUDP)
-		r2 := e.Probe(vp, a2, MethodUDP)
+		r1 := lane.Probe(a1, MethodUDP)
+		r2 := lane.Probe(a2, MethodUDP)
 		if !r1.OK || !r2.OK {
 			continue
 		}
@@ -225,6 +227,7 @@ func TestProbeMercatorCanonical(t *testing.T) {
 func TestSharedIPIDMonotonic(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 8)
 	vp := n.VPs[0]
+	lane := e.NewLane(vp, 0)
 	for _, r := range n.Routers {
 		if r.Behavior.IPID != topo.IPIDShared || len(r.Ifaces) == 0 {
 			continue
@@ -236,7 +239,7 @@ func TestSharedIPIDMonotonic(t *testing.T) {
 		var prev uint16
 		okCount := 0
 		for i := 0; i < 10; i++ {
-			resp := e.Probe(vp, a, MethodICMPEcho)
+			resp := lane.Probe(a, MethodICMPEcho)
 			if !resp.OK {
 				break
 			}
@@ -248,7 +251,7 @@ func TestSharedIPIDMonotonic(t *testing.T) {
 			}
 			prev = resp.IPID
 			okCount++
-			e.Advance(10 * time.Millisecond)
+			lane.Advance(10 * time.Millisecond)
 		}
 		if okCount == 10 {
 			return
@@ -260,6 +263,7 @@ func TestSharedIPIDMonotonic(t *testing.T) {
 func TestIPIDAdvancesWithTime(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 9)
 	vp := n.VPs[0]
+	lane := e.NewLane(vp, 0)
 	for _, r := range n.Routers {
 		if r.Behavior.IPID != topo.IPIDShared || len(r.Ifaces) == 0 || r.Behavior.NoEchoReply {
 			continue
@@ -268,9 +272,9 @@ func TestIPIDAdvancesWithTime(t *testing.T) {
 		if a.IsZero() || !e.Reachable(vp, a) {
 			continue
 		}
-		r1 := e.Probe(vp, a, MethodICMPEcho)
-		e.Advance(60 * time.Second)
-		r2 := e.Probe(vp, a, MethodICMPEcho)
+		r1 := lane.Probe(a, MethodICMPEcho)
+		lane.Advance(60 * time.Second)
+		r2 := lane.Probe(a, MethodICMPEcho)
 		if !r1.OK || !r2.OK {
 			continue
 		}
@@ -285,6 +289,7 @@ func TestIPIDAdvancesWithTime(t *testing.T) {
 func TestRandomIPIDNotMonotonic(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 10)
 	vp := n.VPs[0]
+	lane := e.NewLane(vp, 0)
 	for _, r := range n.Routers {
 		if r.Behavior.IPID != topo.IPIDRandom || len(r.Ifaces) == 0 || r.Behavior.NoEchoReply {
 			continue
@@ -296,7 +301,7 @@ func TestRandomIPIDNotMonotonic(t *testing.T) {
 		increasingRuns := 0
 		var prev uint16
 		for i := 0; i < 30; i++ {
-			resp := e.Probe(vp, a, MethodICMPEcho)
+			resp := lane.Probe(a, MethodICMPEcho)
 			if !resp.OK {
 				break
 			}
@@ -316,6 +321,7 @@ func TestRandomIPIDNotMonotonic(t *testing.T) {
 func TestRateLimiting(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 11)
 	vp := n.VPs[0]
+	lane := e.NewLane(vp, 0)
 	// Force a rate limit on the first responding router.
 	var target netx.Addr
 	var router *topo.Router
@@ -335,15 +341,15 @@ func TestRateLimiting(t *testing.T) {
 	router.Behavior.RateLimitPPS = 3
 	got := 0
 	for i := 0; i < 10; i++ {
-		if e.Probe(vp, target, MethodICMPEcho).OK {
+		if lane.Probe(target, MethodICMPEcho).OK {
 			got++
 		}
 	}
 	if got != 3 {
 		t.Fatalf("rate limit allowed %d responses, want 3", got)
 	}
-	e.Advance(time.Second)
-	if !e.Probe(vp, target, MethodICMPEcho).OK {
+	lane.Advance(time.Second)
+	if !lane.Probe(target, MethodICMPEcho).OK {
 		t.Fatal("rate limit did not reset after a second")
 	}
 }
@@ -352,8 +358,8 @@ func TestStatsAccumulate(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 12)
 	reg := obs.New()
 	e.SetObs(reg)
-	vp := n.VPs[0]
-	e.Traceroute(vp, e.Tab.Prefixes()[0].First()+1, nil)
+	lane := e.NewLane(n.VPs[0], 0)
+	lane.Trace(e.Tab.Prefixes()[0].First()+1, nil)
 	s := ReadLedger(reg)
 	if s.Traceroutes != 1 || s.PacketsSent == 0 {
 		t.Fatalf("ledger = %+v", s)
@@ -361,10 +367,11 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 // TestCachedPathsImmutableUnderConcurrentProbing hammers one engine with
-// 10 000 mixed Probe/Traceroute calls from 4 goroutines — hits on walks
-// cached beforehand and racing misses on the rest — and requires every
+// 10 000 mixed Probe/Trace calls on 4 lanes from 4 goroutines — hits on
+// walks cached beforehand and racing misses on the rest — and requires every
 // previously cached pathResult to be the same object with the same
-// contents afterwards. Run under -race it also checks the plane's locking.
+// contents afterwards, and each lane's results to equal the same lane's run
+// alone. Run under -race it also checks the plane's locking.
 func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 1)
 	reg := obs.New()
@@ -392,25 +399,44 @@ func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 		snaps = append(snaps, snap{p, c})
 	}
 
+	// Each goroutine probes on a lane of its own; the same lanes run one
+	// after another on a fresh fork must see the same responses.
+	type result struct {
+		traces []TraceResult
+		resps  []Response
+	}
+	drive := func(e *Engine, g int) result {
+		var out result
+		lane := e.NewLane(vp, 0)
+		for i := 0; i < 2500; i++ {
+			dst := dsts[(i*7+g*13)%len(dsts)]
+			switch i % 3 {
+			case 0:
+				out.traces = append(out.traces, lane.Trace(dst, nil))
+			case 1:
+				out.resps = append(out.resps, lane.Probe(dst, MethodTTLLimited))
+			default:
+				out.resps = append(out.resps, lane.Probe(dst, MethodUDP))
+			}
+		}
+		return out
+	}
+	got := make([]result, 4)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 2500; i++ {
-				dst := dsts[(i*7+g*13)%len(dsts)]
-				switch i % 3 {
-				case 0:
-					e.Traceroute(vp, dst, nil)
-				case 1:
-					e.Probe(vp, dst, MethodTTLLimited)
-				default:
-					e.Probe(vp, dst, MethodUDP)
-				}
-			}
+			got[g] = drive(e, g)
 		}(g)
 	}
 	wg.Wait()
+	seq := e.Fork()
+	for g := range got {
+		if want := drive(seq, g); !reflect.DeepEqual(got[g], want) {
+			t.Errorf("lane %d: probing beside three other lanes differs from probing alone", g)
+		}
+	}
 
 	for i, s := range snaps {
 		dst := dsts[2*i]

@@ -58,17 +58,9 @@ const gapLimit = 5
 // (~100 packets/second, the rate the paper's deployments probe at).
 const PacePerHop = 10 * time.Millisecond
 
-// Traceroute runs a Paris traceroute (ICMP-echo probes) from vp toward dst.
-// stop, when non-nil, is consulted with each responding address: returning
-// true halts the trace after recording that hop (the doubletree stop set,
-// §5.3). It runs unpaced on the engine's own timeline, which stop must not
-// touch.
-func (e *Engine) Traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool) TraceResult {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.traceroute(vp, dst, stop, e.own)
-}
-
+// traceroute walks a Paris traceroute from vp toward dst on lane. stop,
+// when non-nil, is consulted with each responding address: returning true
+// halts the trace after recording that hop.
 func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, lane *Lane) TraceResult {
 	res := TraceResult{Dst: dst}
 	path := e.computePath(vp.Router, dst)
@@ -245,19 +237,12 @@ type Response struct {
 }
 
 // Source issues single probes from one vantage point and paces
-// measurement time between them: what alias resolution and TSLP need of a
-// prober, local (scamper.LocalProber) or remote (§5.8).
+// measurement time between them, on one timeline: what alias resolution and
+// TSLP need of a timeline. A Lane is one; so is a §5.8 device session
+// (scamper.RemoteProber).
 type Source interface {
 	Probe(target netx.Addr, m Method) Response
 	Advance(d time.Duration)
-}
-
-// Probe sends one probe of the given method from vp to target, on the
-// engine's own timeline.
-func (e *Engine) Probe(vp *topo.VP, target netx.Addr, m Method) Response {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.probe(vp, target, m, e.own)
 }
 
 func (e *Engine) probe(vp *topo.VP, addr netx.Addr, m Method, lane *Lane) Response {

@@ -96,11 +96,11 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 			}()
 
 			// Lanes, nothing congested.
-			lane := e.NewLane(0)
+			lane := e.NewLane(vp, 0)
 			answered := 0
 			for _, dst := range dsts {
 				at := lane.Now()
-				res := e.TracerouteLane(vp, dst, nil, lane)
+				res := lane.Trace(dst, nil)
 				checkHopRTTs(t, e, vp, res, func(int) time.Duration { return at })
 				answered += len(res.Hops)
 			}
@@ -127,11 +127,11 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 				start  time.Duration
 				inside bool
 			}{{0, false}, {90 * time.Minute, true}, {25*time.Hour + 30*time.Minute, true}, {3 * time.Hour, false}} {
-				lane := e.NewLane(tc.start)
+				lane := e.NewLane(vp, tc.start)
 				queued := 0
 				for _, dst := range dsts {
 					at := lane.Now()
-					queued += checkHopRTTs(t, e, vp, e.TracerouteLane(vp, dst, nil, lane), func(int) time.Duration { return at })
+					queued += checkHopRTTs(t, e, vp, lane.Trace(dst, nil), func(int) time.Duration { return at })
 				}
 				if (queued > 0) != tc.inside {
 					t.Errorf("lane from %v to %v: %d hops crossed a congested link, want some: %t", tc.start, lane.Now(), queued, tc.inside)
@@ -142,8 +142,8 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 			// starts at 00:40 and crosses into the window mid-way.
 			moved := 0
 			for _, dst := range dsts {
-				lane := e.NewLane(40 * time.Minute)
-				res := e.TracerouteLane(vp, dst, func(netx.Addr) bool {
+				lane := e.NewLane(vp, 40*time.Minute)
+				res := e.traceroute(vp, dst, func(netx.Addr) bool {
 					lane.clock += 7 * time.Minute
 					return false
 				}, lane)
@@ -176,25 +176,24 @@ type probed struct {
 	ledger Ledger
 }
 
-// measure runs a fixed schedule from vp on e: lane traceroutes toward dsts,
-// then direct probes of every method to the interface addresses among them.
-// The engine charges a registry of its own.
+// measure runs a fixed schedule from vp on one lane of e: traceroutes
+// toward dsts, then direct probes of every method to the interface addresses
+// among them. The engine charges a registry of its own.
 func measure(e *Engine, vp *topo.VP, dsts []netx.Addr) probed {
 	var out probed
 	reg := obs.New()
 	e.SetObs(reg)
-	lane := e.NewLane(e.Now())
+	lane := e.NewLane(vp, 0)
 	for _, dst := range dsts {
-		out.traces = append(out.traces, e.TracerouteLane(vp, dst, nil, lane))
+		out.traces = append(out.traces, lane.Trace(dst, nil))
 	}
-	e.Advance(lane.Now() - e.Now())
 	for _, dst := range dsts {
 		if e.Net.IfaceByAddr(dst) == nil {
 			continue
 		}
 		for _, m := range []Method{MethodICMPEcho, MethodUDP, MethodTCPAck, MethodTTLLimited} {
-			out.resps = append(out.resps, e.Probe(vp, dst, m))
-			e.Advance(PacePerHop)
+			out.resps = append(out.resps, lane.Probe(dst, m))
+			lane.Advance(PacePerHop)
 		}
 	}
 	out.ledger = ReadLedger(reg)

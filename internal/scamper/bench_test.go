@@ -32,7 +32,7 @@ func BenchmarkAliasStage(b *testing.B) {
 		reg := obs.New()
 		e.SetObs(reg)
 		d := &Driver{View: view, Prober: LocalProber{E: e, VP: vp}, HostASNs: host}
-		d.resolveAliases(&Dataset{Traces: traced.Traces}, cfg, nil, true)
+		d.resolveAliases(&Dataset{Traces: traced.Traces}, cfg, nil, e.NewLane(vp, 0), true)
 		packets = reg.Snapshot().Counter("probe.packets_sent")
 	}
 	b.ReportMetric(float64(packets), "packets/op")

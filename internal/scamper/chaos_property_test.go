@@ -52,7 +52,7 @@ func chaosRun(t *testing.T, spec string) (out string, execs map[uint32]int, clk 
 
 	var b strings.Builder
 	for _, p := range tab.Prefixes() {
-		res := rp.Trace(p.First()+1, nil, nil)
+		res := rp.Trace(p.First()+1, nil)
 		fmt.Fprintf(&b, "%v %v %v:", res.Dst, res.Reached, res.Stopped)
 		for _, h := range res.Hops {
 			fmt.Fprintf(&b, " %d/%d/%v/%d", h.TTL, h.Type, h.Addr, h.IPID)
@@ -179,7 +179,7 @@ func TestChaosRetryBudgetIsHonored(t *testing.T) {
 	}
 
 	start := time.Now()
-	rp.Trace(tab.Prefixes()[0].First()+1, nil, nil)
+	rp.Trace(tab.Prefixes()[0].First()+1, nil)
 	if rp.Err() == nil {
 		t.Fatal("response black hole did not fail the session")
 	}

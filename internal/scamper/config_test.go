@@ -4,26 +4,27 @@ import (
 	"testing"
 	"time"
 
+	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
 )
 
 func TestConfigWithDefaults(t *testing.T) {
 	cases := []struct {
-		name  string
-		in    Config
-		laned bool
-		want  Config
+		name    string
+		in      Config
+		private bool
+		want    Config
 	}{
 		{"zero selects paper params",
 			Config{}, true,
 			Config{MaxAddrsPerBlock: 5, Workers: 4}},
-		{"zero without lanes is one worker",
+		{"zero on a shared timeline is one worker",
 			Config{}, false,
 			Config{MaxAddrsPerBlock: 5, Workers: 1}},
 		{"explicit values survive",
 			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true}, true,
 			Config{MaxAddrsPerBlock: 2, Workers: 1, DisableStopSet: true, DisableAlias: true}},
-		{"explicit workers survive without lanes",
+		{"explicit workers survive on a shared timeline",
 			Config{Workers: 4}, false,
 			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 		{"negative values fall back",
@@ -31,34 +32,62 @@ func TestConfigWithDefaults(t *testing.T) {
 			Config{MaxAddrsPerBlock: 5, Workers: 4}},
 	}
 	for _, c := range cases {
-		if got := c.in.withDefaults(c.laned); got != c.want {
-			t.Errorf("%s: withDefaults(%v) = %+v, want %+v", c.name, c.laned, got, c.want)
+		if got := c.in.withDefaults(c.private); got != c.want {
+			t.Errorf("%s: withDefaults(%v) = %+v, want %+v", c.name, c.private, got, c.want)
 		}
 	}
 }
 
-// laneCounter counts the lanes a run opens: the driver opens one per
-// worker.
-type laneCounter struct {
+// traceCounter counts the timelines a run traces on: the driver's workers
+// each trace on one. It wraps every distinct timeline its prober opens
+// once, so a prober that returns one timeline still does.
+type traceCounter struct {
 	Prober
-	lanes int
+	opened map[Timeline]*tracedTimeline
 }
 
-func (c *laneCounter) NewLane(start time.Duration) *probe.Lane {
-	c.lanes++
-	return c.Prober.NewLane(start)
+type tracedTimeline struct {
+	Timeline
+	traces int
+}
+
+func (c *traceCounter) Open(start time.Duration) Timeline {
+	tl := c.Prober.Open(start)
+	if c.opened == nil {
+		c.opened = make(map[Timeline]*tracedTimeline)
+	}
+	if c.opened[tl] == nil {
+		c.opened[tl] = &tracedTimeline{Timeline: tl}
+	}
+	return c.opened[tl]
+}
+
+func (t *tracedTimeline) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
+	t.traces++
+	return t.Timeline.Trace(dst, stopSet)
+}
+
+// workers counts the timelines traced on.
+func (c *traceCounter) workers() int {
+	n := 0
+	for _, tl := range c.opened {
+		if tl.traces > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDefaultWorkersFollowLanes: a zero Workers runs four workers on a
-// local prober and one on a §5.8 session, which has no lanes — and that
+// local prober and one on a §5.8 session, which has one timeline — and that
 // one worker sends the agent exactly the commands an explicit one-worker
 // run does.
 func TestDefaultWorkersFollowLanes(t *testing.T) {
 	n, e, view, hosts := setup(t, 9)
-	local := &laneCounter{Prober: LocalProber{E: e, VP: n.VPs[0]}}
+	local := &traceCounter{Prober: LocalProber{E: e, VP: n.VPs[0]}}
 	(&Driver{View: view, Prober: local, HostASNs: hosts}).Run()
-	if local.lanes != 4 {
-		t.Errorf("local run with zero Workers ran %d workers, want 4", local.lanes)
+	if got := local.workers(); got != 4 {
+		t.Errorf("local run with zero Workers ran %d workers, want 4", got)
 	}
 
 	remote := func(workers int) (lanes int, commands int64) {
@@ -74,7 +103,7 @@ func TestDefaultWorkersFollowLanes(t *testing.T) {
 		if err := rp.Wait(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		p := &laneCounter{Prober: rp}
+		p := &traceCounter{Prober: rp}
 		(&Driver{View: view, Prober: p, HostASNs: hosts, Cfg: Config{Workers: workers}}).Run()
 		if err := rp.Err(); err != nil {
 			t.Fatalf("transport error: %v", err)
@@ -83,7 +112,7 @@ func TestDefaultWorkersFollowLanes(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatalf("agent exited with error: %v", err)
 		}
-		return p.lanes, agent.Commands()
+		return p.workers(), agent.Commands()
 	}
 	lanes, got := remote(0)
 	if lanes != 1 {

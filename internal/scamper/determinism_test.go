@@ -2,6 +2,7 @@ package scamper
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -108,43 +109,74 @@ func TestWorkerCountChangesOnlySchedule(t *testing.T) {
 	}
 }
 
-// TestConcurrentDriversShareEngine exercises the shared engine and a
-// shared registry from two concurrent measurement runs — this is the
-// -race canary for the lane state, the engine's shared clock advance, and
-// every obs primitive. Outputs are not compared (two drivers racing over
-// one simulated clock are not meant to be reproducible); the test asserts
-// only that both complete and the shared counters add up.
+// TestConcurrentDriversShareEngine: runs that share one engine and one
+// registry are each a pure function of the world. On tiny and small-access,
+// seeds 1–3, three Driver.Runs racing on one engine — the -race canary for
+// lanes on one engine and every obs primitive — and a fourth run after them
+// on the same engine agree on the traces (TraceFingerprint), the alias pairs
+// run, the alias graph's router sets and the simulated duration; and the
+// shared counters add up.
 func TestConcurrentDriversShareEngine(t *testing.T) {
-	n := topo.Generate(topo.TinyProfile(), 1)
-	tab := bgp.NewTable(n)
-	view := bgp.Collect(tab, bgp.DefaultVantages(n))
-	reg := obs.New()
-	e := probe.New(n, tab)
-	e.SetObs(reg)
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.SmallAccessProfile()} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/%d", prof.Name, seed), func(t *testing.T) {
+				n := topo.Generate(prof, seed)
+				tab := bgp.NewTable(n)
+				view := bgp.Collect(tab, bgp.DefaultVantages(n))
+				reg := obs.New()
+				e := probe.New(n, tab)
+				e.SetObs(reg)
+				run := func() *Dataset {
+					return (&Driver{
+						View:     view,
+						Prober:   LocalProber{E: e, VP: n.VPs[0]},
+						HostASNs: map[topo.ASN]bool{n.HostASN: true},
+						Obs:      reg,
+					}).Run()
+				}
 
-	var wg sync.WaitGroup
-	results := make([]*Dataset, 2)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := &Driver{
-				View:     view,
-				Prober:   LocalProber{E: e, VP: n.VPs[0]},
-				HostASNs: map[topo.ASN]bool{n.HostASN: true},
-				Cfg:      Config{Workers: 4},
-				Obs:      reg,
-			}
-			results[i] = d.Run()
-		}(i)
-	}
-	wg.Wait()
+				results := make([]*Dataset, 3)
+				var wg sync.WaitGroup
+				for i := range results {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						results[i] = run()
+					}(i)
+				}
+				wg.Wait()
+				results = append(results, run())
 
-	total := int64(results[0].Stats.Traces + results[1].Stats.Traces)
-	if got := reg.Snapshot().Counter("driver.traces"); got != total {
-		t.Fatalf("driver.traces = %d, want %d", got, total)
-	}
-	if results[0].Stats.Traces == 0 || results[1].Stats.Traces == 0 {
-		t.Fatal("a concurrent run produced no traces")
+				var total int64
+				for _, ds := range results {
+					total += int64(ds.Stats.Traces)
+				}
+				if got := reg.Snapshot().Counter("driver.traces"); got != total {
+					t.Fatalf("driver.traces = %d, want %d", got, total)
+				}
+				first := results[0]
+				if first.Stats.Traces == 0 || first.Stats.AliasPairsRun == 0 {
+					t.Fatalf("run measured %d traces and %d alias pairs", first.Stats.Traces, first.Stats.AliasPairsRun)
+				}
+				for i, ds := range results[1:] {
+					which := fmt.Sprintf("concurrent run %d", i+2)
+					if i == 2 {
+						which = "the run after them"
+					}
+					if got, want := ds.TraceFingerprint(), first.TraceFingerprint(); got != want {
+						t.Errorf("%s: trace fingerprint %x, the first run's %x", which, got, want)
+					}
+					if got, want := ds.Stats.AliasPairsRun, first.Stats.AliasPairsRun; got != want {
+						t.Errorf("%s: %d alias pairs run, the first run %d", which, got, want)
+					}
+					if got, want := ds.Graph.Sets(), first.Graph.Sets(); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %d router sets, the first run %d", which, len(got), len(want))
+					}
+					if got, want := ds.Stats.SimDuration, first.Stats.SimDuration; got != want {
+						t.Errorf("%s: SimDuration %v, the first run %v", which, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -25,8 +25,9 @@ type Config struct {
 	// MaxAddrsPerBlock bounds the §5.3 retry rule (default 5).
 	MaxAddrsPerBlock int
 	// Workers is the number of target ASes probed concurrently (default 4
-	// on a prober with lanes, 1 on a §5.8 session: the device has one
-	// timeline, and one worker keeps its command stream deterministic).
+	// on a prober that opens private timelines, 1 on a §5.8 session: the
+	// device has one timeline, and one worker keeps its command stream
+	// deterministic).
 	Workers int
 	// DisableStopSet turns off doubletree early stopping (ablation).
 	DisableStopSet bool
@@ -44,13 +45,13 @@ type Config struct {
 	State *RoundState
 }
 
-// withDefaults fills the paper's parameters for a prober with or without
-// lanes.
-func (c Config) withDefaults(laned bool) Config {
+// withDefaults fills the paper's parameters for a prober with private
+// timelines or with one shared one.
+func (c Config) withDefaults(private bool) Config {
 	if c.MaxAddrsPerBlock <= 0 {
 		c.MaxAddrsPerBlock = 5
 	}
-	if c.Workers <= 0 && laned {
+	if c.Workers <= 0 && private {
 		c.Workers = 4
 	}
 	c.Workers = max(c.Workers, 1)
@@ -192,13 +193,18 @@ type Driver struct {
 
 // Run executes probing and alias resolution, returning the dataset.
 func (d *Driver) Run() *Dataset {
-	simStart := d.Prober.Now()
-	// Worker w probes on lanes[w]; a prober without lanes returns nil.
-	lanes := []*probe.Lane{d.Prober.NewLane(simStart)}
-	cfg := d.Cfg.withDefaults(lanes[0] != nil)
-	for len(lanes) < cfg.Workers {
-		lanes = append(lanes, d.Prober.NewLane(simStart))
+	// Worker w probes on timelines[w]. A prober that returns the same
+	// timeline twice has only one (a §5.8 session): its workers share it
+	// and stamp events with SimNS 0 — reading the remote clock per event
+	// would perturb the frame stream the fault goldens pin.
+	timelines := []Timeline{d.Prober.Open(0), d.Prober.Open(0)}
+	clocked := timelines[0] != timelines[1]
+	cfg := d.Cfg.withDefaults(clocked)
+	for len(timelines) < cfg.Workers {
+		timelines = append(timelines, d.Prober.Open(0))
 	}
+	timelines = timelines[:cfg.Workers]
+	simStart := timelines[0].Now()
 	targets := Targets(d.View, d.HostASNs)
 	ds := &Dataset{VPName: d.Prober.Name()}
 	ds.Stats.Targets = len(targets)
@@ -254,14 +260,11 @@ func (d *Driver) Run() *Dataset {
 	// worker finished first.
 	wlogs := make([]*obs.Tracer, cfg.Workers)
 
-	// Worker w handles targets w, w+W, w+2W, … on lanes[w], so each slot and
-	// each lane is touched by exactly one worker and the merge below needs
-	// no locks and no ordering. A remote session has no lanes: its workers
-	// share the agent's clock and stamp events with SimNS 0 — reading the
-	// remote clock per event would perturb the frame stream the fault
-	// goldens pin.
+	// Worker w handles targets w, w+W, w+2W, … on timelines[w], so each
+	// slot and each private timeline is touched by exactly one worker and
+	// the merge below needs no locks and no ordering.
 	var wg sync.WaitGroup
-	for w := range lanes {
+	for w := range timelines {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -269,25 +272,19 @@ func (d *Driver) Run() *Dataset {
 				wlogs[w] = obs.NewTracer()
 			}
 			for i := w; i < len(targets); i += cfg.Workers {
-				outs[i] = d.probeTarget(targets[i], cfg, lanes[w], wlogs[w], replays[i])
+				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], replays[i])
 			}
 		}(w)
 	}
 	wg.Wait()
-	// The run's simulated duration is the slowest worker's timeline. Push
-	// the shared clock to its end so the alias stage (and any later run)
-	// starts at a well-defined time.
-	clocked := lanes[0] != nil
+	// The probe stage's simulated duration is the slowest worker's
+	// timeline; a shared timeline is read once.
+	if !clocked {
+		timelines = timelines[:1]
+	}
 	simEnd := simStart
-	if clocked {
-		for _, lane := range lanes {
-			simEnd = max(simEnd, lane.Now())
-		}
-		if simEnd > simStart {
-			d.Prober.Advance(simEnd - simStart)
-		}
-	} else {
-		simEnd = max(simEnd, d.Prober.Now())
+	for _, tl := range timelines {
+		simEnd = max(simEnd, tl.Now())
 	}
 
 	var targetSimNS int64
@@ -397,9 +394,12 @@ func (d *Driver) Run() *Dataset {
 
 	aliasSpan := d.Obs.StartStage("driver.alias")
 	aliasSp := d.Spans.Begin(d.SpanParent, "stage", "alias")
-	aliasStart := d.Prober.Now()
-	d.resolveAliases(ds, cfg, st, clocked)
-	aliasSim := d.Prober.Now() - aliasStart
+	// The alias stage starts where the probe stage ended, on a timeline of
+	// its own.
+	aliasTL := d.Prober.Open(simEnd)
+	aliasStart := aliasTL.Now()
+	d.resolveAliases(ds, cfg, st, aliasTL, clocked)
+	aliasSim := aliasTL.Now() - aliasStart
 	if aliasSim < 0 {
 		// A lost remote session reads its clock as zero; don't let that
 		// drag the stage duration negative.
@@ -411,8 +411,8 @@ func (d *Driver) Run() *Dataset {
 	aliasSp.AddSim(aliasSim)
 	aliasSp.End()
 
-	// SimDuration is the slowest lane plus the single-threaded alias stage,
-	// not a difference of unordered reads of the shared clock.
+	// SimDuration is the slowest worker plus the single-threaded alias
+	// stage.
 	ds.Stats.SimDuration = probeSim + aliasSim
 	return ds
 }
@@ -469,15 +469,15 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 // one), try further addresses, up to the configured maximum (§5.3).
 // It returns early — reporting the target lost — when the prober's session
 // dies, so one dead VP degrades the run instead of hanging it.
-func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.Tracer, rp *targetReplay) targetOut {
+func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, rp *targetReplay) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
-	// target. A prober without lanes stamps zero throughout.
+	// target. A shared timeline stamps zero throughout.
 	rel := func() int64 { return 0 }
-	if lane != nil {
-		start := lane.Now()
-		rel = func() int64 { return int64(lane.Now() - start) }
+	if clocked {
+		start := tl.Now()
+		rel = func() int64 { return int64(tl.Now() - start) }
 	}
 	wallStart := time.Now()
 	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
@@ -528,7 +528,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, lane *probe.Lane, frag *obs.T
 				}
 			}
 			if !cached {
-				res = d.Prober.Trace(dst, ss, lane)
+				res = tl.Trace(dst, ss)
 				if len(res.Hops) == 0 && d.Prober.Err() != nil {
 					// The session died mid-command; this empty trace is a
 					// transport artifact, not a measurement.
@@ -614,21 +614,21 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // touching a dirty address runs live. The memo is rebuilt from this
 // round's operations on every pass, so entries for vanished addresses and
 // edges age out immediately.
-func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, clocked bool) {
-	res := alias.NewResolver(d.Prober, cfg.AliasCfg)
+func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Timeline, clocked bool) {
+	res := alias.NewResolver(tl, cfg.AliasCfg)
 	res.Trace = d.Trace
 	if clocked {
 		// Alias events carry timestamps relative to the alias stage's own
-		// start. Only a prober with lanes has a clock it reads for free;
-		// remote probers stamp zero (a clock round trip per event would
+		// start. Only a private timeline has a clock it reads for free; a
+		// shared one stamps zero (a clock round trip per event would
 		// perturb the pinned frame stream).
-		start := d.Prober.Now()
-		res.Now = func() int64 { return int64(d.Prober.Now() - start) }
+		start := tl.Now()
+		res.Now = func() int64 { return int64(tl.Now() - start) }
 	}
 	ds.Resolver = res
 	// The dataset outlives the run — inference reads and records verdicts
-	// through ds.Resolver — and must not keep the prober alive with it: for
-	// a local run that is the engine and its whole forwarding plane.
+	// through ds.Resolver — and must not keep the timeline alive with it:
+	// for a local run that is the engine and its whole forwarding plane.
 	defer func() { res.Src, res.Now = nil, nil }()
 
 	type edge struct{ prev, cur netx.Addr }
@@ -717,7 +717,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, clocked
 		if replayed {
 			ds.Stats.AliasOpsReplayed++
 		} else {
-			r := d.Prober.Probe(a, probe.MethodUDP)
+			r := tl.Probe(a, probe.MethodUDP)
 			if r.OK && r.From != a && !r.From.IsZero() {
 				m = mercMemo{hit: true, from: r.From}
 			}

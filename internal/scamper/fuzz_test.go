@@ -125,6 +125,7 @@ func FuzzAgentHandle(f *testing.F) {
 	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 2, 10, 0, 0, 2}) // stop set shorter than its count
 	f.Add([]byte{msgProbeReq, 10, 0, 0, 1, 0})
 	f.Add([]byte{msgAdvance, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{msgAdvance, 0x80, 0, 0, 0, 0, 0, 0, 0}) // a negative delta is an error
 	f.Add([]byte{msgClock})
 	f.Add([]byte{msgSpanPull})
 	f.Add([]byte{0x0e, 10, 0, 0}) // no message has type 0x0e: an unknown type is an error, not a panic

@@ -221,8 +221,9 @@ func TestPathSignatureStability(t *testing.T) {
 	dst := targets[0].Blocks[0].First + 1
 	vp := n.VPs[0]
 	s1 := e.PathSignature(vp, dst)
-	e.Advance(probe.PacePerHop * 100)
-	e.Traceroute(vp, dst, nil)
+	lane := e.NewLane(vp, 0)
+	lane.Advance(probe.PacePerHop * 100)
+	lane.Trace(dst, nil)
 	if s2 := e.PathSignature(vp, dst); s2 != s1 {
 		t.Fatalf("signature changed on unchanged world: %x vs %x", s1, s2)
 	}
@@ -257,7 +258,7 @@ func TestPrefixscanTraceCapturesVerdicts(t *testing.T) {
 	n, e, view, hosts := setup(t, 3)
 	d := &Driver{View: view, Prober: LocalProber{E: e, VP: n.VPs[0]}, HostASNs: hosts}
 	ds := d.Run()
-	res := alias.NewResolver(d.Prober, alias.Config{})
+	res := alias.NewResolver(d.Prober.Open(ds.Stats.SimDuration), alias.Config{})
 	found := false
 	for _, tr := range ds.Traces {
 		var prev netx.Addr

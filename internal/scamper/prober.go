@@ -21,28 +21,34 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// Prober executes measurements on behalf of the driver.
+// Prober opens measurement timelines on behalf of the driver.
 type Prober interface {
 	// Name identifies the vantage point.
 	Name() string
-	// NewLane opens a private measurement timeline starting at start, so
-	// that a parallel run's traces are a pure function of the world and the
-	// schedule, independent of goroutine interleaving. A remote session has
-	// only the device's timeline and returns nil.
-	NewLane(start time.Duration) *probe.Lane
-	// Trace runs a paced Paris traceroute toward dst, stopping early when a
-	// hop responds from an address in stopSet, on lane's timeline — the
-	// prober's one shared clock when lane is nil.
-	Trace(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult
-	// Source sends single alias-resolution probes and moves measurement
-	// time forward (pacing).
-	probe.Source
-	// Now reads the simulated measurement clock. A remote prober pays a
-	// round trip for it, and reads zero once its session is lost.
-	Now() time.Duration
+	// Open opens a measurement timeline whose clock reads start. A prober
+	// that can open private timelines returns a new one on every call, so a
+	// parallel run's traces are a pure function of the world and the
+	// schedule, independent of goroutine interleaving. A §5.8 session has
+	// only the device's timeline: it returns that one on every call, and
+	// its clock reads what the device's does.
+	Open(start time.Duration) Timeline
 	// Err returns the first permanent session error; a prober with no
 	// session to lose always returns nil.
 	Err() error
+}
+
+// Timeline is one vantage point's measurement timeline: a probe.Lane, or a
+// §5.8 device session.
+type Timeline interface {
+	// Trace runs a paced Paris traceroute toward dst, stopping early when a
+	// hop responds from an address in stopSet.
+	Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult
+	// Source sends single alias-resolution probes and moves measurement
+	// time forward (pacing).
+	probe.Source
+	// Now reads the simulated measurement clock. A remote session pays a
+	// round trip for it, and reads zero once it is lost.
+	Now() time.Duration
 }
 
 // LocalProber runs measurements directly against the simulation engine.
@@ -54,34 +60,10 @@ type LocalProber struct {
 // Name returns the vantage point name.
 func (p LocalProber) Name() string { return p.VP.Name }
 
-// NewLane opens a worker-private measurement timeline on the engine.
-func (p LocalProber) NewLane(start time.Duration) *probe.Lane {
-	return p.E.NewLane(start)
+// Open opens a new lane on the engine.
+func (p LocalProber) Open(start time.Duration) Timeline {
+	return p.E.NewLane(p.VP, start)
 }
-
-// Trace runs one traceroute, paced at ~100 packets/second like the paper's
-// deployments.
-func (p LocalProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, lane *probe.Lane) probe.TraceResult {
-	return p.E.TracerouteLane(p.VP, dst, stopFunc(stopSet), lane)
-}
-
-func stopFunc(stopSet map[netx.Addr]bool) func(netx.Addr) bool {
-	if stopSet == nil {
-		return nil
-	}
-	return func(a netx.Addr) bool { return stopSet[a] }
-}
-
-// Probe sends one probe.
-func (p LocalProber) Probe(target netx.Addr, m probe.Method) probe.Response {
-	return p.E.Probe(p.VP, target, m)
-}
-
-// Advance moves the simulated clock.
-func (p LocalProber) Advance(d time.Duration) { p.E.Advance(d) }
-
-// Now reads the engine's simulated clock.
-func (p LocalProber) Now() time.Duration { return p.E.Now() }
 
 // Err is always nil: the engine is in-process and cannot be lost.
 func (p LocalProber) Err() error { return nil }
@@ -93,4 +75,7 @@ func (p LocalProber) PathSignature(dst netx.Addr) uint64 {
 	return p.E.PathSignature(p.VP, dst)
 }
 
-var _ Prober = LocalProber{}
+var (
+	_ Prober   = LocalProber{}
+	_ Timeline = (*probe.Lane)(nil)
+)

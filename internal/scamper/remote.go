@@ -204,17 +204,22 @@ func parseHello(body []byte) (name string, err error) {
 // Agent (device side)
 
 // Agent executes probe commands against a local engine on behalf of a
-// central controller. It keeps no measurement state beyond one in-flight
-// command plus the last response (for duplicate-suppression replay), which
-// is what lets it fit on a low-resource device.
+// central controller. It keeps no measurement state beyond its timeline,
+// one in-flight command and the last response (for duplicate-suppression
+// replay), which is what lets it fit on a low-resource device.
 type Agent struct {
 	E  *probe.Engine
 	VP *topo.VP
 	// Spans, when set, records one "agent-session" span per completed
-	// handshake (sim duration from the engine clock, resume flag, and a
+	// handshake (sim duration from the device clock, resume flag, and a
 	// volatile command count). The controller pulls the log with
 	// RemoteProber.PullSpans and grafts it into the run's span tree.
 	Spans *obs.SpanLog
+
+	// lane is the device's one timeline, opened at zero by the first
+	// session and kept across redials. The agent serves one connection at
+	// a time, so only the serving goroutine touches it.
+	lane *probe.Lane
 
 	mu       sync.Mutex
 	peakBuf  int
@@ -264,8 +269,16 @@ func (a *Agent) cache(seq uint32, rsp []byte) {
 	a.mu.Unlock()
 }
 
+// timeline returns the device's timeline, opening it on first use.
+func (a *Agent) timeline() *probe.Lane {
+	if a.lane == nil {
+		a.lane = a.E.NewLane(a.VP, 0)
+	}
+	return a.lane
+}
+
 // beginSession opens the session span and returns its (idempotent) end
-// function. The simulated duration is read from the engine clock, which
+// function. The simulated duration is read from the device clock, which
 // only advances when a command actually executes — replayed duplicates
 // don't move it — so session spans are deterministic for a fixed fault
 // schedule. The command count is retry-timing-dependent and therefore
@@ -280,7 +293,7 @@ func (a *Agent) beginSession() func() {
 	cmds, resume := a.commands, a.lastRsp != nil
 	a.mu.Unlock()
 	sp.SetAttr("resume", resume)
-	start := a.E.Now()
+	start := a.timeline().Now()
 	var once sync.Once
 	end := func() {
 		once.Do(func() {
@@ -288,7 +301,7 @@ func (a *Agent) beginSession() func() {
 			delta := a.commands - cmds
 			a.mu.Unlock()
 			sp.SetAttr("~commands", delta)
-			sp.AddSim(a.E.Now() - start)
+			sp.AddSim(a.timeline().Now() - start)
 			sp.End()
 		})
 	}
@@ -448,7 +461,7 @@ func (a *Agent) handle(req []byte) ([]byte, error) {
 		}
 		target := netx.Addr(binary.BigEndian.Uint32(req[1:5]))
 		m := probe.Method(req[5])
-		r := a.E.Probe(a.VP, target, m)
+		r := a.timeline().Probe(target, m)
 		rsp := make([]byte, 24)
 		rsp[0] = msgProbeRsp
 		if r.OK {
@@ -464,12 +477,18 @@ func (a *Agent) handle(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("scamper: short advance request")
 		}
 		d := time.Duration(binary.BigEndian.Uint64(req[1:9]))
-		a.E.Advance(d)
+		lane := a.timeline()
+		if lane.Now()+d < lane.Now() {
+			// A delta with the top bit set, or one that wraps the clock:
+			// the device clock only moves forward.
+			return nil, fmt.Errorf("scamper: advance %v moves the clock backward", d)
+		}
+		lane.Advance(d)
 		return []byte{msgAdvanced}, nil
 	case msgClock:
 		rsp := make([]byte, 9)
 		rsp[0] = msgClockRsp
-		binary.BigEndian.PutUint64(rsp[1:9], uint64(a.E.Now()))
+		binary.BigEndian.PutUint64(rsp[1:9], uint64(a.timeline().Now()))
 		return rsp, nil
 	case msgSpanPull:
 		return a.spanDump()
@@ -491,7 +510,7 @@ func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 	for i := 0; i < nStop; i++ {
 		stop[netx.Addr(binary.BigEndian.Uint32(req[7+4*i:]))] = true
 	}
-	res := a.E.TracerouteLane(a.VP, dst, stopFunc(stop), nil) // the device has one timeline
+	res := a.timeline().Trace(dst, stop)
 
 	rsp := make([]byte, 0, 5+16*len(res.Hops))
 	rsp = append(rsp, msgTraceRsp, boolByte(res.Reached), boolByte(res.Stopped))
@@ -838,12 +857,12 @@ func (p *RemoteProber) noteRecv(n int) {
 	p.mu.Unlock()
 }
 
-// NewLane returns nil: the agent's engine clock is the session's only
+// Open returns the session itself, whatever start is: the device has one
 // timeline.
-func (p *RemoteProber) NewLane(time.Duration) *probe.Lane { return nil }
+func (p *RemoteProber) Open(time.Duration) Timeline { return p }
 
 // Trace runs a traceroute on the agent, on the agent's clock.
-func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, _ *probe.Lane) probe.TraceResult {
+func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
 	req := make([]byte, 7, 7+4*len(stopSet))
 	req[0] = msgTraceReq
 	binary.BigEndian.PutUint32(req[1:5], uint32(dst))

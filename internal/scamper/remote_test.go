@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -262,7 +263,7 @@ func TestAgentReplaysDuplicateSeq(t *testing.T) {
 		}
 	}
 	// The engine must have advanced exactly once despite three requests.
-	if got := a.E.Now(); got != time.Second {
+	if got := a.lane.Now(); got != time.Second {
 		t.Fatalf("duplicate seq re-executed: clock = %v", got)
 	}
 	if execs := a.CountExecs(); execs[1] != 1 {
@@ -411,7 +412,7 @@ func TestControllerResumesSession(t *testing.T) {
 	dst := tab.Prefixes()[0].First() + 1
 	var traces []probe.TraceResult
 	for i := 0; i < 4; i++ {
-		traces = append(traces, rp.Trace(dst, nil, nil))
+		traces = append(traces, rp.Trace(dst, nil))
 	}
 	if err := rp.Err(); err != nil {
 		t.Fatalf("session lost despite resume: %v", err)
@@ -480,7 +481,7 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 20; i++ {
 				p := prefixes[(g*20+i)%len(prefixes)]
-				rp.Trace(p.First()+1, nil, nil)
+				rp.Trace(p.First()+1, nil)
 				rp.Probe(p.First()+1, probe.MethodICMPEcho)
 			}
 			errc <- rp.Err()
@@ -489,6 +490,35 @@ func TestRemoteProberConcurrentUse(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-errc; err != nil {
 			t.Fatalf("transport error under concurrency: %v", err)
+		}
+	}
+}
+
+// TestAgentRejectsBackwardAdvance: an advance whose delta has the top bit
+// set would move the device clock below zero, where the IP-ID background
+// term depends on the platform's float-to-integer conversion; one that wraps
+// the clock would do the same. The agent refuses both, as it refuses a short
+// advance, and its clock stays where it was.
+func TestAgentRejectsBackwardAdvance(t *testing.T) {
+	a := namedAgent("vp-x")
+	advance := func(d time.Duration) []byte {
+		req := make([]byte, 9)
+		req[0] = msgAdvance
+		binary.BigEndian.PutUint64(req[1:9], uint64(d))
+		return req
+	}
+	if _, err := a.handle(advance(time.Second)); err != nil {
+		t.Fatalf("a one-second advance: %v", err)
+	}
+	for _, d := range []time.Duration{
+		math.MinInt64, -1, -2562047 * time.Hour,
+		math.MaxInt64, // forward, but past the end of the clock
+	} {
+		if rsp, err := a.handle(advance(d)); err == nil {
+			t.Errorf("advance %v: the agent answered %v", d, rsp)
+		}
+		if got := a.lane.Now(); got != time.Second {
+			t.Fatalf("advance %v moved the clock to %v", d, got)
 		}
 	}
 }

@@ -240,10 +240,10 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 	}
 
 	// Remote and local traces must agree.
-	local := LocalProber{E: e, VP: n.VPs[0]}
+	local := e.NewLane(n.VPs[0], 0)
 	dst := view.RoutedPrefixes()[len(view.RoutedPrefixes())-1].First() + 1
-	lt := local.Trace(dst, nil, nil)
-	rt := rp.Trace(dst, nil, nil)
+	lt := local.Trace(dst, nil)
+	rt := rp.Trace(dst, nil)
 	if len(lt.Hops) != len(rt.Hops) {
 		t.Fatalf("hop counts differ: %d vs %d", len(lt.Hops), len(rt.Hops))
 	}
@@ -255,7 +255,7 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 
 	// Stop sets work over the wire.
 	if len(lt.Hops) > 1 && lt.Hops[0].Type == probe.HopTimeExceeded {
-		stopped := rp.Trace(dst, map[netx.Addr]bool{lt.Hops[0].Addr: true}, nil)
+		stopped := rp.Trace(dst, map[netx.Addr]bool{lt.Hops[0].Addr: true})
 		if !stopped.Stopped || len(stopped.Hops) != 1 {
 			t.Fatalf("remote stop set failed: %+v", stopped)
 		}

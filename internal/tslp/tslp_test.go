@@ -7,17 +7,17 @@ import (
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
-	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
 // world builds a tiny network with two interdomain links and returns the
-// engine, VP, and the two (near, far) target pairs.
-func world(t *testing.T) (*probe.Engine, *topo.Network, []Target, []*topo.Link) {
+// engine, the lane of its first VP that pinged them, the two (near, far)
+// target pairs and their links.
+func world(t *testing.T) (*probe.Engine, *probe.Lane, []Target, []*topo.Link) {
 	t.Helper()
 	n := topo.Generate(topo.TinyProfile(), 1)
 	e := probe.New(n, bgp.NewTable(n))
-	vp := n.VPs[0]
+	lane := e.NewLane(n.VPs[0], 0)
 	var targets []Target
 	var links []*topo.Link
 	for _, lt := range n.InterdomainLinks(n.HostASN) {
@@ -28,8 +28,8 @@ func world(t *testing.T) (*probe.Engine, *topo.Network, []Target, []*topo.Link) 
 			continue
 		}
 		// Both sides must answer pings for TSLP to monitor the link.
-		if !e.Probe(vp, nearIf.Addr, probe.MethodICMPEcho).OK ||
-			!e.Probe(vp, farIf.Addr, probe.MethodICMPEcho).OK {
+		if !lane.Probe(nearIf.Addr, probe.MethodICMPEcho).OK ||
+			!lane.Probe(farIf.Addr, probe.MethodICMPEcho).OK {
 			continue
 		}
 		targets = append(targets, Target{Near: nearIf.Addr, Far: farIf.Addr, FarAS: lt.FarAS})
@@ -41,7 +41,7 @@ func world(t *testing.T) (*probe.Engine, *topo.Network, []Target, []*topo.Link) 
 	if len(targets) < 2 {
 		t.Skip("need two pingable interdomain links")
 	}
-	return e, n, targets, links
+	return e, lane, targets, links
 }
 
 func TestRTTModelGeographic(t *testing.T) {
@@ -49,24 +49,24 @@ func TestRTTModelGeographic(t *testing.T) {
 	e := probe.New(n, bgp.NewTable(n))
 	// RTT from the west-coast VP to an east-coast backbone interface must
 	// exceed RTT to a west-coast one.
-	vp := n.VPs[0] // sea
+	lane := e.NewLane(n.VPs[0], 0) // sea
 	var west, east netx.Addr
 	for _, r := range n.Routers {
 		if r.Owner != n.HostASN || len(r.Addrs()) == 0 {
 			continue
 		}
-		if r.Longitude < -120 && west.IsZero() && e.Probe(vp, r.Addrs()[0], probe.MethodICMPEcho).OK {
+		if r.Longitude < -120 && west.IsZero() && lane.Probe(r.Addrs()[0], probe.MethodICMPEcho).OK {
 			west = r.Addrs()[0]
 		}
-		if r.Longitude > -75 && east.IsZero() && e.Probe(vp, r.Addrs()[0], probe.MethodICMPEcho).OK {
+		if r.Longitude > -75 && east.IsZero() && lane.Probe(r.Addrs()[0], probe.MethodICMPEcho).OK {
 			east = r.Addrs()[0]
 		}
 	}
 	if west.IsZero() || east.IsZero() {
 		t.Skip("no pingable coastal routers")
 	}
-	rw := e.Probe(vp, west, probe.MethodICMPEcho).RTT
-	re := e.Probe(vp, east, probe.MethodICMPEcho).RTT
+	rw := lane.Probe(west, probe.MethodICMPEcho).RTT
+	re := lane.Probe(east, probe.MethodICMPEcho).RTT
 	if re <= rw {
 		t.Fatalf("east RTT %v <= west RTT %v", re, rw)
 	}
@@ -76,8 +76,7 @@ func TestRTTModelGeographic(t *testing.T) {
 }
 
 func TestDetectInjectedCongestion(t *testing.T) {
-	e, _, targets, links := world(t)
-	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
+	e, lane, targets, links := world(t)
 
 	// Congest link 0 from 18:00 to 23:00, leave link 1 alone.
 	e.InjectCongestion(probe.CongestionEpisode{
@@ -86,7 +85,7 @@ func TestDetectInjectedCongestion(t *testing.T) {
 		End:   23 * time.Hour,
 		Queue: 40 * time.Millisecond,
 	})
-	series := Run(vp, targets, Config{Interval: 5 * time.Minute, Duration: 24 * time.Hour})
+	series := Run(lane, targets, Config{Interval: 5 * time.Minute, Duration: 24 * time.Hour})
 	reports := DetectAll(series, 30*time.Minute, 3*time.Millisecond)
 
 	byNear := map[netx.Addr]Report{}
@@ -122,9 +121,8 @@ func TestDetectInjectedCongestion(t *testing.T) {
 }
 
 func TestDetectNoFalsePositivesQuietDay(t *testing.T) {
-	e, _, targets, _ := world(t)
-	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
-	series := Run(vp, targets, Config{Interval: 10 * time.Minute, Duration: 12 * time.Hour})
+	_, lane, targets, _ := world(t)
+	series := Run(lane, targets, Config{Interval: 10 * time.Minute, Duration: 12 * time.Hour})
 	for _, r := range DetectAll(series, 30*time.Minute, 3*time.Millisecond) {
 		if r.Congested() {
 			t.Fatalf("false positive on quiet network: %v", r)
@@ -135,8 +133,8 @@ func TestDetectNoFalsePositivesQuietDay(t *testing.T) {
 func TestPathWideShiftNotFlagged(t *testing.T) {
 	// Congestion on an *internal* link upstream of the border elevates
 	// both near and far RTTs: TSLP must not call it interdomain.
-	e, n, targets, _ := world(t)
-	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
+	e, lane, targets, _ := world(t)
+	n := e.Net
 	// Find an internal host link on the path (the VP's access link).
 	var internal *topo.Link
 	for _, l := range n.Links {
@@ -157,7 +155,7 @@ func TestPathWideShiftNotFlagged(t *testing.T) {
 		End:   24 * time.Hour,
 		Queue: 40 * time.Millisecond,
 	})
-	series := Run(vp, targets[:1], Config{Interval: 10 * time.Minute, Duration: 6 * time.Hour})
+	series := Run(lane, targets[:1], Config{Interval: 10 * time.Minute, Duration: 6 * time.Hour})
 	rep := Detect(series[0], 30*time.Minute, 3*time.Millisecond)
 	if rep.Congested() {
 		// Only acceptable if the internal link is not actually on this
@@ -167,9 +165,8 @@ func TestPathWideShiftNotFlagged(t *testing.T) {
 }
 
 func TestRunCadence(t *testing.T) {
-	e, _, targets, _ := world(t)
-	vp := scamper.LocalProber{E: e, VP: e.Net.VPs[0]}
-	series := Run(vp, targets[:1], Config{Interval: time.Hour, Duration: 6 * time.Hour})
+	_, lane, targets, _ := world(t)
+	series := Run(lane, targets[:1], Config{Interval: time.Hour, Duration: 6 * time.Hour})
 	if len(series[0].Samples) != 6 {
 		t.Fatalf("samples = %d, want 6", len(series[0].Samples))
 	}

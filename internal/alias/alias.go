@@ -65,12 +65,6 @@ const (
 	probeGap     = 20 * time.Millisecond // between interleaved probes
 	maxSpan      = 2000                  // widest IP-ID span of one interleaved sequence
 	allySamples  = 6                     // probes in one interleaved sequence a,b,a,b,a,b
-
-	// The velocity test's sampler (velocity.go).
-	velocitySamples  = 8               // per address
-	velocityGap      = 2 * time.Second // between samples
-	velocityMaxResid = 200             // max tolerated residual, IDs
-	velocityMinRate  = 0.5             // IDs/sec below which a counter is "stalled"
 )
 
 // Resolver drives alias-resolution measurements through a probe source
@@ -287,9 +281,8 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 	return Unknown
 }
 
-// Resolve runs Mercator, Ally, and finally the velocity test on a pair,
-// returning the first conclusive verdict. Velocity recovers pairs whose
-// tight Ally interleaving was broken by rate limiting or scheduling.
+// Resolve runs Mercator and then Ally on a pair, returning the first
+// conclusive verdict.
 func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	if v := r.Verdict(a, b); v != Unknown {
 		return v
@@ -297,10 +290,7 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	if v := r.Mercator(a, b); v == AliasYes {
 		return v
 	}
-	if v := r.Ally(a, b); v != Unknown {
-		return v
-	}
-	return r.Velocity(a, b)
+	return r.Ally(a, b)
 }
 
 // PairVerdict records one pair test a compound operation performed — the

@@ -2,6 +2,7 @@ package alias
 
 import (
 	"testing"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
@@ -74,6 +75,10 @@ func TestAllyDifferentRouters(t *testing.T) {
 	if v := res.Ally(addrs[0], addrs[1]); v == AliasYes {
 		t.Fatalf("Ally claimed aliases across different routers (%v, %v)", addrs[0], addrs[1])
 	}
+	// Nor does Resolve, which is Mercator and then Ally.
+	if v := NewResolver(e.NewLane(n.VPs[0], 0), Config{}).Resolve(addrs[0], addrs[1]); v == AliasYes {
+		t.Fatalf("Resolve claimed aliases across different routers (%v, %v)", addrs[0], addrs[1])
+	}
 }
 
 func TestAllyRandomIPIDRejected(t *testing.T) {
@@ -86,6 +91,66 @@ func TestAllyRandomIPIDRejected(t *testing.T) {
 	}
 	if v := res.Ally(addrs[0], addrs[1]); v == AliasYes {
 		t.Fatal("Ally accepted a random-IPID router (should reject or be unknown)")
+	}
+}
+
+// countingSource counts what a resolver spends through it: probes sent
+// and lane time advanced.
+type countingSource struct {
+	probe.Source
+	probes  int
+	elapsed time.Duration
+}
+
+func (c *countingSource) Probe(a netx.Addr, m probe.Method) probe.Response {
+	c.probes++
+	return c.Source.Probe(a, m)
+}
+
+func (c *countingSource) Advance(d time.Duration) {
+	c.elapsed += d
+	c.Source.Advance(d)
+}
+
+// TestResolveStopsAtAlly pins Resolve to the paper's tests: on a pair
+// Ally leaves Unknown, Resolve costs exactly what Mercator and then Ally
+// cost on their own, and sends nothing after them.
+func TestResolveStopsAtAlly(t *testing.T) {
+	e, n, _ := setup(t, 3)
+	vp := n.VPs[0]
+	_, random := findRouter(e, n, vp, func(r *topo.Router) bool {
+		return r.Behavior.IPID == topo.IPIDRandom && !r.Behavior.NoEchoReply && !r.Behavior.MercatorCanonical
+	})
+	if random == nil {
+		t.Fatal("no random-IPID, non-canonical router with two reachable ifaces")
+	}
+	// Addresses no router holds: no probe method gets an answer.
+	silent := [2]netx.Addr{netx.MustParseAddr("240.0.0.1"), netx.MustParseAddr("240.0.0.2")}
+	for _, tc := range []struct {
+		name string
+		a, b netx.Addr
+	}{
+		{"random-ipid", random[0], random[1]},
+		{"unanswered", silent[0], silent[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alone := &countingSource{Source: e.NewLane(vp, 0)}
+			r := NewResolver(alone, Config{})
+			if v := r.Mercator(tc.a, tc.b); v != Unknown {
+				t.Fatalf("Mercator = %v, want unknown", v)
+			}
+			if v := r.Ally(tc.a, tc.b); v != Unknown {
+				t.Fatalf("Ally = %v, want unknown", v)
+			}
+			both := &countingSource{Source: e.NewLane(vp, 0)}
+			if v := NewResolver(both, Config{}).Resolve(tc.a, tc.b); v != Unknown {
+				t.Fatalf("Resolve = %v, want unknown", v)
+			}
+			if both.probes != alone.probes || both.elapsed != alone.elapsed {
+				t.Fatalf("Resolve spent %d probes and %v, Mercator and Ally %d probes and %v",
+					both.probes, both.elapsed, alone.probes, alone.elapsed)
+			}
+		})
 	}
 }
 
@@ -272,9 +337,10 @@ func TestAllyAcrossGeneratedHostRouters(t *testing.T) {
 			break
 		}
 	}
+	resolve := NewResolver(e.NewLane(vp, 0), Config{})
 	for i, p := range pairs {
-		v := res.Ally(p[0], p[1])
-		if v == AliasYes && owners[i][0] != owners[i][1] {
+		yes := res.Ally(p[0], p[1]) == AliasYes || resolve.Resolve(p[0], p[1]) == AliasYes
+		if yes && owners[i][0] != owners[i][1] {
 			t.Fatalf("false positive: %v and %v on routers %d, %d", p[0], p[1], owners[i][0], owners[i][1])
 		}
 	}

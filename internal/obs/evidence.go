@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/binary"
-	"math"
 	"strconv"
 	"unsafe"
 
@@ -30,7 +29,6 @@ const (
 	KindStopsetAdd                 // probe: first external hop joined the stop set
 	KindMercator                   // alias: common-source verdict
 	KindAlly                       // alias: shared IP-ID counter verdict
-	KindVelocity                   // alias: counter-rate verdict
 	KindPrefixscan                 // alias: subnet mate confirmed
 	KindMerge                      // core: §5.4.7 analytical alias
 	KindDecision                   // core: a router or silent neighbor attributed
@@ -45,7 +43,6 @@ var kindNames = [numKinds]struct{ stage, name string }{
 	KindStopsetAdd: {StageProbe, "stopset-add"},
 	KindMercator:   {StageAlias, "mercator"},
 	KindAlly:       {StageAlias, "ally"},
-	KindVelocity:   {StageAlias, "velocity"},
 	KindPrefixscan: {StageAlias, "prefixscan"},
 	KindMerge:      {StageCore, "merge"},
 	KindDecision:   {StageCore, "decision"},
@@ -75,8 +72,6 @@ const (
 	KeyRound
 	KeyRounds
 	KeyIPIDs // volatile
-	KeyWhy
-	KeyRates // volatile
 	// core: the constraint set of every decision, then per-rule evidence.
 	KeyHeuristic
 	KeyOwner
@@ -113,7 +108,6 @@ var keyNames = [numKeys]string{
 	KeyCached: "cached", KeyAt: "at", KeyDst: "dst", KeyFrom: "from",
 	KeyVerdict: "verdict", KeyMate: "mate",
 	KeyMethod: "method", KeyRound: "round", KeyRounds: "rounds", KeyIPIDs: "~ipids",
-	KeyWhy: "why", KeyRates: "~rates",
 	KeyHeuristic: "heuristic", KeyOwner: "owner", KeyHop: "hop", KeyClass: "class",
 	KeyAddrs: "addrs", KeyOriginAS: "origin_as", KeyRel: "rel", KeyDeclined: "declined",
 	KeyNear: "near", KeyOnlyDest: "only_dest", KeyHostSuccessor: "host_successor",
@@ -188,16 +182,15 @@ const (
 	vASPair                      // "AS<a>~AS<b>"
 	// Bytes, stored length-prefixed: text as it is, a list as its elements'
 	// memory (the log never leaves the process, so native layout will do).
-	vStr   // verbatim
-	vIPs   // comma-separated dotted quads
-	vIDs   // comma-separated decimals
-	vRates // comma-separated, one decimal place
-	vPath  // AppendPath
-	vStrs  // comma-separated; joined on the way in and stored as vStr
+	vStr  // verbatim
+	vIPs  // comma-separated dotted quads
+	vIDs  // comma-separated decimals
+	vPath // AppendPath
+	vStrs // comma-separated; joined on the way in and stored as vStr
 )
 
 // elemSize is the width of one list element, per list kind.
-var elemSize = [...]int{vIPs: 4, vIDs: 2, vRates: 8, vPath: int(unsafe.Sizeof(Hop{}))}
+var elemSize = [...]int{vIPs: 4, vIDs: 2, vPath: int(unsafe.Sizeof(Hop{}))}
 
 // Field is one typed piece of evidence handed to Tracer.Emit. It borrows
 // the string or slice it was built from; Emit copies that into the log and
@@ -253,9 +246,6 @@ func IPs(k Key, a []netx.Addr) Field { return list(k, vIPs, a) }
 
 // IDs is a list of IP-ID samples.
 func IDs(k Key, ids []uint16) Field { return list(k, vIDs, ids) }
-
-// Rates is a list of counter rates, exported to one decimal place.
-func Rates(k Key, r []float64) Field { return list(k, vRates, r) }
 
 // Path is a traceroute's hop sequence.
 func Path(k Key, hops []Hop) Field { return list(k, vPath, hops) }
@@ -382,8 +372,6 @@ func (v value) appendTo(b []byte) []byte {
 			b = netx.Addr(ne.Uint32(raw)).AppendTo(b)
 		case vIDs:
 			b = strconv.AppendUint(b, uint64(ne.Uint16(raw)), 10)
-		case vRates:
-			b = strconv.AppendFloat(b, math.Float64frombits(ne.Uint64(raw)), 'f', 1, 64)
 		case vPath:
 			b = appendHop(b, Hop{TTL: raw[0], Class: HopClass(raw[1]), Addr: netx.Addr(ne.Uint32(raw[unsafe.Offsetof(Hop{}.Addr):]))})
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"bdrmap/internal/netx"
@@ -117,9 +116,6 @@ func eagerAttr(v value) Attr {
 			ids = append(ids, ne.Uint16(raw))
 		}
 		return Attr{K: k, V: fmtIDs(ids)}
-	case vRates:
-		ra, rb := math.Float64frombits(ne.Uint64(raw)), math.Float64frombits(ne.Uint64(raw[8:]))
-		return Attr{K: k, V: fmt.Sprintf("%.1f,%.1f", ra, rb)}
 	case vPath:
 		var hops []Hop
 		for ; len(raw) > 0; raw = raw[8:] {

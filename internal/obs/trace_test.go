@@ -64,18 +64,16 @@ func TestRecordRendersEveryValueKind(t *testing.T) {
 	tr.Emit(KindTrace, OnAS(uint32(4294967295)), -5,
 		Int(KeyHops, -1<<63), Int(KeyBlocks, 1<<62), Flag(KeyReached, true), Flag(KeyStopped, false),
 		IP(KeyAt, 0xffffffff), IP(KeyDst, 0), AS(KeyTarget, uint32(0)), ASPair(KeySiblingHit, uint32(7), uint32(4294967295)),
-		Str(KeyVia, ""), Str(KeyWhy, H("rate-mismatch")), Strs(KeyDeclined, []H{"firewall", "", "onenet"}), Strs(KeyClass, []H(nil)),
-		IPs(KeyAddrs, []netx.Addr{0x01020304, 0}), IPs(KeyNear, nil), IDs(KeyIPIDs, []uint16{0, 65535}),
-		Rates(KeyRates, []float64{0.05, 1234.56, 0}), Field{},
+		Str(KeyVia, ""), Str(KeyRel, H("customer")), Strs(KeyDeclined, []H{"firewall", "", "onenet"}), Strs(KeyClass, []H(nil)),
+		IPs(KeyAddrs, []netx.Addr{0x01020304, 0}), IPs(KeyNear, nil), IDs(KeyIPIDs, []uint16{0, 65535}), Field{},
 		Path(KeyPath, []Hop{{1, HopTimeExceeded, 0x0a000001}, {2, HopTimeout, 0}, {255, HopEchoReply, 0xc0a80001}, {9, HopUnreachable, 1}}),
 		Path(KeyMate, nil))
 	ev := tr.Events()[0]
 	want := []Attr{
 		{"hops", "-9223372036854775808"}, {"blocks", "4611686018427387904"}, {"reached", "true"},
 		{"at", "255.255.255.255"}, {"dst", "0.0.0.0"}, {"target", "AS0"}, {"sibling_hit", "AS7~AS4294967295"},
-		{"via", ""}, {"why", "rate-mismatch"}, {"declined", heurList([]string{"firewall", "", "onenet"})}, {"class", ""},
+		{"via", ""}, {"rel", "customer"}, {"declined", heurList([]string{"firewall", "", "onenet"})}, {"class", ""},
 		{"addrs", "1.2.3.4,0.0.0.0"}, {"near", ""}, {"~ipids", "0,65535"},
-		{"~rates", "0.1,1234.6,0.0"},
 		{"path", "1:te:10.0.0.1 2:to 255:er:192.168.0.1 9:un:0.0.0.1"},
 		{"mate", ""},
 	}
@@ -272,7 +270,6 @@ func TestEmitAllocFree(t *testing.T) {
 	ids := []uint16{1, 2, 3, 4, 5, 6}
 	addrs := []netx.Addr{1, 2, 3}
 	declined := []H{"firewall", "onenet"}
-	rates := []float64{1.5, 2.5}
 	heur, as := H("as-relationship"), uint32(7)
 	events := []func(){
 		func() { tr.Emit(KindTarget, OnAS(as), 0, Int(KeyBlocks, 3)) },
@@ -286,9 +283,6 @@ func TestEmitAllocFree(t *testing.T) {
 		func() { tr.Emit(KindMercator, OnAddr(9), 5, IP(KeyFrom, 4), Str(KeyVerdict, "alias")) },
 		func() {
 			tr.Emit(KindAlly, OnPair(1, 2), 5, Str(KeyVerdict, "alias"), Str(KeyMethod, "udp"), Int(KeyRounds, 5), IDs(KeyIPIDs, ids))
-		},
-		func() {
-			tr.Emit(KindVelocity, OnPair(1, 2), 5, Str(KeyVerdict, "not-alias"), Str(KeyWhy, "x"), Rates(KeyRates, rates))
 		},
 		func() { tr.Emit(KindPrefixscan, OnPair(1, 2), 5, IP(KeyMate, 3)) },
 		func() { tr.Emit(KindMerge, OnAddr(1), 0, IP(KeyMerged, 2), Str(KeyVia, "analytical")) },

@@ -9,13 +9,12 @@ import (
 
 // Lane is one vantage point's measurement timeline: a virtual clock plus
 // the per-router IP-ID and rate-limit state that responses accrue on it.
-// Ally and the IP-ID velocity test compare samples taken on one timeline,
-// and every caller that measures opens a lane of its own: each of the
-// scamper driver's workers, its alias stage, a monitor, a §5.8 agent. On a
-// shared timeline the interleaving of goroutines would leak into IP-ID
-// values, rate-limit windows and RTTs; on lanes every trace's outcome is a
-// pure function of (destination, lane schedule), however the scheduler
-// interleaves them.
+// Ally compares IP-ID samples taken on one timeline, and every caller that
+// measures opens a lane of its own: each of the scamper driver's workers,
+// its alias stage, a monitor, a §5.8 agent. On a shared timeline the
+// interleaving of goroutines would leak into IP-ID values, rate-limit
+// windows and RTTs; on lanes every trace's outcome is a pure function of
+// (destination, lane schedule), however the scheduler interleaves them.
 //
 // Trace advances the lane by PacePerHop per probe packet, modelling the
 // ~100 packets/second pacing of the paper's deployments; the driver takes
@@ -38,8 +37,7 @@ type Lane struct {
 
 	// targets holds the last two direct-probe destinations the lane
 	// resolved; older is the slot the next one replaces. Ally interleaves
-	// two addresses and the velocity test samples one and then the other,
-	// so the ≈40 packets of one pair resolve two targets.
+	// two addresses, so the ≈34 packets of one pair resolve two targets.
 	targets [2]target
 	older   int
 }

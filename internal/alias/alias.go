@@ -7,7 +7,11 @@
 //     maximize the chance an address responds. Measurements repeat five
 //     times at five-minute intervals, and the MIDAR-style monotonicity
 //     requirement (non-overlapping samples must strictly increase) guards
-//     against two independent counters that temporarily overlap.
+//     against two independent counters that temporarily overlap. A round
+//     in which an address's own samples are no counter (zero or random
+//     IP-IDs) ends the pair Unknown, and the resolver skips every later
+//     pair holding that address, as MIDAR's estimation stage sets such
+//     addresses aside.
 //   - Mercator: probes an unused UDP port and infers aliases when the ICMP
 //     port-unreachable responses share a source address.
 //   - Prefixscan: infers whether a traceroute address is the inbound
@@ -82,16 +86,24 @@ type Resolver struct {
 
 	pos map[pairKey]bool
 	neg map[pairKey]bool
+	// blind holds the addresses an Ally round showed to have no IP-ID
+	// counter (zero or random IP-IDs): Ally can decide no pair holding one.
+	blind map[netx.Addr]bool
 }
 
 // NewResolver builds a resolver with the given configuration.
 func NewResolver(src probe.Source, cfg Config) *Resolver {
 	return &Resolver{
 		Src: src, Cfg: cfg.withDefaults(),
-		pos: make(map[pairKey]bool),
-		neg: make(map[pairKey]bool),
+		pos:   make(map[pairKey]bool),
+		neg:   make(map[pairKey]bool),
+		blind: make(map[netx.Addr]bool),
 	}
 }
+
+// Blind reports whether an Ally round through this resolver showed a to
+// have no IP-ID counter.
+func (r *Resolver) Blind(a netx.Addr) bool { return r.blind[a] }
 
 type pairKey [2]netx.Addr
 
@@ -151,13 +163,19 @@ var allyMethods = []probe.Method{
 
 // Ally runs the full repeated-Ally test on a pair and records the verdict.
 // Per §5.3, measurements repeat at intervals and any round rejecting the
-// shared-counter hypothesis makes the pair not-alias.
+// shared-counter hypothesis makes the pair not-alias. A round that shows
+// an address has no counter ends the test Unknown, since no later round
+// can accept the pair, and a pair holding an address an earlier round
+// showed blind is not probed at all.
 func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 	if a == b {
 		return AliasYes
 	}
 	if v := r.Verdict(a, b); v != Unknown {
 		return v
+	}
+	if r.blind[a] || r.blind[b] {
+		return Unknown
 	}
 	method, ok := r.pickMethod(a, b)
 	if !ok {
@@ -170,9 +188,11 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 			r.Src.Advance(allyInterval)
 		}
 		switch r.allyOnce(a, b, method, &ids) {
-		case AliasYes:
+		case roundYes:
 			accepted++
-		case AliasNo:
+		case roundBlind:
+			return Unknown
+		case roundNo:
 			r.Record(a, b, AliasNo)
 			// The IP-ID samples are volatile evidence: their values depend on
 			// lane state, which varies across worker counts.
@@ -204,10 +224,21 @@ func (r *Resolver) pickMethod(a, b netx.Addr) (probe.Method, bool) {
 	return 0, false
 }
 
+// roundResult is what one interleaved Ally sequence shows.
+type roundResult int8
+
+const (
+	roundLost  roundResult = iota // a response never arrived
+	roundBlind                    // an address's own samples are not a counter
+	roundYes                      // the merged samples form one counter
+	roundNo                       // two counters
+)
+
 // allyOnce runs one interleaved sequence a,b,a,b,a,b into ids and applies
-// the monotonicity test. A sequence an address stopped answering is
-// Unknown, and ids holds only its first samples.
-func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]uint16) Verdict {
+// the monotonicity test, marking blind every address whose own samples are
+// not a counter. A sequence an address stopped answering is lost, and ids
+// holds only its first samples.
+func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]uint16) roundResult {
 	for i := range ids {
 		t := a
 		if i%2 == 1 {
@@ -215,25 +246,24 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]ui
 		}
 		resp := r.Src.Probe(t, m)
 		if !resp.OK {
-			return Unknown
+			return roundLost
 		}
 		ids[i] = resp.IPID
 		r.Src.Advance(probeGap)
 	}
-	allZero := true
-	for _, id := range ids {
-		if id != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		return Unknown // no counter at all; Ally is blind here
-	}
 	// Each address's own subsequence must behave like a counter at all; a
-	// router using random IP-IDs gives no evidence either way (Ally is
-	// blind, and §5.4.7's analytical step may later supply the aliases).
-	if !monotonic(ids[0], ids[2], ids[4]) || !monotonic(ids[1], ids[3], ids[5]) {
-		return Unknown
+	// router using zero or random IP-IDs gives no evidence either way (Ally
+	// is blind, and §5.4.7's analytical step may later supply the aliases).
+	blindA := !monotonic(ids[0], ids[2], ids[4])
+	blindB := !monotonic(ids[1], ids[3], ids[5])
+	if blindA {
+		r.blind[a] = true
+	}
+	if blindB {
+		r.blind[b] = true
+	}
+	if blindA || blindB {
+		return roundBlind
 	}
 	// MIDAR-style: the merged samples must strictly increase (mod 2^16)
 	// with a bounded total span — two distinct (per-router or
@@ -242,14 +272,14 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]ui
 	for i := 1; i < len(ids); i++ {
 		d := ids[i] - ids[i-1]
 		if d == 0 || d >= 1<<15 {
-			return AliasNo
+			return roundNo
 		}
 		span += d
 		if span > maxSpan {
-			return AliasNo
+			return roundNo
 		}
 	}
-	return AliasYes
+	return roundYes
 }
 
 // monotonic reports whether three samples of one address look like a
@@ -295,8 +325,12 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 
 // PairVerdict records one pair test a compound operation performed — the
 // replay substrate for cross-round caching: re-Record()ing the verdicts in
-// order reproduces the resolver state the operation left behind without
-// re-sending its probes.
+// order reproduces the verdicts the operation left behind without
+// re-sending its probes. It does not reproduce the blind set: a replayed
+// operation sends nothing, so it marks no address blind, and a later live
+// test may probe such an address once more than a from-scratch run would.
+// A blind test ends Unknown, which Ally never records, so replay still
+// restores every recorded verdict; the blind set moves packets only.
 type PairVerdict struct {
 	A, B netx.Addr
 	V    Verdict

@@ -154,6 +154,98 @@ func TestResolveStopsAtAlly(t *testing.T) {
 	}
 }
 
+// dropSource drops the response to the probe numbered drop (1-based)
+// among those sent through it.
+type dropSource struct {
+	probe.Source
+	sent, drop int
+}
+
+func (d *dropSource) Probe(a netx.Addr, m probe.Method) probe.Response {
+	d.sent++
+	if d.sent == d.drop {
+		return probe.Response{}
+	}
+	return d.Source.Probe(a, m)
+}
+
+// TestAllyStopsWhenBlind pins what a blind round costs: a pair with an
+// address whose IP-IDs are no counter ends after one interleaved sequence,
+// a later pair holding that address sends nothing, and a round lost to a
+// dropped response is not blind.
+func TestAllyStopsWhenBlind(t *testing.T) {
+	e, n, _ := setup(t, 3)
+	vp := n.VPs[0]
+	answers := func(mode topo.IPIDMode) func(*topo.Router) bool {
+		return func(r *topo.Router) bool {
+			return r.Behavior.IPID == mode && !r.Behavior.NoEchoReply && r.Behavior.RateLimitPPS == 0
+		}
+	}
+	_, random := findRouter(e, n, vp, answers(topo.IPIDRandom))
+	_, zero := findRouter(e, n, vp, answers(topo.IPIDZero))
+	_, shared := findRouter(e, n, vp, answers(topo.IPIDShared))
+	if random == nil || zero == nil || shared == nil {
+		t.Fatal("tiny seed 3 lacks a random-, zero- or shared-IPID router with two reachable ifaces")
+	}
+	for _, tc := range []struct {
+		name string
+		a, b netx.Addr
+	}{
+		{"random-ipid", random[0], random[1]},
+		{"zero-ipid", zero[0], zero[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pick := &countingSource{Source: e.NewLane(vp, 0)}
+			if _, ok := NewResolver(pick, Config{}).pickMethod(tc.a, tc.b); !ok {
+				t.Fatal("no probe method both addresses answer")
+			}
+			src := &countingSource{Source: e.NewLane(vp, 0)}
+			r := NewResolver(src, Config{})
+			if v := r.Ally(tc.a, tc.b); v != Unknown {
+				t.Fatalf("Ally = %v, want unknown", v)
+			}
+			if want := pick.probes + allySamples; src.probes != want || src.elapsed != allySamples*probeGap {
+				t.Fatalf("Ally spent %d probes and %v, want %d and %v (method choice plus one sequence)",
+					src.probes, src.elapsed, want, allySamples*probeGap)
+			}
+			if !r.Blind(tc.a) || !r.Blind(tc.b) {
+				t.Fatalf("Blind = %v, %v after a round on no counter", r.Blind(tc.a), r.Blind(tc.b))
+			}
+			// A later pair sharing a blind address sends nothing.
+			before, elapsed := src.probes, src.elapsed
+			if v := r.Ally(tc.a, shared[0]); v != Unknown {
+				t.Fatalf("Ally on a blind address = %v, want unknown", v)
+			}
+			if src.probes != before || src.elapsed != elapsed {
+				t.Fatalf("Ally on a blind address spent %d probes and %v", src.probes-before, src.elapsed-elapsed)
+			}
+		})
+	}
+	t.Run("lost-round", func(t *testing.T) {
+		pick := &countingSource{Source: e.NewLane(vp, 0)}
+		if _, ok := NewResolver(pick, Config{}).pickMethod(shared[0], shared[1]); !ok {
+			t.Fatal("no probe method both addresses answer")
+		}
+		// Drop the first round's fourth sample: the round is lost, not
+		// blind, although its missing samples would fail the counter test.
+		src := &countingSource{Source: &dropSource{Source: e.NewLane(vp, 0), drop: pick.probes + 4}}
+		r := NewResolver(src, Config{})
+		if v := r.Ally(shared[0], shared[1]); v != Unknown {
+			t.Fatalf("Ally = %v, want unknown (one round lost)", v)
+		}
+		if r.Blind(shared[0]) || r.Blind(shared[1]) {
+			t.Fatal("a lost round marked a counter address blind")
+		}
+		rounds := Config{}.withDefaults().AllyRounds
+		if want := pick.probes + 4 + (rounds-1)*allySamples; src.probes != want {
+			t.Fatalf("Ally sent %d probes, want %d (all %d rounds)", src.probes, want, rounds)
+		}
+		if got := src.elapsed / allyInterval; got != time.Duration(rounds-1) {
+			t.Fatalf("Ally waited %d intervals, want %d", got, rounds-1)
+		}
+	})
+}
+
 func TestAllyZeroIPIDUnknown(t *testing.T) {
 	e, n, res := setup(t, 4)
 	r, addrs := findRouter(e, n, n.VPs[0], func(r *topo.Router) bool {

@@ -162,9 +162,9 @@ func TestPacketCountsPinned(t *testing.T) {
 		prof topo.Profile
 		want probe.Ledger
 	}{
-		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 1428, PacketsSent: 2298, ResponsesRcv: 2128}},
-		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 5650, PacketsSent: 13030, ResponsesRcv: 12278}},
-		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 25923, PacketsSent: 51140, ResponsesRcv: 49574}},
+		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 660, PacketsSent: 1530, ResponsesRcv: 1392}},
+		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 2712, PacketsSent: 10092, ResponsesRcv: 9400}},
+		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 12763, PacketsSent: 37980, ResponsesRcv: 36710}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)

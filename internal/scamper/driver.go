@@ -614,6 +614,13 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // touching a dirty address runs live. The memo is rebuilt from this
 // round's operations on every pass, so entries for vanished addresses and
 // edges age out immediately.
+//
+// The resolver's blind set (addresses an Ally round showed to have no
+// IP-ID counter) lives for this one stage and is not replayed: a replayed
+// operation sends nothing, so it marks nothing, and a live operation in an
+// incremental round may probe a blind address once more than a
+// from-scratch run would. A blind test ends Unknown, which is never
+// recorded, so replay still restores every recorded verdict.
 func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Timeline, clocked bool) {
 	res := alias.NewResolver(tl, cfg.AliasCfg)
 	res.Trace = d.Trace
@@ -777,6 +784,9 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 					d.Obs.Inc("driver.alias.ally_no")
 				default:
 					d.Obs.Inc("driver.alias.ally_unknown")
+					if !replayed && (res.Blind(a) || res.Blind(b)) {
+						d.Obs.Inc("driver.alias.ally_blind")
+					}
 				}
 				pairs++
 				limit--

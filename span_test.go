@@ -168,10 +168,10 @@ type spanFP struct {
 
 // TestGoldenSpanFingerprints pins the span tree itself — not just its
 // equality across runs — for the worlds the benchmark and the goldens use:
-// every VP mapped through the fleet, and one faulted remote session. The
-// file was generated before target spans moved from per-target fragment
-// logs to the driver's slots and is not meant to be regenerated: a diff
-// here means a span's ID, parent, order, simulated time or attrs moved.
+// every VP mapped through the fleet, and one faulted remote session. A
+// diff here means a span's ID, parent, order, simulated time or attrs
+// moved; only a change to what a run measures may move them, and then
+// `go test -run TestGoldenSpanFingerprints -update ./` rewrites the file.
 func TestGoldenSpanFingerprints(t *testing.T) {
 	large4 := LargeAccess()
 	large4.NumVPs = 4

@@ -142,9 +142,10 @@ type traceFP struct {
 
 // TestGoldenTraceFingerprints pins the provenance stream itself — not just
 // its equality across runs — for the worlds the benchmark and the goldens
-// use, measured locally and over the §5.8 remote protocol. The file was
-// generated before the tracer's stored form changed and is not meant to be
-// regenerated: a diff here means rendered provenance bytes moved.
+// use, measured locally and over the §5.8 remote protocol. A diff here
+// means rendered provenance bytes moved; only a change to what a run
+// measures may move them, and then `go test -run TestGoldenTraceFingerprints
+// -update ./` rewrites the file.
 func TestGoldenTraceFingerprints(t *testing.T) {
 	large := LargeAccess()
 	large.NumVPs = 4

@@ -242,8 +242,8 @@ func main() {
 		}
 		if *incremental {
 			c := func(name string) int64 { return reg.Counter(name).Load() }
-			fmt.Printf("trace cache: %d hit / %d miss / %d refresh; traces %d live + %d replayed; alias ops replayed %d\n",
-				c("rounds.cache.hit"), c("rounds.cache.miss"), c("rounds.cache.refresh"),
+			fmt.Printf("trace cache: %d hit / %d miss; traces %d live + %d replayed; alias ops replayed %d\n",
+				c("rounds.cache.hit"), c("rounds.cache.miss"),
 				c("driver.traces_live"), c("driver.traces_cached"),
 				c("rounds.alias.replayed"))
 		}

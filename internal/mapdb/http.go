@@ -645,10 +645,9 @@ type vpStatusJSON struct {
 // the state an operator polls this endpoint to see.
 func (a *api) handleStatus(w http.ResponseWriter, r *http.Request) bool {
 	type cacheJSON struct {
-		Hits      int64   `json:"hits"`
-		Misses    int64   `json:"misses"`
-		Refreshes int64   `json:"refreshes"`
-		HitRate   float64 `json:"hit_rate"`
+		Hits    int64   `json:"hits"`
+		Misses  int64   `json:"misses"`
+		HitRate float64 `json:"hit_rate"`
 	}
 	type spansJSON struct {
 		Recorded int    `json:"recorded"`
@@ -683,11 +682,7 @@ func (a *api) handleStatus(w http.ResponseWriter, r *http.Request) bool {
 
 	hits := a.reg.Counter("rounds.cache.hit").Load()
 	misses := a.reg.Counter("rounds.cache.miss").Load()
-	out.Cache = cacheJSON{
-		Hits:      hits,
-		Misses:    misses,
-		Refreshes: a.reg.Counter("rounds.cache.refresh").Load(),
-	}
+	out.Cache = cacheJSON{Hits: hits, Misses: misses}
 	if total := hits + misses; total > 0 {
 		out.Cache.HitRate = float64(hits) / float64(total)
 	}

@@ -153,6 +153,36 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// TestVerifyTwelveRounds holds incremental rounds byte-identical to a
+// from-scratch shadow run while transcripts replay round after round with
+// nothing expiring: twelve churn rounds on tiny with Verify on, on 1 and 4
+// fleet workers, so each VP's RoundState is handed between workers (under
+// Acquire/Release) every round. Both widths must publish the same trace
+// fingerprints.
+func TestVerifyTwelveRounds(t *testing.T) {
+	var fps [][]uint64
+	for _, workers := range []int{1, 4} {
+		ev, err := RunRounds(RoundsConfig{
+			Profile: topo.TinyProfile(), Seed: 1, Rounds: 12, FleetWorkers: workers,
+			Incremental: true, Verify: true,
+		}, NewStore(0, nil))
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if len(ev) != 12 {
+			t.Fatalf("%d workers: %d events, want 12", workers, len(ev))
+		}
+		var fp []uint64
+		for _, e := range ev {
+			fp = append(fp, e.TraceFP)
+		}
+		fps = append(fps, fp)
+	}
+	if !reflect.DeepEqual(fps[0], fps[1]) {
+		t.Errorf("trace fingerprints on 1 worker %016x, on 4 %016x", fps[0], fps[1])
+	}
+}
+
 // TestIncrementalUnchangedWorldProbeReduction pins the headline win: a
 // second incremental round over an unchanged world replays every target
 // from cache — zero probe packets, all cache hits — at least 5x cheaper

@@ -40,8 +40,7 @@ type Config struct {
 	// are unchanged, persisting the doubletree stop set (§5.2) across
 	// rounds instead of rebuilding it. Replay is validated against
 	// LocalProber.PathSignature, so State needs a LocalProber: Run panics
-	// on any other prober. Every cached target is re-walked live at least
-	// every DefaultRefreshEvery rounds.
+	// on any other prober.
 	State *RoundState
 }
 
@@ -89,7 +88,6 @@ type Dataset struct {
 
 // RunStats summarizes the probing effort.
 type RunStats struct {
-	Targets       int
 	Traces        int
 	TracesStopped int // halted by the stop set
 	HopsObserved  int
@@ -103,12 +101,6 @@ type RunStats struct {
 	// round's transcript without spending a single probe packet.
 	TracesLive   int
 	TracesCached int
-	// CacheHits / CacheMisses / CacheRefreshes count whole targets served
-	// entirely from cache, re-walked (no memo, changed plan, or signature
-	// divergence), or force-re-walked by the refresh cadence.
-	CacheHits      int
-	CacheMisses    int
-	CacheRefreshes int
 	// AliasOpsReplayed counts alias-stage operations (Mercator probes,
 	// Ally resolutions, Prefixscans) replayed from the cross-round memo.
 	AliasOpsReplayed int
@@ -207,12 +199,11 @@ func (d *Driver) Run() *Dataset {
 	simStart := timelines[0].Now()
 	targets := Targets(d.View, d.HostASNs)
 	ds := &Dataset{VPName: d.Prober.Name()}
-	ds.Stats.Targets = len(targets)
 	d.Obs.Add("driver.targets", int64(len(targets)))
 
 	// Cross-round cache setup: validate each target's prior transcript
-	// (plan unchanged, refresh cadence not due) single-threaded before the
-	// workers start; the workers only read their own replay slot.
+	// (plan unchanged) single-threaded before the workers start; the
+	// workers only read their own replay slot.
 	st := cfg.State
 	replays := make([]*targetReplay, len(targets)) // all nil without State: every trace runs live
 	if st != nil {
@@ -222,21 +213,16 @@ func (d *Driver) Run() *Dataset {
 		}
 		st.Acquire(d.Prober.Name())
 		defer st.Release()
-		st.round++
 		for i, t := range targets {
 			key := blocksKey(t.Blocks)
-			rp := &targetReplay{sp: lp, next: &targetMemo{blocksKey: key, lastWalk: st.round}}
+			rp := &targetReplay{sp: lp, next: &targetMemo{blocksKey: key}}
 			if m := st.targets[t.AS]; m != nil {
 				rp.all = m.traces
 				// This round's transcript is about as long as the last.
 				rp.next.traces = make([]cachedTrace, 0, len(m.traces))
-				switch {
-				case m.blocksKey != key:
-					// The §5.3 block plan moved; the transcript no
-					// longer describes this round's schedule.
-				case st.round-m.lastWalk >= DefaultRefreshEvery:
-					rp.refresh = true
-				default:
+				// A moved §5.3 block plan means the transcript no longer
+				// describes this round's schedule.
+				if m.blocksKey == key {
 					rp.prior = m
 				}
 			}
@@ -339,19 +325,11 @@ func (d *Driver) Run() *Dataset {
 			ds.Stats.TracesLive += rp.live
 			ds.Stats.TracesCached += rp.hits
 			if rp.fullHit() {
-				ds.Stats.CacheHits++
-				rp.next.lastWalk = rp.prior.lastWalk // no live walk happened
 				st.targets[targets[i].AS] = rp.next
 				d.Obs.Inc("rounds.cache.hit")
 				continue
 			}
-			if rp.refresh {
-				ds.Stats.CacheRefreshes++
-				d.Obs.Inc("rounds.cache.refresh")
-			} else {
-				ds.Stats.CacheMisses++
-				d.Obs.Inc("rounds.cache.miss")
-			}
+			d.Obs.Inc("rounds.cache.miss")
 			// The target's evidence changed: everything on the new paths
 			// and everything the old paths traversed is dirty — a router
 			// can lose a trace without appearing in its replacement.
@@ -677,32 +655,45 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		return
 	}
 
-	// Cross-round memo plumbing. The new maps replace the old ones even on
-	// an aborted stage (via defer), so stale entries never survive a round
-	// they were not revalidated in.
-	var newMerc map[netx.Addr]mercMemo
-	var newPairs map[apair]alias.Verdict
-	var newScans map[apair]scanMemo
+	// Cross-round memo plumbing. This stage's operations and log replace
+	// the last stage's even when the stage aborts (via defer), so stale
+	// entries never survive a round they were not revalidated in.
+	var ops map[aliasOp]opRange
+	var log []alias.PairVerdict
 	if st != nil {
-		newMerc = make(map[netx.Addr]mercMemo)
-		newPairs = make(map[apair]alias.Verdict)
-		newScans = make(map[apair]scanMemo)
+		ops = make(map[aliasOp]opRange, len(st.ops))
+		log = make([]alias.PairVerdict, 0, len(st.log))
 		defer func() {
-			st.mercator, st.pairs, st.scans = newMerc, newPairs, newScans
+			st.ops, st.log = ops, log
 			d.Obs.Add("rounds.alias.replayed", int64(ds.Stats.AliasOpsReplayed))
 		}()
 	}
-	canReplay := func(as ...netx.Addr) bool {
-		if st == nil || ds.Dirty == nil {
-			return false
+	// replay re-Records the verdicts op recorded last round and returns
+	// them, when none of op's addresses is dirty (zero never is; Dirty is
+	// nil without cross-round state).
+	replay := func(op aliasOp) ([]alias.PairVerdict, bool) {
+		if ds.Dirty == nil || ds.Dirty[op.a] || ds.Dirty[op.b] {
+			return nil, false
 		}
-		for _, a := range as {
-			if ds.Dirty[a] {
-				return false
-			}
+		r, ok := st.ops[op]
+		if !ok {
+			return nil, false
 		}
-		return true
+		vs := st.log[r.lo:r.hi]
+		for _, pv := range vs {
+			res.Record(pv.A, pv.B, pv.V)
+		}
+		ds.Stats.AliasOpsReplayed++
+		return vs, true
 	}
+	// keep logs what op recorded this round.
+	keep := func(op aliasOp, vs []alias.PairVerdict) {
+		if st != nil {
+			ops[op] = opRange{int32(len(log)), int32(len(log) + len(vs))}
+			log = append(log, vs...)
+		}
+	}
+	var one [1]alias.PairVerdict // a live Mercator probe's or Resolve's verdict
 
 	// Mercator sweep: group addresses by common port-unreachable source.
 	addrs := make([]netx.Addr, 0, len(addrSet))
@@ -716,28 +707,22 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 			ds.Graph = alias.FromResolver(res)
 			return
 		}
-		var m mercMemo
-		replayed := false
-		if canReplay(a) {
-			m, replayed = st.mercator[a]
-		}
-		if replayed {
-			ds.Stats.AliasOpsReplayed++
-		} else {
-			r := tl.Probe(a, probe.MethodUDP)
-			if r.OK && r.From != a && !r.From.IsZero() {
-				m = mercMemo{hit: true, from: r.From}
+		op := aliasOp{kind: opMercator, a: a}
+		vs, replayed := replay(op)
+		if !replayed {
+			vs = nil
+			if r := tl.Probe(a, probe.MethodUDP); r.OK && r.From != a && !r.From.IsZero() {
+				one[0] = alias.PairVerdict{A: a, B: r.From, V: alias.AliasYes}
+				vs = one[:]
+				res.Record(a, r.From, alias.AliasYes)
 			}
 		}
-		if st != nil {
-			newMerc[a] = m
-		}
-		if m.hit {
-			res.Record(a, m.from, alias.AliasYes)
+		keep(op, vs)
+		if len(vs) > 0 {
 			d.Obs.Inc("driver.alias.mercator_hits")
 			// A replayed operation's event is the live one plus cached=true.
 			d.Trace.Emit(obs.KindMercator, obs.OnAddr(a), res.NowNS(),
-				obs.IP(obs.KeyFrom, m.from), obs.Str(obs.KeyVerdict, "alias"), obs.Flag(obs.KeyCached, replayed))
+				obs.IP(obs.KeyFrom, vs[0].B), obs.Str(obs.KeyVerdict, "alias"), obs.Flag(obs.KeyCached, replayed))
 		}
 	}
 
@@ -760,24 +745,16 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		for i := 0; i < len(succ) && limit > 0; i++ {
 			for j := i + 1; j < len(succ) && limit > 0; j++ {
 				a, b := succ[i], succ[j]
-				var v alias.Verdict
-				replayed := false
-				if canReplay(a, b) {
-					v, replayed = st.pairs[mkpair(a, b)]
+				// Resolve records only its own pair's final verdict, so
+				// re-Recording it reconstructs the exact resolver state.
+				op := aliasOp{kind: opResolve, a: min(a, b), b: max(a, b)}
+				vs, replayed := replay(op)
+				if !replayed {
+					one[0] = alias.PairVerdict{A: a, B: b, V: res.Resolve(a, b)}
+					vs = one[:]
 				}
-				if replayed {
-					ds.Stats.AliasOpsReplayed++
-					// Re-Record the memoized verdict: Resolve records
-					// only its own pair's final verdict, so this
-					// reconstructs the exact resolver state.
-					res.Record(a, b, v)
-				} else {
-					v = res.Resolve(a, b)
-				}
-				if st != nil {
-					newPairs[mkpair(a, b)] = v
-				}
-				switch v {
+				keep(op, vs)
+				switch vs[0].V {
 				case alias.AliasYes:
 					d.Obs.Inc("driver.alias.ally_yes")
 				case alias.AliasNo:
@@ -794,33 +771,24 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		}
 	}
 	// Prefixscan on every observed edge: confirm the inbound interface
-	// and resolve the near-side alias of the point-to-point subnet.
+	// and resolve the near-side alias of the point-to-point subnet. A scan
+	// hits when the last pair it tried is an alias; that pair's B is the
+	// mate.
 	for _, e := range edges {
 		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
 			break
 		}
-		ekey := apair{e.prev, e.cur}
-		var sm scanMemo
-		replayed := false
-		if canReplay(e.prev, e.cur) {
-			sm, replayed = st.scans[ekey]
+		op := aliasOp{kind: opScan, a: e.prev, b: e.cur}
+		vs, replayed := replay(op)
+		if !replayed {
+			_, _, vs = res.PrefixscanTrace(e.prev, e.cur)
 		}
-		if replayed {
-			ds.Stats.AliasOpsReplayed++
-			for _, pv := range sm.tried {
-				res.Record(pv.A, pv.B, pv.V)
-			}
-		} else {
-			sm.mate, sm.ok, sm.tried = res.PrefixscanTrace(e.prev, e.cur)
-		}
-		if st != nil {
-			newScans[ekey] = sm
-		}
-		if sm.ok {
+		keep(op, vs)
+		if n := len(vs); n > 0 && vs[n-1].V == alias.AliasYes {
 			d.Obs.Inc("driver.alias.prefixscan_hits")
 			d.Trace.Emit(obs.KindPrefixscan, obs.OnPair(e.prev, e.cur), res.NowNS(),
-				obs.IP(obs.KeyMate, sm.mate), obs.Flag(obs.KeyCached, replayed))
+				obs.IP(obs.KeyMate, vs[n-1].B), obs.Flag(obs.KeyCached, replayed))
 		}
 		pairs++
 	}

@@ -93,8 +93,8 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 }
 
 // eachAddr calls yield for every address the state retains: the hops of
-// every cached transcript and both sides of every alias memo, the pairs a
-// Prefixscan tried included.
+// every cached transcript, both addresses of every alias operation, and
+// both sides of every verdict in the alias log.
 func (st *RoundState) eachAddr(yield func(netx.Addr)) {
 	for _, m := range st.targets {
 		for _, ct := range m.traces {
@@ -103,21 +103,12 @@ func (st *RoundState) eachAddr(yield func(netx.Addr)) {
 			}
 		}
 	}
-	for a, m := range st.mercator {
-		yield(a)
-		yield(m.from)
+	for op := range st.ops {
+		yield(op.a)
+		yield(op.b)
 	}
-	for p := range st.pairs {
-		yield(p[0])
-		yield(p[1])
-	}
-	for p, m := range st.scans {
-		yield(p[0])
-		yield(p[1])
-		yield(m.mate)
-		for _, pv := range m.tried {
-			yield(pv.A)
-			yield(pv.B)
-		}
+	for _, pv := range st.log {
+		yield(pv.A)
+		yield(pv.B)
 	}
 }

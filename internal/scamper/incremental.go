@@ -33,33 +33,29 @@ import (
 // prefix-replay discipline is what makes the incremental map byte-identical
 // to a from-scratch run (mapdb's equivalence mode asserts it).
 //
-// A fixed refresh cadence (DefaultRefreshEvery) forces a full re-walk of
-// each cached target every 8 rounds, so decayed paths a signature oracle
-// could not see in a real deployment are still re-walked.
+// Nothing expires: a transcript replays for as long as its block plan and
+// every replayed destination's path signature hold, and a changed path is
+// caught by the signature of the trace that crosses it.
 //
-// The alias stage has its own memory: the outcome of every Mercator sweep
-// probe, every Resolve pair, and every Prefixscan (with the pair verdicts
-// it recorded along the way) is memoized, and replayed for addresses that
-// appeared only in fully-replayed targets. Replay re-Records the same
-// verdicts in the same order, so the resolver's positive/negative maps —
-// and therefore the alias graph the inference core consumes — are
-// identical to a live run's.
-
-// DefaultRefreshEvery is the refresh cadence when Config.State is set:
-// every cached target is fully re-walked at least every 8 rounds.
-const DefaultRefreshEvery = 8
+// The alias stage has its own memory: one flat log of the pair verdicts
+// every alias operation of the last stage recorded — a Mercator probe, a
+// Resolve, a Prefixscan — and a map from each operation to its range of
+// that log. An operation whose addresses appeared only in fully-replayed
+// targets replays by re-Recording its verdicts in order, so the resolver's
+// positive/negative maps — and therefore the alias graph the inference
+// core consumes — are identical to a live run's.
 
 // RoundState carries one vantage point's measurement memory across rounds.
 // It is owned by a single Driver at a time and must not be shared between
 // concurrently running drivers. The zero value is not usable; call
 // NewRoundState.
 type RoundState struct {
-	round   int
 	targets map[topo.ASN]*targetMemo
 
-	mercator map[netx.Addr]mercMemo
-	pairs    map[apair]alias.Verdict
-	scans    map[apair]scanMemo
+	// ops maps each operation of the last alias stage to the verdicts it
+	// recorded, log[lo:hi].
+	ops map[aliasOp]opRange
+	log []alias.PairVerdict
 
 	// owner enforces the single-driver contract at runtime. The fleet
 	// coordinator moves a shard's state between workers; a scheduling bug
@@ -89,19 +85,13 @@ func (st *RoundState) Release() {
 
 // NewRoundState creates empty cross-round state for one vantage point.
 func NewRoundState() *RoundState {
-	return &RoundState{
-		targets:  make(map[topo.ASN]*targetMemo),
-		mercator: make(map[netx.Addr]mercMemo),
-		pairs:    make(map[apair]alias.Verdict),
-		scans:    make(map[apair]scanMemo),
-	}
+	return &RoundState{targets: make(map[topo.ASN]*targetMemo)}
 }
 
 // targetMemo is the cached probing transcript of one target AS.
 type targetMemo struct {
 	blocksKey uint64        // fingerprint of the §5.3 block plan
 	traces    []cachedTrace // in schedule order
-	lastWalk  int           // round of the last live (non-replayed) walk
 }
 
 // cachedTrace is one destination's position in the schedule, its trace,
@@ -113,29 +103,26 @@ type cachedTrace struct {
 	rec      TraceRecord
 }
 
-// mercMemo is the outcome of one Mercator sweep probe.
-type mercMemo struct {
-	hit  bool
-	from netx.Addr
+// aliasOp names one alias-stage operation: a Mercator probe of a (b is
+// zero), a Resolve of the pair {a, b} (a < b), or a Prefixscan of the
+// edge a→b.
+type aliasOp struct {
+	kind opKind
+	a, b netx.Addr
 }
 
-// scanMemo is the outcome of one Prefixscan, with the pair verdicts it
-// recorded along the way (the replay substrate).
-type scanMemo struct {
-	mate  netx.Addr
-	ok    bool
-	tried []alias.PairVerdict
-}
+type opKind uint8
 
-// apair is a canonically ordered address pair (memo key).
-type apair [2]netx.Addr
+const (
+	opMercator opKind = iota
+	opResolve
+	opScan
+)
 
-func mkpair(a, b netx.Addr) apair {
-	if a < b {
-		return apair{a, b}
-	}
-	return apair{b, a}
-}
+// opRange is where an operation's verdicts sit in its stage's log. A
+// Mercator probe records its hit ({a, source, AliasYes}) or nothing, a
+// Resolve its one verdict, a Prefixscan every pair it tried.
+type opRange struct{ lo, hi int32 }
 
 // blocksKey fingerprints a target's block plan; a changed plan (the BGP
 // view moved a prefix) invalidates the whole transcript.
@@ -154,10 +141,9 @@ func blocksKey(blocks []netx.Block) uint64 {
 // transcript is consumed strictly in schedule order; the first mismatch
 // (position or signature) diverges and everything after runs live.
 type targetReplay struct {
-	sp      LocalProber
-	prior   *targetMemo   // validated transcript to replay; nil → all live
-	all     []cachedTrace // the pre-existing transcript even when not replayable
-	refresh bool          // replay suppressed by the refresh cadence
+	sp    LocalProber
+	prior *targetMemo   // validated transcript to replay; nil → all live
+	all   []cachedTrace // the pre-existing transcript even when not replayable
 
 	cursor   int
 	diverged bool

@@ -37,8 +37,9 @@ func TestRoundStateNeedsLocalProber(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("Run accepted cross-round state on a non-local prober")
 		}
-		if st.round != 0 {
-			t.Errorf("state advanced to round %d before the panic", st.round)
+		if len(st.targets) != 0 || len(st.ops) != 0 || len(st.log) != 0 {
+			t.Errorf("state holds %d targets, %d alias operations and %d verdicts after the panic",
+				len(st.targets), len(st.ops), len(st.log))
 		}
 	}()
 	d.Run()
@@ -55,8 +56,13 @@ func TestIncrementalUnchangedWorldFullHit(t *testing.T) {
 	if ds1.Stats.TracesLive != ds1.Stats.Traces || ds1.Stats.TracesCached != 0 {
 		t.Fatalf("round 1 should be all live: %+v", ds1.Stats)
 	}
-	if got := reg1.Snapshot().Counter("rounds.cache.miss"); got != int64(ds1.Stats.Targets) {
-		t.Fatalf("round 1 misses = %d, want %d", got, ds1.Stats.Targets)
+	snap1 := reg1.Snapshot()
+	targets := snap1.Counter("driver.targets")
+	if targets == 0 {
+		t.Fatal("round 1 planned no targets")
+	}
+	if got := snap1.Counter("rounds.cache.miss"); got != targets {
+		t.Fatalf("round 1 misses = %d, want %d", got, targets)
 	}
 
 	reg2 := obs.New()
@@ -68,12 +74,9 @@ func TestIncrementalUnchangedWorldFullHit(t *testing.T) {
 	if ds2.Stats.TracesCached != ds2.Stats.Traces || ds2.Stats.Traces != ds1.Stats.Traces {
 		t.Fatalf("round 2 cache split wrong: %+v vs round1 %+v", ds2.Stats, ds1.Stats)
 	}
-	if ds2.Stats.CacheHits != ds2.Stats.Targets {
-		t.Fatalf("cache hits = %d, want %d", ds2.Stats.CacheHits, ds2.Stats.Targets)
-	}
 	snap := reg2.Snapshot()
-	if got := snap.Counter("rounds.cache.hit"); got != int64(ds2.Stats.Targets) {
-		t.Fatalf("rounds.cache.hit = %d, want %d", got, ds2.Stats.Targets)
+	if got, miss := snap.Counter("rounds.cache.hit"), snap.Counter("rounds.cache.miss"); got != targets || miss != 0 {
+		t.Fatalf("rounds.cache.hit = %d, rounds.cache.miss = %d, want %d hits", got, miss, targets)
 	}
 	if got := snap.Counter("probe.packets_sent"); got != 0 {
 		t.Fatalf("unchanged world still sent %d probe packets", got)
@@ -177,34 +180,27 @@ func TestIncrementalMutatedWorldMatchesScratch(t *testing.T) {
 	}
 }
 
-// The refresh cadence forces a live re-walk even when signatures match:
-// round 1 walks every target, rounds 2…8 replay it, and round 9 is
-// DefaultRefreshEvery rounds past the last walk.
-func TestIncrementalRefreshCadence(t *testing.T) {
+// TestReplayNeverExpires: a transcript replays for as long as its path
+// signatures hold. Over 20 rounds of an unchanged world on one RoundState,
+// every round after the first serves every target from cache and sends no
+// probe packet at all.
+func TestReplayNeverExpires(t *testing.T) {
 	st := NewRoundState()
-	for round := 1; round <= 1+DefaultRefreshEvery; round++ {
+	for round := 1; round <= 20; round++ {
 		reg := obs.New()
-		d := newIncSetup(t, 11, st, reg)
-		ds := d.Run()
+		newIncSetup(t, 11, st, reg).Run()
 		snap := reg.Snapshot()
-		switch round {
-		case 1:
-			if ds.Stats.CacheMisses != ds.Stats.Targets {
-				t.Fatalf("round 1: %+v", ds.Stats)
+		targets, hits := snap.Counter("driver.targets"), snap.Counter("rounds.cache.hit")
+		misses, packets := snap.Counter("rounds.cache.miss"), snap.Counter("probe.packets_sent")
+		if round == 1 {
+			if targets == 0 || misses != targets {
+				t.Fatalf("round 1: %d targets, %d misses: want every target walked live", targets, misses)
 			}
-		case 1 + DefaultRefreshEvery:
-			// lastWalk is still round 1 (the rounds between were pure
-			// replays), so the cadence forces a refresh now.
-			if ds.Stats.CacheRefreshes != ds.Stats.Targets || ds.Stats.TracesLive != ds.Stats.Traces {
-				t.Fatalf("round %d should be all refreshes: %+v", round, ds.Stats)
-			}
-			if got := snap.Counter("rounds.cache.refresh"); got != int64(ds.Stats.Targets) {
-				t.Fatalf("rounds.cache.refresh = %d", got)
-			}
-		default:
-			if ds.Stats.CacheHits != ds.Stats.Targets || ds.Stats.TracesLive != 0 {
-				t.Fatalf("round %d should be all hits: %+v", round, ds.Stats)
-			}
+			continue
+		}
+		if hits != targets || misses != 0 || packets != 0 {
+			t.Fatalf("round %d: %d of %d targets hit, %d missed, %d probe packets sent; want all hits and no packet",
+				round, hits, targets, misses, packets)
 		}
 	}
 }
@@ -401,7 +397,7 @@ func TestIncrementalRoundsWorkerInvariant(t *testing.T) {
 				HostASNs: map[topo.ASN]bool{n.HostASN: true},
 				Cfg:      Config{Workers: workers, State: st},
 			}).Run()
-			if r > 0 && ds.Stats.CacheHits == 0 {
+			if r > 0 && ds.Stats.TracesCached == 0 {
 				t.Fatalf("workers %d round %d replayed nothing: the state was not carried", workers, r)
 			}
 			fps = append(fps, ds.TraceFingerprint())

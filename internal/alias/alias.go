@@ -18,6 +18,13 @@
 //     interface of a router by testing whether its /31 or /30 subnet mate
 //     is an alias of the previous hop.
 //
+// For one stage, the resolver asks each address each question once: it
+// keeps what every address answered (the source of its UDP
+// port-unreachable reply and the probe methods it replied to), so
+// Mercator, the driver's sweep and Ally's method choice reuse an answer
+// instead of probing again. Silence is never kept: a probe that got no
+// reply is sent again the next time it is asked for.
+//
 // Verdicts feed a union-find constrained by negative evidence: transitive
 // closure never merges sets containing a pair some measurement rejected.
 package alias
@@ -89,16 +96,62 @@ type Resolver struct {
 	// blind holds the addresses an Ally round showed to have no IP-ID
 	// counter (zero or random IP-IDs): Ally can decide no pair holding one.
 	blind map[netx.Addr]bool
+	// answers holds what each address answered in this stage; reused
+	// counts the probes it answered instead of the wire.
+	answers map[netx.Addr]answer
+	reused  int
+}
+
+// answer is what one address answered: a bit per probe method it replied
+// to, and the source of its UDP port-unreachable reply.
+type answer struct {
+	methods uint8
+	udpFrom netx.Addr
 }
 
 // NewResolver builds a resolver with the given configuration.
 func NewResolver(src probe.Source, cfg Config) *Resolver {
 	return &Resolver{
 		Src: src, Cfg: cfg.withDefaults(),
-		pos:   make(map[pairKey]bool),
-		neg:   make(map[pairKey]bool),
-		blind: make(map[netx.Addr]bool),
+		pos:     make(map[pairKey]bool),
+		neg:     make(map[pairKey]bool),
+		blind:   make(map[netx.Addr]bool),
+		answers: make(map[netx.Addr]answer),
 	}
+}
+
+// Reused returns how many probes the resolver's answers answered instead
+// of the wire.
+func (r *Resolver) Reused() int { return r.reused }
+
+// ask reports whether a answers method m. It probes only when a has not
+// answered m through this resolver; a probe that got no reply is not kept,
+// so the next ask sends it again.
+func (r *Resolver) ask(a netx.Addr, m probe.Method) bool {
+	ans, bit := r.answers[a], uint8(1)<<m
+	if ans.methods&bit != 0 {
+		r.reused++
+		return true
+	}
+	resp := r.Src.Probe(a, m)
+	if !resp.OK {
+		return false
+	}
+	ans.methods |= bit
+	if m == probe.MethodUDP {
+		ans.udpFrom = resp.From
+	}
+	r.answers[a] = ans
+	return true
+}
+
+// UDPSource returns the source of a's UDP port-unreachable reply, probing
+// only if a has not answered UDP through this resolver.
+func (r *Resolver) UDPSource(a netx.Addr) (netx.Addr, bool) {
+	if !r.ask(a, probe.MethodUDP) {
+		return 0, false
+	}
+	return r.answers[a].udpFrom, true
 }
 
 // Blind reports whether an Ally round through this resolver showed a to
@@ -212,12 +265,12 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 	return Unknown
 }
 
-// pickMethod finds the first method both addresses answer.
+// pickMethod finds the first method both addresses answer. It asks through
+// the resolver's answers, so a method an address already answered costs no
+// probe, and it does not ask b a method a was silent to.
 func (r *Resolver) pickMethod(a, b netx.Addr) (probe.Method, bool) {
 	for _, m := range allyMethods {
-		ra := r.Src.Probe(a, m)
-		rb := r.Src.Probe(b, m)
-		if ra.OK && rb.OK {
+		if r.ask(a, m) && r.ask(b, m) {
 			return m, true
 		}
 	}
@@ -290,20 +343,24 @@ func monotonic(a, b, c uint16) bool {
 }
 
 // Mercator tests whether UDP port-unreachable responses from both
-// addresses share a common source.
+// addresses share a common source. It does not probe b when a is silent:
+// such a pair has no common source to show.
 func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 	if a == b {
 		return AliasYes
 	}
-	ra := r.Src.Probe(a, probe.MethodUDP)
-	rb := r.Src.Probe(b, probe.MethodUDP)
-	if !ra.OK || !rb.OK {
+	fromA, ok := r.UDPSource(a)
+	if !ok {
 		return Unknown
 	}
-	if ra.From == rb.From {
+	fromB, ok := r.UDPSource(b)
+	if !ok {
+		return Unknown
+	}
+	if fromA == fromB {
 		r.Record(a, b, AliasYes)
 		r.emit(obs.KindMercator, a, b, obs.Str(obs.KeyVerdict, AliasYes.String()),
-			obs.IP(obs.KeyFrom, ra.From))
+			obs.IP(obs.KeyFrom, fromA))
 		return AliasYes
 	}
 	// Different sources — including both answering from the probed address
@@ -330,7 +387,11 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 // operation sends nothing, so it marks no address blind, and a later live
 // test may probe such an address once more than a from-scratch run would.
 // A blind test ends Unknown, which Ally never records, so replay still
-// restores every recorded verdict; the blind set moves packets only.
+// restores every recorded verdict; the blind set moves packets only. Nor
+// does it reproduce the resolver's answers (what each address replied to),
+// which live for one stage like the blind set: a live test after a
+// replayed operation may send a probe that a from-scratch run would have
+// answered from them.
 type PairVerdict struct {
 	A, B netx.Addr
 	V    Verdict

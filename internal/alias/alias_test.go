@@ -94,16 +94,18 @@ func TestAllyRandomIPIDRejected(t *testing.T) {
 	}
 }
 
-// countingSource counts what a resolver spends through it: probes sent
-// and lane time advanced.
+// countingSource counts what a resolver spends through it: probes sent,
+// in all and per method, and lane time advanced.
 type countingSource struct {
 	probe.Source
-	probes  int
-	elapsed time.Duration
+	probes   int
+	byMethod [4]int
+	elapsed  time.Duration
 }
 
 func (c *countingSource) Probe(a netx.Addr, m probe.Method) probe.Response {
 	c.probes++
+	c.byMethod[m]++
 	return c.Source.Probe(a, m)
 }
 
@@ -242,6 +244,82 @@ func TestAllyStopsWhenBlind(t *testing.T) {
 		}
 		if got := src.elapsed / allyInterval; got != time.Duration(rounds-1) {
 			t.Fatalf("Ally waited %d intervals, want %d", got, rounds-1)
+		}
+	})
+}
+
+// TestResolverAsksOnce pins the resolver's answers: within one stage an
+// address is asked each method once it has answered it, so Resolve's
+// Mercator reuses the sweep's UDP replies and Ally's method choice skips
+// what the sweep already learned; a probe that got no reply is sent again.
+func TestResolverAsksOnce(t *testing.T) {
+	n := topo.Generate(topo.TinyProfile(), 3)
+	vp := n.VPs[0]
+	e := probe.New(n, bgp.NewTable(n))
+	answers := func(r *topo.Router) bool {
+		return r.Behavior.IPID == topo.IPIDShared && !r.Behavior.NoEchoReply &&
+			!r.Behavior.NoUDPUnreach && r.Behavior.RateLimitPPS == 0
+	}
+	_, pair := findRouter(e, n, vp, answers)
+	if pair == nil {
+		t.Fatal("tiny seed 3 lacks a shared-IPID router answering echo and UDP with two reachable ifaces")
+	}
+	sweep := func(r *Resolver, addrs ...netx.Addr) {
+		for _, a := range addrs {
+			if _, ok := r.UDPSource(a); !ok {
+				t.Fatalf("sweep: %v did not answer UDP", a)
+			}
+		}
+	}
+
+	t.Run("mercator", func(t *testing.T) {
+		src := &countingSource{Source: e.NewLane(vp, 0)}
+		r := NewResolver(src, Config{})
+		sweep(r, pair[0], pair[1])
+		before := src.byMethod[probe.MethodUDP]
+		r.Resolve(pair[0], pair[1])
+		if sent := src.byMethod[probe.MethodUDP] - before; sent != 0 {
+			t.Fatalf("Resolve sent %d UDP probes after the sweep, want 0", sent)
+		}
+		if r.Reused() < 2 {
+			t.Fatalf("Reused = %d, want at least Mercator's two answers", r.Reused())
+		}
+	})
+
+	t.Run("pick-method", func(t *testing.T) {
+		// An echo-silent router that answers UDP: Ally's choice asks echo
+		// of the first address, which is silent, so the second is not
+		// asked, and UDP is the sweep's answer for both.
+		rtr := n.RouterByAddr(pair[0])
+		defer func(b topo.Behavior) { rtr.Behavior = b }(rtr.Behavior)
+		rtr.Behavior.NoEchoReply = true
+		src := &countingSource{Source: e.NewLane(vp, 0)}
+		r := NewResolver(src, Config{})
+		sweep(r, pair[0], pair[1])
+		before := src.byMethod
+		m, ok := r.pickMethod(pair[0], pair[1])
+		if !ok || m != probe.MethodUDP {
+			t.Fatalf("pickMethod = %v, %v, want udp", m, ok)
+		}
+		want := before
+		want[probe.MethodICMPEcho]++
+		if src.byMethod != want {
+			t.Fatalf("pickMethod sent %v probes per method, want only one echo probe (%v)", src.byMethod, want)
+		}
+	})
+
+	t.Run("silence-asked-again", func(t *testing.T) {
+		src := &countingSource{Source: &dropSource{Source: e.NewLane(vp, 0), drop: 1}}
+		r := NewResolver(src, Config{})
+		if _, ok := r.UDPSource(pair[0]); ok {
+			t.Fatal("a dropped reply answered")
+		}
+		from, ok := r.UDPSource(pair[0])
+		if !ok || src.probes != 2 {
+			t.Fatalf("after a dropped reply: ok = %v after %d probes, want an answer from a second probe", ok, src.probes)
+		}
+		if again, ok := r.UDPSource(pair[0]); !ok || again != from || src.probes != 2 || r.Reused() != 1 {
+			t.Fatalf("third ask: %v, %v after %d probes, %d reused; want %v from the table", again, ok, src.probes, r.Reused(), from)
 		}
 	})
 }

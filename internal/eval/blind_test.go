@@ -43,7 +43,9 @@ func TestAllyBlindOnlyOnCounterlessRouters(t *testing.T) {
 
 // TestAllyBlindCounter drives driver.alias.ally_blind on the benchmark's
 // cold-map world (large-access, 4 VPs): it counts the pairs Ally ended on
-// a blind address, a subset of those it left unknown.
+// a blind address, a subset of those it left unknown. Beside it,
+// driver.alias.answers_reused counts the probes the resolvers' answers
+// stood in for: at least the sweep's UDP answers Mercator read back.
 func TestAllyBlindCounter(t *testing.T) {
 	prof := topo.LargeAccessProfile()
 	prof.NumVPs = 4
@@ -54,5 +56,10 @@ func TestAllyBlindCounter(t *testing.T) {
 	t.Logf("ally_blind %d of ally_unknown %d", blind, unknown)
 	if blind == 0 || blind > unknown {
 		t.Fatalf("ally_blind = %d, want in (0, ally_unknown = %d]", blind, unknown)
+	}
+	reused := c["driver.alias.answers_reused"]
+	t.Logf("answers_reused %d beside %d probes sent", reused, c["probe.probes"])
+	if reused <= 0 {
+		t.Fatalf("answers_reused = %d, want > 0", reused)
 	}
 }

@@ -162,9 +162,9 @@ func TestPacketCountsPinned(t *testing.T) {
 		prof topo.Profile
 		want probe.Ledger
 	}{
-		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 660, PacketsSent: 1530, ResponsesRcv: 1392}},
-		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 2712, PacketsSent: 10092, ResponsesRcv: 9400}},
-		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 12763, PacketsSent: 37980, ResponsesRcv: 36710}},
+		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 481, PacketsSent: 1351, ResponsesRcv: 1253}},
+		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 1825, PacketsSent: 9205, ResponsesRcv: 8668}},
+		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 9616, PacketsSent: 34833, ResponsesRcv: 33596}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)

@@ -594,11 +594,13 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // edges age out immediately.
 //
 // The resolver's blind set (addresses an Ally round showed to have no
-// IP-ID counter) lives for this one stage and is not replayed: a replayed
-// operation sends nothing, so it marks nothing, and a live operation in an
-// incremental round may probe a blind address once more than a
-// from-scratch run would. A blind test ends Unknown, which is never
-// recorded, so replay still restores every recorded verdict.
+// IP-ID counter) and its answers (what each address replied to: the
+// sweep's UDP sources and the methods Ally's choice found) live for this
+// one stage and are not replayed: a replayed operation sends nothing, so
+// it marks and answers nothing, and a live operation in an incremental
+// round may send a probe a from-scratch run would have skipped. A blind
+// test ends Unknown, which is never recorded, so replay still restores
+// every recorded verdict.
 func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Timeline, clocked bool) {
 	res := alias.NewResolver(tl, cfg.AliasCfg)
 	res.Trace = d.Trace
@@ -655,6 +657,8 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		return
 	}
 
+	defer func() { d.Obs.Add("driver.alias.answers_reused", int64(res.Reused())) }()
+
 	// Cross-round memo plumbing. This stage's operations and log replace
 	// the last stage's even when the stage aborts (via defer), so stale
 	// entries never survive a round they were not revalidated in.
@@ -696,6 +700,8 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 	var one [1]alias.PairVerdict // a live Mercator probe's or Resolve's verdict
 
 	// Mercator sweep: group addresses by common port-unreachable source.
+	// It asks through the resolver, so Resolve's Mercator and Ally's method
+	// choice reuse every UDP answer it got.
 	addrs := make([]netx.Addr, 0, len(addrSet))
 	for a := range addrSet {
 		addrs = append(addrs, a)
@@ -711,10 +717,10 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		vs, replayed := replay(op)
 		if !replayed {
 			vs = nil
-			if r := tl.Probe(a, probe.MethodUDP); r.OK && r.From != a && !r.From.IsZero() {
-				one[0] = alias.PairVerdict{A: a, B: r.From, V: alias.AliasYes}
+			if from, ok := res.UDPSource(a); ok && from != a && !from.IsZero() {
+				one[0] = alias.PairVerdict{A: a, B: from, V: alias.AliasYes}
 				vs = one[:]
-				res.Record(a, r.From, alias.AliasYes)
+				res.Record(a, from, alias.AliasYes)
 			}
 		}
 		keep(op, vs)

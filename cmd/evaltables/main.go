@@ -111,8 +111,10 @@ func run(w io.Writer, args []string) error {
 	if *stopset {
 		fmt.Fprintln(w, "== Stop-set efficiency (§5.3) ==")
 		ss := eval.MeasureStopSet(topo.REProfile(), *seed)
-		fmt.Fprintf(w, "packets with stop set %d, without %d: saved %.1f%% (%d traces stopped)\n\n",
+		fmt.Fprintf(w, "packets with stop set %d, without %d: saved %.1f%% (%d traces stopped)\n",
 			ss.PacketsWith, ss.PacketsWithout, 100*ss.SavedFrac(), ss.TracesStopped)
+		fmt.Fprintf(w, "packets by operation: traces %d near + %d far, alias probes %d sweep + %d mercator + %d pick + %d ally\n\n",
+			ss.TraceNear, ss.TraceFar, ss.Sweep, ss.Mercator, ss.Pick, ss.Ally)
 	}
 	if *ablations {
 		fmt.Fprintln(w, "== Ablations ==")

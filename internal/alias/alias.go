@@ -14,9 +14,11 @@
 //     addresses aside.
 //   - Mercator: probes an unused UDP port and infers aliases when the ICMP
 //     port-unreachable responses share a source address.
-//   - Prefixscan: infers whether a traceroute address is the inbound
-//     interface of a router by testing whether its /31 or /30 subnet mate
-//     is an alias of the previous hop.
+//
+// The paper's third technique, Prefixscan (testing whether a traceroute
+// address's /31 or /30 subnet mate is an alias of the previous hop), is
+// not implemented: its mate is an address no trace observed, and no
+// inference heuristic reads an alias of one.
 //
 // For one stage, the resolver asks each address each question once: it
 // keeps what every address answered (the source of its UDP
@@ -100,6 +102,15 @@ type Resolver struct {
 	// counts the probes it answered instead of the wire.
 	answers map[netx.Addr]answer
 	reused  int
+	sent    Sent
+}
+
+// Sent counts the direct probes a resolver sent, by what each was for.
+type Sent struct {
+	Sweep    int // UDPSource: the driver's Mercator sweep
+	Mercator int // Mercator's UDP probes of a pair
+	Pick     int // Ally's choice of a method both addresses answer
+	Ally     int // Ally's interleaved sequences
 }
 
 // answer is what one address answered: a bit per probe method it replied
@@ -124,15 +135,19 @@ func NewResolver(src probe.Source, cfg Config) *Resolver {
 // of the wire.
 func (r *Resolver) Reused() int { return r.reused }
 
+// Sent returns the direct probes the resolver sent, by what each was for.
+func (r *Resolver) Sent() Sent { return r.sent }
+
 // ask reports whether a answers method m. It probes only when a has not
-// answered m through this resolver; a probe that got no reply is not kept,
-// so the next ask sends it again.
-func (r *Resolver) ask(a netx.Addr, m probe.Method) bool {
+// answered m through this resolver, counting the probe in *sent; a probe
+// that got no reply is not kept, so the next ask sends it again.
+func (r *Resolver) ask(a netx.Addr, m probe.Method, sent *int) bool {
 	ans, bit := r.answers[a], uint8(1)<<m
 	if ans.methods&bit != 0 {
 		r.reused++
 		return true
 	}
+	*sent++
 	resp := r.Src.Probe(a, m)
 	if !resp.OK {
 		return false
@@ -146,9 +161,14 @@ func (r *Resolver) ask(a netx.Addr, m probe.Method) bool {
 }
 
 // UDPSource returns the source of a's UDP port-unreachable reply, probing
-// only if a has not answered UDP through this resolver.
+// only if a has not answered UDP through this resolver. Its probes count
+// as the sweep's.
 func (r *Resolver) UDPSource(a netx.Addr) (netx.Addr, bool) {
-	if !r.ask(a, probe.MethodUDP) {
+	return r.udpSource(a, &r.sent.Sweep)
+}
+
+func (r *Resolver) udpSource(a netx.Addr, sent *int) (netx.Addr, bool) {
+	if !r.ask(a, probe.MethodUDP, sent) {
 		return 0, false
 	}
 	return r.answers[a].udpFrom, true
@@ -270,7 +290,7 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 // probe, and it does not ask b a method a was silent to.
 func (r *Resolver) pickMethod(a, b netx.Addr) (probe.Method, bool) {
 	for _, m := range allyMethods {
-		if r.ask(a, m) && r.ask(b, m) {
+		if r.ask(a, m, &r.sent.Pick) && r.ask(b, m, &r.sent.Pick) {
 			return m, true
 		}
 	}
@@ -297,6 +317,7 @@ func (r *Resolver) allyOnce(a, b netx.Addr, m probe.Method, ids *[allySamples]ui
 		if i%2 == 1 {
 			t = b
 		}
+		r.sent.Ally++
 		resp := r.Src.Probe(t, m)
 		if !resp.OK {
 			return roundLost
@@ -349,11 +370,11 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 	if a == b {
 		return AliasYes
 	}
-	fromA, ok := r.UDPSource(a)
+	fromA, ok := r.udpSource(a, &r.sent.Mercator)
 	if !ok {
 		return Unknown
 	}
-	fromB, ok := r.UDPSource(b)
+	fromB, ok := r.udpSource(b, &r.sent.Mercator)
 	if !ok {
 		return Unknown
 	}
@@ -380,10 +401,10 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	return r.Ally(a, b)
 }
 
-// PairVerdict records one pair test a compound operation performed — the
-// replay substrate for cross-round caching: re-Record()ing the verdicts in
-// order reproduces the verdicts the operation left behind without
-// re-sending its probes. It does not reproduce the blind set: a replayed
+// PairVerdict records the verdict one operation of the driver's alias
+// stage left behind — the replay substrate for cross-round caching:
+// re-Record()ing it reproduces the verdict without re-sending the
+// operation's probes. It does not reproduce the blind set: a replayed
 // operation sends nothing, so it marks no address blind, and a later live
 // test may probe such an address once more than a from-scratch run would.
 // A blind test ends Unknown, which Ally never records, so replay still
@@ -395,28 +416,6 @@ func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 type PairVerdict struct {
 	A, B netx.Addr
 	V    Verdict
-}
-
-// PrefixscanTrace attempts to confirm that addr is the inbound interface of
-// the router it sits on by testing whether its point-to-point subnet mate
-// is an alias of prevHop (§5.3). It returns the mate and true on success,
-// plus every (prevHop, mate) pair it tested with the verdict each test
-// reached: exactly its Resolve calls, in order, so replaying them with
-// Record leaves the pos/neg maps identical to a live run.
-func (r *Resolver) PrefixscanTrace(prevHop, addr netx.Addr) (netx.Addr, bool, []PairVerdict) {
-	var tried []PairVerdict
-	for _, plen := range []int{31, 30} {
-		mate, ok := addr.PointToPointMate(plen)
-		if !ok || mate == prevHop || mate == addr {
-			continue
-		}
-		v := r.Resolve(prevHop, mate)
-		tried = append(tried, PairVerdict{A: prevHop, B: mate, V: v})
-		if v == AliasYes {
-			return mate, true, tried
-		}
-	}
-	return 0, false, tried
 }
 
 // Positives returns all pairs with a positive verdict.

@@ -363,52 +363,6 @@ func TestMercatorNonCanonicalUnknown(t *testing.T) {
 	}
 }
 
-func TestPrefixscanFindsPtPMate(t *testing.T) {
-	e, n, res := setup(t, 7)
-	vp := n.VPs[0]
-	// Find an interdomain ptp link whose near side is reachable and whose
-	// near router is resolvable (shared IPID or canonical mercator).
-	for _, l := range n.Links {
-		if l.Kind != topo.LinkInterdomain || len(l.Ifaces) != 2 {
-			continue
-		}
-		near, far := l.Ifaces[0], l.Ifaces[1]
-		nr := n.Router(near.Router)
-		if nr.Owner != n.HostASN {
-			near, far = far, near
-			nr = n.Router(near.Router)
-		}
-		if nr.Owner != n.HostASN {
-			continue
-		}
-		resolvable := (nr.Behavior.IPID == topo.IPIDShared && !nr.Behavior.NoEchoReply) ||
-			(nr.Behavior.MercatorCanonical && !nr.Behavior.NoUDPUnreach)
-		if !resolvable || !e.Reachable(vp, near.Addr) || !e.Reachable(vp, far.Addr) {
-			continue
-		}
-		// Another interface on the near router to play "previous hop
-		// response address".
-		var prevAddr netx.Addr
-		for _, ifc := range nr.Ifaces {
-			if ifc.Addr != near.Addr && !ifc.Addr.IsZero() && e.Reachable(vp, ifc.Addr) {
-				prevAddr = ifc.Addr
-			}
-		}
-		if prevAddr.IsZero() {
-			continue
-		}
-		mate, ok, _ := res.PrefixscanTrace(prevAddr, far.Addr)
-		if !ok {
-			continue // resolution can legitimately fail; try another link
-		}
-		if mate != near.Addr {
-			t.Fatalf("Prefixscan mate = %v, want %v", mate, near.Addr)
-		}
-		return
-	}
-	t.Skip("no suitable link found")
-}
-
 func TestGraphTransitiveClosure(t *testing.T) {
 	g := NewGraph()
 	g.Union(1, 2)

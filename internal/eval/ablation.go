@@ -12,6 +12,11 @@ import (
 type StopSetSavings struct {
 	PacketsWith, PacketsWithout int64
 	TracesStopped               int
+	// PacketsWith by operation: the live traces' packets before and from
+	// their first external hop, and the alias stage's direct probes by
+	// what each was for.
+	TraceNear, TraceFar         int64
+	Sweep, Mercator, Pick, Ally int64
 }
 
 // SavedFrac returns the fraction of probe packets the stop set avoided.
@@ -34,10 +39,17 @@ func vp0(prof topo.Profile, seed int64, cfg scamper.Config) (*Scenario, Validati
 func MeasureStopSet(prof topo.Profile, seed int64) StopSetSavings {
 	with, _ := vp0(prof, seed, scamper.Config{})
 	without, _ := vp0(prof, seed, scamper.Config{DisableStopSet: true})
+	n := func(name string) int64 { return with.Obs.Counter(name).Load() }
 	return StopSetSavings{
-		PacketsWith:    with.Obs.Counter("probe.packets_sent").Load(),
+		PacketsWith:    n("probe.packets_sent"),
 		PacketsWithout: without.Obs.Counter("probe.packets_sent").Load(),
 		TracesStopped:  with.Datasets[0].Stats.TracesStopped,
+		TraceNear:      n("driver.trace.packets.near"),
+		TraceFar:       n("driver.trace.packets.far"),
+		Sweep:          n("driver.alias.probes.sweep"),
+		Mercator:       n("driver.alias.probes.mercator"),
+		Pick:           n("driver.alias.probes.pick"),
+		Ally:           n("driver.alias.probes.ally"),
 	}
 }
 

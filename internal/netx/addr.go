@@ -85,30 +85,6 @@ func (a *Addr) UnmarshalText(b []byte) (err error) {
 // IsZero reports whether a is the zero address 0.0.0.0.
 func (a Addr) IsZero() bool { return a == 0 }
 
-// PointToPointMate returns the other usable address of the point-to-point
-// subnet of the given prefix length containing a, and whether such a mate
-// exists. Interdomain links conventionally use /31 subnets (two addresses,
-// both usable) or /30 subnets (four addresses, two usable hosts between the
-// network and broadcast addresses). For a /30 the network and broadcast
-// addresses have no mate.
-func (a Addr) PointToPointMate(plen int) (Addr, bool) {
-	switch plen {
-	case 31:
-		return a ^ 1, true
-	case 30:
-		switch a & 3 {
-		case 1:
-			return a + 1, true
-		case 2:
-			return a - 1, true
-		default: // network (.0) or broadcast (.3) address
-			return 0, false
-		}
-	default:
-		return 0, false
-	}
-}
-
 // Prefix is an IPv4 CIDR prefix: a base address and a prefix length.
 // The base address is stored masked; use Make to normalize.
 type Prefix struct {

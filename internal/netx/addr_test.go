@@ -70,60 +70,6 @@ func TestMustParseAddrPanics(t *testing.T) {
 	MustParseAddr("not-an-address")
 }
 
-func TestPointToPointMate31(t *testing.T) {
-	a := MustParseAddr("10.0.0.4")
-	m, ok := a.PointToPointMate(31)
-	if !ok || m != MustParseAddr("10.0.0.5") {
-		t.Fatalf("mate of 10.0.0.4/31 = %v, %v", m, ok)
-	}
-	m2, ok := m.PointToPointMate(31)
-	if !ok || m2 != a {
-		t.Fatalf("mate not symmetric: %v", m2)
-	}
-}
-
-func TestPointToPointMate30(t *testing.T) {
-	// In a /30 x.x.x.0-3, hosts are .1 and .2.
-	base := MustParseAddr("10.0.0.0")
-	if _, ok := base.PointToPointMate(30); ok {
-		t.Error("network address should have no /30 mate")
-	}
-	if _, ok := MustParseAddr("10.0.0.3").PointToPointMate(30); ok {
-		t.Error("broadcast address should have no /30 mate")
-	}
-	m, ok := MustParseAddr("10.0.0.1").PointToPointMate(30)
-	if !ok || m != MustParseAddr("10.0.0.2") {
-		t.Fatalf("mate of 10.0.0.1/30 = %v, %v", m, ok)
-	}
-	m, ok = MustParseAddr("10.0.0.2").PointToPointMate(30)
-	if !ok || m != MustParseAddr("10.0.0.1") {
-		t.Fatalf("mate of 10.0.0.2/30 = %v, %v", m, ok)
-	}
-}
-
-func TestPointToPointMateOtherLens(t *testing.T) {
-	if _, ok := MustParseAddr("10.0.0.1").PointToPointMate(24); ok {
-		t.Error("/24 should have no point-to-point mate")
-	}
-}
-
-func TestPointToPointMateProperty(t *testing.T) {
-	// For any address, a /31 mate is always symmetric and in the same /31.
-	f := func(a uint32) bool {
-		addr := Addr(a)
-		m, ok := addr.PointToPointMate(31)
-		if !ok {
-			return false
-		}
-		back, ok2 := m.PointToPointMate(31)
-		p := MakePrefix(addr, 31)
-		return ok2 && back == addr && p.Contains(m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParsePrefix(t *testing.T) {
 	p := MustParsePrefix("192.0.2.77/24")
 	if p.Base != MustParseAddr("192.0.2.0") || p.Len != 24 {

@@ -29,7 +29,6 @@ const (
 	KindStopsetAdd                 // probe: first external hop joined the stop set
 	KindMercator                   // alias: common-source verdict
 	KindAlly                       // alias: shared IP-ID counter verdict
-	KindPrefixscan                 // alias: subnet mate confirmed
 	KindMerge                      // core: §5.4.7 analytical alias
 	KindDecision                   // core: a router or silent neighbor attributed
 	numKinds
@@ -43,7 +42,6 @@ var kindNames = [numKinds]struct{ stage, name string }{
 	KindStopsetAdd: {StageProbe, "stopset-add"},
 	KindMercator:   {StageAlias, "mercator"},
 	KindAlly:       {StageAlias, "ally"},
-	KindPrefixscan: {StageAlias, "prefixscan"},
 	KindMerge:      {StageCore, "merge"},
 	KindDecision:   {StageCore, "decision"},
 }
@@ -66,7 +64,6 @@ const (
 	KeyDst
 	KeyFrom
 	KeyVerdict
-	KeyMate
 	// alias: pair tests.
 	KeyMethod
 	KeyRound
@@ -105,8 +102,7 @@ const (
 var keyNames = [numKeys]string{
 	KeyBlocks: "blocks", KeyTarget: "target", KeyHops: "hops", KeyPath: "path",
 	KeyReached: "reached", KeyStopped: "stopped",
-	KeyCached: "cached", KeyAt: "at", KeyDst: "dst", KeyFrom: "from",
-	KeyVerdict: "verdict", KeyMate: "mate",
+	KeyCached: "cached", KeyAt: "at", KeyDst: "dst", KeyFrom: "from", KeyVerdict: "verdict",
 	KeyMethod: "method", KeyRound: "round", KeyRounds: "rounds", KeyIPIDs: "~ipids",
 	KeyHeuristic: "heuristic", KeyOwner: "owner", KeyHop: "hop", KeyClass: "class",
 	KeyAddrs: "addrs", KeyOriginAS: "origin_as", KeyRel: "rel", KeyDeclined: "declined",

@@ -63,7 +63,7 @@ func TestTraceRenderMatchesEagerOracle(t *testing.T) {
 	}
 	// The comparison is only as wide as what the runs emitted.
 	for _, k := range []string{"probe.target", "probe.trace", "probe.stopset-hit", "probe.stopset-add",
-		"alias.mercator", "alias.ally", "alias.prefixscan", "core.decision"} {
+		"alias.mercator", "alias.ally", "core.decision"} {
 		if kinds[k] == 0 {
 			t.Errorf("no %s event in any run", k)
 		}

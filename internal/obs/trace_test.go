@@ -67,7 +67,7 @@ func TestRecordRendersEveryValueKind(t *testing.T) {
 		Str(KeyVia, ""), Str(KeyRel, H("customer")), Strs(KeyDeclined, []H{"firewall", "", "onenet"}), Strs(KeyClass, []H(nil)),
 		IPs(KeyAddrs, []netx.Addr{0x01020304, 0}), IPs(KeyNear, nil), IDs(KeyIPIDs, []uint16{0, 65535}), Field{},
 		Path(KeyPath, []Hop{{1, HopTimeExceeded, 0x0a000001}, {2, HopTimeout, 0}, {255, HopEchoReply, 0xc0a80001}, {9, HopUnreachable, 1}}),
-		Path(KeyMate, nil))
+		Path(KeyFrom, nil))
 	ev := tr.Events()[0]
 	want := []Attr{
 		{"hops", "-9223372036854775808"}, {"blocks", "4611686018427387904"}, {"reached", "true"},
@@ -75,7 +75,7 @@ func TestRecordRendersEveryValueKind(t *testing.T) {
 		{"via", ""}, {"rel", "customer"}, {"declined", heurList([]string{"firewall", "", "onenet"})}, {"class", ""},
 		{"addrs", "1.2.3.4,0.0.0.0"}, {"near", ""}, {"~ipids", "0,65535"},
 		{"path", "1:te:10.0.0.1 2:to 255:er:192.168.0.1 9:un:0.0.0.1"},
-		{"mate", ""},
+		{"from", ""},
 	}
 	if ev.Subject != "AS4294967295" || ev.SimNS != -5 || !reflect.DeepEqual(ev.Attrs, want) {
 		t.Fatalf("rendered %q %d\n got %+v\nwant %+v", ev.Subject, ev.SimNS, ev.Attrs, want)
@@ -284,7 +284,6 @@ func TestEmitAllocFree(t *testing.T) {
 		func() {
 			tr.Emit(KindAlly, OnPair(1, 2), 5, Str(KeyVerdict, "alias"), Str(KeyMethod, "udp"), Int(KeyRounds, 5), IDs(KeyIPIDs, ids))
 		},
-		func() { tr.Emit(KindPrefixscan, OnPair(1, 2), 5, IP(KeyMate, 3)) },
 		func() { tr.Emit(KindMerge, OnAddr(1), 0, IP(KeyMerged, 2), Str(KeyVia, "analytical")) },
 		func() {
 			tr.Emit(KindDecision, OnAddr(1), 0, Str(KeyHeuristic, heur), AS(KeyOwner, as), Int(KeyHop, 3),

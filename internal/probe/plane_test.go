@@ -162,9 +162,9 @@ func TestPacketCountsPinned(t *testing.T) {
 		prof topo.Profile
 		want probe.Ledger
 	}{
-		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 481, PacketsSent: 1351, ResponsesRcv: 1253}},
-		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 1825, PacketsSent: 9205, ResponsesRcv: 8668}},
-		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 9616, PacketsSent: 34833, ResponsesRcv: 33596}},
+		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 142, PacketsSent: 1012, ResponsesRcv: 990}},
+		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 7909, ResponsesRcv: 7691}},
+		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 3026, PacketsSent: 28243, ResponsesRcv: 27940}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)

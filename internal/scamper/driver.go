@@ -101,8 +101,8 @@ type RunStats struct {
 	// round's transcript without spending a single probe packet.
 	TracesLive   int
 	TracesCached int
-	// AliasOpsReplayed counts alias-stage operations (Mercator probes,
-	// Ally resolutions, Prefixscans) replayed from the cross-round memo.
+	// AliasOpsReplayed counts alias-stage operations (Mercator probes and
+	// pair resolutions) replayed from the cross-round memo.
 	AliasOpsReplayed int
 	// SimDuration is how much simulated measurement time the run took
 	// (the paper reports 12-48h wall-clock at 100 packets/second).
@@ -274,6 +274,7 @@ func (d *Driver) Run() *Dataset {
 	}
 
 	var targetSimNS int64
+	var near, far int
 	traces := 0
 	for _, o := range outs {
 		traces += len(o.recs)
@@ -282,6 +283,8 @@ func (d *Driver) Run() *Dataset {
 	for i, o := range outs {
 		ds.Traces = append(ds.Traces, o.recs...)
 		ds.Stats.TracesStopped += o.stopped
+		near += o.near
+		far += o.far
 		if o.lost {
 			ds.Stats.TargetsLost++
 		}
@@ -362,6 +365,8 @@ func (d *Driver) Run() *Dataset {
 	d.Obs.Add("driver.traces", int64(ds.Stats.Traces))
 	d.Obs.Add("driver.traces_stopped", int64(ds.Stats.TracesStopped))
 	d.Obs.Add("driver.hops_observed", int64(ds.Stats.HopsObserved))
+	d.Obs.Add("driver.trace.packets.near", int64(near))
+	d.Obs.Add("driver.trace.packets.far", int64(far))
 	d.Obs.Max("driver.sim_clock_ns").Observe(int64(simEnd))
 	probeSim := simEnd - simStart
 	probeSpan.AddSim(probeSim)
@@ -410,15 +415,29 @@ func (d *Driver) isExternal(addr netx.Addr) bool {
 	return false
 }
 
+// firstExternal returns the index of the first time-exceeded hop whose
+// address is external, or -1.
+func (d *Driver) firstExternal(hops []probe.Hop) int {
+	for i, h := range hops {
+		if h.Type == probe.HopTimeExceeded && d.isExternal(h.Addr) {
+			return i
+		}
+	}
+	return -1
+}
+
 // targetOut is what probing one target AS produced: the slot its worker
 // fills and everything after the barrier reads.
 type targetOut struct {
 	recs    []TraceRecord
-	stopped int   // traces the stop set halted
-	lost    bool  // abandoned: the session died
-	simNS   int64 // simulated duration, relative to the target's own start
-	wallNS  int64
-	cut     obs.Pos // where the target's events end in its worker's log
+	stopped int // traces the stop set halted
+	// near and far split the live traces' packets at each trace's first
+	// external hop: the packets before it, and it and those after.
+	near, far int
+	lost      bool  // abandoned: the session died
+	simNS     int64 // simulated duration, relative to the target's own start
+	wallNS    int64
+	cut       obs.Pos // where the target's events end in its worker's log
 }
 
 // targetSpans renders the slots as "target" span records, IDs 1…T in target
@@ -517,6 +536,20 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 					sig = rp.sp.PathSignature(dst)
 				}
 			}
+			// The first external hop splits a live trace's packets and, on
+			// a trace the stop set did not halt, joins the stop set.
+			ext := -1
+			if !cached || !res.Stopped {
+				ext = d.firstExternal(res.Hops)
+			}
+			if !cached {
+				near := len(res.Hops)
+				if ext >= 0 {
+					near = ext
+				}
+				out.near += near
+				out.far += len(res.Hops) - near
+			}
 			out.recs = append(out.recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			if rp != nil {
 				rp.record(bi, dst, sig, TraceRecord{TraceResult: res, TargetAS: t.AS})
@@ -536,18 +569,8 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 				}
 				break // the path joins previously-observed interdomain hops
 			}
-			// Find the first externally-originated address.
-			var firstExt netx.Addr
-			for _, h := range res.Hops {
-				if h.Type != probe.HopTimeExceeded {
-					continue
-				}
-				if d.isExternal(h.Addr) {
-					firstExt = h.Addr
-					break
-				}
-			}
-			if !firstExt.IsZero() {
+			if ext >= 0 {
+				firstExt := res.Hops[ext].Addr
 				stopSet[firstExt] = true
 				frag.Emit(obs.KindStopsetAdd, obs.OnAddr(firstExt), rel(),
 					obs.IP(obs.KeyDst, dst))
@@ -580,9 +603,8 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 }
 
 // resolveAliases runs the alias-resolution schedule over the observed
-// addresses (§5.3): a Mercator sweep over every address, Ally on candidate
-// pairs sharing a traceroute predecessor, and Prefixscan on every observed
-// (previous hop, address) edge.
+// addresses (§5.3): a Mercator sweep over every address, then Mercator
+// and Ally on candidate pairs sharing a traceroute predecessor.
 //
 // With cross-round state (st non-nil), operations whose every address is
 // clean — appeared only in fully-replayed targets — are replayed from the
@@ -591,7 +613,7 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // from it) ends in exactly the state a live run would reach. Any operation
 // touching a dirty address runs live. The memo is rebuilt from this
 // round's operations on every pass, so entries for vanished addresses and
-// edges age out immediately.
+// pairs age out immediately.
 //
 // The resolver's blind set (addresses an Ally round showed to have no
 // IP-ID counter) and its answers (what each address replied to: the
@@ -621,7 +643,6 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 	type edge struct{ prev, cur netx.Addr }
 	addrSet := make(map[netx.Addr]bool)
 	succOf := make(map[netx.Addr][]netx.Addr) // predecessor addr → successors
-	var edges []edge
 	seenEdge := make(map[edge]bool)
 	for _, tr := range ds.Traces {
 		var prev netx.Addr
@@ -637,7 +658,6 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 				e := edge{prev, h.Addr}
 				if !seenEdge[e] {
 					seenEdge[e] = true
-					edges = append(edges, e)
 					succOf[prev] = append(succOf[prev], h.Addr)
 				}
 			}
@@ -657,7 +677,14 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		return
 	}
 
-	defer func() { d.Obs.Add("driver.alias.answers_reused", int64(res.Reused())) }()
+	defer func() {
+		d.Obs.Add("driver.alias.answers_reused", int64(res.Reused()))
+		sent := res.Sent()
+		d.Obs.Add("driver.alias.probes.sweep", int64(sent.Sweep))
+		d.Obs.Add("driver.alias.probes.mercator", int64(sent.Mercator))
+		d.Obs.Add("driver.alias.probes.pick", int64(sent.Pick))
+		d.Obs.Add("driver.alias.probes.ally", int64(sent.Ally))
+	}()
 
 	// Cross-round memo plumbing. This stage's operations and log replace
 	// the last stage's even when the stage aborts (via defer), so stale
@@ -775,28 +802,6 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 				limit--
 			}
 		}
-	}
-	// Prefixscan on every observed edge: confirm the inbound interface
-	// and resolve the near-side alias of the point-to-point subnet. A scan
-	// hits when the last pair it tried is an alias; that pair's B is the
-	// mate.
-	for _, e := range edges {
-		if d.Prober.Err() != nil {
-			d.Obs.Inc("driver.alias.aborted")
-			break
-		}
-		op := aliasOp{kind: opScan, a: e.prev, b: e.cur}
-		vs, replayed := replay(op)
-		if !replayed {
-			_, _, vs = res.PrefixscanTrace(e.prev, e.cur)
-		}
-		keep(op, vs)
-		if n := len(vs); n > 0 && vs[n-1].V == alias.AliasYes {
-			d.Obs.Inc("driver.alias.prefixscan_hits")
-			d.Trace.Emit(obs.KindPrefixscan, obs.OnPair(e.prev, e.cur), res.NowNS(),
-				obs.IP(obs.KeyMate, vs[n-1].B), obs.Flag(obs.KeyCached, replayed))
-		}
-		pairs++
 	}
 	ds.Stats.AliasPairsRun = pairs
 	d.Obs.Add("driver.alias.pairs", int64(pairs))

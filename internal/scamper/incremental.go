@@ -38,8 +38,8 @@ import (
 // caught by the signature of the trace that crosses it.
 //
 // The alias stage has its own memory: one flat log of the pair verdicts
-// every alias operation of the last stage recorded — a Mercator probe, a
-// Resolve, a Prefixscan — and a map from each operation to its range of
+// every alias operation of the last stage recorded — a Mercator probe or a
+// Resolve — and a map from each operation to its range of
 // that log. An operation whose addresses appeared only in fully-replayed
 // targets replays by re-Recording its verdicts in order, so the resolver's
 // positive/negative maps — and therefore the alias graph the inference
@@ -104,8 +104,7 @@ type cachedTrace struct {
 }
 
 // aliasOp names one alias-stage operation: a Mercator probe of a (b is
-// zero), a Resolve of the pair {a, b} (a < b), or a Prefixscan of the
-// edge a→b.
+// zero) or a Resolve of the pair {a, b} (a < b).
 type aliasOp struct {
 	kind opKind
 	a, b netx.Addr
@@ -116,12 +115,11 @@ type opKind uint8
 const (
 	opMercator opKind = iota
 	opResolve
-	opScan
 )
 
 // opRange is where an operation's verdicts sit in its stage's log. A
 // Mercator probe records its hit ({a, source, AliasYes}) or nothing, a
-// Resolve its one verdict, a Prefixscan every pair it tried.
+// Resolve its one verdict.
 type opRange struct{ lo, hi int32 }
 
 // blocksKey fingerprints a target's block plan; a changed plan (the BGP

@@ -248,47 +248,6 @@ func TestPathSignatureStability(t *testing.T) {
 	}
 }
 
-// PairVerdict capture: PrefixscanTrace must report exactly the verdicts it
-// recorded, in order, so replay can reconstruct resolver state.
-func TestPrefixscanTraceCapturesVerdicts(t *testing.T) {
-	n, e, view, hosts := setup(t, 3)
-	d := &Driver{View: view, Prober: LocalProber{E: e, VP: n.VPs[0]}, HostASNs: hosts}
-	ds := d.Run()
-	res := alias.NewResolver(d.Prober.Open(ds.Stats.SimDuration), alias.Config{})
-	found := false
-	for _, tr := range ds.Traces {
-		var prev netx.Addr
-		for _, h := range tr.Hops {
-			if h.Type != probe.HopTimeExceeded {
-				prev = 0
-				continue
-			}
-			if !prev.IsZero() && prev != h.Addr {
-				mate, ok, tried := res.PrefixscanTrace(prev, h.Addr)
-				if ok {
-					found = true
-					if mate.IsZero() {
-						t.Fatal("hit with zero mate")
-					}
-					last := tried[len(tried)-1]
-					if last.V != alias.AliasYes || last.B != mate {
-						t.Fatalf("last tried verdict %+v does not match hit mate %v", last, mate)
-					}
-				}
-				for _, pv := range tried {
-					if pv.A != prev {
-						t.Fatalf("tried pair %+v not anchored at prev %v", pv, prev)
-					}
-				}
-			}
-			prev = h.Addr
-		}
-	}
-	if !found {
-		t.Skip("no prefixscan hits in this world")
-	}
-}
-
 // TestRoundStateForgetsDeprovisionedNeighbor: cross-round state is this
 // round's measurements and nothing older. Over eight churn rounds on r&e
 // (odd rounds attach a customer, even rounds de-provision a neighbor, as

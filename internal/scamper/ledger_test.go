@@ -1,0 +1,123 @@
+package scamper
+
+import (
+	"testing"
+	"time"
+
+	"bdrmap/internal/bgp"
+	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
+	"bdrmap/internal/probe"
+	"bdrmap/internal/topo"
+)
+
+// runVP0 measures (prof, seed) from its first VP through prober, which
+// wraps the local one, with the engine and the driver counting into one
+// registry.
+func runVP0(prof topo.Profile, seed int64, wrap func(LocalProber) Prober) (*Dataset, obs.Snapshot) {
+	n := topo.Generate(prof, seed)
+	tab := bgp.NewTable(n)
+	reg := obs.New()
+	e := probe.New(n, tab)
+	e.SetObs(reg)
+	hosts := map[topo.ASN]bool{n.HostASN: true}
+	for _, s := range n.Siblings(n.HostASN) {
+		hosts[s] = true
+	}
+	d := &Driver{
+		View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
+		Prober:   wrap(LocalProber{E: e, VP: n.VPs[0]}),
+		HostASNs: hosts,
+		Obs:      reg,
+	}
+	ds := d.Run()
+	return ds, reg.Snapshot()
+}
+
+// TestPacketLedgerSums: the driver's ledger accounts for every packet the
+// engine sent. The alias stage's probes by operation sum to probe.probes,
+// and the live traces' packets before and from their first external hop
+// sum to the rest of probe.packets_sent.
+func TestPacketLedgerSums(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			_, s := runVP0(prof, 1, func(p LocalProber) Prober { return p })
+			probes, packets := s.Counter("probe.probes"), s.Counter("probe.packets_sent")
+			alias := s.Counter("driver.alias.probes.sweep") + s.Counter("driver.alias.probes.mercator") +
+				s.Counter("driver.alias.probes.pick") + s.Counter("driver.alias.probes.ally")
+			near, far := s.Counter("driver.trace.packets.near"), s.Counter("driver.trace.packets.far")
+			if alias != probes {
+				t.Errorf("alias probes by operation sum to %d, probe.probes = %d", alias, probes)
+			}
+			if near+far != packets-probes {
+				t.Errorf("trace packets near %d + far %d = %d, want packets_sent - probes = %d",
+					near, far, near+far, packets-probes)
+			}
+			if near == 0 || far == 0 {
+				t.Errorf("trace packets near %d, far %d: a side is empty", near, far)
+			}
+		})
+	}
+}
+
+// probeLog is a prober whose timelines record every direct probe's target.
+type probeLog struct {
+	LocalProber
+	targets map[netx.Addr]bool
+}
+
+func (p *probeLog) Open(start time.Duration) Timeline {
+	return &loggedTimeline{Timeline: p.LocalProber.Open(start), log: p}
+}
+
+// loggedTimeline is a pointer so that Driver.Run can tell two timelines
+// apart with !=.
+type loggedTimeline struct {
+	Timeline
+	log *probeLog
+}
+
+func (tl *loggedTimeline) Probe(target netx.Addr, m probe.Method) probe.Response {
+	tl.log.targets[target] = true
+	return tl.Timeline.Probe(target, m)
+}
+
+// TestAliasStageProbesOnlyObservedAddresses: the alias stage resolves the
+// interfaces traceroute saw, so every direct probe it sends targets an
+// address some trace of the VP observed as a time-exceeded hop.
+func TestAliasStageProbesOnlyObservedAddresses(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		if testing.Short() && prof.Name != "tiny" && prof.Name != "r&e" {
+			continue
+		}
+		for seed := int64(1); seed <= 2; seed++ {
+			var log *probeLog
+			ds, _ := runVP0(prof, seed, func(p LocalProber) Prober {
+				log = &probeLog{LocalProber: p, targets: make(map[netx.Addr]bool)}
+				return log
+			})
+			observed := make(map[netx.Addr]bool)
+			for _, tr := range ds.Traces {
+				for _, h := range tr.Hops {
+					if h.Type == probe.HopTimeExceeded {
+						observed[h.Addr] = true
+					}
+				}
+			}
+			unseen := 0
+			var first netx.Addr
+			for a := range log.targets {
+				if !observed[a] {
+					if unseen == 0 || a < first {
+						first = a
+					}
+					unseen++
+				}
+			}
+			if unseen > 0 {
+				t.Errorf("%s seed %d: %d of %d probed addresses were never observed (lowest %v)",
+					prof.Name, seed, unseen, len(log.targets), first)
+			}
+		}
+	}
+}

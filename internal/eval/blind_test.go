@@ -43,7 +43,7 @@ func TestAllyBlindOnlyOnCounterlessRouters(t *testing.T) {
 
 // TestAllyBlindCounter drives driver.alias.ally_blind on the benchmark's
 // cold-map world (large-access, 4 VPs): it counts the pairs Ally ended on
-// a blind address, a subset of those it left unknown. Beside it,
+// a blind address, a subset of the pairs left unknown. Beside it,
 // driver.alias.answers_reused counts the probes the resolvers' answers
 // stood in for: at least the sweep's UDP answers Mercator read back.
 func TestAllyBlindCounter(t *testing.T) {
@@ -52,10 +52,10 @@ func TestAllyBlindCounter(t *testing.T) {
 	s := Build(prof, 1)
 	s.RunAll()
 	c := s.Obs.Snapshot().Counters
-	blind, unknown := c["driver.alias.ally_blind"], c["driver.alias.ally_unknown"]
-	t.Logf("ally_blind %d of ally_unknown %d", blind, unknown)
+	blind, unknown := c["driver.alias.ally_blind"], c["driver.alias.pairs.unknown"]
+	t.Logf("ally_blind %d of pairs.unknown %d", blind, unknown)
 	if blind == 0 || blind > unknown {
-		t.Fatalf("ally_blind = %d, want in (0, ally_unknown = %d]", blind, unknown)
+		t.Fatalf("ally_blind = %d, want in (0, pairs.unknown = %d]", blind, unknown)
 	}
 	reused := c["driver.alias.answers_reused"]
 	t.Logf("answers_reused %d beside %d probes sent", reused, c["probe.probes"])

@@ -177,20 +177,16 @@ func (s *Scenario) fig15Targets() []Fig15Series {
 	return out
 }
 
-// BuildFigure15 computes discovery curves over the measured VPs.
+// BuildFigure15 computes discovery curves over the measured VPs: a
+// network's value at k VPs is its link count in the merged map of the
+// first k VPs' results (core.Merge).
 func BuildFigure15(s *Scenario) *Figure15 {
 	f := &Figure15{NumVPs: len(s.Net.VPs)}
 	targets := s.fig15Targets()
-	for ti := range targets {
-		seen := make(map[[2]netx.Addr]bool)
-		for i := range s.Net.VPs {
-			if s.Results[i] != nil {
-				for _, l := range s.Results[i].Neighbors[targets[ti].ASN] {
-					key := [2]netx.Addr{l.Near.Addrs[0], l.FarAddr}
-					seen[key] = true
-				}
-			}
-			targets[ti].Cumulative = append(targets[ti].Cumulative, len(seen))
+	for k := 1; k <= len(s.Net.VPs); k++ {
+		merged := core.Merge(s.Results[:k])
+		for ti := range targets {
+			targets[ti].Cumulative = append(targets[ti].Cumulative, merged.Neighbors[targets[ti].ASN])
 		}
 	}
 	f.Networks = targets

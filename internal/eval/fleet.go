@@ -51,9 +51,9 @@ type Carry struct {
 }
 
 // NewCarry makes the carrier for a fleet of vps vantage points. With
-// incremental set, each VP carries a scamper.RoundState (trace
-// transcripts, stop-set evolution, alias memo), so the driver replays
-// unchanged targets without spending probes; inference always runs in
+// incremental set, each VP carries a scamper.RoundState (each
+// destination's last trace, alias verdicts), so the driver replays
+// unchanged traces without spending probes; inference always runs in
 // full. Arenas are carried either way.
 func NewCarry(vps int, incremental bool) *Carry {
 	c := &Carry{}

@@ -154,7 +154,7 @@ func TestRunRoundsIncrementalEquivalence(t *testing.T) {
 }
 
 // TestVerifyTwelveRounds holds incremental rounds byte-identical to a
-// from-scratch shadow run while transcripts replay round after round with
+// from-scratch shadow run while traces replay round after round with
 // nothing expiring: twelve churn rounds on tiny with Verify on, on 1 and 4
 // fleet workers, so each VP's RoundState is handed between workers (under
 // Acquire/Release) every round. Both widths must publish the same trace

@@ -23,10 +23,11 @@ import (
 // reproducible test and demo material rather than flake.
 //
 // With Incremental set, rounds after the first reuse the previous round's
-// measurement memory: the doubletree stop set persists in each VP's
-// scamper.RoundState, targets whose path signature is unchanged replay
-// their cached traces without spending probes, and alias verdicts replay
-// for addresses no changed trace touched (Dataset.Dirty). Inference runs
+// measurement memory: each VP's scamper.RoundState keeps the last trace to
+// every destination, a destination whose path signature is unchanged and
+// whose trace the stop set would halt where it halted replays that trace
+// without spending probes, and alias verdicts replay for addresses no
+// changed trace touched (Dataset.Dirty). Inference runs
 // in full every round. Verify cross-checks every incremental round against
 // a from-scratch run on an identically mutated shadow world.
 
@@ -43,8 +44,8 @@ type RoundsConfig struct {
 	// round's served map is byte-identical for any worker count.
 	FleetWorkers int
 
-	// Incremental carries per-VP measurement state (stop set, trace
-	// transcripts, alias memos) across rounds, so unchanged parts of the
+	// Incremental carries per-VP measurement state (each destination's
+	// last trace, alias verdicts) across rounds, so unchanged parts of the
 	// world are replayed rather than re-probed.
 	Incremental bool
 	// Verify, with Incremental, runs every round a second time from
@@ -72,8 +73,8 @@ type RoundsConfig struct {
 type RoundEvent struct {
 	Gen    int
 	Action string
-	// TraceFP fingerprints the round's measurement (every VP's trace
-	// transcript, in VP order); two rounds that observed identical paths
+	// TraceFP fingerprints the round's measurement (every VP's traces,
+	// in VP order); two rounds that observed identical paths
 	// carry the same fingerprint regardless of how many probes were spent
 	// reconfirming them.
 	TraceFP uint64
@@ -109,8 +110,8 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 	}
 
 	// What every round hands the next: one inference arena per fleet
-	// worker and, incrementally, one RoundState per VP (stop set, trace
-	// transcripts, alias memos). Inference results are not carried.
+	// worker and, incrementally, one RoundState per VP (last traces, alias
+	// verdicts). Inference results are not carried.
 	carry := eval.NewCarry(len(n.VPs), cfg.Incremental)
 
 	var s *eval.Scenario

@@ -71,15 +71,11 @@ func (l *Lane) Now() time.Duration { return l.clock }
 func (l *Lane) Advance(d time.Duration) { l.clock += d }
 
 // Trace runs a Paris traceroute (ICMP-echo probes) toward dst and then
-// paces the lane's clock forward by PacePerHop per packet sent. A hop that
-// responds from an address in stop halts the trace after recording it (the
-// doubletree stop set, §5.3); a nil stop never halts.
+// paces the lane's clock forward by PacePerHop per packet sent. A
+// time-exceeded hop from an address in stop halts the trace after
+// recording it (the doubletree stop set, §5.3); a nil stop never halts.
 func (l *Lane) Trace(dst netx.Addr, stop map[netx.Addr]bool) TraceResult {
-	var halt func(netx.Addr) bool
-	if stop != nil {
-		halt = func(a netx.Addr) bool { return stop[a] }
-	}
-	res := l.e.traceroute(l.vp, dst, halt, l)
+	res := l.e.traceroute(l.vp, dst, func(h Hop) bool { return halts(h, stop) }, l)
 	l.clock += time.Duration(len(res.Hops)) * PacePerHop
 	return res
 }

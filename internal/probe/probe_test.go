@@ -110,6 +110,71 @@ func TestStopSetHaltsTrace(t *testing.T) {
 	}
 }
 
+// TestRepeatsMatchesLaneTrace holds the replay predicate to the walk it
+// stands in for. On tiny, r&e, remote-peering and enterprise, each routed
+// prefix's trace is recorded under every stop set drawn from its own hops
+// — none, each responding address alone (the destination's reply
+// included), and the first and last together — and then asked, under
+// every one of those sets, whether a walk would record it again. Repeats
+// must say yes iff Lane.Trace under that set returns the same hops (TTL,
+// type, address) and the same Stopped flag. Each walk starts a second
+// after the last, in a fresh rate-limit window.
+func TestRepeatsMatchesLaneTrace(t *testing.T) {
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile(), topo.RemotePeeringProfile(), topo.EnterpriseProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			e, n := newEngine(t, prof, 1)
+			lane := e.NewLane(n.VPs[0], 0)
+			walk := func(dst netx.Addr, stop map[netx.Addr]bool) TraceResult {
+				lane.Advance(time.Second)
+				return lane.Trace(dst, stop)
+			}
+			var yes, no, atReply int
+			for _, p := range e.Tab.Prefixes() {
+				dst := p.First() + 1
+				full := walk(dst, nil)
+				stops := []map[netx.Addr]bool{nil}
+				var addrs []netx.Addr
+				for _, h := range full.Hops {
+					if !h.Addr.IsZero() {
+						addrs = append(addrs, h.Addr)
+						stops = append(stops, map[netx.Addr]bool{h.Addr: true})
+					}
+				}
+				if len(addrs) > 1 {
+					stops = append(stops, map[netx.Addr]bool{addrs[0]: true, addrs[len(addrs)-1]: true})
+				}
+				for _, from := range stops {
+					rec := walk(dst, from)
+					for _, under := range stops {
+						got := walk(dst, under)
+						same := rec.Stopped == got.Stopped && len(rec.Hops) == len(got.Hops)
+						for i := 0; same && i < len(rec.Hops); i++ {
+							a, b := rec.Hops[i], got.Hops[i]
+							same = a.TTL == b.TTL && a.Type == b.Type && a.Addr == b.Addr
+						}
+						if rec.Repeats(under) != same {
+							t.Fatalf("trace to %v recorded under %v: Repeats(%v) = %t, but a walk under it returns the same trace: %t",
+								dst, from, under, !same, same)
+						}
+						if !same {
+							no++
+							continue
+						}
+						yes++
+						if n := len(rec.Hops); n > 0 && rec.Hops[n-1].Type != HopTimeExceeded && under[rec.Hops[n-1].Addr] {
+							atReply++
+						}
+					}
+				}
+			}
+			if yes == 0 || no == 0 || atReply == 0 {
+				t.Fatalf("%d repeats, %d not, %d with the reply's address in the stop set: a case went untested", yes, no, atReply)
+			}
+			t.Logf("%d repeats (%d with the reply's address in the stop set), %d not", yes, atReply, no)
+		})
+	}
+}
+
 func TestFirewallTruncatesTrace(t *testing.T) {
 	// Find a customer whose border firewalls probes: traceroute toward it
 	// must never reveal an address inside the customer's announced space.

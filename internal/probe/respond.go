@@ -58,10 +58,30 @@ const gapLimit = 5
 // (~100 packets/second, the rate the paper's deployments probe at).
 const PacePerHop = 10 * time.Millisecond
 
-// traceroute walks a Paris traceroute from vp toward dst on lane. stop,
-// when non-nil, is consulted with each responding address: returning true
-// halts the trace after recording that hop.
-func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) bool, lane *Lane) TraceResult {
+// halts is the stop rule: a walk under stop halts after recording h when
+// h is a time-exceeded hop from an address in stop. The destination's own
+// reply ends the walk anyway and is never checked.
+func halts(h Hop, stop map[netx.Addr]bool) bool {
+	return h.Type == HopTimeExceeded && stop[h.Addr]
+}
+
+// Repeats reports whether walking r's path again under stop would record
+// r again: the walk halts at r's last hop if r stopped, and at no hop if
+// it did not. On an unchanged path (Engine.PathSignature) such a walk
+// returns r's hops and Stopped flag, so r can stand in for it.
+func (r *TraceResult) Repeats(stop map[netx.Addr]bool) bool {
+	for i, h := range r.Hops {
+		if halts(h, stop) {
+			return r.Stopped && i == len(r.Hops)-1
+		}
+	}
+	return !r.Stopped
+}
+
+// traceroute walks a Paris traceroute from vp toward dst on lane. stop is
+// consulted with each time-exceeded hop: returning true halts the trace
+// after recording that hop.
+func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(Hop) bool, lane *Lane) TraceResult {
 	res := TraceResult{Dst: dst}
 	path := e.computePath(vp.Router, dst)
 	if n := len(path.steps); n > 0 {
@@ -153,7 +173,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(netx.Addr) boo
 			continue
 		}
 		gap = 0
-		if stop != nil && stop(hop.Addr) {
+		if stop(hop) {
 			res.Stopped = true
 			break
 		}

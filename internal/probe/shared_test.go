@@ -143,7 +143,7 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 			moved := 0
 			for _, dst := range dsts {
 				lane := e.NewLane(vp, 40*time.Minute)
-				res := e.traceroute(vp, dst, func(netx.Addr) bool {
+				res := e.traceroute(vp, dst, func(Hop) bool {
 					lane.clock += 7 * time.Minute
 					return false
 				}, lane)

@@ -36,11 +36,11 @@ type Config struct {
 	// AliasCfg tunes the alias resolver.
 	AliasCfg alias.Config
 	// State enables cross-round incremental probing: the driver replays
-	// the previous round's per-target transcripts wherever path signatures
-	// are unchanged, persisting the doubletree stop set (§5.2) across
-	// rounds instead of rebuilding it. Replay is validated against
-	// LocalProber.PathSignature, so State needs a LocalProber: Run panics
-	// on any other prober.
+	// the previous round's trace to a destination wherever its path
+	// signature is unchanged and the stop set would halt it where it
+	// halted, carrying the doubletree economy (§5.2) across rounds. Replay
+	// is validated against LocalProber.PathSignature, so State needs a
+	// LocalProber: Run panics on any other prober.
 	State *RoundState
 }
 
@@ -79,7 +79,7 @@ type Dataset struct {
 	Stats RunStats
 	// Dirty is the set of interface addresses whose trace evidence changed
 	// since the previous round: every address appearing in the current or
-	// prior transcript of any target that was not served fully from cache.
+	// prior traces of any target that was not served fully from cache.
 	// The alias stage replays a memoized verdict only when none of its
 	// addresses is dirty. It is nil when cross-round caching is off, which
 	// reads as "everything is dirty".
@@ -98,7 +98,7 @@ type RunStats struct {
 	TargetsLost int
 	// TracesLive / TracesCached split Traces when cross-round caching is
 	// active (Config.State): a cached trace was replayed from the previous
-	// round's transcript without spending a single probe packet.
+	// round's trace to its destination without spending a probe packet.
 	TracesLive   int
 	TracesCached int
 	// AliasOpsReplayed counts alias-stage operations (Mercator probes and
@@ -201,11 +201,10 @@ func (d *Driver) Run() *Dataset {
 	ds := &Dataset{VPName: d.Prober.Name()}
 	d.Obs.Add("driver.targets", int64(len(targets)))
 
-	// Cross-round cache setup: validate each target's prior transcript
-	// (plan unchanged) single-threaded before the workers start; the
-	// workers only read their own replay slot.
+	// With cross-round state the workers only read its traces; it is
+	// written after the barrier.
 	st := cfg.State
-	replays := make([]*targetReplay, len(targets)) // all nil without State: every trace runs live
+	var sigOf func(netx.Addr) uint64 // nil without State: every trace runs live
 	if st != nil {
 		lp, ok := d.Prober.(LocalProber)
 		if !ok {
@@ -213,21 +212,7 @@ func (d *Driver) Run() *Dataset {
 		}
 		st.Acquire(d.Prober.Name())
 		defer st.Release()
-		for i, t := range targets {
-			key := blocksKey(t.Blocks)
-			rp := &targetReplay{sp: lp, next: &targetMemo{blocksKey: key}}
-			if m := st.targets[t.AS]; m != nil {
-				rp.all = m.traces
-				// This round's transcript is about as long as the last.
-				rp.next.traces = make([]cachedTrace, 0, len(m.traces))
-				// A moved §5.3 block plan means the transcript no longer
-				// describes this round's schedule.
-				if m.blocksKey == key {
-					rp.prior = m
-				}
-			}
-			replays[i] = rp
-		}
+		sigOf = lp.PathSignature
 	}
 
 	probeSpan := d.Obs.StartStage("driver.probe")
@@ -258,7 +243,7 @@ func (d *Driver) Run() *Dataset {
 				wlogs[w] = obs.NewTracer()
 			}
 			for i := w; i < len(targets); i += cfg.Workers {
-				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], replays[i])
+				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], sigOf)
 			}
 		}(w)
 	}
@@ -283,6 +268,7 @@ func (d *Driver) Run() *Dataset {
 	for i, o := range outs {
 		ds.Traces = append(ds.Traces, o.recs...)
 		ds.Stats.TracesStopped += o.stopped
+		ds.Stats.TracesCached += o.cached
 		near += o.near
 		far += o.far
 		if o.lost {
@@ -302,62 +288,20 @@ func (d *Driver) Run() *Dataset {
 		ds.Stats.HopsObserved += len(tr.Hops)
 	}
 
-	// Fold this round's transcripts back into the cross-round state
+	// Fold this round's traces back into the cross-round state
 	// (single-threaded, after the barrier) and derive the dirty-address
 	// set the alias stage keys its replay off.
 	if st != nil {
-		dirty := make(map[netx.Addr]bool)
-		markDirty := func(recs []TraceRecord) {
-			for _, rec := range recs {
-				for _, h := range rec.Hops {
-					if h.Type == probe.HopTimeout || h.Addr.IsZero() {
-						continue
-					}
-					dirty[h.Addr] = true
-				}
-			}
-		}
-		cachedRecs := func(cts []cachedTrace) []TraceRecord {
-			out := make([]TraceRecord, 0, len(cts))
-			for _, ct := range cts {
-				out = append(out, ct.rec)
-			}
-			return out
-		}
-		for i, rp := range replays {
-			ds.Stats.TracesLive += rp.live
-			ds.Stats.TracesCached += rp.hits
-			if rp.fullHit() {
-				st.targets[targets[i].AS] = rp.next
+		var clean []bool
+		ds.Dirty, clean = st.fold(targets, outs)
+		for _, c := range clean {
+			if c {
 				d.Obs.Inc("rounds.cache.hit")
-				continue
-			}
-			d.Obs.Inc("rounds.cache.miss")
-			// The target's evidence changed: everything on the new paths
-			// and everything the old paths traversed is dirty — a router
-			// can lose a trace without appearing in its replacement.
-			markDirty(outs[i].recs)
-			markDirty(cachedRecs(rp.all))
-			if outs[i].lost {
-				// Keep the previous transcript (if any): a dead session is
-				// transport state, not a changed world.
-				continue
-			}
-			st.targets[targets[i].AS] = rp.next
-		}
-		// Targets that vanished from the plan leave stale memos behind;
-		// their addresses are dirty and the memos are dropped.
-		alive := make(map[topo.ASN]bool, len(targets))
-		for _, t := range targets {
-			alive[t.AS] = true
-		}
-		for as, m := range st.targets {
-			if !alive[as] {
-				markDirty(cachedRecs(m.traces))
-				delete(st.targets, as)
+			} else {
+				d.Obs.Inc("rounds.cache.miss")
 			}
 		}
-		ds.Dirty = dirty
+		ds.Stats.TracesLive = ds.Stats.Traces - ds.Stats.TracesCached
 		d.Obs.Add("driver.traces_live", int64(ds.Stats.TracesLive))
 		d.Obs.Add("driver.traces_cached", int64(ds.Stats.TracesCached))
 	}
@@ -430,7 +374,9 @@ func (d *Driver) firstExternal(hops []probe.Hop) int {
 // fills and everything after the barrier reads.
 type targetOut struct {
 	recs    []TraceRecord
-	stopped int // traces the stop set halted
+	sigs    []uint64 // recs' path signatures, with cross-round state
+	stopped int      // traces the stop set halted
+	cached  int      // traces replayed from cross-round state
 	// near and far split the live traces' packets at each trace's first
 	// external hop: the packets before it, and it and those after.
 	near, far int
@@ -466,7 +412,10 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 // one), try further addresses, up to the configured maximum (§5.3).
 // It returns early — reporting the target lost — when the prober's session
 // dies, so one dead VP degrades the run instead of hanging it.
-func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, rp *targetReplay) targetOut {
+//
+// With sigOf (cross-round state) each destination's trace replays from
+// cfg.State when RoundState.replay allows it.
+func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
@@ -494,7 +443,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 	}
 	stopSet := make(map[netx.Addr]bool)
 	var hopBuf [32]obs.Hop // path evidence, restated per trace
-	for bi, b := range t.Blocks {
+	for _, b := range t.Blocks {
 		tried := 0
 		for tried < cfg.MaxAddrsPerBlock {
 			if d.Prober.Err() != nil {
@@ -509,19 +458,17 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			if !cfg.DisableStopSet {
 				ss = stopSet
 			}
-			// Replay the prior round's transcript while it still matches
-			// this schedule position and the destination's path signature;
-			// a replayed trace spends zero probe packets. Everything after
-			// the splice — stop-set insertion, the §5.3 retry decision —
-			// runs the live code on the replayed result, so the control
-			// flow (and therefore the stop set) evolves exactly as a
-			// from-scratch walk would.
+			// A replayed trace is the one a live walk would return and
+			// spends zero probe packets. Everything after it — stop-set
+			// insertion, the §5.3 retry decision — runs the live code on
+			// it, so the stop set evolves exactly as a from-scratch walk's.
 			var res probe.TraceResult
-			var sig uint64
 			cached := false
-			if rp != nil {
-				if ct, ok := rp.take(bi, dst); ok {
-					res, sig, cached = ct.rec.TraceResult, ct.sig, true
+			if sigOf != nil {
+				sig := sigOf(dst)
+				out.sigs = append(out.sigs, sig)
+				if res, cached = cfg.State.replay(dst, sig, ss); cached {
+					out.cached++
 				}
 			}
 			if !cached {
@@ -530,10 +477,6 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 					// The session died mid-command; this empty trace is a
 					// transport artifact, not a measurement.
 					return abandon()
-				}
-				if rp != nil {
-					rp.live++
-					sig = rp.sp.PathSignature(dst)
 				}
 			}
 			// The first external hop splits a live trace's packets and, on
@@ -551,9 +494,6 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 				out.far += len(res.Hops) - near
 			}
 			out.recs = append(out.recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
-			if rp != nil {
-				rp.record(bi, dst, sig, TraceRecord{TraceResult: res, TargetAS: t.AS})
-			}
 			frag.Emit(obs.KindTrace, obs.OnAddr(dst), rel(),
 				obs.AS(obs.KeyTarget, t.AS),
 				obs.Int(obs.KeyHops, len(res.Hops)),
@@ -686,45 +626,37 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		d.Obs.Add("driver.alias.probes.ally", int64(sent.Ally))
 	}()
 
-	// Cross-round memo plumbing. This stage's operations and log replace
-	// the last stage's even when the stage aborts (via defer), so stale
-	// entries never survive a round they were not revalidated in.
-	var ops map[aliasOp]opRange
-	var log []alias.PairVerdict
+	// Cross-round memo plumbing. This stage's verdicts replace the last
+	// stage's even when the stage aborts (via defer), so stale entries
+	// never survive a round they were not revalidated in.
+	var verdicts map[aliasOp]alias.PairVerdict
 	if st != nil {
-		ops = make(map[aliasOp]opRange, len(st.ops))
-		log = make([]alias.PairVerdict, 0, len(st.log))
+		verdicts = make(map[aliasOp]alias.PairVerdict, len(st.aliases))
 		defer func() {
-			st.ops, st.log = ops, log
+			st.aliases = verdicts
 			d.Obs.Add("rounds.alias.replayed", int64(ds.Stats.AliasOpsReplayed))
 		}()
 	}
-	// replay re-Records the verdicts op recorded last round and returns
-	// them, when none of op's addresses is dirty (zero never is; Dirty is
-	// nil without cross-round state).
-	replay := func(op aliasOp) ([]alias.PairVerdict, bool) {
+	// replay re-Records the verdict op recorded last round and returns it,
+	// when none of op's addresses is dirty (zero never is; Dirty is nil
+	// without cross-round state).
+	replay := func(op aliasOp) (alias.PairVerdict, bool) {
 		if ds.Dirty == nil || ds.Dirty[op.a] || ds.Dirty[op.b] {
-			return nil, false
+			return alias.PairVerdict{}, false
 		}
-		r, ok := st.ops[op]
-		if !ok {
-			return nil, false
-		}
-		vs := st.log[r.lo:r.hi]
-		for _, pv := range vs {
+		pv, ok := st.aliases[op]
+		if ok {
 			res.Record(pv.A, pv.B, pv.V)
+			ds.Stats.AliasOpsReplayed++
 		}
-		ds.Stats.AliasOpsReplayed++
-		return vs, true
+		return pv, ok
 	}
-	// keep logs what op recorded this round.
-	keep := func(op aliasOp, vs []alias.PairVerdict) {
-		if st != nil {
-			ops[op] = opRange{int32(len(log)), int32(len(log) + len(vs))}
-			log = append(log, vs...)
+	// keep notes what op recorded this round.
+	keep := func(op aliasOp, pv alias.PairVerdict) {
+		if verdicts != nil {
+			verdicts[op] = pv
 		}
 	}
-	var one [1]alias.PairVerdict // a live Mercator probe's or Resolve's verdict
 
 	// Mercator sweep: group addresses by common port-unreachable source.
 	// It asks through the resolver, so Resolve's Mercator and Ally's method
@@ -740,22 +672,22 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 			ds.Graph = alias.FromResolver(res)
 			return
 		}
+		// A probe with no hit keeps an Unknown verdict, which Record ignores.
 		op := aliasOp{kind: opMercator, a: a}
-		vs, replayed := replay(op)
+		pv, replayed := replay(op)
 		if !replayed {
-			vs = nil
+			pv = alias.PairVerdict{A: a}
 			if from, ok := res.UDPSource(a); ok && from != a && !from.IsZero() {
-				one[0] = alias.PairVerdict{A: a, B: from, V: alias.AliasYes}
-				vs = one[:]
+				pv = alias.PairVerdict{A: a, B: from, V: alias.AliasYes}
 				res.Record(a, from, alias.AliasYes)
 			}
 		}
-		keep(op, vs)
-		if len(vs) > 0 {
+		keep(op, pv)
+		if pv.V == alias.AliasYes {
 			d.Obs.Inc("driver.alias.mercator_hits")
 			// A replayed operation's event is the live one plus cached=true.
 			d.Trace.Emit(obs.KindMercator, obs.OnAddr(a), res.NowNS(),
-				obs.IP(obs.KeyFrom, vs[0].B), obs.Str(obs.KeyVerdict, "alias"), obs.Flag(obs.KeyCached, replayed))
+				obs.IP(obs.KeyFrom, pv.B), obs.Str(obs.KeyVerdict, "alias"), obs.Flag(obs.KeyCached, replayed))
 		}
 	}
 
@@ -781,19 +713,20 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 				// Resolve records only its own pair's final verdict, so
 				// re-Recording it reconstructs the exact resolver state.
 				op := aliasOp{kind: opResolve, a: min(a, b), b: max(a, b)}
-				vs, replayed := replay(op)
+				pv, replayed := replay(op)
 				if !replayed {
-					one[0] = alias.PairVerdict{A: a, B: b, V: res.Resolve(a, b)}
-					vs = one[:]
+					pv = alias.PairVerdict{A: a, B: b, V: res.Resolve(a, b)}
 				}
-				keep(op, vs)
-				switch vs[0].V {
+				keep(op, pv)
+				// The pair's final verdict, whichever test supplied it: a
+				// Mercator positive from the sweep decides a pair too.
+				switch pv.V {
 				case alias.AliasYes:
-					d.Obs.Inc("driver.alias.ally_yes")
+					d.Obs.Inc("driver.alias.pairs.yes")
 				case alias.AliasNo:
-					d.Obs.Inc("driver.alias.ally_no")
+					d.Obs.Inc("driver.alias.pairs.no")
 				default:
-					d.Obs.Inc("driver.alias.ally_unknown")
+					d.Obs.Inc("driver.alias.pairs.unknown")
 					if !replayed && (res.Blind(a) || res.Blind(b)) {
 						d.Obs.Inc("driver.alias.ally_blind")
 					}

@@ -93,21 +93,17 @@ func (a *Agent) ServeConn(conn net.Conn) error {
 }
 
 // eachAddr calls yield for every address the state retains: the hops of
-// every cached transcript, both addresses of every alias operation, and
-// both sides of every verdict in the alias log.
+// every cached trace and both addresses and both sides of the verdict of
+// every alias operation.
 func (st *RoundState) eachAddr(yield func(netx.Addr)) {
-	for _, m := range st.targets {
-		for _, ct := range m.traces {
-			for _, h := range ct.rec.Hops {
-				yield(h.Addr)
-			}
+	for _, ct := range st.traces {
+		for _, h := range ct.rec.Hops {
+			yield(h.Addr)
 		}
 	}
-	for op := range st.ops {
+	for op, pv := range st.aliases {
 		yield(op.a)
 		yield(op.b)
-	}
-	for _, pv := range st.log {
 		yield(pv.A)
 		yield(pv.B)
 	}

@@ -2,7 +2,7 @@ package scamper
 
 import (
 	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -12,6 +12,7 @@ import (
 	"bdrmap/internal/alias"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
+	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
 
@@ -19,43 +20,42 @@ import (
 //
 // The paper's doubletree stop set (§5.2) exists so repeated probing does
 // not re-walk unchanged paths. A RoundState extends that memory across
-// rounds: per target AS it keeps the full probing transcript of the last
-// walk — every destination probed, the trace it produced, and a path
-// signature (probe.Engine.PathSignature) capturing the hop sequence the
-// world would produce for that destination today. Round N+1 replays the
-// transcript destination by destination while the signatures still match:
-// a replayed trace costs zero probe packets, re-derives the same stop-set
-// entries, and drives the §5.3 retry rule through exactly the control flow
-// a from-scratch walk would take. The first signature mismatch abandons
-// the replay and probes the rest of the target live, seeded with the
-// stop-set state the replayed prefix accumulated — which, by induction, is
-// the state a scratch walk would have reached at the same point. That
-// prefix-replay discipline is what makes the incremental map byte-identical
-// to a from-scratch run (mapdb's equivalence mode asserts it).
+// rounds: for every destination the last round probed it keeps the trace
+// and the path signature (probe.Engine.PathSignature) the world had when
+// it was recorded. Round N+1 walks the same schedule and, at each
+// destination, replays the cached trace instead of probing when both hold:
+// the path signature is unchanged, and the current stop set would halt a
+// walk where the cached trace halted (probe.TraceResult.Repeats). Such a
+// trace is exactly what a live walk would return, so a replayed trace
+// costs zero probe packets and everything after it — stop-set insertion,
+// the §5.3 retry rule — runs the live code on the same result. That is
+// what makes the incremental map byte-identical to a from-scratch run
+// (mapdb's equivalence mode asserts it). Every destination is checked on
+// its own: one changed trace does not send the rest of its target live.
 //
-// Nothing expires: a transcript replays for as long as its block plan and
-// every replayed destination's path signature hold, and a changed path is
-// caught by the signature of the trace that crosses it.
+// Nothing expires: a trace replays for as long as its path signature and
+// stop-set halt hold. A destination the round did not probe is forgotten.
 //
-// The alias stage has its own memory: one flat log of the pair verdicts
-// every alias operation of the last stage recorded — a Mercator probe or a
-// Resolve — and a map from each operation to its range of
-// that log. An operation whose addresses appeared only in fully-replayed
-// targets replays by re-Recording its verdicts in order, so the resolver's
-// positive/negative maps — and therefore the alias graph the inference
-// core consumes — are identical to a live run's.
+// The alias stage has its own memory: the verdict every operation of the
+// last stage recorded — a Mercator probe or a Resolve. An operation whose
+// addresses appeared only in clean targets (Dataset.Dirty) replays by
+// re-Recording its verdict, so the resolver's positive/negative maps — and
+// therefore the alias graph the inference core consumes — are identical to
+// a live run's.
 
 // RoundState carries one vantage point's measurement memory across rounds.
 // It is owned by a single Driver at a time and must not be shared between
 // concurrently running drivers. The zero value is not usable; call
 // NewRoundState.
 type RoundState struct {
-	targets map[topo.ASN]*targetMemo
+	// traces holds each destination's last trace. Entries the last round
+	// did not write are deleted at its end, so every entry is that round's.
+	traces map[netx.Addr]cachedTrace
+	round  uint32 // the round that wrote the freshest entries
 
-	// ops maps each operation of the last alias stage to the verdicts it
-	// recorded, log[lo:hi].
-	ops map[aliasOp]opRange
-	log []alias.PairVerdict
+	// aliases maps each operation of the last alias stage to the verdict it
+	// recorded.
+	aliases map[aliasOp]alias.PairVerdict
 
 	// owner enforces the single-driver contract at runtime. The fleet
 	// coordinator moves a shard's state between workers; a scheduling bug
@@ -85,22 +85,15 @@ func (st *RoundState) Release() {
 
 // NewRoundState creates empty cross-round state for one vantage point.
 func NewRoundState() *RoundState {
-	return &RoundState{targets: make(map[topo.ASN]*targetMemo)}
+	return &RoundState{traces: make(map[netx.Addr]cachedTrace)}
 }
 
-// targetMemo is the cached probing transcript of one target AS.
-type targetMemo struct {
-	blocksKey uint64        // fingerprint of the §5.3 block plan
-	traces    []cachedTrace // in schedule order
-}
-
-// cachedTrace is one destination's position in the schedule, its trace,
-// and the path signature the world produced when it was recorded.
+// cachedTrace is one destination's trace, the path signature the world
+// produced when it was recorded, and the round that recorded it.
 type cachedTrace struct {
-	blockIdx int
-	dst      netx.Addr
-	sig      uint64
-	rec      TraceRecord
+	rec   TraceRecord
+	sig   uint64
+	round uint32
 }
 
 // aliasOp names one alias-stage operation: a Mercator probe of a (b is
@@ -117,69 +110,70 @@ const (
 	opResolve
 )
 
-// opRange is where an operation's verdicts sit in its stage's log. A
-// Mercator probe records its hit ({a, source, AliasYes}) or nothing, a
-// Resolve its one verdict.
-type opRange struct{ lo, hi int32 }
-
-// blocksKey fingerprints a target's block plan; a changed plan (the BGP
-// view moved a prefix) invalidates the whole transcript.
-func blocksKey(blocks []netx.Block) uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	for _, b := range blocks {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(b.First))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(b.Last))
-		h.Write(buf[:])
+// replay returns dst's cached trace when a walk under stop would record it
+// again on a path whose signature is still sig.
+func (st *RoundState) replay(dst netx.Addr, sig uint64, stop map[netx.Addr]bool) (probe.TraceResult, bool) {
+	ct, ok := st.traces[dst]
+	if !ok || ct.sig != sig || !ct.rec.Repeats(stop) {
+		return probe.TraceResult{}, false
 	}
-	return h.Sum64()
+	return ct.rec.TraceResult, true
 }
 
-// targetReplay drives one target's replay during one round. The prior
-// transcript is consumed strictly in schedule order; the first mismatch
-// (position or signature) diverges and everything after runs live.
-type targetReplay struct {
-	sp    LocalProber
-	prior *targetMemo   // validated transcript to replay; nil → all live
-	all   []cachedTrace // the pre-existing transcript even when not replayable
-
-	cursor   int
-	diverged bool
-	hits     int
-	live     int
-	next     *targetMemo // transcript being built this round
-}
-
-// take returns the cached trace for schedule position (blockIdx, dst) when
-// the replay is still aligned and the destination's path signature is
-// unchanged. Any mismatch diverges the replay permanently.
-func (rp *targetReplay) take(blockIdx int, dst netx.Addr) (cachedTrace, bool) {
-	if rp.diverged || rp.prior == nil || rp.cursor >= len(rp.prior.traces) {
-		rp.diverged = true
-		return cachedTrace{}, false
+// fold writes one round's traces into the state, in place, and returns
+// the addresses whose trace evidence changed and which targets are clean.
+// A target is clean when it walked nothing live and replayed as
+// many traces as it held last round. Every address on a target's new
+// traces is dirty unless the target is clean, and so is every address on
+// a last-round trace of a target that is not clean this round: a router
+// can lose a trace without appearing in its replacement.
+func (st *RoundState) fold(targets []Target, outs []targetOut) (map[netx.Addr]bool, []bool) {
+	// targets is sorted by AS.
+	index := func(as topo.ASN) int {
+		i, ok := slices.BinarySearchFunc(targets, as, func(t Target, as topo.ASN) int { return cmp.Compare(t.AS, as) })
+		if !ok {
+			return -1
+		}
+		return i
 	}
-	ct := rp.prior.traces[rp.cursor]
-	if ct.blockIdx != blockIdx || ct.dst != dst || rp.sp.PathSignature(dst) != ct.sig {
-		rp.diverged = true
-		return cachedTrace{}, false
+	held := make([]int, len(targets))
+	for _, ct := range st.traces {
+		if i := index(ct.rec.TargetAS); i >= 0 {
+			held[i]++
+		}
 	}
-	rp.cursor++
-	rp.hits++
-	return ct, true
-}
-
-// record appends one trace (replayed or live) to this round's transcript.
-func (rp *targetReplay) record(blockIdx int, dst netx.Addr, sig uint64, rec TraceRecord) {
-	rp.next.traces = append(rp.next.traces, cachedTrace{
-		blockIdx: blockIdx, dst: dst, sig: sig, rec: rec,
-	})
-}
-
-// fullHit reports whether the whole target was served from cache: every
-// cached trace replayed, nothing probed live.
-func (rp *targetReplay) fullHit() bool {
-	return rp.prior != nil && !rp.diverged && rp.live == 0 &&
-		rp.cursor == len(rp.prior.traces)
+	clean := make([]bool, len(targets))
+	for i, o := range outs {
+		clean[i] = o.cached == len(o.recs) && o.cached == held[i]
+	}
+	dirty := make(map[netx.Addr]bool)
+	mark := func(rec *TraceRecord) {
+		for _, h := range rec.Hops {
+			if h.Type != probe.HopTimeout && !h.Addr.IsZero() {
+				dirty[h.Addr] = true
+			}
+		}
+	}
+	for _, ct := range st.traces {
+		if i := index(ct.rec.TargetAS); i < 0 || !clean[i] {
+			mark(&ct.rec)
+		}
+	}
+	st.round++
+	for i, o := range outs {
+		for j := range o.recs {
+			if !clean[i] {
+				mark(&o.recs[j])
+			}
+			st.traces[o.recs[j].Dst] = cachedTrace{rec: o.recs[j], sig: o.sigs[j], round: st.round}
+		}
+	}
+	for dst, ct := range st.traces {
+		if ct.round != st.round {
+			delete(st.traces, dst)
+		}
+	}
+	return dirty, clean
 }
 
 // TraceFingerprint hashes the dataset's traces down to one value: FNV-1a
@@ -192,7 +186,7 @@ func (rp *targetReplay) fullHit() bool {
 //
 // A line is "AS<target>|<dst>|<path>" plus "|s" when stopped, and lines
 // hash in their text order. They are rendered into one buffer and sorted
-// as spans of it: a round fingerprints every VP's transcript, and a string
+// as spans of it: a round fingerprints every VP's traces, and a string
 // per trace was a quarter of that round's garbage.
 func (ds *Dataset) TraceFingerprint() uint64 {
 	type line struct{ lo, hi int } // buf[lo:hi], then its newline

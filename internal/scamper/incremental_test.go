@@ -37,9 +37,9 @@ func TestRoundStateNeedsLocalProber(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("Run accepted cross-round state on a non-local prober")
 		}
-		if len(st.targets) != 0 || len(st.ops) != 0 || len(st.log) != 0 {
-			t.Errorf("state holds %d targets, %d alias operations and %d verdicts after the panic",
-				len(st.targets), len(st.ops), len(st.log))
+		if len(st.traces) != 0 || len(st.aliases) != 0 {
+			t.Errorf("state holds %d traces and %d alias verdicts after the panic",
+				len(st.traces), len(st.aliases))
 		}
 	}()
 	d.Run()
@@ -180,8 +180,8 @@ func TestIncrementalMutatedWorldMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestReplayNeverExpires: a transcript replays for as long as its path
-// signatures hold. Over 20 rounds of an unchanged world on one RoundState,
+// TestReplayNeverExpires: a trace replays for as long as its path
+// signature and stop-set halt hold. Over 20 rounds of an unchanged world on one RoundState,
 // every round after the first serves every target from cache and sends no
 // probe packet at all.
 func TestReplayNeverExpires(t *testing.T) {
@@ -252,7 +252,7 @@ func TestPathSignatureStability(t *testing.T) {
 // round's measurements and nothing older. Over eight churn rounds on r&e
 // (odd rounds attach a customer, even rounds de-provision a neighbor, as
 // mapdb's rounds loop does), the round that measures a de-provisioning
-// leaves no trace — in transcripts or alias memos — of the addresses only
+// leaves no trace — in cached traces or alias verdicts — of the addresses only
 // the departed neighbor's traces had contained.
 func TestRoundStateForgetsDeprovisionedNeighbor(t *testing.T) {
 	n := topo.Generate(topo.REProfile(), 1)

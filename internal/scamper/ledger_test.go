@@ -60,6 +60,27 @@ func TestPacketLedgerSums(t *testing.T) {
 	}
 }
 
+// TestAliasPairVerdictsSum: every candidate pair the alias stage resolves
+// is counted once by its final verdict, whichever test supplied it, and
+// the pairs Ally ended on a blind address are among the unknown ones.
+func TestAliasPairVerdictsSum(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			_, s := runVP0(prof, 1, func(p LocalProber) Prober { return p })
+			pairs := s.Counter("driver.alias.pairs")
+			yes, no := s.Counter("driver.alias.pairs.yes"), s.Counter("driver.alias.pairs.no")
+			unknown, blind := s.Counter("driver.alias.pairs.unknown"), s.Counter("driver.alias.ally_blind")
+			if yes+no+unknown != pairs {
+				t.Errorf("pairs.yes %d + pairs.no %d + pairs.unknown %d = %d, driver.alias.pairs = %d",
+					yes, no, unknown, yes+no+unknown, pairs)
+			}
+			if blind > unknown {
+				t.Errorf("ally_blind %d exceeds pairs.unknown %d", blind, unknown)
+			}
+		})
+	}
+}
+
 // probeLog is a prober whose timelines record every direct probe's target.
 type probeLog struct {
 	LocalProber

@@ -139,7 +139,7 @@ func TestTracerouteAllocBudget(t *testing.T) {
 	}
 	traceAll := func(lane *probe.Lane) {
 		for _, dst := range dsts {
-			lane.Trace(dst, nil)
+			lane.Trace(dst, nil, nil)
 		}
 	}
 	perTrace := func(allocs float64) float64 { return allocs / float64(len(dsts)) }

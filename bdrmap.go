@@ -268,7 +268,8 @@ func (r *Report) Raw() *core.Result { return r.raw }
 // Options selects the two measurement ablations the paper evaluates. The
 // zero value is the paper's bdrmap.
 type Options struct {
-	// DisableStopSet turns off the doubletree optimization (§5.3).
+	// DisableStopSet turns off both doubletree stop sets (§5.3): the global
+	// one that halts a walk and the local one that resumes it.
 	DisableStopSet bool
 	// DisableAlias skips alias resolution (exposes the fig. 13 errors).
 	DisableAlias bool

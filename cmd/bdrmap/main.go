@@ -42,7 +42,7 @@ func main() {
 		vp        = flag.Int("vp", 0, "vantage point index")
 		table1    = flag.Bool("table1", false, "print the paper's Table 1")
 		noAlias   = flag.Bool("no-alias", false, "disable alias resolution")
-		noStopSet = flag.Bool("no-stopset", false, "disable the doubletree stop set")
+		noStopSet = flag.Bool("no-stopset", false, "disable both doubletree stop sets, global and local")
 		dnsCheck  = flag.Bool("dnscheck", false, "development-mode DNS sanity check (§5.1)")
 		jsonOut   = flag.String("o", "", "export traces and inferences as JSON Lines to this file")
 		topoFile  = flag.String("topo", "", "measure a world saved with topogen -save instead of generating one")
@@ -125,7 +125,7 @@ func main() {
 	}
 	fmt.Printf("vantage point %s: %d interdomain links, %d neighbor ASes (simulated run time %v)\n",
 		rep.VPName, len(rep.Links), len(rep.Neighbors),
-		world.Scenario().Datasets[*vp].Stats.SimDuration.Round(time.Minute))
+		world.Scenario().Datasets[*vp].Stats.SimDuration.Round(time.Second))
 	fmt.Printf("validation vs ground truth: %d/%d = %.1f%%\n",
 		rep.Correct, rep.Total, 100*rep.Accuracy())
 

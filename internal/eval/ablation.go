@@ -7,11 +7,15 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// StopSetSavings compares probing cost with and without the doubletree
-// stop set on identical topologies (§5.3's efficiency mechanism).
+// StopSetSavings compares probing cost with and without doubletree's stop
+// sets on identical topologies (§5.3's efficiency mechanism): the global
+// one, which halts a walk at a known first external hop, and the local
+// one, which resumes a walk toward a routed prefix where the last trace
+// toward it left the host network.
 type StopSetSavings struct {
 	PacketsWith, PacketsWithout int64
 	TracesStopped               int
+	HopsSpliced                 int64 // hops resumed walks copied instead of probing
 	// PacketsWith by operation: the live traces' packets before and from
 	// their first external hop, and the alias stage's direct probes by
 	// what each was for.
@@ -19,7 +23,7 @@ type StopSetSavings struct {
 	Sweep, Mercator, Pick, Ally int64
 }
 
-// SavedFrac returns the fraction of probe packets the stop set avoided.
+// SavedFrac returns the fraction of probe packets the stop sets avoided.
 func (ss StopSetSavings) SavedFrac() float64 {
 	if ss.PacketsWithout == 0 {
 		return 0
@@ -44,6 +48,7 @@ func MeasureStopSet(prof topo.Profile, seed int64) StopSetSavings {
 		PacketsWith:    n("probe.packets_sent"),
 		PacketsWithout: without.Obs.Counter("probe.packets_sent").Load(),
 		TracesStopped:  with.Datasets[0].Stats.TracesStopped,
+		HopsSpliced:    n("driver.trace.hops_spliced"),
 		TraceNear:      n("driver.trace.packets.near"),
 		TraceFar:       n("driver.trace.packets.far"),
 		Sweep:          n("driver.alias.probes.sweep"),

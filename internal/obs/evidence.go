@@ -60,6 +60,7 @@ const (
 	KeyReached
 	KeyStopped
 	KeyCached
+	KeySpliced
 	KeyAt
 	KeyDst
 	KeyFrom
@@ -102,7 +103,7 @@ const (
 var keyNames = [numKeys]string{
 	KeyBlocks: "blocks", KeyTarget: "target", KeyHops: "hops", KeyPath: "path",
 	KeyReached: "reached", KeyStopped: "stopped",
-	KeyCached: "cached", KeyAt: "at", KeyDst: "dst", KeyFrom: "from", KeyVerdict: "verdict",
+	KeyCached: "cached", KeySpliced: "spliced", KeyAt: "at", KeyDst: "dst", KeyFrom: "from", KeyVerdict: "verdict",
 	KeyMethod: "method", KeyRound: "round", KeyRounds: "rounds", KeyIPIDs: "~ipids",
 	KeyHeuristic: "heuristic", KeyOwner: "owner", KeyHop: "hop", KeyClass: "class",
 	KeyAddrs: "addrs", KeyOriginAS: "origin_as", KeyRel: "rel", KeyDeclined: "declined",

@@ -76,7 +76,7 @@ func buildFig1(t *testing.T) (*topo.Network, *Engine, *topo.VP, netx.Addr, netx.
 
 func TestThirdPartySourceAddress(t *testing.T) {
 	_, e, vp, dstInB, rbViaC := buildFig1(t)
-	res := e.NewLane(vp, 0).Trace(dstInB, nil)
+	res := e.NewLane(vp, 0).Trace(dstInB, nil, nil)
 	if len(res.Hops) < 2 {
 		t.Fatalf("hops: %+v", res.Hops)
 	}
@@ -108,7 +108,7 @@ func TestIXPLANInboundAddress(t *testing.T) {
 			peer = s.A
 		}
 		p := n.ASes[peer].Prefixes[0]
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeExceeded && lan.Contains(h.Addr) {
 				found = true
@@ -133,7 +133,7 @@ func TestUnreachableFromQuietAnchor(t *testing.T) {
 	lane := e.NewLane(n.VPs[0], 0)
 	sawUnreachable := false
 	for _, p := range e.Tab.Prefixes() {
-		res := lane.Trace(p.First()+3, nil)
+		res := lane.Trace(p.First()+3, nil, nil)
 		for i, h := range res.Hops {
 			if h.Type == HopUnreachable {
 				sawUnreachable = true
@@ -189,7 +189,7 @@ func TestGapLimitStopsTrace(t *testing.T) {
 	n.Build()
 
 	e := New(n, bgp.NewTable(n))
-	res := e.NewLane(vp, 0).Trace(p.First()+200, nil)
+	res := e.NewLane(vp, 0).Trace(p.First()+200, nil, nil)
 	// 2 responses + gapLimit timeouts, then abandon.
 	timeouts := 0
 	for _, h := range res.Hops {
@@ -230,7 +230,7 @@ func TestParallelLinkSpread(t *testing.T) {
 	}
 	seen := map[netx.Addr]bool{}
 	for _, p := range e.Tab.Prefixes() {
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		for _, h := range res.Hops {
 			if h.Type != HopTimeExceeded {
 				continue

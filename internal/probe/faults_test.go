@@ -15,7 +15,7 @@ import (
 func traceAll(lane *Lane, tab *bgp.Table) string {
 	out := ""
 	for _, p := range tab.Prefixes() {
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		out += fmt.Sprintf("%v %v %v:", res.Dst, res.Reached, res.Stopped)
 		for _, h := range res.Hops {
 			out += fmt.Sprintf(" %d/%d/%v/%d", h.TTL, h.Type, h.Addr, h.IPID)

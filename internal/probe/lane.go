@@ -73,10 +73,13 @@ func (l *Lane) Advance(d time.Duration) { l.clock += d }
 // Trace runs a Paris traceroute (ICMP-echo probes) toward dst and then
 // paces the lane's clock forward by PacePerHop per packet sent. A
 // time-exceeded hop from an address in stop halts the trace after
-// recording it (the doubletree stop set, §5.3); a nil stop never halts.
-func (l *Lane) Trace(dst netx.Addr, stop map[netx.Addr]bool) TraceResult {
-	res := l.e.traceroute(l.vp, dst, func(h Hop) bool { return halts(h, stop) }, l)
-	l.clock += time.Duration(len(res.Hops)) * PacePerHop
+// recording it (doubletree's global stop set, §5.3); a nil stop never
+// halts. A non-nil prior is the local stop set: the walk resumes at
+// len(prior)+1 and copies prior below the first hop it matches there or
+// backward of it (see Engine.traceroute); a nil prior walks from TTL 1.
+func (l *Lane) Trace(dst netx.Addr, stop map[netx.Addr]bool, prior []Hop) TraceResult {
+	res := l.e.traceroute(l.vp, dst, stop, prior, l)
+	l.clock += time.Duration(res.Sent) * PacePerHop
 	return res
 }
 

@@ -146,7 +146,7 @@ func BenchmarkColdPlane(b *testing.B) {
 		e := probe.New(n, tab)
 		lane := e.NewLane(vp, 0)
 		for _, dst := range dsts {
-			lane.Trace(dst, nil)
+			lane.Trace(dst, nil, nil)
 		}
 	}
 }
@@ -154,17 +154,22 @@ func BenchmarkColdPlane(b *testing.B) {
 // TestPacketCountsPinned guards the paper's cost unit: one Driver.Run from
 // VP 0 is charged exactly these packets. Memoising walks must not move
 // them; a change to what the run measures moves them on purpose. The
-// large-access world is the benchmark's cold-map world (4 VPs).
+// large-access world is the benchmark's cold-map world (4 VPs). The
+// ablation without either doubletree stop set is pinned on r&e: it walks
+// every trace from TTL 1 to its end, as the driver did before either
+// stop set was built.
 func TestPacketCountsPinned(t *testing.T) {
 	largeAccess := topo.LargeAccessProfile()
 	largeAccess.NumVPs = 4
 	for _, tc := range []struct {
 		prof topo.Profile
+		cfg  scamper.Config
 		want probe.Ledger
 	}{
-		{topo.TinyProfile(), probe.Ledger{Traceroutes: 161, Probes: 142, PacketsSent: 1012, ResponsesRcv: 990}},
-		{topo.REProfile(), probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 7909, ResponsesRcv: 7691}},
-		{largeAccess, probe.Ledger{Traceroutes: 4200, Probes: 3026, PacketsSent: 28243, ResponsesRcv: 27940}},
+		{topo.TinyProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 161, Probes: 142, PacketsSent: 813, ResponsesRcv: 791}},
+		{topo.REProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 5846, ResponsesRcv: 5628}},
+		{topo.REProfile(), scamper.Config{DisableStopSet: true}, probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 8239, ResponsesRcv: 8021}},
+		{largeAccess, scamper.Config{}, probe.Ledger{Traceroutes: 4200, Probes: 3026, PacketsSent: 18498, ResponsesRcv: 18195}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)
@@ -175,10 +180,11 @@ func TestPacketCountsPinned(t *testing.T) {
 			View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
 			Prober:   scamper.LocalProber{E: e, VP: n.VPs[0]},
 			HostASNs: map[topo.ASN]bool{n.HostASN: true},
+			Cfg:      tc.cfg,
 			Obs:      reg,
 		}).Run()
 		if got := probe.ReadLedger(reg); got != tc.want {
-			t.Errorf("%s: ledger = %+v, want %+v", tc.prof.Name, got, tc.want)
+			t.Errorf("%s %+v: ledger = %+v, want %+v", tc.prof.Name, tc.cfg, got, tc.want)
 		}
 	}
 }

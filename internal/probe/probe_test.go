@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
@@ -24,7 +25,7 @@ func TestTracerouteReachesCustomers(t *testing.T) {
 	lane := e.NewLane(n.VPs[0], 0)
 	traced := 0
 	for _, p := range e.Tab.Prefixes() {
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		if len(res.Hops) > 0 {
 			traced++
 		}
@@ -39,7 +40,7 @@ func TestTracerouteFirstHopIsHostNetwork(t *testing.T) {
 	lane := e.NewLane(n.VPs[0], 0)
 	host := n.ASes[n.HostASN]
 	for _, p := range e.Tab.Prefixes()[:10] {
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		if len(res.Hops) == 0 || res.Hops[0].Type != HopTimeExceeded {
 			continue
 		}
@@ -67,7 +68,7 @@ func TestHopAddressesAreRealInterfacesOrDst(t *testing.T) {
 	e, n := newEngine(t, topo.TinyProfile(), 3)
 	lane := e.NewLane(n.VPs[0], 0)
 	for _, p := range e.Tab.Prefixes() {
-		res := lane.Trace(p.First()+1, nil)
+		res := lane.Trace(p.First()+1, nil, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeout {
 				continue
@@ -91,7 +92,7 @@ func TestStopSetHaltsTrace(t *testing.T) {
 	var full TraceResult
 	var dst netx.Addr
 	for _, p := range e.Tab.Prefixes() {
-		r := lane.Trace(p.First()+1, nil)
+		r := lane.Trace(p.First()+1, nil, nil)
 		if len(r.Hops) >= 3 && r.Hops[1].Type == HopTimeExceeded {
 			full, dst = r, p.First()+1
 			break
@@ -101,12 +102,85 @@ func TestStopSetHaltsTrace(t *testing.T) {
 		t.Skip("no suitable trace found")
 	}
 	stopAddr := full.Hops[1].Addr
-	res := lane.Trace(dst, map[netx.Addr]bool{stopAddr: true})
+	res := lane.Trace(dst, map[netx.Addr]bool{stopAddr: true}, nil)
 	if !res.Stopped {
 		t.Fatal("trace did not report stopping")
 	}
 	if got := len(res.Hops); got != 2 {
 		t.Fatalf("stopped trace has %d hops, want 2", got)
+	}
+}
+
+// TestResumedWalkRecordsFullWalk: a walk resumed from a prior records what
+// a walk from TTL 1 records — hops by TTL, type and address, Stopped and
+// Reached — whatever TTL it resumes at: on tiny and r&e, every routed
+// prefix's trace is walked again from each of its own prefixes as prior,
+// under no stop set and under one holding its middle hop, and from a
+// prior no hop matches, which walks back to TTL 1 and copies nothing.
+// Each walk starts a second after the last, in a fresh rate-limit window.
+func TestResumedWalkRecordsFullWalk(t *testing.T) {
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			e, n := newEngine(t, prof, 1)
+			lane := e.NewLane(n.VPs[0], 0)
+			walk := func(dst netx.Addr, stop map[netx.Addr]bool, prior []Hop) TraceResult {
+				lane.Advance(time.Second)
+				return lane.Trace(dst, stop, prior)
+			}
+			same := func(a, b TraceResult) bool {
+				if a.Stopped != b.Stopped || a.Reached != b.Reached || len(a.Hops) != len(b.Hops) {
+					return false
+				}
+				for i := range a.Hops {
+					if a.Hops[i].TTL != b.Hops[i].TTL || a.Hops[i].Type != b.Hops[i].Type || a.Hops[i].Addr != b.Hops[i].Addr {
+						return false
+					}
+				}
+				return true
+			}
+			var copied, saved int
+			for _, p := range e.Tab.Prefixes() {
+				dst := p.First() + 1
+				full := walk(dst, nil, nil)
+				if int(full.Sent) != len(full.Hops) || full.Spliced != 0 {
+					t.Fatalf("walk to %v from TTL 1 sent %d packets and copied %d hops for %d hops", dst, full.Sent, full.Spliced, len(full.Hops))
+				}
+				stops := []map[netx.Addr]bool{nil}
+				if m := full.Hops[len(full.Hops)/2]; m.Type == HopTimeExceeded {
+					stops = append(stops, map[netx.Addr]bool{m.Addr: true})
+				}
+				for _, stop := range stops {
+					want := walk(dst, stop, nil)
+					for k := 0; k <= len(full.Hops)+1; k++ {
+						prior := full.Hops[:min(k, len(full.Hops))]
+						got := walk(dst, stop, prior)
+						if !same(got, want) {
+							t.Fatalf("walk to %v under %v resumed after %d hops: %+v, from TTL 1: %+v", dst, stop, k, got, want)
+						}
+						copied += int(got.Spliced)
+						saved += len(want.Hops) - int(got.Sent)
+					}
+					bogus := make([]Hop, len(full.Hops))
+					for i := range bogus {
+						bogus[i] = Hop{TTL: i + 1, Type: HopTimeExceeded, Addr: 1}
+					}
+					if got := walk(dst, stop, bogus); !same(got, want) || got.Spliced != 0 {
+						t.Fatalf("walk to %v resumed from a prior no hop matches: %+v (%d copied), from TTL 1: %+v", dst, got, got.Spliced, want)
+					}
+				}
+			}
+			if copied == 0 || saved <= 0 {
+				t.Fatalf("resumed walks copied %d hops and saved %d packets: nothing was resumed", copied, saved)
+			}
+		})
+	}
+}
+
+// TestTraceResultSize: Spliced and Sent live in TraceResult's padding, so
+// a run holding every trace it made pays nothing for them.
+func TestTraceResultSize(t *testing.T) {
+	if got := unsafe.Sizeof(TraceResult{}); got != 40 {
+		t.Fatalf("TraceResult is %d bytes, want 40", got)
 	}
 }
 
@@ -126,7 +200,7 @@ func TestRepeatsMatchesLaneTrace(t *testing.T) {
 			lane := e.NewLane(n.VPs[0], 0)
 			walk := func(dst netx.Addr, stop map[netx.Addr]bool) TraceResult {
 				lane.Advance(time.Second)
-				return lane.Trace(dst, stop)
+				return lane.Trace(dst, stop, nil)
 			}
 			var yes, no, atReply int
 			for _, p := range e.Tab.Prefixes() {
@@ -196,7 +270,7 @@ func TestFirewallTruncatesTrace(t *testing.T) {
 		if !borderFirewalled || len(cust.Prefixes) == 0 {
 			continue
 		}
-		res := lane.Trace(cust.Prefixes[0].First()+1, nil)
+		res := lane.Trace(cust.Prefixes[0].First()+1, nil, nil)
 		for _, h := range res.Hops {
 			if h.Type == HopTimeExceeded && cust.Prefixes[0].Contains(h.Addr) {
 				t.Fatalf("firewalled customer %v leaked interior address %v", cust.ASN, h.Addr)
@@ -231,7 +305,7 @@ func TestSilentNeighborInvisible(t *testing.T) {
 		if !silent {
 			continue
 		}
-		res := lane.Trace(cust.Prefixes[0].First()+1, nil)
+		res := lane.Trace(cust.Prefixes[0].First()+1, nil, nil)
 		for _, h := range res.Hops {
 			if h.Addr != 0 && n.OwnerOfAddr(h.Addr) == cust.ASN {
 				t.Fatalf("silent neighbor %v responded at %v", cust.ASN, h.Addr)
@@ -249,7 +323,7 @@ func TestEchoReplyFromAnchoredPrefix(t *testing.T) {
 	lane := e.NewLane(n.VPs[0], 0)
 	reached := 0
 	for _, p := range e.Tab.Prefixes() {
-		res := lane.Trace(p.First()+7, nil)
+		res := lane.Trace(p.First()+7, nil, nil)
 		if res.Reached {
 			reached++
 			last := res.Hops[len(res.Hops)-1]
@@ -424,7 +498,7 @@ func TestStatsAccumulate(t *testing.T) {
 	reg := obs.New()
 	e.SetObs(reg)
 	lane := e.NewLane(n.VPs[0], 0)
-	lane.Trace(e.Tab.Prefixes()[0].First()+1, nil)
+	lane.Trace(e.Tab.Prefixes()[0].First()+1, nil, nil)
 	s := ReadLedger(reg)
 	if s.Traceroutes != 1 || s.PacketsSent == 0 {
 		t.Fatalf("ledger = %+v", s)
@@ -477,7 +551,7 @@ func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 			dst := dsts[(i*7+g*13)%len(dsts)]
 			switch i % 3 {
 			case 0:
-				out.traces = append(out.traces, lane.Trace(dst, nil))
+				out.traces = append(out.traces, lane.Trace(dst, nil, nil))
 			case 1:
 				out.resps = append(out.resps, lane.Probe(dst, MethodTTLLimited))
 			default:

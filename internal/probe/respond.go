@@ -48,6 +48,12 @@ type TraceResult struct {
 	Reached bool
 	// Stopped reports that the stop-set callback halted probing.
 	Stopped bool
+	// Spliced is how many of Hops, from TTL 1, were copied from the prior
+	// trace the walk resumed from rather than probed; Sent is how many
+	// packets the walk sent. Both fit the struct's padding, so a trace
+	// costs no more to hold for them.
+	Spliced uint8
+	Sent    uint8
 }
 
 // gapLimit mirrors scamper's behaviour of abandoning a trace after five
@@ -78,108 +84,85 @@ func (r *TraceResult) Repeats(stop map[netx.Addr]bool) bool {
 	return !r.Stopped
 }
 
-// traceroute walks a Paris traceroute from vp toward dst on lane. stop is
-// consulted with each time-exceeded hop: returning true halts the trace
-// after recording that hop.
-func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(Hop) bool, lane *Lane) TraceResult {
+// traceroute walks a Paris traceroute from vp toward dst on lane, halting
+// after a time-exceeded hop from an address in stop (the global stop set).
+//
+// prior is doubletree's local stop set: an earlier trace's hops, TTL 1 on,
+// cut before the TTL the walk resumes at. The walk probes the resume TTL
+// (len(prior)+1, clamped to the path) first, then backward until a hop
+// answers time-exceeded from the address prior recorded at its TTL, copies
+// prior below that hop, and goes on forward. The end rules — the gap
+// limit, the stop set, the destination — apply to the hops in TTL order,
+// so the walk records what one from TTL 1 would; a nil prior is that walk.
+// Every hop is priced at the lane's clock when the walk starts.
+func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop map[netx.Addr]bool, prior []Hop, lane *Lane) TraceResult {
 	res := TraceResult{Dst: dst}
 	path := e.computePath(vp.Router, dst)
-	if n := len(path.steps); n > 0 {
-		res.Hops = make([]Hop, 0, n)
+	steps := path.steps
+	// byType counts the responses by class, one packet each. The engine's
+	// counters take the totals once, after the trace.
+	var byType [HopUnreachable + 1]int64
+	now := lane.clock
+	send := func(i int, oneWay time.Duration) Hop {
+		h := e.respond(vp, dst, path, i, lane)
+		if h.Type != HopTimeout {
+			h.RTT = 2 * (oneWay + responderCost)
+		}
+		byType[h.Type]++
+		return h
 	}
 
-	// oneWay is the delay from the VP to the router probed, at time
-	// sumAt. It grows by one link per TTL and is summed from the steps
-	// again only when the lane's clock moved mid-trace — time of day
-	// selects the congestion episodes — so every hop's RTT is
-	// pathRTT(path.steps[:i+1], lane.clock) and a trace costs O(hops).
-	var oneWay, sumAt time.Duration
-	// One packet is sent per hop recorded; byType counts the responses by
-	// class. The engine's counters take the totals once, after the trace.
-	var byType [HopUnreachable + 1]int64
-
-	gap := 0
-	for i, step := range path.steps {
-		switch now := lane.clock; {
-		case i == 0:
-			sumAt = now
-		case now != sumAt:
-			oneWay, sumAt = e.baseDelay(path.steps[:i+1])+e.queueDelays(path.steps[:i+1], now), now
-		default:
-			oneWay += e.hopDelay(path.steps, i-1, now)
+	if n := len(steps); n > 0 {
+		r := min(len(prior), n-1) // the resume step's index
+		res.Hops = make([]Hop, r+1, n)
+		// oneWay is the delay from the VP to the router at the resume
+		// step; a step back subtracts one link, a step forward adds one.
+		var oneWay time.Duration
+		for i := range r {
+			oneWay += e.hopDelay(steps, i, now)
 		}
-		hopRTT := 2 * (oneWay + responderCost)
-
-		final := i == len(path.steps)-1
-		hop := Hop{TTL: i + 1, Type: HopTimeout}
-
-		if final && path.reached {
-			// The probe reaches its destination; the destination (an
-			// interface, or a host behind the prefix anchor) may answer
-			// with an echo reply whose source is the probed address.
-			if path.exactIface != nil && path.exactIface.Router == step.router.ID {
-				if !step.router.Behavior.NoEchoReply && lane.allow(step.router) {
-					hop.Type = HopEchoReply
-					hop.Addr = dst
-					hop.IPID = lane.nextIPID(step.router, path.exactIface)
-				}
-			} else if path.anchorReplies && lane.allow(step.router) {
-				hop.Type = HopEchoReply
-				hop.Addr = dst
-				hop.IPID = lane.nextIPID(step.router, nil)
-			}
-			if hop.Type != HopEchoReply && path.reached && step.in != nil &&
-				!step.router.Behavior.NoUDPUnreach && lane.allow(step.router) {
-				// No host answers behind this prefix: the last router
-				// reports the destination unreachable (§5.4.8 accepts
-				// these alongside echo replies).
-				hop.Type = HopUnreachable
-				hop.Addr = step.in.Addr
-				hop.IPID = lane.nextIPID(step.router, step.in)
-			}
-			if hop.Type != HopTimeout && e.dropInjected() {
-				hop = Hop{TTL: i + 1, Type: HopTimeout}
-				e.eobs.faultDrops.Inc()
-			}
-			if hop.Type != HopTimeout {
-				hop.RTT = hopRTT
-				res.Reached = hop.Type == HopEchoReply
-			}
-			byType[hop.Type]++
-			res.Hops = append(res.Hops, hop)
-			break
-		}
-
-		// Intermediate hop: ICMP time exceeded per the router's behaviour.
-		if !step.router.Behavior.NoTTLExpired && lane.allow(step.router) {
-			src, ifc := e.ttlExpiredSource(vp, step)
-			if !src.IsZero() {
-				hop.Type = HopTimeExceeded
-				hop.Addr = src
-				hop.IPID = lane.nextIPID(step.router, ifc)
-				hop.RTT = hopRTT
-			}
-		}
-		if hop.Type != HopTimeout && e.dropInjected() {
-			hop = Hop{TTL: i + 1, Type: HopTimeout}
-			e.eobs.faultDrops.Inc()
-		}
-		byType[hop.Type]++
-		res.Hops = append(res.Hops, hop)
-		if hop.Type == HopTimeout {
-			if gap++; gap >= gapLimit {
+		spliced := 0
+		for i, d := r, oneWay; ; i-- {
+			h := send(i, d)
+			res.Hops[i] = h
+			if i < len(prior) && h.Type == HopTimeExceeded && prior[i].Type == HopTimeExceeded && prior[i].Addr == h.Addr {
+				spliced = copy(res.Hops, prior[:i])
 				break
 			}
-			continue
+			if i == 0 {
+				break
+			}
+			d -= e.hopDelay(steps, i-1, now)
 		}
-		gap = 0
-		if stop(hop) {
-			res.Stopped = true
-			break
+		res.Sent = uint8(r + 1 - spliced)
+
+		// A full walk's end rules, in TTL order: to the hops recorded so
+		// far, then to each hop probed forward.
+		i, gap := 0, 0
+		for ; ; i++ {
+			if i > r {
+				oneWay += e.hopDelay(steps, i-1, now)
+				res.Hops = append(res.Hops, send(i, oneWay))
+				res.Sent++
+			}
+			if h := &res.Hops[i]; h.Type == HopTimeout {
+				if gap++; gap >= gapLimit {
+					break
+				}
+			} else if gap = 0; halts(*h, stop) {
+				res.Stopped = true
+				break
+			}
+			if i == n-1 {
+				break
+			}
 		}
+		res.Hops = res.Hops[:i+1]
+		res.Spliced = uint8(min(spliced, len(res.Hops)))
+		res.Reached = res.Hops[len(res.Hops)-1].Type == HopEchoReply
 	}
 
-	sent := int64(len(res.Hops))
+	sent := int64(res.Sent)
 	answered := sent - byType[HopTimeout]
 	e.eobs.traceroutes.Inc()
 	e.eobs.packets.Add(sent)
@@ -190,6 +173,52 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop func(Hop) bool, lan
 	e.eobs.respTimeout.Add(byType[HopTimeout])
 	e.eobs.traceHops.Observe(sent)
 	return res
+}
+
+// respond is the answer to the probe that expires at path step i: a
+// time-exceeded hop at an intermediate step, the destination's echo reply
+// or the last router's unreachable at the final one, or a timeout. The
+// caller prices an answer's RTT.
+func (e *Engine) respond(vp *topo.VP, dst netx.Addr, path *pathResult, i int, lane *Lane) Hop {
+	step := path.steps[i]
+	hop := Hop{TTL: i + 1, Type: HopTimeout}
+	if i == len(path.steps)-1 && path.reached {
+		// The probe reaches its destination; the destination (an
+		// interface, or a host behind the prefix anchor) may answer
+		// with an echo reply whose source is the probed address.
+		if path.exactIface != nil && path.exactIface.Router == step.router.ID {
+			if !step.router.Behavior.NoEchoReply && lane.allow(step.router) {
+				hop.Type = HopEchoReply
+				hop.Addr = dst
+				hop.IPID = lane.nextIPID(step.router, path.exactIface)
+			}
+		} else if path.anchorReplies && lane.allow(step.router) {
+			hop.Type = HopEchoReply
+			hop.Addr = dst
+			hop.IPID = lane.nextIPID(step.router, nil)
+		}
+		if hop.Type != HopEchoReply && step.in != nil &&
+			!step.router.Behavior.NoUDPUnreach && lane.allow(step.router) {
+			// No host answers behind this prefix: the last router
+			// reports the destination unreachable (§5.4.8 accepts
+			// these alongside echo replies).
+			hop.Type = HopUnreachable
+			hop.Addr = step.in.Addr
+			hop.IPID = lane.nextIPID(step.router, step.in)
+		}
+	} else if !step.router.Behavior.NoTTLExpired && lane.allow(step.router) {
+		// Intermediate hop: ICMP time exceeded per the router's behaviour.
+		if src, ifc := e.ttlExpiredSource(vp, step); !src.IsZero() {
+			hop.Type = HopTimeExceeded
+			hop.Addr = src
+			hop.IPID = lane.nextIPID(step.router, ifc)
+		}
+	}
+	if hop.Type != HopTimeout && e.dropInjected() {
+		hop = Hop{TTL: i + 1, Type: HopTimeout}
+		e.eobs.faultDrops.Inc()
+	}
+	return hop
 }
 
 // ttlExpiredSource selects the source address of a time-exceeded response

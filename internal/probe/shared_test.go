@@ -30,23 +30,23 @@ func traceDsts(e *Engine, stride int) []netx.Addr {
 	return dsts
 }
 
-// checkHopRTTs compares every answered hop of res against the oracle: the
-// whole prefix of the walk summed again by pathRTT at the time the hop was
-// probed. nowAt gives that time by TTL.
-func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, nowAt func(ttl int) time.Duration) (queued int) {
+// checkHopRTTs compares every answered hop res probed against the oracle:
+// the whole prefix of the walk summed again by pathRTT at time at, when the
+// walk started. The hops a walk copied from its prior keep the prior's RTTs
+// and are skipped.
+func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, at time.Duration) (queued int) {
 	t.Helper()
 	steps := e.computePath(vp.Router, res.Dst).steps
-	for _, h := range res.Hops {
+	for _, h := range res.Hops[res.Spliced:] {
 		if h.Type == HopTimeout {
 			continue
 		}
-		now := nowAt(h.TTL)
-		want := e.pathRTT(steps[:h.TTL], now)
+		want := e.pathRTT(steps[:h.TTL], at)
 		if h.RTT != want {
-			t.Fatalf("%s → %v ttl %d at %v: RTT %v, pathRTT over the first %d steps gives %v", vp.Name, res.Dst, h.TTL, now, h.RTT, h.TTL, want)
+			t.Fatalf("%s → %v ttl %d at %v: RTT %v, pathRTT over the first %d steps gives %v", vp.Name, res.Dst, h.TTL, at, h.RTT, h.TTL, want)
 		}
 		for i := 0; i+1 < h.TTL; i++ {
-			if l := steps[i].out; l != nil && e.queueDelay(l.Link, now) > 0 {
+			if l := steps[i].out; l != nil && e.queueDelay(l.Link, at) > 0 {
 				queued++
 				break
 			}
@@ -56,13 +56,14 @@ func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, nowAt f
 }
 
 // TestRunningRTTMatchesPathRTT is the O(hops) traceroute's oracle: on every
-// built-in profile each hop's RTT equals pathRTT over the walk so far — on
-// lanes with no congestion, on lanes whose time of day falls inside, before
-// and after episodes injected on the traced links, and on a lane whose clock
-// the stop callback steps between hops so that the running sum has to be
-// started again mid-trace. Throughout, another goroutine publishes and
-// clears episode slices that add no delay, so the lock-free read in
-// queueDelay is exercised under the race detector.
+// built-in profile each hop's RTT equals pathRTT over the walk so far at the
+// lane's clock when the walk started — on lanes with no congestion, on lanes
+// whose time of day falls before, inside and after episodes injected on the
+// traced links, and for the live hops of walks resumed from a prior, whose
+// running sum starts at the resume TTL and steps backward. Throughout the
+// first part, another goroutine publishes and clears episode slices that
+// add no delay, so the lock-free read in queueDelay is exercised under the
+// race detector.
 func TestRunningRTTMatchesPathRTT(t *testing.T) {
 	for _, prof := range topo.BuiltinProfiles() {
 		prof := prof
@@ -98,11 +99,13 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 			// Lanes, nothing congested.
 			lane := e.NewLane(vp, 0)
 			answered := 0
+			var fulls []TraceResult
 			for _, dst := range dsts {
 				at := lane.Now()
-				res := lane.Trace(dst, nil)
-				checkHopRTTs(t, e, vp, res, func(int) time.Duration { return at })
+				res := lane.Trace(dst, nil, nil)
+				checkHopRTTs(t, e, vp, res, at)
 				answered += len(res.Hops)
+				fulls = append(fulls, res)
 			}
 			if answered == 0 {
 				t.Fatal("no trace answered")
@@ -131,39 +134,27 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 				queued := 0
 				for _, dst := range dsts {
 					at := lane.Now()
-					queued += checkHopRTTs(t, e, vp, lane.Trace(dst, nil), func(int) time.Duration { return at })
+					queued += checkHopRTTs(t, e, vp, lane.Trace(dst, nil, nil), at)
 				}
 				if (queued > 0) != tc.inside {
 					t.Errorf("lane from %v to %v: %d hops crossed a congested link, want some: %t", tc.start, lane.Now(), queued, tc.inside)
 				}
 			}
 
-			// A lane stepped 7 minutes after every answering hop: the trace
-			// starts at 00:40 and crosses into the window mid-way.
-			moved := 0
-			for _, dst := range dsts {
-				lane := e.NewLane(vp, 40*time.Minute)
-				res := e.traceroute(vp, dst, func(Hop) bool {
-					lane.clock += 7 * time.Minute
-					return false
-				}, lane)
-				// stop runs after every time-exceeded hop, before the next
-				// TTL is probed.
-				nowAt := make(map[int]time.Duration, len(res.Hops))
-				clock := 40 * time.Minute
-				for _, h := range res.Hops {
-					nowAt[h.TTL] = clock
-					if h.Type == HopTimeExceeded {
-						clock += 7 * time.Minute
-					}
-				}
-				if clock > 47*time.Minute {
-					moved++
-				}
-				checkHopRTTs(t, e, vp, res, func(ttl int) time.Duration { return nowAt[ttl] })
+			// Walks resumed inside the window from each uncongested trace
+			// cut before its last hop: the live hops are priced at the
+			// resumed walk's start, not the prior's.
+			lane = e.NewLane(vp, 90*time.Minute)
+			spliced, queued := 0, 0
+			for i, dst := range dsts {
+				prior := fulls[i].Hops[:max(len(fulls[i].Hops)-1, 0)]
+				at := lane.Now()
+				res := lane.Trace(dst, nil, prior)
+				queued += checkHopRTTs(t, e, vp, res, at)
+				spliced += int(res.Spliced)
 			}
-			if moved == 0 {
-				t.Error("the lane's clock never moved mid-trace")
+			if spliced == 0 || queued == 0 {
+				t.Errorf("resumed walks copied %d hops and probed %d across a congested link: want both", spliced, queued)
 			}
 		})
 	}
@@ -185,7 +176,7 @@ func measure(e *Engine, vp *topo.VP, dsts []netx.Addr) probed {
 	e.SetObs(reg)
 	lane := e.NewLane(vp, 0)
 	for _, dst := range dsts {
-		out.traces = append(out.traces, lane.Trace(dst, nil))
+		out.traces = append(out.traces, lane.Trace(dst, nil, nil))
 	}
 	for _, dst := range dsts {
 		if e.Net.IfaceByAddr(dst) == nil {

@@ -36,8 +36,8 @@ func testEngineConcurrentProbing(t *testing.T) {
 			defer wg.Done()
 			lane := lanes[g]
 			for _, dst := range dsts {
-				sent[g] += int64(len(lane.Trace(dst, nil).Hops))
-				sent[g] += int64(len(lane.Trace(dst, nil).Hops))
+				sent[g] += int64(len(lane.Trace(dst, nil, nil).Hops))
+				sent[g] += int64(len(lane.Trace(dst, nil, nil).Hops))
 				lane.Probe(dst, MethodUDP)
 				sent[g]++
 			}

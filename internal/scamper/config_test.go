@@ -62,9 +62,9 @@ func (c *traceCounter) Open(start time.Duration) Timeline {
 	return c.opened[tl]
 }
 
-func (t *tracedTimeline) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
+func (t *tracedTimeline) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, prior []probe.Hop) probe.TraceResult {
 	t.traces++
-	return t.Timeline.Trace(dst, stopSet)
+	return t.Timeline.Trace(dst, stopSet, prior)
 }
 
 // workers counts the timelines traced on.

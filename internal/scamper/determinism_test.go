@@ -87,10 +87,24 @@ func TestParallelRunDeterministic(t *testing.T) {
 // the set of destinations probed is worker-count-invariant (the schedule
 // partitions targets, it does not reorder blocks within one), though
 // per-hop timings may differ because lane clocks advance independently.
+// The traces themselves and the packets they cost are invariant too: each
+// target keeps its own stop sets, global and local, so which hops a walk
+// copies does not depend on which worker ran the target before it.
 func TestWorkerCountChangesOnlySchedule(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 1)
-	ds1, _ := runOnce(t, n, 1)
-	ds4, _ := runOnce(t, n, 4)
+	ds1, snap1 := runOnce(t, n, 1)
+	ds4, snap4 := runOnce(t, n, 4)
+	if fp1, fp4 := ds1.TraceFingerprint(), ds4.TraceFingerprint(); fp1 != fp4 {
+		t.Errorf("trace fingerprint %016x with Workers:1, %016x with Workers:4", fp1, fp4)
+	}
+	for _, c := range []string{"driver.trace.packets.near", "driver.trace.packets.far", "driver.trace.hops_spliced"} {
+		if a, b := snap1.Counter(c), snap4.Counter(c); a != b {
+			t.Errorf("%s = %d with Workers:1, %d with Workers:4", c, a, b)
+		}
+	}
+	if snap1.Counter("driver.trace.hops_spliced") == 0 {
+		t.Error("no walk resumed from a prior: the local stop set went untested")
+	}
 	dsts := func(ds *Dataset) map[string]int {
 		out := make(map[string]int)
 		for _, tr := range ds.Traces {

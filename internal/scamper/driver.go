@@ -29,7 +29,9 @@ type Config struct {
 	// device has one timeline, and one worker keeps its command stream
 	// deterministic).
 	Workers int
-	// DisableStopSet turns off doubletree early stopping (ablation).
+	// DisableStopSet turns off both halves of doubletree (ablation): the
+	// global stop set's early stopping and the local stop set's resumed
+	// walks.
 	DisableStopSet bool
 	// DisableAlias skips alias resolution entirely (ablation, fig. 13).
 	DisableAlias bool
@@ -259,7 +261,7 @@ func (d *Driver) Run() *Dataset {
 	}
 
 	var targetSimNS int64
-	var near, far int
+	var near, far, spliced int
 	traces := 0
 	for _, o := range outs {
 		traces += len(o.recs)
@@ -271,6 +273,7 @@ func (d *Driver) Run() *Dataset {
 		ds.Stats.TracesCached += o.cached
 		near += o.near
 		far += o.far
+		spliced += o.spliced
 		if o.lost {
 			ds.Stats.TargetsLost++
 		}
@@ -311,6 +314,7 @@ func (d *Driver) Run() *Dataset {
 	d.Obs.Add("driver.hops_observed", int64(ds.Stats.HopsObserved))
 	d.Obs.Add("driver.trace.packets.near", int64(near))
 	d.Obs.Add("driver.trace.packets.far", int64(far))
+	d.Obs.Add("driver.trace.hops_spliced", int64(spliced))
 	d.Obs.Max("driver.sim_clock_ns").Observe(int64(simEnd))
 	probeSim := simEnd - simStart
 	probeSpan.AddSim(probeSim)
@@ -377,13 +381,15 @@ type targetOut struct {
 	sigs    []uint64 // recs' path signatures, with cross-round state
 	stopped int      // traces the stop set halted
 	cached  int      // traces replayed from cross-round state
-	// near and far split the live traces' packets at each trace's first
-	// external hop: the packets before it, and it and those after.
-	near, far int
-	lost      bool  // abandoned: the session died
-	simNS     int64 // simulated duration, relative to the target's own start
-	wallNS    int64
-	cut       obs.Pos // where the target's events end in its worker's log
+	// far counts the live traces' hops from each one's first external hop
+	// on, near the rest of the packets they sent; spliced counts the hops
+	// they copied from a prior trace instead.
+	near, far, spliced int
+
+	lost   bool  // abandoned: the session died
+	simNS  int64 // simulated duration, relative to the target's own start
+	wallNS int64
+	cut    obs.Pos // where the target's events end in its worker's log
 }
 
 // targetSpans renders the slots as "target" span records, IDs 1…T in target
@@ -415,6 +421,12 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 //
 // With sigOf (cross-round state) each destination's trace replays from
 // cfg.State when RoundState.replay allows it.
+//
+// The target keeps its latest trace toward each routed prefix (doubletree's
+// local stop set), and a live walk toward a prefix that has one resumes
+// where that trace left the host network (resumeFrom). The scope is the
+// routed prefix because the network spreads parallel links per prefix: a
+// trace toward another prefix may have crossed a different link.
 func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
@@ -442,6 +454,8 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 		return finish()
 	}
 	stopSet := make(map[netx.Addr]bool)
+	// last holds, per routed prefix, the prior a walk toward it resumes from.
+	last := make(map[netx.Prefix][]probe.Hop)
 	var hopBuf [32]obs.Hop // path evidence, restated per trace
 	for _, b := range t.Blocks {
 		tried := 0
@@ -455,8 +469,12 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			}
 			tried++
 			var ss map[netx.Addr]bool
+			var prior []probe.Hop
+			// Blocks are carved from the view's routed prefixes, so pfx
+			// is the one dst's block came from.
+			_, pfx, _ := d.View.Origins(dst)
 			if !cfg.DisableStopSet {
-				ss = stopSet
+				ss, prior = stopSet, last[pfx]
 			}
 			// A replayed trace is the one a live walk would return and
 			// spends zero probe packets. Everything after it — stop-set
@@ -472,35 +490,42 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 				}
 			}
 			if !cached {
-				res = tl.Trace(dst, ss)
+				res = tl.Trace(dst, ss, prior)
 				if len(res.Hops) == 0 && d.Prober.Err() != nil {
 					// The session died mid-command; this empty trace is a
 					// transport artifact, not a measurement.
 					return abandon()
 				}
 			}
-			// The first external hop splits a live trace's packets and, on
-			// a trace the stop set did not halt, joins the stop set.
-			ext := -1
-			if !cached || !res.Stopped {
-				ext = d.firstExternal(res.Hops)
-			}
+			// The first external hop splits a live trace's packets, is
+			// where the next walk toward the prefix resumes and, on a
+			// trace the stop set did not halt, joins the stop set.
+			ext := d.firstExternal(res.Hops)
+			last[pfx] = resumeFrom(res.Hops, ext)
 			if !cached {
-				near := len(res.Hops)
+				far := 0
 				if ext >= 0 {
-					near = ext
+					far = len(res.Hops) - ext
 				}
-				out.near += near
-				out.far += len(res.Hops) - near
+				out.near += int(res.Sent) - far
+				out.far += far
+				out.spliced += int(res.Spliced)
 			}
 			out.recs = append(out.recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
-			frag.Emit(obs.KindTrace, obs.OnAddr(dst), rel(),
+			ev := [...]obs.Field{
 				obs.AS(obs.KeyTarget, t.AS),
 				obs.Int(obs.KeyHops, len(res.Hops)),
 				obs.Path(obs.KeyPath, appendHops(hopBuf[:0], res.Hops)),
 				obs.Flag(obs.KeyReached, res.Reached),
 				obs.Flag(obs.KeyStopped, res.Stopped),
-				obs.Flag(obs.KeyCached, cached))
+				obs.Flag(obs.KeyCached, cached),
+				obs.Int(obs.KeySpliced, int(res.Spliced)),
+			}
+			n := len(ev)
+			if res.Spliced == 0 {
+				n-- // spliced is said only when the walk copied hops
+			}
+			frag.Emit(obs.KindTrace, obs.OnAddr(dst), rel(), ev[:n]...)
 			if res.Stopped {
 				out.stopped++
 				if n := len(res.Hops); n > 0 {
@@ -522,6 +547,23 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 		}
 	}
 	return finish()
+}
+
+// resumeFrom cuts a trace toward a routed prefix, whose first external
+// hop is at index ext (-1 for none), to the prior a later walk toward the
+// prefix resumes from: its hops before the first external hop, or, when
+// it saw none, through its last time-exceeded hop. It is nil when the
+// trace has neither.
+func resumeFrom(hops []probe.Hop, ext int) []probe.Hop {
+	if ext >= 0 {
+		return hops[:ext:ext]
+	}
+	for i := len(hops) - 1; i >= 0; i-- {
+		if hops[i].Type == probe.HopTimeExceeded {
+			return hops[: i+1 : i+1]
+		}
+	}
+	return nil
 }
 
 // appendHops restates a trace's hops as path evidence: TTL, response class

@@ -13,8 +13,10 @@ package scamper
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/probe"
@@ -121,8 +123,13 @@ var fuzzAgent = sync.OnceValue(func() *Agent {
 // malformed command is an error, never a panic — and the body is clipped to
 // its length, so a handler that resliced past it would panic too.
 func FuzzAgentHandle(f *testing.F) {
-	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0})
-	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 2, 10, 0, 0, 2}) // stop set shorter than its count
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 2, 10, 0, 0, 2})       // stop set shorter than its count
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0})                    // no prior count
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0, 2, 1, 10, 0, 0, 2}) // prior shorter than its count
+	// A prior of two time-exceeded hops, and one naming a type no hop has.
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 1, 10, 0, 0, 9, 2, 1, 10, 0, 0, 2, 1, 10, 0, 0, 3})
+	f.Add([]byte{msgTraceReq, 10, 0, 0, 1, 0, 0, 1, 0x7f, 10, 0, 0, 2})
 	f.Add([]byte{msgProbeReq, 10, 0, 0, 1, 0})
 	f.Add([]byte{msgAdvance, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{msgAdvance, 0x80, 0, 0, 0, 0, 0, 0, 0}) // a negative delta is an error
@@ -143,19 +150,31 @@ func FuzzAgentHandle(f *testing.F) {
 
 // FuzzDecodeResponse feeds arbitrary device bytes to the controller-side
 // response decoders — the direction §5.8 distrusts. They must not panic,
-// and a trace must never claim more hops than its bytes carry.
+// a trace must never claim more hops than its bytes and the prior its
+// request sent carry, and its spliced hops must be that prior's.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add([]byte{msgTraceRsp, 1, 0, 0, 1, 1, 1, 10, 0, 0, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9})
-	f.Add([]byte{msgTraceRsp, 0, 0, 0xff, 0xff}) // hop count with no hops behind it
+	f.Add([]byte{msgTraceRsp, 1, 0, 0, 1, 0, 1, 1, 1, 10, 0, 0, 1, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9})
+	f.Add([]byte{msgTraceRsp, 0, 0, 0, 0, 0xff, 0xff}) // hop count with no hops behind it
+	// Two hops spliced from the prior, one live at TTL 3.
+	f.Add([]byte{msgTraceRsp, 0, 1, 2, 1, 0, 1, 3, 1, 10, 0, 0, 3, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9})
+	f.Add([]byte{msgTraceRsp, 0, 0, 4, 0, 0, 0}) // more spliced hops than the prior holds
 	f.Add(make([]byte, 24))
 	f.Add([]byte{msgClockRsp, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{})
+	prior := []probe.Hop{
+		{TTL: 1, Type: probe.HopTimeExceeded, Addr: 0x0a000001, RTT: time.Millisecond},
+		{TTL: 2, Type: probe.HopTimeExceeded, Addr: 0x0a000002, RTT: 2 * time.Millisecond},
+		{TTL: 3, Type: probe.HopTimeout},
+	}
 	f.Fuzz(func(t *testing.T, rsp []byte) {
 		rsp = rsp[:len(rsp):len(rsp)]
 		var res probe.TraceResult
-		decodeTraceRsp(rsp, &res)
-		if max := (len(rsp) - 5) / 16; len(res.Hops) > 0 && len(res.Hops) > max {
-			t.Fatalf("%d hops decoded from %d bytes", len(res.Hops), len(rsp))
+		decodeTraceRsp(rsp, prior, &res)
+		if max := int(res.Spliced) + (len(rsp)-7)/16; len(res.Hops) > 0 && len(res.Hops) > max {
+			t.Fatalf("%d hops decoded from %d bytes and %d spliced", len(res.Hops), len(rsp), res.Spliced)
+		}
+		if int(res.Spliced) > len(prior) || !slices.Equal(res.Hops[:res.Spliced], prior[:res.Spliced]) {
+			t.Fatalf("spliced %d hops %v from prior %v", res.Spliced, res.Hops, prior)
 		}
 		if r := decodeProbeRsp(rsp); len(rsp) < 24 && r != (probe.Response{}) {
 			t.Fatalf("short probe response decoded to %+v", r)

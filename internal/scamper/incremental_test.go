@@ -219,7 +219,7 @@ func TestPathSignatureStability(t *testing.T) {
 	s1 := e.PathSignature(vp, dst)
 	lane := e.NewLane(vp, 0)
 	lane.Advance(probe.PacePerHop * 100)
-	lane.Trace(dst, nil)
+	lane.Trace(dst, nil, nil)
 	if s2 := e.PathSignature(vp, dst); s2 != s1 {
 		t.Fatalf("signature changed on unchanged world: %x vs %x", s1, s2)
 	}

@@ -41,8 +41,10 @@ type Prober interface {
 // §5.8 device session.
 type Timeline interface {
 	// Trace runs a paced Paris traceroute toward dst, stopping early when a
-	// hop responds from an address in stopSet.
-	Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult
+	// hop responds from an address in stopSet. A non-nil prior is the last
+	// trace toward dst's routed prefix, cut before the TTL to resume at
+	// (probe.Lane.Trace).
+	Trace(dst netx.Addr, stopSet map[netx.Addr]bool, prior []probe.Hop) probe.TraceResult
 	// Source sends single alias-resolution probes and moves measurement
 	// time forward (pacing).
 	probe.Source

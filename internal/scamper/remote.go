@@ -497,6 +497,11 @@ func (a *Agent) handle(req []byte) ([]byte, error) {
 	}
 }
 
+// handleTrace runs a trace request:
+// type dst(4) nStop(2) {addr(4)} nPrior(1) {type(1) addr(4)}.
+// The prior is the controller's, by type and address per TTL from 1; the
+// response carries the live hops only, and the controller splices the
+// copied ones from its own prior.
 func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 	if len(req) < 7 {
 		return nil, fmt.Errorf("scamper: short trace request")
@@ -510,14 +515,25 @@ func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 	for i := 0; i < nStop; i++ {
 		stop[netx.Addr(binary.BigEndian.Uint32(req[7+4*i:]))] = true
 	}
-	res := a.timeline().Trace(dst, stop)
+	off := 7 + 4*nStop
+	if len(req) < off+1 || len(req) < off+1+5*int(req[off]) {
+		return nil, fmt.Errorf("scamper: truncated prior")
+	}
+	var prior []probe.Hop
+	if nPrior := int(req[off]); nPrior > 0 {
+		prior = make([]probe.Hop, nPrior)
+		for i := range prior {
+			h := req[off+1+5*i:]
+			prior[i] = probe.Hop{TTL: i + 1, Type: probe.HopType(h[0]), Addr: netx.Addr(binary.BigEndian.Uint32(h[1:5]))}
+		}
+	}
+	res := a.timeline().Trace(dst, stop, prior)
 
-	rsp := make([]byte, 0, 5+16*len(res.Hops))
-	rsp = append(rsp, msgTraceRsp, boolByte(res.Reached), boolByte(res.Stopped))
-	var n [2]byte
-	binary.BigEndian.PutUint16(n[:], uint16(len(res.Hops)))
-	rsp = append(rsp, n[:]...)
-	for _, h := range res.Hops {
+	live := res.Hops[res.Spliced:]
+	rsp := make([]byte, 0, 7+16*len(live))
+	rsp = append(rsp, msgTraceRsp, boolByte(res.Reached), boolByte(res.Stopped), res.Spliced, res.Sent)
+	rsp = binary.BigEndian.AppendUint16(rsp, uint16(len(live)))
+	for _, h := range live {
 		var hop [16]byte
 		hop[0] = byte(h.TTL)
 		hop[1] = byte(h.Type)
@@ -861,19 +877,25 @@ func (p *RemoteProber) noteRecv(n int) {
 // timeline.
 func (p *RemoteProber) Open(time.Duration) Timeline { return p }
 
-// Trace runs a traceroute on the agent, on the agent's clock.
-func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool) probe.TraceResult {
-	req := make([]byte, 7, 7+4*len(stopSet))
+// Trace runs a traceroute on the agent, on the agent's clock. The agent
+// is sent prior's types and addresses and returns the hops it probed; the
+// ones it copied are spliced from prior here.
+func (p *RemoteProber) Trace(dst netx.Addr, stopSet map[netx.Addr]bool, prior []probe.Hop) probe.TraceResult {
+	// A shorter prior only resumes earlier: the wire counts it in a byte.
+	prior = prior[:min(len(prior), 255)]
+	req := make([]byte, 7, 8+4*len(stopSet)+5*len(prior))
 	req[0] = msgTraceReq
 	binary.BigEndian.PutUint32(req[1:5], uint32(dst))
 	binary.BigEndian.PutUint16(req[5:7], uint16(len(stopSet)))
 	for a := range stopSet {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(a))
-		req = append(req, b[:]...)
+		req = binary.BigEndian.AppendUint32(req, uint32(a))
+	}
+	req = append(req, byte(len(prior)))
+	for _, h := range prior {
+		req = binary.BigEndian.AppendUint32(append(req, byte(h.Type)), uint32(h.Addr))
 	}
 	res := probe.TraceResult{Dst: dst}
-	decodeTraceRsp(p.roundTrip(req, msgTraceRsp), &res)
+	decodeTraceRsp(p.roundTrip(req, msgTraceRsp), prior, &res)
 	return res
 }
 
@@ -917,17 +939,25 @@ func (p *RemoteProber) PullSpans() ([]obs.SpanRecord, error) {
 // or short body (a lost session, a truncated response) decodes to the zero
 // measurement.
 
-// decodeTraceRsp fills res from a msgTraceRsp body:
-// type reached(1) stopped(1) nHops(2) {ttl(1) type(1) addr(4) ipid(2) rtt(8)}.
-func decodeTraceRsp(rsp []byte, res *probe.TraceResult) {
-	if len(rsp) < 5 {
+// decodeTraceRsp fills res from a msgTraceRsp body, the answer to a
+// request that sent prior:
+// type reached(1) stopped(1) spliced(1) sent(1) nHops(2)
+// {ttl(1) type(1) addr(4) ipid(2) rtt(8)}.
+// res.Hops is prior's first spliced hops, then the hops on the wire. A
+// response splicing more hops than prior holds decodes to no trace.
+func decodeTraceRsp(rsp []byte, prior []probe.Hop, res *probe.TraceResult) {
+	if len(rsp) < 7 || int(rsp[3]) > len(prior) {
 		return
 	}
 	res.Reached = rsp[1] == 1
 	res.Stopped = rsp[2] == 1
-	n := int(binary.BigEndian.Uint16(rsp[3:5]))
-	for i := 0; i < n && 5+16*(i+1) <= len(rsp); i++ {
-		h := rsp[5+16*i:]
+	res.Spliced, res.Sent = rsp[3], rsp[4]
+	n := min(int(binary.BigEndian.Uint16(rsp[5:7])), (len(rsp)-7)/16)
+	if k := int(res.Spliced) + n; k > 0 {
+		res.Hops = append(make([]probe.Hop, 0, k), prior[:res.Spliced]...)
+	}
+	for i := range n {
+		h := rsp[7+16*i:]
 		res.Hops = append(res.Hops, probe.Hop{
 			TTL:  int(h[0]),
 			Type: probe.HopType(h[1]),

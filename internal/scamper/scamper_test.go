@@ -242,8 +242,8 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 	// Remote and local traces must agree.
 	local := e.NewLane(n.VPs[0], 0)
 	dst := view.RoutedPrefixes()[len(view.RoutedPrefixes())-1].First() + 1
-	lt := local.Trace(dst, nil)
-	rt := rp.Trace(dst, nil)
+	lt := local.Trace(dst, nil, nil)
+	rt := rp.Trace(dst, nil, nil)
 	if len(lt.Hops) != len(rt.Hops) {
 		t.Fatalf("hop counts differ: %d vs %d", len(lt.Hops), len(rt.Hops))
 	}
@@ -255,7 +255,7 @@ func TestRemoteAgentRoundTrip(t *testing.T) {
 
 	// Stop sets work over the wire.
 	if len(lt.Hops) > 1 && lt.Hops[0].Type == probe.HopTimeExceeded {
-		stopped := rp.Trace(dst, map[netx.Addr]bool{lt.Hops[0].Addr: true})
+		stopped := rp.Trace(dst, map[netx.Addr]bool{lt.Hops[0].Addr: true}, nil)
 		if !stopped.Stopped || len(stopped.Hops) != 1 {
 			t.Fatalf("remote stop set failed: %+v", stopped)
 		}
@@ -309,6 +309,55 @@ func TestRemoteFullDriverRun(t *testing.T) {
 	}
 	if agent.Commands() == 0 {
 		t.Fatal("agent executed no commands")
+	}
+}
+
+// TestLocalAndRemoteRunsAgree: the §5.8 device is told the prior by type
+// and address and returns only the hops it probed, and the controller
+// splices the rest from its own prior. On tiny and r&e, a run of VP 0
+// over a remote session records the traces a local run does
+// (TraceFingerprint) at the same cost, hop for hop copied and sent.
+func TestLocalAndRemoteRunsAgree(t *testing.T) {
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			n := topo.Generate(prof, 1)
+			tab := bgp.NewTable(n)
+			view := bgp.Collect(tab, bgp.DefaultVantages(n))
+			hosts := map[topo.ASN]bool{n.HostASN: true}
+			run := func(p Prober) (*Dataset, obs.Snapshot) {
+				reg := obs.New()
+				ds := (&Driver{View: view, Prober: p, HostASNs: hosts, Obs: reg}).Run()
+				return ds, reg.Snapshot()
+			}
+			local, lsnap := run(LocalProber{E: probe.New(n, tab), VP: n.VPs[0]})
+
+			rp, err := Listen("127.0.0.1:0", n.VPs[0].Name, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rp.Close()
+			agent := &Agent{E: probe.New(n, tab), VP: n.VPs[0]}
+			go agent.DialRetry(rp.Addr(), dialTCP)
+			if err := rp.Wait(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			remote, rsnap := run(rp)
+			if err := rp.Err(); err != nil {
+				t.Fatalf("transport error: %v", err)
+			}
+
+			if lf, rf := local.TraceFingerprint(), remote.TraceFingerprint(); lf != rf {
+				t.Errorf("trace fingerprint %016x locally, %016x over the remote session", lf, rf)
+			}
+			for _, c := range []string{"driver.trace.packets.near", "driver.trace.packets.far", "driver.trace.hops_spliced"} {
+				if l, r := lsnap.Counter(c), rsnap.Counter(c); l != r {
+					t.Errorf("%s = %d locally, %d over the remote session", c, l, r)
+				}
+			}
+			if lsnap.Counter("driver.trace.hops_spliced") == 0 {
+				t.Error("no walk resumed from a prior: the wire's prior went untested")
+			}
+		})
 	}
 }
 

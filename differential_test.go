@@ -1,12 +1,15 @@
 package bdrmap
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/mapdb"
+	"bdrmap/internal/netx"
 	"bdrmap/internal/scamper"
 )
 
@@ -158,4 +161,103 @@ func TestDifferentialFleetAdversarialOrder(t *testing.T) {
 		fltReps[i] = flt.buildReport(res)
 	}
 	diffWorlds(t, "sequential", "reversed-order", seq, flt, seqReps, fltReps)
+}
+
+// TestFleetMapsMatchSoloMaps: a fleet's VPs share one alias book, so a VP
+// after the first asks the wire only what the VPs below it left open. Its
+// answer must not depend on that beyond what the book taught it. On
+// multi-VP worlds, against RunVP, which asks everything itself: the solo
+// alias graph is contained in the fleet's; every positive the fleet VP
+// holds beyond the solo one joins one true router; and every VP's compiled
+// image and link set from RunFleet equal RunVP's. A VP whose fleet
+// resolver gained a positive (a UDP answer a lower-index VP got and the
+// VP's own probe lost) may differ in a link's heuristic label and in its
+// router rows, which the true alias merges; its links keep their near and
+// far addresses and far AS, and its validation does not drop.
+func TestFleetMapsMatchSoloMaps(t *testing.T) {
+	la4 := LargeAccess()
+	la4.NumVPs = 4
+	profs := []Profile{la4, LargeAccess(), RegionalVP()}
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		profs, seeds = []Profile{la4, RegionalVP()}, []int64{1}
+	}
+	for _, prof := range profs {
+		for _, seed := range seeds {
+			name := fmt.Sprintf("%s-%dvp-seed%d", prof.Name, prof.NumVPs, seed)
+			t.Run(name, func(t *testing.T) {
+				fleet := NewWorld(prof, seed)
+				reps, err := mapFleet(fleet, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo := NewWorld(prof, seed)
+				fs, ss := fleet.Scenario(), solo.Scenario()
+				gainedVPs := 0
+				for vp := range reps {
+					srep := solo.MapBorders(vp)
+					fds, sds := fs.Datasets[vp], ss.Datasets[vp]
+					for _, set := range sds.Graph.Sets() {
+						for _, a := range set[1:] {
+							if !fds.Graph.SameRouter(set[0], a) {
+								t.Errorf("vp %d: solo graph joins %v and %v, the fleet's does not", vp, set[0], a)
+							}
+						}
+					}
+					held := make(map[[2]netx.Addr]bool)
+					for _, p := range sds.Resolver.Positives() {
+						held[p] = true
+					}
+					gained := 0
+					for _, p := range fds.Resolver.Positives() {
+						if held[p] {
+							continue
+						}
+						gained++
+						ra, rb := fs.Net.RouterByAddr(p[0]), fs.Net.RouterByAddr(p[1])
+						if ra == nil || ra != rb {
+							t.Errorf("vp %d: positive %v|%v the solo run lacks joins two routers", vp, p[0], p[1])
+						}
+					}
+					if gained > 0 {
+						gainedVPs++
+						if wl, gl := linkIdentities(srep), linkIdentities(reps[vp]); !reflect.DeepEqual(wl, gl) {
+							t.Errorf("vp %d: fleet links %v, solo %v", vp, gl, wl)
+						}
+						if reps[vp].Correct < srep.Correct || reps[vp].Total != srep.Total {
+							t.Errorf("vp %d: fleet validates %d/%d, solo %d/%d", vp, reps[vp].Correct, reps[vp].Total, srep.Correct, srep.Total)
+						}
+						continue
+					}
+					if wl, gl := goldenLinks(srep), goldenLinks(reps[vp]); !reflect.DeepEqual(wl, gl) {
+						t.Errorf("vp %d: fleet %d links, solo %d", vp, len(gl), len(wl))
+					}
+					if fi, si := vpImage(t, fleet, vp), vpImage(t, solo, vp); !bytes.Equal(fi, si) {
+						t.Errorf("vp %d: compiled image differs from the solo run's", vp)
+					}
+				}
+				t.Logf("%d VPs: %d gained a positive from the book", len(reps), gainedVPs)
+			})
+		}
+	}
+}
+
+// linkIdentities is a report's links without their heuristic labels.
+func linkIdentities(rep *Report) []goldenLink {
+	out := goldenLinks(rep)
+	for i := range out {
+		out[i].Heuristic = ""
+	}
+	return out
+}
+
+// vpImage is VP vp's result compiled alone, as segment bytes.
+func vpImage(t *testing.T, w *World, vp int) []byte {
+	t.Helper()
+	s := w.Scenario()
+	var buf bytes.Buffer
+	if _, err := mapdb.Compile(s.Net.HostASN, s.Results[vp:vp+1]).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

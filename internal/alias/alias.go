@@ -25,7 +25,9 @@
 // port-unreachable reply and the probe methods it replied to), so
 // Mercator, the driver's sweep and Ally's method choice reuse an answer
 // instead of probing again. Silence is never kept: a probe that got no
-// reply is sent again the next time it is asked for.
+// reply is sent again the next time it is asked for. Across the vantage
+// points of one host network, a Book carries the same durable evidence
+// from one resolver to the next, so a fleet asks each question once.
 //
 // Verdicts feed a union-find constrained by negative evidence: transitive
 // closure never merges sets containing a pair some measurement rejected.
@@ -92,6 +94,10 @@ type Resolver struct {
 	// Now supplies stage-relative simulated timestamps for trace events;
 	// nil stamps zero (events still order by sequence number).
 	Now func() int64
+	// Book, when set, holds what other resolvers of the host network
+	// already settled; the resolver consults it after its own evidence and
+	// before the wire. Nil asks everything.
+	Book *Book
 
 	pos map[pairKey]bool
 	neg map[pairKey]bool
@@ -99,10 +105,13 @@ type Resolver struct {
 	// counter (zero or random IP-IDs): Ally can decide no pair holding one.
 	blind map[netx.Addr]bool
 	// answers holds what each address answered in this stage; reused
-	// counts the probes it answered instead of the wire.
+	// counts the probes it or the book answered instead of the wire.
 	answers map[netx.Addr]answer
 	reused  int
-	sent    Sent
+	// booked counts the operations the book settled: sweep addresses it
+	// held a UDP answer for and pairs it held a verdict on.
+	booked int
+	sent   Sent
 }
 
 // Sent counts the direct probes a resolver sent, by what each was for.
@@ -120,6 +129,8 @@ type answer struct {
 	udpFrom netx.Addr
 }
 
+const udpBit = uint8(1) << probe.MethodUDP
+
 // NewResolver builds a resolver with the given configuration.
 func NewResolver(src probe.Source, cfg Config) *Resolver {
 	return &Resolver{
@@ -131,52 +142,59 @@ func NewResolver(src probe.Source, cfg Config) *Resolver {
 	}
 }
 
-// Reused returns how many probes the resolver's answers answered instead
-// of the wire.
+// Reused returns how many probes the resolver's answers, or its book's,
+// answered instead of the wire.
 func (r *Resolver) Reused() int { return r.reused }
+
+// BookHits returns how many operations the book settled without a probe:
+// UDPSource calls it held an answer for, and Resolve calls it held a
+// verdict for.
+func (r *Resolver) BookHits() int { return r.booked }
 
 // Sent returns the direct probes the resolver sent, by what each was for.
 func (r *Resolver) Sent() Sent { return r.sent }
 
-// ask reports whether a answers method m. It probes only when a has not
-// answered m through this resolver, counting the probe in *sent; a probe
-// that got no reply is not kept, so the next ask sends it again.
-func (r *Resolver) ask(a netx.Addr, m probe.Method, sent *int) bool {
-	ans, bit := r.answers[a], uint8(1)<<m
-	if ans.methods&bit != 0 {
+// ask reports whether a answers method m, and for UDP the source of its
+// reply. It probes only when neither this resolver nor its book holds a's
+// answer to m, counting the probe in *sent; a probe that got no reply is
+// not kept, so the next ask sends it again.
+func (r *Resolver) ask(a netx.Addr, m probe.Method, sent *int) (netx.Addr, bool) {
+	bit := uint8(1) << m
+	if ans := r.answers[a]; ans.methods&bit != 0 {
 		r.reused++
-		return true
+		return ans.udpFrom, true
+	}
+	if ans := r.Book.answered(a); ans.methods&bit != 0 {
+		r.reused++
+		return ans.udpFrom, true
 	}
 	*sent++
 	resp := r.Src.Probe(a, m)
 	if !resp.OK {
-		return false
+		return 0, false
 	}
+	ans := r.answers[a]
 	ans.methods |= bit
 	if m == probe.MethodUDP {
 		ans.udpFrom = resp.From
 	}
 	r.answers[a] = ans
-	return true
+	return ans.udpFrom, true
 }
 
 // UDPSource returns the source of a's UDP port-unreachable reply, probing
-// only if a has not answered UDP through this resolver. Its probes count
-// as the sweep's.
+// only if a has answered UDP neither through this resolver nor its book.
+// Its probes count as the sweep's.
 func (r *Resolver) UDPSource(a netx.Addr) (netx.Addr, bool) {
-	return r.udpSource(a, &r.sent.Sweep)
-}
-
-func (r *Resolver) udpSource(a netx.Addr, sent *int) (netx.Addr, bool) {
-	if !r.ask(a, probe.MethodUDP, sent) {
-		return 0, false
+	if r.answers[a].methods&udpBit == 0 && r.Book.answered(a).methods&udpBit != 0 {
+		r.booked++
 	}
-	return r.answers[a].udpFrom, true
+	return r.ask(a, probe.MethodUDP, &r.sent.Sweep)
 }
 
-// Blind reports whether an Ally round through this resolver showed a to
-// have no IP-ID counter.
-func (r *Resolver) Blind(a netx.Addr) bool { return r.blind[a] }
+// Blind reports whether an Ally round through this resolver or its book's
+// showed a to have no IP-ID counter.
+func (r *Resolver) Blind(a netx.Addr) bool { return r.blind[a] || r.Book.isBlind(a) }
 
 type pairKey [2]netx.Addr
 
@@ -247,7 +265,7 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 	if v := r.Verdict(a, b); v != Unknown {
 		return v
 	}
-	if r.blind[a] || r.blind[b] {
+	if r.Blind(a) || r.Blind(b) {
 		return Unknown
 	}
 	method, ok := r.pickMethod(a, b)
@@ -290,7 +308,10 @@ func (r *Resolver) Ally(a, b netx.Addr) Verdict {
 // probe, and it does not ask b a method a was silent to.
 func (r *Resolver) pickMethod(a, b netx.Addr) (probe.Method, bool) {
 	for _, m := range allyMethods {
-		if r.ask(a, m, &r.sent.Pick) && r.ask(b, m, &r.sent.Pick) {
+		if _, ok := r.ask(a, m, &r.sent.Pick); !ok {
+			continue
+		}
+		if _, ok := r.ask(b, m, &r.sent.Pick); ok {
 			return m, true
 		}
 	}
@@ -370,11 +391,11 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 	if a == b {
 		return AliasYes
 	}
-	fromA, ok := r.udpSource(a, &r.sent.Mercator)
+	fromA, ok := r.ask(a, probe.MethodUDP, &r.sent.Mercator)
 	if !ok {
 		return Unknown
 	}
-	fromB, ok := r.udpSource(b, &r.sent.Mercator)
+	fromB, ok := r.ask(b, probe.MethodUDP, &r.sent.Mercator)
 	if !ok {
 		return Unknown
 	}
@@ -390,9 +411,15 @@ func (r *Resolver) Mercator(a, b netx.Addr) Verdict {
 }
 
 // Resolve runs Mercator and then Ally on a pair, returning the first
-// conclusive verdict.
+// conclusive verdict. A verdict the book holds settles the pair without a
+// probe, and the resolver records it as its own.
 func (r *Resolver) Resolve(a, b netx.Addr) Verdict {
 	if v := r.Verdict(a, b); v != Unknown {
+		return v
+	}
+	if v := r.Book.verdict(a, b); v != Unknown {
+		r.booked++
+		r.Record(a, b, v)
 		return v
 	}
 	if v := r.Mercator(a, b); v == AliasYes {

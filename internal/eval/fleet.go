@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bdrmap/internal/alias"
 	"bdrmap/internal/core"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
@@ -12,15 +13,26 @@ import (
 // The fleet runner: RunFleet schedules every vantage point across a bounded
 // worker pool fed from one FIFO — the deployment shape of §5.6 (many VPs
 // per process) rather than one goroutine per VP — and puts each VP through
-// runShard, the same runner RunVP and RunVPRemote call. RunAll is its
-// one-worker case.
+// runShard's three steps, the ones RunVP and RunVPRemote take back to
+// back. RunAll is its one-worker case.
+//
+// A fleet asks each alias question once. Its VPs share one alias book
+// (alias.Book): VP i's alias stage consults what VPs 0…i-1 settled before
+// it probes, and its evidence joins the book when the stage ends. So the
+// run has three phases per VP: the probe stage, in the pool; the alias
+// stage, one VP at a time in VP index order, run by whichever worker
+// finished the probe stage the chain was waiting on; and inference, in
+// the pool again, taken before any further probe stage. A VP's alias
+// stage never waits on a VP of higher index, so a worker held on one VP
+// does not stop the VPs below it from completing.
 //
 // Isolation is what makes the schedule irrelevant: each VP runs on a fresh
-// probe.Engine and records into private trace/span fragments that are
-// merged back in VP order once the pool drains. Datasets/Results are only
-// written after that, on the caller's goroutine. So for a fixed world the
-// per-VP results, and the trace and span fingerprints, are byte-identical
-// for any worker count and any completion order.
+// probe.Engine, its alias stage sees the book of exactly the VPs below it,
+// and it records into private trace/span fragments that are merged back
+// in VP order once the pool drains. Datasets/Results are only written
+// after that, on the caller's goroutine. So for a fixed world the per-VP
+// results, and the trace and span fingerprints, are byte-identical for any
+// worker count and any completion order.
 
 // FleetOptions tunes one RunFleet invocation. The zero value runs every
 // VP on one worker in VP order — exactly RunAll.
@@ -80,8 +92,9 @@ func (c *Carry) workerArenas(workers int) []*core.Arena {
 
 // RunFleet measures every VP across the worker pool and fills
 // Datasets/Results like RunAll, returning the per-VP results. A VP already
-// recorded from the same run is reported without re-measuring. Its error
-// is only for an invalid Order, and then nothing is run or recorded.
+// recorded from the same run is reported without re-measuring, and its
+// alias evidence still joins the book. Its error is only for an invalid
+// Order, and then nothing is run or recorded.
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result, error) {
 	n := len(s.Net.VPs)
 	order := fo.Order
@@ -111,55 +124,120 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	fsp := s.Spans.Begin(s.SpanRoot.ID(), "fleet", fmt.Sprintf("%d shards", n))
 	fsp.SetAttr("~workers", workers)
 
-	// One FIFO, filled and closed before the workers start: whichever
-	// worker is idle takes the next VP until it runs dry.
-	queue := make(chan int, n)
+	// One FIFO of probe stages, filled and closed before the workers
+	// start: whichever worker is idle takes the next VP until it runs dry.
+	// Inference stages queue on infers as the alias chain releases them.
+	probes := make(chan int, n)
 	for _, i := range order {
-		queue <- i
+		probes <- i
 	}
-	close(queue)
+	close(probes)
+	infers := make(chan int, n)
 
 	// Private fragments, mirroring the enabled-ness of the scenario's
-	// shared logs. A worker writes only the slots of the VPs it dequeued,
-	// so every index has exactly one writer.
+	// shared logs. A VP's stages run one after another, so every index
+	// has exactly one writer at a time.
 	traces := make([]*obs.Tracer, n)
 	spans := make([]*obs.SpanLog, n)
+	runs := make([]*vpRun, n)
 	made := make([]run, n)
 	datasets := make([]*scamper.Dataset, n)
 	results := make([]*core.Result, n)
+
+	// The alias chain: VP next's alias stage runs once VP next is probed.
+	// The worker that finds the chain idle runs every stage that is ready
+	// and hands each VP on to inference.
+	book := alias.NewBook()
+	var mu sync.Mutex
+	probed := make([]bool, n)
+	next, chaining := 0, false
+	chain := func(i int) {
+		mu.Lock()
+		probed[i] = true
+		if chaining {
+			mu.Unlock()
+			return
+		}
+		chaining = true
+		for next < n && probed[next] {
+			j := next
+			next++
+			mu.Unlock()
+			runs[j].resolve()
+			book.Learn(runs[j].ds.Resolver)
+			infers <- j
+			mu.Lock()
+		}
+		chaining = false
+		if next == n {
+			close(infers)
+		}
+		mu.Unlock()
+	}
+
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker w infers every VP it runs on arena w, which Infer
+			// Worker w infers every VP it finishes on arena w, which Infer
 			// resets (not reallocates) each time.
 			arena := arenas[w]
-			for i := range queue {
-				s.Obs.Inc("fleet.started")
-				if fo.Gate != nil {
-					fo.Gate(i)
-				}
-				if s.Trace.Enabled() {
-					traces[i] = obs.NewTracer()
-				}
-				if s.Spans.Enabled() {
-					spans[i] = obs.NewSpanLog(0)
-				}
-				sh := shard{cfg: cfg, arena: arena, trace: traces[i], spans: spans[i], mode: "fleet"}
-				if fo.Carry != nil && fo.Carry.states != nil {
-					sh.cfg.State = fo.Carry.states[i]
-				}
-				made[i] = sh.run()
+			finish := func(i int) {
+				runs[i].sh.arena = arena
 				// A local run cannot fail: the engine is simulated and
 				// lossless.
-				datasets[i], results[i], _, _ = s.runShard(i, sh)
+				datasets[i], results[i], _, _ = s.finishShard(runs[i])
 				s.Obs.Inc("fleet.completed")
+			}
+			probes := probes
+			for {
+				// An inference that is ready goes before another probe stage.
+				select {
+				case i, ok := <-infers:
+					if !ok {
+						return
+					}
+					finish(i)
+					continue
+				default:
+				}
+				select {
+				case i, ok := <-infers:
+					if !ok {
+						return
+					}
+					finish(i)
+				case i, ok := <-probes:
+					if !ok {
+						probes = nil // drained: wait on inference alone
+						continue
+					}
+					s.Obs.Inc("fleet.started")
+					if fo.Gate != nil {
+						fo.Gate(i)
+					}
+					if s.Trace.Enabled() {
+						traces[i] = obs.NewTracer()
+					}
+					if s.Spans.Enabled() {
+						spans[i] = obs.NewSpanLog(0)
+					}
+					sh := shard{cfg: cfg, trace: traces[i], spans: spans[i], mode: "fleet"}
+					if fo.Carry != nil && fo.Carry.states != nil {
+						sh.cfg.State = fo.Carry.states[i]
+					}
+					if i > 0 {
+						sh.book = book
+					}
+					made[i] = sh.run()
+					runs[i], _ = s.startShard(i, sh) // a local run always starts
+					chain(i)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-
 	// Deterministic log merge: fragments fold into the shared logs in VP
 	// order regardless of which worker ran what when.
 	for _, sp := range spans {

@@ -1,31 +1,35 @@
 package eval
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"bdrmap/internal/core"
+	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
 
 // holdVP0 is a FleetOptions.Gate that keeps VP 0 from measuring anything
-// until every other VP has completed, so VP 0 finishes last however the
-// workers are scheduled. A pool that cannot drain the queue behind a held
-// worker never releases it; the hold gives up after a minute and fails t.
+// until every other VP has finished its probe stage, so VP 0 is probed
+// last however the workers are scheduled. (No VP can complete before VP
+// 0: every alias stage after VP 0's consults the book VP 0's starts.) A
+// pool that cannot drain the queue behind a held worker never releases
+// it; the hold gives up after a minute and fails t.
 func holdVP0(t *testing.T, s *Scenario) func(int) {
 	return func(vp int) {
 		if vp != 0 {
 			return
 		}
 		others := int64(len(s.Net.VPs) - 1)
-		completed := s.Obs.Counter("fleet.completed")
-		for deadline := time.Now().Add(time.Minute); completed.Load() < others; {
+		probed := func() int64 { return s.Obs.Snapshot().Stage("driver.probe").Count }
+		for deadline := time.Now().Add(time.Minute); probed() < others; {
 			if time.Now().After(deadline) {
-				t.Errorf("VP 0 held for a minute: %d of the %d VPs queued behind it completed", completed.Load(), others)
+				t.Errorf("VP 0 held for a minute: %d of the %d VPs queued behind it probed", probed(), others)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -147,7 +151,8 @@ func TestRunFleetRejectsBadOrder(t *testing.T) {
 }
 
 // TestRunFleetIdleWorkerDrainsQueue: with two workers and VP 0 held, the
-// idle worker takes every VP queued behind it, and VP 0 then completes.
+// idle worker probes every VP queued behind it, and every VP then
+// completes.
 func TestRunFleetIdleWorkerDrainsQueue(t *testing.T) {
 	s := Build(topo.RegionalVPProfile(), 1)
 	res, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: 2, Gate: holdVP0(t, s)})
@@ -164,14 +169,13 @@ func TestRunFleetIdleWorkerDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestRunFleetMergesLogsInVPOrder: when VP 0 finishes last, its trace
+// TestRunFleetMergesLogsInVPOrder: when VP 0 is probed last, its trace
 // events still come first and the vp spans still land in VP order, every
-// one under the fleet span — the timeline RunVP writes VP by VP.
+// one under the fleet span — the timeline a one-worker fleet in VP order
+// writes VP by VP.
 func TestRunFleetMergesLogsInVPOrder(t *testing.T) {
 	ref := Build(topo.RegionalVPProfile(), 1)
-	for i := range ref.Net.VPs {
-		ref.RunVP(i, scamper.Config{})
-	}
+	ref.RunAll()
 
 	s := Build(topo.RegionalVPProfile(), 1)
 	// Run VP 2 first as well, so neither the queue nor completion is in
@@ -184,7 +188,7 @@ func TestRunFleetMergesLogsInVPOrder(t *testing.T) {
 		t.Fatal("fleet traced nothing")
 	}
 	if got, want := s.Trace.Fingerprint(), ref.Trace.Fingerprint(); got != want {
-		t.Errorf("fleet trace fp %s, VP-by-VP trace fp %s", got, want)
+		t.Errorf("fleet trace fp %s, one-worker trace fp %s", got, want)
 	}
 
 	var fleet obs.SpanID
@@ -230,5 +234,79 @@ func TestRunFleetNoVPs(t *testing.T) {
 	}
 	if n := s.Obs.Counter("fleet.shards").Load(); n != 0 {
 		t.Errorf("fleet.shards = %d for an empty fleet", n)
+	}
+}
+
+// TestFleetAliasPhaseFreeOfScheduling: the alias stages run one VP at a
+// time in VP index order on one book, so neither the worker count nor the
+// enqueue order reaches what any VP's alias stage sees. On the
+// benchmark's cold-map world (large-access, 4 VPs), every VP's run stats,
+// trace fingerprint and alias evidence, the run's packet ledger and its
+// trace and span fingerprints are the same for 1 and 4 workers under
+// three enqueue orders.
+func TestFleetAliasPhaseFreeOfScheduling(t *testing.T) {
+	prof := topo.LargeAccessProfile()
+	prof.NumVPs = 4
+	type vpState struct {
+		Stats    scamper.RunStats
+		TraceFP  uint64
+		Sets     [][]netx.Addr
+		Pos, Neg [][2]netx.Addr
+	}
+	type runState struct {
+		VPs           []vpState
+		Ledger        map[string]int64
+		TraceFP, Span string
+	}
+	sorted := func(ps [][2]netx.Addr) [][2]netx.Addr {
+		slices.SortFunc(ps, func(a, b [2]netx.Addr) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a[1], b[1])
+		})
+		return ps
+	}
+	var want *runState
+	for _, workers := range []int{1, 4} {
+		for _, order := range [][]int{nil, {3, 2, 1, 0}, {2, 0, 3, 1}} {
+			s := Build(prof, 1)
+			if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: workers, Order: order}); err != nil {
+				t.Fatal(err)
+			}
+			got := &runState{Ledger: make(map[string]int64), TraceFP: s.Trace.Fingerprint(), Span: s.Spans.Fingerprint()}
+			snap := s.Obs.Snapshot()
+			for _, c := range []string{"probe.packets_sent", "probe.probes", "driver.alias.probes.sweep",
+				"driver.alias.probes.mercator", "driver.alias.probes.pick", "driver.alias.probes.ally",
+				"driver.alias.book_hits", "driver.alias.answers_reused"} {
+				got.Ledger[c] = snap.Counter(c)
+			}
+			for _, ds := range s.Datasets {
+				got.VPs = append(got.VPs, vpState{
+					Stats: ds.Stats, TraceFP: ds.TraceFingerprint(), Sets: ds.Graph.Sets(),
+					Pos: sorted(ds.Resolver.Positives()), Neg: sorted(ds.Resolver.Negatives()),
+				})
+			}
+			if want == nil {
+				want = got
+				if got.Ledger["driver.alias.book_hits"] == 0 {
+					t.Fatal("no operation was settled by the book")
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				for i := range got.VPs {
+					if !reflect.DeepEqual(got.VPs[i], want.VPs[i]) {
+						t.Errorf("workers=%d order=%v: VP %d diverges from one worker in VP order", workers, order, i)
+					}
+				}
+				if !reflect.DeepEqual(got.Ledger, want.Ledger) {
+					t.Errorf("workers=%d order=%v: ledger %v, want %v", workers, order, got.Ledger, want.Ledger)
+				}
+				if got.TraceFP != want.TraceFP || got.Span != want.Span {
+					t.Errorf("workers=%d order=%v: trace/span fingerprints diverge", workers, order)
+				}
+			}
+		}
 	}
 }

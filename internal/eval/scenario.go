@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"bdrmap/internal/alias"
 	"bdrmap/internal/asrel"
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/core"
@@ -152,55 +153,82 @@ type shard struct {
 	// faults injector instead of an in-process LocalProber.
 	link   *scamper.RemoteProber
 	faults faults.Spec
+
+	// book, when set, is the fleet's alias book: what its lower-index VPs
+	// settled. Nil for a solo run and for a fleet's VP 0.
+	book *alias.Book
 }
 
-// run is what one VP's result was made with: its driver configuration
-// and, for a §5.8 run, its fault spec.
+// run is what one VP's result was made with: its driver configuration,
+// for a §5.8 run its fault spec, and whether its alias stage consulted a
+// fleet's book.
 type run struct {
 	cfg    scamper.Config
 	remote bool
 	faults faults.Spec
+	shared bool
 }
 
-func (sh shard) run() run { return run{sh.cfg, sh.link != nil, sh.faults} }
+func (sh shard) run() run { return run{sh.cfg, sh.link != nil, sh.faults, sh.book != nil} }
+
+// vpRun is one VP's run between its stages: runShard's three steps, which
+// a fleet takes in three phases.
+type vpRun struct {
+	sh     shard
+	vsp    *obs.OpenSpan
+	sess   *remoteSession
+	probed *scamper.Probed
+	ds     *scamper.Dataset
+	res    *core.Result // set from the start when the VP was recorded
+}
 
 // runShard is the one way a VP is measured and inferred: build the driver,
-// run it, infer, hand back the dataset and result for the caller to record.
-// Every run probes on a fresh fork of the scenario's engine — routing
-// derived once per world, measurement state per run — so VP i's output
-// is a pure function of (profile, seed, cfg, fault spec), whichever entry
-// point asked, in whatever order, on whichever worker. A VP already
-// recorded from the run sh asks for is returned as is, measuring nothing.
+// run its probe and alias stages, infer, hand back the dataset and result
+// for the caller to record. Every run probes on a fresh fork of the
+// scenario's engine — routing derived once per world, measurement state
+// per run — so VP i's output is a pure function of (profile, seed, cfg,
+// fault spec, book), whichever entry point asked, in whatever order, on
+// whichever worker. A VP already recorded from the run sh asks for is
+// returned as is, measuring nothing.
 //
 // A non-nil error with a nil res means the run never started (no remote
 // session formed); with a non-nil res, that the session was lost mid-run
 // and ds and res hold what was salvaged. dev is zero for an in-process
 // run.
 func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
+	v, err := s.startShard(i, sh)
+	if err != nil {
+		return nil, nil, dev, err
+	}
+	v.resolve()
+	return s.finishShard(v)
+}
+
+// startShard runs VP i's probe stage, or finds it recorded.
+func (s *Scenario) startShard(i int, sh shard) (*vpRun, error) {
 	if s.Results[i] != nil && s.made[i] == sh.run() {
-		return s.Datasets[i], s.Results[i], dev, nil
+		return &vpRun{sh: sh, ds: s.Datasets[i], res: s.Results[i]}, nil
 	}
 	vp := s.Net.VPs[i]
 	eng := s.Engine.Fork()
 	eng.SetObs(s.Obs)
 	var prober scamper.Prober = scamper.LocalProber{E: eng, VP: vp}
-	var sess *remoteSession
-	runs := "eval.vp_runs"
+	v := &vpRun{sh: sh}
 	if sh.link != nil {
-		if sess, err = s.dialAgent(eng, vp, sh); err != nil {
-			return nil, nil, dev, err
+		sess, err := s.dialAgent(eng, vp, sh)
+		if err != nil {
+			return nil, err
 		}
-		prober = sess.rp
-		runs = "eval.vp_runs_remote"
+		prober, v.sess = sess.rp, sess
 	}
 
-	vsp := sh.spans.Begin(sh.parent, "vp", vp.Name)
+	v.vsp = sh.spans.Begin(sh.parent, "vp", vp.Name)
 	if sh.mode != "" {
-		vsp.SetAttr("mode", sh.mode)
+		v.vsp.SetAttr("mode", sh.mode)
 	}
-	if sess != nil {
+	if v.sess != nil {
 		// One run is one attempt; the span fingerprints pin the attribute.
-		vsp.SetAttr("attempt", 0)
+		v.vsp.SetAttr("attempt", 0)
 	}
 	d := &scamper.Driver{
 		View:       s.View,
@@ -210,11 +238,33 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 		Obs:        s.Obs,
 		Trace:      sh.trace,
 		Spans:      sh.spans,
-		SpanParent: vsp.ID(),
+		SpanParent: v.vsp.ID(),
 	}
-	ds = d.Run()
-	if sess != nil {
-		dev, err = sess.finish(sh.spans, vsp.ID())
+	v.probed = d.Probe()
+	return v, nil
+}
+
+// resolve runs the VP's alias stage with its shard's book, then drops the
+// driver and with it the VP's engine fork, which a fleet would otherwise
+// hold until its last VP is inferred.
+func (v *vpRun) resolve() {
+	if v.res == nil {
+		v.ds = v.probed.Resolve(v.sh.book)
+		v.probed = nil
+	}
+}
+
+// finishShard infers on the VP's dataset on the shard's arena, ending a
+// remote session first.
+func (s *Scenario) finishShard(v *vpRun) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
+	if v.res != nil {
+		return v.ds, v.res, dev, nil
+	}
+	sh, ds := v.sh, v.ds
+	runs := "eval.vp_runs"
+	if v.sess != nil {
+		dev, err = v.sess.finish(sh.spans, v.vsp.ID())
+		runs = "eval.vp_runs_remote"
 	}
 	if err == nil && ds.Stats.TargetsLost > 0 {
 		err = fmt.Errorf("%d targets lost", ds.Stats.TargetsLost)
@@ -222,10 +272,10 @@ func (s *Scenario) runShard(i int, sh shard) (ds *scamper.Dataset, res *core.Res
 	res = core.Infer(core.Input{
 		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs,
-		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: vsp.ID(),
+		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: v.vsp.ID(),
 		Arena: sh.arena,
 	})
-	vsp.End()
+	v.vsp.End()
 	s.Obs.Inc(runs)
 	return ds, res, dev, err
 }
@@ -310,8 +360,10 @@ func (rs *remoteSession) finish(spans *obs.SpanLog, vsp obs.SpanID) (RemoteStats
 }
 
 // RunVP measures and infers from one vantage point, recording into the
-// scenario's shared logs. Its output is exactly what RunAll and RunFleet
-// produce for VP i under the same cfg.
+// scenario's shared logs. It asks every alias question itself, so for VP
+// i > 0 its alias stage takes longer than RunFleet's, which consults the
+// book of the VPs below i; its traces are the same, and so are its links
+// and owners unless that book held a true alias VP i's own probe lost.
 func (s *Scenario) RunVP(i int, cfg scamper.Config) *core.Result {
 	sh := shard{
 		cfg: cfg, arena: &s.arena,

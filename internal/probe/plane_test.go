@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bdrmap/internal/bgp"
+	"bdrmap/internal/eval"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
@@ -152,12 +153,12 @@ func BenchmarkColdPlane(b *testing.B) {
 }
 
 // TestPacketCountsPinned guards the paper's cost unit: one Driver.Run from
-// VP 0 is charged exactly these packets. Memoising walks must not move
-// them; a change to what the run measures moves them on purpose. The
-// large-access world is the benchmark's cold-map world (4 VPs). The
-// ablation without either doubletree stop set is pinned on r&e: it walks
-// every trace from TTL 1 to its end, as the driver did before either
-// stop set was built.
+// VP 0 is charged exactly these packets, and the benchmark's cold-map
+// world (large-access, 4 VPs) mapped by a fleet, whose VPs share one alias
+// book, exactly its row. Memoising walks must not move them; a change to
+// what the run measures moves them on purpose. The ablation without
+// either doubletree stop set is pinned on r&e: it walks every trace from
+// TTL 1 to its end, as the driver did before either stop set was built.
 func TestPacketCountsPinned(t *testing.T) {
 	largeAccess := topo.LargeAccessProfile()
 	largeAccess.NumVPs = 4
@@ -186,6 +187,15 @@ func TestPacketCountsPinned(t *testing.T) {
 		if got := probe.ReadLedger(reg); got != tc.want {
 			t.Errorf("%s %+v: ledger = %+v, want %+v", tc.prof.Name, tc.cfg, got, tc.want)
 		}
+	}
+
+	s := eval.Build(largeAccess, 1)
+	if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	want := probe.Ledger{Traceroutes: 17569, Probes: 4149, PacketsSent: 69078, ResponsesRcv: 67872}
+	if got := probe.ReadLedger(s.Obs); got != want {
+		t.Errorf("%s fleet: ledger = %+v, want %+v", largeAccess.Name, got, want)
 	}
 }
 

@@ -35,7 +35,7 @@ func BenchmarkAliasStage(b *testing.B) {
 		e.SetObs(reg)
 		d := &Driver{View: view, Prober: LocalProber{E: e, VP: vp}, HostASNs: host}
 		ds := &Dataset{Traces: traced.Traces}
-		d.resolveAliases(ds, cfg, nil, e.NewLane(vp, 0), true)
+		d.resolveAliases(ds, cfg, e.NewLane(vp, 0), true, nil)
 		snap := reg.Snapshot()
 		packets, probes = snap.Counter("probe.packets_sent"), snap.Counter("probe.probes")
 		reused = ds.Resolver.Reused()

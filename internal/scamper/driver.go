@@ -185,8 +185,27 @@ type Driver struct {
 	SpanParent obs.SpanID
 }
 
-// Run executes probing and alias resolution, returning the dataset.
+// Run executes probing and alias resolution, returning the dataset. Its
+// alias stage consults no book: it asks every question itself.
 func (d *Driver) Run() *Dataset {
+	return d.Probe().Resolve(nil)
+}
+
+// Probed is one vantage point between its probe and alias stages: a fleet
+// probes every VP before it resolves any VP's aliases.
+type Probed struct {
+	d        *Driver
+	ds       *Dataset
+	cfg      Config
+	clocked  bool
+	simEnd   time.Duration // the probe stage's end on the slowest timeline
+	probeSim time.Duration
+}
+
+// Probe runs the probe stage. Resolve runs the alias stage on what it
+// returns; with cross-round state, the state is held from one to the
+// other.
+func (d *Driver) Probe() *Probed {
 	// Worker w probes on timelines[w]. A prober that returns the same
 	// timeline twice has only one (a §5.8 session): its workers share it
 	// and stamp events with SimNS 0 — reading the remote clock per event
@@ -213,7 +232,6 @@ func (d *Driver) Run() *Dataset {
 			panic(fmt.Sprintf("scamper: Config.State needs a LocalProber, got %T", d.Prober))
 		}
 		st.Acquire(d.Prober.Name())
-		defer st.Release()
 		sigOf = lp.PathSignature
 	}
 
@@ -322,14 +340,26 @@ func (d *Driver) Run() *Dataset {
 	probeSp.SetAttr("traces", ds.Stats.Traces)
 	probeSp.AddSim(time.Duration(targetSimNS))
 	probeSp.End()
+	return &Probed{d: d, ds: ds, cfg: cfg, clocked: clocked, simEnd: simEnd, probeSim: probeSim}
+}
 
+// Resolve runs the alias stage and returns the dataset. A non-nil book
+// holds what the host network's other vantage points already settled; the
+// stage asks the wire only what neither its round replay nor the book
+// answers, and the book is left as it was (Book.Learn adds the stage's
+// evidence).
+func (p *Probed) Resolve(book *alias.Book) *Dataset {
+	d, ds, cfg := p.d, p.ds, p.cfg
+	if st := cfg.State; st != nil {
+		defer st.Release()
+	}
 	aliasSpan := d.Obs.StartStage("driver.alias")
 	aliasSp := d.Spans.Begin(d.SpanParent, "stage", "alias")
 	// The alias stage starts where the probe stage ended, on a timeline of
 	// its own.
-	aliasTL := d.Prober.Open(simEnd)
+	aliasTL := d.Prober.Open(p.simEnd)
 	aliasStart := aliasTL.Now()
-	d.resolveAliases(ds, cfg, st, aliasTL, clocked)
+	d.resolveAliases(ds, cfg, aliasTL, p.clocked, book)
 	aliasSim := aliasTL.Now() - aliasStart
 	if aliasSim < 0 {
 		// A lost remote session reads its clock as zero; don't let that
@@ -344,7 +374,7 @@ func (d *Driver) Run() *Dataset {
 
 	// SimDuration is the slowest worker plus the single-threaded alias
 	// stage.
-	ds.Stats.SimDuration = probeSim + aliasSim
+	ds.Stats.SimDuration = p.probeSim + aliasSim
 	return ds
 }
 
@@ -605,9 +635,14 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 // round may send a probe a from-scratch run would have skipped. A blind
 // test ends Unknown, which is never recorded, so replay still restores
 // every recorded verdict.
-func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Timeline, clocked bool) {
+//
+// An operation that does not replay asks the resolver, which consults the
+// book (the fleet's evidence from lower-index VPs) before the wire.
+func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bool, book *alias.Book) {
+	st := cfg.State
 	res := alias.NewResolver(tl, cfg.AliasCfg)
 	res.Trace = d.Trace
+	res.Book = book
 	if clocked {
 		// Alias events carry timestamps relative to the alias stage's own
 		// start. Only a private timeline has a clock it reads for free; a
@@ -617,10 +652,11 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 		res.Now = func() int64 { return int64(tl.Now() - start) }
 	}
 	ds.Resolver = res
-	// The dataset outlives the run — inference reads and records verdicts
-	// through ds.Resolver — and must not keep the timeline alive with it:
-	// for a local run that is the engine and its whole forwarding plane.
-	defer func() { res.Src, res.Now = nil, nil }()
+	// The dataset outlives the run — inference reads verdicts through
+	// ds.Resolver — and must not keep the timeline alive with it (for a
+	// local run that is the engine and its whole forwarding plane), nor
+	// the fleet's book.
+	defer func() { res.Src, res.Now, res.Book = nil, nil, nil }()
 
 	type edge struct{ prev, cur netx.Addr }
 	addrSet := make(map[netx.Addr]bool)
@@ -661,6 +697,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, st *RoundState, tl Time
 
 	defer func() {
 		d.Obs.Add("driver.alias.answers_reused", int64(res.Reused()))
+		d.Obs.Add("driver.alias.book_hits", int64(res.BookHits()))
 		sent := res.Sent()
 		d.Obs.Add("driver.alias.probes.sweep", int64(sent.Sweep))
 		d.Obs.Add("driver.alias.probes.mercator", int64(sent.Mercator))

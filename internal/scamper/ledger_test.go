@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bdrmap/internal/alias"
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
@@ -34,14 +35,59 @@ func runVP0(prof topo.Profile, seed int64, wrap func(LocalProber) Prober) (*Data
 	return ds, reg.Snapshot()
 }
 
+// runFleet measures (prof, seed) from every VP the way a fleet does, each
+// VP on a fork of one engine and all counting into one registry: every
+// probe stage, then the alias stages in VP order on one book.
+func runFleet(prof topo.Profile, seed int64) obs.Snapshot {
+	n := topo.Generate(prof, seed)
+	tab := bgp.NewTable(n)
+	reg := obs.New()
+	e := probe.New(n, tab)
+	view := bgp.Collect(tab, bgp.DefaultVantages(n))
+	probed := make([]*Probed, len(n.VPs))
+	for i, vp := range n.VPs {
+		f := e.Fork()
+		f.SetObs(reg)
+		d := &Driver{View: view, Prober: LocalProber{E: f, VP: vp}, HostASNs: map[topo.ASN]bool{n.HostASN: true}, Obs: reg}
+		probed[i] = d.Probe()
+	}
+	book := alias.NewBook()
+	for _, p := range probed {
+		book.Learn(p.Resolve(book).Resolver)
+	}
+	return reg.Snapshot()
+}
+
 // TestPacketLedgerSums: the driver's ledger accounts for every packet the
 // engine sent. The alias stage's probes by operation sum to probe.probes,
 // and the live traces' packets before and from their first external hop
-// sum to the rest of probe.packets_sent.
+// sum to the rest of probe.packets_sent. It holds from VP 0 of every
+// profile, and over a 4-VP fleet whose later VPs ask only what the alias
+// book left open.
 func TestPacketLedgerSums(t *testing.T) {
+	type world struct {
+		name  string
+		prof  topo.Profile
+		fleet bool
+	}
+	var worlds []world
 	for _, prof := range topo.BuiltinProfiles() {
-		t.Run(prof.Name, func(t *testing.T) {
-			_, s := runVP0(prof, 1, func(p LocalProber) Prober { return p })
+		worlds = append(worlds, world{prof.Name, prof, false})
+	}
+	coldMap := topo.LargeAccessProfile()
+	coldMap.NumVPs = 4
+	worlds = append(worlds, world{"large-access-4vp-fleet", coldMap, true})
+	for _, w := range worlds {
+		t.Run(w.name, func(t *testing.T) {
+			var s obs.Snapshot
+			if w.fleet {
+				s = runFleet(w.prof, 1)
+				if s.Counter("driver.alias.book_hits") == 0 {
+					t.Error("the fleet's book settled no operation")
+				}
+			} else {
+				_, s = runVP0(w.prof, 1, func(p LocalProber) Prober { return p })
+			}
 			probes, packets := s.Counter("probe.probes"), s.Counter("probe.packets_sent")
 			alias := s.Counter("driver.alias.probes.sweep") + s.Counter("driver.alias.probes.mercator") +
 				s.Counter("driver.alias.probes.pick") + s.Counter("driver.alias.probes.ally")

@@ -59,6 +59,7 @@ type Arena struct {
 type addrInfo struct {
 	origins []topo.ASN // the view's origin set; nil when unrouted
 	node    int32      // the router node holding the address, -1 before one does
+	listed  bool       // the address is in its node's addrs: seen as a hop, not only named canonical
 	routed  bool       // some announced prefix covers the address
 	host    bool       // one of the origins belongs to the hosting organization
 	ixp     bool       // inside a known IXP LAN prefix

@@ -24,10 +24,12 @@ func buildGraphOracle(in Input, ar *Arena) (*graph, []netx.Prefix) {
 		finalNodes: make(map[topo.ASN]finalInfo),
 	}
 	var addrNode []int32 // interned addr ID -> node id, -1 when absent
+	var listed []bool    // interned addr ID -> in its node's addrs
 	internID := func(a netx.Addr) int32 {
 		id := g.intern.ID(a)
 		for int(id) >= len(addrNode) {
 			addrNode = append(addrNode, -1)
+			listed = append(listed, false)
 		}
 		return id
 	}
@@ -76,18 +78,17 @@ func buildGraphOracle(in Input, ar *Arena) (*graph, []netx.Prefix) {
 		if canon != a {
 			cID = internID(canon)
 		}
-		if n := addrNode[cID]; n >= 0 {
-			if addrNode[aID] < 0 {
-				ar.nodes[n].addrs = append(ar.nodes[n].addrs, a)
-				addrNode[aID] = n
-			}
-			return aID, n
+		if listed[aID] {
+			return aID, addrNode[aID]
 		}
-		n := int32(len(ar.nodes))
-		ar.nodes = append(ar.nodes, node{minTTL: 1 << 30})
+		n := addrNode[cID]
+		if n < 0 {
+			n = int32(len(ar.nodes))
+			ar.nodes = append(ar.nodes, node{minTTL: 1 << 30})
+			addrNode[cID] = n
+		}
 		ar.nodes[n].addrs = append(ar.nodes[n].addrs, a)
-		addrNode[cID] = n
-		addrNode[aID] = n
+		addrNode[aID], listed[aID] = n, true
 		return aID, n
 	}
 	asKey := func(n int32, as topo.ASN) uint64 { return uint64(uint32(n))<<32 | uint64(as) }

@@ -179,25 +179,29 @@ func (g *graph) internID(a netx.Addr) int32 {
 // nodeOf interns a hop address and returns its ID and router node, creating
 // the node (alias-merged) the first time the address is seen. Nodes are
 // created in first-seen order, so creation indices reproduce the map-based
-// core's ids exactly.
+// core's ids exactly. An alias seen before its set's canonical address
+// gives the canonical address its node but does not list it there; the
+// canonical address joins the node's addresses when it is seen itself.
 func (g *graph) nodeOf(a netx.Addr) (id, n int32) {
 	id = g.internID(a)
-	if n = g.ar.addrs[id].node; n >= 0 {
-		return id, n
+	if info := g.ar.addrs[id]; info.listed {
+		return id, info.node
 	}
-	cID := id
-	if g.in.Data.Graph != nil {
-		if canon := g.in.Data.Graph.Canonical(a); canon != a {
-			cID = g.internID(canon)
+	if n = g.ar.addrs[id].node; n < 0 {
+		cID := id
+		if g.in.Data.Graph != nil {
+			if canon := g.in.Data.Graph.Canonical(a); canon != a {
+				cID = g.internID(canon)
+			}
+		}
+		if n = g.ar.addrs[cID].node; n < 0 {
+			n = int32(len(g.ar.nodes))
+			g.ar.nodes = append(g.ar.nodes, node{minTTL: 1 << 30})
+			g.ar.addrs[cID].node = n
 		}
 	}
-	if n = g.ar.addrs[cID].node; n < 0 {
-		n = int32(len(g.ar.nodes))
-		g.ar.nodes = append(g.ar.nodes, node{minTTL: 1 << 30})
-		g.ar.addrs[cID].node = n
-	}
 	g.ar.nodes[n].addrs = append(g.ar.nodes[n].addrs, a)
-	g.ar.addrs[id].node = n
+	g.ar.addrs[id].node, g.ar.addrs[id].listed = n, true
 	return id, n
 }
 

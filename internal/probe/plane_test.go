@@ -167,10 +167,10 @@ func TestPacketCountsPinned(t *testing.T) {
 		cfg  scamper.Config
 		want probe.Ledger
 	}{
-		{topo.TinyProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 161, Probes: 142, PacketsSent: 813, ResponsesRcv: 791}},
-		{topo.REProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 5846, ResponsesRcv: 5628}},
-		{topo.REProfile(), scamper.Config{DisableStopSet: true}, probe.Ledger{Traceroutes: 1025, Probes: 529, PacketsSent: 8239, ResponsesRcv: 8021}},
-		{largeAccess, scamper.Config{}, probe.Ledger{Traceroutes: 4200, Probes: 3026, PacketsSent: 18498, ResponsesRcv: 18195}},
+		{topo.TinyProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 161, Probes: 51, PacketsSent: 722, ResponsesRcv: 702}},
+		{topo.REProfile(), scamper.Config{}, probe.Ledger{Traceroutes: 1025, Probes: 262, PacketsSent: 5579, ResponsesRcv: 5392}},
+		{topo.REProfile(), scamper.Config{DisableStopSet: true}, probe.Ledger{Traceroutes: 1025, Probes: 262, PacketsSent: 7972, ResponsesRcv: 7785}},
+		{largeAccess, scamper.Config{}, probe.Ledger{Traceroutes: 4200, Probes: 952, PacketsSent: 16424, ResponsesRcv: 16126}},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		tab := bgp.NewTable(n)
@@ -193,7 +193,7 @@ func TestPacketCountsPinned(t *testing.T) {
 	if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	want := probe.Ledger{Traceroutes: 17569, Probes: 4149, PacketsSent: 69078, ResponsesRcv: 67872}
+	want := probe.Ledger{Traceroutes: 17569, Probes: 1118, PacketsSent: 66047, ResponsesRcv: 64861}
 	if got := probe.ReadLedger(s.Obs); got != want {
 		t.Errorf("%s fleet: ledger = %+v, want %+v", largeAccess.Name, got, want)
 	}

@@ -15,8 +15,8 @@ import (
 	"bdrmap/internal/topo"
 )
 
-// maxPairsPerAddr bounds Ally work per predecessor address: among the
-// addresses seen after one hop, at most this many candidate pairs are
+// maxPairsPerAddr bounds Ally work per successor address: among the
+// addresses seen before one hop, at most this many candidate pairs are
 // resolved.
 const maxPairsPerAddr = 6
 
@@ -616,7 +616,7 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 
 // resolveAliases runs the alias-resolution schedule over the observed
 // addresses (§5.3): a Mercator sweep over every address, then Mercator
-// and Ally on candidate pairs sharing a traceroute predecessor.
+// and Ally on candidate pairs sharing a traceroute successor.
 //
 // With cross-round state (st non-nil), operations whose every address is
 // clean — appeared only in fully-replayed targets — are replayed from the
@@ -660,7 +660,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 
 	type edge struct{ prev, cur netx.Addr }
 	addrSet := make(map[netx.Addr]bool)
-	succOf := make(map[netx.Addr][]netx.Addr) // predecessor addr → successors
+	predOf := make(map[netx.Addr][]netx.Addr) // successor addr → predecessors
 	seenEdge := make(map[edge]bool)
 	for _, tr := range ds.Traces {
 		var prev netx.Addr
@@ -676,7 +676,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 				e := edge{prev, h.Addr}
 				if !seenEdge[e] {
 					seenEdge[e] = true
-					succOf[prev] = append(succOf[prev], h.Addr)
+					predOf[h.Addr] = append(predOf[h.Addr], prev)
 				}
 			}
 			prev = h.Addr
@@ -770,25 +770,29 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 		}
 	}
 
-	// Ally on candidate pairs: addresses observed after a common
-	// predecessor may be interfaces of one router (load-balanced or
-	// parallel links).
+	// Ally on candidate pairs: addresses observed before a common
+	// successor may be interfaces of one router. The successor answers
+	// from its in-interface on one link, so what precedes it is the router
+	// at that link's far end, seen through in-interfaces on different
+	// links. Addresses observed after a common predecessor are its
+	// out-neighbours: distinct routers on load-balanced or parallel paths,
+	// nearly never aliases.
 	pairs := 0
-	for _, prev := range addrs {
+	for _, next := range addrs {
 		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
 			ds.Stats.AliasPairsRun = pairs
 			ds.Graph = alias.FromResolver(res)
 			return
 		}
-		succ := succOf[prev]
-		if len(succ) < 2 {
+		pred := predOf[next]
+		if len(pred) < 2 {
 			continue
 		}
 		limit := maxPairsPerAddr
-		for i := 0; i < len(succ) && limit > 0; i++ {
-			for j := i + 1; j < len(succ) && limit > 0; j++ {
-				a, b := succ[i], succ[j]
+		for i := 0; i < len(pred) && limit > 0; i++ {
+			for j := i + 1; j < len(pred) && limit > 0; j++ {
+				a, b := pred[i], pred[j]
 				// Resolve records only its own pair's final verdict, so
 				// re-Recording it reconstructs the exact resolver state.
 				op := aliasOp{kind: opResolve, a: min(a, b), b: max(a, b)}

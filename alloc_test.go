@@ -20,10 +20,9 @@ import (
 // per-claim string concat sneaking back in blows well past them.
 
 // vpInputs measures the first vps VPs of prof and returns each one's
-// inference input, all backed by one arena, with a provenance tracer
-// attached. With churn, the same VPs' inputs follow, measured again after
+// inference input, with a provenance tracer attached. With churn, the same VPs' inputs follow, measured again after
 // a customer is attached at a host border: the next round's world.
-func vpInputs(t *testing.T, prof topo.Profile, vps int, ar *core.Arena, churn bool) []core.Input {
+func vpInputs(t *testing.T, prof topo.Profile, vps int, churn bool) []core.Input {
 	prof.NumVPs = vps
 	n := topo.Generate(prof, 1)
 	var ins []core.Input
@@ -33,7 +32,7 @@ func vpInputs(t *testing.T, prof topo.Profile, vps int, ar *core.Arena, churn bo
 			s.RunVP(i, scamper.Config{Workers: 1})
 			ins = append(ins, core.Input{
 				Data: s.Datasets[i], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
-				HostASN: s.Net.HostASN, Siblings: s.Sibs, Arena: ar, Trace: obs.NewTracer(),
+				HostASN: s.Net.HostASN, Siblings: s.Sibs, Trace: obs.NewTracer(),
 			})
 		}
 	}
@@ -52,14 +51,15 @@ func vpInputs(t *testing.T, prof topo.Profile, vps int, ar *core.Arena, churn bo
 // steady-state inference (warm arena) — with the tracer on, as every
 // scenario runs: a decision's provenance is stated in typed fields that
 // stay on claim's stack, so it costs a share of a log chunk and nothing per
-// claim. On tiny one VP's dataset is inferred again and again; on
-// large-access the four VP datasets of a cold map are inferred in turn on
-// one arena, as a fleet worker runs them, so the per-address table and the
-// tally storage must live in the arena for the much larger graphs to cost
-// no more per claim. On r&e the arena is carried across worlds, as the
-// round loop carries a fleet worker's: the VP's dataset before and after a
-// customer is attached are inferred in turn, each on the slabs the other
-// world's graph left.
+// claim. Sequential inferences share the one arena core.Infer's free list
+// lends them, which a first pass over the inputs warms. On tiny one VP's
+// dataset is inferred again and again; on large-access the four VP
+// datasets of a cold map are inferred in turn, as a fleet worker runs
+// them, so the per-address table and the tally storage must live in the
+// arena for the much larger graphs to cost no more per claim. On r&e the
+// arena crosses worlds, as it does from round to round: the VP's dataset
+// before and after a customer is attached are inferred in turn, each on
+// the slabs the other world's graph left.
 func TestInferAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		prof  topo.Profile
@@ -67,8 +67,7 @@ func TestInferAllocBudget(t *testing.T) {
 		churn bool
 	}{{topo.TinyProfile(), 1, false}, {topo.LargeAccessProfile(), 4, false}, {topo.REProfile(), 1, true}} {
 		t.Run(tc.prof.Name, func(t *testing.T) {
-			var ar core.Arena
-			ins := vpInputs(t, tc.prof, tc.vps, &ar, tc.churn)
+			ins := vpInputs(t, tc.prof, tc.vps, tc.churn)
 			claims := 0
 			for _, in := range ins {
 				for _, rn := range core.Infer(in).Routers { // warms the arena

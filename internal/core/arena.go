@@ -2,20 +2,20 @@ package core
 
 import "bdrmap/internal/topo"
 
-// Arena owns every slab the inference graph is built from. One inference
-// populates the slabs; Reset truncates them in place so the next VP, and
-// the next round, reuses the backing arrays instead of handing the garbage
-// collector a fresh graph per run. Results never alias arena memory:
-// router address slices are heap-owned, so Infer resets the arena as it
-// returns, and an idle arena holds no pointer into the last inference's
-// world.
+// arena owns every slab the inference graph is built from. One inference
+// populates the slabs; reset truncates them in place so the next
+// inference, of any VP, world or round, reuses the backing arrays instead
+// of handing the garbage collector a fresh graph per run. Results never
+// alias arena memory: router address slices are heap-owned, so an arena is
+// reset as its inference returns, and an idle arena holds no pointer into
+// the last inference's world.
 //
-// An Arena serves one inference at a time, so whoever runs inferences owns
-// one per goroutine: each fleet worker infers on one of its eval.Carry's
-// arenas (or, without a carrier, on its own for that run), and a Scenario
-// has one for RunVP and RunVPRemote. Infer with a nil Input.Arena builds
-// on a fresh one for that call alone.
-type Arena struct {
+// An arena serves one inference at a time. Infer is their one owner: it
+// takes an idle arena from the package's free list (or makes one when
+// every arena is busy) and puts it back emptied, so the list holds as many
+// arenas as inferences ever ran at once, each sized by the largest graph
+// it has held.
+type arena struct {
 	// Node slab and derived orderings.
 	nodes []node
 	order []int32 // visit order: minTTL, then creation id
@@ -178,10 +178,10 @@ func findAS(s []asCount, as topo.ASN) int32 {
 	return 0
 }
 
-// Reset truncates every slab in place, keeping capacity. The rows that
+// reset truncates every slab in place, keeping capacity. The rows that
 // hold pointers are zeroed first, so the truncated tail pins neither the
 // last Result's address slices nor the last view's origin sets.
-func (a *Arena) Reset() {
+func (a *arena) reset() {
 	clear(a.nodes)
 	a.nodes = a.nodes[:0]
 	a.order = a.order[:0]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bdrmap/internal/scamper"
@@ -28,9 +29,9 @@ func worldInputs(n *topo.Network, vps int) []Input {
 	return ins
 }
 
-// TestArenaReuseAcrossWorlds: an arena carried from one world into the
-// next — the round loop's arena after the world churned, or one that last
-// held a larger graph — infers exactly what a fresh arena does. One arena
+// TestArenaReuseAcrossWorlds: an arena reused from one world into the
+// next — the free list's arena after the round's world churned, or one that
+// last held a larger graph — infers exactly what a fresh arena does. One arena
 // infers, in turn, every VP of regional-vp's baseline world, of that world
 // after a customer is attached, and of it after a neighbor is
 // de-provisioned, then two VPs of large-access and the one of tiny.
@@ -70,13 +71,12 @@ func TestArenaReuseAcrossWorlds(t *testing.T) {
 		world{"large-access", worldInputs(topo.Generate(large, 1), 2)},
 		world{"tiny", worldInputs(topo.Generate(topo.TinyProfile(), 1), 1)})
 
-	var ar Arena
+	var ar arena
 	for _, w := range worlds {
 		for vp, in := range w.ins {
-			want := Infer(in)
-			in.Arena = &ar
-			if got := Infer(in); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, VP %d: the carried arena's result differs from a fresh arena's (%d vs %d links)",
+			want := infer(in, &arena{})
+			if got := infer(in, &ar); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, VP %d: the reused arena's result differs from a fresh arena's (%d vs %d links)",
 					w.name, vp, len(got.Links), len(want.Links))
 			}
 		}
@@ -87,12 +87,11 @@ func TestArenaReuseAcrossWorlds(t *testing.T) {
 // into the last one's world — the node rows' address slices (the Result's
 // own), the per-address rows' origin sets (the view's) and the edge rows'
 // pair windows are all zero, up to each slab's capacity — so an idle
-// arena carried across rounds pins nothing of the round before.
+// arena on the free list pins nothing of the round before.
 func TestInferLeavesArenaEmpty(t *testing.T) {
 	in, _, _ := measure(topo.Generate(topo.TinyProfile(), 1), 0, scamper.Config{})
-	var ar Arena
-	in.Arena = &ar
-	if len(Infer(in).Routers) == 0 {
+	var ar arena
+	if len(infer(in, &ar).Routers) == 0 {
 		t.Fatal("no routers inferred")
 	}
 	if cap(ar.nodes) == 0 || cap(ar.addrs) == 0 || cap(ar.edges) == 0 {
@@ -118,7 +117,52 @@ func TestInferLeavesArenaEmpty(t *testing.T) {
 	}
 }
 
-// TestWorkspaceEpochWraps: a carried arena can run its dedup epoch through
+// TestInferSharesIdleArenas: Infer's free list lends each concurrent call
+// an arena of its own. k goroutines infer k datasets of two worlds at once,
+// three times over, so arenas pass between graphs of different sizes; every
+// result equals the one a sequential Infer gives, and afterwards the free
+// list holds at most k arenas, each of them empty.
+func TestInferSharesIdleArenas(t *testing.T) {
+	ins := append(worldInputs(topo.Generate(topo.RegionalVPProfile(), 1), 3),
+		worldInputs(topo.Generate(topo.TinyProfile(), 1), 1)...)
+	k := len(ins)
+	want := make([]*Result, k)
+	for i, in := range ins {
+		want[i] = Infer(in)
+	}
+	for round := range 3 {
+		got := make([]*Result, k)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, in := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = Infer(in)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range ins {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("round %d, dataset %d: a concurrent inference differs from the sequential one", round, i)
+			}
+		}
+	}
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.arenas) == 0 || len(idle.arenas) > k {
+		t.Errorf("the free list holds %d arenas after at most %d inferences at once", len(idle.arenas), k)
+	}
+	for i, ar := range idle.arenas {
+		if len(ar.nodes)+len(ar.addrs)+len(ar.edges)+len(ar.order) != 0 {
+			t.Errorf("idle arena %d is not empty: %d nodes, %d addrs, %d edges", i, len(ar.nodes), len(ar.addrs), len(ar.edges))
+		}
+	}
+}
+
+// TestWorkspaceEpochWraps: a reused arena can run its dedup epoch through
 // all 2^32 values. Across the wrap, a slot never written and a slot
 // written in an earlier epoch both read as unset, and marks in the new
 // epoch hold.

@@ -70,7 +70,7 @@ func TestSoleConeRootMatchesProviderScan(t *testing.T) {
 				}
 				in.Data = d.Run()
 			}
-			g := buildGraph(in, &Arena{})
+			g := buildGraph(in, &arena{})
 			for i := range g.nodes {
 				dests := g.nodes[i].dests
 				got, want := g.soleConeRoot(dests), providerScanConeRoot(in.Rel, dests)

@@ -14,7 +14,7 @@ import (
 // over the traces, a view lookup for every hop that asks, and per-node
 // tallies sorted out of packed (node<<32|AS) event streams. Besides the
 // graph it returns every prefix the positional host-space rule inserted.
-func buildGraphOracle(in Input, ar *Arena) (*graph, []netx.Prefix) {
+func buildGraphOracle(in Input, ar *arena) (*graph, []netx.Prefix) {
 	g := &graph{
 		in:         in,
 		vpASNs:     in.vpASNs(),

@@ -40,10 +40,6 @@ type Input struct {
 	// SpanParent is the span the infer span attaches under (typically the
 	// enclosing "vp" span; 0 makes it a root).
 	SpanParent obs.SpanID
-	// Arena supplies the slab storage the router graph is built from; the
-	// caller may reuse one across rounds and scenarios (resetting between
-	// inferences is Infer's job). Nil means a fresh arena for this call.
-	Arena *Arena
 }
 
 // Options disable individual heuristics for ablation studies (the paper's
@@ -129,7 +125,7 @@ type graph struct {
 	in     Input
 	vpASNs map[topo.ASN]bool
 	intern *netx.Intern
-	ar     *Arena
+	ar     *arena
 
 	nodes []node
 	order []int32
@@ -217,7 +213,7 @@ func (g *graph) origins(a netx.Addr) ([]topo.ASN, bool) {
 }
 
 // buildGraph constructs nodes from the dataset's traces and alias graph.
-func buildGraph(in Input, ar *Arena) *graph {
+func buildGraph(in Input, ar *arena) *graph {
 	g := &graph{
 		in:         in,
 		vpASNs:     in.vpASNs(),

@@ -60,8 +60,8 @@ func TestBuildGraphMatchesOracle(t *testing.T) {
 // graphMatchesOracle builds in's graph both ways and returns the first
 // difference, with the graph buildGraph built.
 func graphMatchesOracle(in Input) (*graph, error) {
-	got := buildGraph(in, &Arena{})
-	want, inserted := buildGraphOracle(in, &Arena{})
+	got := buildGraph(in, &arena{})
+	want, inserted := buildGraphOracle(in, &arena{})
 
 	if got.intern.Len() != want.intern.Len() {
 		return got, fmt.Errorf("intern table holds %d addresses, oracle %d", got.intern.Len(), want.intern.Len())

@@ -1,13 +1,44 @@
 package core
 
 import (
+	"sync"
+
 	"bdrmap/internal/alias"
 	"bdrmap/internal/obs"
 	"bdrmap/internal/topo"
 )
 
+// idle is the free list of arenas no inference is using. It is a plain
+// slice rather than a sync.Pool, which the garbage collector empties: an
+// idle arena is the warm slabs the next inference would otherwise rebuild.
+var idle struct {
+	sync.Mutex
+	arenas []*arena
+}
+
 // Infer runs the full bdrmap algorithm over one vantage point's dataset.
+// It is safe for concurrent use: each call infers on an arena of its own,
+// taken from the free list and returned to it emptied.
 func Infer(in Input) *Result {
+	var ar *arena
+	idle.Lock()
+	if n := len(idle.arenas); n > 0 {
+		ar = idle.arenas[n-1]
+		idle.arenas = idle.arenas[:n-1]
+	}
+	idle.Unlock()
+	if ar == nil {
+		ar = &arena{}
+	}
+	res := infer(in, ar)
+	idle.Lock()
+	idle.arenas = append(idle.arenas, ar)
+	idle.Unlock()
+	return res
+}
+
+// infer is Infer on the arena ar, which it leaves empty.
+func infer(in Input, ar *arena) *Result {
 	span := in.Obs.StartStage("core.infer")
 	defer span.End()
 	// The inference span spends no simulated measurement time (SimNS 0);
@@ -15,13 +46,9 @@ func Infer(in Input) *Result {
 	// attribution begins, with the result sizes as attributes.
 	sp := in.Spans.Begin(in.SpanParent, "stage", "infer")
 	defer sp.End()
-	ar := in.Arena
-	if ar == nil {
-		ar = &Arena{}
-	}
-	// Reset as Infer returns, not as it starts: an arena between
+	// Reset as infer returns, not as it starts: an arena between
 	// inferences is empty, pinning nothing of this call's world.
-	defer ar.Reset()
+	defer ar.reset()
 	g := buildGraph(in, ar)
 	g.passHost()
 	g.sweep()

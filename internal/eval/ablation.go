@@ -84,7 +84,7 @@ func AblationNoThirdParty(prof topo.Profile, seed int64) Ablation {
 	variantRes := core.Infer(core.Input{
 		Data: s.Datasets[0], View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs,
-		Opts: core.Options{NoThirdParty: true}, Arena: &s.arena,
+		Opts: core.Options{NoThirdParty: true},
 	})
 	vv := s.Validate(variantRes)
 	return Ablation{

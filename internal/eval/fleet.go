@@ -43,58 +43,23 @@ type FleetOptions struct {
 	// completion orders in tests). When set it must be a permutation of
 	// the VP indices.
 	Order []int
-	// Carry, when set, is what this run takes over from the previous one
-	// on the same VPs and leaves for the next (see Carry).
-	Carry *Carry
+	// States, when set, is each VP's measurement memory across runs
+	// (indexed like Net.VPs): the driver replays what the VP's last run
+	// measured of an unchanged path instead of probing it again, and
+	// leaves this run's traces and alias verdicts for the next. Inference
+	// always runs in full. Nil runs every VP from scratch; otherwise it
+	// must have one state per VP.
+	States []*scamper.RoundState
 	// Gate, when set, is called when a worker takes VP i, before it
 	// measures anything — a test hook for pinning completion schedules.
 	Gate func(vp int)
-}
-
-// Carry is what a fleet keeps from one run to the next over the same
-// vantage points: each VP's measurement memory, and one inference arena
-// per worker. The round loop makes one and hands it to every round, so
-// round r+1 replays what round r measured and infers on the slabs round r
-// warmed. Memory follows the worker count, not the VP count, beyond the
-// per-VP states. A Carry serves one RunFleet at a time.
-type Carry struct {
-	states []*scamper.RoundState // per VP (indexed like Net.VPs); nil unless incremental
-	arenas []*core.Arena         // one per worker, grown on first use
-}
-
-// NewCarry makes the carrier for a fleet of vps vantage points. With
-// incremental set, each VP carries a scamper.RoundState (each
-// destination's last trace, alias verdicts), so the driver replays
-// unchanged traces without spending probes; inference always runs in
-// full. Arenas are carried either way.
-func NewCarry(vps int, incremental bool) *Carry {
-	c := &Carry{}
-	if incremental {
-		c.states = make([]*scamper.RoundState, vps)
-		for i := range c.states {
-			c.states[i] = scamper.NewRoundState()
-		}
-	}
-	return c
-}
-
-// workerArenas returns one arena per worker: the carrier's, grown to
-// workers on first use, or without a carrier fresh ones for this run.
-func (c *Carry) workerArenas(workers int) []*core.Arena {
-	if c == nil {
-		c = &Carry{}
-	}
-	for len(c.arenas) < workers {
-		c.arenas = append(c.arenas, &core.Arena{})
-	}
-	return c.arenas
 }
 
 // RunFleet measures every VP across the worker pool and fills
 // Datasets/Results like RunAll, returning the per-VP results. A VP already
 // recorded from the same run is reported without re-measuring, and its
 // alias evidence still joins the book. Its error is only for an invalid
-// Order, and then nothing is run or recorded.
+// Order or States, and then nothing is run or recorded.
 func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result, error) {
 	n := len(s.Net.VPs)
 	order := fo.Order
@@ -115,11 +80,13 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 			seen[i] = true
 		}
 	}
+	if fo.States != nil && len(fo.States) != n {
+		return nil, fmt.Errorf("eval: fleet states has %d entries for %d VPs", len(fo.States), n)
+	}
 	if n == 0 {
 		return s.Results, nil
 	}
 	workers := min(max(fo.Workers, 1), n)
-	arenas := fo.Carry.workerArenas(workers)
 	s.Obs.Add("fleet.shards", int64(n))
 	fsp := s.Spans.Begin(s.SpanRoot.ID(), "fleet", fmt.Sprintf("%d shards", n))
 	fsp.SetAttr("~workers", workers)
@@ -176,15 +143,11 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 	}
 
 	var wg sync.WaitGroup
-	for w := range workers {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker w infers every VP it finishes on arena w, which Infer
-			// resets (not reallocates) each time.
-			arena := arenas[w]
 			finish := func(i int) {
-				runs[i].sh.arena = arena
 				// A local run cannot fail: the engine is simulated and
 				// lossless.
 				datasets[i], results[i], _, _ = s.finishShard(runs[i])
@@ -224,8 +187,8 @@ func (s *Scenario) RunFleet(cfg scamper.Config, fo FleetOptions) ([]*core.Result
 						spans[i] = obs.NewSpanLog(0)
 					}
 					sh := shard{cfg: cfg, trace: traces[i], spans: spans[i], mode: "fleet"}
-					if fo.Carry != nil && fo.Carry.states != nil {
-						sh.cfg.State = fo.Carry.states[i]
+					if fo.States != nil {
+						sh.cfg.State = fo.States[i]
 					}
 					if i > 0 {
 						sh.book = book

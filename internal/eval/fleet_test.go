@@ -76,29 +76,6 @@ func TestRunFleetAllWorkersSameMerge(t *testing.T) {
 	}
 }
 
-// TestRunFleetCarriesArenas: a Carry hands its arenas from run to run,
-// one per worker whatever the VP count, grown when a later run has more
-// workers and never past the VPs; the runs on carried arenas infer what
-// runs on fresh ones do. Without incremental it carries no VP state.
-func TestRunFleetCarriesArenas(t *testing.T) {
-	want := fleetResults(t, FleetOptions{Workers: 2})
-	c := NewCarry(len(want), false)
-	for _, tc := range []struct{ workers, arenas int }{{2, 2}, {1, 2}, {8, len(want)}} {
-		before := slices.Clone(c.arenas)
-		got := fleetResults(t, FleetOptions{Workers: tc.workers, Carry: c})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d on carried arenas: per-VP results diverged", tc.workers)
-		}
-		if len(c.arenas) != tc.arenas || !slices.Equal(c.arenas[:len(before)], before) {
-			t.Errorf("workers=%d: carrier holds %d arenas (kept the earlier ones: %v), want %d",
-				tc.workers, len(c.arenas), slices.Equal(c.arenas[:min(len(before), len(c.arenas))], before), tc.arenas)
-		}
-	}
-	if c.states != nil {
-		t.Errorf("a non-incremental carrier holds %d VP states", len(c.states))
-	}
-}
-
 // TestRunFleetAdversarialOrderSameMerge: a reversed enqueue order changes
 // neither the per-VP results nor the merged map.
 func TestRunFleetAdversarialOrderSameMerge(t *testing.T) {
@@ -113,7 +90,8 @@ func TestRunFleetAdversarialOrderSameMerge(t *testing.T) {
 }
 
 // TestRunFleetRejectsBadOrder: an Order that is not a permutation of the
-// VP indices is an error, and the fleet runs and records nothing.
+// VP indices is an error, and so are States that are not one per VP; the
+// fleet then runs and records nothing.
 func TestRunFleetRejectsBadOrder(t *testing.T) {
 	s := Build(topo.RegionalVPProfile(), 1)
 	if len(s.Net.VPs) != 3 {
@@ -128,6 +106,12 @@ func TestRunFleetRejectsBadOrder(t *testing.T) {
 	} {
 		if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: 2, Order: order}); err == nil {
 			t.Errorf("order %v accepted", order)
+		}
+	}
+	for _, vps := range []int{0, 2, 4} {
+		states := make([]*scamper.RoundState, vps)
+		if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: 2, States: states}); err == nil {
+			t.Errorf("%d states for 3 VPs accepted", vps)
 		}
 	}
 	for _, c := range []string{"fleet.shards", "fleet.started", "eval.vp_runs"} {

@@ -73,13 +73,6 @@ type Scenario struct {
 	// Build time: classify is called per neighbor per report row, and a
 	// linear NeighborsOf scan per call is quadratic on large profiles.
 	hostAdj map[topo.ASN]bool
-
-	// arena backs every inference the scenario runs outside the fleet
-	// (RunVP, RunVPRemote, the ablations' re-inference; fleet workers own
-	// one each): the router-graph slabs are reset — not reallocated —
-	// between VPs. Scenario methods are not concurrency-safe, so one arena
-	// per scenario is exactly one inference at a time.
-	arena core.Arena
 }
 
 // Build generates the topology and derives every bdrmap input.
@@ -139,8 +132,7 @@ func OpenRun(host topo.ASN, seed int64) (*obs.Registry, *obs.SpanLog, *obs.OpenS
 // record straight into the scenario's shared logs under SpanRoot; fleet
 // shards record into private fragments RunFleet merges back in VP order.
 type shard struct {
-	cfg   scamper.Config // cfg.State carries the VP's cross-round memory, if any
-	arena *core.Arena    // one per goroutine that infers
+	cfg scamper.Config // cfg.State carries the VP's cross-round memory, if any
 
 	trace  *obs.Tracer
 	spans  *obs.SpanLog
@@ -254,8 +246,7 @@ func (v *vpRun) resolve() {
 	}
 }
 
-// finishShard infers on the VP's dataset on the shard's arena, ending a
-// remote session first.
+// finishShard infers on the VP's dataset, ending a remote session first.
 func (s *Scenario) finishShard(v *vpRun) (ds *scamper.Dataset, res *core.Result, dev RemoteStats, err error) {
 	if v.res != nil {
 		return v.ds, v.res, dev, nil
@@ -273,7 +264,6 @@ func (s *Scenario) finishShard(v *vpRun) (ds *scamper.Dataset, res *core.Result,
 		Data: ds, View: s.View, Rel: s.Rel, RIR: s.RIR, IXP: s.IXP,
 		HostASN: s.Net.HostASN, Siblings: s.Sibs,
 		Obs: s.Obs, Trace: sh.trace, Spans: sh.spans, SpanParent: v.vsp.ID(),
-		Arena: sh.arena,
 	})
 	v.vsp.End()
 	s.Obs.Inc(runs)
@@ -365,10 +355,7 @@ func (rs *remoteSession) finish(spans *obs.SpanLog, vsp obs.SpanID) (RemoteStats
 // book of the VPs below i; its traces are the same, and so are its links
 // and owners unless that book held a true alias VP i's own probe lost.
 func (s *Scenario) RunVP(i int, cfg scamper.Config) *core.Result {
-	sh := shard{
-		cfg: cfg, arena: &s.arena,
-		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(),
-	}
+	sh := shard{cfg: cfg, trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID()}
 	// A local run cannot fail: the engine is simulated and lossless.
 	ds, res, _, _ := s.runShard(i, sh)
 	s.Datasets[i], s.Results[i], s.made[i] = ds, res, sh.run()
@@ -400,8 +387,7 @@ func (s *Scenario) RunVPRemote(i int, cfg scamper.Config, listen, faultSpec stri
 	}
 	defer link.Close()
 	sh := shard{
-		cfg: cfg, arena: &s.arena,
-		trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(), mode: "remote",
+		cfg: cfg, trace: s.Trace, spans: s.Spans, parent: s.SpanRoot.ID(), mode: "remote",
 		link: link, faults: spec,
 	}
 	ds, res, dev, err := s.runShard(i, sh)

@@ -12,11 +12,10 @@ import (
 
 // TestDifferentialRoundsSequentialVsFleet drives the rounds-golden churn
 // schedule (same mutations as RunRounds) through the one-worker sequential
-// coordinator and a four-worker fleet, each side handing one eval.Carry
-// from round to round as RunRounds does — per-VP incremental state and
-// one arena per worker, so every round after the first infers on arenas
-// the last round warmed — and requires every published generation to be
-// byte-identical:
+// coordinator and a four-worker fleet, each side handing one set of
+// per-VP incremental states from round to round as RunRounds does (and
+// every round after the first inferring on arenas core's free list kept
+// warm) — and requires every published generation to be byte-identical:
 // served links, owner attributions, and per-round trace fingerprints. The
 // multi-VP profile makes the schedule real — three shards genuinely
 // interleave on the fleet side.
@@ -29,7 +28,7 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 	run := func(workers int) (snaps []*Snapshot, fps []uint64) {
 		n := topo.Generate(prof, 1)
 		rng := rand.New(rand.NewSource(1 ^ 0x6d617064))
-		carry := eval.NewCarry(len(n.VPs), true)
+		states := roundStates(len(n.VPs))
 		for r := 0; r < rounds; r++ {
 			if r > 0 {
 				if _, err := mutateWorld(n, rng, r); err != nil {
@@ -39,7 +38,7 @@ func TestDifferentialRoundsSequentialVsFleet(t *testing.T) {
 			}
 			s := eval.BuildFromNetwork(n, 1)
 			if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{
-				Workers: workers, Carry: carry,
+				Workers: workers, States: states,
 			}); err != nil {
 				t.Fatal(err)
 			}

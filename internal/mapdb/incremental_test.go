@@ -190,16 +190,16 @@ func TestVerifyTwelveRounds(t *testing.T) {
 // snapshot.
 func TestIncrementalUnchangedWorldProbeReduction(t *testing.T) {
 	n := topo.Generate(topo.TinyProfile(), 1)
-	carry := eval.NewCarry(len(n.VPs), true)
+	states := roundStates(len(n.VPs))
 	scfg := scamper.Config{Workers: 2}
 
 	s1 := eval.BuildFromNetwork(n, 1)
-	if _, err := s1.RunFleet(scfg, eval.FleetOptions{Carry: carry}); err != nil {
+	if _, err := s1.RunFleet(scfg, eval.FleetOptions{States: states}); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := eval.BuildFromNetwork(n, 1)
-	if _, err := s2.RunFleet(scfg, eval.FleetOptions{Carry: carry}); err != nil {
+	if _, err := s2.RunFleet(scfg, eval.FleetOptions{States: states}); err != nil {
 		t.Fatal(err)
 	}
 

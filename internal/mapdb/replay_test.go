@@ -26,7 +26,7 @@ func TestNoLiveTraceRepeatsLastRound(t *testing.T) {
 			const seed, rounds = 1, 20
 			n := topo.Generate(prof, seed)
 			rng := rand.New(rand.NewSource(seed ^ 0x6d617064)) // RunRoundsFull's churn stream
-			carry := eval.NewCarry(len(n.VPs), true)
+			states := roundStates(len(n.VPs))
 			last := make([]map[netx.Addr]probe.TraceResult, len(n.VPs))
 			wasted, live := 0, 0
 			for r := range rounds {
@@ -37,7 +37,7 @@ func TestNoLiveTraceRepeatsLastRound(t *testing.T) {
 					n.Build()
 				}
 				s := eval.BuildFromNetwork(n, seed)
-				if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Carry: carry}); err != nil {
+				if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{States: states}); err != nil {
 					t.Fatal(err)
 				}
 				var events []obs.Event

@@ -109,10 +109,12 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		vrng = rand.New(rand.NewSource(cfg.Seed ^ 0x6d617064))
 	}
 
-	// What every round hands the next: one inference arena per fleet
-	// worker and, incrementally, one RoundState per VP (last traces, alias
-	// verdicts). Inference results are not carried.
-	carry := eval.NewCarry(len(n.VPs), cfg.Incremental)
+	// What every round hands the next, incrementally: one RoundState per
+	// VP (last traces, alias verdicts). Inference results are not carried.
+	var states []*scamper.RoundState
+	if cfg.Incremental {
+		states = roundStates(len(n.VPs))
+	}
 
 	var s *eval.Scenario
 	round := func(r int) (RoundEvent, error) {
@@ -154,7 +156,7 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 			s.Spans = cfg.Spans
 			s.SpanRoot = rsp
 		}
-		if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: cfg.FleetWorkers, Carry: carry}); err != nil {
+		if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: cfg.FleetWorkers, States: states}); err != nil {
 			return RoundEvent{}, err
 		}
 		csp := cfg.Spans.Begin(rsp.ID(), "stage", "compile")
@@ -185,6 +187,15 @@ func RunRoundsFull(cfg RoundsConfig, store *Store) ([]RoundEvent, *eval.Scenario
 		events = append(events, ev)
 	}
 	return events, s, nil
+}
+
+// roundStates makes an empty cross-round memory for each of vps VPs.
+func roundStates(vps int) []*scamper.RoundState {
+	states := make([]*scamper.RoundState, vps)
+	for i := range states {
+		states[i] = scamper.NewRoundState()
+	}
+	return states
 }
 
 // roundFingerprint folds the per-VP trace fingerprints (VP order) into one

@@ -1,0 +1,56 @@
+//go:build !race
+
+package bdrmap
+
+import (
+	"runtime"
+	"testing"
+
+	"bdrmap/internal/eval"
+	"bdrmap/internal/mapdb"
+	"bdrmap/internal/scamper"
+	"bdrmap/internal/topo"
+)
+
+// The race detector instruments allocation and changes what the runtime
+// counts, so the cold map's budget is measured without it (CI runs it in
+// its own step).
+
+// TestColdMapAllocBudget pins what one cold map costs the heap: the
+// benchmark's cold-map operation, eval.Build → RunFleet(Workers: 1) →
+// mapdb.Compile on large-access with four VPs. A first map warms the
+// arenas core.Infer keeps between inferences; of three maps after it the
+// cheapest counts, so a collection that empties a pool mid-map does not.
+// Built with Go 1.24 a map measures 27 470 KB and 136 545 objects. The
+// budget is 3 % over that, less than relationship inference copying the
+// view's paths (2.3 MB) or each VP deriving the probing plan (1 MB) would
+// add back.
+func TestColdMapAllocBudget(t *testing.T) {
+	const budgetBytes, budgetObjects = 28300 << 10, 140600
+	prof := topo.LargeAccessProfile()
+	prof.NumVPs = 4
+	coldMap := func() {
+		s := eval.Build(prof, 1)
+		if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		mapdb.Compile(s.Net.HostASN, s.Results)
+	}
+	coldMap()
+	bytes, objects := uint64(1<<63), uint64(1<<63)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		coldMap()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("one cold map: %d KB, %d objects (budget %d KB, %d objects)", bytes>>10, objects, budgetBytes>>10, budgetObjects)
+	if bytes > budgetBytes {
+		t.Errorf("a cold map allocates %d KB, budget %d KB", bytes>>10, budgetBytes>>10)
+	}
+	if objects > budgetObjects {
+		t.Errorf("a cold map allocates %d objects, budget %d", objects, budgetObjects)
+	}
+}

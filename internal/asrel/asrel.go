@@ -64,66 +64,56 @@ func (inf *Inference) InClique(a topo.ASN) bool { return inf.clique[a] }
 // Len returns the number of labeled AS links.
 func (inf *Inference) Len() int { return len(inf.rels) }
 
-// pathSet is the view's distinct paths on dense indexes: ASes numbered as
-// first seen, every observed adjacency one entry of a single edge table,
-// and each hop carrying the id of the edge to the next hop — worked out
-// once, so the passes of Infer index slices where they would probe maps
-// per hop.
+// pathSet is the view's distinct paths, read where the view holds them,
+// with every observed adjacency one entry of a single edge table and each
+// hop carrying the id of the edge to the next hop — worked out once, so
+// the passes of Infer index slices where they would probe maps per hop.
+// ASes are the view's dense indexes, which order as their ASNs do.
 type pathSet struct {
+	view   *bgp.View
 	asns   []topo.ASN       // dense index → ASN
-	edges  [][2]int32       // edge id → its ASes, lower ASN first
+	edges  [][2]int32       // edge id → its ASes, lower first
 	edgeID map[[2]int32]int // the inverse
 
-	hop  []int32 // every path's ASes, end to end
-	link []int32 // link[k] joins hop[k] to hop[k+1]: edge id<<1, |1 when hop[k] has the higher ASN; unset at a path's last hop
-	end  []int32 // path i is hop[end[i-1]:end[i]]
-	mult []int   // prefixes reporting path i
+	// link holds one entry per hop of every path of two or more ASes, in
+	// EachPath order: the edge joining the hop to the next, as edge
+	// id<<1, |1 when the hop is the edge's higher AS; unset at a path's
+	// last hop.
+	link []int32
 }
 
 func newPathSet(view *bgp.View) *pathSet {
-	paths, hops := 0, 0
-	view.EachPath(func(path []topo.ASN, _ int) {
+	hops := 0
+	view.EachPath(func(path []int32, _ int) {
 		if len(path) >= 2 {
-			paths, hops = paths+1, hops+len(path)
+			hops += len(path)
 		}
 	})
 	ps := &pathSet{
+		view:   view,
+		asns:   view.ASNs(),
 		edgeID: make(map[[2]int32]int),
-		hop:    make([]int32, 0, hops),
 		link:   make([]int32, 0, hops),
-		end:    make([]int32, 0, paths),
-		mult:   make([]int, 0, paths),
 	}
-	index := make(map[topo.ASN]int32)
 	// Paths towards one origin merge, so an AS is mostly followed by the AS
 	// that followed it last time: remember that link per AS.
 	type follower struct{ as, link int32 }
-	var last []follower
-	view.EachPath(func(path []topo.ASN, prefixes int) {
+	last := make([]follower, len(ps.asns))
+	for i := range last {
+		last[i].as = -1
+	}
+	view.EachPath(func(path []int32, _ int) {
 		if len(path) < 2 {
 			return // no adjacency, no triple, no vote
 		}
-		prev := int32(-1)
-		for k, asn := range path {
-			i, ok := index[asn]
-			if !ok {
-				i = int32(len(ps.asns))
-				index[asn] = i
-				ps.asns = append(ps.asns, asn)
-				last = append(last, follower{as: -1})
+		for k, a := range path[:len(path)-1] {
+			b := path[k+1]
+			if last[a].as != b {
+				last[a] = follower{as: b, link: ps.linkBetween(a, b)}
 			}
-			if k > 0 {
-				if last[prev].as != i {
-					last[prev] = follower{as: i, link: ps.linkBetween(prev, i)}
-				}
-				ps.link[len(ps.link)-1] = last[prev].link
-			}
-			ps.hop = append(ps.hop, i)
-			ps.link = append(ps.link, -1)
-			prev = i
+			ps.link = append(ps.link, last[a].link)
 		}
-		ps.end = append(ps.end, int32(len(ps.hop)))
-		ps.mult = append(ps.mult, prefixes)
+		ps.link = append(ps.link, -1)
 	})
 	return ps
 }
@@ -132,7 +122,7 @@ func newPathSet(view *bgp.View) *pathSet {
 // b, entering their edge in the table if it is new.
 func (ps *pathSet) linkBetween(a, b int32) int32 {
 	pair, flip := [2]int32{a, b}, int32(0)
-	if ps.asns[a] > ps.asns[b] {
+	if a > b {
 		pair, flip = [2]int32{b, a}, 1
 	}
 	e, ok := ps.edgeID[pair]
@@ -146,21 +136,25 @@ func (ps *pathSet) linkBetween(a, b int32) int32 {
 
 // adjacent reports whether ASes a and b (dense indexes) share an edge.
 func (ps *pathSet) adjacent(a, b int32) bool {
-	if ps.asns[a] > ps.asns[b] {
+	if a > b {
 		a, b = b, a
 	}
 	_, ok := ps.edgeID[[2]int32{a, b}]
 	return ok
 }
 
-// each calls fn with every path's ASes, its links (one per AS, the last
-// unset) and the number of prefixes reporting it.
+// each calls fn with every path of two or more ASes, its links (one per
+// AS, the last unset) and the number of prefixes reporting it.
 func (ps *pathSet) each(fn func(hop, link []int32, mult int)) {
-	lo := int32(0)
-	for i, hi := range ps.end {
-		fn(ps.hop[lo:hi], ps.link[lo:hi], ps.mult[i])
+	lo := 0
+	ps.view.EachPath(func(path []int32, mult int) {
+		if len(path) < 2 {
+			return
+		}
+		hi := lo + len(path)
+		fn(path, ps.link[lo:hi], mult)
 		lo = hi
-	}
+	})
 }
 
 // Infer runs relationship inference over the view's paths. Each distinct
@@ -201,7 +195,7 @@ func Infer(view *bgp.View) *Inference {
 		if tdeg[a] != tdeg[b] {
 			return tdeg[a] > tdeg[b]
 		}
-		return ps.asns[a] < ps.asns[b]
+		return a < b
 	})
 	candidates = candidates[:min(len(candidates), 16)]
 	// A well-connected access network can top the transit-degree ranking,
@@ -262,7 +256,7 @@ func Infer(view *bgp.View) *Inference {
 		})
 		worst, worstN := int32(-1), 0
 		for _, a := range clique {
-			if n := involvement[a]; n > worstN || (n == worstN && n > 0 && ps.asns[a] < ps.asns[worst]) {
+			if n := involvement[a]; n > worstN || (n == worstN && n > 0 && a < worst) {
 				worst, worstN = a, n
 			}
 		}

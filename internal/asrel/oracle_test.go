@@ -70,20 +70,27 @@ func TestInferMatchesPerPathOracle(t *testing.T) {
 // The map-based inference allocated less itself (tiny 21 KB, r&e 114 KB,
 // large-access 437 KB) but read the view expanded to one ASPath per
 // (prefix, vantage) — 57 KB, 476 KB and 6.3 MB more — which nothing on the
-// build path makes any more. The dense tables that replaced the maps are
-// sized by distinct paths and hops (3.8 MB on large-access) and measured
+// build path makes any more. The dense tables that replaced the maps read
+// the view's paths where they lie, on its AS indexes, and keep one edge id
+// per hop; they cost
 //
-//	tiny  47 185 B   175 objects
-//	r&e  406 811 B   528 objects
+//	tiny            25 473 B    153 objects
+//	r&e            188 744 B    494 objects
+//	large-access 1 518 068 B  1 263 objects  (4 VPs)
 //
-// The budgets are 1.5 × that.
+// where copying every hop, path end and prefix count onto indexes of its
+// own numbering cost 47 185 B, 406 811 B and 3 788 505 B. The budgets are
+// 1.5 × the figures above.
 func TestRelInferAllocBudget(t *testing.T) {
+	la4 := topo.LargeAccessProfile()
+	la4.NumVPs = 4
 	for _, tc := range []struct {
 		prof           topo.Profile
 		bytes, objects uint64
 	}{
-		{topo.TinyProfile(), 47185 * 3 / 2, 175 * 3 / 2},
-		{topo.REProfile(), 406811 * 3 / 2, 528 * 3 / 2},
+		{topo.TinyProfile(), 25473 * 3 / 2, 153 * 3 / 2},
+		{topo.REProfile(), 188744 * 3 / 2, 494 * 3 / 2},
+		{la4, 1518068 * 3 / 2, 1263 * 3 / 2},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))

@@ -73,8 +73,8 @@ func TestInferWeightSplitInvariant(t *testing.T) {
 			view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))
 			split := view.SplitUnitWeights()
 			whole, parts := 0, 0
-			view.EachPath(func(_ []topo.ASN, prefixes int) { whole += prefixes })
-			split.EachPath(func(_ []topo.ASN, prefixes int) {
+			view.EachPath(func(_ []int32, prefixes int) { whole += prefixes })
+			split.EachPath(func(_ []int32, prefixes int) {
 				if prefixes != 1 {
 					t.Fatalf("split view reports a path of weight %d", prefixes)
 				}

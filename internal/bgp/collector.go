@@ -20,12 +20,15 @@ type ASPath struct {
 // snapshots (§5.2). bdrmap consumes only this view, never ground truth.
 //
 // Prefixes announced alike report the same paths, so the view stores each
-// distinct path once, with the number of routed prefixes reporting it:
-// EachPath walks that form (relationship inference weighs a path by its
-// prefix count), Paths expands it to one entry per (prefix, vantage) for
-// whoever wants the collectors' own shape. A view is read-only once built.
+// distinct path once, with the number of routed prefixes reporting it, and
+// stores it as the table's dense AS indexes: EachPath walks that form
+// (relationship inference weighs a path by its prefix count and indexes
+// its tables by AS), Paths expands it to one entry per (prefix, vantage)
+// in ASNs for whoever wants the collectors' own shape. A view is
+// read-only once built.
 type View struct {
-	arena   []topo.ASN  // every distinct path, end to end
+	asns    []topo.ASN  // dense index → ASN: the table's numbering
+	arena   []int32     // every distinct path, end to end, as dense indexes
 	spans   []span      // one per path, grouped
 	groups  []pathGroup // sets of prefixes reporting the same paths
 	groupOf []int32     // parallel to routed: the prefix's group
@@ -92,11 +95,12 @@ func DefaultVantages(net *topo.Network) []topo.ASN {
 func Collect(t *Table, vantages []topo.ASN) *View {
 	t.computeAll()
 	v := &View{
+		asns:  t.asns,
 		links: make(map[[2]topo.ASN]bool),
 		nbrs:  make(map[topo.ASN][]topo.ASN),
 		// One group per atom, paths in one arena averaging under four ASes.
 		spans:   make([]span, 0, len(t.atoms)*len(vantages)),
-		arena:   make([]topo.ASN, 0, 4*len(t.atoms)*len(vantages)),
+		arena:   make([]int32, 0, 4*len(t.atoms)*len(vantages)),
 		groups:  make([]pathGroup, len(t.atoms)),
 		routed:  make([]netx.Prefix, 0, len(t.prefixes)),
 		groupOf: make([]int32, 0, len(t.prefixes)),
@@ -121,8 +125,7 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 				continue
 			}
 			v.spans = append(v.spans, span{int32(lo), int32(len(v.arena))})
-			path := v.arena[lo:]
-			if o := path[len(path)-1]; !containsASN(origins[a], o) {
+			if o := t.asns[v.arena[len(v.arena)-1]]; !containsASN(origins[a], o) {
 				origins[a] = append(origins[a], o)
 			}
 			// An atom's paths merge like a tree, so a walk adds links only
@@ -158,10 +161,11 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 }
 
 // EachPath calls fn once per distinct observed path — the announcing
-// vantage first, the origin last, no AS twice in a row — with the number of
-// routed prefixes reporting it. The path is the view's own storage: fn
-// must not modify or append to it.
-func (v *View) EachPath(fn func(path []topo.ASN, prefixes int)) {
+// vantage first, the origin last, no AS twice in a row — as dense AS
+// indexes (ASNs maps them back), with the number of routed prefixes
+// reporting it. The path is the view's own storage: fn must not modify or
+// append to it.
+func (v *View) EachPath(fn func(path []int32, prefixes int)) {
 	for _, g := range v.groups {
 		for _, s := range v.spans[g.lo:g.hi] {
 			fn(v.arena[s.lo:s.hi:s.hi], int(g.prefixes))
@@ -169,20 +173,29 @@ func (v *View) EachPath(fn func(path []topo.ASN, prefixes int)) {
 	}
 }
 
+// ASNs returns the numbering EachPath's paths are written in: index i is
+// AS asns[i]. It is the table's, sorted, so indexes order as their ASNs
+// do. The slice is shared and read-only.
+func (v *View) ASNs() []topo.ASN { return v.asns }
+
 // Paths expands the view to what the collectors report: one entry per
 // (routed prefix, reporting vantage), prefixes sorted, vantages in order.
-// The slice is built on each call; its Path slices are the view's own
-// storage, shared by the prefixes of a group and read-only.
+// The slice is built on each call, and its Path slices, shared by the
+// prefixes of a group, with it.
 func (v *View) Paths() []ASPath {
 	total := 0
 	for _, g := range v.groups {
 		total += int(g.prefixes) * int(g.hi-g.lo)
 	}
+	arena := make([]topo.ASN, len(v.arena))
+	for k, i := range v.arena {
+		arena[k] = v.asns[i]
+	}
 	out := make([]ASPath, 0, total)
 	for i, p := range v.routed {
 		g := v.groups[v.groupOf[i]]
 		for _, s := range v.spans[g.lo:g.hi] {
-			out = append(out, ASPath{Prefix: p, Path: v.arena[s.lo:s.hi:s.hi]})
+			out = append(out, ASPath{Prefix: p, Path: arena[s.lo:s.hi:s.hi]})
 		}
 	}
 	return out

@@ -403,6 +403,7 @@ func (t *oracleTable) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
 // by one prefix.
 func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 	v := &View{
+		asns:  t.asns,
 		links: make(map[[2]topo.ASN]bool),
 		nbrs:  make(map[topo.ASN][]topo.ASN),
 	}
@@ -418,7 +419,9 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 				continue
 			}
 			v.spans = append(v.spans, span{int32(len(v.arena)), int32(len(v.arena) + len(path))})
-			v.arena = append(v.arena, path...)
+			for _, asn := range path {
+				v.arena = append(v.arena, t.idx[asn])
+			}
 			origin := path[len(path)-1]
 			if cur, ok := v.origins.Exact(p); ok {
 				if !containsASN(cur, origin) {
@@ -508,9 +511,13 @@ func (t *Table) Path(from topo.ASN, p netx.Prefix) []topo.ASN {
 	if !ok {
 		return nil
 	}
-	path, ok := t.appendPath(nil, t.Routes(p), i)
+	idx, ok := t.appendPath(nil, t.Routes(p), i)
 	if !ok {
 		return nil
+	}
+	path := make([]topo.ASN, len(idx))
+	for k, x := range idx {
+		path[k] = t.asns[x]
 	}
 	return path
 }

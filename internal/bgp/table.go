@@ -836,21 +836,21 @@ func (r *PrefixRIB) At(i int32) (Class, int16, int32) {
 }
 
 // appendPath appends to dst the canonical AS path from AS i to r's origin,
-// i itself first. ok is false, and dst returned as it came, when i has no
-// route.
-func (t *Table) appendPath(dst []topo.ASN, r *PrefixRIB, i int32) (_ []topo.ASN, ok bool) {
+// i itself first, as dense indexes. ok is false, and dst returned as it
+// came, when i has no route.
+func (t *Table) appendPath(dst []int32, r *PrefixRIB, i int32) (_ []int32, ok bool) {
 	c, _, next := r.At(i)
 	if c == ClassNone {
 		return dst, false
 	}
 	base := len(dst)
-	dst = append(dst, t.asns[i])
+	dst = append(dst, i)
 	for c != ClassOrigin {
 		i = next
 		if i < 0 || len(dst)-base > len(t.asns) {
 			return dst[:base], false
 		}
-		dst = append(dst, t.asns[i])
+		dst = append(dst, i)
 		c, _, next = r.At(i)
 	}
 	return dst, true

@@ -11,6 +11,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"bdrmap/internal/alias"
@@ -73,6 +74,9 @@ type Scenario struct {
 	// Build time: classify is called per neighbor per report row, and a
 	// linear NeighborsOf scan per call is quadratic on large profiles.
 	hostAdj map[topo.ASN]bool
+	// plan is the probing plan every VP's driver reads, derived from the
+	// view on first use and once per scenario.
+	plan func() []scamper.Target
 }
 
 // Build generates the topology and derives every bdrmap input.
@@ -114,6 +118,7 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 		Results:  make([]*core.Result, len(n.VPs)),
 		made:     make([]run, len(n.VPs)),
 		hostAdj:  adj,
+		plan:     sync.OnceValue(func() []scamper.Target { return scamper.Targets(view, hosts) }),
 	}
 }
 
@@ -231,6 +236,7 @@ func (s *Scenario) startShard(i int, sh shard) (*vpRun, error) {
 		Trace:      sh.trace,
 		Spans:      sh.spans,
 		SpanParent: v.vsp.ID(),
+		Plan:       s.plan(),
 	}
 	v.probed = d.Probe()
 	return v, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"bdrmap/internal/netx"
@@ -146,3 +147,52 @@ func (t *Tracer) EagerEvents() []Event {
 
 // WriteEventsJSONL is WriteJSONL over an explicit slice.
 func WriteEventsJSONL(w io.Writer, events []Event) error { return writeJSONL(w, events) }
+
+// The map-based span merge, kept verbatim as the oracle the rank-based one
+// is held to: a fragment copied out with Records first, a seen set for the
+// batch's distinct IDs and a remap table from each to its new ID.
+
+// mergeOracle is Merge as it was.
+func (sl *SpanLog) mergeOracle(frag *SpanLog, parent SpanID) {
+	if sl == nil || frag == nil {
+		return
+	}
+	sl.mergeRecordsOracle(frag.Records(), parent)
+	dropped := frag.Dropped()
+	sl.mu.Lock()
+	sl.ring.dropped += dropped
+	sl.mu.Unlock()
+}
+
+// mergeRecordsOracle is MergeRecords as it was.
+func (sl *SpanLog) mergeRecordsOracle(recs []SpanRecord, parent SpanID) {
+	if sl == nil || len(recs) == 0 {
+		return
+	}
+	ids := make([]SpanID, 0, len(recs))
+	seen := make(map[SpanID]bool, len(recs))
+	for _, r := range recs {
+		if !seen[r.ID] {
+			seen[r.ID] = true
+			ids = append(ids, r.ID)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sl.mu.Lock()
+	remap := make(map[SpanID]SpanID, len(ids))
+	for _, id := range ids {
+		sl.nextID++
+		remap[id] = SpanID(sl.nextID)
+	}
+	sl.ring.grow(len(recs))
+	for _, r := range recs {
+		r.ID = remap[r.ID]
+		if np, ok := remap[r.Parent]; ok {
+			r.Parent = np
+		} else {
+			r.Parent = parent
+		}
+		sl.ring.push(r)
+	}
+	sl.mu.Unlock()
+}

@@ -274,55 +274,66 @@ func (sl *SpanLog) Dropped() uint64 {
 // carrying the fragment's drop count. The fleet keeps one fragment per shard
 // attempt and merges the winners in VP order after the pool drains, so the
 // merged IDs — like merged trace sequence numbers — are independent of which
-// shard finished first.
+// shard finished first. The fragment's ring is read where it lies, under
+// its lock; frag must not be sl.
 func (sl *SpanLog) Merge(frag *SpanLog, parent SpanID) {
 	if sl == nil || frag == nil {
 		return
 	}
-	sl.MergeRecords(frag.Records(), parent)
-	dropped := frag.Dropped()
-	sl.mu.Lock()
-	sl.ring.dropped += dropped
-	sl.mu.Unlock()
+	frag.mu.Lock()
+	defer frag.mu.Unlock()
+	r := &frag.ring
+	sl.merge(parent, r.dropped, r.buf[r.head:], r.buf[:r.head])
 }
 
-// MergeRecords folds externally produced records (a fragment's, a driver's
-// per-target spans, a remote agent's pulled session spans) into sl, growing
-// the ring once for the batch. Every distinct incoming ID is re-assigned
-// from sl's counter in ascending incoming-ID order — the original Begin
-// order — and parent references are rewritten; a record with no parent (or
-// a parent outside the batch) attaches under parent. Deterministic for a
+// MergeRecords folds externally produced records (a driver's per-target
+// spans, a remote agent's pulled session spans) into sl, growing the ring
+// once for the batch. Every distinct incoming ID is re-assigned from sl's
+// counter in ascending incoming-ID order — the original Begin order — and
+// parent references are rewritten; a record with no parent (or a parent
+// outside the batch) attaches under parent. Deterministic for a
 // deterministic input batch.
 func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 	if sl == nil || len(recs) == 0 {
 		return
 	}
-	ids := make([]SpanID, 0, len(recs))
-	seen := make(map[SpanID]bool, len(recs))
-	for _, r := range recs {
-		if !seen[r.ID] {
-			seen[r.ID] = true
+	sl.merge(parent, 0, recs)
+}
+
+// merge is MergeRecords over the batch parts spell end to end, adding
+// dropped to sl's drop count. An incoming ID's new ID is its rank among the
+// batch's distinct IDs, sorted, past sl's counter.
+func (sl *SpanLog) merge(parent SpanID, dropped uint64, parts ...[]SpanRecord) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	ids := make([]SpanID, 0, n)
+	for _, p := range parts {
+		for _, r := range p {
 			ids = append(ids, r.ID)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	sl.mu.Lock()
-	remap := make(map[SpanID]SpanID, len(ids))
-	for _, id := range ids {
-		sl.nextID++
-		remap[id] = SpanID(sl.nextID)
-	}
-	sl.ring.grow(len(recs))
-	for _, r := range recs {
-		r.ID = remap[r.ID]
-		if np, ok := remap[r.Parent]; ok {
-			r.Parent = np
-		} else {
-			r.Parent = parent
+	defer sl.mu.Unlock()
+	base := SpanID(sl.nextID) + 1
+	sl.nextID += uint64(len(ids))
+	sl.ring.grow(n)
+	for _, p := range parts {
+		for _, r := range p {
+			i, _ := slices.BinarySearch(ids, r.ID)
+			r.ID = base + SpanID(i)
+			if i, ok := slices.BinarySearch(ids, r.Parent); ok {
+				r.Parent = base + SpanID(i)
+			} else {
+				r.Parent = parent
+			}
+			sl.ring.push(r)
 		}
-		sl.ring.push(r)
 	}
-	sl.mu.Unlock()
+	sl.ring.dropped += dropped
 }
 
 // ---------------------------------------------------------------------------

@@ -183,6 +183,10 @@ type Driver struct {
 	// SpanParent is the span the driver's stage spans attach under
 	// (typically the enclosing "vp" span; 0 makes them roots).
 	SpanParent obs.SpanID
+	// Plan is the probing plan, Targets(View, HostASNs): every VP of a
+	// world probes the same one, so whoever runs several derives it once
+	// and hands it to each driver, which only reads it. Nil derives it.
+	Plan []Target
 }
 
 // Run executes probing and alias resolution, returning the dataset. Its
@@ -218,7 +222,10 @@ func (d *Driver) Probe() *Probed {
 	}
 	timelines = timelines[:cfg.Workers]
 	simStart := timelines[0].Now()
-	targets := Targets(d.View, d.HostASNs)
+	targets := d.Plan
+	if targets == nil {
+		targets = Targets(d.View, d.HostASNs)
+	}
 	ds := &Dataset{VPName: d.Prober.Name()}
 	d.Obs.Add("driver.targets", int64(len(targets)))
 
@@ -262,8 +269,9 @@ func (d *Driver) Probe() *Probed {
 			if d.Trace.Enabled() {
 				wlogs[w] = obs.NewTracer()
 			}
+			pw := newProbeWorker(targets, w, cfg.Workers)
 			for i := w; i < len(targets); i += cfg.Workers {
-				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], sigOf)
+				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], sigOf, pw)
 			}
 		}(w)
 	}
@@ -443,6 +451,57 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 	return recs
 }
 
+// probeWorker is one probe worker's memory, reused across its targets:
+// slabs each target's trace records (and, with cross-round state, their
+// path signatures) are a run of, and the stop set and per-prefix priors
+// every target starts empty.
+type probeWorker struct {
+	recs    slab[TraceRecord]
+	sigs    slab[uint64]
+	stopSet map[netx.Addr]bool
+	last    map[netx.Prefix][]probe.Hop
+}
+
+// newProbeWorker makes worker w of n's memory for targets w, w+n, …, its
+// slabs filled a chunk of one element per block at a time.
+func newProbeWorker(targets []Target, w, n int) *probeWorker {
+	blocks := 0
+	for i := w; i < len(targets); i += n {
+		blocks += len(targets[i].Blocks)
+	}
+	return &probeWorker{
+		recs:    slab[TraceRecord]{chunk: blocks},
+		sigs:    slab[uint64]{chunk: blocks},
+		stopSet: make(map[netx.Addr]bool),
+		last:    make(map[netx.Prefix][]probe.Hop),
+	}
+}
+
+// slab hands out runs of values appended one by one, each run contiguous,
+// from chunks it allocates as they fill: a chunk is never copied whole, and
+// only the open run moves to the next one.
+type slab[T any] struct {
+	buf   []T
+	lo    int // where the open run starts in buf
+	chunk int
+}
+
+func (s *slab[T]) add(v T) {
+	if len(s.buf) == cap(s.buf) {
+		run := s.buf[s.lo:]
+		s.buf = append(make([]T, 0, max(s.chunk, 2*len(run), 1)), run...)
+		s.lo = 0
+	}
+	s.buf = append(s.buf, v)
+}
+
+// cut closes the open run and returns it.
+func (s *slab[T]) cut() []T {
+	run := s.buf[s.lo:len(s.buf):len(s.buf)]
+	s.lo = len(s.buf)
+	return run
+}
+
 // probeTarget runs the per-target-AS schedule: probe each block's first
 // address; when the trace shows no external address (or only the probed
 // one), try further addresses, up to the configured maximum (§5.3).
@@ -457,7 +516,7 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 // where that trace left the host network (resumeFrom). The scope is the
 // routed prefix because the network spreads parallel links per prefix: a
 // trace toward another prefix may have crossed a different link.
-func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64) targetOut {
+func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64, pw *probeWorker) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
@@ -472,6 +531,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 
 	var out targetOut
 	finish := func() targetOut {
+		out.recs, out.sigs = pw.recs.cut(), pw.sigs.cut()
 		out.simNS = rel()
 		out.wallNS = int64(time.Since(wallStart))
 		out.cut = frag.Pos()
@@ -483,9 +543,10 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 		out.lost = true
 		return finish()
 	}
-	stopSet := make(map[netx.Addr]bool)
 	// last holds, per routed prefix, the prior a walk toward it resumes from.
-	last := make(map[netx.Prefix][]probe.Hop)
+	stopSet, last := pw.stopSet, pw.last
+	clear(stopSet)
+	clear(last)
 	var hopBuf [32]obs.Hop // path evidence, restated per trace
 	for _, b := range t.Blocks {
 		tried := 0
@@ -514,7 +575,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			cached := false
 			if sigOf != nil {
 				sig := sigOf(dst)
-				out.sigs = append(out.sigs, sig)
+				pw.sigs.add(sig)
 				if res, cached = cfg.State.replay(dst, sig, ss); cached {
 					out.cached++
 				}
@@ -541,7 +602,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 				out.far += far
 				out.spliced += int(res.Spliced)
 			}
-			out.recs = append(out.recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
+			pw.recs.add(TraceRecord{TraceResult: res, TargetAS: t.AS})
 			ev := [...]obs.Field{
 				obs.AS(obs.KeyTarget, t.AS),
 				obs.Int(obs.KeyHops, len(res.Hops)),

@@ -102,8 +102,8 @@ func buildGraphOracle(in Input, ar *arena) (*graph, []netx.Prefix) {
 			case probe.HopTimeExceeded:
 				id, n := getNode(h.Addr)
 				nd := &ar.nodes[n]
-				if h.TTL < nd.minTTL {
-					nd.minTTL = h.TTL
+				if ttl := int(h.TTL); ttl < nd.minTTL {
+					nd.minTTL = ttl
 				}
 				if first {
 					nd.isVP = true

@@ -273,8 +273,8 @@ func (g *graph) addTrace(tr *scamper.TraceRecord) {
 			var n int32
 			id, n = g.nodeOf(h.Addr)
 			nd := &g.ar.nodes[n]
-			if h.TTL < nd.minTTL {
-				nd.minTTL = h.TTL
+			if ttl := int(h.TTL); ttl < nd.minTTL {
+				nd.minTTL = ttl
 			}
 			if first {
 				nd.isVP = true

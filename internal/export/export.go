@@ -121,7 +121,7 @@ func (x *Writer) Trace(tr scamper.TraceRecord) {
 		Stopped:  tr.Stopped,
 	}
 	for _, h := range tr.Hops {
-		hj := HopJSON{TTL: h.TTL, Type: h.Type.String(), Addr: h.Addr, IPID: h.IPID}
+		hj := HopJSON{TTL: int(h.TTL), Type: h.Type.String(), Addr: h.Addr, IPID: h.IPID}
 		if h.RTT > 0 {
 			hj.RTTns = int64(h.RTT)
 		}

@@ -81,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for j, h := range a.Hops {
 			want := b.Hops[j]
-			if h.TTL != want.TTL || h.Type != want.Type.String() || h.Addr != want.Addr ||
+			if h.TTL != int(want.TTL) || h.Type != want.Type.String() || h.Addr != want.Addr ||
 				h.IPID != want.IPID || h.RTTns != int64(want.RTT) {
 				t.Fatalf("trace %d hop %d differs: %+v vs %+v", i, j, h, want)
 			}

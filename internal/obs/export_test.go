@@ -148,25 +148,63 @@ func (t *Tracer) EagerEvents() []Event {
 // WriteEventsJSONL is WriteJSONL over an explicit slice.
 func WriteEventsJSONL(w io.Writer, events []Event) error { return writeJSONL(w, events) }
 
-// The map-based span merge, kept verbatim as the oracle the rank-based one
-// is held to: a fragment copied out with Records first, a seen set for the
-// batch's distinct IDs and a remap table from each to its new ID.
-
-// mergeOracle is Merge as it was.
-func (sl *SpanLog) mergeOracle(frag *SpanLog, parent SpanID) {
-	if sl == nil || frag == nil {
-		return
-	}
-	sl.mergeRecordsOracle(frag.Records(), parent)
-	dropped := frag.Dropped()
-	sl.mu.Lock()
-	sl.ring.dropped += dropped
-	sl.mu.Unlock()
+// oracleLog is a span log as it was kept before its ring held segments,
+// the oracle the segmented ring and its merges are held to: one flat
+// buffer that wraps in place, merged into by the map-based remap over
+// copied-out records.
+type oracleLog struct {
+	nextID uint64
+	ring   flatRing[SpanRecord]
 }
 
-// mergeRecordsOracle is MergeRecords as it was.
-func (sl *SpanLog) mergeRecordsOracle(recs []SpanRecord, parent SpanID) {
-	if sl == nil || len(recs) == 0 {
+// flatRing is the ring as it was: once limit records are held, each push
+// overwrites the oldest and counts it dropped.
+type flatRing[T any] struct {
+	limit   int
+	dropped uint64
+	buf     []T // len(buf) <= limit
+	head    int // index of the oldest record when len(buf) == limit
+}
+
+func (r *flatRing[T]) push(v T) {
+	if len(r.buf) < r.limit {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % r.limit
+	r.dropped++
+}
+
+func (r *flatRing[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	return append(append(out, r.buf[r.head:]...), r.buf[:r.head]...)
+}
+
+func newOracleLog(limit int) *oracleLog {
+	if limit <= 0 {
+		limit = DefaultSpanCap
+	}
+	return &oracleLog{ring: flatRing[SpanRecord]{limit: limit}}
+}
+
+// end records a span begun now, as Begin and End in a row do.
+func (o *oracleLog) end(rec SpanRecord) {
+	o.nextID++
+	rec.ID = SpanID(o.nextID)
+	o.ring.push(rec)
+}
+
+// merge is Merge as it was: frag's records copied out and remapped, its
+// drop count carried.
+func (o *oracleLog) merge(frag *SpanLog, parent SpanID) {
+	o.mergeRecords(frag.Records(), parent)
+	o.ring.dropped += frag.Dropped()
+}
+
+// mergeRecords is MergeRecords as it was; recs is left as it was passed.
+func (o *oracleLog) mergeRecords(recs []SpanRecord, parent SpanID) {
+	if len(recs) == 0 {
 		return
 	}
 	ids := make([]SpanID, 0, len(recs))
@@ -178,13 +216,11 @@ func (sl *SpanLog) mergeRecordsOracle(recs []SpanRecord, parent SpanID) {
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	sl.mu.Lock()
 	remap := make(map[SpanID]SpanID, len(ids))
 	for _, id := range ids {
-		sl.nextID++
-		remap[id] = SpanID(sl.nextID)
+		o.nextID++
+		remap[id] = SpanID(o.nextID)
 	}
-	sl.ring.grow(len(recs))
 	for _, r := range recs {
 		r.ID = remap[r.ID]
 		if np, ok := remap[r.Parent]; ok {
@@ -192,7 +228,6 @@ func (sl *SpanLog) mergeRecordsOracle(recs []SpanRecord, parent SpanID) {
 		} else {
 			r.Parent = parent
 		}
-		sl.ring.push(r)
+		o.ring.push(r)
 	}
-	sl.mu.Unlock()
 }

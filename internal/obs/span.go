@@ -122,35 +122,93 @@ func (o *OpenSpan) End() {
 	o.sl.mu.Unlock()
 }
 
-// ring is the bounded flight-recorder store under SpanLog: once limit
-// records are held, each push overwrites the oldest and counts it
-// dropped. It is not synchronised; its owner's mutex guards it.
+// ring is the bounded flight-recorder store under SpanLog: it holds at
+// most limit records, oldest first, and once full each record added drops
+// the oldest and counts it. The records lie in segments that never move:
+// runs the ring grew for records pushed one at a time, and batches it
+// adopted whole, so a batch is written once, where its producer wrote it.
+// It is not synchronised; its owner's mutex guards it.
 type ring[T any] struct {
 	limit   int
 	dropped uint64
-	buf     []T // len(buf) <= limit
-	head    int // index of the oldest record when len(buf) == limit
+	n       int   // records held
+	segs    [][]T // the records from segs[0][head] on; only the last segment has room to grow
+	head    int   // records of segs[0] already dropped
+	spare   []T   // a segment drops emptied, reused for the next pushes
+	made    int   // the length of the last segment push made
 }
+
+// Pushed records go to segments the ring makes, the first minSeg long and
+// each next one twice the last, up to maxSeg and never past the limit.
+const (
+	minSeg = 16
+	maxSeg = 1024
+)
 
 func (r *ring[T]) push(v T) {
-	if len(r.buf) < r.limit {
-		r.buf = append(r.buf, v)
-		return
+	if k := len(r.segs) - 1; k >= 0 && len(r.segs[k]) < cap(r.segs[k]) {
+		r.segs[k] = append(r.segs[k], v)
+	} else {
+		seg := r.spare
+		if r.spare = nil; cap(seg) == 0 {
+			r.made = min(max(2*r.made, minSeg), maxSeg, r.limit)
+			seg = make([]T, 0, r.made)
+		}
+		r.segs = append(r.segs, append(seg, v))
 	}
-	r.buf[r.head] = v
-	r.head = (r.head + 1) % r.limit
-	r.dropped++
+	r.n++
+	r.drop()
 }
 
-// grow makes room for n more records in one allocation, never beyond limit.
-func (r *ring[T]) grow(n int) {
-	r.buf = slices.Grow(r.buf, min(n, r.limit-len(r.buf)))
+// adopt appends seg's records as a segment of their own. The ring owns
+// seg from then on and never appends to it.
+func (r *ring[T]) adopt(seg []T) {
+	if len(seg) == 0 {
+		return
+	}
+	r.segs = append(r.segs, seg[:len(seg):len(seg)])
+	r.n += len(seg)
+	r.drop()
+}
+
+// drop discards the oldest records past limit, counting them.
+func (r *ring[T]) drop() {
+	for r.n > r.limit {
+		seg := r.segs[0]
+		k := min(len(seg)-r.head, r.n-r.limit)
+		clear(seg[r.head : r.head+k]) // let the collector have what they point to
+		r.head += k
+		r.n -= k
+		r.dropped += uint64(k)
+		if r.head == len(seg) && len(r.segs) > 1 {
+			r.spare, r.head = seg[:0], 0
+			r.segs[0] = nil
+			r.segs = r.segs[1:]
+		}
+	}
+}
+
+// take returns the retained records' segments, oldest first, and empties
+// the ring; the caller owns them. The drop count is left as it was.
+func (r *ring[T]) take() [][]T {
+	segs := r.segs
+	if len(segs) > 0 {
+		segs[0] = segs[0][r.head:]
+	}
+	r.segs, r.head, r.n = nil, 0, 0
+	return segs
 }
 
 // items returns a copy of the retained records, oldest first.
 func (r *ring[T]) items() []T {
-	out := make([]T, 0, len(r.buf))
-	return append(append(out, r.buf[r.head:]...), r.buf[:r.head]...)
+	out := make([]T, 0, r.n)
+	for i, seg := range r.segs {
+		if i == 0 {
+			seg = seg[r.head:]
+		}
+		out = append(out, seg...)
+	}
+	return out
 }
 
 // DefaultSpanCap bounds a SpanLog's ring. A tiny-profile run records a few
@@ -246,7 +304,7 @@ func (sl *SpanLog) Len() int {
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return len(sl.ring.buf)
+	return sl.ring.n
 }
 
 // ActiveCount returns the number of in-flight spans.
@@ -270,29 +328,32 @@ func (sl *SpanLog) Dropped() uint64 {
 	return sl.ring.dropped
 }
 
-// Merge folds a fragment log's completed spans into sl under parent,
-// carrying the fragment's drop count. The fleet keeps one fragment per shard
-// attempt and merges the winners in VP order after the pool drains, so the
-// merged IDs — like merged trace sequence numbers — are independent of which
-// shard finished first. The fragment's ring is read where it lies, under
-// its lock; frag must not be sl.
+// Merge moves a fragment log's completed spans into sl under parent, with
+// the fragment's drop count, and leaves the fragment with neither. The
+// fleet keeps one fragment per shard attempt and merges the winners in VP
+// order after the pool drains, so the merged IDs — like merged trace
+// sequence numbers — are independent of which shard finished first. The
+// records keep the segments they lie in: their IDs are rewritten there and
+// sl adopts the segments. frag must not be sl.
 func (sl *SpanLog) Merge(frag *SpanLog, parent SpanID) {
 	if sl == nil || frag == nil {
 		return
 	}
 	frag.mu.Lock()
-	defer frag.mu.Unlock()
-	r := &frag.ring
-	sl.merge(parent, r.dropped, r.buf[r.head:], r.buf[:r.head])
+	segs, dropped := frag.ring.take(), frag.ring.dropped
+	frag.ring.dropped = 0
+	frag.mu.Unlock()
+	sl.merge(parent, dropped, segs...)
 }
 
 // MergeRecords folds externally produced records (a driver's per-target
-// spans, a remote agent's pulled session spans) into sl, growing the ring
-// once for the batch. Every distinct incoming ID is re-assigned from sl's
-// counter in ascending incoming-ID order — the original Begin order — and
-// parent references are rewritten; a record with no parent (or a parent
-// outside the batch) attaches under parent. Deterministic for a
-// deterministic input batch.
+// spans, a remote agent's pulled session spans) into sl. Every distinct
+// incoming ID is re-assigned from sl's counter in ascending incoming-ID
+// order — the original Begin order — and parent references are rewritten;
+// a record with no parent (or a parent outside the batch) attaches under
+// parent. Deterministic for a deterministic input batch. The records are
+// rewritten in place and sl keeps recs as they lie: the caller hands the
+// slice over and must not touch it again.
 func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 	if sl == nil || len(recs) == 0 {
 		return
@@ -302,7 +363,7 @@ func (sl *SpanLog) MergeRecords(recs []SpanRecord, parent SpanID) {
 
 // merge is MergeRecords over the batch parts spell end to end, adding
 // dropped to sl's drop count. An incoming ID's new ID is its rank among the
-// batch's distinct IDs, sorted, past sl's counter.
+// batch's sorted distinct IDs, past sl's counter.
 func (sl *SpanLog) merge(parent SpanID, dropped uint64, parts ...[]SpanRecord) {
 	n := 0
 	for _, p := range parts {
@@ -320,18 +381,18 @@ func (sl *SpanLog) merge(parent SpanID, dropped uint64, parts ...[]SpanRecord) {
 	defer sl.mu.Unlock()
 	base := SpanID(sl.nextID) + 1
 	sl.nextID += uint64(len(ids))
-	sl.ring.grow(n)
 	for _, p := range parts {
-		for _, r := range p {
-			i, _ := slices.BinarySearch(ids, r.ID)
-			r.ID = base + SpanID(i)
+		for j := range p {
+			r := &p[j]
 			if i, ok := slices.BinarySearch(ids, r.Parent); ok {
 				r.Parent = base + SpanID(i)
 			} else {
 				r.Parent = parent
 			}
-			sl.ring.push(r)
+			i, _ := slices.BinarySearch(ids, r.ID)
+			r.ID = base + SpanID(i)
 		}
+		sl.ring.adopt(p)
 	}
 	sl.ring.dropped += dropped
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSpanLogBeginEnd(t *testing.T) {
@@ -104,7 +105,8 @@ func TestSpanLogMergeRemap(t *testing.T) {
 }
 
 // TestSpanLogMergeWrappedFragment: a fragment whose ring wrapped is merged
-// oldest first with its drop count carried, exactly as an unwrapped one.
+// oldest first with its drop count carried, exactly as an unwrapped one,
+// and the merge moves its records and drops out of the fragment.
 func TestSpanLogMergeWrappedFragment(t *testing.T) {
 	frag := NewSpanLog(3)
 	for i := 0; i < 5; i++ {
@@ -122,8 +124,8 @@ func TestSpanLogMergeWrappedFragment(t *testing.T) {
 			t.Errorf("record %d = %+v, want detail %q id %d under %d", i, recs[i], want, 2+i, host.ID())
 		}
 	}
-	if frag.Len() != 3 {
-		t.Errorf("merge emptied the fragment: %d records left", frag.Len())
+	if frag.Len() != 0 || frag.Dropped() != 0 {
+		t.Errorf("merge left %d records and %d drops in the fragment", frag.Len(), frag.Dropped())
 	}
 }
 
@@ -246,7 +248,8 @@ func TestSpanFingerprintExclusions(t *testing.T) {
 }
 
 // TestSpanLogMergeBatchWrapsRing: a batch larger than the ring's remaining
-// room is presized to the limit, not past it, and what wraps is counted.
+// room is adopted where it lies, not copied into a ring grown for it, and
+// what wraps is counted.
 func TestSpanLogMergeBatchWrapsRing(t *testing.T) {
 	sl := NewSpanLog(4)
 	sl.Begin(0, "stage", "a").End()
@@ -256,10 +259,10 @@ func TestSpanLogMergeBatchWrapsRing(t *testing.T) {
 		batch[i] = SpanRecord{ID: SpanID(i + 1), Name: "target", Detail: string(rune('c' + i))}
 	}
 	sl.MergeRecords(batch, 1)
-	// Clamped to the limit (give or take the allocator's rounding), not
-	// grown to hold all seven records.
-	if got := cap(sl.ring.buf); got >= 2+len(batch) {
-		t.Errorf("ring grew to %d records, limit is 4", got)
+	// The batch is the ring's one segment: the two records before it were
+	// dropped, and the ring made no room for the batch.
+	if len(sl.ring.segs) != 1 || unsafe.SliceData(sl.ring.segs[0]) != &batch[0] {
+		t.Errorf("the ring holds %d segments, not the batch alone", len(sl.ring.segs))
 	}
 	recs := sl.Records()
 	if len(recs) != 4 || sl.Dropped() != 3 {

@@ -14,9 +14,9 @@
 package probe
 
 import (
-	"cmp"
+	"fmt"
+	"math"
 	"slices"
-	"strings"
 	"sync"
 
 	"bdrmap/internal/bgp"
@@ -126,43 +126,55 @@ func (e *Engine) Fork() *Engine {
 	return &Engine{Net: e.Net, Tab: e.Tab, fwd: e.fwd}
 }
 
-// orgOf names asn's organization; "" for an AS the network does not have.
-func (e *Engine) orgOf(asn topo.ASN) string {
-	if as := e.Net.ASes[asn]; as != nil {
-		return as.Org
-	}
-	return ""
-}
-
-// sameOrg reports whether two ASes belong to one organization.
-func (e *Engine) sameOrg(a, b topo.ASN) bool {
-	if a == b {
-		return true
-	}
-	org := e.orgOf(a)
-	return org != "" && org == e.orgOf(b)
-}
-
 // ---------------------------------------------------------------------------
 // Forwarding
 
-// pathStep is one router visited by a probe.
-type pathStep struct {
-	router *topo.Router
-	in     *topo.Iface // interface the probe arrived on (nil at the VP router)
-	out    *topo.Iface // interface toward the next step (nil at the last)
+// step is one router a walk visits, stored without a pointer: the router,
+// and the ordinals in its Ifaces of the interface the probe arrived on (noIface
+// at the VP router) and of the one it leaves by toward the next step (noIface
+// at the last).
+type step struct {
+	router  topo.RouterID
+	in, out uint16
 }
 
-// pathResult is the router-level path a probe would take.
-type pathResult struct {
-	steps   []pathStep
+// noIface is the ordinal of a step's missing interface.
+const noIface = math.MaxUint16
+
+// walk is the router-level path a probe would take, read where the plane
+// stores it: steps is shared and must not be modified.
+type walk struct {
+	steps   []step
 	reached bool // the probe can be delivered to its destination
 	// anchorReplies: the destination prefix's anchor answers echo requests
 	// on behalf of covered addresses.
 	anchorReplies bool
-	// exactIface is non-nil when the destination address is a real router
+	// exact is non-nil when the destination address is a real router
 	// interface (the responder for direct probes).
-	exactIface *topo.Iface
+	exact *topo.Iface
+}
+
+// at decodes s: its router and the interfaces the probe enters and leaves
+// it by, nil where there is none.
+func (e *Engine) at(s step) (r *topo.Router, in, out *topo.Iface) {
+	r = e.Net.Routers[s.router]
+	return r, ifaceAt(r, s.in), ifaceAt(r, s.out)
+}
+
+func ifaceAt(r *topo.Router, ord uint16) *topo.Iface {
+	if ord == noIface {
+		return nil
+	}
+	return r.Ifaces[ord]
+}
+
+// ordinal is ifc's index in r.Ifaces; ifc is one of them.
+func ordinal(r *topo.Router, ifc *topo.Iface) uint16 {
+	i := slices.Index(r.Ifaces, ifc)
+	if i < 0 || i >= noIface {
+		panic(fmt.Sprintf("probe: interface %v is not one of router %d's first %d", ifc.Addr, r.ID, noIface))
+	}
+	return uint16(i)
 }
 
 const (
@@ -181,14 +193,56 @@ const (
 // table). The tables hold nothing until their first miss — an incremental
 // round's plane lives for ≈2 100 packets — and the router index is built on
 // the first walk, not when the plane is made.
+//
+// A walk holds no pointer: its record is a table value and its steps one
+// run of the plane's step chunks, which only store writes, under stepsMu.
 type plane struct {
-	paths   table[pathKey, pathResult]
+	walks   table[pathKey, walkRec]
 	egress  table[egressKey, []topo.Attachment] // usable attachments, list order
-	bfs     table[topo.RouterID, bfsTree]
-	orgAtts table[topo.ASN, []topo.Attachment]
+	bfs     table[routerKey, bfsTree]
+	orgAtts table[asKey, []topo.Attachment]
+
+	stepsMu sync.Mutex
+	steps   chunks[step]
 
 	ixOnce sync.Once
 	ix     routerIndex
+}
+
+// walkRec is a stored walk: the ref of its first step, how many steps
+// there are, and the flags a walk carries.
+type walkRec struct {
+	steps                  uint32
+	n                      uint8
+	reached, anchorReplies bool
+}
+
+// maxStepChunk is the longest chunk of steps a plane grows (64 KB): its
+// first chunk, 256 steps, fits an incremental round's plane and a walk of
+// maxRouterHops+1 steps.
+const maxStepChunk = 8192
+
+// store keeps res under k unless a walk is stored there already, and
+// returns the stored one. Only the walk that is stored writes steps.
+func (p *plane) store(k pathKey, res *walk) *walkRec {
+	p.stepsMu.Lock()
+	defer p.stepsMu.Unlock()
+	if w := p.walks.get(k); w != nil {
+		return w
+	}
+	ref, steps := p.steps.reserve(len(res.steps), maxStepChunk)
+	copy(steps, res.steps)
+	return p.walks.put(k, walkRec{steps: ref, n: uint8(len(res.steps)), reached: res.reached, anchorReplies: res.anchorReplies})
+}
+
+// walk reads rec where it lies; exact is the interface its key names.
+func (p *plane) walk(rec *walkRec, exact *topo.Iface) walk {
+	return walk{
+		steps:         p.steps.run(rec.steps, int(rec.n)),
+		reached:       rec.reached,
+		anchorReplies: rec.anchorReplies,
+		exact:         exact,
+	}
 }
 
 // routerIndex numbers what a walk asks about routers densely, so that
@@ -199,9 +253,9 @@ type routerIndex struct {
 }
 
 type routerSlot struct {
-	org  int32 // equal for two routers exactly when their owners are one organisation
-	comp int32 // IGP component: the routers internal links join
-	pos  int32 // position within the component, indexing its BFS trees
+	org  topo.ASN // equal for two routers exactly when their owners are one organisation
+	comp int32    // IGP component: the routers internal links join
+	pos  int32    // position within the component, indexing its BFS trees
 }
 
 // index returns the plane's router index, building it on first use.
@@ -210,42 +264,14 @@ func (p *plane) index(net *topo.Network) *routerIndex {
 	return &p.ix
 }
 
-// build numbers net's organisations and IGP components. Organisations are
-// numbered by sorting the ASes by name, so no map is keyed by string; an
-// AS without an organisation name, or a router whose owner has no AS
-// record, is an organisation of its own, as sameOrg has it. Components are
-// found with one breadth-first pass over every router.
+// build names net's organisations and numbers its IGP components. An
+// organisation is named by the owner's topo.Network.OrgOf, its least ASN,
+// so no map is keyed by string. Components are found with one
+// breadth-first pass over every router.
 func (ix *routerIndex) build(net *topo.Network) {
 	ix.rtr = make([]routerSlot, len(net.Routers))
-	for i := range ix.rtr {
-		ix.rtr[i] = routerSlot{org: -1, comp: -1}
-	}
-	ases := make([]*topo.AS, 0, len(net.ASes))
-	for _, as := range net.ASes {
-		ases = append(ases, as)
-	}
-	slices.SortFunc(ases, func(a, b *topo.AS) int {
-		return cmp.Or(strings.Compare(a.Org, b.Org), cmp.Compare(a.ASN, b.ASN))
-	})
-	org := int32(-1)
-	for i, as := range ases {
-		if i == 0 || as.Org == "" || as.Org != ases[i-1].Org {
-			org++
-		}
-		for _, r := range as.Routers {
-			ix.rtr[r.ID].org = org
-		}
-	}
-	var strays []topo.ASN // owners with no AS record, numbered after the rest
 	for id, r := range net.Routers {
-		if ix.rtr[id].org < 0 {
-			k := slices.Index(strays, r.Owner)
-			if k < 0 {
-				k = len(strays)
-				strays = append(strays, r.Owner)
-			}
-			ix.rtr[id].org = org + 1 + int32(k)
-		}
+		ix.rtr[id] = routerSlot{org: net.OrgOf(r.Owner), comp: -1}
 	}
 
 	// queue holds every router once, component after component, in the
@@ -283,14 +309,24 @@ func (ix *routerIndex) sameOrg(a, b topo.RouterID) bool {
 // shares one walk, and so do the §5.3 retry rule's second to fifth.
 type pathKey struct {
 	start topo.RouterID
-	to    netx.Prefix // the interface address as a /32 when exact
+	to    netx.Addr // the interface address when exact, else the prefix's base
+	len   uint8     // 32 when exact, else the prefix's length
 	exact bool
 }
 
 func (k pathKey) hash() uint64 {
-	h := uint64(uint32(k.start))<<32 | uint64(k.to.Base)
-	return netx.Mix64(h ^ uint64(k.to.Len)<<56)
+	h := uint64(uint32(k.start))<<32 | uint64(k.to)
+	return netx.Mix64(h ^ uint64(k.len)<<56)
 }
+
+// routerKey and asKey key the plane's per-router and per-AS tables.
+type (
+	routerKey topo.RouterID
+	asKey     topo.ASN
+)
+
+func (k routerKey) hash() uint64 { return netx.Mix64(uint64(uint32(k))) }
+func (k asKey) hash() uint64     { return netx.Mix64(uint64(k)) }
 
 // egressKey names an egress set by announcement atom, not prefix: the set
 // is read off the atom's RIB, origins and pinned links, which is all an
@@ -302,39 +338,38 @@ type egressKey struct {
 
 func (k egressKey) hash() uint64 { return netx.Mix64(uint64(k.owner)<<32 | uint64(uint32(k.atom))) }
 
-// noPath is the walk toward an address nothing routes and no interface
-// holds.
-var noPath pathResult
-
 // computePath returns the router-level forwarding path from startRouter
-// toward dst. The result is shared and must not be modified.
-func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) *pathResult {
-	key := pathKey{start: startRouter, to: netx.Prefix{Base: dst, Len: 32}, exact: true}
-	if e.Net.IfaceByAddr(dst) == nil {
-		prefix, routed := e.Tab.Lookup(dst)
-		if !routed {
-			return &noPath
+// toward dst: the walk toward an address nothing routes and no interface
+// holds is empty. Its steps are shared and must not be modified.
+func (e *Engine) computePath(startRouter topo.RouterID, dst netx.Addr) walk {
+	target := e.Net.IfaceByAddr(dst)
+	key := pathKey{start: startRouter, to: dst, len: 32, exact: true}
+	var prefix netx.Prefix
+	routed := false
+	if target == nil {
+		if prefix, routed = e.Tab.Lookup(dst); !routed {
+			return walk{}
 		}
-		key = pathKey{start: startRouter, to: prefix}
+		key = pathKey{start: startRouter, to: prefix.Base, len: uint8(prefix.Len)}
 	}
-	h := key.hash()
-	if p := e.fwd.paths.get(key, h); p != nil {
-		return p
+	if w := e.fwd.walks.get(key); w != nil {
+		return e.fwd.walk(w, target)
 	}
-	var res pathResult
-	var buf [16]pathStep // most walks fit: the exact-size copy is the only allocation besides the entry
-	res.steps = append([]pathStep(nil), e.walkPath(&res, startRouter, dst, buf[:0])...)
-	return e.fwd.paths.put(key, h, res)
+	if target != nil {
+		prefix, routed = e.Tab.Lookup(dst)
+	}
+	var res walk
+	var buf [maxRouterHops + 1]step // a walk takes at most one step per hop past the first
+	res.steps = e.walkPath(&res, startRouter, target, prefix, routed, buf[:0])
+	return e.fwd.walk(e.fwd.store(key, &res), target)
 }
 
-// walkPath walks the forwarding path from startRouter toward dst. It
-// returns the steps, appended to steps, and fills res's other fields.
+// walkPath walks the forwarding path from startRouter toward target, the
+// interface dst names, or — when target is nil — toward dst's routed prefix.
+// It returns the steps, appended to steps, and fills res's other fields.
 // Firewalled edges truncate the path (§4 challenge 3).
-func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.Addr, steps []pathStep) []pathStep {
-	target := e.Net.IfaceByAddr(dst)
-	res.exactIface = target
-
-	prefix, routed := e.Tab.Lookup(dst)
+func (e *Engine) walkPath(res *walk, startRouter topo.RouterID, target *topo.Iface, prefix netx.Prefix, routed bool, steps []step) []step {
+	res.exact = target
 	var rib *bgp.PrefixRIB
 	var anchor topo.PrefixAnchor
 	var anchorOK bool
@@ -352,18 +387,22 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 		return steps
 	}
 	ix := e.fwd.index(e.Net)
-	steps = append(steps, pathStep{router: cur})
+	steps = append(steps, step{router: cur.ID, in: noIface, out: noIface})
 	visitedAS := 0
+	// cross leaves r by out and arrives at next by in.
+	cross := func(r *topo.Router, out *topo.Iface, next *topo.Router, in *topo.Iface) {
+		steps[len(steps)-1].out = ordinal(r, out)
+		steps = append(steps, step{router: next.ID, in: ordinal(next, in), out: noIface})
+	}
 
 	for hops := 0; hops < maxRouterHops; hops++ {
-		last := &steps[len(steps)-1]
-		r := last.router
+		r := e.Net.Routers[steps[len(steps)-1].router]
 
 		// Firewalled edge: a probe that would continue past this router
 		// deeper into its network is discarded. Delivery TO the router
 		// itself is allowed.
 		if r.Behavior.FirewallEdge && len(steps) > 1 {
-			prev := steps[len(steps)-2].router
+			prev := e.Net.Routers[steps[len(steps)-2].router]
 			enteredFromOutside := prev.Owner != r.Owner
 			if enteredFromOutside && !(target != nil && target.Router == r.ID) {
 				return steps // truncated
@@ -384,8 +423,7 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 		// links (e.g. probing the far side of an interdomain link)?
 		if target != nil {
 			if out, far := e.linkHopTo(r, target); out != nil {
-				last.out = out
-				steps = append(steps, pathStep{router: far, in: target})
+				cross(r, out, far, target)
 				continue
 			}
 		}
@@ -442,18 +480,16 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 				if out == nil || in == nil {
 					return steps
 				}
-				last.out = out
-				steps = append(steps, pathStep{router: e.Net.Router(att.RemoteRtr), in: in})
+				cross(r, out, e.Net.Router(att.RemoteRtr), in)
 				continue
 			}
 			waypoint = att.LocalRtr // head for the chosen border first
 		}
-		out, next, ok := e.stepToward(r, waypoint, prefix)
+		out, next, in, ok := e.stepToward(r, waypoint, prefix)
 		if !ok {
 			return steps
 		}
-		last.out = out
-		steps = append(steps, next)
+		cross(r, out, next, in)
 	}
 	return steps
 }
@@ -462,7 +498,7 @@ func (e *Engine) walkPath(res *pathResult, startRouter topo.RouterID, dst netx.A
 // the anchor in this org terminates the path.
 func (e *Engine) originatesHere(owner topo.ASN, prefix netx.Prefix) bool {
 	for _, j := range e.Tab.OriginIndexes(prefix) {
-		if e.sameOrg(e.Tab.ASOf(j), owner) {
+		if e.Net.SameOrg(e.Tab.ASOf(j), owner) {
 			return true
 		}
 	}
@@ -482,21 +518,21 @@ func (e *Engine) linkHopTo(r *topo.Router, target *topo.Iface) (out *topo.Iface,
 }
 
 // stepToward takes one internal hop from r toward waypoint: r's outgoing
-// interface and the step it leads to. ok is false when no internal path
-// exists.
-func (e *Engine) stepToward(r *topo.Router, waypoint topo.RouterID, prefix netx.Prefix) (out *topo.Iface, next pathStep, ok bool) {
+// interface, the router it leads to and that router's incoming interface.
+// ok is false when no internal path exists.
+func (e *Engine) stepToward(r *topo.Router, waypoint topo.RouterID, prefix netx.Prefix) (out *topo.Iface, next *topo.Router, in *topo.Iface, ok bool) {
 	nh, ok := e.bfsFrom(waypoint).nextHopFrom(r.ID)
 	if !ok {
-		return nil, pathStep{}, false
+		return nil, nil, nil, false
 	}
 	// Pick the connecting link; parallel links are spread per-prefix so
 	// equal-cost paths expose different ingress interfaces (fig. 13 and
 	// the analytical alias scenario of §5.4.7).
 	l := e.parallelLink(r.ID, nh, prefixHash(prefix))
 	if l == nil {
-		return nil, pathStep{}, false
+		return nil, nil, nil, false
 	}
-	return l.IfaceOn(r.ID), pathStep{router: e.Net.Router(nh), in: l.IfaceOn(nh)}, true
+	return l.IfaceOn(r.ID), e.Net.Router(nh), l.IfaceOn(nh), true
 }
 
 // prefixHash spreads destination prefixes across equal-cost choices.
@@ -575,11 +611,10 @@ func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.Prefi
 // not mutate it.
 func (e *Engine) egressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
 	key := egressKey{owner, rib.Atom}
-	h := key.hash()
-	if set := e.fwd.egress.get(key, h); set != nil {
+	if set := e.fwd.egress.get(key); set != nil {
 		return *set
 	}
-	return *e.fwd.egress.put(key, h, e.buildEgressSet(owner, prefix, rib))
+	return *e.fwd.egress.put(key, e.buildEgressSet(owner, prefix, rib))
 }
 
 func (e *Engine) buildEgressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.PrefixRIB) []topo.Attachment {
@@ -611,15 +646,14 @@ func (e *Engine) buildEgressSet(owner topo.ASN, prefix netx.Prefix, rib *bgp.Pre
 // member of owner's organization, cached per owner. The slice is shared:
 // callers must not mutate it.
 func (e *Engine) orgAttachments(owner topo.ASN) []topo.Attachment {
-	h := netx.Mix64(uint64(owner))
-	if atts := e.fwd.orgAtts.get(owner, h); atts != nil {
+	if atts := e.fwd.orgAtts.get(asKey(owner)); atts != nil {
 		return *atts
 	}
 	var atts []topo.Attachment
 	for _, member := range e.Net.Siblings(owner) {
 		atts = append(atts, e.Net.Attachments(member)...)
 	}
-	return *e.fwd.orgAtts.put(owner, h, atts)
+	return *e.fwd.orgAtts.put(asKey(owner), atts)
 }
 
 // candidateNextHops returns the equal-best next-hop set for the host
@@ -630,7 +664,7 @@ func (e *Engine) orgAttachments(owner topo.ASN) []topo.Attachment {
 // org's candidate set (shared slice, do not mutate); otherwise single is
 // the canonical next hop, 0 when the prefix is unreachable from owner.
 func (e *Engine) candidateNextHops(owner topo.ASN, rib *bgp.PrefixRIB) (single topo.ASN, multi []topo.ASN) {
-	if e.sameOrg(owner, e.Net.HostASN) {
+	if e.Net.SameOrg(owner, e.Net.HostASN) {
 		return 0, rib.HostCandidates
 	}
 	cur := owner
@@ -644,7 +678,7 @@ func (e *Engine) candidateNextHops(owner topo.ASN, rib *bgp.PrefixRIB) (single t
 			return 0, nil
 		}
 		next := e.Tab.ASOf(nh)
-		if !e.sameOrg(next, owner) {
+		if !e.Net.SameOrg(next, owner) {
 			return next, nil
 		}
 		cur = next
@@ -685,8 +719,7 @@ func (t *bfsTree) nextHopFrom(r topo.RouterID) (topo.RouterID, bool) {
 
 // bfsFrom returns (cached) the BFS tree rooted at root over internal links.
 func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
-	h := netx.Mix64(uint64(uint32(root)))
-	if t := e.fwd.bfs.get(root, h); t != nil {
+	if t := e.fwd.bfs.get(routerKey(root)); t != nil {
 		return t
 	}
 	ix := e.fwd.index(e.Net)
@@ -709,7 +742,7 @@ func (e *Engine) bfsFrom(root topo.RouterID) *bfsTree {
 			}
 		}
 	}
-	return e.fwd.bfs.put(root, h, t)
+	return e.fwd.bfs.put(routerKey(root), t)
 }
 
 // igpDist returns the internal hop distance between two routers.

@@ -91,8 +91,8 @@ func (t *table[K, V]) keys() []K {
 	var out []K
 	if sp := t.slots.Load(); sp != nil {
 		for i := range *sp {
-			if e := (*sp)[i].Load(); e != nil {
-				out = append(out, e.key)
+			if ref := (*sp)[i].Load(); ref != 0 {
+				out = append(out, t.ents.at(ref-1).key)
 			}
 		}
 	}
@@ -123,8 +123,8 @@ func (e *Engine) bfsFromOracle(root topo.RouterID) (next map[topo.RouterID]topo.
 	return next, dist
 }
 
-// CheckOrgIndex holds the router index's organisation numbers to sameOrg
-// on the owners: every router against one router of each owner.
+// CheckOrgIndex holds the router index's organisation numbers to
+// topo.Network.SameOrg on the owners: every router against one router of each owner.
 func (e *Engine) CheckOrgIndex() error {
 	ix := e.fwd.index(e.Net)
 	reps := make(map[topo.ASN]topo.RouterID)
@@ -135,8 +135,8 @@ func (e *Engine) CheckOrgIndex() error {
 	}
 	for _, a := range e.Net.Routers {
 		for owner, b := range reps {
-			if got, want := ix.sameOrg(a.ID, b), e.sameOrg(a.Owner, owner); got != want {
-				return fmt.Errorf("routers %d (AS%d) and %d (AS%d): same organisation by index %t, by name %t", a.ID, a.Owner, b, owner, got, want)
+			if got, want := ix.sameOrg(a.ID, b), e.Net.SameOrg(a.Owner, owner); got != want {
+				return fmt.Errorf("routers %d (AS%d) and %d (AS%d): same organisation by index %t, by SameOrg %t", a.ID, a.Owner, b, owner, got, want)
 			}
 		}
 	}
@@ -149,7 +149,8 @@ func (e *Engine) CheckOrgIndex() error {
 // checked.
 func (e *Engine) CheckBFS() (int, error) {
 	roots := e.fwd.bfs.keys()
-	for _, root := range roots {
+	for _, key := range roots {
+		root := topo.RouterID(key)
 		next, dist := e.bfsFromOracle(root)
 		t := e.bfsFrom(root)
 		for _, r := range e.Net.Routers {
@@ -168,20 +169,168 @@ func (e *Engine) CheckBFS() (int, error) {
 	return len(roots), nil
 }
 
+// pathStep and pathResult are a walk as the plane stored it before its
+// steps lost their pointers: the oracle walk's output, and how tests read
+// a stored walk's routers and interfaces.
+type pathStep struct {
+	router *topo.Router
+	in     *topo.Iface // interface the probe arrived on (nil at the VP router)
+	out    *topo.Iface // interface toward the next step (nil at the last)
+}
+
+type pathResult struct {
+	steps         []pathStep
+	reached       bool
+	anchorReplies bool
+	exactIface    *topo.Iface
+}
+
+// decode expands a stored walk into pointer steps.
+func (e *Engine) decode(p walk) pathResult {
+	res := pathResult{reached: p.reached, anchorReplies: p.anchorReplies, exactIface: p.exact}
+	for _, s := range p.steps {
+		r, in, out := e.at(s)
+		res.steps = append(res.steps, pathStep{router: r, in: in, out: out})
+	}
+	return res
+}
+
+// pathSteps is the stored walk from start toward dst, decoded.
+func (e *Engine) pathSteps(start topo.RouterID, dst netx.Addr) []pathStep {
+	return e.decode(e.computePath(start, dst)).steps
+}
+
 func samePath(a, b *pathResult) bool {
 	return slices.Equal(a.steps, b.steps) && a.reached == b.reached &&
 		a.anchorReplies == b.anchorReplies && a.exactIface == b.exactIface
 }
 
-// CheckWalk compares the memoised walk from start toward dst, on its miss
-// and again on its hit, against a fresh uncached walk, and chooseEgress
-// against the oracle at every router the walk visits.
+// walkPathOracle is walkPath as it was before walks were stored without
+// pointers, kept as the differential reference: it looks dst up itself and
+// builds the walk as pointer steps.
+func (e *Engine) walkPathOracle(res *pathResult, startRouter topo.RouterID, dst netx.Addr, steps []pathStep) []pathStep {
+	target := e.Net.IfaceByAddr(dst)
+	res.exactIface = target
+
+	prefix, routed := e.Tab.Lookup(dst)
+	var rib *bgp.PrefixRIB
+	var anchor topo.PrefixAnchor
+	var anchorOK bool
+	if routed {
+		rib = e.Tab.Routes(prefix)
+		anchor, anchorOK = e.Net.Anchor(prefix)
+		res.anchorReplies = anchorOK && anchor.Replies
+	}
+	if !routed && target == nil {
+		return steps // nothing to head toward
+	}
+
+	cur := e.Net.Router(startRouter)
+	if cur == nil {
+		return steps
+	}
+	ix := e.fwd.index(e.Net)
+	steps = append(steps, pathStep{router: cur})
+	visitedAS := 0
+
+	for hops := 0; hops < maxRouterHops; hops++ {
+		last := &steps[len(steps)-1]
+		r := last.router
+
+		if r.Behavior.FirewallEdge && len(steps) > 1 {
+			prev := steps[len(steps)-2].router
+			enteredFromOutside := prev.Owner != r.Owner
+			if enteredFromOutside && !(target != nil && target.Router == r.ID) {
+				return steps // truncated
+			}
+		}
+
+		if target != nil && target.Router == r.ID {
+			res.reached = true
+			return steps
+		}
+		if target == nil && routed && anchorOK && anchor.Router == r.ID {
+			res.reached = true
+			return steps
+		}
+
+		if target != nil {
+			if out, far := e.linkHopTo(r, target); out != nil {
+				last.out = out
+				steps = append(steps, pathStep{router: far, in: target})
+				continue
+			}
+		}
+
+		var waypoint topo.RouterID = -1
+		anchorWaypoint := false
+		if target != nil {
+			if ix.sameOrg(target.Router, r.ID) {
+				waypoint = target.Router
+			} else if target.Link != nil {
+				for _, lif := range target.Link.Ifaces {
+					if lif != target && ix.sameOrg(lif.Router, r.ID) {
+						waypoint = lif.Router
+						break
+					}
+				}
+			}
+		}
+		if waypoint < 0 && routed && anchorOK &&
+			ix.sameOrg(anchor.Router, r.ID) &&
+			e.originatesHere(r.Owner, prefix) {
+			waypoint = anchor.Router
+			anchorWaypoint = true
+		}
+
+		if waypoint == r.ID {
+			res.reached = anchorWaypoint && target == nil
+			return steps
+		}
+
+		if waypoint < 0 {
+			if !routed || rib == nil {
+				return steps
+			}
+			if visitedAS++; visitedAS > maxASHops {
+				return steps
+			}
+			att, ok := e.chooseEgress(r, prefix, rib)
+			if !ok {
+				return steps
+			}
+			if att.LocalRtr == r.ID {
+				out := att.Link.IfaceOn(r.ID)
+				in := att.Link.IfaceOn(att.RemoteRtr)
+				if out == nil || in == nil {
+					return steps
+				}
+				last.out = out
+				steps = append(steps, pathStep{router: e.Net.Router(att.RemoteRtr), in: in})
+				continue
+			}
+			waypoint = att.LocalRtr
+		}
+		out, next, in, ok := e.stepToward(r, waypoint, prefix)
+		if !ok {
+			return steps
+		}
+		last.out = out
+		steps = append(steps, pathStep{router: next, in: in})
+	}
+	return steps
+}
+
+// CheckWalk compares the stored walk from start toward dst, decoded on its
+// miss and again on its hit, against the oracle's pointer walk — steps,
+// reached, anchorReplies and the exact interface — and chooseEgress
+// against the two-pass scan at every router the walk visits.
 func (e *Engine) CheckWalk(start topo.RouterID, dst netx.Addr) error {
-	var fresh pathResult
-	fresh.steps = e.walkPath(&fresh, start, dst, nil)
+	var want pathResult
+	want.steps = e.walkPathOracle(&want, start, dst, nil)
 	for _, pass := range []string{"miss", "hit"} {
-		if got := e.computePath(start, dst); !samePath(got, &fresh) {
-			return fmt.Errorf("router %d → %v: memoised walk (%s) %+v differs from a fresh walk %+v", start, dst, pass, *got, fresh)
+		if got := e.decode(e.computePath(start, dst)); !samePath(&got, &want) {
+			return fmt.Errorf("router %d → %v: stored walk (%s) %+v differs from the pointer walk %+v", start, dst, pass, got, want)
 		}
 	}
 	prefix, routed := e.Tab.Lookup(dst)
@@ -189,7 +338,7 @@ func (e *Engine) CheckWalk(start topo.RouterID, dst netx.Addr) error {
 		return nil
 	}
 	rib := e.Tab.Routes(prefix)
-	for _, st := range fresh.steps {
+	for _, st := range want.steps {
 		got, gotOK := e.chooseEgress(st.router, prefix, rib)
 		want, wantOK := e.chooseEgressOracle(st.router, prefix, rib)
 		if got != want || gotOK != wantOK {
@@ -260,7 +409,14 @@ func (e *Engine) CheckEgressSets(prefixes []netx.Prefix) (held, asked int, err e
 func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
 	var oneWay time.Duration
 	for i := 0; i+1 < len(steps); i++ {
-		oneWay += e.hopDelay(steps, i, now)
+		out, in := steps[i].out, steps[i+1].in
+		var l *topo.Link
+		if out != nil {
+			l = out.Link
+		} else if in != nil {
+			l = in.Link
+		}
+		oneWay += e.linkBase(l, out, in) + e.queueDelay(l, now)
 	}
 	return 2 * (oneWay + responderCost)
 }
@@ -271,7 +427,7 @@ func (e *Engine) pathRTT(steps []pathStep, now time.Duration) time.Duration {
 func (e *Engine) probeOracle(vp *topo.VP, target netx.Addr, m Method, lane *Lane) Response {
 	e.eobs.probes.Inc()
 	e.eobs.packets.Inc()
-	path := e.computePath(vp.Router, target)
+	path := e.decode(e.computePath(vp.Router, target))
 	if !path.reached || path.exactIface == nil {
 		return Response{}
 	}

@@ -173,7 +173,8 @@ func (l *Lane) allow(r *topo.Router) bool {
 type target struct {
 	start topo.RouterID
 	addr  netx.Addr
-	path  *pathResult  // nil in an empty slot
+	full  bool // false in an empty slot
+	path  walk
 	r     *topo.Router // the router holding addr; nil when direct probes cannot reach it
 	base  time.Duration
 }
@@ -182,16 +183,16 @@ type target struct {
 // neither of the lane's last two.
 func (l *Lane) target(start topo.RouterID, addr netx.Addr) *target {
 	for i := range l.targets {
-		if t := &l.targets[i]; t.path != nil && t.addr == addr && t.start == start {
+		if t := &l.targets[i]; t.full && t.addr == addr && t.start == start {
 			l.older = 1 - i
 			return t
 		}
 	}
 	t := &l.targets[l.older]
 	l.older = 1 - l.older
-	*t = target{start: start, addr: addr, path: l.e.computePath(start, addr)}
-	if t.path.reached && t.path.exactIface != nil {
-		t.r = l.e.Net.Router(t.path.exactIface.Router)
+	*t = target{start: start, addr: addr, full: true, path: l.e.computePath(start, addr)}
+	if t.path.reached && t.path.exact != nil {
+		t.r = l.e.Net.Router(t.path.exact.Router)
 		t.base = l.e.baseDelay(t.path.steps)
 	}
 	return t

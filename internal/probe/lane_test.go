@@ -136,7 +136,7 @@ func TestLaneTargetMatchesPerPacketWalk(t *testing.T) {
 			}
 			run(0, 4000)
 			for _, addr := range pool {
-				for _, st := range base.computePath(vps[0].Router, addr).steps {
+				for _, st := range base.pathSteps(vps[0].Router, addr) {
 					if st.out != nil && st.out.Link != nil {
 						ep := CongestionEpisode{Link: st.out.Link, Start: time.Hour, End: time.Hour + time.Minute, Queue: 3 * time.Millisecond}
 						fast.InjectCongestion(ep)

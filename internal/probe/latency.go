@@ -107,9 +107,11 @@ func (e *Engine) queueDelay(l *topo.Link, now time.Duration) time.Duration {
 const responderCost = 200 * time.Microsecond
 
 // hopLink returns the link a probe crosses from steps[i] to steps[i+1] and
-// the interfaces it leaves and enters by.
-func hopLink(steps []pathStep, i int) (l *topo.Link, out, in *topo.Iface) {
-	out, in = steps[i].out, steps[i+1].in
+// the interfaces it leaves and enters by, decoding only those two.
+func (e *Engine) hopLink(steps []step, i int) (l *topo.Link, out, in *topo.Iface) {
+	from, to := steps[i], steps[i+1]
+	out = ifaceAt(e.Net.Routers[from.router], from.out)
+	in = ifaceAt(e.Net.Routers[to.router], to.in)
 	if out != nil {
 		l = out.Link
 	} else if in != nil {
@@ -120,30 +122,30 @@ func hopLink(steps []pathStep, i int) (l *topo.Link, out, in *topo.Iface) {
 
 // hopDelay returns the one-way delay from steps[i] to steps[i+1] at
 // simulated time now.
-func (e *Engine) hopDelay(steps []pathStep, i int, now time.Duration) time.Duration {
-	l, out, in := hopLink(steps, i)
+func (e *Engine) hopDelay(steps []step, i int, now time.Duration) time.Duration {
+	l, out, in := e.hopLink(steps, i)
 	return e.linkBase(l, out, in) + e.queueDelay(l, now)
 }
 
 // baseDelay sums the link crossings of the given path before queueing: a
 // direct probe's target stores it, so each packet adds only the queueing.
-func (e *Engine) baseDelay(steps []pathStep) time.Duration {
+func (e *Engine) baseDelay(steps []step) time.Duration {
 	var d time.Duration
 	for i := 0; i+1 < len(steps); i++ {
-		d += e.linkBase(hopLink(steps, i))
+		d += e.linkBase(e.hopLink(steps, i))
 	}
 	return d
 }
 
 // queueDelays sums the queueing delay of the given path's link crossings at
 // time now. With no episode injected it is zero and walks nothing.
-func (e *Engine) queueDelays(steps []pathStep, now time.Duration) time.Duration {
+func (e *Engine) queueDelays(steps []step, now time.Duration) time.Duration {
 	if e.lat.episodes.Load() == nil {
 		return 0
 	}
 	var q time.Duration
 	for i := 0; i+1 < len(steps); i++ {
-		l, _, _ := hopLink(steps, i)
+		l, _, _ := e.hopLink(steps, i)
 		q += e.queueDelay(l, now)
 	}
 	return q

@@ -14,13 +14,16 @@ import (
 )
 
 // TestMemoisedWalkMatchesFresh is the forwarding plane's differential
-// suite: on every built-in profile, from every VP toward every destination
-// the driver would trace — the five addresses of each target block the
-// §5.3 retry rule can reach, which share one prefix-keyed walk — and every
+// suite: on every built-in profile (tiny and r&e under -short), from every
+// VP toward every destination the driver would trace — the five addresses
+// of each target block the §5.3 retry rule can reach, which share one
+// prefix-keyed walk — the first address of every routed prefix, and every
 // interface address alias resolution could probe, and from every router
 // back toward every VP (the reverse walk of ttlExpiredSource),
-// Engine.CheckWalk must find the memoised walk equal to a fresh walk to
-// that very address and chooseEgress equal to the original scan.
+// Engine.CheckWalk must decode the stored walk, on its miss and its hit, to
+// the pointer walk the plane stored before its steps lost their pointers —
+// steps, reached, anchorReplies and exact interface — computed fresh to
+// that very address, and find chooseEgress equal to the original scan.
 func TestMemoisedWalkMatchesFresh(t *testing.T) {
 	for _, prof := range topo.BuiltinProfiles() {
 		prof := prof
@@ -38,6 +41,9 @@ func TestMemoisedWalkMatchesFresh(t *testing.T) {
 						dsts = append(dsts, dst)
 					}
 				}
+			}
+			for _, p := range tab.Prefixes() {
+				dsts = append(dsts, p.First())
 			}
 			for _, r := range n.Routers {
 				for _, ifc := range r.Ifaces {
@@ -103,7 +109,7 @@ func TestBFSMatchesOracle(t *testing.T) {
 }
 
 // TestOrgIndexMatchesSameOrg holds the router index's organisation numbers
-// to the by-name comparison on every built-in profile, and on a world with
+// to topo.Network.SameOrg on every built-in profile, and on a world with
 // the cases the profiles lack: ASes with no organisation name, which are
 // each their own organisation, and routers whose owner has no AS record.
 func TestOrgIndexMatchesSameOrg(t *testing.T) {
@@ -117,6 +123,7 @@ func TestOrgIndexMatchesSameOrg(t *testing.T) {
 	for _, owner := range []topo.ASN{1, 2, 3, 3, 4, 5, 6, 6, 7} {
 		n.AddRouter(owner, "r", 0)
 	}
+	n.Build()
 	nets := []*topo.Network{n}
 	for _, prof := range topo.BuiltinProfiles() {
 		if !testing.Short() || prof.Name == "tiny" || prof.Name == "r&e" {

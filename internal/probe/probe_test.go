@@ -162,7 +162,7 @@ func TestResumedWalkRecordsFullWalk(t *testing.T) {
 					}
 					bogus := make([]Hop, len(full.Hops))
 					for i := range bogus {
-						bogus[i] = Hop{TTL: i + 1, Type: HopTimeExceeded, Addr: 1}
+						bogus[i] = Hop{TTL: uint8(i + 1), Type: HopTimeExceeded, Addr: 1}
 					}
 					if got := walk(dst, stop, bogus); !same(got, want) || got.Spliced != 0 {
 						t.Fatalf("walk to %v resumed from a prior no hop matches: %+v (%d copied), from TTL 1: %+v", dst, got, got.Spliced, want)
@@ -181,6 +181,14 @@ func TestResumedWalkRecordsFullWalk(t *testing.T) {
 func TestTraceResultSize(t *testing.T) {
 	if got := unsafe.Sizeof(TraceResult{}); got != 40 {
 		t.Fatalf("TraceResult is %d bytes, want 40", got)
+	}
+}
+
+// TestHopSize: a hop's TTL is a byte and its fields are ordered so that a
+// hop takes 16 bytes, the most numerous record a run keeps.
+func TestHopSize(t *testing.T) {
+	if got := unsafe.Sizeof(Hop{}); got != 16 {
+		t.Fatalf("Hop is %d bytes, want 16", got)
 	}
 }
 
@@ -508,7 +516,7 @@ func TestStatsAccumulate(t *testing.T) {
 // TestCachedPathsImmutableUnderConcurrentProbing hammers one engine with
 // 10 000 mixed Probe/Trace calls on 4 lanes from 4 goroutines — hits on
 // walks cached beforehand and racing misses on the rest — and requires every
-// previously cached pathResult to be the same object with the same
+// previously cached walk to be the same steps with the same
 // contents afterwards, and each lane's results to equal the same lane's run
 // alone. Run under -race it also checks the plane's locking.
 func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
@@ -525,17 +533,15 @@ func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 			dsts = append(dsts, ifc.Addr)
 		}
 	}
-	// Cache every other destination's walk and keep a deep copy.
+	// Cache every other destination's walk and keep a decoded copy.
 	type snap struct {
-		p    *pathResult
+		p    walk
 		copy pathResult
 	}
 	var snaps []snap
 	for i := 0; i < len(dsts); i += 2 {
 		p := e.computePath(vp.Router, dsts[i])
-		c := *p
-		c.steps = append([]pathStep(nil), p.steps...)
-		snaps = append(snaps, snap{p, c})
+		snaps = append(snaps, snap{p, e.decode(p)})
 	}
 
 	// Each goroutine probes on a lane of its own; the same lanes run one
@@ -579,11 +585,11 @@ func TestCachedPathsImmutableUnderConcurrentProbing(t *testing.T) {
 
 	for i, s := range snaps {
 		dst := dsts[2*i]
-		if got := e.computePath(vp.Router, dst); got != s.p {
+		if got := e.computePath(vp.Router, dst); unsafe.SliceData(got.steps) != unsafe.SliceData(s.p.steps) || len(got.steps) != len(s.p.steps) {
 			t.Fatalf("dst %v: the cached walk was replaced", dst)
 		}
-		if !samePath(s.p, &s.copy) {
-			t.Fatalf("dst %v: cached walk changed: %+v, was %+v", dst, *s.p, s.copy)
+		if now := e.decode(s.p); !samePath(&now, &s.copy) {
+			t.Fatalf("dst %v: cached walk changed: %+v, was %+v", dst, now, s.copy)
 		}
 	}
 	if st := ReadLedger(reg); st.Traceroutes+st.Probes != 10000 {

@@ -31,12 +31,14 @@ func (t HopType) String() string {
 	}
 }
 
-// Hop is one traceroute response as a prober sees it.
+// Hop is one traceroute response as a prober sees it. A walk is at most
+// maxRouterHops+1 steps, so its TTL fits a byte, and the fields are laid
+// out to take 16 bytes.
 type Hop struct {
-	TTL  int
-	Addr netx.Addr // response source address; 0 on timeout
+	TTL  uint8
 	Type HopType
 	IPID uint16
+	Addr netx.Addr     // response source address; 0 on timeout
 	RTT  time.Duration // 0 on timeout
 }
 
@@ -104,7 +106,7 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop map[netx.Addr]bool,
 	var byType [HopUnreachable + 1]int64
 	now := lane.clock
 	send := func(i int, oneWay time.Duration) Hop {
-		h := e.respond(vp, dst, path, i, lane)
+		h := e.respond(vp, dst, &path, i, lane)
 		if h.Type != HopTimeout {
 			h.RTT = 2 * (oneWay + responderCost)
 		}
@@ -179,65 +181,65 @@ func (e *Engine) traceroute(vp *topo.VP, dst netx.Addr, stop map[netx.Addr]bool,
 // time-exceeded hop at an intermediate step, the destination's echo reply
 // or the last router's unreachable at the final one, or a timeout. The
 // caller prices an answer's RTT.
-func (e *Engine) respond(vp *topo.VP, dst netx.Addr, path *pathResult, i int, lane *Lane) Hop {
-	step := path.steps[i]
-	hop := Hop{TTL: i + 1, Type: HopTimeout}
+func (e *Engine) respond(vp *topo.VP, dst netx.Addr, path *walk, i int, lane *Lane) Hop {
+	r, in, _ := e.at(path.steps[i])
+	hop := Hop{TTL: uint8(i + 1), Type: HopTimeout}
 	if i == len(path.steps)-1 && path.reached {
 		// The probe reaches its destination; the destination (an
 		// interface, or a host behind the prefix anchor) may answer
 		// with an echo reply whose source is the probed address.
-		if path.exactIface != nil && path.exactIface.Router == step.router.ID {
-			if !step.router.Behavior.NoEchoReply && lane.allow(step.router) {
+		if path.exact != nil && path.exact.Router == r.ID {
+			if !r.Behavior.NoEchoReply && lane.allow(r) {
 				hop.Type = HopEchoReply
 				hop.Addr = dst
-				hop.IPID = lane.nextIPID(step.router, path.exactIface)
+				hop.IPID = lane.nextIPID(r, path.exact)
 			}
-		} else if path.anchorReplies && lane.allow(step.router) {
+		} else if path.anchorReplies && lane.allow(r) {
 			hop.Type = HopEchoReply
 			hop.Addr = dst
-			hop.IPID = lane.nextIPID(step.router, nil)
+			hop.IPID = lane.nextIPID(r, nil)
 		}
-		if hop.Type != HopEchoReply && step.in != nil &&
-			!step.router.Behavior.NoUDPUnreach && lane.allow(step.router) {
+		if hop.Type != HopEchoReply && in != nil &&
+			!r.Behavior.NoUDPUnreach && lane.allow(r) {
 			// No host answers behind this prefix: the last router
 			// reports the destination unreachable (§5.4.8 accepts
 			// these alongside echo replies).
 			hop.Type = HopUnreachable
-			hop.Addr = step.in.Addr
-			hop.IPID = lane.nextIPID(step.router, step.in)
+			hop.Addr = in.Addr
+			hop.IPID = lane.nextIPID(r, in)
 		}
-	} else if !step.router.Behavior.NoTTLExpired && lane.allow(step.router) {
+	} else if !r.Behavior.NoTTLExpired && lane.allow(r) {
 		// Intermediate hop: ICMP time exceeded per the router's behaviour.
-		if src, ifc := e.ttlExpiredSource(vp, step); !src.IsZero() {
+		if src, ifc := e.ttlExpiredSource(vp, r, in); !src.IsZero() {
 			hop.Type = HopTimeExceeded
 			hop.Addr = src
-			hop.IPID = lane.nextIPID(step.router, ifc)
+			hop.IPID = lane.nextIPID(r, ifc)
 		}
 	}
 	if hop.Type != HopTimeout && e.dropInjected() {
-		hop = Hop{TTL: i + 1, Type: HopTimeout}
+		hop = Hop{TTL: uint8(i + 1), Type: HopTimeout}
 		e.eobs.faultDrops.Inc()
 	}
 	return hop
 }
 
 // ttlExpiredSource selects the source address of a time-exceeded response
-// (§4 challenges 1, 2).
-func (e *Engine) ttlExpiredSource(vp *topo.VP, step pathStep) (netx.Addr, *topo.Iface) {
-	r := step.router
+// from router r, which the probe entered by in (§4 challenges 1, 2).
+func (e *Engine) ttlExpiredSource(vp *topo.VP, r *topo.Router, in *topo.Iface) (netx.Addr, *topo.Iface) {
 	if r.Behavior.SourceEgressToProbe {
 		// RFC 1812 source selection: the interface transmitting the
 		// response, i.e. the first link on this router's path back to
 		// the prober. When the best route back runs via a third-party
 		// AS that numbered the link, the response maps to that AS.
 		back := e.computePath(r.ID, vp.Addr)
-		if len(back.steps) > 0 && back.steps[0].out != nil {
-			out := back.steps[0].out
-			return out.Addr, out
+		if len(back.steps) > 0 {
+			if _, _, out := e.at(back.steps[0]); out != nil {
+				return out.Addr, out
+			}
 		}
 	}
-	if step.in != nil {
-		return step.in.Addr, step.in // ingress interface: the common case
+	if in != nil {
+		return in.Addr, in // ingress interface: the common case
 	}
 	// First router (the VP's attachment): respond with any interface.
 	if a := r.CanonicalAddr(); !a.IsZero() {
@@ -326,13 +328,13 @@ func (e *Engine) probe(vp *topo.VP, addr netx.Addr, m Method, lane *Lane) Respon
 		}
 		// A probe sent toward target with TTL set to expire at its
 		// router: the time-exceeded source follows ingress selection.
-		if last := t.path.steps[len(t.path.steps)-1]; last.in != nil {
-			from = last.in.Addr
+		if _, in, _ := e.at(t.path.steps[len(t.path.steps)-1]); in != nil {
+			from = in.Addr
 		}
 	default:
 		return Response{}
 	}
-	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, t.path.exactIface)}
+	resp := Response{OK: true, From: from, IPID: lane.nextIPID(r, t.path.exact)}
 	if e.dropInjected() {
 		e.eobs.faultDrops.Inc()
 		return Response{}
@@ -347,5 +349,5 @@ func (e *Engine) probe(vp *topo.VP, addr netx.Addr, m Method, lane *Lane) Respon
 // target at all (used by tests; a real prober learns this by probing).
 func (e *Engine) Reachable(vp *topo.VP, target netx.Addr) bool {
 	p := e.computePath(vp.Router, target)
-	return p.reached && p.exactIface != nil
+	return p.reached && p.exact != nil
 }

@@ -36,7 +36,7 @@ func traceDsts(e *Engine, stride int) []netx.Addr {
 // and are skipped.
 func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, at time.Duration) (queued int) {
 	t.Helper()
-	steps := e.computePath(vp.Router, res.Dst).steps
+	steps := e.pathSteps(vp.Router, res.Dst)
 	for _, h := range res.Hops[res.Spliced:] {
 		if h.Type == HopTimeout {
 			continue
@@ -45,7 +45,7 @@ func checkHopRTTs(t *testing.T, e *Engine, vp *topo.VP, res TraceResult, at time
 		if h.RTT != want {
 			t.Fatalf("%s → %v ttl %d at %v: RTT %v, pathRTT over the first %d steps gives %v", vp.Name, res.Dst, h.TTL, at, h.RTT, h.TTL, want)
 		}
-		for i := 0; i+1 < h.TTL; i++ {
+		for i := 0; i+1 < int(h.TTL); i++ {
 			if l := steps[i].out; l != nil && e.queueDelay(l.Link, at) > 0 {
 				queued++
 				break
@@ -119,7 +119,7 @@ func TestRunningRTTMatchesPathRTT(t *testing.T) {
 			// and after the window.
 			seen := make(map[*topo.Link]bool)
 			for _, dst := range dsts {
-				for _, st := range e.computePath(vp.Router, dst).steps {
+				for _, st := range e.pathSteps(vp.Router, dst) {
 					if st.out != nil && st.out.Link != nil && !seen[st.out.Link] && len(seen) < 64 {
 						seen[st.out.Link] = true
 						e.InjectCongestion(CongestionEpisode{Link: st.out.Link, Start: time.Hour, End: 2 * time.Hour, Queue: 3 * time.Millisecond})

@@ -37,23 +37,24 @@ func (e *Engine) PathSignature(vp *topo.VP, dst netx.Addr) uint64 {
 	}
 
 	path := e.computePath(vp.Router, dst)
-	for i, step := range path.steps {
+	for i, s := range path.steps {
+		r, in, _ := e.at(s)
 		typ, addr := HopTimeout, netx.Addr(0)
 		if i == len(path.steps)-1 && path.reached {
 			// Final hop: mirror traceroute's echo-reply / unreachable
 			// selection with the rate limiter assumed open.
-			if path.exactIface != nil && path.exactIface.Router == step.router.ID {
-				if !step.router.Behavior.NoEchoReply {
+			if path.exact != nil && path.exact.Router == r.ID {
+				if !r.Behavior.NoEchoReply {
 					typ, addr = HopEchoReply, dst
 				}
 			} else if path.anchorReplies {
 				typ, addr = HopEchoReply, dst
 			}
-			if typ != HopEchoReply && step.in != nil && !step.router.Behavior.NoUDPUnreach {
-				typ, addr = HopUnreachable, step.in.Addr
+			if typ != HopEchoReply && in != nil && !r.Behavior.NoUDPUnreach {
+				typ, addr = HopUnreachable, in.Addr
 			}
-		} else if !step.router.Behavior.NoTTLExpired {
-			if src, _ := e.ttlExpiredSource(vp, step); !src.IsZero() {
+		} else if !r.Behavior.NoTTLExpired {
+			if src, _ := e.ttlExpiredSource(vp, r, in); !src.IsZero() {
 				typ, addr = HopTimeExceeded, src
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // the first put's — and a value once returned must stay where it is.
 func TestTableFirstStoredWins(t *testing.T) {
 	const keys, workers = 5000, 8
-	var tab table[uint64, [2]int]
+	var tab table[halfKey, [2]int]
 	got := make([][]*[2]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -22,12 +22,10 @@ func TestTableFirstStoredWins(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				k := uint64((i*7 + w*131) % keys) // each worker in its own order
-				// A poor hash on purpose: half the keys collide pairwise.
-				h := netx.Mix64(k / 2)
-				v := tab.get(k, h)
+				k := halfKey((i*7 + w*131) % keys) // each worker in its own order
+				v := tab.get(k)
 				if v == nil {
-					v = tab.put(k, h, [2]int{int(k), w})
+					v = tab.put(k, [2]int{int(k), w})
 				}
 				got[w][k] = v
 			}
@@ -38,7 +36,7 @@ func TestTableFirstStoredWins(t *testing.T) {
 		t.Fatalf("table holds %d entries, want %d", tab.len(), keys)
 	}
 	for k := 0; k < keys; k++ {
-		v := tab.get(uint64(k), netx.Mix64(uint64(k)/2))
+		v := tab.get(halfKey(k))
 		if v == nil || v[0] != k {
 			t.Fatalf("key %d: got %v", k, v)
 		}
@@ -48,7 +46,12 @@ func TestTableFirstStoredWins(t *testing.T) {
 			}
 		}
 	}
-	if v := tab.get(keys, netx.Mix64(keys/2)); v != nil {
+	if v := tab.get(keys); v != nil {
 		t.Fatalf("absent key found: %v", *v)
 	}
 }
+
+// halfKey hashes poorly on purpose: half the keys collide pairwise.
+type halfKey uint64
+
+func (k halfKey) hash() uint64 { return netx.Mix64(uint64(k) / 2) }

@@ -670,7 +670,7 @@ func appendHops(dst []obs.Hop, hops []probe.Hop) []obs.Hop {
 		case probe.HopUnreachable:
 			class = obs.HopUnreachable
 		}
-		dst = append(dst, obs.Hop{TTL: uint8(h.TTL), Class: class, Addr: h.Addr})
+		dst = append(dst, obs.Hop{TTL: h.TTL, Class: class, Addr: h.Addr})
 	}
 	return dst
 }

@@ -524,7 +524,7 @@ func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 		prior = make([]probe.Hop, nPrior)
 		for i := range prior {
 			h := req[off+1+5*i:]
-			prior[i] = probe.Hop{TTL: i + 1, Type: probe.HopType(h[0]), Addr: netx.Addr(binary.BigEndian.Uint32(h[1:5]))}
+			prior[i] = probe.Hop{TTL: uint8(i + 1), Type: probe.HopType(h[0]), Addr: netx.Addr(binary.BigEndian.Uint32(h[1:5]))}
 		}
 	}
 	res := a.timeline().Trace(dst, stop, prior)
@@ -535,7 +535,7 @@ func (a *Agent) handleTrace(req []byte) ([]byte, error) {
 	rsp = binary.BigEndian.AppendUint16(rsp, uint16(len(live)))
 	for _, h := range live {
 		var hop [16]byte
-		hop[0] = byte(h.TTL)
+		hop[0] = h.TTL
 		hop[1] = byte(h.Type)
 		binary.BigEndian.PutUint32(hop[2:6], uint32(h.Addr))
 		binary.BigEndian.PutUint16(hop[6:8], h.IPID)
@@ -959,7 +959,7 @@ func decodeTraceRsp(rsp []byte, prior []probe.Hop, res *probe.TraceResult) {
 	for i := range n {
 		h := rsp[7+16*i:]
 		res.Hops = append(res.Hops, probe.Hop{
-			TTL:  int(h[0]),
+			TTL:  h[0],
 			Type: probe.HopType(h[1]),
 			Addr: netx.Addr(binary.BigEndian.Uint32(h[2:6])),
 			IPID: binary.BigEndian.Uint16(h[6:8]),

@@ -157,6 +157,9 @@ type AS struct {
 
 	// neighbors at the AS level, keyed by neighbor ASN.
 	neighbors map[ASN]Rel
+
+	// siblings is the AS's organisation in ASN order, as Build found it.
+	siblings []ASN
 }
 
 // Neighbors returns the AS-level neighbors and relationships, sorted by ASN.

@@ -171,8 +171,8 @@ func newGraphIndex() *graphIndex {
 	}
 }
 
-// Build finalizes the network: it computes internal adjacency and
-// interdomain attachment indexes. Call after construction and before
+// Build finalizes the network: it computes internal adjacency,
+// interdomain attachment and sibling indexes. Call after construction and before
 // routing or probing. Build is idempotent.
 func (n *Network) Build() {
 	if n.idx == nil {
@@ -181,6 +181,7 @@ func (n *Network) Build() {
 	n.idx.internalAdj = make(map[RouterID][]Adj)
 	n.idx.attachments = make(map[ASN][]Attachment)
 	n.annotate()
+	n.indexSiblings()
 
 	for _, l := range n.Links {
 		switch l.Kind {

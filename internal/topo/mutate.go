@@ -140,8 +140,7 @@ func Depeer(n *Network, neighbor ASN) int {
 
 // sameOrgAsHost reports whether asn belongs to the hosting organization.
 func (n *Network) sameOrgAsHost(asn ASN) bool {
-	a, h := n.ASes[asn], n.ASes[n.HostASN]
-	return a != nil && h != nil && a.Org == h.Org
+	return n.SameOrg(asn, n.HostASN)
 }
 
 // detachIface removes an interface from its router and the address index.

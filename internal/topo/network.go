@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"bdrmap/internal/netx"
 )
@@ -254,21 +257,60 @@ func (n *Network) TrueNeighbors(asn ASN) []ASNeighbor {
 	return a.Neighbors()
 }
 
-// Siblings returns the set of ASNs sharing an organization with asn
-// (including asn itself).
+// Siblings returns the ASNs sharing an organization with asn, asn
+// included, in ASN order; an AS with no organization name is an
+// organization of its own. Build indexes them: the slice is shared and
+// must not be modified, and it is nil for an AS Build has not seen.
 func (n *Network) Siblings(asn ASN) []ASN {
-	a := n.ASes[asn]
-	if a == nil {
-		return nil
+	if a := n.ASes[asn]; a != nil {
+		return a.siblings
 	}
-	var out []ASN
-	for other, o := range n.ASes {
-		if o.Org == a.Org {
-			out = append(out, other)
+	return nil
+}
+
+// SameOrg reports whether a and b belong to one organization: a is b, or b
+// is one of a's Siblings.
+func (n *Network) SameOrg(a, b ASN) bool {
+	if a == b {
+		return true
+	}
+	_, ok := slices.BinarySearch(n.Siblings(a), b)
+	return ok
+}
+
+// OrgOf names asn's organization by its least ASN, the first of its
+// Siblings; an AS Build has not seen is named by its own ASN.
+func (n *Network) OrgOf(asn ASN) ASN {
+	if sibs := n.Siblings(asn); len(sibs) > 0 {
+		return sibs[0]
+	}
+	return asn
+}
+
+// indexSiblings cuts each organization's run, in ASN order, out of one
+// array of every ASN sorted by organization.
+func (n *Network) indexSiblings() {
+	ases := make([]*AS, 0, len(n.ASes))
+	for _, a := range n.ASes {
+		ases = append(ases, a)
+	}
+	slices.SortFunc(ases, func(a, b *AS) int {
+		return cmp.Or(strings.Compare(a.Org, b.Org), cmp.Compare(a.ASN, b.ASN))
+	})
+	all := make([]ASN, len(ases))
+	for i, a := range ases {
+		all[i] = a.ASN
+	}
+	for lo := 0; lo < len(ases); {
+		hi := lo + 1
+		for ases[lo].Org != "" && hi < len(ases) && ases[hi].Org == ases[lo].Org {
+			hi++
 		}
+		for _, a := range ases[lo:hi] {
+			a.siblings = all[lo:hi:hi]
+		}
+		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ASNs returns all ASNs in deterministic (sorted) order.

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -143,5 +144,58 @@ func TestSecondRoundTripIdentical(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("save/load/save not a fixed point")
+	}
+}
+
+// TestSiblingsOrglessASIsItsOwnOrg: an AS with no organization name is an
+// organization of its own, as the probe engine's sameOrg has it, not a
+// sibling of every other org-less AS. A tiny world with the host's and an
+// unrelated stub's organization blanked goes through Save and Load, and
+// Siblings, SameOrg and OrgOf, answered from the index Build fills, must
+// agree with a scan of every pair of ASes by organization name.
+func TestSiblingsOrglessASIsItsOwnOrg(t *testing.T) {
+	orig := Generate(TinyProfile(), 1)
+	host := orig.ASes[orig.HostASN]
+	var stub *AS
+	for _, asn := range orig.ASNs() {
+		if a := orig.ASes[asn]; a.Tier == TierStub && a.Org != host.Org {
+			stub = a
+			break
+		}
+	}
+	if stub == nil {
+		t.Fatal("the tiny world has no stub outside the host's organization")
+	}
+	host.Org, stub.Org = "", ""
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asn := range []ASN{host.ASN, stub.ASN} {
+		if got := n.Siblings(asn); !slices.Equal(got, []ASN{asn}) {
+			t.Errorf("Siblings(%v) = %v, want the AS alone", asn, got)
+		}
+	}
+	for _, asn := range n.ASNs() {
+		var want []ASN
+		for _, other := range n.ASNs() {
+			same := other == asn || n.ASes[asn].Org != "" && n.ASes[other].Org == n.ASes[asn].Org
+			if same {
+				want = append(want, other)
+			}
+			if got := n.SameOrg(asn, other); got != same {
+				t.Fatalf("SameOrg(%v, %v) = %t, the pairwise scan gives %t", asn, other, got, same)
+			}
+		}
+		if got := n.Siblings(asn); !slices.Equal(got, want) {
+			t.Fatalf("Siblings(%v) = %v, the pairwise scan gives %v", asn, got, want)
+		}
+		if got := n.OrgOf(asn); got != want[0] {
+			t.Fatalf("OrgOf(%v) = %v, the least ASN of its organization is %v", asn, got, want[0])
+		}
 	}
 }

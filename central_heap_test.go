@@ -26,27 +26,33 @@ func liveHeap() int64 {
 // a cold map of the benchmark's world (large-access, four VPs, one fleet
 // worker) keeps live once it is done, and which holders keep it. The world
 // is eval.Build's scenario before any VP is mapped; the map is what the
-// fleet adds to it. Three holders are then let go one at a time and what
+// fleet adds to it. Six holders are then let go one at a time and what
 // each frees is its share: every dataset's traces, the forwarding plane
 // (the scenario's engine swapped for a fresh one; forks share its plane),
-// and the span log. A warm-up map first fills the inference arenas
-// core.Infer keeps between calls, so they count in neither figure.
+// the span log, the per-VP results (router graphs and links), every
+// dataset's alias evidence (its resolver and alias graph) and the
+// provenance trace. A warm-up map first fills the arenas core.Infer and
+// the scamper driver keep between calls, so they count in neither figure.
 //
 // Built with Go 1.24 the world measures 6 121 KB and the map adds
-// 7 767 KB: traces 2 638 KB (17 569 traces, 115 587 hop slots), plane
-// 1 572 KB, spans 684 KB. With pointer steps in the walk memo, 24-byte
-// hops and span rings that copied their batches, the map added 10 975 KB,
-// of which traces 3 607 KB, plane 3 755 KB and spans 740 KB. Each budget
-// is about 5 % over today's figure. The race detector changes what the
-// runtime allocates, so the file is built without it (CI runs it in the
-// allocation budgets step).
+// 7 802 KB: traces 2 638 KB (17 569 traces, 115 587 hop slots), plane
+// 1 572 KB, spans 684 KB, results 592 KB, alias evidence 264 KB and
+// provenance 1 950 KB, which leaves ≈100 KB held by none of them. With
+// pointer steps in the walk memo, 24-byte hops and span rings that copied
+// their batches, the map added 10 975 KB, of which traces 3 607 KB, plane
+// 3 755 KB and spans 740 KB. Each budget is about 5 % over its figure. The
+// race detector changes what the runtime allocates, so the file is built
+// without it (CI runs it in the allocation budgets step).
 func TestCentralHeapBudget(t *testing.T) {
 	const (
-		budgetWorld  = 6430 << 10
-		budgetMap    = 8140 << 10
-		budgetTraces = 2770 << 10
-		budgetPlane  = 1650 << 10
-		budgetSpans  = 720 << 10
+		budgetWorld   = 6430 << 10
+		budgetMap     = 8140 << 10
+		budgetTraces  = 2770 << 10
+		budgetPlane   = 1650 << 10
+		budgetSpans   = 720 << 10
+		budgetResults = 620 << 10
+		budgetAlias   = 280 << 10
+		budgetTrace   = 2050 << 10
 	)
 	prof := topo.LargeAccessProfile()
 	prof.NumVPs = 4
@@ -76,6 +82,14 @@ func TestCentralHeapBudget(t *testing.T) {
 	noPlane := liveHeap()
 	s.Spans, s.SpanRoot = nil, nil
 	noSpans := liveHeap()
+	s.Results = nil
+	noResults := liveHeap()
+	for _, ds := range s.Datasets {
+		ds.Resolver, ds.Graph = nil, nil
+	}
+	noAlias := liveHeap()
+	s.Trace = nil
+	noTrace := liveHeap()
 	runtime.KeepAlive(s)
 
 	for _, h := range []struct {
@@ -87,11 +101,14 @@ func TestCentralHeapBudget(t *testing.T) {
 		{"traces", full - noTraces, budgetTraces},
 		{"plane", noTraces - noPlane, budgetPlane},
 		{"spans", noPlane - noSpans, budgetSpans},
+		{"results", noSpans - noResults, budgetResults},
+		{"alias", noResults - noAlias, budgetAlias},
+		{"trace", noAlias - noTrace, budgetTrace},
 	} {
-		t.Logf("%-6s %6d KB live (budget %d KB)", h.name, h.bytes>>10, h.limit>>10)
+		t.Logf("%-7s %6d KB live (budget %d KB)", h.name, h.bytes>>10, h.limit>>10)
 		if h.bytes > h.limit {
 			t.Errorf("%s keeps %d KB live, budget %d KB", h.name, h.bytes>>10, h.limit>>10)
 		}
 	}
-	t.Logf("%d traces, %d hop slots", traces, slots)
+	t.Logf("%d traces, %d hop slots; %d KB of the map held by none of these", traces, slots, (noTrace-built)>>10)
 }

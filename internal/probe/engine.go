@@ -572,37 +572,31 @@ func (e *Engine) parallelLink(a, b topo.RouterID, h int) *topo.Link {
 // chooseEgress applies hot-potato routing: among the attachments of r's AS
 // leading to an equal-best next-hop AS (and over which the destination
 // prefix is actually announced), pick the border closest to r by IGP
-// distance, spreading ties per prefix. The pick is made by counting over
-// the short per-(owner, atom) egress set, so it allocates nothing.
+// distance, spreading ties per prefix. One pass over the short per-(owner,
+// atom) egress set reads each attachment's distance once and keeps the
+// positions tying for the best in a stack buffer, so it allocates nothing
+// unless more than 32 attachments tie.
 func (e *Engine) chooseEgress(r *topo.Router, prefix netx.Prefix, rib *bgp.PrefixRIB) (topo.Attachment, bool) {
 	set := e.egressSet(r.Owner, prefix, rib)
-	// Pass 1: the best IGP distance and how many attachments tie for it.
-	bestDist, ties := -1, 0
+	var buf [32]int32
+	ties := buf[:0] // positions in set at the best distance, in list order
+	bestDist := -1
 	for i := range set {
 		d, ok := e.igpDist(r.ID, set[i].LocalRtr)
 		switch {
 		case !ok:
 		case bestDist < 0 || d < bestDist:
-			bestDist, ties = d, 1
+			bestDist, ties = d, append(ties[:0], int32(i))
 		case d == bestDist:
-			ties++
+			ties = append(ties, int32(i))
 		}
 	}
-	if ties == 0 {
+	if len(ties) == 0 {
 		return topo.Attachment{}, false
 	}
-	// Pass 2: pick the k-th tying attachment in list order — the same
-	// element the collect-then-index implementation chose.
-	k := prefixHash(prefix) % ties
-	for i := range set {
-		if d, ok := e.igpDist(r.ID, set[i].LocalRtr); ok && d == bestDist {
-			if k == 0 {
-				return set[i], true
-			}
-			k--
-		}
-	}
-	return topo.Attachment{}, false // unreachable
+	// The k-th tying attachment in list order — the same element the
+	// collect-then-index implementation chose.
+	return set[ties[prefixHash(prefix)%len(ties)]], true
 }
 
 // egressSet is the router-independent half of chooseEgress: the attachments

@@ -349,6 +349,58 @@ func (e *Engine) CheckWalk(start topo.RouterID, dst netx.Addr) error {
 	return nil
 }
 
+// chooseEgressTwoPass is chooseEgress as it was before it read each
+// distance once: one pass over the egress set for the best IGP distance
+// and its ties, a second that reads every distance again to find the k-th
+// tie.
+func (e *Engine) chooseEgressTwoPass(r *topo.Router, prefix netx.Prefix, rib *bgp.PrefixRIB) (topo.Attachment, bool) {
+	set := e.egressSet(r.Owner, prefix, rib)
+	bestDist, ties := -1, 0
+	for i := range set {
+		d, ok := e.igpDist(r.ID, set[i].LocalRtr)
+		switch {
+		case !ok:
+		case bestDist < 0 || d < bestDist:
+			bestDist, ties = d, 1
+		case d == bestDist:
+			ties++
+		}
+	}
+	if ties == 0 {
+		return topo.Attachment{}, false
+	}
+	k := prefixHash(prefix) % ties
+	for i := range set {
+		if d, ok := e.igpDist(r.ID, set[i].LocalRtr); ok && d == bestDist {
+			if k == 0 {
+				return set[i], true
+			}
+			k--
+		}
+	}
+	return topo.Attachment{}, false
+}
+
+// CheckEgressChoices compares chooseEgress with the two-pass scan at every
+// router toward every announced prefix, and returns how many of the
+// choices found an egress.
+func (e *Engine) CheckEgressChoices() (chosen int, err error) {
+	for _, p := range e.Tab.Prefixes() {
+		rib := e.Tab.Routes(p)
+		for _, r := range e.Net.Routers {
+			got, gotOK := e.chooseEgress(r, p, rib)
+			want, wantOK := e.chooseEgressTwoPass(r, p, rib)
+			if got != want || gotOK != wantOK {
+				return chosen, fmt.Errorf("router %d → %v: chooseEgress = %+v, %t; the two-pass scan gives %+v, %t", r.ID, p, got, gotOK, want, wantOK)
+			}
+			if gotOK {
+				chosen++
+			}
+		}
+	}
+	return chosen, nil
+}
+
 // egressSetOracle is the egress set as it was defined per prefix: every
 // attachment of owner's organisation filtered against this prefix's own
 // origins and pinned links, nothing memoised.

@@ -88,9 +88,32 @@ func (l *Lane) Probe(target netx.Addr, m Method) Response {
 	return l.e.probe(l.vp, target, m, l)
 }
 
+// RouterTable is the storage of a lane's per-router state, which whoever
+// opens many lanes keeps between them: Release takes it from a lane that
+// is done, cleared, and Adopt gives it to a lane about to start, so one
+// table serves lane after lane instead of each lane making its own.
+type RouterTable struct{ routers []routerState }
+
+// Adopt gives the lane t's storage for its per-router table when it is
+// large enough for the world and the lane has no table yet.
+func (l *Lane) Adopt(t RouterTable) {
+	if n := len(l.e.Net.Routers); l.routers == nil && cap(t.routers) >= n {
+		l.routers = t.routers[:n]
+	}
+}
+
+// Release takes the lane's per-router table back, cleared. A lane that
+// responds after it makes a table of its own.
+func (l *Lane) Release() RouterTable {
+	t := RouterTable{l.routers}
+	clear(t.routers)
+	l.routers = nil
+	return t
+}
+
 // state returns r's state on the lane, making the lane's table on its
-// first response: the world is frozen for the plane's lifetime, so the
-// table never grows.
+// first response unless it adopted one: the world is frozen for the
+// plane's lifetime, so the table never grows.
 func (l *Lane) state(r topo.RouterID) *routerState {
 	if l.routers == nil {
 		l.routers = make([]routerState, len(l.e.Net.Routers))

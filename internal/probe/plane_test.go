@@ -232,3 +232,22 @@ func TestEgressSetAtomKeyMatchesPrefixKey(t *testing.T) {
 		})
 	}
 }
+
+// TestChooseEgressReadsEachDistanceOnce: on tiny and r&e, chooseEgress
+// picks at every router toward every announced prefix the attachment the
+// two-pass scan picks, ties spread the same way.
+func TestChooseEgressReadsEachDistanceOnce(t *testing.T) {
+	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			n := topo.Generate(prof, 1)
+			chosen, err := probe.New(n, bgp.NewTable(n)).CheckEgressChoices()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chosen == 0 {
+				t.Fatal("no router chose an egress")
+			}
+			t.Logf("%d choices", chosen)
+		})
+	}
+}

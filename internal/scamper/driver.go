@@ -62,7 +62,15 @@ func (c Config) withDefaults(private bool) Config {
 // Target is one AS's probing work: the address blocks it originates.
 type Target struct {
 	AS     topo.ASN
-	Blocks []netx.Block
+	Blocks []Block
+}
+
+// Block is one address block of a target and the routed prefix it was
+// carved from: the longest announced prefix covering each of its
+// addresses.
+type Block struct {
+	netx.Block
+	Prefix netx.Prefix
 }
 
 // TraceRecord is one collected traceroute annotated with its target.
@@ -116,7 +124,7 @@ type RunStats struct {
 // after carving out more-specific routed prefixes, grouped by origin AS.
 func Targets(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 	routed := view.RoutedPrefixes()
-	byAS := make(map[topo.ASN][]netx.Block)
+	byAS := make(map[topo.ASN][]Block)
 	for i, p := range routed {
 		origins := view.OriginsExact(p)
 		if len(origins) == 0 {
@@ -145,9 +153,10 @@ func Targets(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 				ms = append(ms, q)
 			}
 		}
-		blocks := netx.CarveBlocks(p, ms)
 		target := origins[0]
-		byAS[target] = append(byAS[target], blocks...)
+		for _, b := range netx.CarveBlocks(p, ms) {
+			byAS[target] = append(byAS[target], Block{Block: b, Prefix: p})
+		}
 	}
 	out := make([]Target, 0, len(byAS))
 	for asn, blocks := range byAS {
@@ -245,12 +254,16 @@ func (d *Driver) Probe() *Probed {
 	probeSpan := d.Obs.StartStage("driver.probe")
 	probeSp := d.Spans.Begin(d.SpanParent, "stage", "probe")
 	probeSp.SetAttr("targets", len(targets))
+	// The stage's scratch memory, returned emptied once the slots have
+	// been read: after the barrier, the fold and the target spans.
+	ar := takeArena()
+	defer putArena(ar)
 	// One slot per target, written by exactly one worker. The SUM of the
 	// slots' simulated durations is the probe stage span's duration on the
 	// canonical serialized timeline (a sum is partition-invariant, unlike
 	// the max-lane probeSim below, which depends on how targets land on
 	// workers).
-	outs := make([]targetOut, len(targets))
+	outs := ar.slots(len(targets), cfg.Workers)
 	// Per-worker provenance logs: a worker emits every event of its targets
 	// into its own log and each slot notes where its target's events end.
 	// After the barrier the logs are cut at those positions and folded into
@@ -259,23 +272,37 @@ func (d *Driver) Probe() *Probed {
 	wlogs := make([]*obs.Tracer, cfg.Workers)
 
 	// Worker w handles targets w, w+W, w+2W, … on timelines[w], so each
-	// slot and each private timeline is touched by exactly one worker and
-	// the merge below needs no locks and no ordering.
+	// slot, each private timeline and each worker's arena buffers are
+	// touched by exactly one worker and the merge below needs no locks and
+	// no ordering.
 	var wg sync.WaitGroup
 	for w := range timelines {
+		ar.adopt(timelines[w])
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			if d.Trace.Enabled() {
 				wlogs[w] = obs.NewTracer()
 			}
-			pw := newProbeWorker(targets, w, cfg.Workers)
+			// At least one record per block: a cold buffer is made that
+			// large once instead of growing by doubling.
+			blocks := 0
 			for i := w; i < len(targets); i += cfg.Workers {
-				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], sigOf, pw)
+				blocks += len(targets[i].Blocks)
+			}
+			ar.recs[w] = slices.Grow(ar.recs[w], blocks)
+			if sigOf != nil {
+				ar.sigs[w] = slices.Grow(ar.sigs[w], blocks)
+			}
+			for i := w; i < len(targets); i += cfg.Workers {
+				outs[i] = d.probeTarget(targets[i], cfg, timelines[w], clocked, wlogs[w], sigOf, ar, w)
 			}
 		}(w)
 	}
 	wg.Wait()
+	for _, tl := range timelines {
+		ar.release(tl)
+	}
 	// The probe stage's simulated duration is the slowest worker's
 	// timeline; a shared timeline is read once.
 	if !clocked {
@@ -292,7 +319,7 @@ func (d *Driver) Probe() *Probed {
 	for _, o := range outs {
 		traces += len(o.recs)
 	}
-	ds.Traces = slices.Grow(ds.Traces, traces)
+	ds.Traces = make([]TraceRecord, 0, traces)
 	for i, o := range outs {
 		ds.Traces = append(ds.Traces, o.recs...)
 		ds.Stats.TracesStopped += o.stopped
@@ -451,57 +478,6 @@ func (d *Driver) targetSpans(targets []Target, outs []targetOut) []obs.SpanRecor
 	return recs
 }
 
-// probeWorker is one probe worker's memory, reused across its targets:
-// slabs each target's trace records (and, with cross-round state, their
-// path signatures) are a run of, and the stop set and per-prefix priors
-// every target starts empty.
-type probeWorker struct {
-	recs    slab[TraceRecord]
-	sigs    slab[uint64]
-	stopSet map[netx.Addr]bool
-	last    map[netx.Prefix][]probe.Hop
-}
-
-// newProbeWorker makes worker w of n's memory for targets w, w+n, …, its
-// slabs filled a chunk of one element per block at a time.
-func newProbeWorker(targets []Target, w, n int) *probeWorker {
-	blocks := 0
-	for i := w; i < len(targets); i += n {
-		blocks += len(targets[i].Blocks)
-	}
-	return &probeWorker{
-		recs:    slab[TraceRecord]{chunk: blocks},
-		sigs:    slab[uint64]{chunk: blocks},
-		stopSet: make(map[netx.Addr]bool),
-		last:    make(map[netx.Prefix][]probe.Hop),
-	}
-}
-
-// slab hands out runs of values appended one by one, each run contiguous,
-// from chunks it allocates as they fill: a chunk is never copied whole, and
-// only the open run moves to the next one.
-type slab[T any] struct {
-	buf   []T
-	lo    int // where the open run starts in buf
-	chunk int
-}
-
-func (s *slab[T]) add(v T) {
-	if len(s.buf) == cap(s.buf) {
-		run := s.buf[s.lo:]
-		s.buf = append(make([]T, 0, max(s.chunk, 2*len(run), 1)), run...)
-		s.lo = 0
-	}
-	s.buf = append(s.buf, v)
-}
-
-// cut closes the open run and returns it.
-func (s *slab[T]) cut() []T {
-	run := s.buf[s.lo:len(s.buf):len(s.buf)]
-	s.lo = len(s.buf)
-	return run
-}
-
 // probeTarget runs the per-target-AS schedule: probe each block's first
 // address; when the trace shows no external address (or only the probed
 // one), try further addresses, up to the configured maximum (§5.3).
@@ -516,7 +492,7 @@ func (s *slab[T]) cut() []T {
 // where that trace left the host network (resumeFrom). The scope is the
 // routed prefix because the network spreads parallel links per prefix: a
 // trace toward another prefix may have crossed a different link.
-func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64, pw *probeWorker) targetOut {
+func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, frag *obs.Tracer, sigOf func(netx.Addr) uint64, ar *arena, w int) targetOut {
 	// Event timestamps are relative to this target's own start: trace
 	// pacing is a pure function of hop counts, so the relative times are
 	// identical no matter which worker (and absolute lane time) ran the
@@ -530,8 +506,13 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 	frag.Emit(obs.KindTarget, obs.OnAS(t.AS), 0, obs.Int(obs.KeyBlocks, len(t.Blocks)))
 
 	var out targetOut
+	// The target's records and signatures are the runs its worker's
+	// buffers gain from here on.
+	recs, sigs := ar.recs[w], ar.sigs[w]
+	lo, slo := len(recs), len(sigs)
 	finish := func() targetOut {
-		out.recs, out.sigs = pw.recs.cut(), pw.sigs.cut()
+		ar.recs[w], ar.sigs[w] = recs, sigs
+		out.recs, out.sigs = recs[lo:len(recs):len(recs)], sigs[slo:len(sigs):len(sigs)]
 		out.simNS = rel()
 		out.wallNS = int64(time.Since(wallStart))
 		out.cut = frag.Pos()
@@ -544,7 +525,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 		return finish()
 	}
 	// last holds, per routed prefix, the prior a walk toward it resumes from.
-	stopSet, last := pw.stopSet, pw.last
+	stopSet, last := ar.stopSets[w], ar.priors[w]
 	clear(stopSet)
 	clear(last)
 	var hopBuf [32]obs.Hop // path evidence, restated per trace
@@ -561,11 +542,8 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			tried++
 			var ss map[netx.Addr]bool
 			var prior []probe.Hop
-			// Blocks are carved from the view's routed prefixes, so pfx
-			// is the one dst's block came from.
-			_, pfx, _ := d.View.Origins(dst)
 			if !cfg.DisableStopSet {
-				ss, prior = stopSet, last[pfx]
+				ss, prior = stopSet, last[b.Prefix]
 			}
 			// A replayed trace is the one a live walk would return and
 			// spends zero probe packets. Everything after it — stop-set
@@ -575,7 +553,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			cached := false
 			if sigOf != nil {
 				sig := sigOf(dst)
-				pw.sigs.add(sig)
+				sigs = append(sigs, sig)
 				if res, cached = cfg.State.replay(dst, sig, ss); cached {
 					out.cached++
 				}
@@ -592,7 +570,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 			// where the next walk toward the prefix resumes and, on a
 			// trace the stop set did not halt, joins the stop set.
 			ext := d.firstExternal(res.Hops)
-			last[pfx] = resumeFrom(res.Hops, ext)
+			last[b.Prefix] = resumeFrom(res.Hops, ext)
 			if !cached {
 				far := 0
 				if ext >= 0 {
@@ -602,7 +580,7 @@ func (d *Driver) probeTarget(t Target, cfg Config, tl Timeline, clocked bool, fr
 				out.far += far
 				out.spliced += int(res.Spliced)
 			}
-			pw.recs.add(TraceRecord{TraceResult: res, TargetAS: t.AS})
+			recs = append(recs, TraceRecord{TraceResult: res, TargetAS: t.AS})
 			ev := [...]obs.Field{
 				obs.AS(obs.KeyTarget, t.AS),
 				obs.Int(obs.KeyHops, len(res.Hops)),
@@ -719,32 +697,16 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 	// the fleet's book.
 	defer func() { res.Src, res.Now, res.Book = nil, nil, nil }()
 
-	type edge struct{ prev, cur netx.Addr }
-	addrSet := make(map[netx.Addr]bool)
-	predOf := make(map[netx.Addr][]netx.Addr) // successor addr → predecessors
-	seenEdge := make(map[edge]bool)
-	for _, tr := range ds.Traces {
-		var prev netx.Addr
-		for _, h := range tr.Hops {
-			if h.Type != probe.HopTimeExceeded {
-				if h.Type == probe.HopTimeout {
-					prev = 0
-				}
-				continue
-			}
-			addrSet[h.Addr] = true
-			if !prev.IsZero() && prev != h.Addr {
-				e := edge{prev, h.Addr}
-				if !seenEdge[e] {
-					seenEdge[e] = true
-					predOf[h.Addr] = append(predOf[h.Addr], prev)
-				}
-			}
-			prev = h.Addr
-		}
-	}
-	ds.Stats.AddrsObserved = len(addrSet)
-	d.Obs.Add("driver.addrs_observed", int64(len(addrSet)))
+	// The edge index and the lane's router table live in an arena the
+	// stage returns emptied.
+	ar := takeArena()
+	defer putArena(ar)
+	ar.adopt(tl)
+	defer ar.release(tl)
+	ar.indexEdges(ds.Traces)
+	addrs := ar.sorted
+	ds.Stats.AddrsObserved = len(addrs)
+	d.Obs.Add("driver.addrs_observed", int64(len(addrs)))
 	if cfg.DisableAlias {
 		return // no graph: inference skips §5.4.7 too
 	}
@@ -801,11 +763,6 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 	// Mercator sweep: group addresses by common port-unreachable source.
 	// It asks through the resolver, so Resolve's Mercator and Ally's method
 	// choice reuse every UDP answer it got.
-	addrs := make([]netx.Addr, 0, len(addrSet))
-	for a := range addrSet {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
 	for _, a := range addrs {
 		if d.Prober.Err() != nil {
 			d.Obs.Inc("driver.alias.aborted")
@@ -846,7 +803,7 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 			ds.Graph = alias.FromResolver(res)
 			return
 		}
-		pred := predOf[next]
+		pred := ar.preds[ar.id[next]]
 		if len(pred) < 2 {
 			continue
 		}

@@ -1,11 +1,13 @@
 package scamper
 
 import (
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"bdrmap/internal/netx"
 	"bdrmap/internal/probe"
@@ -107,4 +109,71 @@ func (st *RoundState) eachAddr(yield func(netx.Addr)) {
 		yield(pv.A)
 		yield(pv.B)
 	}
+}
+
+// IdleArena describes one arena on the free list: the backing arrays of its
+// buffers (a warm stage that reuses the arena keeps every one of them), the
+// bytes those buffers hold, and what it still holds that an emptied arena
+// must not ("" when it is empty).
+type IdleArena struct {
+	Arrays []unsafe.Pointer
+	Bytes  int
+	Dirty  string
+}
+
+// IdleArenas describes the arenas on the free list.
+func IdleArenas() []IdleArena {
+	idleArenas.Lock()
+	defer idleArenas.Unlock()
+	var out []IdleArena
+	for _, ar := range idleArenas.list {
+		var ia IdleArena
+		hold := func(p unsafe.Pointer, bytes int) {
+			ia.Arrays = append(ia.Arrays, p)
+			ia.Bytes += bytes
+		}
+		dirty := func(format string, args ...any) {
+			if ia.Dirty == "" {
+				ia.Dirty = fmt.Sprintf(format, args...)
+			}
+		}
+		hold(unsafe.Pointer(unsafe.SliceData(ar.outs)), cap(ar.outs)*int(unsafe.Sizeof(targetOut{})))
+		for i, o := range ar.outs[:cap(ar.outs)] {
+			if o.recs != nil || o.sigs != nil {
+				dirty("target slot %d still holds its records", i)
+			}
+		}
+		for w := range ar.recs {
+			hold(unsafe.Pointer(unsafe.SliceData(ar.recs[w])), cap(ar.recs[w])*int(unsafe.Sizeof(TraceRecord{})))
+			hold(unsafe.Pointer(unsafe.SliceData(ar.sigs[w])), cap(ar.sigs[w])*8)
+			for i, r := range ar.recs[w][:cap(ar.recs[w])] {
+				if r.Hops != nil {
+					dirty("worker %d's record %d still holds its hops", w, i)
+				}
+			}
+			if len(ar.recs[w])+len(ar.sigs[w])+len(ar.priors[w]) != 0 {
+				dirty("worker %d holds %d records, %d signatures, %d priors", w, len(ar.recs[w]), len(ar.sigs[w]), len(ar.priors[w]))
+			}
+		}
+		hold(unsafe.Pointer(unsafe.SliceData(ar.preds)), cap(ar.preds)*int(unsafe.Sizeof([]netx.Addr{})))
+		for _, ps := range ar.preds {
+			hold(unsafe.Pointer(unsafe.SliceData(ps)), cap(ps)*4)
+			if len(ps) != 0 {
+				dirty("a predecessor list holds %d addresses", len(ps))
+			}
+		}
+		hold(unsafe.Pointer(unsafe.SliceData(ar.sorted)), cap(ar.sorted)*4)
+		if len(ar.outs)+len(ar.id)+len(ar.edges)+len(ar.sorted) != 0 {
+			dirty("%d slots, %d addresses, %d edges, %d sorted", len(ar.outs), len(ar.id), len(ar.edges), len(ar.sorted))
+		}
+		out = append(out, ia)
+	}
+	return out
+}
+
+// DrainArenas empties the free list, so the next stages start cold.
+func DrainArenas() {
+	idleArenas.Lock()
+	idleArenas.list = nil
+	idleArenas.Unlock()
 }

@@ -67,7 +67,7 @@ func TestTargetsCarveMoreSpecifics(t *testing.T) {
 // for the sorted-run scan.
 func targetsQuadratic(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 	routed := view.RoutedPrefixes()
-	byAS := make(map[topo.ASN][]netx.Block)
+	byAS := make(map[topo.ASN][]Block)
 	for _, p := range routed {
 		origins := view.OriginsExact(p)
 		if len(origins) == 0 {
@@ -89,7 +89,9 @@ func targetsQuadratic(view *bgp.View, hostASNs map[topo.ASN]bool) []Target {
 				ms = append(ms, q)
 			}
 		}
-		byAS[origins[0]] = append(byAS[origins[0]], netx.CarveBlocks(p, ms)...)
+		for _, b := range netx.CarveBlocks(p, ms) {
+			byAS[origins[0]] = append(byAS[origins[0]], Block{Block: b, Prefix: p})
+		}
 	}
 	out := make([]Target, 0, len(byAS))
 	for asn, blocks := range byAS {
@@ -421,5 +423,34 @@ func TestTraceFingerprintMatchesStringOracle(t *testing.T) {
 		if i != len(ds.Traces) {
 			t.Errorf("%s: %d trace events for %d traces", prof.Name, i, len(ds.Traces))
 		}
+	}
+}
+
+// TestBlockPrefixIsRouted: on every built-in profile each block of the
+// plan carries the routed prefix the view answers for the addresses the
+// driver probes in it, so the driver keys its priors without asking the
+// view's trie.
+func TestBlockPrefixIsRouted(t *testing.T) {
+	for _, prof := range topo.BuiltinProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			n := topo.Generate(prof, 1)
+			view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))
+			hosts := map[topo.ASN]bool{n.HostASN: true}
+			blocks := 0
+			for _, tg := range Targets(view, hosts) {
+				for _, b := range tg.Blocks {
+					for _, dst := range []netx.Addr{b.First + 1, b.Last} {
+						if !b.Contains(dst) {
+							continue
+						}
+						if _, pfx, ok := view.Origins(dst); !ok || pfx != b.Prefix {
+							t.Fatalf("AS%d block %v-%v carries %v; the view routes %v by %v (%t)", tg.AS, b.First, b.Last, b.Prefix, dst, pfx, ok)
+						}
+					}
+					blocks++
+				}
+			}
+			t.Logf("%d blocks", blocks)
+		})
 	}
 }

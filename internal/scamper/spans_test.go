@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"testing"
 
-	"bdrmap/internal/netx"
 	"bdrmap/internal/obs"
 )
 
@@ -69,7 +68,7 @@ func TestTargetSpansFromSlots(t *testing.T) {
 
 	// The fold itself: a record per slot carrying the slot's durations, and
 	// no records when spans are off.
-	targets := []Target{{AS: 64500, Blocks: make([]netx.Block, 3)}, {AS: 64501, Blocks: make([]netx.Block, 1)}}
+	targets := []Target{{AS: 64500, Blocks: make([]Block, 3)}, {AS: 64501, Blocks: make([]Block, 1)}}
 	outs := []targetOut{
 		{recs: make([]TraceRecord, 2), simNS: 7, wallNS: 70},
 		{simNS: 9, wallNS: 90, lost: true},

@@ -113,7 +113,7 @@ type World struct {
 
 // NewWorld generates a deterministic world from a profile and seed.
 func NewWorld(prof Profile, seed int64) *World {
-	return &World{s: eval.Build(prof, seed)}
+	return traced(eval.Build(prof, seed))
 }
 
 // LoadWorld reconstructs a world serialized with SaveWorld (or
@@ -123,7 +123,15 @@ func LoadWorld(r io.Reader, seed int64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{s: eval.BuildFromNetwork(n, seed)}, nil
+	return traced(eval.BuildFromNetwork(n, seed)), nil
+}
+
+// traced wraps s in a World that records provenance: the World is what
+// Explain, TraceEvents, WriteTrace and TraceFingerprint read, so it alone
+// attaches a tracer to its scenario.
+func traced(s *eval.Scenario) *World {
+	s.Trace = obs.NewTracer()
+	return &World{s: s}
 }
 
 // SaveWorld serializes the world's topology for later LoadWorld.

@@ -94,6 +94,7 @@ func TestRunFleetAdversarialOrderSameMerge(t *testing.T) {
 // fleet then runs and records nothing.
 func TestRunFleetRejectsBadOrder(t *testing.T) {
 	s := Build(topo.RegionalVPProfile(), 1)
+	s.Trace = obs.NewTracer()
 	if len(s.Net.VPs) != 3 {
 		t.Fatalf("regional-vp has %d VPs, want 3", len(s.Net.VPs))
 	}
@@ -159,9 +160,11 @@ func TestRunFleetIdleWorkerDrainsQueue(t *testing.T) {
 // writes VP by VP.
 func TestRunFleetMergesLogsInVPOrder(t *testing.T) {
 	ref := Build(topo.RegionalVPProfile(), 1)
+	ref.Trace = obs.NewTracer()
 	ref.RunAll()
 
 	s := Build(topo.RegionalVPProfile(), 1)
+	s.Trace = obs.NewTracer()
 	// Run VP 2 first as well, so neither the queue nor completion is in
 	// VP order.
 	fo := FleetOptions{Workers: 3, Order: []int{2, 0, 1}, Gate: holdVP0(t, s)}
@@ -255,6 +258,7 @@ func TestFleetAliasPhaseFreeOfScheduling(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][]int{nil, {3, 2, 1, 0}, {2, 0, 3, 1}} {
 			s := Build(prof, 1)
+			s.Trace = obs.NewTracer()
 			if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: workers, Order: order}); err != nil {
 				t.Fatal(err)
 			}

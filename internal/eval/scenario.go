@@ -49,9 +49,12 @@ type Scenario struct {
 	HostASNs map[topo.ASN]bool
 	// Obs collects metrics from every stage of the scenario's pipeline.
 	Obs *obs.Registry
-	// Trace records decision-provenance events from every stage. Always
-	// non-nil after Build; the event stream (and its Fingerprint) is a pure
-	// function of (profile, seed, cfg) regardless of worker count.
+	// Trace, when set, records decision-provenance events from every stage;
+	// the event stream (and its Fingerprint) is a pure function of
+	// (profile, seed, cfg) regardless of worker count. Build leaves it nil,
+	// so a run nobody asks why pays nothing for it: the bdrmap World
+	// attaches one, and a test that reads provenance attaches one to the
+	// scenario it checks before any VP is mapped.
 	Trace *obs.Tracer
 	// Spans records the run's hierarchical span timeline (run → vp →
 	// stage → target, plus remote agent-session spans grafted in after a
@@ -111,7 +114,6 @@ func BuildFromNetwork(n *topo.Network, seed int64) *Scenario {
 	return &Scenario{
 		Net: n, Tab: tab, View: view, Rel: rel, RIR: rdb, IXP: pl,
 		Sibs: sibs, Engine: eng, HostASNs: hosts, Obs: reg,
-		Trace:    obs.NewTracer(),
 		Spans:    spans,
 		SpanRoot: root,
 		Datasets: make([]*scamper.Dataset, len(n.VPs)),

@@ -37,6 +37,7 @@ func TestNoLiveTraceRepeatsLastRound(t *testing.T) {
 					n.Build()
 				}
 				s := eval.BuildFromNetwork(n, seed)
+				s.Trace = obs.NewTracer()
 				if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{States: states}); err != nil {
 					t.Fatal(err)
 				}

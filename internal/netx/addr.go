@@ -63,14 +63,21 @@ func (a Addr) String() string {
 
 // AppendTo appends the dotted-quad form of a to b.
 func (a Addr) AppendTo(b []byte) []byte {
-	b = strconv.AppendUint(b, uint64(a>>24), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(a>>16&0xff), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(a>>8&0xff), 10)
-	b = append(b, '.')
-	return strconv.AppendUint(b, uint64(a&0xff), 10)
+	b = append(append(b, octets[a>>24]...), '.')
+	b = append(append(b, octets[a>>16&0xff]...), '.')
+	b = append(append(b, octets[a>>8&0xff]...), '.')
+	return append(b, octets[a&0xff]...)
 }
+
+// octets[x] is x in decimal, so rendering an address appends four strings
+// and converts nothing: trace fingerprints and provenance exports render
+// every hop's address.
+var octets = func() (d [256]string) {
+	for x := range d {
+		d[x] = strconv.Itoa(x)
+	}
+	return d
+}()
 
 // MarshalText and UnmarshalText make the dotted quad a's form in JSON and
 // every other encoding.TextMarshaler consumer; malformed text is

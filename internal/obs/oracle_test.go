@@ -27,6 +27,7 @@ func TestTraceRenderMatchesEagerOracle(t *testing.T) {
 	for _, prof := range topo.BuiltinProfiles() {
 		for _, seed := range seeds {
 			s := eval.Build(prof, seed)
+			s.Trace = obs.NewTracer()
 			s.RunVP(0, scamper.Config{})
 			lazy, eager := s.Trace.Events(), s.Trace.EagerEvents()
 			name := fmt.Sprintf("%s seed %d", prof.Name, seed)

@@ -25,8 +25,8 @@ import (
 // the trace pins byte-identical parallel runs exactly as the metrics
 // fingerprint does.
 //
-// Every run is traced and almost none is asked why, so the two sides are
-// split the way log/slog splits them: emit sites hand the Tracer typed
+// Every World run is traced and almost none is asked why, so the two sides
+// are split the way log/slog splits them: emit sites hand the Tracer typed
 // values (evidence.go) and it stores those; the strings of an Event exist
 // only on this file's read side — Events, WriteJSONL, Fingerprint, Summary
 // and, through them, Explain.
@@ -195,6 +195,17 @@ func (t *Tracer) Pos() Pos {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return Pos{t.end, t.seq}
+}
+
+// Reserve makes room for n more MergeRange calls, so a caller that knows
+// how many ranges it is about to merge grows t's index of views once.
+func (t *Tracer) Reserve(n int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.views = slices.Grow(t.views, n)
+	t.mu.Unlock()
 }
 
 // MergeRange appends the events src took in between lo and hi to t, in

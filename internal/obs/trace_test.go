@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"bdrmap/internal/netx"
 )
@@ -203,6 +204,47 @@ func TestTracerMergeRangeCutsALog(t *testing.T) {
 	if got.Len() != 2000 || got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("ranges merged to %d events, fragments to %d; fingerprints equal: %v",
 			got.Len(), want.Len(), got.Fingerprint() == want.Fingerprint())
+	}
+}
+
+// TestTracerReserveHoldsEveryRange builds a VP's log the way the scamper
+// driver does: four lanes emit into their own logs, the logs are cut into
+// per-target ranges, and the VP's fragment reserves a view per target
+// before it merges the ranges in target order. The fragment's index of
+// views is then allocated once, and its stream is the one a single log
+// written in target order holds.
+func TestTracerReserveHoldsEveryRange(t *testing.T) {
+	const lanes, targets = 4, 300
+	frag, want := NewTracer(), NewTracer()
+	logs := make([]*Tracer, lanes)
+	for w := range logs {
+		logs[w] = NewTracer()
+	}
+	cuts := make([]Pos, targets)
+	for i := range targets {
+		for e := range i * 7 % 5 { // some targets emit nothing
+			logs[i%lanes].Emit(KindTrace, OnAddr(netx.Addr(i)), int64(e), Int(KeyHops, e))
+			want.Emit(KindTrace, OnAddr(netx.Addr(i)), int64(e), Int(KeyHops, e))
+		}
+		cuts[i] = logs[i%lanes].Pos()
+	}
+	frag.Reserve(targets)
+	reserved, index := cap(frag.views), unsafe.SliceData(frag.views)
+	for i := range targets {
+		var from Pos
+		if i >= lanes {
+			from = cuts[i-lanes]
+		}
+		frag.MergeRange(logs[i%lanes], from, cuts[i])
+	}
+	if len(frag.views) > reserved {
+		t.Fatalf("%d views outgrew the %d reserved", len(frag.views), reserved)
+	}
+	if unsafe.SliceData(frag.views) != index {
+		t.Errorf("merging %d ranges into %d reserved views grew the index again", len(frag.views), reserved)
+	}
+	if !reflect.DeepEqual(frag.Events(), want.Events()) {
+		t.Errorf("the merged stream differs from one log written in target order")
 	}
 }
 

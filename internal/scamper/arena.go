@@ -5,15 +5,17 @@ import (
 	"sync"
 
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 )
 
-// arena owns the driver's scratch memory: everything a probe stage or an
-// alias stage builds, reads and drops before it returns. Driver.Probe and
-// resolveAliases each take an idle arena from the package's free list (or
-// make one when every arena is busy) and put it back emptied, so what one
-// stage grew serves the next stage of any VP, world or round instead of
-// going to the garbage collector. Nothing a stage returns aliases arena
+// arena owns the driver's scratch memory: everything a probe stage, an
+// alias stage or a trace fingerprint builds, reads and drops before it
+// returns. Driver.Probe, resolveAliases and Dataset.TraceFingerprint each
+// take an idle arena from the package's free list (or make one when every
+// arena is busy) and put it back emptied, so what one stage grew serves
+// the next stage of any VP, world or round instead of going to the garbage
+// collector. Nothing a stage returns aliases arena
 // memory: Dataset.Traces is copied out of the record buffers, and the
 // cross-round state keeps records by value. An idle arena holds no pointer
 // into the last map: record buffers and priors are cleared, not only
@@ -47,6 +49,13 @@ type arena struct {
 	preds  [][]netx.Addr
 	edges  map[edge]struct{}
 	sorted []netx.Addr
+
+	// Dataset.TraceFingerprint: the traces' sort keys, and the lines it
+	// renders one at a time (fpOther is the second line of a comparison)
+	// with the hops of the line being rendered.
+	fpKeys          []traceKey
+	fpLine, fpOther []byte
+	fpHops          []obs.Hop
 }
 
 // edge is one address seen right before another on a trace.
@@ -87,6 +96,7 @@ func putArena(ar *arena) {
 	}
 	clear(ar.edges)
 	ar.sorted = ar.sorted[:0]
+	ar.fpKeys, ar.fpLine, ar.fpOther, ar.fpHops = ar.fpKeys[:0], ar.fpLine[:0], ar.fpOther[:0], ar.fpHops[:0]
 	idleArenas.Lock()
 	idleArenas.list = append(idleArenas.list, ar)
 	idleArenas.Unlock()

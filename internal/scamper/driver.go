@@ -320,6 +320,7 @@ func (d *Driver) Probe() *Probed {
 		traces += len(o.recs)
 	}
 	ds.Traces = make([]TraceRecord, 0, traces)
+	d.Trace.Reserve(len(outs))
 	for i, o := range outs {
 		ds.Traces = append(ds.Traces, o.recs...)
 		ds.Stats.TracesStopped += o.stopped

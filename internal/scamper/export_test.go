@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 )
 
@@ -165,6 +166,13 @@ func IdleArenas() []IdleArena {
 		hold(unsafe.Pointer(unsafe.SliceData(ar.sorted)), cap(ar.sorted)*4)
 		if len(ar.outs)+len(ar.id)+len(ar.edges)+len(ar.sorted) != 0 {
 			dirty("%d slots, %d addresses, %d edges, %d sorted", len(ar.outs), len(ar.id), len(ar.edges), len(ar.sorted))
+		}
+		hold(unsafe.Pointer(unsafe.SliceData(ar.fpKeys)), cap(ar.fpKeys)*int(unsafe.Sizeof(traceKey{})))
+		hold(unsafe.Pointer(unsafe.SliceData(ar.fpLine)), cap(ar.fpLine))
+		hold(unsafe.Pointer(unsafe.SliceData(ar.fpOther)), cap(ar.fpOther))
+		hold(unsafe.Pointer(unsafe.SliceData(ar.fpHops)), cap(ar.fpHops)*int(unsafe.Sizeof(obs.Hop{})))
+		if len(ar.fpKeys)+len(ar.fpLine)+len(ar.fpOther)+len(ar.fpHops) != 0 {
+			dirty("%d fingerprint keys, %d+%d line bytes, %d hops", len(ar.fpKeys), len(ar.fpLine), len(ar.fpOther), len(ar.fpHops))
 		}
 		out = append(out, ia)
 	}

@@ -1,17 +1,13 @@
 package scamper
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
-	"strconv"
 	"sync/atomic"
 
 	"bdrmap/internal/alias"
 	"bdrmap/internal/netx"
-	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
@@ -174,41 +170,4 @@ func (st *RoundState) fold(targets []Target, outs []targetOut) (map[netx.Addr]bo
 		}
 	}
 	return dirty, clean
-}
-
-// TraceFingerprint hashes the dataset's traces down to one value: FNV-1a
-// over the sorted (target AS, destination, hop path) lines, with the
-// stop-set truncation flag. IP-IDs and RTTs are deliberately excluded —
-// they are responder state, vary across worker counts and rounds, and are
-// never consumed by inference. Replayed traces therefore contribute
-// exactly what their live counterparts would, which makes this the
-// trace-level identity the incremental equivalence mode compares.
-//
-// A line is "AS<target>|<dst>|<path>" plus "|s" when stopped, and lines
-// hash in their text order. They are rendered into one buffer and sorted
-// as spans of it: a round fingerprints every VP's traces, and a string
-// per trace was a quarter of that round's garbage.
-func (ds *Dataset) TraceFingerprint() uint64 {
-	type line struct{ lo, hi int } // buf[lo:hi], then its newline
-	buf := make([]byte, 0, 128*len(ds.Traces))
-	lines := make([]line, 0, len(ds.Traces))
-	var hops []obs.Hop
-	for _, tr := range ds.Traces {
-		lo := len(buf)
-		buf = strconv.AppendUint(append(buf, "AS"...), uint64(tr.TargetAS), 10)
-		buf = tr.Dst.AppendTo(append(buf, '|'))
-		hops = appendHops(hops[:0], tr.Hops)
-		buf = obs.AppendPath(append(buf, '|'), hops)
-		if tr.Stopped {
-			buf = append(buf, "|s"...)
-		}
-		lines = append(lines, line{lo, len(buf)})
-		buf = append(buf, '\n')
-	}
-	slices.SortFunc(lines, func(a, b line) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
-	h := fnv.New64a()
-	for _, l := range lines {
-		h.Write(buf[l.lo : l.hi+1])
-	}
-	return h.Sum64()
 }

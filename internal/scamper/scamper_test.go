@@ -1,6 +1,7 @@
 package scamper
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -386,42 +387,53 @@ func TestPathStringFormat(t *testing.T) {
 
 // TestTraceFingerprintMatchesStringOracle holds the two places a trace's
 // path is now rendered without a string per trace to the renderer they
-// replaced: TraceFingerprint hashes to what sorting one string per line
-// did, and every probe.trace event exports the path pathString built at
-// the call site.
+// replaced: on every built-in profile, seeds 1–3 (seed 1 under -short),
+// every VP's traces fingerprint to what sorting one string per line did,
+// and every probe.trace event exports the path pathString built at the
+// call site.
 func TestTraceFingerprintMatchesStringOracle(t *testing.T) {
-	large := topo.LargeAccessProfile()
-	large.NumVPs = 1
-	for _, prof := range []topo.Profile{topo.TinyProfile(), topo.REProfile(), large} {
-		n := topo.Generate(prof, 1)
-		tab := bgp.NewTable(n)
-		tr := obs.NewTracer()
-		ds := (&Driver{
-			View:     bgp.Collect(tab, bgp.DefaultVantages(n)),
-			Prober:   LocalProber{E: probe.New(n, tab), VP: n.VPs[0]},
-			HostASNs: map[topo.ASN]bool{n.HostASN: true},
-			Trace:    tr,
-		}).Run()
-		if len(ds.Traces) == 0 {
-			t.Fatalf("%s: no traces", prof.Name)
-		}
-		if got, want := ds.TraceFingerprint(), ds.traceFingerprintStrings(); got != want {
-			t.Errorf("%s: TraceFingerprint %016x, string oracle %016x", prof.Name, got, want)
-		}
-		i := 0
-		for _, ev := range tr.Events() {
-			if ev.Kind != "trace" {
-				continue
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, prof := range topo.BuiltinProfiles() {
+		for _, seed := range seeds {
+			n := topo.Generate(prof, seed)
+			tab := bgp.NewTable(n)
+			view := bgp.Collect(tab, bgp.DefaultVantages(n))
+			hosts := map[topo.ASN]bool{n.HostASN: true}
+			plan := Targets(view, hosts)
+			e := probe.New(n, tab)
+			for vp := range n.VPs {
+				name := fmt.Sprintf("%s seed %d VP %d", prof.Name, seed, vp)
+				tr := obs.NewTracer()
+				ds := (&Driver{
+					View: view, Plan: plan, HostASNs: hosts, Trace: tr,
+					Prober: LocalProber{E: e.Fork(), VP: n.VPs[vp]},
+					Cfg:    Config{DisableAlias: true},
+				}).Run()
+				if len(ds.Traces) == 0 {
+					t.Fatalf("%s: no traces", name)
+				}
+				if got, want := ds.TraceFingerprint(), ds.traceFingerprintStrings(); got != want {
+					t.Errorf("%s: TraceFingerprint %016x, string oracle %016x", name, got, want)
+				}
+				i := 0
+				for _, ev := range tr.Events() {
+					if ev.Kind != "trace" {
+						continue
+					}
+					// Events merge in target order, as the dataset's traces do.
+					rec := ds.Traces[i]
+					if ev.Subject != rec.Dst.String() || ev.Attr("target") != rec.TargetAS.String() || ev.Attr("path") != pathString(rec.TraceResult) {
+						t.Fatalf("%s: trace %d toward %v exported as %+v, path oracle %q", name, i, rec.Dst, ev, pathString(rec.TraceResult))
+					}
+					i++
+				}
+				if i != len(ds.Traces) {
+					t.Errorf("%s: %d trace events for %d traces", name, i, len(ds.Traces))
+				}
 			}
-			// Events merge in target order, as the dataset's traces do.
-			rec := ds.Traces[i]
-			if ev.Subject != rec.Dst.String() || ev.Attr("target") != rec.TargetAS.String() || ev.Attr("path") != pathString(rec.TraceResult) {
-				t.Fatalf("%s: trace %d toward %v exported as %+v, path oracle %q", prof.Name, i, rec.Dst, ev, pathString(rec.TraceResult))
-			}
-			i++
-		}
-		if i != len(ds.Traces) {
-			t.Errorf("%s: %d trace events for %d traces", prof.Name, i, len(ds.Traces))
 		}
 	}
 }

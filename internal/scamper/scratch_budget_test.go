@@ -63,3 +63,34 @@ func TestDriverScratchReused(t *testing.T) {
 		t.Errorf("the warm fleet allocates %d KB, more than the cold fleet's %d KB less the arena's %d KB", warm>>10, cold>>10, scratch>>10)
 	}
 }
+
+// TestTraceFingerprintAllocFree: Dataset.TraceFingerprint sorts and
+// renders in an idle arena's buffers, so once a call has grown them to
+// the benchmark world's datasets (large-access, four VPs), fingerprinting
+// every VP again allocates nothing — no buffer of rendered lines, no line
+// index, no hash state.
+func TestTraceFingerprintAllocFree(t *testing.T) {
+	prof := topo.LargeAccessProfile()
+	prof.NumVPs = 4
+	s := eval.Build(prof, 1)
+	if _, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fingerprint := func() (fp uint64) {
+		for _, ds := range s.Datasets {
+			fp ^= ds.TraceFingerprint()
+		}
+		return fp
+	}
+	want := fingerprint()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := fingerprint()
+	runtime.ReadMemStats(&after)
+	if got != want {
+		t.Fatalf("fingerprints moved between calls: %016x, then %016x", want, got)
+	}
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 || b != 0 {
+		t.Errorf("a warm fingerprint of %d VPs allocates %d objects, %d bytes; want none", len(s.Datasets), n, b)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"bdrmap/internal/core"
 	"bdrmap/internal/eval"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/scamper"
 	"bdrmap/internal/topo"
 )
@@ -22,6 +23,7 @@ type fleetPrint struct {
 
 func runFleet(t *testing.T, prof topo.Profile, workers int) fleetPrint {
 	s := eval.Build(prof, 1)
+	s.Trace = obs.NewTracer()
 	res, err := s.RunFleet(scamper.Config{}, eval.FleetOptions{Workers: workers})
 	if err != nil {
 		t.Error(err)

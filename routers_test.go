@@ -9,6 +9,7 @@ import (
 	"bdrmap/internal/eval"
 	"bdrmap/internal/mapdb"
 	"bdrmap/internal/netx"
+	"bdrmap/internal/obs"
 	"bdrmap/internal/probe"
 	"bdrmap/internal/topo"
 )
@@ -69,6 +70,7 @@ func TestAllyPositivesJoinOneRouter(t *testing.T) {
 	prof := topo.LargeAccessProfile()
 	prof.NumVPs = 4
 	s := eval.Build(prof, 1)
+	s.Trace = obs.NewTracer()
 	s.RunAll()
 	pos := 0
 	for _, e := range s.Trace.Events() {

@@ -21,20 +21,24 @@ import (
 // mapdb.Compile on large-access with four VPs. A first map warms the
 // arenas core.Infer and the scamper driver keep between calls; of three
 // maps after it the cheapest counts, so a collection that empties a pool
-// mid-map does not. Built with Go 1.24 a map measures 17 739 KB and
-// 105 314 objects: the scenario carries no provenance tracer, which only
-// the World attaches (19 932 KB and 105 704 objects while eval.Build
-// attached one to every scenario, 22 715 KB and 109 051 before the
-// driver's stages drew their scratch memory from an arena). The budget is
-// 3 % over that, less
-// than relationship inference copying the view's paths (2.3 MB), each VP
-// deriving the probing plan (1 MB), the driver's stages making their
-// scratch memory again (record slabs, target slots, alias edge index and
-// lane router tables, ≈2.8 MB), a walk allocating its own entry and steps
-// again (2 objects a walk, ≈24 400 a map) or span rings growing to take
-// each batch (1.4 MB) would add back.
+// mid-map does not. Built with Go 1.24 a map measures 13 776 KB and
+// 89 359 objects: its world is derived into what the scenario keeps
+// (17 739 KB and 105 314 objects while the BGP table, relationship
+// inference, the delegation table and Build made throwaway maps and
+// copies, ≈3.5 MB of them). The scenario carries no provenance tracer,
+// which only the World attaches (19 932 KB and 105 704 objects while
+// eval.Build attached one to every scenario, 22 715 KB and 109 051 before
+// the driver's stages drew their scratch memory from an arena). The
+// budget is 3 % over that, less than relationship inference keeping an
+// edge id per hop of every path again (1.2 MB), relationship inference
+// copying the view's paths (2.3 MB), each VP deriving the probing plan
+// (1 MB), the driver's stages making their scratch memory again (record
+// slabs, target slots, alias edge index and lane router tables, ≈2.8 MB),
+// a walk allocating its own entry and steps again (2 objects a walk,
+// ≈24 400 a map) or span rings growing to take each batch (1.4 MB) would
+// add back.
 func TestColdMapAllocBudget(t *testing.T) {
-	const budgetBytes, budgetObjects = 18270 << 10, 108500
+	const budgetBytes, budgetObjects = 14190 << 10, 92000
 	prof := topo.LargeAccessProfile()
 	prof.NumVPs = 4
 	coldMap := func() {

@@ -12,8 +12,8 @@
 package asrel
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"bdrmap/internal/bgp"
 	"bdrmap/internal/topo"
@@ -24,7 +24,7 @@ import (
 // customer).
 type Inference struct {
 	rels   map[[2]topo.ASN]topo.Rel // keyed (lo, hi); value = what hi is to lo
-	nbrs   map[topo.ASN][]topo.ASN
+	view   *bgp.View                // whose links are the labeled ones
 	clique map[topo.ASN]bool
 }
 
@@ -40,8 +40,9 @@ func (inf *Inference) Rel(a, b topo.ASN) topo.Rel {
 	return inf.rels[[2]topo.ASN{b, a}].Invert()
 }
 
-// Neighbors returns the ASes observed adjacent to a, sorted.
-func (inf *Inference) Neighbors(a topo.ASN) []topo.ASN { return inf.nbrs[a] }
+// Neighbors returns the ASes observed adjacent to a, sorted: the view's
+// own list, shared and read-only.
+func (inf *Inference) Neighbors(a topo.ASN) []topo.ASN { return inf.view.NeighborsOf(a) }
 
 // ProvidersOf returns the inferred providers of a.
 func (inf *Inference) ProvidersOf(a topo.ASN) []topo.ASN {
@@ -50,7 +51,7 @@ func (inf *Inference) ProvidersOf(a topo.ASN) []topo.ASN {
 
 func (inf *Inference) withRel(a topo.ASN, want topo.Rel) []topo.ASN {
 	var out []topo.ASN
-	for _, n := range inf.nbrs[a] {
+	for _, n := range inf.Neighbors(a) {
 		if inf.Rel(a, n) == want {
 			out = append(out, n)
 		}
@@ -64,96 +65,66 @@ func (inf *Inference) InClique(a topo.ASN) bool { return inf.clique[a] }
 // Len returns the number of labeled AS links.
 func (inf *Inference) Len() int { return len(inf.rels) }
 
-// pathSet is the view's distinct paths, read where the view holds them,
-// with every observed adjacency one entry of a single edge table and each
-// hop carrying the id of the edge to the next hop — worked out once, so
-// the passes of Infer index slices where they would probe maps per hop.
-// ASes are the view's dense indexes, which order as their ASNs do.
+// pathSet is the view's distinct paths and observed adjacency, read where
+// the view holds them. ASes are the view's dense indexes, which order as
+// their ASNs do. An entry is one AS's position in another's neighbor list
+// (nbr[off[a]:off[a+1]]): entry(a, b) names the link a–b seen from a, and
+// entry(lo, hi), from its lower AS, names the link itself — so the passes
+// of Infer index slices by entry where they would probe maps by pair.
 type pathSet struct {
-	view   *bgp.View
-	asns   []topo.ASN       // dense index → ASN
-	edges  [][2]int32       // edge id → its ASes, lower first
-	edgeID map[[2]int32]int // the inverse
+	view *bgp.View
+	asns []topo.ASN // dense index → ASN
+	off  []int32
+	nbr  []topo.ASN
 
-	// link holds one entry per hop of every path of two or more ASes, in
-	// EachPath order: the edge joining the hop to the next, as edge
-	// id<<1, |1 when the hop is the edge's higher AS; unset at a path's
-	// last hop.
-	link []int32
+	// last remembers, per AS, the hop that followed it last time and the
+	// link's entries both ways: paths towards one origin merge, so an AS
+	// is mostly followed by the same AS again.
+	last []follower
 }
 
+type follower struct{ as, fwd, rev int32 }
+
 func newPathSet(view *bgp.View) *pathSet {
-	hops := 0
-	view.EachPath(func(path []int32, _ int) {
-		if len(path) >= 2 {
-			hops += len(path)
-		}
-	})
-	ps := &pathSet{
-		view:   view,
-		asns:   view.ASNs(),
-		edgeID: make(map[[2]int32]int),
-		link:   make([]int32, 0, hops),
+	ps := &pathSet{view: view, asns: view.ASNs()}
+	ps.off, ps.nbr = view.Adjacency()
+	ps.last = make([]follower, len(ps.asns))
+	for i := range ps.last {
+		ps.last[i].as = -1
 	}
-	// Paths towards one origin merge, so an AS is mostly followed by the AS
-	// that followed it last time: remember that link per AS.
-	type follower struct{ as, link int32 }
-	last := make([]follower, len(ps.asns))
-	for i := range last {
-		last[i].as = -1
-	}
-	view.EachPath(func(path []int32, _ int) {
-		if len(path) < 2 {
-			return // no adjacency, no triple, no vote
-		}
-		for k, a := range path[:len(path)-1] {
-			b := path[k+1]
-			if last[a].as != b {
-				last[a] = follower{as: b, link: ps.linkBetween(a, b)}
-			}
-			ps.link = append(ps.link, last[a].link)
-		}
-		ps.link = append(ps.link, -1)
-	})
 	return ps
 }
 
-// linkBetween returns what pathSet.link holds for a hop a followed by a hop
-// b, entering their edge in the table if it is new.
-func (ps *pathSet) linkBetween(a, b int32) int32 {
-	pair, flip := [2]int32{a, b}, int32(0)
-	if a > b {
-		pair, flip = [2]int32{b, a}, 1
+// entry returns b's position in a's neighbor list, or -1 if a and b are
+// not adjacent.
+func (ps *pathSet) entry(a, b int32) int32 {
+	if i, ok := slices.BinarySearch(ps.nbr[ps.off[a]:ps.off[a+1]], ps.asns[b]); ok {
+		return ps.off[a] + int32(i)
 	}
-	e, ok := ps.edgeID[pair]
-	if !ok {
-		e = len(ps.edges)
-		ps.edgeID[pair] = e
-		ps.edges = append(ps.edges, pair)
+	return -1
+}
+
+// hop returns the entries of the link a path crosses from hop a to hop b:
+// seen from a and seen from b.
+func (ps *pathSet) hop(a, b int32) (fwd, rev int32) {
+	if f := ps.last[a]; f.as == b {
+		return f.fwd, f.rev
 	}
-	return int32(e)<<1 | flip
+	fwd, rev = ps.entry(a, b), ps.entry(b, a)
+	ps.last[a] = follower{b, fwd, rev}
+	return fwd, rev
 }
 
 // adjacent reports whether ASes a and b (dense indexes) share an edge.
-func (ps *pathSet) adjacent(a, b int32) bool {
-	if a > b {
-		a, b = b, a
-	}
-	_, ok := ps.edgeID[[2]int32{a, b}]
-	return ok
-}
+func (ps *pathSet) adjacent(a, b int32) bool { return ps.entry(a, b) >= 0 }
 
-// each calls fn with every path of two or more ASes, its links (one per
-// AS, the last unset) and the number of prefixes reporting it.
-func (ps *pathSet) each(fn func(hop, link []int32, mult int)) {
-	lo := 0
+// each calls fn with every path of two or more ASes and the number of
+// prefixes reporting it.
+func (ps *pathSet) each(fn func(hop []int32, mult int)) {
 	ps.view.EachPath(func(path []int32, mult int) {
-		if len(path) < 2 {
-			return
+		if len(path) >= 2 {
+			fn(path, mult)
 		}
-		hi := lo + len(path)
-		fn(path, ps.link[lo:hi], mult)
-		lo = hi
 	})
 }
 
@@ -166,19 +137,21 @@ func Infer(view *bgp.View) *Inference {
 	nAS := len(ps.asns)
 
 	// Transit degree: distinct neighbors an AS appears between in paths.
-	// A neighbor is an edge seen from one of its ends, so the set is a mark
-	// per edge end: transits[e<<1|1] says edge e's higher AS carried
-	// traffic over it.
+	// A neighbor is an entry of the AS's list, so the set is a mark per
+	// entry: transits[entry(a, b)] says a carried traffic over its link to b.
 	tdeg := make([]int, nAS)
-	transits := make([]bool, 2*len(ps.edges))
-	ps.each(func(hop, link []int32, _ int) {
+	transits := make([]bool, len(ps.nbr))
+	ps.each(func(hop []int32, _ int) {
+		_, rev := ps.hop(hop[0], hop[1])
 		for k := 1; k+1 < len(hop); k++ {
-			for _, end := range [2]int32{link[k-1] ^ 1, link[k]} {
-				if !transits[end] {
-					transits[end] = true
+			fwd, next := ps.hop(hop[k], hop[k+1])
+			for _, e := range [2]int32{rev, fwd} {
+				if !transits[e] {
+					transits[e] = true
 					tdeg[hop[k]]++
 				}
 			}
+			rev = next
 		}
 	})
 
@@ -190,12 +163,8 @@ func Infer(view *bgp.View) *Inference {
 			candidates = append(candidates, int32(a))
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		if tdeg[a] != tdeg[b] {
-			return tdeg[a] > tdeg[b]
-		}
-		return a < b
+	slices.SortFunc(candidates, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(tdeg[b], tdeg[a]), cmp.Compare(a, b))
 	})
 	candidates = candidates[:min(len(candidates), 16)]
 	// A well-connected access network can top the transit-degree ranking,
@@ -244,7 +213,7 @@ func Infer(view *bgp.View) *Inference {
 	involvement := make([]int, nAS)
 	for {
 		clear(involvement)
-		ps.each(func(hop, _ []int32, mult int) {
+		ps.each(func(hop []int32, mult int) {
 			for k := 0; k+2 < len(hop); k++ {
 				a, b, c := hop[k], hop[k+1], hop[k+2]
 				if in[a] && in[b] && in[c] && a != c {
@@ -266,9 +235,10 @@ func Infer(view *bgp.View) *Inference {
 		in[worst] = false
 	}
 
-	// Vote per edge: positive means the lower AS is the higher's customer.
-	votes := make([]int, len(ps.edges))
-	ps.each(func(p, link []int32, mult int) {
+	// Vote per link, at its entry from the lower AS: positive means the
+	// lower AS is the higher's customer.
+	votes := make([]int, len(ps.nbr))
+	ps.each(func(p []int32, mult int) {
 		// Apex: the last clique member in path order (clique members sit
 		// at the top of a valley-free path), or failing that the
 		// highest-transit-degree position.
@@ -314,18 +284,23 @@ func Infer(view *bgp.View) *Inference {
 			default:
 				cust = 1
 			}
-			// link's low bit names the lower AS the same way.
-			if link[k]&1 == cust {
-				votes[link[k]>>1] += mult
+			// flip names the lower AS the same way.
+			fwd, rev := ps.hop(p[k], p[k+1])
+			e, flip := fwd, int32(0)
+			if p[k] > p[k+1] {
+				e, flip = rev, 1
+			}
+			if flip == cust {
+				votes[e] += mult
 			} else {
-				votes[link[k]>>1] -= mult
+				votes[e] -= mult
 			}
 		}
 	})
 
 	inf := &Inference{
-		rels:   make(map[[2]topo.ASN]topo.Rel, len(ps.edges)),
-		nbrs:   make(map[topo.ASN][]topo.ASN, nAS),
+		rels:   make(map[[2]topo.ASN]topo.Rel, len(ps.nbr)/2),
+		view:   view,
 		clique: make(map[topo.ASN]bool),
 	}
 	for a, member := range in {
@@ -333,25 +308,26 @@ func Infer(view *bgp.View) *Inference {
 			inf.clique[ps.asns[a]] = true
 		}
 	}
-	for e, pair := range ps.edges {
-		var rel topo.Rel // what the higher AS is to the lower
-		switch {
-		case in[pair[0]] && in[pair[1]]:
-			rel = topo.RelPeer
-		case votes[e] > 0:
-			rel = topo.RelProvider // lower is customer ⇒ higher is its provider
-		case votes[e] < 0:
-			rel = topo.RelCustomer
-		default:
-			rel = topo.RelPeer
+	for a, lo := range ps.asns {
+		for e := ps.off[a]; e < ps.off[a+1]; e++ {
+			hi := ps.nbr[e]
+			if hi < lo {
+				continue // the link's entry from its lower AS holds its votes
+			}
+			b, _ := slices.BinarySearch(ps.asns, hi)
+			var rel topo.Rel // what the higher AS is to the lower
+			switch {
+			case in[a] && in[b]:
+				rel = topo.RelPeer
+			case votes[e] > 0:
+				rel = topo.RelProvider // lower is customer ⇒ higher is its provider
+			case votes[e] < 0:
+				rel = topo.RelCustomer
+			default:
+				rel = topo.RelPeer
+			}
+			inf.rels[[2]topo.ASN{lo, hi}] = rel
 		}
-		lo, hi := ps.asns[pair[0]], ps.asns[pair[1]]
-		inf.rels[[2]topo.ASN{lo, hi}] = rel
-		inf.nbrs[lo] = append(inf.nbrs[lo], hi)
-		inf.nbrs[hi] = append(inf.nbrs[hi], lo)
-	}
-	for _, s := range inf.nbrs {
-		slices.Sort(s)
 	}
 	return inf
 }

@@ -177,9 +177,9 @@ func TestProvidersOfCustomersOf(t *testing.T) {
 }
 
 func TestRelSymmetry(t *testing.T) {
-	_, inf := buildAndInfer(t, topo.TinyProfile(), 13)
-	for a, nbrs := range inf.nbrs {
-		for _, b := range nbrs {
+	n, inf := buildAndInfer(t, topo.TinyProfile(), 13)
+	for _, a := range n.ASNs() {
+		for _, b := range inf.Neighbors(a) {
 			if inf.Rel(a, b) != inf.Rel(b, a).Invert() {
 				t.Fatalf("asymmetric inference for %v-%v", a, b)
 			}

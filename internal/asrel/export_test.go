@@ -12,16 +12,18 @@ import (
 // view's per-(prefix, vantage) expansion three times, probing a map of
 // maps and two pair-keyed maps per hop per pass, and counts a path once per
 // prefix reporting it. Nothing here is shared with Infer but the Inference
-// result type.
+// result type, whose neighbor lists are the view's: the oracle returns the
+// lists it works out from the paths beside it.
 
 // inferOracle runs relationship inference over the view's paths.
-func inferOracle(view *bgp.View) *Inference {
+func inferOracle(view *bgp.View) (*Inference, map[topo.ASN][]topo.ASN) {
 	paths := view.Paths()
 	inf := &Inference{
 		rels:   make(map[[2]topo.ASN]topo.Rel),
-		nbrs:   make(map[topo.ASN][]topo.ASN),
+		view:   view,
 		clique: make(map[topo.ASN]bool),
 	}
+	nbrs := make(map[topo.ASN][]topo.ASN)
 
 	// Transit degree: distinct neighbors an AS appears between in paths.
 	transit := make(map[topo.ASN]map[topo.ASN]bool)
@@ -206,15 +208,15 @@ func inferOracle(view *bgp.View) *Inference {
 			rel = topo.RelPeer
 		}
 		inf.rels[k] = rel
-		inf.nbrs[lo] = append(inf.nbrs[lo], hi)
-		inf.nbrs[hi] = append(inf.nbrs[hi], lo)
+		nbrs[lo] = append(nbrs[lo], hi)
+		nbrs[hi] = append(nbrs[hi], lo)
 	}
-	for a := range inf.nbrs {
-		s := inf.nbrs[a]
+	for a := range nbrs {
+		s := nbrs[a]
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		inf.nbrs[a] = s
+		nbrs[a] = s
 	}
-	return inf
+	return inf, nbrs
 }
 
 func key(a, b topo.ASN) [2]topo.ASN {

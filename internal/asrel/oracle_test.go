@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bdrmap/internal/bgp"
@@ -15,12 +16,16 @@ import (
 func sameInference(t *testing.T, n *topo.Network) {
 	t.Helper()
 	view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))
-	got, want := Infer(view), inferOracle(view)
+	got := Infer(view)
+	want, wantNbrs := inferOracle(view)
+	for _, a := range n.ASNs() {
+		if !slices.Equal(got.Neighbors(a), wantNbrs[a]) {
+			t.Fatalf("AS%d: neighbors %v, per-path inference gives %v", a, got.Neighbors(a), wantNbrs[a])
+		}
+	}
 	switch {
 	case !reflect.DeepEqual(got.clique, want.clique):
 		t.Fatalf("clique %v, per-path inference gives %v", got.clique, want.clique)
-	case !reflect.DeepEqual(got.nbrs, want.nbrs):
-		t.Fatal("neighbor lists differ from the per-path inference")
 	case !reflect.DeepEqual(got.rels, want.rels):
 		for k, w := range want.rels {
 			if g := got.rels[k]; g != w {
@@ -71,16 +76,23 @@ func TestInferMatchesPerPathOracle(t *testing.T) {
 // large-access 437 KB) but read the view expanded to one ASPath per
 // (prefix, vantage) — 57 KB, 476 KB and 6.3 MB more — which nothing on the
 // build path makes any more. The dense tables that replaced the maps read
-// the view's paths where they lie, on its AS indexes, and keep one edge id
-// per hop; they cost
+// the view's paths where they lie, on its AS indexes, and kept one edge id
+// per hop and a map of edge ids; they cost
 //
 //	tiny            25 473 B    153 objects
 //	r&e            188 744 B    494 objects
 //	large-access 1 518 068 B  1 263 objects  (4 VPs)
 //
 // where copying every hop, path end and prefix count onto indexes of its
-// own numbering cost 47 185 B, 406 811 B and 3 788 505 B. The budgets are
-// 1.5 × the figures above.
+// own numbering cost 47 185 B, 406 811 B and 3 788 505 B. A link is now
+// named by its entry in the view's neighbor lists, looked up per hop past
+// a one-entry memo per AS, and the neighbor lists are the view's:
+//
+//	tiny             5 561 B     48 objects
+//	r&e             26 137 B     63 objects
+//	large-access    82 865 B     65 objects  (4 VPs)
+//
+// The budgets are 1.5 × these figures.
 func TestRelInferAllocBudget(t *testing.T) {
 	la4 := topo.LargeAccessProfile()
 	la4.NumVPs = 4
@@ -88,9 +100,9 @@ func TestRelInferAllocBudget(t *testing.T) {
 		prof           topo.Profile
 		bytes, objects uint64
 	}{
-		{topo.TinyProfile(), 25473 * 3 / 2, 153 * 3 / 2},
-		{topo.REProfile(), 188744 * 3 / 2, 494 * 3 / 2},
-		{la4, 1518068 * 3 / 2, 1263 * 3 / 2},
+		{topo.TinyProfile(), 5561 * 3 / 2, 48 * 3 / 2},
+		{topo.REProfile(), 26137 * 3 / 2, 63 * 3 / 2},
+		{la4, 82865 * 3 / 2, 65 * 3 / 2},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		view := bgp.Collect(bgp.NewTable(n), bgp.DefaultVantages(n))

@@ -76,20 +76,28 @@ func TestSuppressedAtAllocFree(t *testing.T) {
 //	tiny  124 371 B    1 166 objects
 //	r&e 1 696 000 B    6 296 objects
 //
-// A RIB now holds the transit core only (stub routes are derived on
-// read): the figures below are what that measured, and the budgets are
-// 1.5 × them. Each RIB worker beyond the first adds a goroutine's few
-// objects.
+// With a RIB over the transit core only (stub routes are derived on read)
+// it measured
 //
 //	tiny  109 520 B    1 174 objects
 //	r&e 1 032 524 B    6 317 objects
+//
+// The table now forms its atoms without a map of origin lists or of keys
+// and reads each AS's neighbors in place, and Collect sizes its link set
+// from the table's session count and lays the neighbor lists out in one
+// array: the figures below are what that measures, and the budgets are
+// 1.5 × them. Each RIB worker beyond the first adds a goroutine's few
+// objects.
+//
+//	tiny   79 044 B      715 objects
+//	r&e   781 312 B    3 731 objects
 func TestCollectAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		prof           topo.Profile
 		bytes, objects uint64
 	}{
-		{topo.TinyProfile(), 109520 * 3 / 2, 1174 * 3 / 2},
-		{topo.REProfile(), 1032524 * 3 / 2, 6317 * 3 / 2},
+		{topo.TinyProfile(), 79044 * 3 / 2, 715 * 3 / 2},
+		{topo.REProfile(), 781312 * 3 / 2, 3731 * 3 / 2},
 	} {
 		n := topo.Generate(tc.prof, 1)
 		vps := DefaultVantages(n)

@@ -35,8 +35,12 @@ type View struct {
 
 	origins netx.Trie[[]topo.ASN] // announced prefix → observed origin set
 	links   map[[2]topo.ASN]bool  // adjacency set from observed paths
-	nbrs    map[topo.ASN][]topo.ASN
 	routed  []netx.Prefix
+
+	// The links again, as neighbor lists on the dense numbering: AS i's
+	// neighbors are nbr[nbrOff[i]:nbrOff[i+1]], ascending.
+	nbrOff []int32
+	nbr    []topo.ASN
 }
 
 // span is one path: arena[lo:hi].
@@ -95,9 +99,9 @@ func DefaultVantages(net *topo.Network) []topo.ASN {
 func Collect(t *Table, vantages []topo.ASN) *View {
 	t.computeAll()
 	v := &View{
-		asns:  t.asns,
-		links: make(map[[2]topo.ASN]bool),
-		nbrs:  make(map[topo.ASN][]topo.ASN),
+		asns: t.asns,
+		// Every observed link is an AS-level session.
+		links: make(map[[2]topo.ASN]bool, t.sessions),
 		// One group per atom, paths in one arena averaging under four ASes.
 		spans:   make([]span, 0, len(t.atoms)*len(vantages)),
 		arena:   make([]int32, 0, 4*len(t.atoms)*len(vantages)),
@@ -110,7 +114,14 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 		vidx[k] = t.IndexOf(vp)
 	}
 
-	origins := make([][]topo.ASN, len(t.atoms))
+	// Atom a's observed origins are origins[oOff[a]:oOff[a+1]]: each is one
+	// of the atom's origins, so the atoms' origin counts bound the array.
+	n := 0
+	for _, at := range t.atoms {
+		n += len(at.origins)
+	}
+	origins := make([]topo.ASN, 0, n)
+	oOff := make([]int32, len(t.atoms)+1)
 	walked := make([]int32, len(t.asns)) // atom+1 whose reported paths last crossed the AS
 	for a := range t.atoms {
 		rib := t.atomRoutes(int32(a))
@@ -125,8 +136,8 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 				continue
 			}
 			v.spans = append(v.spans, span{int32(lo), int32(len(v.arena))})
-			if o := t.asns[v.arena[len(v.arena)-1]]; !containsASN(origins[a], o) {
-				origins[a] = append(origins[a], o)
+			if o := t.asns[v.arena[len(v.arena)-1]]; !containsASN(origins[oOff[a]:], o) {
+				origins = append(origins, o)
 			}
 			// An atom's paths merge like a tree, so a walk adds links only
 			// until it joins one an earlier vantage reported.
@@ -141,6 +152,7 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 			}
 		}
 		v.groups[a].hi = int32(len(v.spans))
+		oOff[a+1] = int32(len(origins))
 	}
 
 	for _, p := range t.prefixes { // sorted, so routed comes out sorted
@@ -150,14 +162,42 @@ func Collect(t *Table, vantages []topo.ASN) *View {
 			continue
 		}
 		g.prefixes++
-		v.origins.Insert(p, origins[a])
+		v.origins.Insert(p, origins[oOff[a]:oOff[a+1]:oOff[a+1]])
 		v.routed = append(v.routed, p)
 		v.groupOf = append(v.groupOf, a)
 	}
-	for _, s := range v.nbrs {
-		slices.Sort(s)
-	}
+	v.indexNeighbors()
 	return v
+}
+
+// indexNeighbors lays the links out as neighbor lists, each sorted.
+func (v *View) indexNeighbors() {
+	dense := func(a topo.ASN) int32 {
+		i, _ := slices.BinarySearch(v.asns, a)
+		return int32(i)
+	}
+	// off[i] counts AS i's neighbors, then marks the end of its list, which
+	// filling the list from its end brings back to the start.
+	off := make([]int32, len(v.asns)+1)
+	for k := range v.links {
+		off[dense(k[0])]++
+		off[dense(k[1])]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	nbr := make([]topo.ASN, 2*len(v.links))
+	for k := range v.links {
+		a, b := dense(k[0]), dense(k[1])
+		off[a]--
+		nbr[off[a]] = k[1]
+		off[b]--
+		nbr[off[b]] = k[0]
+	}
+	for i := range v.asns {
+		slices.Sort(nbr[off[i]:off[i+1]])
+	}
+	v.nbrOff, v.nbr = off, nbr
 }
 
 // EachPath calls fn once per distinct observed path — the announcing
@@ -218,12 +258,7 @@ func (v *View) addLink(a, b topo.ASN) {
 	if a > b {
 		k = [2]topo.ASN{b, a}
 	}
-	if v.links[k] {
-		return
-	}
 	v.links[k] = true
-	v.nbrs[a] = append(v.nbrs[a], b)
-	v.nbrs[b] = append(v.nbrs[b], a)
 }
 
 // RoutedPrefixes returns every prefix with at least one observed path,
@@ -253,5 +288,17 @@ func (v *View) HasLink(a, b topo.ASN) bool {
 	return v.links[k]
 }
 
-// NeighborsOf returns the ASes adjacent to asn in observed paths.
-func (v *View) NeighborsOf(asn topo.ASN) []topo.ASN { return v.nbrs[asn] }
+// NeighborsOf returns the ASes adjacent to asn in observed paths, sorted.
+// The slice is shared and read-only.
+func (v *View) NeighborsOf(asn topo.ASN) []topo.ASN {
+	i, ok := slices.BinarySearch(v.asns, asn)
+	if !ok || v.nbrOff[i] == v.nbrOff[i+1] {
+		return nil
+	}
+	return v.nbr[v.nbrOff[i]:v.nbrOff[i+1]:v.nbrOff[i+1]]
+}
+
+// Adjacency returns NeighborsOf for every AS at once, on the dense
+// numbering: AS i's neighbors are nbr[off[i]:off[i+1]], ascending. Both
+// slices are shared and read-only.
+func (v *View) Adjacency() (off []int32, nbr []topo.ASN) { return v.nbrOff, v.nbr }

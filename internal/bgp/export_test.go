@@ -405,7 +405,6 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 	v := &View{
 		asns:  t.asns,
 		links: make(map[[2]topo.ASN]bool),
-		nbrs:  make(map[topo.ASN][]topo.ASN),
 	}
 	for _, p := range t.Prefixes() {
 		rib := t.Routes(p)
@@ -441,11 +440,7 @@ func collectOracle(t *oracleTable, vantages []topo.ASN) *View {
 		}
 	}
 	sort.Slice(v.routed, func(i, j int) bool { return netx.ComparePrefix(v.routed[i], v.routed[j]) < 0 })
-	for asn := range v.nbrs {
-		s := v.nbrs[asn]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		v.nbrs[asn] = s
-	}
+	v.indexNeighbors()
 	return v
 }
 

@@ -13,6 +13,7 @@
 package bgp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"slices"
@@ -89,9 +90,10 @@ type atom struct {
 type Table struct {
 	Net *topo.Network
 
-	asns    []topo.ASN
-	idx     map[topo.ASN]int32
-	hostIdx int32 // dense index of the host
+	asns     []topo.ASN
+	idx      map[topo.ASN]int32
+	hostIdx  int32 // dense index of the host
+	sessions int   // AS-level sessions, each counted once
 
 	core []int32   // core slot → dense index, ascending
 	slot []int32   // dense index → core slot; ^k for the k-th stub
@@ -145,11 +147,8 @@ type PrefixRIB struct {
 
 // NewTable builds the routing machinery for net (which must be Built).
 func NewTable(net *topo.Network) *Table {
-	t := &Table{
-		Net: net,
-		idx: make(map[topo.ASN]int32),
-	}
-	t.asns = net.ASNs()
+	t := &Table{Net: net, asns: net.ASNs()}
+	t.idx = make(map[topo.ASN]int32, len(t.asns))
 	for i, asn := range t.asns {
 		t.idx[asn] = int32(i)
 	}
@@ -162,28 +161,31 @@ func NewTable(net *topo.Network) *Table {
 // buildAdjacency numbers the transit core and lays every core AS's
 // sessions with other core ASes out in one array, grouped by what the
 // neighbor is to the AS (see cuts). A stub keeps only its providers.
+// Neighbors are read where each AS holds them.
 func (t *Table) buildAdjacency() {
-	nbrs := make([][]topo.ASNeighbor, len(t.asns))
 	t.slot = make([]int32, len(t.asns))
 	stubs, total, ups := int32(0), 0, 0
 	for i, asn := range t.asns {
-		nbrs[i] = t.Net.ASes[asn].Neighbors()
+		nbrs := t.Net.ASes[asn].Neighbors()
+		t.sessions += len(nbrs)
 		transit := int32(i) == t.hostIdx || t.Net.HiddenNeighbors[asn]
-		for _, nb := range nbrs[i] {
+		for _, nb := range nbrs {
 			if _, ok := t.idx[nb.ASN]; ok && nb.Rel != topo.RelProvider && nb.Rel != topo.RelNone {
 				transit = true
+				break
 			}
 		}
 		if transit {
 			t.slot[i] = int32(len(t.core))
 			t.core = append(t.core, int32(i))
-			total += len(nbrs[i])
+			total += len(nbrs)
 		} else {
 			t.slot[i] = ^stubs
 			stubs++
-			ups += len(nbrs[i])
+			ups += len(nbrs)
 		}
 	}
+	t.sessions /= 2
 	edges := make([]edge, 0, total)
 	upArena := make([]int32, 0, ups)
 	t.up = make([][]int32, stubs)
@@ -191,9 +193,10 @@ func (t *Table) buildAdjacency() {
 	t.cut = make([]cuts, len(t.core))
 	t.hidden = make([]bool, len(t.core))
 	for i, s := range t.slot {
+		nbrs := t.Net.ASes[t.asns[i]].Neighbors()
 		if s < 0 {
 			lo := len(upArena)
-			for _, nb := range nbrs[i] {
+			for _, nb := range nbrs {
 				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == topo.RelProvider {
 					upArena = append(upArena, t.slot[j])
 				}
@@ -205,7 +208,7 @@ func (t *Table) buildAdjacency() {
 		var at [4]int32
 		for g, rel := range [4]topo.Rel{topo.RelProvider, topo.RelSibling, topo.RelCustomer, topo.RelPeer} {
 			at[g] = int32(len(edges) - lo)
-			for _, nb := range nbrs[i] {
+			for _, nb := range nbrs {
 				if j, ok := t.idx[nb.ASN]; ok && nb.Rel == rel && t.slot[j] >= 0 {
 					edges = append(edges, edge{n: t.slot[j], rel: rel})
 				}
@@ -227,53 +230,117 @@ func (t *Table) buildAdjacency() {
 }
 
 // buildAtoms partitions the announced prefixes into announcement atoms,
-// numbered by their first prefix in sorted order.
+// numbered by their first prefix in sorted order. An atom is keyed by its
+// origins and, for a pinned prefix, the links it is pinned to: unpinned
+// single-origin prefixes, nearly all of them, find their atom by origin;
+// the rest compare keys with the few atoms of their kind.
 func (t *Table) buildAtoms() {
-	originsOf := make(map[netx.Prefix][]int32)
+	// Every (prefix, origin) pair, sorted: a prefix's origins are one run,
+	// ascending, of the origin array the atoms keep.
+	n := 0
+	for _, asn := range t.asns {
+		n += len(t.Net.ASes[asn].Prefixes)
+	}
+	po := prefixOrigins{p: make([]netx.Prefix, 0, n), o: make([]int32, 0, n)}
 	for i, asn := range t.asns {
 		for _, p := range t.Net.ASes[asn].Prefixes {
-			if _, seen := originsOf[p]; !seen {
-				t.prefixes = append(t.prefixes, p)
-				t.lpm.Insert(p, p)
-			}
-			originsOf[p] = append(originsOf[p], int32(i))
+			po.p = append(po.p, p)
+			po.o = append(po.o, int32(i))
 		}
 	}
-	sort.Slice(t.prefixes, func(a, b int) bool { return netx.ComparePrefix(t.prefixes[a], t.prefixes[b]) < 0 })
+	sort.Sort(po)
 
-	// The key is the origin indexes followed, for a pinned prefix, by a
-	// marker and the subnets of its links: pinned to no link at all is
-	// announced nowhere, which is not unpinned.
-	t.atomOf = make(map[netx.Prefix]int32, len(t.prefixes))
-	byKey := make(map[string]int32)
-	var key []byte
-	for _, p := range t.prefixes {
-		origins := originsOf[p]
-		key = key[:0]
-		for _, o := range origins {
-			key = binary.BigEndian.AppendUint32(key, uint32(o))
+	// Distinct prefixes are compacted into po.p's front, which t.prefixes
+	// keeps; start[k] is where prefix k's origins begin.
+	start := make([]int32, 0, n+1)
+	for i, p := range po.p {
+		if i == 0 || p != po.p[i-1] {
+			po.p[len(start)] = p
+			start = append(start, int32(i))
+			t.lpm.Insert(p, p)
 		}
+	}
+	t.prefixes = po.p[:len(start):len(start)]
+	start = append(start, int32(n))
+
+	// The key of an atom other than an unpinned single-origin one: the
+	// origin indexes followed, for a pinned prefix, by a marker and the
+	// subnets of its links (pinned to no link at all is announced nowhere,
+	// which is not unpinned).
+	byOrigin := make([]int32, len(t.asns)) // atom+1 of the origin's unpinned prefixes
+	type keyed struct{ atom, lo, hi int32 }
+	var others []keyed
+	var keys []byte
+	atomOf := make([]int32, len(t.prefixes))
+	atoms := int32(0)
+	for k, p := range t.prefixes {
+		origins := po.o[start[k]:start[k+1]]
 		pinned := t.Net.IsPinned(p)
+		if !pinned && len(origins) == 1 {
+			if byOrigin[origins[0]] == 0 {
+				atoms++
+				byOrigin[origins[0]] = atoms
+			}
+			atomOf[k] = byOrigin[origins[0]] - 1
+			continue
+		}
+		lo := len(keys)
+		for _, o := range origins {
+			keys = binary.BigEndian.AppendUint32(keys, uint32(o))
+		}
 		if pinned {
-			key = binary.BigEndian.AppendUint32(key, ^uint32(0))
+			keys = binary.BigEndian.AppendUint32(keys, ^uint32(0))
 			for _, l := range t.Net.PinnedLinksOf(p) {
-				key = binary.BigEndian.AppendUint32(key, uint32(l.Subnet.Base))
-				key = append(key, byte(l.Subnet.Len))
+				keys = binary.BigEndian.AppendUint32(keys, uint32(l.Subnet.Base))
+				keys = append(keys, byte(l.Subnet.Len))
 			}
 		}
-		a, ok := byKey[string(key)]
-		if !ok {
-			a = int32(len(t.atoms))
-			byKey[string(key)] = a
-			at := atom{origins: origins}
-			if pinned {
-				at.recv = t.pinnedRecv(p, origins)
+		key := keys[lo:]
+		atomOf[k] = -1
+		for _, o := range others {
+			if bytes.Equal(keys[o.lo:o.hi], key) {
+				atomOf[k], keys = o.atom, keys[:lo]
+				break
 			}
-			t.atoms = append(t.atoms, at)
 		}
+		if atomOf[k] < 0 {
+			atomOf[k] = atoms
+			others = append(others, keyed{atoms, int32(lo), int32(len(keys))})
+			atoms++
+		}
+	}
+
+	t.atomOf = make(map[netx.Prefix]int32, len(t.prefixes))
+	t.atoms = make([]atom, atoms)
+	for k, p := range t.prefixes {
+		a := atomOf[k]
 		t.atomOf[p] = a
+		if at := &t.atoms[a]; at.origins == nil {
+			at.origins = po.o[start[k]:start[k+1]:start[k+1]]
+			if t.Net.IsPinned(p) {
+				at.recv = t.pinnedRecv(p, at.origins)
+			}
+		}
 	}
 	t.ribs = make([]atomic.Pointer[PrefixRIB], len(t.atoms))
+}
+
+// prefixOrigins sorts (prefix, origin) pairs held in two slices.
+type prefixOrigins struct {
+	p []netx.Prefix
+	o []int32
+}
+
+func (po prefixOrigins) Len() int { return len(po.p) }
+func (po prefixOrigins) Less(i, j int) bool {
+	if c := netx.ComparePrefix(po.p[i], po.p[j]); c != 0 {
+		return c < 0
+	}
+	return po.o[i] < po.o[j]
+}
+func (po prefixOrigins) Swap(i, j int) {
+	po.p[i], po.p[j] = po.p[j], po.p[i]
+	po.o[i], po.o[j] = po.o[j], po.o[i]
 }
 
 // pinnedRecv computes, for a selectively-announced prefix (§6), which

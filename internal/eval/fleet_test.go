@@ -298,3 +298,32 @@ func TestFleetAliasPhaseFreeOfScheduling(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedFleetResolversDropTracer: a traced fleet's alias stages record
+// their verdicts into each VP's trace fragment, which the fleet merges into
+// the run's tracer, and the resolver each dataset keeps for inference lets
+// go of that fragment once its stage is done.
+func TestTracedFleetResolversDropTracer(t *testing.T) {
+	s := Build(topo.RegionalVPProfile(), 1)
+	s.Trace = obs.NewTracer()
+	if _, err := s.RunFleet(scamper.Config{}, FleetOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ds := range s.Datasets {
+		if ds.Resolver == nil {
+			t.Fatalf("VP %d kept no resolver", i)
+		}
+		if ds.Resolver.Trace != nil {
+			t.Errorf("VP %d's resolver still holds a tracer", i)
+		}
+	}
+	verdicts := 0
+	for _, ev := range s.Trace.Events() {
+		if ev.Stage == obs.StageAlias {
+			verdicts++
+		}
+	}
+	if verdicts == 0 {
+		t.Error("the run's tracer holds no alias verdict")
+	}
+}

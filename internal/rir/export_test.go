@@ -68,7 +68,11 @@ func Parse(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
-// Records returns a copy of all records.
+// Records returns a copy of all records, in Start order.
 func (db *DB) Records() []Record {
-	return append([]Record(nil), db.recs...)
+	out := make([]Record, len(db.byStart))
+	for j, i := range db.byStart {
+		out[j] = db.recs[i]
+	}
+	return out
 }

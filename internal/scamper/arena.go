@@ -47,7 +47,6 @@ type arena struct {
 	// order. preds keeps its lists' backing arrays across stages.
 	id     map[netx.Addr]int32
 	preds  [][]netx.Addr
-	edges  map[edge]struct{}
 	sorted []netx.Addr
 
 	// Dataset.TraceFingerprint: the traces' sort keys, and the lines it
@@ -57,9 +56,6 @@ type arena struct {
 	fpLine, fpOther []byte
 	fpHops          []obs.Hop
 }
-
-// edge is one address seen right before another on a trace.
-type edge struct{ prev, cur netx.Addr }
 
 // idleArenas is the free list of arenas no stage is using: a plain slice
 // rather than a sync.Pool, which the garbage collector empties, so an idle
@@ -78,7 +74,7 @@ func takeArena() *arena {
 		idleArenas.list = idleArenas.list[:n-1]
 		return ar
 	}
-	return &arena{id: make(map[netx.Addr]int32), edges: make(map[edge]struct{})}
+	return &arena{id: make(map[netx.Addr]int32)}
 }
 
 // putArena empties ar and returns it to the free list.
@@ -94,7 +90,6 @@ func putArena(ar *arena) {
 	for i := range ar.preds {
 		ar.preds[i] = ar.preds[i][:0]
 	}
-	clear(ar.edges)
 	ar.sorted = ar.sorted[:0]
 	ar.fpKeys, ar.fpLine, ar.fpOther, ar.fpHops = ar.fpKeys[:0], ar.fpLine[:0], ar.fpOther[:0], ar.fpHops[:0]
 	idleArenas.Lock()
@@ -135,7 +130,9 @@ func (ar *arena) slots(n, workers int) []targetOut {
 }
 
 // indexEdges fills the edge index from the traces: consecutive
-// time-exceeded hops with no timeout between them are an edge.
+// time-exceeded hops with no timeout between them are an edge. An address
+// has few predecessors (at most four on every VP of the built-in worlds),
+// so an edge seen before is found by scanning them.
 func (ar *arena) indexEdges(traces []TraceRecord) {
 	for _, tr := range traces {
 		var prev netx.Addr
@@ -155,12 +152,8 @@ func (ar *arena) indexEdges(traces []TraceRecord) {
 					ar.preds = append(ar.preds, nil)
 				}
 			}
-			if !prev.IsZero() && prev != h.Addr {
-				e := edge{prev, h.Addr}
-				if _, seen := ar.edges[e]; !seen {
-					ar.edges[e] = struct{}{}
-					ar.preds[cur] = append(ar.preds[cur], prev)
-				}
+			if !prev.IsZero() && prev != h.Addr && !slices.Contains(ar.preds[cur], prev) {
+				ar.preds[cur] = append(ar.preds[cur], prev)
 			}
 			prev = h.Addr
 		}

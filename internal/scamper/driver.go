@@ -695,8 +695,9 @@ func (d *Driver) resolveAliases(ds *Dataset, cfg Config, tl Timeline, clocked bo
 	// The dataset outlives the run — inference reads verdicts through
 	// ds.Resolver — and must not keep the timeline alive with it (for a
 	// local run that is the engine and its whole forwarding plane), nor
-	// the fleet's book.
-	defer func() { res.Src, res.Now, res.Book = nil, nil, nil }()
+	// the fleet's book, nor the tracer the stage recorded into (a fleet
+	// shard's is its VP's trace fragment).
+	defer func() { res.Src, res.Now, res.Book, res.Trace = nil, nil, nil, nil }()
 
 	// The edge index and the lane's router table live in an arena the
 	// stage returns emptied.

@@ -164,8 +164,8 @@ func IdleArenas() []IdleArena {
 			}
 		}
 		hold(unsafe.Pointer(unsafe.SliceData(ar.sorted)), cap(ar.sorted)*4)
-		if len(ar.outs)+len(ar.id)+len(ar.edges)+len(ar.sorted) != 0 {
-			dirty("%d slots, %d addresses, %d edges, %d sorted", len(ar.outs), len(ar.id), len(ar.edges), len(ar.sorted))
+		if len(ar.outs)+len(ar.id)+len(ar.sorted) != 0 {
+			dirty("%d slots, %d addresses, %d sorted", len(ar.outs), len(ar.id), len(ar.sorted))
 		}
 		hold(unsafe.Pointer(unsafe.SliceData(ar.fpKeys)), cap(ar.fpKeys)*int(unsafe.Sizeof(traceKey{})))
 		hold(unsafe.Pointer(unsafe.SliceData(ar.fpLine)), cap(ar.fpLine))
@@ -184,4 +184,40 @@ func DrainArenas() {
 	idleArenas.Lock()
 	idleArenas.list = nil
 	idleArenas.Unlock()
+}
+
+// indexEdgesMap is arena.indexEdges as it was, finding an edge seen before
+// in a set of (predecessor, address) pairs instead of the address's
+// predecessor list: the oracle the list scan is held to. It returns each
+// address's predecessors, first seen first, and the addresses sorted.
+func indexEdgesMap(traces []TraceRecord) (map[netx.Addr][]netx.Addr, []netx.Addr) {
+	type edge struct{ prev, cur netx.Addr }
+	edges := make(map[edge]struct{})
+	preds := make(map[netx.Addr][]netx.Addr)
+	var sorted []netx.Addr
+	for _, tr := range traces {
+		var prev netx.Addr
+		for _, h := range tr.Hops {
+			if h.Type != probe.HopTimeExceeded {
+				if h.Type == probe.HopTimeout {
+					prev = 0
+				}
+				continue
+			}
+			if _, ok := preds[h.Addr]; !ok {
+				preds[h.Addr] = nil
+				sorted = append(sorted, h.Addr)
+			}
+			if !prev.IsZero() && prev != h.Addr {
+				e := edge{prev, h.Addr}
+				if _, seen := edges[e]; !seen {
+					edges[e] = struct{}{}
+					preds[h.Addr] = append(preds[h.Addr], prev)
+				}
+			}
+			prev = h.Addr
+		}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return preds, sorted
 }

@@ -46,8 +46,9 @@ func New(recs []OrgRecord) *Set {
 // ASes are wrongly merged into one organization.
 func FromNetwork(net *topo.Network, seed int64) *Set {
 	rng := rand.New(rand.NewSource(seed))
-	var recs []OrgRecord
 	asns := net.ASNs()
+	s := New(nil)
+	s.org = make(map[topo.ASN]string, len(asns))
 	for _, asn := range asns {
 		if rng.Float64() < 0.03 {
 			continue // missing record
@@ -57,9 +58,9 @@ func FromNetwork(net *topo.Network, seed int64) *Set {
 			// Spurious merge: copy another AS's org.
 			org = net.ASes[asns[rng.Intn(len(asns))]].Org
 		}
-		recs = append(recs, OrgRecord{ASN: asn, OrgID: org})
+		s.org[asn] = org
 	}
-	return New(recs)
+	return s
 }
 
 // SameOrg reports whether a and b are believed to be siblings, after

@@ -14,7 +14,8 @@
 package topo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"bdrmap/internal/netx"
@@ -155,26 +156,43 @@ type AS struct {
 	// Routers owned by this AS, in creation order.
 	Routers []*Router
 
-	// neighbors at the AS level, keyed by neighbor ASN.
-	neighbors map[ASN]Rel
+	// neighbors at the AS level, sorted by neighbor ASN.
+	neighbors []ASNeighbor
 
 	// siblings is the AS's organisation in ASN order, as Build found it.
 	siblings []ASN
 }
 
-// Neighbors returns the AS-level neighbors and relationships, sorted by ASN.
-func (a *AS) Neighbors() []ASNeighbor {
-	out := make([]ASNeighbor, 0, len(a.neighbors))
-	for asn, rel := range a.neighbors {
-		out = append(out, ASNeighbor{ASN: asn, Rel: rel})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
+// Neighbors returns the AS-level neighbors and relationships, sorted by
+// ASN. The slice is the AS's own: it must not be modified, and SetRel may
+// replace it.
+func (a *AS) Neighbors() []ASNeighbor { return a.neighbors }
 
 // RelTo returns what asn is to this AS: RelCustomer means "asn is my
 // customer", RelProvider "asn is my provider". RelNone if not adjacent.
-func (a *AS) RelTo(asn ASN) Rel { return a.neighbors[asn] }
+func (a *AS) RelTo(asn ASN) Rel {
+	if i, ok := a.neighbor(asn); ok {
+		return a.neighbors[i].Rel
+	}
+	return RelNone
+}
+
+// neighbor returns where asn is, or would go, in a.neighbors.
+func (a *AS) neighbor(asn ASN) (int, bool) {
+	return slices.BinarySearchFunc(a.neighbors, asn, func(nb ASNeighbor, asn ASN) int {
+		return cmp.Compare(nb.ASN, asn)
+	})
+}
+
+// setRel records what asn is to this AS, keeping a.neighbors sorted.
+func (a *AS) setRel(asn ASN, rel Rel) {
+	i, ok := a.neighbor(asn)
+	if ok {
+		a.neighbors[i].Rel = rel
+		return
+	}
+	a.neighbors = slices.Insert(a.neighbors, i, ASNeighbor{ASN: asn, Rel: rel})
+}
 
 // ASNeighbor pairs a neighbor ASN with what that neighbor is to the AS
 // that returned it (RelCustomer: the neighbor is a customer).

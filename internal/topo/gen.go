@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bdrmap/internal/netx"
@@ -870,21 +871,36 @@ func (g *genCtx) applyMOAS() {
 
 // recordDelegations emits an RIR-style record for every AS's address space.
 func (g *genCtx) recordDelegations() {
-	for _, asn := range g.net.ASNs() {
+	asns := g.net.ASNs()
+	var blocks []netx.Prefix
+	total := 1 // the host's unannounced block
+	for _, asn := range asns {
+		blocks = delegatedBlocks(g.net.ASes[asn], blocks[:0])
+		total += len(blocks)
+	}
+	g.net.Delegations = slices.Grow(g.net.Delegations, total)
+	for _, asn := range asns {
 		a := g.net.ASes[asn]
-		seen := map[netx.Prefix]bool{}
-		for _, p := range a.Prefixes {
-			if !seen[p] {
-				g.net.Delegations = append(g.net.Delegations, DelegationRecord{OrgID: a.Org, Prefix: p})
-				seen[p] = true
-			}
-		}
-		if a.Infra.IsValid() && a.Infra.Len > 0 && !seen[a.Infra] {
-			g.net.Delegations = append(g.net.Delegations, DelegationRecord{OrgID: a.Org, Prefix: a.Infra})
+		blocks = delegatedBlocks(a, blocks[:0])
+		for _, p := range blocks {
+			g.net.Delegations = append(g.net.Delegations, DelegationRecord{OrgID: a.Org, Prefix: p})
 		}
 	}
-	// The host's unannounced block.
 	g.net.Delegations = append(g.net.Delegations, DelegationRecord{OrgID: "org-host", Prefix: g.hostHidden})
+}
+
+// delegatedBlocks appends to dst the blocks delegated to a: each prefix it
+// announces, once, then its infrastructure block unless it announces that.
+func delegatedBlocks(a *AS, dst []netx.Prefix) []netx.Prefix {
+	for i, p := range a.Prefixes {
+		if !slices.Contains(a.Prefixes[:i], p) {
+			dst = append(dst, p)
+		}
+	}
+	if a.Infra.IsValid() && a.Infra.Len > 0 && !slices.Contains(a.Prefixes, a.Infra) {
+		dst = append(dst, a.Infra)
+	}
+	return dst
 }
 
 // vpRegion returns the region index for VP i under the profile's placement

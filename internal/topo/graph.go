@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"bdrmap/internal/netx"
@@ -41,7 +43,9 @@ type PrefixAnchor struct {
 
 // graphIndex holds adjacency structures derived from the link set.
 type graphIndex struct {
-	internalAdj map[RouterID][]Adj
+	// Router r's intra-AS adjacencies are internalAdj[internalOff[r]:internalOff[r+1]].
+	internalOff []int32
+	internalAdj []Adj
 	attachments map[ASN][]Attachment
 	// anchor per (origin AS, prefix)
 	anchors map[netx.Prefix]PrefixAnchor
@@ -178,31 +182,67 @@ func (n *Network) Build() {
 	if n.idx == nil {
 		n.idx = newGraphIndex()
 	}
-	n.idx.internalAdj = make(map[RouterID][]Adj)
-	n.idx.attachments = make(map[ASN][]Attachment)
 	n.annotate()
 	n.indexSiblings()
+	n.indexInternal()
+	n.indexAttachments()
+}
 
+// indexInternal lays every router's intra-AS adjacencies out in one array,
+// in link order: router r's are internalAdj[internalOff[r]:internalOff[r+1]].
+func (n *Network) indexInternal() {
+	off := make([]int32, len(n.Routers)+1)
+	total := int32(0)
 	for _, l := range n.Links {
-		switch l.Kind {
-		case LinkInternal:
-			if len(l.Ifaces) != 2 {
-				continue
-			}
-			a, b := l.Ifaces[0], l.Ifaces[1]
-			n.idx.internalAdj[a.Router] = append(n.idx.internalAdj[a.Router], Adj{Peer: b, Link: l})
-			n.idx.internalAdj[b.Router] = append(n.idx.internalAdj[b.Router], Adj{Peer: a, Link: l})
-		case LinkInterdomain:
-			if len(l.Ifaces) != 2 {
-				continue
-			}
-			a, b := l.Ifaces[0], l.Ifaces[1]
-			ra, rb := n.Router(a.Router), n.Router(b.Router)
-			n.idx.attachments[ra.Owner] = append(n.idx.attachments[ra.Owner],
-				Attachment{Link: l, LocalRtr: ra.ID, Remote: rb.Owner, RemoteRtr: rb.ID})
-			n.idx.attachments[rb.Owner] = append(n.idx.attachments[rb.Owner],
-				Attachment{Link: l, LocalRtr: rb.ID, Remote: ra.Owner, RemoteRtr: ra.ID})
+		if l.Kind == LinkInternal && len(l.Ifaces) == 2 {
+			off[l.Ifaces[0].Router]++
+			off[l.Ifaces[1].Router]++
+			total += 2
 		}
+	}
+	// off[r] becomes the end of r's run; filling each run from its end,
+	// links taken last to first, leaves it at the run's start.
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	adj := make([]Adj, total)
+	for i := len(n.Links) - 1; i >= 0; i-- {
+		l := n.Links[i]
+		if l.Kind != LinkInternal || len(l.Ifaces) != 2 {
+			continue
+		}
+		a, b := l.Ifaces[0], l.Ifaces[1]
+		off[b.Router]--
+		adj[off[b.Router]] = Adj{Peer: a, Link: l}
+		off[a.Router]--
+		adj[off[a.Router]] = Adj{Peer: b, Link: l}
+	}
+	n.idx.internalOff, n.idx.internalAdj = off, adj
+}
+
+// indexAttachments lists every AS's interdomain attachments: both ends of
+// each interdomain point-to-point link, then both members of each IXP
+// session. They are written to one array, grouped by AS in that order and
+// then sorted per AS.
+func (n *Network) indexAttachments() {
+	total := 2 * len(n.ixpSessions)
+	for _, l := range n.Links {
+		if l.Kind == LinkInterdomain && len(l.Ifaces) == 2 {
+			total += 2
+		}
+	}
+	g := attachGroups{at: make([]Attachment, 0, total), owner: make([]ASN, 0, total)}
+	add := func(owner ASN, at Attachment) {
+		g.at = append(g.at, at)
+		g.owner = append(g.owner, owner)
+	}
+	for _, l := range n.Links {
+		if l.Kind != LinkInterdomain || len(l.Ifaces) != 2 {
+			continue
+		}
+		ra, rb := n.Router(l.Ifaces[0].Router), n.Router(l.Ifaces[1].Router)
+		add(ra.Owner, Attachment{Link: l, LocalRtr: ra.ID, Remote: rb.Owner, RemoteRtr: rb.ID})
+		add(rb.Owner, Attachment{Link: l, LocalRtr: rb.ID, Remote: ra.Owner, RemoteRtr: ra.ID})
 	}
 	// IXP sessions become attachments over the LAN link.
 	for _, s := range n.ixpSessions {
@@ -210,25 +250,44 @@ func (n *Network) Build() {
 		if lan == nil {
 			continue
 		}
-		n.idx.attachments[s.A] = append(n.idx.attachments[s.A],
-			Attachment{Link: lan, LocalRtr: s.ARtr, Remote: s.B, RemoteRtr: s.BRtr})
-		n.idx.attachments[s.B] = append(n.idx.attachments[s.B],
-			Attachment{Link: lan, LocalRtr: s.BRtr, Remote: s.A, RemoteRtr: s.ARtr})
+		add(s.A, Attachment{Link: lan, LocalRtr: s.ARtr, Remote: s.B, RemoteRtr: s.BRtr})
+		add(s.B, Attachment{Link: lan, LocalRtr: s.BRtr, Remote: s.A, RemoteRtr: s.ARtr})
 	}
-	// Deterministic ordering.
-	for asn := range n.idx.attachments {
-		at := n.idx.attachments[asn]
-		sort.Slice(at, func(i, j int) bool {
-			if at[i].LocalRtr != at[j].LocalRtr {
-				return at[i].LocalRtr < at[j].LocalRtr
-			}
-			if at[i].Remote != at[j].Remote {
-				return at[i].Remote < at[j].Remote
-			}
-			return at[i].RemoteRtr < at[j].RemoteRtr
+	sort.Stable(g)
+	runs := 0
+	for i := range g.owner {
+		if i == 0 || g.owner[i] != g.owner[i-1] {
+			runs++
+		}
+	}
+	n.idx.attachments = make(map[ASN][]Attachment, runs)
+	for lo := 0; lo < len(g.at); {
+		hi := lo + 1
+		for hi < len(g.at) && g.owner[hi] == g.owner[lo] {
+			hi++
+		}
+		// Deterministic ordering.
+		at := g.at[lo:hi:hi]
+		slices.SortFunc(at, func(a, b Attachment) int {
+			return cmp.Or(cmp.Compare(a.LocalRtr, b.LocalRtr), cmp.Compare(a.Remote, b.Remote), cmp.Compare(a.RemoteRtr, b.RemoteRtr))
 		})
-		n.idx.attachments[asn] = at
+		n.idx.attachments[g.owner[lo]] = at
+		lo = hi
 	}
+}
+
+// attachGroups sorts attachments by the AS they belong to, keeping each
+// AS's in the order they were listed.
+type attachGroups struct {
+	at    []Attachment
+	owner []ASN
+}
+
+func (g attachGroups) Len() int           { return len(g.at) }
+func (g attachGroups) Less(i, j int) bool { return g.owner[i] < g.owner[j] }
+func (g attachGroups) Swap(i, j int) {
+	g.at[i], g.at[j] = g.at[j], g.at[i]
+	g.owner[i], g.owner[j] = g.owner[j], g.owner[i]
 }
 
 // ixpLAN returns the LAN link of IXP index ix (matched by subnet).
@@ -250,7 +309,10 @@ func (n *Network) InternalNeighbors(r RouterID) []Adj {
 	if n.idx == nil {
 		return nil
 	}
-	return n.idx.internalAdj[r]
+	if r < 0 || int(r)+1 >= len(n.idx.internalOff) {
+		return nil
+	}
+	return n.idx.internalAdj[n.idx.internalOff[r]:n.idx.internalOff[r+1]:n.idx.internalOff[r+1]]
 }
 
 // Attachments returns the interdomain attachments of asn.

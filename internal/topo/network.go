@@ -115,7 +115,7 @@ func (n *Network) AddAS(asn ASN, tier Tier, org string) *AS {
 	if _, dup := n.ASes[asn]; dup {
 		panic(fmt.Sprintf("topo: duplicate %v", asn))
 	}
-	a := &AS{ASN: asn, Tier: tier, Org: org, neighbors: make(map[ASN]Rel)}
+	a := &AS{ASN: asn, Tier: tier, Org: org}
 	n.ASes[asn] = a
 	return a
 }
@@ -146,8 +146,8 @@ func (n *Network) SetRel(a, b ASN, rel Rel) {
 	if asA == nil || asB == nil {
 		panic(fmt.Sprintf("topo: SetRel unknown AS %v or %v", a, b))
 	}
-	asA.neighbors[b] = rel.Invert()
-	asB.neighbors[a] = rel
+	asA.setRel(b, rel.Invert())
+	asB.setRel(a, rel)
 }
 
 // RegisterIface indexes an interface address for address→interface lookup.
@@ -319,7 +319,7 @@ func (n *Network) ASNs() []ASN {
 	for asn := range n.ASes {
 		out = append(out, asn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
